@@ -1,12 +1,10 @@
 package main
 
-// -bench-core: core simulation cycle-rate snapshots. BENCH_shard.json tracks
-// the sharded stepper against its serial twin; this file tracks the rates the
-// ROADMAP calls out as untracked — the E6 and E11 experiment sweeps (cells
-// report their simulated cycles through Options.OnCell) and the raw kernel
-// step loop the SimulationCycle micro-benchmark measures. The JSON lands in a
-// file (BENCH_core.json in CI) so the per-commit speed trajectory of the
-// ordinary, unsharded engine is archived too.
+// -bench-core: core simulation cycle-rate snapshots — the E6 and E11
+// experiment sweeps (cells report their simulated cycles through
+// Options.OnCell) and the raw kernel step loop the SimulationCycle
+// micro-benchmark measures. The JSON lands in a file (BENCH_core.json in CI)
+// so the per-commit speed trajectory of the engine is archived.
 
 import (
 	"encoding/json"

@@ -32,27 +32,17 @@ import (
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment ids to run, comma-separated and case-insensitive (e.g. e4 or E1,F2), or 'all'")
-		quick       = flag.Bool("quick", false, "reduced sweep sizes")
-		parallel    = flag.Int("parallel", sweep.DefaultParallel(), "worker-pool width for experiments and their sweep cells (1 = serial)")
-		shards      = flag.Int("shards", 0, "spatial shards per machine where supported (E14 scale run, -bench-shards); <= 1 = serial stepper")
-		benchShardP = flag.String("bench-shards", "", "write serial-vs-sharded cycle-rate snapshots to this JSON file and exit (e.g. BENCH_shard.json)")
-		benchCoreP  = flag.String("bench-core", "", "write core cycle-rate snapshots (E6, E11, kernel step loop) to this JSON file and exit (e.g. BENCH_core.json)")
-		list        = flag.Bool("list", false, "list experiments and exit")
+		exp        = flag.String("exp", "all", "experiment ids to run, comma-separated and case-insensitive (e.g. e4 or E1,F2), or 'all'")
+		quick      = flag.Bool("quick", false, "reduced sweep sizes")
+		parallel   = flag.Int("parallel", sweep.DefaultParallel(), "worker-pool width for experiments and their sweep cells (1 = serial)")
+		benchCoreP = flag.String("bench-core", "", "write core cycle-rate snapshots (E6, E11, kernel step loop) to this JSON file and exit (e.g. BENCH_core.json)")
+		list       = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
 
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-4s %-55s %s\n", e.ID, e.Title, e.Paper)
-		}
-		return
-	}
-
-	if *benchShardP != "" {
-		if err := benchShards(*benchShardP, *shards, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "mdxbench: bench-shards: %v\n", err)
-			os.Exit(1)
 		}
 		return
 	}
@@ -65,7 +55,7 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{Quick: *quick, Parallel: *parallel, Shards: *shards}
+	opts := experiments.Options{Quick: *quick, Parallel: *parallel}
 	toRun, err := experiments.Resolve(strings.Split(*exp, ","))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mdxbench: %v (use -list)\n", err)

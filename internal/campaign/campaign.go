@@ -139,10 +139,6 @@ type Spec struct {
 	// escape-VC adaptive routing (see core.Config for the constraints).
 	VCs      int
 	Adaptive bool
-	// Shards steps the cell's machine on that many spatial shards (see
-	// core.Config.Shards). The verdict — like everything downstream of the
-	// kernel — is identical at any shard count.
-	Shards int
 	// Reconfig enables online routing-table reconfiguration (see
 	// core.Config.Reconfig for the modes and constraints): mid-run faults
 	// and/or confirmed deadlocks recompile the policy and swap it in behind
@@ -301,7 +297,6 @@ func NewCellRun(spec Spec) (*CellRun, error) {
 		Adaptive:       spec.Adaptive,
 		PacketSize:     spec.PacketSize,
 		StallThreshold: spec.Inject.StallThreshold,
-		Shards:         spec.Shards,
 		Reconfig:       spec.Reconfig,
 	})
 	if err != nil {
@@ -592,9 +587,6 @@ type Config struct {
 	// for every cell (see Spec).
 	VCs      int
 	Adaptive bool
-	// Shards steps every cell's machine on that many spatial shards (see
-	// Spec.Shards); results are identical at any shard count.
-	Shards int
 	// Reconfig/ReconfigDrainBudget enable online reconfiguration in every
 	// cell (see Spec.Reconfig).
 	Reconfig            string
@@ -699,7 +691,6 @@ func Run(cfg Config) (*Result, error) {
 			PivotLastDim:        cfg.PivotLastDim,
 			VCs:                 cfg.VCs,
 			Adaptive:            cfg.Adaptive,
-			Shards:              cfg.Shards,
 			Reconfig:            cfg.Reconfig,
 			ReconfigDrainBudget: cfg.ReconfigDrainBudget,
 		}

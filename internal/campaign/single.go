@@ -62,9 +62,6 @@ type SingleSpec struct {
 	// escape-VC adaptive routing.
 	VCs      int
 	Adaptive bool
-	// Shards steps the machine on that many spatial shards (see
-	// core.Config.Shards); the report bytes are identical at any count.
-	Shards int
 	// Reconfig/ReconfigDrainBudget enable online reconfiguration (see
 	// Spec.Reconfig); every attempt prints one event line plus its refusal
 	// and union witnesses.
@@ -144,7 +141,6 @@ func NewSingleRun(spec SingleSpec, w io.Writer) (*SingleRun, error) {
 		Adaptive:       spec.Adaptive,
 		PacketSize:     spec.PacketSize,
 		StallThreshold: spec.Inject.StallThreshold,
-		Shards:         spec.Shards,
 		Reconfig:       spec.Reconfig,
 	})
 	if err != nil {

@@ -12,8 +12,8 @@ package campaign
 //
 //   - Degenerate-lane equivalence: VCs=1 is byte-identical to the pre-VC
 //     machine in every artifact a user can observe — campaign reports,
-//     single-run report streams, outcomes — at every parallel and shard
-//     level. The VC layer is provably inert until a second lane exists.
+//     single-run report streams, outcomes — at every parallel level. The VC
+//     layer is provably inert until a second lane exists.
 
 import (
 	"bytes"
@@ -112,7 +112,7 @@ func TestAdaptiveContentionNeverRecovers(t *testing.T) {
 // TestSingleLaneCampaignBytesIdentical pins the degenerate-lane guarantee on
 // the campaign artifact itself: the recovery sweep's full report with
 // VCs=1 must match the pre-VC (VCs=0) report byte for byte, at serial and
-// parallel execution and with the cell machines sharded.
+// parallel execution.
 func TestSingleLaneCampaignBytesIdentical(t *testing.T) {
 	base, err := Run(recoveryCampaign(1))
 	if err != nil {
@@ -121,17 +121,13 @@ func TestSingleLaneCampaignBytesIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		parallel int
-		shards   int
 	}{
-		{"serial", 1, 0},
-		{"parallel-2", 2, 0},
-		{"serial-sharded-2", 1, 2},
-		{"parallel-2-sharded-3", 2, 3},
+		{"serial", 1},
+		{"parallel-2", 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := recoveryCampaign(tc.parallel)
 			cfg.VCs = 1
-			cfg.Shards = tc.shards
 			got, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -146,7 +142,7 @@ func TestSingleLaneCampaignBytesIdentical(t *testing.T) {
 
 // TestSingleLaneSingleRunBytesIdentical does the same for the single-run
 // report stream — the artifact mdxfault -single prints — including the
-// recovery narrative of the deadlocking Fig. 9 design, across shard counts.
+// recovery narrative of the deadlocking Fig. 9 design.
 func TestSingleLaneSingleRunBytesIdentical(t *testing.T) {
 	for _, separate := range []bool{false, true} {
 		var want bytes.Buffer
@@ -154,42 +150,38 @@ func TestSingleLaneSingleRunBytesIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{0, 3} {
-			spec := fig9Single(separate, 0)
-			spec.VCs = 1
-			spec.Shards = shards
-			var got bytes.Buffer
-			gotOut, err := RunSingle(spec, &got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.String() != want.String() {
-				t.Errorf("separate=%v shards=%d: VCs=1 report differs\n--- vcs=1\n%s--- baseline\n%s",
-					separate, shards, got.String(), want.String())
-			}
-			if fmt.Sprintf("%+v", gotOut) != fmt.Sprintf("%+v", wantOut) {
-				t.Errorf("separate=%v shards=%d: outcome differs: %+v != %+v", separate, shards, gotOut, wantOut)
-			}
+		spec := fig9Single(separate, 0)
+		spec.VCs = 1
+		var got bytes.Buffer
+		gotOut, err := RunSingle(spec, &got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("separate=%v: VCs=1 report differs\n--- vcs=1\n%s--- baseline\n%s",
+				separate, got.String(), want.String())
+		}
+		if fmt.Sprintf("%+v", gotOut) != fmt.Sprintf("%+v", wantOut) {
+			t.Errorf("separate=%v: outcome differs: %+v != %+v", separate, gotOut, wantOut)
 		}
 	}
 }
 
-// TestAdaptiveCampaignParallelShardInvariant extends the determinism pin to
-// the adaptive machine: the adaptive recovery sweep renders byte-identically
-// at every parallel and shard level. (The adaptive sweep differs from the
+// TestAdaptiveCampaignParallelInvariant extends the determinism pin to the
+// adaptive machine: the adaptive recovery sweep renders byte-identically at
+// every parallel level. (The adaptive sweep differs from the
 // static one — lanes change drain times — so it is compared against its own
 // serial rendering, not the static baseline.)
-func TestAdaptiveCampaignParallelShardInvariant(t *testing.T) {
-	adaptive := func(parallel, shards int) Config {
+func TestAdaptiveCampaignParallelInvariant(t *testing.T) {
+	adaptive := func(parallel int) Config {
 		cfg := recoveryCampaign(parallel)
 		cfg.DXBSeparate = false
 		cfg.DXB = geom.Coord{}
 		cfg.VCs = 2
 		cfg.Adaptive = true
-		cfg.Shards = shards
 		return cfg
 	}
-	base, err := Run(adaptive(1, 0))
+	base, err := Run(adaptive(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,14 +189,14 @@ func TestAdaptiveCampaignParallelShardInvariant(t *testing.T) {
 		t.Fatalf("adaptive sweep not clean: recoveries=%d deadlocks=%d livelocked=%d\n%s",
 			base.Recoveries(), base.Deadlocks(), base.Livelocked(), base.String())
 	}
-	for _, tc := range []struct{ parallel, shards int }{{4, 0}, {1, 2}, {2, 3}} {
-		got, err := Run(adaptive(tc.parallel, tc.shards))
+	for _, parallel := range []int{2, 4} {
+		got, err := Run(adaptive(parallel))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.String() != base.String() {
-			t.Errorf("parallel=%d shards=%d: adaptive report differs from serial\n--- got\n%s--- serial\n%s",
-				tc.parallel, tc.shards, got.String(), base.String())
+			t.Errorf("parallel=%d: adaptive report differs from serial\n--- got\n%s--- serial\n%s",
+				parallel, got.String(), base.String())
 		}
 	}
 }

@@ -114,11 +114,6 @@ type Config struct {
 	PacketSize int
 	// StallThreshold configures the deadlock watchdog (0 = package default).
 	StallThreshold int64
-	// Shards partitions the lattice into that many spatial shards stepped
-	// concurrently (mdxb.ShardAssign); 0 or 1 selects the serial stepper.
-	// The per-cycle simulation state is identical either way — sharding is
-	// purely a wall-clock optimization.
-	Shards int
 }
 
 // Delivery records one packet consumed by a PE.
@@ -270,17 +265,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	if err := m.rebuildPolicy(); err != nil {
 		return nil, err
-	}
-	if cfg.Shards > 1 {
-		var plan engine.ShardPlan
-		if m.net != nil {
-			plan = mdxb.ShardAssign(m.net, cfg.Shards)
-		} else {
-			plan = topo.ShardAssign(m.tnet, cfg.Shards)
-		}
-		if err := m.eng.SetShards(plan); err != nil {
-			return nil, fmt.Errorf("core: sharding: %w", err)
-		}
 	}
 	m.eng.OnDeliver = m.onDeliver
 	return m, nil

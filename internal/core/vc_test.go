@@ -5,8 +5,8 @@ package core_test
 // Virtual channels multiply every router↔crossbar wire into lanes, so the
 // single most important regression surface is the degenerate case: a machine
 // built with VCs=1 (or 0) and Adaptive=false must be the pre-VC machine down
-// to the last bit — same per-cycle StateHash stream, same snapshot bytes, at
-// every shard count. The equivalence tests pin that. The adaptive round-trip
+// to the last bit — same per-cycle StateHash stream, same snapshot bytes.
+// The equivalence tests pin that. The adaptive round-trip
 // test pins checkpoint v2: a mid-run snapshot of a VCs>1 machine restores
 // into a fresh machine that replays the identical hash stream. FuzzVCAlloc
 // holds the allocator itself to the conservation laws.
@@ -91,14 +91,13 @@ func vcScenarios() []vcScenario {
 
 // buildVCScenario constructs the machine, applying the scenario's preset
 // fault for the 2D cases so detour paths are exercised.
-func buildVCScenario(t *testing.T, sc vcScenario, vcs, shards int) *core.Machine {
+func buildVCScenario(t *testing.T, sc vcScenario, vcs int) *core.Machine {
 	t.Helper()
 	cfg := sc.cfg
 	cfg.VCs = vcs
-	cfg.Shards = shards
 	m, err := core.NewMachine(cfg)
 	if err != nil {
-		t.Fatalf("NewMachine(%s, vcs=%d, shards=%d): %v", sc.name, vcs, shards, err)
+		t.Fatalf("NewMachine(%s, vcs=%d): %v", sc.name, vcs, err)
 	}
 	if sc.name == "unicast-faulted" {
 		if err := m.AddFault(fault.RouterFault(geom.Coord{2, 1})); err != nil {
@@ -122,46 +121,43 @@ func runStream(m *core.Machine, cap int) []uint64 {
 
 // TestVCSingleLaneHashEquivalence pins the degenerate case: VCs=1 (and the
 // unset default) build byte-identical machines — identical per-cycle hash
-// streams and identical snapshot bytes — for every routing variant, at every
-// shard count. This is the contract that lets every pre-VC golden fixture
-// survive the VC layer untouched.
+// streams and identical snapshot bytes — for every routing variant. This is
+// the contract that lets every pre-VC golden fixture survive the VC layer
+// untouched.
 func TestVCSingleLaneHashEquivalence(t *testing.T) {
 	for _, sc := range vcScenarios() {
 		sc := sc
-		for _, shards := range []int{0, 2, 3} {
-			t.Run(fmt.Sprintf("%s/shards=%d", sc.name, shards), func(t *testing.T) {
-				ref := buildVCScenario(t, sc, 0, 0) // the pre-VC machine: defaults, serial
-				got := buildVCScenario(t, sc, 1, shards)
-				refStream := runStream(ref, 20000)
-				gotStream := runStream(got, 20000)
-				if len(refStream) != len(gotStream) {
-					t.Fatalf("stream lengths diverged: default/serial %d cycles, vcs=1/shards=%d %d cycles",
-						len(refStream), shards, len(gotStream))
+		t.Run(sc.name, func(t *testing.T) {
+			ref := buildVCScenario(t, sc, 0) // the pre-VC machine: defaults
+			got := buildVCScenario(t, sc, 1)
+			refStream := runStream(ref, 20000)
+			gotStream := runStream(got, 20000)
+			if len(refStream) != len(gotStream) {
+				t.Fatalf("stream lengths diverged: default %d cycles, vcs=1 %d cycles",
+					len(refStream), len(gotStream))
+			}
+			for i := range refStream {
+				if refStream[i] != gotStream[i] {
+					t.Fatalf("cycle %d: hash %#x (default) != %#x (vcs=1)",
+						i+1, refStream[i], gotStream[i])
 				}
-				for i := range refStream {
-					if refStream[i] != gotStream[i] {
-						t.Fatalf("cycle %d: hash %#x (default) != %#x (vcs=1, shards=%d)",
-							i+1, refStream[i], gotStream[i], shards)
-					}
-				}
-				if !bytes.Equal(ref.Snapshot(), got.Snapshot()) {
-					t.Error("final snapshots differ between default and vcs=1 machines")
-				}
-			})
-		}
+			}
+			if !bytes.Equal(ref.Snapshot(), got.Snapshot()) {
+				t.Error("final snapshots differ between default and vcs=1 machines")
+			}
+		})
 	}
 }
 
 // adaptiveMachine builds the canonical adaptive test machine: 4x4, two
 // lanes, cross traffic in both dimensions plus a broadcast, one preset
 // router fault to force detours through the escape channel.
-func adaptiveMachine(t *testing.T, shards int) *core.Machine {
+func adaptiveMachine(t *testing.T) *core.Machine {
 	t.Helper()
 	m, err := core.NewMachine(core.Config{
 		Shape:    geom.MustShape(4, 4),
 		VCs:      2,
 		Adaptive: true,
-		Shards:   shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,28 +172,6 @@ func adaptiveMachine(t *testing.T, shards int) *core.Machine {
 	return m
 }
 
-// TestVCAdaptiveShardEquivalence extends the shard-equivalence guarantee to
-// the adaptive machine: the adaptive lane choice reads only phase-stable
-// port ownership, so the per-cycle hash stream must not move at any shard
-// count.
-func TestVCAdaptiveShardEquivalence(t *testing.T) {
-	serial := runStream(adaptiveMachine(t, 0), 20000)
-	if len(serial) == 0 {
-		t.Fatal("adaptive machine did no work")
-	}
-	for _, shards := range []int{2, 3, 4} {
-		got := runStream(adaptiveMachine(t, shards), 20000)
-		if len(got) != len(serial) {
-			t.Fatalf("shards=%d: %d cycles, serial %d", shards, len(got), len(serial))
-		}
-		for i := range serial {
-			if serial[i] != got[i] {
-				t.Fatalf("shards=%d cycle %d: hash %#x != serial %#x", shards, i+1, got[i], serial[i])
-			}
-		}
-	}
-}
-
 // TestVCAdaptiveCheckpointRoundTrip pins checkpoint v2 for per-VC state: a
 // mid-run snapshot of an adaptive VCs=2 machine — provisional route states,
 // per-lane credits, AdaptiveHops in flight — restores into a fresh machine
@@ -207,7 +181,7 @@ func TestVCAdaptiveCheckpointRoundTrip(t *testing.T) {
 	for _, cut := range []int{1, 5, 9, 17} {
 		cut := cut
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
-			ref := adaptiveMachine(t, 0)
+			ref := adaptiveMachine(t)
 			for i := 0; i < cut; i++ {
 				ref.Step()
 			}
@@ -260,7 +234,7 @@ func TestVCAdaptiveCheckpointRoundTrip(t *testing.T) {
 // must fail — while pre-VC snapshots (VCs<=1) keep their original
 // fingerprints and stay restorable.
 func TestVCAdaptiveStaleSnapshotRejected(t *testing.T) {
-	adaptive := adaptiveMachine(t, 0)
+	adaptive := adaptiveMachine(t)
 	plain, err := core.NewMachine(core.Config{Shape: geom.MustShape(4, 4)})
 	if err != nil {
 		t.Fatal(err)

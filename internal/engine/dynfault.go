@@ -195,7 +195,7 @@ func (e *Engine) purgeWounded(wounded map[uint64]*flit.Header) (sunk map[uint64]
 						}
 					}
 				}
-				e.freeRouteStateAt(nd, rs)
+				e.freeRouteState(rs)
 				in.route = nil
 				removed++
 			}

@@ -1,7 +1,11 @@
 package engine
 
 import (
+	"math/rand"
 	"testing"
+
+	"sr2201/internal/flit"
+	"sr2201/internal/geom"
 )
 
 // packetPresentAt reports whether any flit of the packet is buffered at the
@@ -211,5 +215,59 @@ func TestPreCycleHookObservesEveryStep(t *testing.T) {
 		if c != int64(i) {
 			t.Fatalf("hook saw cycle %d at step %d", c, i)
 		}
+	}
+}
+
+func TestStressKillAndSnapshot(t *testing.T) {
+	// Whole-network surgery interleaved with traffic and snapshots: a
+	// mid-run KillSwitch, a KillPacket purge, seeded injections and a
+	// snapshot plus invariant audit every few cycles. Invariants — credit
+	// conservation, no lost/duplicated flits (resident accounting),
+	// ownership consistency — must hold throughout, and the scheduled
+	// kernel must track the identically-abused full-scan reference hash for
+	// hash.
+	run := func(fullScan bool) (*Engine, []uint64) {
+		cfg := Config{BufferDepth: 2, LinkDelay: 2, Acquire: AcquireAtomic, DisableActiveSet: fullScan}
+		e, eps := chainScenario(cfg, 12)
+		rng := rand.New(rand.NewSource(7))
+		var stream []uint64
+		nextID := uint64(1000)
+		for c := 0; c < 400; c++ {
+			if c == 60 {
+				e.KillSwitch(e.Switches()[5])
+			}
+			if c == 120 {
+				e.KillPacket(3)
+			}
+			if c%17 == 0 {
+				src := rng.Intn(len(eps) - 1)
+				dst := src + 1 + rng.Intn(len(eps)-1-src)
+				nextID++
+				e.Inject(eps[src], flit.NewPacket(&flit.Header{PacketID: nextID, Dst: geom.Coord{dst}}, 4))
+			}
+			e.Step()
+			stream = append(stream, e.StateHash())
+			if c%5 == 0 {
+				if err := e.CheckInvariants(); err != nil {
+					t.Fatalf("fullScan=%v cycle %d: %v", fullScan, c, err)
+				}
+				_ = e.Snapshot()
+			}
+		}
+		return e, stream
+	}
+	ref, want := run(true)
+	got, stream := run(false)
+	for i := range want {
+		if stream[i] != want[i] {
+			t.Fatalf("scheduled kernel diverged from full scan at cycle %d: %#x vs %#x", i+1, stream[i], want[i])
+		}
+	}
+	if got.Resident() != ref.Resident() || got.Dropped() != ref.Dropped() {
+		t.Fatalf("resident=%d dropped=%d, full scan resident=%d dropped=%d",
+			got.Resident(), got.Dropped(), ref.Resident(), ref.Dropped())
+	}
+	if ref.Dropped() == 0 {
+		t.Error("the killed switch dropped nothing — the stress did not exercise the sink path")
 	}
 }

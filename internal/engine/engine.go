@@ -21,10 +21,9 @@
 // arbiters, so simulations are bit-for-bit reproducible. The hot path visits
 // only active elements each cycle (see scheduler.go); the active sets are
 // exact predicates of each phase's no-op conditions and are kept in index
-// order, so skipping idle elements cannot change any outcome. A run can
-// additionally be partitioned into spatial shards that step concurrently
-// under a deterministic barrier protocol (see shard.go); results are
-// bit-for-bit independent of the shard count.
+// order, so skipping idle elements cannot change any outcome. An engine is
+// single-goroutine: Step runs every phase on the caller's goroutine and
+// starts none of its own.
 package engine
 
 import (
@@ -130,9 +129,9 @@ type Decision struct {
 
 // RouteFunc computes the forwarding decision for a packet header arriving on
 // input port in of switch n. It must be deterministic and side-effect free.
-// (Sharded runs additionally rely on this: routing functions may be called
-// from several goroutines at once, one per shard.) A returned error drops
-// the packet and surfaces through OnDrop.
+// An engine calls it only from the goroutine running Step; distinct engines
+// (one per sweep worker) may call the same function concurrently. A returned
+// error drops the packet and surfaces through OnDrop.
 type RouteFunc func(n *Node, in int, h *flit.Header) (Decision, error)
 
 // PortRef names one directed port of one node.
@@ -149,8 +148,8 @@ func (p PortRef) String() string {
 }
 
 // routeState tracks the active packet on one switch input port from header
-// grant until the tail flit leaves. States are pooled per shard; the outs
-// and granted slices are reused across packets.
+// grant until the tail flit leaves. States are pooled; the outs and granted
+// slices are reused across packets.
 type routeState struct {
 	header    *flit.Header
 	outs      []int
@@ -185,8 +184,8 @@ type InPort struct {
 	// recvHeader remembers the header of the packet currently being consumed
 	// by an endpoint (set when the header flit is ejected).
 	recvHeader *flit.Header
-	// active marks membership in the owning shard's active input-port list
-	// (switch inports only); idle counts consecutive workless visits
+	// active marks membership in the active input-port list (switch inports
+	// only); idle counts consecutive workless visits
 	// (eviction hysteresis); ordKey fixes the list's iteration order to
 	// match the full switch/port scan.
 	active bool
@@ -199,6 +198,23 @@ type InPort struct {
 
 // Buffered reports the number of flits currently queued at the port.
 func (p *InPort) Buffered() int { return len(p.buf) }
+
+// shift removes and returns the flit at the head of the buffer.
+func (p *InPort) shift() flit.Flit {
+	f := p.buf[0]
+	copy(p.buf, p.buf[1:])
+	p.buf = p.buf[:len(p.buf)-1]
+	return f
+}
+
+// pop removes the front flit, returning the freed buffer slot's credit
+// upstream.
+func (p *InPort) pop() flit.Flit {
+	if p.upstream != nil {
+		p.upstream.from.creditReturn()
+	}
+	return p.shift()
+}
 
 // front returns the flit at the head of the buffer, or nil. The pointer
 // aliases the buffer slot: it must not be retained across pops or appends.
@@ -267,8 +283,6 @@ type Node struct {
 	route RouteFunc
 
 	eng *Engine
-	// shard is the index of the shard that owns this node (shard.go).
-	shard int32
 
 	// Endpoint state. The source queue is injectQ[injectHead:]; consuming
 	// advances the head and the buffer is rewound once empty, so steady
@@ -298,14 +312,10 @@ type Link struct {
 	delay int
 	// pipe holds in-flight flits; age counts elapsed cycles.
 	pipe []linkEntry
-	// active marks membership in the owning shard's active link list; idle
-	// counts consecutive empty visits (eviction hysteresis, see
-	// scheduler.go).
+	// active marks membership in the active link list; idle counts
+	// consecutive empty visits (eviction hysteresis, see scheduler.go).
 	active bool
 	idle   uint8
-	// shard caches the owning shard — the shard of the destination node, so
-	// delivery always lands flits into shard-local buffers.
-	shard int32
 }
 
 type linkEntry struct {
@@ -314,9 +324,7 @@ type linkEntry struct {
 }
 
 // PhysChannel is a group of output ports sharing one flit per cycle of
-// physical bandwidth (virtual channels over one wire). All member ports must
-// belong to nodes of one shard (enforced by SetShards), which keeps the
-// channel arbitration shard-local.
+// physical bandwidth (virtual channels over one wire).
 type PhysChannel struct {
 	members []*OutPort
 	arb     int
@@ -365,19 +373,27 @@ type Engine struct {
 
 	dropped int64
 
-	// Sharded execution (shard.go): shards holds the built per-shard
-	// scheduler/scratch state, rebuilt lazily after topology growth or
-	// SetShards; shardN is the configured shard count (0 or 1 = serial);
-	// direct marks the one-shard path (phases on the caller's goroutine,
-	// hooks inline, outboxes empty). poolSpill preserves pooled route states
-	// across shard rebuilds; the ev* slices are barrier event-flush scratch.
-	shardN    int
-	shards    []*engShard
-	direct    bool
-	poolSpill []*routeState
-	evDeliver []Delivery
-	evDrop    []pendingDrop
-	evForward []pendingForward
+	// Active sets and their pending buffers (scheduler.go).
+	activeLinks  []*Link
+	activeAlloc  []*InPort
+	activeEject  []*Node
+	activeInject []*Node
+	pendLinks    []*Link
+	pendAlloc    []*InPort
+	pendEject    []*Node
+	pendInject   []*Node
+
+	// Scratch slices reused across cycles, and the route-state pool.
+	reqScratch   []*InPort
+	readyScratch []*InPort
+	outScratch   []*OutPort
+	physScratch  []*PhysChannel
+	rsFree       []*routeState
+	// sunkCredits defers the credits freed by draining dropped packets to
+	// the end of the traversal phase, so their effect cannot depend on the
+	// scan order of ports (DESIGN.md §10). Every pinned StateHash stream
+	// depends on this visibility point.
+	sunkCredits []*OutPort
 
 	ctr Counters
 
@@ -430,7 +446,6 @@ func (e *Engine) AddSwitch(name string, ports int, route RouteFunc, meta any) *N
 	e.switches = append(e.switches, n)
 	e.nSwitchIn += ports
 	e.fullIn = append(e.fullIn, n.In...)
-	e.invalidateShards()
 	return n
 }
 
@@ -441,7 +456,6 @@ func (e *Engine) AddEndpoint(name string, meta any) *Node {
 	n.Out = append(n.Out, &OutPort{node: n, idx: 0, lastReqCycle: -1, reservedCycle: -1, pendStamp: -1})
 	e.nodes = append(e.nodes, n)
 	e.endpoints = append(e.endpoints, n)
-	e.invalidateShards()
 	return n
 }
 
@@ -469,7 +483,6 @@ func (e *Engine) ConnectDirected(a *Node, ap int, b *Node, bp int) *Link {
 	out.credits = in.cap
 	in.upstream = l
 	e.links = append(e.links, l)
-	e.invalidateShards()
 	return l
 }
 
@@ -490,7 +503,6 @@ func (e *Engine) SharePhysical(ports ...*OutPort) *PhysChannel {
 		p.phys = pc
 	}
 	e.phys = append(e.phys, pc)
-	e.invalidateShards()
 	return pc
 }
 
@@ -547,26 +559,16 @@ func (e *Engine) Quiescent() bool { return e.resident == 0 }
 
 // Step advances the simulation by one cycle. Phase order (fixed): the
 // PreCycle hook, then link delivery, ejection, allocation, traversal,
-// injection. With more than one shard the phases run concurrently across
-// shards under the barrier protocol of shard.go; the observable state after
-// Step is bit-for-bit identical either way.
+// injection.
 func (e *Engine) Step() {
-	e.ensureShards()
 	if e.PreCycle != nil {
 		e.PreCycle(e.cycle)
-		e.ensureShards()
 	}
-	if e.direct {
-		s := e.shards[0]
-		s.deliverLinks()
-		s.eject()
-		s.allocate()
-		s.traverse()
-		s.inject()
-	} else {
-		e.stepSharded()
-	}
-	e.foldShards()
+	e.deliverLinks()
+	e.eject()
+	e.allocate()
+	e.traverse()
+	e.inject()
 	e.cycle++
 	e.ctr.Cycles++
 	if e.PostCycle != nil {
@@ -587,20 +589,19 @@ func (e *Engine) RunUntilQuiescent(maxCycles int64) bool {
 }
 
 // deliverLinks ages in-flight flits and lands the ones whose delay elapsed.
-// Credits guarantee the destination buffer has room. Links are owned by
-// their destination node's shard, so every landing is shard-local.
-func (s *engShard) deliverLinks() {
-	s.mergeLinks()
-	if s.e.cfg.DisableActiveSet {
-		for _, l := range s.links {
-			s.deliverLink(l)
+// Credits guarantee the destination buffer has room.
+func (e *Engine) deliverLinks() {
+	e.mergeLinks()
+	if e.cfg.DisableActiveSet {
+		for _, l := range e.links {
+			e.deliverLink(l)
 		}
-		s.ctr.LinkVisits += int64(len(s.links))
+		e.ctr.LinkVisits += int64(len(e.links))
 		return
 	}
-	kept := s.activeLinks[:0]
-	for _, l := range s.activeLinks {
-		s.deliverLink(l)
+	kept := e.activeLinks[:0]
+	for _, l := range e.activeLinks {
+		e.deliverLink(l)
 		if len(l.pipe) > 0 {
 			l.idle = 0
 			kept = append(kept, l)
@@ -612,12 +613,12 @@ func (s *engShard) deliverLinks() {
 			l.active = false
 		}
 	}
-	s.ctr.LinkVisits += int64(len(s.activeLinks))
-	s.ctr.LinkVisitsSkipped += int64(len(s.links) - len(s.activeLinks))
-	s.activeLinks = kept
+	e.ctr.LinkVisits += int64(len(e.activeLinks))
+	e.ctr.LinkVisitsSkipped += int64(len(e.links) - len(e.activeLinks))
+	e.activeLinks = kept
 }
 
-func (s *engShard) deliverLink(l *Link) {
+func (e *Engine) deliverLink(l *Link) {
 	if len(l.pipe) == 0 {
 		return
 	}
@@ -639,26 +640,26 @@ func (s *engShard) deliverLink(l *Link) {
 	l.pipe = kept
 	if landed {
 		if l.to.node.Kind == KindSwitch {
-			s.activateAlloc(l.to)
+			e.activateAlloc(l.to)
 		} else {
-			s.activateEject(l.to.node)
+			e.activateEject(l.to.node)
 		}
 	}
 }
 
 // eject consumes arrived flits at endpoints.
-func (s *engShard) eject() {
-	s.mergeEject()
-	if s.e.cfg.DisableActiveSet {
-		for _, ep := range s.endpoints {
-			s.ejectAt(ep)
+func (e *Engine) eject() {
+	e.mergeEject()
+	if e.cfg.DisableActiveSet {
+		for _, ep := range e.endpoints {
+			e.ejectAt(ep)
 		}
-		s.ctr.EjectVisits += int64(len(s.endpoints))
+		e.ctr.EjectVisits += int64(len(e.endpoints))
 		return
 	}
-	kept := s.activeEject[:0]
-	for _, ep := range s.activeEject {
-		s.ejectAt(ep)
+	kept := e.activeEject[:0]
+	for _, ep := range e.activeEject {
+		e.ejectAt(ep)
 		if len(ep.In[0].buf) > 0 {
 			ep.ejectIdle = 0
 			kept = append(kept, ep)
@@ -670,28 +671,29 @@ func (s *engShard) eject() {
 			ep.ejectActive = false
 		}
 	}
-	s.ctr.EjectVisits += int64(len(s.activeEject))
-	s.ctr.EjectVisitsSkipped += int64(len(s.endpoints) - len(s.activeEject))
-	s.activeEject = kept
+	e.ctr.EjectVisits += int64(len(e.activeEject))
+	e.ctr.EjectVisitsSkipped += int64(len(e.endpoints) - len(e.activeEject))
+	e.activeEject = kept
 }
 
-func (s *engShard) ejectAt(ep *Node) {
-	e := s.e
+func (e *Engine) ejectAt(ep *Node) {
 	in := ep.In[0]
 	budget := e.cfg.EjectRate
 	for len(in.buf) > 0 {
 		if budget == 0 && e.cfg.EjectRate != 0 {
 			break
 		}
-		f := s.pop(in)
-		s.moves++
-		s.resident--
+		f := in.pop()
+		e.moves++
+		e.resident--
 		if f.Header != nil {
 			in.recvHeader = f.Header
 		}
 		if f.Last {
 			ep.Received++
-			s.emitDeliver(ep, in.recvHeader)
+			if e.OnDeliver != nil {
+				e.OnDeliver(Delivery{At: ep, Header: in.recvHeader, Cycle: e.cycle})
+			}
 			in.recvHeader = nil
 		}
 		if e.cfg.EjectRate != 0 {
@@ -700,27 +702,24 @@ func (s *engShard) ejectAt(ep *Node) {
 	}
 }
 
-// allocate routes fresh headers and arbitrates output ports. Allocation is
-// node-local — requests, grants, reservations and conflict counts all live
-// on the ports of the node being visited — so shards allocate independently.
-func (s *engShard) allocate() {
-	e := s.e
-	s.mergeAlloc()
+// allocate routes fresh headers and arbitrates output ports.
+func (e *Engine) allocate() {
+	e.mergeAlloc()
 	// Gather requests. A request is an input port whose front flit is an
 	// unserved header, or whose routeState still has ungranted outputs.
-	requests := s.reqScratch[:0]
+	requests := e.reqScratch[:0]
 	if e.cfg.DisableActiveSet {
-		for _, in := range s.fullIn {
-			_, wants := s.allocPrep(in)
+		for _, in := range e.fullIn {
+			_, wants := e.allocPrep(in)
 			if wants {
 				requests = append(requests, in)
 			}
 		}
-		s.ctr.SwitchPortVisits += int64(s.nSwitchIn)
+		e.ctr.SwitchPortVisits += int64(e.nSwitchIn)
 	} else {
-		kept := s.activeAlloc[:0]
-		for _, in := range s.activeAlloc {
-			live, wants := s.allocPrep(in)
+		kept := e.activeAlloc[:0]
+		for _, in := range e.activeAlloc {
+			live, wants := e.allocPrep(in)
 			if live {
 				in.idle = 0
 				kept = append(kept, in)
@@ -735,11 +734,11 @@ func (s *engShard) allocate() {
 				requests = append(requests, in)
 			}
 		}
-		s.ctr.SwitchPortVisits += int64(len(s.activeAlloc))
-		s.ctr.SwitchPortVisitsSkipped += int64(s.nSwitchIn - len(s.activeAlloc))
-		s.activeAlloc = kept
+		e.ctr.SwitchPortVisits += int64(len(e.activeAlloc))
+		e.ctr.SwitchPortVisitsSkipped += int64(e.nSwitchIn - len(e.activeAlloc))
+		e.activeAlloc = kept
 	}
-	s.reqScratch = requests
+	e.reqScratch = requests
 	if len(requests) == 0 {
 		return
 	}
@@ -761,16 +760,16 @@ func (s *engShard) allocate() {
 
 	switch e.cfg.Acquire {
 	case AcquireAtomic:
-		s.allocateAtomic(requests)
+		e.allocateAtomic(requests)
 	default:
-		s.allocateIncremental(requests)
+		e.allocateIncremental(requests)
 	}
 }
 
 // allocPrep routes the buffered header of an idle port, then reports whether
 // the port remains live (holds route state or flits) and whether it competes
 // for output ports this cycle.
-func (s *engShard) allocPrep(in *InPort) (live, wants bool) {
+func (e *Engine) allocPrep(in *InPort) (live, wants bool) {
 	if in.route == nil {
 		f := in.front()
 		if f == nil {
@@ -779,11 +778,11 @@ func (s *engShard) allocPrep(in *InPort) (live, wants bool) {
 		if f.Header == nil {
 			panic(fmt.Sprintf("engine: mid-packet flit %s at %s.%d with no route state", f, in.node.Name, in.idx))
 		}
-		in.route = s.routeHeader(in.node, in, f.Header)
+		in.route = e.routeHeader(in.node, in, f.Header)
 		// Keep the active-set invariant (route state ⇒ listed) even when
 		// this prep ran from a full scan, so the modes can be toggled
 		// mid-run. A no-op when the port is already listed.
-		s.activateAlloc(in)
+		e.activateAlloc(in)
 	}
 	rs := in.route
 	if rs.provisional && rs.nGranted == 0 {
@@ -794,8 +793,8 @@ func (s *engShard) allocPrep(in *InPort) (live, wants bool) {
 		// never starve it. With no grants issued the header flit is still at
 		// the front of the buffer.
 		since := rs.since
-		s.freeRouteState(rs)
-		rs = s.routeHeader(in.node, in, in.front().Header)
+		e.freeRouteState(rs)
+		rs = e.routeHeader(in.node, in, in.front().Header)
 		rs.since = since
 		in.route = rs
 	}
@@ -818,9 +817,9 @@ func (o *OutPort) arbRequests(cycle int64) {
 
 // allocateIncremental grants each free requested output to one requester
 // (round-robin), letting fan-outs hold partial sets.
-func (s *engShard) allocateIncremental(requests []*InPort) {
+func (e *Engine) allocateIncremental(requests []*InPort) {
 	// Build per-output requester lists in request order.
-	order := s.outScratch[:0]
+	order := e.outScratch[:0]
 	for _, in := range requests {
 		rs := in.route
 		for i, o := range rs.outs {
@@ -831,8 +830,8 @@ func (s *engShard) allocateIncremental(requests []*InPort) {
 			if op.owner != nil {
 				continue
 			}
-			if op.pendStamp != s.e.cycle {
-				op.pendStamp = s.e.cycle
+			if op.pendStamp != e.cycle {
+				op.pendStamp = e.cycle
 				op.pend = op.pend[:0]
 				order = append(order, op)
 			}
@@ -851,7 +850,7 @@ func (s *engShard) allocateIncremental(requests []*InPort) {
 			}
 		}
 	}
-	s.outScratch = order[:0]
+	e.outScratch = order[:0]
 }
 
 // allocateAtomic grants a request only when every output it needs is free,
@@ -864,13 +863,7 @@ func (s *engShard) allocateIncremental(requests []*InPort) {
 // a globally consistent tie-break would (unrealistically) hand one broadcast
 // every crossbar at once, masking the cyclic-acquisition deadlock of paper
 // Fig. 5.
-//
-// The sort key (since, node ID, rotated port) is a total order over all
-// requests in the network, and grants touch only the request's own node, so
-// sorting any node-respecting subset — a shard's — grants exactly what the
-// global sort would.
-func (s *engShard) allocateAtomic(requests []*InPort) {
-	e := s.e
+func (e *Engine) allocateAtomic(requests []*InPort) {
 	tieKey := func(in *InPort) int {
 		return (in.idx + in.node.ID) % len(in.node.In)
 	}
@@ -915,23 +908,23 @@ func (s *engShard) allocateAtomic(requests []*InPort) {
 // routeHeader runs the switch routing function and validates the decision,
 // returning the port's new cut-through state (a sink state when the packet
 // is dropped).
-func (s *engShard) routeHeader(sw *Node, in *InPort, h *flit.Header) *routeState {
+func (e *Engine) routeHeader(sw *Node, in *InPort, h *flit.Header) *routeState {
 	if sw.Failed {
-		return s.sinkPacket(sw, in, h, "arrived at failed switch")
+		return e.sinkPacket(sw, h, "arrived at failed switch")
 	}
 	dec, err := sw.route(sw, in.idx, h)
 	if err != nil {
-		return s.sinkPacket(sw, in, h, err.Error())
+		return e.sinkPacket(sw, h, err.Error())
 	}
 	if dec.Drop {
 		reason := dec.DropReason
 		if reason == "" {
 			reason = "dropped by routing function"
 		}
-		return s.sinkPacket(sw, in, h, reason)
+		return e.sinkPacket(sw, h, reason)
 	}
 	if len(dec.Outs) == 0 {
-		return s.sinkPacket(sw, in, h, "routing function returned no outputs")
+		return e.sinkPacket(sw, h, "routing function returned no outputs")
 	}
 	for i, o := range dec.Outs {
 		if o < 0 || o >= len(sw.Out) {
@@ -949,42 +942,44 @@ func (s *engShard) routeHeader(sw *Node, in *InPort, h *flit.Header) *routeState
 	if dec.Provisional && len(dec.Outs) != 1 {
 		panic(fmt.Sprintf("engine: switch %q returned a provisional decision with %d outputs (provisional requires exactly 1)", sw.Name, len(dec.Outs)))
 	}
-	rs := s.newRouteState()
+	rs := e.newRouteState()
 	rs.header = h
 	rs.outs = append(rs.outs, dec.Outs...)
 	for range dec.Outs {
 		rs.granted = append(rs.granted, false)
 	}
 	rs.transform = dec.Transform
-	rs.since = s.e.cycle
+	rs.since = e.cycle
 	rs.provisional = dec.Provisional
 	return rs
 }
 
 // sinkPacket puts the input port into drop mode for the current packet.
-func (s *engShard) sinkPacket(sw *Node, in *InPort, h *flit.Header, reason string) *routeState {
-	s.dropped++
-	s.emitDrop(in, Drop{At: sw, Header: h, Cycle: s.e.cycle, Reason: reason})
-	rs := s.newRouteState()
+func (e *Engine) sinkPacket(sw *Node, h *flit.Header, reason string) *routeState {
+	e.dropped++
+	if e.OnDrop != nil {
+		e.OnDrop(Drop{At: sw, Header: h, Cycle: e.cycle, Reason: reason})
+	}
+	rs := e.newRouteState()
 	rs.header = h
 	rs.sink = true
 	return rs
 }
 
-// newRouteState takes a state from the shard's pool (or allocates).
-func (s *engShard) newRouteState() *routeState {
-	if n := len(s.rsFree); n > 0 {
-		rs := s.rsFree[n-1]
-		s.rsFree = s.rsFree[:n-1]
-		s.ctr.RouteStatesReused++
+// newRouteState takes a state from the pool (or allocates).
+func (e *Engine) newRouteState() *routeState {
+	if n := len(e.rsFree); n > 0 {
+		rs := e.rsFree[n-1]
+		e.rsFree = e.rsFree[:n-1]
+		e.ctr.RouteStatesReused++
 		return rs
 	}
-	s.ctr.RouteStatesAllocated++
+	e.ctr.RouteStatesAllocated++
 	return &routeState{}
 }
 
-// freeRouteState clears a completed state and returns it to the shard pool.
-func (s *engShard) freeRouteState(rs *routeState) {
+// freeRouteState clears a completed state and returns it to the pool.
+func (e *Engine) freeRouteState(rs *routeState) {
 	rs.header = nil
 	rs.transform = nil
 	rs.outs = rs.outs[:0]
@@ -993,30 +988,17 @@ func (s *engShard) freeRouteState(rs *routeState) {
 	rs.sink = false
 	rs.since = 0
 	rs.provisional = false
-	s.rsFree = append(s.rsFree, rs)
+	e.rsFree = append(e.rsFree, rs)
 }
 
-// freeRouteStateAt returns rs to the pool of the shard owning nd. For the
-// purge paths only — safe from single-threaded contexts (between Steps,
-// PreCycle/PostCycle), never from within a phase.
-func (e *Engine) freeRouteStateAt(nd *Node, rs *routeState) {
-	e.ensureShards()
-	e.shards[nd.shard].freeRouteState(rs)
-}
-
-// traverse moves one flit per fully-granted input across its switch. Every
-// read is node-local (readiness checks the node's own credit counters,
-// physical channels are shard-co-located); the writes that can cross the
-// boundary — credit returns from advancing tails and pushes onto outgoing
-// links — go to the shard outboxes.
-func (s *engShard) traverse() {
-	e := s.e
+// traverse moves one flit per fully-granted input across its switch.
+func (e *Engine) traverse() {
 	// Phase A: find ready inputs and stage physical-channel requests.
-	readies := s.readyScratch[:0]
-	physOrder := s.physScratch[:0]
-	ports := s.activeAlloc
+	readies := e.readyScratch[:0]
+	physOrder := e.physScratch[:0]
+	ports := e.activeAlloc
 	if e.cfg.DisableActiveSet {
-		ports = s.fullIn
+		ports = e.fullIn
 	}
 	for _, in := range ports {
 		rs := in.route
@@ -1027,7 +1009,7 @@ func (s *engShard) traverse() {
 		if rs.sink {
 			// Drain dropped packets at one flit per cycle.
 			if f != nil {
-				s.consumeSunk(in, *f)
+				e.consumeSunk(in)
 			}
 			continue
 		}
@@ -1100,10 +1082,10 @@ func (s *engShard) traverse() {
 			in.BlockedCycles++
 			continue
 		}
-		f := s.pop(in)
-		s.moves++
+		f := in.pop()
+		e.moves++
 		// Fan-out duplicates flits: resident grows by branches-1.
-		s.resident += int64(len(rs.outs) - 1)
+		e.resident += int64(len(rs.outs) - 1)
 		for _, o := range rs.outs {
 			op := in.node.Out[o]
 			branch := f
@@ -1115,9 +1097,11 @@ func (s *engShard) traverse() {
 					h = h.Clone()
 				}
 				branch.Header = h
-				s.emitForward(in.node, o, h, in.ordKey)
+				if e.OnForward != nil {
+					e.OnForward(in.node, o, h, e.cycle)
+				}
 			}
-			s.pushLink(op.link, branch)
+			e.pushLink(op.link, branch)
 			op.credits--
 			op.BusyCycles++
 		}
@@ -1125,30 +1109,24 @@ func (s *engShard) traverse() {
 			for _, o := range rs.outs {
 				in.node.Out[o].owner = nil
 			}
-			s.freeRouteState(rs)
+			e.freeRouteState(rs)
 			in.route = nil
 		}
 	}
 	// Credits freed by sunk drains become visible at the end of the
-	// traversal phase (DESIGN.md §10), so their effect cannot depend on the
-	// scan order of ports — which a shard partition does not preserve.
-	for _, op := range s.sunkCredits {
-		s.credit(op)
+	// traversal phase (see the sunkCredits field).
+	for _, op := range e.sunkCredits {
+		op.creditReturn()
 	}
-	s.sunkCredits = s.sunkCredits[:0]
-	s.readyScratch = readies[:0]
-	s.physScratch = physOrder[:0]
+	e.sunkCredits = e.sunkCredits[:0]
+	e.readyScratch = readies[:0]
+	e.physScratch = physOrder[:0]
 }
 
-// pushLink appends a flit to a link's pipeline: directly when the link is
-// shard-local, via the outbox when its destination lives in another shard.
-func (s *engShard) pushLink(l *Link, f flit.Flit) {
-	if l.shard == s.idx {
-		l.pipe = append(l.pipe, linkEntry{f: f})
-		s.activateLink(l)
-		return
-	}
-	s.flitOut = append(s.flitOut, flitPush{l: l, f: f})
+// pushLink appends a flit to a link's pipeline.
+func (e *Engine) pushLink(l *Link, f flit.Flit) {
+	l.pipe = append(l.pipe, linkEntry{f: f})
+	e.activateLink(l)
 }
 
 // grants reports whether the channel granted this port in the given cycle.
@@ -1156,30 +1134,39 @@ func (pc *PhysChannel) grants(op *OutPort, cycle int64) bool {
 	return pc.granted == op && pc.grantedCycle == cycle
 }
 
+// popSunk is pop for sunk-drain consumption: the credit is deferred to the
+// end of the traversal phase (see sunkCredits).
+func (e *Engine) popSunk(p *InPort) flit.Flit {
+	if p.upstream != nil {
+		e.sunkCredits = append(e.sunkCredits, p.upstream.from)
+	}
+	return p.shift()
+}
+
 // consumeSunk drains one flit of a dropped packet.
-func (s *engShard) consumeSunk(in *InPort, f flit.Flit) {
-	s.popSunk(in)
-	s.moves++
-	s.resident--
+func (e *Engine) consumeSunk(in *InPort) {
+	f := e.popSunk(in)
+	e.moves++
+	e.resident--
 	if f.Last {
-		s.freeRouteState(in.route)
+		e.freeRouteState(in.route)
 		in.route = nil
 	}
 }
 
 // inject moves endpoint source-queue flits onto their links.
-func (s *engShard) inject() {
-	s.mergeInject()
-	if s.e.cfg.DisableActiveSet {
-		for _, ep := range s.endpoints {
-			s.injectAt(ep)
+func (e *Engine) inject() {
+	e.mergeInject()
+	if e.cfg.DisableActiveSet {
+		for _, ep := range e.endpoints {
+			e.injectAt(ep)
 		}
-		s.ctr.InjectVisits += int64(len(s.endpoints))
+		e.ctr.InjectVisits += int64(len(e.endpoints))
 		return
 	}
-	kept := s.activeInject[:0]
-	for _, ep := range s.activeInject {
-		s.injectAt(ep)
+	kept := e.activeInject[:0]
+	for _, ep := range e.activeInject {
+		e.injectAt(ep)
 		if ep.InjectQueueLen() > 0 {
 			ep.injectIdle = 0
 			kept = append(kept, ep)
@@ -1191,13 +1178,12 @@ func (s *engShard) inject() {
 			ep.injectActive = false
 		}
 	}
-	s.ctr.InjectVisits += int64(len(s.activeInject))
-	s.ctr.InjectVisitsSkipped += int64(len(s.endpoints) - len(s.activeInject))
-	s.activeInject = kept
+	e.ctr.InjectVisits += int64(len(e.activeInject))
+	e.ctr.InjectVisitsSkipped += int64(len(e.endpoints) - len(e.activeInject))
+	e.activeInject = kept
 }
 
-func (s *engShard) injectAt(ep *Node) {
-	e := s.e
+func (e *Engine) injectAt(ep *Node) {
 	if ep.injectHead >= len(ep.injectQ) {
 		return
 	}
@@ -1221,13 +1207,13 @@ func (s *engShard) injectAt(ep *Node) {
 		ep.injectQ = ep.injectQ[:0]
 		ep.injectHead = 0
 	}
-	if f.Header != nil {
-		s.emitForward(ep, 0, f.Header, int64(ep.ID))
+	if f.Header != nil && e.OnForward != nil {
+		e.OnForward(ep, 0, f.Header, e.cycle)
 	}
-	s.pushLink(out.link, f)
+	e.pushLink(out.link, f)
 	out.credits--
 	out.BusyCycles++
-	s.moves++
+	e.moves++
 	if f.Last {
 		ep.Sent++
 	}

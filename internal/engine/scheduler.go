@@ -82,55 +82,40 @@ func linkKey(l *Link) int64     { return int64(l.id) }
 func inPortKey(p *InPort) int64 { return p.ordKey }
 func nodeKey(n *Node) int64     { return int64(n.ID) }
 
-// The activate/merge methods live on the shard owning the element. During a
-// parallel section only the owning shard calls them (delivery lands locally,
-// allocation and traversal touch only local ports); cross-shard activations
-// — a boundary-link push, an injection triggered by a delivery hook — run
-// single-threaded at a barrier or between Steps and are routed through the
-// owning shard explicitly (applyFlits, Engine.activateInject).
-
 // activateLink marks a link as carrying in-flight flits.
-func (s *engShard) activateLink(l *Link) {
+func (e *Engine) activateLink(l *Link) {
 	if l.active {
 		return
 	}
 	l.active = true
-	s.pendLinks = append(s.pendLinks, l)
+	e.pendLinks = append(e.pendLinks, l)
 }
 
 // activateAlloc marks a switch input port as routable/traversable.
-func (s *engShard) activateAlloc(in *InPort) {
+func (e *Engine) activateAlloc(in *InPort) {
 	if in.active {
 		return
 	}
 	in.active = true
-	s.pendAlloc = append(s.pendAlloc, in)
+	e.pendAlloc = append(e.pendAlloc, in)
 }
 
 // activateEject marks an endpoint as holding arrived flits.
-func (s *engShard) activateEject(ep *Node) {
+func (e *Engine) activateEject(ep *Node) {
 	if ep.ejectActive {
 		return
 	}
 	ep.ejectActive = true
-	s.pendEject = append(s.pendEject, ep)
+	e.pendEject = append(e.pendEject, ep)
 }
 
 // activateInject marks an endpoint as holding queued source flits.
-func (s *engShard) activateInject(ep *Node) {
+func (e *Engine) activateInject(ep *Node) {
 	if ep.injectActive {
 		return
 	}
 	ep.injectActive = true
-	s.pendInject = append(s.pendInject, ep)
-}
-
-// activateInject routes an injection activation to the endpoint's owning
-// shard. Injection happens between Steps or from single-threaded hook
-// contexts, never concurrently with a parallel section.
-func (e *Engine) activateInject(ep *Node) {
-	e.ensureShards()
-	e.shards[ep.shard].activateInject(ep)
+	e.pendInject = append(e.pendInject, ep)
 }
 
 // Each phase merges its pending buffer immediately before iterating, so an
@@ -138,24 +123,24 @@ func (e *Engine) activateInject(ep *Node) {
 // it (deliverLinks lands flits that eject and allocate must process in the
 // same Step).
 
-func (s *engShard) mergeLinks() {
-	s.activeLinks = mergePending(s.activeLinks, s.pendLinks, linkKey)
-	s.pendLinks = s.pendLinks[:0]
+func (e *Engine) mergeLinks() {
+	e.activeLinks = mergePending(e.activeLinks, e.pendLinks, linkKey)
+	e.pendLinks = e.pendLinks[:0]
 }
 
-func (s *engShard) mergeAlloc() {
-	s.activeAlloc = mergePending(s.activeAlloc, s.pendAlloc, inPortKey)
-	s.pendAlloc = s.pendAlloc[:0]
+func (e *Engine) mergeAlloc() {
+	e.activeAlloc = mergePending(e.activeAlloc, e.pendAlloc, inPortKey)
+	e.pendAlloc = e.pendAlloc[:0]
 }
 
-func (s *engShard) mergeEject() {
-	s.activeEject = mergePending(s.activeEject, s.pendEject, nodeKey)
-	s.pendEject = s.pendEject[:0]
+func (e *Engine) mergeEject() {
+	e.activeEject = mergePending(e.activeEject, e.pendEject, nodeKey)
+	e.pendEject = e.pendEject[:0]
 }
 
-func (s *engShard) mergeInject() {
-	s.activeInject = mergePending(s.activeInject, s.pendInject, nodeKey)
-	s.pendInject = s.pendInject[:0]
+func (e *Engine) mergeInject() {
+	e.activeInject = mergePending(e.activeInject, e.pendInject, nodeKey)
+	e.pendInject = e.pendInject[:0]
 }
 
 // Counters exposes cheap per-run observability for the kernel hot path: how

@@ -84,7 +84,7 @@ func (e *Engine) EncodeState(w *checkpoint.Writer) {
 	meta.Int(e.moves)
 	meta.Int(e.resident)
 	meta.Int(e.dropped)
-	meta.Int(int64(e.poolFreeLen()))
+	meta.Int(int64(len(e.rsFree)))
 
 	ctr := w.Section(secEngineCounters)
 	for _, v := range []int64{
@@ -420,7 +420,11 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 	e.moves = moves
 	e.resident = resident
 	e.dropped = dropped
-	e.resetPool(poolFree)
+	// The pool is encoded as a count; the states' identities are immaterial.
+	e.rsFree = e.rsFree[:0]
+	for i := 0; i < poolFree; i++ {
+		e.rsFree = append(e.rsFree, &routeState{})
+	}
 	e.ctr = ctr
 	e.rebuildActiveSets()
 	return nil
@@ -474,17 +478,36 @@ func (e *Engine) clearDynamicState() {
 	}
 }
 
-// rebuildActiveSets reconstitutes every shard's active lists from the
-// decoded per-element flags. Every source slice is already in full-scan
-// order, so the rebuilt lists are sorted by construction; pending buffers
-// restart empty (a snapshot's pending activations are folded into the
-// lists, which is exactly where the next phase's merge would put them).
-// Because the flags — not the lists — are the authoritative state, a
-// snapshot carries no trace of the shard partition: it restores into an
-// engine running any shard count.
+// rebuildActiveSets reconstitutes the active lists from the decoded
+// per-element flags. Every source slice is already in full-scan order, so
+// the rebuilt lists are sorted by construction; pending buffers restart
+// empty (a snapshot's pending activations are folded into the lists, which
+// is exactly where the next phase's merge would put them).
 func (e *Engine) rebuildActiveSets() {
-	e.ensureShards()
-	for _, s := range e.shards {
-		s.rebuildActive()
+	e.activeLinks = e.activeLinks[:0]
+	for _, l := range e.links {
+		if l.active {
+			e.activeLinks = append(e.activeLinks, l)
+		}
 	}
+	e.activeAlloc = e.activeAlloc[:0]
+	for _, in := range e.fullIn {
+		if in.active {
+			e.activeAlloc = append(e.activeAlloc, in)
+		}
+	}
+	e.activeEject = e.activeEject[:0]
+	e.activeInject = e.activeInject[:0]
+	for _, ep := range e.endpoints {
+		if ep.ejectActive {
+			e.activeEject = append(e.activeEject, ep)
+		}
+		if ep.injectActive {
+			e.activeInject = append(e.activeInject, ep)
+		}
+	}
+	e.pendLinks = e.pendLinks[:0]
+	e.pendAlloc = e.pendAlloc[:0]
+	e.pendEject = e.pendEject[:0]
+	e.pendInject = e.pendInject[:0]
 }

@@ -42,11 +42,6 @@ type Options struct {
 	// cycles). Calls arrive from worker goroutines in completion order;
 	// the jobs layer serializes them into its ordered event stream.
 	OnCell func(cycles int64)
-	// Shards steps each experiment machine on that many spatial shards
-	// where the experiment supports it (currently the E14 scale run);
-	// <= 1 selects the serial stepper. Reports are byte-identical at any
-	// shard count — sharding only changes wall-clock time.
-	Shards int
 }
 
 // cellDone reports one completed unit of work with its simulated-cycle count

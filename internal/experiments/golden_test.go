@@ -59,23 +59,6 @@ func TestGoldenDeterminismAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestGoldenHSeriesAcrossShards pins the H-series reports across spatial
-// shard counts: the topo machines step identically on the sharded engine, so
-// the rendered campaign artifacts must not move by a byte.
-func TestGoldenHSeriesAcrossShards(t *testing.T) {
-	for _, id := range []string{"H1", "H2", "H3"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			serial := reportDigest(t, id, Options{Quick: true, Parallel: 1})
-			for _, shards := range []int{2, 4} {
-				if d := reportDigest(t, id, Options{Quick: true, Parallel: 2, Shards: shards}); d != serial {
-					t.Errorf("%s: shards=%d digest %#x != serial %#x", id, shards, d, serial)
-				}
-			}
-		})
-	}
-}
-
 // TestShardRandSourcesIndependent pins the rand audit: every driver run
 // builds its own rand source from its own seed, so two sweep shards given
 // the same seed produce identical random streams (and identical results) no

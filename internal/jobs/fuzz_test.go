@@ -24,6 +24,7 @@ func FuzzJobSpecDecode(f *testing.F) {
 		`[]`, `null`, `0`, `"x"`, `{}`, `{{`, ``,
 		`{"kind":"experiments","experiments":{"ids":["E1"]},"fault":{}}`,
 		`{"kind":"experiments","experiments":{"ids":["E1"],"extra":true}}`,
+		`{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"shift+5","shards":4}}`,
 	} {
 		f.Add([]byte(seed))
 	}

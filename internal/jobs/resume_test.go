@@ -7,6 +7,7 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -215,4 +216,45 @@ func TestManagerRestartServesCachedArtifact(t *testing.T) {
 	if err != nil || !ok || !bytes.Equal(got2, want) {
 		t.Fatalf("deduped artifact differs (ok=%v err=%v)", ok, err)
 	}
+}
+
+// TestManagerBootDropsRetiredShardsSpec: a -state-dir written before the
+// "shards" job-spec field was retired may hold a hash-consistent spec.json
+// that no longer decodes. OpenManager must boot anyway and drop that
+// execution like any other unparseable record (corrupt = absent).
+func TestManagerBootDropsRetiredShardsSpec(t *testing.T) {
+	dir := t.TempDir()
+	st, err := openStateStore(dir, "w0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"shift+5","shards":4}}`
+	h := canonHash(legacy)
+	if err := os.MkdirAll(st.execDir(h), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(st.execDir(h), "spec.json"), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec := fmt.Sprintf(`{"id":"j000001","canonical":%q}`, legacy)
+	if err := os.WriteFile(filepath.Join(st.jobsDir(), "j000001.json"), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := OpenManager(Config{Workers: 1, Parallel: 1, StateDir: dir})
+	if err != nil {
+		t.Fatalf("OpenManager refused a state dir holding a retired field: %v", err)
+	}
+	defer m.Stop()
+	if _, err := m.Lookup("j000001"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("job on the dropped execution: err=%v, want ErrNotFound", err)
+	}
+	if _, err := os.Stat(st.execDir(h)); !os.IsNotExist(err) {
+		t.Errorf("undecodable execution not removed from the state dir: %v", err)
+	}
+	id, _, err := m.Submit(quickFaultSpec(24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, m, id, StatusDone)
 }

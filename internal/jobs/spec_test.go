@@ -86,6 +86,8 @@ func TestDecodeSpecRejectionsNameTheField(t *testing.T) {
 		{"reconfig budget over ceiling", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","reconfig":{"mode":"fault","drain_budget":1048577}}}`, "fault.reconfig.drain_budget"},
 		{"reconfig on direct-link topology", `{"kind":"fault","fault":{"shape":"4x4","topology":"hyperx","fails":["link:0,0-3,0@60"],"pattern":"reverse","reconfig":{"mode":"fault"}}}`, "fault.reconfig.mode"},
 		{"reconfig with adaptive vcs", `{"kind":"campaign","campaign":{"shape":"4x4","epochs":[1],"patterns":["reverse"],"variant":{"vcs":2,"adaptive":true},"reconfig":{"mode":"deadlock"}}}`, "campaign.reconfig.mode"},
+		{"retired shards field (fault)", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","shards":4}}`, "shards"},
+		{"retired shards field (campaign)", `{"kind":"campaign","campaign":{"shape":"4x4","epochs":[1],"patterns":["reverse"],"shards":4}}`, "shards"},
 		{"trailing data", `{"kind":"experiments","experiments":{"ids":["E1"]}} {"x":1}`, "body"},
 		{"not json", `hello`, "body"},
 	}

@@ -19,6 +19,7 @@
 package replay
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -62,11 +63,6 @@ type RunSpec struct {
 	// the same workload) like any other variant pair.
 	VCs      int  `json:"vcs,omitempty"`
 	Adaptive bool `json:"adaptive,omitempty"`
-
-	// Shards steps the machine on that many spatial shards. Recordings made
-	// at different shard counts are expected hash-identical; Bisect across a
-	// shard-count change names the first cycle where that promise breaks.
-	Shards int `json:"shards,omitempty"`
 }
 
 // CellSpec parses the wire spec into a runnable campaign cell spec.
@@ -120,7 +116,6 @@ func (s RunSpec) CellSpec() (campaign.Spec, error) {
 		PivotLastDim:   s.PivotLastDim,
 		VCs:            s.VCs,
 		Adaptive:       s.Adaptive,
-		Shards:         s.Shards,
 	}, nil
 }
 
@@ -222,8 +217,13 @@ func Load(dir string) (*Recording, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Unknown fields are rejected by name: a recording that carries a knob
+	// this build does not have would otherwise replay as a silently
+	// different run.
 	var meta Meta
-	if err := json.Unmarshal(data, &meta); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&meta); err != nil {
 		return nil, fmt.Errorf("replay: %s: %w", dir, err)
 	}
 	if meta.Version != 1 {

@@ -1,6 +1,10 @@
 package replay
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"sr2201/internal/campaign"
@@ -195,5 +199,26 @@ func TestRecordingRoundTrip(t *testing.T) {
 	}
 	if got.Meta.Final.Cycle < got.Meta.Points[len(got.Meta.Points)-1].Cycle {
 		t.Errorf("final cycle %d precedes last ladder point", got.Meta.Final.Cycle)
+	}
+}
+
+// TestLoadRejectsRetiredShardsField: a recording whose RunSpec carries the
+// retired "shards" knob fails to load with an error naming the field.
+func TestLoadRejectsRetiredShardsField(t *testing.T) {
+	rec := record(t, baseSpec(), 64, 0)
+	path := filepath.Join(rec.Dir, "meta.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := bytes.Replace(data, []byte(`"spec": {`), []byte(`"spec": {"shards": 4,`), 1)
+	if bytes.Equal(legacy, data) {
+		t.Fatal("meta.json layout changed; the fixture edit did not apply")
+	}
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(rec.Dir); err == nil || !strings.Contains(err.Error(), `"shards"`) {
+		t.Fatalf("Load error = %v, want one naming \"shards\"", err)
 	}
 }

@@ -122,8 +122,10 @@ func (p *VCPolicy) RouteRouter(net *mdxb.Network, c geom.Coord, in int, h *flit.
 // adaptiveHop picks a minimal productive hop on a free adaptive lane, or
 // reports ok=false to commit the packet to the escape channel. The choice
 // reads only node-local, phase-stable state (output-port ownership), so it is
-// identical at any shard count and in both scheduler modes; candidates are
-// scanned dimension-ascending, lane-ascending for determinism.
+// identical in both scheduler modes; candidates are scanned
+// dimension-ascending, lane-ascending for determinism. The read is
+// unsynchronized: a machine steps on a single goroutine (sweep parallelism
+// runs distinct machines).
 func (p *VCPolicy) adaptiveHop(net *mdxb.Network, c geom.Coord, h *flit.Header) (engine.Decision, bool) {
 	rtc := net.Router(c)
 	for k := 0; k < p.escape.dims; k++ {

@@ -36,8 +36,10 @@ type PEMeta struct {
 
 // Router is a Scheme that also forwards packets hop by hop on the
 // direct-link lattice: the dynamic counterpart of its registered
-// dependence graph. Route must be deterministic and side-effect-free —
-// with sharded execution it is called from shard goroutines.
+// dependence graph. Route must be deterministic and side-effect-free. A
+// machine calls it only from the one goroutine stepping it; sweep steps
+// distinct machines in parallel, so a scheme value shared between machines
+// must hold no mutable state.
 type Router interface {
 	Scheme
 	// Shape is the lattice shape the scheme routes over.
@@ -160,21 +162,3 @@ func (net *Net) Router(c geom.Coord) *engine.Node { return net.routers[net.Shape
 
 // PEs returns all PE endpoints in Shape.Index order.
 func (net *Net) PEs() []*engine.Node { return net.pes }
-
-// ShardAssign builds an engine.ShardPlan partitioning the lattice into n
-// spatial slabs perpendicular to its longest dimension, mirroring
-// mdxb.ShardAssign: every PE and router lands in the slab of its
-// coordinate, so the only boundary links are the direct links crossing a
-// cut. Pass the result to net.Eng.SetShards.
-func ShardAssign(net *Net, n int) engine.ShardPlan {
-	part := net.Shape.Partition(n)
-	n = part.Slabs()
-	assign := make([]int, len(net.Eng.Nodes()))
-	net.Shape.Enumerate(func(c geom.Coord) bool {
-		s := part.SlabOf(c)
-		assign[net.PE(c).ID] = s
-		assign[net.Router(c).ID] = s
-		return true
-	})
-	return engine.ShardPlan{N: n, Assign: assign}
-}

@@ -109,55 +109,33 @@ func TestNetDeliversAllPairs(t *testing.T) {
 	}
 }
 
-// TestShardAssignEquivalence: the spatial shard plan co-locates each PE
-// with its router, covers every node, and the sharded engine reaches the
-// byte-identical state the serial one does under the same workload.
-func TestShardAssignEquivalence(t *testing.T) {
+// TestNetStateHashPin: a raw engine network under a fixed shift workload
+// drains to the same pinned state core.Machine reaches on the same lattice
+// (core's TestTopoStateHashPins).
+func TestNetStateHashPin(t *testing.T) {
 	shape := geom.MustShape(4, 4)
-	run := func(shards int) uint64 {
-		eng := engine.New(engine.DefaultConfig())
-		net := topo.NewNet(eng, shape)
-		s, err := hyperx.New(shape, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		net.SetScheme(s)
-		if shards > 1 {
-			plan := topo.ShardAssign(net, shards)
-			if plan.N != shards {
-				t.Fatalf("plan.N=%d, want %d", plan.N, shards)
-			}
-			if len(plan.Assign) != len(eng.Nodes()) {
-				t.Fatalf("plan covers %d nodes, want %d", len(plan.Assign), len(eng.Nodes()))
-			}
-			shape.Enumerate(func(c geom.Coord) bool {
-				if plan.Assign[net.PE(c).ID] != plan.Assign[net.Router(c).ID] {
-					t.Errorf("PE and router at %s in different shards", c)
-				}
-				return true
-			})
-			eng.SetShards(plan)
-		}
-		shape.Enumerate(func(src geom.Coord) bool {
-			dst := shape.CoordOf((shape.Index(src) + 5) % shape.Size())
-			if dst != src {
-				eng.InjectPacket(net.PE(src), &flit.Header{Src: src, Dst: dst}, 4)
-			}
-			return true
-		})
-		for i := 0; i < 10_000 && !eng.Quiescent(); i++ {
-			eng.Step()
-		}
-		if !eng.Quiescent() {
-			t.Fatal("network did not drain")
-		}
-		return eng.StateHash()
+	eng := engine.New(engine.DefaultConfig())
+	net := topo.NewNet(eng, shape)
+	s, err := hyperx.New(shape, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	serial := run(1)
-	for _, shards := range []int{2, 4} {
-		if h := run(shards); h != serial {
-			t.Errorf("shards=%d state hash %016x != serial %016x", shards, h, serial)
+	net.SetScheme(s)
+	shape.Enumerate(func(src geom.Coord) bool {
+		dst := shape.CoordOf((shape.Index(src) + 5) % shape.Size())
+		if dst != src {
+			eng.InjectPacket(net.PE(src), &flit.Header{Src: src, Dst: dst}, 4)
 		}
+		return true
+	})
+	for i := 0; i < 10_000 && !eng.Quiescent(); i++ {
+		eng.Step()
+	}
+	if !eng.Quiescent() {
+		t.Fatal("network did not drain")
+	}
+	if h := eng.StateHash(); h != 0xb04909e3565c7b32 {
+		t.Errorf("state hash %016x, want b04909e3565c7b32", h)
 	}
 }
 
