@@ -6,9 +6,10 @@
 // into the availability coverage table. Campaign output is byte-identical
 // at every -parallel level.
 //
-// Both modes render through the shared runners in internal/campaign, so the
-// stdout of an mdxfault run is byte-identical to the artifact the mdxserve
-// job server produces for the same spec.
+// Both modes resolve their flags through campaign.RunText and render through
+// the shared runners in internal/campaign, so the stdout of an mdxfault run
+// is byte-identical to the artifact the mdxserve job server produces for the
+// same spec.
 //
 // Examples:
 //
@@ -22,176 +23,95 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"sr2201/internal/campaign"
-	"sr2201/internal/cliutil"
-	"sr2201/internal/core"
-	"sr2201/internal/fault"
-	"sr2201/internal/geom"
-	"sr2201/internal/inject"
 	"sr2201/internal/sweep"
 )
 
+// flagOf names the flag that spells each run-spec field the resolver can
+// reject (list fields without their index).
+var flagOf = map[string]string{
+	"shape":                 "shape",
+	"topology":              "topo",
+	"fails":                 "fail",
+	"presets":               "preset",
+	"broadcasts":            "broadcast",
+	"pattern":               "patterns",
+	"patterns":              "patterns",
+	"epochs":                "epochs",
+	"waves":                 "waves",
+	"gap":                   "gap",
+	"packet_size":           "packet",
+	"recovery":              "recover",
+	"variant.sxb":           "sxb",
+	"variant.dxb":           "dxb",
+	"variant.dxb_separate":  "dxb-separate",
+	"variant.vcs":           "vcs",
+	"variant.adaptive":      "adaptive",
+	"reconfig.mode":         "reconfig",
+	"reconfig.drain_budget": "reconfig-drain",
+}
+
 func main() {
 	var (
-		shapeStr   = flag.String("shape", "8x8", "lattice shape, e.g. 8x8 or 4x4x4")
-		topoStr    = flag.String("topo", "", "interconnect topology: mdx | hyperx | fullmesh (default mdx)")
+		t          campaign.RunText
 		doCampaign = flag.Bool("campaign", false, "run the exhaustive single-fault campaign instead of one schedule")
 		epochsStr  = flag.String("epochs", "12", "campaign fault-activation cycles, comma-separated")
 		patsStr    = flag.String("patterns", "shift+5", "traffic patterns, comma-separated: shift+K | reverse")
-		waves      = flag.Int("waves", 4, "traffic waves (one packet per live PE per wave)")
-		gap        = flag.Int64("gap", 24, "cycles between waves")
-		packet     = flag.Int("packet", 0, "packet size in flits (0 = default)")
-		retransmit = flag.Bool("retransmit", false, "retransmit lost packets from their sources")
-		retryAfter = flag.Int64("retry-after", 64, "cycles before the first retransmission")
-		backoff    = flag.Int("backoff", 2, "timeout multiplier per further attempt")
-		maxRetries = flag.Int("max-retries", 4, "retransmission attempts per packet")
-		horizon    = flag.Int64("horizon", 50_000, "cycle budget per run")
-		stall      = flag.Int64("stall", 0, "deadlock-watchdog stall threshold (0 = default)")
 		parallel   = flag.Int("parallel", sweep.DefaultParallel(), "campaign worker-pool width (1 = serial)")
 		stateDir   = flag.String("state-dir", "", "campaign checkpoint directory: completed cells persist and are skipped on re-run (campaign mode)")
 		ckptEvery  = flag.Int64("checkpoint-every", 4096, "mid-cell snapshot interval in cycles (with -state-dir; 0 = cell granularity only)")
-
-		doRecover  = flag.Bool("recover", false, "enable deadlock recovery: purge the lowest-ID packet on a confirmed wait cycle and retransmit it")
-		recStall   = flag.Int64("stall-threshold", 0, "recovery-watchdog zero-movement cycles before a purge (with -recover; 0 = default)")
-		recMax     = flag.Int("max-recoveries", 0, "per-packet sacrifice cap before the LIVELOCK verdict (with -recover; 0 = default)")
-		sxbStr     = flag.String("sxb", "", "static-routing crossbar coordinate, e.g. 0,0 (empty = default)")
-		dxbStr     = flag.String("dxb", "", "detour crossbar coordinate (with -dxb-separate; empty = default)")
-		dxbSep     = flag.Bool("dxb-separate", false, "use a separate detour crossbar (the paper's deadlocking D-XB != S-XB design)")
-		vcs        = flag.Int("vcs", 0, "virtual channels per physical wire (with -adaptive; 0 = single-lane network)")
-		adaptive   = flag.Bool("adaptive", false, "escape-VC adaptive routing: lanes 1.. take any minimal productive hop, lane 0 is the certified escape channel (needs -vcs >= 2)")
-		reconfig   = flag.String("reconfig", "", "online routing-table reconfiguration trigger: fault | deadlock | both (empty = off)")
-		recfgDrain = flag.Int("reconfig-drain", 0, "max in-flight packets a cyclic transition may purge before falling back to rebuild-in-place (with -reconfig; 0 = default)")
-		fails      failList
-		presets    failList
-		broadcasts failList
 	)
-	flag.Var(&fails, "fail", "fault schedule rtc:X,Y@CYCLE or xb:DIM:X,Y@CYCLE (repeatable; single mode)")
-	flag.Var(&presets, "preset", "fault installed before any traffic, rtc:X,Y or xb:DIM:X,Y (repeatable)")
-	flag.Var(&broadcasts, "broadcast", "broadcast schedule X,Y@CYCLE (repeatable)")
+	// Every run-spec flag writes straight into the resolver's input.
+	flag.StringVar(&t.Shape, "shape", "8x8", "lattice shape, e.g. 8x8 or 4x4x4")
+	flag.StringVar(&t.Topology, "topo", "", "interconnect topology: mdx | hyperx | fullmesh (default mdx)")
+	flag.IntVar(&t.Waves, "waves", 4, "traffic waves (one packet per live PE per wave)")
+	flag.Int64Var(&t.Gap, "gap", 24, "cycles between waves")
+	flag.IntVar(&t.PacketSize, "packet", 0, "packet size in flits (0 = default)")
+	flag.BoolVar(&t.Inject.Retransmit, "retransmit", false, "retransmit lost packets from their sources")
+	flag.Int64Var(&t.Inject.RetryAfter, "retry-after", 64, "cycles before the first retransmission")
+	flag.IntVar(&t.Inject.Backoff, "backoff", 2, "timeout multiplier per further attempt")
+	flag.IntVar(&t.Inject.MaxRetries, "max-retries", 4, "retransmission attempts per packet")
+	flag.Int64Var(&t.Horizon, "horizon", 50_000, "cycle budget per run")
+	flag.Int64Var(&t.Inject.StallThreshold, "stall", 0, "deadlock-watchdog stall threshold (0 = default)")
+	flag.BoolVar(&t.Recovery.Enabled, "recover", false, "enable deadlock recovery: purge the lowest-ID packet on a confirmed wait cycle and retransmit it")
+	flag.Int64Var(&t.Recovery.StallThreshold, "stall-threshold", 0, "recovery-watchdog zero-movement cycles before a purge (with -recover; 0 = default)")
+	flag.IntVar(&t.Recovery.MaxRecoveries, "max-recoveries", 0, "per-packet sacrifice cap before the LIVELOCK verdict (with -recover; 0 = default)")
+	flag.StringVar(&t.Variant.SXB, "sxb", "", "static-routing crossbar coordinate, e.g. 0,0 (empty = default)")
+	flag.StringVar(&t.Variant.DXB, "dxb", "", "detour crossbar coordinate (with -dxb-separate; empty = default)")
+	flag.BoolVar(&t.Variant.DXBSeparate, "dxb-separate", false, "use a separate detour crossbar (the paper's deadlocking D-XB != S-XB design)")
+	flag.IntVar(&t.Variant.VCs, "vcs", 0, "virtual channels per physical wire (with -adaptive; 0 = single-lane network)")
+	flag.BoolVar(&t.Variant.Adaptive, "adaptive", false, "escape-VC adaptive routing: lanes 1.. take any minimal productive hop, lane 0 is the certified escape channel (needs -vcs >= 2)")
+	flag.StringVar(&t.Reconfig.Mode, "reconfig", "", "online routing-table reconfiguration trigger: fault | deadlock | both (empty = off)")
+	flag.IntVar(&t.Reconfig.DrainBudget, "reconfig-drain", 0, "max in-flight packets a cyclic transition may purge before falling back to rebuild-in-place (with -reconfig; 0 = default)")
+	flag.Var((*stringList)(&t.Fails), "fail", "fault schedule rtc:X,Y@CYCLE or xb:DIM:X,Y@CYCLE (repeatable; single mode)")
+	flag.Var((*stringList)(&t.Presets), "preset", "fault installed before any traffic, rtc:X,Y or xb:DIM:X,Y (repeatable)")
+	flag.Var((*stringList)(&t.Broadcasts), "broadcast", "broadcast schedule X,Y@CYCLE (repeatable)")
 	flag.Parse()
-
-	shape, err := cliutil.ParseShape(*shapeStr)
-	if err != nil {
-		fatal(err)
-	}
-	topology, err := cliutil.ParseTopology(*topoStr)
-	if err != nil {
-		fatal(err)
-	}
-	if topology != core.TopologyMDX {
-		switch {
-		case *sxbStr != "" || *dxbStr != "" || *dxbSep:
-			fatal(fmt.Errorf("-sxb/-dxb/-dxb-separate configure crossbars; topology %q has none", topology))
-		case *vcs != 0 || *adaptive:
-			fatal(fmt.Errorf("-vcs/-adaptive need the mdx crossbar network; topology %q has no VC layer", topology))
-		case *reconfig != "":
-			fatal(fmt.Errorf("-reconfig needs the mdx crossbar network; topology %q has no reconfigurable table generations", topology))
-		case len(broadcasts) > 0:
-			fatal(fmt.Errorf("-broadcast needs the mdx hardware broadcast; topology %q has none", topology))
-		}
-	}
-	opt := inject.Options{
-		Retransmit:     *retransmit,
-		RetryAfter:     *retryAfter,
-		Backoff:        *backoff,
-		MaxRetries:     *maxRetries,
-		StallThreshold: *stall,
-	}
-	patterns, err := campaign.ParsePatterns(*patsStr)
-	if err != nil {
-		fatal(err)
-	}
-	recOpt, err := cliutil.RecoveryOptions(*doRecover, *recStall, *recMax)
-	if err != nil {
-		fatal(err)
-	}
-	vcCount, err := cliutil.VCOptions(*vcs, *adaptive)
-	if err != nil {
-		fatal(err)
-	}
-	recfgMode, recfgBudget, err := cliutil.ReconfigOptions(*reconfig, *recfgDrain)
-	if err != nil {
-		fatal(err)
-	}
-	if *adaptive && *dxbSep {
-		fatal(fmt.Errorf("-adaptive needs the unified design (the escape lane's certificate assumes D-XB = S-XB; drop -dxb-separate)"))
-	}
-	var sxb, dxb geom.Coord
-	if *sxbStr != "" {
-		if sxb, err = cliutil.ParseCoord(*sxbStr, shape.Dims()); err != nil {
-			fatal(err)
-		}
-	}
-	if *dxbStr != "" {
-		if !*dxbSep {
-			fatal(fmt.Errorf("-dxb needs -dxb-separate (the unified design has no second crossbar)"))
-		}
-		if dxb, err = cliutil.ParseCoord(*dxbStr, shape.Dims()); err != nil {
-			fatal(err)
-		}
-	}
-	var presetFaults []fault.Fault
-	for _, ps := range presets {
-		f, err := cliutil.ParseFaultIn(ps, shape)
-		if err != nil {
-			fatal(err)
-		}
-		if err := cliutil.CheckFaultTopology(f, topology); err != nil {
-			fatal(err)
-		}
-		presetFaults = append(presetFaults, f)
-	}
-	var bcasts []campaign.Broadcast
-	for _, bs := range broadcasts {
-		src, cycle, err := cliutil.ParseBroadcast(bs, shape)
-		if err != nil {
-			fatal(err)
-		}
-		bcasts = append(bcasts, campaign.Broadcast{Cycle: cycle, Src: src, Size: *packet})
-	}
+	t.Patterns = campaign.SplitPatterns(*patsStr)
 
 	if *doCampaign {
-		if len(fails) > 0 {
-			fatal(fmt.Errorf("-fail selects single mode; a campaign enumerates every placement itself"))
+		var err error
+		if t.Epochs, err = campaign.ParseEpochs(*epochsStr); err != nil {
+			fatal(fmt.Errorf("-epochs: %w", err))
 		}
-		epochs, err := campaign.ParseEpochs(*epochsStr)
+		cfg, err := t.Config()
 		if err != nil {
 			fatal(err)
 		}
-		var store *campaign.Store
+		cfg.Parallel = *parallel
+		cfg.CheckpointEvery = *ckptEvery
 		if *stateDir != "" {
-			if store, err = campaign.OpenStore(*stateDir); err != nil {
+			if cfg.Store, err = campaign.OpenStore(*stateDir); err != nil {
 				fatal(err)
 			}
 		}
-		res, err := campaign.Run(campaign.Config{
-			Shape:               shape,
-			Topology:            topology,
-			Epochs:              epochs,
-			Patterns:            patterns,
-			Waves:               *waves,
-			Gap:                 *gap,
-			PacketSize:          *packet,
-			Inject:              opt,
-			Horizon:             *horizon,
-			Recovery:            recOpt,
-			Preset:              presetFaults,
-			Broadcasts:          bcasts,
-			SXB:                 sxb,
-			DXB:                 dxb,
-			DXBSeparate:         *dxbSep,
-			VCs:                 vcCount,
-			Adaptive:            *adaptive,
-			Reconfig:            recfgMode,
-			ReconfigDrainBudget: recfgBudget,
-			Parallel:            *parallel,
-			Store:               store,
-			CheckpointEvery:     *ckptEvery,
-		})
+		res, err := campaign.Run(cfg)
 		if err != nil {
 			fatal(err)
 		}
@@ -202,47 +122,17 @@ func main() {
 		return
 	}
 
-	if len(fails) == 0 && len(presetFaults) == 0 && len(bcasts) == 0 {
+	if len(t.Fails) == 0 && len(t.Presets) == 0 && len(t.Broadcasts) == 0 {
 		fatal(fmt.Errorf("single mode needs a -fail schedule, -preset fault or -broadcast (or use -campaign)"))
 	}
 	if *stateDir != "" {
 		fatal(fmt.Errorf("-state-dir applies to campaign mode"))
 	}
-	if len(patterns) != 1 {
-		fatal(fmt.Errorf("single mode takes exactly one pattern"))
+	spec, err := t.Spec()
+	if err != nil {
+		fatal(err)
 	}
-	events := make([]inject.Event, 0, len(fails))
-	for _, fs := range fails {
-		f, cycle, err := cliutil.ParseScheduledFault(fs, shape)
-		if err != nil {
-			fatal(err)
-		}
-		if err := cliutil.CheckFaultTopology(f, topology); err != nil {
-			fatal(err)
-		}
-		events = append(events, inject.Event{Cycle: cycle, Fault: f})
-	}
-	outcome, err := campaign.RunSingle(campaign.SingleSpec{
-		Shape:               shape,
-		Topology:            topology,
-		Events:              events,
-		Pattern:             patterns[0],
-		Waves:               *waves,
-		Gap:                 *gap,
-		PacketSize:          *packet,
-		Horizon:             *horizon,
-		Inject:              opt,
-		Recovery:            recOpt,
-		Preset:              presetFaults,
-		Broadcasts:          bcasts,
-		SXB:                 sxb,
-		DXB:                 dxb,
-		DXBSeparate:         *dxbSep,
-		VCs:                 vcCount,
-		Adaptive:            *adaptive,
-		Reconfig:            recfgMode,
-		ReconfigDrainBudget: recfgBudget,
-	}, os.Stdout)
+	outcome, err := campaign.RunSingle(spec, os.Stdout)
 	if err != nil {
 		fatal(err)
 	}
@@ -251,13 +141,22 @@ func main() {
 	}
 }
 
-// failList collects repeated -fail flags.
-type failList []string
+// stringList collects a repeatable flag.
+type stringList []string
 
-func (f *failList) String() string     { return fmt.Sprint([]string(*f)) }
-func (f *failList) Set(s string) error { *f = append(*f, s); return nil }
+func (l *stringList) String() string     { return fmt.Sprint([]string(*l)) }
+func (l *stringList) Set(s string) error { *l = append(*l, s); return nil }
 
+// fatal reports err and exits 2; a resolver rejection is reported under the
+// flag that spells the rejected field.
 func fatal(err error) {
+	var fe *campaign.FieldError
+	if errors.As(err, &fe) {
+		field, _, _ := strings.Cut(fe.Field, "[")
+		if name, ok := flagOf[field]; ok {
+			err = fmt.Errorf("-%s: %w", name, fe.Err)
+		}
+	}
 	fmt.Fprintln(os.Stderr, "mdxfault:", err)
 	os.Exit(2)
 }

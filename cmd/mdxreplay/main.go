@@ -34,29 +34,28 @@ func main() {
 		out      = flag.String("o", "", "recording output directory (record mode)")
 		every    = flag.Int64("every", 256, "hash-ladder and snapshot spacing in cycles")
 		keep     = flag.Int("keep", 0, "snapshot ring capacity (0 = keep every snapshot)")
-
-		shapeStr   = flag.String("shape", "8x8", "lattice shape, e.g. 8x8 or 4x4x4")
-		patStr     = flag.String("pattern", "shift+5", "traffic pattern: shift+K | reverse")
-		waves      = flag.Int("waves", 4, "traffic waves (one packet per live PE per wave)")
-		gap        = flag.Int64("gap", 24, "cycles between waves")
-		packet     = flag.Int("packet", 0, "packet size in flits (0 = default)")
-		horizon    = flag.Int64("horizon", 50_000, "cycle budget for the run")
-		retransmit = flag.Bool("retransmit", false, "retransmit lost packets from their sources")
-		retryAfter = flag.Int64("retry-after", 64, "cycles before the first retransmission")
-		backoff    = flag.Int("backoff", 2, "timeout multiplier per further attempt")
-		maxRetries = flag.Int("max-retries", 4, "retransmission attempts per packet")
-		stall      = flag.Int64("stall", 0, "deadlock-watchdog stall threshold (0 = default)")
-
-		sxb    = flag.String("sxb", "", "serialized-crossbar line coordinate (default all-zero)")
-		dxb    = flag.String("dxb", "", "detour-crossbar line coordinate (with -dxb-separate)")
-		dxbSep = flag.Bool("dxb-separate", false, "untie D-XB from S-XB (paper Fig. 9 deadlock-prone variant)")
-		naive  = flag.Bool("naive-broadcast", false, "disable S-XB serialization (paper Fig. 5 scheme)")
-		pivot  = flag.Bool("pivot", false, "enable the two-phase pivot extension")
-		vcs    = flag.Int("vcs", 0, "virtual channels per physical wire (with -adaptive; 0 = single-lane network)")
-		adapt  = flag.Bool("adaptive", false, "escape-VC adaptive routing (needs -vcs >= 2)")
-		fails  failList
+		spec     replay.RunSpec
 	)
-	flag.Var(&fails, "fail", "fault schedule rtc:X,Y@CYCLE or xb:DIM:X,Y@CYCLE (repeatable)")
+	// The run flags write straight into the recording's spec.
+	flag.StringVar(&spec.Shape, "shape", "8x8", "lattice shape, e.g. 8x8 or 4x4x4")
+	flag.StringVar(&spec.Pattern, "pattern", "shift+5", "traffic pattern: shift+K | reverse")
+	flag.IntVar(&spec.Waves, "waves", 4, "traffic waves (one packet per live PE per wave)")
+	flag.Int64Var(&spec.Gap, "gap", 24, "cycles between waves")
+	flag.IntVar(&spec.PacketSize, "packet", 0, "packet size in flits (0 = default)")
+	flag.Int64Var(&spec.Horizon, "horizon", 50_000, "cycle budget for the run")
+	flag.BoolVar(&spec.Retransmit, "retransmit", false, "retransmit lost packets from their sources")
+	flag.Int64Var(&spec.RetryAfter, "retry-after", 64, "cycles before the first retransmission")
+	flag.IntVar(&spec.Backoff, "backoff", 2, "timeout multiplier per further attempt")
+	flag.IntVar(&spec.MaxRetries, "max-retries", 4, "retransmission attempts per packet")
+	flag.Int64Var(&spec.Stall, "stall", 0, "deadlock-watchdog stall threshold (0 = default)")
+	flag.StringVar(&spec.SXB, "sxb", "", "serialized-crossbar line coordinate (default all-zero)")
+	flag.StringVar(&spec.DXB, "dxb", "", "detour-crossbar line coordinate (with -dxb-separate)")
+	flag.BoolVar(&spec.DXBSeparate, "dxb-separate", false, "untie D-XB from S-XB (paper Fig. 9 deadlock-prone variant)")
+	flag.BoolVar(&spec.NaiveBroadcast, "naive-broadcast", false, "disable S-XB serialization (paper Fig. 5 scheme)")
+	flag.BoolVar(&spec.PivotLastDim, "pivot", false, "enable the two-phase pivot extension")
+	flag.IntVar(&spec.VCs, "vcs", 0, "virtual channels per physical wire (with -adaptive; 0 = single-lane network)")
+	flag.BoolVar(&spec.Adaptive, "adaptive", false, "escape-VC adaptive routing (needs -vcs >= 2)")
+	flag.Var((*failList)(&spec.Fails), "fail", "fault schedule rtc:X,Y@CYCLE or xb:DIM:X,Y@CYCLE (repeatable)")
 	flag.Parse()
 
 	switch {
@@ -65,27 +64,6 @@ func main() {
 	case *doRecord:
 		if *out == "" {
 			fatal(fmt.Errorf("-record needs -o DIR"))
-		}
-		spec := replay.RunSpec{
-			Shape:          *shapeStr,
-			Fails:          fails,
-			Pattern:        *patStr,
-			Waves:          *waves,
-			Gap:            *gap,
-			PacketSize:     *packet,
-			Horizon:        *horizon,
-			Retransmit:     *retransmit,
-			RetryAfter:     *retryAfter,
-			Backoff:        *backoff,
-			MaxRetries:     *maxRetries,
-			Stall:          *stall,
-			SXB:            *sxb,
-			DXB:            *dxb,
-			DXBSeparate:    *dxbSep,
-			NaiveBroadcast: *naive,
-			PivotLastDim:   *pivot,
-			VCs:            *vcs,
-			Adaptive:       *adapt,
 		}
 		rec, err := replay.Record(spec, *every, *keep, *out)
 		if err != nil {

@@ -17,6 +17,7 @@ import (
 
 	"sr2201/internal/core"
 	"sr2201/internal/deadlock"
+	"sr2201/internal/engine"
 	"sr2201/internal/fault"
 	"sr2201/internal/geom"
 	"sr2201/internal/inject"
@@ -89,8 +90,31 @@ type Broadcast struct {
 	Size int
 }
 
-// Spec describes one campaign cell: a machine, a fault schedule, and a wave
-// workload.
+// Hooks are a run's run-time attachments: cancellation and the progress
+// feeds. They shape no artifact; a Spec or Config embeds them so every
+// runner takes them the same way.
+type Hooks struct {
+	// Ctx, if non-nil, cancels the run: a cell stops between cycles (parking
+	// a snapshot when it runs against a Store), a campaign also between
+	// cells, and the runner returns ctx.Err().
+	Ctx context.Context
+	// OnCycle, if non-nil, is called every progressInterval cycles of a cell
+	// with the engine's hot-path counters.
+	OnCycle func(cycle int64, ctr engine.Counters)
+	// OnRecovery, if non-nil, is called for every recovery event (after its
+	// report line is written, in a single run).
+	OnRecovery func(recovery.Event)
+	// OnReconfig, if non-nil, is called for every reconfiguration event as
+	// the manager takes it.
+	OnReconfig func(reconfig.Event)
+}
+
+// progressInterval is how often a cell samples Hooks.OnCycle.
+const progressInterval = 1024
+
+// Spec describes one run: a machine variant, a fault schedule, and a wave
+// workload. A campaign cell, mdxfault's single mode, a fault job and a
+// replay recording are all one Spec.
 type Spec struct {
 	Shape geom.Shape
 	// Topology selects the cell's interconnect (see core.Config.Topology):
@@ -103,9 +127,10 @@ type Spec struct {
 	Events []inject.Event
 	// Pattern chooses each wave's destinations.
 	Pattern Pattern
-	// Waves is the number of traffic waves; wave w injects at cycle w*Gap.
+	// Waves is the number of traffic waves; wave w injects at cycle w*Gap
+	// (< 1 selects one wave).
 	Waves int
-	// Gap is the cycle spacing between waves (>= 1).
+	// Gap is the cycle spacing between waves (< 1 selects 1).
 	Gap int64
 	// PacketSize in flits (0 = core default).
 	PacketSize int
@@ -125,7 +150,7 @@ type Spec struct {
 	// mid-run schedule.
 	Preset []fault.Fault
 	// Broadcasts schedules broadcast injections alongside the unicast
-	// waves. Normalized into ascending cycle order.
+	// waves. The run works on a copy in ascending cycle order.
 	Broadcasts []Broadcast
 	// SXB/DXB/DXBSeparate/NaiveBroadcast/PivotLastDim forward to core.Config,
 	// selecting the machine variant the cell runs on. Zero values are the
@@ -147,14 +172,20 @@ type Spec struct {
 	// ReconfigDrainBudget caps the bounded drain when a transition's union
 	// graph is cyclic (<= 0 = reconfig.DefaultDrainBudget).
 	ReconfigDrainBudget int
+	Hooks
 }
 
+// SingleSpec is the historical name of a Spec handed to RunSingle.
+type SingleSpec = Spec
+
+// normalize applies the defaults and checks the workload. Rejections are
+// FieldErrors in the resolver's vocabulary.
 func (s *Spec) normalize() error {
 	if s.Shape.Dims() == 0 {
-		return fmt.Errorf("campaign: spec needs a shape")
+		return fieldErrf("shape", "spec needs a shape")
 	}
 	if s.Pattern.Dest == nil {
-		return fmt.Errorf("campaign: spec needs a pattern")
+		return fieldErrf("pattern", "spec needs a pattern")
 	}
 	if s.Waves < 1 {
 		s.Waves = 1
@@ -166,16 +197,44 @@ func (s *Spec) normalize() error {
 		s.Horizon = 50_000
 	}
 	if s.Topology != "" && s.Topology != core.TopologyMDX && len(s.Broadcasts) > 0 {
-		return fmt.Errorf("campaign: topology %q has no hardware broadcast; remove the broadcast schedule", s.Topology)
+		return fieldErrf("broadcasts", "topology %q has no hardware broadcast; remove the broadcast schedule", s.Topology)
 	}
 	for _, b := range s.Broadcasts {
 		if b.Cycle < 0 {
-			return fmt.Errorf("campaign: negative broadcast cycle %d", b.Cycle)
+			return fieldErrf("broadcasts", "negative broadcast cycle %d", b.Cycle)
 		}
 	}
 	// Cycle order, insertion order breaking ties — like the fault schedule.
-	sort.SliceStable(s.Broadcasts, func(i, j int) bool { return s.Broadcasts[i].Cycle < s.Broadcasts[j].Cycle })
+	// The caller's slice is shared (every cell of a campaign gets the same
+	// one, from worker goroutines), so sort a copy.
+	if len(s.Broadcasts) > 1 {
+		bs := s.Broadcasts
+		byCycle := func(i, j int) bool { return bs[i].Cycle < bs[j].Cycle }
+		if !sort.SliceIsSorted(bs, byCycle) {
+			bs = append([]Broadcast(nil), bs...)
+			sort.SliceStable(bs, byCycle)
+			s.Broadcasts = bs
+		}
+	}
 	return nil
+}
+
+// machineConfig is the core.Config the spec's machine is built from.
+func (s *Spec) machineConfig() core.Config {
+	return core.Config{
+		Shape:          s.Shape,
+		Topology:       s.Topology,
+		SXB:            s.SXB,
+		DXB:            s.DXB,
+		DXBSeparate:    s.DXBSeparate,
+		NaiveBroadcast: s.NaiveBroadcast,
+		PivotLastDim:   s.PivotLastDim,
+		VCs:            s.VCs,
+		Adaptive:       s.Adaptive,
+		PacketSize:     s.PacketSize,
+		StallThreshold: s.Inject.StallThreshold,
+		Reconfig:       s.Reconfig,
+	}
 }
 
 // CellResult is one cell's verdict.
@@ -257,10 +316,10 @@ func (r CellResult) Availability() float64 {
 	return float64(r.Delivered) / float64(r.Accepted)
 }
 
-// CellRun is one campaign cell as a resumable stepper: the same loop RunCell
-// executes, broken at cycle granularity so the caller can snapshot between
-// Steps, checkpoint to a Store, and restore after a crash with a result
-// identical to the uninterrupted run.
+// CellRun is one run as a resumable stepper — the only wave/broadcast/stall
+// loop in the repository — broken at cycle granularity so the caller can
+// snapshot between Steps, checkpoint to a Store, and restore after a crash
+// with a result identical to the uninterrupted run.
 type CellRun struct {
 	spec Spec
 	m    *core.Machine
@@ -282,23 +341,22 @@ type CellRun struct {
 
 // NewCellRun builds the cell's machine and fault schedule without stepping.
 func NewCellRun(spec Spec) (*CellRun, error) {
+	c, err := newCellRun(spec)
+	if err != nil {
+		return nil, err
+	}
+	c.preDenied = recovery.AnalyzeReachability(c.m, c.dest).Denied()
+	return c, nil
+}
+
+// newCellRun assembles the run — machine, presets, injector, supervisor,
+// reconfiguration manager, hooks — short of the reachability prediction
+// only Result reports (a single run renders no prediction and skips it).
+func newCellRun(spec Spec) (*CellRun, error) {
 	if err := spec.normalize(); err != nil {
 		return nil, err
 	}
-	m, err := core.NewMachine(core.Config{
-		Shape:          spec.Shape,
-		Topology:       spec.Topology,
-		SXB:            spec.SXB,
-		DXB:            spec.DXB,
-		DXBSeparate:    spec.DXBSeparate,
-		NaiveBroadcast: spec.NaiveBroadcast,
-		PivotLastDim:   spec.PivotLastDim,
-		VCs:            spec.VCs,
-		Adaptive:       spec.Adaptive,
-		PacketSize:     spec.PacketSize,
-		StallThreshold: spec.Inject.StallThreshold,
-		Reconfig:       spec.Reconfig,
-	})
+	m, err := core.NewMachine(spec.machineConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -313,9 +371,12 @@ func NewCellRun(spec Spec) (*CellRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &CellRun{spec: spec, m: m, inj: inj, wd: deadlock.NewWatchdog(m.Engine(), spec.Inject.StallThreshold)}
+	c := &CellRun{spec: spec, m: m, inj: inj}
 	if spec.Recovery.Enabled {
 		c.sup = recovery.New(m, inj, spec.Recovery)
+		if spec.OnRecovery != nil {
+			c.sup.OnEvent(spec.OnRecovery)
+		}
 	}
 	if spec.Reconfig != "" {
 		mgr, err := reconfig.New(m, reconfig.Options{DrainBudget: spec.ReconfigDrainBudget})
@@ -326,6 +387,9 @@ func NewCellRun(spec Spec) (*CellRun, error) {
 		if c.sup != nil && mgr.CoversDeadlock() {
 			c.sup.OnDeadlock(mgr.OnDeadlock)
 		}
+		if spec.OnReconfig != nil {
+			mgr.OnEvent(spec.OnReconfig)
+		}
 		c.mgr = mgr
 	}
 	c.res = CellResult{Pattern: spec.Pattern.Name, ReconfigEnabled: spec.Reconfig != ""}
@@ -335,27 +399,25 @@ func NewCellRun(spec Spec) (*CellRun, error) {
 	} else if len(spec.Preset) > 0 {
 		c.res.Fault = spec.Preset[0]
 	}
-	c.preDenied = recovery.AnalyzeReachability(m, func(src geom.Coord) geom.Coord {
-		return spec.Pattern.Dest(spec.Shape, src)
-	}).Denied()
+	eng := m.Engine()
+	if onCycle := spec.OnCycle; onCycle != nil {
+		// Chain behind the injector's own PreCycle hook.
+		prev := eng.PreCycle
+		eng.PreCycle = func(cy int64) {
+			if prev != nil {
+				prev(cy)
+			}
+			if cy%progressInterval == 0 {
+				onCycle(cy, eng.Counters())
+			}
+		}
+	}
+	c.wd = deadlock.NewWatchdog(eng, spec.Inject.StallThreshold)
 	return c, nil
 }
 
-// OnRecovery registers a callback for every recovery event of this cell
-// (no-op unless Spec.Recovery is enabled). Must be set before stepping.
-func (c *CellRun) OnRecovery(fn func(recovery.Event)) {
-	if c.sup != nil {
-		c.sup.OnEvent(fn)
-	}
-}
-
-// OnReconfig registers a callback for every reconfiguration event of this
-// cell (no-op unless Spec.Reconfig is set). Must be set before stepping.
-func (c *CellRun) OnReconfig(fn func(reconfig.Event)) {
-	if c.mgr != nil {
-		c.mgr.OnEvent(fn)
-	}
-}
+// dest is the spec's pattern bound to its shape.
+func (c *CellRun) dest(src geom.Coord) geom.Coord { return c.spec.Pattern.Dest(c.spec.Shape, src) }
 
 // Machine exposes the cell's machine (the replay tooling reads its engine).
 func (c *CellRun) Machine() *core.Machine { return c.m }
@@ -441,9 +503,9 @@ func (c *CellRun) Step() bool {
 	return c.done
 }
 
-// Result computes the cell's verdict. Valid once Done (calling it earlier
-// returns the partial counters with the prediction of the current policy).
-func (c *CellRun) Result() (CellResult, error) {
+// Tally computes the cell's counters and verdict flags — everything Result
+// reports except the reachability prediction.
+func (c *CellRun) Tally() (CellResult, error) {
 	res := c.res
 	if err := c.inj.Err(); err != nil {
 		return res, err
@@ -475,7 +537,16 @@ func (c *CellRun) Result() (CellResult, error) {
 	if c.spec.KeepDeliveries {
 		res.Deliveries = c.m.Deliveries()
 	}
+	return res, nil
+}
 
+// Result computes the cell's verdict. Valid once Done (calling it earlier
+// returns the partial counters with the prediction of the current policy).
+func (c *CellRun) Result() (CellResult, error) {
+	res, err := c.Tally()
+	if err != nil {
+		return res, err
+	}
 	// Static prediction: with the final fault set, which live-source sends
 	// does the policy refuse? The unreachable-as-predicted verdict demands
 	// that the observed refusals are exactly these, once per post-fault
@@ -483,9 +554,7 @@ func (c *CellRun) Result() (CellResult, error) {
 	// policy, which — with no preset faults — refuses nothing.) The
 	// reachability analyzer also supplies the per-pair classification for
 	// graceful multi-fault degradation reports.
-	reach := recovery.AnalyzeReachability(c.m, func(src geom.Coord) geom.Coord {
-		return c.spec.Pattern.Dest(c.spec.Shape, src)
-	})
+	reach := recovery.AnalyzeReachability(c.m, c.dest)
 	res.SourceDeadPairs = reach.SourceDead
 	res.DestDeadPairs = reach.DestDead
 	res.UnreachablePairs = reach.Unreachable
@@ -499,13 +568,49 @@ func (c *CellRun) Result() (CellResult, error) {
 	return res, nil
 }
 
+// stepper is what drive advances: a CellRun, or a SingleRun rendering over
+// one.
+type stepper interface {
+	Step() bool
+	Cycle() int64
+	Snapshot() []byte
+}
+
+// drive steps r to its verdict — the one cancel-poll / periodic-snapshot /
+// park-on-cancel loop. ctx (nil = never) is polled every 64 cycles; with
+// save non-nil, a snapshot goes to it every `every` cycles (<= 0 = never)
+// and once more when ctx cancels, before drive returns ctx.Err().
+func drive(ctx context.Context, r stepper, every int64, save func([]byte) error) error {
+	lastSnap := r.Cycle()
+	for !r.Step() {
+		if ctx != nil && r.Cycle()%64 == 0 {
+			if err := ctx.Err(); err != nil {
+				if save != nil {
+					if serr := save(r.Snapshot()); serr != nil {
+						return serr
+					}
+				}
+				return err
+			}
+		}
+		if save != nil && every > 0 && r.Cycle()-lastSnap >= every {
+			if err := save(r.Snapshot()); err != nil {
+				return err
+			}
+			lastSnap = r.Cycle()
+		}
+	}
+	return nil
+}
+
 // RunCell executes one campaign cell to completion.
 func RunCell(spec Spec) (CellResult, error) {
 	c, err := NewCellRun(spec)
 	if err != nil {
 		return CellResult{}, err
 	}
-	for !c.Step() {
+	if err := drive(spec.Ctx, c, 0, nil); err != nil {
+		return CellResult{}, err
 	}
 	return c.Result()
 }
@@ -591,17 +696,11 @@ type Config struct {
 	// cell (see Spec.Reconfig).
 	Reconfig            string
 	ReconfigDrainBudget int
-	// OnRecovery, if non-nil, is called for every recovery event of every
-	// cell, from worker goroutines (progress feed for the job server).
-	OnRecovery func(recovery.Event)
-	// OnReconfig, if non-nil, is called for every reconfiguration event of
-	// every cell, from worker goroutines (progress feed for the job server).
-	OnReconfig func(reconfig.Event)
+	// Hooks are handed to every cell; the callbacks fire from worker
+	// goroutines. Ctx also cancels the campaign between cells.
+	Hooks
 	// Parallel caps the sweep worker pool (<= 0 = DefaultParallel, 1 = serial).
 	Parallel int
-	// Ctx, if non-nil, cancels the campaign between cells (running cells
-	// finish; Run returns ctx.Err()). Set by the job server.
-	Ctx context.Context
 	// Budget, if non-nil, draws cell worker slots from a budget shared
 	// with other concurrently running sweeps (see sweep.Limiter).
 	Budget *sweep.Limiter
@@ -671,29 +770,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	runCell := func(i int) (CellResult, error) {
 		g := grid[i]
-		spec := Spec{
-			Shape:               cfg.Shape,
-			Topology:            cfg.Topology,
-			Events:              []inject.Event{{Cycle: g.epoch, Fault: g.f}},
-			Pattern:             g.pat,
-			Waves:               cfg.Waves,
-			Gap:                 cfg.Gap,
-			PacketSize:          cfg.PacketSize,
-			Inject:              cfg.Inject,
-			Horizon:             cfg.Horizon,
-			Recovery:            cfg.Recovery,
-			Preset:              cfg.Preset,
-			Broadcasts:          cfg.Broadcasts,
-			SXB:                 cfg.SXB,
-			DXB:                 cfg.DXB,
-			DXBSeparate:         cfg.DXBSeparate,
-			NaiveBroadcast:      cfg.NaiveBroadcast,
-			PivotLastDim:        cfg.PivotLastDim,
-			VCs:                 cfg.VCs,
-			Adaptive:            cfg.Adaptive,
-			Reconfig:            cfg.Reconfig,
-			ReconfigDrainBudget: cfg.ReconfigDrainBudget,
-		}
+		spec := cfg.cell([]inject.Event{{Cycle: g.epoch, Fault: g.f}}, g.pat)
 		res, err := runStoredCell(cfg, i, spec)
 		if cfg.OnCell != nil && err == nil {
 			cfg.OnCell(res.EndCycle)
@@ -713,67 +790,63 @@ func Run(cfg Config) (*Result, error) {
 	return &Result{Shape: cfg.Shape, Cells: cells}, nil
 }
 
+// cell is the Spec every cell of the campaign shares, with the fault
+// schedule and pattern that tell the cells apart.
+func (cfg *Config) cell(events []inject.Event, pat Pattern) Spec {
+	return Spec{
+		Shape:               cfg.Shape,
+		Topology:            cfg.Topology,
+		Events:              events,
+		Pattern:             pat,
+		Waves:               cfg.Waves,
+		Gap:                 cfg.Gap,
+		PacketSize:          cfg.PacketSize,
+		Inject:              cfg.Inject,
+		Horizon:             cfg.Horizon,
+		Recovery:            cfg.Recovery,
+		Preset:              cfg.Preset,
+		Broadcasts:          cfg.Broadcasts,
+		SXB:                 cfg.SXB,
+		DXB:                 cfg.DXB,
+		DXBSeparate:         cfg.DXBSeparate,
+		NaiveBroadcast:      cfg.NaiveBroadcast,
+		PivotLastDim:        cfg.PivotLastDim,
+		VCs:                 cfg.VCs,
+		Adaptive:            cfg.Adaptive,
+		Reconfig:            cfg.Reconfig,
+		ReconfigDrainBudget: cfg.ReconfigDrainBudget,
+		Hooks:               cfg.Hooks,
+	}
+}
+
 // runStoredCell runs one cell, consulting the store (when configured) for a
 // completed result or a mid-cell snapshot first, checkpointing periodically,
 // and parking a final snapshot when the context cancels mid-cell.
 func runStoredCell(cfg Config, i int, spec Spec) (CellResult, error) {
-	if cfg.Store == nil && cfg.OnRecovery == nil && cfg.OnReconfig == nil {
+	if cfg.Store == nil {
 		return RunCell(spec)
 	}
-	if cfg.Store != nil {
-		if res, ok, err := cfg.Store.LoadResult(i); err != nil {
-			return CellResult{}, err
-		} else if ok {
-			return res, nil
-		}
+	if res, ok, err := cfg.Store.LoadResult(i); err != nil {
+		return CellResult{}, err
+	} else if ok {
+		return res, nil
 	}
 	c, err := NewCellRun(spec)
 	if err != nil {
 		return CellResult{}, err
 	}
-	if cfg.Store != nil {
-		if data, ok := cfg.Store.LoadSnap(i); ok {
-			// A stale or corrupt snapshot (spec changed, torn write) is not
-			// fatal: fall back to running the cell from the start.
-			if rerr := c.Restore(data); rerr != nil {
-				if c, err = NewCellRun(spec); err != nil {
-					return CellResult{}, err
-				}
-			}
-		}
-	}
-	if cfg.OnRecovery != nil {
-		c.OnRecovery(cfg.OnRecovery)
-	}
-	if cfg.OnReconfig != nil {
-		c.OnReconfig(cfg.OnReconfig)
-	}
-	if cfg.Store == nil {
-		for !c.Step() {
-			if cfg.Ctx != nil && c.Cycle()%64 == 0 {
-				if err := cfg.Ctx.Err(); err != nil {
-					return CellResult{}, err
-				}
-			}
-		}
-		return c.Result()
-	}
-	lastSnap := c.Cycle()
-	for !c.Step() {
-		if cfg.Ctx != nil && c.Cycle()%64 == 0 {
-			if err := cfg.Ctx.Err(); err != nil {
-				if serr := cfg.Store.SaveSnap(i, c.Snapshot()); serr != nil {
-					return CellResult{}, serr
-				}
+	if data, ok := cfg.Store.LoadSnap(i); ok {
+		// A stale or corrupt snapshot (spec changed, torn write) is not
+		// fatal: fall back to running the cell from the start.
+		if rerr := c.Restore(data); rerr != nil {
+			if c, err = NewCellRun(spec); err != nil {
 				return CellResult{}, err
 			}
 		}
-		if cfg.CheckpointEvery > 0 && c.Cycle()-lastSnap >= cfg.CheckpointEvery {
-			if err := cfg.Store.SaveSnap(i, c.Snapshot()); err != nil {
-				return CellResult{}, err
-			}
-			lastSnap = c.Cycle()
-		}
+	}
+	save := func(snap []byte) error { return cfg.Store.SaveSnap(i, snap) }
+	if err := drive(spec.Ctx, c, cfg.CheckpointEvery, save); err != nil {
+		return CellResult{}, err
 	}
 	res, err := c.Result()
 	if err != nil {

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -133,15 +134,44 @@ func TestCampaignZeroDeadlocksAndByteIdentical(t *testing.T) {
 	if !strings.Contains(want, "rtc") || !strings.Contains(want, "xb-dim1") {
 		t.Fatalf("table missing fault classes:\n%s", want)
 	}
-	// Byte-identity across parallelism and across repeats.
+	// Byte-identity across parallelism and across repeats — and, with a
+	// broadcast schedule, across the order the caller listed it in: every
+	// cell is handed the same Broadcasts slice from the worker goroutines, so
+	// a cell must order a copy (the race detector watches this loop in CI).
+	var ascending, descending []Broadcast
+	for i := 0; i < 8; i++ {
+		ascending = append(ascending, Broadcast{Cycle: int64(5 * i), Src: geom.Coord{i % 3, i / 3}})
+		descending = append([]Broadcast{ascending[i]}, descending...)
+	}
+	presorted := smallCampaign(1)
+	presorted.Broadcasts = ascending
+	res, err := Run(presorted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBroadcasts := res.String()
 	for _, p := range []int{1, 2, 4} {
-		again, err := Run(smallCampaign(p))
-		if err != nil {
-			t.Fatal(err)
+		for _, tc := range []struct {
+			name       string
+			broadcasts []Broadcast
+			want       string
+		}{
+			{"no broadcasts", nil, want},
+			{"broadcasts out of cycle order", descending, wantBroadcasts},
+		} {
+			cfg := smallCampaign(p)
+			cfg.Broadcasts = tc.broadcasts
+			again, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := again.String(); got != tc.want {
+				t.Errorf("parallel=%d, %s: output differs:\n--- want ---\n%s\n--- got ---\n%s", p, tc.name, tc.want, got)
+			}
 		}
-		if got := again.String(); got != want {
-			t.Errorf("parallel=%d output differs:\n--- serial ---\n%s\n--- parallel ---\n%s", p, want, got)
-		}
+	}
+	if descending[0].Cycle != 35 {
+		t.Errorf("Run reordered the caller's broadcast slice: %v", descending)
 	}
 }
 
@@ -157,5 +187,8 @@ func TestCampaignValidation(t *testing.T) {
 	}
 	if _, err := RunCell(Spec{}); err == nil {
 		t.Error("empty spec accepted")
+	}
+	if _, err := RunSingle(Spec{Shape: geom.MustShape(3, 3)}, io.Discard); err == nil {
+		t.Error("single run without a pattern accepted")
 	}
 }

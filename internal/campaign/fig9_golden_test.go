@@ -47,7 +47,7 @@ func fig9Analyze(t *testing.T) (deadlock.Report, int64) {
 	if !out.Deadlocked || out.Drained {
 		t.Fatalf("fig9 bare run did not deadlock: %+v\n%s", out, buf.String())
 	}
-	return deadlock.Analyze(r.m.Engine()), r.Cycle()
+	return deadlock.Analyze(r.Cell().Machine().Engine()), r.Cycle()
 }
 
 // TestAnalyzeFig9GoldenWaitCycle pins the analyzer's verdict on the paper's

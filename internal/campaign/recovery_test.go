@@ -101,7 +101,7 @@ func TestSingleRunRecoveryResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r.Recoveries() == 0 {
+	for r.reportedRecov == 0 {
 		if r.Step() {
 			t.Fatalf("run finished at cycle %d without a recovery", r.Cycle())
 		}

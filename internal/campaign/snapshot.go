@@ -1,9 +1,10 @@
 package campaign
 
 // Checkpoint support for campaign cells: a CellRun serializes its machine,
-// injector, watchdog and wave-loop counters into one container, and a
-// CellResult serializes on its own so completed cells survive a crash
-// without re-running. Both ride the internal/checkpoint v1 format.
+// injector, watchdog and wave-loop counters into one container (a SingleRun
+// adds its print cursors), and a CellResult serializes on its own so
+// completed cells survive a crash without re-running. All ride the
+// internal/checkpoint container format.
 
 import (
 	"fmt"
@@ -23,51 +24,21 @@ const (
 	secSingle     = "campaign.single"
 )
 
-// EncodeState appends the single-run loop state plus its machine's,
-// injector's and watchdog's sections.
-func (r *SingleRun) EncodeState(w *checkpoint.Writer) {
-	r.m.EncodeState(w)
-	r.inj.EncodeState(w)
-	e := w.Section(secSingle)
-	e.Uint(workloadHash(r.spec.Preset, r.spec.Broadcasts))
-	e.String(r.spec.Pattern.Name)
-	e.Int(int64(r.spec.Waves))
-	e.Int(r.spec.Gap)
-	e.Int(r.spec.Horizon)
-	r.wd.EncodeState(e)
-	e.Int(int64(r.offered))
-	e.Int(int64(r.accepted))
-	e.Int(int64(r.refused))
-	e.Int(int64(r.bcasts))
-	e.Int(int64(r.bcastsRefused))
-	e.Int(int64(r.bcastCopiesExpected))
-	e.Int(int64(r.reported))
-	e.Int(int64(r.reportedRecov))
-	e.Int(int64(r.wave))
-	e.Int(int64(r.bNext))
-	e.Bool(r.outcome.Drained)
-	e.Bool(r.outcome.Stalled)
-	e.Bool(r.outcome.Deadlocked)
-	e.Bool(r.livelocked)
-	e.Bool(r.done)
-	e.Int(int64(r.reportedReconfig)) // appended in format version 3
-	if r.sup != nil {
-		r.sup.EncodeState(w)
-	}
-	if r.mgr != nil {
-		r.mgr.EncodeState(w)
-	}
-}
-
-// Snapshot serializes the run into one container.
+// Snapshot serializes the run into one container: the cell's sections plus
+// the renderer's three print cursors (the campaign.single layout of format
+// version 4; earlier versions carried a private copy of the loop state).
 func (r *SingleRun) Snapshot() []byte {
 	w := checkpoint.NewWriter()
-	r.EncodeState(w)
+	r.c.EncodeState(w)
+	e := w.Section(secSingle)
+	e.Int(int64(r.reported))
+	e.Int(int64(r.reportedRecov))
+	e.Int(int64(r.reportedReconfig))
 	return w.Bytes()
 }
 
 // Restore replaces the run's state with a container produced by Snapshot on
-// a run built from the same SingleSpec, then re-renders the already-reported
+// a run built from the same Spec, then re-renders the already-reported
 // casualty lines so the output stream continues byte-identically to the
 // uninterrupted run. Call immediately after NewSingleRun (which printed the
 // preamble), before any Step.
@@ -76,88 +47,41 @@ func (r *SingleRun) Restore(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := r.m.DecodeState(rd); err != nil {
-		return err
+	if rd.Version() < 4 {
+		return fmt.Errorf("checkpoint: section %q: format version %d predates the single-run layout of version 4", secSingle, rd.Version())
 	}
-	if err := r.inj.DecodeState(rd); err != nil {
+	if err := r.c.DecodeState(rd); err != nil {
 		return err
 	}
 	d, err := rd.Section(secSingle)
 	if err != nil {
 		return err
 	}
-	if got, want := d.Uint(), workloadHash(r.spec.Preset, r.spec.Broadcasts); d.Err() == nil && got != want {
-		return fmt.Errorf("checkpoint: section %q: workload fingerprint %016x does not match this run's %016x", secSingle, got, want)
-	}
-	if name := d.String(); d.Err() == nil && name != r.spec.Pattern.Name {
-		return fmt.Errorf("checkpoint: section %q: pattern %q does not match this run's %q", secSingle, name, r.spec.Pattern.Name)
-	}
-	d.Expect(int64(r.spec.Waves), "single waves")
-	d.Expect(r.spec.Gap, "single gap")
-	d.Expect(r.spec.Horizon, "single horizon")
-	r.wd.DecodeState(d)
-	offered := d.IntAsInt()
-	accepted := d.IntAsInt()
-	refused := d.IntAsInt()
-	bcasts := d.IntAsInt()
-	bcastsRefused := d.IntAsInt()
-	bcastCopiesExpected := d.IntAsInt()
 	reported := d.IntAsInt()
 	reportedRecov := d.IntAsInt()
-	wave := d.IntAsInt()
-	bNext := d.IntAsInt()
-	drained := d.Bool()
-	stalled := d.Bool()
-	deadlocked := d.Bool()
-	livelocked := d.Bool()
-	done := d.Bool()
-	reportedReconfig := 0
-	if d.Version() >= 3 {
-		reportedReconfig = d.IntAsInt()
-	}
+	reportedReconfig := d.IntAsInt()
 	if err := d.Finish(); err != nil {
 		return err
 	}
-	if wave < 0 || wave > r.spec.Waves {
-		return fmt.Errorf("checkpoint: section %q: wave %d outside [0,%d]", secSingle, wave, r.spec.Waves)
+	cas := r.c.inj.Casualties()
+	var evs []recovery.Event
+	if r.c.sup != nil {
+		evs = r.c.sup.Events()
 	}
-	if bNext < 0 || bNext > len(r.spec.Broadcasts) {
-		return fmt.Errorf("checkpoint: section %q: broadcast index %d outside schedule of %d", secSingle, bNext, len(r.spec.Broadcasts))
+	var rcs []reconfig.Event
+	if r.c.mgr != nil {
+		rcs = r.c.mgr.Events()
 	}
-	if reported < 0 || reported > len(r.inj.Casualties()) {
-		return fmt.Errorf("checkpoint: section %q: reported %d outside casualty list of %d", secSingle, reported, len(r.inj.Casualties()))
+	if reported < 0 || reported > len(cas) {
+		return fmt.Errorf("checkpoint: section %q: reported %d outside casualty list of %d", secSingle, reported, len(cas))
 	}
-	if r.sup != nil {
-		if err := r.sup.DecodeState(rd); err != nil {
-			return err
-		}
+	if reportedRecov < 0 || reportedRecov > len(evs) {
+		return fmt.Errorf("checkpoint: section %q: reported recoveries %d outside event list of %d", secSingle, reportedRecov, len(evs))
 	}
-	if r.mgr != nil {
-		if err := r.mgr.DecodeState(rd); err != nil {
-			return err
-		}
+	if reportedReconfig < 0 || reportedReconfig > len(rcs) {
+		return fmt.Errorf("checkpoint: section %q: reported reconfigurations %d outside event list of %d", secSingle, reportedReconfig, len(rcs))
 	}
-	maxRecov := 0
-	if r.sup != nil {
-		maxRecov = len(r.sup.Events())
-	}
-	if reportedRecov < 0 || reportedRecov > maxRecov {
-		return fmt.Errorf("checkpoint: section %q: reported recoveries %d outside event list of %d", secSingle, reportedRecov, maxRecov)
-	}
-	maxReconfig := 0
-	if r.mgr != nil {
-		maxReconfig = len(r.mgr.Events())
-	}
-	if reportedReconfig < 0 || reportedReconfig > maxReconfig {
-		return fmt.Errorf("checkpoint: section %q: reported reconfigurations %d outside event list of %d", secSingle, reportedReconfig, maxReconfig)
-	}
-	r.offered, r.accepted, r.refused = offered, accepted, refused
-	r.bcasts, r.bcastsRefused, r.bcastCopiesExpected = bcasts, bcastsRefused, bcastCopiesExpected
-	r.wave = wave
-	r.bNext = bNext
-	r.outcome.Drained, r.outcome.Stalled, r.outcome.Deadlocked = drained, stalled, deadlocked
-	r.livelocked = livelocked
-	r.done = done
+	cas, evs, rcs = cas[:reported], evs[:reportedRecov], rcs[:reportedReconfig]
 	// Re-render the already-reported casualty, recovery and reconfiguration
 	// lines in the order the uninterrupted run printed them. Each line class
 	// prints at a known point of a known step: a recovery at engine cycle rc
@@ -168,15 +92,7 @@ func (r *SingleRun) Restore(data []byte) error {
 	// trigger in PostCycle (event cycle X, step X-1 -> X). Sorting by
 	// (step-end cycle, within-step position) reproduces the stream; each
 	// source list is already chronological, so the merge is stable.
-	cas := r.inj.Casualties()[:reported]
-	var evs []recovery.Event
-	if r.sup != nil {
-		evs = r.sup.Events()[:reportedRecov]
-	}
-	var rcs []reconfig.Event
-	if r.mgr != nil {
-		rcs = r.mgr.Events()[:reportedReconfig]
-	}
+	//
 	// Within-step print order: recovery (during the step) = 0, casualty
 	// loop = 1, reconfiguration loop = 2.
 	recovKey := func(ev recovery.Event) [2]int64 { return [2]int64{ev.Cycle, 0} }

@@ -24,8 +24,8 @@
 //
 // # Version-bump rule
 //
-// The golden fixture test (TestGoldenV1) pins the exact bytes version 1
-// produces. Any change that alters the encoded form of an existing field —
+// The golden fixture tests (TestGoldenV1 onwards, one fixture per version)
+// pin the exact bytes each version produces. Any change that alters the encoded form of an existing field —
 // reordering fields, widening a type, renaming a section — MUST increment
 // Version and teach the decoder to reject (or migrate) older versions
 // explicitly. Adding a new section at the end is also a version bump:
@@ -53,10 +53,14 @@ import (
 // route-state flag, core.Delivery.Adaptive). Version 3 added the online-
 // reconfiguration fields (flit.Header.Epoch, the machine's routing-epoch
 // counter and generation descriptors, the reconfiguration manager's event
-// log, the injector's drain accounting); writers always emit the current
-// version, and section decoders consult Decoder.Version to skip fields an
-// older container cannot contain.
-const Version uint16 = 3
+// log, the injector's drain accounting). Version 4 re-laid the
+// campaign.single section: a single-run container is now the cell's sections
+// plus the renderer's three print cursors, and a pre-4 single container is
+// rejected by that section's name and the version (campaign.cell and every
+// other section are unchanged and keep decoding versions 1 through 3).
+// Writers always emit the current version, and section decoders consult
+// Decoder.Version to skip fields an older container cannot contain.
+const Version uint16 = 4
 
 // minVersion is the oldest container version this build still reads.
 const minVersion uint16 = 1

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"flag"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -99,15 +100,19 @@ func TestRoundtrip(t *testing.T) {
 	}
 }
 
-// TestGoldenV1 pins the exact bytes of format version 1. The container body
-// is identical to the v2 golden — only the header version differs — because
-// the primitive codec never changed; version 2 added fields to section
-// layouts, not to the framing. If this fails you changed the encoded form of
-// an existing primitive — see the version-bump rule in the package comment.
-func TestGoldenV1(t *testing.T) {
-	path := filepath.Join("testdata", "golden_v1.snap")
+// checkGolden pins the exact bytes of one format version against
+// testdata/golden_v<version>.snap. The container body is identical across
+// versions — only the header version differs — because the primitive codec
+// never changed; version bumps re-laid section payloads, not the framing. If
+// this fails you changed the encoded form of an existing primitive — see the
+// version-bump rule in the package comment. After bumping Version, add a
+// TestGoldenV<n> and create its fixture with:
+// go test ./internal/checkpoint -run TestGoldenV<n> -update
+func checkGolden(t *testing.T, version uint16) {
+	t.Helper()
+	path := filepath.Join("testdata", fmt.Sprintf("golden_v%d.snap", version))
 	w := goldenContainer()
-	w.version = 1
+	w.version = version
 	got := w.Bytes()
 	if *update {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
@@ -119,96 +124,29 @@ func TestGoldenV1(t *testing.T) {
 		t.Fatalf("read fixture (run with -update to create): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("encoding of the v1 container changed: %d bytes vs %d fixture bytes.\n"+
-			"Either revert the codec change or bump checkpoint.Version.", len(got), len(want))
+		t.Fatalf("encoding of the v%d container changed: %d bytes vs %d fixture bytes.\n"+
+			"Either revert the codec change or bump checkpoint.Version.", version, len(got), len(want))
 	}
 	r, err := NewReader(want)
 	if err != nil {
 		t.Fatalf("fixture no longer decodes: %v", err)
 	}
-	if r.Version() != 1 {
-		t.Fatalf("fixture version = %d, want 1", r.Version())
+	if r.Version() != version {
+		t.Fatalf("fixture version = %d, want %d", r.Version(), version)
 	}
 	d, err := r.Section("alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Version() != 1 {
-		t.Fatalf("section decoder version = %d, want 1", d.Version())
+	if d.Version() != version {
+		t.Fatalf("section decoder version = %d, want %d", d.Version(), version)
 	}
 }
 
-// TestGoldenV2 pins the exact bytes of format version 2, like TestGoldenV1:
-// the body matches the current golden byte for byte since only section
-// layouts (not framing or primitives) changed across versions.
-func TestGoldenV2(t *testing.T) {
-	path := filepath.Join("testdata", "golden_v2.snap")
-	w := goldenContainer()
-	w.version = 2
-	got := w.Bytes()
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read fixture (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("encoding of the v2 container changed: %d bytes vs %d fixture bytes.\n"+
-			"Either revert the codec change or bump checkpoint.Version.", len(got), len(want))
-	}
-	r, err := NewReader(want)
-	if err != nil {
-		t.Fatalf("fixture no longer decodes: %v", err)
-	}
-	if r.Version() != 2 {
-		t.Fatalf("fixture version = %d, want 2", r.Version())
-	}
-	d, err := r.Section("alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Version() != 2 {
-		t.Fatalf("section decoder version = %d, want 2", d.Version())
-	}
-}
-
-// TestGoldenV3 pins the exact bytes of the current format version. Regenerate
-// (after bumping Version and keeping a fixture per version) with:
-// go test ./internal/checkpoint -run TestGoldenV3 -update
-func TestGoldenV3(t *testing.T) {
-	path := filepath.Join("testdata", "golden_v3.snap")
-	got := goldenContainer().Bytes()
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read fixture (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("encoding of the v3 container changed: %d bytes vs %d fixture bytes.\n"+
-			"Either revert the codec change or bump checkpoint.Version.", len(got), len(want))
-	}
-	r, err := NewReader(want)
-	if err != nil {
-		t.Fatalf("fixture no longer decodes: %v", err)
-	}
-	if r.Version() != 3 {
-		t.Fatalf("fixture version = %d, want 3", r.Version())
-	}
-	d, err := r.Section("alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Version() != 3 {
-		t.Fatalf("section decoder version = %d, want 3", d.Version())
-	}
-}
+func TestGoldenV1(t *testing.T) { checkGolden(t, 1) }
+func TestGoldenV2(t *testing.T) { checkGolden(t, 2) }
+func TestGoldenV3(t *testing.T) { checkGolden(t, 3) }
+func TestGoldenV4(t *testing.T) { checkGolden(t, 4) }
 
 func TestReaderRejections(t *testing.T) {
 	valid := goldenContainer().Bytes()

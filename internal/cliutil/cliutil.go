@@ -232,47 +232,34 @@ func RecoveryOptions(enable bool, stallThreshold int64, maxRecoveries int) (reco
 	}, nil
 }
 
-// VCOptions validates the -vcs / -adaptive flag pair, rejecting the
-// spellings core.NewMachine would refuse so the CLI reports the mistake at
-// flag-parse time with the flag's own name. vcs of 0 selects the default
-// single-lane network; the returned count is the normalized value to place
-// in core.Config.VCs.
+// VCOptions checks the -vcs / -adaptive flag pair against the knob table
+// (core.Config.Validate) so a CLI reports the mistake at flag-parse time.
+// vcs of 0 selects the default single-lane network; the returned count is
+// the normalized value to place in core.Config.VCs.
 func VCOptions(vcs int, adaptive bool) (int, error) {
-	if vcs < 0 {
-		return 0, fmt.Errorf("cliutil: negative virtual-channel count %d", vcs)
-	}
-	if vcs == 0 {
-		vcs = 1
-	}
-	if adaptive && vcs < 2 {
-		return 0, fmt.Errorf("cliutil: -adaptive needs -vcs >= 2 (an escape lane plus at least one adaptive lane), got %d", vcs)
-	}
-	if !adaptive && vcs > 1 {
-		return 0, fmt.Errorf("cliutil: -vcs %d without -adaptive would leave lanes 1..%d unused", vcs, vcs-1)
-	}
-	return vcs, nil
+	cfg := core.Config{VCs: vcs, Adaptive: adaptive}
+	err := cfg.Validate()
+	return cfg.VCs, err
 }
 
-// ReconfigOptions validates the -reconfig / -reconfig-drain flag pair,
-// rejecting the spellings that silently do nothing: an unknown trigger mode,
-// a negative drain budget, and a budget without the enable flag. The empty
-// mode disables online reconfiguration (case and surrounding whitespace are
-// forgiven); a budget of 0 selects reconfig.DefaultDrainBudget. The returned
-// mode is canonical for core.Config.Reconfig and the campaign spec fields.
+// ReconfigOptions canonicalizes the -reconfig / -reconfig-drain flag pair
+// (case and surrounding whitespace of the mode are forgiven; the empty mode
+// disables online reconfiguration, a budget of 0 selects
+// reconfig.DefaultDrainBudget) and rejects the spellings that silently do
+// nothing: a negative drain budget, and a budget without the enable flag.
+// Which modes exist is the knob table's statement (core.Config.Validate).
 func ReconfigOptions(mode string, drainBudget int) (string, int, error) {
-	m := strings.ToLower(strings.TrimSpace(mode))
-	switch m {
-	case "", core.ReconfigOnFault, core.ReconfigOnDeadlock, core.ReconfigBoth:
-	default:
-		return "", 0, fmt.Errorf("cliutil: unknown reconfig mode %q (fault | deadlock | both)", mode)
+	cfg := core.Config{Reconfig: strings.ToLower(strings.TrimSpace(mode))}
+	if err := cfg.Validate(); err != nil {
+		return "", 0, err
 	}
 	if drainBudget < 0 {
 		return "", 0, fmt.Errorf("cliutil: negative reconfig drain budget %d", drainBudget)
 	}
-	if m == "" && drainBudget != 0 {
-		return "", 0, fmt.Errorf("cliutil: reconfig drain budget %d needs -reconfig", drainBudget)
+	if cfg.Reconfig == "" && drainBudget != 0 {
+		return "", 0, fmt.Errorf("cliutil: reconfig drain budget %d needs the reconfig mode", drainBudget)
 	}
-	return m, drainBudget, nil
+	return cfg.Reconfig, drainBudget, nil
 }
 
 // ParseWorkerID validates a -worker fleet-member name. Worker ids name

@@ -93,9 +93,9 @@ type Config struct {
 	// Adaptive enables escape-VC adaptive routing (DESIGN.md §12, beyond the
 	// paper): lane 0 carries the unified deadlock-free scheme as the escape
 	// channel, lanes 1..VCs-1 take any minimal productive hop. Requires
-	// VCs >= 2; under Adaptive the escape ignores DXBSeparate (the escape
-	// channel must be the unified D-XB = S-XB scheme) and PivotLastDim /
-	// NaiveBroadcast are rejected — each would break escape acyclicity.
+	// VCs >= 2; DXBSeparate (the escape channel must be the unified
+	// D-XB = S-XB scheme), PivotLastDim and NaiveBroadcast are rejected —
+	// each would break escape acyclicity.
 	Adaptive bool
 	// Reconfig selects when online routing-table reconfiguration may run
 	// (internal/reconfig, DESIGN.md §13): "" disables it, ReconfigOnFault
@@ -170,85 +170,86 @@ type Machine struct {
 	OnDeliver func(Delivery)
 }
 
+// FieldError is a configuration rejection naming the Config field at fault,
+// so every layer that spells the knob differently (a flag, a JSON field) can
+// report it in its own vocabulary.
+type FieldError struct {
+	Field string
+	Msg   string
+}
+
+func (e *FieldError) Error() string { return fmt.Sprintf("core: %s: %s", e.Field, e.Msg) }
+
+// Validate applies the documented defaults in place (PacketSize, VCs, the
+// D-XB tie, the topology name) and checks the knob-compatibility matrix. It
+// is the only statement of which knobs combine: NewMachine, the run-spec
+// resolver, the CLIs and the job decoder all call it. Shape-dependent rows
+// need Shape set; its presence is NewMachine's own check.
+func (c *Config) Validate() error {
+	if c.PacketSize == 0 {
+		c.PacketSize = DefaultPacketSize
+	}
+	if !c.DXBSeparate {
+		c.DXB = c.SXB
+	}
+	if c.VCs == 0 {
+		c.VCs = 1
+	}
+	if c.Topology == "" {
+		c.Topology = TopologyMDX
+	}
+	var zero geom.Coord
+	direct := c.Topology == TopologyHyperX || c.Topology == TopologyFullMesh
+	lanes := c.VCs > 1 || c.Adaptive
+	thin := false // a direct-link line of one router has no link to build
+	for _, e := range c.Shape {
+		thin = thin || e < 2
+	}
+	for _, row := range []struct {
+		bad        bool
+		field, msg string
+	}{
+		{c.PacketSize < 0, "PacketSize", "negative packet size"},
+		{c.VCs < 0, "VCs", "negative virtual-channel count"},
+		{c.Adaptive && c.VCs < 2, "VCs", "adaptive routing needs at least 2 virtual channels (an escape lane plus an adaptive lane)"},
+		{c.VCs > 1 && !c.Adaptive, "VCs", "virtual channels without adaptive routing would leave every lane but 0 unused"},
+		{c.Adaptive && c.DXBSeparate, "Adaptive", "needs the unified design (the escape lane's deadlock-freedom certificate assumes D-XB = S-XB)"},
+		{c.Adaptive && c.PivotLastDim, "Adaptive", "incompatible with the pivot extension (pivot turns break escape-channel acyclicity)"},
+		{c.Adaptive && c.NaiveBroadcast, "Adaptive", "incompatible with naive broadcast (unserialized fans break escape-channel acyclicity)"},
+		{c.Reconfig != "" && c.Reconfig != ReconfigOnFault && c.Reconfig != ReconfigOnDeadlock && c.Reconfig != ReconfigBoth,
+			"Reconfig", "unknown mode (want fault, deadlock or both)"},
+		{c.Reconfig != "" && c.Topology != TopologyMDX, "Reconfig", "reconfiguration is mdx-only (no other topology has table generations)"},
+		{c.Reconfig != "" && lanes, "Reconfig", "incompatible with virtual channels (the adaptive wrapper has no static certificate to recompile)"},
+		{c.Reconfig != "" && c.PivotLastDim, "Reconfig", "incompatible with the pivot extension (pivot turns admit no acyclicity certificate)"},
+		{c.Reconfig != "" && c.NaiveBroadcast, "Reconfig", "incompatible with naive broadcast (unserialized fans admit no acyclicity certificate)"},
+		{!direct && c.Topology != TopologyMDX, "Topology", "unknown topology (want mdx, hyperx or fullmesh)"},
+		{direct && c.DXBSeparate, "DXBSeparate", "direct-link topologies have no crossbars to configure (mdx-only)"},
+		{direct && c.SXB != zero, "SXB", "direct-link topologies have no crossbars to configure (mdx-only)"},
+		{direct && c.NaiveBroadcast, "NaiveBroadcast", "direct-link topologies have no hardware broadcast (mdx-only)"},
+		{direct && c.PivotLastDim, "PivotLastDim", "direct-link topologies have no pivot extension (mdx-only)"},
+		{direct && lanes, "VCs", "direct-link topologies have no virtual channels (mdx-only)"},
+		{c.Topology == TopologyFullMesh && c.Shape.Dims() != 1, "Topology", "fullmesh needs a one-dimensional shape"},
+		{direct && thin, "Topology", "direct-link topologies need every extent at least 2"},
+	} {
+		if row.bad {
+			return &FieldError{Field: row.field, Msg: row.msg}
+		}
+	}
+	return nil
+}
+
 // NewMachine builds the network, installs the routing policy, and returns a
 // ready Machine.
 func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.Shape.Dims() == 0 {
-		return nil, fmt.Errorf("core: config needs a shape")
+		return nil, &FieldError{Field: "Shape", Msg: "config needs a shape"}
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	ecfg := cfg.Engine
 	if ecfg == (engine.Config{}) {
 		ecfg = engine.DefaultConfig()
-	}
-	if cfg.PacketSize < 0 {
-		return nil, fmt.Errorf("core: negative packet size")
-	}
-	if cfg.PacketSize == 0 {
-		cfg.PacketSize = DefaultPacketSize
-	}
-	if !cfg.DXBSeparate {
-		cfg.DXB = cfg.SXB
-	}
-	if cfg.VCs < 0 {
-		return nil, fmt.Errorf("core: negative virtual-channel count %d", cfg.VCs)
-	}
-	if cfg.VCs == 0 {
-		cfg.VCs = 1
-	}
-	if cfg.Adaptive && cfg.VCs < 2 {
-		return nil, fmt.Errorf("core: adaptive routing needs VCs >= 2, got %d", cfg.VCs)
-	}
-	if cfg.VCs > 1 && !cfg.Adaptive {
-		return nil, fmt.Errorf("core: VCs = %d without Adaptive would leave lanes 1..%d unused", cfg.VCs, cfg.VCs-1)
-	}
-	if cfg.Adaptive {
-		if cfg.PivotLastDim {
-			return nil, fmt.Errorf("core: Adaptive is incompatible with PivotLastDim (pivot turns break escape-channel acyclicity)")
-		}
-		if cfg.NaiveBroadcast {
-			return nil, fmt.Errorf("core: Adaptive is incompatible with NaiveBroadcast (unserialized fans break escape-channel acyclicity)")
-		}
-		// The escape channel must run the unified deadlock-free scheme; a
-		// separate D-XB applies only to the static comparison runs.
-		cfg.DXB = cfg.SXB
-	}
-	switch cfg.Reconfig {
-	case "", ReconfigOnFault, ReconfigOnDeadlock, ReconfigBoth:
-	default:
-		return nil, fmt.Errorf("core: unknown reconfig mode %q (want %q, %q or %q)", cfg.Reconfig, ReconfigOnFault, ReconfigOnDeadlock, ReconfigBoth)
-	}
-	if cfg.Reconfig != "" {
-		switch {
-		case cfg.Topology != "" && cfg.Topology != TopologyMDX:
-			return nil, fmt.Errorf("core: reconfiguration is mdx-only (topology %q)", cfg.Topology)
-		case cfg.VCs > 1 || cfg.Adaptive:
-			return nil, fmt.Errorf("core: reconfiguration is incompatible with virtual channels (the adaptive wrapper has no static certificate to recompile)")
-		case cfg.PivotLastDim:
-			return nil, fmt.Errorf("core: reconfiguration is incompatible with PivotLastDim (pivot turns admit no acyclicity certificate)")
-		case cfg.NaiveBroadcast:
-			return nil, fmt.Errorf("core: reconfiguration is incompatible with NaiveBroadcast (unserialized fans admit no acyclicity certificate)")
-		}
-	}
-	switch cfg.Topology {
-	case "", TopologyMDX:
-		cfg.Topology = TopologyMDX
-	case TopologyHyperX, TopologyFullMesh:
-		var zero geom.Coord
-		switch {
-		case cfg.DXBSeparate || cfg.SXB != zero || cfg.DXB != zero:
-			return nil, fmt.Errorf("core: topology %q has no crossbars to configure (SXB/DXB/DXBSeparate are mdx-only)", cfg.Topology)
-		case cfg.NaiveBroadcast:
-			return nil, fmt.Errorf("core: topology %q has no hardware broadcast (NaiveBroadcast is mdx-only)", cfg.Topology)
-		case cfg.PivotLastDim:
-			return nil, fmt.Errorf("core: topology %q has no pivot extension (PivotLastDim is mdx-only)", cfg.Topology)
-		case cfg.VCs > 1 || cfg.Adaptive:
-			return nil, fmt.Errorf("core: topology %q has no virtual channels (VCs/Adaptive are mdx-only)", cfg.Topology)
-		}
-		if cfg.Topology == TopologyFullMesh && cfg.Shape.Dims() != 1 {
-			return nil, fmt.Errorf("core: topology %q needs a one-dimensional shape, got %s", cfg.Topology, cfg.Shape)
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown topology %q (want %s, %s or %s)", cfg.Topology, TopologyMDX, TopologyHyperX, TopologyFullMesh)
 	}
 
 	m := &Machine{

@@ -26,12 +26,12 @@ func m43(t *testing.T) *Machine {
 	return mustMachine(t, Config{Shape: geom.MustShape(4, 3), StallThreshold: 64})
 }
 
+// TestNewMachineValidation covers what only construction can reject; the
+// knob-compatibility rows of Config.Validate are driven through NewMachine
+// by the one table in internal/jobs (TestKnobRejections).
 func TestNewMachineValidation(t *testing.T) {
 	if _, err := NewMachine(Config{}); err == nil {
 		t.Error("empty config accepted")
-	}
-	if _, err := NewMachine(Config{Shape: geom.MustShape(4, 3), PacketSize: -1}); err == nil {
-		t.Error("negative packet size accepted")
 	}
 	if _, err := NewMachine(Config{Shape: geom.MustShape(4, 3), SXB: geom.Coord{0, 9}}); err == nil {
 		t.Error("out-of-shape SXB accepted")

@@ -58,28 +58,11 @@ func TestTopoMachineAllPairs(t *testing.T) {
 	}
 }
 
-// TestTopoConfigRejections: the crossbar-only knobs and fault kinds are
-// rejected on direct-link topologies, and vice versa, each with an error
-// naming the offending knob.
+// TestTopoConfigRejections: crossbar-only fault kinds and operations are
+// rejected on direct-link topologies, and vice versa. (The crossbar-only
+// config knobs are rows of the knob table, internal/jobs TestKnobRejections.)
 func TestTopoConfigRejections(t *testing.T) {
-	shape2d, mesh := geom.MustShape(4, 4), geom.MustShape(8)
-	bad := []struct {
-		name string
-		cfg  Config
-	}{
-		{"unknown topology", Config{Shape: shape2d, Topology: "torus"}},
-		{"sxb on hyperx", Config{Shape: shape2d, Topology: TopologyHyperX, SXB: geom.Coord{0, 1}}},
-		{"dxb-separate on hyperx", Config{Shape: shape2d, Topology: TopologyHyperX, DXBSeparate: true}},
-		{"naive broadcast on fullmesh", Config{Shape: mesh, Topology: TopologyFullMesh, NaiveBroadcast: true}},
-		{"pivot on hyperx", Config{Shape: shape2d, Topology: TopologyHyperX, PivotLastDim: true}},
-		{"fullmesh needs 1-D", Config{Shape: shape2d, Topology: TopologyFullMesh}},
-	}
-	for _, tc := range bad {
-		if _, err := NewMachine(tc.cfg); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-
+	shape2d := geom.MustShape(4, 4)
 	hx := mustMachine(t, Config{Shape: shape2d, Topology: TopologyHyperX, StallThreshold: 64})
 	if err := hx.AddFault(fault.XBFault(geom.LineOf(geom.Coord{0, 0}, 0))); err == nil {
 		t.Error("crossbar fault accepted on hyperx")

@@ -147,7 +147,7 @@ func runF2(opt Options) (*Report, error) {
 			StallThreshold: 256,
 		},
 		Parallel: opt.Parallel,
-		Ctx:      opt.Ctx,
+		Hooks:    campaign.Hooks{Ctx: opt.Ctx},
 		Budget:   opt.Budget,
 		OnCell:   opt.OnCell,
 	}

@@ -69,15 +69,9 @@ func drainCell() campaign.Spec {
 // runReconfigCell runs one cell collecting its reconfiguration events, so a
 // report can pin the transition certificates alongside the verdict.
 func runReconfigCell(spec campaign.Spec) (campaign.CellResult, []reconfig.Event, error) {
-	c, err := campaign.NewCellRun(spec)
-	if err != nil {
-		return campaign.CellResult{}, nil, err
-	}
 	var events []reconfig.Event
-	c.OnReconfig(func(ev reconfig.Event) { events = append(events, ev) })
-	for !c.Step() {
-	}
-	res, err := c.Result()
+	spec.OnReconfig = func(ev reconfig.Event) { events = append(events, ev) }
+	res, err := campaign.RunCell(spec)
 	return res, events, err
 }
 

@@ -167,7 +167,7 @@ func r2Config(opt Options, separate bool) campaign.Config {
 		Recovery:    recovery.Options{Enabled: true, StallThreshold: 256},
 		Horizon:     20_000,
 		Parallel:    opt.Parallel,
-		Ctx:         opt.Ctx,
+		Hooks:       campaign.Hooks{Ctx: opt.Ctx},
 		Budget:      opt.Budget,
 		OnCell:      opt.OnCell,
 	}

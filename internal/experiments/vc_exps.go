@@ -116,7 +116,7 @@ func v3Config(opt Options, vcs int) campaign.Config {
 			StallThreshold: 256,
 		},
 		Parallel: opt.Parallel,
-		Ctx:      opt.Ctx,
+		Hooks:    campaign.Hooks{Ctx: opt.Ctx},
 		Budget:   opt.Budget,
 		OnCell:   opt.OnCell,
 	}

@@ -763,16 +763,21 @@ func (m *Manager) runExecution(ex *execution) {
 			lastEmit = time.Now()
 			ex.appendLocked("", Event{Type: "progress"})
 		}
+		// Progress arrives from every sweep worker at once; the renewal
+		// throttle is decided under the execution's lock like the event one.
+		renew := owned && time.Since(lastLeaseRenew) >= m.cfg.LeaseTTL/4
+		if renew {
+			lastLeaseRenew = time.Now()
+		}
 		ex.mu.Unlock()
 		if m.cfg.FailpointHash == ex.hash && cycles >= m.cfg.FailpointCycle {
 			// Deterministic owner death for the chaos harness: no park, no
 			// release — indistinguishable from SIGKILL to the fleet.
 			os.Exit(3)
 		}
-		if owned && time.Since(lastLeaseRenew) >= m.cfg.LeaseTTL/4 {
+		if renew {
 			// Renew per progress event (throttled): an active owner's lease
 			// stays fresh without waiting on the keeper tick.
-			lastLeaseRenew = time.Now()
 			switch err := st.renewLease(ex.hash, m.cfg.WorkerID, leaseEpoch); {
 			case errors.Is(err, errLeaseLost):
 				lost.Store(true)

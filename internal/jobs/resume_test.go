@@ -9,11 +9,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"sr2201/internal/campaign"
 	"sr2201/internal/sweep"
 )
 
@@ -57,21 +60,91 @@ func referenceArtifact(t *testing.T, spec Spec) []byte {
 	return artifact
 }
 
-// TestRunSpecFaultResume interrupts a single-fault run deterministically (the
-// progress callback cancels the context mid-run), then resumes it from the
-// parked snapshot and checks the artifact equals the uninterrupted run's.
-func TestRunSpecFaultResume(t *testing.T) {
+// faultResumeSpec is a fault run long enough (~2k cycles) that the progress
+// feed fires mid-run.
+func faultResumeSpec(t *testing.T) Spec {
+	t.Helper()
 	spec := Spec{Kind: KindFault, Fault: &FaultSpec{
 		Shape:   "4x4",
 		Fails:   []string{"rtc:1,1@40"},
 		Pattern: "shift+5",
-		Waves:   80, // ~2k cycles: the progress feed fires mid-run
+		Waves:   80,
 		Gap:     24,
 		Inject:  InjectSpec{Retransmit: true},
 	}}
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
+	return spec
+}
+
+// TestRunSpecFaultStaleSnapshotRestarts parks snapshots this build cannot
+// resume from — testdata/single_v3.snap, written at cycle 512 of this very
+// spec by the last build with the format-version-3 single-run layout, and a
+// torn write — and checks the run restarts from cycle 0 instead of failing:
+// every cycle is reported again and the artifact equals the uninterrupted
+// run's.
+func TestRunSpecFaultStaleSnapshotRestarts(t *testing.T) {
+	spec := faultResumeSpec(t)
+	budget := sweep.NewLimiter(1)
+	var wantCycles int64
+	want, err := runSpec(context.Background(), spec, budget, 1, func(d progressDelta) { wantCycles += d.cycles }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err := os.ReadFile(filepath.Join("testdata", "single_v3.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The old layout is refused for what it is, not as a side effect.
+	cell, err := spec.Fault.text().Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := campaign.NewSingleRun(cell, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Restore(v3); err == nil || !strings.Contains(err.Error(), `section "campaign.single"`) || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("v3 single snapshot: restore error %v, want a rejection naming campaign.single and version 3", err)
+	}
+
+	for name, snap := range map[string][]byte{"old layout": v3, "truncated": v3[:len(v3)/2]} {
+		t.Run(name, func(t *testing.T) {
+			store, err := openStateStore(t.TempDir(), "w0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := &execState{store: store, hash: canonHash(spec.Canonical()), every: 256}
+			if err := store.saveExecSpec(st.hash, spec.Canonical()); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.saveSingleSnap(st.hash, snap); err != nil {
+				t.Fatal(err)
+			}
+			var cycles int64
+			got, err := runSpec(context.Background(), spec, budget, 1, func(d progressDelta) { cycles += d.cycles }, st)
+			if err != nil {
+				t.Fatalf("run over a stale snapshot: %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("artifact differs from the uninterrupted run's\n--- got\n%s--- want\n%s", got, want)
+			}
+			if cycles != wantCycles {
+				t.Errorf("reported %d cycles, want %d (a restart from cycle 0)", cycles, wantCycles)
+			}
+			if _, ok := store.loadSingleSnap(st.hash); ok {
+				t.Error("stale snapshot not retired after completion")
+			}
+		})
+	}
+}
+
+// TestRunSpecFaultResume interrupts a single-fault run deterministically (the
+// progress callback cancels the context mid-run), then resumes it from the
+// parked snapshot and checks the artifact equals the uninterrupted run's.
+func TestRunSpecFaultResume(t *testing.T) {
+	spec := faultResumeSpec(t)
 	budget := sweep.NewLimiter(1)
 	noop := func(progressDelta) {}
 	want, err := runSpec(context.Background(), spec, budget, 1, noop, nil)

@@ -6,11 +6,8 @@ import (
 	"fmt"
 
 	"sr2201/internal/campaign"
-	"sr2201/internal/cliutil"
 	"sr2201/internal/engine"
 	"sr2201/internal/experiments"
-	"sr2201/internal/fault"
-	"sr2201/internal/geom"
 	"sr2201/internal/inject"
 	"sr2201/internal/reconfig"
 	"sr2201/internal/recovery"
@@ -116,113 +113,73 @@ func runExperiments(ctx context.Context, e *ExperimentsSpec, budget *sweep.Limit
 	return buf.Bytes(), nil
 }
 
+// hooks is the progress feed both run kinds hand to the campaign layer.
+func hooks(ctx context.Context, progress progressFn) campaign.Hooks {
+	return campaign.Hooks{
+		Ctx:        ctx,
+		OnRecovery: func(recovery.Event) { progress(progressDelta{recoveries: 1}) },
+		OnReconfig: func(ev reconfig.Event) { progress(reconfigDelta(ev)) },
+	}
+}
+
 // runFault mirrors mdxfault single mode via the shared campaign stepper.
 // With st non-nil the run checkpoints periodically, parks a snapshot when the
 // context cancels, and on the next attempt restores mid-run — the restored
 // writer re-renders the already-reported prefix, so the artifact bytes are
 // identical to an uninterrupted run.
 func runFault(ctx context.Context, f *FaultSpec, progress progressFn, st *execState) ([]byte, error) {
-	shape, err := cliutil.ParseShape(f.Shape)
-	if err != nil {
-		return nil, err
-	}
-	events := make([]inject.Event, 0, len(f.Fails))
-	for _, fs := range f.Fails {
-		flt, cycle, err := cliutil.ParseScheduledFault(fs, shape)
-		if err != nil {
-			return nil, err
-		}
-		events = append(events, inject.Event{Cycle: cycle, Fault: flt})
-	}
-	pat, err := campaign.ParsePattern(f.Pattern)
-	if err != nil {
-		return nil, err
-	}
-	presets, err := parsePresets(f.Presets, shape)
-	if err != nil {
-		return nil, err
-	}
-	bcasts, err := parseBroadcasts(f.Broadcasts, shape, f.PacketSize)
-	if err != nil {
-		return nil, err
-	}
-	sxb, dxb, err := f.Variant.coords(shape)
+	spec, err := f.text().Spec()
 	if err != nil {
 		return nil, err
 	}
 	var lastCycle int64
-	var buf bytes.Buffer
-	sspec := campaign.SingleSpec{
-		Shape:               shape,
-		Topology:            f.Topology,
-		Events:              events,
-		Pattern:             pat,
-		Waves:               f.Waves,
-		Gap:                 f.Gap,
-		PacketSize:          f.PacketSize,
-		Horizon:             f.Horizon,
-		Inject:              f.Inject.options(),
-		Recovery:            f.Recovery.options(),
-		Preset:              presets,
-		Broadcasts:          bcasts,
-		SXB:                 sxb,
-		DXB:                 dxb,
-		DXBSeparate:         f.Variant.DXBSeparate,
-		VCs:                 f.Variant.VCs,
-		Adaptive:            f.Variant.Adaptive,
-		Reconfig:            f.Reconfig.Mode,
-		ReconfigDrainBudget: f.Reconfig.DrainBudget,
-		OnCycle: func(c int64, _ engine.Counters) {
-			progress(progressDelta{cycles: c - lastCycle})
-			lastCycle = c
-		},
-		OnRecovery: func(recovery.Event) { progress(progressDelta{recoveries: 1}) },
-		OnReconfig: func(ev reconfig.Event) { progress(reconfigDelta(ev)) },
+	spec.Hooks = hooks(ctx, progress)
+	spec.OnCycle = func(c int64, _ engine.Counters) {
+		progress(progressDelta{cycles: c - lastCycle})
+		lastCycle = c
 	}
-	r, err := campaign.NewSingleRun(sspec, &buf)
+	var buf bytes.Buffer
+	r, err := campaign.NewSingleRun(spec, &buf)
 	if err != nil {
 		return nil, err
 	}
+	var every int64
+	var save func([]byte) error
 	if st != nil {
 		if snap, ok := st.store.loadSingleSnap(st.hash); ok {
 			if err := r.Restore(snap); err == nil {
 				lastCycle = r.Cycle()
 				// Recoveries and reconfigurations taken before the
 				// interruption were restored with the supervisor and manager
-				// state, not replayed through the On* hooks.
-				rs := r.ReconfigStats()
+				// state, not replayed through the On* hooks. (Tally's error
+				// resurfaces from Finish.)
+				res, _ := r.Cell().Tally()
 				progress(progressDelta{
-					recoveries:        int64(r.Recoveries()),
-					reconfigs:         int64(rs.HotSwaps + rs.Drains),
-					reconfigDrained:   int64(rs.DrainedPackets),
-					reconfigFallbacks: int64(rs.Fallbacks),
+					recoveries:        int64(res.Recoveries),
+					reconfigs:         int64(res.Reconfigured),
+					reconfigDrained:   int64(res.ReconfigDrained),
+					reconfigFallbacks: int64(res.ReconfigFellBack),
 				})
 			} else {
 				// A stale or corrupt snapshot (e.g. from an older binary) is
 				// not fatal — restart from cycle zero with a fresh writer.
 				buf.Reset()
-				if r, err = campaign.NewSingleRun(sspec, &buf); err != nil {
+				if r, err = campaign.NewSingleRun(spec, &buf); err != nil {
 					return nil, err
 				}
 			}
 		}
+		every = st.every
+		// A failed checkpoint write costs resume granularity, not the run.
+		save = func(snap []byte) error {
+			if !st.dead() {
+				st.store.saveSingleSnap(st.hash, snap)
+			}
+			return nil
+		}
 	}
-	lastSnap := r.Cycle()
-	for !r.Step() {
-		if r.Cycle()%64 != 0 {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			if st != nil && !st.dead() {
-				st.store.saveSingleSnap(st.hash, r.Snapshot())
-			}
-			return buf.Bytes(), err
-		}
-		if st != nil && !st.dead() && st.every > 0 && r.Cycle()-lastSnap >= st.every {
-			if err := st.store.saveSingleSnap(st.hash, r.Snapshot()); err == nil {
-				lastSnap = r.Cycle()
-			}
-		}
+	if err := r.Drive(every, save); err != nil {
+		return buf.Bytes(), err
 	}
 	outcome, err := r.Finish()
 	if st != nil && !st.dead() {
@@ -234,9 +191,9 @@ func runFault(ctx context.Context, f *FaultSpec, progress progressFn, st *execSt
 	// Settle the totals: OnCycle fires every progressInterval cycles, so a
 	// short run (or the tail of a long one) is reported here.
 	progress(progressDelta{cells: 1, cycles: outcome.Cycle - lastCycle})
-	if r.Livelocked() {
+	if res, _ := r.Cell().Tally(); res.Livelocked {
 		return buf.Bytes(), fmt.Errorf("run did not drain: %w at cycle %d (%d recoveries)",
-			recovery.ErrLivelock, outcome.Cycle, r.Recoveries())
+			recovery.ErrLivelock, outcome.Cycle, res.Recoveries)
 	}
 	if !outcome.Drained {
 		return buf.Bytes(), fmt.Errorf("run did not drain (deadlocked=%v stalled=%v cycle=%d)",
@@ -249,57 +206,14 @@ func runFault(ctx context.Context, f *FaultSpec, progress progressFn, st *execSt
 // against a per-execution cell store: completed cells are skipped on resume
 // and in-progress cells restart from their latest snapshot.
 func runCampaign(ctx context.Context, c *CampaignSpec, budget *sweep.Limiter, parallel int, progress progressFn, st *execState) ([]byte, error) {
-	shape, err := cliutil.ParseShape(c.Shape)
+	cfg, err := c.text().Config()
 	if err != nil {
 		return nil, err
 	}
-	patterns := make([]campaign.Pattern, 0, len(c.Patterns))
-	for _, p := range c.Patterns {
-		pat, err := campaign.ParsePattern(p)
-		if err != nil {
-			return nil, err
-		}
-		patterns = append(patterns, pat)
-	}
-	presets, err := parsePresets(c.Presets, shape)
-	if err != nil {
-		return nil, err
-	}
-	bcasts, err := parseBroadcasts(c.Broadcasts, shape, c.PacketSize)
-	if err != nil {
-		return nil, err
-	}
-	sxb, dxb, err := c.Variant.coords(shape)
-	if err != nil {
-		return nil, err
-	}
-	cfg := campaign.Config{
-		Shape:               shape,
-		Topology:            c.Topology,
-		Epochs:              c.Epochs,
-		Patterns:            patterns,
-		Waves:               c.Waves,
-		Gap:                 c.Gap,
-		PacketSize:          c.PacketSize,
-		Inject:              c.Inject.options(),
-		Recovery:            c.Recovery.options(),
-		Preset:              presets,
-		Broadcasts:          bcasts,
-		SXB:                 sxb,
-		DXB:                 dxb,
-		DXBSeparate:         c.Variant.DXBSeparate,
-		VCs:                 c.Variant.VCs,
-		Adaptive:            c.Variant.Adaptive,
-		Reconfig:            c.Reconfig.Mode,
-		ReconfigDrainBudget: c.Reconfig.DrainBudget,
-		Horizon:             c.Horizon,
-		Parallel:            parallel,
-		Ctx:                 ctx,
-		Budget:              budget,
-		OnCell:              func(cycles int64) { progress(progressDelta{cells: 1, cycles: cycles}) },
-		OnRecovery:          func(recovery.Event) { progress(progressDelta{recoveries: 1}) },
-		OnReconfig:          func(ev reconfig.Event) { progress(reconfigDelta(ev)) },
-	}
+	cfg.Hooks = hooks(ctx, progress)
+	cfg.Parallel = parallel
+	cfg.Budget = budget
+	cfg.OnCell = func(cycles int64) { progress(progressDelta{cells: 1, cycles: cycles}) }
 	if st != nil {
 		store, err := campaign.OpenStore(st.store.cellsDir(st.hash))
 		if err != nil {
@@ -331,55 +245,44 @@ func (in InjectSpec) options() inject.Options {
 	}
 }
 
-// options maps the wire spec onto recovery.Options. The spec is normalized,
-// so the cliutil assembly cannot fail.
-func (r RecoverySpec) options() recovery.Options {
-	opt, err := cliutil.RecoveryOptions(r.Enabled, r.StallThreshold, r.MaxRecoveries)
-	if err != nil {
-		panic(fmt.Sprintf("jobs: unnormalized recovery spec: %v", err))
+// text is the fault job as the run-spec resolver reads it. The nested wire
+// structs convert field for field, so a knob added to one side without the
+// other stops compiling.
+func (f *FaultSpec) text() campaign.RunText {
+	return campaign.RunText{
+		Shape:      f.Shape,
+		Topology:   f.Topology,
+		Fails:      f.Fails,
+		Presets:    f.Presets,
+		Broadcasts: f.Broadcasts,
+		Patterns:   []string{f.Pattern},
+		Waves:      f.Waves,
+		Gap:        f.Gap,
+		PacketSize: f.PacketSize,
+		Horizon:    f.Horizon,
+		Inject:     f.Inject.options(),
+		Recovery:   recovery.Options(f.Recovery),
+		Variant:    campaign.VariantText(f.Variant),
+		Reconfig:   campaign.ReconfigText(f.Reconfig),
 	}
-	return opt
 }
 
-// coords parses the variant's crossbar coordinates (the spec is normalized,
-// so parse errors are unreachable for decoded submissions).
-func (v VariantSpec) coords(shape geom.Shape) (sxb, dxb geom.Coord, err error) {
-	if v.SXB != "" {
-		if sxb, err = cliutil.ParseCoord(v.SXB, shape.Dims()); err != nil {
-			return
-		}
+// text is the campaign job as the run-spec resolver reads it.
+func (c *CampaignSpec) text() campaign.RunText {
+	return campaign.RunText{
+		Shape:      c.Shape,
+		Topology:   c.Topology,
+		Presets:    c.Presets,
+		Broadcasts: c.Broadcasts,
+		Patterns:   c.Patterns,
+		Epochs:     c.Epochs,
+		Waves:      c.Waves,
+		Gap:        c.Gap,
+		PacketSize: c.PacketSize,
+		Horizon:    c.Horizon,
+		Inject:     c.Inject.options(),
+		Recovery:   recovery.Options(c.Recovery),
+		Variant:    campaign.VariantText(c.Variant),
+		Reconfig:   campaign.ReconfigText(c.Reconfig),
 	}
-	if v.DXB != "" {
-		if dxb, err = cliutil.ParseCoord(v.DXB, shape.Dims()); err != nil {
-			return
-		}
-	}
-	return
-}
-
-// parsePresets maps the wire preset list onto fault values.
-func parsePresets(specs []string, shape geom.Shape) ([]fault.Fault, error) {
-	var out []fault.Fault
-	for _, ps := range specs {
-		f, err := cliutil.ParseFaultIn(ps, shape)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
-// parseBroadcasts maps the wire broadcast list onto campaign.Broadcast
-// values, with the run's packet size.
-func parseBroadcasts(specs []string, shape geom.Shape, packetSize int) ([]campaign.Broadcast, error) {
-	var out []campaign.Broadcast
-	for _, bs := range specs {
-		src, cycle, err := cliutil.ParseBroadcast(bs, shape)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, campaign.Broadcast{Cycle: cycle, Src: src, Size: packetSize})
-	}
-	return out, nil
 }

@@ -346,27 +346,36 @@ func parseShape(field, s string, maxSize int) (geom.Shape, error) {
 	return shape, nil
 }
 
-// normalizeTopology canonicalizes a spec's topology name and checks the
-// shape against the topology's constructor requirements, so a spec the
-// service accepts is one the machine builder accepts too. The default MD
-// crossbar canonicalizes to "" (so "mdx" and an absent field dedupe to the
-// same job).
-func normalizeTopology(field string, topo *string, shape geom.Shape) error {
+// resolved wraps the run-spec resolver's verdict on a job's text: a
+// rejection becomes a FieldError under the payload's prefix. The resolver is
+// the only place a job's strings are parsed and its knobs cross-checked —
+// the same one mdxfault's flags go through — so what the service accepts is
+// what the machine builder accepts.
+func resolved(prefix string, err error) error {
+	if err == nil {
+		return nil
+	}
+	var fe *campaign.FieldError
+	if errors.As(err, &fe) {
+		return fieldErrf(prefix+"."+fe.Field, "%v", fe.Err)
+	}
+	return fieldErrf(prefix, "%v", err)
+}
+
+// The normalize helpers below apply the service ceilings and the CLI
+// defaults and rewrite spellings to canonical form (trimmed; the default
+// topology and lane count absent). What the strings mean, and which knobs
+// combine, is the resolver's business.
+
+// normalizeTopology canonicalizes the topology name: "mdx", "" and " MDX "
+// are one job, so the default MD crossbar becomes the absent field.
+func normalizeTopology(field string, topo *string) error {
 	t, err := cliutil.ParseTopology(*topo)
 	if err != nil {
 		return fieldErrf(field, "%v", err)
 	}
 	if t == core.TopologyMDX {
-		*topo = ""
-		return nil
-	}
-	if t == core.TopologyFullMesh && shape.Dims() != 1 {
-		return fieldErrf(field, "fullmesh needs a one-dimensional shape, got %s", shape)
-	}
-	for k, e := range shape {
-		if e < 2 {
-			return fieldErrf(field, "topology %q needs every extent at least 2, got extent[%d]=%d", t, k, e)
-		}
+		t = ""
 	}
 	*topo = t
 	return nil
@@ -405,6 +414,49 @@ func normalizeCommon(prefix string, waves *int, gap *int64, packet *int, horizon
 	return nil
 }
 
+// normalizeList bounds and trims one of a spec's string lists.
+func normalizeList(field string, list []string, max int) error {
+	if len(list) > max {
+		return fieldErrf(field, "%d entries exceeds maximum %d", len(list), max)
+	}
+	for i, s := range list {
+		list[i] = strings.TrimSpace(s)
+	}
+	return nil
+}
+
+func (r *RecoverySpec) normalize(prefix string) error {
+	if r.StallThreshold > maxStall {
+		return fieldErrf(prefix+".recovery.stall_threshold", "%d exceeds maximum %d", r.StallThreshold, maxStall)
+	}
+	if r.MaxRecoveries > maxRecoverCap {
+		return fieldErrf(prefix+".recovery.max_recoveries", "%d exceeds maximum %d", r.MaxRecoveries, maxRecoverCap)
+	}
+	return nil
+}
+
+func (r *ReconfigSpec) normalize(prefix string) error {
+	if r.DrainBudget > maxDrainBudget {
+		return fieldErrf(prefix+".reconfig.drain_budget", "%d exceeds maximum %d", r.DrainBudget, maxDrainBudget)
+	}
+	r.Mode = strings.ToLower(strings.TrimSpace(r.Mode))
+	return nil
+}
+
+func (v *VariantSpec) normalize(prefix string) error {
+	v.SXB = strings.TrimSpace(v.SXB)
+	v.DXB = strings.TrimSpace(v.DXB)
+	if v.VCs > maxVCs {
+		return fieldErrf(prefix+".variant.vcs", "%d exceeds maximum %d", v.VCs, maxVCs)
+	}
+	// An explicit single-lane count canonicalizes to the absent field, so
+	// "vcs": 1 and an unset count dedupe to the same job.
+	if v.VCs == 1 {
+		v.VCs = 0
+	}
+	return nil
+}
+
 func (in *InjectSpec) normalize(prefix string) error {
 	if in.RetryAfter < 0 || in.RetryAfter > maxRetry {
 		return fieldErrf(prefix+".inject.retry_after", "must be in [0, %d]", maxRetry)
@@ -434,171 +486,35 @@ func (in *InjectSpec) normalize(prefix string) error {
 	return nil
 }
 
-func (r *RecoverySpec) normalize(prefix string) error {
-	if r.StallThreshold > maxStall {
-		return fieldErrf(prefix+".recovery.stall_threshold", "%d exceeds maximum %d", r.StallThreshold, maxStall)
-	}
-	if r.MaxRecoveries > maxRecoverCap {
-		return fieldErrf(prefix+".recovery.max_recoveries", "%d exceeds maximum %d", r.MaxRecoveries, maxRecoverCap)
-	}
-	// cliutil rejects negatives and tuning-without-enable, so a spec that
-	// silently does nothing is refused the same way the CLI refuses it.
-	if _, err := cliutil.RecoveryOptions(r.Enabled, r.StallThreshold, r.MaxRecoveries); err != nil {
-		return fieldErrf(prefix+".recovery", "%v", err)
-	}
-	return nil
-}
-
-func (r *ReconfigSpec) normalize(prefix, topology string, variant *VariantSpec) error {
-	if r.DrainBudget > maxDrainBudget {
-		return fieldErrf(prefix+".reconfig.drain_budget", "%d exceeds maximum %d", r.DrainBudget, maxDrainBudget)
-	}
-	// cliutil rejects unknown modes, negative budgets and a budget without
-	// the mode — the same refusals the CLI flags produce.
-	mode, budget, err := cliutil.ReconfigOptions(r.Mode, r.DrainBudget)
-	if err != nil {
-		return fieldErrf(prefix+".reconfig", "%v", err)
-	}
-	if mode == "" {
-		r.Mode = ""
-		return nil
-	}
-	if topology != "" {
-		return fieldErrf(prefix+".reconfig.mode", "topology %q has no reconfigurable table generations (mdx-only)", topology)
-	}
-	if variant.VCs != 0 || variant.Adaptive {
-		return fieldErrf(prefix+".reconfig.mode", "reconfiguration needs the single-lane network (drop variant.vcs/adaptive)")
-	}
-	r.Mode, r.DrainBudget = mode, budget
-	return nil
-}
-
-func (v *VariantSpec) normalize(prefix string, shape geom.Shape, topology string) error {
-	v.SXB = strings.TrimSpace(v.SXB)
-	v.DXB = strings.TrimSpace(v.DXB)
-	if topology != "" && (v.SXB != "" || v.DXB != "" || v.DXBSeparate || v.VCs != 0 || v.Adaptive) {
-		return fieldErrf(prefix+".variant", "topology %q has no crossbars to configure (the variant block is mdx-only)", topology)
-	}
-	if v.VCs > maxVCs {
-		return fieldErrf(prefix+".variant.vcs", "%d exceeds maximum %d", v.VCs, maxVCs)
-	}
-	if v.Adaptive && v.DXBSeparate {
-		return fieldErrf(prefix+".variant.adaptive", "needs the unified design (the escape lane's deadlock-freedom certificate assumes D-XB = S-XB; drop dxb_separate)")
-	}
-	// cliutil rejects negative counts, adaptive without lanes, and lanes
-	// without adaptive — the same refusals the CLI flags produce.
-	vcs, err := cliutil.VCOptions(v.VCs, v.Adaptive)
-	if err != nil {
-		return fieldErrf(prefix+".variant.vcs", "%v", err)
-	}
-	// An explicit single-lane count canonicalizes to the absent field, so
-	// "vcs": 1 and an unset count dedupe to the same job.
-	if vcs == 1 {
-		v.VCs = 0
-	} else {
-		v.VCs = vcs
-	}
-	if v.SXB != "" {
-		c, err := cliutil.ParseCoord(v.SXB, shape.Dims())
-		if err != nil {
-			return fieldErrf(prefix+".variant.sxb", "%v", err)
-		}
-		if !shape.Contains(c) {
-			return fieldErrf(prefix+".variant.sxb", "coordinate %q outside shape", v.SXB)
-		}
-	}
-	if v.DXB != "" {
-		if !v.DXBSeparate {
-			return fieldErrf(prefix+".variant.dxb", "needs dxb_separate (the unified design has no second crossbar)")
-		}
-		c, err := cliutil.ParseCoord(v.DXB, shape.Dims())
-		if err != nil {
-			return fieldErrf(prefix+".variant.dxb", "%v", err)
-		}
-		if !shape.Contains(c) {
-			return fieldErrf(prefix+".variant.dxb", "coordinate %q outside shape", v.DXB)
-		}
-	}
-	return nil
-}
-
-// normalizeWorkload validates the preset-fault and broadcast lists shared by
-// fault and campaign specs against the shape and topology.
-func normalizeWorkload(prefix string, shape geom.Shape, topology string, presets, broadcasts []string) error {
-	if len(presets) > maxPresets {
-		return fieldErrf(prefix+".presets", "%d presets exceeds maximum %d", len(presets), maxPresets)
-	}
-	for i, ps := range presets {
-		presets[i] = strings.TrimSpace(ps)
-		f, err := cliutil.ParseFaultIn(presets[i], shape)
-		if err != nil {
-			return fieldErrf(fmt.Sprintf("%s.presets[%d]", prefix, i), "%v", err)
-		}
-		if err := cliutil.CheckFaultTopology(f, topology); err != nil {
-			return fieldErrf(fmt.Sprintf("%s.presets[%d]", prefix, i), "%v", err)
-		}
-	}
-	if len(broadcasts) > maxBroadcasts {
-		return fieldErrf(prefix+".broadcasts", "%d broadcasts exceeds maximum %d", len(broadcasts), maxBroadcasts)
-	}
-	if topology != "" && len(broadcasts) > 0 {
-		return fieldErrf(prefix+".broadcasts", "topology %q has no hardware broadcast (mdx-only)", topology)
-	}
-	for i, bs := range broadcasts {
-		broadcasts[i] = strings.TrimSpace(bs)
-		if _, _, err := cliutil.ParseBroadcast(broadcasts[i], shape); err != nil {
-			return fieldErrf(fmt.Sprintf("%s.broadcasts[%d]", prefix, i), "%v", err)
-		}
-	}
-	return nil
-}
-
 func (f *FaultSpec) normalize() error {
 	shape, err := parseShape("fault.shape", f.Shape, maxPEs)
 	if err != nil {
 		return err
 	}
 	f.Shape = shape.String()
-	if err := normalizeTopology("fault.topology", &f.Topology, shape); err != nil {
-		return err
-	}
 	if len(f.Fails) == 0 && len(f.Presets) == 0 && len(f.Broadcasts) == 0 {
 		return fieldErrf("fault.fails", "needs a FAULT@CYCLE schedule, a preset fault or a broadcast")
 	}
-	if len(f.Fails) > maxFails {
-		return fieldErrf("fault.fails", "%d schedules exceeds maximum %d", len(f.Fails), maxFails)
-	}
-	for i, fs := range f.Fails {
-		fs = strings.TrimSpace(fs)
-		flt, _, err := cliutil.ParseScheduledFault(fs, shape)
-		if err != nil {
-			return fieldErrf(fmt.Sprintf("fault.fails[%d]", i), "%v", err)
-		}
-		if err := cliutil.CheckFaultTopology(flt, f.Topology); err != nil {
-			return fieldErrf(fmt.Sprintf("fault.fails[%d]", i), "%v", err)
-		}
-		f.Fails[i] = fs
-	}
-	if err := normalizeWorkload("fault", shape, f.Topology, f.Presets, f.Broadcasts); err != nil {
-		return err
-	}
 	f.Pattern = strings.TrimSpace(f.Pattern)
-	if _, err := campaign.ParsePattern(f.Pattern); err != nil {
-		return fieldErrf("fault.pattern", "%v", err)
+	// Every helper runs (they only canonicalize in place); the first
+	// rejection in field order is the one reported.
+	for _, err := range []error{
+		normalizeTopology("fault.topology", &f.Topology),
+		normalizeList("fault.fails", f.Fails, maxFails),
+		normalizeList("fault.presets", f.Presets, maxPresets),
+		normalizeList("fault.broadcasts", f.Broadcasts, maxBroadcasts),
+		normalizeCommon("fault", &f.Waves, &f.Gap, &f.PacketSize, &f.Horizon),
+		f.Recovery.normalize("fault"),
+		f.Variant.normalize("fault"),
+		f.Reconfig.normalize("fault"),
+		f.Inject.normalize("fault"),
+	} {
+		if err != nil {
+			return err
+		}
 	}
-	if err := normalizeCommon("fault", &f.Waves, &f.Gap, &f.PacketSize, &f.Horizon); err != nil {
-		return err
-	}
-	if err := f.Recovery.normalize("fault"); err != nil {
-		return err
-	}
-	if err := f.Variant.normalize("fault", shape, f.Topology); err != nil {
-		return err
-	}
-	if err := f.Reconfig.normalize("fault", f.Topology, &f.Variant); err != nil {
-		return err
-	}
-	return f.Inject.normalize("fault")
+	_, err = f.text().Spec()
+	return resolved("fault", err)
 }
 
 func (c *CampaignSpec) normalize() error {
@@ -607,49 +523,31 @@ func (c *CampaignSpec) normalize() error {
 		return err
 	}
 	c.Shape = shape.String()
-	if err := normalizeTopology("campaign.topology", &c.Topology, shape); err != nil {
-		return err
-	}
-	if len(c.Epochs) == 0 {
-		return fieldErrf("campaign.epochs", "needs at least one activation cycle")
-	}
 	if len(c.Epochs) > maxEpochs {
 		return fieldErrf("campaign.epochs", "%d epochs exceeds maximum %d", len(c.Epochs), maxEpochs)
 	}
 	for i, e := range c.Epochs {
-		if e < 0 || e > maxHorizon {
+		if e > maxHorizon {
 			return fieldErrf(fmt.Sprintf("campaign.epochs[%d]", i), "must be in [0, %d]", maxHorizon)
 		}
 	}
-	if len(c.Patterns) == 0 {
-		return fieldErrf("campaign.patterns", "needs at least one pattern")
-	}
-	if len(c.Patterns) > maxPatterns {
-		return fieldErrf("campaign.patterns", "%d patterns exceeds maximum %d", len(c.Patterns), maxPatterns)
-	}
-	for i, p := range c.Patterns {
-		p = strings.TrimSpace(p)
-		if _, err := campaign.ParsePattern(p); err != nil {
-			return fieldErrf(fmt.Sprintf("campaign.patterns[%d]", i), "%v", err)
+	for _, err := range []error{
+		normalizeTopology("campaign.topology", &c.Topology),
+		normalizeList("campaign.patterns", c.Patterns, maxPatterns),
+		normalizeList("campaign.presets", c.Presets, maxPresets),
+		normalizeList("campaign.broadcasts", c.Broadcasts, maxBroadcasts),
+		normalizeCommon("campaign", &c.Waves, &c.Gap, &c.PacketSize, &c.Horizon),
+		c.Recovery.normalize("campaign"),
+		c.Variant.normalize("campaign"),
+		c.Reconfig.normalize("campaign"),
+		c.Inject.normalize("campaign"),
+	} {
+		if err != nil {
+			return err
 		}
-		c.Patterns[i] = p
 	}
-	if err := normalizeWorkload("campaign", shape, c.Topology, c.Presets, c.Broadcasts); err != nil {
-		return err
-	}
-	if err := normalizeCommon("campaign", &c.Waves, &c.Gap, &c.PacketSize, &c.Horizon); err != nil {
-		return err
-	}
-	if err := c.Recovery.normalize("campaign"); err != nil {
-		return err
-	}
-	if err := c.Variant.normalize("campaign", shape, c.Topology); err != nil {
-		return err
-	}
-	if err := c.Reconfig.normalize("campaign", c.Topology, &c.Variant); err != nil {
-		return err
-	}
-	return c.Inject.normalize("campaign")
+	_, err = c.text().Config()
+	return resolved("campaign", err)
 }
 
 // ReadSpec decodes a spec from a reader (the HTTP body), bounding the read.

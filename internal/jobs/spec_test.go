@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"sr2201/internal/geom"
 )
 
 func TestDecodeSpecNormalizesAndCanonicalizes(t *testing.T) {
@@ -74,36 +76,46 @@ func TestDecodeSpecRejectionsNameTheField(t *testing.T) {
 		{"dxb without separate", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","variant":{"dxb":"0,3"}}}`, "fault.variant.dxb"},
 		{"sxb outside shape", `{"kind":"campaign","campaign":{"shape":"4x4","epochs":[1],"patterns":["reverse"],"variant":{"sxb":"0,7"}}}`, "campaign.variant.sxb"},
 		{"bad pair pattern", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"pair:0,1>0,1"}}`, "fault.pattern"},
-		{"negative vcs", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","variant":{"vcs":-1}}}`, "fault.variant.vcs"},
 		{"vcs over ceiling", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","variant":{"vcs":9,"adaptive":true}}}`, "fault.variant.vcs"},
-		{"vcs without adaptive", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","variant":{"vcs":2}}}`, "fault.variant.vcs"},
-		{"adaptive without lanes", `{"kind":"campaign","campaign":{"shape":"4x4","epochs":[1],"patterns":["reverse"],"variant":{"adaptive":true}}}`, "campaign.variant.vcs"},
-		{"adaptive on separate dxb", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","variant":{"vcs":2,"adaptive":true,"dxb_separate":true}}}`, "fault.variant.adaptive"},
-		{"vcs on direct-link topology", `{"kind":"fault","fault":{"shape":"4x4","topology":"hyperx","fails":["link:0,0-3,0@60"],"pattern":"reverse","variant":{"vcs":2,"adaptive":true}}}`, "fault.variant"},
-		{"unknown reconfig mode", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","reconfig":{"mode":"always"}}}`, "fault.reconfig"},
-		{"reconfig budget without mode", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","reconfig":{"drain_budget":8}}}`, "fault.reconfig"},
-		{"negative reconfig budget", `{"kind":"campaign","campaign":{"shape":"4x4","epochs":[1],"patterns":["reverse"],"reconfig":{"mode":"both","drain_budget":-1}}}`, "campaign.reconfig"},
+		{"reconfig budget without mode", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","reconfig":{"drain_budget":8}}}`, "fault.reconfig.drain_budget"},
+		{"negative reconfig budget", `{"kind":"campaign","campaign":{"shape":"4x4","epochs":[1],"patterns":["reverse"],"reconfig":{"mode":"both","drain_budget":-1}}}`, "campaign.reconfig.drain_budget"},
 		{"reconfig budget over ceiling", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","reconfig":{"mode":"fault","drain_budget":1048577}}}`, "fault.reconfig.drain_budget"},
-		{"reconfig on direct-link topology", `{"kind":"fault","fault":{"shape":"4x4","topology":"hyperx","fails":["link:0,0-3,0@60"],"pattern":"reverse","reconfig":{"mode":"fault"}}}`, "fault.reconfig.mode"},
-		{"reconfig with adaptive vcs", `{"kind":"campaign","campaign":{"shape":"4x4","epochs":[1],"patterns":["reverse"],"variant":{"vcs":2,"adaptive":true},"reconfig":{"mode":"deadlock"}}}`, "campaign.reconfig.mode"},
 		{"retired shards field (fault)", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","shards":4}}`, "shards"},
 		{"retired shards field (campaign)", `{"kind":"campaign","campaign":{"shape":"4x4","epochs":[1],"patterns":["reverse"],"shards":4}}`, "shards"},
 		{"trailing data", `{"kind":"experiments","experiments":{"ids":["E1"]}} {"x":1}`, "body"},
 		{"not json", `hello`, "body"},
 	}
+	check := func(t *testing.T, body []byte, wantField string) {
+		t.Helper()
+		_, err := DecodeSpec(body)
+		if err == nil {
+			t.Fatal("accepted invalid spec")
+		}
+		var fe *FieldError
+		if !errors.As(err, &fe) {
+			t.Fatalf("rejection is not a FieldError: %v", err)
+		}
+		if fe.Field != wantField {
+			t.Errorf("field = %q, want %q (%v)", fe.Field, wantField, err)
+		}
+	}
 	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { check(t, []byte(tc.body), tc.wantField) })
+	}
+	// The machine-knob rows live in knobRejections, spelled here as fault
+	// and campaign submissions.
+	for _, tc := range knobRejections {
+		if tc.noJob {
+			continue
+		}
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := DecodeSpec([]byte(tc.body))
-			if err == nil {
-				t.Fatal("accepted invalid spec")
+			cfg := tc.cfg
+			if cfg.Shape == nil {
+				cfg.Shape = geom.MustShape(4, 4)
 			}
-			var fe *FieldError
-			if !errors.As(err, &fe) {
-				t.Fatalf("rejection is not a FieldError: %v", err)
-			}
-			if fe.Field != tc.wantField {
-				t.Errorf("field = %q, want %q (%v)", fe.Field, tc.wantField, err)
-			}
+			fault, campaign := knobJobs(t, cfg)
+			check(t, fault, "fault."+tc.field)
+			check(t, campaign, "campaign."+tc.field)
 		})
 	}
 }

@@ -27,8 +27,6 @@ import (
 	"sort"
 
 	"sr2201/internal/campaign"
-	"sr2201/internal/cliutil"
-	"sr2201/internal/geom"
 	"sr2201/internal/inject"
 )
 
@@ -65,39 +63,12 @@ type RunSpec struct {
 	Adaptive bool `json:"adaptive,omitempty"`
 }
 
-// CellSpec parses the wire spec into a runnable campaign cell spec.
+// CellSpec resolves the wire spec into a runnable campaign cell spec.
 func (s RunSpec) CellSpec() (campaign.Spec, error) {
-	shape, err := cliutil.ParseShape(s.Shape)
-	if err != nil {
-		return campaign.Spec{}, err
-	}
-	events := make([]inject.Event, 0, len(s.Fails))
-	for _, fs := range s.Fails {
-		f, cycle, err := cliutil.ParseScheduledFault(fs, shape)
-		if err != nil {
-			return campaign.Spec{}, err
-		}
-		events = append(events, inject.Event{Cycle: cycle, Fault: f})
-	}
-	pat, err := campaign.ParsePattern(s.Pattern)
-	if err != nil {
-		return campaign.Spec{}, err
-	}
-	var sxb, dxb geom.Coord
-	if s.SXB != "" {
-		if sxb, err = cliutil.ParseCoord(s.SXB, shape.Dims()); err != nil {
-			return campaign.Spec{}, err
-		}
-	}
-	if s.DXB != "" {
-		if dxb, err = cliutil.ParseCoord(s.DXB, shape.Dims()); err != nil {
-			return campaign.Spec{}, err
-		}
-	}
-	return campaign.Spec{
-		Shape:      shape,
-		Events:     events,
-		Pattern:    pat,
+	spec, err := campaign.RunText{
+		Shape:      s.Shape,
+		Fails:      s.Fails,
+		Patterns:   []string{s.Pattern},
 		Waves:      s.Waves,
 		Gap:        s.Gap,
 		PacketSize: s.PacketSize,
@@ -109,14 +80,20 @@ func (s RunSpec) CellSpec() (campaign.Spec, error) {
 			MaxRetries:     s.MaxRetries,
 			StallThreshold: s.Stall,
 		},
-		SXB:            sxb,
-		DXB:            dxb,
-		DXBSeparate:    s.DXBSeparate,
+		Variant: campaign.VariantText{
+			SXB:         s.SXB,
+			DXB:         s.DXB,
+			DXBSeparate: s.DXBSeparate,
+			VCs:         s.VCs,
+			Adaptive:    s.Adaptive,
+		},
 		NaiveBroadcast: s.NaiveBroadcast,
 		PivotLastDim:   s.PivotLastDim,
-		VCs:            s.VCs,
-		Adaptive:       s.Adaptive,
-	}, nil
+	}.Spec()
+	if err != nil {
+		return campaign.Spec{}, fmt.Errorf("replay: spec %w", err)
+	}
+	return spec, nil
 }
 
 // Point is one hash-ladder entry: the engine's StateHash at Cycle, rendered
