@@ -99,6 +99,7 @@ func BenchmarkSimulationCycle(b *testing.B) {
 		})
 	}
 	refill()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if m.Engine().Quiescent() {

@@ -743,7 +743,7 @@ func (m *Machine) Reachable(src, dst geom.Coord) error {
 	if !m.shape.Contains(src) || !m.shape.Contains(dst) {
 		return fmt.Errorf("core: src %v or dst %v outside shape", src, dst)
 	}
-	_, err := topo.Walk(m.router, src, dst)
+	err := topo.Reach(m.router, src, dst)
 	if errors.Is(err, topo.ErrUnreachable) {
 		return fmt.Errorf("%w: %v", routing.ErrUnreachable, err)
 	}

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"sr2201/internal/flit"
@@ -150,38 +152,83 @@ func TestCountersObserveScheduling(t *testing.T) {
 	}
 }
 
-func TestMergePending(t *testing.T) {
-	key := func(v int64) int64 { return v }
-	cases := []struct {
-		active, pending []int64
-	}{
-		{nil, []int64{3, 1, 2}},
-		{[]int64{1, 4, 9}, []int64{2, 8, 10}},
-		{[]int64{5, 6}, []int64{1, 2}},
-		{[]int64{1, 2}, []int64{5, 6}},
-		{[]int64{2}, nil},
-		{nil, nil},
-		{[]int64{10, 30, 50}, []int64{60, 40, 20, 0}},
+func TestActiveSetOrderAndLateArrivals(t *testing.T) {
+	// The set is what replaced the sorted lists: members come out in index
+	// order whatever order they went in, and an element added while the
+	// set's own sweep runs joins only when the sweep ends.
+	var s activeSet
+	s.resize(200)
+	for _, i := range []int{130, 3, 64, 199, 0, 63} {
+		s.add(i)
 	}
-	for _, c := range cases {
-		want := append(append([]int64{}, c.active...), c.pending...)
-		got := mergePending(append([]int64{}, c.active...), append([]int64{}, c.pending...), key)
-		if len(got) != len(want) {
-			t.Fatalf("merge(%v,%v) length %d, want %d", c.active, c.pending, len(got), len(want))
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i-1] >= got[i] {
-				t.Fatalf("merge(%v,%v) = %v not strictly sorted", c.active, c.pending, got)
+	s.remove(64)
+	walk := func() []int {
+		var got []int
+		for wi, w := range s.words {
+			for ; w != 0; w &= w - 1 {
+				got = append(got, wi<<6|bits.TrailingZeros64(w))
 			}
 		}
-		seen := map[int64]bool{}
-		for _, v := range got {
-			seen[v] = true
+		return got
+	}
+	if got, want := walk(), []int{0, 3, 63, 130, 199}; !slices.Equal(got, want) || s.n != len(want) {
+		t.Fatalf("members %v (n=%d), want %v", got, s.n, want)
+	}
+	if visited := s.beginSweep(); visited != 5 {
+		t.Fatalf("sweep charges %d visits, want 5", visited)
+	}
+	s.add(150) // ahead of the sweep position or not, it waits
+	s.add(1)
+	if got := walk(); len(got) != 5 || s.n != 5 {
+		t.Fatalf("late arrivals visible during the sweep: %v (n=%d)", got, s.n)
+	}
+	s.endSweep()
+	if got, want := walk(), []int{0, 1, 3, 63, 130, 150, 199}; !slices.Equal(got, want) || s.n != len(want) {
+		t.Fatalf("after the sweep %v (n=%d), want %v", got, s.n, want)
+	}
+	s.clear()
+	if got := walk(); len(got) != 0 || s.n != 0 {
+		t.Fatalf("clear left %v (n=%d)", got, s.n)
+	}
+}
+
+func TestActivationDuringOwnSweepWaitsACycle(t *testing.T) {
+	// An OnForward hook fires inside the injection sweep when an endpoint's
+	// header leaves. A packet it queues at an idle endpoint the sweep has not
+	// reached yet must still leave one cycle later, not in the same sweep:
+	// the activation joins the set when the sweep ends. (The full scan would
+	// serve it at once; hooks that inject ahead of the sweep are outside the
+	// equivalence the two modes promise.) An endpoint still lingering in the
+	// set under the eviction hysteresis is served in the same sweep, as ever.
+	firstFlitLeaves := func(lingering bool) (hookCycle, leftCycle int64) {
+		e, eps := chainScenario(DefaultConfig(), 4)
+		e.RunUntilQuiescent(1000)
+		for i := 0; i < 3*idleEvictAfter; i++ {
+			e.Step() // every set empties
 		}
-		for _, v := range want {
-			if !seen[v] {
-				t.Fatalf("merge(%v,%v) = %v lost element %d", c.active, c.pending, got, v)
+		if lingering {
+			e.Inject(eps[2], flit.NewPacket(&flit.Header{PacketID: 500, Dst: geom.Coord{3}}, 1))
+			e.Step()
+			e.Step() // sent; eps[2] idles in the injection set for a few cycles yet
+		}
+		hookCycle, leftCycle = -1, -1
+		e.OnForward = func(from *Node, out int, h *flit.Header, cycle int64) {
+			switch {
+			case from == eps[0] && h.PacketID == 501:
+				hookCycle = cycle
+				e.Inject(eps[2], flit.NewPacket(&flit.Header{PacketID: 502, Dst: geom.Coord{3}}, 1))
+			case from == eps[2] && h.PacketID == 502:
+				leftCycle = cycle
 			}
 		}
+		e.Inject(eps[0], flit.NewPacket(&flit.Header{PacketID: 501, Dst: geom.Coord{1}}, 1))
+		e.RunUntilQuiescent(100)
+		return hookCycle, leftCycle
+	}
+	if hook, left := firstFlitLeaves(false); hook < 0 || left != hook+1 {
+		t.Errorf("idle endpoint: hook injected in cycle %d, the packet left in cycle %d, want the cycle after", hook, left)
+	}
+	if hook, left := firstFlitLeaves(true); hook < 0 || left != hook {
+		t.Errorf("lingering endpoint: hook injected in cycle %d, the packet left in cycle %d, want the same cycle", hook, left)
 	}
 }

@@ -63,8 +63,8 @@ func (e *Engine) KillSwitch(n *Node) []KilledPacket {
 		}
 	}
 	for _, in := range n.In {
-		for i := range in.buf {
-			add(in.buf[i].PacketID, in.buf[i].Header)
+		for i := 0; i < in.n; i++ {
+			add(in.at(i).PacketID, in.at(i).Header)
 		}
 		if rs := in.route; rs != nil && rs.header != nil {
 			add(rs.header.PacketID, rs.header)
@@ -75,7 +75,9 @@ func (e *Engine) KillSwitch(n *Node) []KilledPacket {
 			continue
 		}
 		for i := range l.pipe {
-			add(l.pipe[i].f.PacketID, l.pipe[i].f.Header)
+			if l.pipe[i].full {
+				add(l.pipe[i].f.PacketID, l.pipe[i].f.Header)
+			}
 		}
 	}
 	if len(wounded) == 0 {
@@ -165,10 +167,11 @@ func (e *Engine) purgeWounded(wounded map[uint64]*flit.Header) (sunk map[uint64]
 			}
 		}
 		for _, in := range nd.In {
-			if len(in.buf) > 0 {
-				kept := in.buf[:0]
-				for i := range in.buf {
-					f := in.buf[i]
+			if in.n > 0 {
+				// Close the ring up over the purged flits, in place.
+				kept := 0
+				for i := 0; i < in.n; i++ {
+					f := *in.at(i)
 					if hit(f.PacketID) {
 						add(f.PacketID, f.Header)
 						// Freeing the slot returns the credit upstream,
@@ -180,9 +183,10 @@ func (e *Engine) purgeWounded(wounded map[uint64]*flit.Header) (sunk map[uint64]
 						removed++
 						continue
 					}
-					kept = append(kept, f)
+					*in.at(kept) = f
+					kept++
 				}
-				in.buf = kept
+				in.n = kept
 			}
 			if rs := in.route; rs != nil && rs.header != nil && hit(rs.header.PacketID) {
 				add(rs.header.PacketID, rs.header)
@@ -207,23 +211,23 @@ func (e *Engine) purgeWounded(wounded map[uint64]*flit.Header) (sunk map[uint64]
 		}
 	}
 	for _, l := range e.links {
-		if len(l.pipe) == 0 {
+		// A link slot is addressed by the cycle its flit was sent in, so a
+		// purged flit just vacates its slot; the survivors keep theirs.
+		if l.n == 0 {
 			continue
 		}
-		kept := l.pipe[:0]
 		for i := range l.pipe {
-			en := l.pipe[i]
-			if hit(en.f.PacketID) {
-				add(en.f.PacketID, en.f.Header)
+			sl := &l.pipe[i]
+			if sl.full && hit(sl.f.PacketID) {
+				add(sl.f.PacketID, sl.f.Header)
 				// A flit in flight holds a downstream buffer reservation.
 				l.from.creditReturn()
 				e.resident--
 				removed++
-				continue
+				sl.full = false
+				l.n--
 			}
-			kept = append(kept, en)
 		}
-		l.pipe = kept
 	}
 	return sunk, removed
 }

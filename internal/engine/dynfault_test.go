@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -12,8 +14,8 @@ import (
 // node or in flight on a link into it.
 func packetPresentAt(e *Engine, n *Node, id uint64) bool {
 	for _, in := range n.In {
-		for i := range in.buf {
-			if in.buf[i].PacketID == id {
+		for i := 0; i < in.n; i++ {
+			if in.at(i).PacketID == id {
 				return true
 			}
 		}
@@ -23,7 +25,7 @@ func packetPresentAt(e *Engine, n *Node, id uint64) bool {
 			continue
 		}
 		for i := range l.pipe {
-			if l.pipe[i].f.PacketID == id {
+			if l.pipe[i].full && l.pipe[i].f.PacketID == id {
 				return true
 			}
 		}
@@ -219,55 +221,116 @@ func TestPreCycleHookObservesEveryStep(t *testing.T) {
 }
 
 func TestStressKillAndSnapshot(t *testing.T) {
-	// Whole-network surgery interleaved with traffic and snapshots: a
-	// mid-run KillSwitch, a KillPacket purge, seeded injections and a
-	// snapshot plus invariant audit every few cycles. Invariants — credit
+	// Whole-network surgery interleaved with traffic and snapshots, over
+	// every link delay and buffer depth the rings can be sized to: a mid-run
+	// KillSwitch, a KillPacket purge, seeded injections, delivery and
+	// forwarding hooks that inject from inside the phases, and an invariant
+	// audit plus a snapshot round trip every few cycles. Invariants — credit
 	// conservation, no lost/duplicated flits (resident accounting),
-	// ownership consistency — must hold throughout, and the scheduled
+	// ownership consistency — must hold throughout, a snapshot must restore
+	// to the same state and re-encode to the same bytes, and the scheduled
 	// kernel must track the identically-abused full-scan reference hash for
 	// hash.
-	run := func(fullScan bool) (*Engine, []uint64) {
-		cfg := Config{BufferDepth: 2, LinkDelay: 2, Acquire: AcquireAtomic, DisableActiveSet: fullScan}
-		e, eps := chainScenario(cfg, 12)
+	const n = 12
+	run := func(t *testing.T, cfg Config) (*Engine, []uint64) {
+		e, eps := chainScenario(cfg, n)
 		rng := rand.New(rand.NewSource(7))
 		var stream []uint64
 		nextID := uint64(1000)
-		for c := 0; c < 400; c++ {
+		inject := func(src, size int) {
+			nextID++
+			dst := src + 1 + int(nextID)%(n-1-src)
+			e.Inject(eps[src], flit.NewPacket(&flit.Header{PacketID: nextID, Dst: geom.Coord{dst}}, size))
+		}
+		// Hooks run inside the sweeps. A delivery (ejection phase) answers
+		// from the receiving endpoint; a header leaving a switch (traversal
+		// phase) or an endpoint (injection phase, the injection set's own
+		// sweep) queues a packet at the endpoint below it, which the sweep
+		// has passed, so both kernels first serve it in the next cycle.
+		replies, purged := 0, 0
+		e.OnDeliver = func(d Delivery) {
+			if src := int(d.Header.Dst[0]); src < n-1 && replies < 40 {
+				replies++
+				inject(src, 3)
+			}
+		}
+		e.OnForward = func(from *Node, out int, h *flit.Header, cycle int64) {
+			if h.PacketID%5 != 0 || replies >= 40 {
+				return
+			}
+			replies++
+			at := int(h.Dst[0]) - 1 // a switch on the route, or the source
+			if from.Kind == KindEndpoint {
+				at = from.epIdx
+			}
+			inject(max(at-1, 0), 2)
+		}
+		for c := 0; c < 500; c++ {
 			if c == 60 {
 				e.KillSwitch(e.Switches()[5])
 			}
-			if c == 120 {
-				e.KillPacket(3)
+			if c == 64 || c == 120 {
+				// A packet with a flit on the wire into switch 3 if there
+				// is one (the purge then vacates a link slot mid-ring),
+				// else whatever is oldest in the network.
+				victim := uint64(0)
+				up := e.Switches()[3].In[0].upstream
+				for age := 0; age < up.delay && up.n > 0 && victim == 0; age++ {
+					if sl := up.ageSlot(e.cycle, age); sl.full {
+						victim = sl.f.PacketID
+					}
+				}
+				if hdrs, _ := e.InFlightHeaders(); victim == 0 && len(hdrs) > 0 {
+					victim = hdrs[0].PacketID
+				}
+				if _, ok := e.KillPacket(victim); ok {
+					purged++
+				}
 			}
 			if c%17 == 0 {
-				src := rng.Intn(len(eps) - 1)
-				dst := src + 1 + rng.Intn(len(eps)-1-src)
-				nextID++
-				e.Inject(eps[src], flit.NewPacket(&flit.Header{PacketID: nextID, Dst: geom.Coord{dst}}, 4))
+				inject(rng.Intn(n-1), 4)
 			}
 			e.Step()
 			stream = append(stream, e.StateHash())
 			if c%5 == 0 {
 				if err := e.CheckInvariants(); err != nil {
-					t.Fatalf("fullScan=%v cycle %d: %v", fullScan, c, err)
+					t.Fatalf("cycle %d: %v", c, err)
 				}
-				_ = e.Snapshot()
+				snap := e.Snapshot()
+				fresh, _ := chainScenario(cfg, n)
+				if err := fresh.Restore(snap); err != nil {
+					t.Fatalf("cycle %d: restore: %v", c, err)
+				}
+				if fresh.StateHash() != e.StateHash() || !bytes.Equal(fresh.Snapshot(), snap) {
+					t.Fatalf("cycle %d: snapshot did not round-trip", c)
+				}
 			}
+		}
+		if replies < 40 || purged == 0 {
+			t.Fatalf("hooks injected %d packets (want 40), KillPacket purged %d: the stress did not exercise them", replies, purged)
 		}
 		return e, stream
 	}
-	ref, want := run(true)
-	got, stream := run(false)
-	for i := range want {
-		if stream[i] != want[i] {
-			t.Fatalf("scheduled kernel diverged from full scan at cycle %d: %#x vs %#x", i+1, stream[i], want[i])
+	for delay := 1; delay <= 4; delay++ {
+		for depth := 1; depth <= 8; depth++ {
+			t.Run(fmt.Sprintf("delay%d_depth%d", delay, depth), func(t *testing.T) {
+				cfg := Config{BufferDepth: depth, LinkDelay: delay, Acquire: AcquireAtomic}
+				got, stream := run(t, cfg)
+				cfg.DisableActiveSet = true
+				ref, want := run(t, cfg)
+				for i := range want {
+					if stream[i] != want[i] {
+						t.Fatalf("scheduled kernel diverged from full scan at cycle %d: %#x vs %#x", i+1, stream[i], want[i])
+					}
+				}
+				if got.Resident() != ref.Resident() || got.Dropped() != ref.Dropped() {
+					t.Fatalf("resident=%d dropped=%d, full scan resident=%d dropped=%d",
+						got.Resident(), got.Dropped(), ref.Resident(), ref.Dropped())
+				}
+				if ref.Dropped() == 0 {
+					t.Error("the killed switch dropped nothing — the stress did not exercise the sink path")
+				}
+			})
 		}
-	}
-	if got.Resident() != ref.Resident() || got.Dropped() != ref.Dropped() {
-		t.Fatalf("resident=%d dropped=%d, full scan resident=%d dropped=%d",
-			got.Resident(), got.Dropped(), ref.Resident(), ref.Dropped())
-	}
-	if ref.Dropped() == 0 {
-		t.Error("the killed switch dropped nothing — the stress did not exercise the sink path")
 	}
 }

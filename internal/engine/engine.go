@@ -20,16 +20,15 @@
 // Everything is iterated in fixed index order with per-resource round-robin
 // arbiters, so simulations are bit-for-bit reproducible. The hot path visits
 // only active elements each cycle (see scheduler.go); the active sets are
-// exact predicates of each phase's no-op conditions and are kept in index
-// order, so skipping idle elements cannot change any outcome. An engine is
-// single-goroutine: Step runs every phase on the caller's goroutine and
+// exact predicates of each phase's no-op conditions and are iterated in
+// index order, so skipping idle elements cannot change any outcome. An engine
+// is single-goroutine: Step runs every phase on the caller's goroutine and
 // starts none of its own.
 package engine
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"sr2201/internal/flit"
 )
@@ -174,8 +173,13 @@ func (rs *routeState) allGranted() bool { return rs.nGranted == len(rs.outs) }
 type InPort struct {
 	node *Node
 	idx  int
-	buf  []flit.Flit
-	cap  int
+	// buf is a fixed ring of cap slots, allocated when the first flit
+	// arrives (a port no route uses never pays for one); the queue is the n
+	// flits from head on, wrapping. Nothing is appended or shifted as flits
+	// come and go.
+	buf     []flit.Flit
+	head, n int
+	cap     int
 	// upstream is the link that feeds this port (nil if unconnected); used to
 	// return credits when a flit leaves the buffer.
 	upstream *Link
@@ -184,12 +188,14 @@ type InPort struct {
 	// recvHeader remembers the header of the packet currently being consumed
 	// by an endpoint (set when the header flit is ejected).
 	recvHeader *flit.Header
-	// active marks membership in the active input-port list (switch inports
-	// only); idle counts consecutive workless visits
-	// (eviction hysteresis); ordKey fixes the list's iteration order to
-	// match the full switch/port scan.
+	// active marks membership in the active input-port set (switch inports
+	// only); idle counts consecutive workless visits (eviction hysteresis);
+	// pos is the port's position in the full switch/port scan, its bit in
+	// the set; ordKey (node ID, port index) orders ports the same way and
+	// names the port in StateHash.
 	active bool
 	idle   uint8
+	pos    int
 	ordKey int64
 	// BlockedCycles counts cycles in which this port had a routed or routable
 	// packet that failed to advance.
@@ -197,13 +203,41 @@ type InPort struct {
 }
 
 // Buffered reports the number of flits currently queued at the port.
-func (p *InPort) Buffered() int { return len(p.buf) }
+func (p *InPort) Buffered() int { return p.n }
+
+// at returns the i-th queued flit (0 = head). The pointer aliases the ring
+// slot: it must not be retained across pops or pushes.
+func (p *InPort) at(i int) *flit.Flit {
+	j := p.head + i
+	if j >= p.cap {
+		j -= p.cap
+	}
+	return &p.buf[j]
+}
+
+// push queues a flit at the tail. The caller has checked n < cap (credits
+// guarantee it).
+func (p *InPort) push(f flit.Flit) {
+	if p.buf == nil {
+		p.buf = make([]flit.Flit, p.cap)
+	}
+	*p.at(p.n) = f
+	p.n++
+}
 
 // shift removes and returns the flit at the head of the buffer.
 func (p *InPort) shift() flit.Flit {
-	f := p.buf[0]
-	copy(p.buf, p.buf[1:])
-	p.buf = p.buf[:len(p.buf)-1]
+	f := p.buf[p.head]
+	if f.Header != nil {
+		// A vacated slot must not keep the packet's header alive until the
+		// ring comes round again.
+		p.buf[p.head].Header = nil
+	}
+	p.head++
+	if p.head == p.cap {
+		p.head = 0
+	}
+	p.n--
 	return f
 }
 
@@ -217,12 +251,12 @@ func (p *InPort) pop() flit.Flit {
 }
 
 // front returns the flit at the head of the buffer, or nil. The pointer
-// aliases the buffer slot: it must not be retained across pops or appends.
+// aliases the buffer slot: it must not be retained across pops or pushes.
 func (p *InPort) front() *flit.Flit {
-	if len(p.buf) == 0 {
+	if p.n == 0 {
 		return nil
 	}
-	return &p.buf[0]
+	return &p.buf[p.head]
 }
 
 // OutPort is a switch or endpoint output: the upstream end of one link, with
@@ -289,10 +323,11 @@ type Node struct {
 	// traffic reuses one allocation instead of leaking front capacity.
 	injectQ      []flit.Flit
 	injectHead   int
-	ejectActive  bool  // membership in the active ejection list
-	injectActive bool  // membership in the active injection list
-	ejectIdle    uint8 // eviction hysteresis for the ejection list
-	injectIdle   uint8 // eviction hysteresis for the injection list
+	epIdx        int   // position among the endpoints: the bit in both endpoint sets
+	ejectActive  bool  // membership in the active ejection set
+	injectActive bool  // membership in the active injection set
+	ejectIdle    uint8 // eviction hysteresis for the ejection set
+	injectIdle   uint8 // eviction hysteresis for the injection set
 	Injected     int64 // packets handed to Inject
 	Sent         int64 // packets whose tail left the endpoint
 	Received     int64 // packets fully consumed at this endpoint
@@ -310,17 +345,32 @@ type Link struct {
 	from  *OutPort
 	to    *InPort
 	delay int
-	// pipe holds in-flight flits; age counts elapsed cycles.
-	pipe []linkEntry
-	// active marks membership in the active link list; idle counts
+	// pipe is a fixed ring of delay slots (allocated at first use) holding
+	// the n flits in flight. At most one flit enters a link per cycle and
+	// each stays exactly delay cycles, so the flit sent in cycle c sits in
+	// slot c%delay until the delivery phase of cycle c+delay reads that same
+	// slot back; its age is never stored (see ageSlot).
+	pipe []linkSlot
+	n    int
+	// active marks membership in the active link set; idle counts
 	// consecutive empty visits (eviction hysteresis, see scheduler.go).
 	active bool
 	idle   uint8
 }
 
-type linkEntry struct {
-	f   flit.Flit
-	age int
+type linkSlot struct {
+	f    flit.Flit
+	full bool
+}
+
+// ageSlot returns the slot of the flit that has spent age delivery phases on
+// the link, as seen between Steps (or from the PreCycle/PostCycle hooks) at
+// the given cycle: the one sent in cycle cycle-1-age. StateHash, snapshots
+// and purges walk a loaded link oldest-first with it, which is the order and
+// the age the kernel used to store per flit.
+func (l *Link) ageSlot(cycle int64, age int) *linkSlot {
+	d := int64(l.delay)
+	return &l.pipe[((cycle-1-int64(age))%d+d)%d]
 }
 
 // PhysChannel is a group of output ports sharing one flit per cycle of
@@ -373,22 +423,24 @@ type Engine struct {
 
 	dropped int64
 
-	// Active sets and their pending buffers (scheduler.go).
-	activeLinks  []*Link
-	activeAlloc  []*InPort
-	activeEject  []*Node
-	activeInject []*Node
-	pendLinks    []*Link
-	pendAlloc    []*InPort
-	pendEject    []*Node
-	pendInject   []*Node
+	// slot is cycle % LinkDelay during a Step: the link-ring slot this
+	// cycle's deliveries empty and this cycle's sends fill.
+	slot int
+
+	// Active sets (scheduler.go), indexed by position in links, fullIn and
+	// endpoints respectively.
+	activeLinks  activeSet
+	activeAlloc  activeSet
+	activeEject  activeSet
+	activeInject activeSet
 
 	// Scratch slices reused across cycles, and the route-state pool.
-	reqScratch   []*InPort
-	readyScratch []*InPort
-	outScratch   []*OutPort
-	physScratch  []*PhysChannel
-	rsFree       []*routeState
+	reqScratch    []*InPort
+	routedScratch []*InPort
+	readyScratch  []*InPort
+	outScratch    []*OutPort
+	physScratch   []*PhysChannel
+	rsFree        []*routeState
 	// sunkCredits defers the credits freed by draining dropped packets to
 	// the end of the traversal phase, so their effect cannot depend on the
 	// scan order of ports (DESIGN.md §10). Every pinned StateHash stream
@@ -438,24 +490,40 @@ func (e *Engine) AddSwitch(name string, ports int, route RouteFunc, meta any) *N
 		panic(fmt.Sprintf("engine: switch %q needs a routing function", name))
 	}
 	n := &Node{ID: len(e.nodes), Name: name, Kind: KindSwitch, Meta: meta, route: route, eng: e}
-	for i := 0; i < ports; i++ {
-		n.In = append(n.In, &InPort{node: n, idx: i, cap: e.cfg.BufferDepth, ordKey: int64(n.ID)<<32 | int64(i)})
-		n.Out = append(n.Out, &OutPort{node: n, idx: i, lastReqCycle: -1, reservedCycle: -1, pendStamp: -1})
+	e.addPorts(n, ports)
+	for _, in := range n.In {
+		in.pos = len(e.fullIn)
+		e.fullIn = append(e.fullIn, in)
 	}
 	e.nodes = append(e.nodes, n)
 	e.switches = append(e.switches, n)
 	e.nSwitchIn += ports
-	e.fullIn = append(e.fullIn, n.In...)
+	e.activeAlloc.resize(len(e.fullIn))
 	return n
+}
+
+// addPorts gives a node its ports, carved from two allocations, which keeps
+// set-up cheap and a switch's hot state contiguous.
+func (e *Engine) addPorts(n *Node, ports int) {
+	ins := make([]InPort, ports)
+	outs := make([]OutPort, ports)
+	n.In = make([]*InPort, ports)
+	n.Out = make([]*OutPort, ports)
+	for i := range ins {
+		ins[i] = InPort{node: n, idx: i, cap: e.cfg.BufferDepth, ordKey: int64(n.ID)<<32 | int64(i)}
+		outs[i] = OutPort{node: n, idx: i, lastReqCycle: -1, reservedCycle: -1, pendStamp: -1}
+		n.In[i], n.Out[i] = &ins[i], &outs[i]
+	}
 }
 
 // AddEndpoint creates a single-port traffic endpoint.
 func (e *Engine) AddEndpoint(name string, meta any) *Node {
-	n := &Node{ID: len(e.nodes), Name: name, Kind: KindEndpoint, Meta: meta, eng: e}
-	n.In = append(n.In, &InPort{node: n, idx: 0, cap: e.cfg.BufferDepth, ordKey: int64(n.ID) << 32})
-	n.Out = append(n.Out, &OutPort{node: n, idx: 0, lastReqCycle: -1, reservedCycle: -1, pendStamp: -1})
+	n := &Node{ID: len(e.nodes), Name: name, Kind: KindEndpoint, Meta: meta, eng: e, epIdx: len(e.endpoints)}
+	e.addPorts(n, 1)
 	e.nodes = append(e.nodes, n)
 	e.endpoints = append(e.endpoints, n)
+	e.activeEject.resize(len(e.endpoints))
+	e.activeInject.resize(len(e.endpoints))
 	return n
 }
 
@@ -483,6 +551,7 @@ func (e *Engine) ConnectDirected(a *Node, ap int, b *Node, bp int) *Link {
 	out.credits = in.cap
 	in.upstream = l
 	e.links = append(e.links, l)
+	e.activeLinks.resize(len(e.links))
 	return l
 }
 
@@ -506,9 +575,6 @@ func (e *Engine) SharePhysical(ports ...*OutPort) *PhysChannel {
 	return pc
 }
 
-// Inject queues a packet's flits at an endpoint for transmission. The flits
-// are copied into the endpoint's queue; the caller keeps ownership of the
-// slice and the Flit structs.
 // InjectPacket queues a size-flit packet headed by h at the endpoint. It is
 // equivalent to Inject(ep, flit.NewPacket(h, size)) but builds the flits
 // in place in the endpoint's source queue, allocating nothing.
@@ -523,6 +589,9 @@ func (e *Engine) InjectPacket(ep *Node, h *flit.Header, size int) {
 	e.activateInject(ep)
 }
 
+// Inject queues a packet's flits at an endpoint for transmission. The flits
+// are copied into the endpoint's queue; the caller keeps ownership of the
+// slice and the Flit structs.
 func (e *Engine) Inject(ep *Node, flits []*flit.Flit) {
 	if ep.Kind != KindEndpoint {
 		panic(fmt.Sprintf("engine: Inject on non-endpoint %q", ep.Name))
@@ -564,6 +633,7 @@ func (e *Engine) Step() {
 	if e.PreCycle != nil {
 		e.PreCycle(e.cycle)
 	}
+	e.slot = int(e.cycle % int64(e.cfg.LinkDelay))
 	e.deliverLinks()
 	e.eject()
 	e.allocate()
@@ -588,10 +658,9 @@ func (e *Engine) RunUntilQuiescent(maxCycles int64) bool {
 	return e.Quiescent()
 }
 
-// deliverLinks ages in-flight flits and lands the ones whose delay elapsed.
-// Credits guarantee the destination buffer has room.
+// deliverLinks lands the flits whose delay elapsed. Credits guarantee the
+// destination buffer has room.
 func (e *Engine) deliverLinks() {
-	e.mergeLinks()
 	if e.cfg.DisableActiveSet {
 		for _, l := range e.links {
 			e.deliverLink(l)
@@ -599,57 +668,52 @@ func (e *Engine) deliverLinks() {
 		e.ctr.LinkVisits += int64(len(e.links))
 		return
 	}
-	kept := e.activeLinks[:0]
-	for _, l := range e.activeLinks {
-		e.deliverLink(l)
-		if len(l.pipe) > 0 {
-			l.idle = 0
-			kept = append(kept, l)
-		} else if l.idle < idleEvictAfter {
-			l.idle++
-			kept = append(kept, l)
-		} else {
-			l.idle = 0
-			l.active = false
+	s := &e.activeLinks
+	visited := s.beginSweep()
+	if visited > 0 {
+		for wi, w := range s.words {
+			for ; w != 0; w &= w - 1 {
+				l := e.links[wi<<6|bits.TrailingZeros64(w)]
+				e.deliverLink(l)
+				if !lingers(l.n > 0, &l.idle) {
+					l.active = false
+					s.remove(l.id)
+				}
+			}
 		}
 	}
-	e.ctr.LinkVisits += int64(len(e.activeLinks))
-	e.ctr.LinkVisitsSkipped += int64(len(e.links) - len(e.activeLinks))
-	e.activeLinks = kept
+	s.endSweep()
+	e.ctr.LinkVisits += int64(visited)
+	e.ctr.LinkVisitsSkipped += int64(len(e.links) - visited)
 }
 
+// deliverLink lands the flit sent LinkDelay cycles ago, if there is one: it
+// sits in the slot this cycle's sends will refill.
 func (e *Engine) deliverLink(l *Link) {
-	if len(l.pipe) == 0 {
+	if l.n == 0 {
 		return
 	}
-	kept := l.pipe[:0]
-	landed := false
-	for i := range l.pipe {
-		en := l.pipe[i]
-		en.age++
-		if en.age >= l.delay {
-			if len(l.to.buf) >= l.to.cap {
-				panic(fmt.Sprintf("engine: buffer overflow at %s.%d (credit accounting bug)", l.to.node.Name, l.to.idx))
-			}
-			l.to.buf = append(l.to.buf, en.f)
-			landed = true
-		} else {
-			kept = append(kept, en)
-		}
+	sl := &l.pipe[e.slot]
+	if !sl.full {
+		return
 	}
-	l.pipe = kept
-	if landed {
-		if l.to.node.Kind == KindSwitch {
-			e.activateAlloc(l.to)
-		} else {
-			e.activateEject(l.to.node)
-		}
+	to := l.to
+	if to.n >= to.cap {
+		panic(fmt.Sprintf("engine: buffer overflow at %s.%d (credit accounting bug)", to.node.Name, to.idx))
+	}
+	to.push(sl.f)
+	sl.f.Header = nil // as in InPort.shift
+	sl.full = false
+	l.n--
+	if to.node.Kind == KindSwitch {
+		e.activateAlloc(to)
+	} else {
+		e.activateEject(to.node)
 	}
 }
 
 // eject consumes arrived flits at endpoints.
 func (e *Engine) eject() {
-	e.mergeEject()
 	if e.cfg.DisableActiveSet {
 		for _, ep := range e.endpoints {
 			e.ejectAt(ep)
@@ -657,29 +721,29 @@ func (e *Engine) eject() {
 		e.ctr.EjectVisits += int64(len(e.endpoints))
 		return
 	}
-	kept := e.activeEject[:0]
-	for _, ep := range e.activeEject {
-		e.ejectAt(ep)
-		if len(ep.In[0].buf) > 0 {
-			ep.ejectIdle = 0
-			kept = append(kept, ep)
-		} else if ep.ejectIdle < idleEvictAfter {
-			ep.ejectIdle++
-			kept = append(kept, ep)
-		} else {
-			ep.ejectIdle = 0
-			ep.ejectActive = false
+	s := &e.activeEject
+	visited := s.beginSweep()
+	if visited > 0 {
+		for wi, w := range s.words {
+			for ; w != 0; w &= w - 1 {
+				ep := e.endpoints[wi<<6|bits.TrailingZeros64(w)]
+				e.ejectAt(ep)
+				if !lingers(ep.In[0].n > 0, &ep.ejectIdle) {
+					ep.ejectActive = false
+					s.remove(ep.epIdx)
+				}
+			}
 		}
 	}
-	e.ctr.EjectVisits += int64(len(e.activeEject))
-	e.ctr.EjectVisitsSkipped += int64(len(e.endpoints) - len(e.activeEject))
-	e.activeEject = kept
+	s.endSweep()
+	e.ctr.EjectVisits += int64(visited)
+	e.ctr.EjectVisitsSkipped += int64(len(e.endpoints) - visited)
 }
 
 func (e *Engine) ejectAt(ep *Node) {
 	in := ep.In[0]
 	budget := e.cfg.EjectRate
-	for len(in.buf) > 0 {
+	for in.n > 0 {
 		if budget == 0 && e.cfg.EjectRate != 0 {
 			break
 		}
@@ -704,44 +768,64 @@ func (e *Engine) ejectAt(ep *Node) {
 
 // allocate routes fresh headers and arbitrates output ports.
 func (e *Engine) allocate() {
-	e.mergeAlloc()
-	// Gather requests. A request is an input port whose front flit is an
-	// unserved header, or whose routeState still has ungranted outputs.
+	requests := e.gatherRequests()
+	if len(requests) == 0 {
+		return
+	}
+	switch e.cfg.Acquire {
+	case AcquireAtomic:
+		e.allocateAtomic(requests)
+	default:
+		e.allocateIncremental(requests)
+	}
+}
+
+// gatherRequests preps every live switch input port and returns, in full-scan
+// order (so grouped by switch), the ones competing for output ports this
+// cycle: those whose front flit is an unserved header, or whose routeState
+// still has ungranted outputs. It leaves every port that holds a route state
+// in routedScratch, in the same order, for the traversal phase, and does the
+// conflict accounting.
+func (e *Engine) gatherRequests() []*InPort {
 	requests := e.reqScratch[:0]
+	routed := e.routedScratch[:0]
 	if e.cfg.DisableActiveSet {
 		for _, in := range e.fullIn {
-			_, wants := e.allocPrep(in)
+			live, wants := e.allocPrep(in)
+			if live {
+				routed = append(routed, in)
+			}
 			if wants {
 				requests = append(requests, in)
 			}
 		}
 		e.ctr.SwitchPortVisits += int64(e.nSwitchIn)
 	} else {
-		kept := e.activeAlloc[:0]
-		for _, in := range e.activeAlloc {
-			live, wants := e.allocPrep(in)
-			if live {
-				in.idle = 0
-				kept = append(kept, in)
-			} else if in.idle < idleEvictAfter {
-				in.idle++
-				kept = append(kept, in)
-			} else {
-				in.idle = 0
-				in.active = false
-			}
-			if wants {
-				requests = append(requests, in)
+		s := &e.activeAlloc
+		visited := s.beginSweep()
+		if visited > 0 {
+			for wi, w := range s.words {
+				for ; w != 0; w &= w - 1 {
+					in := e.fullIn[wi<<6|bits.TrailingZeros64(w)]
+					live, wants := e.allocPrep(in)
+					if live {
+						routed = append(routed, in)
+					}
+					if !lingers(live, &in.idle) {
+						in.active = false
+						s.remove(in.pos)
+					}
+					if wants {
+						requests = append(requests, in)
+					}
+				}
 			}
 		}
-		e.ctr.SwitchPortVisits += int64(len(e.activeAlloc))
-		e.ctr.SwitchPortVisitsSkipped += int64(e.nSwitchIn - len(e.activeAlloc))
-		e.activeAlloc = kept
+		s.endSweep()
+		e.ctr.SwitchPortVisits += int64(visited)
+		e.ctr.SwitchPortVisitsSkipped += int64(e.nSwitchIn - visited)
 	}
-	e.reqScratch = requests
-	if len(requests) == 0 {
-		return
-	}
+	e.reqScratch, e.routedScratch = requests, routed
 
 	// Count requesters per output port for conflict statistics.
 	for _, in := range requests {
@@ -757,13 +841,7 @@ func (e *Engine) allocate() {
 			op.arbRequests(e.cycle)
 		}
 	}
-
-	switch e.cfg.Acquire {
-	case AcquireAtomic:
-		e.allocateAtomic(requests)
-	default:
-		e.allocateIncremental(requests)
-	}
+	return requests
 }
 
 // allocPrep routes the buffered header of an idle port, then reports whether
@@ -863,45 +941,63 @@ func (e *Engine) allocateIncremental(requests []*InPort) {
 // a globally consistent tie-break would (unrealistically) hand one broadcast
 // every crossbar at once, masking the cyclic-acquisition deadlock of paper
 // Fig. 5.
+//
+// Only the order within one switch matters: a grant reads and writes nothing
+// but that switch's output ports, and the requests arrive grouped by switch.
+// So each switch's few requests are put in arrival order where they stand
+// (the tie key is a bijection on a switch's ports, so the order is total).
 func (e *Engine) allocateAtomic(requests []*InPort) {
-	tieKey := func(in *InPort) int {
-		return (in.idx + in.node.ID) % len(in.node.In)
-	}
-	slices.SortStableFunc(requests, func(a, b *InPort) int {
-		if a.route.since != b.route.since {
-			return cmp.Compare(a.route.since, b.route.since)
+	for lo := 0; lo < len(requests); {
+		sw := requests[lo].node
+		hi := lo + 1
+		for hi < len(requests) && requests[hi].node == sw {
+			hi++
 		}
-		if a.node != b.node {
-			return cmp.Compare(a.node.ID, b.node.ID)
-		}
-		return cmp.Compare(tieKey(a), tieKey(b))
-	})
-	for _, in := range requests {
-		rs := in.route
-		if rs.nGranted > 0 {
-			// An atomic request never holds a partial set, so this cannot
-			// happen unless the mode changed mid-run.
-			continue
-		}
-		ok := true
-		for _, o := range rs.outs {
-			op := in.node.Out[o]
-			if op.owner != nil || op.reservedCycle == e.cycle {
-				ok = false
-				break
+		group := requests[lo:hi]
+		for i := 1; i < len(group); i++ {
+			for j := i; j > 0 && arrivedBefore(group[j], group[j-1]); j-- {
+				group[j], group[j-1] = group[j-1], group[j]
 			}
 		}
-		if !ok {
+		for _, in := range group {
+			e.grantAtomic(in)
+		}
+		lo = hi
+	}
+}
+
+// arrivedBefore orders two requests at one switch: older header first, ties
+// by the switch's priority rotation.
+func arrivedBefore(a, b *InPort) bool {
+	if a.route.since != b.route.since {
+		return a.route.since < b.route.since
+	}
+	ports := len(a.node.In)
+	return (a.idx+a.node.ID)%ports < (b.idx+b.node.ID)%ports
+}
+
+// grantAtomic gives the request all of its outputs if every one is free and
+// unreserved, and otherwise reserves them against younger requests.
+func (e *Engine) grantAtomic(in *InPort) {
+	rs := in.route
+	if rs.nGranted > 0 {
+		// An atomic request never holds a partial set, so this cannot
+		// happen unless the mode changed mid-run.
+		return
+	}
+	for _, o := range rs.outs {
+		op := in.node.Out[o]
+		if op.owner != nil || op.reservedCycle == e.cycle {
 			for _, o := range rs.outs {
 				in.node.Out[o].reservedCycle = e.cycle
 			}
-			continue
+			return
 		}
-		for i, o := range rs.outs {
-			in.node.Out[o].owner = in
-			rs.granted[i] = true
-			rs.nGranted++
-		}
+	}
+	for i, o := range rs.outs {
+		in.node.Out[o].owner = in
+		rs.granted[i] = true
+		rs.nGranted++
 	}
 }
 
@@ -993,18 +1089,12 @@ func (e *Engine) freeRouteState(rs *routeState) {
 
 // traverse moves one flit per fully-granted input across its switch.
 func (e *Engine) traverse() {
-	// Phase A: find ready inputs and stage physical-channel requests.
+	// Phase A: find ready inputs and stage physical-channel requests. Only
+	// ports holding a route state act here, and allocate just listed them.
 	readies := e.readyScratch[:0]
 	physOrder := e.physScratch[:0]
-	ports := e.activeAlloc
-	if e.cfg.DisableActiveSet {
-		ports = e.fullIn
-	}
-	for _, in := range ports {
+	for _, in := range e.routedScratch {
 		rs := in.route
-		if rs == nil {
-			continue
-		}
 		f := in.front()
 		if rs.sink {
 			// Drain dropped packets at one flit per cycle.
@@ -1123,9 +1213,18 @@ func (e *Engine) traverse() {
 	e.physScratch = physOrder[:0]
 }
 
-// pushLink appends a flit to a link's pipeline.
+// pushLink sends a flit down a link: into the slot this cycle's delivery
+// phase has just emptied.
 func (e *Engine) pushLink(l *Link, f flit.Flit) {
-	l.pipe = append(l.pipe, linkEntry{f: f})
+	if l.pipe == nil {
+		l.pipe = make([]linkSlot, l.delay)
+	}
+	sl := &l.pipe[e.slot]
+	if sl.full {
+		panic(fmt.Sprintf("engine: two flits entered link %d in cycle %d", l.id, e.cycle))
+	}
+	sl.f, sl.full = f, true
+	l.n++
 	e.activateLink(l)
 }
 
@@ -1156,7 +1255,6 @@ func (e *Engine) consumeSunk(in *InPort) {
 
 // inject moves endpoint source-queue flits onto their links.
 func (e *Engine) inject() {
-	e.mergeInject()
 	if e.cfg.DisableActiveSet {
 		for _, ep := range e.endpoints {
 			e.injectAt(ep)
@@ -1164,23 +1262,23 @@ func (e *Engine) inject() {
 		e.ctr.InjectVisits += int64(len(e.endpoints))
 		return
 	}
-	kept := e.activeInject[:0]
-	for _, ep := range e.activeInject {
-		e.injectAt(ep)
-		if ep.InjectQueueLen() > 0 {
-			ep.injectIdle = 0
-			kept = append(kept, ep)
-		} else if ep.injectIdle < idleEvictAfter {
-			ep.injectIdle++
-			kept = append(kept, ep)
-		} else {
-			ep.injectIdle = 0
-			ep.injectActive = false
+	s := &e.activeInject
+	visited := s.beginSweep()
+	if visited > 0 {
+		for wi, w := range s.words {
+			for ; w != 0; w &= w - 1 {
+				ep := e.endpoints[wi<<6|bits.TrailingZeros64(w)]
+				e.injectAt(ep)
+				if !lingers(ep.InjectQueueLen() > 0, &ep.injectIdle) {
+					ep.injectActive = false
+					s.remove(ep.epIdx)
+				}
+			}
 		}
 	}
-	e.ctr.InjectVisits += int64(len(e.activeInject))
-	e.ctr.InjectVisitsSkipped += int64(len(e.endpoints) - len(e.activeInject))
-	e.activeInject = kept
+	s.endSweep()
+	e.ctr.InjectVisits += int64(visited)
+	e.ctr.InjectVisitsSkipped += int64(len(e.endpoints) - visited)
 }
 
 func (e *Engine) injectAt(ep *Node) {

@@ -47,9 +47,9 @@ func (e *Engine) StateHash() uint64 {
 			h.i64(int64(f.Seq))
 		}
 		for _, in := range n.In {
-			h.i64(int64(len(in.buf)))
-			for i := range in.buf {
-				f := &in.buf[i]
+			h.i64(int64(in.n))
+			for i := 0; i < in.n; i++ {
+				f := in.at(i)
 				h.u64(f.PacketID)
 				h.i64(int64(f.Seq))
 			}
@@ -90,12 +90,13 @@ func (e *Engine) StateHash() uint64 {
 		}
 	}
 	for _, l := range e.links {
-		h.i64(int64(len(l.pipe)))
-		for i := range l.pipe {
-			en := &l.pipe[i]
-			h.u64(en.f.PacketID)
-			h.i64(int64(en.f.Seq))
-			h.i64(int64(en.age))
+		h.i64(int64(l.n))
+		for age := l.delay - 1; age >= 0 && l.n > 0; age-- {
+			if sl := l.ageSlot(e.cycle, age); sl.full {
+				h.u64(sl.f.PacketID)
+				h.i64(int64(sl.f.Seq))
+				h.i64(int64(age))
+			}
 		}
 	}
 	for _, pc := range e.phys {

@@ -61,7 +61,7 @@ func (p *InPort) UpstreamInFlight() int {
 	if p.upstream == nil {
 		return 0
 	}
-	return len(p.upstream.pipe)
+	return p.upstream.n
 }
 
 // WaitInfo describes one switch input port whose packet cannot advance this
@@ -153,8 +153,8 @@ func (e *Engine) InFlightHeaders() (hdrs []*flit.Header, unknown []uint64) {
 			}
 		}
 		for _, in := range nd.In {
-			for i := range in.buf {
-				add(in.buf[i].PacketID, in.buf[i].Header)
+			for i := 0; i < in.n; i++ {
+				add(in.at(i).PacketID, in.at(i).Header)
 			}
 			if rs := in.route; rs != nil && rs.header != nil {
 				add(rs.header.PacketID, rs.header)
@@ -166,7 +166,9 @@ func (e *Engine) InFlightHeaders() (hdrs []*flit.Header, unknown []uint64) {
 	}
 	for _, l := range e.links {
 		for i := range l.pipe {
-			add(l.pipe[i].f.PacketID, l.pipe[i].f.Header)
+			if l.pipe[i].full {
+				add(l.pipe[i].f.PacketID, l.pipe[i].f.Header)
+			}
 		}
 	}
 	ids := make([]uint64, 0, len(seen))

@@ -21,7 +21,7 @@ func (e *Engine) CheckInvariants() error {
 	for _, n := range e.nodes {
 		counted += int64(n.InjectQueueLen())
 		for _, in := range n.In {
-			counted += int64(len(in.buf))
+			counted += int64(in.n)
 		}
 		for _, out := range n.Out {
 			if out.link == nil {
@@ -30,11 +30,11 @@ func (e *Engine) CheckInvariants() error {
 				}
 				continue
 			}
-			counted += int64(len(out.link.pipe))
+			counted += int64(out.link.n)
 			down := out.link.to
-			if got := out.credits + len(down.buf) + len(out.link.pipe); got != down.cap {
+			if got := out.credits + down.n + out.link.n; got != down.cap {
 				return fmt.Errorf("engine: credit leak at %s.out%d: credits=%d + buffered=%d + inflight=%d != cap=%d",
-					n.Name, out.idx, out.credits, len(down.buf), len(out.link.pipe), down.cap)
+					n.Name, out.idx, out.credits, down.n, out.link.n, down.cap)
 			}
 			if out.credits < 0 {
 				return fmt.Errorf("engine: negative credits at %s.out%d", n.Name, out.idx)

@@ -1,10 +1,5 @@
 package engine
 
-import (
-	"cmp"
-	"slices"
-)
-
 // Active-set scheduling: each simulation phase visits only the elements that
 // can possibly do work this cycle, instead of scanning the whole network.
 //
@@ -14,73 +9,103 @@ import (
 //   - an endpoint is eject-active while its input buffer is non-empty and
 //     inject-active while its source queue is non-empty.
 //
-// Determinism argument (DESIGN.md §5): every active list is kept sorted by
-// the element's position in the corresponding full scan (link creation
-// order; switch creation order × port index; endpoint creation order), so
-// iterating a list visits elements in exactly the order the full scan
-// would. Elements outside a list satisfy the phase's no-op condition, make
-// no requests and touch no arbitration state, so skipping them is
-// unobservable. Membership is maintained incrementally: elements are
-// inserted at their sorted position when they become active (a flit lands,
-// a packet is injected, a header is routed) and dropped during the owning
-// phase's sweep once they go idle. The full-scan reference implementation
-// is kept behind Config.DisableActiveSet and the differential tests assert
-// bit-for-bit equivalence between the two modes.
+// Determinism argument (DESIGN.md §5): every set is a bitmap indexed by the
+// element's position in the corresponding full scan (link creation order;
+// switch creation order × port index; endpoint creation order), so walking
+// the set bits low to high visits elements in exactly the order the full
+// scan would. Elements outside a set satisfy the phase's no-op condition,
+// make no requests and touch no arbitration state, so skipping them is
+// unobservable. Membership is maintained incrementally: an element's bit is
+// set when it becomes active (a flit lands, a packet is injected, a header
+// is routed) and cleared during the owning phase's sweep once it goes idle.
+// The full-scan reference implementation is kept behind
+// Config.DisableActiveSet and the differential tests assert bit-for-bit
+// equivalence between the two modes.
 
-// Activations are not inserted one-by-one (a sorted insert memmoves the
-// tail of the list, which under load degenerates to quadratic work per
-// cycle): they are appended to a per-list pending buffer and merged — one
-// sort of the few newcomers plus one linear back-to-front merge — when the
-// owning phase next runs.
+// activeSet is one phase's membership bitmap. The per-element flag (active,
+// ejectActive, injectActive) says the same thing as the bit; the flag is what
+// snapshots record and what activation tests, the bit is what sweeps walk.
+type activeSet struct {
+	words []uint64
+	n     int // members
+	// late collects the elements activated while the set's own sweep runs
+	// (an OnForward hook injecting from inside the injection phase): they
+	// join when the sweep ends, so whatever their position they are first
+	// visited in the next cycle.
+	late     []int
+	sweeping bool
+}
 
-// mergePending merges the sorted-by-key pending elements into the sorted
-// active list and returns the grown list. pending is consumed (reset by the
-// caller). Keys are unique: an element is appended to pending only while
-// absent from both slices.
-func mergePending[T any](active, pending []T, key func(T) int64) []T {
-	if len(pending) == 0 {
-		return active
+// resize makes room for elements 0..n-1.
+func (s *activeSet) resize(n int) {
+	for len(s.words)*64 < n {
+		s.words = append(s.words, 0)
 	}
-	if len(pending) <= 32 {
-		// Typical case: a handful of newcomers per cycle. Insertion sort
-		// beats the generic sort's setup cost at this size.
-		for i := 1; i < len(pending); i++ {
-			for j := i; j > 0 && key(pending[j]) < key(pending[j-1]); j-- {
-				pending[j], pending[j-1] = pending[j-1], pending[j]
-			}
-		}
-	} else {
-		slices.SortFunc(pending, func(a, b T) int { return cmp.Compare(key(a), key(b)) })
+}
+
+// add makes element i a member. The caller has checked the element's flag:
+// i is not a member and not already waiting in late.
+func (s *activeSet) add(i int) {
+	if s.sweeping {
+		s.late = append(s.late, i)
+		return
 	}
-	i := len(active) - 1
-	j := len(pending) - 1
-	active = append(active, pending...)
-	for k := len(active) - 1; j >= 0; k-- {
-		if i >= 0 && key(active[i]) > key(pending[j]) {
-			active[k] = active[i]
-			i--
-		} else {
-			active[k] = pending[j]
-			j--
-		}
+	s.words[i>>6] |= 1 << (i & 63)
+	s.n++
+}
+
+// remove drops member i.
+func (s *activeSet) remove(i int) {
+	s.words[i>>6] &^= 1 << (i & 63)
+	s.n--
+}
+
+// beginSweep opens the owning phase's sweep and returns the member count the
+// visit counters charge for it.
+func (s *activeSet) beginSweep() int {
+	s.sweeping = true
+	return s.n
+}
+
+// endSweep closes the sweep and admits the late arrivals.
+func (s *activeSet) endSweep() {
+	s.sweeping = false
+	for _, i := range s.late {
+		s.add(i)
 	}
-	return active
+	s.late = s.late[:0]
+}
+
+// clear empties the set.
+func (s *activeSet) clear() {
+	clear(s.words)
+	s.n = 0
+	s.late = s.late[:0]
 }
 
 // idleEvictAfter is the number of consecutive workless visits an element
-// survives in its active list before the owning phase evicts it. Without
-// this hysteresis a steady flow over a delay-1 link would leave and re-join
-// the link list every single cycle (the pipe empties in deliverLinks and
-// refills in traverse), funnelling the whole busy set through the pending
-// sort each cycle. A lingering element is a no-op for its phase, so the
-// eviction delay is unobservable in simulation state — it only trades a few
-// wasted visits on a quiescing element for membership stability on a busy
-// one.
+// survives in its active set before the owning phase evicts it. A lingering
+// element is a no-op for its phase, so the eviction delay is unobservable in
+// simulation state; it is kept because the visit counters and every snapshot
+// (which records each element's flag and idle count) were produced with it.
 const idleEvictAfter = 8
 
-func linkKey(l *Link) int64     { return int64(l.id) }
-func inPortKey(p *InPort) int64 { return p.ordKey }
-func nodeKey(n *Node) int64     { return int64(n.ID) }
+// lingers applies the hysteresis to an element its phase has just visited:
+// busy resets the count, and an idle element stays until it has been found
+// idle idleEvictAfter times running. A false return tells the sweep to evict
+// it (the count restarts at zero for its next stay).
+func lingers(busy bool, idle *uint8) bool {
+	if busy {
+		*idle = 0
+		return true
+	}
+	if *idle < idleEvictAfter {
+		*idle++
+		return true
+	}
+	*idle = 0
+	return false
+}
 
 // activateLink marks a link as carrying in-flight flits.
 func (e *Engine) activateLink(l *Link) {
@@ -88,7 +113,7 @@ func (e *Engine) activateLink(l *Link) {
 		return
 	}
 	l.active = true
-	e.pendLinks = append(e.pendLinks, l)
+	e.activeLinks.add(l.id)
 }
 
 // activateAlloc marks a switch input port as routable/traversable.
@@ -97,7 +122,7 @@ func (e *Engine) activateAlloc(in *InPort) {
 		return
 	}
 	in.active = true
-	e.pendAlloc = append(e.pendAlloc, in)
+	e.activeAlloc.add(in.pos)
 }
 
 // activateEject marks an endpoint as holding arrived flits.
@@ -106,7 +131,7 @@ func (e *Engine) activateEject(ep *Node) {
 		return
 	}
 	ep.ejectActive = true
-	e.pendEject = append(e.pendEject, ep)
+	e.activeEject.add(ep.epIdx)
 }
 
 // activateInject marks an endpoint as holding queued source flits.
@@ -115,32 +140,7 @@ func (e *Engine) activateInject(ep *Node) {
 		return
 	}
 	ep.injectActive = true
-	e.pendInject = append(e.pendInject, ep)
-}
-
-// Each phase merges its pending buffer immediately before iterating, so an
-// activation becomes visible in exactly the cycle the full scan would see
-// it (deliverLinks lands flits that eject and allocate must process in the
-// same Step).
-
-func (e *Engine) mergeLinks() {
-	e.activeLinks = mergePending(e.activeLinks, e.pendLinks, linkKey)
-	e.pendLinks = e.pendLinks[:0]
-}
-
-func (e *Engine) mergeAlloc() {
-	e.activeAlloc = mergePending(e.activeAlloc, e.pendAlloc, inPortKey)
-	e.pendAlloc = e.pendAlloc[:0]
-}
-
-func (e *Engine) mergeEject() {
-	e.activeEject = mergePending(e.activeEject, e.pendEject, nodeKey)
-	e.pendEject = e.pendEject[:0]
-}
-
-func (e *Engine) mergeInject() {
-	e.activeInject = mergePending(e.activeInject, e.pendInject, nodeKey)
-	e.pendInject = e.pendInject[:0]
+	e.activeInject.add(ep.epIdx)
 }
 
 // Counters exposes cheap per-run observability for the kernel hot path: how
@@ -154,8 +154,8 @@ type Counters struct {
 	// link-delivery phase.
 	LinkVisits, LinkVisitsSkipped int64
 	// SwitchPortVisits / SwitchPortVisitsSkipped count switch input ports
-	// examined vs skipped by the allocation phase (traversal walks the same
-	// active list and is not double-counted).
+	// examined vs skipped by the allocation phase (traversal walks the ports
+	// allocation found holding a route state and is not double-counted).
 	SwitchPortVisits, SwitchPortVisitsSkipped int64
 	// EjectVisits / EjectVisitsSkipped count endpoints examined vs skipped
 	// by the ejection phase.

@@ -116,9 +116,9 @@ func (e *Engine) EncodeState(w *checkpoint.Writer) {
 			nodes.Byte(n.injectIdle)
 		}
 		for _, in := range n.In {
-			nodes.Uint(uint64(len(in.buf)))
-			for i := range in.buf {
-				flit.EncodeFlit(nodes, &in.buf[i])
+			nodes.Uint(uint64(in.n))
+			for i := 0; i < in.n; i++ {
+				flit.EncodeFlit(nodes, in.at(i))
 			}
 			nodes.Bool(in.recvHeader != nil)
 			if in.recvHeader != nil {
@@ -160,10 +160,12 @@ func (e *Engine) EncodeState(w *checkpoint.Writer) {
 	for _, l := range e.links {
 		links.Bool(l.active)
 		links.Byte(l.idle)
-		links.Uint(uint64(len(l.pipe)))
-		for i := range l.pipe {
-			flit.EncodeFlit(links, &l.pipe[i].f)
-			links.Int(int64(l.pipe[i].age))
+		links.Uint(uint64(l.n))
+		for age := l.delay - 1; age >= 0 && l.n > 0; age-- {
+			if sl := l.ageSlot(e.cycle, age); sl.full {
+				flit.EncodeFlit(links, &sl.f)
+				links.Int(int64(age))
+			}
 		}
 	}
 
@@ -275,7 +277,7 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 				return fmt.Errorf("checkpoint: section %q: buffer at %s.%d holds %d flits, capacity %d", secEngineNodes, n.Name, in.idx, bn, in.cap)
 			}
 			for i := 0; i < bn; i++ {
-				in.buf = append(in.buf, decodeFlitChecked(nodes))
+				in.push(decodeFlitChecked(nodes))
 			}
 			if nodes.Bool() {
 				in.recvHeader = flit.DecodeHeader(nodes)
@@ -320,7 +322,7 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 				}
 				in.route = rs
 			}
-			if nodes.Err() == nil && !in.active && n.Kind == KindSwitch && (in.route != nil || len(in.buf) > 0) {
+			if nodes.Err() == nil && !in.active && n.Kind == KindSwitch && (in.route != nil || in.n > 0) {
 				return fmt.Errorf("checkpoint: section %q: busy port %s.%d marked inactive", secEngineNodes, n.Name, in.idx)
 			}
 		}
@@ -334,7 +336,7 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 			out.ConflictCycles = nodes.Int()
 		}
 		if nodes.Err() == nil && n.Kind == KindEndpoint {
-			if !n.ejectActive && len(n.In[0].buf) > 0 {
+			if !n.ejectActive && n.In[0].n > 0 {
 				return fmt.Errorf("checkpoint: section %q: endpoint %s has arrivals but is eject-inactive", secEngineNodes, n.Name)
 			}
 			if !n.injectActive && n.InjectQueueLen() > 0 {
@@ -354,6 +356,7 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 		l.active = links.Bool()
 		l.idle = links.Byte()
 		pn := links.Len(4)
+		younger := l.delay // every age so far was at least this
 		for i := 0; i < pn; i++ {
 			f := decodeFlitChecked(links)
 			age := links.IntAsInt()
@@ -363,9 +366,20 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 			if age < 0 || age >= l.delay {
 				return fmt.Errorf("checkpoint: section %q: link %d flit age %d outside [0,%d)", secEngineLinks, l.id, age, l.delay)
 			}
-			l.pipe = append(l.pipe, linkEntry{f: f, age: age})
+			// One flit enters a link per cycle and the encoder writes them
+			// oldest first, so ages strictly decrease.
+			if age >= younger {
+				return fmt.Errorf("checkpoint: section %q: link %d flit age %d follows age %d (want oldest first, one flit per cycle)", secEngineLinks, l.id, age, younger)
+			}
+			younger = age
+			if l.pipe == nil {
+				l.pipe = make([]linkSlot, l.delay)
+			}
+			sl := l.ageSlot(cycle, age)
+			sl.f, sl.full = f, true
+			l.n++
 		}
-		if links.Err() == nil && !l.active && len(l.pipe) > 0 {
+		if links.Err() == nil && !l.active && l.n > 0 {
 			return fmt.Errorf("checkpoint: section %q: loaded link %d marked inactive", secEngineLinks, l.id)
 		}
 	}
@@ -403,12 +417,12 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 	for _, n := range e.nodes {
 		present += int64(n.InjectQueueLen())
 		for _, in := range n.In {
-			present += int64(len(in.buf))
+			present += int64(in.n)
 		}
 	}
 	for _, l := range e.links {
-		present += int64(len(l.pipe))
-		if want := l.to.cap - len(l.to.buf) - len(l.pipe); l.from.credits != want {
+		present += int64(l.n)
+		if want := l.to.cap - l.to.n - l.n; l.from.credits != want {
 			return fmt.Errorf("checkpoint: section %q: link %d credits %d, occupancy implies %d", secEngineLinks, l.id, l.from.credits, want)
 		}
 	}
@@ -453,7 +467,7 @@ func (e *Engine) clearDynamicState() {
 		n.ejectActive, n.injectActive = false, false
 		n.ejectIdle, n.injectIdle = 0, 0
 		for _, in := range n.In {
-			in.buf = in.buf[:0]
+			in.head, in.n = 0, 0
 			in.route = nil
 			in.recvHeader = nil
 			in.active = false
@@ -466,7 +480,8 @@ func (e *Engine) clearDynamicState() {
 		}
 	}
 	for _, l := range e.links {
-		l.pipe = l.pipe[:0]
+		clear(l.pipe)
+		l.n = 0
 		l.active = false
 		l.idle = 0
 	}
@@ -478,36 +493,29 @@ func (e *Engine) clearDynamicState() {
 	}
 }
 
-// rebuildActiveSets reconstitutes the active lists from the decoded
-// per-element flags. Every source slice is already in full-scan order, so
-// the rebuilt lists are sorted by construction; pending buffers restart
-// empty (a snapshot's pending activations are folded into the lists, which
-// is exactly where the next phase's merge would put them).
+// rebuildActiveSets reconstitutes the active sets from the decoded
+// per-element flags.
 func (e *Engine) rebuildActiveSets() {
-	e.activeLinks = e.activeLinks[:0]
+	e.activeLinks.clear()
 	for _, l := range e.links {
 		if l.active {
-			e.activeLinks = append(e.activeLinks, l)
+			e.activeLinks.add(l.id)
 		}
 	}
-	e.activeAlloc = e.activeAlloc[:0]
+	e.activeAlloc.clear()
 	for _, in := range e.fullIn {
 		if in.active {
-			e.activeAlloc = append(e.activeAlloc, in)
+			e.activeAlloc.add(in.pos)
 		}
 	}
-	e.activeEject = e.activeEject[:0]
-	e.activeInject = e.activeInject[:0]
+	e.activeEject.clear()
+	e.activeInject.clear()
 	for _, ep := range e.endpoints {
 		if ep.ejectActive {
-			e.activeEject = append(e.activeEject, ep)
+			e.activeEject.add(ep.epIdx)
 		}
 		if ep.injectActive {
-			e.activeInject = append(e.activeInject, ep)
+			e.activeInject.add(ep.epIdx)
 		}
 	}
-	e.pendLinks = e.pendLinks[:0]
-	e.pendAlloc = e.pendAlloc[:0]
-	e.pendEject = e.pendEject[:0]
-	e.pendInject = e.pendInject[:0]
 }

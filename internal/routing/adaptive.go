@@ -36,6 +36,9 @@ import (
 type VCPolicy struct {
 	escape *Policy
 	vcs    int
+	// one[k] is the shared read-only output list {k} over the lane-scaled
+	// physical ports (see Policy.one).
+	one [][]int
 }
 
 var _ mdxb.Policy = (*VCPolicy)(nil)
@@ -57,7 +60,8 @@ func NewVC(escape *Policy, vcs int) (*VCPolicy, error) {
 	if escape.cfg.NaiveBroadcast {
 		return nil, fmt.Errorf("routing: adaptive escape channel cannot use naive broadcast (its fan cycles break escape acyclicity)")
 	}
-	return &VCPolicy{escape: escape, vcs: vcs}, nil
+	// The escape policy's widest switch, lane-scaled, plus the PE port.
+	return &VCPolicy{escape: escape, vcs: vcs, one: singleOuts(len(escape.one)*vcs + 1)}, nil
 }
 
 // Escape returns the embedded escape policy (used for reachability and
@@ -67,30 +71,33 @@ func (p *VCPolicy) Escape() *Policy { return p.escape }
 // VCs reports the virtual-channel count the policy was built for.
 func (p *VCPolicy) VCs() int { return p.vcs }
 
-// bumpAdaptive counts one hop taken on a non-escape lane.
-func bumpAdaptive() func(*flit.Header) *flit.Header {
-	return func(h *flit.Header) *flit.Header {
-		c := h.Clone()
-		c.AdaptiveHops++
-		return c
-	}
+// bumpAdaptive is the transform of a hop taken on a non-escape lane: it
+// counts it.
+func bumpAdaptive(h *flit.Header) *flit.Header {
+	c := h.Clone()
+	c.AdaptiveHops++
+	return c
 }
 
 // scaleOuts maps the escape policy's logical output ports (one per wire) to
 // lane 0 of the corresponding physical ports. logicalPE is the escape
 // policy's PE port number on this switch class, or -1 when the switch has
-// none (crossbars).
-func (p *VCPolicy) scaleOuts(dec engine.Decision, logicalPE, physPE int) engine.Decision {
-	outs := make([]int, len(dec.Outs))
-	for i, o := range dec.Outs {
+// none (crossbars). Only a broadcast fan, with several outputs, allocates.
+func (p *VCPolicy) scaleOuts(logical []int, logicalPE, physPE int) []int {
+	scale := func(o int) int {
 		if o == logicalPE && logicalPE >= 0 {
-			outs[i] = physPE
-		} else {
-			outs[i] = o * p.vcs
+			return physPE
 		}
+		return o * p.vcs
 	}
-	dec.Outs = outs
-	return dec
+	if len(logical) == 1 {
+		return p.one[scale(logical[0])]
+	}
+	outs := make([]int, len(logical))
+	for i, o := range logical {
+		outs[i] = scale(o)
+	}
+	return outs
 }
 
 // RouteRouter implements mdxb.Policy. in is a physical port index of the
@@ -112,11 +119,11 @@ func (p *VCPolicy) RouteRouter(net *mdxb.Network, c geom.Coord, in int, h *flit.
 			return dec, nil
 		}
 	}
-	dec, err := p.escape.RouteRouter(net, c, logicalIn, h)
+	outs, x, err := p.escape.routeRouter(c, logicalIn, h)
 	if err != nil {
-		return dec, err
+		return engine.Decision{}, err
 	}
-	return p.scaleOuts(dec, d, physPE), nil
+	return decision(p.scaleOuts(outs, d, physPE), x, nil)
 }
 
 // adaptiveHop picks a minimal productive hop on a free adaptive lane, or
@@ -146,8 +153,8 @@ func (p *VCPolicy) adaptiveHop(net *mdxb.Network, c geom.Coord, h *flit.Header) 
 				continue
 			}
 			return engine.Decision{
-				Outs:        []int{port},
-				Transform:   bumpAdaptive(),
+				Outs:        p.one[port],
+				Transform:   bumpAdaptive,
 				Provisional: true,
 			}, true
 		}
@@ -164,11 +171,11 @@ func (p *VCPolicy) adaptiveHop(net *mdxb.Network, c geom.Coord, h *flit.Header) 
 func (p *VCPolicy) RouteXB(net *mdxb.Network, l geom.Line, in int, h *flit.Header) (engine.Decision, error) {
 	point, lane := in/p.vcs, in%p.vcs
 	if lane == 0 {
-		dec, err := p.escape.RouteXB(net, l, point, h)
+		outs, x, err := p.escape.routeXB(l, point, h)
 		if err != nil {
-			return dec, err
+			return engine.Decision{}, err
 		}
-		return p.scaleOuts(dec, -1, -1), nil
+		return decision(p.scaleOuts(outs, -1, -1), x, nil)
 	}
 	if h.RC != flit.RCNormal {
 		return engine.Decision{}, fmt.Errorf("routing: %v packet on adaptive lane %d of crossbar %v", h.RC, lane, l)
@@ -181,5 +188,5 @@ func (p *VCPolicy) RouteXB(net *mdxb.Network, l geom.Line, in int, h *flit.Heade
 		// Drop and let retransmission recover — detouring is escape-only.
 		return engine.Decision{}, fmt.Errorf("%w: exit router %v faulty (adaptive lane)", ErrUnreachable, exit)
 	}
-	return engine.Decision{Outs: []int{target*p.vcs + lane}}, nil
+	return engine.Decision{Outs: p.one[target*p.vcs+lane]}, nil
 }

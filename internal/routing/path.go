@@ -75,66 +75,76 @@ func (p *Policy) maxWalkHops() int { return 8*p.dims + 16 }
 // (wrapped) when the present faults make delivery impossible, mirroring the
 // hardware "stops transmission" behavior.
 func (p *Policy) UnicastPath(src, dst geom.Coord) ([]Hop, error) {
+	var hops []Hop
+	err := p.walkUnicast(src, dst, &hops)
+	return hops, err
+}
+
+// walkUnicast checks the pair and walks a plain unicast header between them.
+func (p *Policy) walkUnicast(src, dst geom.Coord, hops *[]Hop) error {
 	if !p.shape.Contains(src) || !p.shape.Contains(dst) {
-		return nil, fmt.Errorf("routing: src %v or dst %v outside shape", src, dst)
+		return fmt.Errorf("routing: src %v or dst %v outside shape", src, dst)
 	}
-	return p.walkHeader(src, &flit.Header{Src: src, Dst: dst, RC: flit.RCNormal})
+	h := flit.Header{Src: src, Dst: dst, RC: flit.RCNormal}
+	return p.walkHeader(src, &h, hops)
 }
 
 // walkHeader replays the policy decisions for one unicast header injected at
-// src, following RC and two-phase transforms, until PE delivery.
-func (p *Policy) walkHeader(src geom.Coord, h *flit.Header) ([]Hop, error) {
+// src, following RC and two-phase rewrites (applied to *h in place), until PE
+// delivery. It appends the elements to *hops unless hops is nil; either way
+// the decisions, and the error, are the same.
+func (p *Policy) walkHeader(src geom.Coord, h *flit.Header, hops *[]Hop) error {
 	if p.faults.RouterFaulty(src) {
-		return nil, fmt.Errorf("%w: source router %v faulty", ErrUnreachable, src)
+		return fmt.Errorf("%w: source router %v faulty", ErrUnreachable, src)
 	}
-	var hops []Hop
+	record := func(hop Hop) {
+		if hops != nil {
+			*hops = append(*hops, hop)
+		}
+	}
 	atRouter := true
 	coord := src
 	var line geom.Line
 	in := p.dims // from PE
 	for steps := 0; steps < p.maxWalkHops(); steps++ {
 		if atRouter {
-			dec, err := p.RouteRouter(nil, coord, in, h)
+			outs, x, err := p.routeRouter(coord, in, h)
 			if err != nil {
-				return hops, err
+				return err
 			}
-			if len(dec.Outs) != 1 {
-				return hops, fmt.Errorf("routing: unicast fan-out at router %v", coord)
+			if len(outs) != 1 {
+				return fmt.Errorf("routing: unicast fan-out at router %v", coord)
 			}
-			out := dec.Outs[0]
-			hops = append(hops, Hop{Kind: HopRouter, Coord: coord, RC: h.RC, Out: out})
-			if dec.Transform != nil {
-				h = dec.Transform(h)
-			}
+			out := outs[0]
+			record(Hop{Kind: HopRouter, Coord: coord, RC: h.RC, Out: out})
+			x.apply(h)
 			if out == p.dims {
-				hops = append(hops, Hop{Kind: HopPE, Coord: coord, RC: h.RC, Out: -1})
+				record(Hop{Kind: HopPE, Coord: coord, RC: h.RC, Out: -1})
 				if coord != h.Dst {
-					return hops, fmt.Errorf("routing: delivered to %v, wanted %v", coord, h.Dst)
+					return fmt.Errorf("routing: delivered to %v, wanted %v", coord, h.Dst)
 				}
-				return hops, nil
+				return nil
 			}
 			line = geom.LineOf(coord, out)
 			in = coord[out]
 			atRouter = false
 		} else {
-			dec, err := p.RouteXB(nil, line, in, h)
+			outs, x, err := p.routeXB(line, in, h)
 			if err != nil {
-				return hops, err
+				return err
 			}
-			if len(dec.Outs) != 1 {
-				return hops, fmt.Errorf("routing: unicast fan-out at crossbar %v", line)
+			if len(outs) != 1 {
+				return fmt.Errorf("routing: unicast fan-out at crossbar %v", line)
 			}
-			out := dec.Outs[0]
-			hops = append(hops, Hop{Kind: HopXB, Line: line, RC: h.RC, Out: out})
-			if dec.Transform != nil {
-				h = dec.Transform(h)
-			}
+			out := outs[0]
+			record(Hop{Kind: HopXB, Line: line, RC: h.RC, Out: out})
+			x.apply(h)
 			coord = line.Point(out)
 			in = line.Dim
 			atRouter = true
 		}
 	}
-	return hops, fmt.Errorf("routing: path from %v exceeded %d hops (routing loop?)", src, p.maxWalkHops())
+	return fmt.Errorf("routing: path from %v exceeded %d hops (routing loop?)", src, p.maxWalkHops())
 }
 
 // PivotEnabled reports whether the two-phase pivot extension is configured.
@@ -178,15 +188,17 @@ func (p *Policy) PivotPath(src, dst geom.Coord) ([]Hop, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: no pivot intermediate for %v -> %v", ErrUnreachable, src, dst)
 	}
-	h := &flit.Header{Src: src, Dst: mid, FinalDst: dst, TwoPhase: true, RC: flit.RCNormal}
-	return p.walkHeader(src, h)
+	h := flit.Header{Src: src, Dst: mid, FinalDst: dst, TwoPhase: true, RC: flit.RCNormal}
+	var hops []Hop
+	err := p.walkHeader(src, &h, &hops)
+	return hops, err
 }
 
 // Reachable reports whether a point-to-point send from src to dst would be
-// delivered under the present faults.
+// delivered under the present faults: UnicastPath's error without the path.
+// A served pair costs no allocation.
 func (p *Policy) Reachable(src, dst geom.Coord) error {
-	_, err := p.UnicastPath(src, dst)
-	return err
+	return p.walkUnicast(src, dst, nil)
 }
 
 // CrossbarHops counts the crossbar traversals on the path (the paper's hop

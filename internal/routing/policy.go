@@ -73,19 +73,48 @@ type Policy struct {
 	// faulty, another XB ... substitutes for the S-XB").
 	sEff geom.Coord
 	dEff geom.Coord
+	// one[k] is the shared read-only output list {k}: decisions with a
+	// single output allocate nothing (the kernel copies Outs).
+	one [][]int
 }
 
 var _ mdxb.Policy = (*Policy)(nil)
 
-// New validates the configuration and resolves the effective S-XB and D-XB
-// under the configured faults.
-func New(cfg Config) (*Policy, error) {
+// newPolicy fills in what New and NewPinned share.
+func newPolicy(cfg Config) (*Policy, error) {
 	if cfg.Shape.Dims() < 1 {
 		return nil, fmt.Errorf("routing: config needs a shape")
 	}
 	p := &Policy{cfg: cfg, shape: cfg.Shape, dims: cfg.Shape.Dims(), faults: cfg.Faults}
 	if p.faults == nil {
 		p.faults = fault.NewSet(cfg.Shape)
+	}
+	ports := p.dims + 1 // a router's; a crossbar has one per point of its line
+	for _, e := range cfg.Shape {
+		ports = max(ports, e)
+	}
+	p.one = singleOuts(ports)
+	return p, nil
+}
+
+// singleOuts builds the one-element output lists {0} .. {n-1} over one
+// backing array.
+func singleOuts(n int) [][]int {
+	backing := make([]int, n)
+	one := make([][]int, n)
+	for k := range backing {
+		backing[k] = k
+		one[k] = backing[k : k+1 : k+1]
+	}
+	return one
+}
+
+// New validates the configuration and resolves the effective S-XB and D-XB
+// under the configured faults.
+func New(cfg Config) (*Policy, error) {
+	p, err := newPolicy(cfg)
+	if err != nil {
+		return nil, err
 	}
 	sLine, err := p.normalizeLine(cfg.SXB, "SXB")
 	if err != nil {
@@ -108,14 +137,10 @@ func New(cfg Config) (*Policy, error) {
 // substituted them away, and the transition-safety analysis must model
 // exactly those routes. Dimension 0 of both coordinates is ignored.
 func NewPinned(cfg Config, sEff, dEff geom.Coord) (*Policy, error) {
-	if cfg.Shape.Dims() < 1 {
-		return nil, fmt.Errorf("routing: config needs a shape")
+	p, err := newPolicy(cfg)
+	if err != nil {
+		return nil, err
 	}
-	p := &Policy{cfg: cfg, shape: cfg.Shape, dims: cfg.Shape.Dims(), faults: cfg.Faults}
-	if p.faults == nil {
-		p.faults = fault.NewSet(cfg.Shape)
-	}
-	var err error
 	if p.sEff, err = p.normalizeLine(sEff, "SXB"); err != nil {
 		return nil, err
 	}
@@ -218,28 +243,69 @@ func (p *Policy) firstFixedDiff(c, fixed geom.Coord) int {
 	return -1
 }
 
-// setRC returns a header transform that rewrites the RC bit, bumping the
-// detour-hop accounting when entering detour mode.
-func setRC(rc flit.RC) func(*flit.Header) *flit.Header {
-	return func(h *flit.Header) *flit.Header {
-		c := h.Clone()
-		c.RC = rc
-		return c
+// xform says what a switch does to the header of the copies it forwards. The
+// static walkers apply it in place to their probe header; switches get the
+// same rewrite as an engine.Decision Transform, which must leave its argument
+// alone and so works on a clone. One closure per value is built at start-up.
+type xform uint8
+
+const (
+	xNone      xform = iota
+	xNormal          // RC := normal (leaving the D-XB)
+	xBroadcast       // RC := broadcast (the S-XB replays the request)
+	xDetour          // RC := detour (entering detour mode)
+	xBump            // RC stays detour; count the hop
+	// xPivot is a flag on any of the above: the pivot extension's
+	// intermediate router retargets the packet at its final destination.
+	xPivot xform = 8
+)
+
+func (x xform) apply(h *flit.Header) {
+	if x&xPivot != 0 {
+		h.Dst = h.FinalDst
+		h.TwoPhase = false
+	}
+	switch x &^ xPivot {
+	case xNormal:
+		h.RC = flit.RCNormal
+	case xBroadcast:
+		h.RC = flit.RCBroadcast
+	case xDetour:
+		h.RC = flit.RCDetour
+	case xBump:
+		h.DetourHops++
 	}
 }
 
-// bumpDetour returns a transform that keeps RC=detour and counts the hop.
-func bumpDetour() func(*flit.Header) *flit.Header {
-	return func(h *flit.Header) *flit.Header {
-		c := h.Clone()
-		c.DetourHops++
-		return c
+// transforms[x] is x as a Decision.Transform; nil for xNone.
+var transforms = func() (t [2 * xPivot]func(*flit.Header) *flit.Header) {
+	for i := 1; i < len(t); i++ {
+		x := xform(i)
+		t[i] = func(h *flit.Header) *flit.Header {
+			c := h.Clone()
+			x.apply(c)
+			return c
+		}
 	}
+	return t
+}()
+
+// decision wraps one of the policy's own routing steps as the kernel's.
+func decision(outs []int, x xform, err error) (engine.Decision, error) {
+	if err != nil {
+		return engine.Decision{}, err
+	}
+	return engine.Decision{Outs: outs, Transform: transforms[x]}, nil
 }
 
 // RouteRouter implements mdxb.Policy. See the package comment for the rule
 // summary; each case cites the paper section it models.
 func (p *Policy) RouteRouter(net *mdxb.Network, c geom.Coord, in int, h *flit.Header) (engine.Decision, error) {
+	return decision(p.routeRouter(c, in, h))
+}
+
+// routeRouter is RouteRouter in the policy's own terms; it does not retain h.
+func (p *Policy) routeRouter(c geom.Coord, in int, h *flit.Header) ([]int, xform, error) {
 	pePort := p.dims
 	switch h.RC {
 	case flit.RCNormal:
@@ -251,15 +317,15 @@ func (p *Policy) RouteRouter(net *mdxb.Network, c geom.Coord, in int, h *flit.He
 		if p.onLine(c, p.sEff) {
 			if p.faults.XBFaulty(geom.LineOf(c, 0)) {
 				// Only possible when substitution had no healthy candidate.
-				return engine.Decision{}, fmt.Errorf("%w: serialized crossbar faulty", ErrUnreachable)
+				return nil, xNone, fmt.Errorf("%w: serialized crossbar faulty", ErrUnreachable)
 			}
-			return engine.Decision{Outs: []int{0}}, nil
+			return p.one[0], xNone, nil
 		}
 		j := p.firstFixedDiff(c, p.sEff)
 		if p.faults.XBFaulty(geom.LineOf(c, j)) {
-			return engine.Decision{}, fmt.Errorf("%w: dim-%d crossbar toward S-XB faulty", ErrUnreachable, j)
+			return nil, xNone, fmt.Errorf("%w: dim-%d crossbar toward S-XB faulty", ErrUnreachable, j)
 		}
-		return engine.Decision{Outs: []int{j}}, nil
+		return p.one[j], xNone, nil
 
 	case flit.RCBroadcast:
 		// Fan rule: a router receiving a broadcast from dimension k forwards
@@ -270,7 +336,7 @@ func (p *Policy) RouteRouter(net *mdxb.Network, c geom.Coord, in int, h *flit.He
 		if in < p.dims {
 			startDim = in + 1
 		} else if !p.cfg.NaiveBroadcast {
-			return engine.Decision{}, fmt.Errorf("routing: broadcast packet from PE at %v without naive mode", c)
+			return nil, xNone, fmt.Errorf("routing: broadcast packet from PE at %v without naive mode", c)
 		}
 		outs := []int{pePort}
 		for j := startDim; j < p.dims; j++ {
@@ -279,65 +345,49 @@ func (p *Policy) RouteRouter(net *mdxb.Network, c geom.Coord, in int, h *flit.He
 			}
 			outs = append(outs, j)
 		}
-		return engine.Decision{Outs: outs}, nil
+		return outs, xNone, nil
 
 	case flit.RCDetour:
 		// Section 4: ride dimensions 1..d-1 (in order) to the D-XB line,
 		// then enter the D-XB on port 0, where RC resets to normal.
 		if p.onLine(c, p.dEff) {
 			if p.faults.XBFaulty(geom.LineOf(c, 0)) {
-				return engine.Decision{}, fmt.Errorf("%w: detour crossbar faulty", ErrUnreachable)
+				return nil, xNone, fmt.Errorf("%w: detour crossbar faulty", ErrUnreachable)
 			}
-			return engine.Decision{Outs: []int{0}, Transform: bumpDetour()}, nil
+			return p.one[0], xBump, nil
 		}
 		j := p.firstFixedDiff(c, p.dEff)
 		if p.faults.XBFaulty(geom.LineOf(c, j)) {
-			return engine.Decision{}, fmt.Errorf("%w: dim-%d crossbar toward D-XB faulty", ErrUnreachable, j)
+			return nil, xNone, fmt.Errorf("%w: dim-%d crossbar toward D-XB faulty", ErrUnreachable, j)
 		}
-		return engine.Decision{Outs: []int{j}, Transform: bumpDetour()}, nil
+		return p.one[j], xBump, nil
 	}
-	return engine.Decision{}, fmt.Errorf("routing: router %v cannot handle RC %v", c, h.RC)
+	return nil, xNone, fmt.Errorf("routing: router %v cannot handle RC %v", c, h.RC)
 }
 
 // routerNormal is dimension-order routing with the router-side fault checks
 // (a router knows which of its own crossbars are faulty).
-func (p *Policy) routerNormal(c geom.Coord, h *flit.Header) (engine.Decision, error) {
+func (p *Policy) routerNormal(c geom.Coord, h *flit.Header) ([]int, xform, error) {
 	pePort := p.dims
-	k := c.FirstDiff(h.Dst, p.dims)
+	dst, pivot := h.Dst, xNone
+	if h.TwoPhase && c.FirstDiff(dst, p.dims) == -1 {
+		// Pivot extension: this router is the intermediate; rewrite the
+		// header for the final leg and route toward the true destination.
+		dst, pivot = h.FinalDst, xPivot
+	}
+	k := c.FirstDiff(dst, p.dims)
 	if k == -1 {
-		if h.TwoPhase {
-			// Pivot extension: this router is the intermediate; rewrite the
-			// header for the final leg and route toward the true destination.
-			h2 := h.Clone()
-			h2.Dst = h.FinalDst
-			h2.TwoPhase = false
-			dec, err := p.routerNormal(c, h2)
-			if err != nil {
-				return dec, err
-			}
-			inner := dec.Transform
-			dec.Transform = func(orig *flit.Header) *flit.Header {
-				n := orig.Clone()
-				n.Dst = orig.FinalDst
-				n.TwoPhase = false
-				if inner != nil {
-					n = inner(n)
-				}
-				return n
-			}
-			return dec, nil
-		}
-		return engine.Decision{Outs: []int{pePort}}, nil
+		return p.one[pePort], pivot, nil
 	}
 	if !p.faults.XBFaulty(geom.LineOf(c, k)) {
-		return engine.Decision{Outs: []int{k}}, nil
+		return p.one[k], pivot, nil
 	}
 	// The crossbar this packet needs next is faulty: enter detour mode if
 	// the detour route avoids it, else the destination is unreachable
 	// (paper-scope limitation; see DESIGN.md). The router checks only the
 	// identity of its own faulty crossbar — the neighbor-bits discipline.
-	if p.detourUsesLine(geom.LineOf(c, k), c, h.Dst) {
-		return engine.Decision{}, fmt.Errorf("%w: dim-%d crossbar %v faulty and the detour needs it", ErrUnreachable, k, geom.LineOf(c, k))
+	if p.detourUsesLine(geom.LineOf(c, k), c, dst) {
+		return nil, xNone, fmt.Errorf("%w: dim-%d crossbar %v faulty and the detour needs it", ErrUnreachable, k, geom.LineOf(c, k))
 	}
 	// The first detour leg must itself be healthy. Under the paper's
 	// single-fault assumption it always is; with additional faults present
@@ -348,9 +398,9 @@ func (p *Policy) routerNormal(c geom.Coord, h *flit.Header) (engine.Decision, er
 		j = p.firstFixedDiff(c, p.dEff)
 	}
 	if p.faults.XBFaulty(geom.LineOf(c, j)) {
-		return engine.Decision{}, fmt.Errorf("%w: detour leg dim-%d crossbar %v also faulty", ErrUnreachable, j, geom.LineOf(c, j))
+		return nil, xNone, fmt.Errorf("%w: detour leg dim-%d crossbar %v also faulty", ErrUnreachable, j, geom.LineOf(c, j))
 	}
-	return engine.Decision{Outs: []int{j}, Transform: setRC(flit.RCDetour)}, nil
+	return p.one[j], pivot | xDetour, nil
 }
 
 // detourWalk replays the element sequence of a detour that starts at router
@@ -412,6 +462,11 @@ func (p *Policy) detourVisitsRouter(bad, start, dst geom.Coord) bool {
 
 // RouteXB implements mdxb.Policy for crossbar switches.
 func (p *Policy) RouteXB(net *mdxb.Network, l geom.Line, in int, h *flit.Header) (engine.Decision, error) {
+	return decision(p.routeXB(l, in, h))
+}
+
+// routeXB is RouteXB in the policy's own terms; it does not retain h.
+func (p *Policy) routeXB(l geom.Line, in int, h *flit.Header) ([]int, xform, error) {
 	switch h.RC {
 	case flit.RCNormal:
 		return p.xbNormal(l, h)
@@ -421,22 +476,22 @@ func (p *Policy) RouteXB(net *mdxb.Network, l geom.Line, in int, h *flit.Header)
 			// This is the S-XB: serialize (the kernel's output allocation
 			// does the one-at-a-time replay) and fan to every attached
 			// router, faulty ones excepted (Section 3.2 step 2).
-			return engine.Decision{Outs: p.fanPorts(l, -1), Transform: setRC(flit.RCBroadcast)}, nil
+			return p.fanPorts(l, -1), xBroadcast, nil
 		}
 		// En route to the S line along a higher dimension.
 		if l.Dim == 0 {
-			return engine.Decision{}, fmt.Errorf("routing: broadcast request entered non-serialized dim-0 crossbar %v", l)
+			return nil, xNone, fmt.Errorf("routing: broadcast request entered non-serialized dim-0 crossbar %v", l)
 		}
-		return p.xbStep(l, p.sEff[l.Dim], nil)
+		return p.xbStep(l, p.sEff[l.Dim], xNone)
 
 	case flit.RCBroadcast:
 		// Fan to every attached router except the sender and faulty routers
 		// (Section 3.2 steps 3-4).
 		outs := p.fanPorts(l, in)
 		if len(outs) == 0 {
-			return engine.Decision{}, fmt.Errorf("%w: broadcast fan at %v has no healthy routers", ErrUnreachable, l)
+			return nil, xNone, fmt.Errorf("%w: broadcast fan at %v has no healthy routers", ErrUnreachable, l)
 		}
-		return engine.Decision{Outs: outs}, nil
+		return outs, xNone, nil
 
 	case flit.RCDetour:
 		if l.Dim == 0 {
@@ -444,28 +499,28 @@ func (p *Policy) RouteXB(net *mdxb.Network, l geom.Line, in int, h *flit.Header)
 			// order (Section 4, "the D-XB changes the RC bit from 'detour'
 			// to 'normal'").
 			if !p.onLine(l.Point(in), p.dEff) {
-				return engine.Decision{}, fmt.Errorf("routing: detour packet entered non-detour dim-0 crossbar %v", l)
+				return nil, xNone, fmt.Errorf("routing: detour packet entered non-detour dim-0 crossbar %v", l)
 			}
 			target := h.Dst[0]
 			if p.faults.RouterFaulty(l.Point(target)) {
 				// Substitution keeps faults off the D line; reaching this
 				// means the network is over-faulted.
-				return engine.Decision{}, fmt.Errorf("%w: router %v on detour crossbar faulty", ErrUnreachable, l.Point(target))
+				return nil, xNone, fmt.Errorf("%w: router %v on detour crossbar faulty", ErrUnreachable, l.Point(target))
 			}
-			return engine.Decision{Outs: []int{target}, Transform: setRC(flit.RCNormal)}, nil
+			return p.one[target], xNormal, nil
 		}
-		return p.xbStep(l, p.dEff[l.Dim], bumpDetour())
+		return p.xbStep(l, p.dEff[l.Dim], xBump)
 	}
-	return engine.Decision{}, fmt.Errorf("routing: crossbar %v cannot handle RC %v", l, h.RC)
+	return nil, xNone, fmt.Errorf("routing: crossbar %v cannot handle RC %v", l, h.RC)
 }
 
 // xbStep forwards to one port of the crossbar, failing if the attached
 // router is faulty.
-func (p *Policy) xbStep(l geom.Line, port int, transform func(*flit.Header) *flit.Header) (engine.Decision, error) {
+func (p *Policy) xbStep(l geom.Line, port int, x xform) ([]int, xform, error) {
 	if p.faults.RouterFaulty(l.Point(port)) {
-		return engine.Decision{}, fmt.Errorf("%w: router %v faulty", ErrUnreachable, l.Point(port))
+		return nil, xNone, fmt.Errorf("%w: router %v faulty", ErrUnreachable, l.Point(port))
 	}
-	return engine.Decision{Outs: []int{port}, Transform: transform}, nil
+	return p.one[port], x, nil
 }
 
 // xbNormal is the dimension-order step across a crossbar, with the
@@ -473,29 +528,29 @@ func (p *Policy) xbStep(l geom.Line, port int, transform func(*flit.Header) *fli
 // faulty): if the exit router is faulty and is not the destination's own
 // router, the crossbar sets the RC bit to 'detour' and forwards to the
 // designated detour router (Section 4, Fig. 8 step 2).
-func (p *Policy) xbNormal(l geom.Line, h *flit.Header) (engine.Decision, error) {
+func (p *Policy) xbNormal(l geom.Line, h *flit.Header) ([]int, xform, error) {
 	target := h.Dst[l.Dim]
 	exit := l.Point(target)
 	if !p.faults.RouterFaulty(exit) {
-		return engine.Decision{Outs: []int{target}}, nil
+		return p.one[target], xNone, nil
 	}
 	if exit == h.Dst {
 		// "If an RTC is faulty, the network hardware stops transmission of
 		// packets to the faulty PE."
-		return engine.Decision{}, fmt.Errorf("%w: destination router %v faulty", ErrUnreachable, exit)
+		return nil, xNone, fmt.Errorf("%w: destination router %v faulty", ErrUnreachable, exit)
 	}
 	dp, ok := p.faults.DetourPort(l)
 	if !ok {
-		return engine.Decision{}, fmt.Errorf("%w: no healthy detour router on %v", ErrUnreachable, l)
+		return nil, xNone, fmt.Errorf("%w: no healthy detour router on %v", ErrUnreachable, l)
 	}
 	// Would the detour — riding from the designated detour router to the D
 	// line, across the D-XB, and back down dimension order — pass through
 	// this faulty router again? The crossbar checks only its own neighbor's
 	// coordinate: the neighbor-bits discipline.
 	if p.detourVisitsRouter(exit, l.Point(dp), h.Dst) {
-		return engine.Decision{}, fmt.Errorf("%w: router %v faulty and the detour re-enters it", ErrUnreachable, exit)
+		return nil, xNone, fmt.Errorf("%w: router %v faulty and the detour re-enters it", ErrUnreachable, exit)
 	}
-	return engine.Decision{Outs: []int{dp}, Transform: setRC(flit.RCDetour)}, nil
+	return p.one[dp], xDetour, nil
 }
 
 // fanPorts lists the crossbar ports whose routers are healthy, excluding

@@ -33,36 +33,15 @@ type TablePolicy struct {
 
 var _ mdxb.Policy = (*TablePolicy)(nil)
 
-// entry is one precomputed decision.
+// entry is one precomputed decision: the output ports and the header rewrite
+// on the forwarded copies, or the refusal.
 type entry struct {
 	outs []int
-	// rcTo >= 0 rewrites the RC bit on forwarded copies; bump increments the
-	// detour hop counter.
-	rcTo int8
-	bump bool
+	x    xform
 	err  error
 }
 
-func (e entry) decision() (engine.Decision, error) {
-	if e.err != nil {
-		return engine.Decision{}, e.err
-	}
-	d := engine.Decision{Outs: e.outs}
-	if e.rcTo >= 0 || e.bump {
-		rcTo, bump := e.rcTo, e.bump
-		d.Transform = func(h *flit.Header) *flit.Header {
-			n := h.Clone()
-			if rcTo >= 0 {
-				n.RC = flit.RC(rcTo)
-			}
-			if bump {
-				n.DetourHops++
-			}
-			return n
-		}
-	}
-	return d, nil
-}
+func (e entry) decision() (engine.Decision, error) { return decision(e.outs, e.x, e.err) }
 
 type routerTable struct {
 	// normal[dstIdx] and detour (destination-independent), request
@@ -80,25 +59,6 @@ type xbTable struct {
 	detour  []entry
 	request entry
 	bcast   []entry
-}
-
-// compileEntry captures one policy decision as a table entry, classifying
-// its transform by probing it.
-func compileEntry(dec engine.Decision, err error, probe *flit.Header) entry {
-	if err != nil {
-		return entry{err: err}
-	}
-	e := entry{outs: dec.Outs, rcTo: -1}
-	if dec.Transform != nil {
-		out := dec.Transform(probe)
-		if out.RC != probe.RC {
-			e.rcTo = int8(out.RC)
-		}
-		if out.DetourHops != probe.DetourHops {
-			e.bump = true
-		}
-	}
-	return e
 }
 
 // Compile builds the lookup tables for every switch decision of p.
@@ -121,23 +81,23 @@ func Compile(p *Policy) (*TablePolicy, error) {
 		}
 		for di := 0; di < n; di++ {
 			h := &flit.Header{RC: flit.RCNormal, Dst: shape.CoordOf(di)}
-			dec, err := p.RouteRouter(nil, c, d, h)
-			rt.normal[di] = compileEntry(dec, err, h)
+			outs, x, err := p.routeRouter(c, d, h)
+			rt.normal[di] = entry{outs, x, err}
 		}
 		{
 			h := &flit.Header{RC: flit.RCDetour}
-			dec, err := p.RouteRouter(nil, c, 0, h)
-			rt.detour = compileEntry(dec, err, h)
+			outs, x, err := p.routeRouter(c, 0, h)
+			rt.detour = entry{outs, x, err}
 		}
 		{
 			h := &flit.Header{RC: flit.RCBroadcastRequest}
-			dec, err := p.RouteRouter(nil, c, d, h)
-			rt.request = compileEntry(dec, err, h)
+			outs, x, err := p.routeRouter(c, d, h)
+			rt.request = entry{outs, x, err}
 		}
 		for in := 0; in <= d; in++ {
 			h := &flit.Header{RC: flit.RCBroadcast}
-			dec, err := p.RouteRouter(nil, c, in, h)
-			rt.bcast[in] = compileEntry(dec, err, h)
+			outs, x, err := p.routeRouter(c, in, h)
+			rt.bcast[in] = entry{outs, x, err}
 		}
 		tp.routers[idx] = rt
 	}
@@ -156,21 +116,21 @@ func Compile(p *Policy) (*TablePolicy, error) {
 			}
 			for di := 0; di < n; di++ {
 				hN := &flit.Header{RC: flit.RCNormal, Dst: shape.CoordOf(di)}
-				dec, err := p.RouteXB(nil, l, 0, hN)
-				xt.normal[di] = compileEntry(dec, err, hN)
+				outs, x, err := p.routeXB(l, 0, hN)
+				xt.normal[di] = entry{outs, x, err}
 				hD := &flit.Header{RC: flit.RCDetour, Dst: shape.CoordOf(di)}
-				dec, err = p.RouteXB(nil, l, 0, hD)
-				xt.detour[di] = compileEntry(dec, err, hD)
+				outs, x, err = p.routeXB(l, 0, hD)
+				xt.detour[di] = entry{outs, x, err}
 			}
 			{
 				h := &flit.Header{RC: flit.RCBroadcastRequest}
-				dec, err := p.RouteXB(nil, l, 0, h)
-				xt.request = compileEntry(dec, err, h)
+				outs, x, err := p.routeXB(l, 0, h)
+				xt.request = entry{outs, x, err}
 			}
 			for in := 0; in < ports; in++ {
 				h := &flit.Header{RC: flit.RCBroadcast}
-				dec, err := p.RouteXB(nil, l, in, h)
-				xt.bcast[in] = compileEntry(dec, err, h)
+				outs, x, err := p.routeXB(l, in, h)
+				xt.bcast[in] = entry{outs, x, err}
 			}
 			tp.xbs[dim][shape.LineIndex(l)] = xt
 		}

@@ -40,24 +40,41 @@ type Walked struct {
 // scheme that replicates, loops, or walks off its shape is reported as a
 // hard error.
 func Walk(s Router, src, dst geom.Coord) (Walked, error) {
+	var w Walked
+	if err := walk(s, src, dst, &w); err != nil {
+		return Walked{}, err
+	}
+	return w, nil
+}
+
+// Reach reports whether the scheme serves the pair: Walk's error, without
+// naming the channels or listing the routers of a route nobody asked for.
+func Reach(s Router, src, dst geom.Coord) error {
+	return walk(s, src, dst, nil)
+}
+
+// walk is the walker under Walk and Reach; it records the route in w unless
+// w is nil.
+func walk(s Router, src, dst geom.Coord, w *Walked) error {
 	shape := s.Shape()
 	pePort := PEPort(shape)
 	h := &flit.Header{Src: src, Dst: dst}
 	cur := src
 	in := pePort
-	var w Walked
-	w.Routers = append(w.Routers, cur)
+	if w != nil {
+		w.Routers = append(w.Routers, cur)
+	}
 	limit := 4*shape.Dims()*PortCount(shape) + 16
 	for hops := 0; ; hops++ {
 		if hops > limit {
-			return Walked{}, fmt.Errorf("topo: %s walk %s->%s exceeded %d hops", s.Name(), src, dst, limit)
+			return fmt.Errorf("topo: %s walk %s->%s exceeded %d hops", s.Name(), src, dst, limit)
 		}
 		dec, err := s.Route(cur, in, h)
 		if err != nil {
-			return Walked{}, err
+			return err
 		}
 		if len(dec.Outs) != 1 {
-			return Walked{}, fmt.Errorf("topo: %s walk %s->%s: unicast decision with %d outputs at %s",
+			return fmt.Errorf("topo: %s walk %s->%s: unicast decision with %d outputs at %s",
 				s.Name(), src, dst, len(dec.Outs), cur)
 		}
 		out := dec.Outs[0]
@@ -66,18 +83,22 @@ func Walk(s Router, src, dst geom.Coord) (Walked, error) {
 		}
 		if out == pePort {
 			if cur != dst {
-				return Walked{}, fmt.Errorf("topo: %s walk %s->%s delivered at %s", s.Name(), src, dst, cur)
+				return fmt.Errorf("topo: %s walk %s->%s delivered at %s", s.Name(), src, dst, cur)
 			}
-			w.Channels = append(w.Channels, PEChannelName(cur))
-			return w, nil
+			if w != nil {
+				w.Channels = append(w.Channels, PEChannelName(cur))
+			}
+			return nil
 		}
 		dim, v := PortTarget(shape, cur, out)
-		w.Channels = append(w.Channels, ChannelName(cur, dim, v))
 		next := cur
 		next[dim] = v
+		if w != nil {
+			w.Channels = append(w.Channels, ChannelName(cur, dim, v))
+			w.Routers = append(w.Routers, next)
+		}
 		in = PortOf(shape, next, dim, cur[dim])
 		cur = next
-		w.Routers = append(w.Routers, cur)
 	}
 }
 
