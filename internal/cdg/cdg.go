@@ -24,7 +24,9 @@ package cdg
 
 import (
 	"fmt"
+	"slices"
 
+	"sr2201/internal/engine"
 	"sr2201/internal/flit"
 	"sr2201/internal/geom"
 	"sr2201/internal/routing"
@@ -68,7 +70,7 @@ type Result struct {
 	SharedFanChannels int
 }
 
-// treeNode is the contracted broadcast-tree vertex id marker.
+// treeName is the contracted broadcast-tree vertex.
 const treeName = "BROADCAST-TREE"
 
 // Analyze builds the CDG for the policy over the given shape and checks it.
@@ -77,15 +79,13 @@ const treeName = "BROADCAST-TREE"
 // the same prover every registered scheme certifies against — and the
 // verdict is its Certificate, re-expressed in the historical Result form.
 func Analyze(p *routing.Policy, shape geom.Shape, naive bool) (Result, error) {
-	b := topo.NewBuilder()
+	g := newGraph(topo.NewBuilder(), p, shape, 1)
 	if naive {
-		registerUnicast(b, p, shape, 1)
-		return analyzeNaive(b, p, shape)
+		g.registerUnicast()
+		return g.analyzeNaive()
 	}
-	if err := RegisterDependences(b, p, shape); err != nil {
-		return Result{}, err
-	}
-	cert := b.Certificate(SchemeName(p, shape))
+	g.registerSerialized()
+	cert := g.Certificate(SchemeName(p, shape))
 	return Result{Channels: cert.Channels, Edges: cert.Edges, Acyclic: cert.Acyclic, Cycle: cert.Cycle}, nil
 }
 
@@ -105,7 +105,8 @@ func SchemeName(p *routing.Policy, shape geom.Shape) string {
 // serializes broadcasts, so the whole tree is one resource). This is the
 // construction Analyze certifies and the topo registry re-certifies in CI.
 func RegisterDependences(b *topo.Builder, p *routing.Policy, shape geom.Shape) error {
-	return registerScaled(b, p, shape, 1)
+	newGraph(b, p, shape, 1).registerSerialized()
+	return nil
 }
 
 // RegisterEscapeDependences records the escape subnetwork of a network built
@@ -122,209 +123,261 @@ func RegisterEscapeDependences(b *topo.Builder, p *routing.Policy, shape geom.Sh
 	if vcs < 2 {
 		return fmt.Errorf("cdg: escape registration needs >= 2 virtual channels, got %d", vcs)
 	}
-	return registerScaled(b, p, shape, vcs)
+	newGraph(b, p, shape, vcs).registerSerialized()
+	return nil
 }
 
-// registerScaled is the shared construction: the serialized scheme's
-// dependences with every channel's out-port scaled by vcs (1 = the plain
-// single-channel network).
-func registerScaled(b *topo.Builder, p *routing.Policy, shape geom.Shape, vcs int) error {
-	registerUnicast(b, p, shape, vcs)
+// Graph is one policy's dependence graph going into a topo.Builder. The
+// policy's routes arrive as integers: every channel of the shape has a dense
+// number — a router's d+1 out-ports first, routers in Shape.Index order,
+// then each dimension's crossbars in LineIndex order, then one number for
+// the contracted broadcast tree — and vertex[] maps a number to the
+// builder's vertex id. A channel is rendered to its name, and the name
+// interned, once: the first time a route crosses it. That keeps the
+// builder's vertex numbering in first-seen order, which the cycle witness
+// depends on, while the other few thousand crossings are an array read.
+type Graph struct {
+	b     *topo.Builder
+	p     *routing.Policy
+	shape geom.Shape
+	dims  int
+	// vcs scales out-port indices in channel names (lane 0 of a vcs-lane
+	// wire); 1 is the plain single-channel network.
+	vcs    int
+	xbBase []int32 // xbBase[k] numbers dimension k's first crossbar channel
+	tree   int32   // the composite's number, one past the last channel
+	vertex []int32 // channel number -> builder vertex id, -1 until first seen
 
-	treeID := b.Composite(treeName)
-	shape.Enumerate(func(src geom.Coord) bool {
-		req, tree, _, err := broadcastChannels(p, shape, src, false)
-		if err != nil {
-			return true // sources that cannot broadcast contribute nothing
-		}
-		req, tree = scaleChannels(req, vcs), scaleChannels(tree, vcs)
-		b.Path(namesOf(req)...)
-		if len(req) > 0 && len(tree) > 0 {
-			b.Edge(b.Channel(req[len(req)-1].String()), treeID)
-		}
-		for _, c := range tree {
-			b.Absorb(treeID, b.Channel(c.String()))
-		}
-		return true
-	})
-	return nil
+	// Scratch reused across walks.
+	route   []int32
+	request []int32
+	fan     []int32
+	queue   []fanNode
+	stamp   []int32 // fan-tree membership of the walk in progress, by serial
+	serial  int32
+}
+
+func newGraph(b *topo.Builder, p *routing.Policy, shape geom.Shape, vcs int) *Graph {
+	g := &Graph{b: b, p: p, shape: shape, dims: shape.Dims(), vcs: vcs}
+	next := int32(shape.Size() * (g.dims + 1))
+	for k, extent := range shape {
+		g.xbBase = append(g.xbBase, next)
+		next += int32(shape.LineCount(k) * extent)
+	}
+	g.tree = next
+	g.vertex = make([]int32, next+1)
+	for i := range g.vertex {
+		g.vertex[i] = -1
+	}
+	g.stamp = make([]int32, next)
+	return g
+}
+
+// NewGraph registers the policy's serialized scheme (RegisterDependences)
+// in a fresh builder and keeps the channel numbering, so that more edges —
+// a retiring generation's, for the transition proof — can join the same
+// graph after its own certificate has been taken.
+func NewGraph(p *routing.Policy, shape geom.Shape) *Graph {
+	g := newGraph(topo.NewBuilder(), p, shape, 1)
+	g.registerSerialized()
+	return g
+}
+
+// Certificate is the builder's verdict over everything registered so far.
+func (g *Graph) Certificate(scheme string) topo.Certificate { return g.b.Certificate(scheme) }
+
+// number is the dense number of a channel as routing's walkers report it.
+func (g *Graph) number(dim, index, out int) int32 {
+	if dim < 0 {
+		return int32(index*(g.dims+1) + out)
+	}
+	return g.xbBase[dim] + int32(index*g.shape[dim]+out)
+}
+
+// channelOf inverts number (the tree's number excepted).
+func (g *Graph) channelOf(n int32) Channel {
+	if n < g.xbBase[0] {
+		ports := int32(g.dims + 1)
+		return Channel{Router: true, Coord: g.shape.CoordOf(int(n / ports)), Out: int(n%ports) * g.vcs}
+	}
+	dim := g.dims - 1
+	for n < g.xbBase[dim] {
+		dim--
+	}
+	n -= g.xbBase[dim]
+	extent := int32(g.shape[dim])
+	return Channel{Line: g.shape.LineAt(dim, int(n/extent)), Out: int(n%extent) * g.vcs}
+}
+
+// vertexOf returns the builder vertex of channel n, interning it by name on
+// first sight.
+func (g *Graph) vertexOf(n int32) int {
+	if v := g.vertex[n]; v >= 0 {
+		return int(v)
+	}
+	name := treeName
+	if n != g.tree {
+		name = g.channelOf(n).String()
+	}
+	v := g.b.Channel(name)
+	g.vertex[n] = int32(v)
+	return v
+}
+
+// path records the consecutive dependences of one route.
+func (g *Graph) path(route []int32) {
+	for i := 1; i < len(route); i++ {
+		g.b.Edge(g.vertexOf(route[i-1]), g.vertexOf(route[i]))
+	}
+}
+
+// registerSerialized is the shared construction: every point-to-point
+// class, then per source the broadcast request leg, its edge into the
+// contracted tree, and the tree's members.
+func (g *Graph) registerSerialized() {
+	g.registerUnicast()
+	g.registerBroadcast()
 }
 
 // registerUnicast records every point-to-point class: every reachable
 // pair contributes its path; with the pivot extension enabled,
 // otherwise-unreachable pairs contribute their two-phase route.
-func registerUnicast(b *topo.Builder, p *routing.Policy, shape geom.Shape, vcs int) {
-	shape.Enumerate(func(src geom.Coord) bool {
-		shape.Enumerate(func(dst geom.Coord) bool {
-			path, err := p.UnicastPath(src, dst)
-			if err != nil {
-				if !p.PivotEnabled() {
-					return true // unreachable pairs contribute no dependencies
+func (g *Graph) registerUnicast() {
+	visit := func(dim, index, out int) { g.route = append(g.route, g.number(dim, index, out)) }
+	n := g.shape.Size()
+	for si := 0; si < n; si++ {
+		src := g.shape.CoordOf(si)
+		for di := 0; di < n; di++ {
+			dst := g.shape.CoordOf(di)
+			g.route = g.route[:0]
+			if err := g.p.UnicastChannels(src, dst, visit); err != nil {
+				if !g.p.PivotEnabled() {
+					continue // unreachable pairs contribute no dependencies
 				}
-				path, err = p.PivotPath(src, dst)
-				if err != nil {
-					return true
+				g.route = g.route[:0]
+				if err := g.p.PivotChannels(src, dst, visit); err != nil {
+					continue
 				}
 			}
-			b.Path(namesOf(scaleChannels(channelsOf(path), vcs))...)
-			return true
-		})
+			g.path(g.route)
+		}
+	}
+}
+
+// registerBroadcast records the broadcast classes: per source the request
+// leg, its edge into the contracted tree, and the tree's members.
+func (g *Graph) registerBroadcast() {
+	treeID := g.vertexOf(g.tree)
+	g.shape.Enumerate(func(src geom.Coord) bool {
+		if err := g.walkBroadcast(src, false); err != nil {
+			return true // sources that cannot broadcast contribute nothing
+		}
+		g.path(g.request)
+		if len(g.request) > 0 && len(g.fan) > 0 {
+			g.b.Edge(g.vertexOf(g.request[len(g.request)-1]), treeID)
+		}
+		for _, n := range g.fan {
+			g.b.Absorb(treeID, g.vertexOf(n))
+		}
 		return true
 	})
 }
 
-// scaleChannels renames channels to lane 0 of their wire in a vcs-lane
-// network (out-port indices multiplied by vcs). A no-op at vcs = 1.
-func scaleChannels(cs []Channel, vcs int) []Channel {
-	if vcs == 1 {
-		return cs
-	}
-	out := make([]Channel, len(cs))
-	for i, c := range cs {
-		c.Out *= vcs
-		out[i] = c
-	}
-	return out
+// fanNode is one switch arrival of a broadcast walk.
+type fanNode struct {
+	atRouter bool
+	coord    geom.Coord
+	line     geom.Line
+	in       int
+	h        *flit.Header
 }
 
-// namesOf renders a channel sequence for the builder.
-func namesOf(cs []Channel) []string {
-	out := make([]string, len(cs))
-	for i, c := range cs {
-		out[i] = c.String()
-	}
-	return out
-}
-
-// channelsOf converts a hop path into its channel sequence.
-func channelsOf(path []routing.Hop) []Channel {
-	var out []Channel
-	for _, h := range path {
-		switch h.Kind {
-		case routing.HopRouter:
-			out = append(out, Channel{Router: true, Coord: h.Coord, Out: h.Out})
-		case routing.HopXB:
-			out = append(out, Channel{Line: h.Line, Out: h.Out})
-		}
-	}
-	return out
-}
-
-// broadcastChannels replays the policy's broadcast decisions from src and
-// returns the request-leg channel sequence and the fan-tree channel set
-// (channels carrying RC=broadcast), with parent->child tree edges.
-func broadcastChannels(p *routing.Policy, shape geom.Shape, src geom.Coord, naive bool) (request []Channel, tree []Channel, treeEdges [][2]Channel, err error) {
-	type node struct {
-		atRouter bool
-		coord    geom.Coord
-		line     geom.Line
-		in       int
-		h        *flit.Header
-		parent   *Channel
-	}
+// walkBroadcast replays the policy's broadcast decisions from src, breadth
+// first, leaving the request-leg channel sequence in g.request and the
+// fan-tree channel set (channels carrying RC=broadcast, in first-reached
+// order) in g.fan.
+func (g *Graph) walkBroadcast(src geom.Coord, naive bool) error {
 	rc := flit.RCBroadcastRequest
 	if naive {
 		rc = flit.RCBroadcast
 	}
-	dims := shape.Dims()
-	queue := []node{{atRouter: true, coord: src, in: dims, h: &flit.Header{Src: src, BroadcastOrigin: src, RC: rc}}}
-	seen := map[Channel]bool{}
-	limit := shape.Size()*(dims+2)*4 + 64
-	steps := 0
-	for len(queue) > 0 {
-		if steps++; steps > limit {
-			return nil, nil, nil, fmt.Errorf("cdg: broadcast walk from %v exceeded %d steps", src, limit)
+	g.request, g.fan = g.request[:0], g.fan[:0]
+	g.serial++
+	g.queue = append(g.queue[:0], fanNode{atRouter: true, coord: src, in: g.dims, h: &flit.Header{Src: src, BroadcastOrigin: src, RC: rc}})
+	limit := g.shape.Size()*(g.dims+2)*4 + 64
+	for next := 0; next < len(g.queue); next++ {
+		if next >= limit {
+			return fmt.Errorf("cdg: broadcast walk from %v exceeded %d steps", src, limit)
 		}
-		nd := queue[0]
-		queue = queue[1:]
-		var outs []int
-		var transform func(*flit.Header) *flit.Header
-		var derr error
+		nd := g.queue[next]
+		var dec engine.Decision
+		var err error
 		if nd.atRouter {
-			dec, e := p.RouteRouter(nil, nd.coord, nd.in, nd.h)
-			outs, transform, derr = dec.Outs, dec.Transform, e
+			dec, err = g.p.RouteRouter(nil, nd.coord, nd.in, nd.h)
 		} else {
-			dec, e := p.RouteXB(nil, nd.line, nd.in, nd.h)
-			outs, transform, derr = dec.Outs, dec.Transform, e
+			dec, err = g.p.RouteXB(nil, nd.line, nd.in, nd.h)
 		}
-		if derr != nil {
+		if err != nil {
 			if nd.h.RC == flit.RCBroadcastRequest {
-				return nil, nil, nil, derr
+				return err
 			}
 			continue // dead fan branch (over-faulted network)
 		}
-		for _, out := range outs {
-			var ch Channel
+		for _, out := range dec.Outs {
+			var n int32
 			if nd.atRouter {
-				ch = Channel{Router: true, Coord: nd.coord, Out: out}
+				n = g.number(-1, g.shape.Index(nd.coord), out)
 			} else {
-				ch = Channel{Line: nd.line, Out: out}
+				n = g.number(nd.line.Dim, g.shape.LineIndex(nd.line), out)
 			}
 			h := nd.h
-			if transform != nil {
-				h = transform(h)
+			if dec.Transform != nil {
+				h = dec.Transform(h)
 			}
 			if h.RC == flit.RCBroadcastRequest {
-				request = append(request, ch)
-			} else if !seen[ch] {
-				seen[ch] = true
-				tree = append(tree, ch)
-				if nd.parent != nil {
-					treeEdges = append(treeEdges, [2]Channel{*nd.parent, ch})
-				} else if len(request) > 0 {
-					treeEdges = append(treeEdges, [2]Channel{request[len(request)-1], ch})
-				}
+				g.request = append(g.request, n)
+			} else if g.stamp[n] != g.serial {
+				g.stamp[n] = g.serial
+				g.fan = append(g.fan, n)
 			}
 			// Descend unless this was a PE delivery port.
-			if nd.atRouter && out == dims {
+			if nd.atRouter && out == g.dims {
 				continue
 			}
-			chCopy := ch
 			if nd.atRouter {
-				queue = append(queue, node{
-					line:   geom.LineOf(nd.coord, out),
-					in:     nd.coord[out],
-					h:      h,
-					parent: &chCopy,
-				})
+				g.queue = append(g.queue, fanNode{line: geom.LineOf(nd.coord, out), in: nd.coord[out], h: h})
 			} else {
-				queue = append(queue, node{
-					atRouter: true,
-					coord:    nd.line.Point(out),
-					in:       nd.line.Dim,
-					h:        h,
-					parent:   &chCopy,
-				})
+				g.queue = append(g.queue, fanNode{atRouter: true, coord: nd.line.Point(out), in: nd.line.Dim, h: h})
 			}
 		}
 	}
-	return request, tree, treeEdges, nil
+	return nil
 }
 
 // analyzeNaive checks the unserialized hazard: two distinct sources whose
 // fan trees overlap on >= 2 channels can deadlock by acquiring them in
 // opposite orders. It also still reports unicast-graph cycles (via the
 // builder's certificate over the uncontracted graph).
-func analyzeNaive(b *topo.Builder, p *routing.Policy, shape geom.Shape) (Result, error) {
-	var trees [][]Channel
-	shape.Enumerate(func(src geom.Coord) bool {
-		_, tree, _, err := broadcastChannels(p, shape, src, true)
-		if err == nil && len(tree) > 0 {
-			trees = append(trees, tree)
+func (g *Graph) analyzeNaive() (Result, error) {
+	var trees [][]int32
+	g.shape.Enumerate(func(src geom.Coord) bool {
+		if err := g.walkBroadcast(src, true); err == nil && len(g.fan) > 0 {
+			trees = append(trees, slices.Clone(g.fan))
 		}
 		return len(trees) < 8 // a handful of representatives suffice
 	})
-	cert := b.Certificate("mdx-naive")
+	cert := g.Certificate("mdx-naive")
 	res := Result{Channels: cert.Channels, Edges: cert.Edges, Cycle: cert.Cycle}
+	in := make([]bool, g.tree)
 	for i := 0; i < len(trees) && !res.NaiveHazard; i++ {
-		set := map[Channel]bool{}
-		for _, c := range trees[i] {
-			set[c] = true
+		clear(in)
+		for _, n := range trees[i] {
+			in[n] = true
 		}
 		for j := i + 1; j < len(trees); j++ {
 			shared := 0
-			for _, c := range trees[j] {
-				if set[c] {
+			for _, n := range trees[j] {
+				if in[n] {
 					shared++
 				}
 			}

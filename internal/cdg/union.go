@@ -1,6 +1,9 @@
 package cdg
 
 import (
+	"cmp"
+	"slices"
+
 	"sr2201/internal/fault"
 	"sr2201/internal/geom"
 	"sr2201/internal/routing"
@@ -12,132 +15,106 @@ import (
 // during which in-flight packets still route under retiring tables while new
 // packets route under the committed one — is proved safe by certifying the
 // union dependence graph acyclic: the new table's full CDG plus every edge a
-// retiring generation's packets can still hold or wait on. EdgeSet captures
-// a generation's post-contraction edges, split by traffic class so only the
-// classes actually in flight contribute, and UnionCertificate runs the
-// merged graph through the same topo prover as every static certificate.
+// retiring generation's packets can still hold or wait on. UnicastEdges and
+// BroadcastEdges capture a generation's post-contraction edges per traffic
+// class, so only the classes actually in flight contribute, and
+// Graph.AddLiveEdges merges them into the candidate's own graph, whose next
+// Certificate is the transition's — through the same topo prover as every
+// static certificate.
 
-// EdgeSet is one routing generation's contracted dependence edges, split by
-// the traffic classes that produce them, with the channel behind every
-// vertex name (the contracted broadcast tree excepted) for fault filtering.
-type EdgeSet struct {
-	// Scheme names the generation's policy instance (SchemeName form).
-	Scheme string
-	// UnicastEdges covers the point-to-point classes (RC normal and detour,
-	// including detour continuations of normal routes).
-	UnicastEdges [][2]string
-	// BroadcastEdges covers the broadcast classes (RC broadcast-request and
-	// broadcast): request-leg chains plus the edge into the contracted
-	// "BROADCAST-TREE" composite.
-	BroadcastEdges [][2]string
-	// Nodes maps vertex names back to channels. The composite tree vertex
-	// has no entry.
-	Nodes map[string]Channel
-}
+// Edge is one contracted dependence between two channels, by their dense
+// numbers in the shape (see Graph); the contracted broadcast tree has the
+// number one past the last channel.
+type Edge [2]int32
 
-// SnapshotEdges captures the class-split contracted dependence edges of a
-// policy — the same construction RegisterDependences certifies, split into
-// the unicast and broadcast builders. For a retiring generation the policy
-// must be the generation's pinned reconstruction against the live fault set
+// UnicastEdges captures the contracted dependence edges of a policy's
+// point-to-point classes (RC normal and detour, including detour
+// continuations of normal routes), ordered by the names of their channels —
+// the order in which a transition graph takes them in, and so part of what
+// its cycle witness looks like. It is the unicast half of the construction
+// RegisterDependences certifies. For a retiring generation the policy must
+// be the generation's pinned reconstruction against the live fault set
 // (routing.NewPinned): in-flight packets of that generation consult live
 // fault bits, so e.g. a normal-class packet meeting the new fault detours
 // toward the generation's own effective D-XB, and those routes must appear
 // here.
-func SnapshotEdges(p *routing.Policy, shape geom.Shape) (*EdgeSet, error) {
-	es := &EdgeSet{Scheme: SchemeName(p, shape), Nodes: map[string]Channel{}}
-	record := func(cs []Channel) {
-		for _, c := range cs {
-			es.Nodes[c.String()] = c
-		}
-	}
-
-	bu := topo.NewBuilder()
-	shape.Enumerate(func(src geom.Coord) bool {
-		shape.Enumerate(func(dst geom.Coord) bool {
-			path, err := p.UnicastPath(src, dst)
-			if err != nil {
-				if !p.PivotEnabled() {
-					return true
-				}
-				path, err = p.PivotPath(src, dst)
-				if err != nil {
-					return true
-				}
-			}
-			cs := channelsOf(path)
-			record(cs)
-			bu.Path(namesOf(cs)...)
-			return true
-		})
-		return true
-	})
-	es.UnicastEdges = bu.ContractedEdges()
-
-	bb := topo.NewBuilder()
-	treeID := bb.Composite(treeName)
-	shape.Enumerate(func(src geom.Coord) bool {
-		req, tree, _, err := broadcastChannels(p, shape, src, false)
-		if err != nil {
-			return true // sources that cannot broadcast contribute nothing
-		}
-		record(req)
-		record(tree)
-		bb.Path(namesOf(req)...)
-		if len(req) > 0 && len(tree) > 0 {
-			bb.Edge(bb.Channel(req[len(req)-1].String()), treeID)
-		}
-		for _, c := range tree {
-			bb.Absorb(treeID, bb.Channel(c.String()))
-		}
-		return true
-	})
-	es.BroadcastEdges = bb.ContractedEdges()
-	return es, nil
+func UnicastEdges(p *routing.Policy, shape geom.Shape) []Edge {
+	g := newGraph(topo.NewBuilder(), p, shape, 1)
+	g.registerUnicast()
+	return g.contractedEdges()
 }
 
-// live reports whether a vertex still exists under the fault set: a faulted
-// switch's channels were purged with its packets (engine.KillSwitch), so
-// retiring-generation packets can no longer hold or wait on them. Unknown
-// names (the composite tree, or anything unparsed) count as live — keeping
-// an edge can only make the union check stricter.
-func (es *EdgeSet) live(name string, faults *fault.Set) bool {
-	c, ok := es.Nodes[name]
-	if !ok {
-		return true
-	}
-	if c.Router {
-		return !faults.RouterFaulty(c.Coord)
-	}
-	return !faults.XBFaulty(c.Line)
+// BroadcastEdges is UnicastEdges for the broadcast classes (RC
+// broadcast-request and broadcast): request-leg chains plus the edge into
+// the contracted "BROADCAST-TREE" composite.
+func BroadcastEdges(p *routing.Policy, shape geom.Shape) []Edge {
+	g := newGraph(topo.NewBuilder(), p, shape, 1)
+	g.registerBroadcast()
+	return g.contractedEdges()
 }
 
-// LiveEdges filters an edge group of this set down to edges whose endpoints
-// both still exist under the fault set.
-func (es *EdgeSet) LiveEdges(group [][2]string, faults *fault.Set) [][2]string {
-	var out [][2]string
-	for _, e := range group {
-		if es.live(e[0], faults) && es.live(e[1], faults) {
-			out = append(out, e)
+// contractedEdges returns the builder's post-contraction edges as channel
+// numbers, ordered by channel name.
+func (g *Graph) contractedEdges() []Edge {
+	// Every vertex of the builder came in through vertexOf (the graph owns
+	// its builder here): invert vertex[], then rank the vertices by name.
+	numberOf := make([]int32, g.b.Len())
+	for n, v := range g.vertex {
+		if v >= 0 {
+			numberOf[v] = int32(n)
 		}
+	}
+	byName := make([]int32, len(numberOf))
+	for v := range byName {
+		byName[v] = int32(v)
+	}
+	slices.SortFunc(byName, func(a, b int32) int { return cmp.Compare(g.b.Name(int(a)), g.b.Name(int(b))) })
+	rank := make([]int32, len(byName))
+	for r, v := range byName {
+		rank[v] = int32(r)
+	}
+	ids := g.b.ContractedEdges()
+	slices.SortFunc(ids, func(a, b [2]int) int {
+		if c := cmp.Compare(rank[a[0]], rank[b[0]]); c != 0 {
+			return c
+		}
+		return cmp.Compare(rank[a[1]], rank[b[1]])
+	})
+	out := make([]Edge, len(ids))
+	for i, e := range ids {
+		out[i] = Edge{numberOf[e[0]], numberOf[e[1]]}
 	}
 	return out
 }
 
-// UnionCertificate certifies the transition graph for a candidate table:
-// the candidate policy's full dependence graph plus every retiring edge
-// still holdable by in-flight traffic (the caller assembles those from
-// per-generation LiveEdges of the classes actually in flight). Old edge
-// endpoints that are broadcast-tree members of the candidate's graph are
-// contracted onto its composite, so a retiring route waiting into the new
-// tree meets the new tree's own dependences — exactly the interaction the
-// transition must prove harmless.
-func UnionCertificate(candidate *routing.Policy, shape geom.Shape, retiring [][2]string, scheme string) (topo.Certificate, error) {
-	b := topo.NewBuilder()
-	if err := RegisterDependences(b, candidate, shape); err != nil {
-		return topo.Certificate{}, err
+// AddLiveEdges adds one class of a retiring generation's edges to the graph,
+// leaving out edges with an endpoint on a faulted switch: its channels were
+// purged with its packets (engine.KillSwitch), so retiring-generation
+// packets can no longer hold or wait on them. The contracted tree counts as
+// live — keeping an edge can only make the union check stricter. Endpoints
+// that are broadcast-tree members of this graph are contracted onto its
+// composite, so a retiring route waiting into the new tree meets the new
+// tree's own dependences — exactly the interaction the transition must
+// prove harmless.
+func (g *Graph) AddLiveEdges(edges []Edge, faults *fault.Set) {
+	dead := make([]bool, g.tree+1)
+	for _, f := range faults.List() {
+		switch f.Kind {
+		case fault.KindRouter:
+			first := g.number(-1, g.shape.Index(f.Coord), 0)
+			for n := first; n < first+int32(g.dims+1); n++ {
+				dead[n] = true
+			}
+		case fault.KindXB:
+			first := g.number(f.Line.Dim, g.shape.LineIndex(f.Line), 0)
+			for n := first; n < first+int32(g.shape[f.Line.Dim]); n++ {
+				dead[n] = true
+			}
+		}
 	}
-	for _, e := range retiring {
-		b.Edge(b.Channel(e[0]), b.Channel(e[1]))
+	for _, e := range edges {
+		if !dead[e[0]] && !dead[e[1]] {
+			g.b.Edge(g.vertexOf(e[0]), g.vertexOf(e[1]))
+		}
 	}
-	return b.Certificate(scheme), nil
 }

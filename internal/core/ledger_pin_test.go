@@ -9,10 +9,11 @@ import (
 )
 
 // TestSeededLoadStateHashPins pins the final StateHash of three seeded
-// open-loop runs. The values were recorded in BENCH_shard.json (the serial
-// rows of the retired serial-vs-sharded ledger) before spatial sharding was
-// folded out of the kernel, so they prove the refold hash-preserving by
-// numbers that predate it.
+// open-loop runs. The values are the serial rows of the serial-vs-sharded
+// ledger as it stood before spatial sharding was folded out of the kernel
+// (PR 13 deleted that ledger with the sharding; this table is where its
+// serial hashes live on), so they prove the refold, and every kernel change
+// since, hash-preserving by numbers that predate it.
 func TestSeededLoadStateHashPins(t *testing.T) {
 	cases := []struct {
 		name   string

@@ -224,6 +224,9 @@ func TestLineOfAndIndex(t *testing.T) {
 				t.Fatalf("LineIndex(%v) = %d duplicated", l, idx)
 			}
 			seen[idx] = true
+			if back := s.LineAt(dim, idx); back != l {
+				t.Fatalf("LineAt(%d, %d) = %v, want %v", dim, idx, back, l)
+			}
 		}
 	}
 }

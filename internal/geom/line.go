@@ -56,33 +56,12 @@ func (s Shape) Lines() []Line {
 	return out
 }
 
-// LinesAlong enumerates the lines that run along the given dimension.
+// LinesAlong enumerates the lines that run along the given dimension, in
+// LineIndex order.
 func (s Shape) LinesAlong(dim int) []Line {
-	// The fixed coordinates form a lattice with dimension dim collapsed.
-	reduced := make(Shape, 0, s.Dims())
-	for i, e := range s {
-		if i == dim {
-			continue
-		}
-		reduced = append(reduced, e)
-	}
-	count := 1
-	for _, e := range reduced {
-		count *= e
-	}
-	out := make([]Line, 0, count)
-	for idx := 0; idx < count; idx++ {
-		rc := Shape(reduced).CoordOf(idx)
-		var fixed Coord
-		j := 0
-		for i := 0; i < s.Dims(); i++ {
-			if i == dim {
-				continue
-			}
-			fixed[i] = rc[j]
-			j++
-		}
-		out = append(out, Line{Dim: dim, Fixed: fixed})
+	out := make([]Line, s.LineCount(dim))
+	for idx := range out {
+		out[idx] = s.LineAt(dim, idx)
 	}
 	return out
 }
@@ -101,6 +80,19 @@ func (s Shape) LineIndex(l Line) int {
 		stride *= s[i]
 	}
 	return idx
+}
+
+// LineAt inverts LineIndex: the idx-th line along dim.
+func (s Shape) LineAt(dim, idx int) Line {
+	l := Line{Dim: dim}
+	for i := 0; i < s.Dims(); i++ {
+		if i == dim {
+			continue
+		}
+		l.Fixed[i] = idx % s[i]
+		idx /= s[i]
+	}
+	return l
 }
 
 // LineCount reports the number of lines along dim, i.e. Size()/s[dim].

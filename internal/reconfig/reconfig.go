@@ -276,6 +276,7 @@ func (mgr *Manager) attempt(trigger string, f fault.Fault) error {
 	var (
 		chosen    *routing.Policy
 		chosenSep bool
+		graph     *cdg.Graph
 	)
 	for _, sep := range variants {
 		p, err := routing.New(m.RoutingConfig(sep))
@@ -283,17 +284,17 @@ func (mgr *Manager) attempt(trigger string, f fault.Fault) error {
 			ev.Errors = append(ev.Errors, err.Error())
 			continue
 		}
-		cert, err := staticCertificate(p, m)
-		if err != nil {
-			ev.Errors = append(ev.Errors, err.Error())
-			continue
-		}
+		// The candidate's own dependence graph — the same construction as
+		// mdxcert's static proof — registered once: its certificate now, the
+		// transition's from the same graph below.
+		g := cdg.NewGraph(p, m.Shape())
+		cert := g.Certificate(cdg.SchemeName(p, m.Shape()))
 		if !cert.Acyclic {
 			ev.Refusals = append(ev.Refusals, cert)
 			mgr.stats.Refusals++
 			continue
 		}
-		chosen, chosenSep, ev.Candidate = p, sep, cert
+		chosen, chosenSep, graph, ev.Candidate = p, sep, g, cert
 		break
 	}
 	if chosen == nil {
@@ -305,14 +306,10 @@ func (mgr *Manager) attempt(trigger string, f fault.Fault) error {
 	// classes actually in flight.
 	hdrs, unknown := m.Engine().InFlightHeaders()
 	ev.InFlight = len(hdrs) + len(unknown)
-	retiring, err := mgr.retiringEdges(hdrs, len(unknown) > 0)
-	if err != nil {
+	if err := mgr.addRetiringEdges(graph, chosen, hdrs, len(unknown) > 0); err != nil {
 		return mgr.fallback(ev, fmt.Sprintf("retiring-edge snapshot failed: %v", err))
 	}
-	union, err := cdg.UnionCertificate(chosen, m.Shape(), retiring, ev.Candidate.Scheme+"+transition")
-	if err != nil {
-		return mgr.fallback(ev, fmt.Sprintf("union certificate failed: %v", err))
-	}
+	union := graph.Certificate(ev.Candidate.Scheme + "+transition")
 	ev.Union = union
 	if union.Acyclic {
 		if err := m.CommitGeneration(chosen, chosenSep); err != nil {
@@ -375,22 +372,13 @@ func (mgr *Manager) record(ev Event) {
 	}
 }
 
-// staticCertificate certifies a candidate policy's own dependence graph —
-// the same construction as mdxcert's static proof.
-func staticCertificate(p *routing.Policy, m *core.Machine) (topo.Certificate, error) {
-	b := topo.NewBuilder()
-	if err := cdg.RegisterDependences(b, p, m.Shape()); err != nil {
-		return topo.Certificate{}, err
-	}
-	return b.Certificate(cdg.SchemeName(p, m.Shape())), nil
-}
-
-// retiringEdges assembles the old-table half of the union graph: for every
-// generation with traffic in flight, the pinned reconstruction's contracted
-// edges of the classes that traffic can occupy, restricted to still-live
-// channels. A packet whose header flit is unlocatable could belong to any
-// generation and either class, so it pins everything.
-func (mgr *Manager) retiringEdges(hdrs []*flit.Header, anyUnknown bool) ([][2]string, error) {
+// addRetiringEdges adds the old-table half of the union graph to the
+// candidate's: for every generation with traffic in flight, the pinned
+// reconstruction's contracted edges of the classes that traffic can occupy,
+// restricted to still-live channels. A packet whose header flit is
+// unlocatable could belong to any generation and either class, so it pins
+// everything.
+func (mgr *Manager) addRetiringEdges(graph *cdg.Graph, candidate *routing.Policy, hdrs []*flit.Header, anyUnknown bool) error {
 	m := mgr.m
 	gens := m.Generations()
 	type classes struct{ unicast, broadcast bool }
@@ -409,27 +397,29 @@ func (mgr *Manager) retiringEdges(hdrs []*flit.Header, anyUnknown bool) ([][2]st
 			cl[gi].broadcast = true
 		}
 	}
-	var retiring [][2]string
 	for i, g := range gens {
 		if !cl[i].unicast && !cl[i].broadcast {
 			continue
 		}
+		if g.SEff == candidate.EffectiveSXB().Fixed && g.DEff == candidate.EffectiveDXB().Fixed {
+			// Pinned to the candidate's own effective lines against the same
+			// live fault set, the generation decides exactly as the candidate
+			// does (the variant only picks the D line): every edge it could
+			// add is one the graph already holds.
+			continue
+		}
 		pinned, err := routing.NewPinned(m.RoutingConfig(g.Separate), g.SEff, g.DEff)
 		if err != nil {
-			return nil, fmt.Errorf("pinning generation %d: %w", i, err)
-		}
-		es, err := cdg.SnapshotEdges(pinned, m.Shape())
-		if err != nil {
-			return nil, fmt.Errorf("snapshotting generation %d: %w", i, err)
+			return fmt.Errorf("pinning generation %d: %w", i, err)
 		}
 		if cl[i].unicast {
-			retiring = append(retiring, es.LiveEdges(es.UnicastEdges, m.Faults())...)
+			graph.AddLiveEdges(cdg.UnicastEdges(pinned, m.Shape()), m.Faults())
 		}
 		if cl[i].broadcast {
-			retiring = append(retiring, es.LiveEdges(es.BroadcastEdges, m.Faults())...)
+			graph.AddLiveEdges(cdg.BroadcastEdges(pinned, m.Shape()), m.Faults())
 		}
 	}
-	return retiring, nil
+	return nil
 }
 
 // generationIndex mirrors the machine's epoch-to-generation mapping: the last

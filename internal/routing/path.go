@@ -76,31 +76,38 @@ func (p *Policy) maxWalkHops() int { return 8*p.dims + 16 }
 // hardware "stops transmission" behavior.
 func (p *Policy) UnicastPath(src, dst geom.Coord) ([]Hop, error) {
 	var hops []Hop
-	err := p.walkUnicast(src, dst, &hops)
+	err := p.walkUnicast(src, dst, walkSink{hops: &hops})
 	return hops, err
 }
 
+// ChannelVisitor receives the out-port channels of a static walk, in
+// traversal order, by the switch's dense number: a router is dim -1 and its
+// Shape.Index, a crossbar its dimension and Shape.LineIndex.
+type ChannelVisitor func(dim, index, out int)
+
+// walkSink is where a static walk reports the switches it passes: as Hops
+// (UnicastPath), as channels (the dependence prover) or, empty, nowhere
+// (Reachable). The decisions, and the error, are the same either way.
+type walkSink struct {
+	hops     *[]Hop
+	channels ChannelVisitor
+}
+
 // walkUnicast checks the pair and walks a plain unicast header between them.
-func (p *Policy) walkUnicast(src, dst geom.Coord, hops *[]Hop) error {
+func (p *Policy) walkUnicast(src, dst geom.Coord, to walkSink) error {
 	if !p.shape.Contains(src) || !p.shape.Contains(dst) {
 		return fmt.Errorf("routing: src %v or dst %v outside shape", src, dst)
 	}
 	h := flit.Header{Src: src, Dst: dst, RC: flit.RCNormal}
-	return p.walkHeader(src, &h, hops)
+	return p.walkHeader(src, &h, to)
 }
 
 // walkHeader replays the policy decisions for one unicast header injected at
 // src, following RC and two-phase rewrites (applied to *h in place), until PE
-// delivery. It appends the elements to *hops unless hops is nil; either way
-// the decisions, and the error, are the same.
-func (p *Policy) walkHeader(src geom.Coord, h *flit.Header, hops *[]Hop) error {
+// delivery, reporting the elements to the sink.
+func (p *Policy) walkHeader(src geom.Coord, h *flit.Header, to walkSink) error {
 	if p.faults.RouterFaulty(src) {
 		return fmt.Errorf("%w: source router %v faulty", ErrUnreachable, src)
-	}
-	record := func(hop Hop) {
-		if hops != nil {
-			*hops = append(*hops, hop)
-		}
 	}
 	atRouter := true
 	coord := src
@@ -116,10 +123,17 @@ func (p *Policy) walkHeader(src geom.Coord, h *flit.Header, hops *[]Hop) error {
 				return fmt.Errorf("routing: unicast fan-out at router %v", coord)
 			}
 			out := outs[0]
-			record(Hop{Kind: HopRouter, Coord: coord, RC: h.RC, Out: out})
+			if to.hops != nil {
+				*to.hops = append(*to.hops, Hop{Kind: HopRouter, Coord: coord, RC: h.RC, Out: out})
+			}
+			if to.channels != nil {
+				to.channels(-1, p.shape.Index(coord), out)
+			}
 			x.apply(h)
 			if out == p.dims {
-				record(Hop{Kind: HopPE, Coord: coord, RC: h.RC, Out: -1})
+				if to.hops != nil {
+					*to.hops = append(*to.hops, Hop{Kind: HopPE, Coord: coord, RC: h.RC, Out: -1})
+				}
 				if coord != h.Dst {
 					return fmt.Errorf("routing: delivered to %v, wanted %v", coord, h.Dst)
 				}
@@ -137,7 +151,12 @@ func (p *Policy) walkHeader(src geom.Coord, h *flit.Header, hops *[]Hop) error {
 				return fmt.Errorf("routing: unicast fan-out at crossbar %v", line)
 			}
 			out := outs[0]
-			record(Hop{Kind: HopXB, Line: line, RC: h.RC, Out: out})
+			if to.hops != nil {
+				*to.hops = append(*to.hops, Hop{Kind: HopXB, Line: line, RC: h.RC, Out: out})
+			}
+			if to.channels != nil {
+				to.channels(line.Dim, p.shape.LineIndex(line), out)
+			}
 			x.apply(h)
 			coord = line.Point(out)
 			in = line.Dim
@@ -145,6 +164,14 @@ func (p *Policy) walkHeader(src geom.Coord, h *flit.Header, hops *[]Hop) error {
 		}
 	}
 	return fmt.Errorf("routing: path from %v exceeded %d hops (routing loop?)", src, p.maxWalkHops())
+}
+
+// UnicastChannels walks the route UnicastPath would return and reports its
+// channels to visit without building the path; the error is UnicastPath's.
+// Channels are reported as the walk goes, so on an error the caller has
+// seen the prefix the refused route got to.
+func (p *Policy) UnicastChannels(src, dst geom.Coord, visit ChannelVisitor) error {
+	return p.walkUnicast(src, dst, walkSink{channels: visit})
 }
 
 // PivotEnabled reports whether the two-phase pivot extension is configured.
@@ -184,21 +211,30 @@ func (p *Policy) PivotIntermediate(src, dst geom.Coord) (geom.Coord, bool) {
 // PivotPath computes the two-phase route src -> intermediate -> dst, or
 // ErrUnreachable when no valid intermediate exists.
 func (p *Policy) PivotPath(src, dst geom.Coord) ([]Hop, error) {
+	var hops []Hop
+	err := p.walkPivot(src, dst, walkSink{hops: &hops})
+	return hops, err
+}
+
+// PivotChannels is PivotPath in UnicastChannels' form.
+func (p *Policy) PivotChannels(src, dst geom.Coord, visit ChannelVisitor) error {
+	return p.walkPivot(src, dst, walkSink{channels: visit})
+}
+
+func (p *Policy) walkPivot(src, dst geom.Coord, to walkSink) error {
 	mid, ok := p.PivotIntermediate(src, dst)
 	if !ok {
-		return nil, fmt.Errorf("%w: no pivot intermediate for %v -> %v", ErrUnreachable, src, dst)
+		return fmt.Errorf("%w: no pivot intermediate for %v -> %v", ErrUnreachable, src, dst)
 	}
 	h := flit.Header{Src: src, Dst: mid, FinalDst: dst, TwoPhase: true, RC: flit.RCNormal}
-	var hops []Hop
-	err := p.walkHeader(src, &h, &hops)
-	return hops, err
+	return p.walkHeader(src, &h, to)
 }
 
 // Reachable reports whether a point-to-point send from src to dst would be
 // delivered under the present faults: UnicastPath's error without the path.
 // A served pair costs no allocation.
 func (p *Policy) Reachable(src, dst geom.Coord) error {
-	return p.walkUnicast(src, dst, nil)
+	return p.walkUnicast(src, dst, walkSink{})
 }
 
 // CrossbarHops counts the crossbar traversals on the path (the paper's hop

@@ -170,48 +170,15 @@ func (p *Policy) substitute(fixed geom.Coord) geom.Coord {
 		return fixed
 	}
 	// Scan all dim-0 lines starting just after the configured one.
-	reduced := reducedShape(p.shape, 0)
-	count := reduced.Size()
+	count := p.shape.LineCount(0)
 	start := p.shape.LineIndex(l)
 	for i := 1; i < count; i++ {
-		cand := lineFromReducedIndex(p.shape, 0, (start+i)%count)
+		cand := p.shape.LineAt(0, (start+i)%count)
 		if !p.faults.LineTouched(cand) {
 			return cand.Fixed
 		}
 	}
 	return fixed
-}
-
-// reducedShape collapses dimension dim out of the shape (the lattice of
-// dim-`dim` lines).
-func reducedShape(s geom.Shape, dim int) geom.Shape {
-	r := make(geom.Shape, 0, s.Dims())
-	for i, e := range s {
-		if i == dim {
-			continue
-		}
-		r = append(r, e)
-	}
-	if len(r) == 0 {
-		r = geom.Shape{1}
-	}
-	return r
-}
-
-// lineFromReducedIndex inverts geom.Shape.LineIndex.
-func lineFromReducedIndex(s geom.Shape, dim, idx int) geom.Line {
-	reduced := reducedShape(s, dim)
-	rc := reduced.CoordOf(idx)
-	var fixed geom.Coord
-	j := 0
-	for i := 0; i < s.Dims(); i++ {
-		if i == dim {
-			continue
-		}
-		fixed[i] = rc[j]
-		j++
-	}
-	return geom.Line{Dim: dim, Fixed: fixed}
 }
 
 // EffectiveSXB returns the serialized crossbar line in force (after fault

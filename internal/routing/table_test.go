@@ -2,97 +2,248 @@ package routing
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"sr2201/internal/engine"
 	"sr2201/internal/fault"
 	"sr2201/internal/flit"
 	"sr2201/internal/geom"
 )
 
-// equivalentDecisions compares an algorithmic and a table decision for one
-// (switch, input, header) triple.
-func equivalentDecisions(t *testing.T, what string, h *flit.Header,
-	dA []int, tA func(*flit.Header) *flit.Header, eA error,
-	dB []int, tB func(*flit.Header) *flit.Header, eB error) {
+// equivalentDecision compares the algorithmic and the table decision for one
+// (switch, input, header) triple: outputs, the rewrite applied to the
+// forwarded header, and the refusal down to its text.
+func equivalentDecision(t *testing.T, what func() string, h *flit.Header, dA, dB engine.Decision, eA, eB error) {
 	t.Helper()
-	if (eA != nil) != (eB != nil) {
-		t.Fatalf("%s: error mismatch: %v vs %v", what, eA, eB)
+	if (eA != nil) != (eB != nil) || (eA != nil && eA.Error() != eB.Error()) {
+		t.Fatalf("%s: error mismatch: %v vs %v", what(), eA, eB)
 	}
 	if eA != nil {
+		if errors.Is(eA, ErrUnreachable) != errors.Is(eB, ErrUnreachable) {
+			t.Fatalf("%s: ErrUnreachable identity lost: %v vs %v", what(), eA, eB)
+		}
 		return
 	}
-	if len(dA) != len(dB) {
-		t.Fatalf("%s: outs %v vs %v", what, dA, dB)
+	if !slices.Equal(dA.Outs, dB.Outs) {
+		t.Fatalf("%s: outs %v vs %v", what(), dA.Outs, dB.Outs)
 	}
-	for i := range dA {
-		if dA[i] != dB[i] {
-			t.Fatalf("%s: outs %v vs %v", what, dA, dB)
-		}
-	}
-	applied := func(tr func(*flit.Header) *flit.Header) (flit.RC, int) {
+	applied := func(tr func(*flit.Header) *flit.Header) flit.Header {
 		if tr == nil {
-			return h.RC, h.DetourHops
+			return *h
 		}
-		n := tr(h)
-		return n.RC, n.DetourHops
+		return *tr(h)
 	}
-	rcA, hopsA := applied(tA)
-	rcB, hopsB := applied(tB)
-	if rcA != rcB || hopsA != hopsB {
-		t.Fatalf("%s: transform mismatch rc %v/%v hops %d/%d", what, rcA, rcB, hopsA, hopsB)
+	if hA, hB := applied(dA.Transform), applied(dB.Transform); hA != hB {
+		t.Fatalf("%s: transform mismatch: %+v vs %+v", what(), hA, hB)
 	}
 }
 
-// The compiled tables must reproduce every algorithmic decision exactly:
-// every switch, every input, every RC class, every destination — across
-// fault-free and faulted configurations.
-func TestTableEquivalenceExhaustive(t *testing.T) {
-	shape := geom.MustShape(4, 3)
-	configs := []*Policy{
-		mustPolicy(t, Config{Shape: shape}),
-		withFaults(t, shape, Config{}, fault.RouterFault(geom.Coord{2, 0})),
-		withFaults(t, shape, Config{}, fault.XBFault(geom.Line{Dim: 0, Fixed: geom.Coord{0, 1}})),
-		withFaults(t, shape, Config{SXB: geom.Coord{0, 1}, DXB: geom.Coord{0, 2}}, fault.RouterFault(geom.Coord{1, 1})),
-		withFaults(t, shape, Config{}, fault.XBFault(geom.Line{Dim: 1, Fixed: geom.Coord{2, 0}})),
+// classHeaders are the headers a switch can face for one destination. Only
+// the first two read it.
+func classHeaders(dst geom.Coord) [4]flit.Header {
+	return [4]flit.Header{
+		{RC: flit.RCNormal, Dst: dst},
+		{RC: flit.RCDetour, Dst: dst, DetourHops: 1},
+		{RC: flit.RCBroadcastRequest},
+		{RC: flit.RCBroadcast},
 	}
-	for ci, p := range configs {
+}
+
+// checkRouter and checkXB compare one switch's decisions for one header at
+// every input port.
+func checkRouter(t *testing.T, p *Policy, tp *TablePolicy, c geom.Coord, h *flit.Header) {
+	t.Helper()
+	for in := 0; in <= p.dims; in++ {
+		dA, eA := p.RouteRouter(nil, c, in, h)
+		dB, eB := tp.RouteRouter(nil, c, in, h)
+		equivalentDecision(t, func() string { return fmt.Sprintf("router %v in %d rc %v dst %v", c, in, h.RC, h.Dst) }, h, dA, dB, eA, eB)
+	}
+}
+
+func checkXB(t *testing.T, p *Policy, tp *TablePolicy, l geom.Line, h *flit.Header) {
+	t.Helper()
+	for in := 0; in < p.shape[l.Dim]; in++ {
+		dA, eA := p.RouteXB(nil, l, in, h)
+		dB, eB := tp.RouteXB(nil, l, in, h)
+		equivalentDecision(t, func() string { return fmt.Sprintf("crossbar %v in %d rc %v dst %v", l, in, h.RC, h.Dst) }, h, dA, dB, eA, eB)
+	}
+}
+
+// equivalentEverywhere compiles p and compares every (switch, in-port, RC,
+// destination) with the algorithmic decision. The request and broadcast
+// classes carry no destination and are compared once per switch and port.
+func equivalentEverywhere(t *testing.T, p *Policy) {
+	t.Helper()
+	tp, err := Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := p.shape
+	perDst := func(check func(h *flit.Header)) {
+		for di := 0; di < shape.Size(); di++ {
+			hs := classHeaders(shape.CoordOf(di))
+			check(&hs[0])
+			check(&hs[1])
+		}
+		hs := classHeaders(geom.Coord{})
+		check(&hs[2])
+		check(&hs[3])
+	}
+	shape.Enumerate(func(c geom.Coord) bool {
+		perDst(func(h *flit.Header) { checkRouter(t, p, tp, c, h) })
+		return true
+	})
+	for _, l := range shape.Lines() {
+		perDst(func(h *flit.Header) { checkXB(t, p, tp, l, h) })
+	}
+}
+
+// placements lists every single router and crossbar fault of the shape.
+func placements(shape geom.Shape) []fault.Fault {
+	var out []fault.Fault
+	shape.Enumerate(func(c geom.Coord) bool {
+		out = append(out, fault.RouterFault(c))
+		return true
+	})
+	for _, l := range shape.Lines() {
+		out = append(out, fault.XBFault(l))
+	}
+	return out
+}
+
+// The compiled tables must reproduce every algorithmic decision exactly:
+// every switch, every input, every RC class, every destination — fault-free,
+// under every single fault, under seeded two-fault sets (half of them with a
+// separate D-XB), and for retired generations pinned to their old effective
+// lines against a later fault, which is what a live reconfiguration
+// recompiles.
+func TestTableEquivalenceExhaustive(t *testing.T) {
+	for _, shape := range []geom.Shape{geom.MustShape(4, 3), geom.MustShape(4, 4, 4)} {
+		all := placements(shape)
+		last := shape.CoordOf(shape.Size() - 1)
+		equivalentEverywhere(t, mustPolicy(t, Config{Shape: shape}))
+		equivalentEverywhere(t, mustPolicy(t, Config{Shape: shape, SXB: last.WithDim(0, 0), DXB: last}))
+		for i, f := range all {
+			if testing.Short() && i%5 != 0 {
+				continue
+			}
+			equivalentEverywhere(t, withFaults(t, shape, Config{}, f))
+		}
+		rng := rand.New(rand.NewSource(4))
+		for i := 0; i < 40; i++ {
+			a, b := all[rng.Intn(len(all))], all[rng.Intn(len(all))]
+			if testing.Short() && i%5 != 0 {
+				continue
+			}
+			cfg := Config{}
+			if i%2 == 1 {
+				cfg.DXB = last
+			}
+			equivalentEverywhere(t, withFaults(t, shape, cfg, a, b))
+
+			// The generation compiled under fault a, pinned, meets fault b.
+			old := withFaults(t, shape, cfg, a)
+			cfg.Shape, cfg.Faults = shape, fault.NewSet(shape)
+			for _, f := range []fault.Fault{a, b} {
+				if err := cfg.Faults.Add(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pinned, err := NewPinned(cfg, old.sEff, old.dEff)
+			if err != nil {
+				t.Fatal(err)
+			}
+			equivalentEverywhere(t, pinned)
+		}
+	}
+}
+
+// TestTableEquivalenceSampled8x8x8 compares a seeded sample of decisions on
+// the 512-PE machine, where the exhaustive product is out of reach.
+func TestTableEquivalenceSampled8x8x8(t *testing.T) {
+	shape := geom.MustShape(8, 8, 8)
+	all := placements(shape)
+	rng := rand.New(rand.NewSource(8))
+	pick := func() fault.Fault { return all[rng.Intn(len(all))] }
+	policies := []*Policy{
+		mustPolicy(t, Config{Shape: shape}),
+		withFaults(t, shape, Config{}, fault.RouterFault(geom.Coord{4, 2, 1})),
+		withFaults(t, shape, Config{}, fault.XBFault(geom.Line{Dim: 1, Fixed: geom.Coord{3, 0, 5}})),
+		withFaults(t, shape, Config{DXB: geom.Coord{0, 7, 7}}, fault.XBFault(geom.Line{Dim: 0, Fixed: geom.Coord{0, 7, 7}})),
+	}
+	for i := 0; i < 6; i++ {
+		cfg := Config{}
+		if i%2 == 1 {
+			cfg.DXB = geom.Coord{0, 5, 6}
+		}
+		policies = append(policies, withFaults(t, shape, cfg, pick(), pick()))
+	}
+	lines := shape.Lines()
+	for _, p := range policies {
 		tp, err := Compile(p)
 		if err != nil {
-			t.Fatalf("config %d: %v", ci, err)
+			t.Fatal(err)
 		}
-		if tp.Entries() == 0 {
-			t.Fatalf("config %d: empty tables", ci)
-		}
-		d := shape.Dims()
-		headers := func(dst geom.Coord) []*flit.Header {
-			return []*flit.Header{
-				{RC: flit.RCNormal, Dst: dst},
-				{RC: flit.RCDetour, Dst: dst},
-				{RC: flit.RCBroadcastRequest},
-				{RC: flit.RCBroadcast},
+		// Half the samples sit next to a fault, where the override rows are.
+		var hotRouters []geom.Coord
+		var hotLines []geom.Line
+		for _, f := range p.faults.List() {
+			if f.Kind == fault.KindRouter {
+				hotRouters = append(hotRouters, f.Coord)
+				for k := 0; k < p.dims; k++ {
+					hotLines = append(hotLines, geom.LineOf(f.Coord, k))
+				}
+			} else {
+				hotLines = append(hotLines, f.Line)
+				hotRouters = append(hotRouters, f.Line.Point(rng.Intn(shape[f.Line.Dim])))
 			}
 		}
-		shape.Enumerate(func(c geom.Coord) bool {
-			shape.Enumerate(func(dst geom.Coord) bool {
-				for _, h := range headers(dst) {
-					for in := 0; in <= d; in++ {
-						da, err1 := p.RouteRouter(nil, c, in, h)
-						db, err2 := tp.RouteRouter(nil, c, in, h)
-						equivalentDecisions(t, "router", h, da.Outs, da.Transform, err1, db.Outs, db.Transform, err2)
-					}
-					for dim := 0; dim < d; dim++ {
-						l := geom.LineOf(c, dim)
-						for in := 0; in < shape[dim]; in++ {
-							da, err1 := p.RouteXB(nil, l, in, h)
-							db, err2 := tp.RouteXB(nil, l, in, h)
-							equivalentDecisions(t, "crossbar", h, da.Outs, da.Transform, err1, db.Outs, db.Transform, err2)
-						}
-					}
-				}
-				return true
-			})
-			return true
-		})
+		for i := 0; i < 20_000; i++ {
+			c, l := shape.CoordOf(rng.Intn(shape.Size())), lines[rng.Intn(len(lines))]
+			if i%2 == 1 && len(hotLines) > 0 {
+				c, l = hotRouters[rng.Intn(len(hotRouters))], hotLines[rng.Intn(len(hotLines))]
+			}
+			hs := classHeaders(shape.CoordOf(rng.Intn(shape.Size())))
+			h := &hs[rng.Intn(len(hs))]
+			checkRouter(t, p, tp, c, h)
+			checkXB(t, p, tp, l, h)
+		}
+	}
+}
+
+// TestTableEntriesClosedForm pins the fault-free table size of the 2048-PE
+// machine to the sum it should be — per router d+1 normal, 1 detour, 1
+// request and d+1 broadcast entries; per crossbar along dimension k n_k
+// normal, n_0 (k = 0) or 1 detour, 1 request and n_k broadcast entries — so
+// no per-destination term can creep back.
+func TestTableEntriesClosedForm(t *testing.T) {
+	shape := geom.MustShape(8, 16, 16)
+	tp, err := Compile(mustPolicy(t, Config{Shape: shape}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := shape.Dims()
+	want := shape.Size() * (2*(d+1) + 2)
+	for k, extent := range shape {
+		detour := 1
+		if k == 0 {
+			detour = extent
+		}
+		want += shape.LineCount(k) * (2*extent + detour + 1)
+	}
+	if got := tp.Entries(); got != want || want != 35_584 {
+		t.Fatalf("fault-free %v tables hold %d entries, closed form says %d (35 584)", shape, got, want)
+	}
+	// One faulty router adds its d crossbars' dense rows and nothing else.
+	faulted, err := Compile(withFaults(t, shape, Config{}, fault.RouterFault(geom.Coord{4, 2, 1})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := faulted.Entries(); got != want+d*shape.Size() {
+		t.Fatalf("one router fault: %d entries, want %d + %d override rows of %d", got, want, d, shape.Size())
 	}
 }
 
@@ -112,6 +263,9 @@ func TestTableRejectsTwoPhaseHeaders(t *testing.T) {
 	h := &flit.Header{TwoPhase: true, Dst: geom.Coord{1, 1}}
 	if _, err := tp.RouteRouter(nil, geom.Coord{0, 0}, 2, h); err == nil {
 		t.Fatal("two-phase header routed by table")
+	}
+	if _, err := tp.RouteXB(nil, geom.LineOf(geom.Coord{0, 0}, 0), 0, h); err == nil {
+		t.Fatal("two-phase header routed by table at crossbar")
 	}
 	bad := &flit.Header{RC: flit.RC(7)}
 	if _, err := tp.RouteRouter(nil, geom.Coord{0, 0}, 2, bad); err == nil {
@@ -137,5 +291,24 @@ func TestTablePreservesUnreachable(t *testing.T) {
 	_, errB := tp.RouteRouter(nil, geom.Coord{2, 0}, 0, h)
 	if !errors.Is(errA, ErrUnreachable) || !errors.Is(errB, ErrUnreachable) {
 		t.Fatalf("errors = %v / %v", errA, errB)
+	}
+}
+
+// BenchmarkCompileTables is the in-repo counterpart of the ledger's
+// routing.compile_tables_ms: the 2048-PE machine's tables, fault-free.
+func BenchmarkCompileTables(b *testing.B) {
+	p, err := New(Config{Shape: geom.MustShape(8, 16, 16)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tp, err := Compile(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if tp.Entries() == 0 {
+			b.Fatal("empty tables")
+		}
 	}
 }

@@ -19,7 +19,7 @@ package topo
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ErrUnreachable reports that a scheme refuses a source/destination pair
@@ -70,16 +70,24 @@ func (c Certificate) String() string {
 // interned by name in insertion order; edges are deduplicated; composite
 // vertices contract their member channels into one resource at
 // certification time. The builder is not safe for concurrent use.
+//
+// Vertices are dense ids, so the graph is slices indexed by id: adj[u] is
+// u's successor set as a sorted slice (membership by binary search, and the
+// cycle search wants successors in id order anyway), memberOf[v] the
+// composite v was absorbed into. A name is hashed once, when Channel first
+// sees it; callers that already number their channels (internal/cdg) keep
+// the returned id and never come back through the map.
 type Builder struct {
-	ids     map[string]int
-	names   []string
-	adj     map[int]map[int]bool
-	members map[int]int // member channel id -> composite id
+	ids      map[string]int
+	names    []string
+	adj      [][]int32
+	memberOf []int32 // composite id, or -1
+	members  int
 }
 
 // NewBuilder returns an empty dependence-graph builder.
 func NewBuilder() *Builder {
-	return &Builder{ids: map[string]int{}, adj: map[int]map[int]bool{}, members: map[int]int{}}
+	return &Builder{ids: map[string]int{}}
 }
 
 // Channel interns a channel vertex by name and returns its id. Repeated
@@ -91,7 +99,24 @@ func (b *Builder) Channel(name string) int {
 	v := len(b.names)
 	b.ids[name] = v
 	b.names = append(b.names, name)
+	b.adj = append(b.adj, nil)
+	b.memberOf = append(b.memberOf, -1)
 	return v
+}
+
+// Len reports how many vertices have been interned; ids run from 0 to Len-1.
+func (b *Builder) Len() int { return len(b.names) }
+
+// Name returns the name vertex id was interned under.
+func (b *Builder) Name(id int) string { return b.names[id] }
+
+// insertSorted adds v to the sorted set s, reporting whether it was new.
+func insertSorted(s []int32, v int32) ([]int32, bool) {
+	i, found := slices.BinarySearch(s, v)
+	if found {
+		return s, false
+	}
+	return slices.Insert(s, i, v), true
 }
 
 // Edge records a dependence from channel u to channel v. Self-loops are
@@ -100,10 +125,7 @@ func (b *Builder) Edge(u, v int) {
 	if u == v {
 		return
 	}
-	if b.adj[u] == nil {
-		b.adj[u] = map[int]bool{}
-	}
-	b.adj[u][v] = true
+	b.adj[u], _ = insertSorted(b.adj[u], int32(v))
 }
 
 // Path interns the named channels and records the consecutive dependences
@@ -128,106 +150,86 @@ func (b *Builder) Absorb(comp, id int) {
 	if comp == id {
 		return
 	}
-	b.members[id] = comp
+	if b.memberOf[id] < 0 {
+		b.members++
+	}
+	b.memberOf[id] = int32(comp)
 }
 
-// Certificate contracts composites, counts the resulting graph, and runs
-// the deterministic cycle search.
-func (b *Builder) Certificate(scheme string) Certificate {
-	contracted := map[int]map[int]bool{}
-	redirect := func(v int) int {
-		if c, ok := b.members[v]; ok {
+// contract returns the graph with composite members redirected onto their
+// composite, self-loops dropped and duplicates collapsed, and its edge
+// count.
+func (b *Builder) contract() ([][]int32, int) {
+	redirect := func(v int32) int32 {
+		if c := b.memberOf[v]; c >= 0 {
 			return c
 		}
 		return v
 	}
+	contracted := make([][]int32, len(b.adj))
 	edges := 0
 	for u, vs := range b.adj {
-		cu := redirect(u)
-		for v := range vs {
+		cu := redirect(int32(u))
+		for _, v := range vs {
 			cv := redirect(v)
 			if cu == cv {
 				continue
 			}
-			if contracted[cu] == nil {
-				contracted[cu] = map[int]bool{}
-			}
-			if !contracted[cu][cv] {
-				contracted[cu][cv] = true
+			var added bool
+			if contracted[cu], added = insertSorted(contracted[cu], cv); added {
 				edges++
 			}
 		}
 	}
-	cert := Certificate{Scheme: scheme, Channels: len(b.names) - len(b.members), Edges: edges}
-	cert.Cycle = FindCycle(contracted, b.names)
+	return contracted, edges
+}
+
+// Certificate contracts composites, counts the resulting graph, and runs
+// the deterministic cycle search. The builder stays usable: more edges may
+// be added and a further certificate taken over the larger graph (the
+// reconfiguration layer certifies a candidate, then adds the retiring
+// edges and certifies the transition).
+func (b *Builder) Certificate(scheme string) Certificate {
+	contracted, edges := b.contract()
+	cert := Certificate{Scheme: scheme, Channels: len(b.names) - b.members, Edges: edges}
+	cert.Cycle = findCycle(contracted, b.names)
 	cert.Acyclic = cert.Cycle == nil
 	return cert
 }
 
-// ContractedEdges returns the post-contraction dependence edges as name
-// pairs, in deterministic (sorted) order: the same graph Certificate counts
-// and searches, with composite members redirected onto their composite and
-// self-loops dropped. The reconfiguration layer uses this to merge the edges
-// of a retiring routing generation into a fresh Builder when certifying the
-// old ∪ new transition graph.
-func (b *Builder) ContractedEdges() [][2]string {
-	redirect := func(v int) int {
-		if c, ok := b.members[v]; ok {
-			return c
-		}
-		return v
-	}
-	seen := map[[2]int]bool{}
-	var out [][2]string
-	for u, vs := range b.adj {
-		cu := redirect(u)
-		for v := range vs {
-			cv := redirect(v)
-			if cu == cv || seen[[2]int{cu, cv}] {
-				continue
-			}
-			seen[[2]int{cu, cv}] = true
-			out = append(out, [2]string{b.names[cu], b.names[cv]})
+// ContractedEdges returns the post-contraction dependence edges as vertex id
+// pairs ordered by (from, to): the same graph Certificate counts and
+// searches, with composite members redirected onto their composite and
+// self-loops dropped. The reconfiguration layer uses this to carry the
+// edges of a retiring routing generation into the builder that certifies
+// the old ∪ new transition graph.
+func (b *Builder) ContractedEdges() [][2]int {
+	contracted, edges := b.contract()
+	out := make([][2]int, 0, edges)
+	for u, vs := range contracted {
+		for _, v := range vs {
+			out = append(out, [2]int{u, int(v)})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
 }
 
-// FindCycle runs a deterministic DFS (vertices and successors in id
-// order) over the graph and returns the names of one cycle's vertices, or
-// nil. Exposed for analyzers that maintain auxiliary graphs (internal/cdg's
-// naive-broadcast hazard check) beside the Builder.
-func FindCycle(adj map[int]map[int]bool, names []string) []string {
+// findCycle runs a deterministic DFS (vertices and successors in id order)
+// over the graph and returns the names of one cycle's vertices, or nil.
+func findCycle(adj [][]int32, names []string) []string {
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	color := map[int]int{}
-	parent := map[int]int{}
-	var cycleAt = -1
+	color := make([]uint8, len(adj))
+	parent := make([]int32, len(adj))
+	cycleAt := int32(-1)
 
-	var nodes []int
-	for u := range adj {
-		nodes = append(nodes, u)
-	}
-	sort.Ints(nodes)
-
-	var dfs func(u int) bool
-	dfs = func(u int) bool {
+	var dfs func(u int32) bool
+	dfs = func(u int32) bool {
 		color[u] = gray
-		var targets []int
-		for v := range adj[u] {
-			targets = append(targets, v)
-		}
-		sort.Ints(targets)
-		for _, v := range targets {
+		for _, v := range adj[u] {
 			switch color[v] {
 			case white:
 				parent[v] = u
@@ -243,11 +245,9 @@ func FindCycle(adj map[int]map[int]bool, names []string) []string {
 		color[u] = black
 		return false
 	}
-	for _, u := range nodes {
-		if color[u] == white {
-			if dfs(u) {
-				break
-			}
+	for u := range adj {
+		if color[u] == white && dfs(int32(u)) {
+			break
 		}
 	}
 	if cycleAt < 0 {
@@ -262,9 +262,7 @@ func FindCycle(adj map[int]map[int]bool, names []string) []string {
 			break
 		}
 	}
-	for i, j := 0, len(cyc)-1; i < j; i, j = i+1, j-1 {
-		cyc[i], cyc[j] = cyc[j], cyc[i]
-	}
+	slices.Reverse(cyc)
 	return cyc
 }
 

@@ -71,6 +71,13 @@ func TestBuilderCompositeContraction(t *testing.T) {
 	if cert.Acyclic {
 		t.Error("contraction lost the x<->tree cycle")
 	}
+	// ContractedEdges is the same graph as id pairs, ordered by (from, to).
+	if got, want := b.ContractedEdges(), [][2]int{{comp, x}, {x, comp}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("ContractedEdges() = %v, want %v", got, want)
+	}
+	if b.Len() != 4 || b.Name(x) != "x" {
+		t.Errorf("Len() = %d, Name(x) = %q; want 4 vertices and \"x\"", b.Len(), b.Name(x))
+	}
 }
 
 // TestCertificateCycleWitness: the refutation names the cycle's channels
