@@ -32,25 +32,16 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment ids to run, comma-separated and case-insensitive (e.g. e4 or E1,F2), or 'all'")
-		quick      = flag.Bool("quick", false, "reduced sweep sizes")
-		parallel   = flag.Int("parallel", sweep.DefaultParallel(), "worker-pool width for experiments and their sweep cells (1 = serial)")
-		benchCoreP = flag.String("bench-core", "", "write core cycle-rate snapshots (E6, E11, kernel step loop) to this JSON file and exit (e.g. BENCH_core.json)")
-		list       = flag.Bool("list", false, "list experiments and exit")
+		exp      = flag.String("exp", "all", "experiment ids to run, comma-separated and case-insensitive (e.g. e4 or E1,F2), or 'all'")
+		quick    = flag.Bool("quick", false, "reduced sweep sizes")
+		parallel = flag.Int("parallel", sweep.DefaultParallel(), "worker-pool width for experiments and their sweep cells (1 = serial)")
+		list     = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
 
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-4s %-55s %s\n", e.ID, e.Title, e.Paper)
-		}
-		return
-	}
-
-	if *benchCoreP != "" {
-		if err := benchCore(*benchCoreP, *quick, *parallel); err != nil {
-			fmt.Fprintf(os.Stderr, "mdxbench: bench-core: %v\n", err)
-			os.Exit(1)
 		}
 		return
 	}

@@ -2,13 +2,14 @@
 // share: shapes ("8x8"), coordinates ("2,1"), fault specifications
 // ("rtc:2,1", "xb:0:0,1" or "link:0,0-3,0"), fault schedules
 // ("rtc:2,1@500"), broadcast schedules ("3,2@250"), topology names
-// ("mdx" | "hyperx" | "fullmesh"), the recovery-flag triple, the
+// (the core.Topologies that model faults), the recovery-flag triple, the
 // virtual-channel flag pair, the reconfiguration flag pair, fleet worker
 // ids, and chaos failpoints ("<hash>@<cycle>").
 package cliutil
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -18,20 +19,20 @@ import (
 	"sr2201/internal/recovery"
 )
 
-// ParseTopology parses a -topo flag value into the canonical topology name
-// core.Config accepts. The empty string selects the default MD crossbar;
-// case and surrounding whitespace are forgiven.
+// ParseTopology parses a -topo flag value into the canonical name of a
+// topology the fault tools can run: one core.Config accepts and that models
+// faults (the mesh and torus baselines do not). The empty string selects the
+// default MD crossbar; case and surrounding whitespace are forgiven.
 func ParseTopology(s string) (string, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", core.TopologyMDX:
+	name := strings.ToLower(strings.TrimSpace(s))
+	if name == "" || name == core.TopologyMDX {
 		return core.TopologyMDX, nil
-	case core.TopologyHyperX:
-		return core.TopologyHyperX, nil
-	case core.TopologyFullMesh:
-		return core.TopologyFullMesh, nil
-	default:
-		return "", fmt.Errorf("cliutil: unknown topology %q (mdx | hyperx | fullmesh)", s)
 	}
+	known := slices.DeleteFunc(core.Topologies(), func(n string) bool { return !core.ModelsFaults(n) })
+	if !slices.Contains(known, name) {
+		return "", fmt.Errorf("cliutil: unknown topology %q (%s)", s, strings.Join(known, " | "))
+	}
+	return name, nil
 }
 
 // ParseShape parses "n1xn2x..." into a Shape, e.g. "8x8" or "4x4x4".

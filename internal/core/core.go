@@ -15,6 +15,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"sr2201/internal/deadlock"
 	"sr2201/internal/engine"
@@ -25,8 +26,12 @@ import (
 	"sr2201/internal/routing"
 	"sr2201/internal/stats"
 	"sr2201/internal/topo"
-	"sr2201/internal/topo/fullmesh"
-	"sr2201/internal/topo/hyperx"
+
+	// Imported for their init() registrations: every topo registration with
+	// a New constructor is a topology this package can host.
+	_ "sr2201/internal/topo/fullmesh"
+	_ "sr2201/internal/topo/grid"
+	_ "sr2201/internal/topo/hyperx"
 )
 
 // DefaultPacketSize is the packet length in flits when a caller passes 0.
@@ -34,21 +39,25 @@ import (
 // wormhole-like regime of the paper's deadlock discussions.
 const DefaultPacketSize = 8
 
-// Topology names for Config.Topology.
-const (
-	// TopologyMDX is the paper's multi-dimensional crossbar network: one
-	// shared crossbar switch per axis-aligned line, S-XB-serialized
-	// broadcasts, D-XB detours. The default.
-	TopologyMDX = "mdx"
-	// TopologyHyperX is the direct-link lattice (per-dimension all-to-all
-	// router links) with the rank-ordered fault detour of
-	// internal/topo/hyperx. Link and router faults only; no hardware
-	// broadcast, no crossbars.
-	TopologyHyperX = "hyperx"
-	// TopologyFullMesh is the one-dimensional full mesh (every router pair
-	// directly linked) of internal/topo/fullmesh. Requires a 1-D shape.
-	TopologyFullMesh = "fullmesh"
-)
+// TopologyMDX names the paper's multi-dimensional crossbar network in
+// Config.Topology: one shared crossbar switch per axis-aligned line,
+// S-XB-serialized broadcasts, D-XB detours. The default. Every other
+// topology is a direct-link lattice declared by its topo.Register entry —
+// "hyperx", "fullmesh", and the paper's Section 3 baselines "mesh", "torus"
+// and "torus-novc" (see Topologies).
+const TopologyMDX = "mdx"
+
+// Topologies lists the names Config.Topology accepts: the MD crossbar, then
+// every registered direct-link family in name order.
+func Topologies() []string {
+	names := []string{TopologyMDX}
+	for _, r := range topo.Registered() {
+		if r.New != nil {
+			names = append(names, r.Name)
+		}
+	}
+	return names
+}
 
 // Reconfiguration modes for Config.Reconfig.
 const (
@@ -66,10 +75,10 @@ type Config struct {
 	// Shape is the lattice shape (n1, ..., nd). Required.
 	Shape geom.Shape
 	// Topology selects the interconnect: "" or TopologyMDX builds the
-	// paper's MD crossbar network; TopologyHyperX and TopologyFullMesh
-	// build the direct-link lattices of internal/topo. The crossbar knobs
-	// (SXB, DXB, DXBSeparate, NaiveBroadcast, PivotLastDim) apply only to
-	// the MD crossbar and are rejected on direct-link topologies.
+	// paper's MD crossbar network; any other name in Topologies builds that
+	// direct-link lattice of internal/topo. The crossbar knobs (SXB, DXB,
+	// DXBSeparate, NaiveBroadcast, PivotLastDim) apply only to the MD
+	// crossbar and are rejected on direct-link topologies.
 	Topology string
 	// SXB fixes the serialized crossbar line (dims 1..d-1 of the coordinate);
 	// dimension 0 is ignored. Defaults to the all-zero line.
@@ -142,10 +151,11 @@ type Machine struct {
 	cfg    Config
 	shape  geom.Shape
 	eng    *engine.Engine
-	net    *mdxb.Network   // MD crossbar network (nil on direct-link topologies)
-	tnet   *topo.Net       // direct-link lattice (nil on the MD crossbar)
-	router topo.Router     // installed direct-link scheme (nil on the MD crossbar)
-	policy *routing.Policy // MD crossbar routing policy (nil on direct-link topologies)
+	net    *mdxb.Network     // MD crossbar network (nil on direct-link topologies)
+	direct topo.Registration // the direct-link family (zero on the MD crossbar)
+	tnet   *topo.Net         // direct-link lattice (nil on the MD crossbar)
+	router topo.Router       // installed direct-link scheme (nil on the MD crossbar)
+	policy *routing.Policy   // MD crossbar routing policy (nil on direct-link topologies)
 	faults *fault.Set
 
 	nextID     uint64
@@ -168,6 +178,17 @@ type Machine struct {
 	// OnDeliver, if set, observes deliveries as they happen (in addition to
 	// the recorded slice).
 	OnDeliver func(Delivery)
+}
+
+// ModelsFaults reports whether the named topology can be faulted: the MD
+// crossbar, and the direct-link families registered as honouring a fault
+// set. The mesh and torus baselines model none.
+func ModelsFaults(topology string) bool {
+	if topology == TopologyMDX {
+		return true
+	}
+	reg, _ := topo.Lookup(topology)
+	return reg.Faults
 }
 
 // FieldError is a configuration rejection naming the Config field at fault,
@@ -199,12 +220,12 @@ func (c *Config) Validate() error {
 		c.Topology = TopologyMDX
 	}
 	var zero geom.Coord
-	direct := c.Topology == TopologyHyperX || c.Topology == TopologyFullMesh
-	lanes := c.VCs > 1 || c.Adaptive
-	thin := false // a direct-link line of one router has no link to build
-	for _, e := range c.Shape {
-		thin = thin || e < 2
+	reg, _ := topo.Lookup(c.Topology)
+	direct := reg.New != nil
+	if !direct && c.Topology != TopologyMDX {
+		return &FieldError{Field: "Topology", Msg: "unknown topology (want one of " + strings.Join(Topologies(), ", ") + ")"}
 	}
+	lanes := c.VCs > 1 || c.Adaptive
 	for _, row := range []struct {
 		bad        bool
 		field, msg string
@@ -218,21 +239,24 @@ func (c *Config) Validate() error {
 		{c.Adaptive && c.NaiveBroadcast, "Adaptive", "incompatible with naive broadcast (unserialized fans break escape-channel acyclicity)"},
 		{c.Reconfig != "" && c.Reconfig != ReconfigOnFault && c.Reconfig != ReconfigOnDeadlock && c.Reconfig != ReconfigBoth,
 			"Reconfig", "unknown mode (want fault, deadlock or both)"},
-		{c.Reconfig != "" && c.Topology != TopologyMDX, "Reconfig", "reconfiguration is mdx-only (no other topology has table generations)"},
+		{c.Reconfig != "" && direct, "Reconfig", "reconfiguration is mdx-only (no other topology has table generations)"},
 		{c.Reconfig != "" && lanes, "Reconfig", "incompatible with virtual channels (the adaptive wrapper has no static certificate to recompile)"},
 		{c.Reconfig != "" && c.PivotLastDim, "Reconfig", "incompatible with the pivot extension (pivot turns admit no acyclicity certificate)"},
 		{c.Reconfig != "" && c.NaiveBroadcast, "Reconfig", "incompatible with naive broadcast (unserialized fans admit no acyclicity certificate)"},
-		{!direct && c.Topology != TopologyMDX, "Topology", "unknown topology (want mdx, hyperx or fullmesh)"},
 		{direct && c.DXBSeparate, "DXBSeparate", "direct-link topologies have no crossbars to configure (mdx-only)"},
 		{direct && c.SXB != zero, "SXB", "direct-link topologies have no crossbars to configure (mdx-only)"},
 		{direct && c.NaiveBroadcast, "NaiveBroadcast", "direct-link topologies have no hardware broadcast (mdx-only)"},
 		{direct && c.PivotLastDim, "PivotLastDim", "direct-link topologies have no pivot extension (mdx-only)"},
 		{direct && lanes, "VCs", "direct-link topologies have no virtual channels (mdx-only)"},
-		{c.Topology == TopologyFullMesh && c.Shape.Dims() != 1, "Topology", "fullmesh needs a one-dimensional shape"},
-		{direct && thin, "Topology", "direct-link topologies need every extent at least 2"},
 	} {
 		if row.bad {
 			return &FieldError{Field: row.field, Msg: row.msg}
+		}
+	}
+	if direct && c.Shape.Dims() > 0 {
+		// Which shapes a family can be built on is the family's to say.
+		if _, err := reg.New(c.Shape, nil); err != nil {
+			return &FieldError{Field: "Topology", Msg: err.Error()}
 		}
 	}
 	return nil
@@ -262,7 +286,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.Topology == TopologyMDX {
 		m.net = mdxb.BuildVC(m.eng, cfg.Shape, cfg.VCs)
 	} else {
-		m.tnet = topo.NewNet(m.eng, cfg.Shape)
+		m.direct, _ = topo.Lookup(cfg.Topology)
 	}
 	if err := m.rebuildPolicy(); err != nil {
 		return nil, err
@@ -276,24 +300,17 @@ func NewMachine(cfg Config) (*Machine, error) {
 // (recompiling the lookup tables when enabled); on a direct-link topology
 // it reinstalls the scheme with the fault set rebound.
 func (m *Machine) rebuildPolicy() error {
-	if m.tnet != nil {
-		var (
-			s   topo.Router
-			err error
-		)
-		switch m.cfg.Topology {
-		case TopologyHyperX:
-			s, err = hyperx.New(m.shape, m.faults)
-		case TopologyFullMesh:
-			s, err = fullmesh.New(m.shape[0], m.faults)
-		default:
-			err = fmt.Errorf("core: unknown direct-link topology %q", m.cfg.Topology)
-		}
+	if m.direct.New != nil {
+		s, err := m.direct.New(m.shape, m.faults)
 		if err != nil {
 			return err
 		}
 		m.router = s
-		m.tnet.SetScheme(s)
+		if m.tnet == nil {
+			m.tnet = topo.NewNet(m.eng, s)
+		} else {
+			m.tnet.SetScheme(s)
+		}
 		return nil
 	}
 	p, err := routing.New(m.RoutingConfig(m.separateNow))
@@ -594,13 +611,17 @@ func (m *Machine) AddFault(f fault.Fault) error {
 
 // checkFaultKind rejects fault kinds the configured topology has no
 // hardware for: crossbar faults exist only on the MD crossbar, link faults
-// only on the direct-link topologies.
+// only on the direct-link topologies, and none at all on a family that
+// models no faults (the mesh and torus baselines).
 func (m *Machine) checkFaultKind(k fault.Kind) error {
+	if !ModelsFaults(m.cfg.Topology) {
+		return fmt.Errorf("core: topology %q models no faults", m.cfg.Topology)
+	}
 	if m.tnet != nil && k == fault.KindXB {
 		return fmt.Errorf("core: topology %q has no crossbars (crossbar faults are mdx-only)", m.cfg.Topology)
 	}
 	if m.net != nil && k == fault.KindLink {
-		return fmt.Errorf("core: the mdx topology has no direct links (link faults need topology %s or %s)", TopologyHyperX, TopologyFullMesh)
+		return fmt.Errorf("core: the mdx topology has no direct links (link faults need a direct-link topology)")
 	}
 	return nil
 }
@@ -865,8 +886,7 @@ func (m *Machine) TopoNet() *topo.Net { return m.tnet }
 // invalidated — every time a fault is added.
 func (m *Machine) TopoScheme() topo.Router { return m.router }
 
-// Topology reports the configured interconnect name (TopologyMDX,
-// TopologyHyperX or TopologyFullMesh).
+// Topology reports the configured interconnect name (one of Topologies).
 func (m *Machine) Topology() string { return m.cfg.Topology }
 
 // Policy exposes the active routing policy (for static path queries; nil

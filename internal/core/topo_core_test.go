@@ -16,8 +16,8 @@ func TestTopoMachineAllPairs(t *testing.T) {
 		topology string
 		shape    geom.Shape
 	}{
-		{TopologyHyperX, geom.MustShape(3, 3)},
-		{TopologyFullMesh, geom.MustShape(8)},
+		{"hyperx", geom.MustShape(3, 3)},
+		{"fullmesh", geom.MustShape(8)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.topology, func(t *testing.T) {
@@ -63,7 +63,7 @@ func TestTopoMachineAllPairs(t *testing.T) {
 // config knobs are rows of the knob table, internal/jobs TestKnobRejections.)
 func TestTopoConfigRejections(t *testing.T) {
 	shape2d := geom.MustShape(4, 4)
-	hx := mustMachine(t, Config{Shape: shape2d, Topology: TopologyHyperX, StallThreshold: 64})
+	hx := mustMachine(t, Config{Shape: shape2d, Topology: "hyperx", StallThreshold: 64})
 	if err := hx.AddFault(fault.XBFault(geom.LineOf(geom.Coord{0, 0}, 0))); err == nil {
 		t.Error("crossbar fault accepted on hyperx")
 	}
@@ -83,7 +83,7 @@ func TestTopoConfigRejections(t *testing.T) {
 // detoured on HyperX; on the full mesh the detour-order rule makes traffic
 // into destination 1 over a faulty link a statically predicted refusal.
 func TestTopoLinkFaultDetourAndRefusal(t *testing.T) {
-	hx := mustMachine(t, Config{Shape: geom.MustShape(4, 4), Topology: TopologyHyperX, StallThreshold: 64})
+	hx := mustMachine(t, Config{Shape: geom.MustShape(4, 4), Topology: "hyperx", StallThreshold: 64})
 	if err := hx.AddFault(fault.LinkFault(geom.Coord{0, 0}, geom.Coord{3, 0})); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestTopoLinkFaultDetourAndRefusal(t *testing.T) {
 		t.Fatalf("delivered %d, want 1", n)
 	}
 
-	fm := mustMachine(t, Config{Shape: geom.MustShape(8), Topology: TopologyFullMesh, StallThreshold: 64})
+	fm := mustMachine(t, Config{Shape: geom.MustShape(8), Topology: "fullmesh", StallThreshold: 64})
 	if err := fm.AddFault(fault.LinkFault(geom.Coord{3}, geom.Coord{1})); err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +127,8 @@ func TestTopoStateHashPins(t *testing.T) {
 		shape    geom.Shape
 		want     uint64
 	}{
-		{TopologyHyperX, geom.MustShape(4, 4), 0xb04909e3565c7b32},
-		{TopologyFullMesh, geom.MustShape(12), 0x236e203bd8bf94a2},
+		{"hyperx", geom.MustShape(4, 4), 0xb04909e3565c7b32},
+		{"fullmesh", geom.MustShape(12), 0x236e203bd8bf94a2},
 	} {
 		t.Run(tc.topology, func(t *testing.T) {
 			m := mustMachine(t, Config{Shape: tc.shape, Topology: tc.topology, StallThreshold: 64})

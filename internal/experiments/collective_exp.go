@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "E12", Title: "Collectives on the interconnect", Paper: "Sec. 1/3 motivation", Run: runE12})
+	register(Experiment{ID: "E12", Title: "Collectives on the interconnect", Paper: "Sec. 1/3 motivation", run: runE12})
 }
 
 // runE12 quantifies what the hardware broadcast buys the collective
@@ -21,8 +21,7 @@ func init() {
 // Shape criterion: the hardware-broadcast allreduce wins by a factor that
 // grows with machine size, and a single fault costs exactly one participant
 // while completing within 2x the fault-free time.
-func runE12(opt Options) (*Report, error) {
-	r := &Report{ID: "E12", Title: "Collectives on the interconnect", Paper: "Sec. 1/3 motivation"}
+func runE12(r *Report, opt Options) error {
 	sizes := [][]int{{4, 4}, {8, 8}, {16, 16}}
 	if opt.Quick {
 		sizes = [][]int{{4, 4}, {8, 8}}
@@ -34,15 +33,15 @@ func runE12(opt Options) (*Report, error) {
 		shape := geom.MustShape(extents...)
 		m, err := core.NewMachine(core.Config{Shape: shape, StallThreshold: 512})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res, err := collective.Allreduce(m, geom.Coord{}, 8)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		m2, err := core.NewMachine(core.Config{Shape: shape, StallThreshold: 512})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		start := m2.Cycle()
 		var berr error
@@ -54,10 +53,10 @@ func runE12(opt Options) (*Report, error) {
 			return true
 		})
 		if berr != nil {
-			return nil, berr
+			return berr
 		}
 		if out := m2.Run(runBudget); !out.Drained {
-			return nil, fmt.Errorf("E12: all-broadcast on %s did not drain", shape)
+			return fmt.Errorf("E12: all-broadcast on %s did not drain", shape)
 		}
 		allB := m2.Cycle() - start
 		speedup := float64(allB) / float64(res.Cycles)
@@ -70,22 +69,22 @@ func runE12(opt Options) (*Report, error) {
 	shape := geom.MustShape(8, 8)
 	clean, err := core.NewMachine(core.Config{Shape: shape, StallThreshold: 512})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	resClean, err := collective.Allreduce(clean, geom.Coord{}, 8)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	faulted, err := core.NewMachine(core.Config{Shape: shape, StallThreshold: 512})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := faulted.AddFault(fault.RouterFault(geom.Coord{3, 4})); err != nil {
-		return nil, err
+		return err
 	}
 	resFault, err := collective.Allreduce(faulted, geom.Coord{}, 8)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ftbl := stats.NewTable("E12 allreduce under a single router fault (8x8)",
 		"config", "participants", "cycles", "messages", "copies")
@@ -103,5 +102,5 @@ func runE12(opt Options) (*Report, error) {
 		resFault.Participants == shape.Size()-1 &&
 		resFault.Cycles <= 2*resClean.Cycles
 	r.Notef("one hardware broadcast replaces n serialized ones; a single fault costs one participant and bounded extra cycles")
-	return r, nil
+	return nil
 }

@@ -11,11 +11,11 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "E1", Title: "Broadcast deadlock without serialization", Paper: "Fig. 5", Run: runE1})
-	register(Experiment{ID: "E2", Title: "Serialized broadcast walkthrough (Y-X-Y)", Paper: "Fig. 6", Run: runE2})
-	register(Experiment{ID: "E3", Title: "Detour path around a faulty router", Paper: "Figs. 7-8", Run: runE3})
-	register(Experiment{ID: "E4", Title: "Deadlock with D-XB != S-XB", Paper: "Fig. 9", Run: runE4})
-	register(Experiment{ID: "E5", Title: "Deadlock freedom with D-XB = S-XB", Paper: "Fig. 10 / Sec. 5", Run: runE5})
+	register(Experiment{ID: "E1", Title: "Broadcast deadlock without serialization", Paper: "Fig. 5", run: runE1})
+	register(Experiment{ID: "E2", Title: "Serialized broadcast walkthrough (Y-X-Y)", Paper: "Fig. 6", run: runE2})
+	register(Experiment{ID: "E3", Title: "Detour path around a faulty router", Paper: "Figs. 7-8", run: runE3})
+	register(Experiment{ID: "E4", Title: "Deadlock with D-XB != S-XB", Paper: "Fig. 9", run: runE4})
+	register(Experiment{ID: "E5", Title: "Deadlock freedom with D-XB = S-XB", Paper: "Fig. 10 / Sec. 5", run: runE5})
 }
 
 const runBudget = 200_000
@@ -37,8 +37,7 @@ func outcomeWord(o deadlock.Outcome) string {
 // runE1 launches k simultaneous broadcasts under the naive tree scheme and
 // under S-XB serialization. Shape criterion: the naive scheme deadlocks for
 // some k >= 2, the serialized scheme never does.
-func runE1(opt Options) (*Report, error) {
-	r := &Report{ID: "E1", Title: "Broadcast deadlock without serialization", Paper: "Fig. 5"}
+func runE1(r *Report, opt Options) error {
 	tbl := stats.NewTable("Simultaneous broadcasts under cut-through routing",
 		"shape", "broadcasts", "scheme", "outcome", "cycles", "copies")
 	shapes := [][]int{{4, 3}, {4, 4}}
@@ -63,11 +62,11 @@ func runE1(opt Options) (*Report, error) {
 					StallThreshold: 256,
 				})
 				if err != nil {
-					return nil, err
+					return err
 				}
 				for _, s := range srcs[:k] {
 					if _, _, err := m.Broadcast(s, 8); err != nil {
-						return nil, err
+						return err
 					}
 				}
 				out := m.Run(runBudget)
@@ -87,26 +86,25 @@ func runE1(opt Options) (*Report, error) {
 	r.Tables = append(r.Tables, tbl)
 	r.Pass = naiveDeadlocks > 0 && serializedFailures == 0
 	r.Notef("naive-tree deadlocks: %d; serialized failures: %d", naiveDeadlocks, serializedFailures)
-	return r, nil
+	return nil
 }
 
 // runE2 expands one broadcast statically and dynamically, checking the
 // paper's Fig. 6 structure: a Y request leg, serialization at the S-XB, and
 // a fan that delivers exactly one copy to every PE.
-func runE2(opt Options) (*Report, error) {
-	r := &Report{ID: "E2", Title: "Serialized broadcast walkthrough (Y-X-Y)", Paper: "Fig. 6"}
+func runE2(r *Report, opt Options) error {
 	shape := geom.MustShape(4, 3)
 	m, err := core.NewMachine(core.Config{Shape: shape, SXB: geom.Coord{0, 1}})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	src := geom.Coord{3, 2}
 	tree, err := m.Policy().BroadcastTree(src)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if _, _, err := m.Broadcast(src, 8); err != nil {
-		return nil, err
+		return err
 	}
 	out := m.Run(runBudget)
 
@@ -137,13 +135,12 @@ func runE2(opt Options) (*Report, error) {
 	}
 	r.Pass = out.Drained && exactlyOnce && simOnce
 	r.Notef("routing is Y-X-Y: the request rides the source column, the S-XB replays, the fan rides columns")
-	return r, nil
+	return nil
 }
 
 // runE3 reproduces the Fig. 8 walkthrough: the detour route's hop list, RC
 // transitions, and the latency cost versus the fault-free route.
-func runE3(opt Options) (*Report, error) {
-	r := &Report{ID: "E3", Title: "Detour path around a faulty router", Paper: "Figs. 7-8"}
+func runE3(r *Report, opt Options) error {
 	shape := geom.MustShape(4, 3)
 	src, dst := geom.Coord{0, 0}, geom.Coord{2, 2}
 	bad := geom.Coord{2, 0} // the dimension-order turn router
@@ -173,24 +170,24 @@ func runE3(opt Options) (*Report, error) {
 
 	directLat, directHops, err := run(false)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	detourLat, detourHops, err := run(true)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Print the detoured hop list (the Fig. 8 step sequence).
 	mf, err := core.NewMachine(core.Config{Shape: shape, SXB: geom.Coord{0, 1}})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := mf.AddFault(fault.RouterFault(bad)); err != nil {
-		return nil, err
+		return err
 	}
 	path, err := mf.Policy().UnicastPath(src, dst)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	steps := stats.NewTable(fmt.Sprintf("Detour route %v -> %v with faulty router %v (D-XB = S-XB = %v)",
 		src, dst, bad, mf.Policy().EffectiveDXB()), "step", "element", "rc", "out")
@@ -206,7 +203,7 @@ func runE3(opt Options) (*Report, error) {
 
 	r.Pass = detourLat > directLat && detourHops > directHops
 	r.Notef("the RC bit runs normal -> detour -> normal; the delivered packet is indistinguishable from a normal one")
-	return r, nil
+	return nil
 }
 
 // fig9 builds the Fig. 9/10 machine and traffic at one broadcast offset.
@@ -242,8 +239,7 @@ func fig9(separate bool, offset, size int) (deadlock.Outcome, error) {
 // runE4 sweeps broadcast injection offsets in the D-XB != S-XB
 // configuration. Shape criterion: some offsets deadlock (the paper's point:
 // the configuration *allows* deadlock).
-func runE4(opt Options) (*Report, error) {
-	r := &Report{ID: "E4", Title: "Deadlock with D-XB != S-XB", Paper: "Fig. 9"}
+func runE4(r *Report, opt Options) error {
 	maxOffset := 10
 	if opt.Quick {
 		maxOffset = 4
@@ -254,7 +250,7 @@ func runE4(opt Options) (*Report, error) {
 	for off := 0; off <= maxOffset; off++ {
 		out, err := fig9(true, off, 24)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if out.Deadlocked {
 			deadlocks++
@@ -264,14 +260,13 @@ func runE4(opt Options) (*Report, error) {
 	r.Tables = append(r.Tables, tbl)
 	r.Pass = deadlocks > 0
 	r.Notef("%d of %d offsets deadlock — the separate D-XB allows cyclic waiting between detour and broadcast", deadlocks, maxOffset+1)
-	return r, nil
+	return nil
 }
 
 // runE5 is the deadlock-freedom sweep for the paper's scheme: identical
 // traffic with D-XB = S-XB across faults, pairs, broadcast sources and
 // offsets. Shape criterion: zero deadlocks, everything drains.
-func runE5(opt Options) (*Report, error) {
-	r := &Report{ID: "E5", Title: "Deadlock freedom with D-XB = S-XB", Paper: "Fig. 10 / Sec. 5"}
+func runE5(r *Report, opt Options) error {
 	tbl := stats.NewTable("Exhaustive fault x traffic sweep, D-XB = S-XB", "shape", "fault kind", "scenarios", "drained", "deadlocks")
 
 	shapes := [][]int{{3, 3}, {4, 3}}
@@ -313,7 +308,7 @@ func runE5(opt Options) (*Report, error) {
 				return e5Scenario(shape, cells[i].f, cells[i].off)
 			})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			drained, dl := 0, 0
 			for _, o := range outs {
@@ -334,7 +329,7 @@ func runE5(opt Options) (*Report, error) {
 	r.Tables = append(r.Tables, tbl)
 	r.Pass = totalDeadlocks == 0 && allDrained
 	r.Notef("every scenario drains: detour and broadcast serialize at the same crossbar, leaving a single non-dimension-order point")
-	return r, nil
+	return nil
 }
 
 // e5Scenario runs one fault + mixed-traffic scenario under the unified

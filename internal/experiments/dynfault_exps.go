@@ -18,9 +18,9 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "F1", Title: "Mid-run RTC fault: drop, detour and recovery curve", Paper: "Sec. 4 extension", Run: runF1})
-	register(Experiment{ID: "F2", Title: "Exhaustive single-fault availability map", Paper: "Sec. 4 extension", Run: runF2})
-	register(Experiment{ID: "F3", Title: "Retransmission closes the loss gap", Paper: "Sec. 4 extension", Run: runF3})
+	register(Experiment{ID: "F1", Title: "Mid-run RTC fault: drop, detour and recovery curve", Paper: "Sec. 4 extension", run: runF1})
+	register(Experiment{ID: "F2", Title: "Exhaustive single-fault availability map", Paper: "Sec. 4 extension", run: runF2})
+	register(Experiment{ID: "F3", Title: "Retransmission closes the loss gap", Paper: "Sec. 4 extension", run: runF3})
 }
 
 // f1Spec is the shared mid-run-fault scenario: a router dies at cycle 8,
@@ -61,13 +61,12 @@ func finalLosses(st inject.Stats) int {
 // deadlock, some packets detour (RC=3) around the dead router, the killed
 // in-flight packets with live destinations are recovered exactly once, and
 // nothing is lost beyond the documented unreachable destinations.
-func runF1(opt Options) (*Report, error) {
-	r := &Report{ID: "F1", Title: "Mid-run RTC fault: drop, detour and recovery curve", Paper: "Sec. 4 extension"}
+func runF1(r *Report, opt Options) error {
 	spec := f1Spec(opt.Quick, true)
 	spec.KeepDeliveries = true
 	res, err := campaign.RunCell(spec)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	type win struct {
@@ -125,20 +124,19 @@ func runF1(opt Options) (*Report, error) {
 	r.Notef("retransmits %d recovered %d duplicates %d; unreachable losses %d (predicted %d/wave x %d waves)",
 		st.Retransmits, st.Recovered, st.Duplicates, st.LostUnreachable,
 		res.PredictedUnreachablePerWave, res.WavesAfterFault)
-	return r, nil
+	return nil
 }
 
-// runF2 runs the exhaustive single-fault campaign: every placement (all
-// routers, all crossbar lines) × injection epoch × traffic pattern. Shape
-// criterion: zero deadlocks, zero stalls, every cell drains, every refusal
-// matches the static post-fault prediction, and with retransmission enabled
-// the only final losses are the documented unreachable destinations.
-func runF2(opt Options) (*Report, error) {
-	r := &Report{ID: "F2", Title: "Exhaustive single-fault availability map", Paper: "Sec. 4 extension"}
+// faultMapConfig is the exhaustive single-fault campaign every
+// availability-map experiment (F2, V3, V4, H1, H2) runs — every placement ×
+// injection epoch × traffic pattern, four waves, retransmission on — at the
+// experiment's own scale: the full and -quick shapes and the stride of the
+// shift pattern at each.
+func faultMapConfig(opt Options, full, quick geom.Shape, shift, quickShift int) campaign.Config {
 	cfg := campaign.Config{
-		Shape:    geom.MustShape(8, 8),
+		Shape:    full,
 		Epochs:   []int64{8, 40},
-		Patterns: []campaign.Pattern{campaign.Shift(9), campaign.Reverse()},
+		Patterns: []campaign.Pattern{campaign.Shift(shift), campaign.Reverse()},
 		Waves:    4,
 		Gap:      24,
 		Inject: inject.Options{
@@ -152,37 +150,69 @@ func runF2(opt Options) (*Report, error) {
 		OnCell:   opt.OnCell,
 	}
 	if opt.Quick {
-		cfg.Shape = geom.MustShape(4, 4)
+		cfg.Shape = quick
 		cfg.Epochs = []int64{12}
-		cfg.Patterns = []campaign.Pattern{campaign.Shift(5)}
+		cfg.Patterns = []campaign.Pattern{campaign.Shift(quickShift)}
 	}
-	res, err := campaign.Run(cfg)
-	if err != nil {
-		return nil, err
-	}
-	r.Tables = append(r.Tables, res.Table())
+	return cfg
+}
 
-	pass := res.Deadlocks() == 0 && res.Stalls() == 0
-	unpredicted, undocumented, undrained := 0, 0, 0
+// mapAudit counts the cells of a single-fault map that break its shape
+// criterion: cells that did not drain, cells whose refusals differ from the
+// static post-fault prediction, and cells with a loss that is not a
+// documented one (with retransmission on, the only final losses allowed are
+// unreachable destinations).
+type mapAudit struct {
+	deadlocks, stalls                    int
+	undrained, unpredicted, undocumented int
+	// refused totals the refusals across the map (reported, not judged).
+	refused int
+	// cycles totals the cells' end cycles.
+	cycles int64
+}
+
+func auditMap(res *campaign.Result) mapAudit {
+	a := mapAudit{deadlocks: res.Deadlocks(), stalls: res.Stalls()}
 	for _, c := range res.Cells {
 		if !c.Drained {
-			undrained++
+			a.undrained++
 		}
 		if !c.UnreachableAsPredicted {
-			unpredicted++
+			a.unpredicted++
 		}
 		st := c.Stats
 		if st.Duplicates != 0 || st.LostExhausted != 0 || st.LostUntraceable != 0 ||
 			st.DropsOther != 0 || c.Delivered+finalLosses(st) != c.Accepted {
-			undocumented++
+			a.undocumented++
 		}
+		a.refused += c.Refused
+		a.cycles += c.EndCycle
 	}
-	pass = pass && unpredicted == 0 && undocumented == 0 && undrained == 0
-	r.Pass = pass
+	return a
+}
+
+// clean reports whether the map met the criterion.
+func (a mapAudit) clean() bool {
+	return a.deadlocks+a.stalls+a.undrained+a.unpredicted+a.undocumented == 0
+}
+
+// runF2 runs the exhaustive single-fault campaign: every placement (all
+// routers, all crossbar lines) × injection epoch × traffic pattern. Shape
+// criterion: zero deadlocks, zero stalls, every cell drains, every refusal
+// matches the static post-fault prediction, and with retransmission enabled
+// the only final losses are the documented unreachable destinations.
+func runF2(r *Report, opt Options) error {
+	res, err := campaign.Run(faultMapConfig(opt, geom.MustShape(8, 8), geom.MustShape(4, 4), 9, 5))
+	if err != nil {
+		return err
+	}
+	r.Tables = append(r.Tables, res.Table())
+	a := auditMap(res)
+	r.Pass = a.clean()
 	r.Notef("%d cells: deadlocks %d, stalls %d, undrained %d, refusals off-prediction %d, undocumented losses %d",
-		len(res.Cells), res.Deadlocks(), res.Stalls(), undrained, unpredicted, undocumented)
+		len(res.Cells), a.deadlocks, a.stalls, a.undrained, a.unpredicted, a.undocumented)
 	r.Notef("every loss is a documented ErrUnreachable refusal or an in-flight kill whose destination the fault bits rule out")
-	return r, nil
+	return nil
 }
 
 // runF3 contrasts the shared scenario with retransmission off and on. Shape
@@ -190,8 +220,7 @@ func runF2(opt Options) (*Report, error) {
 // beyond the unreachable losses; with it the gap closes exactly — delivered
 // equals accepted minus the documented unreachable losses, with zero
 // duplicates.
-func runF3(opt Options) (*Report, error) {
-	r := &Report{ID: "F3", Title: "Retransmission closes the loss gap", Paper: "Sec. 4 extension"}
+func runF3(r *Report, opt Options) error {
 	tbl := stats.NewTable("F3 loss accounting, retransmission off vs on",
 		"retransmit", "accepted", "delivered", "killed", "retx", "recovered",
 		"lost-unreach", "gap", "availability")
@@ -203,7 +232,7 @@ func runF3(opt Options) (*Report, error) {
 	for i, retransmit := range []bool{false, true} {
 		res, err := campaign.RunCell(f1Spec(opt.Quick, retransmit))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		st := res.Stats
 		gap := res.Accepted - res.Delivered - st.LostUnreachable
@@ -224,5 +253,5 @@ func runF3(opt Options) (*Report, error) {
 	r.Pass = pass
 	r.Notef("retransmission recovers %d of the %d in-flight kills; the rest are destinations the fault bits rule out",
 		on.res.Stats.Recovered, on.res.Stats.KilledInFlight+on.res.Stats.DropsEnRoute)
-	return r, nil
+	return nil
 }

@@ -122,7 +122,17 @@ type Experiment struct {
 	ID    string
 	Title string
 	Paper string
-	Run   func(Options) (*Report, error)
+	// run fills in the report Run hands it: tables, notes and the verdict.
+	run func(*Report, Options) error
+}
+
+// Run executes the experiment and returns its report.
+func (e Experiment) Run(opt Options) (*Report, error) {
+	r := &Report{ID: e.ID, Title: e.Title, Paper: e.Paper}
+	if err := e.run(r, opt); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 var registry = map[string]Experiment{}

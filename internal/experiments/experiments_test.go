@@ -1,29 +1,59 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
 
+// allIDs is the registry in mdxbench's run-and-print order: the E-group
+// ascending, then the A-, F-, V-, R-, H- and DR-groups.
+var allIDs = []string{
+	"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14",
+	"A1", "A2", "A3", "F1", "F2", "F3", "V1", "V2", "V3", "V4", "R1", "R2", "H1", "H2", "H3", "DR1", "DR2",
+}
+
 func TestRegistryComplete(t *testing.T) {
 	all := All()
-	wantIDs := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "A1", "A2", "A3", "F1", "F2", "F3", "V1", "V2", "V3"}
-	if len(all) < len(wantIDs) {
-		t.Fatalf("registry has %d experiments, want at least %d", len(all), len(wantIDs))
+	if len(all) != len(allIDs) {
+		t.Fatalf("registry has %d experiments, want %d", len(all), len(allIDs))
 	}
-	for _, id := range wantIDs {
+	for i, id := range allIDs {
+		if all[i].ID != id {
+			t.Errorf("position %d = %s, want %s", i, all[i].ID, id)
+		}
 		if _, ok := ByID(id); !ok {
 			t.Errorf("experiment %s not registered", id)
 		}
 	}
-	// Ordering: E-group ascending, then A-, F- and V-groups.
-	for i, id := range wantIDs {
-		if all[i].ID != id {
-			t.Errorf("position %d = %s, want %s", i, all[i].ID, id)
-		}
-	}
 	if _, ok := ByID("Z9"); ok {
 		t.Error("bogus id resolved")
+	}
+}
+
+// TestExperimentsDocIndex holds EXPERIMENTS.md to the registry: its index
+// table lists exactly the registered experiments — id, title and paper
+// artifact, in run order — and every one of them has a section.
+func TestExperimentsDocIndex(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(doc), "| id | title | reproduces |\n|---|---|---|\n")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no index table")
+	}
+	table, _, _ := strings.Cut(rest, "\n\n")
+	var want strings.Builder
+	for _, e := range All() {
+		fmt.Fprintf(&want, "| %s | %s | %s |\n", e.ID, e.Title, e.Paper)
+		if !strings.Contains(string(doc), "\n## "+e.ID+" — ") {
+			t.Errorf("EXPERIMENTS.md has no section for %s", e.ID)
+		}
+	}
+	if got := table + "\n"; got != want.String() {
+		t.Errorf("EXPERIMENTS.md index drifted from the registry:\n--- doc ---\n%s--- registry ---\n%s", got, want.String())
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "E11", Title: "Full-machine configuration (3D, up to 2048 PEs)", Paper: "Sec. 2", Run: runE11})
+	register(Experiment{ID: "E11", Title: "Full-machine configuration (3D, up to 2048 PEs)", Paper: "Sec. 2", run: runE11})
 }
 
 // runE11 exercises the d=3 machine the SR2201 actually shipped as ("connects
@@ -20,8 +20,7 @@ func init() {
 // facility under a router fault — all at full scale, plus a background-load
 // run. Shape criterion: everything drains, broadcasts cover all healthy PEs
 // exactly once, and max crossbar hops stay at 3.
-func runE11(opt Options) (*Report, error) {
-	r := &Report{ID: "E11", Title: "Full-machine configuration (3D, up to 2048 PEs)", Paper: "Sec. 2"}
+func runE11(r *Report, opt Options) error {
 	shapes := []geom.Shape{geom.MustShape(8, 8, 8), geom.MustShape(8, 16, 16)}
 	if opt.Quick {
 		shapes = []geom.Shape{geom.MustShape(4, 4, 4)}
@@ -32,22 +31,22 @@ func runE11(opt Options) (*Report, error) {
 	for _, shape := range shapes {
 		m, err := core.NewMachine(core.Config{Shape: shape, StallThreshold: 1024})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		bad := shape.CoordOf(shape.Size() / 3)
 		if err := m.AddFault(fault.RouterFault(bad)); err != nil {
-			return nil, err
+			return err
 		}
 
 		// One broadcast; every healthy PE must receive exactly one copy.
 		src := shape.CoordOf(shape.Size() - 1)
 		_, covered, err := m.Broadcast(src, 8)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out := m.Run(2_000_000)
 		if !out.Drained {
-			return nil, fmt.Errorf("E11: %s broadcast did not drain", shape)
+			return fmt.Errorf("E11: %s broadcast did not drain", shape)
 		}
 		bcastCycles := out.Cycle
 		bcastCopies := len(m.Deliveries())
@@ -96,7 +95,7 @@ func runE11(opt Options) (*Report, error) {
 		})
 		out = m.Run(2_000_000)
 		if !out.Drained {
-			return nil, fmt.Errorf("E11: %s p2p wave did not drain", shape)
+			return fmt.Errorf("E11: %s p2p wave did not drain", shape)
 		}
 		maxHops := 0
 		for _, d := range m.Deliveries() {
@@ -135,7 +134,7 @@ func runE11(opt Options) (*Report, error) {
 	r.Tables = append(r.Tables, tbl)
 	r.Pass = pass
 	r.Notef("the 3D broadcast generalizes Y-X-Y to (dims 1..d-1)-X-(dims 1..d-1); hops never exceed d = 3")
-	return r, nil
+	return nil
 }
 
 func outcomeWord2(res traffic.Result) string {

@@ -12,7 +12,7 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "E13", Title: "Multi-fault degradation (beyond the single-fault guarantee)", Paper: "Sec. 6 future work", Run: runE13})
+	register(Experiment{ID: "E13", Title: "Multi-fault degradation (beyond the single-fault guarantee)", Paper: "Sec. 6 future work", run: runE13})
 }
 
 // comboClass names a pair of fault kinds for the breakdown table.
@@ -40,8 +40,7 @@ func comboClass(a, b fault.Fault) string {
 // static cycles, zero dynamic deadlocks, zero paths through faults;
 // reachability falls only for combinations involving last-dimension
 // crossbars.
-func runE13(opt Options) (*Report, error) {
-	r := &Report{ID: "E13", Title: "Multi-fault degradation (beyond the single-fault guarantee)", Paper: "Sec. 6 future work"}
+func runE13(r *Report, opt Options) error {
 	shape := geom.MustShape(4, 4)
 
 	var pool []fault.Fault
@@ -75,14 +74,14 @@ func runE13(opt Options) (*Report, error) {
 			f1, f2 := pool[i], pool[j]
 			set := fault.NewSet(shape)
 			if err := set.Add(f1); err != nil {
-				return nil, err
+				return err
 			}
 			if err := set.Add(f2); err != nil {
-				return nil, err
+				return err
 			}
 			p, err := routing.New(routing.Config{Shape: shape, Faults: set})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			reach, total := 0, 0
 			shape.Enumerate(func(src geom.Coord) bool {
@@ -129,7 +128,7 @@ func runE13(opt Options) (*Report, error) {
 			}
 			res, err := cdg.Analyze(p, shape, false)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !res.Acyclic {
 				a.cyclic++
@@ -138,7 +137,7 @@ func runE13(opt Options) (*Report, error) {
 				dynRuns++
 				wedged, err := e13Dynamic(shape, f1, f2)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if wedged {
 					a.deadlocks++
@@ -174,7 +173,7 @@ func runE13(opt Options) (*Report, error) {
 	r.Pass = pass
 	r.Notef("paths through a fault: %d (must be 0); dynamic runs: %d", violations, dynRuns)
 	r.Notef("double faults never break deadlock freedom — the single serialization point is fault-count-independent; reachability drops only where last-dimension crossbars die")
-	return r, nil
+	return nil
 }
 
 // e13Dynamic runs one mixed-traffic scenario under two faults; reports

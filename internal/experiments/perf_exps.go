@@ -7,26 +7,31 @@ import (
 	"sr2201/internal/engine"
 	"sr2201/internal/fault"
 	"sr2201/internal/geom"
-	"sr2201/internal/meshnet"
 	"sr2201/internal/stats"
 	"sr2201/internal/traffic"
 )
 
 func init() {
-	register(Experiment{ID: "E6", Title: "Crossbar vs mesh vs torus under load", Paper: "Sec. 3 / ref [7]", Run: runE6})
-	register(Experiment{ID: "E7", Title: "Detour overhead under load", Paper: "Sec. 4", Run: runE7})
-	register(Experiment{ID: "E8", Title: "Broadcast serialization scaling", Paper: "Sec. 3.2", Run: runE8})
-	register(Experiment{ID: "E9", Title: "Conflict-free remapping of guest topologies", Paper: "Sec. 3.1", Run: runE9})
-	register(Experiment{ID: "E10", Title: "Structural scaling of the MD crossbar", Paper: "Sec. 3.1", Run: runE10})
+	register(Experiment{ID: "E6", Title: "Crossbar vs mesh vs torus under load", Paper: "Sec. 3 / ref [7]", run: runE6})
+	register(Experiment{ID: "E7", Title: "Detour overhead under load", Paper: "Sec. 4", run: runE7})
+	register(Experiment{ID: "E8", Title: "Broadcast serialization scaling", Paper: "Sec. 3.2", run: runE8})
+	register(Experiment{ID: "E9", Title: "Conflict-free remapping of guest topologies", Paper: "Sec. 3.1", run: runE9})
+	register(Experiment{ID: "E10", Title: "Structural scaling of the MD crossbar", Paper: "Sec. 3.1", run: runE10})
+}
+
+// newMachine builds a machine of the named topology for the load
+// experiments.
+func newMachine(shape geom.Shape, topology string) (*core.Machine, error) {
+	return core.NewMachine(core.Config{Shape: shape, Topology: topology, StallThreshold: 512})
 }
 
 // newCrossbar builds an MD crossbar machine for the load experiments.
 func newCrossbar(shape geom.Shape) (*core.Machine, error) {
-	return core.NewMachine(core.Config{Shape: shape, StallThreshold: 512})
+	return newMachine(shape, core.TopologyMDX)
 }
 
 // drive runs one Bernoulli workload and returns the result.
-func drive(t traffic.Target, p traffic.Pattern, rate float64, size int, warmup, measure int64, seed int64) traffic.Result {
+func drive(t *core.Machine, p traffic.Pattern, rate float64, size int, warmup, measure int64, seed int64) traffic.Result {
 	d := traffic.Driver{
 		M: t, Pattern: p, Rate: rate, Size: size,
 		Seed: seed, Warmup: warmup, Measure: measure,
@@ -39,8 +44,7 @@ func drive(t traffic.Target, p traffic.Pattern, rate float64, size int, warmup, 
 // by reference [7]): the crossbar accepts at least as much peak throughput
 // as the torus, and the torus at least as much as the mesh, with fewer
 // conflicts on the crossbar throughout.
-func runE6(opt Options) (*Report, error) {
-	r := &Report{ID: "E6", Title: "Crossbar vs mesh vs torus under load", Paper: "Sec. 3 / ref [7]"}
+func runE6(r *Report, opt Options) error {
 	shape := geom.MustShape(8, 8)
 	loads := []float64{0.01, 0.02, 0.04, 0.08, 0.12, 0.16, 0.24, 0.32}
 	warmup, measure := int64(500), int64(2000)
@@ -50,19 +54,8 @@ func runE6(opt Options) (*Report, error) {
 		warmup, measure = 200, 600
 	}
 
-	type topo struct {
-		name  string
-		build func() (traffic.Target, error)
-	}
-	topos := []topo{
-		{"crossbar", func() (traffic.Target, error) { return newCrossbar(shape) }},
-		{"torus", func() (traffic.Target, error) {
-			return meshnet.New(meshnet.Config{Kind: meshnet.Torus, Shape: shape, StallThreshold: 512})
-		}},
-		{"mesh", func() (traffic.Target, error) {
-			return meshnet.New(meshnet.Config{Kind: meshnet.Mesh, Shape: shape, StallThreshold: 512})
-		}},
-	}
+	type topo struct{ name, topology string }
+	topos := []topo{{"crossbar", core.TopologyMDX}, {"torus", "torus"}, {"mesh", "mesh"}}
 	patterns := []func() traffic.Pattern{
 		func() traffic.Pattern { return traffic.Uniform{Shape: shape} },
 		func() traffic.Pattern { return traffic.Transpose{Shape: shape} },
@@ -87,7 +80,7 @@ func runE6(opt Options) (*Report, error) {
 			}
 		}
 		results, err := sweepCells(opt, len(cells), func(i int) (traffic.Result, error) {
-			t, err := cells[i].tp.build()
+			t, err := newMachine(shape, cells[i].tp.topology)
 			if err != nil {
 				return traffic.Result{}, err
 			}
@@ -98,7 +91,7 @@ func runE6(opt Options) (*Report, error) {
 			return res, nil
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for i, res := range results {
 			load, name := cells[i].load, cells[i].tp.name
@@ -118,7 +111,7 @@ func runE6(opt Options) (*Report, error) {
 		lowLat["crossbar"], lowLat["torus"], lowLat["mesh"])
 	r.Pass = peak["crossbar"] >= peak["torus"] && peak["torus"] >= peak["mesh"] &&
 		lowLat["crossbar"] <= lowLat["mesh"]
-	return r, nil
+	return nil
 }
 
 // runE7 measures what the detour facility costs: latency and throughput with
@@ -126,8 +119,7 @@ func runE6(opt Options) (*Report, error) {
 // detoured packets themselves. Shape criterion: the network keeps operating
 // (no deadlock, small throughput loss), with a bounded latency penalty
 // confined mostly to detoured packets.
-func runE7(opt Options) (*Report, error) {
-	r := &Report{ID: "E7", Title: "Detour overhead under load", Paper: "Sec. 4"}
+func runE7(r *Report, opt Options) error {
 	shape := geom.MustShape(8, 8)
 	loads := []float64{0.02, 0.05, 0.1, 0.15}
 	warmup, measure := int64(500), int64(2000)
@@ -175,7 +167,7 @@ func runE7(opt Options) (*Report, error) {
 		return &o, nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i, o := range results {
 		name := "fault-free"
@@ -190,14 +182,13 @@ func runE7(opt Options) (*Report, error) {
 	r.Tables = append(r.Tables, tbl)
 	r.Pass = ok
 	r.Notef("detoured packets pay extra crossbar hops via the D-XB; non-detoured traffic is largely unaffected at low load")
-	return r, nil
+	return nil
 }
 
 // runE8 injects k simultaneous broadcasts and measures completion time.
 // Shape criterion: completion grows roughly linearly in k (the S-XB replays
 // one broadcast at a time), i.e. the increments stay within a band.
-func runE8(opt Options) (*Report, error) {
-	r := &Report{ID: "E8", Title: "Broadcast serialization scaling", Paper: "Sec. 3.2"}
+func runE8(r *Report, opt Options) error {
 	shape := geom.MustShape(8, 8)
 	maxK := 8
 	if opt.Quick {
@@ -229,7 +220,7 @@ func runE8(opt Options) (*Report, error) {
 		return e8Result{out.Cycle, len(m.Deliveries())}, nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var prev int64
 	var increments []int64
@@ -255,15 +246,14 @@ func runE8(opt Options) (*Report, error) {
 	}
 	r.Pass = minInc > 0 && maxInc <= 3*minInc
 	r.Notef("each extra broadcast adds ~%d-%d cycles: the S-XB replays them one-by-one in order of arrival", minInc, maxInc)
-	return r, nil
+	return nil
 }
 
 // runE9 embeds guest-topology neighbor patterns and counts switch output
 // conflicts when every PE transmits simultaneously. Shape criterion: the MD
 // crossbar remaps ring, mesh and hypercube traffic with zero conflicts,
 // while the mesh baseline conflicts on the hypercube pattern.
-func runE9(opt Options) (*Report, error) {
-	r := &Report{ID: "E9", Title: "Conflict-free remapping of guest topologies", Paper: "Sec. 3.1"}
+func runE9(r *Report, opt Options) error {
 	shape := geom.MustShape(8, 8)
 	if opt.Quick {
 		shape = geom.MustShape(4, 4)
@@ -284,7 +274,7 @@ func runE9(opt Options) (*Report, error) {
 	// oneShot injects one packet from every sender simultaneously and
 	// reports contention: simultaneous-request conflicts and blocked cycles
 	// (headers or streams stalled behind an owned channel).
-	oneShot := func(t traffic.Target, p traffic.Pattern) (conflicts, blocked, cycles int64, err error) {
+	oneShot := func(t *core.Machine, p traffic.Pattern) (conflicts, blocked, cycles int64, err error) {
 		shape := t.Shape()
 		shape.Enumerate(func(src geom.Coord) bool {
 			if dst, ok := p.Dest(src, nil); ok {
@@ -331,7 +321,7 @@ func runE9(opt Options) (*Report, error) {
 		if err != nil {
 			return e9Result{}, err
 		}
-		mm, err := meshnet.New(meshnet.Config{Kind: meshnet.Mesh, Shape: shape, StallThreshold: 512})
+		mm, err := newMachine(shape, "mesh")
 		if err != nil {
 			return e9Result{}, err
 		}
@@ -342,7 +332,7 @@ func runE9(opt Options) (*Report, error) {
 		return e9Result{cx, bx, tx, cm, bm, tm}, nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i, res := range results {
 		p := patterns[i]
@@ -363,14 +353,13 @@ func runE9(opt Options) (*Report, error) {
 	r.Pass = pass
 	r.Notef("conflict-free guest topologies stay conflict-free on the crossbar; the mesh serializes hypercube exchanges")
 	r.Notef("tree reduction converges two children on one parent port, so it conflicts on any network (reported, not asserted)")
-	return r, nil
+	return nil
 }
 
 // runE10 tabulates the structural claims of Section 3.1: hop counts bounded
 // by d, router port counts of d+1, switch and port totals, and the
 // hypercube degenerate case d = log2 n.
-func runE10(opt Options) (*Report, error) {
-	r := &Report{ID: "E10", Title: "Structural scaling of the MD crossbar", Paper: "Sec. 3.1"}
+func runE10(r *Report, opt Options) error {
 	configs := [][]int{
 		{64},
 		{8, 8},
@@ -387,7 +376,7 @@ func runE10(opt Options) (*Report, error) {
 		shape := geom.MustShape(cfgShape...)
 		m, err := newCrossbar(shape)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		maxHops, sumHops, pairs := 0, 0, 0
 		shape.Enumerate(func(src geom.Coord) bool {
@@ -413,22 +402,21 @@ func runE10(opt Options) (*Report, error) {
 	r.Pass = pass
 	r.Notef("max crossbar hops never exceed d; router ports stay at d+1 (vs log2(n)+1 for a hypercube router)")
 	r.Notef("at d = log2 n the MD crossbar's 2-point crossbars degenerate into direct router-router links: the hypercube")
-	return r, nil
+	return nil
 }
 
 // --- A-group ablations ---
 
 func init() {
-	register(Experiment{ID: "A1", Title: "Fan-out acquisition: atomic vs incremental", Paper: "DESIGN.md ablation", Run: runA1})
-	register(Experiment{ID: "A2", Title: "Buffer depth: wormhole vs virtual cut-through", Paper: "DESIGN.md ablation", Run: runA2})
+	register(Experiment{ID: "A1", Title: "Fan-out acquisition: atomic vs incremental", Paper: "DESIGN.md ablation", run: runA1})
+	register(Experiment{ID: "A2", Title: "Buffer depth: wormhole vs virtual cut-through", Paper: "DESIGN.md ablation", run: runA2})
 }
 
 // runA1 compares per-switch fan-out acquisition modes. Shape criterion: with
 // atomic acquisition the serialized scheme drains; with incremental
 // (hold-and-wait inside one switch) even two serialized broadcasts can wedge
 // at the S-XB itself — the hardware's all-at-once fan engagement matters.
-func runA1(opt Options) (*Report, error) {
-	r := &Report{ID: "A1", Title: "Fan-out acquisition: atomic vs incremental", Paper: "DESIGN.md ablation"}
+func runA1(r *Report, opt Options) error {
 	shape := geom.MustShape(4, 4)
 	tbl := stats.NewTable("A1 two simultaneous broadcasts on 4x4",
 		"acquisition", "scheme", "outcome", "cycles")
@@ -451,13 +439,13 @@ func runA1(opt Options) (*Report, error) {
 			StallThreshold: 256,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if _, _, err := m.Broadcast(geom.Coord{1, 0}, 8); err != nil {
-			return nil, err
+			return err
 		}
 		if _, _, err := m.Broadcast(geom.Coord{2, 3}, 8); err != nil {
-			return nil, err
+			return err
 		}
 		out := m.Run(runBudget)
 		acq := "atomic"
@@ -476,15 +464,14 @@ func runA1(opt Options) (*Report, error) {
 		outcomes[[2]bool{false, true}] && // atomic + naive deadlocks across switches
 		outcomes[[2]bool{true, true}] // incremental + naive deadlocks too
 	r.Notef("the naive tree deadlocks under both modes (the cycle spans crossbars); the serialized scheme drains under both here because the S-XB's per-port arbiters agree on one winner — atomic acquisition removes even the possibility of a split fan")
-	return r, nil
+	return nil
 }
 
 // runA2 sweeps input buffer depth against a fixed 8-flit packet size at a
 // moderate load. Shape criterion: latency does not increase with depth, and
 // deep buffers (virtual cut-through regime) deliver at least the shallow
 // (wormhole regime) throughput.
-func runA2(opt Options) (*Report, error) {
-	r := &Report{ID: "A2", Title: "Buffer depth: wormhole vs virtual cut-through", Paper: "DESIGN.md ablation"}
+func runA2(r *Report, opt Options) error {
 	shape := geom.MustShape(6, 6)
 	depths := []int{1, 2, 4, 8, 16}
 	warmup, measure := int64(400), int64(1500)
@@ -506,7 +493,7 @@ func runA2(opt Options) (*Report, error) {
 		return drive(m, traffic.Uniform{Shape: shape}, 0.1, 8, warmup, measure, 7), nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var first, last traffic.Result
 	for i, res := range results {
@@ -524,5 +511,5 @@ func runA2(opt Options) (*Report, error) {
 	r.Tables = append(r.Tables, tbl)
 	r.Pass = last.Latency.Mean() <= first.Latency.Mean() && last.Throughput >= first.Throughput*0.95
 	r.Notef("depth >= packet size decouples blocked packets from upstream channels (virtual cut-through); shallow buffers couple them (wormhole), raising contention latency")
-	return r, nil
+	return nil
 }

@@ -28,8 +28,8 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "DR1", Title: "Online reconfiguration vs purge-and-retransmit on the mid-run Fig. 9 fault", Paper: "Fig. 9 + reconfiguration extension", Run: runDR1})
-	register(Experiment{ID: "DR2", Title: "Second-fault sweep under online reconfiguration", Paper: "Sec. 4 + reconfiguration extension", Run: runDR2})
+	register(Experiment{ID: "DR1", Title: "Online reconfiguration vs purge-and-retransmit on the mid-run Fig. 9 fault", Paper: "Fig. 9 + reconfiguration extension", run: runDR1})
+	register(Experiment{ID: "DR2", Title: "Second-fault sweep under online reconfiguration", Paper: "Sec. 4 + reconfiguration extension", run: runDR2})
 }
 
 // dr1Cell is the Fig. 9 configuration with the fault landing MID-RUN: a 4x4
@@ -101,9 +101,7 @@ func packetsLost(c campaign.CellResult) int {
 // certificate for its static graph; and the drain cell purges no more than
 // its in-flight population while pinning a concrete cycle witness both for
 // the refused separate-scheme recompile and for the cyclic transition union.
-func runDR1(opt Options) (*Report, error) {
-	r := &Report{ID: "DR1", Title: "Online reconfiguration vs purge-and-retransmit on the mid-run Fig. 9 fault", Paper: "Fig. 9 + reconfiguration extension"}
-
+func runDR1(r *Report, opt Options) error {
 	type cell struct {
 		name string
 		spec campaign.Spec
@@ -134,7 +132,7 @@ func runDR1(opt Options) (*Report, error) {
 		return outcome{res, evs}, err
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	tbl := stats.NewTable("DR1 mid-run Fig. 9 fault: PR 5 purge-and-retransmit vs online reconfiguration",
@@ -189,7 +187,7 @@ func runDR1(opt Options) (*Report, error) {
 		packetsLost(hot), hot.EndCycle)
 	r.Notef("bounded drain: %d retiring packet(s) purged under certificate, %d lost, drained at cycle %d",
 		drain.ReconfigDrained, packetsLost(drain), drain.EndCycle)
-	return r, nil
+	return nil
 }
 
 // dr2Config is the R2 second-fault sweep — every placement of one more dead
@@ -209,16 +207,14 @@ func dr2Config(opt Options, reconfigMode string) campaign.Config {
 // strictly fewer recoveries and loses strictly fewer packets than the
 // control, and stays as clean as R2 demands — zero wedges, zero livelocks,
 // refusals exactly as reachability predicts, no undocumented losses.
-func runDR2(opt Options) (*Report, error) {
-	r := &Report{ID: "DR2", Title: "Second-fault sweep under online reconfiguration", Paper: "Sec. 4 + reconfiguration extension"}
-
+func runDR2(r *Report, opt Options) error {
 	control, err := campaign.Run(dr2Config(opt, ""))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	recfg, err := campaign.Run(dr2Config(opt, core.ReconfigBoth))
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	audit := func(res *campaign.Result) (wedged, unpredicted, undocumented, sacrificed, lost int) {
@@ -266,5 +262,5 @@ func runDR2(opt Options) (*Report, error) {
 		len(recfg.Cells), recfg.Reconfigured(), recfg.ReconfigDrained(), recfg.ReconfigFellBack(), control.Recoveries(), recfg.Recoveries())
 	r.Notef("sacrificed packets %d -> %d, terminal losses %d -> %d, total drain cycles %d -> %d",
 		cSacr, rSacr, cLost, rLost, cCycles, rCycles)
-	return r, nil
+	return nil
 }

@@ -21,8 +21,8 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "R1", Title: "Deadlock recovery rescues the Fig. 9 separate-DXB design", Paper: "Fig. 9 + liveness extension", Run: runR1})
-	register(Experiment{ID: "R2", Title: "Multi-fault graceful degradation under recovery", Paper: "Sec. 4 + liveness extension", Run: runR2})
+	register(Experiment{ID: "R1", Title: "Deadlock recovery rescues the Fig. 9 separate-DXB design", Paper: "Fig. 9 + liveness extension", run: runR1})
+	register(Experiment{ID: "R2", Title: "Multi-fault graceful degradation under recovery", Paper: "Sec. 4 + liveness extension", run: runR2})
 }
 
 // fig9Cell is the paper's Fig. 9 deadlocking configuration as a campaign
@@ -76,12 +76,10 @@ func cellOutcome(c campaign.CellResult) string {
 // design reports zero recoveries at every offset; and rescue costs cycles —
 // the recovered design's total drain time strictly exceeds the unified
 // design's.
-func runR1(opt Options) (*Report, error) {
-	r := &Report{ID: "R1", Title: "Deadlock recovery rescues the Fig. 9 separate-DXB design", Paper: "Fig. 9 + liveness extension"}
-
+func runR1(r *Report, opt Options) error {
 	base, err := campaign.RunCell(fig9Cell(true, false, 0))
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	offsets := []int64{0, 8, 16, 24, 32, 40}
@@ -103,7 +101,7 @@ func runR1(opt Options) (*Report, error) {
 		return duel{sep: sep, uni: uni}, nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	tbl := stats.NewTable("R1 Fig. 9 liveness: separate D-XB under recovery vs unified design",
@@ -140,7 +138,7 @@ func runR1(opt Options) (*Report, error) {
 		totalRecov)
 	r.Notef("cost of rescue: %d total cycles on the separate design vs %d unified — the deadlock-free design needs no liveness layer",
 		sepCycles, uniCycles)
-	return r, nil
+	return nil
 }
 
 // r2Config sweeps a second fault over the Fig. 9 scenario: every placement
@@ -180,11 +178,10 @@ func r2Config(opt Options, separate bool) campaign.Config {
 // exactly as recovery.AnalyzeReachability predicts; zero livelocks, zero
 // duplicates, exactly-once unicast accounting on every drained cell; and
 // the unified control sweep reports zero recoveries and zero deadlocks.
-func runR2(opt Options) (*Report, error) {
-	r := &Report{ID: "R2", Title: "Multi-fault graceful degradation under recovery", Paper: "Sec. 4 + liveness extension"}
+func runR2(r *Report, opt Options) error {
 	res, err := campaign.Run(r2Config(opt, true))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.Tables = append(r.Tables, res.Table())
 
@@ -211,7 +208,7 @@ func runR2(opt Options) (*Report, error) {
 
 	control, err := campaign.Run(r2Config(opt, false))
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	r.Pass = res.Recoveries() > 0 && res.Livelocked() == 0 &&
@@ -223,5 +220,5 @@ func runR2(opt Options) (*Report, error) {
 		srcDead, dstDead, unreach)
 	r.Notef("unified D-XB = S-XB control sweep: %d recoveries, %d deadlocks across %d cells",
 		control.Recoveries(), control.Deadlocks(), len(control.Cells))
-	return r, nil
+	return nil
 }

@@ -13,7 +13,7 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "E14", Title: "Full-machine scale (2048 PEs)", Paper: "Sec. 2 / Sec. 5", Run: runE14})
+	register(Experiment{ID: "E14", Title: "Full-machine scale (2048 PEs)", Paper: "Sec. 2 / Sec. 5", run: runE14})
 }
 
 // e14Scenario drives one machine through E14's fixed workload — a
@@ -84,16 +84,14 @@ func streamDigest(stream []uint64) uint64 {
 // 2048-PE machine (8x16x16; a 512-PE 8x8x8 in quick mode) runs under
 // background load and must drain with the conservation audit intact. Shape
 // criterion: both runs drain.
-func runE14(opt Options) (*Report, error) {
-	r := &Report{ID: "E14", Title: "Full-machine scale (2048 PEs)", Paper: "Sec. 2 / Sec. 5"}
-
+func runE14(r *Report, opt Options) error {
 	scenarioShape := geom.MustShape(4, 4, 4)
 	if opt.Quick {
 		scenarioShape = geom.MustShape(3, 3, 3)
 	}
 	stream, err := e14Scenario(scenarioShape)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	streamTbl := stats.NewTable("E14 fault-and-recovery scenario, per-cycle state hashes",
 		"shape", "cycles", "stream digest")
@@ -106,10 +104,10 @@ func runE14(opt Options) (*Report, error) {
 	}
 	m, err := core.NewMachine(core.Config{Shape: scaleShape, StallThreshold: 1024})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if _, _, err := m.Broadcast(scaleShape.CoordOf(scaleShape.Size()-1), 8); err != nil {
-		return nil, err
+		return err
 	}
 	drv := traffic.Driver{
 		M:       m,
@@ -122,7 +120,7 @@ func runE14(opt Options) (*Report, error) {
 	}
 	res := drv.Run()
 	if err := m.Engine().CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("E14: scale run violates invariants: %w", err)
+		return fmt.Errorf("E14: scale run violates invariants: %w", err)
 	}
 	drained := res.Drained && !res.Deadlocked
 	outcome := "undrained"
@@ -137,5 +135,5 @@ func runE14(opt Options) (*Report, error) {
 
 	r.Pass = drained
 	r.Notef("the scenario covers broadcast serialization, dimension-order waves, a dynamic router failure (FailNow purge + policy rebuild) and detoured recovery traffic")
-	return r, nil
+	return nil
 }

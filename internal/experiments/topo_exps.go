@@ -21,9 +21,9 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "H1", Title: "HyperX exhaustive single-fault availability map", Paper: "arXiv 2404.04315", Run: runH1})
-	register(Experiment{ID: "H2", Title: "Full-mesh (VC-free) exhaustive single-fault availability map", Paper: "arXiv 2510.14730", Run: runH2})
-	register(Experiment{ID: "H3", Title: "Cross-topology fault face-off under one workload", Paper: "topo layer", Run: runH3})
+	register(Experiment{ID: "H1", Title: "HyperX exhaustive single-fault availability map", Paper: "arXiv 2404.04315", run: runH1})
+	register(Experiment{ID: "H2", Title: "Full-mesh (VC-free) exhaustive single-fault availability map", Paper: "arXiv 2510.14730", run: runH2})
+	register(Experiment{ID: "H3", Title: "Cross-topology fault face-off under one workload", Paper: "topo layer", run: runH3})
 }
 
 // runTopoCampaign runs the exhaustive single-fault campaign — every router
@@ -32,84 +32,35 @@ func init() {
 // every refusal matches the static post-fault prediction, and with
 // retransmission on the only final losses are documented unreachable
 // destinations.
-func runTopoCampaign(r *Report, opt Options, topology string, cfg campaign.Config) (*Report, error) {
+func runTopoCampaign(r *Report, topology string, cfg campaign.Config) error {
 	cfg.Topology = topology
-	cfg.Waves = 4
-	cfg.Gap = 24
-	cfg.Inject = inject.Options{
-		Retransmit:     true,
-		RetryAfter:     24,
-		StallThreshold: 256,
-	}
-	cfg.Parallel = opt.Parallel
-	cfg.Ctx = opt.Ctx
-	cfg.Budget = opt.Budget
-	cfg.OnCell = opt.OnCell
 	res, err := campaign.Run(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.Tables = append(r.Tables, res.Table())
-
-	pass := res.Deadlocks() == 0 && res.Stalls() == 0
-	unpredicted, undocumented, undrained, refused := 0, 0, 0, 0
-	for _, c := range res.Cells {
-		if !c.Drained {
-			undrained++
-		}
-		if !c.UnreachableAsPredicted {
-			unpredicted++
-		}
-		refused += c.Refused
-		st := c.Stats
-		if st.Duplicates != 0 || st.LostExhausted != 0 || st.LostUntraceable != 0 ||
-			st.DropsOther != 0 || c.Delivered+finalLosses(st) != c.Accepted {
-			undocumented++
-		}
-	}
-	r.Pass = pass && unpredicted == 0 && undocumented == 0 && undrained == 0
+	a := auditMap(res)
+	r.Pass = a.clean()
 	r.Notef("%d cells (%d placements incl. links): deadlocks %d, stalls %d, undrained %d, refusals off-prediction %d, undocumented losses %d",
 		len(res.Cells), len(campaign.PlacementsFor(topology, cfg.Shape)),
-		res.Deadlocks(), res.Stalls(), undrained, unpredicted, undocumented)
-	r.Notef("refusals across the map: %d — every one a statically predicted unreachable destination", refused)
-	return r, nil
+		a.deadlocks, a.stalls, a.undrained, a.unpredicted, a.undocumented)
+	r.Notef("refusals across the map: %d — every one a statically predicted unreachable destination", a.refused)
+	return nil
 }
 
 // runH1 prices HyperX availability under the exhaustive single-fault map.
 // Fault-tolerant DOR detours around any single in-dimension link fault, so
 // only router faults (dead destinations) may refuse traffic.
-func runH1(opt Options) (*Report, error) {
-	r := &Report{ID: "H1", Title: "HyperX exhaustive single-fault availability map", Paper: "arXiv 2404.04315"}
-	cfg := campaign.Config{
-		Shape:    geom.MustShape(6, 6),
-		Epochs:   []int64{8, 40},
-		Patterns: []campaign.Pattern{campaign.Shift(7), campaign.Reverse()},
-	}
-	if opt.Quick {
-		cfg.Shape = geom.MustShape(3, 3)
-		cfg.Epochs = []int64{12}
-		cfg.Patterns = []campaign.Pattern{campaign.Shift(5)}
-	}
-	return runTopoCampaign(r, opt, "hyperx", cfg)
+func runH1(r *Report, opt Options) error {
+	return runTopoCampaign(r, "hyperx", faultMapConfig(opt, geom.MustShape(6, 6), geom.MustShape(3, 3), 7, 5))
 }
 
 // runH2 prices the VC-free full mesh the same way. Unlike HyperX, the
 // detour-order rule leaves destination 1 with no admissible intermediate, so
 // a single a-1 link fault is a predicted refusal, not a detour — the
 // campaign's as-predicted accounting prices that degradation exactly.
-func runH2(opt Options) (*Report, error) {
-	r := &Report{ID: "H2", Title: "Full-mesh (VC-free) exhaustive single-fault availability map", Paper: "arXiv 2510.14730"}
-	cfg := campaign.Config{
-		Shape:    geom.MustShape(12),
-		Epochs:   []int64{8, 40},
-		Patterns: []campaign.Pattern{campaign.Shift(5), campaign.Reverse()},
-	}
-	if opt.Quick {
-		cfg.Shape = geom.MustShape(6)
-		cfg.Epochs = []int64{12}
-		cfg.Patterns = []campaign.Pattern{campaign.Shift(3)}
-	}
-	return runTopoCampaign(r, opt, "fullmesh", cfg)
+func runH2(r *Report, opt Options) error {
+	return runTopoCampaign(r, "fullmesh", faultMapConfig(opt, geom.MustShape(12), geom.MustShape(6), 5, 3))
 }
 
 // faceOffCase is one topology's run in the H3 comparison.
@@ -125,8 +76,7 @@ type faceOffCase struct {
 // Shape criterion: every topology drains without deadlock or stall, refusals
 // match prediction, and retransmission closes the loss gap exactly (only the
 // statically unreachable destinations are lost).
-func runH3(opt Options) (*Report, error) {
-	r := &Report{ID: "H3", Title: "Cross-topology fault face-off under one workload", Paper: "topo layer"}
+func runH3(r *Report, opt Options) error {
 	shape2d, mesh := geom.MustShape(6, 6), geom.MustShape(36)
 	victim2d, victimMesh := geom.Coord{3, 3}, geom.Coord{18}
 	waves := 4
@@ -161,7 +111,7 @@ func runH3(opt Options) (*Report, error) {
 			KeepDeliveries: true,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		var sumLat, maxLat int64
 		for _, d := range res.Deliveries {
@@ -186,5 +136,5 @@ func runH3(opt Options) (*Report, error) {
 	r.Tables = append(r.Tables, tbl)
 	r.Pass = pass
 	r.Notef("every topology absorbs the same router death: direct-link lattices lose only traffic addressed to the dead PE, as does the crossbar's detour facility")
-	return r, nil
+	return nil
 }

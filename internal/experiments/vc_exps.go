@@ -14,14 +14,23 @@ import (
 
 	"sr2201/internal/campaign"
 	"sr2201/internal/geom"
-	"sr2201/internal/inject"
 	"sr2201/internal/stats"
 )
 
 func init() {
-	register(Experiment{ID: "V2", Title: "Escape-VC adaptive routing defuses the Fig. 9 scenario", Paper: "Fig. 9 + VC extension", Run: runV2})
-	register(Experiment{ID: "V3", Title: "Single-fault availability map under adaptive routing", Paper: "Sec. 4 + VC extension", Run: runV3})
-	register(Experiment{ID: "V4", Title: "Single-fault availability map at four virtual channels", Paper: "Sec. 4 + VC extension", Run: runV4})
+	register(Experiment{ID: "V2", Title: "Escape-VC adaptive routing defuses the Fig. 9 scenario", Paper: "Fig. 9 + VC extension", run: runV2})
+	register(Experiment{ID: "V3", Title: "Single-fault availability map under adaptive routing", Paper: "Sec. 4 + VC extension", run: laneMap{
+		control: 0, controlName: "static", subject: 2, subjectName: "adaptive",
+		title:     "V3 exhaustive single-fault map: static unified vs adaptive vc=2",
+		cellsNote: "%d cells per design: adaptive sweep %d deadlocks, %d stalls, %d undrained, %d off-prediction, %d undocumented",
+		probeNote: "fault-free probe: %d of %d deliveries took an adaptive lane; drain time %d vs static sweep total %d / adaptive %d",
+	}.run})
+	register(Experiment{ID: "V4", Title: "Single-fault availability map at four virtual channels", Paper: "Sec. 4 + VC extension", run: laneMap{
+		control: 2, controlName: "adaptive vc=2", subject: 4, subjectName: "adaptive vc=4",
+		title:     "V4 exhaustive single-fault map: adaptive vc=2 vs vc=4",
+		cellsNote: "%d cells per depth: vc=4 sweep %d deadlocks, %d stalls, %d undrained, %d off-prediction, %d undocumented",
+		probeNote: "fault-free probe at vc=4: %d of %d deliveries took an adaptive lane; drain time %d vs sweep totals vc=2 %d / vc=4 %d",
+	}.run})
 }
 
 // adaptiveFig9 is the Fig. 9 workload — preset router fault, detouring
@@ -55,12 +64,10 @@ func adaptiveDeliveries(c campaign.CellResult) int {
 // escape channel, not the sacrifice mechanism, is what keeps it live. At
 // least one delivery must actually use an adaptive lane, so the result
 // certifies the adaptive path and not a degenerate escape-only run.
-func runV2(opt Options) (*Report, error) {
-	r := &Report{ID: "V2", Title: "Escape-VC adaptive routing defuses the Fig. 9 scenario", Paper: "Fig. 9 + VC extension"}
-
+func runV2(r *Report, opt Options) error {
 	base, err := campaign.RunCell(fig9Cell(true, false, 0))
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	offsets := []int64{0, 8, 16, 24, 32, 40}
@@ -71,7 +78,7 @@ func runV2(opt Options) (*Report, error) {
 		return campaign.RunCell(adaptiveFig9(offsets[i]))
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	tbl := stats.NewTable("V2 Fig. 9 workload: bare separate D-XB vs adaptive escape-VC (recovery armed)",
@@ -98,33 +105,35 @@ func runV2(opt Options) (*Report, error) {
 	r.Notef("adaptive machine: every offset drains with 0 recoveries (supervisor armed), %d deliveries took an adaptive lane",
 		totalAdaptive)
 	r.Notef("deadlock freedom comes from the certified escape channel (internal/topo/escape), not from sacrifice")
-	return r, nil
+	return nil
 }
 
-// v3Config is the F2-style exhaustive single-fault campaign, optionally on
-// the adaptive machine with vcs lanes per wire (0 = the static machine).
-func v3Config(opt Options, vcs int) campaign.Config {
-	cfg := campaign.Config{
-		Shape:    geom.MustShape(6, 6),
-		Epochs:   []int64{8, 40},
-		Patterns: []campaign.Pattern{campaign.Shift(7), campaign.Reverse()},
-		Waves:    4,
-		Gap:      24,
-		Inject: inject.Options{
-			Retransmit:     true,
-			RetryAfter:     24,
-			StallThreshold: 256,
-		},
-		Parallel: opt.Parallel,
-		Hooks:    campaign.Hooks{Ctx: opt.Ctx},
-		Budget:   opt.Budget,
-		OnCell:   opt.OnCell,
-	}
-	if opt.Quick {
-		cfg.Shape = geom.MustShape(4, 4)
-		cfg.Epochs = []int64{12}
-		cfg.Patterns = []campaign.Pattern{campaign.Shift(5)}
-	}
+// laneMap is one V-series availability-map experiment: the exhaustive
+// single-fault campaign (F2's, on 6x6) run at two lane depths — a control
+// and a subject — plus a fault-free probe at the subject's depth. V3 puts
+// the adaptive two-lane machine beside the static unified design; V4
+// doubles the depth to four lanes — three adaptive over one escape, the
+// certified escape discipline untouched — beside V3's two. Shape criterion,
+// the same for both: each sweep finishes with zero deadlocks and zero
+// stalls, every cell drains, every refusal matches the static post-fault
+// prediction, losses stay exactly the documented ones — a mid-run fault can
+// kill a packet inside a crossbar's adaptive lane, but retransmission must
+// recover every such kill whose destination is alive — and the probe routes
+// real traffic through the adaptive lanes when nothing forces it onto the
+// escape.
+type laneMap struct {
+	// control and subject are the lanes per wire (0 = the static machine);
+	// the names label their table rows.
+	control, subject         int
+	controlName, subjectName string
+	title                    string
+	// cellsNote and probeNote are the formats of the two notes.
+	cellsNote, probeNote string
+}
+
+// config is the campaign at one lane depth.
+func (lm laneMap) config(opt Options, vcs int) campaign.Config {
+	cfg := faultMapConfig(opt, geom.MustShape(6, 6), geom.MustShape(4, 4), 7, 5)
 	if vcs > 0 {
 		cfg.VCs = vcs
 		cfg.Adaptive = true
@@ -132,149 +141,41 @@ func v3Config(opt Options, vcs int) campaign.Config {
 	return cfg
 }
 
-// vcAudit applies the V-series cleanliness checks to one sweep: every cell
-// drains, refusals match the static post-fault prediction, and losses stay
-// exactly the documented ones.
-func vcAudit(res *campaign.Result) (undrained, unpredicted, undocumented int) {
-	for _, c := range res.Cells {
-		if !c.Drained {
-			undrained++
-		}
-		if !c.UnreachableAsPredicted {
-			unpredicted++
-		}
-		st := c.Stats
-		if st.Duplicates != 0 || st.LostExhausted != 0 || st.LostUntraceable != 0 ||
-			st.DropsOther != 0 || c.Delivered+finalLosses(st) != c.Accepted {
-			undocumented++
-		}
-	}
-	return
-}
-
-// runV3 reruns the exhaustive single-fault availability map (F2) on the
-// adaptive machine, with the static unified design as control. Shape
-// criterion: both sweeps finish with zero deadlocks and zero stalls, every
-// cell drains, every refusal matches the static post-fault prediction, and
-// the adaptive sweep's losses stay exactly the documented ones — a mid-run
-// fault can kill a packet inside a crossbar's adaptive lane, but
-// retransmission must recover every such kill whose destination is alive.
-func runV3(opt Options) (*Report, error) {
-	r := &Report{ID: "V3", Title: "Single-fault availability map under adaptive routing", Paper: "Sec. 4 + VC extension"}
-
-	acfg := v3Config(opt, 2)
-	static, err := campaign.Run(v3Config(opt, 0))
+func (lm laneMap) run(r *Report, opt Options) error {
+	scfg := lm.config(opt, lm.subject)
+	control, err := campaign.Run(lm.config(opt, lm.control))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	adaptive, err := campaign.Run(acfg)
+	subject, err := campaign.Run(scfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	sUndrained, sUnpred, sUndoc := vcAudit(static)
-	aUndrained, aUnpred, aUndoc := vcAudit(adaptive)
+	ca, sa := auditMap(control), auditMap(subject)
 
-	var sCycles, aCycles int64
-	for _, c := range static.Cells {
-		sCycles += c.EndCycle
-	}
-	for _, c := range adaptive.Cells {
-		aCycles += c.EndCycle
-	}
-
-	tbl := stats.NewTable("V3 exhaustive single-fault map: static unified vs adaptive vc=2",
+	tbl := stats.NewTable(lm.title,
 		"design", "cells", "deadlocks", "stalls", "undrained", "off-prediction", "undocumented", "total cycles")
-	tbl.AddRow("static", len(static.Cells), static.Deadlocks(), static.Stalls(), sUndrained, sUnpred, sUndoc, sCycles)
-	tbl.AddRow("adaptive", len(adaptive.Cells), adaptive.Deadlocks(), adaptive.Stalls(), aUndrained, aUnpred, aUndoc, aCycles)
+	tbl.AddRow(lm.controlName, len(control.Cells), ca.deadlocks, ca.stalls, ca.undrained, ca.unpredicted, ca.undocumented, ca.cycles)
+	tbl.AddRow(lm.subjectName, len(subject.Cells), sa.deadlocks, sa.stalls, sa.undrained, sa.unpredicted, sa.undocumented, sa.cycles)
 	r.Tables = append(r.Tables, tbl)
 
-	// Fault-free probe under the same traffic: the adaptive lanes must
-	// actually carry packets when nothing forces them onto the escape.
-	probeSpec := campaign.Spec{
-		Shape:          acfg.Shape,
-		Pattern:        acfg.Patterns[0],
+	probe, err := campaign.RunCell(campaign.Spec{
+		Shape:          scfg.Shape,
+		Pattern:        scfg.Patterns[0],
 		Waves:          2,
 		Gap:            24,
-		VCs:            2,
+		VCs:            lm.subject,
 		Adaptive:       true,
 		KeepDeliveries: true,
-	}
-	probe, err := campaign.RunCell(probeSpec)
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	probeAdaptive := adaptiveDeliveries(probe)
 
-	r.Pass = static.Deadlocks() == 0 && static.Stalls() == 0 && sUndrained == 0 && sUnpred == 0 && sUndoc == 0 &&
-		adaptive.Deadlocks() == 0 && adaptive.Stalls() == 0 && aUndrained == 0 && aUnpred == 0 && aUndoc == 0 &&
+	r.Pass = ca.clean() && sa.clean() &&
 		probe.Drained && probe.Delivered == probe.Accepted && probeAdaptive > 0
-	r.Notef("%d cells per design: adaptive sweep %d deadlocks, %d stalls, %d undrained, %d off-prediction, %d undocumented",
-		len(adaptive.Cells), adaptive.Deadlocks(), adaptive.Stalls(), aUndrained, aUnpred, aUndoc)
-	r.Notef("fault-free probe: %d of %d deliveries took an adaptive lane; drain time %d vs static sweep total %d / adaptive %d",
-		probeAdaptive, probe.Delivered, probe.EndCycle, sCycles, aCycles)
-	return r, nil
-}
-
-// runV4 reruns the exhaustive single-fault availability map with the lane
-// depth doubled to four virtual channels per wire, against the two-lane
-// machine of V3 as control. Deeper lanes widen the adaptive choice set —
-// three adaptive lanes over one escape — without touching the certified
-// escape discipline, so the map must stay exactly as clean as V3's. Shape
-// criterion: both sweeps finish with zero deadlocks and zero stalls, every
-// cell drains, every refusal matches the static post-fault prediction,
-// losses stay exactly the documented ones, and the fault-free probe still
-// routes real traffic through the adaptive lanes at depth four.
-func runV4(opt Options) (*Report, error) {
-	r := &Report{ID: "V4", Title: "Single-fault availability map at four virtual channels", Paper: "Sec. 4 + VC extension"}
-
-	qcfg := v3Config(opt, 4)
-	two, err := campaign.Run(v3Config(opt, 2))
-	if err != nil {
-		return nil, err
-	}
-	four, err := campaign.Run(qcfg)
-	if err != nil {
-		return nil, err
-	}
-	tUndrained, tUnpred, tUndoc := vcAudit(two)
-	fUndrained, fUnpred, fUndoc := vcAudit(four)
-
-	var tCycles, fCycles int64
-	for _, c := range two.Cells {
-		tCycles += c.EndCycle
-	}
-	for _, c := range four.Cells {
-		fCycles += c.EndCycle
-	}
-
-	tbl := stats.NewTable("V4 exhaustive single-fault map: adaptive vc=2 vs vc=4",
-		"design", "cells", "deadlocks", "stalls", "undrained", "off-prediction", "undocumented", "total cycles")
-	tbl.AddRow("adaptive vc=2", len(two.Cells), two.Deadlocks(), two.Stalls(), tUndrained, tUnpred, tUndoc, tCycles)
-	tbl.AddRow("adaptive vc=4", len(four.Cells), four.Deadlocks(), four.Stalls(), fUndrained, fUnpred, fUndoc, fCycles)
-	r.Tables = append(r.Tables, tbl)
-
-	// Fault-free probe at depth four: the extra lanes must carry traffic.
-	probeSpec := campaign.Spec{
-		Shape:          qcfg.Shape,
-		Pattern:        qcfg.Patterns[0],
-		Waves:          2,
-		Gap:            24,
-		VCs:            4,
-		Adaptive:       true,
-		KeepDeliveries: true,
-	}
-	probe, err := campaign.RunCell(probeSpec)
-	if err != nil {
-		return nil, err
-	}
-	probeAdaptive := adaptiveDeliveries(probe)
-
-	r.Pass = two.Deadlocks() == 0 && two.Stalls() == 0 && tUndrained == 0 && tUnpred == 0 && tUndoc == 0 &&
-		four.Deadlocks() == 0 && four.Stalls() == 0 && fUndrained == 0 && fUnpred == 0 && fUndoc == 0 &&
-		probe.Drained && probe.Delivered == probe.Accepted && probeAdaptive > 0
-	r.Notef("%d cells per depth: vc=4 sweep %d deadlocks, %d stalls, %d undrained, %d off-prediction, %d undocumented",
-		len(four.Cells), four.Deadlocks(), four.Stalls(), fUndrained, fUnpred, fUndoc)
-	r.Notef("fault-free probe at vc=4: %d of %d deliveries took an adaptive lane; drain time %d vs sweep totals vc=2 %d / vc=4 %d",
-		probeAdaptive, probe.Delivered, probe.EndCycle, tCycles, fCycles)
-	return r, nil
+	r.Notef(lm.cellsNote, len(subject.Cells), sa.deadlocks, sa.stalls, sa.undrained, sa.unpredicted, sa.undocumented)
+	r.Notef(lm.probeNote, probeAdaptive, probe.Delivered, probe.EndCycle, ca.cycles, sa.cycles)
+	return nil
 }

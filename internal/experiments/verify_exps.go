@@ -14,8 +14,8 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "A3", Title: "Pivot extension: reachability vs deadlock freedom", Paper: "DESIGN.md extension", Run: runA3})
-	register(Experiment{ID: "V1", Title: "Static channel-dependency verification", Paper: "Sec. 5 theorem", Run: runV1})
+	register(Experiment{ID: "A3", Title: "Pivot extension: reachability vs deadlock freedom", Paper: "DESIGN.md extension", run: runA3})
+	register(Experiment{ID: "V1", Title: "Static channel-dependency verification", Paper: "Sec. 5 theorem", run: runV1})
 }
 
 // newPolicy builds a routing policy over a fresh fault set.
@@ -47,8 +47,7 @@ func verdict(r cdg.Result) string {
 // dependency graph is acyclic for the unified D-XB = S-XB scheme (fault-free
 // and under every single fault), cyclic for the separate-D-XB configuration
 // of Fig. 9, and hazardous for the unserialized broadcast of Fig. 5.
-func runV1(opt Options) (*Report, error) {
-	r := &Report{ID: "V1", Title: "Static channel-dependency verification", Paper: "Sec. 5 theorem"}
+func runV1(r *Report, opt Options) error {
 	shape := geom.MustShape(4, 4)
 	if opt.Quick {
 		shape = geom.MustShape(3, 3)
@@ -61,11 +60,11 @@ func runV1(opt Options) (*Report, error) {
 	// Unified scheme, fault-free.
 	p, err := newPolicy(shape, routing.Config{})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res, err := cdg.Analyze(p, shape, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	tbl.AddRow("D-XB = S-XB, fault-free", res.Channels, res.Edges, verdict(res))
 	pass = pass && res.Acyclic
@@ -83,11 +82,11 @@ func runV1(opt Options) (*Report, error) {
 	for _, f := range allFaults {
 		p, err := newPolicy(shape, routing.Config{}, f)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res, err := cdg.Analyze(p, shape, false)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !res.Acyclic {
 			cyclicFaults++
@@ -101,11 +100,11 @@ func runV1(opt Options) (*Report, error) {
 	p, err = newPolicy(shape, routing.Config{SXB: geom.Coord{0, 0}, DXB: shape.CoordOf(shape.Size()-1).WithDim(0, 0)},
 		fault.RouterFault(geom.Coord{2, 1}))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res, err = cdg.Analyze(p, shape, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	tbl.AddRow("D-XB != S-XB, one faulty RTC (Fig. 9)", res.Channels, res.Edges, verdict(res))
 	pass = pass && !res.Acyclic
@@ -113,11 +112,11 @@ func runV1(opt Options) (*Report, error) {
 	// Naive broadcast: the Fig. 5 hazard.
 	p, err = newPolicy(shape, routing.Config{NaiveBroadcast: true})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res, err = cdg.Analyze(p, shape, true)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	tbl.AddRow("naive broadcast (no S-XB)", res.Channels, res.Edges, verdict(res))
 	pass = pass && res.NaiveHazard
@@ -125,7 +124,7 @@ func runV1(opt Options) (*Report, error) {
 	r.Tables = append(r.Tables, tbl)
 	r.Pass = pass
 	r.Notef("the static verdicts match the dynamic experiments E1/E4/E5 exactly")
-	return r, nil
+	return nil
 }
 
 // runA3 evaluates the pivot extension: it restores every destination behind
@@ -133,8 +132,7 @@ func runV1(opt Options) (*Report, error) {
 // cyclic — the guarantee the paper preserves by confining non-dimension-
 // order turns to the S-XB. A dynamic stress run reports whether the cycle
 // also materializes in simulation (timing-dependent; informational).
-func runA3(opt Options) (*Report, error) {
-	r := &Report{ID: "A3", Title: "Pivot extension: reachability vs deadlock freedom", Paper: "DESIGN.md extension"}
+func runA3(r *Report, opt Options) error {
 	shape := geom.MustShape(4, 4)
 	badLine := geom.Line{Dim: 1, Fixed: geom.Coord{2, 0}}
 
@@ -168,29 +166,29 @@ func runA3(opt Options) (*Report, error) {
 	}
 	baseReach, baseUnreach, err := count(false)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pivReach, pivUnreach, err := count(true)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Static verdicts.
 	pBase, err := newPolicy(shape, routing.Config{}, fault.XBFault(badLine))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	resBase, err := cdg.Analyze(pBase, shape, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pPiv, err := newPolicy(shape, routing.Config{PivotLastDim: true}, fault.XBFault(badLine))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	resPiv, err := cdg.Analyze(pPiv, shape, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	tbl := stats.NewTable(fmt.Sprintf("A3 faulty last-dimension crossbar %v on %s", badLine, shape),
@@ -209,10 +207,10 @@ func runA3(opt Options) (*Report, error) {
 	for _, seed := range seeds {
 		m, err := core.NewMachine(core.Config{Shape: shape, PivotLastDim: true, StallThreshold: 512})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := m.AddFault(fault.XBFault(badLine)); err != nil {
-			return nil, err
+			return err
 		}
 		d := traffic.Driver{
 			M:             m,
@@ -235,5 +233,5 @@ func runA3(opt Options) (*Report, error) {
 	// With a single faulty crossbar the pivot should restore every pair.
 	r.Pass = pivUnreach == 0 && pivReach > baseReach && resBase.Acyclic && !resPiv.Acyclic
 	r.Notef("the pivot restores all %d previously unreachable pairs at the cost of the acyclicity guarantee", baseUnreach)
-	return r, nil
+	return nil
 }

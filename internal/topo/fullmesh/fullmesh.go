@@ -43,6 +43,13 @@ func init() {
 		Canonical: func() (topo.Scheme, error) {
 			return New(8, nil)
 		},
+		New: func(shape geom.Shape, faults *fault.Set) (topo.Router, error) {
+			if shape.Dims() != 1 {
+				return nil, fmt.Errorf("fullmesh needs a one-dimensional shape, got %s", shape)
+			}
+			return New(shape[0], faults)
+		},
+		Faults: true,
 	})
 }
 
@@ -80,18 +87,6 @@ func build(n int, faults *fault.Set, unordered bool) (*Scheme, error) {
 	return &Scheme{n: n, shape: shape, faults: faults, unordered: unordered}, nil
 }
 
-// Build constructs a fully wired n-router full mesh and installs the
-// sound scheme on it.
-func Build(eng *engine.Engine, n int, faults *fault.Set) (*topo.Net, *Scheme, error) {
-	s, err := New(n, faults)
-	if err != nil {
-		return nil, nil, err
-	}
-	net := topo.NewNet(eng, s.shape)
-	net.SetScheme(s)
-	return net, s, nil
-}
-
 // Name identifies the instance, e.g. "fullmesh-8" or
 // "fullmesh-unordered-4".
 func (s *Scheme) Name() string {
@@ -103,6 +98,9 @@ func (s *Scheme) Name() string {
 
 // Shape returns the one-dimensional lattice shape {n}.
 func (s *Scheme) Shape() geom.Shape { return s.shape }
+
+// Wiring is the all-to-all layout of the single line.
+func (s *Scheme) Wiring() topo.Wiring { return topo.AllToAll(s.shape) }
 
 // Faults returns the scheme's fault set (nil when fault-free).
 func (s *Scheme) Faults() *fault.Set { return s.faults }

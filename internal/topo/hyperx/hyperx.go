@@ -47,6 +47,10 @@ func init() {
 		Canonical: func() (topo.Scheme, error) {
 			return New(geom.MustShape(4, 4), nil)
 		},
+		New: func(shape geom.Shape, faults *fault.Set) (topo.Router, error) {
+			return New(shape, faults)
+		},
+		Faults: true,
 	})
 }
 
@@ -74,23 +78,14 @@ func New(shape geom.Shape, faults *fault.Set) (*Scheme, error) {
 	return &Scheme{shape: shape, faults: faults}, nil
 }
 
-// Build constructs a fully wired direct-link network for the shape and
-// installs the scheme on it.
-func Build(eng *engine.Engine, shape geom.Shape, faults *fault.Set) (*topo.Net, *Scheme, error) {
-	s, err := New(shape, faults)
-	if err != nil {
-		return nil, nil, err
-	}
-	net := topo.NewNet(eng, shape)
-	net.SetScheme(s)
-	return net, s, nil
-}
-
 // Name identifies the instance, e.g. "hyperx-4x4".
 func (s *Scheme) Name() string { return "hyperx-" + s.shape.String() }
 
 // Shape returns the lattice shape.
 func (s *Scheme) Shape() geom.Shape { return s.shape }
+
+// Wiring is the per-line all-to-all layout.
+func (s *Scheme) Wiring() topo.Wiring { return topo.AllToAll(s.shape) }
 
 // Faults returns the scheme's fault set (nil when fault-free).
 func (s *Scheme) Faults() *fault.Set { return s.faults }

@@ -8,21 +8,13 @@ import (
 	"sr2201/internal/geom"
 )
 
-// This file builds the direct-link lattice network shared by the HyperX
-// and full-mesh schemes: one router per lattice point, each paired with a
-// PE, and within every axis-aligned line a direct bidirectional link
-// between every pair of routers (per-dimension all-to-all). The full mesh
-// is the 1-dimensional instance; HyperX generalizes it to d dimensions —
-// the direct descendant of the paper's MD crossbar with the shared
-// per-line crossbar switch replaced by point-to-point links.
-//
-// Port conventions (the contract every Router scheme relies on):
-//
-//	router at coordinate c: for dim k, one port per other value v ≠ c[k]
-//	  on c's dim-k line, laid out dimension-major and by ascending v —
-//	  PortOf/PortTarget map between (dim, v) and port index;
-//	port PEPort(shape) (the last port) ↔ the PE at c;
-//	PE at c: port 0 ↔ its router's PE port.
+// This file builds the direct-link lattice network every Router scheme
+// runs on: one router per lattice point, each paired with a PE, cabled
+// the way the scheme's Wiring says. HyperX and the full mesh share the
+// per-line all-to-all layout (AllToAll below) — the direct descendant of
+// the paper's MD crossbar with the shared per-line crossbar switch
+// replaced by point-to-point links; the mesh and torus baselines of
+// internal/topo/grid state a nearest-neighbour layout of their own.
 
 // RouterMeta is attached to router nodes.
 type RouterMeta struct {
@@ -32,6 +24,23 @@ type RouterMeta struct {
 // PEMeta is attached to PE endpoint nodes.
 type PEMeta struct {
 	Coord geom.Coord
+}
+
+// Wiring is how a scheme's routers are cabled. Every router has the same
+// number of ports; the last one leads to the router's own PE (whose port 0
+// leads back), the others are link ports.
+type Wiring interface {
+	// Ports is the number of ports on every router, PE port included.
+	Ports() int
+	// Lanes is how many consecutive link ports share one physical wire —
+	// virtual channels with a combined bandwidth of one flit per cycle. 1
+	// means every port is a wire of its own. Lane i of a wire is cabled to
+	// lane i of the wire's far end.
+	Lanes() int
+	// Peer returns the router and port that link port `port` of the router
+	// at c is cabled to; ok is false for a port left unconnected (a mesh
+	// edge). The relation must be symmetric.
+	Peer(c geom.Coord, port int) (peer geom.Coord, peerPort int, ok bool)
 }
 
 // Router is a Scheme that also forwards packets hop by hop on the
@@ -44,13 +53,37 @@ type Router interface {
 	Scheme
 	// Shape is the lattice shape the scheme routes over.
 	Shape() geom.Shape
+	// Wiring is the cabling the scheme's port numbers refer to. It depends
+	// on the shape only, never on the fault set.
+	Wiring() Wiring
 	// Route decides the forwarding at the router at c for header h
 	// arriving on port in.
 	Route(c geom.Coord, in int, h *flit.Header) (engine.Decision, error)
 }
 
-// PortCount returns the number of ports on every router: one per
-// same-line neighbor across all dimensions, plus the PE port.
+// AllToAll is the wiring HyperX and the full mesh share: within every
+// axis-aligned line of the shape, a direct link between every pair of
+// routers. The router at c has, for dim k, one port per other value
+// v ≠ c[k] on c's dim-k line, laid out dimension-major and by ascending v;
+// PortOf/PortTarget map between (dim, v) and the port index.
+type AllToAll geom.Shape
+
+// Ports is one port per same-line neighbor across all dimensions, plus
+// the PE port.
+func (w AllToAll) Ports() int { return PortCount(geom.Shape(w)) }
+
+// Lanes is 1: no virtual channels.
+func (w AllToAll) Lanes() int { return 1 }
+
+// Peer follows a link port to the other end of its line.
+func (w AllToAll) Peer(c geom.Coord, port int) (geom.Coord, int, bool) {
+	dim, v := PortTarget(geom.Shape(w), c, port)
+	peer := c.WithDim(dim, v)
+	return peer, PortOf(geom.Shape(w), peer, dim, c[dim]), true
+}
+
+// PortCount returns the number of ports on every all-to-all router: one
+// per same-line neighbor across all dimensions, plus the PE port.
 func PortCount(shape geom.Shape) int {
 	total := 1
 	for _, e := range shape {
@@ -59,12 +92,13 @@ func PortCount(shape geom.Shape) int {
 	return total
 }
 
-// PEPort returns the router port wired to the local PE (the last port).
+// PEPort returns the all-to-all router port wired to the local PE (the
+// last port).
 func PEPort(shape geom.Shape) int { return PortCount(shape) - 1 }
 
-// PortOf returns the port on the router at c that leads to the router at
-// value v of dimension dim on c's line. Panics if v == c[dim]: there is
-// no self-link.
+// PortOf returns the port on the all-to-all router at c that leads to the
+// router at value v of dimension dim on c's line. Panics if v == c[dim]:
+// there is no self-link.
 func PortOf(shape geom.Shape, c geom.Coord, dim, v int) int {
 	if v == c[dim] {
 		panic(fmt.Sprintf("topo: no self-link at %s dim %d", c, dim))
@@ -79,8 +113,8 @@ func PortOf(shape geom.Shape, c geom.Coord, dim, v int) int {
 	return base + v - 1
 }
 
-// PortTarget inverts PortOf: the (dim, value) a router port leads to.
-// Panics on the PE port or out-of-range ports.
+// PortTarget inverts PortOf: the (dim, value) an all-to-all router port
+// leads to. Panics on the PE port or out-of-range ports.
 func PortTarget(shape geom.Shape, c geom.Coord, port int) (dim, v int) {
 	rel := port
 	for k, e := range shape {
@@ -106,19 +140,15 @@ type Net struct {
 	scheme Router
 }
 
-// NewNet constructs PEs, routers, and per-dimension all-to-all links for
-// the given shape. A Router scheme must be installed with SetScheme
-// before any packet is injected.
-func NewNet(eng *engine.Engine, shape geom.Shape) *Net {
-	net := &Net{Shape: shape, Eng: eng}
+// NewNet constructs PEs and routers for the scheme's shape, cables them as
+// its Wiring says, and installs the scheme on every router.
+func NewNet(eng *engine.Engine, s Router) *Net {
+	shape, w := s.Shape(), s.Wiring()
+	net := &Net{Shape: shape, Eng: eng, scheme: s}
 	d := shape.Dims()
-	ports := PortCount(shape)
-	pePort := PEPort(shape)
+	ports, lanes := w.Ports(), w.Lanes()
 
 	route := func(n *engine.Node, in int, h *flit.Header) (engine.Decision, error) {
-		if net.scheme == nil {
-			return engine.Decision{}, fmt.Errorf("topo: no routing scheme installed")
-		}
 		return net.scheme.Route(n.Meta.(RouterMeta).Coord, in, h)
 	}
 
@@ -129,29 +159,35 @@ func NewNet(eng *engine.Engine, shape geom.Shape) *Net {
 		c := shape.CoordOf(i)
 		net.pes[i] = eng.AddEndpoint("PE"+c.In(d), PEMeta{Coord: c})
 		net.routers[i] = eng.AddSwitch("R"+c.In(d), ports, route, RouterMeta{Coord: c})
-		eng.Connect(net.pes[i], 0, net.routers[i], pePort)
+		eng.Connect(net.pes[i], 0, net.routers[i], ports-1)
 	}
 
-	// Direct links: within each line, every pair of routers, wired once
-	// per unordered pair (Connect is bidirectional).
-	shape.Enumerate(func(c geom.Coord) bool {
-		for dim := 0; dim < d; dim++ {
-			for v := c[dim] + 1; v < shape[dim]; v++ {
-				peer := c
-				peer[dim] = v
-				eng.Connect(net.Router(c), PortOf(shape, c, dim, v),
-					net.Router(peer), PortOf(shape, peer, dim, c[dim]))
+	// Links: every cabled port, in router then port order, connected from
+	// whichever end comes first (Connect is bidirectional); the lanes of a
+	// wire share its one flit per cycle.
+	for i, r := range net.routers {
+		c := shape.CoordOf(i)
+		for p := 0; p < ports-1; p++ {
+			peer, pp, ok := w.Peer(c, p)
+			if !ok {
+				continue
+			}
+			if r.Out[p].DownstreamIn() == nil {
+				eng.Connect(r, p, net.Router(peer), pp)
+			}
+			if lanes > 1 && p%lanes == 0 {
+				eng.SharePhysical(r.Out[p : p+lanes]...)
 			}
 		}
-		return true
-	})
+	}
 	return net
 }
 
-// SetScheme installs the routing scheme used by every router.
+// SetScheme replaces the routing scheme used by every router — the same
+// family rebound to a changed fault set; the wiring stays as built.
 func (net *Net) SetScheme(s Router) { net.scheme = s }
 
-// Scheme returns the installed routing scheme (nil before SetScheme).
+// Scheme returns the installed routing scheme.
 func (net *Net) Scheme() Router { return net.scheme }
 
 // PE returns the endpoint node of the PE at c.

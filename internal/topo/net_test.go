@@ -63,12 +63,11 @@ func TestPortMath(t *testing.T) {
 func TestNetDeliversAllPairs(t *testing.T) {
 	shape := geom.MustShape(3, 3)
 	eng := engine.New(engine.DefaultConfig())
-	net := topo.NewNet(eng, shape)
 	s, err := hyperx.New(shape, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetScheme(s)
+	net := topo.NewNet(eng, s)
 
 	delivered := map[geom.Coord]int{}
 	eng.OnDeliver = func(d engine.Delivery) {
@@ -115,12 +114,11 @@ func TestNetDeliversAllPairs(t *testing.T) {
 func TestNetStateHashPin(t *testing.T) {
 	shape := geom.MustShape(4, 4)
 	eng := engine.New(engine.DefaultConfig())
-	net := topo.NewNet(eng, shape)
 	s, err := hyperx.New(shape, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetScheme(s)
+	net := topo.NewNet(eng, s)
 	shape.Enumerate(func(src geom.Coord) bool {
 		dst := shape.CoordOf((shape.Index(src) + 5) % shape.Size())
 		if dst != src {
@@ -147,6 +145,7 @@ type brokenRouter struct {
 
 func (b brokenRouter) Name() string                               { return "broken" }
 func (b brokenRouter) Shape() geom.Shape                          { return b.shape }
+func (b brokenRouter) Wiring() topo.Wiring                        { return topo.AllToAll(b.shape) }
 func (b brokenRouter) RegisterDependences(bb *topo.Builder) error { return nil }
 func (b brokenRouter) Route(c geom.Coord, in int, h *flit.Header) (engine.Decision, error) {
 	return b.route(c, in, h)

@@ -12,17 +12,18 @@ import (
 	// every registered scheme family.
 	_ "sr2201/internal/topo/escape"
 	_ "sr2201/internal/topo/fullmesh"
+	_ "sr2201/internal/topo/grid"
 	_ "sr2201/internal/topo/hyperx"
 	_ "sr2201/internal/topo/mdx"
 )
 
 var update = flag.Bool("update", false, "rewrite golden certificates")
 
-// TestRegisteredSchemes pins the registry contents: the four shipped
+// TestRegisteredSchemes pins the registry contents: the seven shipped
 // families, sorted by name. A scheme that forgets to register escapes the
 // certificate gate, so the set itself is part of the contract.
 func TestRegisteredSchemes(t *testing.T) {
-	want := []string{"escape", "fullmesh", "hyperx", "mdx"}
+	want := []string{"escape", "fullmesh", "hyperx", "mdx", "mesh", "torus", "torus-novc"}
 	regs := topo.Registered()
 	if len(regs) != len(want) {
 		t.Fatalf("%d registered schemes, want %d", len(regs), len(want))
@@ -35,9 +36,11 @@ func TestRegisteredSchemes(t *testing.T) {
 }
 
 // TestCertificateGate is the deadlock-freedom regression gate CI runs: every
-// registered scheme's canonical instance must certify acyclic, and the full
-// certificate must match its golden fixture byte for byte. Run with -update
-// to rewrite the fixtures after an intentional change.
+// registered scheme's canonical instance must certify acyclic — or, for the
+// one family registered as a refuted counter-example, cyclic — and the full
+// certificate, witness included, must match its golden fixture byte for
+// byte. Run with -update to rewrite the fixtures after an intentional
+// change.
 func TestCertificateGate(t *testing.T) {
 	for _, reg := range topo.Registered() {
 		reg := reg
@@ -50,8 +53,11 @@ func TestCertificateGate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("certify %s: %v", reg.Name, err)
 			}
-			if !cert.Acyclic {
+			if !cert.Acyclic && !reg.Refuted {
 				t.Fatalf("scheme %s regressed to cyclic; witness: %v", s.Name(), cert.Cycle)
+			}
+			if cert.Acyclic && reg.Refuted {
+				t.Fatalf("counter-example %s certified acyclic: the prover lost the ring", s.Name())
 			}
 			golden := filepath.Join("testdata", "cert_"+reg.Name+".golden")
 			if *update {

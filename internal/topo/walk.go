@@ -13,10 +13,17 @@ import (
 // simulation time produces the channel sequences the prover certifies,
 // so the certificate covers exactly the routes the machine takes.
 
-// ChannelName names the directed link channel leaving the router at c
-// toward value v of dimension dim, e.g. "R(1,2).d0>3".
-func ChannelName(c geom.Coord, dim, v int) string {
-	return fmt.Sprintf("R%s.d%d>%d", c, dim, v)
+// channelName names the directed channel leaving link port `port` of the
+// router at c for the router at peer: the dimension the cable runs along and
+// the far end's value in it, e.g. "R(1,2).d0>3", with the lane appended where
+// several share the wire, e.g. "R(1,2).d0>3.vc1".
+func channelName(w Wiring, c geom.Coord, port int, peer geom.Coord) string {
+	dim := c.FirstDiff(peer, geom.MaxDims)
+	name := fmt.Sprintf("R%s.d%d>%d", c, dim, peer[dim])
+	if lanes := w.Lanes(); lanes > 1 {
+		name += fmt.Sprintf(".vc%d", port%lanes)
+	}
+	return name
 }
 
 // PEChannelName names the delivery channel from the router at c into its
@@ -56,15 +63,16 @@ func Reach(s Router, src, dst geom.Coord) error {
 // walk is the walker under Walk and Reach; it records the route in w unless
 // w is nil.
 func walk(s Router, src, dst geom.Coord, w *Walked) error {
-	shape := s.Shape()
-	pePort := PEPort(shape)
+	wiring := s.Wiring()
+	pePort := wiring.Ports() - 1
 	h := &flit.Header{Src: src, Dst: dst}
 	cur := src
 	in := pePort
 	if w != nil {
 		w.Routers = append(w.Routers, cur)
 	}
-	limit := 4*shape.Dims()*PortCount(shape) + 16
+	// A route that takes more hops than there are routers has looped.
+	limit := s.Shape().Size()
 	for hops := 0; ; hops++ {
 		if hops > limit {
 			return fmt.Errorf("topo: %s walk %s->%s exceeded %d hops", s.Name(), src, dst, limit)
@@ -90,15 +98,15 @@ func walk(s Router, src, dst geom.Coord, w *Walked) error {
 			}
 			return nil
 		}
-		dim, v := PortTarget(shape, cur, out)
-		next := cur
-		next[dim] = v
+		next, nextIn, ok := wiring.Peer(cur, out)
+		if !ok {
+			return fmt.Errorf("topo: %s walk %s->%s left %s by uncabled port %d", s.Name(), src, dst, cur, out)
+		}
 		if w != nil {
-			w.Channels = append(w.Channels, ChannelName(cur, dim, v))
+			w.Channels = append(w.Channels, channelName(wiring, cur, out, next))
 			w.Routers = append(w.Routers, next)
 		}
-		in = PortOf(shape, next, dim, cur[dim])
-		cur = next
+		cur, in = next, nextIn
 	}
 }
 

@@ -4,37 +4,18 @@ import (
 	"fmt"
 	"math/rand"
 
-	"sr2201/internal/deadlock"
-	"sr2201/internal/engine"
+	"sr2201/internal/core"
 	"sr2201/internal/geom"
 	"sr2201/internal/stats"
 )
 
-// Target is the network-side contract the driver needs. Both core.Machine
-// (the MD crossbar) and meshnet.Net (the mesh/torus baselines) satisfy it,
-// so the comparison experiments drive every topology identically.
-type Target interface {
-	Shape() geom.Shape
-	// Alive reports whether the PE at c can use the network (faulty-router
-	// PEs cannot).
-	Alive(c geom.Coord) bool
-	Send(src, dst geom.Coord, size int) (uint64, error)
-	Broadcast(src geom.Coord, size int) (uint64, int, error)
-	Step()
-	Run(maxCycles int64) deadlock.Outcome
-	ResetStats()
-	Latency() *stats.Latency
-	BroadcastLatency() *stats.Latency
-	Engine() *engine.Engine
-}
-
-// Driver runs an open-loop Bernoulli workload against a Target: each cycle,
+// Driver runs an open-loop Bernoulli workload against a machine: each cycle,
 // each PE independently starts a new packet with probability Rate (the
 // offered load in packets per PE per cycle). Measurement is split into a
 // warmup phase (statistics discarded) and a measure phase, followed by a
 // bounded drain.
 type Driver struct {
-	M       Target
+	M       *core.Machine
 	Pattern Pattern
 	// Rate is packets per PE per cycle.
 	Rate float64
