@@ -17,22 +17,36 @@ var update = flag.Bool("update", false, "rewrite the golden matrix")
 // The fixture was recorded from the last build in which the baselines ran on
 // their own network builder, so it is the proof that hosting them on
 // core.Machine changed no simulated cycle; torus-novc's exit code 1
-// (DEADLOCK) under uniform traffic is part of it.
+// (DEADLOCK) under uniform traffic is part of it. The -topports runs that
+// follow pin node names and per-port traffic on the MD crossbar (with and
+// without lanes) and on direct-link lattices; they were recorded from the
+// last build with a network builder of its own for the MD crossbar.
 func TestBaselineMatrixGolden(t *testing.T) {
-	var got bytes.Buffer
+	var runs [][]string
 	for _, topology := range []string{"mesh", "torus", "torus-novc"} {
 		for _, load := range []string{"0.05", "0.3"} {
 			for _, pattern := range []string{"uniform", "transpose"} {
-				args := []string{"-shape", "6x6", "-topology", topology, "-load", load, "-pattern", pattern}
-				fmt.Fprintf(&got, "$ mdxsim %s\n", strings.Join(args, " "))
-				var stderr bytes.Buffer
-				code := run(args, &got, &stderr)
-				if stderr.Len() > 0 {
-					t.Errorf("%v: stderr %q", args, stderr.String())
-				}
-				fmt.Fprintf(&got, "exit %d\n\n", code)
+				runs = append(runs, []string{"-shape", "6x6", "-topology", topology, "-load", load, "-pattern", pattern})
 			}
 		}
+	}
+	for _, args := range []string{
+		"-shape 4x4 -topology xbar -load 0.1 -bcast 0.002 -fault rtc:1,1 -topports 4",
+		"-shape 4x4 -topology xbar -vcs 2 -adaptive -load 0.1 -topports 4",
+		"-shape 4x4 -topology hyperx -load 0.1 -topports 4",
+		"-shape 6x6 -topology torus -load 0.05 -topports 4",
+	} {
+		runs = append(runs, strings.Fields(args))
+	}
+	var got bytes.Buffer
+	for _, args := range runs {
+		fmt.Fprintf(&got, "$ mdxsim %s\n", strings.Join(args, " "))
+		var stderr bytes.Buffer
+		code := run(args, &got, &stderr)
+		if stderr.Len() > 0 {
+			t.Errorf("%v: stderr %q", args, stderr.String())
+		}
+		fmt.Fprintf(&got, "exit %d\n\n", code)
 	}
 	golden := filepath.Join("testdata", "baseline_matrix.golden")
 	if *update {

@@ -33,13 +33,7 @@ func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: open store: %w", err)
 	}
-	if ents, err := os.ReadDir(dir); err == nil {
-		for _, ent := range ents {
-			if strings.Contains(ent.Name(), ".tmp-") {
-				os.Remove(filepath.Join(dir, ent.Name()))
-			}
-		}
-	}
+	CleanTmp(dir)
 	return &Store{dir: dir}, nil
 }
 
@@ -54,9 +48,10 @@ func (s *Store) snapPath(i int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("cell-%04d.snap", i))
 }
 
-// writeAtomic writes data to path via a temp file in the same directory.
-func (s *Store) writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(s.dir, filepath.Base(path)+".tmp-*")
+// WriteAtomic writes data to path through a temp file in the same directory
+// and a rename, so a crash mid-write leaves the old file or none.
+func WriteAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -77,9 +72,25 @@ func (s *Store) writeAtomic(path string, data []byte) error {
 	return nil
 }
 
+// CleanTmp removes WriteAtomic temp litter from dir — files a killed
+// process created but never renamed. Only call it on a directory no live
+// writer is using: deleting an in-flight temp file fails that writer's
+// rename.
+func CleanTmp(dir string) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, ent := range ents {
+		if strings.Contains(ent.Name(), ".tmp-") {
+			os.Remove(filepath.Join(dir, ent.Name()))
+		}
+	}
+}
+
 // SaveResult records a completed cell and retires its snapshot.
 func (s *Store) SaveResult(i int, res CellResult) error {
-	if err := s.writeAtomic(s.resultPath(i), EncodeResult(res)); err != nil {
+	if err := WriteAtomic(s.resultPath(i), EncodeResult(res)); err != nil {
 		return fmt.Errorf("campaign: save result %d: %w", i, err)
 	}
 	os.Remove(s.snapPath(i))
@@ -102,7 +113,7 @@ func (s *Store) LoadResult(i int) (res CellResult, ok bool, err error) {
 
 // SaveSnap records a mid-cell snapshot.
 func (s *Store) SaveSnap(i int, data []byte) error {
-	if err := s.writeAtomic(s.snapPath(i), data); err != nil {
+	if err := WriteAtomic(s.snapPath(i), data); err != nil {
 		return fmt.Errorf("campaign: save snapshot %d: %w", i, err)
 	}
 	return nil

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"slices"
 
-	"sr2201/internal/engine"
 	"sr2201/internal/flit"
 	"sr2201/internal/geom"
 	"sr2201/internal/routing"
@@ -74,7 +73,8 @@ type Result struct {
 const treeName = "BROADCAST-TREE"
 
 // Analyze builds the CDG for the policy over the given shape and checks it.
-// naive selects the unserialized broadcast analysis. Sources for broadcasts
+// naive selects the unserialized broadcast analysis, for a policy configured
+// NaiveBroadcast (the fans walked are the policy's own). Sources for broadcasts
 // default to every healthy PE. The graph accumulates in a topo.Builder —
 // the same prover every registered scheme certifies against — and the
 // verdict is its Certificate, re-expressed in the historical Result form.
@@ -115,7 +115,7 @@ func RegisterDependences(b *topo.Builder, p *routing.Policy, shape geom.Shape) e
 // packet on lane 0 stays there until delivery, so the escape channel's
 // internal dependences are exactly the unified scheme's — with every channel
 // renamed to lane 0 of its wire, i.e. every out-port index scaled by vcs
-// (the mdxb port conventions scale the PE port the same way). Certifying
+// (topo.MDCrossbar's port convention scales the PE port the same way). Certifying
 // this graph acyclic is the static half of the escape-channel deadlock
 // argument; the refutation test registers a mis-ordered (separate D-XB)
 // variant the same way and exhibits its cycle.
@@ -152,13 +152,23 @@ type Graph struct {
 	route   []int32
 	request []int32
 	fan     []int32
-	queue   []fanNode
-	stamp   []int32 // fan-tree membership of the walk in progress, by serial
+	walk    routing.BroadcastWalk
+	visit   routing.BroadcastVisitor // sorts a broadcast's channels into request and fan
+	stamp   []int32                  // fan-tree membership of the walk in progress, by serial
 	serial  int32
 }
 
 func newGraph(b *topo.Builder, p *routing.Policy, shape geom.Shape, vcs int) *Graph {
 	g := &Graph{b: b, p: p, shape: shape, dims: shape.Dims(), vcs: vcs}
+	g.visit = func(dim, index, out int, h *flit.Header, _ int) {
+		n := g.number(dim, index, out)
+		if h.RC == flit.RCBroadcastRequest {
+			g.request = append(g.request, n)
+		} else if g.stamp[n] != g.serial {
+			g.stamp[n] = g.serial
+			g.fan = append(g.fan, n)
+		}
+	}
 	next := int32(shape.Size() * (g.dims + 1))
 	for k, extent := range shape {
 		g.xbBase = append(g.xbBase, next)
@@ -269,7 +279,7 @@ func (g *Graph) registerUnicast() {
 func (g *Graph) registerBroadcast() {
 	treeID := g.vertexOf(g.tree)
 	g.shape.Enumerate(func(src geom.Coord) bool {
-		if err := g.walkBroadcast(src, false); err != nil {
+		if err := g.walkBroadcast(src); err != nil {
 			return true // sources that cannot broadcast contribute nothing
 		}
 		g.path(g.request)
@@ -283,75 +293,15 @@ func (g *Graph) registerBroadcast() {
 	})
 }
 
-// fanNode is one switch arrival of a broadcast walk.
-type fanNode struct {
-	atRouter bool
-	coord    geom.Coord
-	line     geom.Line
-	in       int
-	h        *flit.Header
-}
-
-// walkBroadcast replays the policy's broadcast decisions from src, breadth
-// first, leaving the request-leg channel sequence in g.request and the
-// fan-tree channel set (channels carrying RC=broadcast, in first-reached
-// order) in g.fan.
-func (g *Graph) walkBroadcast(src geom.Coord, naive bool) error {
-	rc := flit.RCBroadcastRequest
-	if naive {
-		rc = flit.RCBroadcast
-	}
+// walkBroadcast replays the policy's broadcast from src (routing's
+// WalkBroadcast, refusal rule included), leaving the request-leg channel
+// sequence in g.request and the fan-tree channel set (channels carrying
+// RC=broadcast, in first-reached order) in g.fan.
+func (g *Graph) walkBroadcast(src geom.Coord) error {
 	g.request, g.fan = g.request[:0], g.fan[:0]
 	g.serial++
-	g.queue = append(g.queue[:0], fanNode{atRouter: true, coord: src, in: g.dims, h: &flit.Header{Src: src, BroadcastOrigin: src, RC: rc}})
-	limit := g.shape.Size()*(g.dims+2)*4 + 64
-	for next := 0; next < len(g.queue); next++ {
-		if next >= limit {
-			return fmt.Errorf("cdg: broadcast walk from %v exceeded %d steps", src, limit)
-		}
-		nd := g.queue[next]
-		var dec engine.Decision
-		var err error
-		if nd.atRouter {
-			dec, err = g.p.RouteRouter(nil, nd.coord, nd.in, nd.h)
-		} else {
-			dec, err = g.p.RouteXB(nil, nd.line, nd.in, nd.h)
-		}
-		if err != nil {
-			if nd.h.RC == flit.RCBroadcastRequest {
-				return err
-			}
-			continue // dead fan branch (over-faulted network)
-		}
-		for _, out := range dec.Outs {
-			var n int32
-			if nd.atRouter {
-				n = g.number(-1, g.shape.Index(nd.coord), out)
-			} else {
-				n = g.number(nd.line.Dim, g.shape.LineIndex(nd.line), out)
-			}
-			h := nd.h
-			if dec.Transform != nil {
-				h = dec.Transform(h)
-			}
-			if h.RC == flit.RCBroadcastRequest {
-				g.request = append(g.request, n)
-			} else if g.stamp[n] != g.serial {
-				g.stamp[n] = g.serial
-				g.fan = append(g.fan, n)
-			}
-			// Descend unless this was a PE delivery port.
-			if nd.atRouter && out == g.dims {
-				continue
-			}
-			if nd.atRouter {
-				g.queue = append(g.queue, fanNode{line: geom.LineOf(nd.coord, out), in: nd.coord[out], h: h})
-			} else {
-				g.queue = append(g.queue, fanNode{atRouter: true, coord: nd.line.Point(out), in: nd.line.Dim, h: h})
-			}
-		}
-	}
-	return nil
+	_, err := g.p.WalkBroadcast(src, &g.walk, g.visit)
+	return err
 }
 
 // analyzeNaive checks the unserialized hazard: two distinct sources whose
@@ -361,7 +311,7 @@ func (g *Graph) walkBroadcast(src geom.Coord, naive bool) error {
 func (g *Graph) analyzeNaive() (Result, error) {
 	var trees [][]int32
 	g.shape.Enumerate(func(src geom.Coord) bool {
-		if err := g.walkBroadcast(src, true); err == nil && len(g.fan) > 0 {
+		if err := g.walkBroadcast(src); err == nil && len(g.fan) > 0 {
 			trees = append(trees, slices.Clone(g.fan))
 		}
 		return len(trees) < 8 // a handful of representatives suffice

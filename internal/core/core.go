@@ -22,7 +22,6 @@ import (
 	"sr2201/internal/fault"
 	"sr2201/internal/flit"
 	"sr2201/internal/geom"
-	"sr2201/internal/mdxb"
 	"sr2201/internal/routing"
 	"sr2201/internal/stats"
 	"sr2201/internal/topo"
@@ -151,9 +150,8 @@ type Machine struct {
 	cfg    Config
 	shape  geom.Shape
 	eng    *engine.Engine
-	net    *mdxb.Network     // MD crossbar network (nil on direct-link topologies)
+	net    *topo.Net
 	direct topo.Registration // the direct-link family (zero on the MD crossbar)
-	tnet   *topo.Net         // direct-link lattice (nil on the MD crossbar)
 	router topo.Router       // installed direct-link scheme (nil on the MD crossbar)
 	policy *routing.Policy   // MD crossbar routing policy (nil on direct-link topologies)
 	faults *fault.Set
@@ -283,11 +281,16 @@ func NewMachine(cfg Config) (*Machine, error) {
 		faults:      fault.NewSet(cfg.Shape),
 		separateNow: cfg.DXBSeparate,
 	}
-	if cfg.Topology == TopologyMDX {
-		m.net = mdxb.BuildVC(m.eng, cfg.Shape, cfg.VCs)
-	} else {
+	var wiring topo.Wiring = topo.MDCrossbar{Shape: cfg.Shape, VCs: cfg.VCs}
+	if cfg.Topology != TopologyMDX {
 		m.direct, _ = topo.Lookup(cfg.Topology)
+		s, err := m.direct.New(cfg.Shape, m.faults)
+		if err != nil {
+			return nil, err
+		}
+		wiring = s.Wiring()
 	}
+	m.net = topo.NewNet(m.eng, cfg.Shape, wiring)
 	if err := m.rebuildPolicy(); err != nil {
 		return nil, err
 	}
@@ -306,11 +309,7 @@ func (m *Machine) rebuildPolicy() error {
 			return err
 		}
 		m.router = s
-		if m.tnet == nil {
-			m.tnet = topo.NewNet(m.eng, s)
-		} else {
-			m.tnet.SetScheme(s)
-		}
+		m.net.SetPolicy(topo.RouterPolicy(s))
 		return nil
 	}
 	p, err := routing.New(m.RoutingConfig(m.separateNow))
@@ -534,7 +533,7 @@ func (m *Machine) SetReconfigurer(fn func(f fault.Fault) error) { m.reconfigure 
 // reachability prechecks keep using the algorithmic policy; AddFault
 // recompiles the tables. Incompatible with the pivot extension.
 func (m *Machine) UseCompiledTables() error {
-	if m.tnet != nil {
+	if m.router != nil {
 		return fmt.Errorf("core: compiled tables are mdx-only (topology %q)", m.cfg.Topology)
 	}
 	if m.cfg.Adaptive {
@@ -557,17 +556,10 @@ func (m *Machine) onDeliver(d engine.Delivery) {
 	if h.RC == flit.RCBroadcast {
 		src = h.BroadcastOrigin
 	}
-	var at geom.Coord
-	switch meta := d.At.Meta.(type) {
-	case mdxb.PEMeta:
-		at = meta.Coord
-	case topo.PEMeta:
-		at = meta.Coord
-	}
 	del := Delivery{
 		PacketID:  h.PacketID,
 		Src:       src,
-		At:        at,
+		At:        d.At.Meta.(topo.PEMeta).Coord,
 		Broadcast: h.RC == flit.RCBroadcast,
 		Detoured:  h.DetourHops > 0,
 		Adaptive:  h.AdaptiveHops > 0,
@@ -599,7 +591,7 @@ func (m *Machine) AddFault(f fault.Fault) error {
 	}
 	switch f.Kind {
 	case fault.KindRouter:
-		m.routerNode(f.Coord).Failed = true
+		m.net.Router(f.Coord).Failed = true
 	case fault.KindXB:
 		m.net.XB(f.Line).Failed = true
 	case fault.KindLink:
@@ -617,21 +609,14 @@ func (m *Machine) checkFaultKind(k fault.Kind) error {
 	if !ModelsFaults(m.cfg.Topology) {
 		return fmt.Errorf("core: topology %q models no faults", m.cfg.Topology)
 	}
-	if m.tnet != nil && k == fault.KindXB {
+	crossbars := m.net.Wiring().Crossbars()
+	if !crossbars && k == fault.KindXB {
 		return fmt.Errorf("core: topology %q has no crossbars (crossbar faults are mdx-only)", m.cfg.Topology)
 	}
-	if m.net != nil && k == fault.KindLink {
+	if crossbars && k == fault.KindLink {
 		return fmt.Errorf("core: the mdx topology has no direct links (link faults need a direct-link topology)")
 	}
 	return nil
-}
-
-// routerNode returns the engine node of the router at c on either network.
-func (m *Machine) routerNode(c geom.Coord) *engine.Node {
-	if m.tnet != nil {
-		return m.tnet.Router(c)
-	}
-	return m.net.Router(c)
 }
 
 // Faults returns the machine's fault set.
@@ -673,7 +658,7 @@ func (m *Machine) FailNow(f fault.Fault) ([]Lost, error) {
 	var node *engine.Node
 	switch f.Kind {
 	case fault.KindRouter:
-		node = m.routerNode(f.Coord)
+		node = m.net.Router(f.Coord)
 	case fault.KindXB:
 		node = m.net.XB(f.Line)
 	case fault.KindLink:
@@ -782,16 +767,8 @@ func (m *Machine) sendPivot(src, dst geom.Coord, size int) (uint64, error) {
 	}
 	m.nextID++
 	h := &flit.Header{PacketID: m.nextID, Src: src, Dst: mid, FinalDst: dst, TwoPhase: true, RC: flit.RCNormal, Epoch: m.epoch}
-	m.eng.InjectPacket(m.pe(src), h, size)
+	m.eng.InjectPacket(m.net.PE(src), h, size)
 	return m.nextID, nil
-}
-
-// pe returns the endpoint node of the PE at c on either network.
-func (m *Machine) pe(c geom.Coord) *engine.Node {
-	if m.tnet != nil {
-		return m.tnet.PE(c)
-	}
-	return m.net.PE(c)
 }
 
 // SendUnchecked queues a packet without the reachability precheck; an
@@ -809,7 +786,7 @@ func (m *Machine) send(src, dst geom.Coord, size int) (uint64, error) {
 	}
 	m.nextID++
 	h := &flit.Header{PacketID: m.nextID, Src: src, Dst: dst, RC: flit.RCNormal, Epoch: m.epoch}
-	m.eng.InjectPacket(m.pe(src), h, size)
+	m.eng.InjectPacket(m.net.PE(src), h, size)
 	return m.nextID, nil
 }
 
@@ -818,7 +795,7 @@ func (m *Machine) send(src, dst geom.Coord, size int) (uint64, error) {
 // count is the number of PEs that will receive a copy; the error reports a
 // source that cannot reach the serialization point.
 func (m *Machine) Broadcast(src geom.Coord, size int) (uint64, int, error) {
-	if m.tnet != nil {
+	if m.router != nil {
 		return 0, 0, fmt.Errorf("core: topology %q has no hardware broadcast facility (mdx-only)", m.cfg.Topology)
 	}
 	tree, err := m.policy.BroadcastTree(src)
@@ -873,13 +850,8 @@ func (m *Machine) Cycle() int64 { return m.eng.Cycle() }
 // Engine exposes the simulation kernel (for measurement and experiments).
 func (m *Machine) Engine() *engine.Engine { return m.eng }
 
-// Network exposes the built MD crossbar network (nil on direct-link
-// topologies — see TopoNet).
-func (m *Machine) Network() *mdxb.Network { return m.net }
-
-// TopoNet exposes the built direct-link lattice (nil on the MD crossbar —
-// see Network).
-func (m *Machine) TopoNet() *topo.Net { return m.tnet }
+// Network exposes the built network.
+func (m *Machine) Network() *topo.Net { return m.net }
 
 // TopoScheme exposes the installed direct-link routing scheme (nil on the
 // MD crossbar). It is rebuilt — and re-fetched stale references

@@ -9,7 +9,6 @@ import (
 	"sr2201/internal/fault"
 	"sr2201/internal/flit"
 	"sr2201/internal/geom"
-	"sr2201/internal/mdxb"
 	"sr2201/internal/routing"
 )
 
@@ -340,6 +339,23 @@ func TestBroadcastWithFaultyRouterSkipsDeadPE(t *testing.T) {
 	}
 }
 
+// A source whose request leg dies after its first hop cannot reach the S-XB:
+// (1,2,2)'s leg rides the dim-1 crossbar toward the S line and would exit
+// into the faulty router (1,0,2). Broadcast must refuse it rather than queue
+// a packet the network can only drop.
+func TestBroadcastRefusesDeadRequestLeg(t *testing.T) {
+	m := mustMachine(t, Config{Shape: geom.MustShape(3, 3, 3), StallThreshold: 64})
+	if err := m.AddFault(fault.RouterFault(geom.Coord{1, 0, 2})); err != nil {
+		t.Fatal(err)
+	}
+	if _, n, err := m.Broadcast(geom.Coord{1, 2, 2}, 8); !errors.Is(err, routing.ErrUnreachable) {
+		t.Fatalf("Broadcast = %d copies, err %v; want ErrUnreachable", n, err)
+	}
+	if out := m.Run(10_000); !out.Drained || m.Dropped() != 0 {
+		t.Errorf("outcome %+v, %d dropped: a refused broadcast entered the network", out, m.Dropped())
+	}
+}
+
 func TestResetStats(t *testing.T) {
 	m := m43(t)
 	if _, err := m.Send(geom.Coord{0, 0}, geom.Coord{1, 0}, 2); err != nil {
@@ -377,7 +393,6 @@ func TestMachineAccessors(t *testing.T) {
 	if got := m.Network().PortCount(); got != 12*3+3*4+4*3 {
 		t.Errorf("port count = %d", got)
 	}
-	_ = mdxb.PEMeta{}
 }
 
 func TestFailNowPurgesAndReroutes(t *testing.T) {

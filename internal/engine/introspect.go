@@ -33,6 +33,9 @@ func (o *OutPort) Index() int { return o.idx }
 // Owner returns the input port whose packet holds this output, or nil.
 func (o *OutPort) Owner() *InPort { return o.owner }
 
+// Phys returns the physical channel the port shares, or nil.
+func (o *OutPort) Phys() *PhysChannel { return o.phys }
+
 // Credits returns the available downstream buffer credits.
 func (o *OutPort) Credits() int { return o.credits }
 

@@ -39,7 +39,7 @@ func FuzzStateRescan(f *testing.F) {
 		if err := os.MkdirAll(leaseDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		// Raw writes, not writeAtomic: the point is simulating torn files.
+		// Raw writes, not campaign.WriteAtomic: the point is simulating torn files.
 		os.WriteFile(filepath.Join(st.execDir(h), "spec.json"), spec, 0o644)
 		if len(artifact) > 0 {
 			os.WriteFile(filepath.Join(st.execDir(h), "artifact"), artifact, 0o644)

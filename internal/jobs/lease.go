@@ -42,6 +42,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"sr2201/internal/campaign"
 )
 
 // leaseRecord is lease.json: the current owner's renewal heartbeat.
@@ -255,7 +257,7 @@ func (s *stateStore) renewLease(h, owner string, epoch int64) error {
 	if err != nil {
 		return err
 	}
-	return writeAtomic(filepath.Join(s.leaseDir(h), "lease.json"), data)
+	return campaign.WriteAtomic(filepath.Join(s.leaseDir(h), "lease.json"), data)
 }
 
 // releaseLease marks the epoch cleanly released: the next claim is a plain
@@ -271,7 +273,7 @@ func (s *stateStore) releaseLease(h, owner string, epoch int64) error {
 	if err != nil {
 		return err
 	}
-	return writeAtomic(filepath.Join(s.leaseDir(h), "lease.json"), data)
+	return campaign.WriteAtomic(filepath.Join(s.leaseDir(h), "lease.json"), data)
 }
 
 // quarantine parks the execution as poisoned with a classified error.
@@ -285,7 +287,7 @@ func (s *stateStore) quarantine(h string, deaths int) (poisonRecord, error) {
 	if err != nil {
 		return poisonRecord{}, err
 	}
-	if err := writeAtomic(s.poisonPath(h), data); err != nil {
+	if err := campaign.WriteAtomic(s.poisonPath(h), data); err != nil {
 		return poisonRecord{}, err
 	}
 	return pr, nil

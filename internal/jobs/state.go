@@ -35,6 +35,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"sr2201/internal/campaign"
 )
 
 type stateStore struct {
@@ -64,35 +66,11 @@ func (s *stateStore) singleSnapPath(h string) string {
 	return filepath.Join(s.execDir(h), "single.snap")
 }
 
-// writeAtomic writes data via temp + rename inside the target's directory.
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return nil
-}
-
 // probe verifies the state directory is still writable — the readiness
 // signal. It exercises the same CreateTemp+rename path every persisted
 // write uses, so ENOSPC or an unmounted volume fails here first.
 func (s *stateStore) probe() error {
-	return writeAtomic(filepath.Join(s.dir, ".probe-"+s.worker), []byte("ok"))
+	return campaign.WriteAtomic(filepath.Join(s.dir, ".probe-"+s.worker), []byte("ok"))
 }
 
 // saveExecSpec records a new execution's canonical spec.
@@ -100,7 +78,7 @@ func (s *stateStore) saveExecSpec(h, canonical string) error {
 	if err := os.MkdirAll(s.execDir(h), 0o755); err != nil {
 		return err
 	}
-	return writeAtomic(filepath.Join(s.execDir(h), "spec.json"), []byte(canonical))
+	return campaign.WriteAtomic(filepath.Join(s.execDir(h), "spec.json"), []byte(canonical))
 }
 
 // artifactSum is the checksum sidecar content for artifact bytes.
@@ -114,10 +92,10 @@ func artifactSum(artifact []byte) []byte {
 // the artifact rename stays the commit point (a sum without an artifact is
 // harmless litter, an artifact whose sum disagrees reads as absent).
 func (s *stateStore) saveArtifact(h string, artifact []byte) error {
-	if err := writeAtomic(filepath.Join(s.execDir(h), "artifact.sum"), artifactSum(artifact)); err != nil {
+	if err := campaign.WriteAtomic(filepath.Join(s.execDir(h), "artifact.sum"), artifactSum(artifact)); err != nil {
 		return err
 	}
-	return writeAtomic(filepath.Join(s.execDir(h), "artifact"), artifact)
+	return campaign.WriteAtomic(filepath.Join(s.execDir(h), "artifact"), artifact)
 }
 
 // loadArtifact fetches a finished execution's artifact, verifying the
@@ -147,7 +125,7 @@ func (s *stateStore) removeSingleSnap(h string) {
 
 // saveSingleSnap parks a fault run's mid-run snapshot.
 func (s *stateStore) saveSingleSnap(h string, data []byte) error {
-	return writeAtomic(s.singleSnapPath(h), data)
+	return campaign.WriteAtomic(s.singleSnapPath(h), data)
 }
 
 // loadSingleSnap fetches a fault run's snapshot, ok=false when absent.
@@ -169,7 +147,7 @@ func (s *stateStore) saveJob(id, canonical string) error {
 	if err != nil {
 		return err
 	}
-	return writeAtomic(filepath.Join(s.jobsDir(), id+".json"), rec)
+	return campaign.WriteAtomic(filepath.Join(s.jobsDir(), id+".json"), rec)
 }
 
 // rescanExec is one persisted execution found at boot.
@@ -184,22 +162,6 @@ type rescanExec struct {
 type rescanJob struct {
 	id        string
 	canonical string
-}
-
-// cleanTmp removes stale writeAtomic temp litter from dir — files a killed
-// process created but never renamed. Only call it on directories no live
-// peer is writing (an in-flight peer temp deleted here would fail the
-// peer's rename).
-func cleanTmp(dir string) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, ent := range ents {
-		if strings.Contains(ent.Name(), ".tmp-") {
-			os.Remove(filepath.Join(dir, ent.Name()))
-		}
-	}
 }
 
 // rescan loads every persisted execution plus this worker's job records,
@@ -231,8 +193,8 @@ func (s *stateStore) rescan(ttl time.Duration) ([]rescanExec, []rescanJob, error
 			continue
 		}
 		if unguarded {
-			cleanTmp(s.execDir(h))
-			cleanTmp(s.leaseDir(h))
+			campaign.CleanTmp(s.execDir(h))
+			campaign.CleanTmp(s.leaseDir(h))
 		}
 		re := rescanExec{hash: h, canonical: string(spec)}
 		if art, ok := s.loadArtifact(h); ok {
@@ -246,7 +208,7 @@ func (s *stateStore) rescan(ttl time.Duration) ([]rescanExec, []rescanJob, error
 	sort.Slice(execs, func(i, j int) bool { return execs[i].hash < execs[j].hash })
 
 	// This worker's own job records: no peer writes here, clean freely.
-	cleanTmp(s.jobsDir())
+	campaign.CleanTmp(s.jobsDir())
 	var jobsOut []rescanJob
 	jents, err := os.ReadDir(s.jobsDir())
 	if err != nil {

@@ -1,6 +1,6 @@
 // Escape-VC adaptive routing: the classic alternative to the paper's static
 // one-detour scheme. The network is built with V >= 2 virtual channels per
-// router↔crossbar wire (mdxb.BuildVC); lane 0 is the escape channel running
+// router↔crossbar wire (topo.MDCrossbar); lane 0 is the escape channel running
 // the paper's unified deadlock-free policy (D-XB = S-XB) unchanged, and lanes
 // 1..V-1 are adaptive: a normal packet may take any minimal productive hop —
 // any dimension in which it has not yet reached its destination coordinate —
@@ -25,10 +25,10 @@ import (
 	"sr2201/internal/engine"
 	"sr2201/internal/flit"
 	"sr2201/internal/geom"
-	"sr2201/internal/mdxb"
+	"sr2201/internal/topo"
 )
 
-// VCPolicy implements mdxb.Policy for a network built with virtual channels:
+// VCPolicy implements topo.Policy for a network built with virtual channels:
 // escape-VC adaptive routing over an embedded escape Policy. The escape
 // policy must be the unified scheme (D-XB = S-XB) and must not use the pivot
 // extension or naive broadcast — each would add escape-channel dependences
@@ -41,7 +41,7 @@ type VCPolicy struct {
 	one [][]int
 }
 
-var _ mdxb.Policy = (*VCPolicy)(nil)
+var _ topo.Policy = (*VCPolicy)(nil)
 
 // NewVC wraps the escape policy for a network with vcs virtual channels.
 func NewVC(escape *Policy, vcs int) (*VCPolicy, error) {
@@ -100,9 +100,9 @@ func (p *VCPolicy) scaleOuts(logical []int, logicalPE, physPE int) []int {
 	return outs
 }
 
-// RouteRouter implements mdxb.Policy. in is a physical port index of the
-// lane-scaled router (see the mdxb port conventions).
-func (p *VCPolicy) RouteRouter(net *mdxb.Network, c geom.Coord, in int, h *flit.Header) (engine.Decision, error) {
+// RouteRouter implements topo.Policy. in is a physical port index of the
+// lane-scaled router (see topo.MDCrossbar).
+func (p *VCPolicy) RouteRouter(net *topo.Net, c geom.Coord, in int, h *flit.Header) (engine.Decision, error) {
 	d := p.escape.dims
 	physPE := d * p.vcs
 	logicalIn, inLane := d, 0 // PE arrival
@@ -133,7 +133,7 @@ func (p *VCPolicy) RouteRouter(net *mdxb.Network, c geom.Coord, in int, h *flit.
 // dimension-ascending, lane-ascending for determinism. The read is
 // unsynchronized: a machine steps on a single goroutine (sweep parallelism
 // runs distinct machines).
-func (p *VCPolicy) adaptiveHop(net *mdxb.Network, c geom.Coord, h *flit.Header) (engine.Decision, bool) {
+func (p *VCPolicy) adaptiveHop(net *topo.Net, c geom.Coord, h *flit.Header) (engine.Decision, bool) {
 	rtc := net.Router(c)
 	for k := 0; k < p.escape.dims; k++ {
 		if c[k] == h.Dst[k] {
@@ -162,13 +162,13 @@ func (p *VCPolicy) adaptiveHop(net *mdxb.Network, c geom.Coord, h *flit.Header) 
 	return engine.Decision{}, false
 }
 
-// RouteXB implements mdxb.Policy. A packet on the escape lane follows the
+// RouteXB implements topo.Policy. A packet on the escape lane follows the
 // escape policy; a packet on an adaptive lane crosses the bar on the same
 // lane to its destination's point — non-provisionally, since a crossbar has
 // exactly one productive exit. No packet enters the escape lane at a
 // crossbar, so the escape channel's internal dependences stay exactly the
 // certified unified set.
-func (p *VCPolicy) RouteXB(net *mdxb.Network, l geom.Line, in int, h *flit.Header) (engine.Decision, error) {
+func (p *VCPolicy) RouteXB(net *topo.Net, l geom.Line, in int, h *flit.Header) (engine.Decision, error) {
 	point, lane := in/p.vcs, in%p.vcs
 	if lane == 0 {
 		outs, x, err := p.escape.routeXB(l, point, h)

@@ -6,7 +6,7 @@ import (
 	"sr2201/internal/engine"
 	"sr2201/internal/flit"
 	"sr2201/internal/geom"
-	"sr2201/internal/mdxb"
+	"sr2201/internal/topo"
 )
 
 // Generation is one routing-table generation under online reconfiguration:
@@ -27,7 +27,7 @@ type Generation struct {
 	// unified D-XB = S-XB scheme).
 	Separate bool
 	// Delegate makes the generation's routing decisions.
-	Delegate mdxb.Policy
+	Delegate topo.Policy
 }
 
 // EpochPolicy dispatches every routing decision to the generation covering
@@ -40,7 +40,7 @@ type EpochPolicy struct {
 	gens []Generation
 }
 
-var _ mdxb.Policy = (*EpochPolicy)(nil)
+var _ topo.Policy = (*EpochPolicy)(nil)
 
 // NewEpochPolicy validates the generation list (non-empty, first boundary
 // zero, strictly increasing boundaries, non-nil delegates).
@@ -80,12 +80,12 @@ func (ep *EpochPolicy) For(epoch uint64) Generation {
 	return g
 }
 
-// RouteRouter implements mdxb.Policy by epoch dispatch.
-func (ep *EpochPolicy) RouteRouter(net *mdxb.Network, c geom.Coord, in int, h *flit.Header) (engine.Decision, error) {
+// RouteRouter implements topo.Policy by epoch dispatch.
+func (ep *EpochPolicy) RouteRouter(net *topo.Net, c geom.Coord, in int, h *flit.Header) (engine.Decision, error) {
 	return ep.For(h.Epoch).Delegate.RouteRouter(net, c, in, h)
 }
 
-// RouteXB implements mdxb.Policy by epoch dispatch.
-func (ep *EpochPolicy) RouteXB(net *mdxb.Network, l geom.Line, in int, h *flit.Header) (engine.Decision, error) {
+// RouteXB implements topo.Policy by epoch dispatch.
+func (ep *EpochPolicy) RouteXB(net *topo.Net, l geom.Line, in int, h *flit.Header) (engine.Decision, error) {
 	return ep.For(h.Epoch).Delegate.RouteXB(net, l, in, h)
 }

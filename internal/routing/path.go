@@ -278,87 +278,102 @@ type BroadcastResult struct {
 // BroadcastTree statically expands the broadcast of one packet from src:
 // through the S-XB in the serialized scheme, or the source-rooted tree in
 // naive mode. It returns ErrUnreachable when the source cannot reach the
-// serialization point at all.
+// serialization point: a faulty source router, or any refused step of the
+// request leg (WalkBroadcast's rule).
 func (p *Policy) BroadcastTree(src geom.Coord) (BroadcastResult, error) {
-	res := BroadcastResult{Delivered: map[geom.Coord]int{}}
+	res := BroadcastResult{Delivered: map[geom.Coord]int{}, Elements: 1}
 	if !p.shape.Contains(src) {
 		return res, fmt.Errorf("routing: src %v outside shape", src)
 	}
 	if p.faults.RouterFaulty(src) {
 		return res, fmt.Errorf("%w: source router %v faulty", ErrUnreachable, src)
 	}
+	var err error
+	res.DeadBranches, err = p.WalkBroadcast(src, &BroadcastWalk{}, func(dim, index, out int, _ *flit.Header, depth int) {
+		if dim < 0 && out == p.dims {
+			res.Delivered[p.shape.CoordOf(index)]++
+			return
+		}
+		res.Elements++
+		res.Depth = max(res.Depth, depth+1)
+	})
+	return res, err
+}
 
+// BroadcastVisitor receives the out-ports of a broadcast walk as
+// ChannelVisitor does, with the header the copy leaves on (valid only
+// during the call) and the depth of the switch it leaves: 0 at the source
+// router, one more per switch.
+type BroadcastVisitor func(dim, index, out int, h *flit.Header, depth int)
+
+// BroadcastWalk is WalkBroadcast's queue, owned by the caller so that
+// repeated walks reuse it. The zero value is ready to use.
+type BroadcastWalk struct {
+	queue   []fanNode
+	headers []flit.Header // the walk's distinct headers; a node holds an index
+}
+
+// fanNode is one switch arrival of a broadcast walk.
+type fanNode struct {
+	atRouter  bool
+	coord     geom.Coord
+	line      geom.Line
+	in, depth int
+	h         int
+}
+
+// WalkBroadcast replays the policy's broadcast decisions from src breadth
+// first, reporting every out-port taken to visit. A refused decision on a
+// request-class header refuses the broadcast — the source cannot reach the
+// serialization point — and returns the error; any other refusal is a dead
+// fan branch (possible only in an over-faulted network), counted in dead.
+// The source router's own health is the caller's to check.
+func (p *Policy) WalkBroadcast(src geom.Coord, w *BroadcastWalk, visit BroadcastVisitor) (dead int, err error) {
 	rc := flit.RCBroadcastRequest
 	if p.cfg.NaiveBroadcast {
 		rc = flit.RCBroadcast
 	}
-
-	type node struct {
-		atRouter bool
-		coord    geom.Coord
-		line     geom.Line
-		in       int
-		h        *flit.Header
-		depth    int
-	}
-	queue := []node{{atRouter: true, coord: src, in: p.dims, h: &flit.Header{Src: src, BroadcastOrigin: src, RC: rc}}}
+	w.headers = append(w.headers[:0], flit.Header{Src: src, BroadcastOrigin: src, RC: rc})
+	w.queue = append(w.queue[:0], fanNode{atRouter: true, coord: src, in: p.dims})
 	limit := p.shape.Size()*(p.dims+2)*4 + 64
-	first := true
-	for len(queue) > 0 {
-		if res.Elements > limit {
-			return res, fmt.Errorf("routing: broadcast tree from %v exceeded %d elements (routing loop?)", src, limit)
+	for next := 0; next < len(w.queue); next++ {
+		if next >= limit {
+			return dead, fmt.Errorf("routing: broadcast walk from %v exceeded %d steps (routing loop?)", src, limit)
 		}
-		nd := queue[0]
-		queue = queue[1:]
-		res.Elements++
-		if nd.depth > res.Depth {
-			res.Depth = nd.depth
-		}
+		nd := w.queue[next]
 		var outs []int
-		var transform func(*flit.Header) *flit.Header
-		var err error
+		var x xform
+		dim, index := -1, 0
 		if nd.atRouter {
-			var dec, derr = p.RouteRouter(nil, nd.coord, nd.in, nd.h)
-			outs, transform, err = dec.Outs, dec.Transform, derr
+			outs, x, err = p.routeRouter(nd.coord, nd.in, &w.headers[nd.h])
+			index = p.shape.Index(nd.coord)
 		} else {
-			var dec, derr = p.RouteXB(nil, nd.line, nd.in, nd.h)
-			outs, transform, err = dec.Outs, dec.Transform, derr
+			outs, x, err = p.routeXB(nd.line, nd.in, &w.headers[nd.h])
+			dim, index = nd.line.Dim, p.shape.LineIndex(nd.line)
 		}
 		if err != nil {
-			if first {
-				// The request leg itself failed: the broadcast cannot start.
-				return res, err
+			if w.headers[nd.h].RC == flit.RCBroadcastRequest {
+				return dead, err
 			}
-			res.DeadBranches++
+			dead++
 			continue
 		}
-		first = false
+		h := nd.h
+		if x != xNone {
+			w.headers = append(w.headers, w.headers[h])
+			h = len(w.headers) - 1
+			x.apply(&w.headers[h])
+		}
 		for _, out := range outs {
-			h := nd.h
-			if transform != nil {
-				h = transform(h)
-			}
-			if nd.atRouter {
-				if out == p.dims {
-					res.Delivered[nd.coord]++
-					continue
-				}
-				queue = append(queue, node{
-					line:  geom.LineOf(nd.coord, out),
-					in:    nd.coord[out],
-					h:     h,
-					depth: nd.depth + 1,
-				})
-			} else {
-				queue = append(queue, node{
-					atRouter: true,
-					coord:    nd.line.Point(out),
-					in:       nd.line.Dim,
-					h:        h,
-					depth:    nd.depth + 1,
-				})
+			visit(dim, index, out, &w.headers[h], nd.depth)
+			switch {
+			case nd.atRouter && out == p.dims: // delivered to the PE
+			case nd.atRouter:
+				w.queue = append(w.queue, fanNode{line: geom.LineOf(nd.coord, out), in: nd.coord[out], depth: nd.depth + 1, h: h})
+			default:
+				w.queue = append(w.queue, fanNode{atRouter: true, coord: nd.line.Point(out), in: nd.line.Dim, depth: nd.depth + 1, h: h})
 			}
 		}
 	}
-	return res, nil
+	return dead, nil
 }

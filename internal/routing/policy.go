@@ -24,7 +24,7 @@ import (
 	"sr2201/internal/fault"
 	"sr2201/internal/flit"
 	"sr2201/internal/geom"
-	"sr2201/internal/mdxb"
+	"sr2201/internal/topo"
 )
 
 // ErrUnreachable reports a destination the detour facility cannot serve
@@ -62,7 +62,7 @@ type Config struct {
 	PivotLastDim bool
 }
 
-// Policy implements mdxb.Policy with the paper's routing rules.
+// Policy implements topo.Policy with the paper's routing rules.
 type Policy struct {
 	cfg    Config
 	shape  geom.Shape
@@ -78,7 +78,7 @@ type Policy struct {
 	one [][]int
 }
 
-var _ mdxb.Policy = (*Policy)(nil)
+var _ topo.Policy = (*Policy)(nil)
 
 // newPolicy fills in what New and NewPinned share.
 func newPolicy(cfg Config) (*Policy, error) {
@@ -265,9 +265,9 @@ func decision(outs []int, x xform, err error) (engine.Decision, error) {
 	return engine.Decision{Outs: outs, Transform: transforms[x]}, nil
 }
 
-// RouteRouter implements mdxb.Policy. See the package comment for the rule
+// RouteRouter implements topo.Policy. See the package comment for the rule
 // summary; each case cites the paper section it models.
-func (p *Policy) RouteRouter(net *mdxb.Network, c geom.Coord, in int, h *flit.Header) (engine.Decision, error) {
+func (p *Policy) RouteRouter(net *topo.Net, c geom.Coord, in int, h *flit.Header) (engine.Decision, error) {
 	return decision(p.routeRouter(c, in, h))
 }
 
@@ -427,8 +427,8 @@ func (p *Policy) detourVisitsRouter(bad, start, dst geom.Coord) bool {
 	return p.detourWalk(start, dst, func(c geom.Coord) bool { return c == bad }, nil)
 }
 
-// RouteXB implements mdxb.Policy for crossbar switches.
-func (p *Policy) RouteXB(net *mdxb.Network, l geom.Line, in int, h *flit.Header) (engine.Decision, error) {
+// RouteXB implements topo.Policy for crossbar switches.
+func (p *Policy) RouteXB(net *topo.Net, l geom.Line, in int, h *flit.Header) (engine.Decision, error) {
 	return decision(p.routeXB(l, in, h))
 }
 

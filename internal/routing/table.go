@@ -7,7 +7,7 @@ import (
 	"sr2201/internal/engine"
 	"sr2201/internal/flit"
 	"sr2201/internal/geom"
-	"sr2201/internal/mdxb"
+	"sr2201/internal/topo"
 )
 
 // TablePolicy is a compiled, lookup-table implementation of a routing
@@ -57,7 +57,7 @@ type TablePolicy struct {
 	xbs [][]xbTable
 }
 
-var _ mdxb.Policy = (*TablePolicy)(nil)
+var _ topo.Policy = (*TablePolicy)(nil)
 
 // entry is one precomputed decision: the output ports and the header rewrite
 // on the forwarded copies, or the refusal.
@@ -187,8 +187,8 @@ func Compile(p *Policy) (*TablePolicy, error) {
 
 var errTwoPhase = errors.New("routing: table policy cannot route two-phase headers")
 
-// RouteRouter implements mdxb.Policy by table lookup.
-func (tp *TablePolicy) RouteRouter(net *mdxb.Network, c geom.Coord, in int, h *flit.Header) (engine.Decision, error) {
+// RouteRouter implements topo.Policy by table lookup.
+func (tp *TablePolicy) RouteRouter(net *topo.Net, c geom.Coord, in int, h *flit.Header) (engine.Decision, error) {
 	if h.TwoPhase {
 		return engine.Decision{}, errTwoPhase
 	}
@@ -213,8 +213,8 @@ func (tp *TablePolicy) RouteRouter(net *mdxb.Network, c geom.Coord, in int, h *f
 	return engine.Decision{}, fmt.Errorf("routing: table policy cannot handle RC %v", h.RC)
 }
 
-// RouteXB implements mdxb.Policy by table lookup.
-func (tp *TablePolicy) RouteXB(net *mdxb.Network, l geom.Line, in int, h *flit.Header) (engine.Decision, error) {
+// RouteXB implements topo.Policy by table lookup.
+func (tp *TablePolicy) RouteXB(net *topo.Net, l geom.Line, in int, h *flit.Header) (engine.Decision, error) {
 	if h.TwoPhase {
 		return engine.Decision{}, errTwoPhase
 	}

@@ -101,6 +101,9 @@ func (s *Scheme) Peer(c geom.Coord, port int) (geom.Coord, int, bool) {
 	return c.WithDim(dim, v), (dir^1)*s.lanes + lane, true
 }
 
+// Crossbars is false: neighbours are cabled directly.
+func (s *Scheme) Crossbars() bool { return false }
+
 // Route is dimension-order routing: x first, then y, each dimension the
 // short way round on a torus (ties go the positive way). With dateline
 // virtual channels a packet rides lane 0 until the hop that crosses the

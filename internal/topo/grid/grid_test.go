@@ -266,11 +266,14 @@ func TestResetStatsAndAccessors(t *testing.T) {
 	if m.Latency().Count() != 0 || len(m.Deliveries()) != 0 {
 		t.Error("stats not reset")
 	}
-	if m.Topology() != "mesh" || m.Engine() == nil || m.Network() != nil || m.Policy() != nil {
+	if m.Topology() != "mesh" || m.Engine() == nil || m.Network() == nil || m.Policy() != nil {
 		t.Error("accessors wrong")
 	}
-	if m.TopoNet().Router(geom.Coord{1, 2}) == nil || m.TopoNet().PE(geom.Coord{1, 2}) == nil {
+	if m.Network().Router(geom.Coord{1, 2}).Name != "R(1,2)" || m.Network().PE(geom.Coord{1, 2}).Name != "PE(1,2)" {
 		t.Error("node lookup failed")
+	}
+	if r, x := m.Network().SwitchCount(); r != 9 || x != 0 {
+		t.Errorf("switch count = %d routers, %d crossbars", r, x)
 	}
 }
 
@@ -286,7 +289,7 @@ func TestTorusPhysicalChannelSharing(t *testing.T) {
 	if _, err := m.Send(geom.Coord{0, 0}, geom.Coord{1, 0}, 16); err != nil { // lane 0
 		t.Fatal(err)
 	}
-	east := m.TopoNet().Router(geom.Coord{0, 0}).Out[:2]
+	east := m.Network().Router(geom.Coord{0, 0}).Out[:2]
 	sent := func() int64 { return east[0].BusyCycles + east[1].BusyCycles }
 	for !m.Engine().Quiescent() && m.Cycle() < 10_000 {
 		before := sent()

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"errors"
 	"fmt"
 
 	"sr2201/internal/engine"
@@ -8,17 +9,22 @@ import (
 	"sr2201/internal/geom"
 )
 
-// This file builds the direct-link lattice network every Router scheme
-// runs on: one router per lattice point, each paired with a PE, cabled
-// the way the scheme's Wiring says. HyperX and the full mesh share the
-// per-line all-to-all layout (AllToAll below) — the direct descendant of
-// the paper's MD crossbar with the shared per-line crossbar switch
-// replaced by point-to-point links; the mesh and torus baselines of
-// internal/topo/grid state a nearest-neighbour layout of their own.
+// This file builds every network a machine runs on: one router per lattice
+// point, each paired with a PE, cabled the way a Wiring says. The paper's
+// MD crossbar (MDCrossbar) switches every axis-aligned line through one
+// shared crossbar; HyperX and the full mesh share the per-line all-to-all
+// layout (AllToAll) — the same lattice with each crossbar replaced by
+// point-to-point links; the mesh and torus baselines of internal/topo/grid
+// state a nearest-neighbour layout of their own.
 
 // RouterMeta is attached to router nodes.
 type RouterMeta struct {
 	Coord geom.Coord
+}
+
+// XBMeta is attached to crossbar nodes.
+type XBMeta struct {
+	Line geom.Line
 }
 
 // PEMeta is attached to PE endpoint nodes.
@@ -26,7 +32,7 @@ type PEMeta struct {
 	Coord geom.Coord
 }
 
-// Wiring is how a scheme's routers are cabled. Every router has the same
+// Wiring is how a network's routers are cabled. Every router has the same
 // number of ports; the last one leads to the router's own PE (whose port 0
 // leads back), the others are link ports.
 type Wiring interface {
@@ -41,6 +47,11 @@ type Wiring interface {
 	// at c is cabled to; ok is false for a port left unconnected (a mesh
 	// edge). The relation must be symmetric.
 	Peer(c geom.Coord, port int) (peer geom.Coord, peerPort int, ok bool)
+	// Crossbars reports that every axis-aligned line is switched through one
+	// shared crossbar instead of router-to-router cables: with V = Lanes(),
+	// router port k·V+v at c is cabled to lane v of the dim-k crossbar of
+	// c's line, at that crossbar's port c[k]·V+v. Peer is then never asked.
+	Crossbars() bool
 }
 
 // Router is a Scheme that also forwards packets hop by hop on the
@@ -60,6 +71,52 @@ type Router interface {
 	// arriving on port in.
 	Route(c geom.Coord, in int, h *flit.Header) (engine.Decision, error)
 }
+
+// Policy makes the forwarding decisions of every switch of a Net. The MD
+// crossbar's policies live in internal/routing; a direct-link Router is
+// installed through RouterPolicy.
+type Policy interface {
+	// RouteRouter routes a header arriving at the router at c on port in.
+	RouteRouter(net *Net, c geom.Coord, in int, h *flit.Header) (engine.Decision, error)
+	// RouteXB routes a header arriving at the crossbar of line l on port in
+	// (from the router at l.Point(in / Lanes())).
+	RouteXB(net *Net, l geom.Line, in int, h *flit.Header) (engine.Decision, error)
+}
+
+// RouterPolicy adapts a direct-link Router to the Policy a Net runs.
+func RouterPolicy(s Router) Policy { return routerPolicy{s} }
+
+type routerPolicy struct{ s Router }
+
+func (p routerPolicy) RouteRouter(_ *Net, c geom.Coord, in int, h *flit.Header) (engine.Decision, error) {
+	return p.s.Route(c, in, h)
+}
+
+func (p routerPolicy) RouteXB(*Net, geom.Line, int, *flit.Header) (engine.Decision, error) {
+	return engine.Decision{}, fmt.Errorf("topo: %s has no crossbars", p.s.Name())
+}
+
+// MDCrossbar is the paper's Section 3.1 wiring: each router is a
+// (d+1)×(d+1) relay switch whose port k·VCs+v leads to lane v of the dim-k
+// crossbar through it and whose last port leads to its PE, and every line's
+// routers share one crossbar. VCs is the lane count per router↔crossbar
+// wire; at 1 the layout is exactly the paper's single-channel network.
+type MDCrossbar struct {
+	Shape geom.Shape
+	VCs   int
+}
+
+// Ports is one port per dimension and lane, plus the PE port.
+func (w MDCrossbar) Ports() int { return w.Shape.Dims()*w.VCs + 1 }
+
+// Lanes is the lane count per router↔crossbar wire.
+func (w MDCrossbar) Lanes() int { return w.VCs }
+
+// Peer reports no router-to-router cable: every line runs through a crossbar.
+func (w MDCrossbar) Peer(geom.Coord, int) (geom.Coord, int, bool) { return geom.Coord{}, 0, false }
+
+// Crossbars is true: one shared crossbar per line.
+func (w MDCrossbar) Crossbars() bool { return true }
 
 // AllToAll is the wiring HyperX and the full mesh share: within every
 // axis-aligned line of the shape, a direct link between every pair of
@@ -81,6 +138,9 @@ func (w AllToAll) Peer(c geom.Coord, port int) (geom.Coord, int, bool) {
 	peer := c.WithDim(dim, v)
 	return peer, PortOf(geom.Shape(w), peer, dim, c[dim]), true
 }
+
+// Crossbars is false: every pair on a line has its own link.
+func (w AllToAll) Crossbars() bool { return false }
 
 // PortCount returns the number of ports on every all-to-all router: one
 // per same-line neighbor across all dimensions, plus the PE port.
@@ -129,37 +189,78 @@ func PortTarget(shape geom.Shape, c geom.Coord, port int) (dim, v int) {
 	panic(fmt.Sprintf("topo: port %d of router %s is not a link port", port, c))
 }
 
-// Net is a fully wired direct-link lattice network.
+// Net is a fully wired lattice network.
 type Net struct {
 	Shape geom.Shape
-	Eng   *engine.Engine
 
-	pes     []*engine.Node // by Shape.Index
-	routers []*engine.Node // by Shape.Index
-
-	scheme Router
+	wiring  Wiring
+	pes     []*engine.Node   // by Shape.Index
+	routers []*engine.Node   // by Shape.Index
+	xbs     [][]*engine.Node // [dim][Shape.LineIndex]; nil without crossbars
+	policy  Policy
 }
 
-// NewNet constructs PEs and routers for the scheme's shape, cables them as
-// its Wiring says, and installs the scheme on every router.
-func NewNet(eng *engine.Engine, s Router) *Net {
-	shape, w := s.Shape(), s.Wiring()
-	net := &Net{Shape: shape, Eng: eng, scheme: s}
+var errNoPolicy = errors.New("topo: no routing policy installed")
+
+// NewNet constructs the PEs, routers and (on a crossbar wiring) crossbars of
+// the shape and cables them as the wiring says. A Policy must be installed
+// with SetPolicy before any packet is injected; until then every header is
+// dropped.
+func NewNet(eng *engine.Engine, shape geom.Shape, w Wiring) *Net {
+	net := &Net{Shape: shape, wiring: w}
 	d := shape.Dims()
 	ports, lanes := w.Ports(), w.Lanes()
 
-	route := func(n *engine.Node, in int, h *flit.Header) (engine.Decision, error) {
-		return net.scheme.Route(n.Meta.(RouterMeta).Coord, in, h)
+	routeRouter := func(n *engine.Node, in int, h *flit.Header) (engine.Decision, error) {
+		if net.policy == nil {
+			return engine.Decision{}, errNoPolicy
+		}
+		return net.policy.RouteRouter(net, n.Meta.(RouterMeta).Coord, in, h)
+	}
+	routeXB := func(n *engine.Node, in int, h *flit.Header) (engine.Decision, error) {
+		if net.policy == nil {
+			return engine.Decision{}, errNoPolicy
+		}
+		return net.policy.RouteXB(net, n.Meta.(XBMeta).Line, in, h)
 	}
 
+	router := "R"
+	if w.Crossbars() {
+		router = "RTC"
+	}
 	n := shape.Size()
 	net.pes = make([]*engine.Node, n)
 	net.routers = make([]*engine.Node, n)
 	for i := 0; i < n; i++ {
 		c := shape.CoordOf(i)
 		net.pes[i] = eng.AddEndpoint("PE"+c.In(d), PEMeta{Coord: c})
-		net.routers[i] = eng.AddSwitch("R"+c.In(d), ports, route, RouterMeta{Coord: c})
+		net.routers[i] = eng.AddSwitch(router+c.In(d), ports, routeRouter, RouterMeta{Coord: c})
 		eng.Connect(net.pes[i], 0, net.routers[i], ports-1)
+	}
+
+	if w.Crossbars() {
+		// One crossbar per line, each wire's lanes cabled port for port to the
+		// router at its point.
+		net.xbs = make([][]*engine.Node, d)
+		for dim := 0; dim < d; dim++ {
+			lines := shape.LinesAlong(dim)
+			net.xbs[dim] = make([]*engine.Node, len(lines))
+			for _, l := range lines {
+				xb := eng.AddSwitch(fmt.Sprintf("XB%d%s", dim, l.Fixed.In(d)), shape[dim]*lanes, routeXB, XBMeta{Line: l})
+				net.xbs[dim][shape.LineIndex(l)] = xb
+				for p := 0; p < shape[dim]; p++ {
+					rtc := net.Router(l.Point(p))
+					for v := 0; v < lanes; v++ {
+						eng.Connect(xb, p*lanes+v, rtc, dim*lanes+v)
+					}
+					if lanes > 1 {
+						eng.SharePhysical(xb.Out[p*lanes : (p+1)*lanes]...)
+						eng.SharePhysical(rtc.Out[dim*lanes : (dim+1)*lanes]...)
+					}
+				}
+			}
+		}
+		return net
 	}
 
 	// Links: every cabled port, in router then port order, connected from
@@ -183,12 +284,16 @@ func NewNet(eng *engine.Engine, s Router) *Net {
 	return net
 }
 
-// SetScheme replaces the routing scheme used by every router — the same
-// family rebound to a changed fault set; the wiring stays as built.
-func (net *Net) SetScheme(s Router) { net.scheme = s }
+// SetPolicy installs the policy every switch routes by — on a direct-link
+// network the same family rebound to a changed fault set; the wiring stays
+// as built.
+func (net *Net) SetPolicy(p Policy) { net.policy = p }
 
-// Scheme returns the installed routing scheme.
-func (net *Net) Scheme() Router { return net.scheme }
+// Policy returns the installed policy (nil before SetPolicy).
+func (net *Net) Policy() Policy { return net.policy }
+
+// Wiring returns the cabling the network was built with.
+func (net *Net) Wiring() Wiring { return net.wiring }
 
 // PE returns the endpoint node of the PE at c.
 func (net *Net) PE(c geom.Coord) *engine.Node { return net.pes[net.Shape.Index(c)] }
@@ -196,5 +301,29 @@ func (net *Net) PE(c geom.Coord) *engine.Node { return net.pes[net.Shape.Index(c
 // Router returns the router node at c.
 func (net *Net) Router(c geom.Coord) *engine.Node { return net.routers[net.Shape.Index(c)] }
 
-// PEs returns all PE endpoints in Shape.Index order.
-func (net *Net) PEs() []*engine.Node { return net.pes }
+// XB returns the crossbar node of line l; the wiring must have crossbars.
+func (net *Net) XB(l geom.Line) *engine.Node { return net.xbs[l.Dim][net.Shape.LineIndex(l)] }
+
+// RouterPortPE is the router port attached to the local PE.
+func (net *Net) RouterPortPE() int { return net.wiring.Ports() - 1 }
+
+// SwitchCount reports the number of switching elements, routers and
+// crossbars, the structural-scaling experiment (E10) tabulates.
+func (net *Net) SwitchCount() (routers, crossbars int) {
+	for _, xs := range net.xbs {
+		crossbars += len(xs)
+	}
+	return len(net.routers), crossbars
+}
+
+// PortCount reports the total number of switch ports, E10's proxy for
+// hardware cost.
+func (net *Net) PortCount() int {
+	total := len(net.routers) * net.wiring.Ports()
+	for _, xs := range net.xbs {
+		for _, xb := range xs {
+			total += len(xb.Out)
+		}
+	}
+	return total
+}

@@ -63,11 +63,7 @@ func TestPortMath(t *testing.T) {
 func TestNetDeliversAllPairs(t *testing.T) {
 	shape := geom.MustShape(3, 3)
 	eng := engine.New(engine.DefaultConfig())
-	s, err := hyperx.New(shape, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := topo.NewNet(eng, s)
+	net := hyperxNet(t, eng, shape)
 
 	delivered := map[geom.Coord]int{}
 	eng.OnDeliver = func(d engine.Delivery) {
@@ -114,11 +110,7 @@ func TestNetDeliversAllPairs(t *testing.T) {
 func TestNetStateHashPin(t *testing.T) {
 	shape := geom.MustShape(4, 4)
 	eng := engine.New(engine.DefaultConfig())
-	s, err := hyperx.New(shape, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := topo.NewNet(eng, s)
+	net := hyperxNet(t, eng, shape)
 	shape.Enumerate(func(src geom.Coord) bool {
 		dst := shape.CoordOf((shape.Index(src) + 5) % shape.Size())
 		if dst != src {
@@ -134,6 +126,145 @@ func TestNetStateHashPin(t *testing.T) {
 	}
 	if h := eng.StateHash(); h != 0xb04909e3565c7b32 {
 		t.Errorf("state hash %016x, want b04909e3565c7b32", h)
+	}
+}
+
+// hyperxNet builds a fault-free HyperX network with its scheme installed.
+func hyperxNet(t *testing.T, eng *engine.Engine, shape geom.Shape) *topo.Net {
+	t.Helper()
+	s, err := hyperx.New(shape, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := topo.NewNet(eng, shape, s.Wiring())
+	net.SetPolicy(topo.RouterPolicy(s))
+	return net
+}
+
+// mdCrossbar builds the paper's network with vcs lanes per wire and no policy.
+func mdCrossbar(vcs int, extents ...int) *topo.Net {
+	shape := geom.MustShape(extents...)
+	return topo.NewNet(engine.New(engine.DefaultConfig()), shape, topo.MDCrossbar{Shape: shape, VCs: vcs})
+}
+
+// TestMDCrossbarWiring: the port contract every MD-crossbar routing policy
+// relies on. Router port k·V+v at c reaches lane v of the dim-k crossbar
+// through c, entering at port c[k]·V+v; the last router port reaches the
+// PE; crossbar port p·V+v of line l comes back to lane v of the router at
+// l.Point(p); and with V > 1 the lanes of one wire share one physical
+// channel at both ends.
+func TestMDCrossbarWiring(t *testing.T) {
+	for _, vcs := range []int{1, 2} {
+		for _, extents := range [][]int{{4, 3}, {3, 2, 2}, {5}} {
+			net := mdCrossbar(vcs, extents...)
+			shape := net.Shape
+			d := shape.Dims()
+			shared := func(ports []*engine.OutPort) bool {
+				for _, o := range ports {
+					if (vcs == 1) != (o.Phys() == nil) || o.Phys() != ports[0].Phys() {
+						return false
+					}
+				}
+				return true
+			}
+			shape.Enumerate(func(c geom.Coord) bool {
+				rtr := net.Router(c)
+				if len(rtr.In) != d*vcs+1 || len(rtr.Out) != d*vcs+1 || net.RouterPortPE() != d*vcs {
+					t.Fatalf("V=%d %v: router has %d ports, want %d", vcs, extents, len(rtr.In), d*vcs+1)
+				}
+				for k := 0; k < d; k++ {
+					xb := net.XB(geom.LineOf(c, k))
+					for v := 0; v < vcs; v++ {
+						down := rtr.Out[k*vcs+v].DownstreamIn()
+						if down == nil || down.Node() != xb || down.Index() != c[k]*vcs+v {
+							t.Fatalf("V=%d %v: router %v port %d misconnected", vcs, extents, c, k*vcs+v)
+						}
+					}
+					if !shared(rtr.Out[k*vcs : (k+1)*vcs]) {
+						t.Fatalf("V=%d %v: router %v dim-%d lanes not one physical channel", vcs, extents, c, k)
+					}
+				}
+				if pe := rtr.Out[d*vcs].DownstreamIn(); pe == nil || pe.Node() != net.PE(c) || pe.Index() != 0 {
+					t.Fatalf("V=%d %v: router %v PE port misconnected", vcs, extents, c)
+				}
+				return true
+			})
+			for k := 0; k < d; k++ {
+				for _, l := range shape.LinesAlong(k) {
+					xb := net.XB(l)
+					if len(xb.In) != shape[k]*vcs {
+						t.Fatalf("V=%d %v: %s has %d ports, want %d", vcs, extents, xb.Name, len(xb.In), shape[k]*vcs)
+					}
+					for p := 0; p < shape[k]; p++ {
+						for v := 0; v < vcs; v++ {
+							down := xb.Out[p*vcs+v].DownstreamIn()
+							if down == nil || down.Node() != net.Router(l.Point(p)) || down.Index() != k*vcs+v {
+								t.Fatalf("V=%d %v: %s port %d misconnected", vcs, extents, xb.Name, p*vcs+v)
+							}
+						}
+						if !shared(xb.Out[p*vcs : (p+1)*vcs]) {
+							t.Fatalf("V=%d %v: %s wire %d lanes not one physical channel", vcs, extents, xb.Name, p)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMDCrossbarNaming: the node names every StateHash stream and -topports
+// line carries.
+func TestMDCrossbarNaming(t *testing.T) {
+	net := mdCrossbar(1, 4, 3)
+	c := geom.Coord{2, 1}
+	for _, tc := range []struct{ got, want string }{
+		{net.PE(c).Name, "PE(2,1)"},
+		{net.Router(c).Name, "RTC(2,1)"},
+		{net.XB(geom.LineOf(c, 0)).Name, "XB0(0,1)"},
+		{net.XB(geom.LineOf(c, 1)).Name, "XB1(2,0)"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("node name %q, want %q", tc.got, tc.want)
+		}
+	}
+}
+
+// TestMDCrossbarCounts: the switch and port totals E10 tabulates.
+func TestMDCrossbarCounts(t *testing.T) {
+	net := mdCrossbar(1, 4, 3)
+	if net.RouterPortPE() != 2 {
+		t.Errorf("PE port = %d", net.RouterPortPE())
+	}
+	if r, x := net.SwitchCount(); r != 12 || x != 3+4 {
+		t.Errorf("switch count = %d routers, %d crossbars", r, x)
+	}
+	// 12 routers x 3 ports + 3 dim-0 crossbars x 4 + 4 dim-1 crossbars x 3.
+	if got := net.PortCount(); got != 12*3+3*4+4*3 {
+		t.Errorf("port count = %d", got)
+	}
+	// Two lanes double every router↔crossbar port; the PE port stays single.
+	if got := mdCrossbar(2, 4, 3).PortCount(); got != 12*5+3*8+4*6 {
+		t.Errorf("V=2 port count = %d", got)
+	}
+}
+
+// TestNoPolicyDrops: a network without an installed policy drops an injected
+// packet with a clear reason rather than wedging or panicking.
+func TestNoPolicyDrops(t *testing.T) {
+	shape := geom.MustShape(2, 2)
+	eng := engine.New(engine.DefaultConfig())
+	net := topo.NewNet(eng, shape, topo.MDCrossbar{Shape: shape, VCs: 1})
+	if net.Policy() != nil {
+		t.Fatal("policy non-nil before SetPolicy")
+	}
+	var reason string
+	eng.OnDrop = func(d engine.Drop) { reason = d.Reason }
+	eng.Inject(net.PE(geom.Coord{0, 0}), flit.NewPacket(&flit.Header{PacketID: 1, Dst: geom.Coord{1, 1}}, 2))
+	if !eng.RunUntilQuiescent(1000) {
+		t.Fatal("did not drain")
+	}
+	if !strings.Contains(reason, "no routing policy") {
+		t.Errorf("drop reason = %q", reason)
 	}
 }
 

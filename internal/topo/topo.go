@@ -2,9 +2,9 @@
 // dependence prover (the Dally–Seitz criterion the paper's Section 5
 // argument rests on), a Scheme interface any topology/routing pair
 // implements to register its dependence edges, a registry of certified
-// schemes, and a generic direct-link lattice network builder for schemes
-// whose routers connect point to point (HyperX, full mesh) rather than
-// through the paper's shared crossbars.
+// schemes, and the one network builder (Net) every topology runs on —
+// routers switched through the paper's shared per-line crossbars, or cabled
+// point to point (HyperX, full mesh, mesh, torus).
 //
 // The prover is deliberately the same machine internal/cdg always ran: a
 // channel-vertex graph built in insertion order, optional composite
