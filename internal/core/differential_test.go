@@ -4,8 +4,10 @@ package core_test
 // engine with active-set scheduling enabled and force-disabled, and assert
 // the two kernels are bit-for-bit equivalent — same deliveries in the same
 // order with the same latencies, same deadlock/drain verdict, same final
-// state hash. On a mismatch, a shrinking pass removes faults and sends one
-// at a time and reports the minimal still-failing configuration.
+// state hash — and that between cycles the scheduled kernel's active sets
+// hold exactly the busy elements (engine.CheckActiveSets). On a mismatch, a
+// shrinking pass removes faults and sends one at a time and reports the
+// minimal still-failing configuration.
 
 import (
 	"fmt"
@@ -82,6 +84,7 @@ type diffOutcome struct {
 	drained    bool
 	cycle      int64
 	hash       uint64
+	sets       error // the first CheckActiveSets violation, scheduled mode only
 }
 
 // runDiff executes one scenario. The engine config is passed in full —
@@ -112,6 +115,12 @@ func runDiff(cfg diffConfig, disableActiveSet bool) (diffOutcome, error) {
 	for _, b := range cfg.bcasts {
 		_, _, _ = m.Broadcast(sh.CoordOf(b), 8)
 	}
+	var sets error
+	m.Engine().PostCycle = func(int64) {
+		if sets == nil {
+			sets = m.Engine().CheckActiveSets()
+		}
+	}
 	out := m.Run(100_000)
 	var b strings.Builder
 	for _, d := range m.Deliveries() {
@@ -124,6 +133,7 @@ func runDiff(cfg diffConfig, disableActiveSet bool) (diffOutcome, error) {
 		drained:    out.Drained,
 		cycle:      out.Cycle,
 		hash:       m.Engine().StateHash(),
+		sets:       sets,
 	}, nil
 }
 
@@ -141,6 +151,8 @@ func diffMismatch(cfg diffConfig) string {
 		return ""
 	}
 	switch {
+	case on.sets != nil:
+		return fmt.Sprintf("active sets: %v", on.sets)
 	case on.deadlocked != off.deadlocked || on.drained != off.drained:
 		return fmt.Sprintf("verdict: scheduled{deadlock=%v drained=%v} fullscan{deadlock=%v drained=%v}",
 			on.deadlocked, on.drained, off.deadlocked, off.drained)

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"testing"
 
@@ -116,6 +115,9 @@ func TestActiveSetEquivalence(t *testing.T) {
 				if hOn, hOff := on.StateHash(), off.StateHash(); hOn != hOff {
 					t.Fatalf("modes diverged at cycle %d: scheduled=%#x fullscan=%#x", c+1, hOn, hOff)
 				}
+				if err := on.CheckActiveSets(); err != nil {
+					t.Fatalf("cycle %d: %v", c+1, err)
+				}
 				if on.Quiescent() && off.Quiescent() {
 					return
 				}
@@ -154,81 +156,90 @@ func TestCountersObserveScheduling(t *testing.T) {
 
 func TestActiveSetOrderAndLateArrivals(t *testing.T) {
 	// The set is what replaced the sorted lists: members come out in index
-	// order whatever order they went in, and an element added while the
-	// set's own sweep runs joins only when the sweep ends.
+	// order whatever order they went in. An element added while a sweep
+	// runs is visited by that sweep if it lies ahead of the cursor and by
+	// the next one if it lies behind.
 	var s activeSet
 	s.resize(200)
 	for _, i := range []int{130, 3, 64, 199, 0, 63} {
 		s.add(i)
 	}
 	s.remove(64)
-	walk := func() []int {
+	walk := func(visit func(int)) []int {
 		var got []int
-		for wi, w := range s.words {
-			for ; w != 0; w &= w - 1 {
-				got = append(got, wi<<6|bits.TrailingZeros64(w))
-			}
+		for i := s.next(-1); i >= 0; i = s.next(i) {
+			got = append(got, i)
+			visit(i)
 		}
 		return got
 	}
-	if got, want := walk(), []int{0, 3, 63, 130, 199}; !slices.Equal(got, want) || s.n != len(want) {
-		t.Fatalf("members %v (n=%d), want %v", got, s.n, want)
+	if got, want := walk(func(int) {}), []int{0, 3, 63, 130, 199}; !slices.Equal(got, want) {
+		t.Fatalf("members %v, want %v", got, want)
 	}
-	if visited := s.beginSweep(); visited != 5 {
-		t.Fatalf("sweep charges %d visits, want 5", visited)
+	got := walk(func(i int) {
+		if i == 3 {
+			s.add(1)   // behind the cursor
+			s.add(4)   // in the cursor's word, ahead
+			s.add(150) // in a later word
+			s.remove(3)
+		}
+	})
+	if want := []int{0, 3, 4, 63, 130, 150, 199}; !slices.Equal(got, want) {
+		t.Fatalf("sweep visited %v, want %v", got, want)
 	}
-	s.add(150) // ahead of the sweep position or not, it waits
-	s.add(1)
-	if got := walk(); len(got) != 5 || s.n != 5 {
-		t.Fatalf("late arrivals visible during the sweep: %v (n=%d)", got, s.n)
-	}
-	s.endSweep()
-	if got, want := walk(), []int{0, 1, 3, 63, 130, 150, 199}; !slices.Equal(got, want) || s.n != len(want) {
-		t.Fatalf("after the sweep %v (n=%d), want %v", got, s.n, want)
+	if got, want := walk(func(int) {}), []int{0, 1, 4, 63, 130, 150, 199}; !slices.Equal(got, want) {
+		t.Fatalf("after the sweep %v, want %v", got, want)
 	}
 	s.clear()
-	if got := walk(); len(got) != 0 || s.n != 0 {
-		t.Fatalf("clear left %v (n=%d)", got, s.n)
+	if got := walk(func(int) {}); len(got) != 0 {
+		t.Fatalf("clear left %v", got)
 	}
 }
 
-func TestActivationDuringOwnSweepWaitsACycle(t *testing.T) {
+func TestHookActivationDuringSweepMatchesFullScan(t *testing.T) {
 	// An OnForward hook fires inside the injection sweep when an endpoint's
-	// header leaves. A packet it queues at an idle endpoint the sweep has not
-	// reached yet must still leave one cycle later, not in the same sweep:
-	// the activation joins the set when the sweep ends. (The full scan would
-	// serve it at once; hooks that inject ahead of the sweep are outside the
-	// equivalence the two modes promise.) An endpoint still lingering in the
-	// set under the eviction hysteresis is served in the same sweep, as ever.
-	firstFlitLeaves := func(lingering bool) (hookCycle, leftCycle int64) {
-		e, eps := chainScenario(DefaultConfig(), 4)
+	// header leaves. A packet it queues at an idle endpoint ahead of the
+	// sweep cursor leaves in the same sweep; one it queues behind the cursor
+	// leaves in the next cycle's. That is what the full scan does, and the
+	// two modes must agree hash for hash.
+	run := func(disable bool) (stream []uint64, left map[uint64]int64) {
+		cfg := DefaultConfig()
+		cfg.DisableActiveSet = disable
+		e, eps := chainScenario(cfg, 4)
 		e.RunUntilQuiescent(1000)
-		for i := 0; i < 3*idleEvictAfter; i++ {
-			e.Step() // every set empties
-		}
-		if lingering {
-			e.Inject(eps[2], flit.NewPacket(&flit.Header{PacketID: 500, Dst: geom.Coord{3}}, 1))
-			e.Step()
-			e.Step() // sent; eps[2] idles in the injection set for a few cycles yet
-		}
-		hookCycle, leftCycle = -1, -1
+		left = map[uint64]int64{}
 		e.OnForward = func(from *Node, out int, h *flit.Header, cycle int64) {
-			switch {
-			case from == eps[0] && h.PacketID == 501:
-				hookCycle = cycle
-				e.Inject(eps[2], flit.NewPacket(&flit.Header{PacketID: 502, Dst: geom.Coord{3}}, 1))
-			case from == eps[2] && h.PacketID == 502:
-				leftCycle = cycle
+			if from.Kind != KindEndpoint {
+				return
+			}
+			left[h.PacketID] = cycle
+			if h.PacketID == 501 {
+				e.Inject(eps[2], flit.NewPacket(&flit.Header{PacketID: 502, Dst: geom.Coord{3}}, 2)) // ahead
+				e.Inject(eps[0], flit.NewPacket(&flit.Header{PacketID: 503, Dst: geom.Coord{2}}, 2)) // behind
 			}
 		}
-		e.Inject(eps[0], flit.NewPacket(&flit.Header{PacketID: 501, Dst: geom.Coord{1}}, 1))
-		e.RunUntilQuiescent(100)
-		return hookCycle, leftCycle
+		e.Inject(eps[1], flit.NewPacket(&flit.Header{PacketID: 501, Dst: geom.Coord{2}}, 1))
+		for c := 0; c < 100 && !e.Quiescent(); c++ {
+			e.Step()
+			stream = append(stream, e.StateHash())
+			if err := e.CheckActiveSets(); err != nil {
+				t.Fatalf("cycle %d: %v", e.Cycle(), err)
+			}
+		}
+		if !e.Quiescent() {
+			t.Fatal("scenario did not drain in 100 cycles")
+		}
+		return stream, left
 	}
-	if hook, left := firstFlitLeaves(false); hook < 0 || left != hook+1 {
-		t.Errorf("idle endpoint: hook injected in cycle %d, the packet left in cycle %d, want the cycle after", hook, left)
+	on, onLeft := run(false)
+	off, offLeft := run(true)
+	if !slices.Equal(on, off) {
+		t.Errorf("hash streams differ: scheduled %d cycles, full scan %d", len(on), len(off))
 	}
-	if hook, left := firstFlitLeaves(true); hook < 0 || left != hook {
-		t.Errorf("lingering endpoint: hook injected in cycle %d, the packet left in cycle %d, want the same cycle", hook, left)
+	for name, left := range map[string]map[uint64]int64{"scheduled": onLeft, "full scan": offLeft} {
+		if hook := left[501]; left[502] != hook || left[503] != hook+1 {
+			t.Errorf("%s: hook fired in cycle %d; ahead left in %d (want %d), behind in %d (want %d)",
+				name, hook, left[502], hook, left[503], hook+1)
+		}
 	}
 }

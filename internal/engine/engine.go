@@ -28,7 +28,6 @@ package engine
 
 import (
 	"fmt"
-	"math/bits"
 
 	"sr2201/internal/flit"
 )
@@ -189,12 +188,10 @@ type InPort struct {
 	// by an endpoint (set when the header flit is ejected).
 	recvHeader *flit.Header
 	// active marks membership in the active input-port set (switch inports
-	// only); idle counts consecutive workless visits (eviction hysteresis);
-	// pos is the port's position in the full switch/port scan, its bit in
+	// only); pos is the port's position in the full switch/port scan, its bit in
 	// the set; ordKey (node ID, port index) orders ports the same way and
 	// names the port in StateHash.
 	active bool
-	idle   uint8
 	pos    int
 	ordKey int64
 	// BlockedCycles counts cycles in which this port had a routed or routable
@@ -326,8 +323,6 @@ type Node struct {
 	epIdx        int   // position among the endpoints: the bit in both endpoint sets
 	ejectActive  bool  // membership in the active ejection set
 	injectActive bool  // membership in the active injection set
-	ejectIdle    uint8 // eviction hysteresis for the ejection set
-	injectIdle   uint8 // eviction hysteresis for the injection set
 	Injected     int64 // packets handed to Inject
 	Sent         int64 // packets whose tail left the endpoint
 	Received     int64 // packets fully consumed at this endpoint
@@ -352,10 +347,8 @@ type Link struct {
 	// slot back; its age is never stored (see ageSlot).
 	pipe []linkSlot
 	n    int
-	// active marks membership in the active link set; idle counts
-	// consecutive empty visits (eviction hysteresis, see scheduler.go).
+	// active marks membership in the active link set (see scheduler.go).
 	active bool
-	idle   uint8
 }
 
 type linkSlot struct {
@@ -669,20 +662,16 @@ func (e *Engine) deliverLinks() {
 		return
 	}
 	s := &e.activeLinks
-	visited := s.beginSweep()
-	if visited > 0 {
-		for wi, w := range s.words {
-			for ; w != 0; w &= w - 1 {
-				l := e.links[wi<<6|bits.TrailingZeros64(w)]
-				e.deliverLink(l)
-				if !lingers(l.n > 0, &l.idle) {
-					l.active = false
-					s.remove(l.id)
-				}
-			}
+	visited := 0
+	for i := s.next(-1); i >= 0; i = s.next(i) {
+		l := e.links[i]
+		e.deliverLink(l)
+		if l.n == 0 {
+			l.active = false
+			s.remove(i)
 		}
+		visited++
 	}
-	s.endSweep()
 	e.ctr.LinkVisits += int64(visited)
 	e.ctr.LinkVisitsSkipped += int64(len(e.links) - visited)
 }
@@ -722,20 +711,16 @@ func (e *Engine) eject() {
 		return
 	}
 	s := &e.activeEject
-	visited := s.beginSweep()
-	if visited > 0 {
-		for wi, w := range s.words {
-			for ; w != 0; w &= w - 1 {
-				ep := e.endpoints[wi<<6|bits.TrailingZeros64(w)]
-				e.ejectAt(ep)
-				if !lingers(ep.In[0].n > 0, &ep.ejectIdle) {
-					ep.ejectActive = false
-					s.remove(ep.epIdx)
-				}
-			}
+	visited := 0
+	for i := s.next(-1); i >= 0; i = s.next(i) {
+		ep := e.endpoints[i]
+		e.ejectAt(ep)
+		if ep.In[0].n == 0 {
+			ep.ejectActive = false
+			s.remove(i)
 		}
+		visited++
 	}
-	s.endSweep()
 	e.ctr.EjectVisits += int64(visited)
 	e.ctr.EjectVisitsSkipped += int64(len(e.endpoints) - visited)
 }
@@ -802,26 +787,21 @@ func (e *Engine) gatherRequests() []*InPort {
 		e.ctr.SwitchPortVisits += int64(e.nSwitchIn)
 	} else {
 		s := &e.activeAlloc
-		visited := s.beginSweep()
-		if visited > 0 {
-			for wi, w := range s.words {
-				for ; w != 0; w &= w - 1 {
-					in := e.fullIn[wi<<6|bits.TrailingZeros64(w)]
-					live, wants := e.allocPrep(in)
-					if live {
-						routed = append(routed, in)
-					}
-					if !lingers(live, &in.idle) {
-						in.active = false
-						s.remove(in.pos)
-					}
-					if wants {
-						requests = append(requests, in)
-					}
-				}
+		visited := 0
+		for i := s.next(-1); i >= 0; i = s.next(i) {
+			in := e.fullIn[i]
+			live, wants := e.allocPrep(in)
+			if live {
+				routed = append(routed, in)
+			} else {
+				in.active = false
+				s.remove(i)
 			}
+			if wants {
+				requests = append(requests, in)
+			}
+			visited++
 		}
-		s.endSweep()
 		e.ctr.SwitchPortVisits += int64(visited)
 		e.ctr.SwitchPortVisitsSkipped += int64(e.nSwitchIn - visited)
 	}
@@ -1263,20 +1243,16 @@ func (e *Engine) inject() {
 		return
 	}
 	s := &e.activeInject
-	visited := s.beginSweep()
-	if visited > 0 {
-		for wi, w := range s.words {
-			for ; w != 0; w &= w - 1 {
-				ep := e.endpoints[wi<<6|bits.TrailingZeros64(w)]
-				e.injectAt(ep)
-				if !lingers(ep.InjectQueueLen() > 0, &ep.injectIdle) {
-					ep.injectActive = false
-					s.remove(ep.epIdx)
-				}
-			}
+	visited := 0
+	for i := s.next(-1); i >= 0; i = s.next(i) {
+		ep := e.endpoints[i]
+		e.injectAt(ep)
+		if ep.InjectQueueLen() == 0 {
+			ep.injectActive = false
+			s.remove(i)
 		}
+		visited++
 	}
-	s.endSweep()
 	e.ctr.InjectVisits += int64(visited)
 	e.ctr.InjectVisitsSkipped += int64(len(e.endpoints) - visited)
 }

@@ -86,3 +86,34 @@ func (e *Engine) CheckInvariants() error {
 	}
 	return nil
 }
+
+// CheckActiveSets audits active-set membership between Steps and returns the
+// first violation, or nil. Each flag must agree with its bit. A link is a member exactly while it carries flits, an
+// endpoint eject- (inject-) active exactly while its input buffer (source
+// queue) holds flits, and a switch port holding a route state or flits is a
+// member (one that traversal emptied waits for the next allocation sweep to
+// drop it). KillSwitch and KillPacket remove flits without touching
+// membership, so the check does not hold right after them; under
+// DisableActiveSet no sweep evicts and it passes trivially.
+func (e *Engine) CheckActiveSets() error {
+	if e.cfg.DisableActiveSet {
+		return nil
+	}
+	var err error
+	audit := func(s *activeSet, i int, flag, busy, exact bool, set string, n *Node, port int) {
+		if bit := s.words[i>>6]>>(i&63)&1 == 1; err == nil && (bit != flag || busy && !flag || exact && flag && !busy) {
+			err = fmt.Errorf("engine: %s.%d: %s member=%v bit=%v busy=%v", n.Name, port, set, flag, bit, busy)
+		}
+	}
+	for _, l := range e.links {
+		audit(&e.activeLinks, l.id, l.active, l.n > 0, true, "link", l.from.node, l.from.idx)
+	}
+	for _, in := range e.fullIn {
+		audit(&e.activeAlloc, in.pos, in.active, in.route != nil || in.n > 0, false, "alloc", in.node, in.idx)
+	}
+	for _, ep := range e.endpoints {
+		audit(&e.activeEject, ep.epIdx, ep.ejectActive, ep.In[0].n > 0, true, "eject", ep, 0)
+		audit(&e.activeInject, ep.epIdx, ep.injectActive, ep.InjectQueueLen() > 0, true, "inject", ep, 0)
+	}
+	return err
+}

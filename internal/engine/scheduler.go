@@ -1,5 +1,7 @@
 package engine
 
+import "math/bits"
+
 // Active-set scheduling: each simulation phase visits only the elements that
 // can possibly do work this cycle, instead of scanning the whole network.
 //
@@ -17,23 +19,18 @@ package engine
 // make no requests and touch no arbitration state, so skipping them is
 // unobservable. Membership is maintained incrementally: an element's bit is
 // set when it becomes active (a flit lands, a packet is injected, a header
-// is routed) and cleared during the owning phase's sweep once it goes idle.
-// The full-scan reference implementation is kept behind
-// Config.DisableActiveSet and the differential tests assert bit-for-bit
-// equivalence between the two modes.
+// is routed) and cleared by the owning phase's sweep on the first visit that
+// finds it idle. A sweep re-reads the bitmap after every visit, so an element
+// a hook activates ahead of the cursor is served in the same sweep and one
+// behind it in the next, exactly as the full scan would. The full-scan
+// reference implementation is kept behind Config.DisableActiveSet and the
+// differential tests assert bit-for-bit equivalence between the two modes.
 
 // activeSet is one phase's membership bitmap. The per-element flag (active,
 // ejectActive, injectActive) says the same thing as the bit; the flag is what
 // snapshots record and what activation tests, the bit is what sweeps walk.
 type activeSet struct {
 	words []uint64
-	n     int // members
-	// late collects the elements activated while the set's own sweep runs
-	// (an OnForward hook injecting from inside the injection phase): they
-	// join when the sweep ends, so whatever their position they are first
-	// visited in the next cycle.
-	late     []int
-	sweeping bool
 }
 
 // resize makes room for elements 0..n-1.
@@ -44,67 +41,38 @@ func (s *activeSet) resize(n int) {
 }
 
 // add makes element i a member. The caller has checked the element's flag:
-// i is not a member and not already waiting in late.
+// i is not a member.
 func (s *activeSet) add(i int) {
-	if s.sweeping {
-		s.late = append(s.late, i)
-		return
-	}
 	s.words[i>>6] |= 1 << (i & 63)
-	s.n++
 }
 
 // remove drops member i.
 func (s *activeSet) remove(i int) {
 	s.words[i>>6] &^= 1 << (i & 63)
-	s.n--
 }
 
-// beginSweep opens the owning phase's sweep and returns the member count the
-// visit counters charge for it.
-func (s *activeSet) beginSweep() int {
-	s.sweeping = true
-	return s.n
-}
-
-// endSweep closes the sweep and admits the late arrivals.
-func (s *activeSet) endSweep() {
-	s.sweeping = false
-	for _, i := range s.late {
-		s.add(i)
+// next returns the lowest member above i, or -1 when there is none; a sweep
+// starts at next(-1). It reads the bitmap afresh on every call, so members
+// added during a sweep are seen exactly when they lie ahead of the cursor.
+func (s *activeSet) next(i int) int {
+	i++
+	wi := i >> 6
+	if wi >= len(s.words) {
+		return -1
 	}
-	s.late = s.late[:0]
+	w := s.words[wi] &^ (1<<(i&63) - 1)
+	for w == 0 {
+		if wi++; wi == len(s.words) {
+			return -1
+		}
+		w = s.words[wi]
+	}
+	return wi<<6 | bits.TrailingZeros64(w)
 }
 
 // clear empties the set.
 func (s *activeSet) clear() {
 	clear(s.words)
-	s.n = 0
-	s.late = s.late[:0]
-}
-
-// idleEvictAfter is the number of consecutive workless visits an element
-// survives in its active set before the owning phase evicts it. A lingering
-// element is a no-op for its phase, so the eviction delay is unobservable in
-// simulation state; it is kept because the visit counters and every snapshot
-// (which records each element's flag and idle count) were produced with it.
-const idleEvictAfter = 8
-
-// lingers applies the hysteresis to an element its phase has just visited:
-// busy resets the count, and an idle element stays until it has been found
-// idle idleEvictAfter times running. A false return tells the sweep to evict
-// it (the count restarts at zero for its next stay).
-func lingers(busy bool, idle *uint8) bool {
-	if busy {
-		*idle = 0
-		return true
-	}
-	if *idle < idleEvictAfter {
-		*idle++
-		return true
-	}
-	*idle = 0
-	return false
 }
 
 // activateLink marks a link as carrying in-flight flits.
@@ -146,7 +114,11 @@ func (e *Engine) activateInject(ep *Node) {
 // Counters exposes cheap per-run observability for the kernel hot path: how
 // many elements each phase visited versus skipped thanks to active-set
 // scheduling, and how the route-state pool behaved. All values are
-// cumulative since engine creation.
+// cumulative since engine creation. A visit is counted when it happens, so
+// an element a hook activates ahead of a running sweep counts in that sweep.
+// Since an element leaves its set on the first visit that finds it idle,
+// every link and endpoint visit finds work; a switch port costs one idle
+// visit after traversal empties it, the visit that drops it.
 type Counters struct {
 	// Cycles is the number of Step calls.
 	Cycles int64

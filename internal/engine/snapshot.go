@@ -25,6 +25,12 @@ import (
 // Transform is a pure function of the header (RouteFunc contract) and is
 // only ever applied while the header flit is still buffered at the port,
 // and the header cannot change between snapshot and traversal.
+//
+// Each active-set flag (a link's, a switch port's, an endpoint's eject and
+// inject flags) is followed by one reserved byte, written as 0 and skipped on
+// decode. Snapshots written under eviction hysteresis hold an idle count
+// there and may list idle members; those restore as members that their
+// phase's next sweep drops, so the simulated state is the same.
 
 // Section names of the engine's state in a checkpoint container.
 const (
@@ -111,9 +117,9 @@ func (e *Engine) EncodeState(w *checkpoint.Writer) {
 				flit.EncodeFlit(nodes, &q[i])
 			}
 			nodes.Bool(n.ejectActive)
-			nodes.Byte(n.ejectIdle)
+			nodes.Byte(0) // reserved
 			nodes.Bool(n.injectActive)
-			nodes.Byte(n.injectIdle)
+			nodes.Byte(0) // reserved
 		}
 		for _, in := range n.In {
 			nodes.Uint(uint64(in.n))
@@ -125,7 +131,7 @@ func (e *Engine) EncodeState(w *checkpoint.Writer) {
 				flit.EncodeHeader(nodes, in.recvHeader)
 			}
 			nodes.Bool(in.active)
-			nodes.Byte(in.idle)
+			nodes.Byte(0) // reserved
 			nodes.Int(in.BlockedCycles)
 			rs := in.route
 			nodes.Bool(rs != nil)
@@ -159,7 +165,7 @@ func (e *Engine) EncodeState(w *checkpoint.Writer) {
 	links := w.Section(secEngineLinks)
 	for _, l := range e.links {
 		links.Bool(l.active)
-		links.Byte(l.idle)
+		links.Byte(0) // reserved
 		links.Uint(uint64(l.n))
 		for age := l.delay - 1; age >= 0 && l.n > 0; age-- {
 			if sl := l.ageSlot(e.cycle, age); sl.full {
@@ -267,9 +273,9 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 			}
 			n.injectHead = 0
 			n.ejectActive = nodes.Bool()
-			n.ejectIdle = nodes.Byte()
+			nodes.Byte() // reserved
 			n.injectActive = nodes.Bool()
-			n.injectIdle = nodes.Byte()
+			nodes.Byte() // reserved
 		}
 		for _, in := range n.In {
 			bn := nodes.Len(4)
@@ -283,7 +289,7 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 				in.recvHeader = flit.DecodeHeader(nodes)
 			}
 			in.active = nodes.Bool()
-			in.idle = nodes.Byte()
+			nodes.Byte() // reserved
 			in.BlockedCycles = nodes.Int()
 			if nodes.Bool() { // route state present
 				rs := &routeState{}
@@ -354,7 +360,7 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 	}
 	for _, l := range e.links {
 		l.active = links.Bool()
-		l.idle = links.Byte()
+		links.Byte() // reserved
 		pn := links.Len(4)
 		younger := l.delay // every age so far was at least this
 		for i := 0; i < pn; i++ {
@@ -465,13 +471,11 @@ func (e *Engine) clearDynamicState() {
 		n.injectQ = n.injectQ[:0]
 		n.injectHead = 0
 		n.ejectActive, n.injectActive = false, false
-		n.ejectIdle, n.injectIdle = 0, 0
 		for _, in := range n.In {
 			in.head, in.n = 0, 0
 			in.route = nil
 			in.recvHeader = nil
 			in.active = false
-			in.idle = 0
 		}
 		for _, out := range n.Out {
 			out.owner = nil
@@ -483,7 +487,6 @@ func (e *Engine) clearDynamicState() {
 		clear(l.pipe)
 		l.n = 0
 		l.active = false
-		l.idle = 0
 	}
 	for _, pc := range e.phys {
 		pc.granted = nil
