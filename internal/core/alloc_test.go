@@ -2,31 +2,39 @@
 
 package core_test
 
-// Allocation pins for the kernel hot path (the race detector instruments
-// allocations, hence the build tag). What they leave out is what is known to
-// remain: a switch that rewrites the header (an RC transition, a counted
-// detour or adaptive hop) clones it, once per such hop, and Broadcast builds
-// its static tree per call.
+// Allocation pins for the kernel hot path and the send path (the race
+// detector instruments allocations, hence the build tag). The engine owns
+// every packet header: Send copies its header into the engine's pool, a
+// switch that rewrites or replicates a header forwards pooled copies, and a
+// header goes back to the pool when its packet dies. So neither Send nor a
+// Step allocates in steady state. What is known to remain is the broadcast
+// path (ROADMAP item 10(c)): Broadcast builds its static tree per call, and
+// every broadcast routing decision allocates its fan list; the windows below
+// keep those decisions out. A pivot send also pays for the error value of
+// the unicast refusal it is chosen on.
 
 import (
+	"slices"
 	"testing"
 
 	"sr2201/internal/core"
+	"sr2201/internal/engine"
 	"sr2201/internal/fault"
+	"sr2201/internal/flit"
 	"sr2201/internal/geom"
 )
 
-// pinMachine builds an 8x8 machine, optionally with a faulty router, and
-// warms it: one drained round of traffic sizes the route-state pool, the
+// pinMachine builds a machine with the given preset faults and warms it:
+// one drained round of traffic sizes the route-state and header pools, the
 // engine's scratch slices and the endpoints' source queues.
-func pinMachine(t *testing.T, faulty *geom.Coord) *core.Machine {
+func pinMachine(t *testing.T, cfg core.Config, faults ...fault.Fault) *core.Machine {
 	t.Helper()
-	m, err := core.NewMachine(core.Config{Shape: geom.MustShape(8, 8)})
+	m, err := core.NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if faulty != nil {
-		if err := m.AddFault(fault.RouterFault(*faulty)); err != nil {
+	for _, f := range faults {
+		if err := m.AddFault(f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,10 +67,12 @@ func sendRound(t *testing.T, m *core.Machine, size int) {
 	}
 }
 
+var mesh8x8 = core.Config{Shape: geom.MustShape(8, 8)}
+
 func TestStepAllocatesNothing(t *testing.T) {
 	// Steady state on a loaded fault-free machine: headers are routed, ports
 	// arbitrated, flits moved, packets delivered — and nothing is allocated.
-	m := pinMachine(t, nil)
+	m := pinMachine(t, mesh8x8)
 	sendRound(t, m, 64)
 	eng := m.Engine()
 	eng.OnDeliver = nil // "no hooks": the machine's delivery log grows as it records
@@ -78,13 +88,13 @@ func TestStepAllocatesNothing(t *testing.T) {
 }
 
 func TestStepAllocatesNothingWithDetoursInFlight(t *testing.T) {
-	// The same with a faulty router and detoured packets streaming through
-	// their circuits. Packets are long, and the measurement starts once the
-	// headers have made their RC transitions (each of which clones the
-	// header, the cost this PR leaves): what is pinned is that carrying
-	// flits along a detour costs what carrying them anywhere does, nothing.
+	// The same with a faulty router, measured from the cycle the detoured
+	// packets are sent: inside the window their headers are routed around
+	// the fault and make their RC transitions (normal → detour, each counted
+	// detour hop, detour → normal at the D-XB), every one forwarded as a
+	// pooled copy, and the packets' flits stream along the detour.
 	faulty := geom.Coord{3, 3}
-	m := pinMachine(t, &faulty)
+	m := pinMachine(t, mesh8x8, fault.RouterFault(faulty))
 	// Row 3 to column 3, the dimension-order turn at the faulty router.
 	detoured := 0
 	m.OnDeliver = func(d core.Delivery) {
@@ -106,15 +116,22 @@ func TestStepAllocatesNothingWithDetoursInFlight(t *testing.T) {
 	eng := m.Engine()
 	hook := eng.OnDeliver
 	eng.OnDeliver = nil
-	for i := 0; i < 200; i++ {
-		eng.Step()
+	detourHops := 0
+	eng.OnForward = func(_ *engine.Node, _ int, h *flit.Header, _ int64) {
+		if h.RC == flit.RCDetour {
+			detourHops++
+		}
 	}
 	if allocs := testing.AllocsPerRun(100, eng.Step); allocs != 0 {
 		t.Errorf("Engine.Step with detours in flight: %v allocations per cycle, want 0", allocs)
 	}
+	if detourHops == 0 {
+		t.Fatal("no header was forwarded in detour mode during the measurement")
+	}
 	if eng.Quiescent() {
 		t.Fatal("the machine drained before the measurement ended")
 	}
+	eng.OnForward = nil
 	eng.OnDeliver = hook
 	if out := m.Run(100_000); !out.Drained {
 		t.Fatalf("did not drain: %+v", out)
@@ -124,16 +141,74 @@ func TestStepAllocatesNothingWithDetoursInFlight(t *testing.T) {
 	}
 }
 
-func TestSendAllocatesOnlyTheHeader(t *testing.T) {
+func TestStepAllocatesNothingAdaptive(t *testing.T) {
+	// Escape-VC adaptive routing on 4x4x4 with 4 lanes and a faulty router:
+	// every hop on an adaptive lane rewrites the header (AdaptiveHops), and
+	// decisions are re-made every cycle a packet loses its lane. A long S-XB
+	// broadcast is started first; once its header has reached every PE (its
+	// fan decisions, which allocate their output lists, are then made), the
+	// window opens on its flits replicating through the whole tree beside
+	// freshly sent unicast traffic.
+	m := pinMachine(t, core.Config{Shape: geom.MustShape(4, 4, 4), VCs: 4, Adaptive: true},
+		fault.RouterFault(geom.Coord{1, 2, 1}))
+	eng := m.Engine()
+	// A drained rehearsal gives the lanes the broadcast and the adaptive hops
+	// take their rings, and the pools their size.
+	src := geom.Coord{3, 3, 3}
+	if _, _, err := m.Broadcast(src, 400); err != nil {
+		t.Fatal(err)
+	}
+	sendRound(t, m, 16)
+	if out := m.Run(100_000); !out.Drained {
+		t.Fatalf("rehearsal did not drain: %+v", out)
+	}
+	bid, copies, err := m.Broadcast(src, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reached := 0
+	eng.OnForward = func(from *engine.Node, out int, h *flit.Header, _ int64) {
+		if h.PacketID == bid && from.Out[out].DownstreamIn().Node().Kind == engine.KindEndpoint {
+			reached++
+		}
+	}
+	for start := eng.Cycle(); reached < copies; {
+		if eng.Cycle()-start > 1000 {
+			t.Fatalf("the broadcast header reached %d of %d PEs in 1000 cycles", reached, copies)
+		}
+		eng.Step()
+	}
+	sendRound(t, m, 16)
+	eng.OnDeliver = nil
+	adaptiveHops := 0
+	eng.OnForward = func(_ *engine.Node, _ int, h *flit.Header, _ int64) {
+		if h.AdaptiveHops > 0 {
+			adaptiveHops++
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, eng.Step); allocs != 0 {
+		t.Errorf("Engine.Step with adaptive hops and a broadcast in flight: %v allocations per cycle, want 0", allocs)
+	}
+	if adaptiveHops == 0 {
+		t.Fatal("no header was forwarded after an adaptive hop during the measurement")
+	}
+	hdrs, _ := eng.InFlightHeaders()
+	if !slices.ContainsFunc(hdrs, func(h *flit.Header) bool { return h.PacketID == bid }) {
+		t.Fatal("the broadcast finished before the measurement ended")
+	}
+}
+
+func TestSendAllocatesNothing(t *testing.T) {
 	// Send's reachability precheck replays the routing decisions without
-	// collecting a path or allocating a probe header, detour or not.
+	// collecting a path or allocating a probe header, detour or not, and the
+	// header it queues comes from the engine's pool.
 	faulty := geom.Coord{3, 3}
 	for _, tc := range []struct {
 		name   string
-		faulty *geom.Coord
-	}{{"fault-free", nil}, {"faulted", &faulty}} {
+		faults []fault.Fault
+	}{{"fault-free", nil}, {"faulted", []fault.Fault{fault.RouterFault(faulty)}}} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := pinMachine(t, tc.faulty)
+			m := pinMachine(t, mesh8x8, tc.faults...)
 			i := 0
 			send := func() {
 				// Row 3 to column 3 turns at (3,3): detoured when it is faulty.
@@ -143,8 +218,8 @@ func TestSendAllocatesOnlyTheHeader(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if allocs := testing.AllocsPerRun(14, send); allocs > 1 {
-				t.Errorf("Machine.Send: %v allocations per packet, want at most 1 (the header)", allocs)
+			if allocs := testing.AllocsPerRun(14, send); allocs != 0 {
+				t.Errorf("Machine.Send: %v allocations per packet, want 0", allocs)
 			}
 			if err := m.Reachable(geom.Coord{0, 3}, geom.Coord{3, 7}); err != nil {
 				t.Fatal(err)
@@ -155,4 +230,39 @@ func TestSendAllocatesOnlyTheHeader(t *testing.T) {
 			}
 		})
 	}
+	t.Run("pivot", func(t *testing.T) {
+		// Column 5's crossbar is faulty, so row 3 reaches it only by pivot:
+		// the unicast precheck refuses, and the two-phase route is checked
+		// without being collected. The refusal's error value is the one
+		// allocation left.
+		m := pinMachine(t, core.Config{Shape: geom.MustShape(8, 8), PivotLastDim: true},
+			fault.XBFault(geom.LineOf(geom.Coord{5, 0}, 1)))
+		pair := func(i int) (geom.Coord, geom.Coord) {
+			x := []int{0, 1, 2, 3, 4, 6, 7}[i%7]
+			return geom.Coord{x, 3}, geom.Coord{5, 1 + x%2*4}
+		}
+		for i := 0; i < 7; i++ {
+			src, dst := pair(i)
+			if m.Reachable(src, dst) == nil || m.Policy().PivotChannels(src, dst, nil) != nil {
+				t.Fatalf("%v -> %v is not a pivot pair", src, dst)
+			}
+		}
+		i := 0
+		refuse := func() {
+			src, dst := pair(i)
+			i++
+			_ = m.Reachable(src, dst)
+		}
+		refusal := testing.AllocsPerRun(14, refuse)
+		send := func() {
+			src, dst := pair(i)
+			i++
+			if _, err := m.Send(src, dst, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(14, send); allocs > refusal {
+			t.Errorf("Machine.Send of a pivot packet: %v allocations, want no more than the %v of the unicast refusal", allocs, refusal)
+		}
+	})
 }

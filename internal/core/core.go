@@ -728,7 +728,9 @@ func (m *Machine) PurgePacket(id uint64) (Lost, bool) {
 func (m *Machine) Send(src, dst geom.Coord, size int) (uint64, error) {
 	if err := m.Reachable(src, dst); err != nil {
 		if m.cfg.PivotLastDim {
-			if _, perr := m.policy.PivotPath(src, dst); perr == nil {
+			// Only the verdict is needed: a walk that reports its channels
+			// nowhere allocates nothing.
+			if m.policy.PivotChannels(src, dst, nil) == nil {
 				return m.sendPivot(src, dst, size)
 			}
 		}
@@ -766,7 +768,7 @@ func (m *Machine) sendPivot(src, dst geom.Coord, size int) (uint64, error) {
 		size = m.cfg.PacketSize
 	}
 	m.nextID++
-	h := &flit.Header{PacketID: m.nextID, Src: src, Dst: mid, FinalDst: dst, TwoPhase: true, RC: flit.RCNormal, Epoch: m.epoch}
+	h := flit.Header{PacketID: m.nextID, Src: src, Dst: mid, FinalDst: dst, TwoPhase: true, RC: flit.RCNormal, Epoch: m.epoch}
 	m.eng.InjectPacket(m.net.PE(src), h, size)
 	return m.nextID, nil
 }
@@ -785,7 +787,7 @@ func (m *Machine) send(src, dst geom.Coord, size int) (uint64, error) {
 		size = m.cfg.PacketSize
 	}
 	m.nextID++
-	h := &flit.Header{PacketID: m.nextID, Src: src, Dst: dst, RC: flit.RCNormal, Epoch: m.epoch}
+	h := flit.Header{PacketID: m.nextID, Src: src, Dst: dst, RC: flit.RCNormal, Epoch: m.epoch}
 	m.eng.InjectPacket(m.net.PE(src), h, size)
 	return m.nextID, nil
 }
@@ -810,7 +812,7 @@ func (m *Machine) Broadcast(src geom.Coord, size int) (uint64, int, error) {
 	if m.cfg.NaiveBroadcast {
 		rc = flit.RCBroadcast
 	}
-	h := &flit.Header{PacketID: m.nextID, Src: src, BroadcastOrigin: src, RC: rc, Epoch: m.epoch}
+	h := flit.Header{PacketID: m.nextID, Src: src, BroadcastOrigin: src, RC: rc, Epoch: m.epoch}
 	m.eng.InjectPacket(m.net.PE(src), h, size)
 	return m.nextID, len(tree.Delivered), nil
 }
@@ -824,15 +826,18 @@ func (m *Machine) Run(maxCycles int64) deadlock.Outcome {
 	return deadlock.Run(m.eng, maxCycles, m.cfg.StallThreshold)
 }
 
-// Deliveries returns every recorded delivery (in delivery order).
+// Deliveries returns every delivery recorded since the last ResetStats (in
+// delivery order). The slice is valid until the next ResetStats, which
+// reuses its storage: copy what must outlive a reset.
 func (m *Machine) Deliveries() []Delivery { return m.deliveries }
 
 // ResetStats clears recorded deliveries and latency accumulators (in-flight
-// packets keep their injection timestamps).
+// packets keep their injection timestamps). Their storage is kept, so a
+// harvest loop that reads and resets every window stops reallocating it.
 func (m *Machine) ResetStats() {
-	m.deliveries = nil
-	m.latency = stats.Latency{}
-	m.bcastLat = stats.Latency{}
+	m.deliveries = m.deliveries[:0]
+	m.latency.Reset()
+	m.bcastLat.Reset()
 }
 
 // Latency returns the point-to-point latency distribution.

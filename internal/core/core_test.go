@@ -369,6 +369,14 @@ func TestResetStats(t *testing.T) {
 	if len(m.Deliveries()) != 0 || m.Latency().Count() != 0 || m.BroadcastLatency().Count() != 0 {
 		t.Error("stats not cleared")
 	}
+	// A second window records afresh into the kept storage.
+	if _, err := m.Send(geom.Coord{1, 0}, geom.Coord{3, 2}, 2); err != nil {
+		t.Fatal(err)
+	}
+	m.Run(1_000)
+	if ds := m.Deliveries(); len(ds) != 1 || ds[0].At != (geom.Coord{3, 2}) || m.Latency().Count() != 1 {
+		t.Errorf("second window: deliveries %+v, %d latency samples", ds, m.Latency().Count())
+	}
 }
 
 func TestMachineAccessors(t *testing.T) {

@@ -248,10 +248,11 @@ func TestVCAdaptiveStaleSnapshotRejected(t *testing.T) {
 }
 
 // FuzzVCAlloc drives the VC allocator over arbitrary small adaptive
-// machines: random shapes, lane counts, fault placements and traffic. The
-// engine's conservation laws (per-lane credits, ownership, flit accounting)
-// must hold after every cycle, nothing may panic, and the run must drain —
-// the escape channel guarantees it, and a blocked escape lane would surface
+// machines: random shapes, lane counts, fault placements and traffic (two
+// overlapping waves and a broadcast). The engine's conservation laws
+// (per-lane credits, ownership, flit accounting, header ownership) must
+// hold after every cycle, nothing may panic, and the run must drain — the
+// escape channel guarantees it, and a blocked escape lane would surface
 // here as a stall at the horizon.
 func FuzzVCAlloc(f *testing.F) {
 	f.Add(uint8(4), uint8(4), uint8(0), uint8(2), uint8(0), uint8(5))
@@ -291,17 +292,28 @@ func FuzzVCAlloc(f *testing.F) {
 			}
 		}
 		n := shape.Size()
-		for i := 0; i < n; i++ {
-			src, dst := shape.CoordOf(i), shape.CoordOf((i+int(shift))%n)
-			if !m.Alive(src) || !m.Alive(dst) || m.Reachable(src, dst) != nil {
-				continue
-			}
-			if _, err := m.Send(src, dst, 4); err != nil {
-				t.Fatalf("send %v->%v: %v", src, dst, err)
+		wave := func(shift int) {
+			for i := 0; i < n; i++ {
+				src, dst := shape.CoordOf(i), shape.CoordOf((i+shift)%n)
+				if !m.Alive(src) || !m.Alive(dst) || m.Reachable(src, dst) != nil {
+					continue
+				}
+				if _, err := m.Send(src, dst, 4); err != nil {
+					t.Fatalf("send %v->%v: %v", src, dst, err)
+				}
 			}
 		}
+		wave(int(shift))
 		const horizon = 20000
 		for i := 0; i < horizon && !m.Engine().Quiescent(); i++ {
+			if i == 3 {
+				// A second wave and a broadcast while the first is in
+				// flight: headers released by early deliveries are handed
+				// out again beside live ones, and the S-XB fans one out.
+				// Broadcast refuses a source its static tree does not accept.
+				wave(int(shift) + 1)
+				m.Broadcast(shape.CoordOf(int(shift)%n), 3)
+			}
 			m.Step()
 			if err := m.Engine().CheckInvariants(); err != nil {
 				t.Fatalf("cycle %d (shape %v, vcs=%d): %v", m.Cycle(), shape, vcs, err)

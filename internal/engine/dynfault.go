@@ -28,7 +28,8 @@ type KilledPacket struct {
 	ID uint64
 	// Header is the packet's last known header (source, destination, RC bits
 	// at the point of death). Nil only if no header-bearing flit of the
-	// packet remained anywhere in the network.
+	// packet remained anywhere in the network. A purge never returns a
+	// header to the engine's pool, so the caller may keep it.
 	Header *flit.Header
 	// AlreadyDropped marks a packet that the routing layer had already sunk
 	// (counted in Dropped and reported via OnDrop) before the fault; the

@@ -109,9 +109,11 @@ type Decision struct {
 	// slice, so routing functions may reuse its backing array.
 	Outs []int
 	// Transform, if non-nil, rewrites the header on the copies forwarded out
-	// of this switch (RC-bit transitions). It must return a fresh header and
-	// must not mutate its argument.
-	Transform func(*flit.Header) *flit.Header
+	// of this switch (RC-bit transitions). The kernel calls it once per
+	// branch, on a copy it owns and is about to forward, and the transform
+	// rewrites that copy in place. It must be a pure function of the header
+	// it is given and must not retain the pointer.
+	Transform func(*flit.Header)
 	// Drop discards the packet at this switch (counted, reported via OnDrop).
 	Drop bool
 	// DropReason annotates a drop for diagnostics.
@@ -153,7 +155,7 @@ type routeState struct {
 	outs      []int
 	granted   []bool
 	nGranted  int
-	transform func(*flit.Header) *flit.Header
+	transform func(*flit.Header)
 	sink      bool // dropping: consume flits until Last without forwarding
 	// since is the cycle the header was routed; atomic allocation serves
 	// requests oldest-first ("in order of arrival"). A provisional re-route
@@ -381,14 +383,17 @@ type PhysChannel struct {
 	wants     []*OutPort
 }
 
-// Delivery reports one packet consumed at an endpoint.
+// Delivery reports one packet consumed at an endpoint. Header belongs to the
+// engine and is valid only for the duration of the OnDeliver call: the
+// engine reuses it once the call returns. Copy the fields you need.
 type Delivery struct {
 	At     *Node
 	Header *flit.Header
 	Cycle  int64
 }
 
-// Drop reports one packet discarded inside the network.
+// Drop reports one packet discarded inside the network. As with Delivery,
+// Header is the engine's and valid only for the duration of the OnDrop call.
 type Drop struct {
 	At     *Node
 	Header *flit.Header
@@ -434,6 +439,10 @@ type Engine struct {
 	outScratch    []*OutPort
 	physScratch   []*PhysChannel
 	rsFree        []*routeState
+	// hFree is the header pool. The engine owns every packet header in the
+	// network: Inject copies the caller's into one from here, and a header
+	// comes back when its last holder is done with it (see releaseHeader).
+	hFree []*flit.Header
 	// sunkCredits defers the credits freed by draining dropped packets to
 	// the end of the traversal phase, so their effect cannot depend on the
 	// scan order of ports (DESIGN.md §10). Every pinned StateHash stream
@@ -447,7 +456,8 @@ type Engine struct {
 	// OnDrop, if non-nil, observes every discarded packet.
 	OnDrop func(Drop)
 	// OnForward, if non-nil, observes every header flit leaving a node, for
-	// route tracing. from is the node, out the output port index.
+	// route tracing. from is the node, out the output port index. h is the
+	// engine's and valid only for the duration of the call.
 	OnForward func(from *Node, out int, h *flit.Header, cycle int64)
 	// PreCycle, if non-nil, runs at the top of every Step, before any phase
 	// and before the cycle counter advances. Dynamic-fault schedules use it
@@ -569,22 +579,24 @@ func (e *Engine) SharePhysical(ports ...*OutPort) *PhysChannel {
 }
 
 // InjectPacket queues a size-flit packet headed by h at the endpoint. It is
-// equivalent to Inject(ep, flit.NewPacket(h, size)) but builds the flits
-// in place in the endpoint's source queue, allocating nothing.
-func (e *Engine) InjectPacket(ep *Node, h *flit.Header, size int) {
+// equivalent to Inject(ep, flit.NewPacket(&h, size)) but builds the flits in
+// place in the endpoint's source queue. The header is copied into engine
+// storage, stamped with the injection cycle and the packet size; in steady
+// state nothing is allocated.
+func (e *Engine) InjectPacket(ep *Node, h flit.Header, size int) {
 	if ep.Kind != KindEndpoint {
 		panic(fmt.Sprintf("engine: Inject on non-endpoint %q", ep.Name))
 	}
-	h.InjectedAt = e.cycle
-	ep.injectQ = flit.AppendPacket(ep.injectQ, h, size)
+	ep.injectQ = flit.AppendPacket(ep.injectQ, e.newHeader(h), size)
 	ep.Injected++
 	e.resident += int64(size)
 	e.activateInject(ep)
 }
 
 // Inject queues a packet's flits at an endpoint for transmission. The flits
-// are copied into the endpoint's queue; the caller keeps ownership of the
-// slice and the Flit structs.
+// are copied into the endpoint's queue and the header into engine storage,
+// where the injection cycle is stamped: the caller's slice, Flit structs and
+// Header are never retained or modified.
 func (e *Engine) Inject(ep *Node, flits []*flit.Flit) {
 	if ep.Kind != KindEndpoint {
 		panic(fmt.Sprintf("engine: Inject on non-endpoint %q", ep.Name))
@@ -595,13 +607,51 @@ func (e *Engine) Inject(ep *Node, flits []*flit.Flit) {
 	if flits[0].Header == nil {
 		panic("engine: first injected flit must be a header")
 	}
-	flits[0].Header.InjectedAt = e.cycle
 	for _, f := range flits {
-		ep.injectQ = append(ep.injectQ, *f)
+		c := *f
+		if c.Header != nil {
+			c.Header = e.newHeader(*c.Header)
+		}
+		ep.injectQ = append(ep.injectQ, c)
 	}
 	ep.Injected++
 	e.resident += int64(len(flits))
 	e.activateInject(ep)
+}
+
+// newHeader copies h into a header from the pool (or a fresh one), stamped
+// with the current cycle as its injection time.
+func (e *Engine) newHeader(h flit.Header) *flit.Header {
+	p := e.copyHeader(&h)
+	p.InjectedAt = e.cycle
+	return p
+}
+
+// copyHeader returns a pooled copy of h, for a switch to forward.
+func (e *Engine) copyHeader(h *flit.Header) *flit.Header {
+	var p *flit.Header
+	if n := len(e.hFree); n > 0 {
+		p = e.hFree[n-1]
+		e.hFree = e.hFree[:n-1]
+	} else {
+		p = new(flit.Header)
+	}
+	*p = *h
+	return p
+}
+
+// releaseHeader returns a header to the pool. It is called at exactly three
+// points, each the header's last holder: an endpoint consuming the tail
+// (after OnDeliver returns), a switch that forwarded copies (a transform or
+// a fan-out) when the tail of the original leaves it, and a sink consuming
+// the tail. A header moves downstream, and a switch that forwards it
+// unchanged passes the same pointer on, so every upstream holder has let go
+// by then. Purges (KillSwitch, KillPacket) release nothing, which keeps
+// KilledPacket.Header valid.
+func (e *Engine) releaseHeader(h *flit.Header) {
+	if h != nil {
+		e.hFree = append(e.hFree, h)
+	}
 }
 
 // Cycle reports the current simulation time.
@@ -743,6 +793,7 @@ func (e *Engine) ejectAt(ep *Node) {
 			if e.OnDeliver != nil {
 				e.OnDeliver(Delivery{At: ep, Header: in.recvHeader, Cycle: e.cycle})
 			}
+			e.releaseHeader(in.recvHeader)
 			in.recvHeader = nil
 		}
 		if e.cfg.EjectRate != 0 {
@@ -1156,19 +1207,22 @@ func (e *Engine) traverse() {
 		e.moves++
 		// Fan-out duplicates flits: resident grows by branches-1.
 		e.resident += int64(len(rs.outs) - 1)
+		// A switch that rewrites the header or replicates the packet forwards
+		// copies and keeps the original until the tail leaves; otherwise the
+		// header itself moves on.
+		copies := rs.transform != nil || len(rs.outs) > 1
 		for _, o := range rs.outs {
 			op := in.node.Out[o]
 			branch := f
 			if f.Header != nil {
-				h := f.Header
-				if rs.transform != nil {
-					h = rs.transform(h)
-				} else if len(rs.outs) > 1 {
-					h = h.Clone()
+				if copies {
+					branch.Header = e.copyHeader(f.Header)
+					if rs.transform != nil {
+						rs.transform(branch.Header)
+					}
 				}
-				branch.Header = h
 				if e.OnForward != nil {
-					e.OnForward(in.node, o, h, e.cycle)
+					e.OnForward(in.node, o, branch.Header, e.cycle)
 				}
 			}
 			e.pushLink(op.link, branch)
@@ -1178,6 +1232,9 @@ func (e *Engine) traverse() {
 		if f.Last {
 			for _, o := range rs.outs {
 				in.node.Out[o].owner = nil
+			}
+			if copies {
+				e.releaseHeader(rs.header)
 			}
 			e.freeRouteState(rs)
 			in.route = nil
@@ -1228,6 +1285,7 @@ func (e *Engine) consumeSunk(in *InPort) {
 	e.moves++
 	e.resident--
 	if f.Last {
+		e.releaseHeader(in.route.header)
 		e.freeRouteState(in.route)
 		in.route = nil
 	}

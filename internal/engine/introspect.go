@@ -16,7 +16,8 @@ func (p *InPort) Node() *Node { return p.node }
 func (p *InPort) Index() int { return p.idx }
 
 // CurrentHeader returns the header of the packet holding the port's
-// cut-through state, or nil if the port is idle.
+// cut-through state, or nil if the port is idle. The header is the engine's
+// and valid until the next Step.
 func (p *InPort) CurrentHeader() *flit.Header {
 	if p.route == nil {
 		return nil
@@ -72,7 +73,8 @@ func (p *InPort) UpstreamInFlight() int {
 // the network is stalled (e.g. after the watchdog fires), since transient
 // arbitration losses also appear blocked for a cycle.
 type WaitInfo struct {
-	// In is the blocked input port; Header identifies its packet.
+	// In is the blocked input port; Header identifies its packet (the
+	// engine's header, valid until the next Step).
 	In     *InPort
 	Header *flit.Header
 	// Holds are output ports the packet has acquired at this switch.
@@ -141,7 +143,9 @@ func (e *Engine) BlockedPorts() []WaitInfo {
 // conservatively. The reconfiguration layer uses this scan to decide which
 // routing-table generations still have packets routing under them. Call
 // between Steps (or from the PreCycle/PostCycle hooks), never from within a
-// phase.
+// phase. The headers are the engine's own and valid until the next Step,
+// which may recycle them; KillSwitch and KillPacket in between leave them
+// intact.
 func (e *Engine) InFlightHeaders() (hdrs []*flit.Header, unknown []uint64) {
 	seen := map[uint64]*flit.Header{}
 	add := func(id uint64, h *flit.Header) {

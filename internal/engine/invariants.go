@@ -1,6 +1,10 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+
+	"sr2201/internal/flit"
+)
 
 // CheckInvariants audits the kernel's conservation laws and returns the
 // first violation found, or nil. It is O(network size) and intended for
@@ -15,7 +19,13 @@ import "fmt"
 //     cut-through state that includes that port as granted, and vice versa;
 //  3. grant accounting: each route state's granted count matches its flags;
 //  4. flit accounting: the resident counter equals the flits actually
-//     present in injection queues, input buffers and link pipelines.
+//     present in injection queues, input buffers and link pipelines;
+//  5. header ownership: no header reachable from a source queue, input
+//     buffer, link slot, route state or receive state is on the engine's
+//     free list, the free list holds no header twice, and every place
+//     holds the header of the packet it serves (a flit its own; a route or
+//     receive state that of the flit at the front of its buffer), so a
+//     header reachable from two places belongs to one packet.
 func (e *Engine) CheckInvariants() error {
 	var counted int64
 	for _, n := range e.nodes {
@@ -84,7 +94,62 @@ func (e *Engine) CheckInvariants() error {
 	if counted != e.resident {
 		return fmt.Errorf("engine: resident counter %d != counted flits %d", e.resident, counted)
 	}
-	return nil
+	return e.checkHeaders()
+}
+
+// checkHeaders audits law 5 of CheckInvariants.
+func (e *Engine) checkHeaders() error {
+	free := make(map[*flit.Header]bool, len(e.hFree))
+	for _, h := range e.hFree {
+		if free[h] {
+			return fmt.Errorf("engine: header of pkt%d released twice (it is on the free list twice)", h.PacketID)
+		}
+		free[h] = true
+	}
+	var err error
+	// see checks one place holding h on behalf of packet id.
+	see := func(h *flit.Header, id uint64, place string, n *Node, port int) {
+		switch {
+		case h == nil || err != nil:
+		case free[h]:
+			err = fmt.Errorf("engine: live header of pkt%d in the %s at %s.%d is on the free list", id, place, n.Name, port)
+		case h.PacketID != id:
+			err = fmt.Errorf("engine: the %s at %s.%d serves pkt%d but holds the header of pkt%d", place, n.Name, port, id, h.PacketID)
+		}
+	}
+	// owner is the packet a route or receive state serves: the one whose
+	// flit is at the front of its buffer, if any.
+	owner := func(in *InPort, h *flit.Header) uint64 {
+		if f := in.front(); f != nil {
+			return f.PacketID
+		}
+		return h.PacketID
+	}
+	for _, n := range e.nodes {
+		for _, f := range n.pendingInject() {
+			see(f.Header, f.PacketID, "source queue", n, 0)
+		}
+		for _, in := range n.In {
+			for i := 0; i < in.n; i++ {
+				f := in.at(i)
+				see(f.Header, f.PacketID, "buffer", n, in.idx)
+			}
+			if rs := in.route; rs != nil && rs.header != nil {
+				see(rs.header, owner(in, rs.header), "route state", n, in.idx)
+			}
+			if h := in.recvHeader; h != nil {
+				see(h, owner(in, h), "receive state", n, in.idx)
+			}
+		}
+	}
+	for _, l := range e.links {
+		for i := range l.pipe {
+			if sl := &l.pipe[i]; sl.full {
+				see(sl.f.Header, sl.f.PacketID, "link", l.to.node, l.to.idx)
+			}
+		}
+	}
+	return err
 }
 
 // CheckActiveSets audits active-set membership between Steps and returns the

@@ -20,11 +20,17 @@ import (
 // scratch state is guaranteed reconstructible.
 //
 // One non-obvious piece of state: a cut-through's Transform closure cannot
-// be serialized, so the snapshot stores the closure's *output* — the
-// rewritten header — computed at snapshot time. This is exact because a
-// Transform is a pure function of the header (RouteFunc contract) and is
-// only ever applied while the header flit is still buffered at the port,
-// and the header cannot change between snapshot and traversal.
+// be serialized, so the snapshot stores the closure's *output*: the encoder
+// applies the transform to a stack copy of the route state's header and
+// encodes the copy, leaving the live header alone. Restore installs a
+// closure that overwrites the kernel's forwarding copy with that recorded
+// output. This is exact because a Transform is a pure function of the
+// header (Decision contract), is only ever applied while the header flit is
+// still buffered at the port, and that header cannot change between
+// snapshot and traversal (no holder rewrites a header it did not copy).
+//
+// The engine's header pool is not part of the state: restored headers are
+// fresh allocations that join the pool when their packets release them.
 //
 // Each active-set flag (a link's, a switch port's, an endpoint's eject and
 // inject flags) is followed by one reserved byte, written as 0 and skipped on
@@ -142,7 +148,9 @@ func (e *Engine) EncodeState(w *checkpoint.Writer) {
 				flit.EncodeHeader(nodes, rs.header)
 				nodes.Bool(rs.transform != nil)
 				if rs.transform != nil {
-					flit.EncodeHeader(nodes, rs.transform(rs.header))
+					out := *rs.header
+					rs.transform(&out)
+					flit.EncodeHeader(nodes, &out)
 				}
 				nodes.Uint(uint64(len(rs.outs)))
 				for i, o := range rs.outs {
@@ -300,8 +308,8 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 				}
 				rs.header = flit.DecodeHeader(nodes)
 				if nodes.Bool() { // transform captured as its pre-applied output
-					transformed := flit.DecodeHeader(nodes)
-					rs.transform = func(*flit.Header) *flit.Header { return transformed.Clone() }
+					out := *flit.DecodeHeader(nodes)
+					rs.transform = func(h *flit.Header) { *h = out }
 				}
 				on := nodes.Len(2)
 				if nodes.Err() == nil && rs.sink && on != 0 {

@@ -37,7 +37,7 @@ func snapshotScenarios() []scenario {
 			if h.RC == flit.RCBroadcastRequest {
 				return Decision{
 					Outs:      []int{1, 2, 3},
-					Transform: func(h *flit.Header) *flit.Header { c := h.Clone(); c.RC = flit.RCBroadcast; return c },
+					Transform: func(h *flit.Header) { h.RC = flit.RCBroadcast },
 				}, nil
 			}
 			return Decision{Outs: []int{1 + int(h.Dst[0])%3}}, nil

@@ -91,13 +91,6 @@ type Header struct {
 	Epoch uint64
 }
 
-// Clone returns an independent copy of the header, used when a switch must
-// rewrite routing fields (RC transitions) without aliasing the upstream copy.
-func (h *Header) Clone() *Header {
-	c := *h
-	return &c
-}
-
 // Kind distinguishes the position of a flit within its packet.
 type Kind uint8
 
@@ -141,12 +134,10 @@ type Flit struct {
 	Last bool
 }
 
-// NewPacket builds the flit sequence for one packet with the given header.
-// size must be >= 1 (a lone header flit); the header's Size field is set.
 // AppendPacket appends the flits of a size-flit packet headed by h to dst
-// and returns the grown slice. It is the allocation-free counterpart of
-// NewPacket for callers that store flits by value (the engine's inject
-// queues).
+// and returns the grown slice; the header's Size field is set. It is the
+// allocation-free counterpart of NewPacket for callers that store flits by
+// value (the engine's inject queues).
 func AppendPacket(dst []Flit, h *Header, size int) []Flit {
 	if size < 1 {
 		panic(fmt.Sprintf("flit: packet size %d < 1", size))
@@ -163,6 +154,8 @@ func AppendPacket(dst []Flit, h *Header, size int) []Flit {
 	return dst
 }
 
+// NewPacket builds the flit sequence for one packet with the given header.
+// size must be >= 1 (a lone header flit); the header's Size field is set.
 func NewPacket(h *Header, size int) []*Flit {
 	if size < 1 {
 		panic(fmt.Sprintf("flit: packet size %d < 1", size))

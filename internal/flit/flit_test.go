@@ -84,18 +84,6 @@ func TestNewPacketPanicsOnZeroSize(t *testing.T) {
 	NewPacket(&Header{}, 0)
 }
 
-func TestHeaderClone(t *testing.T) {
-	h := &Header{PacketID: 3, RC: RCDetour, Dst: geom.Coord{2, 1}}
-	c := h.Clone()
-	if c == h {
-		t.Fatal("Clone returned the receiver")
-	}
-	c.RC = RCNormal
-	if h.RC != RCDetour {
-		t.Error("Clone aliases receiver")
-	}
-}
-
 func TestFlitString(t *testing.T) {
 	h := &Header{PacketID: 7}
 	fs := NewPacket(h, 3)

@@ -73,11 +73,7 @@ func (p *VCPolicy) VCs() int { return p.vcs }
 
 // bumpAdaptive is the transform of a hop taken on a non-escape lane: it
 // counts it.
-func bumpAdaptive(h *flit.Header) *flit.Header {
-	c := h.Clone()
-	c.AdaptiveHops++
-	return c
-}
+func bumpAdaptive(h *flit.Header) { h.AdaptiveHops++ }
 
 // scaleOuts maps the escape policy's logical output ports (one per wire) to
 // lane 0 of the corresponding physical ports. logicalPE is the escape

@@ -211,9 +211,9 @@ func (p *Policy) firstFixedDiff(c, fixed geom.Coord) int {
 }
 
 // xform says what a switch does to the header of the copies it forwards. The
-// static walkers apply it in place to their probe header; switches get the
-// same rewrite as an engine.Decision Transform, which must leave its argument
-// alone and so works on a clone. One closure per value is built at start-up.
+// static walkers apply it to their probe header and switches hand the same
+// method to the kernel as an engine.Decision Transform; both rewrite in
+// place.
 type xform uint8
 
 const (
@@ -244,15 +244,11 @@ func (x xform) apply(h *flit.Header) {
 	}
 }
 
-// transforms[x] is x as a Decision.Transform; nil for xNone.
-var transforms = func() (t [2 * xPivot]func(*flit.Header) *flit.Header) {
+// transforms[x] is x.apply as a Decision.Transform, built once so decisions
+// allocate nothing; nil for xNone.
+var transforms = func() (t [2 * xPivot]func(*flit.Header)) {
 	for i := 1; i < len(t); i++ {
-		x := xform(i)
-		t[i] = func(h *flit.Header) *flit.Header {
-			c := h.Clone()
-			x.apply(c)
-			return c
-		}
+		t[i] = xform(i).apply
 	}
 	return t
 }()

@@ -38,7 +38,7 @@ func switchWalk(p *Policy, src, dst geom.Coord) ([]Hop, error) {
 			out := dec.Outs[0]
 			hops = append(hops, Hop{Kind: HopRouter, Coord: coord, RC: h.RC, Out: out})
 			if dec.Transform != nil {
-				h = dec.Transform(h)
+				dec.Transform(h)
 			}
 			if out == p.dims {
 				hops = append(hops, Hop{Kind: HopPE, Coord: coord, RC: h.RC, Out: -1})
@@ -59,7 +59,7 @@ func switchWalk(p *Policy, src, dst geom.Coord) ([]Hop, error) {
 			out := dec.Outs[0]
 			hops = append(hops, Hop{Kind: HopXB, Line: line, RC: h.RC, Out: out})
 			if dec.Transform != nil {
-				h = dec.Transform(h)
+				dec.Transform(h)
 			}
 			coord, in, atRouter = line.Point(out), line.Dim, true
 		}
@@ -143,8 +143,8 @@ func TestReachableAgreesWithUnicastPath(t *testing.T) {
 				if perr != nil || err != nil {
 					t.Fatalf("pivot %v %v->%v via %v: PivotPath %v, intermediate's decision %v", l, src, dst, mid, perr, err)
 				}
-				if out := dec.Transform(h); out.Dst != dst || out.TwoPhase || h.Dst != mid || !h.TwoPhase {
-					t.Fatalf("pivot %v %v->%v: intermediate rewrote the header to %+v (argument now %+v)", l, src, dst, out, h)
+				if dec.Transform(h); h.Dst != dst || h.TwoPhase {
+					t.Fatalf("pivot %v %v->%v: intermediate rewrote the header to %+v", l, src, dst, h)
 				}
 				if last := path[len(path)-1]; last.Kind != HopPE || last.Coord != dst {
 					t.Fatalf("pivot %v %v->%v: path ends at %v", l, src, dst, last)

@@ -218,8 +218,8 @@ func TestBroadcastIsYXY(t *testing.T) {
 	if dec.Transform == nil {
 		t.Fatal("S-XB fan has no RC transform")
 	}
-	if got := dec.Transform(h).RC; got != flit.RCBroadcast {
-		t.Errorf("S-XB transform RC = %v", got)
+	if dec.Transform(h); h.RC != flit.RCBroadcast {
+		t.Errorf("S-XB transform RC = %v", h.RC)
 	}
 	// A router on the S line fans to PE and its dim-1 crossbar.
 	h2 := &flit.Header{RC: flit.RCBroadcast}

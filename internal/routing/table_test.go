@@ -30,11 +30,12 @@ func equivalentDecision(t *testing.T, what func() string, h *flit.Header, dA, dB
 	if !slices.Equal(dA.Outs, dB.Outs) {
 		t.Fatalf("%s: outs %v vs %v", what(), dA.Outs, dB.Outs)
 	}
-	applied := func(tr func(*flit.Header) *flit.Header) flit.Header {
-		if tr == nil {
-			return *h
+	applied := func(tr func(*flit.Header)) flit.Header {
+		c := *h
+		if tr != nil {
+			tr(&c)
 		}
-		return *tr(h)
+		return c
 	}
 	if hA, hB := applied(dA.Transform), applied(dB.Transform); hA != hB {
 		t.Fatalf("%s: transform mismatch: %+v vs %+v", what(), hA, hB)

@@ -34,6 +34,9 @@ func (l *Latency) Add(v int64) {
 	l.sorted = false
 }
 
+// Reset empties the distribution, keeping its storage for the next samples.
+func (l *Latency) Reset() { *l = Latency{values: l.values[:0]} }
+
 // Count reports the number of samples.
 func (l *Latency) Count() int { return len(l.values) }
 

@@ -6,6 +6,27 @@ import (
 	"testing/quick"
 )
 
+func TestLatencyResetKeepsStorage(t *testing.T) {
+	var l Latency
+	for _, v := range []int64{30, 10, 20} {
+		l.Add(v)
+	}
+	_ = l.Percentile(50) // leaves the samples sorted
+	l.Reset()
+	if l.Count() != 0 || l.Mean() != 0 || l.Min() != 0 || l.Max() != 0 || l.String() != "n=0" {
+		t.Fatalf("after Reset: %s min=%d max=%d", l.String(), l.Min(), l.Max())
+	}
+	if allocs := testing.AllocsPerRun(10, func() { l.Add(7); l.Add(3); l.Add(9); l.Reset() }); allocs != 0 {
+		t.Errorf("refilling a reset distribution: %v allocations, want 0", allocs)
+	}
+	for _, v := range []int64{7, 3, 9} {
+		l.Add(v)
+	}
+	if l.Min() != 3 || l.Max() != 9 || l.Percentile(50) != 7 || l.Count() != 3 {
+		t.Errorf("after refill: %s", l.String())
+	}
+}
+
 func TestLatencyBasics(t *testing.T) {
 	var l Latency
 	if l.Count() != 0 || l.Mean() != 0 || l.Percentile(50) != 0 {

@@ -83,7 +83,7 @@ func TestNetDeliversAllPairs(t *testing.T) {
 			if src == dst {
 				return true
 			}
-			eng.InjectPacket(net.PE(src), &flit.Header{Src: src, Dst: dst}, 4)
+			eng.InjectPacket(net.PE(src), flit.Header{Src: src, Dst: dst}, 4)
 			want++
 			return true
 		})
@@ -114,7 +114,7 @@ func TestNetStateHashPin(t *testing.T) {
 	shape.Enumerate(func(src geom.Coord) bool {
 		dst := shape.CoordOf((shape.Index(src) + 5) % shape.Size())
 		if dst != src {
-			eng.InjectPacket(net.PE(src), &flit.Header{Src: src, Dst: dst}, 4)
+			eng.InjectPacket(net.PE(src), flit.Header{Src: src, Dst: dst}, 4)
 		}
 		return true
 	})

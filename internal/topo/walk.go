@@ -87,7 +87,7 @@ func walk(s Router, src, dst geom.Coord, w *Walked) error {
 		}
 		out := dec.Outs[0]
 		if dec.Transform != nil {
-			h = dec.Transform(h)
+			dec.Transform(h)
 		}
 		if out == pePort {
 			if cur != dst {
