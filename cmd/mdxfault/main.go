@@ -6,10 +6,11 @@
 // into the availability coverage table. Campaign output is byte-identical
 // at every -parallel level.
 //
-// Both modes resolve their flags through campaign.RunText and render through
-// the shared runners in internal/campaign, so the stdout of an mdxfault run
-// is byte-identical to the artifact the mdxserve job server produces for the
-// same spec.
+// Both modes parse their run flags with campaign.RunText.ParseFlags (the
+// registration mdxreplay shares), resolve them through RunText and render
+// through the shared runners in internal/campaign, so the stdout of an
+// mdxfault run is byte-identical to the artifact the mdxserve job server
+// produces for the same spec.
 //
 // Examples:
 //
@@ -23,77 +24,27 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"sr2201/internal/campaign"
 	"sr2201/internal/sweep"
 )
-
-// flagOf names the flag that spells each run-spec field the resolver can
-// reject (list fields without their index).
-var flagOf = map[string]string{
-	"shape":                 "shape",
-	"topology":              "topo",
-	"fails":                 "fail",
-	"presets":               "preset",
-	"broadcasts":            "broadcast",
-	"pattern":               "patterns",
-	"patterns":              "patterns",
-	"epochs":                "epochs",
-	"waves":                 "waves",
-	"gap":                   "gap",
-	"packet_size":           "packet",
-	"recovery":              "recover",
-	"variant.sxb":           "sxb",
-	"variant.dxb":           "dxb",
-	"variant.dxb_separate":  "dxb-separate",
-	"variant.vcs":           "vcs",
-	"variant.adaptive":      "adaptive",
-	"reconfig.mode":         "reconfig",
-	"reconfig.drain_budget": "reconfig-drain",
-}
 
 func main() {
 	var (
 		t          campaign.RunText
 		doCampaign = flag.Bool("campaign", false, "run the exhaustive single-fault campaign instead of one schedule")
 		epochsStr  = flag.String("epochs", "12", "campaign fault-activation cycles, comma-separated")
-		patsStr    = flag.String("patterns", "shift+5", "traffic patterns, comma-separated: shift+K | reverse")
 		parallel   = flag.Int("parallel", sweep.DefaultParallel(), "campaign worker-pool width (1 = serial)")
 		stateDir   = flag.String("state-dir", "", "campaign checkpoint directory: completed cells persist and are skipped on re-run (campaign mode)")
 		ckptEvery  = flag.Int64("checkpoint-every", 4096, "mid-cell snapshot interval in cycles (with -state-dir; 0 = cell granularity only)")
 	)
-	// Every run-spec flag writes straight into the resolver's input.
-	flag.StringVar(&t.Shape, "shape", "8x8", "lattice shape, e.g. 8x8 or 4x4x4")
-	flag.StringVar(&t.Topology, "topo", "", "interconnect topology: mdx | hyperx | fullmesh (default mdx)")
-	flag.IntVar(&t.Waves, "waves", 4, "traffic waves (one packet per live PE per wave)")
-	flag.Int64Var(&t.Gap, "gap", 24, "cycles between waves")
-	flag.IntVar(&t.PacketSize, "packet", 0, "packet size in flits (0 = default)")
-	flag.BoolVar(&t.Inject.Retransmit, "retransmit", false, "retransmit lost packets from their sources")
-	flag.Int64Var(&t.Inject.RetryAfter, "retry-after", 64, "cycles before the first retransmission")
-	flag.IntVar(&t.Inject.Backoff, "backoff", 2, "timeout multiplier per further attempt")
-	flag.IntVar(&t.Inject.MaxRetries, "max-retries", 4, "retransmission attempts per packet")
-	flag.Int64Var(&t.Horizon, "horizon", 50_000, "cycle budget per run")
-	flag.Int64Var(&t.Inject.StallThreshold, "stall", 0, "deadlock-watchdog stall threshold (0 = default)")
-	flag.BoolVar(&t.Recovery.Enabled, "recover", false, "enable deadlock recovery: purge the lowest-ID packet on a confirmed wait cycle and retransmit it")
-	flag.Int64Var(&t.Recovery.StallThreshold, "stall-threshold", 0, "recovery-watchdog zero-movement cycles before a purge (with -recover; 0 = default)")
-	flag.IntVar(&t.Recovery.MaxRecoveries, "max-recoveries", 0, "per-packet sacrifice cap before the LIVELOCK verdict (with -recover; 0 = default)")
-	flag.StringVar(&t.Variant.SXB, "sxb", "", "static-routing crossbar coordinate, e.g. 0,0 (empty = default)")
-	flag.StringVar(&t.Variant.DXB, "dxb", "", "detour crossbar coordinate (with -dxb-separate; empty = default)")
-	flag.BoolVar(&t.Variant.DXBSeparate, "dxb-separate", false, "use a separate detour crossbar (the paper's deadlocking D-XB != S-XB design)")
-	flag.IntVar(&t.Variant.VCs, "vcs", 0, "virtual channels per physical wire (with -adaptive; 0 = single-lane network)")
-	flag.BoolVar(&t.Variant.Adaptive, "adaptive", false, "escape-VC adaptive routing: lanes 1.. take any minimal productive hop, lane 0 is the certified escape channel (needs -vcs >= 2)")
-	flag.StringVar(&t.Reconfig.Mode, "reconfig", "", "online routing-table reconfiguration trigger: fault | deadlock | both (empty = off)")
-	flag.IntVar(&t.Reconfig.DrainBudget, "reconfig-drain", 0, "max in-flight packets a cyclic transition may purge before falling back to rebuild-in-place (with -reconfig; 0 = default)")
-	flag.Var((*stringList)(&t.Fails), "fail", "fault schedule rtc:X,Y@CYCLE or xb:DIM:X,Y@CYCLE (repeatable; single mode)")
-	flag.Var((*stringList)(&t.Presets), "preset", "fault installed before any traffic, rtc:X,Y or xb:DIM:X,Y (repeatable)")
-	flag.Var((*stringList)(&t.Broadcasts), "broadcast", "broadcast schedule X,Y@CYCLE (repeatable)")
-	flag.Parse()
-	t.Patterns = campaign.SplitPatterns(*patsStr)
+	// Every run flag writes straight into the resolver's input.
+	if err := t.ParseFlags(flag.CommandLine, os.Args[1:]); err != nil {
+		fatal(err)
+	}
 
 	if *doCampaign {
 		var err error
@@ -141,22 +92,9 @@ func main() {
 	}
 }
 
-// stringList collects a repeatable flag.
-type stringList []string
-
-func (l *stringList) String() string     { return fmt.Sprint([]string(*l)) }
-func (l *stringList) Set(s string) error { *l = append(*l, s); return nil }
-
 // fatal reports err and exits 2; a resolver rejection is reported under the
 // flag that spells the rejected field.
 func fatal(err error) {
-	var fe *campaign.FieldError
-	if errors.As(err, &fe) {
-		field, _, _ := strings.Cut(fe.Field, "[")
-		if name, ok := flagOf[field]; ok {
-			err = fmt.Errorf("-%s: %w", name, fe.Err)
-		}
-	}
-	fmt.Fprintln(os.Stderr, "mdxfault:", err)
+	fmt.Fprintln(os.Stderr, "mdxfault:", campaign.FlagError(err))
 	os.Exit(2)
 }

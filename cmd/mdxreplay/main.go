@@ -1,12 +1,13 @@
 // Command mdxreplay records a run's snapshot ring and bisects divergences.
 //
-// Record mode runs one fault schedule (mdxfault's single-mode vocabulary)
-// and writes a recording directory: the spec, an engine StateHash ladder
-// sampled every -every cycles, and a ring of full machine snapshots. Bisect
-// mode compares two recordings and finds the exact first cycle where their
-// engine states diverge — binary-searching the hash ladders, restoring both
-// runs from their latest common snapshot, and lockstepping from there
-// instead of replaying from cycle 0.
+// Record mode runs what mdxfault's single mode would, spelled with the same
+// run flags (both commands register them through
+// campaign.RunText.ParseFlags), and writes a recording directory: the spec,
+// an engine StateHash ladder sampled every -every cycles, and a ring of full
+// machine snapshots. Bisect mode compares two recordings and finds the exact
+// first cycle where their engine states diverge — binary-searching the hash
+// ladders, restoring both runs from their latest common snapshot, and
+// lockstepping from there instead of replaying from cycle 0.
 //
 // Examples:
 //
@@ -15,8 +16,14 @@
 //	mdxreplay -bisect runA runB
 //
 // Recordings of different machine variants (-dxb-separate, -naive-broadcast,
-// -pivot) of the same workload bisect too: that is how a Fig. 9-style
-// deadlock is pinned to the cycle its wait cycle starts forming.
+// -pivot) of the same workload bisect too: that is how the paper's Fig. 9
+// deadlock is pinned to the cycle its wait cycle starts forming:
+//
+//	mdxreplay -record -o fig9 -shape 4x4 -dxb-separate -sxb 0,0 -dxb 0,3 \
+//	  -preset rtc:2,1 -patterns 'pair:0,1>2,2' -broadcast 3,2@0 -packet 24 -waves 1 -gap 1
+//	mdxreplay -record -o unified -shape 4x4 -sxb 0,0 \
+//	  -preset rtc:2,1 -patterns 'pair:0,1>2,2' -broadcast 3,2@0 -packet 24 -waves 1 -gap 1
+//	mdxreplay -bisect unified fig9
 package main
 
 import (
@@ -24,6 +31,7 @@ import (
 	"fmt"
 	"os"
 
+	"sr2201/internal/campaign"
 	"sr2201/internal/replay"
 )
 
@@ -34,29 +42,12 @@ func main() {
 		out      = flag.String("o", "", "recording output directory (record mode)")
 		every    = flag.Int64("every", 256, "hash-ladder and snapshot spacing in cycles")
 		keep     = flag.Int("keep", 0, "snapshot ring capacity (0 = keep every snapshot)")
-		spec     replay.RunSpec
+		spec     campaign.RunText
 	)
 	// The run flags write straight into the recording's spec.
-	flag.StringVar(&spec.Shape, "shape", "8x8", "lattice shape, e.g. 8x8 or 4x4x4")
-	flag.StringVar(&spec.Pattern, "pattern", "shift+5", "traffic pattern: shift+K | reverse")
-	flag.IntVar(&spec.Waves, "waves", 4, "traffic waves (one packet per live PE per wave)")
-	flag.Int64Var(&spec.Gap, "gap", 24, "cycles between waves")
-	flag.IntVar(&spec.PacketSize, "packet", 0, "packet size in flits (0 = default)")
-	flag.Int64Var(&spec.Horizon, "horizon", 50_000, "cycle budget for the run")
-	flag.BoolVar(&spec.Retransmit, "retransmit", false, "retransmit lost packets from their sources")
-	flag.Int64Var(&spec.RetryAfter, "retry-after", 64, "cycles before the first retransmission")
-	flag.IntVar(&spec.Backoff, "backoff", 2, "timeout multiplier per further attempt")
-	flag.IntVar(&spec.MaxRetries, "max-retries", 4, "retransmission attempts per packet")
-	flag.Int64Var(&spec.Stall, "stall", 0, "deadlock-watchdog stall threshold (0 = default)")
-	flag.StringVar(&spec.SXB, "sxb", "", "serialized-crossbar line coordinate (default all-zero)")
-	flag.StringVar(&spec.DXB, "dxb", "", "detour-crossbar line coordinate (with -dxb-separate)")
-	flag.BoolVar(&spec.DXBSeparate, "dxb-separate", false, "untie D-XB from S-XB (paper Fig. 9 deadlock-prone variant)")
-	flag.BoolVar(&spec.NaiveBroadcast, "naive-broadcast", false, "disable S-XB serialization (paper Fig. 5 scheme)")
-	flag.BoolVar(&spec.PivotLastDim, "pivot", false, "enable the two-phase pivot extension")
-	flag.IntVar(&spec.VCs, "vcs", 0, "virtual channels per physical wire (with -adaptive; 0 = single-lane network)")
-	flag.BoolVar(&spec.Adaptive, "adaptive", false, "escape-VC adaptive routing (needs -vcs >= 2)")
-	flag.Var((*failList)(&spec.Fails), "fail", "fault schedule rtc:X,Y@CYCLE or xb:DIM:X,Y@CYCLE (repeatable)")
-	flag.Parse()
+	if err := spec.ParseFlags(flag.CommandLine, os.Args[1:]); err != nil {
+		fatal(err)
+	}
 
 	switch {
 	case *doRecord == *doBisect:
@@ -67,7 +58,7 @@ func main() {
 		}
 		rec, err := replay.Record(spec, *every, *keep, *out)
 		if err != nil {
-			fatal(err)
+			fatal(campaign.FlagError(err))
 		}
 		m := rec.Meta
 		fmt.Printf("recorded %s: %d cycles, %d ladder points, %d snapshot(s) retained\n",
@@ -105,12 +96,6 @@ func main() {
 		os.Exit(1)
 	}
 }
-
-// failList collects repeated -fail flags.
-type failList []string
-
-func (f *failList) String() string     { return fmt.Sprint([]string(*f)) }
-func (f *failList) Set(s string) error { *f = append(*f, s); return nil }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "mdxreplay:", err)

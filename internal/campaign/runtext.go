@@ -21,8 +21,8 @@ import (
 
 // FieldError is a rejected RunText (or Spec) field. Field uses the job-spec
 // vocabulary — "fails[2]", "variant.sxb", "reconfig.mode" — and callers
-// prefix their own spelling: mdxserve "fault." or "campaign.", mdxfault the
-// flag's dash.
+// prefix their own spelling: mdxserve "fault." or "campaign.", the CLIs the
+// flag's dash (FlagError).
 type FieldError struct {
 	Field string
 	Err   error
@@ -39,48 +39,49 @@ func fieldErrf(field, format string, args ...any) error {
 // (empty = the all-zero line), the separate-D-XB switch, and the
 // virtual-channel pair.
 type VariantText struct {
-	SXB         string
-	DXB         string
-	DXBSeparate bool
-	VCs         int
-	Adaptive    bool
+	SXB         string `json:"sxb,omitempty"`
+	DXB         string `json:"dxb,omitempty"`
+	DXBSeparate bool   `json:"dxb_separate,omitempty"`
+	VCs         int    `json:"vcs,omitempty"`
+	Adaptive    bool   `json:"adaptive,omitempty"`
 }
 
 // ReconfigText spells online reconfiguration: the trigger mode ("" = off,
 // case and surrounding whitespace forgiven) and the drain budget.
 type ReconfigText struct {
-	Mode        string
-	DrainBudget int
+	Mode        string `json:"mode,omitempty"`
+	DrainBudget int    `json:"drain_budget,omitempty"`
 }
 
 // RunText is a run as its callers spell it: strings where there is
-// something to parse, numbers and option structs where there is not.
+// something to parse, numbers and option structs where there is not. Its
+// JSON is a replay recording's spec; the job specs use the same names.
 type RunText struct {
-	Shape    string
-	Topology string
+	Shape    string `json:"shape"`
+	Topology string `json:"topology,omitempty"`
 	// Fails are FAULT@CYCLE schedules ("rtc:3,4@500"); campaigns have none.
-	Fails []string
+	Fails []string `json:"fails,omitempty"`
 	// Presets are faults installed before traffic ("rtc:2,1").
-	Presets []string
+	Presets []string `json:"presets,omitempty"`
 	// Broadcasts are SRC@CYCLE schedules ("3,2@250"), sent at PacketSize.
-	Broadcasts []string
+	Broadcasts []string `json:"broadcasts,omitempty"`
 	// Patterns are pattern names (see ParsePattern); a single run takes
 	// exactly one.
-	Patterns []string
+	Patterns []string `json:"patterns"`
 	// Epochs are a campaign's fault-activation cycles.
-	Epochs []int64
+	Epochs []int64 `json:"epochs,omitempty"`
 
-	Waves      int
-	Gap        int64
-	PacketSize int
-	Horizon    int64
-	Inject     inject.Options
-	Recovery   recovery.Options
-	Variant    VariantText
-	Reconfig   ReconfigText
+	Waves      int              `json:"waves,omitempty"`
+	Gap        int64            `json:"gap,omitempty"`
+	PacketSize int              `json:"packet_size,omitempty"`
+	Horizon    int64            `json:"horizon,omitempty"`
+	Inject     inject.Options   `json:"inject"`
+	Recovery   recovery.Options `json:"recovery"`
+	Variant    VariantText      `json:"variant"`
+	Reconfig   ReconfigText     `json:"reconfig"`
 
-	NaiveBroadcast bool
-	PivotLastDim   bool
+	NaiveBroadcast bool `json:"naive_broadcast,omitempty"`
+	PivotLastDim   bool `json:"pivot_last_dim,omitempty"`
 }
 
 // wireField maps a core.Config field onto the RunText vocabulary.
@@ -317,9 +318,8 @@ func ParsePattern(name string) (Pattern, error) {
 }
 
 // pairComplete reports whether a "pair:..." spec has both endpoints: a '>'
-// with as many destination components as source components. ParsePatterns
-// SplitPatterns uses it to re-join the comma-separated tokens of one pair
-// spec.
+// with as many destination components as source components. SplitPatterns
+// uses it to re-join the comma-separated tokens of one pair spec.
 func pairComplete(s string) bool {
 	rest := strings.TrimPrefix(strings.TrimSpace(s), "pair:")
 	gt := strings.IndexByte(rest, '>')
@@ -346,19 +346,6 @@ func SplitPatterns(s string) []string {
 		out = append(out, name)
 	}
 	return out
-}
-
-// ParsePatterns parses a comma-separated pattern list (see SplitPatterns).
-func ParsePatterns(s string) ([]Pattern, error) {
-	var out []Pattern
-	for _, name := range SplitPatterns(s) {
-		p, err := ParsePattern(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 // ParseEpochs parses a comma-separated list of non-negative activation

@@ -3,8 +3,8 @@
 // ("rtc:2,1", "xb:0:0,1" or "link:0,0-3,0"), fault schedules
 // ("rtc:2,1@500"), broadcast schedules ("3,2@250"), topology names
 // (the core.Topologies that model faults), the recovery-flag triple, the
-// virtual-channel flag pair, the reconfiguration flag pair, fleet worker
-// ids, and chaos failpoints ("<hash>@<cycle>").
+// reconfiguration flag pair, fleet worker ids, and chaos failpoints
+// ("<hash>@<cycle>").
 package cliutil
 
 import (
@@ -231,16 +231,6 @@ func RecoveryOptions(enable bool, stallThreshold int64, maxRecoveries int) (reco
 		StallThreshold: stallThreshold,
 		MaxRecoveries:  maxRecoveries,
 	}, nil
-}
-
-// VCOptions checks the -vcs / -adaptive flag pair against the knob table
-// (core.Config.Validate) so a CLI reports the mistake at flag-parse time.
-// vcs of 0 selects the default single-lane network; the returned count is
-// the normalized value to place in core.Config.VCs.
-func VCOptions(vcs int, adaptive bool) (int, error) {
-	cfg := core.Config{VCs: vcs, Adaptive: adaptive}
-	err := cfg.Validate()
-	return cfg.VCs, err
 }
 
 // ReconfigOptions canonicalizes the -reconfig / -reconfig-drain flag pair

@@ -269,47 +269,6 @@ func TestRecoveryOptions(t *testing.T) {
 	}
 }
 
-// TestVCOptions pins the -vcs/-adaptive flag-pair contract every CLI shares:
-// the zero value means the single-lane machine, -adaptive needs a second
-// lane, and extra lanes without -adaptive are refused rather than silently
-// wasted.
-func TestVCOptions(t *testing.T) {
-	tests := []struct {
-		name     string
-		vcs      int
-		adaptive bool
-		want     int
-		wantErr  bool
-	}{
-		{name: "zero value single lane", vcs: 0, want: 1},
-		{name: "explicit single lane", vcs: 1, want: 1},
-		{name: "adaptive two lanes", vcs: 2, adaptive: true, want: 2},
-		{name: "adaptive four lanes", vcs: 4, adaptive: true, want: 4},
-		{name: "negative", vcs: -1, wantErr: true},
-		{name: "negative with adaptive", vcs: -3, adaptive: true, wantErr: true},
-		{name: "adaptive without lanes", vcs: 0, adaptive: true, wantErr: true},
-		{name: "adaptive on one lane", vcs: 1, adaptive: true, wantErr: true},
-		{name: "lanes without adaptive", vcs: 2, wantErr: true},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := VCOptions(tc.vcs, tc.adaptive)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("VCOptions = %d, want error", got)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != tc.want {
-				t.Fatalf("VCOptions = %d, want %d", got, tc.want)
-			}
-		})
-	}
-}
-
 // TestReconfigOptions pins the -reconfig/-reconfig-drain flag-pair contract:
 // the empty mode disables reconfiguration, the three trigger spellings are
 // canonicalized, and a drain budget without the enable flag is refused

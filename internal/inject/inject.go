@@ -33,26 +33,28 @@ type Event struct {
 	Fault fault.Fault
 }
 
-// Options tune the injector's recovery behavior.
+// Options tune the injector's recovery behavior. The JSON names are the
+// job-spec and replay-recording spelling; the order is part of every job's
+// spec hash.
 type Options struct {
 	// Retransmit re-sends lost unicast packets from their sources. Without
 	// it, losses are only counted.
-	Retransmit bool
+	Retransmit bool `json:"retransmit,omitempty"`
 	// RetryAfter is the timeout (cycles) before the first retransmission of
 	// a lost packet. <= 0 selects 64.
-	RetryAfter int64
+	RetryAfter int64 `json:"retry_after,omitempty"`
 	// Backoff multiplies the timeout on each further attempt. < 1 selects 2.
-	Backoff int
+	Backoff int `json:"backoff,omitempty"`
 	// MaxRetries caps retransmission attempts per packet. <= 0 selects 4.
-	MaxRetries int
+	MaxRetries int `json:"max_retries,omitempty"`
 	// MaxRetryAfter caps the backed-off timeout: the delay before attempt n
 	// is min(RetryAfter × Backoff^(n-1), MaxRetryAfter). Without a cap the
 	// product grows without limit — and overflows int64 — once a packet is
 	// lost repeatedly (e.g. a victim purged on every recovery round). <= 0
-	// selects DefaultMaxRetryAfter.
-	MaxRetryAfter int64
+	// selects DefaultMaxRetryAfter. No textual spelling sets it.
+	MaxRetryAfter int64 `json:"-"`
 	// StallThreshold configures Run's deadlock watchdog (<= 0 = default).
-	StallThreshold int64
+	StallThreshold int64 `json:"stall,omitempty"`
 }
 
 // DefaultMaxRetryAfter is the default ceiling on the backed-off

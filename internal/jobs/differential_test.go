@@ -5,6 +5,10 @@ import (
 	"os/exec"
 	"path/filepath"
 	"testing"
+
+	"sr2201/internal/campaign"
+	"sr2201/internal/inject"
+	"sr2201/internal/recovery"
 )
 
 // repoRoot walks up from the working directory to the module root, where the
@@ -88,7 +92,7 @@ func TestDifferentialCLIvsServer(t *testing.T) {
 			name: "mdxfault_single_retransmit",
 			spec: Spec{Kind: KindFault, Fault: &FaultSpec{
 				Shape: "4x4", Fails: []string{"rtc:1,1@40"}, Pattern: "shift+5",
-				Waves: 2, Inject: InjectSpec{Retransmit: true},
+				Waves: 2, Inject: inject.Options{Retransmit: true},
 			}},
 			cli: func(p string) []string {
 				return []string{"sr2201/cmd/mdxfault", "-shape", "4x4", "-fail", "rtc:1,1@40",
@@ -113,9 +117,9 @@ func TestDifferentialCLIvsServer(t *testing.T) {
 			spec: Spec{Kind: KindFault, Fault: &FaultSpec{
 				Shape: "4x4", Pattern: "pair:0,1>2,2", Waves: 1, Gap: 1, PacketSize: 24,
 				Presets: []string{"rtc:2,1"}, Broadcasts: []string{"3,2@0"},
-				Inject:   InjectSpec{Retransmit: true, RetryAfter: 32, Stall: 256},
-				Recovery: RecoverySpec{Enabled: true, StallThreshold: 256},
-				Variant:  VariantSpec{SXB: "0,0", DXB: "0,3", DXBSeparate: true},
+				Inject:   inject.Options{Retransmit: true, RetryAfter: 32, StallThreshold: 256},
+				Recovery: recovery.Options{Enabled: true, StallThreshold: 256},
+				Variant:  campaign.VariantText{SXB: "0,0", DXB: "0,3", DXBSeparate: true},
 			}},
 			cli: func(p string) []string {
 				return []string{"sr2201/cmd/mdxfault", "-shape", "4x4", "-dxb-separate",
@@ -132,7 +136,7 @@ func TestDifferentialCLIvsServer(t *testing.T) {
 			name: "mdxfault_hyperx_link",
 			spec: Spec{Kind: KindFault, Fault: &FaultSpec{
 				Shape: "4x4", Topology: "hyperx", Fails: []string{"link:0,0-3,0@60"},
-				Pattern: "shift+5", Waves: 4, Inject: InjectSpec{Retransmit: true},
+				Pattern: "shift+5", Waves: 4, Inject: inject.Options{Retransmit: true},
 			}},
 			cli: func(p string) []string {
 				return []string{"sr2201/cmd/mdxfault", "-shape", "4x4", "-topo", "hyperx",
@@ -146,7 +150,7 @@ func TestDifferentialCLIvsServer(t *testing.T) {
 			name: "mdxfault_fullmesh_campaign",
 			spec: Spec{Kind: KindCampaign, Campaign: &CampaignSpec{
 				Shape: "8", Topology: "fullmesh", Epochs: []int64{12}, Patterns: []string{"shift+3"},
-				Inject: InjectSpec{Retransmit: true},
+				Inject: inject.Options{Retransmit: true},
 			}},
 			cli: func(p string) []string {
 				return []string{"sr2201/cmd/mdxfault", "-campaign", "-shape", "8", "-topo", "fullmesh",
@@ -162,9 +166,9 @@ func TestDifferentialCLIvsServer(t *testing.T) {
 			name: "mdxfault_adaptive_campaign",
 			spec: Spec{Kind: KindCampaign, Campaign: &CampaignSpec{
 				Shape: "4x4", Epochs: []int64{12}, Patterns: []string{"shift+5"},
-				Inject:   InjectSpec{Retransmit: true},
-				Recovery: RecoverySpec{Enabled: true, StallThreshold: 256},
-				Variant:  VariantSpec{VCs: 2, Adaptive: true},
+				Inject:   inject.Options{Retransmit: true},
+				Recovery: recovery.Options{Enabled: true, StallThreshold: 256},
+				Variant:  campaign.VariantText{VCs: 2, Adaptive: true},
 			}},
 			cli: func(p string) []string {
 				return []string{"sr2201/cmd/mdxfault", "-campaign", "-shape", "4x4",
@@ -177,7 +181,7 @@ func TestDifferentialCLIvsServer(t *testing.T) {
 			name: "mdxfault_campaign",
 			spec: Spec{Kind: KindCampaign, Campaign: &CampaignSpec{
 				Shape: "4x4", Epochs: []int64{12, 60}, Patterns: []string{"shift+5", "reverse"},
-				Inject: InjectSpec{Retransmit: true},
+				Inject: inject.Options{Retransmit: true},
 			}},
 			cli: func(p string) []string {
 				return []string{"sr2201/cmd/mdxfault", "-campaign", "-shape", "4x4",

@@ -30,6 +30,7 @@ var knobRejections = []struct {
 }{
 	{name: "negative packet size", cfg: core.Config{PacketSize: -1}, knob: "PacketSize", field: "packet_size"},
 	{name: "negative vcs", cfg: core.Config{VCs: -1}, knob: "VCs", field: "variant.vcs"},
+	{name: "negative vcs with adaptive", cfg: core.Config{VCs: -3, Adaptive: true}, knob: "VCs", field: "variant.vcs"},
 	{name: "adaptive without lanes", cfg: core.Config{Adaptive: true}, knob: "VCs", field: "variant.vcs"},
 	{name: "adaptive on one lane", cfg: core.Config{VCs: 1, Adaptive: true}, knob: "VCs", field: "variant.vcs"},
 	{name: "vcs without adaptive", cfg: core.Config{VCs: 2}, knob: "VCs", field: "variant.vcs"},
@@ -80,7 +81,7 @@ func knobText(cfg core.Config) campaign.RunText {
 func knobJobs(t *testing.T, cfg core.Config) (fault, campaignBody []byte) {
 	t.Helper()
 	text := knobText(cfg)
-	variant, reconfig := VariantSpec(text.Variant), ReconfigSpec(text.Reconfig)
+	variant, reconfig := text.Variant, text.Reconfig
 	marshal := func(s Spec) []byte {
 		b, err := json.Marshal(s)
 		if err != nil {

@@ -29,26 +29,41 @@ func (s Status) terminal() bool {
 	return s == StatusDone || s == StatusFailed || s == StatusCanceled
 }
 
+// Progress is an execution's work tally. One increment reported from inside
+// a run is a Progress too.
+type Progress struct {
+	// Cells is the sweep cells finished.
+	Cells int64 `json:"cells,omitempty"`
+	// Cycles is the simulated cycles retired.
+	Cycles int64 `json:"cycles,omitempty"`
+	// Recoveries is the deadlock recoveries taken by the liveness layer.
+	Recoveries int64 `json:"recoveries,omitempty"`
+	// Reconfigured is the committed online reconfigurations (hot swaps plus
+	// bounded drains), ReconfigDrained the in-flight packets those drains
+	// purged, and ReconfigFellBack the attempts that degraded to
+	// rebuild-in-place.
+	Reconfigured     int64 `json:"reconfigured,omitempty"`
+	ReconfigDrained  int64 `json:"reconfig_drained,omitempty"`
+	ReconfigFellBack int64 `json:"reconfig_fellback,omitempty"`
+}
+
+func (p *Progress) add(d Progress) {
+	p.Cells += d.Cells
+	p.Cycles += d.Cycles
+	p.Recoveries += d.Recoveries
+	p.Reconfigured += d.Reconfigured
+	p.ReconfigDrained += d.ReconfigDrained
+	p.ReconfigFellBack += d.ReconfigFellBack
+}
+
 // Event is one entry of a job's ordered progress stream. Seq increases by
 // exactly one per event within a stream.
 type Event struct {
 	Seq  int64  `json:"seq"`
 	Type string `json:"type"` // queued | started | progress | recovery | reconfig | requeued | done | failed | canceled
-	// Cells is the cumulative sweep cells finished by the execution.
-	Cells int64 `json:"cells,omitempty"`
-	// Cycles is the cumulative simulated cycles retired by the execution.
-	Cycles int64 `json:"cycles,omitempty"`
-	// Recoveries is the cumulative deadlock recoveries taken by the
-	// liveness layer across the execution.
-	Recoveries int64 `json:"recoveries,omitempty"`
-	// Reconfigured is the cumulative committed online reconfigurations (hot
-	// swaps plus bounded drains), ReconfigDrained the in-flight packets those
-	// drains purged, and ReconfigFellBack the attempts that degraded to
-	// rebuild-in-place.
-	Reconfigured     int64  `json:"reconfigured,omitempty"`
-	ReconfigDrained  int64  `json:"reconfig_drained,omitempty"`
-	ReconfigFellBack int64  `json:"reconfig_fellback,omitempty"`
-	Error            string `json:"error,omitempty"`
+	// Progress is the execution's cumulative tally.
+	Progress
+	Error string `json:"error,omitempty"`
 }
 
 // Sentinel errors the HTTP layer maps onto status codes.
@@ -73,20 +88,15 @@ type execution struct {
 	hash      string // canonHash(canonical)
 	spec      Spec
 
-	mu                sync.Mutex
-	state             Status
-	events            []Event
-	notify            chan struct{} // closed and renewed on every append
-	artifact          []byte
-	err               error
-	cancel            context.CancelFunc
-	attached          int // jobs still wanting this run
-	cells             int64
-	cycles            int64
-	recoveries        int64
-	reconfigs         int64
-	reconfigDrained   int64
-	reconfigFallbacks int64
+	mu       sync.Mutex
+	state    Status
+	events   []Event
+	notify   chan struct{} // closed and renewed on every append
+	artifact []byte
+	err      error
+	cancel   context.CancelFunc
+	attached int // jobs still wanting this run
+	progress Progress
 
 	rechecks int // deferred-retry count, guarded by Manager.mu
 }
@@ -104,12 +114,7 @@ func (ex *execution) appendLocked(state Status, ev Event) {
 		ex.state = state
 	}
 	ev.Seq = int64(len(ex.events))
-	ev.Cells = ex.cells
-	ev.Cycles = ex.cycles
-	ev.Recoveries = ex.recoveries
-	ev.Reconfigured = ex.reconfigs
-	ev.ReconfigDrained = ex.reconfigDrained
-	ev.ReconfigFellBack = ex.reconfigFallbacks
+	ev.Progress = ex.progress
 	ex.events = append(ex.events, ev)
 	close(ex.notify)
 	ex.notify = make(chan struct{})
@@ -239,27 +244,22 @@ type Manager struct {
 	drainRing  []time.Time
 
 	// Metrics, all guarded by mu except where noted.
-	started         time.Time
-	submitted       int64
-	dedupHits       int64
-	executions      int64
-	queuedCount     int64
-	running         int64
-	done            int64
-	failed          int64
-	canceledEx      int64
-	adopted         int64
-	stolen          int64
-	deferred        int64
-	poisonedCount   int64
-	leaseLost       int64
-	totalCells      int64
-	totalCycles     int64
-	totalRecoveries int64
-	totalReconfigs  int64
-	totalRecfgDrain int64
-	totalRecfgFall  int64
-	durations       stats.Latency
+	started       time.Time
+	submitted     int64
+	dedupHits     int64
+	executions    int64
+	queuedCount   int64
+	running       int64
+	done          int64
+	failed        int64
+	canceledEx    int64
+	adopted       int64
+	stolen        int64
+	deferred      int64
+	poisonedCount int64
+	leaseLost     int64
+	total         Progress
+	durations     stats.Latency
 }
 
 // drainRingCap bounds the recent-completion timestamp ring that feeds the
@@ -739,21 +739,16 @@ func (m *Manager) runExecution(ex *execution) {
 
 	start := time.Now()
 	var lastEmit, lastLeaseRenew time.Time
-	progress := func(d progressDelta) {
+	progress := func(d Progress) {
 		ex.mu.Lock()
-		ex.cells += d.cells
-		ex.cycles += d.cycles
-		ex.recoveries += d.recoveries
-		ex.reconfigs += d.reconfigs
-		ex.reconfigDrained += d.reconfigDrained
-		ex.reconfigFallbacks += d.reconfigFallbacks
-		cycles := ex.cycles
+		ex.progress.add(d)
+		cycles := ex.progress.Cycles
 		switch {
-		case d.recoveries > 0:
+		case d.Recoveries > 0:
 			// Recovery events are rare and diagnostic — emit unthrottled so
 			// a stream consumer sees every liveness intervention.
 			ex.appendLocked("", Event{Type: "recovery"})
-		case d.reconfigs > 0 || d.reconfigFallbacks > 0:
+		case d.Reconfigured > 0 || d.ReconfigFellBack > 0:
 			// Reconfigurations likewise: every swap, drain or fallback is an
 			// event of its own.
 			ex.appendLocked("", Event{Type: "reconfig"})
@@ -787,12 +782,7 @@ func (m *Manager) runExecution(ex *execution) {
 			}
 		}
 		m.mu.Lock()
-		m.totalCells += d.cells
-		m.totalCycles += d.cycles
-		m.totalRecoveries += d.recoveries
-		m.totalReconfigs += d.reconfigs
-		m.totalRecfgDrain += d.reconfigDrained
-		m.totalRecfgFall += d.reconfigFallbacks
+		m.total.add(d)
 		m.mu.Unlock()
 	}
 
@@ -946,18 +936,8 @@ type JobView struct {
 	Status  Status `json:"status"`
 	Kind    Kind   `json:"kind"`
 	Deduped bool   `json:"deduped,omitempty"`
-	Cells   int64  `json:"cells,omitempty"`
-	Cycles  int64  `json:"cycles,omitempty"`
-	// Recoveries is the count of deadlock recoveries the liveness layer took
-	// during the execution.
-	Recoveries int64 `json:"recoveries,omitempty"`
-	// Reconfigured is the count of committed online reconfigurations (hot
-	// swaps plus bounded drains), ReconfigDrained the in-flight packets those
-	// drains purged, and ReconfigFellBack the attempts that degraded to
-	// rebuild-in-place.
-	Reconfigured     int64 `json:"reconfigured,omitempty"`
-	ReconfigDrained  int64 `json:"reconfig_drained,omitempty"`
-	ReconfigFellBack int64 `json:"reconfig_fellback,omitempty"`
+	// Progress is the execution's tally.
+	Progress
 	// ArtifactBytes is the artifact length once the job is terminal.
 	ArtifactBytes int    `json:"artifact_bytes,omitempty"`
 	Error         string `json:"error,omitempty"`
@@ -985,8 +965,7 @@ func (m *Manager) Lookup(id string) (JobView, error) {
 	v := JobView{ID: id, Kind: job.ex.spec.Kind, Deduped: job.deduped, Status: m.status(job)}
 	ex := job.ex
 	ex.mu.Lock()
-	v.Cells, v.Cycles, v.Recoveries = ex.cells, ex.cycles, ex.recoveries
-	v.Reconfigured, v.ReconfigDrained, v.ReconfigFellBack = ex.reconfigs, ex.reconfigDrained, ex.reconfigFallbacks
+	v.Progress = ex.progress
 	v.ArtifactBytes = len(ex.artifact)
 	if ex.err != nil {
 		v.Error = ex.err.Error()
@@ -1199,18 +1178,18 @@ func (m *Manager) Metrics() Metrics {
 		Deferred:             m.deferred,
 		Poisoned:             m.poisonedCount,
 		LeaseLost:            m.leaseLost,
-		CellsDone:            m.totalCells,
-		CyclesDone:           m.totalCycles,
-		RecoveriesDone:       m.totalRecoveries,
-		ReconfiguredDone:     m.totalReconfigs,
-		ReconfigDrainedDone:  m.totalRecfgDrain,
-		ReconfigFellBackDone: m.totalRecfgFall,
+		CellsDone:            m.total.Cells,
+		CyclesDone:           m.total.Cycles,
+		RecoveriesDone:       m.total.Recoveries,
+		ReconfiguredDone:     m.total.Reconfigured,
+		ReconfigDrainedDone:  m.total.ReconfigDrained,
+		ReconfigFellBackDone: m.total.ReconfigFellBack,
 	}
 	if m.submitted > 0 {
 		mt.CacheHitRate = float64(m.dedupHits) / float64(m.submitted)
 	}
 	if secs := time.Since(m.started).Seconds(); secs > 0 {
-		mt.CyclesPerSec = float64(m.totalCycles) / secs
+		mt.CyclesPerSec = float64(m.total.Cycles) / secs
 	}
 	mt.DurationCount = m.durations.Count()
 	if mt.DurationCount > 0 {

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sr2201/internal/inject"
 )
 
 // quickFaultSpec is a single-fault run that drains in well under a second.
@@ -15,7 +17,7 @@ func quickFaultSpec(gap int64) Spec {
 		Pattern: "shift+5",
 		Waves:   2,
 		Gap:     gap,
-		Inject:  InjectSpec{Retransmit: true},
+		Inject:  inject.Options{Retransmit: true},
 	}}
 }
 

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"sr2201/internal/campaign"
+	"sr2201/internal/inject"
 	"sr2201/internal/sweep"
 )
 
@@ -29,7 +30,7 @@ func resumeCampaignSpec() Spec {
 		Patterns: []string{"shift+5", "reverse"},
 		Waves:    4,
 		Gap:      24,
-		Inject:   InjectSpec{Retransmit: true},
+		Inject:   inject.Options{Retransmit: true},
 	}}
 }
 
@@ -70,7 +71,7 @@ func faultResumeSpec(t *testing.T) Spec {
 		Pattern: "shift+5",
 		Waves:   80,
 		Gap:     24,
-		Inject:  InjectSpec{Retransmit: true},
+		Inject:  inject.Options{Retransmit: true},
 	}}
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
@@ -88,7 +89,7 @@ func TestRunSpecFaultStaleSnapshotRestarts(t *testing.T) {
 	spec := faultResumeSpec(t)
 	budget := sweep.NewLimiter(1)
 	var wantCycles int64
-	want, err := runSpec(context.Background(), spec, budget, 1, func(d progressDelta) { wantCycles += d.cycles }, nil)
+	want, err := runSpec(context.Background(), spec, budget, 1, func(d Progress) { wantCycles += d.Cycles }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestRunSpecFaultStaleSnapshotRestarts(t *testing.T) {
 				t.Fatal(err)
 			}
 			var cycles int64
-			got, err := runSpec(context.Background(), spec, budget, 1, func(d progressDelta) { cycles += d.cycles }, st)
+			got, err := runSpec(context.Background(), spec, budget, 1, func(d Progress) { cycles += d.Cycles }, st)
 			if err != nil {
 				t.Fatalf("run over a stale snapshot: %v", err)
 			}
@@ -146,7 +147,7 @@ func TestRunSpecFaultStaleSnapshotRestarts(t *testing.T) {
 func TestRunSpecFaultResume(t *testing.T) {
 	spec := faultResumeSpec(t)
 	budget := sweep.NewLimiter(1)
-	noop := func(progressDelta) {}
+	noop := func(Progress) {}
 	want, err := runSpec(context.Background(), spec, budget, 1, noop, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -164,8 +165,8 @@ func TestRunSpecFaultResume(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	interrupted := false
-	_, err = runSpec(ctx, spec, budget, 1, func(d progressDelta) {
-		if !interrupted && d.cycles > 0 {
+	_, err = runSpec(ctx, spec, budget, 1, func(d Progress) {
+		if !interrupted && d.Cycles > 0 {
 			interrupted = true
 			cancel()
 		}

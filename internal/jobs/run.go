@@ -8,33 +8,23 @@ import (
 	"sr2201/internal/campaign"
 	"sr2201/internal/engine"
 	"sr2201/internal/experiments"
-	"sr2201/internal/inject"
 	"sr2201/internal/reconfig"
 	"sr2201/internal/recovery"
 	"sr2201/internal/sweep"
 )
 
-// progressDelta is one completed work increment reported from inside a run:
-// sweep cells finished, simulated cycles retired, deadlock recoveries taken
-// by the liveness layer, and online-reconfiguration outcomes (committed
-// swaps, packets purged by transition drains, attempts that fell back to
-// rebuild-in-place).
-type progressDelta struct {
-	cells, cycles, recoveries                     int64
-	reconfigs, reconfigDrained, reconfigFallbacks int64
-}
-
-// progressFn receives progress deltas. Calls arrive from worker goroutines;
-// the manager serializes them into the job's ordered event stream.
-type progressFn func(d progressDelta)
+// progressFn receives the work increments reported from inside a run.
+// Calls arrive from worker goroutines; the manager serializes them into the
+// job's ordered event stream.
+type progressFn func(d Progress)
 
 // reconfigDelta maps one reconfiguration event onto its progress increment.
-func reconfigDelta(ev reconfig.Event) progressDelta {
-	d := progressDelta{reconfigDrained: int64(ev.Drained)}
+func reconfigDelta(ev reconfig.Event) Progress {
+	d := Progress{ReconfigDrained: int64(ev.Drained)}
 	if ev.Outcome == reconfig.OutcomeFallback {
-		d.reconfigFallbacks = 1
+		d.ReconfigFellBack = 1
 	} else {
-		d.reconfigs = 1
+		d.Reconfigured = 1
 	}
 	return d
 }
@@ -90,7 +80,7 @@ func runExperiments(ctx context.Context, e *ExperimentsSpec, budget *sweep.Limit
 		Parallel: parallel,
 		Ctx:      ctx,
 		Budget:   budget,
-		OnCell:   func(cycles int64) { progress(progressDelta{cells: 1, cycles: cycles}) },
+		OnCell:   func(cycles int64) { progress(Progress{Cells: 1, Cycles: cycles}) },
 	}
 	var buf bytes.Buffer
 	failed := 0
@@ -117,7 +107,7 @@ func runExperiments(ctx context.Context, e *ExperimentsSpec, budget *sweep.Limit
 func hooks(ctx context.Context, progress progressFn) campaign.Hooks {
 	return campaign.Hooks{
 		Ctx:        ctx,
-		OnRecovery: func(recovery.Event) { progress(progressDelta{recoveries: 1}) },
+		OnRecovery: func(recovery.Event) { progress(Progress{Recoveries: 1}) },
 		OnReconfig: func(ev reconfig.Event) { progress(reconfigDelta(ev)) },
 	}
 }
@@ -135,7 +125,7 @@ func runFault(ctx context.Context, f *FaultSpec, progress progressFn, st *execSt
 	var lastCycle int64
 	spec.Hooks = hooks(ctx, progress)
 	spec.OnCycle = func(c int64, _ engine.Counters) {
-		progress(progressDelta{cycles: c - lastCycle})
+		progress(Progress{Cycles: c - lastCycle})
 		lastCycle = c
 	}
 	var buf bytes.Buffer
@@ -154,11 +144,11 @@ func runFault(ctx context.Context, f *FaultSpec, progress progressFn, st *execSt
 				// state, not replayed through the On* hooks. (Tally's error
 				// resurfaces from Finish.)
 				res, _ := r.Cell().Tally()
-				progress(progressDelta{
-					recoveries:        int64(res.Recoveries),
-					reconfigs:         int64(res.Reconfigured),
-					reconfigDrained:   int64(res.ReconfigDrained),
-					reconfigFallbacks: int64(res.ReconfigFellBack),
+				progress(Progress{
+					Recoveries:       int64(res.Recoveries),
+					Reconfigured:     int64(res.Reconfigured),
+					ReconfigDrained:  int64(res.ReconfigDrained),
+					ReconfigFellBack: int64(res.ReconfigFellBack),
 				})
 			} else {
 				// A stale or corrupt snapshot (e.g. from an older binary) is
@@ -190,7 +180,7 @@ func runFault(ctx context.Context, f *FaultSpec, progress progressFn, st *execSt
 	}
 	// Settle the totals: OnCycle fires every progressInterval cycles, so a
 	// short run (or the tail of a long one) is reported here.
-	progress(progressDelta{cells: 1, cycles: outcome.Cycle - lastCycle})
+	progress(Progress{Cells: 1, Cycles: outcome.Cycle - lastCycle})
 	if res, _ := r.Cell().Tally(); res.Livelocked {
 		return buf.Bytes(), fmt.Errorf("run did not drain: %w at cycle %d (%d recoveries)",
 			recovery.ErrLivelock, outcome.Cycle, res.Recoveries)
@@ -213,7 +203,7 @@ func runCampaign(ctx context.Context, c *CampaignSpec, budget *sweep.Limiter, pa
 	cfg.Hooks = hooks(ctx, progress)
 	cfg.Parallel = parallel
 	cfg.Budget = budget
-	cfg.OnCell = func(cycles int64) { progress(progressDelta{cells: 1, cycles: cycles}) }
+	cfg.OnCell = func(cycles int64) { progress(Progress{Cells: 1, Cycles: cycles}) }
 	if st != nil {
 		store, err := campaign.OpenStore(st.store.cellsDir(st.hash))
 		if err != nil {
@@ -234,20 +224,7 @@ func runCampaign(ctx context.Context, c *CampaignSpec, budget *sweep.Limiter, pa
 	return artifact, nil
 }
 
-// options maps the wire spec onto inject.Options.
-func (in InjectSpec) options() inject.Options {
-	return inject.Options{
-		Retransmit:     in.Retransmit,
-		RetryAfter:     in.RetryAfter,
-		Backoff:        in.Backoff,
-		MaxRetries:     in.MaxRetries,
-		StallThreshold: in.Stall,
-	}
-}
-
-// text is the fault job as the run-spec resolver reads it. The nested wire
-// structs convert field for field, so a knob added to one side without the
-// other stops compiling.
+// text is the fault job as the run-spec resolver reads it.
 func (f *FaultSpec) text() campaign.RunText {
 	return campaign.RunText{
 		Shape:      f.Shape,
@@ -260,10 +237,10 @@ func (f *FaultSpec) text() campaign.RunText {
 		Gap:        f.Gap,
 		PacketSize: f.PacketSize,
 		Horizon:    f.Horizon,
-		Inject:     f.Inject.options(),
-		Recovery:   recovery.Options(f.Recovery),
-		Variant:    campaign.VariantText(f.Variant),
-		Reconfig:   campaign.ReconfigText(f.Reconfig),
+		Inject:     f.Inject,
+		Recovery:   f.Recovery,
+		Variant:    f.Variant,
+		Reconfig:   f.Reconfig,
 	}
 }
 
@@ -280,9 +257,9 @@ func (c *CampaignSpec) text() campaign.RunText {
 		Gap:        c.Gap,
 		PacketSize: c.PacketSize,
 		Horizon:    c.Horizon,
-		Inject:     c.Inject.options(),
-		Recovery:   recovery.Options(c.Recovery),
-		Variant:    campaign.VariantText(c.Variant),
-		Reconfig:   campaign.ReconfigText(c.Reconfig),
+		Inject:     c.Inject,
+		Recovery:   c.Recovery,
+		Variant:    c.Variant,
+		Reconfig:   c.Reconfig,
 	}
 }

@@ -24,6 +24,8 @@ import (
 	"sr2201/internal/core"
 	"sr2201/internal/experiments"
 	"sr2201/internal/geom"
+	"sr2201/internal/inject"
+	"sr2201/internal/recovery"
 )
 
 // Kind selects what a job runs.
@@ -59,51 +61,9 @@ type ExperimentsSpec struct {
 	Quick bool `json:"quick,omitempty"`
 }
 
-// InjectSpec mirrors mdxfault's retransmission flags.
-type InjectSpec struct {
-	Retransmit bool  `json:"retransmit,omitempty"`
-	RetryAfter int64 `json:"retry_after,omitempty"`
-	Backoff    int   `json:"backoff,omitempty"`
-	MaxRetries int   `json:"max_retries,omitempty"`
-	Stall      int64 `json:"stall,omitempty"`
-}
-
-// RecoverySpec mirrors mdxfault's -recover flag triple: the deadlock-recovery
-// liveness layer.
-type RecoverySpec struct {
-	Enabled        bool  `json:"enabled,omitempty"`
-	StallThreshold int64 `json:"stall_threshold,omitempty"`
-	MaxRecoveries  int   `json:"max_recoveries,omitempty"`
-}
-
-// ReconfigSpec mirrors mdxfault's -reconfig flag pair: online routing-table
-// reconfiguration around mid-run faults (internal/reconfig). The zero value
-// disables it.
-type ReconfigSpec struct {
-	// Mode is the trigger: "fault", "deadlock" or "both" ("" = off).
-	Mode string `json:"mode,omitempty"`
-	// DrainBudget caps the in-flight packets a cyclic transition may purge
-	// before falling back to rebuild-in-place (0 = the package default).
-	DrainBudget int `json:"drain_budget,omitempty"`
-}
-
-// VariantSpec selects the crossbar design under test (mdxfault's -sxb /
-// -dxb / -dxb-separate / -vcs / -adaptive). The zero value is the default
-// deadlock-free D-XB = S-XB design on a single-lane network.
-type VariantSpec struct {
-	SXB         string `json:"sxb,omitempty"`
-	DXB         string `json:"dxb,omitempty"`
-	DXBSeparate bool   `json:"dxb_separate,omitempty"`
-	// VCs is the virtual-channel count per physical wire (0 and 1 are the
-	// single-lane network); counts above 1 require Adaptive.
-	VCs int `json:"vcs,omitempty"`
-	// Adaptive turns on escape-VC adaptive routing (requires VCs >= 2 and
-	// the unified design: no dxb_separate).
-	Adaptive bool `json:"adaptive,omitempty"`
-}
-
 // FaultSpec mirrors mdxfault single mode: one machine, a scheduled fault
-// sequence, one traffic pattern.
+// sequence, one traffic pattern. The field order is the spec hash's; the
+// blocks are the resolver's own types, so each knob has one JSON spelling.
 type FaultSpec struct {
 	Shape string `json:"shape"`
 	// Topology selects the interconnect (mdxfault -topo): "" or "mdx" is
@@ -120,15 +80,15 @@ type FaultSpec struct {
 	// Broadcasts lists broadcast schedules, e.g. "3,2@250".
 	Broadcasts []string `json:"broadcasts,omitempty"`
 	// Pattern is "shift+K", "reverse" or "pair:SRC>DST".
-	Pattern    string       `json:"pattern"`
-	Waves      int          `json:"waves,omitempty"`
-	Gap        int64        `json:"gap,omitempty"`
-	PacketSize int          `json:"packet_size,omitempty"`
-	Horizon    int64        `json:"horizon,omitempty"`
-	Inject     InjectSpec   `json:"inject,omitempty"`
-	Recovery   RecoverySpec `json:"recovery,omitempty"`
-	Variant    VariantSpec  `json:"variant,omitempty"`
-	Reconfig   ReconfigSpec `json:"reconfig,omitempty"`
+	Pattern    string                `json:"pattern"`
+	Waves      int                   `json:"waves,omitempty"`
+	Gap        int64                 `json:"gap,omitempty"`
+	PacketSize int                   `json:"packet_size,omitempty"`
+	Horizon    int64                 `json:"horizon,omitempty"`
+	Inject     inject.Options        `json:"inject,omitempty"`
+	Recovery   recovery.Options      `json:"recovery,omitempty"`
+	Variant    campaign.VariantText  `json:"variant,omitempty"`
+	Reconfig   campaign.ReconfigText `json:"reconfig,omitempty"`
 }
 
 // CampaignSpec mirrors mdxfault -campaign: the exhaustive placement grid.
@@ -136,19 +96,19 @@ type CampaignSpec struct {
 	Shape string `json:"shape"`
 	// Topology selects every cell's interconnect and the placement grid
 	// (see FaultSpec.Topology and campaign.PlacementsFor).
-	Topology   string       `json:"topology,omitempty"`
-	Epochs     []int64      `json:"epochs"`
-	Patterns   []string     `json:"patterns"`
-	Presets    []string     `json:"presets,omitempty"`
-	Broadcasts []string     `json:"broadcasts,omitempty"`
-	Waves      int          `json:"waves,omitempty"`
-	Gap        int64        `json:"gap,omitempty"`
-	PacketSize int          `json:"packet_size,omitempty"`
-	Horizon    int64        `json:"horizon,omitempty"`
-	Inject     InjectSpec   `json:"inject,omitempty"`
-	Recovery   RecoverySpec `json:"recovery,omitempty"`
-	Variant    VariantSpec  `json:"variant,omitempty"`
-	Reconfig   ReconfigSpec `json:"reconfig,omitempty"`
+	Topology   string                `json:"topology,omitempty"`
+	Epochs     []int64               `json:"epochs"`
+	Patterns   []string              `json:"patterns"`
+	Presets    []string              `json:"presets,omitempty"`
+	Broadcasts []string              `json:"broadcasts,omitempty"`
+	Waves      int                   `json:"waves,omitempty"`
+	Gap        int64                 `json:"gap,omitempty"`
+	PacketSize int                   `json:"packet_size,omitempty"`
+	Horizon    int64                 `json:"horizon,omitempty"`
+	Inject     inject.Options        `json:"inject,omitempty"`
+	Recovery   recovery.Options      `json:"recovery,omitempty"`
+	Variant    campaign.VariantText  `json:"variant,omitempty"`
+	Reconfig   campaign.ReconfigText `json:"reconfig,omitempty"`
 }
 
 // Clone returns a deep copy sharing no memory with s, so normalizing the
@@ -425,7 +385,7 @@ func normalizeList(field string, list []string, max int) error {
 	return nil
 }
 
-func (r *RecoverySpec) normalize(prefix string) error {
+func normalizeRecovery(prefix string, r *recovery.Options) error {
 	if r.StallThreshold > maxStall {
 		return fieldErrf(prefix+".recovery.stall_threshold", "%d exceeds maximum %d", r.StallThreshold, maxStall)
 	}
@@ -435,7 +395,7 @@ func (r *RecoverySpec) normalize(prefix string) error {
 	return nil
 }
 
-func (r *ReconfigSpec) normalize(prefix string) error {
+func normalizeReconfig(prefix string, r *campaign.ReconfigText) error {
 	if r.DrainBudget > maxDrainBudget {
 		return fieldErrf(prefix+".reconfig.drain_budget", "%d exceeds maximum %d", r.DrainBudget, maxDrainBudget)
 	}
@@ -443,7 +403,7 @@ func (r *ReconfigSpec) normalize(prefix string) error {
 	return nil
 }
 
-func (v *VariantSpec) normalize(prefix string) error {
+func normalizeVariant(prefix string, v *campaign.VariantText) error {
 	v.SXB = strings.TrimSpace(v.SXB)
 	v.DXB = strings.TrimSpace(v.DXB)
 	if v.VCs > maxVCs {
@@ -457,7 +417,7 @@ func (v *VariantSpec) normalize(prefix string) error {
 	return nil
 }
 
-func (in *InjectSpec) normalize(prefix string) error {
+func normalizeInject(prefix string, in *inject.Options) error {
 	if in.RetryAfter < 0 || in.RetryAfter > maxRetry {
 		return fieldErrf(prefix+".inject.retry_after", "must be in [0, %d]", maxRetry)
 	}
@@ -467,8 +427,13 @@ func (in *InjectSpec) normalize(prefix string) error {
 	if in.MaxRetries < 0 || in.MaxRetries > maxRetries {
 		return fieldErrf(prefix+".inject.max_retries", "must be in [0, %d]", maxRetries)
 	}
-	if in.Stall < 0 || in.Stall > maxStall {
+	if in.StallThreshold < 0 || in.StallThreshold > maxStall {
 		return fieldErrf(prefix+".inject.stall", "must be in [0, %d]", maxStall)
+	}
+	if in.MaxRetryAfter != 0 {
+		// The canonical encoding cannot carry it, so two runs would share
+		// one job identity.
+		return fieldErrf(prefix+".inject", "MaxRetryAfter has no wire spelling and must be zero")
 	}
 	if in.Retransmit {
 		// The mdxfault flag defaults, applied only when retransmission is on
@@ -504,10 +469,10 @@ func (f *FaultSpec) normalize() error {
 		normalizeList("fault.presets", f.Presets, maxPresets),
 		normalizeList("fault.broadcasts", f.Broadcasts, maxBroadcasts),
 		normalizeCommon("fault", &f.Waves, &f.Gap, &f.PacketSize, &f.Horizon),
-		f.Recovery.normalize("fault"),
-		f.Variant.normalize("fault"),
-		f.Reconfig.normalize("fault"),
-		f.Inject.normalize("fault"),
+		normalizeRecovery("fault", &f.Recovery),
+		normalizeVariant("fault", &f.Variant),
+		normalizeReconfig("fault", &f.Reconfig),
+		normalizeInject("fault", &f.Inject),
 	} {
 		if err != nil {
 			return err
@@ -537,10 +502,10 @@ func (c *CampaignSpec) normalize() error {
 		normalizeList("campaign.presets", c.Presets, maxPresets),
 		normalizeList("campaign.broadcasts", c.Broadcasts, maxBroadcasts),
 		normalizeCommon("campaign", &c.Waves, &c.Gap, &c.PacketSize, &c.Horizon),
-		c.Recovery.normalize("campaign"),
-		c.Variant.normalize("campaign"),
-		c.Reconfig.normalize("campaign"),
-		c.Inject.normalize("campaign"),
+		normalizeRecovery("campaign", &c.Recovery),
+		normalizeVariant("campaign", &c.Variant),
+		normalizeReconfig("campaign", &c.Reconfig),
+		normalizeInject("campaign", &c.Inject),
 	} {
 		if err != nil {
 			return err

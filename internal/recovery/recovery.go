@@ -47,19 +47,20 @@ var ErrLivelock = errors.New("recovery: livelock (per-packet recovery cap exceed
 // DefaultMaxRecoveries is the default per-packet sacrifice cap.
 const DefaultMaxRecoveries = 3
 
-// Options tune the recovery supervisor.
+// Options tune the recovery supervisor. The JSON names are the job-spec
+// and replay-recording spelling.
 type Options struct {
 	// Enabled turns the supervisor on. The zero value leaves runs exactly
 	// as they were: detection without recovery.
-	Enabled bool
+	Enabled bool `json:"enabled,omitempty"`
 	// StallThreshold is the zero-movement cycle count after which the
 	// supervisor's watchdog fires. <= 0 selects
 	// deadlock.DefaultStallThreshold.
-	StallThreshold int64
+	StallThreshold int64 `json:"stall_threshold,omitempty"`
 	// MaxRecoveries caps how many times one logical packet may be
 	// sacrificed before the run escalates to ErrLivelock. <= 0 selects
 	// DefaultMaxRecoveries.
-	MaxRecoveries int
+	MaxRecoveries int `json:"max_recoveries,omitempty"`
 }
 
 // Normalize applies the documented defaults in place.

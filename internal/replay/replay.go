@@ -1,7 +1,8 @@
 // Package replay records a run's snapshot ring and bisects the first cycle
 // where two recorded runs diverge.
 //
-// A recording is a directory holding meta.json — the run's spec, the
+// A recording is a directory holding meta.json — the run's spec (the
+// campaign.RunText JSON mdxfault's flags and a job spec also fill), the
 // per-point engine StateHash ladder (one entry every Every cycles, cycle 0
 // included), and the final verdict — plus the retained snapshot files. The
 // hash ladder is kept for every point; the snapshot files form a ring of the
@@ -27,74 +28,12 @@ import (
 	"sort"
 
 	"sr2201/internal/campaign"
-	"sr2201/internal/inject"
 )
 
-// RunSpec is the JSON description of a recorded run: everything needed to
-// rebuild its campaign cell deterministically, in the CLI's own spellings.
-type RunSpec struct {
-	Shape string `json:"shape"`
-	// Fails lists fault schedules, e.g. "rtc:3,4@500" or "xb:0:0,2@200".
-	Fails []string `json:"fails,omitempty"`
-	// Pattern is "shift+K" or "reverse".
-	Pattern    string `json:"pattern"`
-	Waves      int    `json:"waves"`
-	Gap        int64  `json:"gap"`
-	PacketSize int    `json:"packet_size,omitempty"`
-	Horizon    int64  `json:"horizon,omitempty"`
-
-	Retransmit bool  `json:"retransmit,omitempty"`
-	RetryAfter int64 `json:"retry_after,omitempty"`
-	Backoff    int   `json:"backoff,omitempty"`
-	MaxRetries int   `json:"max_retries,omitempty"`
-	Stall      int64 `json:"stall,omitempty"`
-
-	// Machine variant: see campaign.Spec. SXB/DXB are coordinates like "0,1"
-	// (empty = the all-zero line).
-	SXB            string `json:"sxb,omitempty"`
-	DXB            string `json:"dxb,omitempty"`
-	DXBSeparate    bool   `json:"dxb_separate,omitempty"`
-	NaiveBroadcast bool   `json:"naive_broadcast,omitempty"`
-	PivotLastDim   bool   `json:"pivot_last_dim,omitempty"`
-	// VCs and Adaptive select the escape-VC adaptive variant. Recordings of
-	// adaptive runs bisect against each other (and against static runs of
-	// the same workload) like any other variant pair.
-	VCs      int  `json:"vcs,omitempty"`
-	Adaptive bool `json:"adaptive,omitempty"`
-}
-
-// CellSpec resolves the wire spec into a runnable campaign cell spec.
-func (s RunSpec) CellSpec() (campaign.Spec, error) {
-	spec, err := campaign.RunText{
-		Shape:      s.Shape,
-		Fails:      s.Fails,
-		Patterns:   []string{s.Pattern},
-		Waves:      s.Waves,
-		Gap:        s.Gap,
-		PacketSize: s.PacketSize,
-		Horizon:    s.Horizon,
-		Inject: inject.Options{
-			Retransmit:     s.Retransmit,
-			RetryAfter:     s.RetryAfter,
-			Backoff:        s.Backoff,
-			MaxRetries:     s.MaxRetries,
-			StallThreshold: s.Stall,
-		},
-		Variant: campaign.VariantText{
-			SXB:         s.SXB,
-			DXB:         s.DXB,
-			DXBSeparate: s.DXBSeparate,
-			VCs:         s.VCs,
-			Adaptive:    s.Adaptive,
-		},
-		NaiveBroadcast: s.NaiveBroadcast,
-		PivotLastDim:   s.PivotLastDim,
-	}.Spec()
-	if err != nil {
-		return campaign.Spec{}, fmt.Errorf("replay: spec %w", err)
-	}
-	return spec, nil
-}
+// formatVersion is the recording layout Record writes and Load reads:
+// version 2 stores the run as campaign.RunText JSON (version 1 had a spec
+// type of its own).
+const formatVersion = 2
 
 // Point is one hash-ladder entry: the engine's StateHash at Cycle, rendered
 // in hex so the JSON round-trips exactly and diffs read well.
@@ -105,8 +44,8 @@ type Point struct {
 
 // Meta is a recording's index (meta.json).
 type Meta struct {
-	Version int     `json:"version"`
-	Spec    RunSpec `json:"spec"`
+	Version int              `json:"version"`
+	Spec    campaign.RunText `json:"spec"`
 	// Every is the point spacing in cycles.
 	Every int64 `json:"every"`
 	// Keep is the snapshot-ring capacity the recording was made with.
@@ -137,14 +76,15 @@ func snapPath(dir string, cycle int64) string {
 	return filepath.Join(dir, fmt.Sprintf("snap-%012d.snap", cycle))
 }
 
-// Record runs the spec to completion, writing the recording into dir. every
-// is the point spacing (>= 1); keep bounds the snapshot ring (0 = keep every
-// snapshot).
-func Record(spec RunSpec, every int64, keep int, dir string) (*Recording, error) {
+// Record runs the single run spec spells to completion, writing the
+// recording into dir. every is the point spacing (>= 1); keep bounds the
+// snapshot ring (0 = keep every snapshot). A rejected spec is the resolver's
+// *campaign.FieldError.
+func Record(spec campaign.RunText, every int64, keep int, dir string) (*Recording, error) {
 	if every < 1 {
 		return nil, fmt.Errorf("replay: point spacing %d < 1", every)
 	}
-	cs, err := spec.CellSpec()
+	cs, err := spec.Spec()
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +95,7 @@ func Record(spec RunSpec, every int64, keep int, dir string) (*Recording, error)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	meta := Meta{Version: 1, Spec: spec, Every: every, Keep: keep}
+	meta := Meta{Version: formatVersion, Spec: spec, Every: every, Keep: keep}
 	for {
 		if c.Cycle()%every == 0 {
 			meta.Points = append(meta.Points, Point{Cycle: c.Cycle(), Hash: hashAt(c)})
@@ -194,6 +134,18 @@ func Load(dir string) (*Recording, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The version is read first, so an older layout is refused by its
+	// number rather than by the first field it spells differently.
+	var head struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		return nil, fmt.Errorf("replay: %s: %w", dir, err)
+	}
+	if head.Version != formatVersion {
+		return nil, fmt.Errorf("replay: %s: recording format version %d, this build reads version %d; re-record the run",
+			dir, head.Version, formatVersion)
+	}
 	// Unknown fields are rejected by name: a recording that carries a knob
 	// this build does not have would otherwise replay as a silently
 	// different run.
@@ -203,18 +155,15 @@ func Load(dir string) (*Recording, error) {
 	if err := dec.Decode(&meta); err != nil {
 		return nil, fmt.Errorf("replay: %s: %w", dir, err)
 	}
-	if meta.Version != 1 {
-		return nil, fmt.Errorf("replay: %s: unsupported recording version %d", dir, meta.Version)
-	}
 	return &Recording{Dir: dir, Meta: meta}, nil
 }
 
 // seek builds the recording's cell run positioned at cycle (0 = fresh run;
 // otherwise the retained snapshot at that exact cycle).
 func (r *Recording) seek(cycle int64) (*campaign.CellRun, error) {
-	cs, err := r.Meta.Spec.CellSpec()
+	cs, err := r.Meta.Spec.Spec()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("replay: %s: spec %w", r.Dir, err)
 	}
 	c, err := campaign.NewCellRun(cs)
 	if err != nil {

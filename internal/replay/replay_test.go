@@ -2,32 +2,49 @@ package replay
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"sr2201/internal/campaign"
+	"sr2201/internal/inject"
 )
 
-func baseSpec() RunSpec {
-	return RunSpec{
-		Shape:      "4x4",
-		Fails:      []string{"rtc:2,1@40"},
-		Pattern:    "shift+5",
-		Waves:      4,
-		Gap:        24,
-		Retransmit: true,
-		RetryAfter: 32,
+func baseSpec() campaign.RunText {
+	return campaign.RunText{
+		Shape:    "4x4",
+		Fails:    []string{"rtc:2,1@40"},
+		Patterns: []string{"shift+5"},
+		Waves:    4,
+		Gap:      24,
+		Inject:   inject.Options{Retransmit: true, RetryAfter: 32},
 	}
 }
 
+// fromFlags spells a run with the run flags mdxreplay and mdxfault share.
+func fromFlags(t *testing.T, args string) campaign.RunText {
+	t.Helper()
+	var text campaign.RunText
+	if err := text.ParseFlags(flag.NewFlagSet("mdxreplay", flag.ContinueOnError), strings.Fields(args)); err != nil {
+		t.Fatal(err)
+	}
+	return text
+}
+
+// fig9Args is the paper's Fig. 9 deadlock as mdxreplay spells it: the
+// separate-D-XB design, a dead router, one detoured unicast and a broadcast
+// crossing it. mdxfault with the same flags reports DEADLOCK at cycle 528.
+const fig9Args = "-shape 4x4 -dxb-separate -sxb 0,0 -dxb 0,3 -preset rtc:2,1 -patterns pair:0,1>2,2 -broadcast 3,2@0 -packet 24 -waves 1 -gap 1"
+
 // groundTruth locksteps two fresh runs from cycle 0 and returns the first
 // divergent cycle the hard way — the oracle Bisect must match.
-func groundTruth(t *testing.T, a, b RunSpec) (diverged bool, cycle int64) {
+func groundTruth(t *testing.T, a, b campaign.RunText) (diverged bool, cycle int64) {
 	t.Helper()
-	mk := func(s RunSpec) *campaign.CellRun {
-		cs, err := s.CellSpec()
+	mk := func(s campaign.RunText) *campaign.CellRun {
+		cs, err := s.Spec()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +76,7 @@ func groundTruth(t *testing.T, a, b RunSpec) (diverged bool, cycle int64) {
 	}
 }
 
-func record(t *testing.T, spec RunSpec, every int64, keep int) *Recording {
+func record(t *testing.T, spec campaign.RunText, every int64, keep int) *Recording {
 	t.Helper()
 	rec, err := Record(spec, every, keep, t.TempDir())
 	if err != nil {
@@ -82,11 +99,11 @@ func TestBisectFindsExactCycle(t *testing.T) {
 	inFlight := baseSpec()
 	inFlight.Fails = []string{"rtc:2,1@28"}
 	retuned := inFlight
-	retuned.RetryAfter = 64
+	retuned.Inject.RetryAfter = 64
 
 	for _, tc := range []struct {
 		name string
-		a, b RunSpec
+		a, b campaign.RunText
 	}{
 		{"epoch-shift", baseSpec(), shifted},
 		{"placement", baseSpec(), moved},
@@ -161,11 +178,11 @@ func TestBisectPrunedRing(t *testing.T) {
 // bisector pins their first state divergence after the fault forces detours.
 func TestBisectMachineVariants(t *testing.T) {
 	sep := baseSpec()
-	sep.DXBSeparate = true
-	sep.DXB = "0,1"
-	sep.Pattern = "reverse"
+	sep.Variant.DXBSeparate = true
+	sep.Variant.DXB = "0,1"
+	sep.Patterns = []string{"reverse"}
 	base := baseSpec()
-	base.Pattern = "reverse"
+	base.Patterns = []string{"reverse"}
 
 	wantDiv, wantCycle := groundTruth(t, base, sep)
 	if !wantDiv {
@@ -202,7 +219,7 @@ func TestRecordingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsRetiredShardsField: a recording whose RunSpec carries the
+// TestLoadRejectsRetiredShardsField: a recording whose spec carries the
 // retired "shards" knob fails to load with an error naming the field.
 func TestLoadRejectsRetiredShardsField(t *testing.T) {
 	rec := record(t, baseSpec(), 64, 0)
@@ -220,5 +237,111 @@ func TestLoadRejectsRetiredShardsField(t *testing.T) {
 	}
 	if _, err := Load(rec.Dir); err == nil || !strings.Contains(err.Error(), `"shards"`) {
 		t.Fatalf("Load error = %v, want one naming \"shards\"", err)
+	}
+}
+
+// TestRecordFig9: mdxreplay's flags record the paper's Fig. 9 run, which
+// deadlocks at the cycle mdxfault reports, and the recording's spec loads
+// back as the RunText the flags spelled.
+func TestRecordFig9(t *testing.T) {
+	text := fromFlags(t, fig9Args)
+	rec := record(t, text, 64, 0)
+	if m := rec.Meta; !m.Deadlocked || m.Drained || m.Final.Cycle != 528 {
+		t.Errorf("Fig. 9 recording: deadlocked=%v drained=%v final cycle %d, want a deadlock at cycle 528",
+			m.Deadlocked, m.Drained, m.Final.Cycle)
+	}
+	got, err := Load(rec.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Meta.Spec, text) {
+		t.Errorf("spec did not round-trip:\n got %+v\nwant %+v", got.Meta.Spec, text)
+	}
+}
+
+// TestBisectFig9Variants: Fig. 9 recordings that differ in one knob bisect
+// to the cycle the lockstep-from-zero oracle finds — the unified design
+// parts from the separate D-XB at its first detour, the recovering run
+// outlives the deadlocked one.
+func TestBisectFig9Variants(t *testing.T) {
+	fig9 := fromFlags(t, fig9Args)
+	for _, tc := range []struct{ name, args string }{
+		{"unified design", strings.Replace(fig9Args, "-dxb-separate -sxb 0,0 -dxb 0,3", "-sxb 0,0", 1)},
+		{"recover", fig9Args + " -recover"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			variant := fromFlags(t, tc.args)
+			wantDiv, wantCycle := groundTruth(t, fig9, variant)
+			if !wantDiv {
+				t.Fatal("fixture does not diverge")
+			}
+			d, err := Bisect(record(t, fig9, 64, 0), record(t, variant, 64, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !d.Diverged || d.Cycle != wantCycle {
+				t.Errorf("Bisect: diverged=%v cycle=%d, oracle says cycle %d", d.Diverged, d.Cycle, wantCycle)
+			}
+		})
+	}
+}
+
+// TestRecordingSeekReachesFinalHash: recordings of recovery,
+// reconfiguration and HyperX runs restore from every retained snapshot and
+// step to the recorded final state.
+func TestRecordingSeekReachesFinalHash(t *testing.T) {
+	for _, tc := range []struct{ name, args string }{
+		{"recover", fig9Args + " -retransmit -retry-after 32 -stall 256 -recover -stall-threshold 256"},
+		{"reconfig", "-shape 4x4 -dxb-separate -sxb 0,0 -dxb 0,3 -fail rtc:2,1@40 -patterns pair:0,1>2,2 -broadcast 3,2@48 -packet 24 -waves 2 -gap 48 -retransmit -retry-after 32 -stall 256 -recover -stall-threshold 256 -reconfig fault"},
+		{"hyperx", "-shape 4x4 -topo hyperx -fail link:0,0-3,0@60 -waves 4 -retransmit"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec, err := Load(record(t, fromFlags(t, tc.args), 32, 0).Dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := rec.Meta
+			if !m.Drained || len(m.Snapshots) < 2 {
+				t.Fatalf("fixture: drained=%v with %d snapshot(s); want a drained run past its first rung", m.Drained, len(m.Snapshots))
+			}
+			for _, at := range m.Snapshots[1:] {
+				c, err := rec.seek(at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for !c.Done() {
+					c.Step()
+				}
+				if c.Cycle() != m.Final.Cycle || hashAt(c) != m.Final.Hash {
+					t.Errorf("from the snapshot at cycle %d: ended at cycle %d hash %s, recorded cycle %d hash %s",
+						at, c.Cycle(), hashAt(c), m.Final.Cycle, m.Final.Hash)
+				}
+			}
+		})
+	}
+}
+
+// TestRecordRejectsUnderFlagName: a spec the resolver refuses never starts
+// a recording, and mdxreplay reports it under the flag that spelled it.
+func TestRecordRejectsUnderFlagName(t *testing.T) {
+	_, err := Record(fromFlags(t, fig9Args+" -gap 0"), 64, 0, t.TempDir())
+	if err == nil || !strings.HasPrefix(campaign.FlagError(err).Error(), "-gap: ") {
+		t.Errorf("Record error = %v, want a rejection of -gap", err)
+	}
+}
+
+// TestLoadRejectsVersion1: a recording in the retired layout is refused by
+// its version, with the remedy.
+func TestLoadRejectsVersion1(t *testing.T) {
+	dir := t.TempDir()
+	v1 := `{"version":1,"spec":{"shape":"4x4","pattern":"shift+5","waves":4,"gap":24,"retransmit":true},` +
+		`"every":64,"points":[{"cycle":0,"hash":"0000000000000000"}],"snapshots":[0],` +
+		`"final":{"cycle":0,"hash":"0000000000000000"},"drained":true,"stalled":false,"deadlocked":false}`
+	if err := os.WriteFile(filepath.Join(dir, "meta.json"), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(dir)
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "re-record") {
+		t.Fatalf("Load error = %v, want a refusal naming version 1 and asking to re-record", err)
 	}
 }
