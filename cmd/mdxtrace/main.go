@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"sr2201/internal/cliutil"
@@ -19,47 +20,59 @@ import (
 	"sr2201/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit code made explicit: 0 for a traced
+// packet, 2 for a bad flag or a refused route.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mdxtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		shapeStr = flag.String("shape", "4x3", "lattice shape, e.g. 4x3")
-		srcStr   = flag.String("src", "0,0", "source PE coordinate")
-		dstStr   = flag.String("dst", "", "destination PE coordinate (point-to-point)")
-		bcast    = flag.Bool("broadcast", false, "trace a broadcast instead of a point-to-point packet")
-		sxbStr   = flag.String("sxb", "", "S-XB fixed coordinate (default all-zero line)")
+		shapeStr = fs.String("shape", "4x3", "lattice shape, e.g. 4x3")
+		srcStr   = fs.String("src", "0,0", "source PE coordinate")
+		dstStr   = fs.String("dst", "", "destination PE coordinate (point-to-point)")
+		bcast    = fs.Bool("broadcast", false, "trace a broadcast instead of a point-to-point packet")
+		sxbStr   = fs.String("sxb", "", "S-XB fixed coordinate (default all-zero line)")
 		faults   faultList
 	)
-	flag.Var(&faults, "fault", "fault spec rtc:X,Y or xb:DIM:X,Y (repeatable)")
-	flag.Parse()
+	fs.Var(&faults, "fault", "fault spec rtc:X,Y or xb:DIM:X,Y (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "mdxtrace:", err)
+		return 2
+	}
 
 	shape, err := cliutil.ParseShape(*shapeStr)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	src, err := cliutil.ParseCoord(*srcStr, shape.Dims())
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	cfg := core.Config{Shape: shape}
 	if *sxbStr != "" {
 		if cfg.SXB, err = cliutil.ParseCoord(*sxbStr, shape.Dims()); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 	}
 	m, err := core.NewMachine(cfg)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	for _, fs := range faults {
 		f, err := cliutil.ParseFault(fs, shape.Dims())
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		if err := m.AddFault(f); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		fmt.Printf("fault installed: %s\n", f)
+		fmt.Fprintf(stdout, "fault installed: %s\n", f)
 	}
-	fmt.Printf("effective S-XB: %v   effective D-XB: %v\n\n", m.Policy().EffectiveSXB(), m.Policy().EffectiveDXB())
+	fmt.Fprintf(stdout, "effective S-XB: %v   effective D-XB: %v\n\n", m.Policy().EffectiveSXB(), m.Policy().EffectiveDXB())
 
 	rec := trace.Attach(m.Engine())
 
@@ -67,52 +80,46 @@ func main() {
 	if *bcast {
 		tree, err := m.Policy().BroadcastTree(src)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		fmt.Printf("static broadcast tree from %v: %d PEs, depth %d, %d element traversals\n\n",
+		fmt.Fprintf(stdout, "static broadcast tree from %v: %d PEs, depth %d, %d element traversals\n\n",
 			src, len(tree.Delivered), tree.Depth, tree.Elements)
-		id, _, err = m.Broadcast(src, 4)
-		if err != nil {
-			fatal(err)
+		if id, _, err = m.Broadcast(src, 4); err != nil {
+			return fatal(err)
 		}
 	} else {
 		if *dstStr == "" {
-			fatal(fmt.Errorf("need -dst or -broadcast"))
+			return fatal(fmt.Errorf("need -dst or -broadcast"))
 		}
 		dst, err := cliutil.ParseCoord(*dstStr, shape.Dims())
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		path, err := m.Policy().UnicastPath(src, dst)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		fmt.Printf("static route %v -> %v (%d elements):\n", src, dst, len(path))
+		fmt.Fprintf(stdout, "static route %v -> %v (%d elements):\n", src, dst, len(path))
 		for i, h := range path {
-			fmt.Printf("  step %2d: %s\n", i+1, h)
+			fmt.Fprintf(stdout, "  step %2d: %s\n", i+1, h)
 		}
-		fmt.Println()
-		id, err = m.Send(src, dst, 4)
-		if err != nil {
-			fatal(err)
+		fmt.Fprintln(stdout)
+		if id, err = m.Send(src, dst, 4); err != nil {
+			return fatal(err)
 		}
 	}
 
 	out := m.Run(100_000)
-	fmt.Print(rec.Format(id))
-	fmt.Printf("\ndeliveries: %d", len(m.Deliveries()))
+	fmt.Fprint(stdout, rec.Format(id))
+	fmt.Fprintf(stdout, "\ndeliveries: %d", len(m.Deliveries()))
 	if !out.Drained {
-		fmt.Printf("   OUTCOME: %+v", out)
+		fmt.Fprintf(stdout, "   OUTCOME: %+v", out)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
+	return 0
 }
 
 type faultList []string
 
 func (f *faultList) String() string     { return fmt.Sprint([]string(*f)) }
 func (f *faultList) Set(s string) error { *f = append(*f, s); return nil }
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mdxtrace:", err)
-	os.Exit(2)
-}

@@ -175,6 +175,7 @@ func (t RunText) resolve(single bool) (Config, []inject.Event, error) {
 		Gap:            t.Gap,
 		PacketSize:     t.PacketSize,
 		Inject:         t.Inject,
+		Recovery:       t.Recovery,
 		Horizon:        t.Horizon,
 		DXBSeparate:    t.Variant.DXBSeparate,
 		NaiveBroadcast: t.NaiveBroadcast,
@@ -220,10 +221,10 @@ func (t RunText) resolve(single bool) (Config, []inject.Event, error) {
 		}
 		cfg.Patterns = append(cfg.Patterns, p)
 	}
-	if cfg.Recovery, err = cliutil.RecoveryOptions(t.Recovery.Enabled, t.Recovery.StallThreshold, t.Recovery.MaxRecoveries); err != nil {
+	if err := checkRecovery(t.Recovery); err != nil {
 		return fail("recovery", err)
 	}
-	if cfg.Reconfig, cfg.ReconfigDrainBudget, err = cliutil.ReconfigOptions(t.Reconfig.Mode, t.Reconfig.DrainBudget); err != nil {
+	if cfg.Reconfig, cfg.ReconfigDrainBudget, err = reconfigOptions(t.Reconfig.Mode, t.Reconfig.DrainBudget); err != nil {
 		return fail("reconfig.drain_budget", err)
 	}
 	coordIn := func(s string) (geom.Coord, error) {
@@ -257,6 +258,44 @@ func (t RunText) resolve(single bool) (Config, []inject.Event, error) {
 		return fail("variant", err)
 	}
 	return cfg, events, nil
+}
+
+// checkRecovery rejects the recovery spellings that silently do nothing:
+// negative knobs, and tuning knobs without the enable switch (knobs of 0
+// select the package defaults). Its messages, and reconfigOptions', keep the
+// "cliutil:" prefix that mdxfault and job errors print.
+func checkRecovery(o recovery.Options) error {
+	switch {
+	case o.StallThreshold < 0:
+		return fmt.Errorf("cliutil: negative recovery stall threshold %d", o.StallThreshold)
+	case o.MaxRecoveries < 0:
+		return fmt.Errorf("cliutil: negative recovery cap %d", o.MaxRecoveries)
+	case !o.Enabled && o.StallThreshold != 0:
+		return fmt.Errorf("cliutil: recovery stall threshold %d needs -recover", o.StallThreshold)
+	case !o.Enabled && o.MaxRecoveries != 0:
+		return fmt.Errorf("cliutil: recovery cap %d needs -recover", o.MaxRecoveries)
+	}
+	return nil
+}
+
+// reconfigOptions canonicalizes the reconfiguration mode and drain budget
+// (case and surrounding whitespace of the mode are forgiven; the empty mode
+// disables online reconfiguration, a budget of 0 selects
+// reconfig.DefaultDrainBudget) and rejects the spellings that silently do
+// nothing: a negative drain budget, and a budget without the enable flag.
+// Which modes exist is the knob table's statement (core.Config.Validate).
+func reconfigOptions(mode string, drainBudget int) (string, int, error) {
+	cfg := core.Config{Reconfig: strings.ToLower(strings.TrimSpace(mode))}
+	if err := cfg.Validate(); err != nil {
+		return "", 0, err
+	}
+	if drainBudget < 0 {
+		return "", 0, fmt.Errorf("cliutil: negative reconfig drain budget %d", drainBudget)
+	}
+	if cfg.Reconfig == "" && drainBudget != 0 {
+		return "", 0, fmt.Errorf("cliutil: reconfig drain budget %d needs the reconfig mode", drainBudget)
+	}
+	return cfg.Reconfig, drainBudget, nil
 }
 
 // parsePairCoord parses one "2,1"-style endpoint of a pair pattern,

@@ -69,3 +69,74 @@ func TestRunTextSpellingRejections(t *testing.T) {
 		})
 	}
 }
+
+// TestRecoveryOptions table-tests the recovery triple's rules, in
+// particular the spellings that would otherwise silently do nothing.
+func TestRecoveryOptions(t *testing.T) {
+	tests := []struct {
+		name    string
+		enable  bool
+		stall   int64
+		cap_    int
+		wantErr bool
+	}{
+		{name: "disabled zero value"},
+		{name: "enabled defaults", enable: true},
+		{name: "enabled tuned", enable: true, stall: 256, cap_: 5},
+		{name: "stall without enable", stall: 256, wantErr: true},
+		{name: "cap without enable", cap_: 5, wantErr: true},
+		{name: "negative stall", enable: true, stall: -1, wantErr: true},
+		{name: "negative cap", enable: true, cap_: -1, wantErr: true},
+		{name: "negative stall while disabled", stall: -1, wantErr: true},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			o := recovery.Options{Enabled: tc.enable, StallThreshold: tc.stall, MaxRecoveries: tc.cap_}
+			if err := checkRecovery(o); (err != nil) != tc.wantErr {
+				t.Fatalf("checkRecovery(%+v) = %v, want error %v", o, err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestReconfigOptions pins the -reconfig/-reconfig-drain flag-pair contract:
+// the empty mode disables reconfiguration, the three trigger spellings are
+// canonicalized, and a drain budget without the enable flag is refused
+// rather than silently ignored.
+func TestReconfigOptions(t *testing.T) {
+	tests := []struct {
+		name     string
+		mode     string
+		drain    int
+		wantMode string
+		wantErr  bool
+	}{
+		{name: "disabled zero value", mode: "", wantMode: ""},
+		{name: "fault", mode: "fault", wantMode: "fault"},
+		{name: "deadlock", mode: "deadlock", wantMode: "deadlock"},
+		{name: "both", mode: "both", wantMode: "both"},
+		{name: "case and whitespace forgiven", mode: " Fault ", wantMode: "fault"},
+		{name: "tuned budget", mode: "both", drain: 8, wantMode: "both"},
+		{name: "unknown mode", mode: "always", wantErr: true},
+		{name: "negative budget", mode: "fault", drain: -1, wantErr: true},
+		{name: "budget without mode", mode: "", drain: 8, wantErr: true},
+		{name: "negative budget while disabled", mode: "", drain: -1, wantErr: true},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			mode, drain, err := reconfigOptions(tc.mode, tc.drain)
+			if tc.wantErr {
+				if err == nil {
+					t.Fatalf("reconfigOptions = (%q, %d), want error", mode, drain)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mode != tc.wantMode || drain != tc.drain {
+				t.Fatalf("reconfigOptions = (%q, %d), want (%q, %d)", mode, drain, tc.wantMode, tc.drain)
+			}
+		})
+	}
+}

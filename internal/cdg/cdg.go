@@ -32,26 +32,6 @@ import (
 	"sr2201/internal/topo"
 )
 
-// Channel identifies one directed network channel: the out-port of a router
-// or crossbar.
-type Channel struct {
-	// Router is true for a relay-switch channel; false for a crossbar.
-	Router bool
-	// Coord locates a router channel; Line a crossbar channel.
-	Coord geom.Coord
-	Line  geom.Line
-	// Out is the output port index.
-	Out int
-}
-
-// String renders the channel, e.g. "RTC(1,2).out0" or "XB0(0,1).out2".
-func (c Channel) String() string {
-	if c.Router {
-		return fmt.Sprintf("RTC%s.out%d", c.Coord, c.Out)
-	}
-	return fmt.Sprintf("XB%d%s.out%d", c.Line.Dim, c.Line.Fixed, c.Out)
-}
-
 // Result is the analyzer's verdict.
 type Result struct {
 	// Channels and Edges count the contracted graph.
@@ -128,40 +108,34 @@ func RegisterEscapeDependences(b *topo.Builder, p *routing.Policy, shape geom.Sh
 }
 
 // Graph is one policy's dependence graph going into a topo.Builder. The
-// policy's routes arrive as integers: every channel of the shape has a dense
-// number — a router's d+1 out-ports first, routers in Shape.Index order,
-// then each dimension's crossbars in LineIndex order, then one number for
-// the contracted broadcast tree — and vertex[] maps a number to the
-// builder's vertex id. A channel is rendered to its name, and the name
-// interned, once: the first time a route crosses it. That keeps the
-// builder's vertex numbering in first-seen order, which the cycle witness
-// depends on, while the other few thousand crossings are an array read.
+// policy's routes arrive as topo.Walker's channel numbers, plus one number
+// past the last channel for the contracted broadcast tree, and are interned
+// on first sight (topo.Builder.Intern).
 type Graph struct {
-	b     *topo.Builder
-	p     *routing.Policy
-	shape geom.Shape
-	dims  int
-	// vcs scales out-port indices in channel names (lane 0 of a vcs-lane
-	// wire); 1 is the plain single-channel network.
-	vcs    int
-	xbBase []int32 // xbBase[k] numbers dimension k's first crossbar channel
+	b      *topo.Builder
+	p      *routing.Policy
+	shape  geom.Shape
+	w      topo.Walker
 	tree   int32   // the composite's number, one past the last channel
-	vertex []int32 // channel number -> builder vertex id, -1 until first seen
+	vertex []int32 // Intern's cache
 
 	// Scratch reused across walks.
+	h       flit.Header // the walked header
 	route   []int32
 	request []int32
 	fan     []int32
-	walk    routing.BroadcastWalk
-	visit   routing.BroadcastVisitor // sorts a broadcast's channels into request and fan
-	stamp   []int32                  // fan-tree membership of the walk in progress, by serial
+	visit   topo.Visit // sorts a broadcast's channels into request and fan
+	stamp   []int32    // fan-tree membership of the walk in progress, by serial
 	serial  int32
 }
 
+// newGraph walks the policy over the MD crossbar with vcs lanes per wire: the
+// policy's channels are lane 0 of theirs (topo.MDCrossbar's convention), and
+// 1 is the plain single-channel network.
 func newGraph(b *topo.Builder, p *routing.Policy, shape geom.Shape, vcs int) *Graph {
-	g := &Graph{b: b, p: p, shape: shape, dims: shape.Dims(), vcs: vcs}
-	g.visit = func(dim, index, out int, h *flit.Header, _ int) {
-		n := g.number(dim, index, out)
+	w := topo.NewWalker(shape, topo.MDCrossbar{Shape: shape, VCs: vcs}, p)
+	g := &Graph{b: b, p: p, shape: shape, w: w, tree: w.Channels()}
+	g.visit = func(n int32, h *flit.Header, _ int) {
 		if h.RC == flit.RCBroadcastRequest {
 			g.request = append(g.request, n)
 		} else if g.stamp[n] != g.serial {
@@ -169,17 +143,8 @@ func newGraph(b *topo.Builder, p *routing.Policy, shape geom.Shape, vcs int) *Gr
 			g.fan = append(g.fan, n)
 		}
 	}
-	next := int32(shape.Size() * (g.dims + 1))
-	for k, extent := range shape {
-		g.xbBase = append(g.xbBase, next)
-		next += int32(shape.LineCount(k) * extent)
-	}
-	g.tree = next
-	g.vertex = make([]int32, next+1)
-	for i := range g.vertex {
-		g.vertex[i] = -1
-	}
-	g.stamp = make([]int32, next)
+	g.vertex = make([]int32, g.tree+1)
+	g.stamp = make([]int32, g.tree)
 	return g
 }
 
@@ -196,42 +161,14 @@ func NewGraph(p *routing.Policy, shape geom.Shape) *Graph {
 // Certificate is the builder's verdict over everything registered so far.
 func (g *Graph) Certificate(scheme string) topo.Certificate { return g.b.Certificate(scheme) }
 
-// number is the dense number of a channel as routing's walkers report it.
-func (g *Graph) number(dim, index, out int) int32 {
-	if dim < 0 {
-		return int32(index*(g.dims+1) + out)
-	}
-	return g.xbBase[dim] + int32(index*g.shape[dim]+out)
-}
+// vertexOf returns the builder vertex of channel n.
+func (g *Graph) vertexOf(n int32) int { return g.b.Intern(g.vertex, n, g.name) }
 
-// channelOf inverts number (the tree's number excepted).
-func (g *Graph) channelOf(n int32) Channel {
-	if n < g.xbBase[0] {
-		ports := int32(g.dims + 1)
-		return Channel{Router: true, Coord: g.shape.CoordOf(int(n / ports)), Out: int(n%ports) * g.vcs}
+func (g *Graph) name(n int32) string {
+	if n == g.tree {
+		return treeName
 	}
-	dim := g.dims - 1
-	for n < g.xbBase[dim] {
-		dim--
-	}
-	n -= g.xbBase[dim]
-	extent := int32(g.shape[dim])
-	return Channel{Line: g.shape.LineAt(dim, int(n/extent)), Out: int(n%extent) * g.vcs}
-}
-
-// vertexOf returns the builder vertex of channel n, interning it by name on
-// first sight.
-func (g *Graph) vertexOf(n int32) int {
-	if v := g.vertex[n]; v >= 0 {
-		return int(v)
-	}
-	name := treeName
-	if n != g.tree {
-		name = g.channelOf(n).String()
-	}
-	v := g.b.Channel(name)
-	g.vertex[n] = int32(v)
-	return v
+	return g.w.Name(n)
 }
 
 // path records the consecutive dependences of one route.
@@ -253,23 +190,26 @@ func (g *Graph) registerSerialized() {
 // pair contributes its path; with the pivot extension enabled,
 // otherwise-unreachable pairs contribute their two-phase route.
 func (g *Graph) registerUnicast() {
-	visit := func(dim, index, out int) { g.route = append(g.route, g.number(dim, index, out)) }
+	visit := func(n int32, _ *flit.Header, _ int) { g.route = append(g.route, n) }
+	walk := func(h flit.Header, err error) error {
+		g.route, g.h = g.route[:0], h
+		if err != nil {
+			return err
+		}
+		return g.w.Unicast(&g.h, visit)
+	}
 	n := g.shape.Size()
 	for si := 0; si < n; si++ {
 		src := g.shape.CoordOf(si)
 		for di := 0; di < n; di++ {
 			dst := g.shape.CoordOf(di)
-			g.route = g.route[:0]
-			if err := g.p.UnicastChannels(src, dst, visit); err != nil {
-				if !g.p.PivotEnabled() {
-					continue // unreachable pairs contribute no dependencies
-				}
-				g.route = g.route[:0]
-				if err := g.p.PivotChannels(src, dst, visit); err != nil {
-					continue
-				}
+			err := walk(g.p.UnicastHeader(src, dst))
+			if err != nil && g.p.PivotEnabled() {
+				err = walk(g.p.PivotHeader(src, dst))
 			}
-			g.path(g.route)
+			if err == nil { // unreachable pairs contribute no dependencies
+				g.path(g.route)
+			}
 		}
 	}
 }
@@ -293,14 +233,15 @@ func (g *Graph) registerBroadcast() {
 	})
 }
 
-// walkBroadcast replays the policy's broadcast from src (routing's
-// WalkBroadcast, refusal rule included), leaving the request-leg channel
+// walkBroadcast replays the policy's broadcast from src (topo.Walker's
+// Broadcast, refusal rule included), leaving the request-leg channel
 // sequence in g.request and the fan-tree channel set (channels carrying
 // RC=broadcast, in first-reached order) in g.fan.
 func (g *Graph) walkBroadcast(src geom.Coord) error {
 	g.request, g.fan = g.request[:0], g.fan[:0]
 	g.serial++
-	_, err := g.p.WalkBroadcast(src, &g.walk, g.visit)
+	g.h = g.p.BroadcastHeader(src)
+	_, err := g.w.Broadcast(&g.h, g.visit)
 	return err
 }
 

@@ -7,6 +7,7 @@ import (
 	"sr2201/internal/fault"
 	"sr2201/internal/geom"
 	"sr2201/internal/routing"
+	"sr2201/internal/topo"
 )
 
 func policy(t *testing.T, cfg routing.Config) *routing.Policy {
@@ -144,14 +145,29 @@ func TestNaiveSingleLineNoHazard(t *testing.T) {
 	}
 }
 
+// TestChannelString pins the channel names certificates carry: the walker's
+// numbers rendered as router and crossbar out-ports, lane-0 ports on a
+// multi-lane wiring (the escape certificates').
 func TestChannelString(t *testing.T) {
-	c := Channel{Router: true, Coord: geom.Coord{1, 2}, Out: 0}
-	if got := c.String(); got != "RTC(1,2).out0" {
-		t.Errorf("router channel = %q", got)
-	}
-	x := Channel{Line: geom.Line{Dim: 1, Fixed: geom.Coord{3, 0}}, Out: 2}
-	if got := x.String(); got != "XB1(3,0).out2" {
-		t.Errorf("crossbar channel = %q", got)
+	shape := geom.MustShape(4, 3)
+	for _, tc := range []struct {
+		vcs            int
+		router, xb, pe string
+	}{{1, "RTC(1,2).out1", "XB1(3,0).out2", "RTC(1,2).out2"}, {2, "RTC(1,2).out2", "XB1(3,0).out4", "RTC(1,2).out4"}} {
+		w := topo.NewWalker(shape, topo.MDCrossbar{Shape: shape, VCs: tc.vcs}, nil)
+		router := shape.Index(geom.Coord{1, 2})
+		xb := shape.LineIndex(geom.Line{Dim: 1, Fixed: geom.Coord{3, 0}})
+		for _, c := range []struct {
+			ch   int32
+			want string
+		}{{w.Channel(-1, router, 1), tc.router}, {w.Channel(1, xb, 2), tc.xb}, {w.Channel(-1, router, 2), tc.pe}} {
+			if got := w.Name(c.ch); got != c.want {
+				t.Errorf("vcs %d: channel %d = %q, want %q", tc.vcs, c.ch, got, c.want)
+			}
+			if dim, index, out := w.Port(c.ch); w.Channel(dim, index, out) != c.ch {
+				t.Errorf("vcs %d: Port(%d) = %d, %d, %d does not number back", tc.vcs, c.ch, dim, index, out)
+			}
+		}
 	}
 }
 

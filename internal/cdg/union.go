@@ -22,8 +22,8 @@ import (
 // Certificate is the transition's — through the same topo prover as every
 // static certificate.
 
-// Edge is one contracted dependence between two channels, by their dense
-// numbers in the shape (see Graph); the contracted broadcast tree has the
+// Edge is one contracted dependence between two channels, by their
+// topo.Walker numbers in the shape; the contracted broadcast tree has the
 // number one past the last channel.
 type Edge [2]int32
 
@@ -60,8 +60,8 @@ func (g *Graph) contractedEdges() []Edge {
 	// its builder here): invert vertex[], then rank the vertices by name.
 	numberOf := make([]int32, g.b.Len())
 	for n, v := range g.vertex {
-		if v >= 0 {
-			numberOf[v] = int32(n)
+		if v > 0 {
+			numberOf[v-1] = int32(n)
 		}
 	}
 	byName := make([]int32, len(numberOf))
@@ -99,17 +99,18 @@ func (g *Graph) contractedEdges() []Edge {
 func (g *Graph) AddLiveEdges(edges []Edge, faults *fault.Set) {
 	dead := make([]bool, g.tree+1)
 	for _, f := range faults.List() {
+		dim, index := -1, 0
 		switch f.Kind {
 		case fault.KindRouter:
-			first := g.number(-1, g.shape.Index(f.Coord), 0)
-			for n := first; n < first+int32(g.dims+1); n++ {
-				dead[n] = true
-			}
+			index = g.shape.Index(f.Coord)
 		case fault.KindXB:
-			first := g.number(f.Line.Dim, g.shape.LineIndex(f.Line), 0)
-			for n := first; n < first+int32(g.shape[f.Line.Dim]); n++ {
-				dead[n] = true
-			}
+			dim, index = f.Line.Dim, g.shape.LineIndex(f.Line)
+		default:
+			continue
+		}
+		// A switch's channels run up to its successor's first.
+		for n := g.w.Channel(dim, index, 0); n < g.w.Channel(dim, index+1, 0); n++ {
+			dead[n] = true
 		}
 	}
 	for _, e := range edges {

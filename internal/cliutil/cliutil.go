@@ -2,9 +2,10 @@
 // share: shapes ("8x8"), coordinates ("2,1"), fault specifications
 // ("rtc:2,1", "xb:0:0,1" or "link:0,0-3,0"), fault schedules
 // ("rtc:2,1@500"), broadcast schedules ("3,2@250"), topology names
-// (the core.Topologies that model faults), the recovery-flag triple, the
-// reconfiguration flag pair, fleet worker ids, and chaos failpoints
-// ("<hash>@<cycle>").
+// (the core.Topologies that model faults), fleet worker ids, and chaos
+// failpoints ("<hash>@<cycle>"). The rules that reject run spellings which
+// would silently do nothing belong to the one run resolver,
+// campaign.RunText.
 package cliutil
 
 import (
@@ -16,7 +17,6 @@ import (
 	"sr2201/internal/core"
 	"sr2201/internal/fault"
 	"sr2201/internal/geom"
-	"sr2201/internal/recovery"
 )
 
 // ParseTopology parses a -topo flag value into the canonical name of a
@@ -204,53 +204,6 @@ func ParseBroadcast(s string, shape geom.Shape) (geom.Coord, int64, error) {
 		return geom.Coord{}, 0, fmt.Errorf("cliutil: broadcast source %q outside shape", s[:at])
 	}
 	return src, cycle, nil
-}
-
-// RecoveryOptions assembles the recovery.Options a CLI's flag triple
-// describes, rejecting the spellings that silently do nothing: negative
-// knobs, and tuning knobs without the enable switch. stallThreshold and
-// maxRecoveries of 0 select the package defaults.
-func RecoveryOptions(enable bool, stallThreshold int64, maxRecoveries int) (recovery.Options, error) {
-	if stallThreshold < 0 {
-		return recovery.Options{}, fmt.Errorf("cliutil: negative recovery stall threshold %d", stallThreshold)
-	}
-	if maxRecoveries < 0 {
-		return recovery.Options{}, fmt.Errorf("cliutil: negative recovery cap %d", maxRecoveries)
-	}
-	if !enable {
-		if stallThreshold != 0 {
-			return recovery.Options{}, fmt.Errorf("cliutil: recovery stall threshold %d needs -recover", stallThreshold)
-		}
-		if maxRecoveries != 0 {
-			return recovery.Options{}, fmt.Errorf("cliutil: recovery cap %d needs -recover", maxRecoveries)
-		}
-		return recovery.Options{}, nil
-	}
-	return recovery.Options{
-		Enabled:        true,
-		StallThreshold: stallThreshold,
-		MaxRecoveries:  maxRecoveries,
-	}, nil
-}
-
-// ReconfigOptions canonicalizes the -reconfig / -reconfig-drain flag pair
-// (case and surrounding whitespace of the mode are forgiven; the empty mode
-// disables online reconfiguration, a budget of 0 selects
-// reconfig.DefaultDrainBudget) and rejects the spellings that silently do
-// nothing: a negative drain budget, and a budget without the enable flag.
-// Which modes exist is the knob table's statement (core.Config.Validate).
-func ReconfigOptions(mode string, drainBudget int) (string, int, error) {
-	cfg := core.Config{Reconfig: strings.ToLower(strings.TrimSpace(mode))}
-	if err := cfg.Validate(); err != nil {
-		return "", 0, err
-	}
-	if drainBudget < 0 {
-		return "", 0, fmt.Errorf("cliutil: negative reconfig drain budget %d", drainBudget)
-	}
-	if cfg.Reconfig == "" && drainBudget != 0 {
-		return "", 0, fmt.Errorf("cliutil: reconfig drain budget %d needs the reconfig mode", drainBudget)
-	}
-	return cfg.Reconfig, drainBudget, nil
 }
 
 // ParseWorkerID validates a -worker fleet-member name. Worker ids name

@@ -6,7 +6,6 @@ import (
 
 	"sr2201/internal/fault"
 	"sr2201/internal/geom"
-	"sr2201/internal/recovery"
 )
 
 func TestParseShape(t *testing.T) {
@@ -225,89 +224,6 @@ func TestParseBroadcast(t *testing.T) {
 		if src, cycle, err := ParseBroadcast(in, shape); err == nil {
 			t.Errorf("ParseBroadcast(%q) = %v, %d, want error", in, src, cycle)
 		}
-	}
-}
-
-// TestRecoveryOptions table-tests the flag-triple assembly, in particular
-// the spellings that would otherwise silently do nothing.
-func TestRecoveryOptions(t *testing.T) {
-	tests := []struct {
-		name    string
-		enable  bool
-		stall   int64
-		cap_    int
-		wantErr bool
-		want    recovery.Options
-	}{
-		{name: "disabled zero value", want: recovery.Options{}},
-		{name: "enabled defaults", enable: true,
-			want: recovery.Options{Enabled: true}},
-		{name: "enabled tuned", enable: true, stall: 256, cap_: 5,
-			want: recovery.Options{Enabled: true, StallThreshold: 256, MaxRecoveries: 5}},
-		{name: "stall without enable", stall: 256, wantErr: true},
-		{name: "cap without enable", cap_: 5, wantErr: true},
-		{name: "negative stall", enable: true, stall: -1, wantErr: true},
-		{name: "negative cap", enable: true, cap_: -1, wantErr: true},
-		{name: "negative stall while disabled", stall: -1, wantErr: true},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := RecoveryOptions(tc.enable, tc.stall, tc.cap_)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("RecoveryOptions = %+v, want error", got)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != tc.want {
-				t.Fatalf("RecoveryOptions = %+v, want %+v", got, tc.want)
-			}
-		})
-	}
-}
-
-// TestReconfigOptions pins the -reconfig/-reconfig-drain flag-pair contract:
-// the empty mode disables reconfiguration, the three trigger spellings are
-// canonicalized, and a drain budget without the enable flag is refused
-// rather than silently ignored.
-func TestReconfigOptions(t *testing.T) {
-	tests := []struct {
-		name     string
-		mode     string
-		drain    int
-		wantMode string
-		wantErr  bool
-	}{
-		{name: "disabled zero value", mode: "", wantMode: ""},
-		{name: "fault", mode: "fault", wantMode: "fault"},
-		{name: "deadlock", mode: "deadlock", wantMode: "deadlock"},
-		{name: "both", mode: "both", wantMode: "both"},
-		{name: "case and whitespace forgiven", mode: " Fault ", wantMode: "fault"},
-		{name: "tuned budget", mode: "both", drain: 8, wantMode: "both"},
-		{name: "unknown mode", mode: "always", wantErr: true},
-		{name: "negative budget", mode: "fault", drain: -1, wantErr: true},
-		{name: "budget without mode", mode: "", drain: 8, wantErr: true},
-		{name: "negative budget while disabled", mode: "", drain: -1, wantErr: true},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			mode, drain, err := ReconfigOptions(tc.mode, tc.drain)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("ReconfigOptions = (%q, %d), want error", mode, drain)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mode != tc.wantMode || drain != tc.drain {
-				t.Fatalf("ReconfigOptions = (%q, %d), want (%q, %d)", mode, drain, tc.wantMode, tc.drain)
-			}
-		})
 	}
 }
 

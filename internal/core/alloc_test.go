@@ -243,7 +243,7 @@ func TestSendAllocatesNothing(t *testing.T) {
 		}
 		for i := 0; i < 7; i++ {
 			src, dst := pair(i)
-			if m.Reachable(src, dst) == nil || m.Policy().PivotChannels(src, dst, nil) != nil {
+			if _, err := m.Policy().PivotPath(src, dst); m.Reachable(src, dst) == nil || err != nil {
 				t.Fatalf("%v -> %v is not a pivot pair", src, dst)
 			}
 		}

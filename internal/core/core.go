@@ -154,6 +154,8 @@ type Machine struct {
 	direct topo.Registration // the direct-link family (zero on the MD crossbar)
 	router topo.Router       // installed direct-link scheme (nil on the MD crossbar)
 	policy *routing.Policy   // MD crossbar routing policy (nil on direct-link topologies)
+	walk   topo.Walker       // the send-side precheck: policy's decisions (the escape lane's under adaptive routing), or router's
+	probe  flit.Header       // the header the precheck walks
 	faults *fault.Set
 
 	nextID     uint64
@@ -310,6 +312,7 @@ func (m *Machine) rebuildPolicy() error {
 		}
 		m.router = s
 		m.net.SetPolicy(topo.RouterPolicy(s))
+		m.walk = topo.NewWalker(m.shape, m.net.Wiring(), topo.RouterPolicy(s))
 		return nil
 	}
 	p, err := routing.New(m.RoutingConfig(m.separateNow))
@@ -317,6 +320,7 @@ func (m *Machine) rebuildPolicy() error {
 		return err
 	}
 	m.policy = p
+	m.walk = topo.NewWalker(m.shape, m.net.Wiring(), p)
 	if m.cfg.Adaptive {
 		// The algorithmic policy p stays the escape reference for Send-side
 		// reachability and broadcast-tree queries; the switches run the
@@ -449,6 +453,7 @@ func (m *Machine) CommitGeneration(p *routing.Policy, separate bool) error {
 	m.epoch++
 	m.gens = append(m.gens, gen)
 	m.policy = p
+	m.walk = topo.NewWalker(m.shape, m.net.Wiring(), p)
 	if !separate {
 		m.separateNow = false
 	}
@@ -726,51 +731,40 @@ func (m *Machine) PurgePacket(id uint64) (Lost, bool) {
 // fault information — sends whose destination is unreachable, returning the
 // routing error.
 func (m *Machine) Send(src, dst geom.Coord, size int) (uint64, error) {
-	if err := m.Reachable(src, dst); err != nil {
-		if m.cfg.PivotLastDim {
-			// Only the verdict is needed: a walk that reports its channels
-			// nowhere allocates nothing.
-			if m.policy.PivotChannels(src, dst, nil) == nil {
-				return m.sendPivot(src, dst, size)
+	h := flit.Header{Src: src, Dst: dst, RC: flit.RCNormal}
+	err := m.Reachable(src, dst)
+	if err != nil && m.cfg.PivotLastDim {
+		// The two-phase route (extension A3): only the verdict is needed, so
+		// the walk reports its channels nowhere and allocates nothing.
+		if piv, perr := m.policy.PivotHeader(src, dst); perr == nil {
+			if m.probe = piv; m.walk.Unicast(&m.probe, nil) == nil {
+				h, err = piv, nil
 			}
 		}
+	}
+	if err != nil {
 		return 0, err
 	}
-	return m.send(src, dst, size)
+	return m.inject(h, size)
 }
 
 // Reachable reports whether the active routing layer serves the pair: nil,
 // or the refusal the NIA would return. Unreachable pairs on any topology
-// satisfy errors.Is(err, routing.ErrUnreachable). On the MD crossbar this
-// is the policy's precheck; on a direct-link topology it statically walks
-// the scheme's route.
+// satisfy errors.Is(err, routing.ErrUnreachable). A served pair costs no
+// allocation: the walk replays the decisions in the machine's own scratch.
 func (m *Machine) Reachable(src, dst geom.Coord) error {
-	if m.router == nil {
-		return m.policy.Reachable(src, dst)
-	}
 	if !m.shape.Contains(src) || !m.shape.Contains(dst) {
 		return fmt.Errorf("core: src %v or dst %v outside shape", src, dst)
 	}
-	err := topo.Reach(m.router, src, dst)
+	if m.faults.RouterFaulty(src) {
+		return fmt.Errorf("%w: source router %v faulty", routing.ErrUnreachable, src)
+	}
+	m.probe = flit.Header{Src: src, Dst: dst, RC: flit.RCNormal}
+	err := m.walk.Unicast(&m.probe, nil)
 	if errors.Is(err, topo.ErrUnreachable) {
 		return fmt.Errorf("%w: %v", routing.ErrUnreachable, err)
 	}
 	return err
-}
-
-// sendPivot queues a two-phase pivot packet (extension A3).
-func (m *Machine) sendPivot(src, dst geom.Coord, size int) (uint64, error) {
-	mid, ok := m.policy.PivotIntermediate(src, dst)
-	if !ok {
-		return 0, fmt.Errorf("core: pivot intermediate vanished for %v -> %v", src, dst)
-	}
-	if size <= 0 {
-		size = m.cfg.PacketSize
-	}
-	m.nextID++
-	h := flit.Header{PacketID: m.nextID, Src: src, Dst: mid, FinalDst: dst, TwoPhase: true, RC: flit.RCNormal, Epoch: m.epoch}
-	m.eng.InjectPacket(m.net.PE(src), h, size)
-	return m.nextID, nil
 }
 
 // SendUnchecked queues a packet without the reachability precheck; an
@@ -779,16 +773,18 @@ func (m *Machine) SendUnchecked(src, dst geom.Coord, size int) (uint64, error) {
 	if !m.shape.Contains(src) || !m.shape.Contains(dst) {
 		return 0, fmt.Errorf("core: src %v or dst %v outside shape", src, dst)
 	}
-	return m.send(src, dst, size)
+	return m.inject(flit.Header{Src: src, Dst: dst, RC: flit.RCNormal}, size)
 }
 
-func (m *Machine) send(src, dst geom.Coord, size int) (uint64, error) {
+// inject queues a packet with header h at its source PE, stamped with the
+// next packet ID and the current epoch.
+func (m *Machine) inject(h flit.Header, size int) (uint64, error) {
 	if size <= 0 {
 		size = m.cfg.PacketSize
 	}
 	m.nextID++
-	h := flit.Header{PacketID: m.nextID, Src: src, Dst: dst, RC: flit.RCNormal, Epoch: m.epoch}
-	m.eng.InjectPacket(m.net.PE(src), h, size)
+	h.PacketID, h.Epoch = m.nextID, m.epoch
+	m.eng.InjectPacket(m.net.PE(h.Src), h, size)
 	return m.nextID, nil
 }
 
@@ -804,17 +800,8 @@ func (m *Machine) Broadcast(src geom.Coord, size int) (uint64, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	if size <= 0 {
-		size = m.cfg.PacketSize
-	}
-	m.nextID++
-	rc := flit.RCBroadcastRequest
-	if m.cfg.NaiveBroadcast {
-		rc = flit.RCBroadcast
-	}
-	h := flit.Header{PacketID: m.nextID, Src: src, BroadcastOrigin: src, RC: rc, Epoch: m.epoch}
-	m.eng.InjectPacket(m.net.PE(src), h, size)
-	return m.nextID, len(tree.Delivered), nil
+	id, err := m.inject(m.policy.BroadcastHeader(src), size)
+	return id, len(tree.Delivered), err
 }
 
 // Step advances the simulation one cycle.

@@ -8,6 +8,7 @@ import (
 	"sr2201/internal/geom"
 	"sr2201/internal/routing"
 	"sr2201/internal/stats"
+	"sr2201/internal/topo"
 )
 
 // Machine snapshot/restore. The machine layer adds three things on top of
@@ -280,6 +281,7 @@ func (m *Machine) decodeReconfig(r *checkpoint.Reader) error {
 		m.gens[i] = g
 		m.policy = p
 	}
+	m.walk = topo.NewWalker(m.shape, m.net.Wiring(), m.policy)
 	if err := m.installGenerations(); err != nil {
 		return fmt.Errorf("checkpoint: section %q: %v", secMachineReconfig, err)
 	}

@@ -64,10 +64,6 @@ func NewVC(escape *Policy, vcs int) (*VCPolicy, error) {
 	return &VCPolicy{escape: escape, vcs: vcs, one: singleOuts(len(escape.one)*vcs + 1)}, nil
 }
 
-// Escape returns the embedded escape policy (used for reachability and
-// broadcast-tree queries, which follow the escape paths).
-func (p *VCPolicy) Escape() *Policy { return p.escape }
-
 // VCs reports the virtual-channel count the policy was built for.
 func (p *VCPolicy) VCs() int { return p.vcs }
 

@@ -5,13 +5,14 @@ import (
 
 	"sr2201/internal/flit"
 	"sr2201/internal/geom"
+	"sr2201/internal/topo"
 )
 
-// This file provides static path walkers: they replay the exact switch
-// decisions of the Policy without running the simulator. They serve three
-// purposes: reachability prechecks at the send API (the NIA refusing
-// transmission to unreachable PEs), route verification in tests (the
-// simulated path must match the static path hop for hop), and the
+// This file answers the static route queries — a packet's element path, a
+// broadcast's tree, reachability — by replaying the Policy's decisions on
+// topo.Walker, the walker the machine's send-side precheck and the
+// dependence prover use too. They serve route verification in tests (the
+// simulated path must match the static path hop for hop) and the
 // figure-level walkthrough tool (cmd/mdxtrace).
 
 // HopKind classifies a path element.
@@ -67,111 +68,62 @@ func (h Hop) String() string {
 	return fmt.Sprintf("%s[%s]->%d", where, h.RC, h.Out)
 }
 
-// maxWalkHops bounds path walks against routing-loop bugs.
-func (p *Policy) maxWalkHops() int { return 8*p.dims + 16 }
+// walker walks the policy over the single-channel MD crossbar.
+func (p *Policy) walker() topo.Walker {
+	return topo.NewWalker(p.shape, topo.MDCrossbar{Shape: p.shape, VCs: 1}, p)
+}
+
+// refuseSource is the NIA's refusal to send from a PE whose router is faulty.
+func (p *Policy) refuseSource(src geom.Coord) error {
+	if p.faults.RouterFaulty(src) {
+		return fmt.Errorf("%w: source router %v faulty", ErrUnreachable, src)
+	}
+	return nil
+}
+
+// UnicastHeader is the header a point-to-point packet from src to dst leaves
+// its PE with, or the refusal of a pair outside the shape or of a faulty
+// source router. Walked by topo.Walker over the policy, it is the route
+// UnicastPath returns.
+func (p *Policy) UnicastHeader(src, dst geom.Coord) (flit.Header, error) {
+	if !p.shape.Contains(src) || !p.shape.Contains(dst) {
+		return flit.Header{}, fmt.Errorf("routing: src %v or dst %v outside shape", src, dst)
+	}
+	return flit.Header{Src: src, Dst: dst, RC: flit.RCNormal}, p.refuseSource(src)
+}
 
 // UnicastPath statically computes the full element path of a point-to-point
 // packet from src to dst, including any detour. It returns ErrUnreachable
 // (wrapped) when the present faults make delivery impossible, mirroring the
 // hardware "stops transmission" behavior.
 func (p *Policy) UnicastPath(src, dst geom.Coord) ([]Hop, error) {
+	return p.path(p.UnicastHeader(src, dst))
+}
+
+// path walks a header from its source and lists the elements it passes, up to
+// a refusal.
+func (p *Policy) path(h flit.Header, err error) ([]Hop, error) {
+	if err != nil {
+		return nil, err
+	}
+	w := p.walker()
 	var hops []Hop
-	err := p.walkUnicast(src, dst, walkSink{hops: &hops})
-	return hops, err
-}
-
-// ChannelVisitor receives the out-port channels of a static walk, in
-// traversal order, by the switch's dense number: a router is dim -1 and its
-// Shape.Index, a crossbar its dimension and Shape.LineIndex.
-type ChannelVisitor func(dim, index, out int)
-
-// walkSink is where a static walk reports the switches it passes: as Hops
-// (UnicastPath), as channels (the dependence prover) or, empty, nowhere
-// (Reachable). The decisions, and the error, are the same either way.
-type walkSink struct {
-	hops     *[]Hop
-	channels ChannelVisitor
-}
-
-// walkUnicast checks the pair and walks a plain unicast header between them.
-func (p *Policy) walkUnicast(src, dst geom.Coord, to walkSink) error {
-	if !p.shape.Contains(src) || !p.shape.Contains(dst) {
-		return fmt.Errorf("routing: src %v or dst %v outside shape", src, dst)
-	}
-	h := flit.Header{Src: src, Dst: dst, RC: flit.RCNormal}
-	return p.walkHeader(src, &h, to)
-}
-
-// walkHeader replays the policy decisions for one unicast header injected at
-// src, following RC and two-phase rewrites (applied to *h in place), until PE
-// delivery, reporting the elements to the sink.
-func (p *Policy) walkHeader(src geom.Coord, h *flit.Header, to walkSink) error {
-	if p.faults.RouterFaulty(src) {
-		return fmt.Errorf("%w: source router %v faulty", ErrUnreachable, src)
-	}
-	atRouter := true
-	coord := src
-	var line geom.Line
-	in := p.dims // from PE
-	for steps := 0; steps < p.maxWalkHops(); steps++ {
-		if atRouter {
-			outs, x, err := p.routeRouter(coord, in, h)
-			if err != nil {
-				return err
-			}
-			if len(outs) != 1 {
-				return fmt.Errorf("routing: unicast fan-out at router %v", coord)
-			}
-			out := outs[0]
-			if to.hops != nil {
-				*to.hops = append(*to.hops, Hop{Kind: HopRouter, Coord: coord, RC: h.RC, Out: out})
-			}
-			if to.channels != nil {
-				to.channels(-1, p.shape.Index(coord), out)
-			}
-			x.apply(h)
-			if out == p.dims {
-				if to.hops != nil {
-					*to.hops = append(*to.hops, Hop{Kind: HopPE, Coord: coord, RC: h.RC, Out: -1})
-				}
-				if coord != h.Dst {
-					return fmt.Errorf("routing: delivered to %v, wanted %v", coord, h.Dst)
-				}
-				return nil
-			}
-			line = geom.LineOf(coord, out)
-			in = coord[out]
-			atRouter = false
+	rc := h.RC // the RC the next element sees on arrival
+	err = w.Unicast(&h, func(ch int32, left *flit.Header, _ int) {
+		dim, index, out := w.Port(ch)
+		hop := Hop{Kind: HopRouter, RC: rc, Out: out}
+		if dim < 0 {
+			hop.Coord = p.shape.CoordOf(index)
 		} else {
-			outs, x, err := p.routeXB(line, in, h)
-			if err != nil {
-				return err
-			}
-			if len(outs) != 1 {
-				return fmt.Errorf("routing: unicast fan-out at crossbar %v", line)
-			}
-			out := outs[0]
-			if to.hops != nil {
-				*to.hops = append(*to.hops, Hop{Kind: HopXB, Line: line, RC: h.RC, Out: out})
-			}
-			if to.channels != nil {
-				to.channels(line.Dim, p.shape.LineIndex(line), out)
-			}
-			x.apply(h)
-			coord = line.Point(out)
-			in = line.Dim
-			atRouter = true
+			hop.Kind, hop.Line = HopXB, p.shape.LineAt(dim, index)
 		}
-	}
-	return fmt.Errorf("routing: path from %v exceeded %d hops (routing loop?)", src, p.maxWalkHops())
-}
-
-// UnicastChannels walks the route UnicastPath would return and reports its
-// channels to visit without building the path; the error is UnicastPath's.
-// Channels are reported as the walk goes, so on an error the caller has
-// seen the prefix the refused route got to.
-func (p *Policy) UnicastChannels(src, dst geom.Coord, visit ChannelVisitor) error {
-	return p.walkUnicast(src, dst, walkSink{channels: visit})
+		rc = left.RC
+		hops = append(hops, hop)
+		if dim < 0 && out == p.dims {
+			hops = append(hops, Hop{Kind: HopPE, Coord: hop.Coord, RC: rc, Out: -1})
+		}
+	})
+	return hops, err
 }
 
 // PivotEnabled reports whether the two-phase pivot extension is configured.
@@ -208,33 +160,31 @@ func (p *Policy) PivotIntermediate(src, dst geom.Coord) (geom.Coord, bool) {
 	return geom.Coord{}, false
 }
 
+// PivotHeader is UnicastHeader for the two-phase route src -> intermediate ->
+// dst, or ErrUnreachable when no valid intermediate exists.
+func (p *Policy) PivotHeader(src, dst geom.Coord) (flit.Header, error) {
+	mid, ok := p.PivotIntermediate(src, dst)
+	if !ok {
+		return flit.Header{}, fmt.Errorf("%w: no pivot intermediate for %v -> %v", ErrUnreachable, src, dst)
+	}
+	return flit.Header{Src: src, Dst: mid, FinalDst: dst, TwoPhase: true, RC: flit.RCNormal}, p.refuseSource(src)
+}
+
 // PivotPath computes the two-phase route src -> intermediate -> dst, or
 // ErrUnreachable when no valid intermediate exists.
 func (p *Policy) PivotPath(src, dst geom.Coord) ([]Hop, error) {
-	var hops []Hop
-	err := p.walkPivot(src, dst, walkSink{hops: &hops})
-	return hops, err
-}
-
-// PivotChannels is PivotPath in UnicastChannels' form.
-func (p *Policy) PivotChannels(src, dst geom.Coord, visit ChannelVisitor) error {
-	return p.walkPivot(src, dst, walkSink{channels: visit})
-}
-
-func (p *Policy) walkPivot(src, dst geom.Coord, to walkSink) error {
-	mid, ok := p.PivotIntermediate(src, dst)
-	if !ok {
-		return fmt.Errorf("%w: no pivot intermediate for %v -> %v", ErrUnreachable, src, dst)
-	}
-	h := flit.Header{Src: src, Dst: mid, FinalDst: dst, TwoPhase: true, RC: flit.RCNormal}
-	return p.walkHeader(src, &h, to)
+	return p.path(p.PivotHeader(src, dst))
 }
 
 // Reachable reports whether a point-to-point send from src to dst would be
 // delivered under the present faults: UnicastPath's error without the path.
-// A served pair costs no allocation.
 func (p *Policy) Reachable(src, dst geom.Coord) error {
-	return p.walkUnicast(src, dst, walkSink{})
+	h, err := p.UnicastHeader(src, dst)
+	if err == nil {
+		w := p.walker()
+		err = w.Unicast(&h, nil)
+	}
+	return err
 }
 
 // CrossbarHops counts the crossbar traversals on the path (the paper's hop
@@ -275,21 +225,34 @@ type BroadcastResult struct {
 	DeadBranches int
 }
 
+// BroadcastHeader is the header a broadcast from src leaves its PE with: a
+// request for the S-XB, or in naive mode the fan itself.
+func (p *Policy) BroadcastHeader(src geom.Coord) flit.Header {
+	rc := flit.RCBroadcastRequest
+	if p.cfg.NaiveBroadcast {
+		rc = flit.RCBroadcast
+	}
+	return flit.Header{Src: src, BroadcastOrigin: src, RC: rc}
+}
+
 // BroadcastTree statically expands the broadcast of one packet from src:
 // through the S-XB in the serialized scheme, or the source-rooted tree in
 // naive mode. It returns ErrUnreachable when the source cannot reach the
 // serialization point: a faulty source router, or any refused step of the
-// request leg (WalkBroadcast's rule).
+// request leg (topo.Walker.Broadcast's rule).
 func (p *Policy) BroadcastTree(src geom.Coord) (BroadcastResult, error) {
 	res := BroadcastResult{Delivered: map[geom.Coord]int{}, Elements: 1}
 	if !p.shape.Contains(src) {
 		return res, fmt.Errorf("routing: src %v outside shape", src)
 	}
-	if p.faults.RouterFaulty(src) {
-		return res, fmt.Errorf("%w: source router %v faulty", ErrUnreachable, src)
+	if err := p.refuseSource(src); err != nil {
+		return res, err
 	}
+	w := p.walker()
+	h := p.BroadcastHeader(src)
 	var err error
-	res.DeadBranches, err = p.WalkBroadcast(src, &BroadcastWalk{}, func(dim, index, out int, _ *flit.Header, depth int) {
+	res.DeadBranches, err = w.Broadcast(&h, func(ch int32, _ *flit.Header, depth int) {
+		dim, index, out := w.Port(ch)
 		if dim < 0 && out == p.dims {
 			res.Delivered[p.shape.CoordOf(index)]++
 			return
@@ -298,82 +261,4 @@ func (p *Policy) BroadcastTree(src geom.Coord) (BroadcastResult, error) {
 		res.Depth = max(res.Depth, depth+1)
 	})
 	return res, err
-}
-
-// BroadcastVisitor receives the out-ports of a broadcast walk as
-// ChannelVisitor does, with the header the copy leaves on (valid only
-// during the call) and the depth of the switch it leaves: 0 at the source
-// router, one more per switch.
-type BroadcastVisitor func(dim, index, out int, h *flit.Header, depth int)
-
-// BroadcastWalk is WalkBroadcast's queue, owned by the caller so that
-// repeated walks reuse it. The zero value is ready to use.
-type BroadcastWalk struct {
-	queue   []fanNode
-	headers []flit.Header // the walk's distinct headers; a node holds an index
-}
-
-// fanNode is one switch arrival of a broadcast walk.
-type fanNode struct {
-	atRouter  bool
-	coord     geom.Coord
-	line      geom.Line
-	in, depth int
-	h         int
-}
-
-// WalkBroadcast replays the policy's broadcast decisions from src breadth
-// first, reporting every out-port taken to visit. A refused decision on a
-// request-class header refuses the broadcast — the source cannot reach the
-// serialization point — and returns the error; any other refusal is a dead
-// fan branch (possible only in an over-faulted network), counted in dead.
-// The source router's own health is the caller's to check.
-func (p *Policy) WalkBroadcast(src geom.Coord, w *BroadcastWalk, visit BroadcastVisitor) (dead int, err error) {
-	rc := flit.RCBroadcastRequest
-	if p.cfg.NaiveBroadcast {
-		rc = flit.RCBroadcast
-	}
-	w.headers = append(w.headers[:0], flit.Header{Src: src, BroadcastOrigin: src, RC: rc})
-	w.queue = append(w.queue[:0], fanNode{atRouter: true, coord: src, in: p.dims})
-	limit := p.shape.Size()*(p.dims+2)*4 + 64
-	for next := 0; next < len(w.queue); next++ {
-		if next >= limit {
-			return dead, fmt.Errorf("routing: broadcast walk from %v exceeded %d steps (routing loop?)", src, limit)
-		}
-		nd := w.queue[next]
-		var outs []int
-		var x xform
-		dim, index := -1, 0
-		if nd.atRouter {
-			outs, x, err = p.routeRouter(nd.coord, nd.in, &w.headers[nd.h])
-			index = p.shape.Index(nd.coord)
-		} else {
-			outs, x, err = p.routeXB(nd.line, nd.in, &w.headers[nd.h])
-			dim, index = nd.line.Dim, p.shape.LineIndex(nd.line)
-		}
-		if err != nil {
-			if w.headers[nd.h].RC == flit.RCBroadcastRequest {
-				return dead, err
-			}
-			dead++
-			continue
-		}
-		h := nd.h
-		if x != xNone {
-			w.headers = append(w.headers, w.headers[h])
-			h = len(w.headers) - 1
-			x.apply(&w.headers[h])
-		}
-		for _, out := range outs {
-			visit(dim, index, out, &w.headers[h], nd.depth)
-			switch {
-			case nd.atRouter && out == p.dims: // delivered to the PE
-			case nd.atRouter:
-				w.queue = append(w.queue, fanNode{line: geom.LineOf(nd.coord, out), in: nd.coord[out], depth: nd.depth + 1, h: h})
-			default:
-				w.queue = append(w.queue, fanNode{atRouter: true, coord: nd.line.Point(out), in: nd.line.Dim, depth: nd.depth + 1, h: h})
-			}
-		}
-	}
-	return dead, nil
 }

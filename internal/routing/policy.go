@@ -210,10 +210,9 @@ func (p *Policy) firstFixedDiff(c, fixed geom.Coord) int {
 	return -1
 }
 
-// xform says what a switch does to the header of the copies it forwards. The
-// static walkers apply it to their probe header and switches hand the same
-// method to the kernel as an engine.Decision Transform; both rewrite in
-// place.
+// xform says what a switch does to the header of the copies it forwards.
+// Switches hand its apply method to the kernel, and to topo.Walker, as an
+// engine.Decision Transform; both rewrite in place.
 type xform uint8
 
 const (

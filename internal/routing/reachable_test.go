@@ -11,35 +11,29 @@ import (
 	"sr2201/internal/geom"
 )
 
-// switchWalk is the walker as it was before Reachable stopped collecting: it
-// follows the decisions the switches themselves get (RouteRouter / RouteXB,
-// Transform closures on a heap header) and collects every hop. It is the
-// reference the in-place, non-collecting walker is held to.
-func switchWalk(p *Policy, src, dst geom.Coord) ([]Hop, error) {
-	if !p.shape.Contains(src) || !p.shape.Contains(dst) {
-		return nil, fmt.Errorf("routing: src %v or dst %v outside shape", src, dst)
-	}
+// walkHeader is the walker routing had before topo.Walker: it calls the
+// policy's own routeRouter/routeXB and applies their xform to the header in
+// place, never going through an engine.Decision. It is the oracle the one
+// walker, which walks the switches' decisions, is held to.
+func walkHeader(p *Policy, src geom.Coord, h *flit.Header) ([]Hop, error) {
 	if p.faults.RouterFaulty(src) {
 		return nil, fmt.Errorf("%w: source router %v faulty", ErrUnreachable, src)
 	}
-	h := &flit.Header{Src: src, Dst: dst, RC: flit.RCNormal}
 	var hops []Hop
 	atRouter, coord, in := true, src, p.dims
 	var line geom.Line
-	for steps := 0; steps < p.maxWalkHops(); steps++ {
+	for steps := 0; steps < 8*p.dims+16; steps++ {
 		if atRouter {
-			dec, err := p.RouteRouter(nil, coord, in, h)
+			outs, x, err := p.routeRouter(coord, in, h)
 			if err != nil {
 				return hops, err
 			}
-			if len(dec.Outs) != 1 {
+			if len(outs) != 1 {
 				return hops, fmt.Errorf("routing: unicast fan-out at router %v", coord)
 			}
-			out := dec.Outs[0]
+			out := outs[0]
 			hops = append(hops, Hop{Kind: HopRouter, Coord: coord, RC: h.RC, Out: out})
-			if dec.Transform != nil {
-				dec.Transform(h)
-			}
+			x.apply(h)
 			if out == p.dims {
 				hops = append(hops, Hop{Kind: HopPE, Coord: coord, RC: h.RC, Out: -1})
 				if coord != h.Dst {
@@ -49,22 +43,20 @@ func switchWalk(p *Policy, src, dst geom.Coord) ([]Hop, error) {
 			}
 			line, in, atRouter = geom.LineOf(coord, out), coord[out], false
 		} else {
-			dec, err := p.RouteXB(nil, line, in, h)
+			outs, x, err := p.routeXB(line, in, h)
 			if err != nil {
 				return hops, err
 			}
-			if len(dec.Outs) != 1 {
+			if len(outs) != 1 {
 				return hops, fmt.Errorf("routing: unicast fan-out at crossbar %v", line)
 			}
-			out := dec.Outs[0]
+			out := outs[0]
 			hops = append(hops, Hop{Kind: HopXB, Line: line, RC: h.RC, Out: out})
-			if dec.Transform != nil {
-				dec.Transform(h)
-			}
+			x.apply(h)
 			coord, in, atRouter = line.Point(out), line.Dim, true
 		}
 	}
-	return hops, fmt.Errorf("routing: path from %v exceeded %d hops (routing loop?)", src, p.maxWalkHops())
+	return hops, fmt.Errorf("routing: path from %v exceeded %d hops (routing loop?)", src, 8*p.dims+16)
 }
 
 func errText(err error) string {
@@ -74,16 +66,16 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// checkReachableAgrees holds Reachable, UnicastPath and the switch-level walk
-// to one another over every ordered pair of the policy's shape.
+// checkReachableAgrees holds Reachable and UnicastPath to the oracle walk
+// over every ordered pair of the policy's shape.
 func checkReachableAgrees(t *testing.T, p *Policy, what string) {
 	t.Helper()
 	p.shape.Enumerate(func(src geom.Coord) bool {
 		p.shape.Enumerate(func(dst geom.Coord) bool {
-			want, wantErr := switchWalk(p, src, dst)
+			want, wantErr := walkHeader(p, src, &flit.Header{Src: src, Dst: dst, RC: flit.RCNormal})
 			got, gotErr := p.UnicastPath(src, dst)
 			if errText(gotErr) != errText(wantErr) || !slices.Equal(got, want) {
-				t.Fatalf("%s %v->%v: UnicastPath = %v, %v; the switches route %v, %v", what, src, dst, got, gotErr, want, wantErr)
+				t.Fatalf("%s %v->%v: UnicastPath = %v, %v; the oracle walks %v, %v", what, src, dst, got, gotErr, want, wantErr)
 			}
 			if err := p.Reachable(src, dst); errText(err) != errText(wantErr) {
 				t.Fatalf("%s %v->%v: Reachable = %v, UnicastPath = %v", what, src, dst, err, wantErr)
@@ -148,6 +140,10 @@ func TestReachableAgreesWithUnicastPath(t *testing.T) {
 				}
 				if last := path[len(path)-1]; last.Kind != HopPE || last.Coord != dst {
 					t.Fatalf("pivot %v %v->%v: path ends at %v", l, src, dst, last)
+				}
+				want, _ := walkHeader(p, src, &flit.Header{Src: src, Dst: mid, FinalDst: dst, TwoPhase: true, RC: flit.RCNormal})
+				if !slices.Equal(path, want) {
+					t.Fatalf("pivot %v %v->%v: PivotPath = %v; the oracle walks %v", l, src, dst, path, want)
 				}
 				return true
 			})

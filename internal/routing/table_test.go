@@ -11,6 +11,7 @@ import (
 	"sr2201/internal/fault"
 	"sr2201/internal/flit"
 	"sr2201/internal/geom"
+	"sr2201/internal/topo"
 )
 
 // equivalentDecision compares the algorithmic and the table decision for one
@@ -76,6 +77,8 @@ func checkXB(t *testing.T, p *Policy, tp *TablePolicy, l geom.Line, h *flit.Head
 // equivalentEverywhere compiles p and compares every (switch, in-port, RC,
 // destination) with the algorithmic decision. The request and broadcast
 // classes carry no destination and are compared once per switch and port.
+// Then it walks both: every pair and every broadcast source must take the
+// same channels and meet the same refusal.
 func equivalentEverywhere(t *testing.T, p *Policy) {
 	t.Helper()
 	tp, err := Compile(p)
@@ -100,6 +103,40 @@ func equivalentEverywhere(t *testing.T, p *Policy) {
 	for _, l := range shape.Lines() {
 		perDst(func(h *flit.Header) { checkXB(t, p, tp, l, h) })
 	}
+	sameWalks(t, p, tp)
+}
+
+// sameWalks walks the algorithmic and the compiled policy side by side over
+// the MD crossbar, unicast from every pair and broadcast from every source,
+// and compares the channel sequences, the dead branches and the refusal
+// text.
+func sameWalks(t *testing.T, p *Policy, tp *TablePolicy) {
+	t.Helper()
+	wiring := topo.MDCrossbar{Shape: p.shape, VCs: 1}
+	wa, wb := topo.NewWalker(p.shape, wiring, p), topo.NewWalker(p.shape, wiring, tp)
+	var ra, rb []int32
+	va := func(ch int32, _ *flit.Header, _ int) { ra = append(ra, ch) }
+	vb := func(ch int32, _ *flit.Header, _ int) { rb = append(rb, ch) }
+	same := func(what string, da, db int, ea, eb error) {
+		if errText(ea) != errText(eb) || da != db || !slices.Equal(ra, rb) {
+			t.Fatalf("%s: the policy walks %v (%d dead), %v; the tables walk %v (%d dead), %v", what, ra, da, ea, rb, db, eb)
+		}
+		ra, rb = ra[:0], rb[:0]
+	}
+	p.shape.Enumerate(func(src geom.Coord) bool {
+		p.shape.Enumerate(func(dst geom.Coord) bool {
+			if ha, err := p.UnicastHeader(src, dst); err == nil {
+				hb := ha
+				same(fmt.Sprintf("unicast %v->%v", src, dst), 0, 0, wa.Unicast(&ha, va), wb.Unicast(&hb, vb))
+			}
+			return true
+		})
+		h := p.BroadcastHeader(src)
+		da, ea := wa.Broadcast(&h, va)
+		db, eb := wb.Broadcast(&h, vb)
+		same(fmt.Sprintf("broadcast from %v", src), da, db, ea, eb)
+		return true
+	})
 }
 
 // placements lists every single router and crossbar fault of the shape.

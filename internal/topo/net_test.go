@@ -282,9 +282,22 @@ func (b brokenRouter) Route(c geom.Coord, in int, h *flit.Header) (engine.Decisi
 	return b.route(c, in, h)
 }
 
+// brokenXB lets the walker tests feed pathological crossbar-wiring decisions.
+type brokenXB struct {
+	router, xb func(in int) []int
+}
+
+func (b brokenXB) RouteRouter(_ *topo.Net, _ geom.Coord, in int, _ *flit.Header) (engine.Decision, error) {
+	return engine.Decision{Outs: b.router(in)}, nil
+}
+
+func (b brokenXB) RouteXB(_ *topo.Net, _ geom.Line, in int, _ *flit.Header) (engine.Decision, error) {
+	return engine.Decision{Outs: b.xb(in)}, nil
+}
+
 // TestWalkRejectsBrokenSchemes: the walker reports looping, misdelivering
-// and replicating schemes as hard errors, and propagates refusals as
-// ErrUnreachable.
+// and replicating schemes as hard errors, on cabled and crossbar wirings
+// alike, and propagates refusals as ErrUnreachable.
 func TestWalkRejectsBrokenSchemes(t *testing.T) {
 	shape := geom.MustShape(4)
 	pe := topo.PEPort(shape)
@@ -320,6 +333,22 @@ func TestWalkRejectsBrokenSchemes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := topo.Walk(brokenRouter{shape: shape, route: tc.route}, geom.Coord{0}, geom.Coord{2})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err=%v, want mention of %q", err, tc.want)
+			}
+		})
+	}
+	toXB := func(int) []int { return []int{0} }
+	for _, tc := range []struct {
+		name string
+		p    brokenXB
+		want string
+	}{
+		{"crossbar loop", brokenXB{toXB, func(in int) []int { return []int{(in + 1) % shape[0]} }}, "exceeded"},
+		{"crossbar replication", brokenXB{toXB, func(int) []int { return []int{0, 1} }}, "outputs"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := topo.NewWalker(shape, topo.MDCrossbar{Shape: shape, VCs: 1}, tc.p)
+			if err := w.Unicast(&flit.Header{Src: geom.Coord{0}, Dst: geom.Coord{2}}, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("err=%v, want mention of %q", err, tc.want)
 			}
 		})

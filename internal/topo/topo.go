@@ -2,9 +2,10 @@
 // dependence prover (the Dally–Seitz criterion the paper's Section 5
 // argument rests on), a Scheme interface any topology/routing pair
 // implements to register its dependence edges, a registry of certified
-// schemes, and the one network builder (Net) every topology runs on —
-// routers switched through the paper's shared per-line crossbars, or cabled
-// point to point (HyperX, full mesh, mesh, torus).
+// schemes, the one network builder (Net) every topology runs on — routers
+// switched through the paper's shared per-line crossbars, or cabled point to
+// point (HyperX, full mesh, mesh, torus) — and the one static route walker
+// (Walker), whose channel numbering every certificate is built on.
 //
 // The prover is deliberately the same machine internal/cdg always ran: a
 // channel-vertex graph built in insertion order, optional composite
@@ -75,14 +76,15 @@ func (c Certificate) String() string {
 // u's successor set as a sorted slice (membership by binary search, and the
 // cycle search wants successors in id order anyway), memberOf[v] the
 // composite v was absorbed into. A name is hashed once, when Channel first
-// sees it; callers that already number their channels (internal/cdg) keep
-// the returned id and never come back through the map.
+// sees it; callers that number their channels (a Walker's) go through Intern
+// and never come back through the map.
 type Builder struct {
 	ids      map[string]int
 	names    []string
 	adj      [][]int32
 	memberOf []int32 // composite id, or -1
 	members  int
+	rank     []int32 // the last certificate's witness (Rank)
 }
 
 // NewBuilder returns an empty dependence-graph builder.
@@ -101,6 +103,19 @@ func (b *Builder) Channel(name string) int {
 	b.names = append(b.names, name)
 	b.adj = append(b.adj, nil)
 	b.memberOf = append(b.memberOf, -1)
+	return v
+}
+
+// Intern returns the vertex of channel n of a numbering, naming it and
+// interning the name only the first time: vertex[n] caches the id + 1, so
+// vertices — and every cycle witness — come in first-seen order while every
+// later crossing is an array read.
+func (b *Builder) Intern(vertex []int32, n int32, name func(int32) string) int {
+	if v := vertex[n]; v > 0 {
+		return int(v) - 1
+	}
+	v := b.Channel(name(n))
+	vertex[n] = int32(v) + 1
 	return v
 }
 
@@ -126,14 +141,6 @@ func (b *Builder) Edge(u, v int) {
 		return
 	}
 	b.adj[u], _ = insertSorted(b.adj[u], int32(v))
-}
-
-// Path interns the named channels and records the consecutive dependences
-// of one route: each channel held while the next is awaited.
-func (b *Builder) Path(names ...string) {
-	for i := 1; i < len(names); i++ {
-		b.Edge(b.Channel(names[i-1]), b.Channel(names[i]))
-	}
 }
 
 // Composite interns a composite vertex: a resource standing for a whole
@@ -192,10 +199,16 @@ func (b *Builder) contract() ([][]int32, int) {
 func (b *Builder) Certificate(scheme string) Certificate {
 	contracted, edges := b.contract()
 	cert := Certificate{Scheme: scheme, Channels: len(b.names) - b.members, Edges: edges}
-	cert.Cycle = findCycle(contracted, b.names)
+	cert.Cycle, b.rank = findCycle(contracted, b.names)
 	cert.Acyclic = cert.Cycle == nil
 	return cert
 }
+
+// Rank is the witness of the last Certificate, nil unless it was acyclic: a
+// numbering of the vertices (by id, as ContractedEdges names them) that every
+// contracted edge strictly climbs — the Dally–Seitz channel order, which a
+// checker can verify without trusting the cycle search.
+func (b *Builder) Rank() []int32 { return b.rank }
 
 // ContractedEdges returns the post-contraction dependence edges as vertex id
 // pairs ordered by (from, to): the same graph Certificate counts and
@@ -215,8 +228,9 @@ func (b *Builder) ContractedEdges() [][2]int {
 }
 
 // findCycle runs a deterministic DFS (vertices and successors in id order)
-// over the graph and returns the names of one cycle's vertices, or nil.
-func findCycle(adj [][]int32, names []string) []string {
+// over the graph and returns the names of one cycle's vertices or, for an
+// acyclic graph, the reverse of the DFS finish order as a rank.
+func findCycle(adj [][]int32, names []string) ([]string, []int32) {
 	const (
 		white = 0
 		gray  = 1
@@ -224,6 +238,7 @@ func findCycle(adj [][]int32, names []string) []string {
 	)
 	color := make([]uint8, len(adj))
 	parent := make([]int32, len(adj))
+	rank, next := make([]int32, len(adj)), int32(len(adj))
 	cycleAt := int32(-1)
 
 	var dfs func(u int32) bool
@@ -243,6 +258,8 @@ func findCycle(adj [][]int32, names []string) []string {
 			}
 		}
 		color[u] = black
+		next--
+		rank[u] = next // every successor finished first, so ranks above u
 		return false
 	}
 	for u := range adj {
@@ -251,7 +268,7 @@ func findCycle(adj [][]int32, names []string) []string {
 		}
 	}
 	if cycleAt < 0 {
-		return nil
+		return nil, rank
 	}
 	var cyc []string
 	cur := cycleAt
@@ -263,7 +280,7 @@ func findCycle(adj [][]int32, names []string) []string {
 		}
 	}
 	slices.Reverse(cyc)
-	return cyc
+	return cyc, nil
 }
 
 // Certify runs a scheme through a fresh builder and returns its

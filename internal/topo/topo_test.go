@@ -8,6 +8,14 @@ import (
 	"sr2201/internal/topo"
 )
 
+// path interns the named channels and records the consecutive dependences of
+// one route: each channel held while the next is awaited.
+func path(b *topo.Builder, names ...string) {
+	for i := 1; i < len(names); i++ {
+		b.Edge(b.Channel(names[i-1]), b.Channel(names[i]))
+	}
+}
+
 // TestBuilderInterning: channel vertices are interned by name — repeated
 // names return the same id, and edge duplicates collapse to one edge.
 func TestBuilderInterning(t *testing.T) {
@@ -22,7 +30,7 @@ func TestBuilderInterning(t *testing.T) {
 	}
 	b.Edge(a, c)
 	b.Edge(a, c)
-	b.Path("a", "c")
+	path(b, "a", "c")
 	cert := b.Certificate("intern")
 	if cert.Channels != 2 || cert.Edges != 1 {
 		t.Errorf("channels=%d edges=%d, want 2 and 1 (duplicates collapsed)", cert.Channels, cert.Edges)
@@ -38,7 +46,7 @@ func TestBuilderSelfLoopDropped(t *testing.T) {
 	b := topo.NewBuilder()
 	a := b.Channel("a")
 	b.Edge(a, a)
-	b.Path("a", "a")
+	path(b, "a", "a")
 	cert := b.Certificate("selfloop")
 	if cert.Edges != 0 || !cert.Acyclic {
 		t.Errorf("self-loop survived: edges=%d acyclic=%v", cert.Edges, cert.Acyclic)
@@ -85,8 +93,8 @@ func TestBuilderCompositeContraction(t *testing.T) {
 func TestCertificateCycleWitness(t *testing.T) {
 	build := func() topo.Certificate {
 		b := topo.NewBuilder()
-		b.Path("a", "b", "c", "a")
-		b.Path("a", "d") // an acyclic appendix must not perturb the witness
+		path(b, "a", "b", "c", "a")
+		path(b, "a", "d") // an acyclic appendix must not perturb the witness
 		return b.Certificate("ring")
 	}
 	first := build()
@@ -109,14 +117,14 @@ func TestCertificateCycleWitness(t *testing.T) {
 // TestCertificateString pins the golden/testdata rendering format.
 func TestCertificateString(t *testing.T) {
 	b := topo.NewBuilder()
-	b.Path("a", "b", "a")
+	path(b, "a", "b", "a")
 	got := b.Certificate("fmt").String()
 	want := "scheme: fmt\nchannels: 2\nedges: 2\nacyclic: false\ncycle:\n  b\n  a\n"
 	if got != want {
 		t.Errorf("String() =\n%q\nwant\n%q", got, want)
 	}
 	b2 := topo.NewBuilder()
-	b2.Path("a", "b")
+	path(b2, "a", "b")
 	if got := b2.Certificate("fmt").String(); !strings.HasSuffix(got, "acyclic: true\n") {
 		t.Errorf("acyclic String() = %q, want no cycle block", got)
 	}
