@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"sr2201/internal/core"
 	"sr2201/internal/fault"
 	"sr2201/internal/geom"
 	"sr2201/internal/routing"
@@ -225,5 +226,30 @@ func TestPivotExtensionBreaksAcyclicity(t *testing.T) {
 	}
 	if len(resPiv.Cycle) < 3 {
 		t.Errorf("cycle suspiciously short: %v", resPiv.Cycle)
+	}
+}
+
+// BenchmarkAnalyze times the certificate of the benchmark's short-vc-faulted
+// machine (8x8x8 with 4 lanes, adaptive routing and one faulty router): its
+// escape policy's dependence graph, every pair and every broadcast walked.
+func BenchmarkAnalyze(b *testing.B) {
+	shape := geom.MustShape(8, 8, 8)
+	m, err := core.NewMachine(core.Config{Shape: shape, VCs: 4, Adaptive: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := m.AddFault(fault.RouterFault(geom.Coord{4, 2, 1})); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Analyze(m.Policy(), shape, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Acyclic {
+			b.Fatalf("dependence cycle: %v", res.Cycle)
+		}
 	}
 }

@@ -136,7 +136,7 @@ func broadcast(t *testing.T, m *core.Machine, src geom.Coord, size int, seen *di
 // bytes of Machine.Snapshot on three runs. StateHash reads only a header's
 // PacketID; a snapshot encodes every resident header by value — in source
 // queues, buffers, links, cut-through and receive states, and the output
-// of each pending transform — plus the delivery log. So a live header that
+// of each pending header rewrite — plus the delivery log. So a live header that
 // was overwritten shows here in the cycle it happens, even if the packet
 // still reaches its destination. The streams were recorded before the
 // engine took ownership of headers; -update rewrites them, which is right

@@ -108,16 +108,10 @@ type Decision struct {
 	// replicates the packet (broadcast fan-out). The kernel copies the
 	// slice, so routing functions may reuse its backing array.
 	Outs []int
-	// Transform, if non-nil, rewrites the header on the copies forwarded out
-	// of this switch (RC-bit transitions). The kernel calls it once per
-	// branch, on a copy it owns and is about to forward, and the transform
-	// rewrites that copy in place. It must be a pure function of the header
-	// it is given and must not retain the pointer.
-	Transform func(*flit.Header)
-	// Drop discards the packet at this switch (counted, reported via OnDrop).
-	Drop bool
-	// DropReason annotates a drop for diagnostics.
-	DropReason string
+	// Rewrite, if non-zero, is applied to the header of the copies forwarded
+	// out of this switch (RC-bit transitions, hop counts): once per branch,
+	// to a copy the kernel owns and is about to forward.
+	Rewrite flit.Rewrite
 	// Provisional marks a decision that binds for one allocation round only:
 	// if the single requested output is not granted this cycle, the kernel
 	// discards the state and routes the header again next cycle, letting an
@@ -151,12 +145,12 @@ func (p PortRef) String() string {
 // grant until the tail flit leaves. States are pooled; the outs and granted
 // slices are reused across packets.
 type routeState struct {
-	header    *flit.Header
-	outs      []int
-	granted   []bool
-	nGranted  int
-	transform func(*flit.Header)
-	sink      bool // dropping: consume flits until Last without forwarding
+	header   *flit.Header
+	outs     []int
+	granted  []bool
+	nGranted int
+	rewrite  flit.Rewrite
+	sink     bool // dropping: consume flits until Last without forwarding
 	// since is the cycle the header was routed; atomic allocation serves
 	// requests oldest-first ("in order of arrival"). A provisional re-route
 	// keeps the original stamp.
@@ -642,7 +636,7 @@ func (e *Engine) copyHeader(h *flit.Header) *flit.Header {
 
 // releaseHeader returns a header to the pool. It is called at exactly three
 // points, each the header's last holder: an endpoint consuming the tail
-// (after OnDeliver returns), a switch that forwarded copies (a transform or
+// (after OnDeliver returns), a switch that forwarded copies (a rewrite or
 // a fan-out) when the tail of the original leaves it, and a sink consuming
 // the tail. A header moves downstream, and a switch that forwards it
 // unchanged passes the same pointer on, so every upstream holder has let go
@@ -1043,13 +1037,6 @@ func (e *Engine) routeHeader(sw *Node, in *InPort, h *flit.Header) *routeState {
 	if err != nil {
 		return e.sinkPacket(sw, h, err.Error())
 	}
-	if dec.Drop {
-		reason := dec.DropReason
-		if reason == "" {
-			reason = "dropped by routing function"
-		}
-		return e.sinkPacket(sw, h, reason)
-	}
 	if len(dec.Outs) == 0 {
 		return e.sinkPacket(sw, h, "routing function returned no outputs")
 	}
@@ -1075,7 +1062,7 @@ func (e *Engine) routeHeader(sw *Node, in *InPort, h *flit.Header) *routeState {
 	for range dec.Outs {
 		rs.granted = append(rs.granted, false)
 	}
-	rs.transform = dec.Transform
+	rs.rewrite = dec.Rewrite
 	rs.since = e.cycle
 	rs.provisional = dec.Provisional
 	return rs
@@ -1108,7 +1095,7 @@ func (e *Engine) newRouteState() *routeState {
 // freeRouteState clears a completed state and returns it to the pool.
 func (e *Engine) freeRouteState(rs *routeState) {
 	rs.header = nil
-	rs.transform = nil
+	rs.rewrite = 0
 	rs.outs = rs.outs[:0]
 	rs.granted = rs.granted[:0]
 	rs.nGranted = 0
@@ -1210,16 +1197,14 @@ func (e *Engine) traverse() {
 		// A switch that rewrites the header or replicates the packet forwards
 		// copies and keeps the original until the tail leaves; otherwise the
 		// header itself moves on.
-		copies := rs.transform != nil || len(rs.outs) > 1
+		copies := rs.rewrite != 0 || len(rs.outs) > 1
 		for _, o := range rs.outs {
 			op := in.node.Out[o]
 			branch := f
 			if f.Header != nil {
 				if copies {
 					branch.Header = e.copyHeader(f.Header)
-					if rs.transform != nil {
-						rs.transform(branch.Header)
-					}
+					rs.rewrite.Apply(branch.Header)
 				}
 				if e.OnForward != nil {
 					e.OnForward(in.node, o, branch.Header, e.cycle)

@@ -138,18 +138,15 @@ func TestFanOutReplication(t *testing.T) {
 }
 
 func TestFanOutHeaderTransformIsolated(t *testing.T) {
-	// A transform on a fan-out must rewrite each branch's own copy exactly
-	// once, and never the caller's header: the transform counts, so two
+	// A rewrite on a fan-out must apply to each branch's own copy exactly
+	// once, and never to the caller's header: the rewrite counts, so two
 	// branches sharing one header would deliver a count of 2.
 	e := New(DefaultConfig())
 	e0 := e.AddEndpoint("E0", nil)
 	e1 := e.AddEndpoint("E1", nil)
 	e2 := e.AddEndpoint("E2", nil)
 	fan := func(n *Node, in int, h *flit.Header) (Decision, error) {
-		return Decision{
-			Outs:      []int{1, 2},
-			Transform: func(h *flit.Header) { h.RC = flit.RCBroadcast; h.DetourHops++ },
-		}, nil
+		return Decision{Outs: []int{1, 2}, Rewrite: flit.SetRC(flit.RCBroadcast) | flit.CountDetour}, nil
 	}
 	sw := e.AddSwitch("SW", 3, fan, nil)
 	e.Connect(e0, 0, sw, 0)

@@ -19,15 +19,16 @@ import (
 // delivery hook): that is the only point where the kernel's per-cycle
 // scratch state is guaranteed reconstructible.
 //
-// One non-obvious piece of state: a cut-through's Transform closure cannot
-// be serialized, so the snapshot stores the closure's *output*: the encoder
-// applies the transform to a stack copy of the route state's header and
-// encodes the copy, leaving the live header alone. Restore installs a
-// closure that overwrites the kernel's forwarding copy with that recorded
-// output. This is exact because a Transform is a pure function of the
-// header (Decision contract), is only ever applied while the header flit is
-// still buffered at the port, and that header cannot change between
-// snapshot and traversal (no holder rewrites a header it did not copy).
+// One non-obvious piece of state: a cut-through's pending Rewrite is stored
+// as its *output*. The encoder applies it to a stack copy of the route
+// state's header and encodes the copy, leaving the live header alone.
+// Restore derives a rewrite from the field difference (rewriteTo) and
+// refuses the snapshot unless that rewrite turns the decoded header into the
+// recorded output exactly. This is exact because a rewrite is a fixed set of
+// field writes, is only ever applied while the header flit is still
+// buffered at the port, and that header cannot change between snapshot and
+// traversal (no holder rewrites a header it did not copy); re-encoding a
+// restored engine writes the same bytes.
 //
 // The engine's header pool is not part of the state: restored headers are
 // fresh allocations that join the pool when their packets release them.
@@ -146,10 +147,10 @@ func (e *Engine) EncodeState(w *checkpoint.Writer) {
 				nodes.Int(rs.since)
 				nodes.Bool(rs.provisional)
 				flit.EncodeHeader(nodes, rs.header)
-				nodes.Bool(rs.transform != nil)
-				if rs.transform != nil {
+				nodes.Bool(rs.rewrite != 0)
+				if rs.rewrite != 0 {
 					out := *rs.header
-					rs.transform(&out)
+					rs.rewrite.Apply(&out)
 					flit.EncodeHeader(nodes, &out)
 				}
 				nodes.Uint(uint64(len(rs.outs)))
@@ -307,9 +308,11 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 					rs.provisional = nodes.Bool()
 				}
 				rs.header = flit.DecodeHeader(nodes)
-				if nodes.Bool() { // transform captured as its pre-applied output
-					out := *flit.DecodeHeader(nodes)
-					rs.transform = func(h *flit.Header) { *h = out }
+				if nodes.Bool() { // the rewrite, recorded as its output
+					var ok bool
+					if rs.rewrite, ok = rewriteTo(rs.header, flit.DecodeHeader(nodes)); nodes.Err() == nil && !ok {
+						return fmt.Errorf("checkpoint: section %q: route state at %s.%d records a forwarded header no rewrite produces", secEngineNodes, n.Name, in.idx)
+					}
 				}
 				on := nodes.Len(2)
 				if nodes.Err() == nil && rs.sink && on != 0 {
@@ -456,6 +459,26 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 	e.ctr = ctr
 	e.rebuildActiveSets()
 	return nil
+}
+
+// rewriteTo derives the rewrite that turns h into out, the header the encoder
+// recorded: it always sets RC, so a rewrite that changed nothing stays
+// non-zero, retargets where Dst or TwoPhase differ, and counts a hop where a
+// counter rose by one. ok reports whether it does turn h into out.
+func rewriteTo(h, out *flit.Header) (w flit.Rewrite, ok bool) {
+	w = flit.SetRC(out.RC)
+	if out.Dst != h.Dst || out.TwoPhase != h.TwoPhase {
+		w |= flit.Retarget
+	}
+	if out.DetourHops == h.DetourHops+1 {
+		w |= flit.CountDetour
+	}
+	if out.AdaptiveHops == h.AdaptiveHops+1 {
+		w |= flit.CountAdaptive
+	}
+	got := *h
+	w.Apply(&got)
+	return w, got == *out
 }
 
 // decodeFlitChecked decodes one flit and enforces the kernel invariant that

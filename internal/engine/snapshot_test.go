@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"strings"
 	"testing"
 
+	"sr2201/internal/checkpoint"
 	"sr2201/internal/flit"
 	"sr2201/internal/geom"
 )
@@ -26,43 +30,12 @@ func snapshotScenarios() []scenario {
 	chain := func(cfg Config) func() *Engine {
 		return func() *Engine { e, _ := chainScenario(cfg, 8); return e }
 	}
-	fanTransform := func() *Engine {
-		// Broadcast-style fan-out with an RC-rewriting transform, long
-		// packets against shallow buffers, so snapshots land while headers
-		// sit at transforming switches in every grant state.
-		e := New(Config{BufferDepth: 2, LinkDelay: 1, Acquire: AcquireAtomic})
-		src := e.AddEndpoint("SRC", nil)
-		sinks := make([]*Node, 3)
-		fan := func(n *Node, in int, h *flit.Header) (Decision, error) {
-			if h.RC == flit.RCBroadcastRequest {
-				return Decision{
-					Outs:      []int{1, 2, 3},
-					Transform: func(h *flit.Header) { h.RC = flit.RCBroadcast },
-				}, nil
-			}
-			return Decision{Outs: []int{1 + int(h.Dst[0])%3}}, nil
-		}
-		sw := e.AddSwitch("FAN", 4, fan, nil)
-		e.Connect(src, 0, sw, 0)
-		for i := range sinks {
-			sinks[i] = e.AddEndpoint(fmt.Sprintf("K%d", i), nil)
-			e.Connect(sinks[i], 0, sw, 1+i)
-		}
-		for i := 0; i < 6; i++ {
-			rc := flit.RCNormal
-			if i%2 == 0 {
-				rc = flit.RCBroadcastRequest
-			}
-			e.Inject(src, flit.NewPacket(&flit.Header{PacketID: uint64(100 + i), RC: rc, Dst: geom.Coord{i}}, 5))
-		}
-		return e
-	}
 	return []scenario{
 		{name: "chain/default", build: chain(DefaultConfig()), horizon: 400},
 		{name: "chain/incremental_delay3", build: chain(Config{BufferDepth: 4, LinkDelay: 3, Acquire: AcquireIncremental}), horizon: 900},
 		{name: "chain/fullscan", build: chain(Config{BufferDepth: 2, LinkDelay: 1, DisableActiveSet: true}), horizon: 400},
 		{name: "chain/ejectrate1", build: chain(Config{BufferDepth: 8, LinkDelay: 2, EjectRate: 1}), horizon: 900},
-		{name: "fanout/transform", build: fanTransform, horizon: 300},
+		{name: "fanout/transform", build: fanRewriteEngine, horizon: 300},
 		{name: "phys/shared", build: physSharedEngine, horizon: 500},
 		{name: "chain/killswitch", build: chain(DefaultConfig()), horizon: 600,
 			preStep: func(e *Engine, cycle int) {
@@ -71,6 +44,38 @@ func snapshotScenarios() []scenario {
 				}
 			}},
 	}
+}
+
+// fanRewriteEngine is a broadcast-style fan-out with an RC rewrite: two
+// sources feed one switch that fans requests out to three sinks, long
+// packets against shallow buffers, so snapshots land while headers sit at
+// the rewriting switch in every grant state — a request waiting for the fan
+// the other source holds among them.
+func fanRewriteEngine() *Engine {
+	e := New(Config{BufferDepth: 2, LinkDelay: 1, Acquire: AcquireAtomic})
+	srcs := []*Node{e.AddEndpoint("SRC", nil), e.AddEndpoint("SRC1", nil)}
+	fan := func(n *Node, in int, h *flit.Header) (Decision, error) {
+		if h.RC == flit.RCBroadcastRequest {
+			return Decision{Outs: []int{1, 2, 3}, Rewrite: flit.SetRC(flit.RCBroadcast)}, nil
+		}
+		return Decision{Outs: []int{1 + int(h.Dst[0])%3}}, nil
+	}
+	sw := e.AddSwitch("FAN", 5, fan, nil)
+	e.Connect(srcs[0], 0, sw, 0)
+	e.Connect(srcs[1], 0, sw, 4)
+	for i := 0; i < 3; i++ {
+		e.Connect(e.AddEndpoint(fmt.Sprintf("K%d", i), nil), 0, sw, 1+i)
+	}
+	for i := 0; i < 6; i++ {
+		rc := flit.RCNormal
+		if i%2 == 0 {
+			rc = flit.RCBroadcastRequest
+		}
+		for s, src := range srcs {
+			e.Inject(src, flit.NewPacket(&flit.Header{PacketID: uint64(100*(s+1) + i), RC: rc, Dst: geom.Coord{i}}, 5))
+		}
+	}
+	return e
 }
 
 // physSharedEngine is the shared-wire build: two outputs of one switch
@@ -165,7 +170,7 @@ func TestRestoreEquivalence(t *testing.T) {
 }
 
 // TestSnapshotDoesNotPerturb: taking a snapshot must not change the source
-// engine's behavior (transform pre-application clones, it must not mutate).
+// engine's behavior (rewrite pre-application clones, it must not mutate).
 func TestSnapshotDoesNotPerturb(t *testing.T) {
 	for _, s := range snapshotScenarios() {
 		t.Run(s.name, func(t *testing.T) {
@@ -191,21 +196,84 @@ func TestSnapshotDoesNotPerturb(t *testing.T) {
 }
 
 // TestRestoreIdempotent: Snapshot(Restore(snap)) == snap, i.e. encode is a
-// pure function of the restored state.
+// pure function of the restored state — for every scenario at every cycle,
+// so pending rewrites (restored from their recorded output) are covered in
+// every grant state.
 func TestRestoreIdempotent(t *testing.T) {
-	s := snapshotScenarios()[0]
-	src := s.build()
-	for i := 0; i < 17; i++ {
+	for _, s := range snapshotScenarios() {
+		t.Run(s.name, func(t *testing.T) {
+			src := s.build()
+			for k := 0; k <= s.horizon; k++ {
+				snap := src.Snapshot()
+				dst := s.build()
+				if err := dst.Restore(snap); err != nil {
+					t.Fatalf("k=%d: %v", k, err)
+				}
+				if string(dst.Snapshot()) != string(snap) {
+					t.Fatalf("k=%d: re-encoding a restored engine changed the snapshot bytes", k)
+				}
+				if s.preStep != nil {
+					s.preStep(src, k)
+				}
+				src.Step()
+			}
+		})
+	}
+}
+
+// TestRestoreRefusesUnproducibleRewrite forges the recorded output of a
+// pending rewrite in a field no rewrite writes (the packet ID), or writes
+// otherwise (a detour count two higher): restore must refuse the snapshot,
+// naming the port, rather than forward the forged header.
+func TestRestoreRefusesUnproducibleRewrite(t *testing.T) {
+	// Snapshot while a request waits at the fan switch, its header still
+	// buffered: the recorded output is what restore would forward.
+	src := fanRewriteEngine()
+	var in *InPort
+	for in == nil {
 		src.Step()
+		for _, p := range src.Switches()[0].In {
+			if p.route != nil && p.route.rewrite != 0 && p.route.nGranted == 0 {
+				in = p
+			}
+		}
 	}
 	snap := src.Snapshot()
-	dst := s.build()
-	if err := dst.Restore(snap); err != nil {
+	if err := fanRewriteEngine().Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	snap2 := dst.Snapshot()
-	if string(snap) != string(snap2) {
-		t.Fatal("re-encoding a restored engine changed the snapshot bytes")
+	// The route state encodes its header, a true flag, then the output.
+	recorded := func(out flit.Header) []byte {
+		var enc checkpoint.Encoder
+		flit.EncodeHeader(&enc, in.route.header)
+		enc.Bool(true)
+		flit.EncodeHeader(&enc, &out)
+		return enc.Bytes()
+	}
+	out := *in.route.header
+	in.route.rewrite.Apply(&out)
+	want := recorded(out)
+	if bytes.Count(snap, want) != 1 {
+		t.Fatal("the pending rewrite's record is not in the snapshot exactly once")
+	}
+	for _, forge := range []func(h *flit.Header){
+		func(h *flit.Header) { h.PacketID++ },
+		func(h *flit.Header) { h.DetourHops += 2 },
+	} {
+		forged := out
+		forge(&forged)
+		bad := recorded(forged)
+		if len(bad) != len(want) {
+			t.Fatal("the forged record changes the encoding's length")
+		}
+		data := bytes.Replace(snap, want, bad, 1)
+		body := data[:len(data)-4]
+		binary.BigEndian.PutUint32(data[len(body):], crc32.ChecksumIEEE(body))
+		err := fanRewriteEngine().Restore(data)
+		port := fmt.Sprintf("FAN.%d", in.idx)
+		if err == nil || !strings.Contains(err.Error(), `checkpoint: section "engine.nodes"`) || !strings.Contains(err.Error(), port) {
+			t.Fatalf("forged output %+v: restore returned %v, want an engine.nodes refusal naming %s", forged, err, port)
+		}
 	}
 }
 
@@ -256,11 +324,13 @@ func TestRestoreRejectsMismatchedTopology(t *testing.T) {
 // FuzzSnapshotDecode holds Restore to the garbage-tolerance contract:
 // arbitrary bytes — truncations, bit flips, adversarial section tables —
 // never panic, and every rejection is an error naming where decoding failed
-// (container header, crc, or a section by name). The checked-in corpus
-// under testdata/fuzz pins regressions.
+// (container header, crc, or a section by name). Every input is restored
+// into the chain engine and into the fan-out engine whose snapshots carry
+// pending rewrites. The checked-in corpus under testdata/fuzz pins
+// regressions.
 func FuzzSnapshotDecode(f *testing.F) {
-	build := func() *Engine { e, _ := chainScenario(DefaultConfig(), 4); return e }
-	valid := func(steps int) []byte {
+	chain := func() *Engine { e, _ := chainScenario(DefaultConfig(), 4); return e }
+	valid := func(build func() *Engine, steps int) []byte {
 		e := build()
 		for i := 0; i < steps; i++ {
 			e.Step()
@@ -269,45 +339,42 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("MDXSNAP\n"))
-	f.Add(valid(0))
-	f.Add(valid(7))
-	f.Add(valid(40))
-	snap := valid(7)
+	f.Add(valid(chain, 0))
+	f.Add(valid(chain, 7))
+	f.Add(valid(chain, 40))
+	snap := valid(chain, 7)
 	f.Add(snap[:len(snap)/2])
 	flipped := append([]byte{}, snap...)
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)
 	// Snapshots of the shared-wire engine carry a phys-channel section the
-	// fuzz target's chain topology does not have: restored whole they hit
-	// the fingerprint rejection; cut or corrupted they exercise truncation
-	// and crc failure inside the VC-bearing sections.
-	vcValid := func(steps int) []byte {
-		e := physSharedEngine()
-		for i := 0; i < steps; i++ {
-			e.Step()
-		}
-		return e.Snapshot()
+	// other topologies do not have: restored whole they hit the fingerprint
+	// rejection; cut or corrupted they exercise truncation and crc failure
+	// inside the VC-bearing sections. At cycles 3, 20 and 40 a request waits
+	// at the fan-out engine's switch, and its snapshot records the pending
+	// rewrite as the output header, which restore re-derives.
+	for _, s := range [][]byte{valid(physSharedEngine, 9), valid(fanRewriteEngine, 3), valid(fanRewriteEngine, 20), valid(fanRewriteEngine, 40)} {
+		f.Add(s)
+		f.Add(s[:len(s)/2])
+		f.Add(s[:len(s)-7])
+		f.Add(s[:len(s)-1])
+		flipped := append([]byte{}, s...)
+		flipped[len(flipped)-9] ^= 0x10
+		f.Add(flipped)
 	}
-	vsnap := vcValid(9)
-	f.Add(vsnap)
-	f.Add(vsnap[:len(vsnap)/2])
-	f.Add(vsnap[:len(vsnap)-7])
-	f.Add(vsnap[:len(vsnap)-1])
-	vflip := append([]byte{}, vsnap...)
-	vflip[len(vflip)-9] ^= 0x10
-	f.Add(vflip)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e := build()
-		err := e.Restore(data)
-		if err == nil {
-			return
-		}
-		msg := err.Error()
-		if !strings.HasPrefix(msg, "checkpoint: ") {
-			t.Fatalf("rejection %q does not carry the checkpoint prefix", msg)
-		}
-		if !strings.Contains(msg, "section") && !strings.Contains(msg, "header") && !strings.Contains(msg, "crc") {
-			t.Fatalf("rejection %q names neither a section nor the container framing", msg)
+		for _, build := range []func() *Engine{chain, fanRewriteEngine} {
+			err := build().Restore(data)
+			if err == nil {
+				continue
+			}
+			msg := err.Error()
+			if !strings.HasPrefix(msg, "checkpoint: ") {
+				t.Fatalf("rejection %q does not carry the checkpoint prefix", msg)
+			}
+			if !strings.Contains(msg, "section") && !strings.Contains(msg, "header") && !strings.Contains(msg, "crc") {
+				t.Fatalf("rejection %q names neither a section nor the container framing", msg)
+			}
 		}
 	})
 }

@@ -91,6 +91,43 @@ type Header struct {
 	Epoch uint64
 }
 
+// Rewrite is what a switch does to the header of the copies it forwards: an
+// RC transition (the S-XB turns a request into a broadcast, a switch next to
+// a fault starts a detour, the D-XB ends it), the pivot extension's
+// retarget, and the simulator-side hop counts. Rewrites combine with |, at
+// most one RC each; the zero value rewrites nothing.
+type Rewrite uint8
+
+const (
+	// rcSet marks a rewrite that sets RC to the value in its low two bits.
+	rcSet Rewrite = 4
+	// Retarget points a two-phase packet at FinalDst and clears TwoPhase.
+	Retarget Rewrite = 8
+	// CountDetour counts a hop taken in detour mode (DetourHops).
+	CountDetour Rewrite = 16
+	// CountAdaptive counts a hop taken on an adaptive lane (AdaptiveHops).
+	CountAdaptive Rewrite = 32
+)
+
+// SetRC is the rewrite that sets RC to rc, one of the four Fig. 4 values.
+func SetRC(rc RC) Rewrite { return rcSet | Rewrite(rc&3) }
+
+// Apply rewrites h in place.
+func (w Rewrite) Apply(h *Header) {
+	if w&Retarget != 0 {
+		h.Dst, h.TwoPhase = h.FinalDst, false
+	}
+	if w&rcSet != 0 {
+		h.RC = RC(w & 3)
+	}
+	if w&CountDetour != 0 {
+		h.DetourHops++
+	}
+	if w&CountAdaptive != 0 {
+		h.AdaptiveHops++
+	}
+}
+
 // Kind distinguishes the position of a flit within its packet.
 type Kind uint8
 

@@ -36,6 +36,38 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// Each part of a rewrite writes its own fields and nothing else, and parts
+// combine.
+func TestRewriteApply(t *testing.T) {
+	base := Header{PacketID: 7, Dst: geom.Coord{1, 2}, FinalDst: geom.Coord{3, 4}, TwoPhase: true, RC: RCDetour, DetourHops: 2, AdaptiveHops: 5}
+	cases := []struct {
+		w    Rewrite
+		want func(h *Header)
+	}{
+		{0, func(h *Header) {}},
+		{SetRC(RCNormal), func(h *Header) { h.RC = RCNormal }},
+		{SetRC(RCBroadcast), func(h *Header) { h.RC = RCBroadcast }},
+		{SetRC(RCDetour), func(h *Header) {}},
+		{Retarget, func(h *Header) { h.Dst, h.TwoPhase = h.FinalDst, false }},
+		{CountDetour, func(h *Header) { h.DetourHops++ }},
+		{CountAdaptive, func(h *Header) { h.AdaptiveHops++ }},
+		{Retarget | SetRC(RCBroadcastRequest) | CountDetour, func(h *Header) {
+			h.Dst, h.TwoPhase, h.RC, h.DetourHops = h.FinalDst, false, RCBroadcastRequest, h.DetourHops+1
+		}},
+	}
+	for _, c := range cases {
+		got, want := base, base
+		c.w.Apply(&got)
+		c.want(&want)
+		if got != want {
+			t.Errorf("rewrite %#x: got %+v, want %+v", c.w, got, want)
+		}
+	}
+	if SetRC(RCDetour) == 0 || SetRC(RCNormal) == SetRC(RCDetour) {
+		t.Error("setting an RC must be a non-zero rewrite distinct per RC")
+	}
+}
+
 func TestNewPacketSingleFlit(t *testing.T) {
 	h := &Header{PacketID: 1, Src: geom.Coord{0, 0}, Dst: geom.Coord{1, 1}}
 	fs := NewPacket(h, 1)

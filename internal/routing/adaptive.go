@@ -67,10 +67,6 @@ func NewVC(escape *Policy, vcs int) (*VCPolicy, error) {
 // VCs reports the virtual-channel count the policy was built for.
 func (p *VCPolicy) VCs() int { return p.vcs }
 
-// bumpAdaptive is the transform of a hop taken on a non-escape lane: it
-// counts it.
-func bumpAdaptive(h *flit.Header) { h.AdaptiveHops++ }
-
 // scaleOuts maps the escape policy's logical output ports (one per wire) to
 // lane 0 of the corresponding physical ports. logicalPE is the escape
 // policy's PE port number on this switch class, or -1 when the switch has
@@ -111,11 +107,11 @@ func (p *VCPolicy) RouteRouter(net *topo.Net, c geom.Coord, in int, h *flit.Head
 			return dec, nil
 		}
 	}
-	outs, x, err := p.escape.routeRouter(c, logicalIn, h)
+	outs, w, err := p.escape.routeRouter(c, logicalIn, h)
 	if err != nil {
 		return engine.Decision{}, err
 	}
-	return decision(p.scaleOuts(outs, d, physPE), x, nil)
+	return decision(p.scaleOuts(outs, d, physPE), w, nil)
 }
 
 // adaptiveHop picks a minimal productive hop on a free adaptive lane, or
@@ -144,11 +140,7 @@ func (p *VCPolicy) adaptiveHop(net *topo.Net, c geom.Coord, h *flit.Header) (eng
 			if rtc.Out[port].Owned() {
 				continue
 			}
-			return engine.Decision{
-				Outs:        p.one[port],
-				Transform:   bumpAdaptive,
-				Provisional: true,
-			}, true
+			return engine.Decision{Outs: p.one[port], Rewrite: flit.CountAdaptive, Provisional: true}, true
 		}
 	}
 	return engine.Decision{}, false
@@ -163,11 +155,11 @@ func (p *VCPolicy) adaptiveHop(net *topo.Net, c geom.Coord, h *flit.Header) (eng
 func (p *VCPolicy) RouteXB(net *topo.Net, l geom.Line, in int, h *flit.Header) (engine.Decision, error) {
 	point, lane := in/p.vcs, in%p.vcs
 	if lane == 0 {
-		outs, x, err := p.escape.routeXB(l, point, h)
+		outs, w, err := p.escape.routeXB(l, point, h)
 		if err != nil {
 			return engine.Decision{}, err
 		}
-		return decision(p.scaleOuts(outs, -1, -1), x, nil)
+		return decision(p.scaleOuts(outs, -1, -1), w, nil)
 	}
 	if h.RC != flit.RCNormal {
 		return engine.Decision{}, fmt.Errorf("routing: %v packet on adaptive lane %d of crossbar %v", h.RC, lane, l)

@@ -122,12 +122,12 @@ func TestPivotHeaderTransforms(t *testing.T) {
 	if len(dec.Outs) != 1 || dec.Outs[0] != 0 {
 		t.Fatalf("intermediate decision = %+v (want dim-0 port)", dec)
 	}
-	if dec.Transform == nil {
-		t.Fatal("no phase-switch transform")
+	if dec.Rewrite != flit.Retarget {
+		t.Fatalf("intermediate rewrite = %#x, want Retarget alone", dec.Rewrite)
 	}
-	dec.Transform(h)
-	if h.TwoPhase || h.Dst != (geom.Coord{2, 2}) {
-		t.Errorf("transformed header = %+v", h)
+	dec.Rewrite.Apply(h)
+	if h.TwoPhase || h.Dst != (geom.Coord{2, 2}) || h.RC != flit.RCNormal {
+		t.Errorf("rewritten header = %+v", h)
 	}
 }
 

@@ -210,54 +210,10 @@ func (p *Policy) firstFixedDiff(c, fixed geom.Coord) int {
 	return -1
 }
 
-// xform says what a switch does to the header of the copies it forwards.
-// Switches hand its apply method to the kernel, and to topo.Walker, as an
-// engine.Decision Transform; both rewrite in place.
-type xform uint8
-
-const (
-	xNone      xform = iota
-	xNormal          // RC := normal (leaving the D-XB)
-	xBroadcast       // RC := broadcast (the S-XB replays the request)
-	xDetour          // RC := detour (entering detour mode)
-	xBump            // RC stays detour; count the hop
-	// xPivot is a flag on any of the above: the pivot extension's
-	// intermediate router retargets the packet at its final destination.
-	xPivot xform = 8
-)
-
-func (x xform) apply(h *flit.Header) {
-	if x&xPivot != 0 {
-		h.Dst = h.FinalDst
-		h.TwoPhase = false
-	}
-	switch x &^ xPivot {
-	case xNormal:
-		h.RC = flit.RCNormal
-	case xBroadcast:
-		h.RC = flit.RCBroadcast
-	case xDetour:
-		h.RC = flit.RCDetour
-	case xBump:
-		h.DetourHops++
-	}
-}
-
-// transforms[x] is x.apply as a Decision.Transform, built once so decisions
-// allocate nothing; nil for xNone.
-var transforms = func() (t [2 * xPivot]func(*flit.Header)) {
-	for i := 1; i < len(t); i++ {
-		t[i] = xform(i).apply
-	}
-	return t
-}()
-
-// decision wraps one of the policy's own routing steps as the kernel's.
-func decision(outs []int, x xform, err error) (engine.Decision, error) {
-	if err != nil {
-		return engine.Decision{}, err
-	}
-	return engine.Decision{Outs: outs, Transform: transforms[x]}, nil
+// decision wraps one of the policy's own routing steps as the kernel's: a
+// refusal carries no outputs and no rewrite.
+func decision(outs []int, w flit.Rewrite, err error) (engine.Decision, error) {
+	return engine.Decision{Outs: outs, Rewrite: w}, err
 }
 
 // RouteRouter implements topo.Policy. See the package comment for the rule
@@ -267,7 +223,7 @@ func (p *Policy) RouteRouter(net *topo.Net, c geom.Coord, in int, h *flit.Header
 }
 
 // routeRouter is RouteRouter in the policy's own terms; it does not retain h.
-func (p *Policy) routeRouter(c geom.Coord, in int, h *flit.Header) ([]int, xform, error) {
+func (p *Policy) routeRouter(c geom.Coord, in int, h *flit.Header) ([]int, flit.Rewrite, error) {
 	pePort := p.dims
 	switch h.RC {
 	case flit.RCNormal:
@@ -279,15 +235,15 @@ func (p *Policy) routeRouter(c geom.Coord, in int, h *flit.Header) ([]int, xform
 		if p.onLine(c, p.sEff) {
 			if p.faults.XBFaulty(geom.LineOf(c, 0)) {
 				// Only possible when substitution had no healthy candidate.
-				return nil, xNone, fmt.Errorf("%w: serialized crossbar faulty", ErrUnreachable)
+				return nil, 0, fmt.Errorf("%w: serialized crossbar faulty", ErrUnreachable)
 			}
-			return p.one[0], xNone, nil
+			return p.one[0], 0, nil
 		}
 		j := p.firstFixedDiff(c, p.sEff)
 		if p.faults.XBFaulty(geom.LineOf(c, j)) {
-			return nil, xNone, fmt.Errorf("%w: dim-%d crossbar toward S-XB faulty", ErrUnreachable, j)
+			return nil, 0, fmt.Errorf("%w: dim-%d crossbar toward S-XB faulty", ErrUnreachable, j)
 		}
-		return p.one[j], xNone, nil
+		return p.one[j], 0, nil
 
 	case flit.RCBroadcast:
 		// Fan rule: a router receiving a broadcast from dimension k forwards
@@ -298,7 +254,7 @@ func (p *Policy) routeRouter(c geom.Coord, in int, h *flit.Header) ([]int, xform
 		if in < p.dims {
 			startDim = in + 1
 		} else if !p.cfg.NaiveBroadcast {
-			return nil, xNone, fmt.Errorf("routing: broadcast packet from PE at %v without naive mode", c)
+			return nil, 0, fmt.Errorf("routing: broadcast packet from PE at %v without naive mode", c)
 		}
 		outs := []int{pePort}
 		for j := startDim; j < p.dims; j++ {
@@ -307,35 +263,35 @@ func (p *Policy) routeRouter(c geom.Coord, in int, h *flit.Header) ([]int, xform
 			}
 			outs = append(outs, j)
 		}
-		return outs, xNone, nil
+		return outs, 0, nil
 
 	case flit.RCDetour:
 		// Section 4: ride dimensions 1..d-1 (in order) to the D-XB line,
 		// then enter the D-XB on port 0, where RC resets to normal.
 		if p.onLine(c, p.dEff) {
 			if p.faults.XBFaulty(geom.LineOf(c, 0)) {
-				return nil, xNone, fmt.Errorf("%w: detour crossbar faulty", ErrUnreachable)
+				return nil, 0, fmt.Errorf("%w: detour crossbar faulty", ErrUnreachable)
 			}
-			return p.one[0], xBump, nil
+			return p.one[0], flit.CountDetour, nil
 		}
 		j := p.firstFixedDiff(c, p.dEff)
 		if p.faults.XBFaulty(geom.LineOf(c, j)) {
-			return nil, xNone, fmt.Errorf("%w: dim-%d crossbar toward D-XB faulty", ErrUnreachable, j)
+			return nil, 0, fmt.Errorf("%w: dim-%d crossbar toward D-XB faulty", ErrUnreachable, j)
 		}
-		return p.one[j], xBump, nil
+		return p.one[j], flit.CountDetour, nil
 	}
-	return nil, xNone, fmt.Errorf("routing: router %v cannot handle RC %v", c, h.RC)
+	return nil, 0, fmt.Errorf("routing: router %v cannot handle RC %v", c, h.RC)
 }
 
 // routerNormal is dimension-order routing with the router-side fault checks
 // (a router knows which of its own crossbars are faulty).
-func (p *Policy) routerNormal(c geom.Coord, h *flit.Header) ([]int, xform, error) {
+func (p *Policy) routerNormal(c geom.Coord, h *flit.Header) ([]int, flit.Rewrite, error) {
 	pePort := p.dims
-	dst, pivot := h.Dst, xNone
+	dst, pivot := h.Dst, flit.Rewrite(0)
 	if h.TwoPhase && c.FirstDiff(dst, p.dims) == -1 {
 		// Pivot extension: this router is the intermediate; rewrite the
 		// header for the final leg and route toward the true destination.
-		dst, pivot = h.FinalDst, xPivot
+		dst, pivot = h.FinalDst, flit.Retarget
 	}
 	k := c.FirstDiff(dst, p.dims)
 	if k == -1 {
@@ -349,7 +305,7 @@ func (p *Policy) routerNormal(c geom.Coord, h *flit.Header) ([]int, xform, error
 	// (paper-scope limitation; see DESIGN.md). The router checks only the
 	// identity of its own faulty crossbar — the neighbor-bits discipline.
 	if p.detourUsesLine(geom.LineOf(c, k), c, dst) {
-		return nil, xNone, fmt.Errorf("%w: dim-%d crossbar %v faulty and the detour needs it", ErrUnreachable, k, geom.LineOf(c, k))
+		return nil, 0, fmt.Errorf("%w: dim-%d crossbar %v faulty and the detour needs it", ErrUnreachable, k, geom.LineOf(c, k))
 	}
 	// The first detour leg must itself be healthy. Under the paper's
 	// single-fault assumption it always is; with additional faults present
@@ -360,9 +316,9 @@ func (p *Policy) routerNormal(c geom.Coord, h *flit.Header) ([]int, xform, error
 		j = p.firstFixedDiff(c, p.dEff)
 	}
 	if p.faults.XBFaulty(geom.LineOf(c, j)) {
-		return nil, xNone, fmt.Errorf("%w: detour leg dim-%d crossbar %v also faulty", ErrUnreachable, j, geom.LineOf(c, j))
+		return nil, 0, fmt.Errorf("%w: detour leg dim-%d crossbar %v also faulty", ErrUnreachable, j, geom.LineOf(c, j))
 	}
-	return p.one[j], pivot | xDetour, nil
+	return p.one[j], pivot | flit.SetRC(flit.RCDetour), nil
 }
 
 // detourWalk replays the element sequence of a detour that starts at router
@@ -428,7 +384,7 @@ func (p *Policy) RouteXB(net *topo.Net, l geom.Line, in int, h *flit.Header) (en
 }
 
 // routeXB is RouteXB in the policy's own terms; it does not retain h.
-func (p *Policy) routeXB(l geom.Line, in int, h *flit.Header) ([]int, xform, error) {
+func (p *Policy) routeXB(l geom.Line, in int, h *flit.Header) ([]int, flit.Rewrite, error) {
 	switch h.RC {
 	case flit.RCNormal:
 		return p.xbNormal(l, h)
@@ -438,22 +394,22 @@ func (p *Policy) routeXB(l geom.Line, in int, h *flit.Header) ([]int, xform, err
 			// This is the S-XB: serialize (the kernel's output allocation
 			// does the one-at-a-time replay) and fan to every attached
 			// router, faulty ones excepted (Section 3.2 step 2).
-			return p.fanPorts(l, -1), xBroadcast, nil
+			return p.fanPorts(l, -1), flit.SetRC(flit.RCBroadcast), nil
 		}
 		// En route to the S line along a higher dimension.
 		if l.Dim == 0 {
-			return nil, xNone, fmt.Errorf("routing: broadcast request entered non-serialized dim-0 crossbar %v", l)
+			return nil, 0, fmt.Errorf("routing: broadcast request entered non-serialized dim-0 crossbar %v", l)
 		}
-		return p.xbStep(l, p.sEff[l.Dim], xNone)
+		return p.xbStep(l, p.sEff[l.Dim], 0)
 
 	case flit.RCBroadcast:
 		// Fan to every attached router except the sender and faulty routers
 		// (Section 3.2 steps 3-4).
 		outs := p.fanPorts(l, in)
 		if len(outs) == 0 {
-			return nil, xNone, fmt.Errorf("%w: broadcast fan at %v has no healthy routers", ErrUnreachable, l)
+			return nil, 0, fmt.Errorf("%w: broadcast fan at %v has no healthy routers", ErrUnreachable, l)
 		}
-		return outs, xNone, nil
+		return outs, 0, nil
 
 	case flit.RCDetour:
 		if l.Dim == 0 {
@@ -461,28 +417,28 @@ func (p *Policy) routeXB(l geom.Line, in int, h *flit.Header) ([]int, xform, err
 			// order (Section 4, "the D-XB changes the RC bit from 'detour'
 			// to 'normal'").
 			if !p.onLine(l.Point(in), p.dEff) {
-				return nil, xNone, fmt.Errorf("routing: detour packet entered non-detour dim-0 crossbar %v", l)
+				return nil, 0, fmt.Errorf("routing: detour packet entered non-detour dim-0 crossbar %v", l)
 			}
 			target := h.Dst[0]
 			if p.faults.RouterFaulty(l.Point(target)) {
 				// Substitution keeps faults off the D line; reaching this
 				// means the network is over-faulted.
-				return nil, xNone, fmt.Errorf("%w: router %v on detour crossbar faulty", ErrUnreachable, l.Point(target))
+				return nil, 0, fmt.Errorf("%w: router %v on detour crossbar faulty", ErrUnreachable, l.Point(target))
 			}
-			return p.one[target], xNormal, nil
+			return p.one[target], flit.SetRC(flit.RCNormal), nil
 		}
-		return p.xbStep(l, p.dEff[l.Dim], xBump)
+		return p.xbStep(l, p.dEff[l.Dim], flit.CountDetour)
 	}
-	return nil, xNone, fmt.Errorf("routing: crossbar %v cannot handle RC %v", l, h.RC)
+	return nil, 0, fmt.Errorf("routing: crossbar %v cannot handle RC %v", l, h.RC)
 }
 
 // xbStep forwards to one port of the crossbar, failing if the attached
 // router is faulty.
-func (p *Policy) xbStep(l geom.Line, port int, x xform) ([]int, xform, error) {
+func (p *Policy) xbStep(l geom.Line, port int, w flit.Rewrite) ([]int, flit.Rewrite, error) {
 	if p.faults.RouterFaulty(l.Point(port)) {
-		return nil, xNone, fmt.Errorf("%w: router %v faulty", ErrUnreachable, l.Point(port))
+		return nil, 0, fmt.Errorf("%w: router %v faulty", ErrUnreachable, l.Point(port))
 	}
-	return p.one[port], x, nil
+	return p.one[port], w, nil
 }
 
 // xbNormal is the dimension-order step across a crossbar, with the
@@ -490,29 +446,29 @@ func (p *Policy) xbStep(l geom.Line, port int, x xform) ([]int, xform, error) {
 // faulty): if the exit router is faulty and is not the destination's own
 // router, the crossbar sets the RC bit to 'detour' and forwards to the
 // designated detour router (Section 4, Fig. 8 step 2).
-func (p *Policy) xbNormal(l geom.Line, h *flit.Header) ([]int, xform, error) {
+func (p *Policy) xbNormal(l geom.Line, h *flit.Header) ([]int, flit.Rewrite, error) {
 	target := h.Dst[l.Dim]
 	exit := l.Point(target)
 	if !p.faults.RouterFaulty(exit) {
-		return p.one[target], xNone, nil
+		return p.one[target], 0, nil
 	}
 	if exit == h.Dst {
 		// "If an RTC is faulty, the network hardware stops transmission of
 		// packets to the faulty PE."
-		return nil, xNone, fmt.Errorf("%w: destination router %v faulty", ErrUnreachable, exit)
+		return nil, 0, fmt.Errorf("%w: destination router %v faulty", ErrUnreachable, exit)
 	}
 	dp, ok := p.faults.DetourPort(l)
 	if !ok {
-		return nil, xNone, fmt.Errorf("%w: no healthy detour router on %v", ErrUnreachable, l)
+		return nil, 0, fmt.Errorf("%w: no healthy detour router on %v", ErrUnreachable, l)
 	}
 	// Would the detour — riding from the designated detour router to the D
 	// line, across the D-XB, and back down dimension order — pass through
 	// this faulty router again? The crossbar checks only its own neighbor's
 	// coordinate: the neighbor-bits discipline.
 	if p.detourVisitsRouter(exit, l.Point(dp), h.Dst) {
-		return nil, xNone, fmt.Errorf("%w: router %v faulty and the detour re-enters it", ErrUnreachable, exit)
+		return nil, 0, fmt.Errorf("%w: router %v faulty and the detour re-enters it", ErrUnreachable, exit)
 	}
-	return p.one[dp], xDetour, nil
+	return p.one[dp], flit.SetRC(flit.RCDetour), nil
 }
 
 // fanPorts lists the crossbar ports whose routers are healthy, excluding

@@ -12,7 +12,7 @@ import (
 )
 
 // walkHeader is the walker routing had before topo.Walker: it calls the
-// policy's own routeRouter/routeXB and applies their xform to the header in
+// policy's own routeRouter/routeXB and applies their rewrite to the header in
 // place, never going through an engine.Decision. It is the oracle the one
 // walker, which walks the switches' decisions, is held to.
 func walkHeader(p *Policy, src geom.Coord, h *flit.Header) ([]Hop, error) {
@@ -24,7 +24,7 @@ func walkHeader(p *Policy, src geom.Coord, h *flit.Header) ([]Hop, error) {
 	var line geom.Line
 	for steps := 0; steps < 8*p.dims+16; steps++ {
 		if atRouter {
-			outs, x, err := p.routeRouter(coord, in, h)
+			outs, w, err := p.routeRouter(coord, in, h)
 			if err != nil {
 				return hops, err
 			}
@@ -33,7 +33,7 @@ func walkHeader(p *Policy, src geom.Coord, h *flit.Header) ([]Hop, error) {
 			}
 			out := outs[0]
 			hops = append(hops, Hop{Kind: HopRouter, Coord: coord, RC: h.RC, Out: out})
-			x.apply(h)
+			w.Apply(h)
 			if out == p.dims {
 				hops = append(hops, Hop{Kind: HopPE, Coord: coord, RC: h.RC, Out: -1})
 				if coord != h.Dst {
@@ -43,7 +43,7 @@ func walkHeader(p *Policy, src geom.Coord, h *flit.Header) ([]Hop, error) {
 			}
 			line, in, atRouter = geom.LineOf(coord, out), coord[out], false
 		} else {
-			outs, x, err := p.routeXB(line, in, h)
+			outs, w, err := p.routeXB(line, in, h)
 			if err != nil {
 				return hops, err
 			}
@@ -52,7 +52,7 @@ func walkHeader(p *Policy, src geom.Coord, h *flit.Header) ([]Hop, error) {
 			}
 			out := outs[0]
 			hops = append(hops, Hop{Kind: HopXB, Line: line, RC: h.RC, Out: out})
-			x.apply(h)
+			w.Apply(h)
 			coord, in, atRouter = line.Point(out), line.Dim, true
 		}
 	}
@@ -135,7 +135,7 @@ func TestReachableAgreesWithUnicastPath(t *testing.T) {
 				if perr != nil || err != nil {
 					t.Fatalf("pivot %v %v->%v via %v: PivotPath %v, intermediate's decision %v", l, src, dst, mid, perr, err)
 				}
-				if dec.Transform(h); h.Dst != dst || h.TwoPhase {
+				if dec.Rewrite.Apply(h); h.Dst != dst || h.TwoPhase {
 					t.Fatalf("pivot %v %v->%v: intermediate rewrote the header to %+v", l, src, dst, h)
 				}
 				if last := path[len(path)-1]; last.Kind != HopPE || last.Coord != dst {

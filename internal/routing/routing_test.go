@@ -215,11 +215,11 @@ func TestBroadcastIsYXY(t *testing.T) {
 	if err != nil || len(dec.Outs) != 4 {
 		t.Fatalf("S-XB fan = %+v, %v", dec, err)
 	}
-	if dec.Transform == nil {
-		t.Fatal("S-XB fan has no RC transform")
+	if dec.Rewrite != flit.SetRC(flit.RCBroadcast) {
+		t.Fatalf("S-XB fan rewrite = %#x, want RC := broadcast alone", dec.Rewrite)
 	}
-	if dec.Transform(h); h.RC != flit.RCBroadcast {
-		t.Errorf("S-XB transform RC = %v", h.RC)
+	if dec.Rewrite.Apply(h); h.RC != flit.RCBroadcast {
+		t.Errorf("S-XB rewrite RC = %v", h.RC)
 	}
 	// A router on the S line fans to PE and its dim-1 crossbar.
 	h2 := &flit.Header{RC: flit.RCBroadcast}

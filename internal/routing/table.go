@@ -63,11 +63,11 @@ var _ topo.Policy = (*TablePolicy)(nil)
 // on the forwarded copies, or the refusal.
 type entry struct {
 	outs []int
-	x    xform
+	w    flit.Rewrite
 	err  error
 }
 
-func (e entry) decision() (engine.Decision, error) { return decision(e.outs, e.x, e.err) }
+func (e entry) decision() (engine.Decision, error) { return decision(e.outs, e.w, e.err) }
 
 type routerTable struct {
 	// normal[k] serves destinations first differing in dimension k, and
@@ -104,12 +104,12 @@ func Compile(p *Policy) (*TablePolicy, error) {
 	n := shape.Size()
 	tp := &TablePolicy{shape: shape, dims: d}
 	router := func(c geom.Coord, in int, h flit.Header) entry {
-		outs, x, err := p.routeRouter(c, in, &h)
-		return entry{outs, x, err}
+		outs, w, err := p.routeRouter(c, in, &h)
+		return entry{outs, w, err}
 	}
 	xb := func(l geom.Line, in int, h flit.Header) entry {
-		outs, x, err := p.routeXB(l, in, &h)
-		return entry{outs, x, err}
+		outs, w, err := p.routeXB(l, in, &h)
+		return entry{outs, w, err}
 	}
 	// perDestination is the dense override row of a fault-adjacent switch.
 	perDestination := func(route func(h flit.Header) entry) []entry {

@@ -15,7 +15,7 @@ import (
 type Visit func(ch int32, h *flit.Header, depth int)
 
 // Walker is the one static route walker. It replays a Policy's RouteRouter
-// and RouteXB decisions — the calls the engine makes, Transforms included —
+// and RouteXB decisions — the calls the engine makes, Rewrites included —
 // over a wiring without the engine, for the machine's send-side precheck,
 // routing's path and tree queries and every dependence registration, and it
 // reports each hop as one channel number. Channels, the switches' out-ports,
@@ -124,14 +124,11 @@ func (w *Walker) Name(ch int32) string {
 
 // decide asks the policy what the switch does with h. A walked policy reads
 // no port state, so it is handed no Net.
-func (w *Walker) decide(a *arrival, h *flit.Header) (outs []int, transform func(*flit.Header), err error) {
-	var dec engine.Decision
+func (w *Walker) decide(a *arrival, h *flit.Header) (engine.Decision, error) {
 	if a.dim < 0 {
-		dec, err = w.policy.RouteRouter(nil, a.at, a.in, h)
-	} else {
-		dec, err = w.policy.RouteXB(nil, geom.Line{Dim: a.dim, Fixed: a.at}, a.in, h)
+		return w.policy.RouteRouter(nil, a.at, a.in, h)
 	}
-	return dec.Outs, dec.Transform, err
+	return w.policy.RouteXB(nil, geom.Line{Dim: a.dim, Fixed: a.at}, a.in, h)
 }
 
 // channel numbers out-port out of the switch a arrived at.
@@ -170,17 +167,15 @@ func (w *Walker) follow(a *arrival, out int) error {
 func (w *Walker) Unicast(h *flit.Header, visit Visit) error {
 	a := arrival{dim: -1, at: h.Src, in: w.ports - 1}
 	for a.depth <= int(w.n) {
-		outs, transform, err := w.decide(&a, h)
+		dec, err := w.decide(&a, h)
 		if err != nil {
 			return err
 		}
-		if len(outs) != 1 {
-			return fmt.Errorf("topo: walk from %s: unicast decision with %d outputs", h.Src, len(outs))
+		if len(dec.Outs) != 1 {
+			return fmt.Errorf("topo: walk from %s: unicast decision with %d outputs", h.Src, len(dec.Outs))
 		}
-		out := outs[0]
-		if transform != nil {
-			transform(h)
-		}
+		out := dec.Outs[0]
+		dec.Rewrite.Apply(h)
 		if visit != nil {
 			visit(w.channel(&a, out), h, a.depth)
 		}
@@ -200,7 +195,7 @@ func (w *Walker) Unicast(h *flit.Header, visit Visit) error {
 // Broadcast walks header h from its source PE (h.Src) breadth first through
 // every copy the policy makes, reporting each out-port taken to visit (which
 // may be nil), and returns the fan branches that died. A copy's header is
-// copied only where a Transform rewrites it. A refused decision on a
+// copied only where a decision's Rewrite is non-zero. A refused decision on a
 // request-class header refuses the broadcast — the source cannot reach the
 // serialization point — and is returned; any other refusal is a dead branch
 // (possible only in an over-faulted network). A request leg and a fan each
@@ -214,7 +209,7 @@ func (w *Walker) Broadcast(h *flit.Header, visit Visit) (dead int, err error) {
 			return dead, fmt.Errorf("topo: broadcast walk from %s exceeded %d steps (routing loop?)", h.Src, 2*w.n)
 		}
 		a := w.queue[next]
-		outs, transform, err := w.decide(&a, &w.headers[a.h])
+		dec, err := w.decide(&a, &w.headers[a.h])
 		if err != nil {
 			if w.headers[a.h].RC == flit.RCBroadcastRequest {
 				return dead, err
@@ -222,12 +217,12 @@ func (w *Walker) Broadcast(h *flit.Header, visit Visit) (dead int, err error) {
 			dead++
 			continue
 		}
-		if transform != nil {
+		if dec.Rewrite != 0 {
 			w.headers = append(w.headers, w.headers[a.h])
 			a.h = len(w.headers) - 1
-			transform(&w.headers[a.h])
+			dec.Rewrite.Apply(&w.headers[a.h])
 		}
-		for _, out := range outs {
+		for _, out := range dec.Outs {
 			if visit != nil {
 				visit(w.channel(&a, out), &w.headers[a.h], a.depth)
 			}
