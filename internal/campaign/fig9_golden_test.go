@@ -69,14 +69,8 @@ func TestAnalyzeFig9GoldenWaitCycle(t *testing.T) {
 	}
 	// The victim the recovery layer would select: the lowest packet id on
 	// the cycle is the detoured unicast, pkt 1.
-	min := uint64(0)
-	for _, e := range rep.Cycle {
-		if hdr := e.From.CurrentHeader(); hdr != nil && (min == 0 || hdr.PacketID < min) {
-			min = hdr.PacketID
-		}
-	}
-	if min != 1 {
-		t.Errorf("victim (min packet id on cycle) = %d, golden is 1", min)
+	if victim, ok := rep.Victim(); !ok || victim != 1 {
+		t.Errorf("victim (min packet id on cycle) = %d (ok=%v), golden is 1", victim, ok)
 	}
 	if got := rep.Describe(); got != fig9WaitCycle {
 		t.Errorf("wait cycle diverged from golden:\n--- got\n%s--- golden\n%s", got, fig9WaitCycle)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sr2201/internal/core"
+	"sr2201/internal/deadlock"
 	"sr2201/internal/fault"
 	"sr2201/internal/geom"
 )
@@ -50,6 +51,37 @@ func BenchmarkMachineReachable(b *testing.B) {
 		p := pairs[i%len(pairs)]
 		if err := m.Reachable(p[0], p[1]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAnalyzeFig9 times the deadlock analyzer on a wedged engine: the
+// bare Fig. 9 machine (separate D-XB, a faulty router, a detoured unicast
+// and a broadcast) run to its deadlock.
+func BenchmarkAnalyzeFig9(b *testing.B) {
+	m, err := core.NewMachine(core.Config{
+		Shape: geom.MustShape(4, 4), SXB: geom.Coord{0, 0}, DXB: geom.Coord{0, 3}, DXBSeparate: true, StallThreshold: 128,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := m.AddFault(fault.RouterFault(geom.Coord{2, 1})); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.Send(geom.Coord{0, 1}, geom.Coord{2, 2}, 24); err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := m.Broadcast(geom.Coord{3, 2}, 24); err != nil {
+		b.Fatal(err)
+	}
+	if out := m.Run(100_000); !out.Deadlocked {
+		b.Fatalf("no deadlock: %+v", out)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep := deadlock.Analyze(m.Engine()); !rep.Deadlocked {
+			b.Fatal("analyzer lost the wait cycle")
 		}
 	}
 }

@@ -7,13 +7,22 @@
 //     searches for a cycle among the channel resources, distinguishing true
 //     deadlock (cyclic waiting, the paper's failure mode) from mere
 //     starvation or long transients.
+//
+// The wait-for graph is a channel dependence graph: its vertices are the
+// channels blocked packets hold (each input port standing for the channel
+// feeding it), and its cycle is found by the prover's one search,
+// topo.FindCycle. Each wait edge names the switch traversal it stands for
+// (WaitEdge.Hop), so a realized cycle can be laid on a certificate's
+// channels through topo.Walker.ChannelOf.
 package deadlock
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"sr2201/internal/engine"
+	"sr2201/internal/topo"
 )
 
 // DefaultStallThreshold is the number of zero-movement cycles after which the
@@ -62,13 +71,33 @@ func (w *Watchdog) Reset() {
 	w.lastChange = w.eng.Cycle()
 }
 
+// Kind is why a blocked packet waits on the packet at To.
+type Kind uint8
+
+const (
+	Wants         Kind = iota // it wants output Out, which To's packet owns
+	CreditStalled             // it holds output Out, whose downstream buffer, To's, is full
+	Starved                   // its flits are stuck behind To's packet, which owns Out, From's upstream
+)
+
 // WaitEdge is one arc of the wait-for graph: the packet blocked at From is
 // waiting for a resource whose release depends on the packet at To.
 type WaitEdge struct {
 	From, To *engine.InPort
-	// Why describes the dependency ("wants output X owned by ...", or
-	// "credit-stalled into ...").
-	Why string
+	Kind     Kind
+	// Out is the wanted port (Wants), the credit-stalled port
+	// (CreditStalled) or the starving port, From's upstream (Starved).
+	Out *engine.OutPort
+}
+
+// Hop is the one switch traversal the edge names, as the channel a packet
+// holds and the channel it waits for next: From's upstream and Out, or, when
+// starved, the starving packet's own earlier hop into Out.
+func (e WaitEdge) Hop() (held, next *engine.OutPort) {
+	if e.Kind == Starved {
+		return e.To.UpstreamOut(), e.Out
+	}
+	return e.From.UpstreamOut(), e.Out
 }
 
 // Report is the analyzer's verdict on a stalled network.
@@ -87,39 +116,46 @@ type Report struct {
 // searches it for a cycle. Call it only when the watchdog has fired (or the
 // network is otherwise known to be quiescent-but-loaded); on a live network
 // transient arbitration losses make spurious edges.
+//
+// The graph's vertices are input ports, each standing for the channel that
+// feeds it: the blocked ports numbered densely in BlockedPorts order, then
+// every other target as first seen. The cycle search is the prover's,
+// topo.FindCycle, with each port's successors in the order its edges are
+// found.
 func Analyze(e *engine.Engine) Report {
 	blocked := e.BlockedPorts()
 	r := Report{Blocked: blocked}
 
-	// adjacency over input ports
-	adj := map[*engine.InPort][]WaitEdge{}
-	addEdge := func(we WaitEdge) {
+	id := make(map[*engine.InPort]int32, len(blocked))
+	for i, wi := range blocked {
+		id[wi.In] = int32(i)
+	}
+	adj := make([][]int32, len(blocked))
+	first := make([]int, len(blocked)) // where each blocked port's edges start in r.Edges
+	addEdge := func(u int, we WaitEdge) {
 		if we.To == nil || we.From == we.To {
 			return
 		}
-		adj[we.From] = append(adj[we.From], we)
+		v, ok := id[we.To]
+		if !ok {
+			v = int32(len(adj))
+			id[we.To] = v
+			adj = append(adj, nil)
+		}
+		adj[u] = append(adj[u], v)
 		r.Edges = append(r.Edges, we)
 	}
-	for _, wi := range blocked {
+	for u, wi := range blocked {
+		first[u] = len(r.Edges)
 		for _, o := range wi.WantsOwned {
-			addEdge(WaitEdge{
-				From: wi.In,
-				To:   o.Owner(),
-				Why:  fmt.Sprintf("wants %s.out%d owned by packet at %s.in%d", o.Node().Name, o.Index(), o.Owner().Node().Name, o.Owner().Index()),
-			})
+			addEdge(u, WaitEdge{From: wi.In, To: o.Owner(), Kind: Wants, Out: o})
 		}
 		for _, o := range wi.CreditStalled {
-			dn := o.DownstreamIn()
-			if dn == nil || dn.Node().Kind == engine.KindEndpoint {
-				// Endpoints drain unconditionally (unbounded eject in our
-				// experiments); no dependency.
-				continue
+			// Endpoints drain unconditionally (unbounded eject in our
+			// experiments); no dependency.
+			if dn := o.DownstreamIn(); dn != nil && dn.Node().Kind != engine.KindEndpoint {
+				addEdge(u, WaitEdge{From: wi.In, To: dn, Kind: CreditStalled, Out: o})
 			}
-			addEdge(WaitEdge{
-				From: wi.In,
-				To:   dn,
-				Why:  fmt.Sprintf("credit-stalled into %s.in%d", dn.Node().Name, dn.Index()),
-			})
 		}
 		if wi.AwaitingFlits && wi.In.UpstreamInFlight() == 0 {
 			// The port's circuit is open but its flits are stuck upstream
@@ -127,89 +163,60 @@ func Analyze(e *engine.Engine) Report {
 			// packet's upstream segment — the input port holding the output
 			// that feeds this one.
 			if up := wi.In.UpstreamOut(); up != nil {
-				if owner := up.Owner(); owner != nil {
-					addEdge(WaitEdge{
-						From: wi.In,
-						To:   owner,
-						Why:  fmt.Sprintf("starved of flits from %s.in%d", owner.Node().Name, owner.Index()),
-					})
-				}
+				addEdge(u, WaitEdge{From: wi.In, To: up.Owner(), Kind: Starved, Out: up})
 			}
 		}
 	}
 
-	// Cycle search: iterative DFS with colors.
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := map[*engine.InPort]int{}
-	parentEdge := map[*engine.InPort]WaitEdge{}
-	var cycleAt *engine.InPort
-	var dfs func(u *engine.InPort) bool
-	dfs = func(u *engine.InPort) bool {
-		color[u] = gray
-		for _, e := range adj[u] {
-			switch color[e.To] {
-			case white:
-				parentEdge[e.To] = e
-				if dfs(e.To) {
-					return true
-				}
-			case gray:
-				parentEdge[e.To] = e // closing edge; cycle through e.To
-				cycleAt = e.To
-				return true
-			}
-		}
-		color[u] = black
-		return false
+	cycle, _ := topo.FindCycle(adj)
+	if cycle == nil {
+		return r
 	}
-	for _, wi := range blocked {
-		if color[wi.In] == white {
-			if dfs(wi.In) {
-				break
-			}
-		}
-	}
-	if cycleAt != nil {
-		r.Deadlocked = true
-		// Walk parent edges backwards from cycleAt until we return to it.
-		var cyc []WaitEdge
-		cur := cycleAt
-		for {
-			e := parentEdge[cur]
-			cyc = append(cyc, e)
-			cur = e.From
-			if cur == cycleAt {
-				break
-			}
-		}
-		// Reverse into forward order.
-		for i, j := 0, len(cyc)-1; i < j; i, j = i+1, j-1 {
-			cyc[i], cyc[j] = cyc[j], cyc[i]
-		}
-		r.Cycle = cyc
+	// FindCycle ends the cycle where it closed; the report starts there, so
+	// it is rotated by one. Each step is the first edge between its ports,
+	// the one the search took.
+	r.Deadlocked = true
+	for i, v := range cycle {
+		u := cycle[(i+len(cycle)-1)%len(cycle)]
+		r.Cycle = append(r.Cycle, r.Edges[first[u]+slices.Index(adj[u], v)])
 	}
 	return r
 }
 
+// Victim is the packet the recovery layer purges to dissolve the cycle: the
+// lowest packet id holding a port on it. It depends only on simulation state,
+// so it is identical across runs and -parallel widths. ok is false when no
+// port on the cycle holds a header.
+func (r Report) Victim() (id uint64, ok bool) {
+	for _, e := range r.Cycle {
+		if h := e.From.CurrentHeader(); h != nil && (!ok || h.PacketID < id) {
+			id, ok = h.PacketID, true
+		}
+	}
+	return id, ok
+}
+
 // Describe renders the report for logs and error messages.
 func (r Report) Describe() string {
-	var b strings.Builder
 	if !r.Deadlocked {
-		fmt.Fprintf(&b, "no wait cycle (%d blocked ports, %d edges)\n", len(r.Blocked), len(r.Edges))
-		return b.String()
+		return fmt.Sprintf("no wait cycle (%d blocked ports, %d edges)\n", len(r.Blocked), len(r.Edges))
 	}
+	var b strings.Builder
 	fmt.Fprintf(&b, "DEADLOCK: wait cycle of length %d\n", len(r.Cycle))
 	for _, e := range r.Cycle {
-		hdr := e.From.CurrentHeader()
 		id := uint64(0)
-		if hdr != nil {
+		if hdr := e.From.CurrentHeader(); hdr != nil {
 			id = hdr.PacketID
 		}
-		fmt.Fprintf(&b, "  pkt%d at %s.in%d %s\n", id, e.From.Node().Name, e.From.Index(), e.Why)
+		to := fmt.Sprintf("%s.in%d", e.To.Node().Name, e.To.Index())
+		why := "starved of flits from " + to
+		switch e.Kind {
+		case Wants:
+			why = fmt.Sprintf("wants %s.out%d owned by packet at %s", e.Out.Node().Name, e.Out.Index(), to)
+		case CreditStalled:
+			why = "credit-stalled into " + to
+		}
+		fmt.Fprintf(&b, "  pkt%d at %s.in%d %s\n", id, e.From.Node().Name, e.From.Index(), why)
 	}
 	return b.String()
 }

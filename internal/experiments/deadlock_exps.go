@@ -372,18 +372,16 @@ func e5Scenario(shape geom.Shape, f fault.Fault, offset int) (deadlock.Outcome, 
 		m.Step()
 	}
 	// One broadcast from the first healthy PE that can reach the S-XB.
-	var bErr error
+	sentBroadcast := false
 	shape.Enumerate(func(c geom.Coord) bool {
-		if !m.Alive(c) {
-			return true
+		if m.Alive(c) {
+			_, _, err := m.Broadcast(c, 16)
+			sentBroadcast = err == nil
 		}
-		if _, _, err := m.Broadcast(c, 16); err == nil {
-			return false
-		}
-		return true
+		return !sentBroadcast
 	})
-	if bErr != nil {
-		return deadlock.Outcome{}, bErr
+	if !sentBroadcast {
+		return deadlock.Outcome{}, fmt.Errorf("E5 %s fault %v: no live PE's broadcast was accepted", shape, f)
 	}
 	return m.Run(runBudget), nil
 }

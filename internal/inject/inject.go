@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"sr2201/internal/core"
-	"sr2201/internal/deadlock"
 	"sr2201/internal/engine"
 	"sr2201/internal/fault"
 	"sr2201/internal/flit"
@@ -53,7 +52,8 @@ type Options struct {
 	// lost repeatedly (e.g. a victim purged on every recovery round). <= 0
 	// selects DefaultMaxRetryAfter. No textual spelling sets it.
 	MaxRetryAfter int64 `json:"-"`
-	// StallThreshold configures Run's deadlock watchdog (<= 0 = default).
+	// StallThreshold configures the deadlock watchdog of the run the
+	// schedule drives (<= 0 = default).
 	StallThreshold int64 `json:"stall,omitempty"`
 }
 
@@ -439,29 +439,3 @@ func (inj *Injector) Casualties() []Casualty { return inj.casualties }
 // Err returns the first internal error (a mid-run FailNow or Send failure
 // that is not ErrUnreachable), or nil.
 func (inj *Injector) Err() error { return inj.err }
-
-// Run steps the machine until the network drains with no pending injector
-// work, a deadlock/stall is detected, or maxCycles elapse. Unlike
-// deadlock.Run, an empty network does not end the run while fault events or
-// retransmissions are still scheduled.
-func (inj *Injector) Run(maxCycles int64) (deadlock.Outcome, error) {
-	eng := inj.m.Engine()
-	w := deadlock.NewWatchdog(eng, inj.opt.StallThreshold)
-	for i := int64(0); i < maxCycles; i++ {
-		if inj.err != nil {
-			return deadlock.Outcome{Cycle: eng.Cycle()}, inj.err
-		}
-		if eng.Quiescent() && !inj.Pending() {
-			return deadlock.Outcome{Drained: true, Cycle: eng.Cycle()}, nil
-		}
-		inj.m.Step()
-		if w.Stalled() {
-			rep := deadlock.Analyze(eng)
-			return deadlock.Outcome{Stalled: true, Deadlocked: rep.Deadlocked, Cycle: eng.Cycle(), Report: rep}, nil
-		}
-	}
-	if eng.Quiescent() && !inj.Pending() {
-		return deadlock.Outcome{Drained: true, Cycle: eng.Cycle()}, inj.err
-	}
-	return deadlock.Outcome{Cycle: eng.Cycle()}, inj.err
-}

@@ -8,6 +8,23 @@ import (
 	"sr2201/internal/geom"
 )
 
+// run steps the machine until the network drains with no injector work
+// left, or maxCycles pass, and reports whether it drained. An injector error
+// fails the test.
+func run(t *testing.T, m *core.Machine, inj *Injector, maxCycles int) bool {
+	t.Helper()
+	for i := 0; i < maxCycles; i++ {
+		if m.Engine().Quiescent() && !inj.Pending() {
+			return true
+		}
+		m.Step()
+		if err := inj.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m.Engine().Quiescent() && !inj.Pending()
+}
+
 // loadedMachine builds a 4x4 machine and sends one shift-pattern packet from
 // every PE, returning the machine and the number of accepted sends.
 func loadedMachine(t *testing.T) (*core.Machine, int) {
@@ -38,12 +55,8 @@ func TestScheduledFaultWithoutRetransmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := inj.Run(50_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Drained || out.Deadlocked || out.Stalled {
-		t.Fatalf("outcome: %+v", out)
+	if !run(t, m, inj, 50_000) {
+		t.Fatalf("network did not drain by cycle %d", m.Cycle())
 	}
 	st := inj.Stats()
 	if st.EventsApplied != 1 {
@@ -75,12 +88,8 @@ func TestRetransmitRecoversExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := inj.Run(50_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Drained {
-		t.Fatalf("outcome: %+v", out)
+	if !run(t, m, inj, 50_000) {
+		t.Fatalf("network did not drain by cycle %d", m.Cycle())
 	}
 	if inj.Pending() {
 		t.Fatal("drained with pending injector work")
@@ -126,12 +135,8 @@ func TestRetransmitUnreachableIsFinal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := inj.Run(20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Drained {
-		t.Fatalf("outcome: %+v", out)
+	if !run(t, m, inj, 20_000) {
+		t.Fatalf("network did not drain by cycle %d", m.Cycle())
 	}
 	st := inj.Stats()
 	if st.KilledInFlight+st.DropsEnRoute != 1 {
@@ -158,9 +163,7 @@ func TestMaxRetriesExhausts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inj.Run(50_000); err != nil {
-		t.Fatal(err)
-	}
+	run(t, m, inj, 50_000)
 	st := inj.Stats()
 	if st.Retransmits > st.KilledInFlight+st.DropsEnRoute {
 		t.Fatalf("more retransmits than losses with MaxRetries=1: %+v", st)
@@ -186,9 +189,7 @@ func TestEventsApplyInCycleOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inj.Run(50_000); err != nil {
-		t.Fatal(err)
-	}
+	run(t, m, inj, 50_000)
 	cas := inj.Casualties()
 	if len(cas) != 2 {
 		t.Fatalf("casualty records = %d", len(cas))

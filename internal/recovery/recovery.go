@@ -219,21 +219,7 @@ func (s *Supervisor) tick(cycle int64) {
 		s.verdict = Verdict{Decided: true, Cycle: cycle, Report: rep}
 		return
 	}
-	// Deterministic victim: the lowest packet ID holding a port on the wait
-	// cycle. Depends only on simulation state — identical across runs and
-	// -parallel widths.
-	var victim uint64
-	found := false
-	for _, e := range rep.Cycle {
-		h := e.From.CurrentHeader()
-		if h == nil {
-			continue
-		}
-		if !found || h.PacketID < victim {
-			victim = h.PacketID
-			found = true
-		}
-	}
+	victim, found := rep.Victim()
 	if !found {
 		// A cycle with no owning headers cannot be dissolved by a packet
 		// purge; report the deadlock as-is.

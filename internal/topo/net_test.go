@@ -360,3 +360,77 @@ func TestWalkRejectsBrokenSchemes(t *testing.T) {
 		t.Errorf("refusal err=%v, want ErrUnreachable", err)
 	}
 }
+
+// TestChannelOfRoundTrip: Walker.ChannelOf numbers every switch out-port of
+// a Net as the walker numbers its channels — each port a distinct (channel,
+// lane), every channel's lane 0 a port, Port inverting the number to the
+// port's switch, lanes beyond 0 only where a crossbar wiring's channel counts
+// wires — and a PE's out-port is no channel.
+func TestChannelOfRoundTrip(t *testing.T) {
+	direct := func(name string, shape geom.Shape) topo.Wiring {
+		reg, _ := topo.Lookup(name)
+		s, err := reg.New(shape, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Wiring()
+	}
+	for _, tc := range []struct {
+		name   string
+		shape  geom.Shape
+		wiring topo.Wiring
+	}{
+		{"mdx", geom.MustShape(4, 3), topo.MDCrossbar{Shape: geom.MustShape(4, 3), VCs: 1}},
+		{"mdx-vc4", geom.MustShape(3, 2, 2), topo.MDCrossbar{Shape: geom.MustShape(3, 2, 2), VCs: 4}},
+		{"hyperx", geom.MustShape(3, 4), direct("hyperx", geom.MustShape(3, 4))},
+		{"fullmesh", geom.MustShape(5), direct("fullmesh", geom.MustShape(5))},
+		{"mesh", geom.MustShape(3, 3), direct("mesh", geom.MustShape(3, 3))},
+		{"torus", geom.MustShape(4, 3), direct("torus", geom.MustShape(4, 3))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := topo.NewNet(engine.New(engine.DefaultConfig()), tc.shape, tc.wiring)
+			w := topo.NewWalker(tc.shape, tc.wiring, nil)
+			wires := 1 // engine ports per walker port
+			if tc.wiring.Crossbars() {
+				wires = tc.wiring.Lanes()
+			}
+			seen := map[[2]int]bool{}
+			check := func(n *engine.Node, dim, index int) {
+				for _, o := range n.Out {
+					ch, lane, ok := w.ChannelOf(o)
+					if !ok || ch < 0 || ch >= w.Channels() || lane >= wires {
+						t.Fatalf("%s.out%d: ChannelOf = %d, %d, %v", n.Name, o.Index(), ch, lane, ok)
+					}
+					key := [2]int{int(ch), lane}
+					if seen[key] {
+						t.Fatalf("%s.out%d: (channel %d, lane %d) numbered twice", n.Name, o.Index(), ch, lane)
+					}
+					seen[key] = true
+					gd, gi, gout := w.Port(ch)
+					if gd != dim || gi != index || gout != o.Index()/wires {
+						t.Errorf("%s.out%d: Port(%d) = (%d, %d, %d), want (%d, %d, %d)", n.Name, o.Index(), ch, gd, gi, gout, dim, index, o.Index()/wires)
+					}
+				}
+			}
+			tc.shape.Enumerate(func(c geom.Coord) bool {
+				if _, _, ok := w.ChannelOf(net.PE(c).Out[0]); ok {
+					t.Errorf("PE%s's injection port numbered as a channel", c)
+				}
+				check(net.Router(c), -1, tc.shape.Index(c))
+				return true
+			})
+			if tc.wiring.Crossbars() {
+				for dim := range tc.shape {
+					for _, l := range tc.shape.LinesAlong(dim) {
+						check(net.XB(l), dim, tc.shape.LineIndex(l))
+					}
+				}
+			}
+			for ch := int32(0); ch < w.Channels(); ch++ {
+				if !seen[[2]int{int(ch), 0}] {
+					t.Errorf("channel %s has no lane-0 port", w.Name(ch))
+				}
+			}
+		})
+	}
+}

@@ -10,11 +10,11 @@
 // The prover is deliberately the same machine internal/cdg always ran: a
 // channel-vertex graph built in insertion order, optional composite
 // vertices that contract a channel set into one resource (the serialized
-// broadcast tree), and a deterministic DFS cycle search. internal/cdg now
-// drives its MD-crossbar analysis through this Builder, pinned equal to
-// its historical output; new schemes register their own channels and
-// edges and receive the same acyclic/cyclic verdict with a concrete cycle
-// witness on refutation.
+// broadcast tree), and a deterministic DFS cycle search, FindCycle — the one
+// internal/deadlock also runs over a wedged engine's wait-for graph, whose
+// steps Walker.ChannelOf lays back on these channels. Every scheme registers
+// its channels and edges and receives the acyclic/cyclic verdict, with a
+// concrete cycle witness on refutation.
 package topo
 
 import (
@@ -163,22 +163,25 @@ func (b *Builder) Absorb(comp, id int) {
 	b.memberOf[id] = int32(comp)
 }
 
+// Contracted returns the vertex id stands for after contraction: the
+// composite that absorbed it, or id itself.
+func (b *Builder) Contracted(id int) int {
+	if c := b.memberOf[id]; c >= 0 {
+		return int(c)
+	}
+	return id
+}
+
 // contract returns the graph with composite members redirected onto their
 // composite, self-loops dropped and duplicates collapsed, and its edge
 // count.
 func (b *Builder) contract() ([][]int32, int) {
-	redirect := func(v int32) int32 {
-		if c := b.memberOf[v]; c >= 0 {
-			return c
-		}
-		return v
-	}
 	contracted := make([][]int32, len(b.adj))
 	edges := 0
 	for u, vs := range b.adj {
-		cu := redirect(int32(u))
+		cu := int32(b.Contracted(u))
 		for _, v := range vs {
-			cv := redirect(v)
+			cv := int32(b.Contracted(int(v)))
 			if cu == cv {
 				continue
 			}
@@ -199,8 +202,12 @@ func (b *Builder) contract() ([][]int32, int) {
 func (b *Builder) Certificate(scheme string) Certificate {
 	contracted, edges := b.contract()
 	cert := Certificate{Scheme: scheme, Channels: len(b.names) - b.members, Edges: edges}
-	cert.Cycle, b.rank = findCycle(contracted, b.names)
-	cert.Acyclic = cert.Cycle == nil
+	var cycle []int32
+	cycle, b.rank = FindCycle(contracted)
+	for _, v := range cycle {
+		cert.Cycle = append(cert.Cycle, b.names[v])
+	}
+	cert.Acyclic = cycle == nil
 	return cert
 }
 
@@ -227,10 +234,13 @@ func (b *Builder) ContractedEdges() [][2]int {
 	return out
 }
 
-// findCycle runs a deterministic DFS (vertices and successors in id order)
-// over the graph and returns the names of one cycle's vertices or, for an
-// acyclic graph, the reverse of the DFS finish order as a rank.
-func findCycle(adj [][]int32, names []string) ([]string, []int32) {
+// FindCycle is the one cycle search, for certificates and for the deadlock
+// analyzer's wait-for graph alike. It runs a deterministic DFS over adj —
+// roots in id order, each vertex's successors in slice order — and returns
+// one cycle's vertices in edge order, ending at the vertex where the search
+// closed it, or, for an acyclic graph, a nil cycle and the reverse of the DFS
+// finish order as a rank that every edge strictly climbs.
+func FindCycle(adj [][]int32) (cycle, rank []int32) {
 	const (
 		white = 0
 		gray  = 1
@@ -238,8 +248,8 @@ func findCycle(adj [][]int32, names []string) ([]string, []int32) {
 	)
 	color := make([]uint8, len(adj))
 	parent := make([]int32, len(adj))
-	rank, next := make([]int32, len(adj)), int32(len(adj))
-	cycleAt := int32(-1)
+	rank = make([]int32, len(adj))
+	next, cycleAt := int32(len(adj)), int32(-1)
 
 	var dfs func(u int32) bool
 	dfs = func(u int32) bool {
@@ -270,17 +280,14 @@ func findCycle(adj [][]int32, names []string) ([]string, []int32) {
 	if cycleAt < 0 {
 		return nil, rank
 	}
-	var cyc []string
-	cur := cycleAt
-	for {
-		cyc = append(cyc, names[cur])
-		cur = parent[cur]
-		if cur == cycleAt {
+	for cur := cycleAt; ; {
+		cycle = append(cycle, cur)
+		if cur = parent[cur]; cur == cycleAt {
 			break
 		}
 	}
-	slices.Reverse(cyc)
-	return cyc, nil
+	slices.Reverse(cycle)
+	return cycle, nil
 }
 
 // Certify runs a scheme through a fresh builder and returns its

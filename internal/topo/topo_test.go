@@ -129,3 +129,33 @@ func TestCertificateString(t *testing.T) {
 		t.Errorf("acyclic String() = %q, want no cycle block", got)
 	}
 }
+
+// TestFindCycle pins the one cycle search's rules: roots in id order,
+// successors in slice order, the witness ending at the vertex where the
+// search closed it, and on an acyclic graph a rank every edge climbs.
+func TestFindCycle(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		adj         [][]int32
+		cycle, rank []int32
+	}{
+		{"acyclic chain", [][]int32{{1, 2}, {2}, nil}, nil, []int32{0, 1, 2}},
+		{"acyclic later root", [][]int32{nil, {0}}, nil, []int32{1, 0}},
+		{"roots in id order", [][]int32{{1}, {0}, {3}, {2}}, []int32{1, 0}, nil},
+		{"successors in slice order", [][]int32{{2, 1}, {0}, {0}}, []int32{2, 0}, nil},
+		{"successors reordered", [][]int32{{1, 2}, {0}, {0}}, []int32{1, 0}, nil},
+		{"ends where closed", [][]int32{{1}, {2}, {3}, {1}}, []int32{2, 3, 1}, nil},
+	} {
+		cycle, rank := topo.FindCycle(tc.adj)
+		if !reflect.DeepEqual(cycle, tc.cycle) || !reflect.DeepEqual(rank, tc.rank) {
+			t.Errorf("%s: FindCycle = %v, %v; want %v, %v", tc.name, cycle, rank, tc.cycle, tc.rank)
+		}
+		for u, vs := range tc.adj {
+			for _, v := range vs {
+				if rank != nil && rank[u] >= rank[v] {
+					t.Errorf("%s: edge %d->%d does not climb rank %v", tc.name, u, v, rank)
+				}
+			}
+		}
+	}
+}

@@ -95,6 +95,25 @@ func (w *Walker) Port(ch int32) (dim, index, out int) {
 	return dim, int(ch) / w.shape[dim], int(ch) % w.shape[dim]
 }
 
+// ChannelOf inverts the numbering for an engine out-port of a Net built on
+// the walker's shape and wiring: the switch out-port's channel, and which
+// lane of it the port is. On a crossbar wiring engine port k·V+v is wire k,
+// lane v; on a cabled one the channel is the port itself, lane 0. ok is false
+// for a PE's out-port, an injection, which no switch decides.
+func (w *Walker) ChannelOf(o *engine.OutPort) (ch int32, lane int, ok bool) {
+	port := o.Index()
+	if w.xbar {
+		port, lane = port/w.wiring.Lanes(), port%w.wiring.Lanes()
+	}
+	switch m := o.Node().Meta.(type) {
+	case RouterMeta:
+		return w.Channel(-1, w.shape.Index(m.Coord), port), lane, true
+	case XBMeta:
+		return w.Channel(m.Line.Dim, w.shape.LineIndex(m.Line), port), lane, true
+	}
+	return 0, 0, false
+}
+
 // Name renders a channel the way certificates name it: "RTC(1,2).out0" or
 // "XB0(0,1).out2" on a crossbar wiring; on a cabled one the dimension the
 // cable runs along and the far end's value in it, "R(1,2).d0>3", with the
