@@ -87,6 +87,24 @@ func TestStepAllocatesNothing(t *testing.T) {
 	}
 }
 
+func TestStepAllocatesNothingSlowLinks(t *testing.T) {
+	// The same with three-cycle links: a flit in flight lands from one of
+	// three arrival lists, each of which the warm-up round has sized.
+	m := pinMachine(t, core.Config{Shape: geom.MustShape(8, 8), Engine: engine.Config{BufferDepth: 2, LinkDelay: 3}})
+	sendRound(t, m, 64)
+	eng := m.Engine()
+	eng.OnDeliver = nil
+	for i := 0; i < 20; i++ {
+		eng.Step()
+	}
+	if allocs := testing.AllocsPerRun(100, eng.Step); allocs != 0 {
+		t.Errorf("Engine.Step on a loaded 8x8 with LinkDelay 3: %v allocations per cycle, want 0", allocs)
+	}
+	if eng.Quiescent() {
+		t.Fatal("the machine drained before the measurement ended: it was not loaded throughout")
+	}
+}
+
 func TestStepAllocatesNothingWithDetoursInFlight(t *testing.T) {
 	// The same with a faulty router, measured from the cycle the detoured
 	// packets are sent: inside the window their headers are routed around

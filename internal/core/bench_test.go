@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -83,5 +84,134 @@ func BenchmarkAnalyzeFig9(b *testing.B) {
 		if rep := deadlock.Analyze(m.Engine()); !rep.Deadlocked {
 			b.Fatal("analyzer lost the wait cycle")
 		}
+	}
+}
+
+// kernelBench is one of the benchmark's three kernel machines with its
+// traffic: Bernoulli unicasts (and S-XB broadcasts) between live PEs, at the
+// benchmark's rates, packet sizes, warm-up and window lengths.
+type kernelBench struct {
+	name        string
+	cfg         core.Config
+	faults      []fault.Fault
+	tables      bool
+	rate, bRate float64 // packets per PE per cycle
+	size        int
+	warmup      int // cycles stepped before the timer starts
+	window      int // cycles per op
+}
+
+var kernelBenches = []kernelBench{
+	{name: "dense-long", cfg: core.Config{Shape: geom.MustShape(16, 16)}, rate: 0.02, size: 16, warmup: 12_000, window: 225},
+	{name: "short-vc-faulted", cfg: core.Config{Shape: geom.MustShape(8, 8, 8), VCs: 4, Adaptive: true},
+		faults: []fault.Fault{fault.RouterFault(geom.Coord{4, 2, 1})}, rate: 0.10, bRate: 1e-5, size: 2, warmup: 2_000, window: 30},
+	{name: "full-machine-sparse", cfg: core.Config{Shape: geom.MustShape(8, 16, 16)}, tables: true, rate: 0.0005, size: core.DefaultPacketSize, warmup: 5_000, window: 900},
+}
+
+// kernelSend is one scheduled send: in cycle cycle of its window, live PE
+// src sends to live PE dst, or broadcasts when dst < 0.
+type kernelSend struct{ cycle, src, dst int }
+
+// kernelWindows is how many distinct windows a benchmark's schedule holds;
+// the ops cycle through them.
+const kernelWindows = 16
+
+// schedule draws the seeded sends of kernelWindows windows over pes live
+// PEs, by geometric gaps over the (cycle, PE) slots.
+func (w kernelBench) schedule(pes int) [][]kernelSend {
+	rng := rand.New(rand.NewSource(1))
+	gap := func(p float64, from int) int {
+		if p <= 0 {
+			return math.MaxInt
+		}
+		return from + 1 + int(math.Log(1-rng.Float64())/math.Log(1-p))
+	}
+	slots := w.window * pes
+	uni, bcast := gap(w.rate, -1), gap(w.bRate, -1)
+	sched := make([][]kernelSend, kernelWindows)
+	for i := range sched {
+		for end := (i + 1) * slots; min(uni, bcast) < end; {
+			at := min(uni, bcast)
+			s := kernelSend{cycle: at % slots / pes, src: at % pes, dst: -1}
+			if bcast < uni {
+				bcast = gap(w.bRate, at)
+			} else {
+				s.dst = (s.src + 1 + rng.Intn(pes-1)) % pes
+				uni = gap(w.rate, at)
+			}
+			sched[i] = append(sched[i], s)
+		}
+	}
+	return sched
+}
+
+// play sends one window's schedule cycle by cycle and steps the machine
+// through it, then clears the delivery records as a harvest would.
+func (w kernelBench) play(b *testing.B, m *core.Machine, live []geom.Coord, sends []kernelSend) {
+	i := 0
+	for c := 0; c < w.window; c++ {
+		for ; i < len(sends) && sends[i].cycle == c; i++ {
+			s := sends[i]
+			var err error
+			if s.dst < 0 {
+				_, _, err = m.Broadcast(live[s.src], w.size)
+			} else {
+				_, err = m.Send(live[s.src], live[s.dst], w.size)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		m.Step()
+	}
+	m.ResetStats()
+}
+
+// BenchmarkKernelStep times the kernel on the benchmark's three machines
+// (bench/'s kernel workloads) in-process: one op is one window of cycles
+// with its sends. The machine is built, its schedule drawn and its warm-up
+// stepped before the timer starts, once per workload.
+func BenchmarkKernelStep(b *testing.B) {
+	for _, w := range kernelBenches {
+		var (
+			m     *core.Machine
+			live  []geom.Coord
+			sched [][]kernelSend
+			op    int
+		)
+		b.Run(w.name, func(b *testing.B) {
+			if m == nil {
+				var err error
+				if m, err = core.NewMachine(w.cfg); err != nil {
+					b.Fatal(err)
+				}
+				for _, f := range w.faults {
+					if err := m.AddFault(f); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if w.tables {
+					if err := m.UseCompiledTables(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				m.Shape().Enumerate(func(c geom.Coord) bool {
+					if m.Alive(c) {
+						live = append(live, c)
+					}
+					return true
+				})
+				sched = w.schedule(len(live))
+				for ; op*w.window < w.warmup; op++ {
+					w.play(b, m, live, sched[op%kernelWindows])
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.play(b, m, live, sched[op%kernelWindows])
+				op++
+			}
+		})
 	}
 }

@@ -39,7 +39,7 @@ type KilledPacket struct {
 
 // KillSwitch marks a switch faulty mid-run and purges every wounded packet
 // (see the package comment above for the wound rule) from the entire
-// network: source-queue tails, input buffers, link pipelines, cut-through
+// network: source-queue tails, input buffers, links, cut-through
 // states and endpoint receive state. All resources are released exactly as
 // normal forwarding would release them — buffer slots return credits
 // upstream, granted output ports are freed — so credit conservation and
@@ -72,12 +72,9 @@ func (e *Engine) KillSwitch(n *Node) []KilledPacket {
 		}
 	}
 	for _, l := range e.links {
-		if l.to.node != n {
-			continue
-		}
-		for i := range l.pipe {
-			if l.pipe[i].full {
-				add(l.pipe[i].f.PacketID, l.pipe[i].f.Header)
+		if in := l.to; in.node == n {
+			for i := in.n; i < in.n+in.fly; i++ {
+				add(in.at(i).PacketID, in.at(i).Header)
 			}
 		}
 	}
@@ -127,7 +124,7 @@ func (e *Engine) KillPacket(id uint64) (KilledPacket, bool) {
 }
 
 // purgeWounded removes every trace of the wounded packets from the whole
-// network — source-queue tails, input buffers, link pipelines, cut-through
+// network — source-queue tails, input buffers, links, cut-through
 // states and endpoint receive state — releasing each resource exactly as
 // normal forwarding would (buffer slots and in-flight reservations return
 // credits upstream, granted output ports are freed). It upgrades wounded's
@@ -169,11 +166,13 @@ func (e *Engine) purgeWounded(wounded map[uint64]*flit.Header) (sunk map[uint64]
 		}
 		for _, in := range nd.In {
 			if in.n > 0 {
-				// Close the ring up over the purged flits, in place.
+				// Close the ring up over the purged flits, in place; the
+				// in-flight ones behind them move up too and are purged
+				// below, in link order.
 				kept := 0
-				for i := 0; i < in.n; i++ {
+				for i := 0; i < in.n+in.fly; i++ {
 					f := *in.at(i)
-					if hit(f.PacketID) {
+					if i < in.n && hit(f.PacketID) {
 						add(f.PacketID, f.Header)
 						// Freeing the slot returns the credit upstream,
 						// exactly as pop() would.
@@ -187,16 +186,16 @@ func (e *Engine) purgeWounded(wounded map[uint64]*flit.Header) (sunk map[uint64]
 					*in.at(kept) = f
 					kept++
 				}
-				in.n = kept
+				in.n = kept - in.fly
 			}
 			if rs := in.route; rs != nil && rs.header != nil && hit(rs.header.PacketID) {
 				add(rs.header.PacketID, rs.header)
 				if rs.sink {
 					sunk[rs.header.PacketID] = true
 				} else {
-					for i, o := range rs.outs {
+					for i, op := range rs.outs {
 						if rs.granted[i] {
-							nd.Out[o].owner = nil
+							op.owner = nil
 						}
 					}
 				}
@@ -212,22 +211,31 @@ func (e *Engine) purgeWounded(wounded map[uint64]*flit.Header) (sunk map[uint64]
 		}
 	}
 	for _, l := range e.links {
-		// A link slot is addressed by the cycle its flit was sent in, so a
-		// purged flit just vacates its slot; the survivors keep theirs.
-		if l.n == 0 {
+		// A purged flit in flight leaves its arrival list; the survivors
+		// stay on theirs, so they keep their ages.
+		in := l.to
+		if in.fly == 0 {
 			continue
 		}
-		for i := range l.pipe {
-			sl := &l.pipe[i]
-			if sl.full && hit(sl.f.PacketID) {
-				add(sl.f.PacketID, sl.f.Header)
-				// A flit in flight holds a downstream buffer reservation.
-				l.from.creditReturn()
-				e.resident--
-				removed++
-				sl.full = false
-				l.n--
+		kept := in.n
+		for i, age := range e.flightAges(in) {
+			f := *in.at(in.n + i)
+			if !hit(f.PacketID) {
+				*in.at(kept) = f
+				kept++
+				continue
 			}
+			add(f.PacketID, f.Header)
+			// A flit in flight holds a downstream buffer reservation.
+			l.from.creditReturn()
+			e.resident--
+			removed++
+			s := e.flightSlot(age)
+			j := slices.Index(e.arrivals[s], in)
+			e.arrivals[s] = slices.Delete(e.arrivals[s], j, j+1)
+		}
+		if in.fly = kept - in.n; in.fly == 0 && in.linkActive && !e.cfg.DisableActiveSet {
+			e.stale = append(e.stale, in)
 		}
 	}
 	return sunk, removed

@@ -2,8 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"sr2201/internal/flit"
@@ -20,12 +26,9 @@ func packetPresentAt(e *Engine, n *Node, id uint64) bool {
 			}
 		}
 	}
-	for _, l := range e.links {
-		if l.to.node != n {
-			continue
-		}
-		for i := range l.pipe {
-			if l.pipe[i].full && l.pipe[i].f.PacketID == id {
+	for _, in := range n.In {
+		for i := in.n; i < in.n+in.fly; i++ {
+			if in.at(i).PacketID == id {
 				return true
 			}
 		}
@@ -232,10 +235,11 @@ func TestStressKillAndSnapshot(t *testing.T) {
 	// kernel must track the identically-abused full-scan reference hash for
 	// hash.
 	const n = 12
-	run := func(t *testing.T, cfg Config) (*Engine, []uint64) {
+	run := func(t *testing.T, cfg Config) (*Engine, []uint64, hash.Hash64) {
 		e, eps := chainScenario(cfg, n)
 		rng := rand.New(rand.NewSource(7))
 		var stream []uint64
+		snaps := fnv.New64a()
 		nextID := uint64(1000)
 		inject := func(src, size int) {
 			nextID++
@@ -270,15 +274,13 @@ func TestStressKillAndSnapshot(t *testing.T) {
 				e.KillSwitch(e.Switches()[5])
 			}
 			if c == 64 || c == 120 {
-				// A packet with a flit on the wire into switch 3 if there
-				// is one (the purge then vacates a link slot mid-ring),
-				// else whatever is oldest in the network.
+				// The packet of the oldest flit on the wire into switch 3
+				// if there is one (the purge then takes a flit out from
+				// among flits in flight), else whatever is oldest in the
+				// network.
 				victim := uint64(0)
-				up := e.Switches()[3].In[0].upstream
-				for age := 0; age < up.delay && up.n > 0 && victim == 0; age++ {
-					if sl := up.ageSlot(e.cycle, age); sl.full {
-						victim = sl.f.PacketID
-					}
+				if in := e.Switches()[3].In[0]; in.fly > 0 {
+					victim = in.at(in.n).PacketID
 				}
 				if hdrs, _ := e.InFlightHeaders(); victim == 0 && len(hdrs) > 0 {
 					victim = hdrs[0].PacketID
@@ -297,6 +299,7 @@ func TestStressKillAndSnapshot(t *testing.T) {
 					t.Fatalf("cycle %d: %v", c, err)
 				}
 				snap := e.Snapshot()
+				snaps.Write(snap)
 				fresh, _ := chainScenario(cfg, n)
 				if err := fresh.Restore(snap); err != nil {
 					t.Fatalf("cycle %d: restore: %v", c, err)
@@ -309,15 +312,29 @@ func TestStressKillAndSnapshot(t *testing.T) {
 		if replies < 40 || purged == 0 {
 			t.Fatalf("hooks injected %d packets (want 40), KillPacket purged %d: the stress did not exercise them", replies, purged)
 		}
-		return e, stream
+		return e, stream, snaps
+	}
+	// Every run is also pinned by the digest of its StateHash stream and of
+	// its snapshots, and by its final counters, as recorded from the kernel
+	// that still kept a ring per link.
+	var golden bytes.Buffer
+	pin := func(name string, e *Engine, stream []uint64, snaps hash.Hash64) {
+		h := fnv.New64a()
+		for _, v := range stream {
+			binary.Write(h, binary.LittleEndian, v)
+		}
+		fmt.Fprintf(&golden, "%s stream %016x snaps %016x counters %+v\n", name, h.Sum64(), snaps.Sum64(), e.Counters())
 	}
 	for delay := 1; delay <= 4; delay++ {
 		for depth := 1; depth <= 8; depth++ {
-			t.Run(fmt.Sprintf("delay%d_depth%d", delay, depth), func(t *testing.T) {
+			name := fmt.Sprintf("delay%d_depth%d", delay, depth)
+			t.Run(name, func(t *testing.T) {
 				cfg := Config{BufferDepth: depth, LinkDelay: delay, Acquire: AcquireAtomic}
-				got, stream := run(t, cfg)
+				got, stream, snaps := run(t, cfg)
+				pin(name+" active", got, stream, snaps)
 				cfg.DisableActiveSet = true
-				ref, want := run(t, cfg)
+				ref, want, refSnaps := run(t, cfg)
+				pin(name+" fullscan", ref, want, refSnaps)
 				for i := range want {
 					if stream[i] != want[i] {
 						t.Fatalf("scheduled kernel diverged from full scan at cycle %d: %#x vs %#x", i+1, stream[i], want[i])
@@ -332,5 +349,24 @@ func TestStressKillAndSnapshot(t *testing.T) {
 				}
 			})
 		}
+	}
+	path := filepath.Join("testdata", "stress_kill.golden")
+	if *update {
+		if err := os.WriteFile(path, golden.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := golden.Bytes(); !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("differs from %s at line %d:\ngot  %s\nwant %s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("differs from %s: %d lines, want %d", path, len(gl), len(wl))
 	}
 }

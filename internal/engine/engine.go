@@ -28,6 +28,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"sr2201/internal/flit"
 )
@@ -146,7 +147,7 @@ func (p PortRef) String() string {
 // slices are reused across packets.
 type routeState struct {
 	header   *flit.Header
-	outs     []int
+	outs     []*OutPort // the decision's output ports, in its order
 	granted  []bool
 	nGranted int
 	rewrite  flit.Rewrite
@@ -168,13 +169,21 @@ func (rs *routeState) allGranted() bool { return rs.nGranted == len(rs.outs) }
 type InPort struct {
 	node *Node
 	idx  int
-	// buf is a fixed ring of cap slots, allocated when the first flit
-	// arrives (a port no route uses never pays for one); the queue is the n
-	// flits from head on, wrapping. Nothing is appended or shifted as flits
-	// come and go.
-	buf     []flit.Flit
-	head, n int
-	cap     int
+	// buf is a fixed ring of cap slots, allocated when the first flit is
+	// sent to the port (a port no route uses never pays for one); the queue
+	// is the n flits from head on, wrapping, and behind them the fly flits
+	// still on the link into the port (see Link). Nothing is appended or
+	// shifted as flits come and go.
+	buf          []flit.Flit
+	head, n, fly int
+	cap          int
+	// landsAt is the cycle the last flit sent to the port lands in.
+	landsAt int64
+	// linkActive marks the link into the port as carrying flits: set when
+	// a flit is sent on it and, under the active set, cleared by the landing
+	// that leaves it empty. LinkVisits counts the links marked at the start
+	// of each landing phase (see scheduler.go).
+	linkActive bool
 	// upstream is the link that feeds this port (nil if unconnected); used to
 	// return credits when a flit leaves the buffer.
 	upstream *Link
@@ -208,14 +217,13 @@ func (p *InPort) at(i int) *flit.Flit {
 	return &p.buf[j]
 }
 
-// push queues a flit at the tail. The caller has checked n < cap (credits
-// guarantee it).
-func (p *InPort) push(f flit.Flit) {
+// put writes a flit behind the queued and in-flight ones; the caller counts
+// it in n or fly. The caller has checked n+fly < cap (credits guarantee it).
+func (p *InPort) put(f flit.Flit) {
 	if p.buf == nil {
 		p.buf = make([]flit.Flit, p.cap)
 	}
-	*p.at(p.n) = f
-	p.n++
+	*p.at(p.n + p.fly) = f
 }
 
 // shift removes and returns the flit at the head of the buffer.
@@ -257,7 +265,8 @@ func (p *InPort) front() *flit.Flit {
 type OutPort struct {
 	node *Node
 	idx  int
-	link *Link
+	// down is the input port the output's link feeds (nil if unconnected).
+	down *InPort
 	// owner is the input port whose packet currently holds this output, or
 	// nil when the port is free.
 	owner *InPort
@@ -330,37 +339,44 @@ func (n *Node) InjectQueueLen() int { return len(n.injectQ) - n.injectHead }
 // pendingInject is the live region of the endpoint's source queue.
 func (n *Node) pendingInject() []flit.Flit { return n.injectQ[n.injectHead:] }
 
-// Link is a unidirectional flit pipeline between an output and an input port.
+// Link is a unidirectional wire between an output and an input port: a
+// delay over the downstream buffer. It stores nothing. A flit sent on it is
+// written once, into the downstream port's ring behind the flits visible
+// there (InPort.fly counts them), and lands, becoming visible, delay cycles
+// later (see land). Every link of an engine has the LinkDelay delay.
 type Link struct {
 	id    int
 	from  *OutPort
 	to    *InPort
 	delay int
-	// pipe is a fixed ring of delay slots (allocated at first use) holding
-	// the n flits in flight. At most one flit enters a link per cycle and
-	// each stays exactly delay cycles, so the flit sent in cycle c sits in
-	// slot c%delay until the delivery phase of cycle c+delay reads that same
-	// slot back; its age is never stored (see ageSlot).
-	pipe []linkSlot
-	n    int
-	// active marks membership in the active link set (see scheduler.go).
-	active bool
 }
 
-type linkSlot struct {
-	f    flit.Flit
-	full bool
+// flightSlot returns, between Steps (or from the PreCycle/PostCycle hooks),
+// the arrival list of a flit that has spent age landing phases in flight:
+// it was sent in cycle cycle-1-age and lands in a cycle of the same residue.
+func (e *Engine) flightSlot(age int) int {
+	d := int64(e.cfg.LinkDelay)
+	return int(((e.cycle-1-int64(age))%d + d) % d)
 }
 
-// ageSlot returns the slot of the flit that has spent age delivery phases on
-// the link, as seen between Steps (or from the PreCycle/PostCycle hooks) at
-// the given cycle: the one sent in cycle cycle-1-age. StateHash, snapshots
-// and purges walk a loaded link oldest-first with it, which is the order and
-// the age the kernel used to store per flit.
-func (l *Link) ageSlot(cycle int64, age int) *linkSlot {
-	d := int64(l.delay)
-	return &l.pipe[((cycle-1-int64(age))%d+d)%d]
+// flightAges returns the ages of the flits in flight into p, oldest first
+// (their order in the ring), as seen between Steps. No flit stores its age:
+// the arrival list a flit is on tells it (see flightSlot). Only cold paths
+// (StateHash, snapshots, purges) ask.
+func (e *Engine) flightAges(p *InPort) []int {
+	if e.cfg.LinkDelay == 1 {
+		return zeroAge[:p.fly] // a flit sent last cycle; it lands next
+	}
+	var ages []int
+	for age := e.cfg.LinkDelay - 1; age >= 0 && len(ages) < p.fly; age-- {
+		if slices.Contains(e.arrivals[e.flightSlot(age)], p) {
+			ages = append(ages, age)
+		}
+	}
+	return ages
 }
+
+var zeroAge = []int{0}
 
 // PhysChannel is a group of output ports sharing one flit per cycle of
 // physical bandwidth (virtual channels over one wire).
@@ -415,13 +431,20 @@ type Engine struct {
 
 	dropped int64
 
-	// slot is cycle % LinkDelay during a Step: the link-ring slot this
-	// cycle's deliveries empty and this cycle's sends fill.
-	slot int
+	// arrivals[s] lists, one entry per flit, the ports a flit lands at in
+	// the cycles ≡ s mod LinkDelay. slot is cycle % LinkDelay during a Step:
+	// the list this cycle's landings empty and this cycle's sends fill.
+	arrivals [][]*InPort
+	slot     int
+	// linksActive counts the links marked active. stale holds the ports
+	// whose marked links a purge emptied: the next landing phase counts
+	// those links once and unmarks them, as it would had their last flit
+	// landed.
+	linksActive int
+	stale       []*InPort
 
-	// Active sets (scheduler.go), indexed by position in links, fullIn and
+	// Active sets (scheduler.go), indexed by position in fullIn and
 	// endpoints respectively.
-	activeLinks  activeSet
 	activeAlloc  activeSet
 	activeEject  activeSet
 	activeInject activeSet
@@ -471,7 +494,7 @@ type Engine struct {
 // New creates an empty network with the given configuration.
 func New(cfg Config) *Engine {
 	cfg.normalize()
-	return &Engine{cfg: cfg}
+	return &Engine{cfg: cfg, arrivals: make([][]*InPort, cfg.LinkDelay)}
 }
 
 // Config returns the engine's (normalized) configuration.
@@ -537,18 +560,17 @@ func (e *Engine) Switches() []*Node { return e.switches }
 func (e *Engine) ConnectDirected(a *Node, ap int, b *Node, bp int) *Link {
 	out := a.Out[ap]
 	in := b.In[bp]
-	if out.link != nil {
+	if out.down != nil {
 		panic(fmt.Sprintf("engine: output %s.%d already connected", a.Name, ap))
 	}
 	if in.upstream != nil {
 		panic(fmt.Sprintf("engine: input %s.%d already connected", b.Name, bp))
 	}
 	l := &Link{id: len(e.links), from: out, to: in, delay: e.cfg.LinkDelay}
-	out.link = l
+	out.down = in
 	out.credits = in.cap
 	in.upstream = l
 	e.links = append(e.links, l)
-	e.activeLinks.resize(len(e.links))
 	return l
 }
 
@@ -664,14 +686,13 @@ func (e *Engine) Dropped() int64 { return e.dropped }
 func (e *Engine) Quiescent() bool { return e.resident == 0 }
 
 // Step advances the simulation by one cycle. Phase order (fixed): the
-// PreCycle hook, then link delivery, ejection, allocation, traversal,
-// injection.
+// PreCycle hook, then landing, ejection, allocation, traversal, injection.
 func (e *Engine) Step() {
 	if e.PreCycle != nil {
 		e.PreCycle(e.cycle)
 	}
 	e.slot = int(e.cycle % int64(e.cfg.LinkDelay))
-	e.deliverLinks()
+	e.land()
 	e.eject()
 	e.allocate()
 	e.traverse()
@@ -695,54 +716,38 @@ func (e *Engine) RunUntilQuiescent(maxCycles int64) bool {
 	return e.Quiescent()
 }
 
-// deliverLinks lands the flits whose delay elapsed. Credits guarantee the
-// destination buffer has room.
-func (e *Engine) deliverLinks() {
-	if e.cfg.DisableActiveSet {
-		for _, l := range e.links {
-			e.deliverLink(l)
+// land makes visible the flits whose delay elapsed. Each was written into
+// its downstream ring when it was sent, so landing moves it from fly to n.
+func (e *Engine) land() {
+	active := !e.cfg.DisableActiveSet
+	if active {
+		e.ctr.LinkVisits += int64(e.linksActive)
+		e.ctr.LinkVisitsSkipped += int64(len(e.links) - e.linksActive)
+		for _, p := range e.stale {
+			if p.linkActive && p.fly == 0 {
+				p.linkActive = false
+				e.linksActive--
+			}
 		}
-		e.ctr.LinkVisits += int64(len(e.links))
-		return
-	}
-	s := &e.activeLinks
-	visited := 0
-	for i := s.next(-1); i >= 0; i = s.next(i) {
-		l := e.links[i]
-		e.deliverLink(l)
-		if l.n == 0 {
-			l.active = false
-			s.remove(i)
-		}
-		visited++
-	}
-	e.ctr.LinkVisits += int64(visited)
-	e.ctr.LinkVisitsSkipped += int64(len(e.links) - visited)
-}
-
-// deliverLink lands the flit sent LinkDelay cycles ago, if there is one: it
-// sits in the slot this cycle's sends will refill.
-func (e *Engine) deliverLink(l *Link) {
-	if l.n == 0 {
-		return
-	}
-	sl := &l.pipe[e.slot]
-	if !sl.full {
-		return
-	}
-	to := l.to
-	if to.n >= to.cap {
-		panic(fmt.Sprintf("engine: buffer overflow at %s.%d (credit accounting bug)", to.node.Name, to.idx))
-	}
-	to.push(sl.f)
-	sl.f.Header = nil // as in InPort.shift
-	sl.full = false
-	l.n--
-	if to.node.Kind == KindSwitch {
-		e.activateAlloc(to)
+		e.stale = e.stale[:0]
 	} else {
-		e.activateEject(to.node)
+		e.ctr.LinkVisits += int64(len(e.links))
 	}
+	list := e.arrivals[e.slot]
+	for _, to := range list {
+		to.fly--
+		to.n++
+		if to.fly == 0 && active {
+			to.linkActive = false
+			e.linksActive--
+		}
+		if to.node.Kind == KindSwitch {
+			e.activateAlloc(to)
+		} else {
+			e.activateEject(to.node)
+		}
+	}
+	e.arrivals[e.slot] = list[:0]
 }
 
 // eject consumes arrived flits at endpoints.
@@ -855,15 +860,10 @@ func (e *Engine) gatherRequests() []*InPort {
 	// Count requesters per output port for conflict statistics.
 	for _, in := range requests {
 		rs := in.route
-		for i, o := range rs.outs {
-			if rs.granted[i] {
-				continue
+		for i, op := range rs.outs {
+			if !rs.granted[i] && op.owner == nil {
+				op.arbRequests(e.cycle)
 			}
-			op := in.node.Out[o]
-			if op.owner != nil {
-				continue
-			}
-			op.arbRequests(e.cycle)
 		}
 	}
 	return requests
@@ -925,12 +925,8 @@ func (e *Engine) allocateIncremental(requests []*InPort) {
 	order := e.outScratch[:0]
 	for _, in := range requests {
 		rs := in.route
-		for i, o := range rs.outs {
-			if rs.granted[i] {
-				continue
-			}
-			op := in.node.Out[o]
-			if op.owner != nil {
+		for i, op := range rs.outs {
+			if rs.granted[i] || op.owner != nil {
 				continue
 			}
 			if op.pendStamp != e.cycle {
@@ -947,7 +943,7 @@ func (e *Engine) allocateIncremental(requests []*InPort) {
 		op.owner = winner
 		rs := winner.route
 		for i, o := range rs.outs {
-			if winner.node.Out[o] == op {
+			if o == op {
 				rs.granted[i] = true
 				rs.nGranted++
 			}
@@ -1010,17 +1006,16 @@ func (e *Engine) grantAtomic(in *InPort) {
 		// happen unless the mode changed mid-run.
 		return
 	}
-	for _, o := range rs.outs {
-		op := in.node.Out[o]
+	for _, op := range rs.outs {
 		if op.owner != nil || op.reservedCycle == e.cycle {
-			for _, o := range rs.outs {
-				in.node.Out[o].reservedCycle = e.cycle
+			for _, op := range rs.outs {
+				op.reservedCycle = e.cycle
 			}
 			return
 		}
 	}
-	for i, o := range rs.outs {
-		in.node.Out[o].owner = in
+	for i, op := range rs.outs {
+		op.owner = in
 		rs.granted[i] = true
 		rs.nGranted++
 	}
@@ -1044,7 +1039,7 @@ func (e *Engine) routeHeader(sw *Node, in *InPort, h *flit.Header) *routeState {
 		if o < 0 || o >= len(sw.Out) {
 			panic(fmt.Sprintf("engine: switch %q routed to invalid port %d", sw.Name, o))
 		}
-		if sw.Out[o].link == nil {
+		if sw.Out[o].down == nil {
 			panic(fmt.Sprintf("engine: switch %q routed to unconnected port %d", sw.Name, o))
 		}
 		for _, prev := range dec.Outs[:i] {
@@ -1058,9 +1053,11 @@ func (e *Engine) routeHeader(sw *Node, in *InPort, h *flit.Header) *routeState {
 	}
 	rs := e.newRouteState()
 	rs.header = h
-	rs.outs = append(rs.outs, dec.Outs...)
-	for range dec.Outs {
-		rs.granted = append(rs.granted, false)
+	k := len(dec.Outs)
+	rs.outs = slices.Grow(rs.outs, k)[:k]
+	rs.granted = slices.Grow(rs.granted, k)[:k]
+	for i, o := range dec.Outs {
+		rs.outs[i], rs.granted[i] = sw.Out[o], false
 	}
 	rs.rewrite = dec.Rewrite
 	rs.since = e.cycle
@@ -1131,8 +1128,7 @@ func (e *Engine) traverse() {
 			continue // waiting for upstream flits; not "blocked" locally
 		}
 		ok := true
-		for _, o := range rs.outs {
-			op := in.node.Out[o]
+		for _, op := range rs.outs {
 			if op.credits < 1 {
 				ok = false
 				break
@@ -1143,8 +1139,7 @@ func (e *Engine) traverse() {
 			continue
 		}
 		// Stage physical channel requests.
-		for _, o := range rs.outs {
-			op := in.node.Out[o]
+		for _, op := range rs.outs {
 			if pc := op.phys; pc != nil {
 				if pc.wantStamp != e.cycle {
 					pc.wantStamp = e.cycle
@@ -1179,8 +1174,7 @@ func (e *Engine) traverse() {
 	for _, in := range readies {
 		rs := in.route
 		committed := true
-		for _, o := range rs.outs {
-			op := in.node.Out[o]
+		for _, op := range rs.outs {
 			if op.phys != nil && !op.phys.grants(op, e.cycle) {
 				committed = false
 				break
@@ -1198,8 +1192,7 @@ func (e *Engine) traverse() {
 		// copies and keeps the original until the tail leaves; otherwise the
 		// header itself moves on.
 		copies := rs.rewrite != 0 || len(rs.outs) > 1
-		for _, o := range rs.outs {
-			op := in.node.Out[o]
+		for _, op := range rs.outs {
 			branch := f
 			if f.Header != nil {
 				if copies {
@@ -1207,16 +1200,14 @@ func (e *Engine) traverse() {
 					rs.rewrite.Apply(branch.Header)
 				}
 				if e.OnForward != nil {
-					e.OnForward(in.node, o, branch.Header, e.cycle)
+					e.OnForward(in.node, op.idx, branch.Header, e.cycle)
 				}
 			}
-			e.pushLink(op.link, branch)
-			op.credits--
-			op.BusyCycles++
+			e.send(op, branch)
 		}
 		if f.Last {
-			for _, o := range rs.outs {
-				in.node.Out[o].owner = nil
+			for _, op := range rs.outs {
+				op.owner = nil
 			}
 			if copies {
 				e.releaseHeader(rs.header)
@@ -1235,19 +1226,27 @@ func (e *Engine) traverse() {
 	e.physScratch = physOrder[:0]
 }
 
-// pushLink sends a flit down a link: into the slot this cycle's delivery
-// phase has just emptied.
-func (e *Engine) pushLink(l *Link, f flit.Flit) {
-	if l.pipe == nil {
-		l.pipe = make([]linkSlot, l.delay)
+// send puts a flit on op's link, taking one credit: the flit is written
+// into the downstream ring now and lands LinkDelay cycles from now.
+func (e *Engine) send(op *OutPort, f flit.Flit) {
+	to := op.down
+	lands := e.cycle + int64(e.cfg.LinkDelay)
+	if to.landsAt == lands {
+		panic(fmt.Sprintf("engine: two flits entered link %d in cycle %d", to.upstream.id, e.cycle))
 	}
-	sl := &l.pipe[e.slot]
-	if sl.full {
-		panic(fmt.Sprintf("engine: two flits entered link %d in cycle %d", l.id, e.cycle))
+	if to.n+to.fly >= to.cap {
+		panic(fmt.Sprintf("engine: buffer overflow at %s.%d (credit accounting bug)", to.node.Name, to.idx))
 	}
-	sl.f, sl.full = f, true
-	l.n++
-	e.activateLink(l)
+	to.put(f)
+	to.fly++
+	to.landsAt = lands
+	e.arrivals[e.slot] = append(e.arrivals[e.slot], to)
+	if !to.linkActive {
+		to.linkActive = true
+		e.linksActive++
+	}
+	op.credits--
+	op.BusyCycles++
 }
 
 // grants reports whether the channel granted this port in the given cycle.
@@ -1305,7 +1304,7 @@ func (e *Engine) injectAt(ep *Node) {
 		return
 	}
 	out := ep.Out[0]
-	if out.link == nil {
+	if out.down == nil {
 		panic(fmt.Sprintf("engine: endpoint %q has no outbound link", ep.Name))
 	}
 	if out.credits < 1 {
@@ -1327,9 +1326,7 @@ func (e *Engine) injectAt(ep *Node) {
 	if f.Header != nil && e.OnForward != nil {
 		e.OnForward(ep, 0, f.Header, e.cycle)
 	}
-	e.pushLink(out.link, f)
-	out.credits--
-	out.BusyCycles++
+	e.send(out, f)
 	e.moves++
 	if f.Last {
 		ep.Sent++

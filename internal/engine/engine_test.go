@@ -96,7 +96,7 @@ func TestMultiplePacketsInOrder(t *testing.T) {
 
 func TestBackpressureNeverOverflows(t *testing.T) {
 	// Tiny buffers, many packets: the credit system must keep buffers legal
-	// (deliverLinks panics on overflow).
+	// (a send panics on overflow).
 	e := New(Config{BufferDepth: 1, LinkDelay: 1})
 	a, _, _ := line(e)
 	done := 0

@@ -28,7 +28,7 @@ func (e *Engine) StepCheckingArbitration(st *ArbitrationStats) error {
 		e.PreCycle(e.cycle)
 	}
 	e.slot = int(e.cycle % int64(e.cfg.LinkDelay))
-	e.deliverLinks()
+	e.land()
 	e.eject()
 	requests := e.gatherRequests()
 	want := globalOrderGrants(e, requests, st)
@@ -39,8 +39,8 @@ func (e *Engine) StepCheckingArbitration(st *ArbitrationStats) error {
 	for _, in := range requests {
 		granted := in.route.nGranted > 0
 		if granted != want[in] {
-			err = fmt.Errorf("cycle %d: %s.in%d (since %d, outs %v): granted=%v, the global arrival order grants=%v",
-				e.cycle, in.node.Name, in.idx, in.route.since, in.route.outs, granted, want[in])
+			err = fmt.Errorf("cycle %d: %s.in%d (since %d, %d outs): granted=%v, the global arrival order grants=%v",
+				e.cycle, in.node.Name, in.idx, in.route.since, len(in.route.outs), granted, want[in])
 			break
 		}
 	}
@@ -90,16 +90,16 @@ func globalOrderGrants(e *Engine, requests []*InPort, st *ArbitrationStats) map[
 			continue
 		}
 		ok := true
-		for _, o := range rs.outs {
-			if op := in.node.Out[o]; op.owner != nil || unavailable[op] {
+		for _, op := range rs.outs {
+			if op.owner != nil || unavailable[op] {
 				ok = false
 			}
 		}
 		if !ok && len(rs.outs) > 1 {
 			st.FanRefusals++
 		}
-		for _, o := range rs.outs {
-			unavailable[in.node.Out[o]] = true
+		for _, op := range rs.outs {
+			unavailable[op] = true
 		}
 		grants[in] = ok
 	}

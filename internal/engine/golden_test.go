@@ -36,7 +36,7 @@ func TestGoldenDelay3(t *testing.T) {
 	full := false
 	for _, l := range e.links {
 		seen := [3]bool{}
-		for _, a := range linkAges(e, l) {
+		for _, a := range e.flightAges(l.to) {
 			seen[a] = true
 		}
 		full = full || seen == [3]bool{true, true, true}
@@ -116,15 +116,4 @@ func TestGoldenDelay3(t *testing.T) {
 			t.Errorf("%s: restored counters %+v, want %+v", fx.path, r.Counters(), e.Counters())
 		}
 	}
-}
-
-// linkAges lists the ages of a link's in-flight flits, oldest first.
-func linkAges(e *Engine, l *Link) []int {
-	var ages []int
-	for age := l.delay - 1; age >= 0 && l.n > 0; age-- {
-		if l.ageSlot(e.cycle, age).full {
-			ages = append(ages, age)
-		}
-	}
-	return ages
 }

@@ -67,8 +67,8 @@ func (e *Engine) StateHash() uint64 {
 					h.u64(0xadaf)
 				}
 				h.i64(rs.since)
-				for i, o := range rs.outs {
-					h.i64(int64(o))
+				for i, op := range rs.outs {
+					h.i64(int64(op.idx))
 					if rs.granted[i] {
 						h.u64(1)
 					} else {
@@ -90,13 +90,13 @@ func (e *Engine) StateHash() uint64 {
 		}
 	}
 	for _, l := range e.links {
-		h.i64(int64(l.n))
-		for age := l.delay - 1; age >= 0 && l.n > 0; age-- {
-			if sl := l.ageSlot(e.cycle, age); sl.full {
-				h.u64(sl.f.PacketID)
-				h.i64(int64(sl.f.Seq))
-				h.i64(int64(age))
-			}
+		in := l.to
+		h.i64(int64(in.fly))
+		for i, age := range e.flightAges(in) {
+			f := in.at(in.n + i)
+			h.u64(f.PacketID)
+			h.i64(int64(f.Seq))
+			h.i64(int64(age))
 		}
 	}
 	for _, pc := range e.phys {

@@ -43,10 +43,7 @@ func (o *OutPort) Credits() int { return o.credits }
 // DownstreamIn returns the input port this output feeds, or nil when
 // unconnected.
 func (o *OutPort) DownstreamIn() *InPort {
-	if o.link == nil {
-		return nil
-	}
-	return o.link.to
+	return o.down
 }
 
 // UpstreamOut returns the output port that feeds this input, or nil when
@@ -61,12 +58,7 @@ func (p *InPort) UpstreamOut() *OutPort {
 // UpstreamInFlight reports the flits currently traveling on the link into
 // this port. A non-zero value means an apparent flit starvation is
 // transient: delivery is already under way.
-func (p *InPort) UpstreamInFlight() int {
-	if p.upstream == nil {
-		return 0
-	}
-	return p.upstream.n
-}
+func (p *InPort) UpstreamInFlight() int { return p.fly }
 
 // WaitInfo describes one switch input port whose packet cannot advance this
 // instant, and the resources involved. It is a snapshot: call it only when
@@ -105,8 +97,7 @@ func (e *Engine) BlockedPorts() []WaitInfo {
 			}
 			wi := WaitInfo{In: in, Header: rs.header}
 			blocked := false
-			for i, o := range rs.outs {
-				op := sw.Out[o]
+			for i, op := range rs.outs {
 				if rs.granted[i] {
 					wi.Holds = append(wi.Holds, op)
 					if op.credits < 1 {
@@ -136,7 +127,7 @@ func (e *Engine) BlockedPorts() []WaitInfo {
 
 // InFlightHeaders snapshots the header of every packet currently resident in
 // the network — source injection queues, input buffers, cut-through states,
-// receive states and link pipelines — deduplicated by packet ID and sorted
+// receive states and links — deduplicated by packet ID and sorted
 // ascending. unknown lists the IDs (also ascending) of resident packets
 // whose header flit is nowhere to be found (body/tail remnants only);
 // callers that classify packets by header fields must treat those
@@ -172,10 +163,8 @@ func (e *Engine) InFlightHeaders() (hdrs []*flit.Header, unknown []uint64) {
 		}
 	}
 	for _, l := range e.links {
-		for i := range l.pipe {
-			if l.pipe[i].full {
-				add(l.pipe[i].f.PacketID, l.pipe[i].f.Header)
-			}
+		for in, i := l.to, l.to.n; i < in.n+in.fly; i++ {
+			add(in.at(i).PacketID, in.at(i).Header)
 		}
 	}
 	ids := make([]uint64, 0, len(seen))

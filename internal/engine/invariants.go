@@ -19,9 +19,9 @@ import (
 //     cut-through state that includes that port as granted, and vice versa;
 //  3. grant accounting: each route state's granted count matches its flags;
 //  4. flit accounting: the resident counter equals the flits actually
-//     present in injection queues, input buffers and link pipelines;
+//     present in injection queues, input buffers and on links;
 //  5. header ownership: no header reachable from a source queue, input
-//     buffer, link slot, route state or receive state is on the engine's
+//     buffer, flit in flight, route state or receive state is on the engine's
 //     free list, the free list holds no header twice, and every place
 //     holds the header of the packet it serves (a flit its own; a route or
 //     receive state that of the flit at the front of its buffer), so a
@@ -34,17 +34,17 @@ func (e *Engine) CheckInvariants() error {
 			counted += int64(in.n)
 		}
 		for _, out := range n.Out {
-			if out.link == nil {
+			if out.down == nil {
 				if out.owner != nil {
 					return fmt.Errorf("engine: unconnected %s.out%d has an owner", n.Name, out.idx)
 				}
 				continue
 			}
-			counted += int64(out.link.n)
-			down := out.link.to
-			if got := out.credits + down.n + out.link.n; got != down.cap {
+			down := out.down
+			counted += int64(down.fly)
+			if got := out.credits + down.n + down.fly; got != down.cap {
 				return fmt.Errorf("engine: credit leak at %s.out%d: credits=%d + buffered=%d + inflight=%d != cap=%d",
-					n.Name, out.idx, out.credits, down.n, out.link.n, down.cap)
+					n.Name, out.idx, out.credits, down.n, down.fly, down.cap)
 			}
 			if out.credits < 0 {
 				return fmt.Errorf("engine: negative credits at %s.out%d", n.Name, out.idx)
@@ -57,7 +57,7 @@ func (e *Engine) CheckInvariants() error {
 				}
 				found := false
 				for i, o := range rs.outs {
-					if owner.node.Out[o] == out {
+					if o == out {
 						if !rs.granted[i] {
 							return fmt.Errorf("engine: %s.out%d owned but not granted in its route state", n.Name, out.idx)
 						}
@@ -75,15 +75,14 @@ func (e *Engine) CheckInvariants() error {
 				continue
 			}
 			granted := 0
-			for i, o := range rs.outs {
-				op := n.Out[o]
+			for i, op := range rs.outs {
 				if rs.granted[i] {
 					granted++
 					if op.owner != in {
-						return fmt.Errorf("engine: %s.in%d thinks it holds out%d but the port disagrees", n.Name, in.idx, o)
+						return fmt.Errorf("engine: %s.in%d thinks it holds out%d but the port disagrees", n.Name, in.idx, op.idx)
 					}
 				} else if op.owner == in {
-					return fmt.Errorf("engine: %s.in%d owns out%d without a grant flag", n.Name, in.idx, o)
+					return fmt.Errorf("engine: %s.in%d owns out%d without a grant flag", n.Name, in.idx, op.idx)
 				}
 			}
 			if granted != rs.nGranted {
@@ -143,17 +142,16 @@ func (e *Engine) checkHeaders() error {
 		}
 	}
 	for _, l := range e.links {
-		for i := range l.pipe {
-			if sl := &l.pipe[i]; sl.full {
-				see(sl.f.Header, sl.f.PacketID, "link", l.to.node, l.to.idx)
-			}
+		for in, i := l.to, l.to.n; i < in.n+in.fly; i++ {
+			see(in.at(i).Header, in.at(i).PacketID, "link", in.node, in.idx)
 		}
 	}
 	return err
 }
 
 // CheckActiveSets audits active-set membership between Steps and returns the
-// first violation, or nil. Each flag must agree with its bit. A link is a member exactly while it carries flits, an
+// first violation, or nil. Each flag must agree with its bit. A link is
+// marked exactly while it carries flits (and counted in linksActive), an
 // endpoint eject- (inject-) active exactly while its input buffer (source
 // queue) holds flits, and a switch port holding a route state or flits is a
 // member (one that traversal emptied waits for the next allocation sweep to
@@ -165,20 +163,29 @@ func (e *Engine) CheckActiveSets() error {
 		return nil
 	}
 	var err error
-	audit := func(s *activeSet, i int, flag, busy, exact bool, set string, n *Node, port int) {
-		if bit := s.words[i>>6]>>(i&63)&1 == 1; err == nil && (bit != flag || busy && !flag || exact && flag && !busy) {
+	audit := func(bit, flag, busy, exact bool, set string, n *Node, port int) {
+		if err == nil && (bit != flag || busy && !flag || exact && flag && !busy) {
 			err = fmt.Errorf("engine: %s.%d: %s member=%v bit=%v busy=%v", n.Name, port, set, flag, bit, busy)
 		}
 	}
+	member := func(s *activeSet, i int) bool { return s.words[i>>6]>>(i&63)&1 == 1 }
+	marked := 0
 	for _, l := range e.links {
-		audit(&e.activeLinks, l.id, l.active, l.n > 0, true, "link", l.from.node, l.from.idx)
+		p := l.to
+		if p.linkActive {
+			marked++
+		}
+		audit(p.linkActive, p.linkActive, p.fly > 0, true, "link", l.from.node, l.from.idx)
 	}
-	for _, in := range e.fullIn {
-		audit(&e.activeAlloc, in.pos, in.active, in.route != nil || in.n > 0, false, "alloc", in.node, in.idx)
+	if err == nil && marked != e.linksActive {
+		err = fmt.Errorf("engine: %d links marked, counted %d", marked, e.linksActive)
+	}
+	for _, p := range e.fullIn {
+		audit(member(&e.activeAlloc, p.pos), p.active, p.route != nil || p.n > 0, false, "alloc", p.node, p.idx)
 	}
 	for _, ep := range e.endpoints {
-		audit(&e.activeEject, ep.epIdx, ep.ejectActive, ep.In[0].n > 0, true, "eject", ep, 0)
-		audit(&e.activeInject, ep.epIdx, ep.injectActive, ep.InjectQueueLen() > 0, true, "inject", ep, 0)
+		audit(member(&e.activeEject, ep.epIdx), ep.ejectActive, ep.In[0].n > 0, true, "eject", ep, 0)
+		audit(member(&e.activeInject, ep.epIdx), ep.injectActive, ep.InjectQueueLen() > 0, true, "inject", ep, 0)
 	}
 	return err
 }

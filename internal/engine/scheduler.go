@@ -5,17 +5,18 @@ import "math/bits"
 // Active-set scheduling: each simulation phase visits only the elements that
 // can possibly do work this cycle, instead of scanning the whole network.
 //
-//   - a link is active while its pipeline holds in-flight flits;
+//   - links have no set: the landing phase walks this cycle's arrival list,
+//     and a link's mark (InPort.linkActive, set while it carries flits) only
+//     feeds the LinkVisits counters;
 //   - a switch input port is active while it holds a cut-through state or
 //     buffered flits (i.e. while allocate/traverse would not no-op on it);
 //   - an endpoint is eject-active while its input buffer is non-empty and
 //     inject-active while its source queue is non-empty.
 //
 // Determinism argument (DESIGN.md §5): every set is a bitmap indexed by the
-// element's position in the corresponding full scan (link creation order;
-// switch creation order × port index; endpoint creation order), so walking
-// the set bits low to high visits elements in exactly the order the full
-// scan would. Elements outside a set satisfy the phase's no-op condition,
+// element's position in the corresponding full scan (switch creation order
+// × port index; endpoint creation order), so walking the set bits low to
+// high visits elements in exactly the order the full scan would. Elements outside a set satisfy the phase's no-op condition,
 // make no requests and touch no arbitration state, so skipping them is
 // unobservable. Membership is maintained incrementally: an element's bit is
 // set when it becomes active (a flit lands, a packet is injected, a header
@@ -75,15 +76,6 @@ func (s *activeSet) clear() {
 	clear(s.words)
 }
 
-// activateLink marks a link as carrying in-flight flits.
-func (e *Engine) activateLink(l *Link) {
-	if l.active {
-		return
-	}
-	l.active = true
-	e.activeLinks.add(l.id)
-}
-
 // activateAlloc marks a switch input port as routable/traversable.
 func (e *Engine) activateAlloc(in *InPort) {
 	if in.active {
@@ -117,13 +109,14 @@ func (e *Engine) activateInject(ep *Node) {
 // cumulative since engine creation. A visit is counted when it happens, so
 // an element a hook activates ahead of a running sweep counts in that sweep.
 // Since an element leaves its set on the first visit that finds it idle,
-// every link and endpoint visit finds work; a switch port costs one idle
-// visit after traversal empties it, the visit that drops it.
+// every endpoint visit finds work; a switch port costs one idle visit after
+// traversal empties it, the visit that drops it.
 type Counters struct {
 	// Cycles is the number of Step calls.
 	Cycles int64
-	// LinkVisits / LinkVisitsSkipped count links examined vs skipped by the
-	// link-delivery phase.
+	// LinkVisits / LinkVisitsSkipped count, per landing phase, the links
+	// marked as carrying flits at its start (all links under the full scan)
+	// vs the rest.
 	LinkVisits, LinkVisitsSkipped int64
 	// SwitchPortVisits / SwitchPortVisitsSkipped count switch input ports
 	// examined vs skipped by the allocation phase (traversal walks the ports

@@ -154,8 +154,8 @@ func (e *Engine) EncodeState(w *checkpoint.Writer) {
 					flit.EncodeHeader(nodes, &out)
 				}
 				nodes.Uint(uint64(len(rs.outs)))
-				for i, o := range rs.outs {
-					nodes.Int(int64(o))
+				for i, op := range rs.outs {
+					nodes.Int(int64(op.idx))
 					nodes.Bool(rs.granted[i])
 				}
 			}
@@ -173,14 +173,13 @@ func (e *Engine) EncodeState(w *checkpoint.Writer) {
 
 	links := w.Section(secEngineLinks)
 	for _, l := range e.links {
-		links.Bool(l.active)
+		in := l.to
+		links.Bool(in.linkActive)
 		links.Byte(0) // reserved
-		links.Uint(uint64(l.n))
-		for age := l.delay - 1; age >= 0 && l.n > 0; age-- {
-			if sl := l.ageSlot(e.cycle, age); sl.full {
-				flit.EncodeFlit(links, &sl.f)
-				links.Int(int64(age))
-			}
+		links.Uint(uint64(in.fly))
+		for i, age := range e.flightAges(in) {
+			flit.EncodeFlit(links, in.at(in.n+i))
+			links.Int(int64(age))
 		}
 	}
 
@@ -292,7 +291,8 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 				return fmt.Errorf("checkpoint: section %q: buffer at %s.%d holds %d flits, capacity %d", secEngineNodes, n.Name, in.idx, bn, in.cap)
 			}
 			for i := 0; i < bn; i++ {
-				in.push(decodeFlitChecked(nodes))
+				in.put(decodeFlitChecked(nodes))
+				in.n++
 			}
 			if nodes.Bool() {
 				in.recvHeader = flit.DecodeHeader(nodes)
@@ -327,7 +327,7 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 					if o < 0 || o >= len(n.Out) {
 						return fmt.Errorf("checkpoint: section %q: route state at %s.%d names invalid output %d", secEngineNodes, n.Name, in.idx, o)
 					}
-					rs.outs = append(rs.outs, o)
+					rs.outs = append(rs.outs, n.Out[o])
 					rs.granted = append(rs.granted, g)
 					if g {
 						if n.Out[o].owner != nil {
@@ -369,8 +369,10 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 	if err != nil {
 		return err
 	}
+	e.cycle = cycle // flightSlot reads it
 	for _, l := range e.links {
-		l.active = links.Bool()
+		in := l.to
+		in.linkActive = links.Bool()
 		links.Byte() // reserved
 		pn := links.Len(4)
 		younger := l.delay // every age so far was at least this
@@ -389,14 +391,15 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 				return fmt.Errorf("checkpoint: section %q: link %d flit age %d follows age %d (want oldest first, one flit per cycle)", secEngineLinks, l.id, age, younger)
 			}
 			younger = age
-			if l.pipe == nil {
-				l.pipe = make([]linkSlot, l.delay)
+			if in.n+in.fly == in.cap {
+				return fmt.Errorf("checkpoint: section %q: link %d carries more flits than %s.%d has room for", secEngineLinks, l.id, in.node.Name, in.idx)
 			}
-			sl := l.ageSlot(cycle, age)
-			sl.f, sl.full = f, true
-			l.n++
+			in.put(f)
+			in.fly++
+			s := e.flightSlot(age)
+			e.arrivals[s] = append(e.arrivals[s], in)
 		}
-		if links.Err() == nil && !l.active && l.n > 0 {
+		if links.Err() == nil && !in.linkActive && in.fly > 0 {
 			return fmt.Errorf("checkpoint: section %q: loaded link %d marked inactive", secEngineLinks, l.id)
 		}
 	}
@@ -438,8 +441,8 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 		}
 	}
 	for _, l := range e.links {
-		present += int64(l.n)
-		if want := l.to.cap - l.to.n - l.n; l.from.credits != want {
+		present += int64(l.to.fly)
+		if want := l.to.cap - l.to.n - l.to.fly; l.from.credits != want {
 			return fmt.Errorf("checkpoint: section %q: link %d credits %d, occupancy implies %d", secEngineLinks, l.id, l.from.credits, want)
 		}
 	}
@@ -447,7 +450,6 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 		return fmt.Errorf("checkpoint: section %q: resident count %d but %d flits present", secEngineMeta, resident, present)
 	}
 
-	e.cycle = cycle
 	e.moves = moves
 	e.resident = resident
 	e.dropped = dropped
@@ -495,7 +497,7 @@ func decodeFlitChecked(d *checkpoint.Decoder) flit.Flit {
 	return f
 }
 
-// clearDynamicState empties every queue, buffer, pipeline and ownership in
+// clearDynamicState empties every queue, buffer, flight and ownership in
 // the network, leaving only topology.
 func (e *Engine) clearDynamicState() {
 	for _, n := range e.nodes {
@@ -503,7 +505,8 @@ func (e *Engine) clearDynamicState() {
 		n.injectHead = 0
 		n.ejectActive, n.injectActive = false, false
 		for _, in := range n.In {
-			in.head, in.n = 0, 0
+			in.head, in.n, in.fly, in.landsAt = 0, 0, 0, 0
+			in.linkActive = false
 			in.route = nil
 			in.recvHeader = nil
 			in.active = false
@@ -514,10 +517,8 @@ func (e *Engine) clearDynamicState() {
 			out.pendStamp = -1
 		}
 	}
-	for _, l := range e.links {
-		clear(l.pipe)
-		l.n = 0
-		l.active = false
+	for s := range e.arrivals {
+		e.arrivals[s] = e.arrivals[s][:0]
 	}
 	for _, pc := range e.phys {
 		pc.granted = nil
@@ -527,13 +528,18 @@ func (e *Engine) clearDynamicState() {
 	}
 }
 
-// rebuildActiveSets reconstitutes the active sets from the decoded
-// per-element flags.
+// rebuildActiveSets reconstitutes the active sets, and the count of marked
+// links, from the decoded per-element flags. Under the active set a marked
+// link carrying nothing (a purge emptied it) is stale.
 func (e *Engine) rebuildActiveSets() {
-	e.activeLinks.clear()
+	e.linksActive = 0
+	e.stale = e.stale[:0]
 	for _, l := range e.links {
-		if l.active {
-			e.activeLinks.add(l.id)
+		if p := l.to; p.linkActive {
+			e.linksActive++
+			if p.fly == 0 && !e.cfg.DisableActiveSet {
+				e.stale = append(e.stale, p)
+			}
 		}
 	}
 	e.activeAlloc.clear()

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -325,11 +327,17 @@ func TestRestoreRejectsMismatchedTopology(t *testing.T) {
 // arbitrary bytes — truncations, bit flips, adversarial section tables —
 // never panic, and every rejection is an error naming where decoding failed
 // (container header, crc, or a section by name). Every input is restored
-// into the chain engine and into the fan-out engine whose snapshots carry
-// pending rewrites. The checked-in corpus under testdata/fuzz pins
-// regressions.
+// into the chain engine, into the fan-out engine whose snapshots carry
+// pending rewrites, and into the three-cycle-link chain whose snapshots
+// carry flits of several ages in flight; a restore that succeeds must
+// re-encode to the same bytes. The checked-in corpus under testdata/fuzz
+// pins regressions.
 func FuzzSnapshotDecode(f *testing.F) {
 	chain := func() *Engine { e, _ := chainScenario(DefaultConfig(), 4); return e }
+	delay3 := func() *Engine {
+		e, _ := chainScenario(Config{BufferDepth: 4, LinkDelay: 3, Acquire: AcquireAtomic}, 8)
+		return e
+	}
 	valid := func(build func() *Engine, steps int) []byte {
 		e := build()
 		for i := 0; i < steps; i++ {
@@ -353,7 +361,28 @@ func FuzzSnapshotDecode(f *testing.F) {
 	// inside the VC-bearing sections. At cycles 3, 20 and 40 a request waits
 	// at the fan-out engine's switch, and its snapshot records the pending
 	// rewrite as the output header, which restore re-derives.
-	for _, s := range [][]byte{valid(physSharedEngine, 9), valid(fanRewriteEngine, 3), valid(fanRewriteEngine, 20), valid(fanRewriteEngine, 40)} {
+	// The delay-3 fixture, and the same run right after a purge took one
+	// packet's flit out from among flits still in flight on its link.
+	golden, err := os.ReadFile(filepath.Join("testdata", "delay3.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	purged := delay3Engine()
+	victim := uint64(0)
+	for _, l := range purged.links {
+		for in, i := l.to, l.to.n; i+1 < in.n+in.fly && victim == 0; i++ {
+			if in.at(i).PacketID != in.at(i+1).PacketID {
+				victim = in.at(i).PacketID
+			}
+		}
+	}
+	if _, ok := purged.KillPacket(victim); !ok {
+		f.Fatal("the delay-3 fixture has no link carrying flits of two packets")
+	}
+	if err := delay3().Restore(purged.Snapshot()); err != nil {
+		f.Fatal(err)
+	}
+	for _, s := range [][]byte{valid(physSharedEngine, 9), valid(fanRewriteEngine, 3), valid(fanRewriteEngine, 20), valid(fanRewriteEngine, 40), golden, purged.Snapshot()} {
 		f.Add(s)
 		f.Add(s[:len(s)/2])
 		f.Add(s[:len(s)-7])
@@ -363,9 +392,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Add(flipped)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, build := range []func() *Engine{chain, fanRewriteEngine} {
-			err := build().Restore(data)
+		for _, build := range []func() *Engine{chain, fanRewriteEngine, delay3} {
+			e := build()
+			err := e.Restore(data)
 			if err == nil {
+				if !bytes.Equal(e.Snapshot(), data) {
+					t.Fatal("a restored snapshot re-encodes to different bytes")
+				}
 				continue
 			}
 			msg := err.Error()
