@@ -284,3 +284,26 @@ func TestSendAllocatesNothing(t *testing.T) {
 		}
 	})
 }
+
+func TestNewMachineAllocations(t *testing.T) {
+	// A serve-mixed campaign cell in miniature: build a 4x4 machine, queue a
+	// round of 16-flit packets and step it 200 cycles. Building dominates
+	// the count. With a ring allocated per input port at its first flit and
+	// a heap array per route state's outputs, the run made 1039
+	// allocations. One flit slab for every ring, port columns grown by
+	// doubling and one-output routes stored inline make it 738.
+	const pin = 738
+	run := func() {
+		m, err := core.NewMachine(core.Config{Shape: geom.MustShape(4, 4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sendRound(t, m, 16)
+		for i := 0; i < 200; i++ {
+			m.Step()
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, run); allocs > pin {
+		t.Errorf("NewMachine on 4x4 and 200 loaded cycles: %v allocations, want at most %v", allocs, pin)
+	}
+}

@@ -170,7 +170,8 @@ func (w kernelBench) play(b *testing.B, m *core.Machine, live []geom.Coord, send
 // BenchmarkKernelStep times the kernel on the benchmark's three machines
 // (bench/'s kernel workloads) in-process: one op is one window of cycles
 // with its sends. The machine is built, its schedule drawn and its warm-up
-// stepped before the timer starts, once per workload.
+// stepped before the timer starts, once per workload. It also reports the
+// flit moves per op and the time per move, the cost of one hop.
 func BenchmarkKernelStep(b *testing.B) {
 	for _, w := range kernelBenches {
 		var (
@@ -208,10 +209,14 @@ func BenchmarkKernelStep(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			moves := m.Engine().Moves()
 			for i := 0; i < b.N; i++ {
 				w.play(b, m, live, sched[op%kernelWindows])
 				op++
 			}
+			moves = m.Engine().Moves() - moves
+			b.ReportMetric(float64(moves)/float64(b.N), "moves/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(moves), "ns/move")
 		})
 	}
 }

@@ -23,6 +23,16 @@ import (
 	"sr2201/internal/flit"
 )
 
+// packets maps packet IDs to the best header seen for each: add upgrades a
+// nil entry when a header-bearing flit of the packet surfaces.
+type packets map[uint64]*flit.Header
+
+func (m packets) add(id uint64, h *flit.Header) {
+	if cur, ok := m[id]; !ok || (cur == nil && h != nil) {
+		m[id] = h
+	}
+}
+
 // KilledPacket identifies one packet destroyed by KillSwitch.
 type KilledPacket struct {
 	ID uint64
@@ -57,24 +67,21 @@ func (e *Engine) KillSwitch(n *Node) []KilledPacket {
 	n.Failed = true
 
 	// Collect the wounded set: packets present at n or in flight into n.
-	wounded := map[uint64]*flit.Header{}
-	add := func(id uint64, h *flit.Header) {
-		if cur, ok := wounded[id]; !ok || (cur == nil && h != nil) {
-			wounded[id] = h
-		}
-	}
+	wounded := packets{}
+	add := wounded.add
 	for _, in := range n.In {
-		for i := 0; i < in.n; i++ {
-			add(in.at(i).PacketID, in.at(i).Header)
+		p := in.id
+		for i := 0; i < int(e.in[p].n); i++ {
+			add(e.at(p, i).PacketID, e.at(p, i).Header)
 		}
-		if rs := in.route; rs != nil && rs.header != nil {
+		if rs := e.in[p].route; rs != nil && rs.header != nil {
 			add(rs.header.PacketID, rs.header)
 		}
 	}
-	for _, l := range e.links {
-		if in := l.to; in.node == n {
-			for i := in.n; i < in.n+in.fly; i++ {
-				add(in.at(i).PacketID, in.at(i).Header)
+	for _, p := range e.links {
+		if r := e.in[p]; e.inPorts[p].Node() == n {
+			for i := r.n; i < r.n+r.fly; i++ {
+				add(e.at(p, int(i)).PacketID, e.at(p, int(i)).Header)
 			}
 		}
 	}
@@ -111,7 +118,7 @@ func (e *Engine) KillSwitch(n *Node) []KilledPacket {
 // Steps (or from the PreCycle/PostCycle hooks), never from within a phase;
 // OnDrop is not invoked.
 func (e *Engine) KillPacket(id uint64) (KilledPacket, bool) {
-	wounded := map[uint64]*flit.Header{id: nil}
+	wounded := packets{id: nil}
 	sunk, removed := e.purgeWounded(wounded)
 	if removed == 0 {
 		return KilledPacket{}, false
@@ -131,12 +138,8 @@ func (e *Engine) KillPacket(id uint64) (KilledPacket, bool) {
 // header entries as better headers surface, returns the set of packets the
 // routing layer had already sunk (counted dropped before the purge), and
 // the number of flits/states physically removed.
-func (e *Engine) purgeWounded(wounded map[uint64]*flit.Header) (sunk map[uint64]bool, removed int) {
-	add := func(id uint64, h *flit.Header) {
-		if cur, ok := wounded[id]; !ok || (cur == nil && h != nil) {
-			wounded[id] = h
-		}
-	}
+func (e *Engine) purgeWounded(wounded packets) (sunk map[uint64]bool, removed int) {
+	add := wounded.add
 	hit := func(id uint64) bool {
 		_, ok := wounded[id]
 		return ok
@@ -146,9 +149,10 @@ func (e *Engine) purgeWounded(wounded map[uint64]*flit.Header) (sunk map[uint64]
 	// dropped (sink states).
 	sunk = map[uint64]bool{}
 	for _, nd := range e.nodes {
-		if nd.Kind == KindEndpoint && nd.InjectQueueLen() > 0 {
+		if nd.InjectQueueLen() > 0 {
 			// Un-injected tails of wounded packets die in the source queue.
-			kept := nd.injectQ[:nd.injectHead]
+			s := &e.src[nd.epIdx]
+			kept := s.q[:s.head]
 			for _, f := range nd.pendingInject() {
 				if hit(f.PacketID) {
 					add(f.PacketID, f.Header)
@@ -158,49 +162,45 @@ func (e *Engine) purgeWounded(wounded map[uint64]*flit.Header) (sunk map[uint64]
 				}
 				kept = append(kept, f)
 			}
-			nd.injectQ = kept
-			if nd.injectHead == len(nd.injectQ) {
-				nd.injectQ = nd.injectQ[:0]
-				nd.injectHead = 0
+			s.q = kept
+			if s.head == len(s.q) {
+				s.q, s.head = s.q[:0], 0
 			}
 		}
 		for _, in := range nd.In {
-			if in.n > 0 {
+			p, r := in.id, &e.in[in.id]
+			if r.n > 0 {
 				// Close the ring up over the purged flits, in place; the
 				// in-flight ones behind them move up too and are purged
 				// below, in link order.
 				kept := 0
-				for i := 0; i < in.n+in.fly; i++ {
-					f := *in.at(i)
-					if i < in.n && hit(f.PacketID) {
+				for i := 0; i < int(r.n+r.fly); i++ {
+					f := *e.at(p, i)
+					if i < int(r.n) && hit(f.PacketID) {
 						add(f.PacketID, f.Header)
-						// Freeing the slot returns the credit upstream,
-						// exactly as pop() would.
-						if in.upstream != nil {
-							in.upstream.from.creditReturn()
-						}
+						// Freeing the slot returns its credit upstream.
 						e.resident--
 						removed++
 						continue
 					}
-					*in.at(kept) = f
+					*e.at(p, kept) = f
 					kept++
 				}
-				in.n = kept - in.fly
+				r.n = int32(kept) - r.fly
 			}
-			if rs := in.route; rs != nil && rs.header != nil && hit(rs.header.PacketID) {
+			if rs := r.route; rs != nil && rs.header != nil && hit(rs.header.PacketID) {
 				add(rs.header.PacketID, rs.header)
 				if rs.sink {
 					sunk[rs.header.PacketID] = true
 				} else {
-					for i, op := range rs.outs {
+					for i, o := range rs.outs {
 						if rs.granted[i] {
-							op.owner = nil
+							o.op.owner = nil
 						}
 					}
 				}
 				e.freeRouteState(rs)
-				in.route = nil
+				r.route = nil
 				removed++
 			}
 			if in.recvHeader != nil && hit(in.recvHeader.PacketID) {
@@ -210,32 +210,31 @@ func (e *Engine) purgeWounded(wounded map[uint64]*flit.Header) (sunk map[uint64]
 			}
 		}
 	}
-	for _, l := range e.links {
+	for _, p := range e.links {
 		// A purged flit in flight leaves its arrival list; the survivors
 		// stay on theirs, so they keep their ages.
-		in := l.to
-		if in.fly == 0 {
+		r := &e.in[p]
+		if r.fly == 0 {
 			continue
 		}
-		kept := in.n
-		for i, age := range e.flightAges(in) {
-			f := *in.at(in.n + i)
+		kept := int(r.n)
+		for i, age := range e.flightAges(p) {
+			f := *e.at(p, int(r.n)+i)
 			if !hit(f.PacketID) {
-				*in.at(kept) = f
+				*e.at(p, kept) = f
 				kept++
 				continue
 			}
 			add(f.PacketID, f.Header)
-			// A flit in flight holds a downstream buffer reservation.
-			l.from.creditReturn()
+			// Freeing its slot returns the credit the send took.
 			e.resident--
 			removed++
 			s := e.flightSlot(age)
-			j := slices.Index(e.arrivals[s], in)
+			j := slices.Index(e.arrivals[s], p)
 			e.arrivals[s] = slices.Delete(e.arrivals[s], j, j+1)
 		}
-		if in.fly = kept - in.n; in.fly == 0 && in.linkActive && !e.cfg.DisableActiveSet {
-			e.stale = append(e.stale, in)
+		if r.fly = int32(kept) - r.n; r.fly == 0 && r.linkActive && !e.cfg.DisableActiveSet {
+			e.stale = append(e.stale, p)
 		}
 	}
 	return sunk, removed

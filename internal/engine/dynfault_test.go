@@ -20,15 +20,15 @@ import (
 // node or in flight on a link into it.
 func packetPresentAt(e *Engine, n *Node, id uint64) bool {
 	for _, in := range n.In {
-		for i := 0; i < in.n; i++ {
-			if in.at(i).PacketID == id {
+		for i := 0; i < int(e.in[in.id].n); i++ {
+			if e.at(in.id, i).PacketID == id {
 				return true
 			}
 		}
 	}
 	for _, in := range n.In {
-		for i := in.n; i < in.n+in.fly; i++ {
-			if in.at(i).PacketID == id {
+		for r, i := e.in[in.id], int(e.in[in.id].n); i < int(r.n+r.fly); i++ {
+			if e.at(in.id, i).PacketID == id {
 				return true
 			}
 		}
@@ -151,7 +151,7 @@ func TestKillSwitchAlreadyDroppedNotDoubleCounted(t *testing.T) {
 	for c := 0; c < 300 && victim == 0; c++ {
 		e.Step()
 		for _, in := range sws[3].In {
-			rs := in.route
+			rs := e.in[in.id].route
 			if rs == nil || !rs.sink || rs.header == nil {
 				continue
 			}
@@ -279,8 +279,8 @@ func TestStressKillAndSnapshot(t *testing.T) {
 				// among flits in flight), else whatever is oldest in the
 				// network.
 				victim := uint64(0)
-				if in := e.Switches()[3].In[0]; in.fly > 0 {
-					victim = in.at(in.n).PacketID
+				if p := e.Switches()[3].In[0].id; e.in[p].fly > 0 {
+					victim = e.at(p, int(e.in[p].n)).PacketID
 				}
 				if hdrs, _ := e.InFlightHeaders(); victim == 0 && len(hdrs) > 0 {
 					victim = hdrs[0].PacketID

@@ -129,163 +129,160 @@ type Decision struct {
 // error drops the packet and surfaces through OnDrop.
 type RouteFunc func(n *Node, in int, h *flit.Header) (Decision, error)
 
-// PortRef names one directed port of one node.
-type PortRef struct {
-	Node *Node
-	Port int
-}
-
-func (p PortRef) String() string {
-	if p.Node == nil {
-		return "<nil>"
-	}
-	return fmt.Sprintf("%s.%d", p.Node.Name, p.Port)
-}
-
 // routeState tracks the active packet on one switch input port from header
 // grant until the tail flit leaves. States are pooled; the outs and granted
-// slices are reused across packets.
+// slices are reused across packets. A one-output decision keeps them inline.
 type routeState struct {
-	header   *flit.Header
-	outs     []*OutPort // the decision's output ports, in its order
-	granted  []bool
-	nGranted int
-	rewrite  flit.Rewrite
-	sink     bool // dropping: consume flits until Last without forwarding
+	outs        []outRef // the decision's output ports, in its order
+	nGranted    int
+	sink        bool // dropping: consume flits until Last without forwarding
+	shared      bool // an output shares a physical channel: traversal stages it
+	provisional bool // Decision.Provisional: re-routed each cycle until granted
+	rewrite     flit.Rewrite
+	one         [1]outRef
+	header      *flit.Header
+	granted     []bool
 	// since is the cycle the header was routed; atomic allocation serves
 	// requests oldest-first ("in order of arrival"). A provisional re-route
 	// keeps the original stamp.
 	since int64
-	// provisional marks a Decision.Provisional route: discarded and recomputed
-	// each cycle until its single output is granted.
-	provisional bool
+	oneG  [1]bool
+}
+
+// newRouteStateValue returns an empty state on its inline storage.
+func newRouteStateValue() *routeState {
+	rs := &routeState{}
+	rs.outs, rs.granted = rs.one[:0], rs.oneG[:0]
+	return rs
 }
 
 func (rs *routeState) allGranted() bool { return rs.nGranted == len(rs.outs) }
 
-// InPort is a switch or endpoint input: a FIFO flit buffer fed by one link.
-// Flits are stored by value: they are copied as they move, so the steady
-// state allocates nothing per hop.
-type InPort struct {
-	node *Node
-	idx  int
-	// buf is a fixed ring of cap slots, allocated when the first flit is
-	// sent to the port (a port no route uses never pays for one); the queue
-	// is the n flits from head on, wrapping, and behind them the fly flits
-	// still on the link into the port (see Link). Nothing is appended or
-	// shifted as flits come and go.
-	buf          []flit.Flit
-	head, n, fly int
-	cap          int
-	// landsAt is the cycle the last flit sent to the port lands in.
-	landsAt int64
+// outRef names an output port by handle, by id, and by the id of the input
+// port its link feeds.
+type outRef struct {
+	op       *OutPort
+	id, down int32
+}
+
+// Port ids: a node's ports take consecutive ids when it is created; its
+// input and output port k share one. The state a flit's hop touches lives in
+// engine-owned columns indexed by id (Engine.in, Engine.out, the slab), so
+// the hot loops load no InPort or OutPort, the handles with the cold fields.
+
+// inState is an input port's column entry.
+type inState struct {
+	route   *routeState // the active cut-through state, nil when idle
+	landsAt int64       // the cycle the last flit sent to the port lands in
+	blocked int64       // InPort.BlockedCycles
+	// The port's ring is its BufferDepth slots of the slab: the n flits
+	// from head on, wrapping, and behind them the fly flits still on the
+	// link into the port (see send). Nothing is shifted as flits move.
+	head, n, fly int32
+	up           int32 // the output port feeding this one, -1 if none
+	bit          int32 // its bit in the allocation set, ^i at endpoint i
 	// linkActive marks the link into the port as carrying flits: set when
 	// a flit is sent on it and, under the active set, cleared by the landing
 	// that leaves it empty. LinkVisits counts the links marked at the start
 	// of each landing phase (see scheduler.go).
 	linkActive bool
-	// upstream is the link that feeds this port (nil if unconnected); used to
-	// return credits when a flit leaves the buffer.
-	upstream *Link
-	// route is the active cut-through state, nil when no packet is mid-flight.
-	route *routeState
+}
+
+// outState is an output port's column entry. Its credits are not stored:
+// they are the free slots of the buffer its link feeds (see credits).
+type outState struct {
+	down int32 // the input port the link feeds, -1 if unconnected
+	phys int32 // its shared physical channel in Engine.phys, or -1
+	busy int64 // OutPort.BusyCycles
+}
+
+// InPort is a switch or endpoint input: a FIFO flit buffer fed by one link.
+// Flits are stored by value: they are copied as they move, so the steady
+// state allocates nothing per hop.
+type InPort struct {
+	eng *Engine
+	idx int
+	id  int32
 	// recvHeader remembers the header of the packet currently being consumed
 	// by an endpoint (set when the header flit is ejected).
 	recvHeader *flit.Header
-	// active marks membership in the active input-port set (switch inports
-	// only); pos is the port's position in the full switch/port scan, its bit in
-	// the set; ordKey (node ID, port index) orders ports the same way and
-	// names the port in StateHash.
-	active bool
-	pos    int
-	ordKey int64
-	// BlockedCycles counts cycles in which this port had a routed or routable
-	// packet that failed to advance.
-	BlockedCycles int64
 }
 
-// Buffered reports the number of flits currently queued at the port.
-func (p *InPort) Buffered() int { return p.n }
+// BlockedCycles counts cycles in which this port had a routed or routable
+// packet that failed to advance.
+func (p *InPort) BlockedCycles() int64 { return p.eng.in[p.id].blocked }
 
-// at returns the i-th queued flit (0 = head). The pointer aliases the ring
-// slot: it must not be retained across pops or pushes.
-func (p *InPort) at(i int) *flit.Flit {
-	j := p.head + i
-	if j >= p.cap {
-		j -= p.cap
+// at returns the i-th flit of in-port p's ring (0 = head). The pointer
+// aliases the slab: it must not be retained across pops or pushes.
+func (e *Engine) at(p int32, i int) *flit.Flit {
+	d := e.cfg.BufferDepth
+	j := int(e.in[p].head) + i
+	if j >= d {
+		j -= d
 	}
-	return &p.buf[j]
+	return &e.slab[int(p)*d+j]
 }
 
-// put writes a flit behind the queued and in-flight ones; the caller counts
-// it in n or fly. The caller has checked n+fly < cap (credits guarantee it).
-func (p *InPort) put(f flit.Flit) {
-	if p.buf == nil {
-		p.buf = make([]flit.Flit, p.cap)
-	}
-	*p.at(p.n + p.fly) = f
-}
-
-// shift removes and returns the flit at the head of the buffer.
-func (p *InPort) shift() flit.Flit {
-	f := p.buf[p.head]
+// pop removes and returns the flit at the head of in-port p's buffer.
+func (e *Engine) pop(p int32) flit.Flit {
+	r := &e.in[p]
+	s := &e.slab[int(p)*e.cfg.BufferDepth+int(r.head)]
+	f := *s
 	if f.Header != nil {
 		// A vacated slot must not keep the packet's header alive until the
 		// ring comes round again.
-		p.buf[p.head].Header = nil
+		s.Header = nil
 	}
-	p.head++
-	if p.head == p.cap {
-		p.head = 0
+	if r.head++; int(r.head) == e.cfg.BufferDepth {
+		r.head = 0
 	}
-	p.n--
+	r.n--
 	return f
 }
 
-// pop removes the front flit, returning the freed buffer slot's credit
-// upstream.
-func (p *InPort) pop() flit.Flit {
-	if p.upstream != nil {
-		p.upstream.from.creditReturn()
+// credits returns out-port o's credits (0 when unconnected): popping a flit
+// returns one upstream, and sending one takes one.
+func (e *Engine) credits(o int32) int32 {
+	if d := e.out[o].down; d >= 0 {
+		return e.free(d)
 	}
-	return p.shift()
+	return 0
 }
 
-// front returns the flit at the head of the buffer, or nil. The pointer
-// aliases the buffer slot: it must not be retained across pops or pushes.
-func (p *InPort) front() *flit.Flit {
-	if p.n == 0 {
+// free returns the slots of in-port p's ring that hold no flit.
+func (e *Engine) free(p int32) int32 {
+	return int32(e.cfg.BufferDepth) - e.in[p].n - e.in[p].fly
+}
+
+// front returns the flit at the head of in-port p's buffer, or nil. The
+// pointer aliases the slab: it must not be retained across pops or pushes.
+func (e *Engine) front(p int32) *flit.Flit {
+	if e.in[p].n == 0 {
 		return nil
 	}
-	return &p.buf[p.head]
+	return e.at(p, 0)
 }
 
 // OutPort is a switch or endpoint output: the upstream end of one link, with
-// the credit counter for the downstream buffer and cut-through ownership.
+// cut-through ownership.
 type OutPort struct {
-	node *Node
-	idx  int
-	// down is the input port the output's link feeds (nil if unconnected).
-	down *InPort
+	eng *Engine
+	idx int
+	id  int32
 	// owner is the input port whose packet currently holds this output, or
 	// nil when the port is free.
 	owner *InPort
-	// credits counts free slots in the downstream input buffer.
-	credits int
-	// phys, when non-nil, is the shared physical channel this port sends on.
-	phys *PhysChannel
 	// arb is the round-robin pointer over requesting input ports.
 	arb int
 	// reservedCycle implements atomic allocation's anti-starvation
 	// reservation without a per-cycle map: the port counts as reserved when
 	// reservedCycle equals the current cycle.
 	reservedCycle int64
-	// pendStamp/pend gather this cycle's incremental-mode requesters without
-	// a per-cycle map; pend's backing array is reused across cycles.
+	// pendStamp/pend gather this cycle's incremental-mode requesters (input
+	// port ids) without a per-cycle map; pend's backing array is reused
+	// across cycles.
 	pendStamp int64
-	pend      []*InPort
-	// BusyCycles counts cycles in which a flit crossed this port.
-	BusyCycles int64
+	pend      []int32
 	// ConflictCycles counts allocation cycles in which two or more packets
 	// requested this port simultaneously (the paper's "network conflicts").
 	ConflictCycles int64
@@ -294,10 +291,11 @@ type OutPort struct {
 	conflictCounted bool
 }
 
-func (o *OutPort) creditReturn() { o.credits++ }
-
 // Owned reports whether the port is currently held by a packet.
 func (o *OutPort) Owned() bool { return o.owner != nil }
+
+// BusyCycles counts cycles in which a flit crossed this port.
+func (o *OutPort) BusyCycles() int64 { return o.eng.out[o.id].busy }
 
 // Node is one network element: a switch with a routing function, or an
 // endpoint.
@@ -318,37 +316,44 @@ type Node struct {
 	Out   []*OutPort
 	route RouteFunc
 
-	eng *Engine
+	eng   *Engine
+	port0 int32 // the id of port 0; port k's is port0+k
 
-	// Endpoint state. The source queue is injectQ[injectHead:]; consuming
-	// advances the head and the buffer is rewound once empty, so steady
-	// traffic reuses one allocation instead of leaking front capacity.
-	injectQ      []flit.Flit
-	injectHead   int
-	epIdx        int   // position among the endpoints: the bit in both endpoint sets
-	ejectActive  bool  // membership in the active ejection set
-	injectActive bool  // membership in the active injection set
-	Injected     int64 // packets handed to Inject
-	Sent         int64 // packets whose tail left the endpoint
-	Received     int64 // packets fully consumed at this endpoint
+	epIdx    int   // position among the endpoints: its source and bit in both endpoint sets
+	Injected int64 // packets handed to Inject
+	Sent     int64 // packets whose tail left the endpoint
+	Received int64 // packets fully consumed at this endpoint
 }
 
 // InjectQueueLen reports the flits waiting in the endpoint's source queue.
-func (n *Node) InjectQueueLen() int { return len(n.injectQ) - n.injectHead }
+func (n *Node) InjectQueueLen() int { return len(n.pendingInject()) }
 
-// pendingInject is the live region of the endpoint's source queue.
-func (n *Node) pendingInject() []flit.Flit { return n.injectQ[n.injectHead:] }
+// pendingInject is the live region of an endpoint's source queue.
+func (n *Node) pendingInject() []flit.Flit {
+	if n.Kind != KindEndpoint {
+		return nil
+	}
+	s := &n.eng.src[n.epIdx]
+	return s.q[s.head:]
+}
 
-// Link is a unidirectional wire between an output and an input port: a
-// delay over the downstream buffer. It stores nothing. A flit sent on it is
-// written once, into the downstream port's ring behind the flits visible
-// there (InPort.fly counts them), and lands, becoming visible, delay cycles
-// later (see land). Every link of an engine has the LinkDelay delay.
-type Link struct {
-	id    int
-	from  *OutPort
-	to    *InPort
-	delay int
+// source is an endpoint's column entry: its source queue q[head:], rewound
+// once empty, and its port id.
+type source struct {
+	q    []flit.Flit
+	head int
+	port int32
+}
+
+// reserve makes room to queue k more flits: where the append would grow q
+// and the consumed prefix is at least half of it, the live region moves to
+// the front instead, so a queue that never empties keeps a bounded array.
+func (s *source) reserve(k int) {
+	if len(s.q)+k > cap(s.q) && 2*s.head >= len(s.q) {
+		n := copy(s.q, s.q[s.head:])
+		clear(s.q[n:])
+		s.q, s.head = s.q[:n], 0
+	}
 }
 
 // flightSlot returns, between Steps (or from the PreCycle/PostCycle hooks),
@@ -359,16 +364,17 @@ func (e *Engine) flightSlot(age int) int {
 	return int(((e.cycle-1-int64(age))%d + d) % d)
 }
 
-// flightAges returns the ages of the flits in flight into p, oldest first
-// (their order in the ring), as seen between Steps. No flit stores its age:
-// the arrival list a flit is on tells it (see flightSlot). Only cold paths
-// (StateHash, snapshots, purges) ask.
-func (e *Engine) flightAges(p *InPort) []int {
+// flightAges returns the ages of the flits in flight into in-port p, oldest
+// first (their order in the ring), as seen between Steps. No flit stores its
+// age: the arrival list a flit is on tells it (see flightSlot). Only cold
+// paths (StateHash, snapshots, purges) ask.
+func (e *Engine) flightAges(p int32) []int {
+	fly := int(e.in[p].fly)
 	if e.cfg.LinkDelay == 1 {
-		return zeroAge[:p.fly] // a flit sent last cycle; it lands next
+		return zeroAge[:fly] // a flit sent last cycle; it lands next
 	}
 	var ages []int
-	for age := e.cfg.LinkDelay - 1; age >= 0 && len(ages) < p.fly; age-- {
+	for age := e.cfg.LinkDelay - 1; age >= 0 && len(ages) < fly; age-- {
 		if slices.Contains(e.arrivals[e.flightSlot(age)], p) {
 			ages = append(ages, age)
 		}
@@ -381,16 +387,16 @@ var zeroAge = []int{0}
 // PhysChannel is a group of output ports sharing one flit per cycle of
 // physical bandwidth (virtual channels over one wire).
 type PhysChannel struct {
-	members []*OutPort
+	members []int32 // output port ids
 	arb     int
 	// granted is the member allowed to send, valid only when grantedCycle is
-	// the current cycle (so idle channels need no per-cycle reset).
-	granted      *OutPort
+	// the current cycle (so idle channels need no per-cycle reset); -1 none.
+	granted      int32
 	grantedCycle int64
 	// wantStamp/wants gather this cycle's requesting members without a
 	// per-cycle map.
 	wantStamp int64
-	wants     []*OutPort
+	wants     []int32
 }
 
 // Delivery reports one packet consumed at an endpoint. Header belongs to the
@@ -418,12 +424,23 @@ type Engine struct {
 	// switchOrder/endpointOrder cache the per-kind iteration sequences.
 	switches  []*Node
 	endpoints []*Node
-	links     []*Link
 	phys      []*PhysChannel
-	nSwitchIn int // total switch input ports, for the visit counters
-	// fullIn lists every switch input port in full-scan order, for the
-	// DisableActiveSet reference mode and snapshot/hash walks.
-	fullIn []*InPort
+	// fullIn lists the id of every switch input port in full-scan order, the
+	// allocation set's bit order.
+	fullIn []int32
+
+	// The port columns (see inState); the slab holds in-port p's ring at
+	// p·BufferDepth. inPorts/outPorts are the handles; src is by endpoint.
+	in       []inState
+	out      []outState
+	slab     []flit.Flit
+	inPorts  []*InPort
+	outPorts []*OutPort
+	nodeOf   []*Node // a port's node
+	src      []source
+	// links lists the in-port each link feeds, in wiring order. A link is a
+	// delay over its downstream ring and stores nothing (see send, land).
+	links []int32
 
 	cycle    int64
 	moves    int64 // cumulative flit movements (link entries + ejections)
@@ -434,25 +451,28 @@ type Engine struct {
 	// arrivals[s] lists, one entry per flit, the ports a flit lands at in
 	// the cycles ≡ s mod LinkDelay. slot is cycle % LinkDelay during a Step:
 	// the list this cycle's landings empty and this cycle's sends fill.
-	arrivals [][]*InPort
+	arrivals [][]int32
 	slot     int
 	// linksActive counts the links marked active. stale holds the ports
 	// whose marked links a purge emptied: the next landing phase counts
 	// those links once and unmarks them, as it would had their last flit
 	// landed.
 	linksActive int
-	stale       []*InPort
+	stale       []int32
 
 	// Active sets (scheduler.go), indexed by position in fullIn and
 	// endpoints respectively.
 	activeAlloc  activeSet
 	activeEject  activeSet
 	activeInject activeSet
+	// everyIn and everyEP hold every switch input port and endpoint: the
+	// sets the DisableActiveSet reference mode sweeps.
+	everyIn, everyEP activeSet
 
 	// Scratch slices reused across cycles, and the route-state pool.
-	reqScratch    []*InPort
-	routedScratch []*InPort
-	readyScratch  []*InPort
+	reqScratch    []int32
+	routedScratch []ready
+	readyScratch  []ready
 	outScratch    []*OutPort
 	physScratch   []*PhysChannel
 	rsFree        []*routeState
@@ -460,11 +480,11 @@ type Engine struct {
 	// network: Inject copies the caller's into one from here, and a header
 	// comes back when its last holder is done with it (see releaseHeader).
 	hFree []*flit.Header
-	// sunkCredits defers the credits freed by draining dropped packets to
-	// the end of the traversal phase, so their effect cannot depend on the
-	// scan order of ports (DESIGN.md §10). Every pinned StateHash stream
-	// depends on this visibility point.
-	sunkCredits []*OutPort
+	// sunk lists the ports that drain a flit of a dropped packet this cycle,
+	// at the end of the traversal phase, so that the credits they free cannot
+	// depend on the scan order of ports (DESIGN.md §10). Every pinned
+	// StateHash stream depends on this visibility point.
+	sunk []int32
 
 	ctr Counters
 
@@ -494,7 +514,7 @@ type Engine struct {
 // New creates an empty network with the given configuration.
 func New(cfg Config) *Engine {
 	cfg.normalize()
-	return &Engine{cfg: cfg, arrivals: make([][]*InPort, cfg.LinkDelay)}
+	return &Engine{cfg: cfg, arrivals: make([][]int32, cfg.LinkDelay)}
 }
 
 // Config returns the engine's (normalized) configuration.
@@ -511,39 +531,52 @@ func (e *Engine) AddSwitch(name string, ports int, route RouteFunc, meta any) *N
 	}
 	n := &Node{ID: len(e.nodes), Name: name, Kind: KindSwitch, Meta: meta, route: route, eng: e}
 	e.addPorts(n, ports)
-	for _, in := range n.In {
-		in.pos = len(e.fullIn)
-		e.fullIn = append(e.fullIn, in)
-	}
 	e.nodes = append(e.nodes, n)
 	e.switches = append(e.switches, n)
-	e.nSwitchIn += ports
 	e.activeAlloc.resize(len(e.fullIn))
 	return n
 }
 
-// addPorts gives a node its ports, carved from two allocations, which keeps
-// set-up cheap and a switch's hot state contiguous.
+// addPorts gives a node its ports, carved from two allocations, and their
+// ids, column entries and slab slots.
 func (e *Engine) addPorts(n *Node, ports int) {
 	ins := make([]InPort, ports)
 	outs := make([]OutPort, ports)
 	n.In = make([]*InPort, ports)
 	n.Out = make([]*OutPort, ports)
+	n.port0 = int32(len(e.in))
 	for i := range ins {
-		ins[i] = InPort{node: n, idx: i, cap: e.cfg.BufferDepth, ordKey: int64(n.ID)<<32 | int64(i)}
-		outs[i] = OutPort{node: n, idx: i, lastReqCycle: -1, reservedCycle: -1, pendStamp: -1}
+		id := int32(len(e.in))
+		ins[i] = InPort{eng: e, idx: i, id: id}
+		outs[i] = OutPort{eng: e, idx: i, id: id, lastReqCycle: -1, reservedCycle: -1, pendStamp: -1}
 		n.In[i], n.Out[i] = &ins[i], &outs[i]
+		bit := int32(^n.epIdx)
+		if n.Kind == KindSwitch {
+			bit = int32(len(e.fullIn))
+			e.fullIn = append(e.fullIn, id)
+			e.everyIn.resize(len(e.fullIn))
+			e.everyIn.add(int(bit))
+		}
+		e.in = append(e.in, inState{up: -1, bit: bit})
+		e.out = append(e.out, outState{down: -1, phys: -1})
+		e.inPorts = append(e.inPorts, n.In[i])
+		e.nodeOf = append(e.nodeOf, n)
+		e.outPorts = append(e.outPorts, n.Out[i])
 	}
+	e.slab = append(e.slab, make([]flit.Flit, ports*e.cfg.BufferDepth)...)
 }
 
 // AddEndpoint creates a single-port traffic endpoint.
 func (e *Engine) AddEndpoint(name string, meta any) *Node {
 	n := &Node{ID: len(e.nodes), Name: name, Kind: KindEndpoint, Meta: meta, eng: e, epIdx: len(e.endpoints)}
 	e.addPorts(n, 1)
+	e.src = append(e.src, source{port: n.In[0].id})
 	e.nodes = append(e.nodes, n)
 	e.endpoints = append(e.endpoints, n)
 	e.activeEject.resize(len(e.endpoints))
 	e.activeInject.resize(len(e.endpoints))
+	e.everyEP.resize(len(e.endpoints))
+	e.everyEP.add(n.epIdx)
 	return n
 }
 
@@ -556,22 +589,18 @@ func (e *Engine) Endpoints() []*Node { return e.endpoints }
 // Switches returns all switches in creation order.
 func (e *Engine) Switches() []*Node { return e.switches }
 
-// ConnectDirected wires a's output port ap to b's input port bp.
-func (e *Engine) ConnectDirected(a *Node, ap int, b *Node, bp int) *Link {
-	out := a.Out[ap]
-	in := b.In[bp]
-	if out.down != nil {
+// ConnectDirected wires a's output port ap to b's input port bp with a link.
+func (e *Engine) ConnectDirected(a *Node, ap int, b *Node, bp int) {
+	o, p := a.Out[ap].id, b.In[bp].id
+	if e.out[o].down >= 0 {
 		panic(fmt.Sprintf("engine: output %s.%d already connected", a.Name, ap))
 	}
-	if in.upstream != nil {
+	if e.in[p].up >= 0 {
 		panic(fmt.Sprintf("engine: input %s.%d already connected", b.Name, bp))
 	}
-	l := &Link{id: len(e.links), from: out, to: in, delay: e.cfg.LinkDelay}
-	out.down = in
-	out.credits = in.cap
-	in.upstream = l
-	e.links = append(e.links, l)
-	return l
+	e.out[o].down = p
+	e.in[p].up = o
+	e.links = append(e.links, p)
 }
 
 // Connect wires port ap of a to port bp of b in both directions.
@@ -583,12 +612,13 @@ func (e *Engine) Connect(a *Node, ap int, b *Node, bp int) {
 // SharePhysical groups output ports onto one physical channel with a combined
 // bandwidth of one flit per cycle.
 func (e *Engine) SharePhysical(ports ...*OutPort) *PhysChannel {
-	pc := &PhysChannel{members: ports, grantedCycle: -1, wantStamp: -1}
+	pc := &PhysChannel{granted: -1, grantedCycle: -1, wantStamp: -1}
 	for _, p := range ports {
-		if p.phys != nil {
-			panic(fmt.Sprintf("engine: output %s.%d already in a physical channel", p.node.Name, p.idx))
+		if e.out[p.id].phys >= 0 {
+			panic(fmt.Sprintf("engine: output %s.%d already in a physical channel", p.Node().Name, p.idx))
 		}
-		p.phys = pc
+		e.out[p.id].phys = int32(len(e.phys))
+		pc.members = append(pc.members, p.id)
 	}
 	e.phys = append(e.phys, pc)
 	return pc
@@ -603,10 +633,12 @@ func (e *Engine) InjectPacket(ep *Node, h flit.Header, size int) {
 	if ep.Kind != KindEndpoint {
 		panic(fmt.Sprintf("engine: Inject on non-endpoint %q", ep.Name))
 	}
-	ep.injectQ = flit.AppendPacket(ep.injectQ, e.newHeader(h), size)
+	s := &e.src[ep.epIdx]
+	s.reserve(size)
+	s.q = flit.AppendPacket(s.q, e.newHeader(h), size)
 	ep.Injected++
 	e.resident += int64(size)
-	e.activateInject(ep)
+	e.activeInject.add(ep.epIdx)
 }
 
 // Inject queues a packet's flits at an endpoint for transmission. The flits
@@ -623,16 +655,18 @@ func (e *Engine) Inject(ep *Node, flits []*flit.Flit) {
 	if flits[0].Header == nil {
 		panic("engine: first injected flit must be a header")
 	}
+	s := &e.src[ep.epIdx]
+	s.reserve(len(flits))
 	for _, f := range flits {
 		c := *f
 		if c.Header != nil {
 			c.Header = e.newHeader(*c.Header)
 		}
-		ep.injectQ = append(ep.injectQ, c)
+		s.q = append(s.q, c)
 	}
 	ep.Injected++
 	e.resident += int64(len(flits))
-	e.activateInject(ep)
+	e.activeInject.add(ep.epIdx)
 }
 
 // newHeader copies h into a header from the pool (or a fresh one), stamped
@@ -724,8 +758,8 @@ func (e *Engine) land() {
 		e.ctr.LinkVisits += int64(e.linksActive)
 		e.ctr.LinkVisitsSkipped += int64(len(e.links) - e.linksActive)
 		for _, p := range e.stale {
-			if p.linkActive && p.fly == 0 {
-				p.linkActive = false
+			if r := &e.in[p]; r.linkActive && r.fly == 0 {
+				r.linkActive = false
 				e.linksActive--
 			}
 		}
@@ -735,16 +769,17 @@ func (e *Engine) land() {
 	}
 	list := e.arrivals[e.slot]
 	for _, to := range list {
-		to.fly--
-		to.n++
-		if to.fly == 0 && active {
-			to.linkActive = false
+		r := &e.in[to]
+		r.fly--
+		r.n++
+		if r.fly == 0 && active {
+			r.linkActive = false
 			e.linksActive--
 		}
-		if to.node.Kind == KindSwitch {
-			e.activateAlloc(to)
+		if r.bit >= 0 {
+			e.activeAlloc.add(int(r.bit))
 		} else {
-			e.activateEject(to.node)
+			e.activeEject.add(int(^r.bit))
 		}
 	}
 	e.arrivals[e.slot] = list[:0]
@@ -752,42 +787,40 @@ func (e *Engine) land() {
 
 // eject consumes arrived flits at endpoints.
 func (e *Engine) eject() {
-	if e.cfg.DisableActiveSet {
-		for _, ep := range e.endpoints {
-			e.ejectAt(ep)
-		}
-		e.ctr.EjectVisits += int64(len(e.endpoints))
-		return
+	s, full := &e.activeEject, e.cfg.DisableActiveSet
+	if full {
+		s = &e.everyEP
 	}
-	s := &e.activeEject
 	visited := 0
 	for i := s.next(-1); i >= 0; i = s.next(i) {
-		ep := e.endpoints[i]
-		e.ejectAt(ep)
-		if ep.In[0].n == 0 {
-			ep.ejectActive = false
+		visited++
+		e.ejectAt(i)
+		if !full && e.in[e.src[i].port].n == 0 {
 			s.remove(i)
 		}
-		visited++
 	}
 	e.ctr.EjectVisits += int64(visited)
-	e.ctr.EjectVisitsSkipped += int64(len(e.endpoints) - visited)
+	if !full {
+		e.ctr.EjectVisitsSkipped += int64(len(e.src) - visited)
+	}
 }
 
-func (e *Engine) ejectAt(ep *Node) {
-	in := ep.In[0]
+// ejectAt consumes the arrived flits at endpoint i.
+func (e *Engine) ejectAt(i int) {
+	p := e.src[i].port
 	budget := e.cfg.EjectRate
-	for in.n > 0 {
+	for e.in[p].n > 0 {
 		if budget == 0 && e.cfg.EjectRate != 0 {
 			break
 		}
-		f := in.pop()
+		f := e.pop(p)
 		e.moves++
 		e.resident--
 		if f.Header != nil {
-			in.recvHeader = f.Header
+			e.inPorts[p].recvHeader = f.Header
 		}
 		if f.Last {
+			in, ep := e.inPorts[p], e.endpoints[i]
 			ep.Received++
 			if e.OnDeliver != nil {
 				e.OnDeliver(Delivery{At: ep, Header: in.recvHeader, Cycle: e.cycle})
@@ -815,79 +848,76 @@ func (e *Engine) allocate() {
 	}
 }
 
-// gatherRequests preps every live switch input port and returns, in full-scan
-// order (so grouped by switch), the ones competing for output ports this
-// cycle: those whose front flit is an unserved header, or whose routeState
-// still has ungranted outputs. It leaves every port that holds a route state
-// in routedScratch, in the same order, for the traversal phase, and does the
-// conflict accounting.
-func (e *Engine) gatherRequests() []*InPort {
-	requests := e.reqScratch[:0]
-	routed := e.routedScratch[:0]
-	if e.cfg.DisableActiveSet {
-		for _, in := range e.fullIn {
-			live, wants := e.allocPrep(in)
-			if live {
-				routed = append(routed, in)
-			}
-			if wants {
-				requests = append(requests, in)
-			}
-		}
-		e.ctr.SwitchPortVisits += int64(e.nSwitchIn)
-	} else {
-		s := &e.activeAlloc
-		visited := 0
-		for i := s.next(-1); i >= 0; i = s.next(i) {
-			in := e.fullIn[i]
-			live, wants := e.allocPrep(in)
-			if live {
-				routed = append(routed, in)
-			} else {
-				in.active = false
+// gatherRequests preps every live switch input port and returns, in
+// full-scan order (so grouped by switch), the ones competing for output
+// ports this cycle: those whose front flit is an unserved header, or whose
+// routeState still has ungranted outputs. It does the conflict accounting.
+func (e *Engine) gatherRequests() []int32 {
+	e.reqScratch, e.routedScratch = e.reqScratch[:0], e.routedScratch[:0]
+	s, full := &e.activeAlloc, e.cfg.DisableActiveSet
+	if full {
+		s = &e.everyIn
+	}
+	visited := 0
+	for i := s.next(-1); i >= 0; i = s.next(i) {
+		visited++
+		// The commonest port, a granted one-output route on no shared
+		// channel, takes traversal's test (see stage) here in the loop;
+		// prepare does the rest.
+		p := e.fullIn[i]
+		r := &e.in[p]
+		if rs := r.route; rs == nil || len(rs.outs) != 1 || rs.nGranted != 1 || rs.shared {
+			if !e.prepare(p) && !full {
 				s.remove(i)
 			}
-			if wants {
-				requests = append(requests, in)
-			}
-			visited++
+		} else if r.n == 0 {
+			// Waiting for upstream flits; not "blocked" locally.
+		} else if o := rs.outs[0]; e.free(o.down) < 1 {
+			r.blocked++
+		} else {
+			e.routedScratch = append(e.routedScratch, ready{p, o.id})
 		}
-		e.ctr.SwitchPortVisits += int64(visited)
-		e.ctr.SwitchPortVisitsSkipped += int64(e.nSwitchIn - visited)
 	}
-	e.reqScratch, e.routedScratch = requests, routed
+	e.ctr.SwitchPortVisits += int64(visited)
+	if !full {
+		e.ctr.SwitchPortVisitsSkipped += int64(len(e.fullIn) - visited)
+	}
 
 	// Count requesters per output port for conflict statistics.
-	for _, in := range requests {
-		rs := in.route
-		for i, op := range rs.outs {
-			if !rs.granted[i] && op.owner == nil {
+	for _, p := range e.reqScratch {
+		rs := e.in[p].route
+		for i, o := range rs.outs {
+			if op := o.op; !rs.granted[i] && op.owner == nil {
 				op.arbRequests(e.cycle)
 			}
 		}
 	}
-	return requests
+	return e.reqScratch
 }
 
-// allocPrep routes the buffered header of an idle port, then reports whether
-// the port remains live (holds route state or flits) and whether it competes
-// for output ports this cycle.
-func (e *Engine) allocPrep(in *InPort) (live, wants bool) {
-	if in.route == nil {
-		f := in.front()
+// prepare routes the buffered header of idle in-port p, then reports
+// whether the port remains live (holds route state or flits). A port that
+// competes for output ports this cycle joins the requests and, to be tested
+// once allocation is done, routedScratch. Any other takes traversal's test
+// now, which allocation cannot change, and joins routedScratch if ready.
+func (e *Engine) prepare(p int32) bool {
+	rs := e.in[p].route
+	if rs == nil {
+		f := e.front(p)
 		if f == nil {
-			return false, false
+			return false
 		}
 		if f.Header == nil {
-			panic(fmt.Sprintf("engine: mid-packet flit %s at %s.%d with no route state", f, in.node.Name, in.idx))
+			in := e.inPorts[p]
+			panic(fmt.Sprintf("engine: mid-packet flit %s at %s.%d with no route state", f, in.Node().Name, in.idx))
 		}
-		in.route = e.routeHeader(in.node, in, f.Header)
+		rs = e.routeHeader(p, f.Header)
+		e.in[p].route = rs
 		// Keep the active-set invariant (route state ⇒ listed) even when
 		// this prep ran from a full scan, so the modes can be toggled
 		// mid-run. A no-op when the port is already listed.
-		e.activateAlloc(in)
+		e.activeAlloc.add(int(e.in[p].bit))
 	}
-	rs := in.route
 	if rs.provisional && rs.nGranted == 0 {
 		// The provisional decision bound for one allocation round and lost.
 		// Route the header again so an adaptive policy may pick a different
@@ -897,12 +927,26 @@ func (e *Engine) allocPrep(in *InPort) (live, wants bool) {
 		// the front of the buffer.
 		since := rs.since
 		e.freeRouteState(rs)
-		rs = e.routeHeader(in.node, in, in.front().Header)
+		rs = e.routeHeader(p, e.front(p).Header)
 		rs.since = since
-		in.route = rs
+		e.in[p].route = rs
 	}
-	return true, !rs.sink && !rs.allGranted()
+	if !rs.sink && !rs.allGranted() {
+		e.reqScratch = append(e.reqScratch, p)
+		e.routedScratch = append(e.routedScratch, ready{p, testLater})
+	} else if o, ok := e.stage(p); ok {
+		e.routedScratch = append(e.routedScratch, ready{p, o})
+	}
+	return true
 }
+
+// ready is an in-port p that traversal acts on, in full-scan order. o is
+// the output of a one-output route on no shared channel, which a body flit
+// takes without its route state being loaded, or -1; testLater marks a
+// request.
+type ready struct{ p, o int32 }
+
+const testLater = -2
 
 // arbRequests bumps the conflict statistic bookkeeping; called once per
 // requester per cycle. Two or more calls in one cycle mean a conflict.
@@ -920,12 +964,13 @@ func (o *OutPort) arbRequests(cycle int64) {
 
 // allocateIncremental grants each free requested output to one requester
 // (round-robin), letting fan-outs hold partial sets.
-func (e *Engine) allocateIncremental(requests []*InPort) {
+func (e *Engine) allocateIncremental(requests []int32) {
 	// Build per-output requester lists in request order.
 	order := e.outScratch[:0]
-	for _, in := range requests {
-		rs := in.route
-		for i, op := range rs.outs {
+	for _, p := range requests {
+		rs := e.in[p].route
+		for i, o := range rs.outs {
+			op := o.op
 			if rs.granted[i] || op.owner != nil {
 				continue
 			}
@@ -934,16 +979,16 @@ func (e *Engine) allocateIncremental(requests []*InPort) {
 				op.pend = op.pend[:0]
 				order = append(order, op)
 			}
-			op.pend = append(op.pend, in)
+			op.pend = append(op.pend, p)
 		}
 	}
 	for _, op := range order {
 		winner := op.pend[op.arb%len(op.pend)]
 		op.arb++
-		op.owner = winner
-		rs := winner.route
+		op.owner = e.inPorts[winner]
+		rs := e.in[winner].route
 		for i, o := range rs.outs {
-			if o == op {
+			if o.op == op {
 				rs.granted[i] = true
 				rs.nGranted++
 			}
@@ -967,21 +1012,21 @@ func (e *Engine) allocateIncremental(requests []*InPort) {
 // but that switch's output ports, and the requests arrive grouped by switch.
 // So each switch's few requests are put in arrival order where they stand
 // (the tie key is a bijection on a switch's ports, so the order is total).
-func (e *Engine) allocateAtomic(requests []*InPort) {
+func (e *Engine) allocateAtomic(requests []int32) {
 	for lo := 0; lo < len(requests); {
-		sw := requests[lo].node
+		sw := e.nodeOf[requests[lo]]
 		hi := lo + 1
-		for hi < len(requests) && requests[hi].node == sw {
+		for hi < len(requests) && e.nodeOf[requests[hi]] == sw {
 			hi++
 		}
 		group := requests[lo:hi]
 		for i := 1; i < len(group); i++ {
-			for j := i; j > 0 && arrivedBefore(group[j], group[j-1]); j-- {
+			for j := i; j > 0 && e.arrivedBefore(group[j], group[j-1]); j-- {
 				group[j], group[j-1] = group[j-1], group[j]
 			}
 		}
-		for _, in := range group {
-			e.grantAtomic(in)
+		for _, p := range group {
+			e.grantAtomic(p)
 		}
 		lo = hi
 	}
@@ -989,46 +1034,47 @@ func (e *Engine) allocateAtomic(requests []*InPort) {
 
 // arrivedBefore orders two requests at one switch: older header first, ties
 // by the switch's priority rotation.
-func arrivedBefore(a, b *InPort) bool {
-	if a.route.since != b.route.since {
-		return a.route.since < b.route.since
+func (e *Engine) arrivedBefore(p, q int32) bool {
+	if a, b := e.in[p].route.since, e.in[q].route.since; a != b {
+		return a < b
 	}
-	ports := len(a.node.In)
-	return (a.idx+a.node.ID)%ports < (b.idx+b.node.ID)%ports
+	n := e.nodeOf[p]
+	return (int(p-n.port0)+n.ID)%len(n.In) < (int(q-n.port0)+n.ID)%len(n.In)
 }
 
-// grantAtomic gives the request all of its outputs if every one is free and
-// unreserved, and otherwise reserves them against younger requests.
-func (e *Engine) grantAtomic(in *InPort) {
-	rs := in.route
+// grantAtomic gives in-port p's request all of its outputs if every one is
+// free and unreserved, and otherwise reserves them against younger requests.
+func (e *Engine) grantAtomic(p int32) {
+	rs := e.in[p].route
 	if rs.nGranted > 0 {
 		// An atomic request never holds a partial set, so this cannot
 		// happen unless the mode changed mid-run.
 		return
 	}
-	for _, op := range rs.outs {
-		if op.owner != nil || op.reservedCycle == e.cycle {
-			for _, op := range rs.outs {
-				op.reservedCycle = e.cycle
+	for _, o := range rs.outs {
+		if op := o.op; op.owner != nil || op.reservedCycle == e.cycle {
+			for _, o := range rs.outs {
+				o.op.reservedCycle = e.cycle
 			}
 			return
 		}
 	}
-	for i, op := range rs.outs {
-		op.owner = in
+	for i, o := range rs.outs {
+		o.op.owner = e.inPorts[p]
 		rs.granted[i] = true
 		rs.nGranted++
 	}
 }
 
-// routeHeader runs the switch routing function and validates the decision,
-// returning the port's new cut-through state (a sink state when the packet
-// is dropped).
-func (e *Engine) routeHeader(sw *Node, in *InPort, h *flit.Header) *routeState {
+// routeHeader runs the switch routing function for the header at in-port p
+// and validates the decision, returning the port's new cut-through state (a
+// sink state when the packet is dropped).
+func (e *Engine) routeHeader(p int32, h *flit.Header) *routeState {
+	sw := e.nodeOf[p]
 	if sw.Failed {
 		return e.sinkPacket(sw, h, "arrived at failed switch")
 	}
-	dec, err := sw.route(sw, in.idx, h)
+	dec, err := sw.route(sw, int(p-sw.port0), h)
 	if err != nil {
 		return e.sinkPacket(sw, h, err.Error())
 	}
@@ -1039,7 +1085,7 @@ func (e *Engine) routeHeader(sw *Node, in *InPort, h *flit.Header) *routeState {
 		if o < 0 || o >= len(sw.Out) {
 			panic(fmt.Sprintf("engine: switch %q routed to invalid port %d", sw.Name, o))
 		}
-		if sw.Out[o].down == nil {
+		if e.out[sw.port0+int32(o)].down < 0 {
 			panic(fmt.Sprintf("engine: switch %q routed to unconnected port %d", sw.Name, o))
 		}
 		for _, prev := range dec.Outs[:i] {
@@ -1057,7 +1103,9 @@ func (e *Engine) routeHeader(sw *Node, in *InPort, h *flit.Header) *routeState {
 	rs.outs = slices.Grow(rs.outs, k)[:k]
 	rs.granted = slices.Grow(rs.granted, k)[:k]
 	for i, o := range dec.Outs {
-		rs.outs[i], rs.granted[i] = sw.Out[o], false
+		id := sw.port0 + int32(o)
+		rs.outs[i], rs.granted[i] = outRef{sw.Out[o], id, e.out[id].down}, false
+		rs.shared = rs.shared || e.out[id].phys >= 0
 	}
 	rs.rewrite = dec.Rewrite
 	rs.since = e.cycle
@@ -1086,7 +1134,7 @@ func (e *Engine) newRouteState() *routeState {
 		return rs
 	}
 	e.ctr.RouteStatesAllocated++
-	return &routeState{}
+	return newRouteStateValue()
 }
 
 // freeRouteState clears a completed state and returns it to the pool.
@@ -1097,67 +1145,76 @@ func (e *Engine) freeRouteState(rs *routeState) {
 	rs.granted = rs.granted[:0]
 	rs.nGranted = 0
 	rs.sink = false
+	rs.shared = false
 	rs.since = 0
 	rs.provisional = false
 	e.rsFree = append(e.rsFree, rs)
 }
 
+// stage is traversal's test of in-port p: whether its packet can move a
+// flit this cycle (all outputs granted, a flit at the front, a credit on
+// every output; o as in ready). It stages shared physical channels'
+// requests, queues a sinking port to drain, and counts a blocked cycle.
+func (e *Engine) stage(p int32) (o int32, ok bool) {
+	r := &e.in[p]
+	rs := r.route
+	if rs.sink {
+		// Drain dropped packets at one flit per cycle.
+		if r.n > 0 {
+			e.sunk = append(e.sunk, p)
+		}
+		return -1, false
+	}
+	if r.n == 0 {
+		return -1, false // waiting for upstream flits; not "blocked" locally
+	}
+	ok = rs.allGranted()
+	for i := 0; ok && i < len(rs.outs); i++ {
+		ok = e.free(rs.outs[i].down) > 0
+	}
+	if !ok {
+		r.blocked++
+		return -1, false
+	}
+	if !rs.shared {
+		if len(rs.outs) == 1 {
+			return rs.outs[0].id, true
+		}
+		return -1, true
+	}
+	for _, o := range rs.outs {
+		if c := e.out[o.id].phys; c >= 0 {
+			pc := e.phys[c]
+			if pc.wantStamp != e.cycle {
+				pc.wantStamp = e.cycle
+				pc.wants = pc.wants[:0]
+				e.physScratch = append(e.physScratch, pc)
+			}
+			pc.wants = append(pc.wants, o.id)
+		}
+	}
+	return -1, true
+}
+
 // traverse moves one flit per fully-granted input across its switch.
 func (e *Engine) traverse() {
-	// Phase A: find ready inputs and stage physical-channel requests. Only
-	// ports holding a route state act here, and allocate just listed them.
+	// Phase A: find ready inputs; allocation found all but the requests.
 	readies := e.readyScratch[:0]
-	physOrder := e.physScratch[:0]
-	for _, in := range e.routedScratch {
-		rs := in.route
-		f := in.front()
-		if rs.sink {
-			// Drain dropped packets at one flit per cycle.
-			if f != nil {
-				e.consumeSunk(in)
-			}
-			continue
+	for _, x := range e.routedScratch {
+		if x.o != testLater {
+			readies = append(readies, x)
+		} else if o, ok := e.stage(x.p); ok {
+			readies = append(readies, ready{x.p, o})
 		}
-		if !rs.allGranted() {
-			if f != nil {
-				in.BlockedCycles++
-			}
-			continue
-		}
-		if f == nil {
-			continue // waiting for upstream flits; not "blocked" locally
-		}
-		ok := true
-		for _, op := range rs.outs {
-			if op.credits < 1 {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			in.BlockedCycles++
-			continue
-		}
-		// Stage physical channel requests.
-		for _, op := range rs.outs {
-			if pc := op.phys; pc != nil {
-				if pc.wantStamp != e.cycle {
-					pc.wantStamp = e.cycle
-					pc.wants = pc.wants[:0]
-					physOrder = append(physOrder, pc)
-				}
-				pc.wants = append(pc.wants, op)
-			}
-		}
-		readies = append(readies, in)
 	}
+	physOrder := e.physScratch
 	// Phase B: physical-channel arbitration, round-robin over member index.
 	for _, pc := range physOrder {
 		// Pick the requesting member closest after the arb pointer.
 		best := -1
 		bestRank := len(pc.members) + 1
-		for _, op := range pc.wants {
-			mi := pc.memberIndex(op)
+		for _, o := range pc.wants {
+			mi := pc.memberIndex(o)
 			rank := (mi - pc.arb + len(pc.members)) % len(pc.members)
 			if rank < bestRank {
 				bestRank = rank
@@ -1171,20 +1228,22 @@ func (e *Engine) traverse() {
 		}
 	}
 	// Phase C: move flits for inputs whose outputs all won their channels.
-	for _, in := range readies {
-		rs := in.route
-		committed := true
-		for _, op := range rs.outs {
-			if op.phys != nil && !op.phys.grants(op, e.cycle) {
-				committed = false
-				break
-			}
-		}
-		if !committed {
-			in.BlockedCycles++
+	for _, x := range readies {
+		p := x.p
+		if f := e.front(p); x.o >= 0 && f.Header == nil && !f.Last {
+			// A body flit on a plain route: its route state stays cold, and
+			// it is copied once, slot to slot.
+			e.send(x.o, f)
+			e.pop(p)
+			e.moves++
 			continue
 		}
-		f := in.pop()
+		rs := e.in[p].route
+		if rs.shared && !e.committed(rs) {
+			e.in[p].blocked++
+			continue
+		}
+		f := e.pop(p)
 		e.moves++
 		// Fan-out duplicates flits: resident grows by branches-1.
 		e.resident += int64(len(rs.outs) - 1)
@@ -1192,7 +1251,7 @@ func (e *Engine) traverse() {
 		// copies and keeps the original until the tail leaves; otherwise the
 		// header itself moves on.
 		copies := rs.rewrite != 0 || len(rs.outs) > 1
-		for _, op := range rs.outs {
+		for _, o := range rs.outs {
 			branch := f
 			if f.Header != nil {
 				if copies {
@@ -1200,144 +1259,142 @@ func (e *Engine) traverse() {
 					rs.rewrite.Apply(branch.Header)
 				}
 				if e.OnForward != nil {
-					e.OnForward(in.node, op.idx, branch.Header, e.cycle)
+					e.OnForward(e.nodeOf[p], o.op.idx, branch.Header, e.cycle)
 				}
 			}
-			e.send(op, branch)
+			e.send(o.id, &branch)
 		}
 		if f.Last {
-			for _, op := range rs.outs {
-				op.owner = nil
+			for _, o := range rs.outs {
+				o.op.owner = nil
 			}
 			if copies {
 				e.releaseHeader(rs.header)
 			}
 			e.freeRouteState(rs)
-			in.route = nil
+			e.in[p].route = nil
 		}
 	}
-	// Credits freed by sunk drains become visible at the end of the
-	// traversal phase (see the sunkCredits field).
-	for _, op := range e.sunkCredits {
-		op.creditReturn()
+	// Dropped packets drain last (see the sunk field).
+	for _, p := range e.sunk {
+		f := e.pop(p)
+		e.moves++
+		e.resident--
+		if f.Last {
+			rs := e.in[p].route
+			e.releaseHeader(rs.header)
+			e.freeRouteState(rs)
+			e.in[p].route = nil
+		}
 	}
-	e.sunkCredits = e.sunkCredits[:0]
+	e.sunk = e.sunk[:0]
 	e.readyScratch = readies[:0]
 	e.physScratch = physOrder[:0]
 }
 
-// send puts a flit on op's link, taking one credit: the flit is written
-// into the downstream ring now and lands LinkDelay cycles from now.
-func (e *Engine) send(op *OutPort, f flit.Flit) {
+// send puts a flit on out-port o's link, taking one credit: the flit is
+// written into the downstream ring now and lands LinkDelay cycles from now.
+// At most one flit enters a link per cycle, so a port's flits in flight sit
+// in send order behind its visible ones and land in that order.
+func (e *Engine) send(o int32, f *flit.Flit) {
+	op := &e.out[o]
 	to := op.down
+	r := &e.in[to]
 	lands := e.cycle + int64(e.cfg.LinkDelay)
-	if to.landsAt == lands {
-		panic(fmt.Sprintf("engine: two flits entered link %d in cycle %d", to.upstream.id, e.cycle))
+	if r.landsAt == lands {
+		panic(fmt.Sprintf("engine: two flits entered the link into %s.in%d in cycle %d", e.inPorts[to].Node().Name, e.inPorts[to].idx, e.cycle))
 	}
-	if to.n+to.fly >= to.cap {
-		panic(fmt.Sprintf("engine: buffer overflow at %s.%d (credit accounting bug)", to.node.Name, to.idx))
+	if int(r.n+r.fly) >= e.cfg.BufferDepth {
+		panic(fmt.Sprintf("engine: buffer overflow at %s.%d (credit accounting bug)", e.inPorts[to].Node().Name, e.inPorts[to].idx))
 	}
-	to.put(f)
-	to.fly++
-	to.landsAt = lands
+	*e.at(to, int(r.n+r.fly)) = *f
+	r.fly++
+	r.landsAt = lands
 	e.arrivals[e.slot] = append(e.arrivals[e.slot], to)
-	if !to.linkActive {
-		to.linkActive = true
+	if !r.linkActive {
+		r.linkActive = true
 		e.linksActive++
 	}
-	op.credits--
-	op.BusyCycles++
+	op.busy++
 }
 
-// grants reports whether the channel granted this port in the given cycle.
-func (pc *PhysChannel) grants(op *OutPort, cycle int64) bool {
-	return pc.granted == op && pc.grantedCycle == cycle
-}
-
-// popSunk is pop for sunk-drain consumption: the credit is deferred to the
-// end of the traversal phase (see sunkCredits).
-func (e *Engine) popSunk(p *InPort) flit.Flit {
-	if p.upstream != nil {
-		e.sunkCredits = append(e.sunkCredits, p.upstream.from)
+// committed reports whether every output of rs on a shared physical channel
+// won its channel this cycle.
+func (e *Engine) committed(rs *routeState) bool {
+	for _, o := range rs.outs {
+		if c := e.out[o.id].phys; c >= 0 && !e.phys[c].grants(o.id, e.cycle) {
+			return false
+		}
 	}
-	return p.shift()
+	return true
 }
 
-// consumeSunk drains one flit of a dropped packet.
-func (e *Engine) consumeSunk(in *InPort) {
-	f := e.popSunk(in)
-	e.moves++
-	e.resident--
-	if f.Last {
-		e.releaseHeader(in.route.header)
-		e.freeRouteState(in.route)
-		in.route = nil
-	}
+// grants reports whether the channel granted out-port o in the given cycle.
+func (pc *PhysChannel) grants(o int32, cycle int64) bool {
+	return pc.granted == o && pc.grantedCycle == cycle
 }
 
 // inject moves endpoint source-queue flits onto their links.
 func (e *Engine) inject() {
-	if e.cfg.DisableActiveSet {
-		for _, ep := range e.endpoints {
-			e.injectAt(ep)
-		}
-		e.ctr.InjectVisits += int64(len(e.endpoints))
-		return
+	s, full := &e.activeInject, e.cfg.DisableActiveSet
+	if full {
+		s = &e.everyEP
 	}
-	s := &e.activeInject
 	visited := 0
 	for i := s.next(-1); i >= 0; i = s.next(i) {
-		ep := e.endpoints[i]
-		e.injectAt(ep)
-		if ep.InjectQueueLen() == 0 {
-			ep.injectActive = false
+		visited++
+		e.injectAt(i)
+		if src := &e.src[i]; !full && src.head == len(src.q) {
 			s.remove(i)
 		}
-		visited++
 	}
 	e.ctr.InjectVisits += int64(visited)
-	e.ctr.InjectVisitsSkipped += int64(len(e.endpoints) - visited)
+	if !full {
+		e.ctr.InjectVisitsSkipped += int64(len(e.src) - visited)
+	}
 }
 
-func (e *Engine) injectAt(ep *Node) {
-	if ep.injectHead >= len(ep.injectQ) {
+// injectAt sends the next source-queue flit of endpoint i, if its link
+// takes one.
+func (e *Engine) injectAt(i int) {
+	s := &e.src[i]
+	if s.head >= len(s.q) {
 		return
 	}
-	out := ep.Out[0]
-	if out.down == nil {
-		panic(fmt.Sprintf("engine: endpoint %q has no outbound link", ep.Name))
+	o := s.port
+	op := &e.out[o]
+	if op.down < 0 {
+		panic(fmt.Sprintf("engine: endpoint %q has no outbound link", e.endpoints[i].Name))
 	}
-	if out.credits < 1 {
+	if e.credits(o) < 1 {
 		return
 	}
-	if pc := out.phys; pc != nil && !pc.grants(out, e.cycle) {
+	if op.phys >= 0 {
 		// Endpoints on shared channels arbitrate like switches; for
 		// simplicity they send only on otherwise-idle cycles.
-		if pc.grantedCycle == e.cycle && pc.granted != nil {
+		if pc := e.phys[op.phys]; !pc.grants(o, e.cycle) && pc.grantedCycle == e.cycle && pc.granted >= 0 {
 			return
 		}
 	}
-	f := ep.injectQ[ep.injectHead]
-	ep.injectHead++
-	if ep.injectHead == len(ep.injectQ) {
-		ep.injectQ = ep.injectQ[:0]
-		ep.injectHead = 0
+	f := s.q[s.head]
+	s.head++
+	if s.head == len(s.q) {
+		s.q = s.q[:0]
+		s.head = 0
 	}
 	if f.Header != nil && e.OnForward != nil {
-		e.OnForward(ep, 0, f.Header, e.cycle)
+		e.OnForward(e.endpoints[i], 0, f.Header, e.cycle)
 	}
-	e.send(out, f)
+	e.send(o, &f)
 	e.moves++
 	if f.Last {
-		ep.Sent++
+		e.endpoints[i].Sent++
 	}
 }
 
-func (pc *PhysChannel) memberIndex(op *OutPort) int {
-	for i, m := range pc.members {
-		if m == op {
-			return i
-		}
+func (pc *PhysChannel) memberIndex(o int32) int {
+	if i := slices.Index(pc.members, o); i >= 0 {
+		return i
 	}
 	panic("engine: output port not a member of its physical channel")
 }

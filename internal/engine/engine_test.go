@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"sr2201/internal/flit"
@@ -621,4 +622,40 @@ func TestTopologyGrowthBetweenSteps(t *testing.T) {
 		}
 	}
 	t.Fatal("grown network did not drain in 600 cycles")
+}
+
+func TestSourceQueueBounded(t *testing.T) {
+	// An endpoint whose source queue never empties: a 10-flit backlog, fed
+	// one 2-flit packet every 2 cycles while the link drains a flit a
+	// cycle. The queue must reuse its array instead of keeping every flit
+	// it ever sent (200 000 flits, 8 MB, when it rewound only once empty).
+	e := New(DefaultConfig())
+	a, _, _ := line(e)
+	var id uint64
+	send := func() {
+		id++
+		e.InjectPacket(a, flit.Header{PacketID: id}, 2)
+	}
+	for i := 0; i < 5; i++ {
+		send()
+	}
+	const backlog, packet = 10, 2
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for c := 0; c < 200_000; c++ {
+		if c%2 == 0 {
+			send()
+		}
+		e.Step()
+		if n := a.InjectQueueLen(); n < backlog-packet || n > backlog+packet {
+			t.Fatalf("cycle %d: %d flits queued, want a standing backlog of about %d", c, n, backlog)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 4<<20 {
+		t.Errorf("a standing backlog of %d flits allocated %d bytes in 200 000 cycles", backlog, grown)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }

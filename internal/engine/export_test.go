@@ -36,11 +36,12 @@ func (e *Engine) StepCheckingArbitration(st *ArbitrationStats) error {
 		e.allocateAtomic(requests)
 	}
 	var err error
-	for _, in := range requests {
-		granted := in.route.nGranted > 0
+	for _, p := range requests {
+		in, rs := e.inPorts[p], e.in[p].route
+		granted := rs.nGranted > 0
 		if granted != want[in] {
 			err = fmt.Errorf("cycle %d: %s.in%d (since %d, %d outs): granted=%v, the global arrival order grants=%v",
-				e.cycle, in.node.Name, in.idx, in.route.since, len(in.route.outs), granted, want[in])
+				e.cycle, in.Node().Name, in.idx, rs.since, len(rs.outs), granted, want[in])
 			break
 		}
 	}
@@ -57,21 +58,26 @@ func (e *Engine) StepCheckingArbitration(st *ArbitrationStats) error {
 // globalOrderGrants dry-runs atomic allocation in the old global order and
 // returns which requests it grants (an atomic grant is all of a request's
 // outputs or none, so a flag per request is the whole (input, outputs) set).
-func globalOrderGrants(e *Engine, requests []*InPort, st *ArbitrationStats) map[*InPort]bool {
-	tieKey := func(in *InPort) int { return (in.idx + in.node.ID) % len(in.node.In) }
-	order := slices.Clone(requests)
+func globalOrderGrants(e *Engine, requests []int32, st *ArbitrationStats) map[*InPort]bool {
+	tieKey := func(in *InPort) int { return (in.idx + in.Node().ID) % len(in.Node().In) }
+	since := func(in *InPort) int64 { return e.in[in.id].route.since }
+	var order []*InPort
+	for _, p := range requests {
+		order = append(order, e.inPorts[p])
+	}
 	slices.SortStableFunc(order, func(a, b *InPort) int {
-		if a.route.since != b.route.since {
-			return cmp.Compare(a.route.since, b.route.since)
+		if since(a) != since(b) {
+			return cmp.Compare(since(a), since(b))
 		}
-		if a.node != b.node {
-			return cmp.Compare(a.node.ID, b.node.ID)
+		if a.Node() != b.Node() {
+			return cmp.Compare(a.Node().ID, b.Node().ID)
 		}
 		return cmp.Compare(tieKey(a), tieKey(b))
 	})
 	perSwitch := map[*Node][]int64{}
-	for _, in := range requests {
-		perSwitch[in.node] = append(perSwitch[in.node], in.route.since)
+	for _, p := range requests {
+		in := e.inPorts[p]
+		perSwitch[in.Node()] = append(perSwitch[in.Node()], since(in))
 	}
 	for _, stamps := range perSwitch {
 		if len(stamps) > 1 {
@@ -85,21 +91,21 @@ func globalOrderGrants(e *Engine, requests []*InPort, st *ArbitrationStats) map[
 	grants := map[*InPort]bool{}
 	unavailable := map[*OutPort]bool{} // granted or reserved earlier this cycle
 	for _, in := range order {
-		rs := in.route
+		rs := e.in[in.id].route
 		if rs.nGranted > 0 {
 			continue
 		}
 		ok := true
-		for _, op := range rs.outs {
-			if op.owner != nil || unavailable[op] {
+		for _, o := range rs.outs {
+			if o.op.owner != nil || unavailable[o.op] {
 				ok = false
 			}
 		}
 		if !ok && len(rs.outs) > 1 {
 			st.FanRefusals++
 		}
-		for _, op := range rs.outs {
-			unavailable[op] = true
+		for _, o := range rs.outs {
+			unavailable[o.op] = true
 		}
 		grants[in] = ok
 	}

@@ -34,9 +34,9 @@ func delay3Engine() *Engine {
 func TestGoldenDelay3(t *testing.T) {
 	e := delay3Engine()
 	full := false
-	for _, l := range e.links {
+	for _, p := range e.links {
 		seen := [3]bool{}
-		for _, a := range e.flightAges(l.to) {
+		for _, a := range e.flightAges(p) {
 			seen[a] = true
 		}
 		full = full || seen == [3]bool{true, true, true}

@@ -47,13 +47,14 @@ func (e *Engine) StateHash() uint64 {
 			h.i64(int64(f.Seq))
 		}
 		for _, in := range n.In {
-			h.i64(int64(in.n))
-			for i := 0; i < in.n; i++ {
-				f := in.at(i)
+			r := &e.in[in.id]
+			h.i64(int64(r.n))
+			for i := 0; i < int(r.n); i++ {
+				f := e.at(in.id, i)
 				h.u64(f.PacketID)
 				h.i64(int64(f.Seq))
 			}
-			if rs := in.route; rs != nil {
+			if rs := r.route; rs != nil {
 				h.u64(1)
 				if rs.header != nil {
 					h.u64(rs.header.PacketID)
@@ -67,8 +68,8 @@ func (e *Engine) StateHash() uint64 {
 					h.u64(0xadaf)
 				}
 				h.i64(rs.since)
-				for i, op := range rs.outs {
-					h.i64(int64(op.idx))
+				for i, o := range rs.outs {
+					h.i64(int64(o.op.idx))
 					if rs.granted[i] {
 						h.u64(1)
 					} else {
@@ -80,20 +81,20 @@ func (e *Engine) StateHash() uint64 {
 			}
 		}
 		for _, out := range n.Out {
-			h.i64(int64(out.credits))
+			h.i64(int64(e.credits(out.id)))
 			h.i64(int64(out.arb))
 			if out.owner != nil {
-				h.u64(uint64(out.owner.ordKey) + 1)
+				h.u64(uint64(int64(out.owner.Node().ID)<<32|int64(out.owner.idx)) + 1)
 			} else {
 				h.u64(0)
 			}
 		}
 	}
-	for _, l := range e.links {
-		in := l.to
-		h.i64(int64(in.fly))
-		for i, age := range e.flightAges(in) {
-			f := in.at(in.n + i)
+	for _, p := range e.links {
+		r := &e.in[p]
+		h.i64(int64(r.fly))
+		for i, age := range e.flightAges(p) {
+			f := e.at(p, int(r.n)+i)
 			h.u64(f.PacketID)
 			h.i64(int64(f.Seq))
 			h.i64(int64(age))

@@ -10,7 +10,7 @@ import (
 // analyzer (wait-for graph construction) and for tests.
 
 // Node returns the node owning the port.
-func (p *InPort) Node() *Node { return p.node }
+func (p *InPort) Node() *Node { return p.eng.nodeOf[p.id] }
 
 // Index returns the port's index within its node.
 func (p *InPort) Index() int { return p.idx }
@@ -19,14 +19,14 @@ func (p *InPort) Index() int { return p.idx }
 // cut-through state, or nil if the port is idle. The header is the engine's
 // and valid until the next Step.
 func (p *InPort) CurrentHeader() *flit.Header {
-	if p.route == nil {
-		return nil
+	if rs := p.eng.in[p.id].route; rs != nil {
+		return rs.header
 	}
-	return p.route.header
+	return nil
 }
 
 // Node returns the node owning the port.
-func (o *OutPort) Node() *Node { return o.node }
+func (o *OutPort) Node() *Node { return o.eng.nodeOf[o.id] }
 
 // Index returns the port's index within its node.
 func (o *OutPort) Index() int { return o.idx }
@@ -35,30 +35,33 @@ func (o *OutPort) Index() int { return o.idx }
 func (o *OutPort) Owner() *InPort { return o.owner }
 
 // Phys returns the physical channel the port shares, or nil.
-func (o *OutPort) Phys() *PhysChannel { return o.phys }
+func (o *OutPort) Phys() *PhysChannel { return handle(o.eng.phys, o.eng.out[o.id].phys) }
 
 // Credits returns the available downstream buffer credits.
-func (o *OutPort) Credits() int { return o.credits }
+func (o *OutPort) Credits() int { return int(o.eng.credits(o.id)) }
 
 // DownstreamIn returns the input port this output feeds, or nil when
 // unconnected.
 func (o *OutPort) DownstreamIn() *InPort {
-	return o.down
+	return handle(o.eng.inPorts, o.eng.out[o.id].down)
 }
 
 // UpstreamOut returns the output port that feeds this input, or nil when
 // unconnected.
-func (p *InPort) UpstreamOut() *OutPort {
-	if p.upstream == nil {
+func (p *InPort) UpstreamOut() *OutPort { return handle(p.eng.outPorts, p.eng.in[p.id].up) }
+
+// handle returns ports[id], or nil for -1 (none).
+func handle[P any](ports []*P, id int32) *P {
+	if id < 0 {
 		return nil
 	}
-	return p.upstream.from
+	return ports[id]
 }
 
 // UpstreamInFlight reports the flits currently traveling on the link into
 // this port. A non-zero value means an apparent flit starvation is
 // transient: delivery is already under way.
-func (p *InPort) UpstreamInFlight() int { return p.fly }
+func (p *InPort) UpstreamInFlight() int { return int(p.eng.in[p.id].fly) }
 
 // WaitInfo describes one switch input port whose packet cannot advance this
 // instant, and the resources involved. It is a snapshot: call it only when
@@ -91,16 +94,17 @@ func (e *Engine) BlockedPorts() []WaitInfo {
 	var out []WaitInfo
 	for _, sw := range e.switches {
 		for _, in := range sw.In {
-			rs := in.route
+			rs := e.in[in.id].route
 			if rs == nil || rs.sink {
 				continue
 			}
 			wi := WaitInfo{In: in, Header: rs.header}
 			blocked := false
-			for i, op := range rs.outs {
+			for i, o := range rs.outs {
+				op := o.op
 				if rs.granted[i] {
 					wi.Holds = append(wi.Holds, op)
-					if op.credits < 1 {
+					if e.credits(o.id) < 1 {
 						wi.CreditStalled = append(wi.CreditStalled, op)
 						blocked = true
 					}
@@ -113,7 +117,7 @@ func (e *Engine) BlockedPorts() []WaitInfo {
 					blocked = true
 				}
 			}
-			if !blocked && in.front() == nil {
+			if !blocked && e.in[in.id].n == 0 {
 				wi.AwaitingFlits = true
 				blocked = true
 			}
@@ -138,23 +142,17 @@ func (e *Engine) BlockedPorts() []WaitInfo {
 // which may recycle them; KillSwitch and KillPacket in between leave them
 // intact.
 func (e *Engine) InFlightHeaders() (hdrs []*flit.Header, unknown []uint64) {
-	seen := map[uint64]*flit.Header{}
-	add := func(id uint64, h *flit.Header) {
-		if cur, ok := seen[id]; !ok || (cur == nil && h != nil) {
-			seen[id] = h
-		}
-	}
+	seen := packets{}
+	add := seen.add
 	for _, nd := range e.nodes {
-		if nd.Kind == KindEndpoint && nd.InjectQueueLen() > 0 {
-			for _, f := range nd.pendingInject() {
-				add(f.PacketID, f.Header)
-			}
+		for _, f := range nd.pendingInject() {
+			add(f.PacketID, f.Header)
 		}
 		for _, in := range nd.In {
-			for i := 0; i < in.n; i++ {
-				add(in.at(i).PacketID, in.at(i).Header)
+			for i := 0; i < int(e.in[in.id].n); i++ {
+				add(e.at(in.id, i).PacketID, e.at(in.id, i).Header)
 			}
-			if rs := in.route; rs != nil && rs.header != nil {
+			if rs := e.in[in.id].route; rs != nil && rs.header != nil {
 				add(rs.header.PacketID, rs.header)
 			}
 			if in.recvHeader != nil {
@@ -162,9 +160,9 @@ func (e *Engine) InFlightHeaders() (hdrs []*flit.Header, unknown []uint64) {
 			}
 		}
 	}
-	for _, l := range e.links {
-		for in, i := l.to, l.to.n; i < in.n+in.fly; i++ {
-			add(in.at(i).PacketID, in.at(i).Header)
+	for _, p := range e.links {
+		for i, r := int(e.in[p].n), e.in[p]; i < int(r.n+r.fly); i++ {
+			add(e.at(p, i).PacketID, e.at(p, i).Header)
 		}
 	}
 	ids := make([]uint64, 0, len(seen))
@@ -186,8 +184,8 @@ func (e *Engine) InFlightHeaders() (hdrs []*flit.Header, unknown []uint64) {
 // because the outbound link has no credits.
 func (e *Engine) StalledEndpoints() []*Node {
 	var out []*Node
-	for _, ep := range e.endpoints {
-		if ep.InjectQueueLen() > 0 && ep.Out[0].credits < 1 {
+	for i, ep := range e.endpoints {
+		if ep.InjectQueueLen() > 0 && e.credits(e.src[i].port) < 1 {
 			out = append(out, ep)
 		}
 	}

@@ -12,9 +12,9 @@ import (
 //
 // Invariants checked:
 //
-//  1. credit conservation: for every connected output port,
-//     credits + flits buffered downstream + flits in flight on the link
-//     equals the downstream buffer capacity;
+//  1. buffer bounds: for every connected output port, the flits buffered
+//     downstream and in flight on the link fit the downstream buffer, so
+//     the port's credits (the slots left, never stored) are not negative;
 //  2. ownership consistency: a held output port's owner has an active
 //     cut-through state that includes that port as granted, and vice versa;
 //  3. grant accounting: each route state's granted count matches its flags;
@@ -25,39 +25,44 @@ import (
 //     free list, the free list holds no header twice, and every place
 //     holds the header of the packet it serves (a flit its own; a route or
 //     receive state that of the flit at the front of its buffer), so a
-//     header reachable from two places belongs to one packet.
+//     header reachable from two places belongs to one packet;
+//  6. wiring: each output's downstream port and each input's upstream port
+//     are mutual inverses, as ConnectDirected wired them, every port id
+//     names its own handles, every switch input's active-set bit is its
+//     full-scan position, and the columns hold one entry per port.
 func (e *Engine) CheckInvariants() error {
+	if err := e.checkWiring(); err != nil {
+		return err
+	}
 	var counted int64
 	for _, n := range e.nodes {
 		counted += int64(n.InjectQueueLen())
 		for _, in := range n.In {
-			counted += int64(in.n)
+			counted += int64(e.in[in.id].n)
 		}
 		for _, out := range n.Out {
-			if out.down == nil {
+			o := e.out[out.id]
+			if o.down < 0 {
 				if out.owner != nil {
 					return fmt.Errorf("engine: unconnected %s.out%d has an owner", n.Name, out.idx)
 				}
 				continue
 			}
-			down := out.down
+			down := e.in[o.down]
 			counted += int64(down.fly)
-			if got := out.credits + down.n + down.fly; got != down.cap {
-				return fmt.Errorf("engine: credit leak at %s.out%d: credits=%d + buffered=%d + inflight=%d != cap=%d",
-					n.Name, out.idx, out.credits, down.n, down.fly, down.cap)
-			}
-			if out.credits < 0 {
-				return fmt.Errorf("engine: negative credits at %s.out%d", n.Name, out.idx)
+			if c := e.credits(out.id); c < 0 {
+				return fmt.Errorf("engine: negative credits at %s.out%d: buffered=%d + inflight=%d > cap=%d",
+					n.Name, out.idx, down.n, down.fly, e.cfg.BufferDepth)
 			}
 			if owner := out.owner; owner != nil {
-				rs := owner.route
+				rs := e.in[owner.id].route
 				if rs == nil {
 					return fmt.Errorf("engine: %s.out%d owned by idle input %s.in%d",
-						n.Name, out.idx, owner.node.Name, owner.idx)
+						n.Name, out.idx, owner.Node().Name, owner.idx)
 				}
 				found := false
 				for i, o := range rs.outs {
-					if o == out {
+					if o.op == out {
 						if !rs.granted[i] {
 							return fmt.Errorf("engine: %s.out%d owned but not granted in its route state", n.Name, out.idx)
 						}
@@ -70,19 +75,19 @@ func (e *Engine) CheckInvariants() error {
 			}
 		}
 		for _, in := range n.In {
-			rs := in.route
+			rs := e.in[in.id].route
 			if rs == nil || rs.sink {
 				continue
 			}
 			granted := 0
-			for i, op := range rs.outs {
+			for i, o := range rs.outs {
 				if rs.granted[i] {
 					granted++
-					if op.owner != in {
-						return fmt.Errorf("engine: %s.in%d thinks it holds out%d but the port disagrees", n.Name, in.idx, op.idx)
+					if o.op.owner != in {
+						return fmt.Errorf("engine: %s.in%d thinks it holds out%d but the port disagrees", n.Name, in.idx, o.op.idx)
 					}
-				} else if op.owner == in {
-					return fmt.Errorf("engine: %s.in%d owns out%d without a grant flag", n.Name, in.idx, op.idx)
+				} else if o.op.owner == in {
+					return fmt.Errorf("engine: %s.in%d owns out%d without a grant flag", n.Name, in.idx, o.op.idx)
 				}
 			}
 			if granted != rs.nGranted {
@@ -94,6 +99,48 @@ func (e *Engine) CheckInvariants() error {
 		return fmt.Errorf("engine: resident counter %d != counted flits %d", e.resident, counted)
 	}
 	return e.checkHeaders()
+}
+
+// checkWiring audits law 6 of CheckInvariants.
+func (e *Engine) checkWiring() error {
+	ports := 0
+	for _, n := range e.nodes {
+		ports += len(n.In)
+	}
+	if len(e.in) != ports || len(e.out) != ports || len(e.inPorts) != ports || len(e.outPorts) != ports || len(e.slab) != ports*e.cfg.BufferDepth {
+		return fmt.Errorf("engine: %d ports but columns of %d/%d/%d/%d entries and a %d-flit slab",
+			ports, len(e.in), len(e.out), len(e.inPorts), len(e.outPorts), len(e.slab))
+	}
+	name := func(id int32, dir string) string {
+		if id < 0 || int(id) >= ports {
+			return fmt.Sprintf("port %d", id)
+		}
+		return fmt.Sprintf("%s.%s%d", e.inPorts[id].Node().Name, dir, e.inPorts[id].idx)
+	}
+	links := 0
+	for id := range int32(ports) {
+		if e.inPorts[id].id != id || e.outPorts[id].id != id {
+			return fmt.Errorf("engine: port id %d holds the handles of %s and %s", id, name(e.inPorts[id].id, "in"), name(e.outPorts[id].id, "out"))
+		}
+		if d := e.out[id].down; d >= 0 && (int(d) >= ports || e.in[d].up != id) {
+			return fmt.Errorf("engine: %s feeds %s, which is not fed by it", name(id, "out"), name(d, "in"))
+		}
+		if u := e.in[id].up; u >= 0 {
+			links++
+			if int(u) >= ports || e.out[u].down != id {
+				return fmt.Errorf("engine: %s is fed by %s, which does not feed it", name(id, "in"), name(u, "out"))
+			}
+		}
+		bit, sw := int(e.in[id].bit), e.inPorts[id].Node().Kind == KindSwitch
+		if sw && (bit < 0 || bit >= len(e.fullIn) || e.fullIn[bit] != id) ||
+			!sw && (bit >= 0 || ^bit >= len(e.src) || e.src[^bit].port != id) {
+			return fmt.Errorf("engine: %s has active-set bit %d, which is not its scan position", name(id, "in"), bit)
+		}
+	}
+	if links != len(e.links) {
+		return fmt.Errorf("engine: %d ports are fed by a link, but %d links are wired", links, len(e.links))
+	}
+	return nil
 }
 
 // checkHeaders audits law 5 of CheckInvariants.
@@ -119,7 +166,7 @@ func (e *Engine) checkHeaders() error {
 	// owner is the packet a route or receive state serves: the one whose
 	// flit is at the front of its buffer, if any.
 	owner := func(in *InPort, h *flit.Header) uint64 {
-		if f := in.front(); f != nil {
+		if f := e.front(in.id); f != nil {
 			return f.PacketID
 		}
 		return h.PacketID
@@ -129,11 +176,11 @@ func (e *Engine) checkHeaders() error {
 			see(f.Header, f.PacketID, "source queue", n, 0)
 		}
 		for _, in := range n.In {
-			for i := 0; i < in.n; i++ {
-				f := in.at(i)
+			for i := 0; i < int(e.in[in.id].n); i++ {
+				f := e.at(in.id, i)
 				see(f.Header, f.PacketID, "buffer", n, in.idx)
 			}
-			if rs := in.route; rs != nil && rs.header != nil {
+			if rs := e.in[in.id].route; rs != nil && rs.header != nil {
 				see(rs.header, owner(in, rs.header), "route state", n, in.idx)
 			}
 			if h := in.recvHeader; h != nil {
@@ -141,21 +188,20 @@ func (e *Engine) checkHeaders() error {
 			}
 		}
 	}
-	for _, l := range e.links {
-		for in, i := l.to, l.to.n; i < in.n+in.fly; i++ {
-			see(in.at(i).Header, in.at(i).PacketID, "link", in.node, in.idx)
+	for _, p := range e.links {
+		for i, r := int(e.in[p].n), e.in[p]; i < int(r.n+r.fly); i++ {
+			see(e.at(p, i).Header, e.at(p, i).PacketID, "link", e.inPorts[p].Node(), e.inPorts[p].idx)
 		}
 	}
 	return err
 }
 
 // CheckActiveSets audits active-set membership between Steps and returns the
-// first violation, or nil. Each flag must agree with its bit. A link is
-// marked exactly while it carries flits (and counted in linksActive), an
-// endpoint eject- (inject-) active exactly while its input buffer (source
-// queue) holds flits, and a switch port holding a route state or flits is a
-// member (one that traversal emptied waits for the next allocation sweep to
-// drop it). KillSwitch and KillPacket remove flits without touching
+// first violation, or nil. A link is marked exactly while it carries flits
+// (and counted in linksActive), an endpoint eject- (inject-) active exactly
+// while its input buffer (source queue) holds flits, and a switch port
+// holding a route state or flits is a member (one that traversal emptied
+// waits for the next allocation sweep to drop it). KillSwitch and KillPacket remove flits without touching
 // membership, so the check does not hold right after them; under
 // DisableActiveSet no sweep evicts and it passes trivially.
 func (e *Engine) CheckActiveSets() error {
@@ -163,29 +209,29 @@ func (e *Engine) CheckActiveSets() error {
 		return nil
 	}
 	var err error
-	audit := func(bit, flag, busy, exact bool, set string, n *Node, port int) {
-		if err == nil && (bit != flag || busy && !flag || exact && flag && !busy) {
-			err = fmt.Errorf("engine: %s.%d: %s member=%v bit=%v busy=%v", n.Name, port, set, flag, bit, busy)
+	audit := func(member, busy, exact bool, set string, n *Node, port int) {
+		if err == nil && (busy && !member || exact && member && !busy) {
+			err = fmt.Errorf("engine: %s.%d: %s member=%v busy=%v", n.Name, port, set, member, busy)
 		}
 	}
-	member := func(s *activeSet, i int) bool { return s.words[i>>6]>>(i&63)&1 == 1 }
 	marked := 0
-	for _, l := range e.links {
-		p := l.to
-		if p.linkActive {
+	for _, p := range e.links {
+		r, from := e.in[p], e.outPorts[e.in[p].up]
+		if r.linkActive {
 			marked++
 		}
-		audit(p.linkActive, p.linkActive, p.fly > 0, true, "link", l.from.node, l.from.idx)
+		audit(r.linkActive, r.fly > 0, true, "link", from.Node(), from.idx)
 	}
 	if err == nil && marked != e.linksActive {
 		err = fmt.Errorf("engine: %d links marked, counted %d", marked, e.linksActive)
 	}
-	for _, p := range e.fullIn {
-		audit(member(&e.activeAlloc, p.pos), p.active, p.route != nil || p.n > 0, false, "alloc", p.node, p.idx)
+	for i, p := range e.fullIn {
+		in := e.inPorts[p]
+		audit(e.activeAlloc.has(i), e.in[p].route != nil || e.in[p].n > 0, false, "alloc", in.Node(), in.idx)
 	}
-	for _, ep := range e.endpoints {
-		audit(member(&e.activeEject, ep.epIdx), ep.ejectActive, ep.In[0].n > 0, true, "eject", ep, 0)
-		audit(member(&e.activeInject, ep.epIdx), ep.injectActive, ep.InjectQueueLen() > 0, true, "inject", ep, 0)
+	for i, ep := range e.endpoints {
+		audit(e.activeEject.has(i), e.in[e.src[i].port].n > 0, true, "eject", ep, 0)
+		audit(e.activeInject.has(i), ep.InjectQueueLen() > 0, true, "inject", ep, 0)
 	}
 	return err
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sr2201/internal/flit"
@@ -146,5 +147,49 @@ func TestInvariantsHoldInDeadlock(t *testing.T) {
 	}
 	if e.Quiescent() {
 		t.Fatal("expected a wedged ring")
+	}
+}
+
+// TestWiringLaw: law 6 holds after construction, growth and Restore, and a
+// corrupted column entry is reported by the name of its port.
+func TestWiringLaw(t *testing.T) {
+	build := func() (*Engine, *Node) {
+		e := New(DefaultConfig())
+		a, sw, _ := line(e)
+		e.Inject(a, mkPacket(1, geom.Coord{}, 6))
+		return e, sw
+	}
+	grow := func(e *Engine) {
+		sw := e.AddSwitch("SW2", 2, passThrough, nil)
+		e.Connect(e.AddEndpoint("C", nil), 0, sw, 0)
+		e.Connect(e.AddEndpoint("D", nil), 0, sw, 1)
+	}
+	e, _ := build()
+	checkEvery(t, e, 3)
+	grow(e)
+	checkEvery(t, e, 3)
+	r, _ := build()
+	grow(r)
+	if err := r.Restore(e.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatalf("after Restore: %v", err)
+	}
+	for _, tc := range []struct {
+		what    string
+		corrupt func(e *Engine, sw *Node)
+		port    string
+	}{
+		{"upstream", func(e *Engine, sw *Node) { e.in[sw.In[1].id].up = -1 }, "SW.in1"},
+		{"downstream", func(e *Engine, sw *Node) { e.out[sw.Out[0].id].down = sw.In[1].id }, "SW.out0"},
+		{"active-set bit", func(e *Engine, sw *Node) { e.in[sw.In[1].id].bit = e.in[sw.In[0].id].bit }, "SW.in1"},
+		{"column length", func(e *Engine, sw *Node) { e.out = e.out[:len(e.out)-1] }, "columns"},
+	} {
+		e, sw := build()
+		tc.corrupt(e, sw)
+		if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.port) {
+			t.Errorf("%s corrupted: CheckInvariants returned %v, want an error naming %s", tc.what, err, tc.port)
+		}
 	}
 }

@@ -6,8 +6,8 @@ import "math/bits"
 // can possibly do work this cycle, instead of scanning the whole network.
 //
 //   - links have no set: the landing phase walks this cycle's arrival list,
-//     and a link's mark (InPort.linkActive, set while it carries flits) only
-//     feeds the LinkVisits counters;
+//     and a link's mark (its downstream port's linkActive, set while it
+//     carries flits) only feeds the LinkVisits counters;
 //   - a switch input port is active while it holds a cut-through state or
 //     buffered flits (i.e. while allocate/traverse would not no-op on it);
 //   - an endpoint is eject-active while its input buffer is non-empty and
@@ -27,9 +27,8 @@ import "math/bits"
 // reference implementation is kept behind Config.DisableActiveSet and the
 // differential tests assert bit-for-bit equivalence between the two modes.
 
-// activeSet is one phase's membership bitmap. The per-element flag (active,
-// ejectActive, injectActive) says the same thing as the bit; the flag is what
-// snapshots record and what activation tests, the bit is what sweeps walk.
+// activeSet is one phase's membership bitmap: the bit is the membership,
+// what sweeps walk, activation sets and snapshots record.
 type activeSet struct {
 	words []uint64
 }
@@ -41,10 +40,14 @@ func (s *activeSet) resize(n int) {
 	}
 }
 
-// add makes element i a member. The caller has checked the element's flag:
-// i is not a member.
+// add makes element i a member; a no-op when it already is one.
 func (s *activeSet) add(i int) {
 	s.words[i>>6] |= 1 << (i & 63)
+}
+
+// has reports whether element i is a member.
+func (s *activeSet) has(i int) bool {
+	return s.words[i>>6]>>(i&63)&1 == 1
 }
 
 // remove drops member i.
@@ -74,33 +77,6 @@ func (s *activeSet) next(i int) int {
 // clear empties the set.
 func (s *activeSet) clear() {
 	clear(s.words)
-}
-
-// activateAlloc marks a switch input port as routable/traversable.
-func (e *Engine) activateAlloc(in *InPort) {
-	if in.active {
-		return
-	}
-	in.active = true
-	e.activeAlloc.add(in.pos)
-}
-
-// activateEject marks an endpoint as holding arrived flits.
-func (e *Engine) activateEject(ep *Node) {
-	if ep.ejectActive {
-		return
-	}
-	ep.ejectActive = true
-	e.activeEject.add(ep.epIdx)
-}
-
-// activateInject marks an endpoint as holding queued source flits.
-func (e *Engine) activateInject(ep *Node) {
-	if ep.injectActive {
-		return
-	}
-	ep.injectActive = true
-	e.activeInject.add(ep.epIdx)
 }
 
 // Counters exposes cheap per-run observability for the kernel hot path: how

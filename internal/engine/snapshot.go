@@ -69,19 +69,20 @@ func (e *Engine) topologyHash() uint64 {
 		h.i64(int64(len(n.Out)))
 	}
 	h.i64(int64(len(e.links)))
-	for _, l := range e.links {
-		h.i64(int64(l.from.node.ID))
-		h.i64(int64(l.from.idx))
-		h.i64(int64(l.to.node.ID))
-		h.i64(int64(l.to.idx))
-		h.i64(int64(l.delay))
+	for _, p := range e.links {
+		from, to := e.outPorts[e.in[p].up], e.inPorts[p]
+		h.i64(int64(from.Node().ID))
+		h.i64(int64(from.idx))
+		h.i64(int64(to.Node().ID))
+		h.i64(int64(to.idx))
+		h.i64(int64(e.cfg.LinkDelay))
 	}
 	h.i64(int64(len(e.phys)))
 	for _, pc := range e.phys {
 		h.i64(int64(len(pc.members)))
 		for _, m := range pc.members {
-			h.i64(int64(m.node.ID))
-			h.i64(int64(m.idx))
+			h.i64(int64(e.outPorts[m].Node().ID))
+			h.i64(int64(e.outPorts[m].idx))
 		}
 	}
 	return uint64(h)
@@ -123,24 +124,25 @@ func (e *Engine) EncodeState(w *checkpoint.Writer) {
 			for i := range q {
 				flit.EncodeFlit(nodes, &q[i])
 			}
-			nodes.Bool(n.ejectActive)
+			nodes.Bool(e.activeEject.has(n.epIdx))
 			nodes.Byte(0) // reserved
-			nodes.Bool(n.injectActive)
+			nodes.Bool(e.activeInject.has(n.epIdx))
 			nodes.Byte(0) // reserved
 		}
 		for _, in := range n.In {
-			nodes.Uint(uint64(in.n))
-			for i := 0; i < in.n; i++ {
-				flit.EncodeFlit(nodes, in.at(i))
+			r := &e.in[in.id]
+			nodes.Uint(uint64(r.n))
+			for i := 0; i < int(r.n); i++ {
+				flit.EncodeFlit(nodes, e.at(in.id, i))
 			}
 			nodes.Bool(in.recvHeader != nil)
 			if in.recvHeader != nil {
 				flit.EncodeHeader(nodes, in.recvHeader)
 			}
-			nodes.Bool(in.active)
+			nodes.Bool(r.bit >= 0 && e.activeAlloc.has(int(r.bit)))
 			nodes.Byte(0) // reserved
-			nodes.Int(in.BlockedCycles)
-			rs := in.route
+			nodes.Int(r.blocked)
+			rs := r.route
 			nodes.Bool(rs != nil)
 			if rs != nil {
 				nodes.Bool(rs.sink)
@@ -154,31 +156,31 @@ func (e *Engine) EncodeState(w *checkpoint.Writer) {
 					flit.EncodeHeader(nodes, &out)
 				}
 				nodes.Uint(uint64(len(rs.outs)))
-				for i, op := range rs.outs {
-					nodes.Int(int64(op.idx))
+				for i, o := range rs.outs {
+					nodes.Int(int64(o.op.idx))
 					nodes.Bool(rs.granted[i])
 				}
 			}
 		}
 		for _, out := range n.Out {
-			nodes.Int(int64(out.credits))
+			nodes.Int(int64(e.credits(out.id)))
 			nodes.Int(int64(out.arb))
 			nodes.Int(out.reservedCycle)
 			nodes.Int(out.lastReqCycle)
 			nodes.Bool(out.conflictCounted)
-			nodes.Int(out.BusyCycles)
+			nodes.Int(e.out[out.id].busy)
 			nodes.Int(out.ConflictCycles)
 		}
 	}
 
 	links := w.Section(secEngineLinks)
-	for _, l := range e.links {
-		in := l.to
-		links.Bool(in.linkActive)
+	for _, p := range e.links {
+		r := &e.in[p]
+		links.Bool(r.linkActive)
 		links.Byte(0) // reserved
-		links.Uint(uint64(in.fly))
-		for i, age := range e.flightAges(in) {
-			flit.EncodeFlit(links, in.at(in.n+i))
+		links.Uint(uint64(r.fly))
+		for i, age := range e.flightAges(p) {
+			flit.EncodeFlit(links, e.at(p, int(r.n)+i))
 			links.Int(int64(age))
 		}
 	}
@@ -187,7 +189,7 @@ func (e *Engine) EncodeState(w *checkpoint.Writer) {
 	for _, pc := range e.phys {
 		phys.Int(int64(pc.arb))
 		granted := int64(-1)
-		if pc.granted != nil {
+		if pc.granted >= 0 {
 			granted = int64(pc.memberIndex(pc.granted))
 		}
 		phys.Int(granted)
@@ -238,7 +240,7 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 	if err := meta.Finish(); err != nil {
 		return err
 	}
-	if poolFree < 0 || poolFree > e.nSwitchIn+len(e.endpoints) {
+	if poolFree < 0 || poolFree > len(e.fullIn)+len(e.endpoints) {
 		return fmt.Errorf("checkpoint: section %q: implausible route-state pool size %d", secEngineMeta, poolFree)
 	}
 
@@ -269,39 +271,45 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 	if err != nil {
 		return err
 	}
+	credit := make([]int, len(e.out)) // checked against occupancy at the end
 	for _, n := range e.nodes {
 		n.Failed = nodes.Bool()
 		n.Injected = nodes.Int()
 		n.Sent = nodes.Int()
 		n.Received = nodes.Int()
 		if n.Kind == KindEndpoint {
+			s := &e.src[n.epIdx]
 			qn := nodes.Len(4)
 			for i := 0; i < qn; i++ {
-				n.injectQ = append(n.injectQ, decodeFlitChecked(nodes))
+				s.q = append(s.q, decodeFlitChecked(nodes))
 			}
-			n.injectHead = 0
-			n.ejectActive = nodes.Bool()
+			if nodes.Bool() {
+				e.activeEject.add(n.epIdx)
+			}
 			nodes.Byte() // reserved
-			n.injectActive = nodes.Bool()
+			if nodes.Bool() {
+				e.activeInject.add(n.epIdx)
+			}
 			nodes.Byte() // reserved
 		}
 		for _, in := range n.In {
+			r := &e.in[in.id]
 			bn := nodes.Len(4)
-			if nodes.Err() == nil && bn > in.cap {
-				return fmt.Errorf("checkpoint: section %q: buffer at %s.%d holds %d flits, capacity %d", secEngineNodes, n.Name, in.idx, bn, in.cap)
+			if nodes.Err() == nil && bn > e.cfg.BufferDepth {
+				return fmt.Errorf("checkpoint: section %q: buffer at %s.%d holds %d flits, capacity %d", secEngineNodes, n.Name, in.idx, bn, e.cfg.BufferDepth)
 			}
 			for i := 0; i < bn; i++ {
-				in.put(decodeFlitChecked(nodes))
-				in.n++
+				*e.at(in.id, i) = decodeFlitChecked(nodes)
+				r.n++
 			}
 			if nodes.Bool() {
 				in.recvHeader = flit.DecodeHeader(nodes)
 			}
-			in.active = nodes.Bool()
+			active := nodes.Bool()
 			nodes.Byte() // reserved
-			in.BlockedCycles = nodes.Int()
+			r.blocked = nodes.Int()
 			if nodes.Bool() { // route state present
-				rs := &routeState{}
+				rs := newRouteStateValue()
 				rs.sink = nodes.Bool()
 				rs.since = nodes.Int()
 				if nodes.Version() >= 2 {
@@ -327,7 +335,8 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 					if o < 0 || o >= len(n.Out) {
 						return fmt.Errorf("checkpoint: section %q: route state at %s.%d names invalid output %d", secEngineNodes, n.Name, in.idx, o)
 					}
-					rs.outs = append(rs.outs, n.Out[o])
+					rs.outs = append(rs.outs, outRef{n.Out[o], n.port0 + int32(o), e.out[n.port0+int32(o)].down})
+					rs.shared = rs.shared || e.out[n.port0+int32(o)].phys >= 0
 					rs.granted = append(rs.granted, g)
 					if g {
 						if n.Out[o].owner != nil {
@@ -337,26 +346,35 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 						rs.nGranted++
 					}
 				}
-				in.route = rs
+				r.route = rs
 			}
-			if nodes.Err() == nil && !in.active && n.Kind == KindSwitch && (in.route != nil || in.n > 0) {
+			if nodes.Err() != nil {
+				break
+			}
+			if n.Kind == KindEndpoint && active {
+				return fmt.Errorf("checkpoint: section %q: endpoint port %s.%d marked allocation-active", secEngineNodes, n.Name, in.idx)
+			}
+			if !active && n.Kind == KindSwitch && (r.route != nil || r.n > 0) {
 				return fmt.Errorf("checkpoint: section %q: busy port %s.%d marked inactive", secEngineNodes, n.Name, in.idx)
+			}
+			if active {
+				e.activeAlloc.add(int(r.bit))
 			}
 		}
 		for _, out := range n.Out {
-			out.credits = nodes.IntAsInt()
+			credit[out.id] = nodes.IntAsInt()
 			out.arb = nodes.IntAsInt()
 			out.reservedCycle = nodes.Int()
 			out.lastReqCycle = nodes.Int()
 			out.conflictCounted = nodes.Bool()
-			out.BusyCycles = nodes.Int()
+			e.out[out.id].busy = nodes.Int()
 			out.ConflictCycles = nodes.Int()
 		}
 		if nodes.Err() == nil && n.Kind == KindEndpoint {
-			if !n.ejectActive && n.In[0].n > 0 {
+			if !e.activeEject.has(n.epIdx) && e.in[n.In[0].id].n > 0 {
 				return fmt.Errorf("checkpoint: section %q: endpoint %s has arrivals but is eject-inactive", secEngineNodes, n.Name)
 			}
-			if !n.injectActive && n.InjectQueueLen() > 0 {
+			if !e.activeInject.has(n.epIdx) && n.InjectQueueLen() > 0 {
 				return fmt.Errorf("checkpoint: section %q: endpoint %s has queued packets but is inject-inactive", secEngineNodes, n.Name)
 			}
 		}
@@ -370,37 +388,46 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 		return err
 	}
 	e.cycle = cycle // flightSlot reads it
-	for _, l := range e.links {
-		in := l.to
-		in.linkActive = links.Bool()
+	for id, p := range e.links {
+		r := &e.in[p]
+		r.linkActive = links.Bool()
 		links.Byte() // reserved
 		pn := links.Len(4)
-		younger := l.delay // every age so far was at least this
+		delay := e.cfg.LinkDelay
+		younger := delay // every age so far was at least this
 		for i := 0; i < pn; i++ {
 			f := decodeFlitChecked(links)
 			age := links.IntAsInt()
 			if links.Err() != nil {
 				break
 			}
-			if age < 0 || age >= l.delay {
-				return fmt.Errorf("checkpoint: section %q: link %d flit age %d outside [0,%d)", secEngineLinks, l.id, age, l.delay)
+			if age < 0 || age >= delay {
+				return fmt.Errorf("checkpoint: section %q: link %d flit age %d outside [0,%d)", secEngineLinks, id, age, delay)
 			}
 			// One flit enters a link per cycle and the encoder writes them
 			// oldest first, so ages strictly decrease.
 			if age >= younger {
-				return fmt.Errorf("checkpoint: section %q: link %d flit age %d follows age %d (want oldest first, one flit per cycle)", secEngineLinks, l.id, age, younger)
+				return fmt.Errorf("checkpoint: section %q: link %d flit age %d follows age %d (want oldest first, one flit per cycle)", secEngineLinks, id, age, younger)
 			}
 			younger = age
-			if in.n+in.fly == in.cap {
-				return fmt.Errorf("checkpoint: section %q: link %d carries more flits than %s.%d has room for", secEngineLinks, l.id, in.node.Name, in.idx)
+			if int(r.n+r.fly) == e.cfg.BufferDepth {
+				return fmt.Errorf("checkpoint: section %q: link %d carries more flits than %s.%d has room for", secEngineLinks, id, e.inPorts[p].Node().Name, e.inPorts[p].idx)
 			}
-			in.put(f)
-			in.fly++
+			*e.at(p, int(r.n+r.fly)) = f
+			r.fly++
 			s := e.flightSlot(age)
-			e.arrivals[s] = append(e.arrivals[s], in)
+			e.arrivals[s] = append(e.arrivals[s], p)
 		}
-		if links.Err() == nil && !in.linkActive && in.fly > 0 {
-			return fmt.Errorf("checkpoint: section %q: loaded link %d marked inactive", secEngineLinks, l.id)
+		if links.Err() == nil && !r.linkActive && r.fly > 0 {
+			return fmt.Errorf("checkpoint: section %q: loaded link %d marked inactive", secEngineLinks, id)
+		}
+		if r.linkActive {
+			// Under the active set a marked link carrying nothing (a purge
+			// emptied it) is stale.
+			e.linksActive++
+			if r.fly == 0 && !e.cfg.DisableActiveSet {
+				e.stale = append(e.stale, p)
+			}
 		}
 	}
 	if err := links.Finish(); err != nil {
@@ -437,13 +464,16 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 	for _, n := range e.nodes {
 		present += int64(n.InjectQueueLen())
 		for _, in := range n.In {
-			present += int64(in.n)
+			present += int64(e.in[in.id].n)
 		}
 	}
-	for _, l := range e.links {
-		present += int64(l.to.fly)
-		if want := l.to.cap - l.to.n - l.to.fly; l.from.credits != want {
-			return fmt.Errorf("checkpoint: section %q: link %d credits %d, occupancy implies %d", secEngineLinks, l.id, l.from.credits, want)
+	for _, p := range e.links {
+		present += int64(e.in[p].fly)
+	}
+	for o, c := range credit {
+		if want := int(e.credits(int32(o))); c != want {
+			op := e.outPorts[o]
+			return fmt.Errorf("checkpoint: section %q: %s.out%d has %d credits, occupancy implies %d", secEngineNodes, op.Node().Name, op.idx, c, want)
 		}
 	}
 	if present != resident {
@@ -456,10 +486,9 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 	// The pool is encoded as a count; the states' identities are immaterial.
 	e.rsFree = e.rsFree[:0]
 	for i := 0; i < poolFree; i++ {
-		e.rsFree = append(e.rsFree, &routeState{})
+		e.rsFree = append(e.rsFree, newRouteStateValue())
 	}
 	e.ctr = ctr
-	e.rebuildActiveSets()
 	return nil
 }
 
@@ -497,65 +526,35 @@ func decodeFlitChecked(d *checkpoint.Decoder) flit.Flit {
 	return f
 }
 
-// clearDynamicState empties every queue, buffer, flight and ownership in
-// the network, leaving only topology.
+// clearDynamicState empties every queue, buffer, flight, ownership and
+// active set in the network, leaving only topology.
 func (e *Engine) clearDynamicState() {
-	for _, n := range e.nodes {
-		n.injectQ = n.injectQ[:0]
-		n.injectHead = 0
-		n.ejectActive, n.injectActive = false, false
-		for _, in := range n.In {
-			in.head, in.n, in.fly, in.landsAt = 0, 0, 0, 0
-			in.linkActive = false
-			in.route = nil
-			in.recvHeader = nil
-			in.active = false
-		}
-		for _, out := range n.Out {
-			out.owner = nil
-			out.pend = out.pend[:0]
-			out.pendStamp = -1
-		}
+	for i := range e.src {
+		e.src[i].q, e.src[i].head = e.src[i].q[:0], 0
 	}
+	for p := range e.in {
+		r := &e.in[p]
+		r.head, r.n, r.fly, r.landsAt = 0, 0, 0, 0
+		r.linkActive = false
+		r.route = nil
+		e.inPorts[p].recvHeader = nil
+		op := e.outPorts[p]
+		op.owner = nil
+		op.pend = op.pend[:0]
+		op.pendStamp = -1
+	}
+	clear(e.slab)
 	for s := range e.arrivals {
 		e.arrivals[s] = e.arrivals[s][:0]
 	}
 	for _, pc := range e.phys {
-		pc.granted = nil
+		pc.granted = -1
 		pc.grantedCycle = -1
 		pc.wantStamp = -1
 		pc.wants = pc.wants[:0]
 	}
-}
-
-// rebuildActiveSets reconstitutes the active sets, and the count of marked
-// links, from the decoded per-element flags. Under the active set a marked
-// link carrying nothing (a purge emptied it) is stale.
-func (e *Engine) rebuildActiveSets() {
-	e.linksActive = 0
-	e.stale = e.stale[:0]
-	for _, l := range e.links {
-		if p := l.to; p.linkActive {
-			e.linksActive++
-			if p.fly == 0 && !e.cfg.DisableActiveSet {
-				e.stale = append(e.stale, p)
-			}
-		}
-	}
 	e.activeAlloc.clear()
-	for _, in := range e.fullIn {
-		if in.active {
-			e.activeAlloc.add(in.pos)
-		}
-	}
 	e.activeEject.clear()
 	e.activeInject.clear()
-	for _, ep := range e.endpoints {
-		if ep.ejectActive {
-			e.activeEject.add(ep.epIdx)
-		}
-		if ep.injectActive {
-			e.activeInject.add(ep.epIdx)
-		}
-	}
+	e.linksActive, e.stale = 0, e.stale[:0]
 }

@@ -235,11 +235,12 @@ func TestRestoreRefusesUnproducibleRewrite(t *testing.T) {
 	for in == nil {
 		src.Step()
 		for _, p := range src.Switches()[0].In {
-			if p.route != nil && p.route.rewrite != 0 && p.route.nGranted == 0 {
+			if rs := src.in[p.id].route; rs != nil && rs.rewrite != 0 && rs.nGranted == 0 {
 				in = p
 			}
 		}
 	}
+	rs := src.in[in.id].route
 	snap := src.Snapshot()
 	if err := fanRewriteEngine().Restore(snap); err != nil {
 		t.Fatal(err)
@@ -247,13 +248,13 @@ func TestRestoreRefusesUnproducibleRewrite(t *testing.T) {
 	// The route state encodes its header, a true flag, then the output.
 	recorded := func(out flit.Header) []byte {
 		var enc checkpoint.Encoder
-		flit.EncodeHeader(&enc, in.route.header)
+		flit.EncodeHeader(&enc, rs.header)
 		enc.Bool(true)
 		flit.EncodeHeader(&enc, &out)
 		return enc.Bytes()
 	}
-	out := *in.route.header
-	in.route.rewrite.Apply(&out)
+	out := *rs.header
+	rs.rewrite.Apply(&out)
 	want := recorded(out)
 	if bytes.Count(snap, want) != 1 {
 		t.Fatal("the pending rewrite's record is not in the snapshot exactly once")
@@ -369,10 +370,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	purged := delay3Engine()
 	victim := uint64(0)
-	for _, l := range purged.links {
-		for in, i := l.to, l.to.n; i+1 < in.n+in.fly && victim == 0; i++ {
-			if in.at(i).PacketID != in.at(i+1).PacketID {
-				victim = in.at(i).PacketID
+	for _, p := range purged.links {
+		for r, i := purged.in[p], int(purged.in[p].n); i+1 < int(r.n+r.fly) && victim == 0; i++ {
+			if purged.at(p, i).PacketID != purged.at(p, i+1).PacketID {
+				victim = purged.at(p, i).PacketID
 			}
 		}
 	}

@@ -297,7 +297,7 @@ func runE9(r *Report, opt Options) error {
 				conflicts += op.ConflictCycles
 			}
 			for _, ip := range sw.In {
-				blocked += ip.BlockedCycles
+				blocked += ip.BlockedCycles()
 			}
 		}
 		return conflicts, blocked, out.Cycle, nil

@@ -162,10 +162,10 @@ type Flit struct {
 	// PacketID duplicates Header.PacketID on every flit so body/tail flits
 	// can be attributed without chasing the header.
 	PacketID uint64
-	// Kind is the flit's position class.
-	Kind Kind
 	// Seq is the flit's 0-based position within the packet.
 	Seq int
+	// Kind is the flit's position class.
+	Kind Kind
 	// Last reports whether this flit releases the circuit (tail, or a
 	// header-only packet).
 	Last bool

@@ -28,12 +28,12 @@ func TopPorts(e *engine.Engine, n int) []PortUtil {
 	var out []PortUtil
 	for _, sw := range e.Switches() {
 		for i, op := range sw.Out {
-			if op.BusyCycles == 0 && op.ConflictCycles == 0 {
+			if op.BusyCycles() == 0 && op.ConflictCycles == 0 {
 				continue
 			}
-			u := PortUtil{Node: sw.Name, Port: i, Busy: op.BusyCycles, Conflicts: op.ConflictCycles}
+			u := PortUtil{Node: sw.Name, Port: i, Busy: op.BusyCycles(), Conflicts: op.ConflictCycles}
 			if elapsed > 0 {
-				u.Frac = float64(op.BusyCycles) / float64(elapsed)
+				u.Frac = float64(op.BusyCycles()) / float64(elapsed)
 			}
 			out = append(out, u)
 		}

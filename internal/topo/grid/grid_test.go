@@ -290,7 +290,7 @@ func TestTorusPhysicalChannelSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	east := m.Network().Router(geom.Coord{0, 0}).Out[:2]
-	sent := func() int64 { return east[0].BusyCycles + east[1].BusyCycles }
+	sent := func() int64 { return east[0].BusyCycles() + east[1].BusyCycles() }
 	for !m.Engine().Quiescent() && m.Cycle() < 10_000 {
 		before := sent()
 		m.Step()
@@ -298,8 +298,8 @@ func TestTorusPhysicalChannelSharing(t *testing.T) {
 			t.Fatalf("cycle %d: %d flits crossed the two lanes of one wire", m.Cycle(), got)
 		}
 	}
-	if east[0].BusyCycles != 16 || east[1].BusyCycles != 16 {
-		t.Errorf("lane flits %d and %d, want 16 each", east[0].BusyCycles, east[1].BusyCycles)
+	if east[0].BusyCycles() != 16 || east[1].BusyCycles() != 16 {
+		t.Errorf("lane flits %d and %d, want 16 each", east[0].BusyCycles(), east[1].BusyCycles())
 	}
 	if len(m.Deliveries()) != 2 {
 		t.Errorf("delivered %d", len(m.Deliveries()))
