@@ -92,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		NaiveBroadcast: *naive,
 		VCs:            *vcs,
 		Adaptive:       *adaptive,
-		Engine:         engine.Config{BufferDepth: *buffers, LinkDelay: 1},
+		Engine:         engine.Config{BufferDepth: *buffers},
 	}
 	if cfg.Topology == "xbar" {
 		cfg.Topology = core.TopologyMDX

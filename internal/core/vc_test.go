@@ -280,7 +280,7 @@ func FuzzVCAlloc(f *testing.F) {
 			Shape:    shape,
 			VCs:      vcs,
 			Adaptive: true,
-			Engine:   engine.Config{BufferDepth: int(vcsRaw%2) + 1, LinkDelay: 1},
+			Engine:   engine.Config{BufferDepth: int(vcsRaw%2) + 1},
 		})
 		if err != nil {
 			t.Fatalf("NewMachine(%v, vcs=%d): %v", shape, vcs, err)

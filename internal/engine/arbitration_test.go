@@ -27,7 +27,7 @@ func TestPerSwitchArbitrationMatchesGlobalOrder(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("%v_naive=%v", tc.shape, tc.naive), func(t *testing.T) {
 			build := func() *core.Machine {
-				m, err := core.NewMachine(core.Config{Shape: tc.shape, NaiveBroadcast: tc.naive, Engine: engine.Config{BufferDepth: 2, LinkDelay: 1, Acquire: engine.AcquireAtomic}})
+				m, err := core.NewMachine(core.Config{Shape: tc.shape, NaiveBroadcast: tc.naive, Engine: engine.Config{BufferDepth: 2, Acquire: engine.AcquireAtomic}})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -211,29 +211,23 @@ func (e *Engine) purgeWounded(wounded packets) (sunk map[uint64]bool, removed in
 		}
 	}
 	for _, p := range e.links {
-		// A purged flit in flight leaves its arrival list; the survivors
-		// stay on theirs, so they keep their ages.
+		// A purged flit in flight leaves the arrival list.
 		r := &e.in[p]
 		if r.fly == 0 {
 			continue
 		}
-		kept := int(r.n)
-		for i, age := range e.flightAges(p) {
-			f := *e.at(p, int(r.n)+i)
-			if !hit(f.PacketID) {
-				*e.at(p, kept) = f
-				kept++
-				continue
-			}
-			add(f.PacketID, f.Header)
-			// Freeing its slot returns the credit the send took.
-			e.resident--
-			removed++
-			s := e.flightSlot(age)
-			j := slices.Index(e.arrivals[s], p)
-			e.arrivals[s] = slices.Delete(e.arrivals[s], j, j+1)
+		f := e.at(p, int(r.n))
+		if !hit(f.PacketID) {
+			continue
 		}
-		if r.fly = int32(kept) - r.n; r.fly == 0 && r.linkActive && !e.cfg.DisableActiveSet {
+		add(f.PacketID, f.Header)
+		// Freeing its slot returns the credit the send took.
+		e.resident--
+		removed++
+		r.fly = 0
+		j := slices.Index(e.arrivals, p)
+		e.arrivals = slices.Delete(e.arrivals, j, j+1)
+		if r.linkActive && !e.cfg.DisableActiveSet {
 			e.stale = append(e.stale, p)
 		}
 	}

@@ -17,6 +17,11 @@
 //   - physical-channel multiplexing so several output ports (virtual
 //     channels) can share one link's bandwidth, used by the torus baseline.
 //
+// Every link takes one cycle and every endpoint consumes all its arrived
+// flits each cycle. Neither is a parameter: the paper's deadlocks and its
+// freedom theorem depend on cut-through, finite buffers and the routes'
+// channel dependences, not on link latency.
+//
 // Everything is iterated in fixed index order with per-resource round-robin
 // arbiters, so simulations are bit-for-bit reproducible. The hot path visits
 // only active elements each cycle (see scheduler.go); the active sets are
@@ -59,12 +64,8 @@ type Config struct {
 	// BufferDepth is the number of flit slots in each input port buffer.
 	// Depths smaller than the packet size give wormhole-like blocking.
 	BufferDepth int
-	// LinkDelay is the number of cycles a flit spends on a link. Minimum 1.
-	LinkDelay int
 	// Acquire selects fan-out acquisition semantics.
 	Acquire AcquireMode
-	// EjectRate caps the flits an endpoint consumes per cycle; 0 = unlimited.
-	EjectRate int
 	// DisableActiveSet forces the kernel to scan every link, port and
 	// endpoint each cycle instead of visiting only active elements. The two
 	// modes are bit-for-bit equivalent (asserted by the differential tests);
@@ -74,21 +75,16 @@ type Config struct {
 }
 
 // DefaultConfig returns the configuration used throughout the experiments:
-// 2-flit buffers (well below the default 8-flit packets, i.e. wormhole-like),
-// single-cycle links, atomic per-switch acquisition, unlimited ejection.
+// 2-flit buffers (well below the default 8-flit packets, i.e. wormhole-like)
+// and atomic per-switch acquisition. Every link takes one cycle and every
+// endpoint consumes all its arrived flits each cycle, in every configuration.
 func DefaultConfig() Config {
-	return Config{BufferDepth: 2, LinkDelay: 1, Acquire: AcquireAtomic}
+	return Config{BufferDepth: 2, Acquire: AcquireAtomic}
 }
 
 func (c *Config) normalize() {
 	if c.BufferDepth < 1 {
 		c.BufferDepth = 1
-	}
-	if c.LinkDelay < 1 {
-		c.LinkDelay = 1
-	}
-	if c.EjectRate < 0 {
-		c.EjectRate = 0
 	}
 }
 
@@ -173,11 +169,11 @@ type outRef struct {
 // inState is an input port's column entry.
 type inState struct {
 	route   *routeState // the active cut-through state, nil when idle
-	landsAt int64       // the cycle the last flit sent to the port lands in
 	blocked int64       // InPort.BlockedCycles
 	// The port's ring is its BufferDepth slots of the slab: the n flits
-	// from head on, wrapping, and behind them the fly flits still on the
-	// link into the port (see send). Nothing is shifted as flits move.
+	// from head on, wrapping, and behind them the fly flits (0 or 1) still
+	// on the link into the port (see send). Nothing is shifted as flits
+	// move.
 	head, n, fly int32
 	up           int32 // the output port feeding this one, -1 if none
 	bit          int32 // its bit in the allocation set, ^i at endpoint i
@@ -320,7 +316,7 @@ type Node struct {
 	port0 int32 // the id of port 0; port k's is port0+k
 
 	epIdx    int   // position among the endpoints: its source and bit in both endpoint sets
-	Injected int64 // packets handed to Inject
+	Injected int64 // packets handed to InjectPacket
 	Sent     int64 // packets whose tail left the endpoint
 	Received int64 // packets fully consumed at this endpoint
 }
@@ -355,34 +351,6 @@ func (s *source) reserve(k int) {
 		s.q, s.head = s.q[:n], 0
 	}
 }
-
-// flightSlot returns, between Steps (or from the PreCycle/PostCycle hooks),
-// the arrival list of a flit that has spent age landing phases in flight:
-// it was sent in cycle cycle-1-age and lands in a cycle of the same residue.
-func (e *Engine) flightSlot(age int) int {
-	d := int64(e.cfg.LinkDelay)
-	return int(((e.cycle-1-int64(age))%d + d) % d)
-}
-
-// flightAges returns the ages of the flits in flight into in-port p, oldest
-// first (their order in the ring), as seen between Steps. No flit stores its
-// age: the arrival list a flit is on tells it (see flightSlot). Only cold
-// paths (StateHash, snapshots, purges) ask.
-func (e *Engine) flightAges(p int32) []int {
-	fly := int(e.in[p].fly)
-	if e.cfg.LinkDelay == 1 {
-		return zeroAge[:fly] // a flit sent last cycle; it lands next
-	}
-	var ages []int
-	for age := e.cfg.LinkDelay - 1; age >= 0 && len(ages) < fly; age-- {
-		if slices.Contains(e.arrivals[e.flightSlot(age)], p) {
-			ages = append(ages, age)
-		}
-	}
-	return ages
-}
-
-var zeroAge = []int{0}
 
 // PhysChannel is a group of output ports sharing one flit per cycle of
 // physical bandwidth (virtual channels over one wire).
@@ -439,7 +407,8 @@ type Engine struct {
 	nodeOf   []*Node // a port's node
 	src      []source
 	// links lists the in-port each link feeds, in wiring order. A link is a
-	// delay over its downstream ring and stores nothing (see send, land).
+	// one-cycle delay over its downstream ring and stores nothing (see send,
+	// land).
 	links []int32
 
 	cycle    int64
@@ -448,11 +417,9 @@ type Engine struct {
 
 	dropped int64
 
-	// arrivals[s] lists, one entry per flit, the ports a flit lands at in
-	// the cycles ≡ s mod LinkDelay. slot is cycle % LinkDelay during a Step:
-	// the list this cycle's landings empty and this cycle's sends fill.
-	arrivals [][]int32
-	slot     int
+	// arrivals lists the ports the flits sent this cycle land at, in send
+	// order. Every link takes one cycle: the next landing phase empties it.
+	arrivals []int32
 	// linksActive counts the links marked active. stale holds the ports
 	// whose marked links a purge emptied: the next landing phase counts
 	// those links once and unmarks them, as it would had their last flit
@@ -477,8 +444,9 @@ type Engine struct {
 	physScratch   []*PhysChannel
 	rsFree        []*routeState
 	// hFree is the header pool. The engine owns every packet header in the
-	// network: Inject copies the caller's into one from here, and a header
-	// comes back when its last holder is done with it (see releaseHeader).
+	// network: InjectPacket copies the caller's into one from here, and a
+	// header comes back when its last holder is done with it (see
+	// releaseHeader).
 	hFree []*flit.Header
 	// sunk lists the ports that drain a flit of a dropped packet this cycle,
 	// at the end of the traversal phase, so that the credits they free cannot
@@ -514,7 +482,7 @@ type Engine struct {
 // New creates an empty network with the given configuration.
 func New(cfg Config) *Engine {
 	cfg.normalize()
-	return &Engine{cfg: cfg, arrivals: make([][]int32, cfg.LinkDelay)}
+	return &Engine{cfg: cfg}
 }
 
 // Config returns the engine's (normalized) configuration.
@@ -609,11 +577,15 @@ func (e *Engine) Connect(a *Node, ap int, b *Node, bp int) {
 	e.ConnectDirected(b, bp, a, ap)
 }
 
-// SharePhysical groups output ports onto one physical channel with a combined
-// bandwidth of one flit per cycle.
+// SharePhysical groups switch output ports onto one physical channel with a
+// combined bandwidth of one flit per cycle. Only switches arbitrate for a
+// channel: an endpoint's port cannot join one.
 func (e *Engine) SharePhysical(ports ...*OutPort) *PhysChannel {
 	pc := &PhysChannel{granted: -1, grantedCycle: -1, wantStamp: -1}
 	for _, p := range ports {
+		if p.Node().Kind == KindEndpoint {
+			panic(fmt.Sprintf("engine: output %s.%d of an endpoint cannot share a physical channel", p.Node().Name, p.idx))
+		}
 		if e.out[p.id].phys >= 0 {
 			panic(fmt.Sprintf("engine: output %s.%d already in a physical channel", p.Node().Name, p.idx))
 		}
@@ -624,9 +596,8 @@ func (e *Engine) SharePhysical(ports ...*OutPort) *PhysChannel {
 	return pc
 }
 
-// InjectPacket queues a size-flit packet headed by h at the endpoint. It is
-// equivalent to Inject(ep, flit.NewPacket(&h, size)) but builds the flits in
-// place in the endpoint's source queue. The header is copied into engine
+// InjectPacket queues a size-flit packet headed by h at the endpoint, built
+// in place in the endpoint's source queue. The header is copied into engine
 // storage, stamped with the injection cycle and the packet size; in steady
 // state nothing is allocated.
 func (e *Engine) InjectPacket(ep *Node, h flit.Header, size int) {
@@ -638,34 +609,6 @@ func (e *Engine) InjectPacket(ep *Node, h flit.Header, size int) {
 	s.q = flit.AppendPacket(s.q, e.newHeader(h), size)
 	ep.Injected++
 	e.resident += int64(size)
-	e.activeInject.add(ep.epIdx)
-}
-
-// Inject queues a packet's flits at an endpoint for transmission. The flits
-// are copied into the endpoint's queue and the header into engine storage,
-// where the injection cycle is stamped: the caller's slice, Flit structs and
-// Header are never retained or modified.
-func (e *Engine) Inject(ep *Node, flits []*flit.Flit) {
-	if ep.Kind != KindEndpoint {
-		panic(fmt.Sprintf("engine: Inject on non-endpoint %q", ep.Name))
-	}
-	if len(flits) == 0 {
-		return
-	}
-	if flits[0].Header == nil {
-		panic("engine: first injected flit must be a header")
-	}
-	s := &e.src[ep.epIdx]
-	s.reserve(len(flits))
-	for _, f := range flits {
-		c := *f
-		if c.Header != nil {
-			c.Header = e.newHeader(*c.Header)
-		}
-		s.q = append(s.q, c)
-	}
-	ep.Injected++
-	e.resident += int64(len(flits))
 	e.activeInject.add(ep.epIdx)
 }
 
@@ -725,7 +668,6 @@ func (e *Engine) Step() {
 	if e.PreCycle != nil {
 		e.PreCycle(e.cycle)
 	}
-	e.slot = int(e.cycle % int64(e.cfg.LinkDelay))
 	e.land()
 	e.eject()
 	e.allocate()
@@ -750,8 +692,8 @@ func (e *Engine) RunUntilQuiescent(maxCycles int64) bool {
 	return e.Quiescent()
 }
 
-// land makes visible the flits whose delay elapsed. Each was written into
-// its downstream ring when it was sent, so landing moves it from fly to n.
+// land makes visible the flits sent last cycle. Each was written into its
+// downstream ring when it was sent, so landing moves it from fly to n.
 func (e *Engine) land() {
 	active := !e.cfg.DisableActiveSet
 	if active {
@@ -767,8 +709,7 @@ func (e *Engine) land() {
 	} else {
 		e.ctr.LinkVisits += int64(len(e.links))
 	}
-	list := e.arrivals[e.slot]
-	for _, to := range list {
+	for _, to := range e.arrivals {
 		r := &e.in[to]
 		r.fly--
 		r.n++
@@ -782,7 +723,7 @@ func (e *Engine) land() {
 			e.activeEject.add(int(^r.bit))
 		}
 	}
-	e.arrivals[e.slot] = list[:0]
+	e.arrivals = e.arrivals[:0]
 }
 
 // eject consumes arrived flits at endpoints.
@@ -805,14 +746,10 @@ func (e *Engine) eject() {
 	}
 }
 
-// ejectAt consumes the arrived flits at endpoint i.
+// ejectAt consumes every arrived flit at endpoint i.
 func (e *Engine) ejectAt(i int) {
 	p := e.src[i].port
-	budget := e.cfg.EjectRate
 	for e.in[p].n > 0 {
-		if budget == 0 && e.cfg.EjectRate != 0 {
-			break
-		}
 		f := e.pop(p)
 		e.moves++
 		e.resident--
@@ -827,9 +764,6 @@ func (e *Engine) ejectAt(i int) {
 			}
 			e.releaseHeader(in.recvHeader)
 			in.recvHeader = nil
-		}
-		if e.cfg.EjectRate != 0 {
-			budget--
 		}
 	}
 }
@@ -1293,24 +1227,22 @@ func (e *Engine) traverse() {
 }
 
 // send puts a flit on out-port o's link, taking one credit: the flit is
-// written into the downstream ring now and lands LinkDelay cycles from now.
-// At most one flit enters a link per cycle, so a port's flits in flight sit
-// in send order behind its visible ones and land in that order.
+// written into the downstream ring now, behind the port's visible flits,
+// and lands in the next cycle. At most one flit enters a link per cycle, and
+// every flit sent last cycle has landed, so a link carries at most one.
 func (e *Engine) send(o int32, f *flit.Flit) {
 	op := &e.out[o]
 	to := op.down
 	r := &e.in[to]
-	lands := e.cycle + int64(e.cfg.LinkDelay)
-	if r.landsAt == lands {
+	if r.fly > 0 {
 		panic(fmt.Sprintf("engine: two flits entered the link into %s.in%d in cycle %d", e.inPorts[to].Node().Name, e.inPorts[to].idx, e.cycle))
 	}
-	if int(r.n+r.fly) >= e.cfg.BufferDepth {
+	if int(r.n) >= e.cfg.BufferDepth {
 		panic(fmt.Sprintf("engine: buffer overflow at %s.%d (credit accounting bug)", e.inPorts[to].Node().Name, e.inPorts[to].idx))
 	}
-	*e.at(to, int(r.n+r.fly)) = *f
-	r.fly++
-	r.landsAt = lands
-	e.arrivals[e.slot] = append(e.arrivals[e.slot], to)
+	*e.at(to, int(r.n)) = *f
+	r.fly = 1
+	e.arrivals = append(e.arrivals, to)
 	if !r.linkActive {
 		r.linkActive = true
 		e.linksActive++
@@ -1368,13 +1300,6 @@ func (e *Engine) injectAt(i int) {
 	}
 	if e.credits(o) < 1 {
 		return
-	}
-	if op.phys >= 0 {
-		// Endpoints on shared channels arbitrate like switches; for
-		// simplicity they send only on otherwise-idle cycles.
-		if pc := e.phys[op.phys]; !pc.grants(o, e.cycle) && pc.grantedCycle == e.cycle && pc.granted >= 0 {
-			return
-		}
 	}
 	f := s.q[s.head]
 	s.head++

@@ -19,10 +19,6 @@ func destPort(n *Node, in int, h *flit.Header) (Decision, error) {
 	return Decision{Outs: []int{h.Dst[0]}}, nil
 }
 
-func mkPacket(id uint64, dst geom.Coord, size int) []*flit.Flit {
-	return flit.NewPacket(&flit.Header{PacketID: id, Dst: dst}, size)
-}
-
 // line builds EP(a) <-> SW <-> EP(b) and returns all three.
 func line(e *Engine) (a, sw, b *Node) {
 	a = e.AddEndpoint("A", nil)
@@ -40,7 +36,7 @@ func TestSinglePacketDelivery(t *testing.T) {
 	var ids []uint64
 	e.OnDeliver = func(d Delivery) { at, ids = append(at, d.At), append(ids, d.Header.PacketID) }
 
-	e.Inject(a, mkPacket(1, geom.Coord{}, 4))
+	e.InjectPacket(a, flit.Header{PacketID: 1}, 4)
 	if !e.RunUntilQuiescent(100) {
 		t.Fatal("network did not drain")
 	}
@@ -62,11 +58,11 @@ func TestLatencyPipelining(t *testing.T) {
 	// One hop through a switch: header injected at cycle 0 should arrive at
 	// the far endpoint after the inject+link+switch+link pipeline; with
 	// single-cycle links a k-flit packet completes in ~k+3 cycles.
-	e := New(Config{BufferDepth: 8, LinkDelay: 1})
+	e := New(Config{BufferDepth: 8})
 	a, _, b := line(e)
 	var deliveredAt int64 = -1
 	e.OnDeliver = func(d Delivery) { deliveredAt = d.Cycle }
-	e.Inject(a, mkPacket(1, geom.Coord{}, 4))
+	e.InjectPacket(a, flit.Header{PacketID: 1}, 4)
 	e.RunUntilQuiescent(100)
 	if deliveredAt < 4 || deliveredAt > 10 {
 		t.Errorf("4-flit packet delivered at cycle %d, want in [4,10]", deliveredAt)
@@ -80,7 +76,7 @@ func TestMultiplePacketsInOrder(t *testing.T) {
 	var ids []uint64
 	e.OnDeliver = func(d Delivery) { ids = append(ids, d.Header.PacketID) }
 	for i := 1; i <= 5; i++ {
-		e.Inject(a, mkPacket(uint64(i), geom.Coord{}, 3))
+		e.InjectPacket(a, flit.Header{PacketID: uint64(i)}, 3)
 	}
 	if !e.RunUntilQuiescent(500) {
 		t.Fatal("did not drain")
@@ -98,12 +94,12 @@ func TestMultiplePacketsInOrder(t *testing.T) {
 func TestBackpressureNeverOverflows(t *testing.T) {
 	// Tiny buffers, many packets: the credit system must keep buffers legal
 	// (a send panics on overflow).
-	e := New(Config{BufferDepth: 1, LinkDelay: 1})
+	e := New(Config{BufferDepth: 1})
 	a, _, _ := line(e)
 	done := 0
 	e.OnDeliver = func(Delivery) { done++ }
 	for i := 0; i < 20; i++ {
-		e.Inject(a, mkPacket(uint64(i), geom.Coord{}, 6))
+		e.InjectPacket(a, flit.Header{PacketID: uint64(i)}, 6)
 	}
 	if !e.RunUntilQuiescent(5000) {
 		t.Fatal("did not drain")
@@ -129,7 +125,7 @@ func TestFanOutReplication(t *testing.T) {
 
 	recv := map[string]int{}
 	e.OnDeliver = func(d Delivery) { recv[d.At.Name]++ }
-	e.Inject(e0, mkPacket(7, geom.Coord{}, 5))
+	e.InjectPacket(e0, flit.Header{PacketID: 7}, 5)
 	if !e.RunUntilQuiescent(200) {
 		t.Fatal("did not drain")
 	}
@@ -140,8 +136,8 @@ func TestFanOutReplication(t *testing.T) {
 
 func TestFanOutHeaderTransformIsolated(t *testing.T) {
 	// A rewrite on a fan-out must apply to each branch's own copy exactly
-	// once, and never to the caller's header: the rewrite counts, so two
-	// branches sharing one header would deliver a count of 2.
+	// once: the rewrite counts, so two branches sharing one header would
+	// deliver a count of 2.
 	e := New(DefaultConfig())
 	e0 := e.AddEndpoint("E0", nil)
 	e1 := e.AddEndpoint("E1", nil)
@@ -155,9 +151,7 @@ func TestFanOutHeaderTransformIsolated(t *testing.T) {
 	e.Connect(e2, 0, sw, 2)
 	var headers []flit.Header
 	e.OnDeliver = func(d Delivery) { headers = append(headers, *d.Header) }
-	orig := &flit.Header{PacketID: 9}
-	e.Step() // so that an injection stamp on the caller's header would show
-	e.Inject(e0, flit.NewPacket(orig, 1))
+	e.InjectPacket(e0, flit.Header{PacketID: 9}, 1)
 	e.RunUntilQuiescent(100)
 	if len(headers) != 2 {
 		t.Fatalf("got %d deliveries", len(headers))
@@ -166,9 +160,6 @@ func TestFanOutHeaderTransformIsolated(t *testing.T) {
 		if h.PacketID != 9 || h.RC != flit.RCBroadcast || h.DetourHops != 1 {
 			t.Errorf("branch header %+v, want pkt9 rewritten once", h)
 		}
-	}
-	if *orig != (flit.Header{PacketID: 9, Size: 1}) {
-		t.Errorf("the caller's header changed: %+v", *orig)
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -191,8 +182,8 @@ func TestContentionSerializesAndCounts(t *testing.T) {
 	e.Connect(r, 0, sw, 2)
 	got := 0
 	e.OnDeliver = func(Delivery) { got++ }
-	e.Inject(s0, mkPacket(1, geom.Coord{}, 6))
-	e.Inject(s1, mkPacket(2, geom.Coord{}, 6))
+	e.InjectPacket(s0, flit.Header{PacketID: 1}, 6)
+	e.InjectPacket(s1, flit.Header{PacketID: 2}, 6)
 	if !e.RunUntilQuiescent(500) {
 		t.Fatal("did not drain")
 	}
@@ -233,7 +224,7 @@ func TestRingDeliversWithoutFullLoad(t *testing.T) {
 	eps, _ := buildRing(e, 4)
 	got := 0
 	e.OnDeliver = func(Delivery) { got++ }
-	e.Inject(eps[0], mkPacket(1, geom.Coord{2}, 8))
+	e.InjectPacket(eps[0], flit.Header{PacketID: 1, Dst: geom.Coord{2}}, 8)
 	if !e.RunUntilQuiescent(500) {
 		t.Fatal("did not drain")
 	}
@@ -246,10 +237,10 @@ func TestRingCreditDeadlock(t *testing.T) {
 	// The classic wormhole cycle: 4 long packets, each traveling two hops
 	// clockwise, injected simultaneously with tiny buffers. Each packet's
 	// head waits on the ring link held by the next packet: true deadlock.
-	e := New(Config{BufferDepth: 1, LinkDelay: 1})
+	e := New(Config{BufferDepth: 1})
 	eps, _ := buildRing(e, 4)
 	for i := 0; i < 4; i++ {
-		e.Inject(eps[i], mkPacket(uint64(i+1), geom.Coord{(i + 2) % 4}, 16))
+		e.InjectPacket(eps[i], flit.Header{PacketID: uint64(i + 1), Dst: geom.Coord{(i + 2) % 4}}, 16)
 	}
 	drained := e.RunUntilQuiescent(2000)
 	if drained {
@@ -285,7 +276,7 @@ func TestFailedSwitchDropsAndReports(t *testing.T) {
 	e.OnDrop = func(d Drop) { drops = append(drops, drop{d.At, d.Header.PacketID}) }
 	delivered := 0
 	e.OnDeliver = func(Delivery) { delivered++ }
-	e.Inject(a, mkPacket(3, geom.Coord{}, 4))
+	e.InjectPacket(a, flit.Header{PacketID: 3}, 4)
 	if !e.RunUntilQuiescent(200) {
 		t.Fatal("did not drain")
 	}
@@ -312,7 +303,7 @@ func TestRouteErrorDrops(t *testing.T) {
 	e.Connect(b, 0, sw, 1)
 	var reason string
 	e.OnDrop = func(d Drop) { reason = d.Reason }
-	e.Inject(a, mkPacket(1, geom.Coord{}, 4))
+	e.InjectPacket(a, flit.Header{PacketID: 1}, 4)
 	if !e.RunUntilQuiescent(200) {
 		t.Fatal("did not drain after drop")
 	}
@@ -324,7 +315,7 @@ func TestRouteErrorDrops(t *testing.T) {
 func TestAtomicAcquisitionHoldsNothingPartial(t *testing.T) {
 	// One output busy with a long packet; an atomic fan-out wanting that
 	// output plus a free one must hold neither until both are free.
-	e := New(Config{BufferDepth: 2, LinkDelay: 1, Acquire: AcquireAtomic})
+	e := New(Config{BufferDepth: 2, Acquire: AcquireAtomic})
 	src := e.AddEndpoint("SRC", nil)
 	bc := e.AddEndpoint("BC", nil)
 	d1 := e.AddEndpoint("D1", nil)
@@ -341,9 +332,8 @@ func TestAtomicAcquisitionHoldsNothingPartial(t *testing.T) {
 	e.Connect(d1, 0, sw, 2)
 	e.Connect(d2, 0, sw, 3)
 
-	e.Inject(src, mkPacket(1, geom.Coord{}, 12))
-	h := &flit.Header{PacketID: 2, RC: flit.RCBroadcast}
-	e.Inject(bc, flit.NewPacket(h, 4))
+	e.InjectPacket(src, flit.Header{PacketID: 1}, 12)
+	e.InjectPacket(bc, flit.Header{PacketID: 2, RC: flit.RCBroadcast}, 4)
 
 	// Step until the unicast owns port 2, then check the fan-out holds no
 	// ports while waiting.
@@ -369,7 +359,7 @@ func TestAtomicAcquisitionHoldsNothingPartial(t *testing.T) {
 func TestIncrementalAcquisitionHoldsPartial(t *testing.T) {
 	// Same setup as the atomic test but incremental: the fan-out must hold
 	// the free port while waiting for the busy one.
-	e := New(Config{BufferDepth: 2, LinkDelay: 1, Acquire: AcquireIncremental})
+	e := New(Config{BufferDepth: 2, Acquire: AcquireIncremental})
 	src := e.AddEndpoint("SRC", nil)
 	bc := e.AddEndpoint("BC", nil)
 	d1 := e.AddEndpoint("D1", nil)
@@ -386,9 +376,8 @@ func TestIncrementalAcquisitionHoldsPartial(t *testing.T) {
 	e.Connect(d1, 0, sw, 2)
 	e.Connect(d2, 0, sw, 3)
 
-	e.Inject(src, mkPacket(1, geom.Coord{}, 12))
-	h := &flit.Header{PacketID: 2, RC: flit.RCBroadcast}
-	e.Inject(bc, flit.NewPacket(h, 4))
+	e.InjectPacket(src, flit.Header{PacketID: 1}, 12)
+	e.InjectPacket(bc, flit.Header{PacketID: 2, RC: flit.RCBroadcast}, 4)
 	for i := 0; i < 10; i++ {
 		e.Step()
 	}
@@ -407,7 +396,7 @@ func TestPhysicalChannelSharesBandwidth(t *testing.T) {
 	// Two parallel streams on two "virtual channel" outputs multiplexed over
 	// one physical channel must take about twice as long as one stream.
 	build := func(shared bool) int64 {
-		e := New(Config{BufferDepth: 8, LinkDelay: 1})
+		e := New(Config{BufferDepth: 8})
 		s0 := e.AddEndpoint("S0", nil)
 		s1 := e.AddEndpoint("S1", nil)
 		r0 := e.AddEndpoint("R0", nil)
@@ -424,8 +413,8 @@ func TestPhysicalChannelSharesBandwidth(t *testing.T) {
 			e.SharePhysical(sw.Out[2], sw.Out[3])
 		}
 		for i := 0; i < 4; i++ {
-			e.Inject(s0, mkPacket(uint64(10+i), geom.Coord{}, 16))
-			e.Inject(s1, mkPacket(uint64(20+i), geom.Coord{}, 16))
+			e.InjectPacket(s0, flit.Header{PacketID: uint64(10 + i)}, 16)
+			e.InjectPacket(s1, flit.Header{PacketID: uint64(20 + i)}, 16)
 		}
 		var last int64
 		e.OnDeliver = func(d Delivery) { last = d.Cycle }
@@ -441,20 +430,6 @@ func TestPhysicalChannelSharesBandwidth(t *testing.T) {
 	}
 }
 
-func TestEjectRateLimit(t *testing.T) {
-	e := New(Config{BufferDepth: 4, LinkDelay: 1, EjectRate: 1})
-	a, _, _ := line(e)
-	got := 0
-	e.OnDeliver = func(Delivery) { got++ }
-	e.Inject(a, mkPacket(1, geom.Coord{}, 8))
-	if !e.RunUntilQuiescent(200) {
-		t.Fatal("did not drain")
-	}
-	if got != 1 {
-		t.Errorf("delivered %d", got)
-	}
-}
-
 func TestOnForwardTracesPath(t *testing.T) {
 	e := New(DefaultConfig())
 	a, _, _ := line(e)
@@ -462,7 +437,7 @@ func TestOnForwardTracesPath(t *testing.T) {
 	e.OnForward = func(from *Node, out int, h *flit.Header, cycle int64) {
 		hops = append(hops, fmt.Sprintf("%s.%d", from.Name, out))
 	}
-	e.Inject(a, mkPacket(1, geom.Coord{}, 2))
+	e.InjectPacket(a, flit.Header{PacketID: 1}, 2)
 	e.RunUntilQuiescent(100)
 	want := []string{"A.0", "SW.1"}
 	if len(hops) != len(want) {
@@ -477,10 +452,10 @@ func TestOnForwardTracesPath(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() (int64, int64) {
-		e := New(Config{BufferDepth: 1, LinkDelay: 1})
+		e := New(Config{BufferDepth: 1})
 		eps, _ := buildRing(e, 6)
 		for i := 0; i < 6; i++ {
-			e.Inject(eps[i], mkPacket(uint64(i), geom.Coord{(i + 3) % 6}, 5))
+			e.InjectPacket(eps[i], flit.Header{PacketID: uint64(i), Dst: geom.Coord{(i + 3) % 6}}, 5)
 		}
 		e.RunUntilQuiescent(10000)
 		return e.Cycle(), e.Moves()
@@ -495,28 +470,24 @@ func TestDeterminism(t *testing.T) {
 func TestInjectValidation(t *testing.T) {
 	e := New(DefaultConfig())
 	a, sw, _ := line(e)
-	_ = a
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("Inject on switch did not panic")
 			}
 		}()
-		e.Inject(sw, mkPacket(1, geom.Coord{}, 1))
+		e.InjectPacket(sw, flit.Header{PacketID: 1}, 1)
 	}()
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("Inject of headerless flits did not panic")
+				t.Error("Inject of an empty packet did not panic")
 			}
 		}()
-		p := mkPacket(1, geom.Coord{}, 2)
-		e.Inject(a, p[1:])
+		e.InjectPacket(a, flit.Header{PacketID: 1}, 0)
 	}()
-	// Empty injection is a no-op.
-	e.Inject(a, nil)
-	if e.Resident() != 0 {
-		t.Error("empty inject changed resident count")
+	if e.Resident() != 0 || a.Injected != 0 {
+		t.Errorf("refused injections left resident=%d injected=%d", e.Resident(), a.Injected)
 	}
 }
 
@@ -524,7 +495,7 @@ func TestResidentAccounting(t *testing.T) {
 	e := New(DefaultConfig())
 	a, _, _ := line(e)
 	e.OnDeliver = func(Delivery) {}
-	e.Inject(a, mkPacket(1, geom.Coord{}, 5))
+	e.InjectPacket(a, flit.Header{PacketID: 1}, 5)
 	if e.Resident() != 5 {
 		t.Fatalf("resident after inject = %d", e.Resident())
 	}
@@ -535,16 +506,16 @@ func TestResidentAccounting(t *testing.T) {
 }
 
 func TestConfigNormalization(t *testing.T) {
-	e := New(Config{BufferDepth: -3, LinkDelay: 0, EjectRate: -1})
+	e := New(Config{BufferDepth: -3})
 	c := e.Config()
-	if c.BufferDepth != 1 || c.LinkDelay != 1 || c.EjectRate != 0 {
+	if c.BufferDepth != 1 {
 		t.Errorf("normalized config = %+v", c)
 	}
 }
 
 func TestStalledEndpoints(t *testing.T) {
 	// Block the switch so the endpoint cannot inject past its credits.
-	e := New(Config{BufferDepth: 1, LinkDelay: 1})
+	e := New(Config{BufferDepth: 1})
 	a := e.AddEndpoint("A", nil)
 	b := e.AddEndpoint("B", nil)
 	c := e.AddEndpoint("C", nil)
@@ -556,8 +527,8 @@ func TestStalledEndpoints(t *testing.T) {
 	e.Connect(a, 0, sw3, 0)
 	e.Connect(b, 0, sw3, 1)
 	e.Connect(c, 0, sw3, 2)
-	e.Inject(a, mkPacket(1, geom.Coord{}, 40))
-	e.Inject(b, mkPacket(2, geom.Coord{}, 40))
+	e.InjectPacket(a, flit.Header{PacketID: 1}, 40)
+	e.InjectPacket(b, flit.Header{PacketID: 2}, 40)
 	for i := 0; i < 6; i++ {
 		e.Step()
 	}
@@ -585,8 +556,8 @@ func TestTopologyGrowthBetweenSteps(t *testing.T) {
 		ep := e.AddEndpoint(fmt.Sprintf("P%d", n), nil)
 		e.Connect(ep, 0, sw, 2)
 		e.Connect(e.Switches()[n-1], 1, sw, 0)
-		e.Inject(eps[0], flit.NewPacket(&flit.Header{PacketID: 99, Dst: geom.Coord{n}}, 4))
-		e.Inject(ep, flit.NewPacket(&flit.Header{PacketID: 98, Dst: geom.Coord{n}}, 2))
+		e.InjectPacket(eps[0], flit.Header{PacketID: 99, Dst: geom.Coord{n}}, 4)
+		e.InjectPacket(ep, flit.Header{PacketID: 98, Dst: geom.Coord{n}}, 2)
 	}
 	on, onEps := chainScenario(DefaultConfig(), n)
 	offCfg := DefaultConfig()

@@ -27,7 +27,6 @@ func (e *Engine) StepCheckingArbitration(st *ArbitrationStats) error {
 	if e.PreCycle != nil {
 		e.PreCycle(e.cycle)
 	}
-	e.slot = int(e.cycle % int64(e.cfg.LinkDelay))
 	e.land()
 	e.eject()
 	requests := e.gatherRequests()

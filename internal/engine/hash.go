@@ -93,11 +93,11 @@ func (e *Engine) StateHash() uint64 {
 	for _, p := range e.links {
 		r := &e.in[p]
 		h.i64(int64(r.fly))
-		for i, age := range e.flightAges(p) {
-			f := e.at(p, int(r.n)+i)
+		if r.fly > 0 {
+			f := e.at(p, int(r.n))
 			h.u64(f.PacketID)
 			h.i64(int64(f.Seq))
-			h.i64(int64(age))
+			h.i64(0) // its age: sent last cycle, it lands next
 		}
 	}
 	for _, pc := range e.phys {

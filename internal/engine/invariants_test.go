@@ -23,7 +23,7 @@ func checkEvery(t *testing.T, e *Engine, n int) {
 func TestInvariantsSimpleTraffic(t *testing.T) {
 	e := New(DefaultConfig())
 	a, _, _ := line(e)
-	e.Inject(a, mkPacket(1, geom.Coord{}, 6))
+	e.InjectPacket(a, flit.Header{PacketID: 1}, 6)
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatalf("after inject: %v", err)
 	}
@@ -42,7 +42,6 @@ func TestInvariantsRandomizedFabric(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := Config{
 			BufferDepth: 1 + rng.Intn(4),
-			LinkDelay:   1 + rng.Intn(2),
 			Acquire:     AcquireMode(rng.Intn(2)),
 		}
 		e := New(cfg)
@@ -83,11 +82,11 @@ func TestInvariantsRandomizedFabric(t *testing.T) {
 			if rng.Float64() < 0.3 {
 				id++
 				src := eps[rng.Intn(len(eps))]
-				h := &flit.Header{
+				h := flit.Header{
 					PacketID: id,
 					Dst:      geom.Coord{rng.Intn(k), rng.Intn(2)},
 				}
-				e.Inject(src, flit.NewPacket(h, 1+rng.Intn(10)))
+				e.InjectPacket(src, h, 1+rng.Intn(10))
 			}
 			e.Step()
 			if err := e.CheckInvariants(); err != nil {
@@ -104,7 +103,7 @@ func TestInvariantsRandomizedFabric(t *testing.T) {
 // while partially granted (incremental mode holds partial port sets).
 func TestInvariantsUnderFanOutContention(t *testing.T) {
 	for _, mode := range []AcquireMode{AcquireAtomic, AcquireIncremental} {
-		e := New(Config{BufferDepth: 2, LinkDelay: 1, Acquire: mode})
+		e := New(Config{BufferDepth: 2, Acquire: mode})
 		src1 := e.AddEndpoint("S1", nil)
 		src2 := e.AddEndpoint("S2", nil)
 		d1 := e.AddEndpoint("D1", nil)
@@ -117,8 +116,8 @@ func TestInvariantsUnderFanOutContention(t *testing.T) {
 		e.Connect(src2, 0, sw, 1)
 		e.Connect(d1, 0, sw, 2)
 		e.Connect(d2, 0, sw, 3)
-		e.Inject(src1, mkPacket(1, geom.Coord{}, 8))
-		e.Inject(src2, mkPacket(2, geom.Coord{}, 8))
+		e.InjectPacket(src1, flit.Header{PacketID: 1}, 8)
+		e.InjectPacket(src2, flit.Header{PacketID: 2}, 8)
 		for i := 0; i < 80; i++ {
 			e.Step()
 			if err := e.CheckInvariants(); err != nil {
@@ -134,10 +133,10 @@ func TestInvariantsUnderFanOutContention(t *testing.T) {
 // A deadlocked network still satisfies conservation: nothing leaks, nothing
 // is double-counted; the wedge is purely a waiting cycle.
 func TestInvariantsHoldInDeadlock(t *testing.T) {
-	e := New(Config{BufferDepth: 1, LinkDelay: 1})
+	e := New(Config{BufferDepth: 1})
 	eps, _ := buildRing(e, 4)
 	for i := 0; i < 4; i++ {
-		e.Inject(eps[i], mkPacket(uint64(i+1), geom.Coord{(i + 2) % 4}, 16))
+		e.InjectPacket(eps[i], flit.Header{PacketID: uint64(i + 1), Dst: geom.Coord{(i + 2) % 4}}, 16)
 	}
 	for i := 0; i < 300; i++ {
 		e.Step()
@@ -156,7 +155,7 @@ func TestWiringLaw(t *testing.T) {
 	build := func() (*Engine, *Node) {
 		e := New(DefaultConfig())
 		a, sw, _ := line(e)
-		e.Inject(a, mkPacket(1, geom.Coord{}, 6))
+		e.InjectPacket(a, flit.Header{PacketID: 1}, 6)
 		return e, sw
 	}
 	grow := func(e *Engine) {

@@ -34,6 +34,27 @@ func TestConstructionMisusePanics(t *testing.T) {
 		e.SharePhysical(sw.Out[0], sw.Out[1])
 		e.SharePhysical(sw.Out[0])
 	})
+	expectPanic(t, "endpoint port in a physical channel", func() { e.SharePhysical(a.Out[0]) })
+}
+
+// A link carries one flit, sent in one cycle and landed in the next: a
+// second send into it within a cycle is a kernel bug.
+func TestSecondSendIntoLinkPanics(t *testing.T) {
+	e := New(Config{BufferDepth: 4})
+	a := e.AddEndpoint("A", nil)
+	b := e.AddEndpoint("B", nil)
+	sw := e.AddSwitch("SW", 2, passThrough, nil)
+	e.Connect(a, 0, sw, 0)
+	e.Connect(b, 0, sw, 1)
+	f := flit.Flit{PacketID: 1, Kind: flit.KindBody}
+	e.send(a.Out[0].id, &f)
+	expectPanic(t, "second send into one link", func() { e.send(a.Out[0].id, &f) })
+	// Once the first has landed, the link takes the next.
+	e.land()
+	e.send(a.Out[0].id, &f)
+	if got := e.in[sw.In[0].id]; got.n != 1 || got.fly != 1 {
+		t.Fatalf("after a landing and a send: %d buffered, %d in flight; want 1 and 1", got.n, got.fly)
+	}
 }
 
 // Routing-function misuse (bad port numbers) must fail fast at allocation.
@@ -56,7 +77,7 @@ func TestBadRoutePanics(t *testing.T) {
 		sw := e.AddSwitch("SW", 2, tc.route, nil)
 		e.Connect(a, 0, sw, 0)
 		e.Connect(b, 0, sw, 1)
-		e.Inject(a, flit.NewPacket(&flit.Header{PacketID: 1, Dst: geom.Coord{}}, 1))
+		e.InjectPacket(a, flit.Header{PacketID: 1, Dst: geom.Coord{}}, 1)
 		expectPanic(t, tc.name, func() {
 			for i := 0; i < 10; i++ {
 				e.Step()
@@ -75,7 +96,7 @@ func TestUnconnectedPortPanics(t *testing.T) {
 	b := e.AddEndpoint("B", nil)
 	e.Connect(a, 0, sw, 0)
 	e.Connect(b, 0, sw, 1)
-	e.Inject(a, flit.NewPacket(&flit.Header{PacketID: 1}, 1))
+	e.InjectPacket(a, flit.Header{PacketID: 1}, 1)
 	expectPanic(t, "unconnected port", func() {
 		for i := 0; i < 10; i++ {
 			e.Step()
@@ -87,7 +108,7 @@ func TestUnconnectedPortPanics(t *testing.T) {
 func TestDanglingEndpointPanics(t *testing.T) {
 	e := New(DefaultConfig())
 	a := e.AddEndpoint("A", nil)
-	e.Inject(a, flit.NewPacket(&flit.Header{PacketID: 1}, 1))
+	e.InjectPacket(a, flit.Header{PacketID: 1}, 1)
 	expectPanic(t, "dangling endpoint", func() {
 		for i := 0; i < 5; i++ {
 			e.Step()

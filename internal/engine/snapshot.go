@@ -52,12 +52,17 @@ const (
 // port counts, link wiring, physical-channel membership, and the kernel
 // config — so DecodeState can refuse a snapshot taken from a different
 // network before misinterpreting any of it.
+//
+// The constants 1 and 0 stand where Config's LinkDelay and EjectRate were
+// mixed: every link takes one cycle and ejection is unlimited, which is what
+// every snapshot written with those fields held, so those snapshots still
+// restore.
 func (e *Engine) topologyHash() uint64 {
 	h := fnv64(fnvOffset64)
 	h.i64(int64(e.cfg.BufferDepth))
-	h.i64(int64(e.cfg.LinkDelay))
+	h.i64(1)
 	h.i64(int64(e.cfg.Acquire))
-	h.i64(int64(e.cfg.EjectRate))
+	h.i64(0)
 	h.i64(int64(len(e.nodes)))
 	for _, n := range e.nodes {
 		h.i64(int64(n.Kind))
@@ -75,7 +80,7 @@ func (e *Engine) topologyHash() uint64 {
 		h.i64(int64(from.idx))
 		h.i64(int64(to.Node().ID))
 		h.i64(int64(to.idx))
-		h.i64(int64(e.cfg.LinkDelay))
+		h.i64(1)
 	}
 	h.i64(int64(len(e.phys)))
 	for _, pc := range e.phys {
@@ -179,9 +184,9 @@ func (e *Engine) EncodeState(w *checkpoint.Writer) {
 		links.Bool(r.linkActive)
 		links.Byte(0) // reserved
 		links.Uint(uint64(r.fly))
-		for i, age := range e.flightAges(p) {
-			flit.EncodeFlit(links, e.at(p, int(r.n)+i))
-			links.Int(int64(age))
+		if r.fly > 0 {
+			flit.EncodeFlit(links, e.at(p, int(r.n)))
+			links.Int(0) // its age: sent last cycle, it lands next
 		}
 	}
 
@@ -387,36 +392,30 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 	if err != nil {
 		return err
 	}
-	e.cycle = cycle // flightSlot reads it
 	for id, p := range e.links {
 		r := &e.in[p]
 		r.linkActive = links.Bool()
 		links.Byte() // reserved
 		pn := links.Len(4)
-		delay := e.cfg.LinkDelay
-		younger := delay // every age so far was at least this
-		for i := 0; i < pn; i++ {
+		if links.Err() == nil && pn > 1 {
+			// One flit enters a link per cycle and lands in the next.
+			return fmt.Errorf("checkpoint: section %q: link %d carries %d flits (a link holds one)", secEngineLinks, id, pn)
+		}
+		if pn == 1 {
 			f := decodeFlitChecked(links)
-			age := links.IntAsInt()
+			age := links.Int()
 			if links.Err() != nil {
 				break
 			}
-			if age < 0 || age >= delay {
-				return fmt.Errorf("checkpoint: section %q: link %d flit age %d outside [0,%d)", secEngineLinks, id, age, delay)
+			if age != 0 {
+				return fmt.Errorf("checkpoint: section %q: link %d flit age %d (a flit lands the cycle after it is sent)", secEngineLinks, id, age)
 			}
-			// One flit enters a link per cycle and the encoder writes them
-			// oldest first, so ages strictly decrease.
-			if age >= younger {
-				return fmt.Errorf("checkpoint: section %q: link %d flit age %d follows age %d (want oldest first, one flit per cycle)", secEngineLinks, id, age, younger)
-			}
-			younger = age
-			if int(r.n+r.fly) == e.cfg.BufferDepth {
+			if int(r.n) == e.cfg.BufferDepth {
 				return fmt.Errorf("checkpoint: section %q: link %d carries more flits than %s.%d has room for", secEngineLinks, id, e.inPorts[p].Node().Name, e.inPorts[p].idx)
 			}
-			*e.at(p, int(r.n+r.fly)) = f
-			r.fly++
-			s := e.flightSlot(age)
-			e.arrivals[s] = append(e.arrivals[s], p)
+			*e.at(p, int(r.n)) = f
+			r.fly = 1
+			e.arrivals = append(e.arrivals, p)
 		}
 		if links.Err() == nil && !r.linkActive && r.fly > 0 {
 			return fmt.Errorf("checkpoint: section %q: loaded link %d marked inactive", secEngineLinks, id)
@@ -480,6 +479,7 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 		return fmt.Errorf("checkpoint: section %q: resident count %d but %d flits present", secEngineMeta, resident, present)
 	}
 
+	e.cycle = cycle
 	e.moves = moves
 	e.resident = resident
 	e.dropped = dropped
@@ -534,7 +534,7 @@ func (e *Engine) clearDynamicState() {
 	}
 	for p := range e.in {
 		r := &e.in[p]
-		r.head, r.n, r.fly, r.landsAt = 0, 0, 0, 0
+		r.head, r.n, r.fly = 0, 0, 0
 		r.linkActive = false
 		r.route = nil
 		e.inPorts[p].recvHeader = nil
@@ -544,9 +544,7 @@ func (e *Engine) clearDynamicState() {
 		op.pendStamp = -1
 	}
 	clear(e.slab)
-	for s := range e.arrivals {
-		e.arrivals[s] = e.arrivals[s][:0]
-	}
+	e.arrivals = e.arrivals[:0]
 	for _, pc := range e.phys {
 		pc.granted = -1
 		pc.grantedCycle = -1

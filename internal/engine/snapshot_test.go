@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -34,9 +33,9 @@ func snapshotScenarios() []scenario {
 	}
 	return []scenario{
 		{name: "chain/default", build: chain(DefaultConfig()), horizon: 400},
-		{name: "chain/incremental_delay3", build: chain(Config{BufferDepth: 4, LinkDelay: 3, Acquire: AcquireIncremental}), horizon: 900},
-		{name: "chain/fullscan", build: chain(Config{BufferDepth: 2, LinkDelay: 1, DisableActiveSet: true}), horizon: 400},
-		{name: "chain/ejectrate1", build: chain(Config{BufferDepth: 8, LinkDelay: 2, EjectRate: 1}), horizon: 900},
+		{name: "chain/incremental", build: chain(Config{BufferDepth: 4, Acquire: AcquireIncremental}), horizon: 900},
+		{name: "chain/fullscan", build: chain(Config{BufferDepth: 2, DisableActiveSet: true}), horizon: 400},
+		{name: "chain/depth8", build: chain(Config{BufferDepth: 8}), horizon: 900},
 		{name: "fanout/transform", build: fanRewriteEngine, horizon: 300},
 		{name: "phys/shared", build: physSharedEngine, horizon: 500},
 		{name: "chain/killswitch", build: chain(DefaultConfig()), horizon: 600,
@@ -54,7 +53,7 @@ func snapshotScenarios() []scenario {
 // the rewriting switch in every grant state — a request waiting for the fan
 // the other source holds among them.
 func fanRewriteEngine() *Engine {
-	e := New(Config{BufferDepth: 2, LinkDelay: 1, Acquire: AcquireAtomic})
+	e := New(Config{BufferDepth: 2, Acquire: AcquireAtomic})
 	srcs := []*Node{e.AddEndpoint("SRC", nil), e.AddEndpoint("SRC1", nil)}
 	fan := func(n *Node, in int, h *flit.Header) (Decision, error) {
 		if h.RC == flit.RCBroadcastRequest {
@@ -74,7 +73,7 @@ func fanRewriteEngine() *Engine {
 			rc = flit.RCBroadcastRequest
 		}
 		for s, src := range srcs {
-			e.Inject(src, flit.NewPacket(&flit.Header{PacketID: uint64(100*(s+1) + i), RC: rc, Dst: geom.Coord{i}}, 5))
+			e.InjectPacket(src, flit.Header{PacketID: uint64(100*(s+1) + i), RC: rc, Dst: geom.Coord{i}}, 5)
 		}
 	}
 	return e
@@ -85,7 +84,7 @@ func fanRewriteEngine() *Engine {
 // virtual channels are made of. Named so both the snapshot scenarios and
 // the decode fuzzer can produce snapshots that carry a phys-channel section.
 func physSharedEngine() *Engine {
-	e := New(Config{BufferDepth: 4, LinkDelay: 1})
+	e := New(Config{BufferDepth: 4})
 	s0 := e.AddEndpoint("S0", nil)
 	s1 := e.AddEndpoint("S1", nil)
 	r0 := e.AddEndpoint("R0", nil)
@@ -100,8 +99,8 @@ func physSharedEngine() *Engine {
 	e.Connect(r1, 0, sw, 3)
 	e.SharePhysical(sw.Out[2], sw.Out[3])
 	for i := 0; i < 4; i++ {
-		e.Inject(s0, mkPacket(uint64(10+i), geom.Coord{}, 9))
-		e.Inject(s1, mkPacket(uint64(20+i), geom.Coord{}, 9))
+		e.InjectPacket(s0, flit.Header{PacketID: uint64(10 + i)}, 9)
+		e.InjectPacket(s1, flit.Header{PacketID: uint64(20 + i)}, 9)
 	}
 	return e
 }
@@ -329,16 +328,12 @@ func TestRestoreRejectsMismatchedTopology(t *testing.T) {
 // never panic, and every rejection is an error naming where decoding failed
 // (container header, crc, or a section by name). Every input is restored
 // into the chain engine, into the fan-out engine whose snapshots carry
-// pending rewrites, and into the three-cycle-link chain whose snapshots
-// carry flits of several ages in flight; a restore that succeeds must
-// re-encode to the same bytes. The checked-in corpus under testdata/fuzz
-// pins regressions.
+// pending rewrites, and into the build of the chain.snap fixture, which
+// stops with flits on several links; a restore that succeeds must re-encode
+// to the same bytes. The checked-in corpus under testdata/fuzz pins
+// regressions.
 func FuzzSnapshotDecode(f *testing.F) {
 	chain := func() *Engine { e, _ := chainScenario(DefaultConfig(), 4); return e }
-	delay3 := func() *Engine {
-		e, _ := chainScenario(Config{BufferDepth: 4, LinkDelay: 3, Acquire: AcquireAtomic}, 8)
-		return e
-	}
 	valid := func(build func() *Engine, steps int) []byte {
 		e := build()
 		for i := 0; i < steps; i++ {
@@ -362,25 +357,26 @@ func FuzzSnapshotDecode(f *testing.F) {
 	// inside the VC-bearing sections. At cycles 3, 20 and 40 a request waits
 	// at the fan-out engine's switch, and its snapshot records the pending
 	// rewrite as the output header, which restore re-derives.
-	// The delay-3 fixture, and the same run right after a purge took one
-	// packet's flit out from among flits still in flight on its link.
-	golden, err := os.ReadFile(filepath.Join("testdata", "delay3.snap"))
+	// The chain.snap fixture, and the chain right after a purge took a flit
+	// off a link.
+	golden, err := os.ReadFile(chainSnapPath)
 	if err != nil {
 		f.Fatal(err)
 	}
-	purged := delay3Engine()
+	purged := chain()
+	for i := 0; i < 7; i++ {
+		purged.Step()
+	}
 	victim := uint64(0)
 	for _, p := range purged.links {
-		for r, i := purged.in[p], int(purged.in[p].n); i+1 < int(r.n+r.fly) && victim == 0; i++ {
-			if purged.at(p, i).PacketID != purged.at(p, i+1).PacketID {
-				victim = purged.at(p, i).PacketID
-			}
+		if r := purged.in[p]; r.fly > 0 && victim == 0 {
+			victim = purged.at(p, int(r.n)).PacketID
 		}
 	}
 	if _, ok := purged.KillPacket(victim); !ok {
-		f.Fatal("the delay-3 fixture has no link carrying flits of two packets")
+		f.Fatal("the chain carries no flit on a link at cycle 7")
 	}
-	if err := delay3().Restore(purged.Snapshot()); err != nil {
+	if err := chain().Restore(purged.Snapshot()); err != nil {
 		f.Fatal(err)
 	}
 	for _, s := range [][]byte{valid(physSharedEngine, 9), valid(fanRewriteEngine, 3), valid(fanRewriteEngine, 20), valid(fanRewriteEngine, 40), golden, purged.Snapshot()} {
@@ -393,7 +389,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Add(flipped)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, build := range []func() *Engine{chain, fanRewriteEngine, delay3} {
+		for _, build := range []func() *Engine{chain, fanRewriteEngine, chainFixtureBuild} {
 			e := build()
 			err := e.Restore(data)
 			if err == nil {

@@ -435,7 +435,7 @@ func runA1(r *Report, opt Options) error {
 		m, err := core.NewMachine(core.Config{
 			Shape:          shape,
 			NaiveBroadcast: c.naive,
-			Engine:         engine.Config{BufferDepth: 2, LinkDelay: 1, Acquire: c.acq},
+			Engine:         engine.Config{BufferDepth: 2, Acquire: c.acq},
 			StallThreshold: 256,
 		})
 		if err != nil {
@@ -484,7 +484,7 @@ func runA2(r *Report, opt Options) error {
 	results, err := sweepCells(opt, len(depths), func(i int) (traffic.Result, error) {
 		m, err := core.NewMachine(core.Config{
 			Shape:          shape,
-			Engine:         engine.Config{BufferDepth: depths[i], LinkDelay: 1},
+			Engine:         engine.Config{BufferDepth: depths[i]},
 			StallThreshold: 512,
 		})
 		if err != nil {

@@ -64,11 +64,12 @@ func TestQuickSuiteGolden(t *testing.T) {
 	}
 }
 
-// TestFullE6E9Golden pins the full-scale `mdxbench -exp e6,e9`: the two
-// experiments that run the mesh and torus baselines beside the crossbar.
-func TestFullE6E9Golden(t *testing.T) {
+// TestFullSuiteGolden pins the full-scale `mdxbench -exp all -parallel 2`,
+// the mesh and torus baselines of E6 and E9 and the engine configurations of
+// A1 and A2 among it.
+func TestFullSuiteGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-scale E6 takes several seconds")
+		t.Skip("the full-scale suite takes several seconds")
 	}
-	checkSuiteGolden(t, "full_e6_e9.golden", suiteStdout(t, "e6,e9", Options{Parallel: 2}))
+	checkSuiteGolden(t, "full_all.golden", suiteStdout(t, "all", Options{Parallel: 2}))
 }

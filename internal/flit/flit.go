@@ -172,9 +172,9 @@ type Flit struct {
 }
 
 // AppendPacket appends the flits of a size-flit packet headed by h to dst
-// and returns the grown slice; the header's Size field is set. It is the
-// allocation-free counterpart of NewPacket for callers that store flits by
-// value (the engine's inject queues).
+// and returns the grown slice; the header's Size field is set. size must be
+// >= 1 (a lone header flit). Flits are stored by value, so appending to a
+// queue with room allocates nothing.
 func AppendPacket(dst []Flit, h *Header, size int) []Flit {
 	if size < 1 {
 		panic(fmt.Sprintf("flit: packet size %d < 1", size))
@@ -189,25 +189,6 @@ func AppendPacket(dst []Flit, h *Header, size int) []Flit {
 		dst = append(dst, Flit{PacketID: h.PacketID, Kind: k, Seq: i, Last: i == size-1})
 	}
 	return dst
-}
-
-// NewPacket builds the flit sequence for one packet with the given header.
-// size must be >= 1 (a lone header flit); the header's Size field is set.
-func NewPacket(h *Header, size int) []*Flit {
-	if size < 1 {
-		panic(fmt.Sprintf("flit: packet size %d < 1", size))
-	}
-	h.Size = size
-	flits := make([]*Flit, size)
-	flits[0] = &Flit{Header: h, PacketID: h.PacketID, Kind: KindHeader, Seq: 0, Last: size == 1}
-	for i := 1; i < size; i++ {
-		k := KindBody
-		if i == size-1 {
-			k = KindTail
-		}
-		flits[i] = &Flit{PacketID: h.PacketID, Kind: k, Seq: i, Last: i == size-1}
-	}
-	return flits
 }
 
 // String renders a flit for traces, e.g. "pkt7.header" or "pkt7.body[2]".

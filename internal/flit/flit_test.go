@@ -68,9 +68,9 @@ func TestRewriteApply(t *testing.T) {
 	}
 }
 
-func TestNewPacketSingleFlit(t *testing.T) {
+func TestAppendPacketSingleFlit(t *testing.T) {
 	h := &Header{PacketID: 1, Src: geom.Coord{0, 0}, Dst: geom.Coord{1, 1}}
-	fs := NewPacket(h, 1)
+	fs := AppendPacket(nil, h, 1)
 	if len(fs) != 1 {
 		t.Fatalf("got %d flits", len(fs))
 	}
@@ -83,9 +83,9 @@ func TestNewPacketSingleFlit(t *testing.T) {
 	}
 }
 
-func TestNewPacketStructure(t *testing.T) {
+func TestAppendPacketStructure(t *testing.T) {
 	h := &Header{PacketID: 42}
-	fs := NewPacket(h, 5)
+	fs := AppendPacket(nil, h, 5)
 	if len(fs) != 5 {
 		t.Fatalf("got %d flits", len(fs))
 	}
@@ -107,18 +107,18 @@ func TestNewPacketStructure(t *testing.T) {
 	}
 }
 
-func TestNewPacketPanicsOnZeroSize(t *testing.T) {
+func TestAppendPacketPanicsOnZeroSize(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewPacket(0) did not panic")
+			t.Error("AppendPacket(0) did not panic")
 		}
 	}()
-	NewPacket(&Header{}, 0)
+	AppendPacket(nil, &Header{}, 0)
 }
 
 func TestFlitString(t *testing.T) {
 	h := &Header{PacketID: 7}
-	fs := NewPacket(h, 3)
+	fs := AppendPacket(nil, h, 3)
 	if got := fs[0].String(); got != "pkt7.header" {
 		t.Errorf("header string %q", got)
 	}
@@ -135,7 +135,7 @@ func TestFlitString(t *testing.T) {
 func TestQuickPacketInvariants(t *testing.T) {
 	f := func(raw uint8) bool {
 		size := int(raw)%32 + 1
-		fs := NewPacket(&Header{PacketID: uint64(raw)}, size)
+		fs := AppendPacket(nil, &Header{PacketID: uint64(raw)}, size)
 		headers, lasts := 0, 0
 		for i, fl := range fs {
 			if fl.Seq != i {

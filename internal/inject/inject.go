@@ -46,20 +46,17 @@ type Options struct {
 	Backoff int `json:"backoff,omitempty"`
 	// MaxRetries caps retransmission attempts per packet. <= 0 selects 4.
 	MaxRetries int `json:"max_retries,omitempty"`
-	// MaxRetryAfter caps the backed-off timeout: the delay before attempt n
-	// is min(RetryAfter × Backoff^(n-1), MaxRetryAfter). Without a cap the
-	// product grows without limit — and overflows int64 — once a packet is
-	// lost repeatedly (e.g. a victim purged on every recovery round). <= 0
-	// selects DefaultMaxRetryAfter. No textual spelling sets it.
-	MaxRetryAfter int64 `json:"-"`
 	// StallThreshold configures the deadlock watchdog of the run the
 	// schedule drives (<= 0 = default).
 	StallThreshold int64 `json:"stall,omitempty"`
 }
 
-// DefaultMaxRetryAfter is the default ceiling on the backed-off
-// retransmission timeout (cycles). Large enough that default-tuned
-// schedules (RetryAfter 64, Backoff 2, MaxRetries 4) never hit it.
+// DefaultMaxRetryAfter caps the backed-off retransmission timeout (cycles):
+// the delay before attempt n is min(RetryAfter × Backoff^(n-1),
+// DefaultMaxRetryAfter). Without a cap the product grows without limit — and
+// overflows int64 — once a packet is lost repeatedly (e.g. a victim purged on
+// every recovery round). Large enough that default-tuned schedules
+// (RetryAfter 64, Backoff 2, MaxRetries 4) never hit it.
 const DefaultMaxRetryAfter = 1 << 16
 
 func (o *Options) normalize() {
@@ -71,9 +68,6 @@ func (o *Options) normalize() {
 	}
 	if o.MaxRetries <= 0 {
 		o.MaxRetries = 4
-	}
-	if o.MaxRetryAfter <= 0 {
-		o.MaxRetryAfter = DefaultMaxRetryAfter
 	}
 }
 
@@ -275,7 +269,7 @@ func (inj *Injector) lose(cycle int64, id uint64, src, dst geom.Coord, size int)
 	if !inj.opt.Retransmit {
 		return
 	}
-	delay := backoffDelay(inj.opt.RetryAfter, inj.opt.Backoff, inj.opt.MaxRetryAfter, ch.attempts)
+	delay := backoffDelay(inj.opt.RetryAfter, inj.opt.Backoff, DefaultMaxRetryAfter, ch.attempts)
 	inj.pendingResends = append(inj.pendingResends, resend{due: cycle + delay, ch: ch})
 }
 

@@ -62,7 +62,7 @@ func (inj *Injector) scheduleHash() uint64 {
 	mix(inj.opt.RetryAfter)
 	mix(int64(inj.opt.Backoff))
 	mix(int64(inj.opt.MaxRetries))
-	mix(inj.opt.MaxRetryAfter)
+	mix(DefaultMaxRetryAfter)
 	mix(inj.opt.StallThreshold)
 	return h
 }

@@ -430,11 +430,6 @@ func normalizeInject(prefix string, in *inject.Options) error {
 	if in.StallThreshold < 0 || in.StallThreshold > maxStall {
 		return fieldErrf(prefix+".inject.stall", "must be in [0, %d]", maxStall)
 	}
-	if in.MaxRetryAfter != 0 {
-		// The canonical encoding cannot carry it, so two runs would share
-		// one job identity.
-		return fieldErrf(prefix+".inject", "MaxRetryAfter has no wire spelling and must be zero")
-	}
 	if in.Retransmit {
 		// The mdxfault flag defaults, applied only when retransmission is on
 		// (they are inert otherwise and stay as submitted).

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sr2201/internal/geom"
-	"sr2201/internal/inject"
 )
 
 func TestDecodeSpecNormalizesAndCanonicalizes(t *testing.T) {
@@ -136,18 +135,6 @@ func TestDecodeSpecVCsCanonicalization(t *testing.T) {
 	}
 	if one.Canonical() != absent.Canonical() {
 		t.Errorf("vcs:1 and absent vcs canonicalize differently:\n%s\n%s", one.Canonical(), absent.Canonical())
-	}
-}
-
-// TestNormalizeRejectsUnspelledKnob: inject.Options.MaxRetryAfter has no
-// JSON name, so a spec built in Go that sets it is refused rather than
-// sharing the identity of the run without it.
-func TestNormalizeRejectsUnspelledKnob(t *testing.T) {
-	s := Spec{Kind: KindFault, Fault: &FaultSpec{Shape: "4x4", Fails: []string{"rtc:1,1@40"}, Pattern: "reverse",
-		Inject: inject.Options{Retransmit: true, MaxRetryAfter: 128}}}
-	var fe *FieldError
-	if err := s.Normalize(); !errors.As(err, &fe) || fe.Field != "fault.inject" {
-		t.Errorf("Normalize = %v, want a FieldError naming fault.inject", err)
 	}
 }
 

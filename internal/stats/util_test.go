@@ -20,7 +20,7 @@ func tinyNet(t *testing.T) *engine.Engine {
 	sw := e.AddSwitch("SW", 2, route, nil)
 	e.Connect(a, 0, sw, 0)
 	e.Connect(b, 0, sw, 1)
-	e.Inject(a, flit.NewPacket(&flit.Header{PacketID: 1}, 4))
+	e.InjectPacket(a, flit.Header{PacketID: 1}, 4)
 	if !e.RunUntilQuiescent(100) {
 		t.Fatal("did not drain")
 	}

@@ -308,7 +308,7 @@ func TestTorusPhysicalChannelSharing(t *testing.T) {
 
 func TestMeshDeterminism(t *testing.T) {
 	run := func() (int64, int64) {
-		m, err := core.NewMachine(core.Config{Topology: "mesh", Shape: geom.MustShape(4, 4), Engine: engine.Config{BufferDepth: 1, LinkDelay: 1}})
+		m, err := core.NewMachine(core.Config{Topology: "mesh", Shape: geom.MustShape(4, 4), Engine: engine.Config{BufferDepth: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -259,7 +259,7 @@ func TestNoPolicyDrops(t *testing.T) {
 	}
 	var reason string
 	eng.OnDrop = func(d engine.Drop) { reason = d.Reason }
-	eng.Inject(net.PE(geom.Coord{0, 0}), flit.NewPacket(&flit.Header{PacketID: 1, Dst: geom.Coord{1, 1}}, 2))
+	eng.InjectPacket(net.PE(geom.Coord{0, 0}), flit.Header{PacketID: 1, Dst: geom.Coord{1, 1}}, 2)
 	if !eng.RunUntilQuiescent(1000) {
 		t.Fatal("did not drain")
 	}
