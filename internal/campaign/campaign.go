@@ -316,6 +316,10 @@ func (r CellResult) Availability() float64 {
 	return float64(r.Delivered) / float64(r.Accepted)
 }
 
+// SimCycles is the simulated cycles the cell consumed, as progress feeds
+// count them.
+func (r CellResult) SimCycles() int64 { return r.EndCycle }
+
 // CellRun is one run as a resumable stepper — the only wave/broadcast/stall
 // loop in the repository — broken at cycle granularity so the caller can
 // snapshot between Steps, checkpoint to a Store, and restore after a crash

@@ -183,16 +183,6 @@ func (r *Reader) Version() uint16 { return r.version }
 // Sections lists section names in container order.
 func (r *Reader) Sections() []string { return r.names }
 
-// Has reports whether a section is present.
-func (r *Reader) Has(name string) bool {
-	for _, n := range r.names {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Section returns a decoder for the named section's payload. The decoder
 // carries the container's format version so section codecs can skip fields
 // older versions cannot contain.

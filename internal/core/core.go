@@ -767,15 +767,6 @@ func (m *Machine) Reachable(src, dst geom.Coord) error {
 	return err
 }
 
-// SendUnchecked queues a packet without the reachability precheck; an
-// undeliverable packet is dropped inside the network (visible via Dropped).
-func (m *Machine) SendUnchecked(src, dst geom.Coord, size int) (uint64, error) {
-	if !m.shape.Contains(src) || !m.shape.Contains(dst) {
-		return 0, fmt.Errorf("core: src %v or dst %v outside shape", src, dst)
-	}
-	return m.inject(flit.Header{Src: src, Dst: dst, RC: flit.RCNormal}, size)
-}
-
 // inject queues a packet with header h at its source PE, stamped with the
 // next packet ID and the current epoch.
 func (m *Machine) inject(h flit.Header, size int) (uint64, error) {

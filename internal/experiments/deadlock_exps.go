@@ -3,10 +3,13 @@ package experiments
 import (
 	"fmt"
 
+	"sr2201/internal/campaign"
 	"sr2201/internal/core"
 	"sr2201/internal/deadlock"
 	"sr2201/internal/fault"
 	"sr2201/internal/geom"
+	"sr2201/internal/inject"
+	"sr2201/internal/recovery"
 	"sr2201/internal/stats"
 )
 
@@ -206,60 +209,92 @@ func runE3(r *Report, opt Options) error {
 	return nil
 }
 
-// fig9 builds the Fig. 9/10 machine and traffic at one broadcast offset.
-func fig9(separate bool, offset, size int) (deadlock.Outcome, error) {
-	cfg := core.Config{
-		Shape:          geom.MustShape(4, 4),
-		SXB:            geom.Coord{0, 0},
-		StallThreshold: 256,
+// fig9 is the paper's Fig. 9 deadlocking workload as a run: a 4x4 machine
+// whose S-XB is (0,0) and whose separate D-XB is (0,3), a router fault at
+// (2,1) known at boot, one 24-flit unicast detouring around it and a
+// broadcast from (3,2) crossing the detour. With the separate detour
+// crossbar the two form a wait cycle; on the unified design they cannot.
+// Lost packets are retransmitted. The transforms below give the other runs
+// of the E, R, V and DR series.
+func fig9() campaign.RunText {
+	return campaign.RunText{
+		Shape:      "4x4",
+		Presets:    []string{"rtc:2,1"},
+		Patterns:   []string{"pair:0,1>2,2"},
+		Broadcasts: []string{"3,2@0"},
+		PacketSize: 24,
+		Waves:      1,
+		Gap:        1,
+		Horizon:    20_000,
+		Inject:     inject.Options{Retransmit: true, RetryAfter: 32, StallThreshold: 256},
+		Variant:    campaign.VariantText{SXB: "0,0", DXB: "0,3", DXBSeparate: true},
 	}
-	if separate {
-		cfg.DXB = geom.Coord{0, 3}
-		cfg.DXBSeparate = true
+}
+
+// unified is t on the paper's design: the S-XB is the detour crossbar too.
+func unified(t campaign.RunText) campaign.RunText {
+	t.Variant.DXB, t.Variant.DXBSeparate = "", false
+	return t
+}
+
+// recovering is t with the liveness layer armed, so a deadlock shows as a
+// sacrifice instead of a hang.
+func recovering(t campaign.RunText) campaign.RunText {
+	t.Recovery = recovery.Options{Enabled: true, StallThreshold: 256}
+	return t
+}
+
+// broadcastAt is t with its broadcast injected at cycle at.
+func broadcastAt(t campaign.RunText, at int64) campaign.RunText {
+	t.Broadcasts = []string{fmt.Sprintf("3,2@%d", at)}
+	return t
+}
+
+// failAt is t with the router fault landing mid-run, at cycle at, instead
+// of at boot.
+func failAt(t campaign.RunText, at int64) campaign.RunText {
+	t.Presets, t.Fails = nil, []string{fmt.Sprintf("rtc:2,1@%d", at)}
+	return t
+}
+
+// e4Rows are the bare Fig. 9 cell at each broadcast offset: no
+// retransmission, and the run budget the other figure traces get.
+func e4Rows(opt Options) []row {
+	maxOffset := int64(10)
+	if opt.Quick {
+		maxOffset = 4
 	}
-	m, err := core.NewMachine(cfg)
-	if err != nil {
-		return deadlock.Outcome{}, err
+	var rows []row
+	for off := int64(0); off <= maxOffset; off++ {
+		t := broadcastAt(fig9(), off)
+		t.Inject, t.Horizon = inject.Options{StallThreshold: 256}, runBudget
+		rows = append(rows, row{[]any{off}, t})
 	}
-	if err := m.AddFault(fault.RouterFault(geom.Coord{2, 1})); err != nil {
-		return deadlock.Outcome{}, err
-	}
-	if _, err := m.Send(geom.Coord{0, 1}, geom.Coord{2, 2}, size); err != nil {
-		return deadlock.Outcome{}, err
-	}
-	for i := 0; i < offset; i++ {
-		m.Step()
-	}
-	if _, _, err := m.Broadcast(geom.Coord{3, 2}, size); err != nil {
-		return deadlock.Outcome{}, err
-	}
-	return m.Run(runBudget), nil
+	return rows
 }
 
 // runE4 sweeps broadcast injection offsets in the D-XB != S-XB
 // configuration. Shape criterion: some offsets deadlock (the paper's point:
 // the configuration *allows* deadlock).
 func runE4(r *Report, opt Options) error {
-	maxOffset := 10
-	if opt.Quick {
-		maxOffset = 4
+	rows := e4Rows(opt)
+	cells, err := sweepRows(opt, rows, nil)
+	if err != nil {
+		return err
 	}
 	tbl := stats.NewTable("Detoured p2p (24 flits) + broadcast at offset, D-XB != S-XB",
 		"offset", "outcome", "cycles")
 	deadlocks := 0
-	for off := 0; off <= maxOffset; off++ {
-		out, err := fig9(true, off, 24)
-		if err != nil {
-			return err
-		}
-		if out.Deadlocked {
+	for i, c := range cells {
+		if c.Deadlocked {
 			deadlocks++
 		}
-		tbl.AddRow(off, outcomeWord(out), out.Cycle)
+		out := deadlock.Outcome{Drained: c.Drained, Stalled: c.Stalled, Deadlocked: c.Deadlocked}
+		tbl.AddRow(append(rows[i].label, outcomeWord(out), c.EndCycle)...)
 	}
 	r.Tables = append(r.Tables, tbl)
 	r.Pass = deadlocks > 0
-	r.Notef("%d of %d offsets deadlock — the separate D-XB allows cyclic waiting between detour and broadcast", deadlocks, maxOffset+1)
+	r.Notef("%d of %d offsets deadlock — the separate D-XB allows cyclic waiting between detour and broadcast", deadlocks, len(rows))
 	return nil
 }
 

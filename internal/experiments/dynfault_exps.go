@@ -11,8 +11,6 @@ import (
 	"fmt"
 
 	"sr2201/internal/campaign"
-	"sr2201/internal/fault"
-	"sr2201/internal/geom"
 	"sr2201/internal/inject"
 	"sr2201/internal/stats"
 )
@@ -23,31 +21,21 @@ func init() {
 	register(Experiment{ID: "F3", Title: "Retransmission closes the loss gap", Paper: "Sec. 4 extension", run: runF3})
 }
 
-// f1Spec is the shared mid-run-fault scenario: a router dies at cycle 8,
-// while the first wave's packets are crossing it, with more waves to come.
-func f1Spec(quick bool, retransmit bool) campaign.Spec {
-	shape := geom.MustShape(8, 8)
-	victim := geom.Coord{4, 4}
-	pattern := campaign.Shift(9)
-	waves := 8
+// f1 is the shared mid-run-fault scenario: a router dies at cycle 8, while
+// the first wave's packets are crossing it, with more waves to come.
+func f1(quick, retransmit bool) campaign.RunText {
+	t := campaign.RunText{
+		Shape:    "8x8",
+		Fails:    []string{"rtc:4,4@8"},
+		Patterns: []string{"shift+9"},
+		Waves:    8,
+		Gap:      32,
+		Inject:   inject.Options{Retransmit: retransmit, RetryAfter: 32, StallThreshold: 256},
+	}
 	if quick {
-		shape = geom.MustShape(4, 4)
-		victim = geom.Coord{2, 1}
-		pattern = campaign.Shift(5)
-		waves = 4
+		t.Shape, t.Fails, t.Patterns, t.Waves = "4x4", []string{"rtc:2,1@8"}, []string{"shift+5"}, 4
 	}
-	return campaign.Spec{
-		Shape:   shape,
-		Events:  []inject.Event{{Cycle: 8, Fault: fault.RouterFault(victim)}},
-		Pattern: pattern,
-		Waves:   waves,
-		Gap:     32,
-		Inject: inject.Options{
-			Retransmit:     retransmit,
-			RetryAfter:     32,
-			StallThreshold: 256,
-		},
-	}
+	return t
 }
 
 // finalLosses sums the loss buckets that end a packet's story.
@@ -62,12 +50,12 @@ func finalLosses(st inject.Stats) int {
 // in-flight packets with live destinations are recovered exactly once, and
 // nothing is lost beyond the documented unreachable destinations.
 func runF1(r *Report, opt Options) error {
-	spec := f1Spec(opt.Quick, true)
-	spec.KeepDeliveries = true
-	res, err := campaign.RunCell(spec)
+	t := f1(opt.Quick, true)
+	cells, err := sweepRows(opt, []row{{nil, t}}, nil)
 	if err != nil {
 		return err
 	}
+	res := cells[0]
 
 	type win struct {
 		delivered, detoured    int
@@ -76,7 +64,7 @@ func runF1(r *Report, opt Options) error {
 	wins := map[int64]*win{}
 	var last int64
 	for _, d := range res.Deliveries {
-		i := d.Cycle / spec.Gap
+		i := d.Cycle / t.Gap
 		w := wins[i]
 		if w == nil {
 			w = &win{}
@@ -95,7 +83,7 @@ func runF1(r *Report, opt Options) error {
 		}
 	}
 	tbl := stats.NewTable(
-		fmt.Sprintf("F1 recovery curve on %v (%s dies at cycle %d)", spec.Shape, res.Fault, res.Epoch),
+		fmt.Sprintf("F1 recovery curve on %s (%s dies at cycle %d)", t.Shape, res.Fault, res.Epoch),
 		"cycles", "delivered", "detoured", "mean latency", "max latency")
 	detoured := 0
 	for i := int64(0); i <= last; i++ {
@@ -104,7 +92,7 @@ func runF1(r *Report, opt Options) error {
 			continue
 		}
 		detoured += w.detoured
-		tbl.AddRow(fmt.Sprintf("%d-%d", i*spec.Gap, (i+1)*spec.Gap-1),
+		tbl.AddRow(fmt.Sprintf("%d-%d", i*t.Gap, (i+1)*t.Gap-1),
 			w.delivered, w.detoured,
 			float64(w.sumLatency)/float64(w.delivered), w.maxLatency)
 	}
@@ -127,46 +115,41 @@ func runF1(r *Report, opt Options) error {
 	return nil
 }
 
-// faultMapConfig is the exhaustive single-fault campaign every
-// availability-map experiment (F2, V3, V4, H1, H2) runs — every placement ×
-// injection epoch × traffic pattern, four waves, retransmission on — at the
-// experiment's own scale: the full and -quick shapes and the stride of the
-// shift pattern at each.
-func faultMapConfig(opt Options, full, quick geom.Shape, shift, quickShift int) campaign.Config {
-	cfg := campaign.Config{
+// faultMap is the exhaustive single-fault campaign every availability-map
+// experiment (F2, V3, V4, H1, H2) runs — every placement × injection epoch
+// × traffic pattern, four waves, retransmission on — at the experiment's
+// own scale: the full and -quick shapes and the stride of the shift pattern
+// at each.
+func faultMap(opt Options, full, quick string, shift, quickShift int) campaign.RunText {
+	t := campaign.RunText{
 		Shape:    full,
 		Epochs:   []int64{8, 40},
-		Patterns: []campaign.Pattern{campaign.Shift(shift), campaign.Reverse()},
+		Patterns: []string{fmt.Sprintf("shift+%d", shift), "reverse"},
 		Waves:    4,
 		Gap:      24,
-		Inject: inject.Options{
-			Retransmit:     true,
-			RetryAfter:     24,
-			StallThreshold: 256,
-		},
-		Parallel: opt.Parallel,
-		Hooks:    campaign.Hooks{Ctx: opt.Ctx},
-		Budget:   opt.Budget,
-		OnCell:   opt.OnCell,
+		Inject:   inject.Options{Retransmit: true, RetryAfter: 24, StallThreshold: 256},
 	}
 	if opt.Quick {
-		cfg.Shape = quick
-		cfg.Epochs = []int64{12}
-		cfg.Patterns = []campaign.Pattern{campaign.Shift(quickShift)}
+		t.Shape, t.Epochs, t.Patterns = quick, []int64{12}, []string{fmt.Sprintf("shift+%d", quickShift)}
 	}
-	return cfg
+	return t
 }
 
 // mapAudit counts the cells of a single-fault map that break its shape
-// criterion: cells that did not drain, cells whose refusals differ from the
-// static post-fault prediction, and cells with a loss that is not a
-// documented one (with retransmission on, the only final losses allowed are
-// unreachable destinations).
+// criterion: cells that wedged or did not drain, cells whose refusals
+// differ from the static post-fault prediction, and cells with a loss that
+// is not a documented one. A documented loss is a unicast to a destination
+// the faults rule out, or a broadcast copy the fault dropped: a duplicate,
+// an exhausted or untraceable loss, more broadcast copies plus drops than
+// owed, or unicasts neither delivered nor lost unreachable are not.
 type mapAudit struct {
 	deadlocks, stalls                    int
 	undrained, unpredicted, undocumented int
-	// refused totals the refusals across the map (reported, not judged).
-	refused int
+	// refused, the per-pair classification, sacrificed and lost are totals
+	// across the map (reported, not judged); sacrificed counts recovery
+	// victims and drain purges, lost the final losses.
+	refused, srcDead, dstDead, unreach int
+	sacrificed, lost                   int
 	// cycles totals the cells' end cycles.
 	cycles int64
 }
@@ -182,10 +165,16 @@ func auditMap(res *campaign.Result) mapAudit {
 		}
 		st := c.Stats
 		if st.Duplicates != 0 || st.LostExhausted != 0 || st.LostUntraceable != 0 ||
-			st.DropsOther != 0 || c.Delivered+finalLosses(st) != c.Accepted {
+			c.BroadcastCopies+st.DropsOther > c.BroadcastCopiesExpected ||
+			c.Delivered+st.LostUnreachable != c.Accepted {
 			a.undocumented++
 		}
 		a.refused += c.Refused
+		a.srcDead += c.SourceDeadPairs
+		a.dstDead += c.DestDeadPairs
+		a.unreach += c.UnreachablePairs
+		a.sacrificed += st.Victims + c.ReconfigDrained
+		a.lost += finalLosses(st)
 		a.cycles += c.EndCycle
 	}
 	return a
@@ -202,7 +191,7 @@ func (a mapAudit) clean() bool {
 // matches the static post-fault prediction, and with retransmission enabled
 // the only final losses are the documented unreachable destinations.
 func runF2(r *Report, opt Options) error {
-	res, err := campaign.Run(faultMapConfig(opt, geom.MustShape(8, 8), geom.MustShape(4, 4), 9, 5))
+	res, err := runCampaign(opt, faultMap(opt, "8x8", "4x4", 9, 5))
 	if err != nil {
 		return err
 	}
@@ -224,34 +213,28 @@ func runF3(r *Report, opt Options) error {
 	tbl := stats.NewTable("F3 loss accounting, retransmission off vs on",
 		"retransmit", "accepted", "delivered", "killed", "retx", "recovered",
 		"lost-unreach", "gap", "availability")
-	type run struct {
-		res campaign.CellResult
-		gap int
+	rows := []row{{[]any{"false"}, f1(opt.Quick, false)}, {[]any{"true"}, f1(opt.Quick, true)}}
+	cells, err := sweepRows(opt, rows, nil)
+	if err != nil {
+		return err
 	}
-	var runs [2]run
-	for i, retransmit := range []bool{false, true} {
-		res, err := campaign.RunCell(f1Spec(opt.Quick, retransmit))
-		if err != nil {
-			return err
-		}
-		st := res.Stats
-		gap := res.Accepted - res.Delivered - st.LostUnreachable
-		runs[i] = run{res: res, gap: gap}
-		tbl.AddRow(fmt.Sprintf("%v", retransmit), res.Accepted, res.Delivered,
+	gap := func(c campaign.CellResult) int { return c.Accepted - c.Delivered - c.Stats.LostUnreachable }
+	for i, c := range cells {
+		st := c.Stats
+		tbl.AddRow(append(rows[i].label, c.Accepted, c.Delivered,
 			st.KilledInFlight+st.DropsEnRoute, st.Retransmits, st.Recovered,
-			st.LostUnreachable, gap, res.Availability())
+			st.LostUnreachable, gap(c), c.Availability())...)
 	}
 	r.Tables = append(r.Tables, tbl)
 
-	off, on := runs[0], runs[1]
-	pass := off.res.Drained && on.res.Drained &&
-		!off.res.Deadlocked && !on.res.Deadlocked &&
-		off.gap > 0 && on.gap == 0 &&
-		on.res.Stats.Recovered > 0 && on.res.Stats.Duplicates == 0 &&
-		on.res.Accepted == off.res.Accepted &&
-		on.res.Availability() > off.res.Availability()
-	r.Pass = pass
+	off, on := cells[0], cells[1]
+	r.Pass = off.Drained && on.Drained &&
+		!off.Deadlocked && !on.Deadlocked &&
+		gap(off) > 0 && gap(on) == 0 &&
+		on.Stats.Recovered > 0 && on.Stats.Duplicates == 0 &&
+		on.Accepted == off.Accepted &&
+		on.Availability() > off.Availability()
 	r.Notef("retransmission recovers %d of the %d in-flight kills; the rest are destinations the fault bits rule out",
-		on.res.Stats.Recovered, on.res.Stats.KilledInFlight+on.res.Stats.DropsEnRoute)
+		on.Stats.Recovered, on.Stats.KilledInFlight+on.Stats.DropsEnRoute)
 	return nil
 }

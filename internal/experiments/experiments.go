@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 
+	"sr2201/internal/campaign"
 	"sr2201/internal/stats"
 	"sr2201/internal/sweep"
 )
@@ -63,8 +64,9 @@ func sweepCells[R any](opt Options, n int, fn func(i int) (R, error)) ([]R, erro
 	if opt.OnCell != nil {
 		run = func(i int) (R, error) {
 			r, err := fn(i)
-			// Cells whose result knows its simulated-cycle count (e.g.
-			// traffic.Result) report it; the rest count as zero-cycle cells.
+			// Cells whose result knows its simulated-cycle count
+			// (traffic.Result, campaign.CellResult) report it; the rest
+			// count as zero-cycle cells.
 			var cycles int64
 			if c, ok := any(r).(interface{ SimCycles() int64 }); ok && err == nil {
 				cycles = c.SimCycles()
@@ -77,6 +79,42 @@ func sweepCells[R any](opt Options, n int, fn func(i int) (R, error)) ([]R, erro
 		return sweep.DoCtxErr(opt.Ctx, opt.Budget, n, opt.Parallel, run)
 	}
 	return sweep.DoErr(n, opt.Parallel, run)
+}
+
+// row is one table row of a single-cell experiment: the leading table
+// cells it prints under and the run it reproduces — the same RunText
+// mdxfault and mdxreplay accept.
+type row struct {
+	label []any
+	run   campaign.RunText
+}
+
+// sweepRows resolves every row's run and fans the cells through sweepCells,
+// keeping their deliveries. hook, if non-nil, attaches run-time hooks to row
+// i's spec before it runs.
+func sweepRows(opt Options, rows []row, hook func(i int, s *campaign.Spec)) ([]campaign.CellResult, error) {
+	return sweepCells(opt, len(rows), func(i int) (campaign.CellResult, error) {
+		spec, err := rows[i].run.Spec()
+		if err != nil {
+			return campaign.CellResult{}, err
+		}
+		spec.KeepDeliveries = true
+		if hook != nil {
+			hook(i, &spec)
+		}
+		return campaign.RunCell(spec)
+	})
+}
+
+// runCampaign resolves a placement campaign and runs it under the
+// experiment's pool, cancellation, budget and progress feed.
+func runCampaign(opt Options, t campaign.RunText) (*campaign.Result, error) {
+	cfg, err := t.Config()
+	if err != nil {
+		return nil, err
+	}
+	cfg.Parallel, cfg.Ctx, cfg.Budget, cfg.OnCell = opt.Parallel, opt.Ctx, opt.Budget, opt.OnCell
+	return campaign.Run(cfg)
 }
 
 // Report is one experiment's output.

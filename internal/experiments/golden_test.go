@@ -1,8 +1,9 @@
 package experiments
 
 // Golden determinism tests: every deadlock-scenario experiment's rendered
-// report is digested with FNV-1a and must be identical across repeated runs
-// and across sweep parallelism levels. The engine-level per-cycle state-hash
+// report is digested with FNV-1a and must be identical at every sweep
+// parallelism level (the suite goldens pin the bytes at 1 and 4; this adds
+// 2 and 8). The engine-level per-cycle state-hash
 // tests live in internal/engine; these close the loop end to end — if any
 // layer (engine scheduling, sweep sharding, report assembly) picks up
 // schedule-dependent behavior, the digests diverge.
@@ -30,19 +31,6 @@ func reportDigest(t *testing.T, id string, opt Options) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(r.String()))
 	return h.Sum64()
-}
-
-func TestGoldenDeterminismAcrossRepeats(t *testing.T) {
-	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "F1", "F2", "F3", "R1", "R2", "H1", "H2", "H3", "V2", "V3", "V4", "DR1", "DR2"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			opt := Options{Quick: true, Parallel: 1}
-			first := reportDigest(t, id, opt)
-			if again := reportDigest(t, id, opt); again != first {
-				t.Errorf("%s: repeated run digest %#x != %#x", id, again, first)
-			}
-		})
-	}
 }
 
 func TestGoldenDeterminismAcrossParallelism(t *testing.T) {

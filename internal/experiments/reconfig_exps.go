@@ -19,11 +19,7 @@ import (
 
 	"sr2201/internal/campaign"
 	"sr2201/internal/core"
-	"sr2201/internal/fault"
-	"sr2201/internal/geom"
-	"sr2201/internal/inject"
 	"sr2201/internal/reconfig"
-	"sr2201/internal/recovery"
 	"sr2201/internal/stats"
 )
 
@@ -32,47 +28,36 @@ func init() {
 	register(Experiment{ID: "DR2", Title: "Second-fault sweep under online reconfiguration", Paper: "Sec. 4 + reconfiguration extension", run: runDR2})
 }
 
-// dr1Cell is the Fig. 9 configuration with the fault landing MID-RUN: a 4x4
-// separate-D-XB machine whose router (2,1) dies at faultAt (a scheduled
-// event, not a preset), a two-packet unicast pair that detours around it
-// afterwards, and a broadcast crossing the detour. reconfigMode selects the
-// trigger mode ("" = PR 5 rebuild-in-place); recovery stays armed in every
-// cell so a deadlock is visible as a sacrifice, never a hang.
-func dr1Cell(reconfigMode string, faultAt, bcastAt, wave2At int64) campaign.Spec {
-	return campaign.Spec{
-		Shape:       geom.MustShape(4, 4),
-		SXB:         geom.Coord{0, 0},
-		DXB:         geom.Coord{0, 3},
-		DXBSeparate: true,
-		Events:      []inject.Event{{Cycle: faultAt, Fault: fault.RouterFault(geom.Coord{2, 1})}},
-		Pattern:     campaign.Pair(geom.Coord{0, 1}, geom.Coord{2, 2}, 2),
-		Waves:       2,
-		Gap:         wave2At,
-		PacketSize:  24,
-		Broadcasts:  []campaign.Broadcast{{Cycle: bcastAt, Src: geom.Coord{3, 2}, Size: 24}},
-		Inject:      inject.Options{Retransmit: true, RetryAfter: 32, StallThreshold: 256},
-		Recovery:    recovery.Options{Enabled: true, StallThreshold: 256},
-		Reconfig:    reconfigMode,
-		Horizon:     20_000,
+// dr1Rows are the Fig. 9 configuration with the fault landing MID-RUN: the
+// separate-D-XB machine whose router (2,1) dies at a scheduled cycle, a
+// two-packet unicast pair and a broadcast crossing the detour. Recovery stays
+// armed in every row so a deadlock is visible as a sacrifice, never a hang;
+// the rows differ in the reconfiguration trigger ("" = PR 5
+// rebuild-in-place) and in when the fault lands.
+func dr1Rows() []row {
+	// Fault at 40: the first wave has drained, the second wave and the
+	// broadcast inject at 48 — after the swap window. The control walks
+	// straight into the Fig. 9 wait cycle under its rebuilt-in-place
+	// separate tables; the reconfigured run has already hot-swapped to the
+	// unified scheme.
+	control := broadcastAt(recovering(failAt(fig9(), 40)), 48)
+	control.Waves, control.Gap = 2, 48
+	hot := control
+	hot.Reconfig.Mode = core.ReconfigOnFault
+	// Fault at 8: the broadcast and a unicast pair are in flight, so the
+	// transition union is cyclic and must drain. The pair is shifted to
+	// (0,0)->(3,3) — a path that avoids the dying router — because an
+	// in-flight packet the fault itself kills never reaches the
+	// admissibility check; the inadmissible window needs survivors of both
+	// traffic classes.
+	drain := recovering(failAt(fig9(), 8))
+	drain.Waves, drain.Gap, drain.Patterns = 2, 48, []string{"pair:0,0>3,3"}
+	drain.Reconfig.Mode = core.ReconfigOnFault
+	return []row{
+		{[]any{"purge-and-retransmit"}, control},
+		{[]any{"reconfig, hot swap"}, hot},
+		{[]any{"reconfig, drain"}, drain},
 	}
-}
-
-// drainCell is the DR1 inadmissible-window scenario: the Fig. 9 machine and
-// broadcast, with the unicast pair shifted off the dying router so both
-// traffic classes are still in flight when the fault fires.
-func drainCell() campaign.Spec {
-	sp := dr1Cell(core.ReconfigOnFault, 8, 0, 48)
-	sp.Pattern = campaign.Pair(geom.Coord{0, 0}, geom.Coord{3, 3}, 2)
-	return sp
-}
-
-// runReconfigCell runs one cell collecting its reconfiguration events, so a
-// report can pin the transition certificates alongside the verdict.
-func runReconfigCell(spec campaign.Spec) (campaign.CellResult, []reconfig.Event, error) {
-	var events []reconfig.Event
-	spec.OnReconfig = func(ev reconfig.Event) { events = append(events, ev) }
-	res, err := campaign.RunCell(spec)
-	return res, events, err
 }
 
 // packetsLost is the experiment's price metric: every packet the strategy
@@ -102,34 +87,10 @@ func packetsLost(c campaign.CellResult) int {
 // its in-flight population while pinning a concrete cycle witness both for
 // the refused separate-scheme recompile and for the cyclic transition union.
 func runDR1(r *Report, opt Options) error {
-	type cell struct {
-		name string
-		spec campaign.Spec
-	}
-	cells := []cell{
-		// Fault at 40: the first wave has drained, the second wave and the
-		// broadcast inject at 48 — after the swap window. The control walks
-		// straight into the Fig. 9 wait cycle under its rebuilt-in-place
-		// separate tables; the reconfigured run has already hot-swapped to
-		// the unified scheme.
-		{"purge-and-retransmit", dr1Cell("", 40, 48, 48)},
-		{"reconfig, hot swap", dr1Cell(core.ReconfigOnFault, 40, 48, 48)},
-		// Fault at 8: the broadcast and a unicast pair are in flight, so the
-		// transition union is cyclic and must drain. The pair is shifted to
-		// (0,0)->(3,3) — a path that avoids the dying router — because an
-		// in-flight packet the fault itself kills never reaches the
-		// admissibility check; the inadmissible window needs survivors of
-		// both traffic classes.
-		{"reconfig, drain", drainCell()},
-	}
-
-	type outcome struct {
-		res campaign.CellResult
-		evs []reconfig.Event
-	}
-	outs, err := sweepCells(opt, len(cells), func(i int) (outcome, error) {
-		res, evs, err := runReconfigCell(cells[i].spec)
-		return outcome{res, evs}, err
+	rows := dr1Rows()
+	evs := make([][]reconfig.Event, len(rows))
+	cells, err := sweepRows(opt, rows, func(i int, s *campaign.Spec) {
+		s.OnReconfig = func(ev reconfig.Event) { evs[i] = append(evs[i], ev) }
 	})
 	if err != nil {
 		return err
@@ -137,18 +98,17 @@ func runDR1(r *Report, opt Options) error {
 
 	tbl := stats.NewTable("DR1 mid-run Fig. 9 fault: PR 5 purge-and-retransmit vs online reconfiguration",
 		"strategy", "outcome", "end cycle", "recoveries", "swaps", "drained", "victims", "delivered", "bcopies", "lost")
-	for i, o := range outs {
-		c := o.res
-		tbl.AddRow(cells[i].name, cellOutcome(c), c.EndCycle, c.Recoveries, c.Reconfigured,
-			c.ReconfigDrained, c.Stats.Victims, c.Delivered, c.BroadcastCopies, packetsLost(c))
+	for i, c := range cells {
+		tbl.AddRow(append(rows[i].label, cellOutcome(c), c.EndCycle, c.Recoveries, c.Reconfigured,
+			c.ReconfigDrained, c.Stats.Victims, c.Delivered, c.BroadcastCopies, packetsLost(c))...)
 	}
 	r.Tables = append(r.Tables, tbl)
 
-	control, hot, drain := outs[0].res, outs[1].res, outs[2].res
+	control, hot, drain := cells[0], cells[1], cells[2]
 	certified := true
 	refusalPinned, unionPinned := false, false
-	for _, o := range outs[1:] {
-		for _, ev := range o.evs {
+	for _, rowEvs := range evs[1:] {
+		for _, ev := range rowEvs {
 			r.Notef("%s", ev)
 			switch ev.Outcome {
 			case reconfig.OutcomeHotSwap:
@@ -190,16 +150,6 @@ func runDR1(r *Report, opt Options) error {
 	return nil
 }
 
-// dr2Config is the R2 second-fault sweep — every placement of one more dead
-// router or crossbar over the preset Fig. 9 fault on the separate-D-XB
-// design — with online reconfiguration layered on (or off, for the PR 5
-// control).
-func dr2Config(opt Options, reconfigMode string) campaign.Config {
-	cfg := r2Config(opt, true)
-	cfg.Reconfig = reconfigMode
-	return cfg
-}
-
 // runDR2 reruns the R2 second-fault sweep with reconfiguration triggered by
 // both mid-run faults and confirmed deadlocks, against the PR 5
 // purge-and-retransmit control. Shape criterion: the reconfigured sweep
@@ -208,59 +158,32 @@ func dr2Config(opt Options, reconfigMode string) campaign.Config {
 // control, and stays as clean as R2 demands — zero wedges, zero livelocks,
 // refusals exactly as reachability predicts, no undocumented losses.
 func runDR2(r *Report, opt Options) error {
-	control, err := campaign.Run(dr2Config(opt, ""))
+	control, err := runCampaign(opt, r2(opt))
 	if err != nil {
 		return err
 	}
-	recfg, err := campaign.Run(dr2Config(opt, core.ReconfigBoth))
+	t := r2(opt)
+	t.Reconfig.Mode = core.ReconfigBoth
+	recfg, err := runCampaign(opt, t)
 	if err != nil {
 		return err
 	}
-
-	audit := func(res *campaign.Result) (wedged, unpredicted, undocumented, sacrificed, lost int) {
-		for _, c := range res.Cells {
-			if (c.Deadlocked && !c.Drained) || (c.Stalled && !c.Deadlocked) {
-				wedged++
-			}
-			if !c.UnreachableAsPredicted {
-				unpredicted++
-			}
-			st := c.Stats
-			final := st.LostUnreachable + st.LostExhausted + st.LostUntraceable
-			if st.Duplicates != 0 ||
-				(c.Drained && c.Delivered+final != c.Accepted) ||
-				c.BroadcastCopies+st.DropsOther > c.BroadcastCopiesExpected {
-				undocumented++
-			}
-			sacrificed += st.Victims + c.ReconfigDrained
-			lost += finalLosses(st)
-		}
-		return
-	}
-	cWedged, cUnpred, cUndoc, cSacr, cLost := audit(control)
-	rWedged, rUnpred, rUndoc, rSacr, rLost := audit(recfg)
-
-	var cCycles, rCycles int64
-	for _, c := range control.Cells {
-		cCycles += c.EndCycle
-	}
-	for _, c := range recfg.Cells {
-		rCycles += c.EndCycle
-	}
+	ca, ra := auditMap(control), auditMap(recfg)
 
 	tbl := stats.NewTable("DR2 second-fault sweep: PR 5 purge-and-retransmit vs reconfig mode=both",
 		"strategy", "cells", "recoveries", "swaps", "drained", "fellback", "wedged", "undocumented", "sacrificed", "lost", "total cycles")
-	tbl.AddRow("purge-and-retransmit", len(control.Cells), control.Recoveries(), 0, 0, 0, cWedged, cUndoc, cSacr, cLost, cCycles)
-	tbl.AddRow("reconfig both", len(recfg.Cells), recfg.Recoveries(), recfg.Reconfigured(), recfg.ReconfigDrained(), recfg.ReconfigFellBack(), rWedged, rUndoc, rSacr, rLost, rCycles)
+	tbl.AddRow("purge-and-retransmit", len(control.Cells), control.Recoveries(), 0, 0, 0,
+		ca.deadlocks+ca.stalls, ca.undocumented, ca.sacrificed, ca.lost, ca.cycles)
+	tbl.AddRow("reconfig both", len(recfg.Cells), recfg.Recoveries(), recfg.Reconfigured(), recfg.ReconfigDrained(), recfg.ReconfigFellBack(),
+		ra.deadlocks+ra.stalls, ra.undocumented, ra.sacrificed, ra.lost, ra.cycles)
 	r.Tables = append(r.Tables, tbl)
 
 	r.Pass = recfg.Reconfigured() > 0 && recfg.ReconfigFellBack() == 0 &&
 		recfg.Recoveries() < control.Recoveries() &&
-		recfg.Livelocked() == 0 && rWedged == 0 && rUnpred == 0 && rUndoc == 0 &&
-		control.Livelocked() == 0 && cWedged == 0 && cUnpred == 0 && cUndoc == 0
+		recfg.Livelocked() == 0 && ra.clean() && control.Livelocked() == 0 && ca.clean()
 	r.Notef("%d cells per strategy: reconfiguration commits %d swap(s) (%d drained packet(s), %d fallback(s)) and cuts recoveries %d -> %d",
 		len(recfg.Cells), recfg.Reconfigured(), recfg.ReconfigDrained(), recfg.ReconfigFellBack(), control.Recoveries(), recfg.Recoveries())
 	r.Notef("sacrificed packets %d -> %d, terminal losses %d -> %d, total drain cycles %d -> %d",
-		cSacr, rSacr, cLost, rLost, cCycles, rCycles)
+		ca.sacrificed, ra.sacrificed, ca.lost, ra.lost, ca.cycles, ra.cycles)
 	return nil
 }

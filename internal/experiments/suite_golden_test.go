@@ -1,19 +1,22 @@
 package experiments
 
 // Suite golden pins: what `mdxbench` prints, byte for byte. The digest tests
-// in golden_test.go say a report is the same on every run and at every
-// parallelism level; these fixtures — recorded from the parent of the PR that
-// moved the mesh and torus baselines onto core.Machine, before any code
-// changed — say *what* it is, so a refactor of the experiment bodies, the
-// machine builders or the report renderer that changes one digit of one
-// table fails here. Rewrite with -update only after an intentional change.
+// in golden_test.go say a report is the same at every parallelism level;
+// these fixtures — recorded from the parent of the PR that moved the mesh
+// and torus baselines onto core.Machine, before any code changed — say
+// *what* it is, so a refactor of the experiment bodies, the machine
+// builders or the report renderer that changes one digit of one table fails
+// here. Rewrite with -update only after an intentional change.
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the suite goldens")
 
 // suiteStdout runs the named experiments and renders them as mdxbench does.
 func suiteStdout(t *testing.T, ids string, opt Options) string {
@@ -36,7 +39,7 @@ func suiteStdout(t *testing.T, ids string, opt Options) string {
 func checkSuiteGolden(t *testing.T, name, got string) {
 	t.Helper()
 	golden := filepath.Join("testdata", name)
-	if *updateVC {
+	if *update {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}

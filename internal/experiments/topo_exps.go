@@ -14,8 +14,6 @@ import (
 	"fmt"
 
 	"sr2201/internal/campaign"
-	"sr2201/internal/fault"
-	"sr2201/internal/geom"
 	"sr2201/internal/inject"
 	"sr2201/internal/stats"
 )
@@ -32,9 +30,9 @@ func init() {
 // every refusal matches the static post-fault prediction, and with
 // retransmission on the only final losses are documented unreachable
 // destinations.
-func runTopoCampaign(r *Report, topology string, cfg campaign.Config) error {
-	cfg.Topology = topology
-	res, err := campaign.Run(cfg)
+func runTopoCampaign(r *Report, opt Options, topology string, t campaign.RunText) error {
+	t.Topology = topology
+	res, err := runCampaign(opt, t)
 	if err != nil {
 		return err
 	}
@@ -42,7 +40,7 @@ func runTopoCampaign(r *Report, topology string, cfg campaign.Config) error {
 	a := auditMap(res)
 	r.Pass = a.clean()
 	r.Notef("%d cells (%d placements incl. links): deadlocks %d, stalls %d, undrained %d, refusals off-prediction %d, undocumented losses %d",
-		len(res.Cells), len(campaign.PlacementsFor(topology, cfg.Shape)),
+		len(res.Cells), len(campaign.PlacementsFor(topology, res.Shape)),
 		a.deadlocks, a.stalls, a.undrained, a.unpredicted, a.undocumented)
 	r.Notef("refusals across the map: %d — every one a statically predicted unreachable destination", a.refused)
 	return nil
@@ -52,7 +50,7 @@ func runTopoCampaign(r *Report, topology string, cfg campaign.Config) error {
 // Fault-tolerant DOR detours around any single in-dimension link fault, so
 // only router faults (dead destinations) may refuse traffic.
 func runH1(r *Report, opt Options) error {
-	return runTopoCampaign(r, "hyperx", faultMapConfig(opt, geom.MustShape(6, 6), geom.MustShape(3, 3), 7, 5))
+	return runTopoCampaign(r, opt, "hyperx", faultMap(opt, "6x6", "3x3", 7, 5))
 }
 
 // runH2 prices the VC-free full mesh the same way. Unlike HyperX, the
@@ -60,59 +58,48 @@ func runH1(r *Report, opt Options) error {
 // a single a-1 link fault is a predicted refusal, not a detour — the
 // campaign's as-predicted accounting prices that degradation exactly.
 func runH2(r *Report, opt Options) error {
-	return runTopoCampaign(r, "fullmesh", faultMapConfig(opt, geom.MustShape(12), geom.MustShape(6), 5, 3))
+	return runTopoCampaign(r, opt, "fullmesh", faultMap(opt, "12", "6", 5, 3))
 }
 
-// faceOffCase is one topology's run in the H3 comparison.
-type faceOffCase struct {
-	topology string
-	shape    geom.Shape
-	victim   geom.Coord
-}
-
-// runH3 runs one identical workload — a wave pattern with a router dying at
-// cycle 8 and retransmission on — across all three topologies and compares
-// what the fault costs each: availability, losses, and delivered latency.
-// Shape criterion: every topology drains without deadlock or stall, refusals
-// match prediction, and retransmission closes the loss gap exactly (only the
-// statically unreachable destinations are lost).
-func runH3(r *Report, opt Options) error {
-	shape2d, mesh := geom.MustShape(6, 6), geom.MustShape(36)
-	victim2d, victimMesh := geom.Coord{3, 3}, geom.Coord{18}
-	waves := 4
+// h3Rows are one wave workload with a router dying at cycle 8 and
+// retransmission on, on each topology at the experiment's scale.
+func h3Rows(opt Options) []row {
+	shape2d, mesh, victim2d, victimMesh := "6x6", "36", "3,3", "18"
 	if opt.Quick {
-		shape2d, mesh = geom.MustShape(4, 4), geom.MustShape(16)
-		victim2d, victimMesh = geom.Coord{2, 1}, geom.Coord{9}
+		shape2d, mesh, victim2d, victimMesh = "4x4", "16", "2,1", "9"
 	}
-	cases := []faceOffCase{
-		{"mdx", shape2d, victim2d},
-		{"hyperx", shape2d, victim2d},
-		{"fullmesh", mesh, victimMesh},
+	run := func(topology, shape, victim string) row {
+		return row{[]any{topology, shape}, campaign.RunText{
+			Shape:    shape,
+			Topology: topology,
+			Fails:    []string{"rtc:" + victim + "@8"},
+			Patterns: []string{"shift+7"},
+			Waves:    4,
+			Gap:      24,
+			Inject:   inject.Options{Retransmit: true, RetryAfter: 32, StallThreshold: 256},
+		}}
+	}
+	return []row{run("mdx", shape2d, victim2d), run("hyperx", shape2d, victim2d), run("fullmesh", mesh, victimMesh)}
+}
+
+// runH3 runs one identical workload across all three topologies and
+// compares what the fault costs each: availability, losses, and delivered
+// latency. Shape criterion: every topology drains without deadlock or
+// stall, refusals match prediction, and retransmission closes the loss gap
+// exactly (only the statically unreachable destinations are lost).
+func runH3(r *Report, opt Options) error {
+	rows := h3Rows(opt)
+	cells, err := sweepRows(opt, rows, nil)
+	if err != nil {
+		return err
 	}
 
 	tbl := stats.NewTable(
-		fmt.Sprintf("H3 one router dies at cycle 8 (%s / %s), same wave workload", shape2d, mesh),
+		fmt.Sprintf("H3 one router dies at cycle 8 (%s / %s), same wave workload", rows[0].run.Shape, rows[2].run.Shape),
 		"topology", "shape", "accepted", "delivered", "refused", "killed", "retx",
 		"recovered", "lost-unreach", "avail", "mean lat", "max lat")
 	pass := true
-	for _, c := range cases {
-		res, err := campaign.RunCell(campaign.Spec{
-			Shape:    c.shape,
-			Topology: c.topology,
-			Events:   []inject.Event{{Cycle: 8, Fault: fault.RouterFault(c.victim)}},
-			Pattern:  campaign.Shift(7),
-			Waves:    waves,
-			Gap:      24,
-			Inject: inject.Options{
-				Retransmit:     true,
-				RetryAfter:     32,
-				StallThreshold: 256,
-			},
-			KeepDeliveries: true,
-		})
-		if err != nil {
-			return err
-		}
+	for i, res := range cells {
 		var sumLat, maxLat int64
 		for _, d := range res.Deliveries {
 			sumLat += d.Latency
@@ -125,13 +112,12 @@ func runH3(r *Report, opt Options) error {
 			meanLat = float64(sumLat) / float64(len(res.Deliveries))
 		}
 		st := res.Stats
-		tbl.AddRow(c.topology, c.shape.String(), res.Accepted, res.Delivered, res.Refused,
+		tbl.AddRow(append(rows[i].label, res.Accepted, res.Delivered, res.Refused,
 			st.KilledInFlight+st.DropsEnRoute, st.Retransmits, st.Recovered,
-			st.LostUnreachable, res.Availability(), meanLat, maxLat)
+			st.LostUnreachable, res.Availability(), meanLat, maxLat)...)
 		pass = pass && res.Drained && !res.Deadlocked && !res.Stalled &&
 			res.UnreachableAsPredicted && st.Duplicates == 0 &&
 			res.Accepted-res.Delivered-st.LostUnreachable == 0
-		opt.cellDone(res.EndCycle)
 	}
 	r.Tables = append(r.Tables, tbl)
 	r.Pass = pass

@@ -13,36 +13,31 @@ import (
 	"fmt"
 
 	"sr2201/internal/campaign"
-	"sr2201/internal/geom"
 	"sr2201/internal/stats"
 )
 
 func init() {
 	register(Experiment{ID: "V2", Title: "Escape-VC adaptive routing defuses the Fig. 9 scenario", Paper: "Fig. 9 + VC extension", run: runV2})
-	register(Experiment{ID: "V3", Title: "Single-fault availability map under adaptive routing", Paper: "Sec. 4 + VC extension", run: laneMap{
-		control: 0, controlName: "static", subject: 2, subjectName: "adaptive",
-		title:     "V3 exhaustive single-fault map: static unified vs adaptive vc=2",
-		cellsNote: "%d cells per design: adaptive sweep %d deadlocks, %d stalls, %d undrained, %d off-prediction, %d undocumented",
-		probeNote: "fault-free probe: %d of %d deliveries took an adaptive lane; drain time %d vs static sweep total %d / adaptive %d",
-	}.run})
-	register(Experiment{ID: "V4", Title: "Single-fault availability map at four virtual channels", Paper: "Sec. 4 + VC extension", run: laneMap{
-		control: 2, controlName: "adaptive vc=2", subject: 4, subjectName: "adaptive vc=4",
-		title:     "V4 exhaustive single-fault map: adaptive vc=2 vs vc=4",
-		cellsNote: "%d cells per depth: vc=4 sweep %d deadlocks, %d stalls, %d undrained, %d off-prediction, %d undocumented",
-		probeNote: "fault-free probe at vc=4: %d of %d deliveries took an adaptive lane; drain time %d vs sweep totals vc=2 %d / vc=4 %d",
-	}.run})
+	register(Experiment{ID: "V3", Title: "Single-fault availability map under adaptive routing", Paper: "Sec. 4 + VC extension", run: v3Map.run})
+	register(Experiment{ID: "V4", Title: "Single-fault availability map at four virtual channels", Paper: "Sec. 4 + VC extension", run: v4Map.run})
 }
 
-// adaptiveFig9 is the Fig. 9 workload — preset router fault, detouring
-// unicast pair, crossing broadcast — on the adaptive machine: two lanes per
-// wire, escape-VC routing, recovery armed so any deadlock would be visible
-// as a sacrifice instead of a hang.
-func adaptiveFig9(broadcastAt int64) campaign.Spec {
-	sp := fig9Cell(false, true, broadcastAt)
-	sp.VCs = 2
-	sp.Adaptive = true
-	sp.KeepDeliveries = true
-	return sp
+// v2Rows are the bare separate-DXB Fig. 9 run, then the adaptive machine
+// on the same workload at each broadcast offset: two lanes per wire,
+// escape-VC routing, recovery armed so any deadlock would be visible as a
+// sacrifice instead of a hang.
+func v2Rows(opt Options) []row {
+	offsets := []int64{0, 8, 16, 24, 32, 40}
+	if opt.Quick {
+		offsets = []int64{0, 16}
+	}
+	rows := []row{{[]any{"0", "separate, bare"}, fig9()}}
+	for _, off := range offsets {
+		t := unified(recovering(broadcastAt(fig9(), off)))
+		t.Variant.VCs, t.Variant.Adaptive = 2, true
+		rows = append(rows, row{[]any{fmt.Sprint(off), "adaptive vc=2"}, t})
+	}
+	return rows
 }
 
 // adaptiveDeliveries counts deliveries that took at least one adaptive hop.
@@ -65,32 +60,23 @@ func adaptiveDeliveries(c campaign.CellResult) int {
 // least one delivery must actually use an adaptive lane, so the result
 // certifies the adaptive path and not a degenerate escape-only run.
 func runV2(r *Report, opt Options) error {
-	base, err := campaign.RunCell(fig9Cell(true, false, 0))
-	if err != nil {
-		return err
-	}
-
-	offsets := []int64{0, 8, 16, 24, 32, 40}
-	if opt.Quick {
-		offsets = []int64{0, 16}
-	}
-	cells, err := sweepCells(opt, len(offsets), func(i int) (campaign.CellResult, error) {
-		return campaign.RunCell(adaptiveFig9(offsets[i]))
-	})
+	rows := v2Rows(opt)
+	cells, err := sweepRows(opt, rows, nil)
 	if err != nil {
 		return err
 	}
 
 	tbl := stats.NewTable("V2 Fig. 9 workload: bare separate D-XB vs adaptive escape-VC (recovery armed)",
 		"bcast@", "design", "outcome", "end cycle", "recoveries", "delivered", "adaptive", "bcopies")
-	tbl.AddRow("0", "separate, bare", cellOutcome(base), base.EndCycle, base.Recoveries, base.Delivered, 0, base.BroadcastCopies)
+	base := cells[0]
+	tbl.AddRow(append(rows[0].label, cellOutcome(base), base.EndCycle, base.Recoveries, base.Delivered, 0, base.BroadcastCopies)...)
 	clean := true
 	totalAdaptive := 0
-	for i, c := range cells {
+	for i, c := range cells[1:] {
 		adeliv := adaptiveDeliveries(c)
 		totalAdaptive += adeliv
-		tbl.AddRow(fmt.Sprint(offsets[i]), "adaptive vc=2", cellOutcome(c),
-			c.EndCycle, c.Recoveries, c.Delivered, adeliv, c.BroadcastCopies)
+		tbl.AddRow(append(rows[i+1].label, cellOutcome(c),
+			c.EndCycle, c.Recoveries, c.Delivered, adeliv, c.BroadcastCopies)...)
 		if !c.Drained || c.Livelocked || c.Recoveries != 0 ||
 			c.Stats.Duplicates != 0 || c.Delivered != c.Accepted ||
 			c.BroadcastCopies != c.BroadcastCopiesExpected {
@@ -131,23 +117,41 @@ type laneMap struct {
 	cellsNote, probeNote string
 }
 
-// config is the campaign at one lane depth.
-func (lm laneMap) config(opt Options, vcs int) campaign.Config {
-	cfg := faultMapConfig(opt, geom.MustShape(6, 6), geom.MustShape(4, 4), 7, 5)
-	if vcs > 0 {
-		cfg.VCs = vcs
-		cfg.Adaptive = true
+var (
+	v3Map = laneMap{
+		control: 0, controlName: "static", subject: 2, subjectName: "adaptive",
+		title:     "V3 exhaustive single-fault map: static unified vs adaptive vc=2",
+		cellsNote: "%d cells per design: adaptive sweep %d deadlocks, %d stalls, %d undrained, %d off-prediction, %d undocumented",
+		probeNote: "fault-free probe: %d of %d deliveries took an adaptive lane; drain time %d vs static sweep total %d / adaptive %d",
 	}
-	return cfg
+	v4Map = laneMap{
+		control: 2, controlName: "adaptive vc=2", subject: 4, subjectName: "adaptive vc=4",
+		title:     "V4 exhaustive single-fault map: adaptive vc=2 vs vc=4",
+		cellsNote: "%d cells per depth: vc=4 sweep %d deadlocks, %d stalls, %d undrained, %d off-prediction, %d undocumented",
+		probeNote: "fault-free probe at vc=4: %d of %d deliveries took an adaptive lane; drain time %d vs sweep totals vc=2 %d / vc=4 %d",
+	}
+)
+
+// texts are the campaigns at the control and subject depths and the
+// fault-free probe at the subject's.
+func (lm laneMap) texts(opt Options) (control, subject, probe campaign.RunText) {
+	at := func(vcs int) campaign.RunText {
+		t := faultMap(opt, "6x6", "4x4", 7, 5)
+		t.Variant = campaign.VariantText{VCs: vcs, Adaptive: vcs > 0}
+		return t
+	}
+	control, subject = at(lm.control), at(lm.subject)
+	probe = campaign.RunText{Shape: subject.Shape, Patterns: subject.Patterns[:1], Waves: 2, Gap: 24, Variant: subject.Variant}
+	return control, subject, probe
 }
 
 func (lm laneMap) run(r *Report, opt Options) error {
-	scfg := lm.config(opt, lm.subject)
-	control, err := campaign.Run(lm.config(opt, lm.control))
+	ct, st, pt := lm.texts(opt)
+	control, err := runCampaign(opt, ct)
 	if err != nil {
 		return err
 	}
-	subject, err := campaign.Run(scfg)
+	subject, err := runCampaign(opt, st)
 	if err != nil {
 		return err
 	}
@@ -159,18 +163,11 @@ func (lm laneMap) run(r *Report, opt Options) error {
 	tbl.AddRow(lm.subjectName, len(subject.Cells), sa.deadlocks, sa.stalls, sa.undrained, sa.unpredicted, sa.undocumented, sa.cycles)
 	r.Tables = append(r.Tables, tbl)
 
-	probe, err := campaign.RunCell(campaign.Spec{
-		Shape:          scfg.Shape,
-		Pattern:        scfg.Patterns[0],
-		Waves:          2,
-		Gap:            24,
-		VCs:            lm.subject,
-		Adaptive:       true,
-		KeepDeliveries: true,
-	})
+	cells, err := sweepRows(opt, []row{{nil, pt}}, nil)
 	if err != nil {
 		return err
 	}
+	probe := cells[0]
 	probeAdaptive := adaptiveDeliveries(probe)
 
 	r.Pass = ca.clean() && sa.clean() &&

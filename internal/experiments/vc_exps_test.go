@@ -1,52 +1,8 @@
 package experiments
 
-// V-series golden pin: the quick-mode V2 report — the Fig. 9 deadlocking
-// workload running to completion under adaptive escape-VC routing with the
-// recovery supervisor armed and silent — is pinned byte for byte. Unlike
-// the digest-equality tests in golden_test.go, this fixture freezes the
-// verdict itself: a regression that makes the adaptive machine deadlock,
-// fire a recovery, or lose a packet changes the bytes and fails the gate.
+import "testing"
 
-import (
-	"flag"
-	"os"
-	"path/filepath"
-	"testing"
-)
-
-var updateVC = flag.Bool("update", false, "rewrite the V-series golden report")
-
-// TestV2GoldenReport pins the quick V2 report bytes. Run with -update after
-// an intentional change to the experiment or its rendering.
-func TestV2GoldenReport(t *testing.T) {
-	e, ok := ByID("V2")
-	if !ok {
-		t.Fatal("V2 not registered")
-	}
-	r, err := e.Run(Options{Quick: true, Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Pass {
-		t.Fatalf("V2 failed its shape criterion:\n%s", r.String())
-	}
-	golden := filepath.Join("testdata", "v2_quick.golden")
-	if *updateVC {
-		if err := os.WriteFile(golden, []byte(r.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create)", err)
-	}
-	if got := r.String(); got != string(want) {
-		t.Errorf("V2 report drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
-	}
-}
-
-// TestV3ZeroRecoveries locks the V-series claim the golden cannot see at
-// campaign scale: the adaptive single-fault sweep, with recovery wired into
+// TestV3ZeroRecoveries locks the V-series claim at campaign scale: the adaptive single-fault sweep, with recovery wired into
 // each cell, never needs a sacrifice — deadlock freedom comes from the
 // escape channel alone.
 func TestV3ZeroRecoveries(t *testing.T) {

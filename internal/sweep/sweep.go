@@ -108,9 +108,6 @@ func NewLimiter(width int) *Limiter {
 // Width reports the budget's total worker slots.
 func (l *Limiter) Width() int { return cap(l.sem) }
 
-// InUse reports the slots currently held (a point-in-time snapshot).
-func (l *Limiter) InUse() int { return len(l.sem) }
-
 // acquire blocks until a slot or cancellation. It reports false on cancel.
 func (l *Limiter) acquire(done <-chan struct{}) bool {
 	select {

@@ -288,13 +288,6 @@ func Walk(s Router, src, dst geom.Coord) (Walked, error) {
 	return walked, nil
 }
 
-// Reach reports whether the scheme serves the pair: Walk's error, without
-// naming the channels or listing the routers of a route nobody asked for.
-func Reach(s Router, src, dst geom.Coord) error {
-	w := NewWalker(s.Shape(), s.Wiring(), RouterPolicy(s))
-	return w.Unicast(&flit.Header{Src: src, Dst: dst}, nil)
-}
-
 // RegisterUnicastDependences walks every source/destination pair of the
 // scheme's shape and records each resolved route's channel dependences in
 // the builder. Refused pairs (ErrUnreachable) contribute nothing: the

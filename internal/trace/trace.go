@@ -51,16 +51,6 @@ func (r *Recorder) Events(id uint64) []Event {
 	return evs
 }
 
-// Packets lists recorded packet ids in ascending order.
-func (r *Recorder) Packets() []uint64 {
-	ids := make([]uint64, 0, len(r.events))
-	for id := range r.events {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // Format renders one packet's trace, one hop per line:
 //
 //	cycle   3  RTC(0,0)   --normal-->  port 0
