@@ -215,19 +215,34 @@ func (g *Graph) registerUnicast() {
 }
 
 // registerBroadcast records the broadcast classes: per source the request
-// leg, its edge into the contracted tree, and the tree's members.
+// leg, its edge into the contracted tree, and the tree's members. A request
+// leg ends at the S-XB, whose fan is the same whatever the source, so the
+// first source that reaches it walks the whole tree and every later one only
+// its request leg; the tree's members are absorbed once. A naive fan is
+// rooted at its source, so there every source walks its own tree.
 func (g *Graph) registerBroadcast() {
 	treeID := g.vertexOf(g.tree)
+	serialized := g.p.BroadcastHeader(geom.Coord{}).RC == flit.RCBroadcastRequest
+	fanned := false // g.fan holds the S-XB's fan, absorbed into the tree
 	g.shape.Enumerate(func(src geom.Coord) bool {
-		if err := g.walkBroadcast(src); err != nil {
+		var err error
+		if fanned {
+			err = g.walkRequest(src)
+		} else {
+			err = g.walkBroadcast(src)
+		}
+		if err != nil {
 			return true // sources that cannot broadcast contribute nothing
 		}
 		g.path(g.request)
 		if len(g.request) > 0 && len(g.fan) > 0 {
 			g.b.Edge(g.vertexOf(g.request[len(g.request)-1]), treeID)
 		}
-		for _, n := range g.fan {
-			g.b.Absorb(treeID, g.vertexOf(n))
+		if !fanned {
+			for _, n := range g.fan {
+				g.b.Absorb(treeID, g.vertexOf(n))
+			}
+			fanned = serialized
 		}
 		return true
 	})
@@ -243,6 +258,14 @@ func (g *Graph) walkBroadcast(src geom.Coord) error {
 	g.h = g.p.BroadcastHeader(src)
 	_, err := g.w.Broadcast(&g.h, g.visit)
 	return err
+}
+
+// walkRequest is walkBroadcast up to the S-XB: it leaves the request leg in
+// g.request and g.fan as it was.
+func (g *Graph) walkRequest(src geom.Coord) error {
+	g.request = g.request[:0]
+	g.h = g.p.BroadcastHeader(src)
+	return g.w.Request(&g.h, g.visit)
 }
 
 // analyzeNaive checks the unserialized hazard: two distinct sources whose

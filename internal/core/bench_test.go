@@ -56,6 +56,50 @@ func BenchmarkMachineReachable(b *testing.B) {
 	}
 }
 
+// BenchmarkMachineBroadcast times Broadcast: its count of the copies, one
+// walk of the static tree on the machine's own walker, and the injection,
+// from seeded live PEs. A warm-up broadcast sizes the walk's scratch, and
+// every 16 calls the queued broadcasts drain with the timer stopped, so the
+// header pool and the source queues keep their size.
+func BenchmarkMachineBroadcast(b *testing.B) {
+	m := faultedVCMachine(b)
+	var live []geom.Coord
+	m.Shape().Enumerate(func(c geom.Coord) bool {
+		if m.Alive(c) {
+			live = append(live, c)
+		}
+		return true
+	})
+	rng := rand.New(rand.NewSource(1))
+	srcs := make([]geom.Coord, 1024)
+	for i := range srcs {
+		srcs[i] = live[rng.Intn(len(live))]
+	}
+	drain := func() {
+		if out := m.Run(1_000_000); !out.Drained {
+			b.Fatalf("broadcasts did not drain: %+v", out)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		if _, _, err := m.Broadcast(srcs[i], 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+	drain()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%16 == 0 {
+			b.StopTimer()
+			drain()
+			b.StartTimer()
+		}
+		if _, _, err := m.Broadcast(srcs[i%len(srcs)], 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAnalyzeFig9 times the deadlock analyzer on a wedged engine: the
 // bare Fig. 9 machine (separate D-XB, a faulty router, a detoured unicast
 // and a broadcast) run to its deadlock.

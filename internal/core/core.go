@@ -782,17 +782,29 @@ func (m *Machine) inject(h flit.Header, size int) (uint64, error) {
 // Broadcast queues a hardware broadcast from src (S-XB-serialized, or the
 // naive tree when the machine is configured NaiveBroadcast). The returned
 // count is the number of PEs that will receive a copy; the error reports a
-// source that cannot reach the serialization point.
+// source that cannot reach the serialization point. Both are the static
+// tree's (routing.Policy.BroadcastTree), counted on the machine's own walk:
+// after its first call, Broadcast allocates nothing.
 func (m *Machine) Broadcast(src geom.Coord, size int) (uint64, int, error) {
 	if m.router != nil {
 		return 0, 0, fmt.Errorf("core: topology %q has no hardware broadcast facility (mdx-only)", m.cfg.Topology)
 	}
-	tree, err := m.policy.BroadcastTree(src)
+	h, err := m.policy.BroadcastFrom(src)
 	if err != nil {
 		return 0, 0, err
 	}
-	id, err := m.inject(m.policy.BroadcastHeader(src), size)
-	return id, len(tree.Delivered), err
+	// The fan is a tree (a router forwards only into higher dimensions, a
+	// crossbar never back to its sender), so no PE is reached twice.
+	copies, pe := 0, m.shape.Dims()
+	if _, err := m.walk.Broadcast(&h, func(ch int32, _ *flit.Header, _ int) {
+		if dim, _, out := m.walk.Port(ch); dim < 0 && out == pe {
+			copies++
+		}
+	}); err != nil {
+		return 0, 0, err
+	}
+	id, err := m.inject(h, size)
+	return id, copies, err
 }
 
 // Step advances the simulation one cycle.

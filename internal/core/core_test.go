@@ -312,6 +312,36 @@ func TestAddFaultRequiresQuiescence(t *testing.T) {
 	}
 }
 
+func TestCrossbarFaultWithOwnCoordinateRefused(t *testing.T) {
+	// Row 1's crossbar spelled with a point of the row, (2,1), rather than
+	// LineOf's (0,1): the engine would fail row 1's crossbar while the
+	// routing, which looks faults up by LineOf, sent (0,1) -> (3,1) into it
+	// and dropped it. AddFault and FailNow refuse the spelling, and the
+	// machine goes on delivering as before.
+	bad := fault.XBFault(geom.Line{Dim: 0, Fixed: geom.Coord{2, 1}})
+	for _, fail := range []struct {
+		name string
+		add  func(*Machine) error
+	}{
+		{"AddFault", func(m *Machine) error { return m.AddFault(bad) }},
+		{"FailNow", func(m *Machine) error { _, err := m.FailNow(bad); return err }},
+	} {
+		m := mustMachine(t, Config{Shape: geom.MustShape(4, 4)})
+		if err := fail.add(m); err == nil {
+			t.Fatalf("%s accepted crossbar fault %v", fail.name, bad.Line)
+		}
+		if n := m.Faults().Count(); n != 0 {
+			t.Fatalf("%s: %d faults recorded after the refusal", fail.name, n)
+		}
+		if _, err := m.Send(geom.Coord{0, 1}, geom.Coord{3, 1}, 4); err != nil {
+			t.Fatal(err)
+		}
+		if out := m.Run(10_000); !out.Drained || m.Dropped() != 0 || len(m.Deliveries()) != 1 {
+			t.Fatalf("%s: after the refusal, %d delivered and %d dropped: %+v", fail.name, len(m.Deliveries()), m.Dropped(), out)
+		}
+	}
+}
+
 func TestBroadcastWithFaultyRouterSkipsDeadPE(t *testing.T) {
 	m := m43(t)
 	bad := geom.Coord{3, 1}

@@ -129,6 +129,11 @@ func (s *Set) Add(f Fault) error {
 		if !s.shape.Contains(f.Line.Point(0)) {
 			return fmt.Errorf("fault: crossbar %v outside shape", f.Line)
 		}
+		if v := f.Line.Fixed[f.Line.Dim]; v != 0 {
+			// Point and LineIndex ignore it, map lookups do not: the line
+			// would name one crossbar to the engine and none to the routing.
+			return fmt.Errorf("fault: crossbar %v has coordinate %d in its own dimension %d, want 0 (geom.LineOf)", f.Line, v, f.Line.Dim)
+		}
 		s.xbs[f.Line] = true
 	case KindLink:
 		if !s.shape.Contains(f.Coord) {

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"strings"
 	"testing"
 
 	"sr2201/internal/geom"
@@ -24,6 +25,11 @@ func TestAddValidation(t *testing.T) {
 	}
 	if err := s.Add(XBFault(geom.Line{Dim: 0, Fixed: geom.Coord{0, 5}})); err == nil {
 		t.Error("out-of-range crossbar fault accepted")
+	}
+	// Row 1's crossbar spelled with a point of the row: the engine would
+	// fail row 1's crossbar and the routing would not know it.
+	if err := s.Add(XBFault(geom.Line{Dim: 0, Fixed: geom.Coord{2, 1}})); err == nil || !strings.Contains(err.Error(), "dim0@(2,1)") {
+		t.Errorf("crossbar fault with a coordinate in its own dimension: %v, want a refusal naming dim0@(2,1)", err)
 	}
 	if err := s.Add(Fault{Kind: Kind(9)}); err == nil {
 		t.Error("unknown fault kind accepted")

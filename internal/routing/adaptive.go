@@ -34,7 +34,11 @@ import (
 // extension or naive broadcast — each would add escape-channel dependences
 // outside the certified set.
 type VCPolicy struct {
-	escape *Policy
+	// escape is the escape policy with its outputs numbered as lane 0 of
+	// the lane-scaled ports: logical output k, the PE port d included, is
+	// physical port k·vcs. It is a copy sharing the escape policy's rules
+	// and fault set, and one with the VCPolicy.
+	escape Policy
 	vcs    int
 	// one[k] is the shared read-only output list {k} over the lane-scaled
 	// physical ports (see Policy.one).
@@ -61,32 +65,13 @@ func NewVC(escape *Policy, vcs int) (*VCPolicy, error) {
 		return nil, fmt.Errorf("routing: adaptive escape channel cannot use naive broadcast (its fan cycles break escape acyclicity)")
 	}
 	// The escape policy's widest switch, lane-scaled, plus the PE port.
-	return &VCPolicy{escape: escape, vcs: vcs, one: singleOuts(len(escape.one)*vcs + 1)}, nil
+	p := &VCPolicy{escape: *escape, vcs: vcs, one: singleOuts(len(escape.one)*vcs + 1)}
+	p.escape.one, p.escape.scale = p.one, vcs
+	return p, nil
 }
 
 // VCs reports the virtual-channel count the policy was built for.
 func (p *VCPolicy) VCs() int { return p.vcs }
-
-// scaleOuts maps the escape policy's logical output ports (one per wire) to
-// lane 0 of the corresponding physical ports. logicalPE is the escape
-// policy's PE port number on this switch class, or -1 when the switch has
-// none (crossbars). Only a broadcast fan, with several outputs, allocates.
-func (p *VCPolicy) scaleOuts(logical []int, logicalPE, physPE int) []int {
-	scale := func(o int) int {
-		if o == logicalPE && logicalPE >= 0 {
-			return physPE
-		}
-		return o * p.vcs
-	}
-	if len(logical) == 1 {
-		return p.one[scale(logical[0])]
-	}
-	outs := make([]int, len(logical))
-	for i, o := range logical {
-		outs[i] = scale(o)
-	}
-	return outs
-}
 
 // RouteRouter implements topo.Policy. in is a physical port index of the
 // lane-scaled router (see topo.MDCrossbar).
@@ -107,11 +92,7 @@ func (p *VCPolicy) RouteRouter(net *topo.Net, c geom.Coord, in int, h *flit.Head
 			return dec, nil
 		}
 	}
-	outs, w, err := p.escape.routeRouter(c, logicalIn, h)
-	if err != nil {
-		return engine.Decision{}, err
-	}
-	return decision(p.scaleOuts(outs, d, physPE), w, nil)
+	return decision(p.escape.routeRouter(c, logicalIn, h))
 }
 
 // adaptiveHop picks a minimal productive hop on a free adaptive lane, or
@@ -155,11 +136,7 @@ func (p *VCPolicy) adaptiveHop(net *topo.Net, c geom.Coord, h *flit.Header) (eng
 func (p *VCPolicy) RouteXB(net *topo.Net, l geom.Line, in int, h *flit.Header) (engine.Decision, error) {
 	point, lane := in/p.vcs, in%p.vcs
 	if lane == 0 {
-		outs, w, err := p.escape.routeXB(l, point, h)
-		if err != nil {
-			return engine.Decision{}, err
-		}
-		return decision(p.scaleOuts(outs, -1, -1), w, nil)
+		return decision(p.escape.routeXB(l, point, h))
 	}
 	if h.RC != flit.RCNormal {
 		return engine.Decision{}, fmt.Errorf("routing: %v packet on adaptive lane %d of crossbar %v", h.RC, lane, l)

@@ -212,6 +212,15 @@ func (p *Policy) BroadcastHeader(src geom.Coord) flit.Header {
 	return flit.Header{Src: src, BroadcastOrigin: src, RC: rc}
 }
 
+// BroadcastFrom is BroadcastHeader behind the NIA's refusals: of a source
+// outside the shape, and of one whose router is faulty.
+func (p *Policy) BroadcastFrom(src geom.Coord) (flit.Header, error) {
+	if !p.shape.Contains(src) {
+		return flit.Header{}, fmt.Errorf("routing: src %v outside shape", src)
+	}
+	return p.BroadcastHeader(src), p.refuseSource(src)
+}
+
 // BroadcastTree statically expands the broadcast of one packet from src:
 // through the S-XB in the serialized scheme, or the source-rooted tree in
 // naive mode. It returns ErrUnreachable when the source cannot reach the
@@ -219,15 +228,11 @@ func (p *Policy) BroadcastHeader(src geom.Coord) flit.Header {
 // request leg (topo.Walker.Broadcast's rule).
 func (p *Policy) BroadcastTree(src geom.Coord) (BroadcastResult, error) {
 	res := BroadcastResult{Delivered: map[geom.Coord]int{}, Elements: 1}
-	if !p.shape.Contains(src) {
-		return res, fmt.Errorf("routing: src %v outside shape", src)
-	}
-	if err := p.refuseSource(src); err != nil {
+	h, err := p.BroadcastFrom(src)
+	if err != nil {
 		return res, err
 	}
 	w := p.walker()
-	h := p.BroadcastHeader(src)
-	var err error
 	res.DeadBranches, err = w.Broadcast(&h, func(ch int32, _ *flit.Header, depth int) {
 		dim, index, out := w.Port(ch)
 		if dim < 0 && out == p.dims {

@@ -19,6 +19,9 @@ package routing
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"sr2201/internal/engine"
 	"sr2201/internal/fault"
@@ -73,9 +76,13 @@ type Policy struct {
 	// faulty, another XB ... substitutes for the S-XB").
 	sEff geom.Coord
 	dEff geom.Coord
-	// one[k] is the shared read-only output list {k}: decisions with a
-	// single output allocate nothing (the kernel copies Outs).
-	one [][]int
+	// one[k] is the shared read-only output list {k}. Decisions hand out
+	// these lists and the interned fans (fanList) rather than allocate
+	// their own: the kernel copies Outs, and nothing that reads a decision
+	// writes to them. Output k is network port k·scale (out): scale is 1
+	// except in VCPolicy's lane-scaled copy, which shares VCPolicy's one.
+	one   [][]int
+	scale int
 }
 
 var _ topo.Policy = (*Policy)(nil)
@@ -85,7 +92,7 @@ func newPolicy(cfg Config) (*Policy, error) {
 	if cfg.Shape.Dims() < 1 {
 		return nil, fmt.Errorf("routing: config needs a shape")
 	}
-	p := &Policy{cfg: cfg, shape: cfg.Shape, dims: cfg.Shape.Dims(), faults: cfg.Faults}
+	p := &Policy{cfg: cfg, shape: cfg.Shape, dims: cfg.Shape.Dims(), faults: cfg.Faults, scale: 1}
 	if p.faults == nil {
 		p.faults = fault.NewSet(cfg.Shape)
 	}
@@ -107,6 +114,45 @@ func singleOuts(n int) [][]int {
 		one[k] = backing[k : k+1 : k+1]
 	}
 	return one
+}
+
+// out is the shared output list of output k.
+func (p *Policy) out(k int) []int { return p.one[k*p.scale] }
+
+// fanKey names one fan list: a router's PE port pe first (none when pe is
+// -1), then the ports set in mask, ascending, each numbered times scale.
+type fanKey struct {
+	mask      uint64
+	pe, scale int
+}
+
+// fans interns every fan list of the process: the lists are a function of
+// their keys, built once and never changed, so policies share them across
+// goroutines. A fan is a line's ports but its sender, or a router's PE port
+// and higher dimensions, less the faulty ones: few lists, however many
+// policies decide them.
+var fans = struct {
+	sync.Mutex
+	lists map[fanKey][]int
+}{lists: map[fanKey][]int{}}
+
+// fanList returns k's interned list, read-only and capped at its length.
+func fanList(k fanKey) []int {
+	fans.Lock()
+	defer fans.Unlock()
+	if l, ok := fans.lists[k]; ok {
+		return l
+	}
+	var l []int
+	if k.pe >= 0 {
+		l = append(l, k.pe*k.scale)
+	}
+	for m := k.mask; m != 0; m &= m - 1 {
+		l = append(l, bits.TrailingZeros64(m)*k.scale)
+	}
+	l = slices.Clip(l)
+	fans.lists[k] = l
+	return l
 }
 
 // New validates the configuration and resolves the effective S-XB and D-XB
@@ -224,7 +270,6 @@ func (p *Policy) RouteRouter(net *topo.Net, c geom.Coord, in int, h *flit.Header
 
 // routeRouter is RouteRouter in the policy's own terms; it does not retain h.
 func (p *Policy) routeRouter(c geom.Coord, in int, h *flit.Header) ([]int, flit.Rewrite, error) {
-	pePort := p.dims
 	switch h.RC {
 	case flit.RCNormal:
 		return p.routerNormal(c, h)
@@ -237,13 +282,13 @@ func (p *Policy) routeRouter(c geom.Coord, in int, h *flit.Header) ([]int, flit.
 				// Only possible when substitution had no healthy candidate.
 				return nil, 0, fmt.Errorf("%w: serialized crossbar faulty", ErrUnreachable)
 			}
-			return p.one[0], 0, nil
+			return p.out(0), 0, nil
 		}
 		j := p.firstFixedDiff(c, p.sEff)
 		if p.faults.XBFaulty(geom.LineOf(c, j)) {
 			return nil, 0, fmt.Errorf("%w: dim-%d crossbar toward S-XB faulty", ErrUnreachable, j)
 		}
-		return p.one[j], 0, nil
+		return p.out(j), 0, nil
 
 	case flit.RCBroadcast:
 		// Fan rule: a router receiving a broadcast from dimension k forwards
@@ -256,14 +301,14 @@ func (p *Policy) routeRouter(c geom.Coord, in int, h *flit.Header) ([]int, flit.
 		} else if !p.cfg.NaiveBroadcast {
 			return nil, 0, fmt.Errorf("routing: broadcast packet from PE at %v without naive mode", c)
 		}
-		outs := []int{pePort}
+		fan := fanKey{pe: p.dims, scale: p.scale}
 		for j := startDim; j < p.dims; j++ {
 			if p.faults.XBFaulty(geom.LineOf(c, j)) {
 				continue // stop transmission toward the faulty crossbar
 			}
-			outs = append(outs, j)
+			fan.mask |= 1 << j
 		}
-		return outs, 0, nil
+		return fanList(fan), 0, nil
 
 	case flit.RCDetour:
 		// Section 4: ride dimensions 1..d-1 (in order) to the D-XB line,
@@ -272,13 +317,13 @@ func (p *Policy) routeRouter(c geom.Coord, in int, h *flit.Header) ([]int, flit.
 			if p.faults.XBFaulty(geom.LineOf(c, 0)) {
 				return nil, 0, fmt.Errorf("%w: detour crossbar faulty", ErrUnreachable)
 			}
-			return p.one[0], flit.CountDetour, nil
+			return p.out(0), flit.CountDetour, nil
 		}
 		j := p.firstFixedDiff(c, p.dEff)
 		if p.faults.XBFaulty(geom.LineOf(c, j)) {
 			return nil, 0, fmt.Errorf("%w: dim-%d crossbar toward D-XB faulty", ErrUnreachable, j)
 		}
-		return p.one[j], flit.CountDetour, nil
+		return p.out(j), flit.CountDetour, nil
 	}
 	return nil, 0, fmt.Errorf("routing: router %v cannot handle RC %v", c, h.RC)
 }
@@ -295,10 +340,10 @@ func (p *Policy) routerNormal(c geom.Coord, h *flit.Header) ([]int, flit.Rewrite
 	}
 	k := c.FirstDiff(dst, p.dims)
 	if k == -1 {
-		return p.one[pePort], pivot, nil
+		return p.out(pePort), pivot, nil
 	}
 	if !p.faults.XBFaulty(geom.LineOf(c, k)) {
-		return p.one[k], pivot, nil
+		return p.out(k), pivot, nil
 	}
 	// The crossbar this packet needs next is faulty: enter detour mode if
 	// the detour route avoids it, else the destination is unreachable
@@ -318,7 +363,7 @@ func (p *Policy) routerNormal(c geom.Coord, h *flit.Header) ([]int, flit.Rewrite
 	if p.faults.XBFaulty(geom.LineOf(c, j)) {
 		return nil, 0, fmt.Errorf("%w: detour leg dim-%d crossbar %v also faulty", ErrUnreachable, j, geom.LineOf(c, j))
 	}
-	return p.one[j], pivot | flit.SetRC(flit.RCDetour), nil
+	return p.out(j), pivot | flit.SetRC(flit.RCDetour), nil
 }
 
 // detourWalk replays the element sequence of a detour that starts at router
@@ -425,7 +470,7 @@ func (p *Policy) routeXB(l geom.Line, in int, h *flit.Header) ([]int, flit.Rewri
 				// means the network is over-faulted.
 				return nil, 0, fmt.Errorf("%w: router %v on detour crossbar faulty", ErrUnreachable, l.Point(target))
 			}
-			return p.one[target], flit.SetRC(flit.RCNormal), nil
+			return p.out(target), flit.SetRC(flit.RCNormal), nil
 		}
 		return p.xbStep(l, p.dEff[l.Dim], flit.CountDetour)
 	}
@@ -438,7 +483,7 @@ func (p *Policy) xbStep(l geom.Line, port int, w flit.Rewrite) ([]int, flit.Rewr
 	if p.faults.RouterFaulty(l.Point(port)) {
 		return nil, 0, fmt.Errorf("%w: router %v faulty", ErrUnreachable, l.Point(port))
 	}
-	return p.one[port], w, nil
+	return p.out(port), w, nil
 }
 
 // xbNormal is the dimension-order step across a crossbar, with the
@@ -450,7 +495,7 @@ func (p *Policy) xbNormal(l geom.Line, h *flit.Header) ([]int, flit.Rewrite, err
 	target := h.Dst[l.Dim]
 	exit := l.Point(target)
 	if !p.faults.RouterFaulty(exit) {
-		return p.one[target], 0, nil
+		return p.out(target), 0, nil
 	}
 	if exit == h.Dst {
 		// "If an RTC is faulty, the network hardware stops transmission of
@@ -468,22 +513,25 @@ func (p *Policy) xbNormal(l geom.Line, h *flit.Header) ([]int, flit.Rewrite, err
 	if p.detourVisitsRouter(exit, l.Point(dp), h.Dst) {
 		return nil, 0, fmt.Errorf("%w: router %v faulty and the detour re-enters it", ErrUnreachable, exit)
 	}
-	return p.one[dp], flit.SetRC(flit.RCDetour), nil
+	return p.out(dp), flit.SetRC(flit.RCDetour), nil
 }
 
 // fanPorts lists the crossbar ports whose routers are healthy, excluding
 // port `except` (pass -1 to include all).
 func (p *Policy) fanPorts(l geom.Line, except int) []int {
-	n := p.shape[l.Dim]
-	outs := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if v == except {
-			continue
+	fan := fanKey{pe: -1, scale: p.scale}
+	var wide []int // ports past the mask's: a crossbar wider than any built
+	for v := 0; v < p.shape[l.Dim]; v++ {
+		switch {
+		case v == except || p.faults.RouterFaulty(l.Point(v)):
+		case v < 64:
+			fan.mask |= 1 << v
+		default:
+			wide = append(wide, v*p.scale)
 		}
-		if p.faults.RouterFaulty(l.Point(v)) {
-			continue
-		}
-		outs = append(outs, v)
 	}
-	return outs
+	if wide != nil {
+		return append(fanList(fan), wide...) // a copy: the list is capped
+	}
+	return fanList(fan)
 }

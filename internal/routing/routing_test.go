@@ -2,13 +2,18 @@ package routing
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"sr2201/internal/engine"
 	"sr2201/internal/fault"
 	"sr2201/internal/flit"
 	"sr2201/internal/geom"
+	"sr2201/internal/topo"
 )
 
 func mustPolicy(t *testing.T, cfg Config) *Policy {
@@ -830,4 +835,141 @@ func TestDetourRefusesSecondFaultyLeg(t *testing.T) {
 		})
 		return true
 	})
+}
+
+func TestVCPolicyEscapeLaneIsScaledEscape(t *testing.T) {
+	// VCPolicy routes the escape lane with a lane-scaled copy of the escape
+	// policy: every lane-0 decision, fans included, is the escape policy's
+	// with each output k renumbered k·vcs (the PE port d included), and
+	// every refusal is the escape policy's.
+	shape := geom.MustShape(4, 3, 2)
+	const vcs = 3
+	for _, f := range []*fault.Fault{nil, {Kind: fault.KindRouter, Coord: geom.Coord{1, 1, 0}}, {Kind: fault.KindXB, Line: geom.LineOf(geom.Coord{2, 0, 1}, 1)}} {
+		faults := fault.NewSet(shape)
+		if f != nil {
+			if err := faults.Add(*f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p := mustPolicy(t, Config{Shape: shape, Faults: faults})
+		vp, err := NewVC(p, vcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(where string, h flit.Header, want, got engine.Decision, wantErr, gotErr error) {
+			t.Helper()
+			scaled := make([]int, len(want.Outs))
+			for i, o := range want.Outs {
+				scaled[i] = o * vcs
+			}
+			if !slices.Equal(got.Outs, scaled) || got.Rewrite != want.Rewrite || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Errorf("fault %v, %s, %v: VCPolicy %v %v %v, escape %v %v %v", f, where, h.RC, got.Outs, got.Rewrite, gotErr, want.Outs, want.Rewrite, wantErr)
+			}
+		}
+		var headers []flit.Header
+		for _, rc := range []flit.RC{flit.RCBroadcastRequest, flit.RCBroadcast} {
+			headers = append(headers, flit.Header{RC: rc})
+		}
+		shape.Enumerate(func(dst geom.Coord) bool {
+			headers = append(headers, flit.Header{RC: flit.RCNormal, Dst: dst}, flit.Header{RC: flit.RCDetour, Dst: dst})
+			return true
+		})
+		shape.Enumerate(func(c geom.Coord) bool {
+			for in := 0; in < shape.Dims(); in++ { // lane 0 of each wire: escape-bound
+				for _, h := range headers {
+					want, wantErr := p.RouteRouter(nil, c, in, &h)
+					got, gotErr := vp.RouteRouter(nil, c, in*vcs, &h)
+					check(fmt.Sprintf("router %v in %d", c, in), h, want, got, wantErr, gotErr)
+				}
+			}
+			return true
+		})
+		for _, l := range shape.Lines() {
+			for in := 0; in < shape[l.Dim]; in++ {
+				for _, h := range headers {
+					want, wantErr := p.RouteXB(nil, l, in, &h)
+					got, gotErr := vp.RouteXB(nil, l, in*vcs, &h)
+					check(fmt.Sprintf("crossbar %v in %d", l, in), h, want, got, wantErr, gotErr)
+				}
+			}
+		}
+	}
+}
+
+func TestFanListsSharedAcrossGoroutines(t *testing.T) {
+	// The fan lists are interned once for the whole process, so policies
+	// deciding on several goroutines at once (a parallel sweep's machines)
+	// build and read them together. Lane counts no other test uses make the
+	// goroutines build the lists as well as read them; each must decide
+	// what a lone policy decides afterwards, for every shape and fault.
+	type fanCase struct {
+		cfg Config
+		vcs int
+	}
+	var cases []fanCase
+	for _, shape := range []geom.Shape{geom.MustShape(4, 4), geom.MustShape(3, 4, 2), geom.MustShape(5)} {
+		faults := fault.NewSet(shape)
+		if err := faults.Add(fault.RouterFault(shape.CoordOf(shape.Size() / 2))); err != nil {
+			t.Fatal(err)
+		}
+		for _, set := range []*fault.Set{nil, faults} {
+			for _, vcs := range []int{1, 5, 6, 7} {
+				cases = append(cases, fanCase{Config{Shape: shape, Faults: set}, vcs})
+			}
+		}
+	}
+	// fans renders every fan decision of a fresh policy, lane-scaled.
+	fans := func(tc fanCase) string {
+		p, err := New(tc.cfg)
+		if err != nil {
+			return err.Error()
+		}
+		var pol topo.Policy = p
+		if tc.vcs > 1 {
+			if pol, err = NewVC(p, tc.vcs); err != nil {
+				return err.Error()
+			}
+		}
+		s := ""
+		req, fan := flit.Header{RC: flit.RCBroadcastRequest}, flit.Header{RC: flit.RCBroadcast}
+		p.shape.Enumerate(func(c geom.Coord) bool {
+			for in := 0; in < p.dims; in++ {
+				dec, err := pol.RouteRouter(nil, c, in*tc.vcs, &fan)
+				s += fmt.Sprint(dec.Outs, err)
+			}
+			return true
+		})
+		for _, l := range p.shape.Lines() {
+			for in := 0; in < p.shape[l.Dim]; in++ {
+				dec, err := pol.RouteXB(nil, l, in*tc.vcs, &fan)
+				s += fmt.Sprint(dec.Outs, err)
+				dec, err = pol.RouteXB(nil, l, in*tc.vcs, &req)
+				s += fmt.Sprint(dec.Outs, err)
+			}
+		}
+		return s
+	}
+	const goroutines = 4
+	got := make([][]string, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = make([]string, len(cases))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range cases {
+				k := (i + g*5) % len(cases)
+				got[g][k] = fans(cases[k])
+			}
+		}()
+	}
+	wg.Wait()
+	for k, tc := range cases {
+		want := fans(tc)
+		for g := range got {
+			if got[g][k] != want {
+				t.Errorf("goroutine %d, %v with %d lanes: fans differ from a lone policy's", g, tc.cfg.Shape, tc.vcs)
+			}
+		}
+	}
 }

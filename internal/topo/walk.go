@@ -184,17 +184,36 @@ func (w *Walker) follow(a *arrival, out int) error {
 // header's, and a walk longer than the network has channels (a loop) are
 // hard errors. The source router's health is the caller's to check.
 func (w *Walker) Unicast(h *flit.Header, visit Visit) error {
+	return w.chain(h, visit, false)
+}
+
+// Request walks a broadcast's request leg: header h, of the request class,
+// from its source PE (h.Src) to the serialization point, as Broadcast walks
+// it, reporting each hop to visit (which may be nil). It stops at the
+// decision that takes the header out of the request class, the fan's first,
+// which it neither reports nor follows. A refusal is returned as the policy
+// made it; the source router's health is the caller's to check.
+func (w *Walker) Request(h *flit.Header, visit Visit) error {
+	return w.chain(h, visit, true)
+}
+
+// chain is the one-output walk of Unicast, and of Request when request is
+// set.
+func (w *Walker) chain(h *flit.Header, visit Visit, request bool) error {
 	a := arrival{dim: -1, at: h.Src, in: w.ports - 1}
 	for a.depth <= int(w.n) {
 		dec, err := w.decide(&a, h)
 		if err != nil {
 			return err
 		}
+		dec.Rewrite.Apply(h)
+		if request && h.RC != flit.RCBroadcastRequest {
+			return nil
+		}
 		if len(dec.Outs) != 1 {
 			return fmt.Errorf("topo: walk from %s: unicast decision with %d outputs", h.Src, len(dec.Outs))
 		}
 		out := dec.Outs[0]
-		dec.Rewrite.Apply(h)
 		if visit != nil {
 			visit(w.channel(&a, out), h, a.depth)
 		}
