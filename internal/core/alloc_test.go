@@ -157,33 +157,18 @@ func TestStepAllocatesNothingAdaptive(t *testing.T) {
 	// Escape-VC adaptive routing on 4x4x4 with 4 lanes and a faulty router:
 	// every hop on an adaptive lane rewrites the header (AdaptiveHops), and
 	// decisions are re-made every cycle a packet loses its lane. A long S-XB
-	// broadcast is started beside freshly sent unicast traffic, and the
-	// window opens at once: inside it the broadcast's header is fanned out
-	// to every PE (its fan decisions, one past the faulty router, included)
-	// and its flits replicate through the whole tree. The fan decisions
-	// allocate nothing; what is left is the kernel's: a pooled route state
-	// grows its output array the first time it holds a fan (44 allocations
-	// in 100 cycles from the broadcast, against 192 when every fan
-	// allocated its list).
+	// broadcast is started, and two windows are counted allocation by
+	// allocation. The first runs until the broadcast's header has reached
+	// every PE: every fan decision of the tree, one past the faulty router
+	// included, is made inside it. The second runs 100 cycles of its flits
+	// replicating through the whole tree beside freshly sent unicast
+	// traffic.
 	m := pinMachine(t, core.Config{Shape: geom.MustShape(4, 4, 4), VCs: 4, Adaptive: true},
 		fault.RouterFault(geom.Coord{1, 2, 1}))
 	eng := m.Engine()
-	// A drained rehearsal gives the lanes the broadcast and the adaptive hops
-	// take their rings, and the pools their size.
+	eng.OnDeliver = nil // "no hooks": the machine's delivery log grows as it records
 	src := geom.Coord{3, 3, 3}
-	if _, _, err := m.Broadcast(src, 400); err != nil {
-		t.Fatal(err)
-	}
-	sendRound(t, m, 16)
-	if out := m.Run(100_000); !out.Drained {
-		t.Fatalf("rehearsal did not drain: %+v", out)
-	}
-	bid, copies, err := m.Broadcast(src, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sendRound(t, m, 16)
-	eng.OnDeliver = nil
+	var bid uint64
 	reached, adaptiveHops := 0, 0
 	eng.OnForward = func(from *engine.Node, out int, h *flit.Header, _ int64) {
 		if h.PacketID == bid && from.Out[out].DownstreamIn().Node().Kind == engine.KindEndpoint {
@@ -193,11 +178,48 @@ func TestStepAllocatesNothingAdaptive(t *testing.T) {
 			adaptiveHops++
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, eng.Step); allocs != 0 {
-		t.Errorf("Engine.Step with adaptive hops and a broadcast fanning out: %v allocations per cycle, want 0", allocs)
+	// run plays the scenario and counts each window's allocations.
+	run := func() (fanOut, inFlight uint64) {
+		id, copies, err := m.Broadcast(src, 400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bid, reached, adaptiveHops = id, 0, 0
+		cycles := 0
+		fanOut = allocations(func() {
+			for ; reached < copies && cycles < 1000; cycles++ {
+				eng.Step()
+			}
+		})
+		if reached < copies {
+			t.Fatalf("the broadcast header reached %d of %d PEs in %d cycles", reached, copies, cycles)
+		}
+		sendRound(t, m, 16)
+		inFlight = allocations(func() {
+			for i := 0; i < 100; i++ {
+				eng.Step()
+			}
+		})
+		return fanOut, inFlight
 	}
-	if reached != copies {
-		t.Fatalf("the broadcast header reached %d of %d PEs during the measurement", reached, copies)
+	// A drained rehearsal of the same scenario gives the lanes the
+	// broadcast and the adaptive hops take their rings, and the pools their
+	// size.
+	run()
+	if out := m.Run(100_000); !out.Drained {
+		t.Fatalf("rehearsal did not drain: %+v", out)
+	}
+	// The fan decisions allocate nothing. The fan-out window still holds
+	// the kernel's own: pooled route states that have not yet held a fan
+	// grow their output arrays (internal/engine's routeHeader), fanOutPin
+	// of them here; with a list allocated per fan decision it was 215.
+	const fanOutPin = 74
+	fanOut, inFlight := run()
+	if fanOut > fanOutPin {
+		t.Errorf("Engine.Step while a broadcast fans out: %d allocations, want at most the route states' %d", fanOut, fanOutPin)
+	}
+	if inFlight != 0 {
+		t.Errorf("Engine.Step with adaptive hops and a broadcast in flight: %d allocations in 100 cycles, want 0", inFlight)
 	}
 	if adaptiveHops == 0 {
 		t.Fatal("no header was forwarded after an adaptive hop during the measurement")

@@ -19,9 +19,11 @@ package routing
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"sr2201/internal/engine"
 	"sr2201/internal/fault"
@@ -130,17 +132,30 @@ type fanKey struct {
 // their keys, built once and never changed, so policies share them across
 // goroutines. A fan is a line's ports but its sender, or a router's PE port
 // and higher dimensions, less the faulty ones: few lists, however many
-// policies decide them.
-var fans = struct {
-	sync.Mutex
-	lists map[fanKey][]int
-}{lists: map[fanKey][]int{}}
+// policies decide them. Decisions read the published table without a lock;
+// a new list is added to a copy under fansMu, and the copy published.
+var (
+	fans   atomic.Pointer[map[fanKey][]int]
+	fansMu sync.Mutex
+)
+
+// lookupFan returns k's list from the published table, if it holds one.
+func lookupFan(k fanKey) ([]int, bool) {
+	if t := fans.Load(); t != nil {
+		l, ok := (*t)[k]
+		return l, ok
+	}
+	return nil, false
+}
 
 // fanList returns k's interned list, read-only and capped at its length.
 func fanList(k fanKey) []int {
-	fans.Lock()
-	defer fans.Unlock()
-	if l, ok := fans.lists[k]; ok {
+	if l, ok := lookupFan(k); ok {
+		return l
+	}
+	fansMu.Lock()
+	defer fansMu.Unlock()
+	if l, ok := lookupFan(k); ok {
 		return l
 	}
 	var l []int
@@ -151,7 +166,11 @@ func fanList(k fanKey) []int {
 		l = append(l, bits.TrailingZeros64(m)*k.scale)
 	}
 	l = slices.Clip(l)
-	fans.lists[k] = l
+	next := map[fanKey][]int{k: l}
+	if t := fans.Load(); t != nil {
+		maps.Copy(next, *t)
+	}
+	fans.Store(&next)
 	return l
 }
 

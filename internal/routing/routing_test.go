@@ -896,6 +896,54 @@ func TestVCPolicyEscapeLaneIsScaledEscape(t *testing.T) {
 	}
 }
 
+func TestWideCrossbarFan(t *testing.T) {
+	// A fan key's mask holds 64 ports; a wider crossbar lists the ports past
+	// them after the interned list, in a copy. Its fan must still be every
+	// healthy port but the sender's, ascending, at either lane scale, and no
+	// fan may write into another's list (all are checked after all are made).
+	const extent, vcs = 70, 2
+	shape := geom.MustShape(extent)
+	faulty := []int{3, 66}
+	faults := fault.NewSet(shape)
+	for _, x := range faulty {
+		if err := faults.Add(fault.RouterFault(geom.Coord{x})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := mustPolicy(t, Config{Shape: shape, Faults: faults})
+	vp, err := NewVC(p, vcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := geom.LineOf(geom.Coord{}, 0)
+	type fan struct {
+		scale, except int
+		got           []int
+	}
+	var fans []fan
+	for _, pol := range []*Policy{p, &vp.escape} {
+		for _, except := range []int{-1, 0, 3, 63, 64, 65, 66, 69} {
+			fans = append(fans, fan{pol.scale, except, pol.fanPorts(line, except)})
+		}
+	}
+	req, err := p.RouteXB(nil, line, 5, &flit.Header{RC: flit.RCBroadcastRequest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fans = append(fans, fan{1, -1, req.Outs})
+	for _, f := range fans {
+		var want []int
+		for v := 0; v < extent; v++ {
+			if v != f.except && !slices.Contains(faulty, v) {
+				want = append(want, v*f.scale)
+			}
+		}
+		if !slices.Equal(f.got, want) {
+			t.Errorf("scale %d, sender %d: fan %v, want %v", f.scale, f.except, f.got, want)
+		}
+	}
+}
+
 func TestFanListsSharedAcrossGoroutines(t *testing.T) {
 	// The fan lists are interned once for the whole process, so policies
 	// deciding on several goroutines at once (a parallel sweep's machines)
