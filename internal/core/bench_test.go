@@ -25,11 +25,32 @@ func faultedVCMachine(b *testing.B) *core.Machine {
 	return m
 }
 
-// BenchmarkMachineReachable times Send's reachability precheck, one static
-// route walk over the machine's own wiring, on seeded pairs of distinct
-// healthy PEs (all of them served).
+// BenchmarkMachineReachable times Send's reachability precheck on seeded
+// pairs of distinct healthy PEs, all of them served: on the faulted machine
+// the pairs whose dimension-order route misses the fault (served by the
+// plain-route test) and those whose route crosses it (served by the walk),
+// and on the fault-free 2048-PE 8x16x16.
 func BenchmarkMachineReachable(b *testing.B) {
-	m := faultedVCMachine(b)
+	faulted := faultedVCMachine(b)
+	plain := faulted.Policy().PlainRoute
+	b.Run("precheck", func(b *testing.B) {
+		benchReachable(b, faulted, plain)
+	})
+	b.Run("walk", func(b *testing.B) {
+		benchReachable(b, faulted, func(src, dst geom.Coord) bool { return !plain(src, dst) })
+	})
+	b.Run("fault-free-8x16x16", func(b *testing.B) {
+		m, err := core.NewMachine(core.Config{Shape: geom.MustShape(8, 16, 16)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchReachable(b, m, func(geom.Coord, geom.Coord) bool { return true })
+	})
+}
+
+// benchReachable times m.Reachable on 1024 seeded pairs of distinct healthy
+// PEs that keep selects.
+func benchReachable(b *testing.B, m *core.Machine, keep func(src, dst geom.Coord) bool) {
 	var live []geom.Coord
 	m.Shape().Enumerate(func(c geom.Coord) bool {
 		if !m.Faults().RouterFaulty(c) {
@@ -38,13 +59,15 @@ func BenchmarkMachineReachable(b *testing.B) {
 		return true
 	})
 	rng := rand.New(rand.NewSource(1))
-	pairs := make([][2]geom.Coord, 1024)
-	for i := range pairs {
+	pairs := make([][2]geom.Coord, 0, 1024)
+	for len(pairs) < cap(pairs) {
 		s, d := rng.Intn(len(live)), rng.Intn(len(live)-1)
 		if d >= s {
 			d++
 		}
-		pairs[i] = [2]geom.Coord{live[s], live[d]}
+		if keep(live[s], live[d]) {
+			pairs = append(pairs, [2]geom.Coord{live[s], live[d]})
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

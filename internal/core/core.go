@@ -731,30 +731,34 @@ func (m *Machine) PurgePacket(id uint64) (Lost, bool) {
 // fault information — sends whose destination is unreachable, returning the
 // routing error.
 func (m *Machine) Send(src, dst geom.Coord, size int) (uint64, error) {
-	h := flit.Header{Src: src, Dst: dst, RC: flit.RCNormal}
 	err := m.Reachable(src, dst)
-	if err != nil && m.cfg.PivotLastDim {
+	if err == nil {
+		return m.inject(flit.Header{Src: src, Dst: dst, RC: flit.RCNormal}, size)
+	}
+	if m.cfg.PivotLastDim {
 		// The two-phase route (extension A3): only the verdict is needed, so
 		// the walk reports its channels nowhere and allocates nothing.
 		if piv, perr := m.policy.PivotHeader(src, dst); perr == nil {
 			if m.probe = piv; m.walk.Unicast(&m.probe, nil) == nil {
-				h, err = piv, nil
+				return m.inject(piv, size)
 			}
 		}
 	}
-	if err != nil {
-		return 0, err
-	}
-	return m.inject(h, size)
+	return 0, err
 }
 
 // Reachable reports whether the active routing layer serves the pair: nil,
 // or the refusal the NIA would return. Unreachable pairs on any topology
-// satisfy errors.Is(err, routing.ErrUnreachable). A served pair costs no
+// satisfy errors.Is(err, routing.ErrUnreachable). On the MD crossbar a pair
+// whose dimension-order route meets no fault is served at once
+// (routing.Policy.PlainRoute); every other pair is walked, at no
 // allocation: the walk replays the decisions in the machine's own scratch.
 func (m *Machine) Reachable(src, dst geom.Coord) error {
 	if !m.shape.Contains(src) || !m.shape.Contains(dst) {
 		return fmt.Errorf("core: src %v or dst %v outside shape", src, dst)
+	}
+	if m.policy != nil && m.policy.PlainRoute(src, dst) {
+		return nil
 	}
 	if m.faults.RouterFaulty(src) {
 		return fmt.Errorf("%w: source router %v faulty", routing.ErrUnreachable, src)

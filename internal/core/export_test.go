@@ -15,3 +15,13 @@ func (m *Machine) SendUnchecked(src, dst geom.Coord, size int) (uint64, error) {
 	}
 	return m.inject(flit.Header{Src: src, Dst: dst, RC: flit.RCNormal}, size)
 }
+
+// WalkReachable is Reachable with every pair walked, as if the machine had
+// no crossbar policy to precheck the plain route on: the oracle
+// routing.Policy.PlainRoute is held to.
+func (m *Machine) WalkReachable(src, dst geom.Coord) error {
+	p := m.policy
+	m.policy = nil
+	defer func() { m.policy = p }()
+	return m.Reachable(src, dst)
+}

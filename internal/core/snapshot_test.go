@@ -97,8 +97,8 @@ func report(m *core.Machine) string {
 			d.PacketID, d.Src, d.At, d.Broadcast, d.Detoured, d.Cycle, d.Latency)
 	}
 	lat, blat := m.Latency(), m.BroadcastLatency()
-	fmt.Fprintf(&b, "lat n=%d mean=%.4f min=%d max=%d p95=%d\n",
-		lat.Count(), lat.Mean(), lat.Min(), lat.Max(), lat.Percentile(95))
+	fmt.Fprintf(&b, "lat n=%d mean=%.4f max=%d p95=%d\n",
+		lat.Count(), lat.Mean(), lat.Max(), lat.Percentile(95))
 	fmt.Fprintf(&b, "bcast n=%d mean=%.4f\n", blat.Count(), blat.Mean())
 	fmt.Fprintf(&b, "dropped=%d cycle=%d\n", m.Dropped(), m.Cycle())
 	return b.String()

@@ -87,11 +87,16 @@ func (f Fault) String() string {
 // value and answer "healthy", since an empty set is semantically faultless
 // and they sit on the routing hot path.)
 type Set struct {
-	shape   geom.Shape
-	routers map[geom.Coord]bool
-	xbs     map[geom.Line]bool
-	links   map[[2]geom.Coord]bool
-	list    []Fault
+	shape geom.Shape
+	// bits holds the switch faults as bit columns, one bit per switch in
+	// one allocation: the routers in Shape.Index order, then each
+	// dimension's crossbars in LineIndex order from bit xbBase[dim].
+	bits   []uint64
+	xbBase [geom.MaxDims]int
+	// links stays a map: only the direct-link schemes read it, and none of
+	// them is on a benchmarked path.
+	links map[[2]geom.Coord]bool
+	list  []Fault
 }
 
 // ensure panics when the set is the unusable zero value.
@@ -103,13 +108,25 @@ func (s *Set) ensure() {
 
 // NewSet creates an empty fault set for a network of the given shape.
 func NewSet(shape geom.Shape) *Set {
-	return &Set{
-		shape:   shape,
-		routers: map[geom.Coord]bool{},
-		xbs:     map[geom.Line]bool{},
-		links:   map[[2]geom.Coord]bool{},
+	s := &Set{shape: shape, links: map[[2]geom.Coord]bool{}}
+	n := shape.Size()
+	for dim := range shape {
+		s.xbBase[dim] = n
+		n += shape.LineCount(dim)
 	}
+	s.bits = make([]uint64, (n+63)/64)
+	return s
 }
+
+// bit reports bit i of the columns; past them (the zero value has none) it
+// answers "healthy".
+func (s *Set) bit(i int) bool {
+	w := i >> 6
+	return w < len(s.bits) && s.bits[w]&(1<<(i&63)) != 0
+}
+
+// set sets bit i of the columns.
+func (s *Set) set(i int) { s.bits[i>>6] |= 1 << (i & 63) }
 
 // Add marks a switch faulty. It validates that the fault lies inside the
 // network. The paper's facility is specified for a single faulty point;
@@ -121,7 +138,7 @@ func (s *Set) Add(f Fault) error {
 		if !s.shape.Contains(f.Coord) {
 			return fmt.Errorf("fault: router %v outside shape", f.Coord)
 		}
-		s.routers[f.Coord] = true
+		s.set(s.shape.Index(f.Coord))
 	case KindXB:
 		if f.Line.Dim < 0 || f.Line.Dim >= s.shape.Dims() {
 			return fmt.Errorf("fault: crossbar dimension %d outside shape", f.Line.Dim)
@@ -130,11 +147,11 @@ func (s *Set) Add(f Fault) error {
 			return fmt.Errorf("fault: crossbar %v outside shape", f.Line)
 		}
 		if v := f.Line.Fixed[f.Line.Dim]; v != 0 {
-			// Point and LineIndex ignore it, map lookups do not: the line
+			// Point and LineIndex ignore it, XBFaulty does not: the line
 			// would name one crossbar to the engine and none to the routing.
 			return fmt.Errorf("fault: crossbar %v has coordinate %d in its own dimension %d, want 0 (geom.LineOf)", f.Line, v, f.Line.Dim)
 		}
-		s.xbs[f.Line] = true
+		s.set(s.xbBase[f.Line.Dim] + s.shape.LineIndex(f.Line))
 	case KindLink:
 		if !s.shape.Contains(f.Coord) {
 			return fmt.Errorf("fault: link endpoint %v outside shape", f.Coord)
@@ -159,14 +176,32 @@ func (s *Set) Count() int { return len(s.list) }
 // List returns the faults in insertion order.
 func (s *Set) List() []Fault { return append([]Fault(nil), s.list...) }
 
-// RouterFaulty reports whether the router at c is faulty. Policies must call
-// this only for routers adjacent to the querying switch (the neighbor-bits
-// discipline).
-func (s *Set) RouterFaulty(c geom.Coord) bool { return s.routers[c] }
+// RouterFaulty reports whether the router at c is faulty; a coordinate
+// outside the shape names no router and answers "healthy". Policies must
+// call this only for routers adjacent to the querying switch (the
+// neighbor-bits discipline).
+func (s *Set) RouterFaulty(c geom.Coord) bool {
+	return s.shape.Contains(c) && s.bit(s.shape.Index(c))
+}
 
-// XBFaulty reports whether the crossbar of line l is faulty. Same adjacency
-// discipline as RouterFaulty.
-func (s *Set) XBFaulty(l geom.Line) bool { return s.xbs[l] }
+// RouterFaultyAt is RouterFaulty for the router of Shape.Index i, which
+// must lie inside the shape.
+func (s *Set) RouterFaultyAt(i int) bool { return s.bit(i) }
+
+// XBFaulty reports whether the crossbar of line l is faulty. A line outside
+// the shape, or with a non-zero coordinate in its own dimension (spell it
+// with geom.LineOf), names no crossbar and answers "healthy". Same
+// adjacency discipline as RouterFaulty.
+func (s *Set) XBFaulty(l geom.Line) bool {
+	if l.Dim < 0 || l.Dim >= s.shape.Dims() || l.Fixed[l.Dim] != 0 || !s.shape.Contains(l.Fixed) {
+		return false
+	}
+	return s.XBFaultyAt(l.Dim, s.shape.LineIndex(l))
+}
+
+// XBFaultyAt is XBFaulty for the crossbar of LineIndex i along dimension
+// dim, both inside the shape.
+func (s *Set) XBFaultyAt(dim, i int) bool { return s.bit(s.xbBase[dim] + i) }
 
 // LinkFaulty reports whether the direct link between a and b is faulty,
 // in either argument order. Like RouterFaulty/XBFaulty it tolerates the
@@ -187,11 +222,11 @@ func linkKey(a, b geom.Coord) [2]geom.Coord {
 // connected to the S-XB is faulty, another XB ... substitutes for the S-XB".
 func (s *Set) LineTouched(l geom.Line) bool {
 	s.ensure()
-	if s.xbs[l] {
+	if s.XBFaulty(l) {
 		return true
 	}
 	for v := 0; v < s.shape[l.Dim]; v++ {
-		if s.routers[l.Point(v)] {
+		if s.RouterFaulty(l.Point(v)) {
 			return true
 		}
 	}
@@ -200,7 +235,7 @@ func (s *Set) LineTouched(l geom.Line) bool {
 
 // PEAlive reports whether the PE at c can use the network at all: its relay
 // switch must be healthy.
-func (s *Set) PEAlive(c geom.Coord) bool { return !s.routers[c] }
+func (s *Set) PEAlive(c geom.Coord) bool { return !s.RouterFaulty(c) }
 
 // DetourPort returns the statically designated detour router port for the
 // dim-0 crossbar of line l: the lowest port whose router is healthy. This is
@@ -211,7 +246,7 @@ func (s *Set) PEAlive(c geom.Coord) bool { return !s.routers[c] }
 func (s *Set) DetourPort(l geom.Line) (int, bool) {
 	s.ensure()
 	for v := 0; v < s.shape[l.Dim]; v++ {
-		if !s.routers[l.Point(v)] {
+		if !s.RouterFaulty(l.Point(v)) {
 			return v, true
 		}
 	}
@@ -228,12 +263,7 @@ func (s *Set) Shape() geom.Shape { return s.shape }
 func (s *Set) Clone() *Set {
 	s.ensure()
 	c := NewSet(s.shape)
-	for k, v := range s.routers {
-		c.routers[k] = v
-	}
-	for k, v := range s.xbs {
-		c.xbs[k] = v
-	}
+	copy(c.bits, s.bits)
 	for k, v := range s.links {
 		c.links[k] = v
 	}

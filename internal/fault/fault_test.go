@@ -127,8 +127,81 @@ func TestZeroValueSetFailsLoudly(t *testing.T) {
 	mustPanic("DetourPort", func() { s.DetourPort(geom.Line{}) })
 	mustPanic("Clone", func() { s.Clone() })
 	// Pure membership queries stay usable: an empty set is faultless.
-	if s.RouterFaulty(geom.Coord{1, 1}) || s.XBFaulty(geom.Line{}) || !s.PEAlive(geom.Coord{0, 0}) {
+	if s.RouterFaulty(geom.Coord{1, 1}) || s.RouterFaulty(geom.Coord{}) || s.XBFaulty(geom.Line{}) || !s.PEAlive(geom.Coord{0, 0}) {
 		t.Error("zero-value membership queries reported faults")
+	}
+	if s.RouterFaultyAt(0) || s.RouterFaultyAt(200) || s.XBFaultyAt(0, 0) || s.XBFaultyAt(1, 3) {
+		t.Error("zero-value index queries reported faults")
+	}
+}
+
+// TestQueriesOutsideShapeAnswerHealthy pins the membership queries to the
+// set's faults and nothing else: a coordinate or line the shape does not
+// hold names no switch, even where its index would land on a faulty one's
+// bit.
+func TestQueriesOutsideShapeAnswerHealthy(t *testing.T) {
+	s := NewSet(shape43()) // routers 0..11, dim-0 crossbars 0..2, dim-1 crossbars 0..3
+	for _, f := range []Fault{
+		RouterFault(geom.Coord{0, 1}), // Index 4
+		RouterFault(geom.Coord{3, 0}), // Index 3
+		XBFault(geom.LineOf(geom.Coord{0, 2}, 0)),
+		XBFault(geom.LineOf(geom.Coord{0, 0}, 1)), // the first bit past the dim-0 crossbars
+	} {
+		if err := s.Add(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []geom.Coord{
+		{4, 0},    // Index 4, past dimension 0
+		{-1, 1},   // Index 3
+		{0, 1, 1}, // a coordinate in an unused dimension; Index 4
+		{0, 3},    // past dimension 1
+	} {
+		if s.RouterFaulty(c) || !s.PEAlive(c) {
+			t.Errorf("router %v outside the shape reported faulty", c)
+		}
+	}
+	for _, l := range []geom.Line{
+		{Dim: 0, Fixed: geom.Coord{0, 3}},    // LineIndex 3, past the dim-0 crossbars
+		{Dim: 0, Fixed: geom.Coord{0, 2, 1}}, // an unused dimension
+		{Dim: 2, Fixed: geom.Coord{0, 2}},    // a dimension the shape lacks
+		{Dim: -1},
+	} {
+		if s.XBFaulty(l) {
+			t.Errorf("crossbar %v outside the shape reported faulty", l)
+		}
+	}
+	// A line that spells its own dimension names no crossbar: Add refuses it,
+	// and the query does not read it as the line it would index to.
+	if l := (geom.Line{Dim: 0, Fixed: geom.Coord{2, 2}}); s.XBFaulty(l) {
+		t.Errorf("crossbar %v, with a coordinate in its own dimension, reported faulty", l)
+	}
+	if !s.XBFaulty(geom.LineOf(geom.Coord{2, 2}, 0)) || !s.XBFaultyAt(0, 2) || !s.XBFaultyAt(1, 0) || s.XBFaultyAt(1, 1) {
+		t.Error("crossbar bits wrong inside the shape")
+	}
+	if !s.RouterFaultyAt(3) || !s.RouterFaultyAt(4) || s.RouterFaultyAt(5) {
+		t.Error("router bits wrong inside the shape")
+	}
+}
+
+// TestDuplicateAdd pins a fault added twice: listed twice (the snapshot
+// encodes the list), counted twice, and faulty once.
+func TestDuplicateAdd(t *testing.T) {
+	s := NewSet(shape43())
+	r, x := RouterFault(geom.Coord{1, 2}), XBFault(geom.LineOf(geom.Coord{3, 0}, 1))
+	for _, f := range []Fault{r, x, r, x} {
+		if err := s.Add(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.List(); s.Count() != 4 || len(got) != 4 || got[2] != r || got[3] != x {
+		t.Errorf("count %d, list %v: want both faults listed twice", s.Count(), got)
+	}
+	if !s.RouterFaulty(r.Coord) || !s.XBFaulty(x.Line) {
+		t.Error("duplicated faults not reported")
+	}
+	if c := s.Clone(); c.Count() != 4 || !c.RouterFaulty(r.Coord) || !c.XBFaulty(x.Line) {
+		t.Error("clone lost a duplicated fault")
 	}
 }
 
@@ -137,21 +210,24 @@ func TestClone(t *testing.T) {
 	if err := s.Add(RouterFault(geom.Coord{1, 1})); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Add(XBFault(geom.LineOf(geom.Coord{2, 0}, 1))); err != nil {
+		t.Fatal(err)
+	}
 	c := s.Clone()
-	if !c.RouterFaulty(geom.Coord{1, 1}) || c.Count() != 1 || c.Shape().String() != s.Shape().String() {
+	if !c.RouterFaulty(geom.Coord{1, 1}) || !c.XBFaulty(geom.LineOf(geom.Coord{2, 0}, 1)) || c.Count() != 2 || c.Shape().String() != s.Shape().String() {
 		t.Fatal("clone did not copy contents")
 	}
 	// Mutating the clone must not leak into the original, and vice versa.
 	if err := c.Add(XBFault(geom.LineOf(geom.Coord{0, 2}, 0))); err != nil {
 		t.Fatal(err)
 	}
-	if s.XBFaulty(geom.LineOf(geom.Coord{0, 2}, 0)) || s.Count() != 1 {
+	if s.XBFaulty(geom.LineOf(geom.Coord{0, 2}, 0)) || s.Count() != 2 {
 		t.Error("clone mutation leaked into original")
 	}
 	if err := s.Add(RouterFault(geom.Coord{3, 2})); err != nil {
 		t.Fatal(err)
 	}
-	if c.RouterFaulty(geom.Coord{3, 2}) || c.Count() != 2 {
+	if c.RouterFaulty(geom.Coord{3, 2}) || c.Count() != 3 {
 		t.Error("original mutation leaked into clone")
 	}
 }

@@ -104,25 +104,21 @@ func (p *VCPolicy) RouteRouter(net *topo.Net, c geom.Coord, in int, h *flit.Head
 // runs distinct machines).
 func (p *VCPolicy) adaptiveHop(net *topo.Net, c geom.Coord, h *flit.Header) (engine.Decision, bool) {
 	rtc := net.Router(c)
-	for k := 0; k < p.escape.dims; k++ {
-		if c[k] == h.Dst[k] {
-			continue // not productive
-		}
-		if p.escape.faults.XBFaulty(geom.LineOf(c, k)) {
-			continue // the escape's detour machinery handles the fault
-		}
-		exit := c
-		exit[k] = h.Dst[k]
-		if p.escape.faults.RouterFaulty(exit) {
-			continue
-		}
-		for v := 1; v < p.vcs; v++ {
-			port := k*p.vcs + v
-			if rtc.Out[port].Owned() {
-				continue
+	e := &p.escape
+	at, stride := e.shape.Index(c), 1 // c's router index, and dimension k's stride
+	for k, n := range e.shape {
+		// Productive, and the escape's detour machinery handles neither a
+		// faulty crossbar nor a faulty exit router.
+		if c[k] != h.Dst[k] && !e.xbFaulty(c, k) && !e.faults.RouterFaultyAt(at+(h.Dst[k]-c[k])*stride) {
+			for v := 1; v < p.vcs; v++ {
+				port := k*p.vcs + v
+				if rtc.Out[port].Owned() {
+					continue
+				}
+				return engine.Decision{Outs: p.one[port], Rewrite: flit.CountAdaptive, Provisional: true}, true
 			}
-			return engine.Decision{Outs: p.one[port], Rewrite: flit.CountAdaptive, Provisional: true}, true
 		}
+		stride *= n
 	}
 	return engine.Decision{}, false
 }
@@ -143,7 +139,7 @@ func (p *VCPolicy) RouteXB(net *topo.Net, l geom.Line, in int, h *flit.Header) (
 	}
 	target := h.Dst[l.Dim]
 	exit := l.Point(target)
-	if p.escape.faults.RouterFaulty(exit) {
+	if p.escape.routerFaulty(exit) {
 		// The router-side check keeps packets away from faulty exits; hitting
 		// one here means the fault landed after the packet entered the bar.
 		// Drop and let retransmission recover — detouring is escape-only.

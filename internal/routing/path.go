@@ -178,13 +178,45 @@ func (p *Policy) PivotPath(src, dst geom.Coord) ([]Hop, error) {
 
 // Reachable reports whether a point-to-point send from src to dst would be
 // delivered under the present faults: UnicastPath's error without the path.
+// A pair PlainRoute serves is not walked.
 func (p *Policy) Reachable(src, dst geom.Coord) error {
 	h, err := p.UnicastHeader(src, dst)
-	if err == nil {
-		w := p.walker()
-		err = w.Unicast(&h, nil)
+	if err != nil || p.PlainRoute(src, dst) {
+		return err
 	}
-	return err
+	w := p.walker()
+	return w.Unicast(&h, nil)
+}
+
+// PlainRoute reports that the dimension-order route from src to dst, both
+// inside the shape, meets no faulty router or crossbar. Every decision on
+// such a route is the plain dimension-order step, so the pair is served. A
+// false answer decides nothing: a detour or a pivot may still serve the
+// pair, and only the walk refuses one. It costs one bit test per switch on
+// the route, none on a fault-free network.
+func (p *Policy) PlainRoute(src, dst geom.Coord) bool {
+	f := p.faults
+	if f.Count() == 0 {
+		return true
+	}
+	at, pos := p.shape.Index(src), src // the route's router, advanced in place
+	if f.RouterFaultyAt(at) {
+		return false
+	}
+	stride := 1 // Shape.Index's stride of dimension k
+	for k, n := range p.shape {
+		if src[k] != dst[k] {
+			if p.xbFaulty(pos, k) {
+				return false
+			}
+			pos[k] = dst[k]
+			if at += (dst[k] - src[k]) * stride; f.RouterFaultyAt(at) {
+				return false
+			}
+		}
+		stride *= n
+	}
+	return true
 }
 
 // BroadcastResult summarizes the static fan-out tree of one broadcast.

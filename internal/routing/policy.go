@@ -121,6 +121,17 @@ func singleOuts(n int) [][]int {
 // out is the shared output list of output k.
 func (p *Policy) out(k int) []int { return p.one[k*p.scale] }
 
+// routerFaulty reads the fault bit of the router at c, and xbFaulty that of
+// the dim-k crossbar through it, by index: c lies inside the shape on every
+// route, so the set's checks of a coordinate are not needed.
+func (p *Policy) routerFaulty(c geom.Coord) bool {
+	return p.faults.RouterFaultyAt(p.shape.Index(c))
+}
+
+func (p *Policy) xbFaulty(c geom.Coord, k int) bool {
+	return p.faults.XBFaultyAt(k, p.shape.LineIndex(geom.Line{Dim: k, Fixed: c}))
+}
+
 // fanKey names one fan list: a router's PE port pe first (none when pe is
 // -1), then the ports set in mask, ascending, each numbered times scale.
 type fanKey struct {
@@ -297,14 +308,14 @@ func (p *Policy) routeRouter(c geom.Coord, in int, h *flit.Header) ([]int, flit.
 		// Section 3.2 step 1: ride dimensions 1..d-1 (in order) to the S-XB
 		// line, then enter the S-XB on port 0.
 		if p.onLine(c, p.sEff) {
-			if p.faults.XBFaulty(geom.LineOf(c, 0)) {
+			if p.xbFaulty(c, 0) {
 				// Only possible when substitution had no healthy candidate.
 				return nil, 0, fmt.Errorf("%w: serialized crossbar faulty", ErrUnreachable)
 			}
 			return p.out(0), 0, nil
 		}
 		j := p.firstFixedDiff(c, p.sEff)
-		if p.faults.XBFaulty(geom.LineOf(c, j)) {
+		if p.xbFaulty(c, j) {
 			return nil, 0, fmt.Errorf("%w: dim-%d crossbar toward S-XB faulty", ErrUnreachable, j)
 		}
 		return p.out(j), 0, nil
@@ -322,7 +333,7 @@ func (p *Policy) routeRouter(c geom.Coord, in int, h *flit.Header) ([]int, flit.
 		}
 		fan := fanKey{pe: p.dims, scale: p.scale}
 		for j := startDim; j < p.dims; j++ {
-			if p.faults.XBFaulty(geom.LineOf(c, j)) {
+			if p.xbFaulty(c, j) {
 				continue // stop transmission toward the faulty crossbar
 			}
 			fan.mask |= 1 << j
@@ -333,13 +344,13 @@ func (p *Policy) routeRouter(c geom.Coord, in int, h *flit.Header) ([]int, flit.
 		// Section 4: ride dimensions 1..d-1 (in order) to the D-XB line,
 		// then enter the D-XB on port 0, where RC resets to normal.
 		if p.onLine(c, p.dEff) {
-			if p.faults.XBFaulty(geom.LineOf(c, 0)) {
+			if p.xbFaulty(c, 0) {
 				return nil, 0, fmt.Errorf("%w: detour crossbar faulty", ErrUnreachable)
 			}
 			return p.out(0), flit.CountDetour, nil
 		}
 		j := p.firstFixedDiff(c, p.dEff)
-		if p.faults.XBFaulty(geom.LineOf(c, j)) {
+		if p.xbFaulty(c, j) {
 			return nil, 0, fmt.Errorf("%w: dim-%d crossbar toward D-XB faulty", ErrUnreachable, j)
 		}
 		return p.out(j), flit.CountDetour, nil
@@ -361,7 +372,7 @@ func (p *Policy) routerNormal(c geom.Coord, h *flit.Header) ([]int, flit.Rewrite
 	if k == -1 {
 		return p.out(pePort), pivot, nil
 	}
-	if !p.faults.XBFaulty(geom.LineOf(c, k)) {
+	if !p.xbFaulty(c, k) {
 		return p.out(k), pivot, nil
 	}
 	// The crossbar this packet needs next is faulty: enter detour mode if
@@ -379,7 +390,7 @@ func (p *Policy) routerNormal(c geom.Coord, h *flit.Header) ([]int, flit.Rewrite
 	if !p.onLine(c, p.dEff) {
 		j = p.firstFixedDiff(c, p.dEff)
 	}
-	if p.faults.XBFaulty(geom.LineOf(c, j)) {
+	if p.xbFaulty(c, j) {
 		return nil, 0, fmt.Errorf("%w: detour leg dim-%d crossbar %v also faulty", ErrUnreachable, j, geom.LineOf(c, j))
 	}
 	return p.out(j), pivot | flit.SetRC(flit.RCDetour), nil
@@ -484,7 +495,7 @@ func (p *Policy) routeXB(l geom.Line, in int, h *flit.Header) ([]int, flit.Rewri
 				return nil, 0, fmt.Errorf("routing: detour packet entered non-detour dim-0 crossbar %v", l)
 			}
 			target := h.Dst[0]
-			if p.faults.RouterFaulty(l.Point(target)) {
+			if p.routerFaulty(l.Point(target)) {
 				// Substitution keeps faults off the D line; reaching this
 				// means the network is over-faulted.
 				return nil, 0, fmt.Errorf("%w: router %v on detour crossbar faulty", ErrUnreachable, l.Point(target))
@@ -499,7 +510,7 @@ func (p *Policy) routeXB(l geom.Line, in int, h *flit.Header) ([]int, flit.Rewri
 // xbStep forwards to one port of the crossbar, failing if the attached
 // router is faulty.
 func (p *Policy) xbStep(l geom.Line, port int, w flit.Rewrite) ([]int, flit.Rewrite, error) {
-	if p.faults.RouterFaulty(l.Point(port)) {
+	if p.routerFaulty(l.Point(port)) {
 		return nil, 0, fmt.Errorf("%w: router %v faulty", ErrUnreachable, l.Point(port))
 	}
 	return p.out(port), w, nil
@@ -513,7 +524,7 @@ func (p *Policy) xbStep(l geom.Line, port int, w flit.Rewrite) ([]int, flit.Rewr
 func (p *Policy) xbNormal(l geom.Line, h *flit.Header) ([]int, flit.Rewrite, error) {
 	target := h.Dst[l.Dim]
 	exit := l.Point(target)
-	if !p.faults.RouterFaulty(exit) {
+	if !p.routerFaulty(exit) {
 		return p.out(target), 0, nil
 	}
 	if exit == h.Dst {

@@ -11,54 +11,6 @@ import (
 	"sr2201/internal/geom"
 )
 
-// walkHeader is the walker routing had before topo.Walker: it calls the
-// policy's own routeRouter/routeXB and applies their rewrite to the header in
-// place, never going through an engine.Decision. It is the oracle the one
-// walker, which walks the switches' decisions, is held to.
-func walkHeader(p *Policy, src geom.Coord, h *flit.Header) ([]Hop, error) {
-	if p.faults.RouterFaulty(src) {
-		return nil, fmt.Errorf("%w: source router %v faulty", ErrUnreachable, src)
-	}
-	var hops []Hop
-	atRouter, coord, in := true, src, p.dims
-	var line geom.Line
-	for steps := 0; steps < 8*p.dims+16; steps++ {
-		if atRouter {
-			outs, w, err := p.routeRouter(coord, in, h)
-			if err != nil {
-				return hops, err
-			}
-			if len(outs) != 1 {
-				return hops, fmt.Errorf("routing: unicast fan-out at router %v", coord)
-			}
-			out := outs[0]
-			hops = append(hops, Hop{Kind: HopRouter, Coord: coord, RC: h.RC, Out: out})
-			w.Apply(h)
-			if out == p.dims {
-				hops = append(hops, Hop{Kind: HopPE, Coord: coord, RC: h.RC, Out: -1})
-				if coord != h.Dst {
-					return hops, fmt.Errorf("routing: delivered to %v, wanted %v", coord, h.Dst)
-				}
-				return hops, nil
-			}
-			line, in, atRouter = geom.LineOf(coord, out), coord[out], false
-		} else {
-			outs, w, err := p.routeXB(line, in, h)
-			if err != nil {
-				return hops, err
-			}
-			if len(outs) != 1 {
-				return hops, fmt.Errorf("routing: unicast fan-out at crossbar %v", line)
-			}
-			out := outs[0]
-			hops = append(hops, Hop{Kind: HopXB, Line: line, RC: h.RC, Out: out})
-			w.Apply(h)
-			coord, in, atRouter = line.Point(out), line.Dim, true
-		}
-	}
-	return hops, fmt.Errorf("routing: path from %v exceeded %d hops (routing loop?)", src, 8*p.dims+16)
-}
-
 func errText(err error) string {
 	if err == nil {
 		return "<nil>"
@@ -86,34 +38,53 @@ func checkReachableAgrees(t *testing.T, p *Policy, what string) {
 	})
 }
 
+// policyCase is one policy the route queries are held to, named for the
+// failure message.
+type policyCase struct {
+	what string
+	p    *Policy
+}
+
+// faultCases lists the shape's policies: fault-free, every single router and
+// crossbar fault under the unified scheme and under a separate D-XB, and 40
+// seeded double faults, half with a separate D-XB.
+func faultCases(t *testing.T, shape geom.Shape) []policyCase {
+	var singles []fault.Fault
+	shape.Enumerate(func(c geom.Coord) bool {
+		singles = append(singles, fault.RouterFault(c))
+		return true
+	})
+	for _, l := range shape.Lines() {
+		singles = append(singles, fault.XBFault(l))
+	}
+	separate := Config{DXB: shape.CoordOf(shape.Size() - 1)}
+	cases := []policyCase{{fmt.Sprintf("%v fault-free", shape), withFaults(t, shape, Config{})}}
+	for _, f := range singles {
+		cases = append(cases,
+			policyCase{fmt.Sprintf("%v %v", shape, f), withFaults(t, shape, Config{}, f)},
+			policyCase{fmt.Sprintf("%v %v dxb=%v", shape, f, separate.DXB), withFaults(t, shape, separate, f)})
+	}
+	// Beyond the single-fault guarantee the refusals multiply; they must
+	// still be the same refusals. A separate D-XB moves the detour.
+	rng := rand.New(rand.NewSource(15))
+	for i := 0; i < 40; i++ {
+		a, b := singles[rng.Intn(len(singles))], singles[rng.Intn(len(singles))]
+		if a == b {
+			continue
+		}
+		cfg := Config{}
+		if i%2 == 1 {
+			cfg.DXB = shape.CoordOf(rng.Intn(shape.Size()))
+		}
+		cases = append(cases, policyCase{fmt.Sprintf("%v %v+%v dxb=%v", shape, a, b, cfg.DXB), withFaults(t, shape, cfg, a, b)})
+	}
+	return cases
+}
+
 func TestReachableAgreesWithUnicastPath(t *testing.T) {
 	for _, shape := range []geom.Shape{geom.MustShape(4, 4), geom.MustShape(4, 4, 4)} {
-		var singles []fault.Fault
-		shape.Enumerate(func(c geom.Coord) bool {
-			singles = append(singles, fault.RouterFault(c))
-			return true
-		})
-		for _, l := range shape.Lines() {
-			singles = append(singles, fault.XBFault(l))
-		}
-
-		checkReachableAgrees(t, withFaults(t, shape, Config{}), fmt.Sprintf("%v fault-free", shape))
-		for _, f := range singles {
-			checkReachableAgrees(t, withFaults(t, shape, Config{}, f), fmt.Sprintf("%v %v", shape, f))
-		}
-		// Beyond the single-fault guarantee the refusals multiply; they must
-		// still be the same refusals. A separate D-XB moves the detour.
-		rng := rand.New(rand.NewSource(15))
-		for i := 0; i < 40; i++ {
-			a, b := singles[rng.Intn(len(singles))], singles[rng.Intn(len(singles))]
-			if a == b {
-				continue
-			}
-			cfg := Config{}
-			if i%2 == 1 {
-				cfg.DXB = shape.CoordOf(rng.Intn(shape.Size()))
-			}
-			checkReachableAgrees(t, withFaults(t, shape, cfg, a, b), fmt.Sprintf("%v %v+%v dxb=%v", shape, a, b, cfg.DXB))
+		for _, c := range faultCases(t, shape) {
+			checkReachableAgrees(t, c.p, c.what)
 		}
 	}
 
@@ -149,5 +120,80 @@ func TestReachableAgreesWithUnicastPath(t *testing.T) {
 			})
 			return !t.Failed()
 		})
+	}
+}
+
+// plainRouteHealthy is PlainRoute spelled out on coordinates: the route
+// corrects dimensions in increasing order, and every router it visits and
+// every crossbar it crosses must be healthy.
+func plainRouteHealthy(f *fault.Set, dims int, src, dst geom.Coord) bool {
+	at := src
+	if f.RouterFaulty(at) {
+		return false
+	}
+	for k := 0; k < dims; k++ {
+		if at[k] == dst[k] {
+			continue
+		}
+		if f.XBFaulty(geom.LineOf(at, k)) {
+			return false
+		}
+		if at[k] = dst[k]; f.RouterFaulty(at) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkPlainRoute holds PlainRoute to its definition, and to the oracle walk,
+// over every ordered pair of the policy's shape: a pair it serves is served
+// by the plain dimension-order route, and Reachable refuses exactly what the
+// oracle does, in its words. It returns how many pairs PlainRoute served.
+func checkPlainRoute(t *testing.T, p *Policy, what string) int {
+	t.Helper()
+	served := 0
+	p.shape.Enumerate(func(src geom.Coord) bool {
+		p.shape.Enumerate(func(dst geom.Coord) bool {
+			plain := p.PlainRoute(src, dst)
+			if want := plainRouteHealthy(p.faults, p.dims, src, dst); plain != want {
+				t.Fatalf("%s %v->%v: PlainRoute = %v, the route's switches say %v", what, src, dst, plain, want)
+			}
+			path, wantErr := walkHeader(p, src, &flit.Header{Src: src, Dst: dst, RC: flit.RCNormal})
+			if plain {
+				served++
+				if wantErr != nil || DetourLength(path) != 0 || CrossbarHops(path) != src.Distance(dst) {
+					t.Fatalf("%s %v->%v: PlainRoute serves it, the oracle walks %v, %v", what, src, dst, path, wantErr)
+				}
+			}
+			if err := p.Reachable(src, dst); errText(err) != errText(wantErr) {
+				t.Fatalf("%s %v->%v: Reachable = %v, the oracle = %v", what, src, dst, err, wantErr)
+			}
+			return true
+		})
+		return !t.Failed()
+	})
+	return served
+}
+
+func TestPlainRouteExact(t *testing.T) {
+	for _, shape := range []geom.Shape{geom.MustShape(4, 4), geom.MustShape(3, 5), geom.MustShape(4, 4, 4), geom.MustShape(2, 3, 4)} {
+		cases := faultCases(t, shape)
+		if shape.Dims() == 2 {
+			// The pivot extension changes no plain route's decisions.
+			for _, l := range shape.LinesAlong(1) {
+				p := withFaults(t, shape, Config{PivotLastDim: true}, fault.XBFault(l))
+				cases = append(cases, policyCase{fmt.Sprintf("%v pivot %v", shape, l), p})
+			}
+		}
+		pairs := shape.Size() * shape.Size()
+		for _, c := range cases {
+			served := checkPlainRoute(t, c.p, c.what)
+			if c.p.faults.Count() == 0 && served != pairs {
+				t.Fatalf("%s: PlainRoute served %d of %d pairs, want all", c.what, served, pairs)
+			}
+			if c.p.faults.Count() > 0 && (served == 0 || served == pairs) {
+				t.Fatalf("%s: PlainRoute served %d of %d pairs: a fault must cut some and spare others", c.what, served, pairs)
+			}
+		}
 	}
 }

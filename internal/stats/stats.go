@@ -17,15 +17,11 @@ type Latency struct {
 	values []int64
 	sorted bool
 	sum    int64
-	min    int64
 	max    int64
 }
 
 // Add records one latency sample.
 func (l *Latency) Add(v int64) {
-	if len(l.values) == 0 || v < l.min {
-		l.min = v
-	}
 	if len(l.values) == 0 || v > l.max {
 		l.max = v
 	}
@@ -47,9 +43,6 @@ func (l *Latency) Mean() float64 {
 	}
 	return float64(l.sum) / float64(len(l.values))
 }
-
-// Min reports the smallest sample, or 0 with none.
-func (l *Latency) Min() int64 { return l.min }
 
 // Max reports the largest sample, or 0 with none.
 func (l *Latency) Max() int64 { return l.max }

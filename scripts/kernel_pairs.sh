@@ -3,7 +3,9 @@
 # builds the internal/core test binary of each, runs BenchmarkKernelStep
 # (one op = one window of cycles on each of bench/'s three kernel machines)
 # in alternating pairs, and prints per machine the ns/op median and
-# quartiles of each side, the change of the medians, and the pairs the
+# quartiles of each side, the change of the medians, the median of the
+# per-pair changes (head/base - 1 within each pair, which cancels the host's
+# drift between pairs that swamps the unpaired medians), and the pairs the
 # working tree won.
 #
 #   bash scripts/kernel_pairs.sh <rev> [pairs] [benchtime]
@@ -60,18 +62,18 @@ function q(a, n, p,    x, k) {
 }
 { v[$1, $2, $3] = $4; if (!($3 in seen)) { seen[$3] = 1; order[++m] = $3 } if ($2 > np) np = $2 }
 END {
-	printf "%-20s %-26s %-26s %8s %6s\n", "machine", "base median (q1-q3)", "head median (q1-q3)", "change", "wins"
+	printf "%-20s %-26s %-26s %8s %8s %6s\n", "machine", "base median (q1-q3)", "head median (q1-q3)", "change", "paired", "wins"
 	for (k = 1; k <= m; k++) {
 		name = order[k]; n = 0; wins = 0
 		for (p = 1; p <= np; p++) {
 			if (!(("base", p, name) in v) || !(("head", p, name) in v)) continue
-			n++; b[n] = v["base", p, name]; h[n] = v["head", p, name]
+			n++; b[n] = v["base", p, name]; h[n] = v["head", p, name]; r[n] = h[n] / b[n]
 			if (h[n] < b[n]) wins++
 		}
-		sortv(b, n); sortv(h, n)
+		sortv(b, n); sortv(h, n); sortv(r, n)
 		mb = q(b, n, 0.5); mh = q(h, n, 0.5)
-		printf "%-20s %7.3f (%7.3f-%7.3f)  %7.3f (%7.3f-%7.3f)  %+7.1f%% %3d/%d\n", name,
+		printf "%-20s %7.3f (%7.3f-%7.3f)  %7.3f (%7.3f-%7.3f)  %+7.1f%% %+7.1f%% %3d/%d\n", name,
 			mb / 1e6, q(b, n, 0.25) / 1e6, q(b, n, 0.75) / 1e6,
-			mh / 1e6, q(h, n, 0.25) / 1e6, q(h, n, 0.75) / 1e6, 100 * (mh - mb) / mb, wins, n
+			mh / 1e6, q(h, n, 0.25) / 1e6, q(h, n, 0.75) / 1e6, 100 * (mh - mb) / mb, 100 * (q(r, n, 0.5) - 1), wins, n
 	}
 }' "$tmp/results"
