@@ -367,8 +367,10 @@ func TestNewMachineAllocations(t *testing.T) {
 	// the count. With a ring allocated per input port at its first flit and
 	// a heap array per route state's outputs, the run made 1039
 	// allocations. One flit slab for every ring, port columns grown by
-	// doubling and one-output routes stored inline make it 738.
-	const pin = 738
+	// doubling and one-output routes stored inline made it 736. Building at
+	// the final size — the engine's sizing call, nodes and port handles
+	// carved from engine arrays — makes it 465.
+	const pin = 465
 	run := func() {
 		m, err := core.NewMachine(core.Config{Shape: geom.MustShape(4, 4)})
 		if err != nil {
@@ -381,5 +383,31 @@ func TestNewMachineAllocations(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(5, run); allocs > pin {
 		t.Errorf("NewMachine on 4x4 and 200 loaded cycles: %v allocations, want at most %v", allocs, pin)
+	}
+}
+
+// TestNewMachineBytes pins what building the 2048-PE 8x16x16 SR2201
+// allocates to the state it keeps. topo.NewNet sizes every engine column,
+// the flit slab, the active sets and the node and port-handle arrays once,
+// so the bytes allocated exceed the bytes still live after a GC by 2–3 %
+// (node names and transient buffers). A column grown by doubling leaves its
+// outgrown arrays behind: the flit slab, a port column or a handle array
+// would each add 4–17 % and fail the 5 % bound.
+func TestNewMachineBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, built, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m, err := core.NewMachine(core.Config{Shape: geom.MustShape(8, 16, 16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&built)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	allocated, live := built.TotalAlloc-before.TotalAlloc, after.HeapAlloc-before.HeapAlloc
+	if float64(allocated) > 1.05*float64(live) {
+		t.Errorf("NewMachine(8x16x16) allocated %d bytes to keep %d (%.3fx), want at most 1.05x", allocated, live, float64(allocated)/float64(live))
 	}
 }

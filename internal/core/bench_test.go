@@ -287,3 +287,26 @@ func BenchmarkKernelStep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkNewMachine times building a machine, with its allocations: the
+// 4x4 of a serve-mixed campaign cell, the 8x8x8 4-lane adaptive machine of
+// short-vc-faulted and the 2048-PE 8x16x16 SR2201.
+func BenchmarkNewMachine(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"4x4", core.Config{Shape: geom.MustShape(4, 4)}},
+		{"8x8x8-4lane", core.Config{Shape: geom.MustShape(8, 8, 8), VCs: 4, Adaptive: true}},
+		{"8x16x16", core.Config{Shape: geom.MustShape(8, 16, 16)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.NewMachine(c.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"sr2201/internal/core"
+	"sr2201/internal/deadlock"
 	"sr2201/internal/engine"
 	"sr2201/internal/fault"
 	"sr2201/internal/geom"
@@ -252,8 +253,9 @@ func TestVCAdaptiveStaleSnapshotRejected(t *testing.T) {
 // overlapping waves and a broadcast). The engine's conservation laws
 // (per-lane credits, ownership, flit accounting, header ownership) must
 // hold after every cycle, nothing may panic, and the run must drain — the
-// escape channel guarantees it, and a blocked escape lane would surface
-// here as a stall at the horizon.
+// escape channel is meant to guarantee it; a run that does not drain fails
+// with the wait cycle deadlock.Analyze finds. TestVCAllocKnownDeadlock pins
+// one input on which it does not.
 func FuzzVCAlloc(f *testing.F) {
 	f.Add(uint8(4), uint8(4), uint8(0), uint8(2), uint8(0), uint8(5))
 	f.Add(uint8(2), uint8(3), uint8(0), uint8(3), uint8(7), uint8(1))
@@ -261,67 +263,112 @@ func FuzzVCAlloc(f *testing.F) {
 	f.Add(uint8(5), uint8(1), uint8(0), uint8(4), uint8(2), uint8(3))
 	f.Add(uint8(2), uint8(2), uint8(2), uint8(2), uint8(255), uint8(0))
 	f.Fuzz(func(t *testing.T, a, b, c, vcsRaw, faultSel, shift uint8) {
-		var extents []int
-		for _, e := range []uint8{a, b, c} {
-			if e == 0 {
-				break
-			}
-			extents = append(extents, int(e%4)+2) // 2..5 per dimension
-		}
-		if len(extents) == 0 {
-			t.Skip()
-		}
-		shape := geom.MustShape(extents...)
-		if shape.Size() > 64 {
-			t.Skip()
-		}
-		vcs := int(vcsRaw%3) + 2 // 2..4 lanes
-		m, err := core.NewMachine(core.Config{
-			Shape:    shape,
-			VCs:      vcs,
-			Adaptive: true,
-			Engine:   engine.Config{BufferDepth: int(vcsRaw%2) + 1},
-		})
-		if err != nil {
-			t.Fatalf("NewMachine(%v, vcs=%d): %v", shape, vcs, err)
-		}
-		if faultSel != 255 {
-			victim := shape.CoordOf(int(faultSel) % shape.Size())
-			if err := m.AddFault(fault.RouterFault(victim)); err != nil {
-				t.Fatalf("fault %v: %v", victim, err)
-			}
-		}
-		n := shape.Size()
-		wave := func(shift int) {
-			for i := 0; i < n; i++ {
-				src, dst := shape.CoordOf(i), shape.CoordOf((i+shift)%n)
-				if !m.Alive(src) || !m.Alive(dst) || m.Reachable(src, dst) != nil {
-					continue
-				}
-				if _, err := m.Send(src, dst, 4); err != nil {
-					t.Fatalf("send %v->%v: %v", src, dst, err)
-				}
-			}
-		}
-		wave(int(shift))
-		const horizon = 20000
-		for i := 0; i < horizon && !m.Engine().Quiescent(); i++ {
-			if i == 3 {
-				// A second wave and a broadcast while the first is in
-				// flight: headers released by early deliveries are handed
-				// out again beside live ones, and the S-XB fans one out.
-				// Broadcast refuses a source its static tree does not accept.
-				wave(int(shift) + 1)
-				m.Broadcast(shape.CoordOf(int(shift)%n), 3)
-			}
-			m.Step()
-			if err := m.Engine().CheckInvariants(); err != nil {
-				t.Fatalf("cycle %d (shape %v, vcs=%d): %v", m.Cycle(), shape, vcs, err)
-			}
-		}
-		if !m.Engine().Quiescent() {
-			t.Fatalf("did not drain by cycle %d (shape %v, vcs=%d, fault=%d): escape channel blocked?",
-				horizon, shape, vcs, faultSel)
+		if m, vcs, drained := vcAllocRun(t, a, b, c, vcsRaw, faultSel, shift); !drained {
+			t.Fatalf("did not drain by cycle %d (shape %v, vcs=%d, fault=%d):\n%s",
+				vcAllocHorizon, m.Shape(), vcs, faultSel, deadlock.Analyze(m.Engine()).Describe())
 		}
 	})
+}
+
+// vcAllocHorizon is the cycle by which a FuzzVCAlloc run must drain.
+const vcAllocHorizon = 20000
+
+// vcAllocRun runs FuzzVCAlloc's workload for one input, checking the
+// engine's invariants after every cycle, and returns the machine, its lane
+// count and whether it drained by vcAllocHorizon. It skips an input that
+// names no shape, or one of more than 64 PEs.
+func vcAllocRun(t *testing.T, a, b, c, vcsRaw, faultSel, shift uint8) (m *core.Machine, vcs int, drained bool) {
+	t.Helper()
+	var extents []int
+	for _, e := range []uint8{a, b, c} {
+		if e == 0 {
+			break
+		}
+		extents = append(extents, int(e%4)+2) // 2..5 per dimension
+	}
+	if len(extents) == 0 {
+		t.Skip()
+	}
+	shape := geom.MustShape(extents...)
+	if shape.Size() > 64 {
+		t.Skip()
+	}
+	vcs = int(vcsRaw%3) + 2 // 2..4 lanes
+	m, err := core.NewMachine(core.Config{
+		Shape:    shape,
+		VCs:      vcs,
+		Adaptive: true,
+		Engine:   engine.Config{BufferDepth: int(vcsRaw%2) + 1},
+	})
+	if err != nil {
+		t.Fatalf("NewMachine(%v, vcs=%d): %v", shape, vcs, err)
+	}
+	if faultSel != 255 {
+		victim := shape.CoordOf(int(faultSel) % shape.Size())
+		if err := m.AddFault(fault.RouterFault(victim)); err != nil {
+			t.Fatalf("fault %v: %v", victim, err)
+		}
+	}
+	n := shape.Size()
+	wave := func(shift int) {
+		for i := 0; i < n; i++ {
+			src, dst := shape.CoordOf(i), shape.CoordOf((i+shift)%n)
+			if !m.Alive(src) || !m.Alive(dst) || m.Reachable(src, dst) != nil {
+				continue
+			}
+			if _, err := m.Send(src, dst, 4); err != nil {
+				t.Fatalf("send %v->%v: %v", src, dst, err)
+			}
+		}
+	}
+	wave(int(shift))
+	for i := 0; i < vcAllocHorizon && !m.Engine().Quiescent(); i++ {
+		if i == 3 {
+			// A second wave and a broadcast while the first is in flight:
+			// headers released by early deliveries are handed out again
+			// beside live ones, and the S-XB fans one out. Broadcast
+			// refuses a source its static tree does not accept.
+			wave(int(shift) + 1)
+			m.Broadcast(shape.CoordOf(int(shift)%n), 3)
+		}
+		m.Step()
+		if err := m.Engine().CheckInvariants(); err != nil {
+			t.Fatalf("cycle %d (shape %v, vcs=%d): %v", m.Cycle(), shape, vcs, err)
+		}
+	}
+	return m, vcs, m.Engine().Quiescent()
+}
+
+// TestVCAllocKnownDeadlock pins a known defect of the adaptive machine
+// (ROADMAP item 18): FuzzVCAlloc's input 'X' 0x18 'S' '\t' 0x9a 0x1d — 2x2x5,
+// 2 lanes, depth 2, router (0,1,3) faulty, shift 29 — wedges. It does not
+// drain by the horizon, and deadlock.Analyze finds an 8-edge wait cycle,
+// every edge credit-stalled on lane 1, through four crossbar inputs; the
+// faulty router is not on it. The run is deterministic, so the cycle also
+// pins that building the machine differently leaves its behaviour alone.
+// Item 18(a)'s repair makes the run drain and flips both asserts.
+func TestVCAllocKnownDeadlock(t *testing.T) {
+	m, vcs, drained := vcAllocRun(t, 'X', 0x18, 'S', '\t', 0x9a, 0x1d)
+	if got := m.Shape().String(); got != "2x2x5" {
+		t.Fatalf("input decodes to shape %s, want 2x2x5", got)
+	}
+	if drained {
+		t.Fatalf("drained by cycle %d: item 18's deadlock no longer shows", vcAllocHorizon)
+	}
+	r := deadlock.Analyze(m.Engine())
+	if len(r.Cycle) != 8 {
+		t.Fatalf("wait cycle of %d edges, want 8:\n%s", len(r.Cycle), r.Describe())
+	}
+	through := map[string]bool{}
+	for _, e := range r.Cycle {
+		if e.Kind != deadlock.CreditStalled || e.Out.Index()%vcs != 1 {
+			t.Fatalf("edge at %s.in%d is not credit-stalled on lane 1:\n%s", e.From.Node().Name, e.From.Index(), r.Describe())
+		}
+		through[fmt.Sprintf("%s.in%d", e.From.Node().Name, e.From.Index())] = true
+	}
+	for _, in := range []string{"XB1(0,0,2).in1", "XB2(0,1,0).in5", "XB1(0,0,4).in3", "XB2(0,0,0).in9"} {
+		if !through[in] {
+			t.Errorf("the wait cycle does not pass %s:\n%s", in, r.Describe())
+		}
+	}
 }

@@ -398,7 +398,8 @@ type Engine struct {
 	fullIn []int32
 
 	// The port columns (see inState); the slab holds in-port p's ring at
-	// p·BufferDepth. inPorts/outPorts are the handles; src is by endpoint.
+	// p·BufferDepth. inPorts/outPorts are the handles, and a node's In and
+	// Out are views of them; src is by endpoint.
 	in       []inState
 	out      []outState
 	slab     []flit.Flit
@@ -477,12 +478,84 @@ type Engine struct {
 	// detect a stalled network and purge a deadlock victim between cycles.
 	// Like PreCycle, the hook must be deterministic.
 	PostCycle func(cycle int64)
+
+	// nodeH, inH and outH hold the nodes and port handles themselves, carved
+	// in creation order from their free tails (see carve). Only building
+	// touches them.
+	nodeH []Node
+	inH   []InPort
+	outH  []OutPort
 }
 
 // New creates an empty network with the given configuration.
 func New(cfg Config) *Engine {
 	cfg.normalize()
 	return &Engine{cfg: cfg}
+}
+
+// Size is the size of a whole network, for Reserve.
+type Size struct {
+	// Switches and Endpoints count the nodes; an endpoint has one port.
+	Switches, Endpoints int
+	// SwitchPorts counts the ports of all switches together.
+	SwitchPorts int
+	// Links counts the directed links (Connect wires two).
+	Links int
+}
+
+// Reserve makes room for the network to reach s in total, so that building
+// it allocates each of these once: the nodes and port handles, the port
+// columns, the flit slab, the links, the sources and the active sets. It
+// sets capacity only. A network built past s grows through the same code,
+// and one built short of it leaves the room unused; node ids, port ids,
+// link order and every outcome are those of an engine built without it.
+func (e *Engine) Reserve(s Size) {
+	nodes, ports := s.Switches+s.Endpoints, s.SwitchPorts+s.Endpoints
+	chunk(&e.nodeH, nodes-len(e.nodes))
+	chunk(&e.inH, ports-len(e.in))
+	chunk(&e.outH, ports-len(e.in))
+	grow(&e.nodes, nodes)
+	grow(&e.switches, s.Switches)
+	grow(&e.endpoints, s.Endpoints)
+	grow(&e.in, ports)
+	grow(&e.out, ports)
+	grow(&e.inPorts, ports)
+	grow(&e.outPorts, ports)
+	grow(&e.nodeOf, ports)
+	grow(&e.slab, ports*e.cfg.BufferDepth)
+	grow(&e.fullIn, s.SwitchPorts)
+	grow(&e.links, s.Links)
+	grow(&e.src, s.Endpoints)
+	grow(&e.activeAlloc.words, words(s.SwitchPorts))
+	grow(&e.everyIn.words, words(s.SwitchPorts))
+	grow(&e.activeEject.words, words(s.Endpoints))
+	grow(&e.activeInject.words, words(s.Endpoints))
+	grow(&e.everyEP.words, words(s.Endpoints))
+}
+
+// grow makes room in column *col for n elements in total.
+func grow[T any](col *[]T, n int) {
+	if n > len(*col) {
+		*col = slices.Grow(*col, n-len(*col))
+	}
+}
+
+// chunk makes room in *arr, an array of nodes or port handles, for k more
+// elements. Those are referenced by pointer, so the array never moves:
+// where it lacks room, a new one of at least k elements, and at least twice
+// the old one's, takes over.
+func chunk[T any](arr *[]T, k int) {
+	if k > cap(*arr)-len(*arr) {
+		*arr = make([]T, 0, max(k, 2*cap(*arr)))
+	}
+}
+
+// carve hands out the next k elements of *arr, making room first.
+func carve[T any](arr *[]T, k int) []T {
+	chunk(arr, k)
+	n := len(*arr)
+	*arr = (*arr)[:n+k]
+	return (*arr)[n : n+k : n+k]
 }
 
 // Config returns the engine's (normalized) configuration.
@@ -497,7 +570,8 @@ func (e *Engine) AddSwitch(name string, ports int, route RouteFunc, meta any) *N
 	if route == nil {
 		panic(fmt.Sprintf("engine: switch %q needs a routing function", name))
 	}
-	n := &Node{ID: len(e.nodes), Name: name, Kind: KindSwitch, Meta: meta, route: route, eng: e}
+	n := &carve(&e.nodeH, 1)[0]
+	*n = Node{ID: len(e.nodes), Name: name, Kind: KindSwitch, Meta: meta, route: route, eng: e}
 	e.addPorts(n, ports)
 	e.nodes = append(e.nodes, n)
 	e.switches = append(e.switches, n)
@@ -505,19 +579,16 @@ func (e *Engine) AddSwitch(name string, ports int, route RouteFunc, meta any) *N
 	return n
 }
 
-// addPorts gives a node its ports, carved from two allocations, and their
-// ids, column entries and slab slots.
+// addPorts gives a node its ports, carved from the engine's handle arrays,
+// and their ids, column entries and slab slots. n.In and n.Out are views of
+// the handle columns.
 func (e *Engine) addPorts(n *Node, ports int) {
-	ins := make([]InPort, ports)
-	outs := make([]OutPort, ports)
-	n.In = make([]*InPort, ports)
-	n.Out = make([]*OutPort, ports)
+	ins, outs := carve(&e.inH, ports), carve(&e.outH, ports)
 	n.port0 = int32(len(e.in))
 	for i := range ins {
 		id := int32(len(e.in))
 		ins[i] = InPort{eng: e, idx: i, id: id}
 		outs[i] = OutPort{eng: e, idx: i, id: id, lastReqCycle: -1, reservedCycle: -1, pendStamp: -1}
-		n.In[i], n.Out[i] = &ins[i], &outs[i]
 		bit := int32(^n.epIdx)
 		if n.Kind == KindSwitch {
 			bit = int32(len(e.fullIn))
@@ -527,16 +598,20 @@ func (e *Engine) addPorts(n *Node, ports int) {
 		}
 		e.in = append(e.in, inState{up: -1, bit: bit})
 		e.out = append(e.out, outState{down: -1, phys: -1})
-		e.inPorts = append(e.inPorts, n.In[i])
+		e.inPorts = append(e.inPorts, &ins[i])
+		e.outPorts = append(e.outPorts, &outs[i])
 		e.nodeOf = append(e.nodeOf, n)
-		e.outPorts = append(e.outPorts, n.Out[i])
 	}
+	end := len(e.in)
+	n.In = e.inPorts[n.port0:end:end]
+	n.Out = e.outPorts[n.port0:end:end]
 	e.slab = append(e.slab, make([]flit.Flit, ports*e.cfg.BufferDepth)...)
 }
 
 // AddEndpoint creates a single-port traffic endpoint.
 func (e *Engine) AddEndpoint(name string, meta any) *Node {
-	n := &Node{ID: len(e.nodes), Name: name, Kind: KindEndpoint, Meta: meta, eng: e, epIdx: len(e.endpoints)}
+	n := &carve(&e.nodeH, 1)[0]
+	*n = Node{ID: len(e.nodes), Name: name, Kind: KindEndpoint, Meta: meta, eng: e, epIdx: len(e.endpoints)}
 	e.addPorts(n, 1)
 	e.src = append(e.src, source{port: n.In[0].id})
 	e.nodes = append(e.nodes, n)

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"sr2201/internal/flit"
@@ -628,5 +630,41 @@ func TestSourceQueueBounded(t *testing.T) {
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReserve builds one ring without Reserve, with it at the ring's exact
+// size and with half of that: node ids, port ids, links and the per-cycle
+// StateHash stream are the same in all three, and the snapshots agree byte
+// for byte.
+func TestReserve(t *testing.T) {
+	const k = 6
+	exact := Size{Switches: k, Endpoints: k, SwitchPorts: 3 * k, Links: 3 * k}
+	run := func(s *Size) ([]uint64, []byte) {
+		e := New(DefaultConfig())
+		if s != nil {
+			e.Reserve(*s)
+		}
+		eps, _ := buildRing(e, k)
+		for i, ep := range eps {
+			e.InjectPacket(ep, flit.Header{PacketID: uint64(i + 1), Dst: geom.Coord{(i + 2) % k}}, 5)
+		}
+		var hashes []uint64
+		for e.Cycle() < 200 {
+			e.Step()
+			if err := e.CheckInvariants(); err != nil {
+				t.Fatalf("cycle %d: %v", e.Cycle(), err)
+			}
+			hashes = append(hashes, e.StateHash())
+		}
+		return hashes, e.Snapshot()
+	}
+	wantHashes, wantSnap := run(nil)
+	half := Size{Switches: k / 2, Endpoints: k / 2, SwitchPorts: 3 * k / 2, Links: 3 * k / 2}
+	for _, s := range []Size{exact, half} {
+		hashes, snap := run(&s)
+		if !slices.Equal(hashes, wantHashes) || !bytes.Equal(snap, wantSnap) {
+			t.Errorf("Reserve(%+v) changed the run", s)
+		}
 	}
 }

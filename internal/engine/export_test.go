@@ -110,3 +110,25 @@ func globalOrderGrants(e *Engine, requests []int32, st *ArbitrationStats) map[*I
 	}
 	return grants
 }
+
+// StalledEndpoints returns endpoints with queued flits that cannot inject
+// because the outbound link has no credits.
+func (e *Engine) StalledEndpoints() []*Node {
+	var out []*Node
+	for i, ep := range e.endpoints {
+		if ep.InjectQueueLen() > 0 && e.credits(e.src[i].port) < 1 {
+			out = append(out, ep)
+		}
+	}
+	return out
+}
+
+// SkipRatio is Skipped over the full-scan visit count (Visits+Skipped),
+// i.e. the fraction of per-cycle scanning the scheduler eliminated.
+func (c Counters) SkipRatio() float64 {
+	total := c.Visits() + c.Skipped()
+	if total == 0 {
+		return 0
+	}
+	return float64(c.Skipped()) / float64(total)
+}

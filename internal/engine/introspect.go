@@ -179,15 +179,3 @@ func (e *Engine) InFlightHeaders() (hdrs []*flit.Header, unknown []uint64) {
 	}
 	return hdrs, unknown
 }
-
-// StalledEndpoints returns endpoints with queued flits that cannot inject
-// because the outbound link has no credits.
-func (e *Engine) StalledEndpoints() []*Node {
-	var out []*Node
-	for i, ep := range e.endpoints {
-		if ep.InjectQueueLen() > 0 && e.credits(e.src[i].port) < 1 {
-			out = append(out, ep)
-		}
-	}
-	return out
-}

@@ -35,10 +35,13 @@ type activeSet struct {
 
 // resize makes room for elements 0..n-1.
 func (s *activeSet) resize(n int) {
-	for len(s.words)*64 < n {
-		s.words = append(s.words, 0)
+	if w := words(n); w > len(s.words) {
+		s.words = append(s.words, make([]uint64, w-len(s.words))...)
 	}
 }
+
+// words is the number of bitmap words that hold n elements.
+func words(n int) int { return (n + 63) >> 6 }
 
 // add makes element i a member; a no-op when it already is one.
 func (s *activeSet) add(i int) {
@@ -117,16 +120,6 @@ func (c Counters) Visits() int64 {
 // Skipped sums the elements active-set scheduling avoided examining.
 func (c Counters) Skipped() int64 {
 	return c.LinkVisitsSkipped + c.SwitchPortVisitsSkipped + c.EjectVisitsSkipped + c.InjectVisitsSkipped
-}
-
-// SkipRatio is Skipped over the full-scan visit count (Visits+Skipped),
-// i.e. the fraction of per-cycle scanning the scheduler eliminated.
-func (c Counters) SkipRatio() float64 {
-	total := c.Visits() + c.Skipped()
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Skipped()) / float64(total)
 }
 
 // Counters returns a snapshot of the engine's hot-path counters.

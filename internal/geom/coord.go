@@ -11,8 +11,10 @@ import (
 )
 
 // MaxDims is the largest number of dimensions supported. The SR2201 itself is
-// a three-dimensional machine; four dimensions is comfortably beyond anything
-// the paper evaluates while keeping fixed-size arrays cheap.
+// a three-dimensional machine, but the structural-scaling experiment (E10)
+// builds a 2x2x2x2x2x2 shape, the d = log2 n case in which the MD crossbar
+// degenerates into a hypercube. 8 leaves room above that 6-D shape while
+// Coord stays a fixed-size, comparable array.
 const MaxDims = 8
 
 // Coord is a point of the d-dimensional lattice. Only the first Dims(shape)

@@ -92,7 +92,7 @@ func (p *VCPolicy) RouteRouter(net *topo.Net, c geom.Coord, in int, h *flit.Head
 			return dec, nil
 		}
 	}
-	return decision(p.escape.routeRouter(c, logicalIn, h))
+	return p.escape.decision(p.escape.routeRouter(c, logicalIn, h))
 }
 
 // adaptiveHop picks a minimal productive hop on a free adaptive lane, or
@@ -132,7 +132,7 @@ func (p *VCPolicy) adaptiveHop(net *topo.Net, c geom.Coord, h *flit.Header) (eng
 func (p *VCPolicy) RouteXB(net *topo.Net, l geom.Line, in int, h *flit.Header) (engine.Decision, error) {
 	point, lane := in/p.vcs, in%p.vcs
 	if lane == 0 {
-		return decision(p.escape.routeXB(l, point, h))
+		return p.escape.decision(p.escape.routeXB(l, point, h))
 	}
 	if h.RC != flit.RCNormal {
 		return engine.Decision{}, fmt.Errorf("routing: %v packet on adaptive lane %d of crossbar %v", h.RC, lane, l)

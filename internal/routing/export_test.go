@@ -44,8 +44,8 @@ func walkHeader(p *Policy, src geom.Coord, h *flit.Header) ([]Hop, error) {
 	var line geom.Line
 	for steps := 0; steps < 8*p.dims+16; steps++ {
 		if atRouter {
-			outs, w, err := p.routeRouter(coord, in, h)
-			if err != nil {
+			outs, w, why := p.routeRouter(coord, in, h)
+			if err := why.err(p.shape); err != nil {
 				return hops, err
 			}
 			if len(outs) != 1 {
@@ -63,8 +63,8 @@ func walkHeader(p *Policy, src geom.Coord, h *flit.Header) ([]Hop, error) {
 			}
 			line, in, atRouter = geom.LineOf(coord, out), coord[out], false
 		} else {
-			outs, w, err := p.routeXB(line, in, h)
-			if err != nil {
+			outs, w, why := p.routeXB(line, in, h)
+			if err := why.err(p.shape); err != nil {
 				return hops, err
 			}
 			if len(outs) != 1 {

@@ -287,19 +287,19 @@ func (p *Policy) firstFixedDiff(c, fixed geom.Coord) int {
 }
 
 // decision wraps one of the policy's own routing steps as the kernel's: a
-// refusal carries no outputs and no rewrite.
-func decision(outs []int, w flit.Rewrite, err error) (engine.Decision, error) {
-	return engine.Decision{Outs: outs, Rewrite: w}, err
+// refusal carries no outputs and no rewrite, and renders as its error.
+func (p *Policy) decision(outs []int, w flit.Rewrite, why refusal) (engine.Decision, error) {
+	return engine.Decision{Outs: outs, Rewrite: w}, why.err(p.shape)
 }
 
 // RouteRouter implements topo.Policy. See the package comment for the rule
 // summary; each case cites the paper section it models.
 func (p *Policy) RouteRouter(net *topo.Net, c geom.Coord, in int, h *flit.Header) (engine.Decision, error) {
-	return decision(p.routeRouter(c, in, h))
+	return p.decision(p.routeRouter(c, in, h))
 }
 
 // routeRouter is RouteRouter in the policy's own terms; it does not retain h.
-func (p *Policy) routeRouter(c geom.Coord, in int, h *flit.Header) ([]int, flit.Rewrite, error) {
+func (p *Policy) routeRouter(c geom.Coord, in int, h *flit.Header) ([]int, flit.Rewrite, refusal) {
 	switch h.RC {
 	case flit.RCNormal:
 		return p.routerNormal(c, h)
@@ -310,15 +310,15 @@ func (p *Policy) routeRouter(c geom.Coord, in int, h *flit.Header) ([]int, flit.
 		if p.onLine(c, p.sEff) {
 			if p.xbFaulty(c, 0) {
 				// Only possible when substitution had no healthy candidate.
-				return nil, 0, fmt.Errorf("%w: serialized crossbar faulty", ErrUnreachable)
+				return nil, 0, refusal{rule: whySXBFaulty}
 			}
-			return p.out(0), 0, nil
+			return p.out(0), 0, refusal{}
 		}
 		j := p.firstFixedDiff(c, p.sEff)
 		if p.xbFaulty(c, j) {
-			return nil, 0, fmt.Errorf("%w: dim-%d crossbar toward S-XB faulty", ErrUnreachable, j)
+			return nil, 0, refusal{rule: whyTowardSXB, dim: uint8(j)}
 		}
-		return p.out(j), 0, nil
+		return p.out(j), 0, refusal{}
 
 	case flit.RCBroadcast:
 		// Fan rule: a router receiving a broadcast from dimension k forwards
@@ -329,7 +329,7 @@ func (p *Policy) routeRouter(c geom.Coord, in int, h *flit.Header) ([]int, flit.
 		if in < p.dims {
 			startDim = in + 1
 		} else if !p.cfg.NaiveBroadcast {
-			return nil, 0, fmt.Errorf("routing: broadcast packet from PE at %v without naive mode", c)
+			return nil, 0, p.refuseAt(whyPEBroadcast, c)
 		}
 		fan := fanKey{pe: p.dims, scale: p.scale}
 		for j := startDim; j < p.dims; j++ {
@@ -338,29 +338,29 @@ func (p *Policy) routeRouter(c geom.Coord, in int, h *flit.Header) ([]int, flit.
 			}
 			fan.mask |= 1 << j
 		}
-		return fanList(fan), 0, nil
+		return fanList(fan), 0, refusal{}
 
 	case flit.RCDetour:
 		// Section 4: ride dimensions 1..d-1 (in order) to the D-XB line,
 		// then enter the D-XB on port 0, where RC resets to normal.
 		if p.onLine(c, p.dEff) {
 			if p.xbFaulty(c, 0) {
-				return nil, 0, fmt.Errorf("%w: detour crossbar faulty", ErrUnreachable)
+				return nil, 0, refusal{rule: whyDXBFaulty}
 			}
-			return p.out(0), flit.CountDetour, nil
+			return p.out(0), flit.CountDetour, refusal{}
 		}
 		j := p.firstFixedDiff(c, p.dEff)
 		if p.xbFaulty(c, j) {
-			return nil, 0, fmt.Errorf("%w: dim-%d crossbar toward D-XB faulty", ErrUnreachable, j)
+			return nil, 0, refusal{rule: whyTowardDXB, dim: uint8(j)}
 		}
-		return p.out(j), flit.CountDetour, nil
+		return p.out(j), flit.CountDetour, refusal{}
 	}
-	return nil, 0, fmt.Errorf("routing: router %v cannot handle RC %v", c, h.RC)
+	return nil, 0, refusal{rule: whyRouterRC, rc: h.RC, at: int32(p.shape.Index(c))}
 }
 
 // routerNormal is dimension-order routing with the router-side fault checks
 // (a router knows which of its own crossbars are faulty).
-func (p *Policy) routerNormal(c geom.Coord, h *flit.Header) ([]int, flit.Rewrite, error) {
+func (p *Policy) routerNormal(c geom.Coord, h *flit.Header) ([]int, flit.Rewrite, refusal) {
 	pePort := p.dims
 	dst, pivot := h.Dst, flit.Rewrite(0)
 	if h.TwoPhase && c.FirstDiff(dst, p.dims) == -1 {
@@ -370,17 +370,17 @@ func (p *Policy) routerNormal(c geom.Coord, h *flit.Header) ([]int, flit.Rewrite
 	}
 	k := c.FirstDiff(dst, p.dims)
 	if k == -1 {
-		return p.out(pePort), pivot, nil
+		return p.out(pePort), pivot, refusal{}
 	}
 	if !p.xbFaulty(c, k) {
-		return p.out(k), pivot, nil
+		return p.out(k), pivot, refusal{}
 	}
 	// The crossbar this packet needs next is faulty: enter detour mode if
 	// the detour route avoids it, else the destination is unreachable
 	// (paper-scope limitation; see DESIGN.md). The router checks only the
 	// identity of its own faulty crossbar — the neighbor-bits discipline.
 	if p.detourUsesLine(geom.LineOf(c, k), c, dst) {
-		return nil, 0, fmt.Errorf("%w: dim-%d crossbar %v faulty and the detour needs it", ErrUnreachable, k, geom.LineOf(c, k))
+		return nil, 0, p.refuseLine(whyDetourNeedsXB, geom.LineOf(c, k))
 	}
 	// The first detour leg must itself be healthy. Under the paper's
 	// single-fault assumption it always is; with additional faults present
@@ -391,9 +391,9 @@ func (p *Policy) routerNormal(c geom.Coord, h *flit.Header) ([]int, flit.Rewrite
 		j = p.firstFixedDiff(c, p.dEff)
 	}
 	if p.xbFaulty(c, j) {
-		return nil, 0, fmt.Errorf("%w: detour leg dim-%d crossbar %v also faulty", ErrUnreachable, j, geom.LineOf(c, j))
+		return nil, 0, p.refuseLine(whyDetourLegFaulty, geom.LineOf(c, j))
 	}
-	return p.out(j), pivot | flit.SetRC(flit.RCDetour), nil
+	return p.out(j), pivot | flit.SetRC(flit.RCDetour), refusal{}
 }
 
 // detourWalk replays the element sequence of a detour that starts at router
@@ -455,11 +455,11 @@ func (p *Policy) detourVisitsRouter(bad, start, dst geom.Coord) bool {
 
 // RouteXB implements topo.Policy for crossbar switches.
 func (p *Policy) RouteXB(net *topo.Net, l geom.Line, in int, h *flit.Header) (engine.Decision, error) {
-	return decision(p.routeXB(l, in, h))
+	return p.decision(p.routeXB(l, in, h))
 }
 
 // routeXB is RouteXB in the policy's own terms; it does not retain h.
-func (p *Policy) routeXB(l geom.Line, in int, h *flit.Header) ([]int, flit.Rewrite, error) {
+func (p *Policy) routeXB(l geom.Line, in int, h *flit.Header) ([]int, flit.Rewrite, refusal) {
 	switch h.RC {
 	case flit.RCNormal:
 		return p.xbNormal(l, h)
@@ -469,11 +469,11 @@ func (p *Policy) routeXB(l geom.Line, in int, h *flit.Header) ([]int, flit.Rewri
 			// This is the S-XB: serialize (the kernel's output allocation
 			// does the one-at-a-time replay) and fan to every attached
 			// router, faulty ones excepted (Section 3.2 step 2).
-			return p.fanPorts(l, -1), flit.SetRC(flit.RCBroadcast), nil
+			return p.fanPorts(l, -1), flit.SetRC(flit.RCBroadcast), refusal{}
 		}
 		// En route to the S line along a higher dimension.
 		if l.Dim == 0 {
-			return nil, 0, fmt.Errorf("routing: broadcast request entered non-serialized dim-0 crossbar %v", l)
+			return nil, 0, p.refuseLine(whyRequestOffSXB, l)
 		}
 		return p.xbStep(l, p.sEff[l.Dim], 0)
 
@@ -482,9 +482,9 @@ func (p *Policy) routeXB(l geom.Line, in int, h *flit.Header) ([]int, flit.Rewri
 		// (Section 3.2 steps 3-4).
 		outs := p.fanPorts(l, in)
 		if len(outs) == 0 {
-			return nil, 0, fmt.Errorf("%w: broadcast fan at %v has no healthy routers", ErrUnreachable, l)
+			return nil, 0, p.refuseLine(whyEmptyFan, l)
 		}
-		return outs, 0, nil
+		return outs, 0, refusal{}
 
 	case flit.RCDetour:
 		if l.Dim == 0 {
@@ -492,28 +492,28 @@ func (p *Policy) routeXB(l geom.Line, in int, h *flit.Header) ([]int, flit.Rewri
 			// order (Section 4, "the D-XB changes the RC bit from 'detour'
 			// to 'normal'").
 			if !p.onLine(l.Point(in), p.dEff) {
-				return nil, 0, fmt.Errorf("routing: detour packet entered non-detour dim-0 crossbar %v", l)
+				return nil, 0, p.refuseLine(whyDetourOffDXB, l)
 			}
 			target := h.Dst[0]
 			if p.routerFaulty(l.Point(target)) {
 				// Substitution keeps faults off the D line; reaching this
 				// means the network is over-faulted.
-				return nil, 0, fmt.Errorf("%w: router %v on detour crossbar faulty", ErrUnreachable, l.Point(target))
+				return nil, 0, p.refuseAt(whyDXBRouterFaulty, l.Point(target))
 			}
-			return p.out(target), flit.SetRC(flit.RCNormal), nil
+			return p.out(target), flit.SetRC(flit.RCNormal), refusal{}
 		}
 		return p.xbStep(l, p.dEff[l.Dim], flit.CountDetour)
 	}
-	return nil, 0, fmt.Errorf("routing: crossbar %v cannot handle RC %v", l, h.RC)
+	return nil, 0, refusal{rule: whyXBRC, rc: h.RC, dim: uint8(l.Dim), at: int32(p.shape.Index(l.Fixed))}
 }
 
 // xbStep forwards to one port of the crossbar, failing if the attached
 // router is faulty.
-func (p *Policy) xbStep(l geom.Line, port int, w flit.Rewrite) ([]int, flit.Rewrite, error) {
+func (p *Policy) xbStep(l geom.Line, port int, w flit.Rewrite) ([]int, flit.Rewrite, refusal) {
 	if p.routerFaulty(l.Point(port)) {
-		return nil, 0, fmt.Errorf("%w: router %v faulty", ErrUnreachable, l.Point(port))
+		return nil, 0, p.refuseAt(whyRouterFaulty, l.Point(port))
 	}
-	return p.out(port), w, nil
+	return p.out(port), w, refusal{}
 }
 
 // xbNormal is the dimension-order step across a crossbar, with the
@@ -521,29 +521,29 @@ func (p *Policy) xbStep(l geom.Line, port int, w flit.Rewrite) ([]int, flit.Rewr
 // faulty): if the exit router is faulty and is not the destination's own
 // router, the crossbar sets the RC bit to 'detour' and forwards to the
 // designated detour router (Section 4, Fig. 8 step 2).
-func (p *Policy) xbNormal(l geom.Line, h *flit.Header) ([]int, flit.Rewrite, error) {
+func (p *Policy) xbNormal(l geom.Line, h *flit.Header) ([]int, flit.Rewrite, refusal) {
 	target := h.Dst[l.Dim]
 	exit := l.Point(target)
 	if !p.routerFaulty(exit) {
-		return p.out(target), 0, nil
+		return p.out(target), 0, refusal{}
 	}
 	if exit == h.Dst {
 		// "If an RTC is faulty, the network hardware stops transmission of
 		// packets to the faulty PE."
-		return nil, 0, fmt.Errorf("%w: destination router %v faulty", ErrUnreachable, exit)
+		return nil, 0, p.refuseAt(whyDstFaulty, exit)
 	}
 	dp, ok := p.faults.DetourPort(l)
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: no healthy detour router on %v", ErrUnreachable, l)
+		return nil, 0, p.refuseLine(whyNoDetourRouter, l)
 	}
 	// Would the detour — riding from the designated detour router to the D
 	// line, across the D-XB, and back down dimension order — pass through
 	// this faulty router again? The crossbar checks only its own neighbor's
 	// coordinate: the neighbor-bits discipline.
 	if p.detourVisitsRouter(exit, l.Point(dp), h.Dst) {
-		return nil, 0, fmt.Errorf("%w: router %v faulty and the detour re-enters it", ErrUnreachable, exit)
+		return nil, 0, p.refuseAt(whyDetourReenters, exit)
 	}
-	return p.out(dp), flit.SetRC(flit.RCDetour), nil
+	return p.out(dp), flit.SetRC(flit.RCDetour), refusal{}
 }
 
 // fanPorts lists the crossbar ports whose routers are healthy, excluding

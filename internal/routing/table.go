@@ -60,14 +60,23 @@ type TablePolicy struct {
 var _ topo.Policy = (*TablePolicy)(nil)
 
 // entry is one precomputed decision: the output ports and the header rewrite
-// on the forwarded copies, or the refusal.
+// on the forwarded copies, or the refusal, rendered only when a packet meets
+// it.
 type entry struct {
 	outs []int
 	w    flit.Rewrite
-	err  error
+	why  refusal
 }
 
-func (e entry) decision() (engine.Decision, error) { return decision(e.outs, e.w, e.err) }
+// decision is entry e as the kernel's decision. It tests for a refusal
+// itself rather than through refusal.err, which keeps it within the
+// inliner's budget: every table lookup ends here.
+func (tp *TablePolicy) decision(e *entry) (engine.Decision, error) {
+	if e.why.rule != 0 {
+		return engine.Decision{}, e.why.render(tp.shape)
+	}
+	return engine.Decision{Outs: e.outs, Rewrite: e.w}, nil
+}
 
 type routerTable struct {
 	// normal[k] serves destinations first differing in dimension k, and
@@ -104,12 +113,12 @@ func Compile(p *Policy) (*TablePolicy, error) {
 	n := shape.Size()
 	tp := &TablePolicy{shape: shape, dims: d}
 	router := func(c geom.Coord, in int, h flit.Header) entry {
-		outs, w, err := p.routeRouter(c, in, &h)
-		return entry{outs, w, err}
+		outs, w, why := p.routeRouter(c, in, &h)
+		return entry{outs, w, why}
 	}
 	xb := func(l geom.Line, in int, h flit.Header) entry {
-		outs, w, err := p.routeXB(l, in, &h)
-		return entry{outs, w, err}
+		outs, w, why := p.routeXB(l, in, &h)
+		return entry{outs, w, why}
 	}
 	// perDestination is the dense override row of a fault-adjacent switch.
 	perDestination := func(route func(h flit.Header) entry) []entry {
@@ -120,15 +129,32 @@ func Compile(p *Policy) (*TablePolicy, error) {
 		return row
 	}
 
+	// The structured rows are carved from one array; only the dense rows of
+	// fault-adjacent switches are allocated on their own.
+	size := n * 2 * (d + 1)
+	for dim, extent := range shape {
+		detours := 1
+		if dim == 0 {
+			detours = extent
+		}
+		size += shape.LineCount(dim) * (2*extent + detours)
+	}
+	rows := make([]entry, size)
+	row := func(k int) []entry {
+		r := rows[:k:k]
+		rows = rows[k:]
+		return r
+	}
+
 	// Router tables.
 	tp.routers = make([]routerTable, n)
 	for idx := range tp.routers {
 		c := shape.CoordOf(idx)
 		rt := routerTable{
-			normal:  make([]entry, d+1),
+			normal:  row(d + 1),
 			detour:  router(c, 0, flit.Header{RC: flit.RCDetour}),
 			request: router(c, d, flit.Header{RC: flit.RCBroadcastRequest}),
-			bcast:   make([]entry, d+1),
+			bcast:   row(d + 1),
 		}
 		faultyXB := false
 		for k := 0; k < d; k++ {
@@ -161,10 +187,10 @@ func Compile(p *Policy) (*TablePolicy, error) {
 				detours = ports
 			}
 			xt := xbTable{
-				normal:  make([]entry, ports),
-				detour:  make([]entry, detours),
+				normal:  row(ports),
+				detour:  row(detours),
 				request: xb(l, 0, flit.Header{RC: flit.RCBroadcastRequest}),
-				bcast:   make([]entry, ports),
+				bcast:   row(ports),
 			}
 			faultyRouter := false
 			for v := 0; v < ports; v++ {
@@ -196,19 +222,19 @@ func (tp *TablePolicy) RouteRouter(net *topo.Net, c geom.Coord, in int, h *flit.
 	switch h.RC {
 	case flit.RCNormal:
 		if rt.full != nil {
-			return rt.full[tp.shape.Index(h.Dst)].decision()
+			return tp.decision(&rt.full[tp.shape.Index(h.Dst)])
 		}
 		k := c.FirstDiff(h.Dst, tp.dims)
 		if k < 0 {
 			k = tp.dims
 		}
-		return rt.normal[k].decision()
+		return tp.decision(&rt.normal[k])
 	case flit.RCDetour:
-		return rt.detour.decision()
+		return tp.decision(&rt.detour)
 	case flit.RCBroadcastRequest:
-		return rt.request.decision()
+		return tp.decision(&rt.request)
 	case flit.RCBroadcast:
-		return rt.bcast[in].decision()
+		return tp.decision(&rt.bcast[in])
 	}
 	return engine.Decision{}, fmt.Errorf("routing: table policy cannot handle RC %v", h.RC)
 }
@@ -222,18 +248,18 @@ func (tp *TablePolicy) RouteXB(net *topo.Net, l geom.Line, in int, h *flit.Heade
 	switch h.RC {
 	case flit.RCNormal:
 		if xt.full != nil {
-			return xt.full[tp.shape.Index(h.Dst)].decision()
+			return tp.decision(&xt.full[tp.shape.Index(h.Dst)])
 		}
-		return xt.normal[h.Dst[l.Dim]].decision()
+		return tp.decision(&xt.normal[h.Dst[l.Dim]])
 	case flit.RCDetour:
 		if l.Dim == 0 {
-			return xt.detour[h.Dst[0]].decision()
+			return tp.decision(&xt.detour[h.Dst[0]])
 		}
-		return xt.detour[0].decision()
+		return tp.decision(&xt.detour[0])
 	case flit.RCBroadcastRequest:
-		return xt.request.decision()
+		return tp.decision(&xt.request)
 	case flit.RCBroadcast:
-		return xt.bcast[in].decision()
+		return tp.decision(&xt.bcast[in])
 	}
 	return engine.Decision{}, fmt.Errorf("routing: table policy cannot handle RC %v", h.RC)
 }

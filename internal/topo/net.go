@@ -229,6 +229,7 @@ func NewNet(eng *engine.Engine, shape geom.Shape, w Wiring) *Net {
 		router = "RTC"
 	}
 	n := shape.Size()
+	eng.Reserve(netSize(shape, w))
 	net.pes = make([]*engine.Node, n)
 	net.routers = make([]*engine.Node, n)
 	for i := 0; i < n; i++ {
@@ -282,6 +283,32 @@ func NewNet(eng *engine.Engine, shape geom.Shape, w Wiring) *Net {
 		}
 	}
 	return net
+}
+
+// netSize counts what NewNet builds: a PE and a router per lattice point,
+// a crossbar per line on a crossbar wiring, a link each way between a PE and
+// its router, and one out of every cabled router port.
+func netSize(shape geom.Shape, w Wiring) engine.Size {
+	n, ports := shape.Size(), w.Ports()
+	s := engine.Size{Switches: n, Endpoints: n, SwitchPorts: n * ports, Links: 2 * n}
+	if w.Crossbars() {
+		for dim, extent := range shape {
+			lines := shape.LineCount(dim)
+			s.Switches += lines
+			s.SwitchPorts += lines * extent * w.Lanes()
+		}
+		s.Links += 2 * n * shape.Dims() * w.Lanes()
+		return s
+	}
+	for i := 0; i < n; i++ {
+		c := shape.CoordOf(i)
+		for p := 0; p < ports-1; p++ {
+			if _, _, ok := w.Peer(c, p); ok {
+				s.Links++
+			}
+		}
+	}
+	return s
 }
 
 // SetPolicy installs the policy every switch routes by — on a direct-link

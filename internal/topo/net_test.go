@@ -434,3 +434,48 @@ func TestChannelOfRoundTrip(t *testing.T) {
 		})
 	}
 }
+
+// TestNetSizeExact: the size NewNet reserves before it creates the first
+// node is exactly what it builds — nodes, switch ports and links — on the
+// MD crossbar with one and two lanes and on every registered direct-link
+// wiring, each on the shapes it accepts, so the engine's columns are
+// allocated once and none is left with unused room.
+func TestNetSizeExact(t *testing.T) {
+	type net struct {
+		shape geom.Shape
+		w     topo.Wiring
+	}
+	var nets []net
+	for _, shape := range []geom.Shape{geom.MustShape(3, 4, 2), geom.MustShape(3, 4), geom.MustShape(5)} {
+		nets = append(nets, net{shape, topo.MDCrossbar{Shape: shape, VCs: 1}}, net{shape, topo.MDCrossbar{Shape: shape, VCs: 2}})
+		for _, r := range topo.Registered() {
+			if r.New == nil {
+				continue // not a direct-link lattice (mdx, escape)
+			}
+			if s, err := r.New(shape, nil); err == nil {
+				nets = append(nets, net{shape, s.Wiring()})
+			}
+		}
+	}
+	for _, n := range nets {
+		eng := engine.New(engine.DefaultConfig())
+		topo.NewNet(eng, n.shape, n.w)
+		got := engine.Size{Switches: len(eng.Switches()), Endpoints: len(eng.Endpoints())}
+		for _, node := range append(eng.Switches(), eng.Endpoints()...) {
+			if node.Kind == engine.KindSwitch {
+				got.SwitchPorts += len(node.In)
+			}
+			for _, o := range node.Out {
+				if o.DownstreamIn() != nil {
+					got.Links++
+				}
+			}
+		}
+		if want := topo.NetSize(n.shape, n.w); got != want {
+			t.Errorf("%T on %v (%d lanes): built %+v, reserved %+v", n.w, n.shape, n.w.Lanes(), got, want)
+		}
+	}
+	if len(nets) < 10 {
+		t.Fatalf("only %d networks built", len(nets))
+	}
+}
