@@ -15,8 +15,8 @@
 //	mdxreplay -record -o runB -shape 8x8 -fail rtc:3,4@900 -retransmit
 //	mdxreplay -bisect runA runB
 //
-// Recordings of different machine variants (-dxb-separate, -naive-broadcast,
-// -pivot) of the same workload bisect too: that is how the paper's Fig. 9
+// Recordings of different machine variants (-dxb-separate, -naive-broadcast)
+// of the same workload bisect too: that is how the paper's Fig. 9
 // deadlock is pinned to the cycle its wait cycle starts forming:
 //
 //	mdxreplay -record -o fig9 -shape 4x4 -dxb-separate -sxb 0,0 -dxb 0,3 \

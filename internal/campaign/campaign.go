@@ -120,8 +120,7 @@ type Spec struct {
 	// Topology selects the cell's interconnect (see core.Config.Topology):
 	// "" or "mdx" is the paper's MD crossbar, "hyperx" and "fullmesh" the
 	// direct-link lattices. Crossbar-only workload features (broadcasts,
-	// S-XB/D-XB variants, the pivot extension) are rejected on direct-link
-	// topologies.
+	// S-XB/D-XB variants) are rejected on direct-link topologies.
 	Topology string
 	// Events is the fault schedule (usually a single placement at one epoch).
 	Events []inject.Event
@@ -152,14 +151,13 @@ type Spec struct {
 	// Broadcasts schedules broadcast injections alongside the unicast
 	// waves. The run works on a copy in ascending cycle order.
 	Broadcasts []Broadcast
-	// SXB/DXB/DXBSeparate/NaiveBroadcast/PivotLastDim forward to core.Config,
+	// SXB/DXB/DXBSeparate/NaiveBroadcast forward to core.Config,
 	// selecting the machine variant the cell runs on. Zero values are the
 	// paper's deadlock-free defaults. The replay tooling records them so a
 	// divergence bisection can compare two variants of one workload.
 	SXB, DXB       geom.Coord
 	DXBSeparate    bool
 	NaiveBroadcast bool
-	PivotLastDim   bool
 	// VCs/Adaptive forward to core.Config: virtual channels per wire and
 	// escape-VC adaptive routing (see core.Config for the constraints).
 	VCs      int
@@ -228,7 +226,6 @@ func (s *Spec) machineConfig() core.Config {
 		DXB:            s.DXB,
 		DXBSeparate:    s.DXBSeparate,
 		NaiveBroadcast: s.NaiveBroadcast,
-		PivotLastDim:   s.PivotLastDim,
 		VCs:            s.VCs,
 		Adaptive:       s.Adaptive,
 		PacketSize:     s.PacketSize,
@@ -686,12 +683,11 @@ type Config struct {
 	// Broadcasts schedules broadcast injections in every cell (see
 	// Spec.Broadcasts).
 	Broadcasts []Broadcast
-	// SXB/DXB/DXBSeparate/NaiveBroadcast/PivotLastDim select the machine
+	// SXB/DXB/DXBSeparate/NaiveBroadcast select the machine
 	// variant every cell runs on (see Spec).
 	SXB, DXB       geom.Coord
 	DXBSeparate    bool
 	NaiveBroadcast bool
-	PivotLastDim   bool
 	// VCs/Adaptive select virtual channels and escape-VC adaptive routing
 	// for every cell (see Spec).
 	VCs      int
@@ -814,7 +810,6 @@ func (cfg *Config) cell(events []inject.Event, pat Pattern) Spec {
 		DXB:                 cfg.DXB,
 		DXBSeparate:         cfg.DXBSeparate,
 		NaiveBroadcast:      cfg.NaiveBroadcast,
-		PivotLastDim:        cfg.PivotLastDim,
 		VCs:                 cfg.VCs,
 		Adaptive:            cfg.Adaptive,
 		Reconfig:            cfg.Reconfig,

@@ -35,7 +35,6 @@ func (t *RunText) ParseFlags(fs *flag.FlagSet, args []string) error {
 	fs.StringVar(&t.Reconfig.Mode, "reconfig", "", "online routing-table reconfiguration trigger: fault | deadlock | both (empty = off)")
 	fs.IntVar(&t.Reconfig.DrainBudget, "reconfig-drain", 0, "max in-flight packets a cyclic transition may purge before falling back to rebuild-in-place (with -reconfig; 0 = default)")
 	fs.BoolVar(&t.NaiveBroadcast, "naive-broadcast", false, "disable S-XB serialization (paper Fig. 5 scheme)")
-	fs.BoolVar(&t.PivotLastDim, "pivot", false, "enable the two-phase pivot extension")
 	fs.Var((*stringList)(&t.Fails), "fail", "fault schedule rtc:X,Y@CYCLE or xb:DIM:X,Y@CYCLE (repeatable; single mode)")
 	fs.Var((*stringList)(&t.Presets), "preset", "fault installed before any traffic, rtc:X,Y or xb:DIM:X,Y (repeatable)")
 	fs.Var((*stringList)(&t.Broadcasts), "broadcast", "broadcast schedule X,Y@CYCLE (repeatable)")
@@ -75,7 +74,6 @@ var flagOf = map[string]string{
 	"reconfig.mode":         "reconfig",
 	"reconfig.drain_budget": "reconfig-drain",
 	"naive_broadcast":       "naive-broadcast",
-	"pivot_last_dim":        "pivot",
 }
 
 // FlagError reports a resolver rejection under the flag that spells the

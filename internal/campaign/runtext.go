@@ -81,7 +81,6 @@ type RunText struct {
 	Reconfig   ReconfigText     `json:"reconfig"`
 
 	NaiveBroadcast bool `json:"naive_broadcast,omitempty"`
-	PivotLastDim   bool `json:"pivot_last_dim,omitempty"`
 }
 
 // wireField maps a core.Config field onto the RunText vocabulary.
@@ -95,7 +94,6 @@ var wireField = map[string]string{
 	"VCs":            "variant.vcs",
 	"Adaptive":       "variant.adaptive",
 	"NaiveBroadcast": "naive_broadcast",
-	"PivotLastDim":   "pivot_last_dim",
 	"Reconfig":       "reconfig.mode",
 }
 
@@ -179,7 +177,6 @@ func (t RunText) resolve(single bool) (Config, []inject.Event, error) {
 		Horizon:        t.Horizon,
 		DXBSeparate:    t.Variant.DXBSeparate,
 		NaiveBroadcast: t.NaiveBroadcast,
-		PivotLastDim:   t.PivotLastDim,
 		VCs:            t.Variant.VCs,
 		Adaptive:       t.Variant.Adaptive,
 	}

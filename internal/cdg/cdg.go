@@ -187,25 +187,18 @@ func (g *Graph) registerSerialized() {
 }
 
 // registerUnicast records every point-to-point class: every reachable
-// pair contributes its path; with the pivot extension enabled,
-// otherwise-unreachable pairs contribute their two-phase route.
+// pair contributes its path.
 func (g *Graph) registerUnicast() {
 	visit := func(n int32, _ *flit.Header, _ int) { g.route = append(g.route, n) }
-	walk := func(h flit.Header, err error) error {
-		g.route, g.h = g.route[:0], h
-		if err != nil {
-			return err
-		}
-		return g.w.Unicast(&g.h, visit)
-	}
 	n := g.shape.Size()
 	for si := 0; si < n; si++ {
 		src := g.shape.CoordOf(si)
 		for di := 0; di < n; di++ {
-			dst := g.shape.CoordOf(di)
-			err := walk(g.p.UnicastHeader(src, dst))
-			if err != nil && g.p.PivotEnabled() {
-				err = walk(g.p.PivotHeader(src, dst))
+			g.route = g.route[:0]
+			h, err := g.p.UnicastHeader(src, g.shape.CoordOf(di))
+			if err == nil {
+				g.h = h
+				err = g.w.Unicast(&g.h, visit)
 			}
 			if err == nil { // unreachable pairs contribute no dependencies
 				g.path(g.route)

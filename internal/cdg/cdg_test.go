@@ -194,41 +194,6 @@ func TestStaticDynamicAgreement(t *testing.T) {
 	}
 }
 
-// The pivot extension restores reachability but breaks the acyclicity
-// guarantee: its second dim-0 leg is a Y->X turn away from the S-XB, and
-// the channel RTC.out0 it waits on is shared with ordinary source traffic
-// heading to healthy columns — closing multi-packet cycles. This is the
-// static form of why the paper confines non-dimension-order turns to the
-// serialized crossbar.
-func TestPivotExtensionBreaksAcyclicity(t *testing.T) {
-	shape := geom.MustShape(4, 4)
-	f := fault.XBFault(geom.Line{Dim: 1, Fixed: geom.Coord{2, 0}})
-
-	// Base facility under the same fault: acyclic (it simply refuses the
-	// cut-off destinations).
-	base := policy(t, routing.Config{Shape: shape, Faults: faults(t, shape, f)})
-	resBase, err := Analyze(base, shape, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resBase.Acyclic {
-		t.Fatalf("base facility cyclic under %v: %v", f, resBase.Cycle)
-	}
-
-	// With the pivot: cyclic.
-	piv := policy(t, routing.Config{Shape: shape, PivotLastDim: true, Faults: faults(t, shape, f)})
-	resPiv, err := Analyze(piv, shape, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resPiv.Acyclic {
-		t.Fatal("pivot-extended CDG unexpectedly acyclic")
-	}
-	if len(resPiv.Cycle) < 3 {
-		t.Errorf("cycle suspiciously short: %v", resPiv.Cycle)
-	}
-}
-
 // BenchmarkAnalyze times the certificate of the benchmark's short-vc-faulted
 // machine (8x8x8 with 4 lanes, adaptive routing and one faulty router): its
 // escape policy's dependence graph, every pair and every broadcast walked.

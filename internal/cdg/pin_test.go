@@ -4,9 +4,10 @@ package cdg_test
 // was captured from the pre-refactor analyzer (this repo at PR 6), so the
 // topology-agnostic Builder provably reproduces the historical Section 5
 // results byte for byte — channel counts, edge counts, verdicts, and the
-// exact cycle witnesses. The second test closes the loop the other way:
-// the topo/mdx reference scheme certified through topo.Certify must agree
-// with cdg.Analyze exactly.
+// exact cycle witnesses; the pivot-xbfault pin is the certificate of the
+// refuted topo/mdx Pivot scheme. The second test closes the loop the other
+// way: the topo/mdx reference scheme certified through topo.Certify must
+// agree with cdg.Analyze exactly.
 
 import (
 	"fmt"
@@ -26,6 +27,7 @@ type pinCase struct {
 	shape    geom.Shape
 	cfg      routing.Config
 	naive    bool
+	pivot    bool // certify mdx.Pivot over cfg instead of Analyze
 	channels int
 	edges    int
 	acyclic  bool
@@ -70,7 +72,7 @@ func pinCases(t *testing.T) []pinCase {
 			cfg:   routing.Config{Shape: geom.MustShape(5), NaiveBroadcast: true},
 			naive: true, channels: 15, edges: 25, acyclic: false, hazard: true, shared: 8},
 		{name: "pivot-xbfault", shape: sh44,
-			cfg:      routing.Config{Shape: sh44, Faults: pivotFault, PivotLastDim: true},
+			cfg: routing.Config{Shape: sh44, Faults: pivotFault}, pivot: true,
 			channels: 44, edges: 88, acyclic: false,
 			cycle: []string{"RTC(0,1).out0", "XB0(0,1).out1", "RTC(1,1).out1", "XB1(1,0).out0", "RTC(1,0).out0", "BROADCAST-TREE"}},
 	}
@@ -92,17 +94,31 @@ func pinCases(t *testing.T) []pinCase {
 	return cases
 }
 
+// analyzePin is the analysis a pin case records: cdg.Analyze of its policy,
+// or the certificate of the pivot scheme in the same form.
+func analyzePin(tc pinCase) (cdg.Result, error) {
+	if tc.pivot {
+		s, err := mdx.NewPivot(tc.cfg)
+		if err != nil {
+			return cdg.Result{}, err
+		}
+		cert, err := topo.Certify(s)
+		return cdg.Result{Channels: cert.Channels, Edges: cert.Edges, Acyclic: cert.Acyclic, Cycle: cert.Cycle}, err
+	}
+	p, err := routing.New(tc.cfg)
+	if err != nil {
+		return cdg.Result{}, err
+	}
+	return cdg.Analyze(p, tc.shape, tc.naive)
+}
+
 // TestAnalyzePinnedToPreTopoOutput locks Analyze, now driven through the
 // topo Builder, to the output of the historical cdg-internal builder.
 func TestAnalyzePinnedToPreTopoOutput(t *testing.T) {
 	for _, tc := range pinCases(t) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := routing.New(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := cdg.Analyze(p, tc.shape, tc.naive)
+			r, err := analyzePin(tc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,10 +139,10 @@ func TestAnalyzePinnedToPreTopoOutput(t *testing.T) {
 // through the topo/mdx reference scheme and requires topo.Certify to
 // agree with cdg.Analyze exactly (the naive analysis is cdg-only: the
 // contraction is unsound without serialization, so the scheme does not
-// model it).
+// model it, and the pivot extension is no configuration Analyze takes).
 func TestMdxSchemeCertificateMatchesAnalyze(t *testing.T) {
 	for _, tc := range pinCases(t) {
-		if tc.naive {
+		if tc.naive || tc.pivot {
 			continue
 		}
 		tc := tc
@@ -148,5 +164,46 @@ func TestMdxSchemeCertificateMatchesAnalyze(t *testing.T) {
 				t.Errorf("certificate %+v != analyze %+v", cert, r)
 			}
 		})
+	}
+}
+
+// The pivot extension restores reachability but breaks the acyclicity
+// guarantee: its second dim-0 leg is a Y->X turn away from the S-XB, and
+// the channel RTC.out0 it waits on is shared with ordinary source traffic
+// heading to healthy columns — closing multi-packet cycles. This is the
+// static form of why the paper confines non-dimension-order turns to the
+// serialized crossbar.
+func TestPivotExtensionBreaksAcyclicity(t *testing.T) {
+	shape := geom.MustShape(4, 4)
+	f := fault.XBFault(geom.Line{Dim: 1, Fixed: geom.Coord{2, 0}})
+	set := fault.NewSet(shape)
+	if err := set.Add(f); err != nil {
+		t.Fatal(err)
+	}
+	piv, err := mdx.NewPivot(routing.Config{Shape: shape, Faults: set})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Base facility under the same fault: acyclic (it simply refuses the
+	// cut-off destinations).
+	resBase, err := cdg.Analyze(piv.Policy(), shape, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resBase.Acyclic {
+		t.Fatalf("base facility cyclic under %v: %v", f, resBase.Cycle)
+	}
+
+	// With the pivot: cyclic.
+	cert, err := topo.Certify(piv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cert.Acyclic {
+		t.Fatal("pivot-extended CDG unexpectedly acyclic")
+	}
+	if len(cert.Cycle) < 3 {
+		t.Errorf("cycle suspiciously short: %v", cert.Cycle)
 	}
 }

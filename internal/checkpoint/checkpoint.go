@@ -58,9 +58,12 @@ import (
 // plus the renderer's three print cursors, and a pre-4 single container is
 // rejected by that section's name and the version (campaign.cell and every
 // other section are unchanged and keep decoding versions 1 through 3).
+// Version 5 dropped the retired pivot extension's two flit.Header fields
+// (a two-phase flag and a final destination); older containers still
+// decode, and one holding a two-phase header is refused.
 // Writers always emit the current version, and section decoders consult
 // Decoder.Version to skip fields an older container cannot contain.
-const Version uint16 = 4
+const Version uint16 = 5
 
 // minVersion is the oldest container version this build still reads.
 const minVersion uint16 = 1

@@ -147,6 +147,7 @@ func TestGoldenV1(t *testing.T) { checkGolden(t, 1) }
 func TestGoldenV2(t *testing.T) { checkGolden(t, 2) }
 func TestGoldenV3(t *testing.T) { checkGolden(t, 3) }
 func TestGoldenV4(t *testing.T) { checkGolden(t, 4) }
+func TestGoldenV5(t *testing.T) { checkGolden(t, 5) }
 
 func TestReaderRejections(t *testing.T) {
 	valid := goldenContainer().Bytes()

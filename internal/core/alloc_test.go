@@ -9,8 +9,7 @@ package core_test
 // copies, and a header goes back to the pool when its packet dies. Routing
 // decisions hand out shared output lists, fans included, and Broadcast
 // counts its copies on the machine's own walk. So neither Send, Broadcast
-// nor a Step allocates in steady state. A pivot send pays for the error
-// value of the unicast refusal it is chosen on.
+// nor a Step allocates in steady state.
 
 import (
 	"fmt"
@@ -262,41 +261,6 @@ func TestSendAllocatesNothing(t *testing.T) {
 			}
 		})
 	}
-	t.Run("pivot", func(t *testing.T) {
-		// Column 5's crossbar is faulty, so row 3 reaches it only by pivot:
-		// the unicast precheck refuses, and the two-phase route is checked
-		// without being collected. The refusal's error value is the one
-		// allocation left.
-		m := pinMachine(t, core.Config{Shape: geom.MustShape(8, 8), PivotLastDim: true},
-			fault.XBFault(geom.LineOf(geom.Coord{5, 0}, 1)))
-		pair := func(i int) (geom.Coord, geom.Coord) {
-			x := []int{0, 1, 2, 3, 4, 6, 7}[i%7]
-			return geom.Coord{x, 3}, geom.Coord{5, 1 + x%2*4}
-		}
-		for i := 0; i < 7; i++ {
-			src, dst := pair(i)
-			if _, err := m.Policy().PivotPath(src, dst); m.Reachable(src, dst) == nil || err != nil {
-				t.Fatalf("%v -> %v is not a pivot pair", src, dst)
-			}
-		}
-		i := 0
-		refuse := func() {
-			src, dst := pair(i)
-			i++
-			_ = m.Reachable(src, dst)
-		}
-		refusal := testing.AllocsPerRun(14, refuse)
-		send := func() {
-			src, dst := pair(i)
-			i++
-			if _, err := m.Send(src, dst, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if allocs := testing.AllocsPerRun(14, send); allocs > refusal {
-			t.Errorf("Machine.Send of a pivot packet: %v allocations, want no more than the %v of the unicast refusal", allocs, refusal)
-		}
-	})
 }
 
 func TestBroadcastAllocatesNothing(t *testing.T) {

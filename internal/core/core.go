@@ -76,8 +76,8 @@ type Config struct {
 	// Topology selects the interconnect: "" or TopologyMDX builds the
 	// paper's MD crossbar network; any other name in Topologies builds that
 	// direct-link lattice of internal/topo. The crossbar knobs (SXB, DXB,
-	// DXBSeparate, NaiveBroadcast, PivotLastDim) apply only to the MD
-	// crossbar and are rejected on direct-link topologies.
+	// DXBSeparate, NaiveBroadcast) apply only to the MD crossbar and are
+	// rejected on direct-link topologies.
 	Topology string
 	// SXB fixes the serialized crossbar line (dims 1..d-1 of the coordinate);
 	// dimension 0 is ignored. Defaults to the all-zero line.
@@ -90,11 +90,6 @@ type Config struct {
 	DXBSeparate bool
 	// NaiveBroadcast disables S-XB serialization (paper Fig. 5 scheme).
 	NaiveBroadcast bool
-	// PivotLastDim enables the two-phase pivot extension (DESIGN.md A3,
-	// beyond the paper): Send falls back to routing via an intermediate
-	// router when the destination sits behind a faulty last-dimension
-	// crossbar.
-	PivotLastDim bool
 	// VCs is the number of virtual channels per router↔crossbar wire
 	// (mdx-only; 0 or 1 builds the paper's single-channel network).
 	VCs int
@@ -102,16 +97,16 @@ type Config struct {
 	// paper): lane 0 carries the unified deadlock-free scheme as the escape
 	// channel, lanes 1..VCs-1 take any minimal productive hop. Requires
 	// VCs >= 2; DXBSeparate (the escape channel must be the unified
-	// D-XB = S-XB scheme), PivotLastDim and NaiveBroadcast are rejected —
-	// each would break escape acyclicity.
+	// D-XB = S-XB scheme) and NaiveBroadcast are rejected — either would
+	// break escape acyclicity.
 	Adaptive bool
 	// Reconfig selects when online routing-table reconfiguration may run
 	// (internal/reconfig, DESIGN.md §13): "" disables it, ReconfigOnFault
 	// reconfigures when a dynamic fault lands (FailNow), ReconfigOnDeadlock
 	// when a confirmed deadlock is recovered, ReconfigBoth on either
-	// trigger. mdx-only; incompatible with Adaptive/VCs, PivotLastDim and
-	// NaiveBroadcast (none of those produce the static certificates the
-	// swap protocol requires). The machine only maintains the epoch-tagged
+	// trigger. mdx-only; incompatible with Adaptive/VCs and NaiveBroadcast
+	// (neither produces the static certificates the swap protocol
+	// requires). The machine only maintains the epoch-tagged
 	// generation machinery; the decision procedure itself is driven by a
 	// reconfig.Manager installed via SetReconfigurer.
 	Reconfig string
@@ -235,18 +230,15 @@ func (c *Config) Validate() error {
 		{c.Adaptive && c.VCs < 2, "VCs", "adaptive routing needs at least 2 virtual channels (an escape lane plus an adaptive lane)"},
 		{c.VCs > 1 && !c.Adaptive, "VCs", "virtual channels without adaptive routing would leave every lane but 0 unused"},
 		{c.Adaptive && c.DXBSeparate, "Adaptive", "needs the unified design (the escape lane's deadlock-freedom certificate assumes D-XB = S-XB)"},
-		{c.Adaptive && c.PivotLastDim, "Adaptive", "incompatible with the pivot extension (pivot turns break escape-channel acyclicity)"},
 		{c.Adaptive && c.NaiveBroadcast, "Adaptive", "incompatible with naive broadcast (unserialized fans break escape-channel acyclicity)"},
 		{c.Reconfig != "" && c.Reconfig != ReconfigOnFault && c.Reconfig != ReconfigOnDeadlock && c.Reconfig != ReconfigBoth,
 			"Reconfig", "unknown mode (want fault, deadlock or both)"},
 		{c.Reconfig != "" && direct, "Reconfig", "reconfiguration is mdx-only (no other topology has table generations)"},
 		{c.Reconfig != "" && lanes, "Reconfig", "incompatible with virtual channels (the adaptive wrapper has no static certificate to recompile)"},
-		{c.Reconfig != "" && c.PivotLastDim, "Reconfig", "incompatible with the pivot extension (pivot turns admit no acyclicity certificate)"},
 		{c.Reconfig != "" && c.NaiveBroadcast, "Reconfig", "incompatible with naive broadcast (unserialized fans admit no acyclicity certificate)"},
 		{direct && c.DXBSeparate, "DXBSeparate", "direct-link topologies have no crossbars to configure (mdx-only)"},
 		{direct && c.SXB != zero, "SXB", "direct-link topologies have no crossbars to configure (mdx-only)"},
 		{direct && c.NaiveBroadcast, "NaiveBroadcast", "direct-link topologies have no hardware broadcast (mdx-only)"},
-		{direct && c.PivotLastDim, "PivotLastDim", "direct-link topologies have no pivot extension (mdx-only)"},
 		{direct && lanes, "VCs", "direct-link topologies have no virtual channels (mdx-only)"},
 	} {
 		if row.bad {
@@ -372,7 +364,6 @@ func (m *Machine) RoutingConfig(separate bool) routing.Config {
 		DXB:            dxb,
 		Faults:         m.faults,
 		NaiveBroadcast: m.cfg.NaiveBroadcast,
-		PivotLastDim:   m.cfg.PivotLastDim,
 	}
 }
 
@@ -536,7 +527,7 @@ func (m *Machine) SetReconfigurer(fn func(f fault.Fault) error) { m.reconfigure 
 // compiled lookup-table implementation (routing.Compile) — the hardware
 // realization style the paper contrasts with the CRAY T3D. Send-side
 // reachability prechecks keep using the algorithmic policy; AddFault
-// recompiles the tables. Incompatible with the pivot extension.
+// recompiles the tables.
 func (m *Machine) UseCompiledTables() error {
 	if m.router != nil {
 		return fmt.Errorf("core: compiled tables are mdx-only (topology %q)", m.cfg.Topology)
@@ -692,9 +683,6 @@ func (m *Machine) FailNow(f fault.Fault) ([]Lost, error) {
 		if h := k.Header; h != nil {
 			l.Known = true
 			l.Src, l.Dst, l.RC, l.Size = h.Src, h.Dst, h.RC, h.Size
-			if h.TwoPhase {
-				l.Dst = h.FinalDst
-			}
 		}
 		lost = append(lost, l)
 	}
@@ -719,9 +707,6 @@ func (m *Machine) PurgePacket(id uint64) (Lost, bool) {
 	if h := k.Header; h != nil {
 		l.Known = true
 		l.Src, l.Dst, l.RC, l.Size = h.Src, h.Dst, h.RC, h.Size
-		if h.TwoPhase {
-			l.Dst = h.FinalDst
-		}
 	}
 	return l, true
 }
@@ -731,20 +716,10 @@ func (m *Machine) PurgePacket(id uint64) (Lost, bool) {
 // fault information — sends whose destination is unreachable, returning the
 // routing error.
 func (m *Machine) Send(src, dst geom.Coord, size int) (uint64, error) {
-	err := m.Reachable(src, dst)
-	if err == nil {
-		return m.inject(flit.Header{Src: src, Dst: dst, RC: flit.RCNormal}, size)
+	if err := m.Reachable(src, dst); err != nil {
+		return 0, err
 	}
-	if m.cfg.PivotLastDim {
-		// The two-phase route (extension A3): only the verdict is needed, so
-		// the walk reports its channels nowhere and allocates nothing.
-		if piv, perr := m.policy.PivotHeader(src, dst); perr == nil {
-			if m.probe = piv; m.walk.Unicast(&m.probe, nil) == nil {
-				return m.inject(piv, size)
-			}
-		}
-	}
-	return 0, err
+	return m.inject(flit.Header{Src: src, Dst: dst, RC: flit.RCNormal}, size)
 }
 
 // Reachable reports whether the active routing layer serves the pair: nil,

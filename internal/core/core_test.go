@@ -289,6 +289,15 @@ func TestSendToDeadPERefused(t *testing.T) {
 	if m.Dropped() != 1 || len(m.Deliveries()) != 0 {
 		t.Errorf("dropped=%d delivered=%d", m.Dropped(), len(m.Deliveries()))
 	}
+	// A destination behind its faulty last-dimension crossbar is refused
+	// the same way: the paper's facility leaves it unreachable.
+	m = m43(t)
+	if err := m.AddFault(fault.XBFault(geom.LineOf(geom.Coord{2, 0}, 1))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Send(geom.Coord{0, 0}, geom.Coord{2, 2}, 16); !errors.Is(err, routing.ErrUnreachable) {
+		t.Errorf("send behind the faulty crossbar: %v, want ErrUnreachable", err)
+	}
 }
 
 func TestSendUncheckedValidatesShape(t *testing.T) {

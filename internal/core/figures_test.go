@@ -153,40 +153,3 @@ func TestDeadlockFreeSweepFig10(t *testing.T) {
 	}
 	t.Logf("sweep: %d scenarios, all drained", runs)
 }
-
-// The pivot extension (A3): a destination behind a faulty last-dimension
-// crossbar becomes deliverable, dynamically, and mixing pivot traffic with
-// broadcasts stays deadlock-free.
-func TestPivotSendDelivers(t *testing.T) {
-	m := mustMachine(t, Config{Shape: geom.MustShape(4, 3), PivotLastDim: true, StallThreshold: 96})
-	if err := m.AddFault(fault.XBFault(geom.LineOf(geom.Coord{2, 0}, 1))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Send(geom.Coord{0, 0}, geom.Coord{2, 2}, 16); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := m.Broadcast(geom.Coord{3, 1}, 16); err != nil {
-		t.Fatal(err)
-	}
-	out := m.Run(50_000)
-	if !out.Drained {
-		t.Fatalf("outcome %+v\n%s", out, out.Report.Describe())
-	}
-	sawPivot := false
-	for _, d := range m.Deliveries() {
-		if !d.Broadcast && d.At == (geom.Coord{2, 2}) {
-			sawPivot = true
-		}
-	}
-	if !sawPivot {
-		t.Error("pivot packet not delivered")
-	}
-	// Without the extension the same send is refused.
-	m2 := mustMachine(t, Config{Shape: geom.MustShape(4, 3), StallThreshold: 96})
-	if err := m2.AddFault(fault.XBFault(geom.LineOf(geom.Coord{2, 0}, 1))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m2.Send(geom.Coord{0, 0}, geom.Coord{2, 2}, 16); err == nil {
-		t.Error("send without pivot extension unexpectedly accepted")
-	}
-}

@@ -7,24 +7,21 @@ import (
 	"sr2201/internal/geom"
 )
 
-// The full machine — dimension-order traffic, serialized broadcasts, detours
-// and pivot packets all at once — must preserve every kernel conservation
+// The full machine — dimension-order traffic, serialized broadcasts and
+// detours all at once — must preserve every kernel conservation
 // invariant on every cycle.
 func TestMachineInvariantsUnderMixedTraffic(t *testing.T) {
-	m := mustMachine(t, Config{Shape: geom.MustShape(4, 4), PivotLastDim: true, StallThreshold: 256})
+	m := mustMachine(t, Config{Shape: geom.MustShape(4, 4), StallThreshold: 256})
 	if err := m.AddFault(fault.XBFault(geom.LineOf(geom.Coord{2, 0}, 1))); err != nil {
 		t.Fatal(err)
 	}
-	// Mixed workload: normal sends, a pivot send, two broadcasts.
+	// Mixed workload: normal sends, two broadcasts.
 	shape := m.Shape()
 	shape.Enumerate(func(src geom.Coord) bool {
 		dst := shape.CoordOf((shape.Index(src) + 5) % shape.Size())
 		_, _ = m.Send(src, dst, 6) // some refused (faulty column) — fine
 		return true
 	})
-	if _, err := m.Send(geom.Coord{0, 0}, geom.Coord{2, 2}, 6); err != nil {
-		t.Fatalf("pivot send: %v", err)
-	}
 	if _, _, err := m.Broadcast(geom.Coord{1, 1}, 6); err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func (m *Machine) configHash() uint64 {
 	}
 	mix(b2i(m.cfg.DXBSeparate))
 	mix(b2i(m.cfg.NaiveBroadcast))
-	mix(b2i(m.cfg.PivotLastDim))
+	mix(0) // the retired pivot extension's knob, off: earlier fingerprints stay valid
 	mix(int64(m.cfg.PacketSize))
 	mix(int64(m.cfg.StallThreshold))
 	if m.cfg.VCs > 1 {

@@ -13,8 +13,8 @@ import (
 
 // The machine-level restore-equivalence suite. Each scenario stands in for
 // one experiment series: E (evaluation configs under Bernoulli traffic), A
-// (ablations: pivot routing, naive broadcast, compiled tables), plus a
-// statically-faulted machine. The dynamic-fault (F series) counterpart
+// (ablations: naive broadcast, compiled tables), plus a statically-faulted
+// machine. The dynamic-fault (F series) counterpart
 // lives in internal/inject. The oracle is the per-cycle engine StateHash
 // stream plus a rendered final report: snapshot at cycle k, restore into a
 // fresh machine, run to the horizon, and both must match the uninterrupted
@@ -120,9 +120,6 @@ func TestMachineRestoreEquivalence(t *testing.T) {
 		{"E/bcast", func(t *testing.T) *core.Machine {
 			return mkMachine(t, core.Config{Shape: geom.MustShape(4, 4)})
 		}, 0.1, 0.03},
-		{"A/pivot", func(t *testing.T) *core.Machine {
-			return mkMachine(t, core.Config{Shape: geom.MustShape(4, 4), PivotLastDim: true})
-		}, 0.25, 0},
 		{"A/naive-bcast", func(t *testing.T) *core.Machine {
 			return mkMachine(t, core.Config{Shape: geom.MustShape(4, 4), NaiveBroadcast: true})
 		}, 0.1, 0.03},
@@ -206,7 +203,6 @@ func TestMachineRestoreRejectsMismatchedConfig(t *testing.T) {
 
 	for _, alt := range []core.Config{
 		{Shape: geom.MustShape(4, 5)},
-		{Shape: geom.MustShape(4, 4), PivotLastDim: true},
 		{Shape: geom.MustShape(4, 4), NaiveBroadcast: true},
 		{Shape: geom.MustShape(4, 4), PacketSize: 9},
 	} {

@@ -52,32 +52,28 @@ func TestCompiledTablesBehaviorallyIdentical(t *testing.T) {
 }
 
 func TestUseCompiledTablesValidation(t *testing.T) {
-	m := mustMachine(t, Config{Shape: geom.MustShape(3, 3), PivotLastDim: true})
-	if err := m.UseCompiledTables(); err == nil {
-		t.Error("pivot machine compiled tables")
-	}
-	m2 := mustMachine(t, Config{Shape: geom.MustShape(3, 3)})
-	if _, err := m2.Send(geom.Coord{0, 0}, geom.Coord{2, 2}, 4); err != nil {
+	m := mustMachine(t, Config{Shape: geom.MustShape(3, 3)})
+	if _, err := m.Send(geom.Coord{0, 0}, geom.Coord{2, 2}, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := m2.UseCompiledTables(); err == nil {
+	if err := m.UseCompiledTables(); err == nil {
 		t.Error("table switch-over accepted on a loaded network")
 	}
-	m2.Run(10_000)
-	if err := m2.UseCompiledTables(); err != nil {
+	m.Run(10_000)
+	if err := m.UseCompiledTables(); err != nil {
 		t.Errorf("switch-over on quiescent network: %v", err)
 	}
 	// Faults added after switch-over recompile the tables.
-	if err := m2.AddFault(fault.RouterFault(geom.Coord{1, 1})); err != nil {
+	if err := m.AddFault(fault.RouterFault(geom.Coord{1, 1})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m2.Send(geom.Coord{0, 1}, geom.Coord{1, 2}, 4); err != nil {
+	if _, err := m.Send(geom.Coord{0, 1}, geom.Coord{1, 2}, 4); err != nil {
 		t.Fatal(err)
 	}
-	if out := m2.Run(10_000); !out.Drained {
+	if out := m.Run(10_000); !out.Drained {
 		t.Fatalf("outcome %+v", out)
 	}
-	last := m2.Deliveries()[len(m2.Deliveries())-1]
+	last := m.Deliveries()[len(m.Deliveries())-1]
 	if !last.Detoured {
 		t.Error("table-routed detour not flagged")
 	}

@@ -80,11 +80,8 @@ func vcScenarios() []vcScenario {
 			drive: shiftTraffic(3),
 		},
 		{
-			name: "pivot-3d",
-			cfg: core.Config{
-				Shape:        geom.MustShape(3, 3, 3),
-				PivotLastDim: true,
-			},
+			name:  "unicast-3d",
+			cfg:   core.Config{Shape: geom.MustShape(3, 3, 3)},
 			drive: shiftTraffic(7),
 		},
 	}

@@ -494,13 +494,10 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 
 // rewriteTo derives the rewrite that turns h into out, the header the encoder
 // recorded: it always sets RC, so a rewrite that changed nothing stays
-// non-zero, retargets where Dst or TwoPhase differ, and counts a hop where a
-// counter rose by one. ok reports whether it does turn h into out.
+// non-zero, and counts a hop where a counter rose by one. ok reports whether
+// it does turn h into out.
 func rewriteTo(h, out *flit.Header) (w flit.Rewrite, ok bool) {
 	w = flit.SetRC(out.RC)
-	if out.Dst != h.Dst || out.TwoPhase != h.TwoPhase {
-		w |= flit.Retarget
-	}
 	if out.DetourHops == h.DetourHops+1 {
 		w |= flit.CountDetour
 	}

@@ -5,12 +5,12 @@ import (
 	"strings"
 
 	"sr2201/internal/cdg"
-	"sr2201/internal/core"
 	"sr2201/internal/fault"
 	"sr2201/internal/geom"
 	"sr2201/internal/routing"
 	"sr2201/internal/stats"
-	"sr2201/internal/traffic"
+	"sr2201/internal/topo"
+	"sr2201/internal/topo/mdx"
 )
 
 func init() {
@@ -127,108 +127,60 @@ func runV1(r *Report, opt Options) error {
 	return nil
 }
 
-// runA3 evaluates the pivot extension: it restores every destination behind
-// a faulty last-dimension crossbar, but the channel dependency graph becomes
-// cyclic — the guarantee the paper preserves by confining non-dimension-
-// order turns to the S-XB. A dynamic stress run reports whether the cycle
-// also materializes in simulation (timing-dependent; informational).
+// runA3 evaluates the pivot extension, kept as the refuted scheme
+// mdx.Pivot: it restores every destination behind a faulty last-dimension
+// crossbar, but the channel dependency graph becomes cyclic — the guarantee
+// the paper preserves by confining non-dimension-order turns to the S-XB.
 func runA3(r *Report, opt Options) error {
 	shape := geom.MustShape(4, 4)
 	badLine := geom.Line{Dim: 1, Fixed: geom.Coord{2, 0}}
+	set := fault.NewSet(shape)
+	if err := set.Add(fault.XBFault(badLine)); err != nil {
+		return err
+	}
+	piv, err := mdx.NewPivot(routing.Config{Shape: shape, Faults: set})
+	if err != nil {
+		return err
+	}
 
 	// Reachability with and without the pivot.
-	count := func(pivot bool) (reach, unreach int, err error) {
-		p, err := newPolicy(shape, routing.Config{PivotLastDim: pivot}, fault.XBFault(badLine))
-		if err != nil {
-			return 0, 0, err
-		}
-		shape.Enumerate(func(src geom.Coord) bool {
-			shape.Enumerate(func(dst geom.Coord) bool {
-				if src == dst {
-					return true
+	var baseReach, baseUnreach, pivReach, pivUnreach int
+	shape.Enumerate(func(src geom.Coord) bool {
+		shape.Enumerate(func(dst geom.Coord) bool {
+			switch {
+			case src == dst:
+			case piv.Policy().Reachable(src, dst) == nil:
+				baseReach++
+				pivReach++
+			default:
+				baseUnreach++
+				if _, e := piv.Route(src, dst); e == nil {
+					pivReach++
+				} else {
+					pivUnreach++
 				}
-				if _, e := p.UnicastPath(src, dst); e == nil {
-					reach++
-					return true
-				}
-				if pivot {
-					if _, e := p.PivotPath(src, dst); e == nil {
-						reach++
-						return true
-					}
-				}
-				unreach++
-				return true
-			})
+			}
 			return true
 		})
-		return reach, unreach, nil
-	}
-	baseReach, baseUnreach, err := count(false)
-	if err != nil {
-		return err
-	}
-	pivReach, pivUnreach, err := count(true)
-	if err != nil {
-		return err
-	}
+		return true
+	})
 
 	// Static verdicts.
-	pBase, err := newPolicy(shape, routing.Config{}, fault.XBFault(badLine))
+	resBase, err := cdg.Analyze(piv.Policy(), shape, false)
 	if err != nil {
 		return err
 	}
-	resBase, err := cdg.Analyze(pBase, shape, false)
+	cert, err := topo.Certify(piv)
 	if err != nil {
 		return err
 	}
-	pPiv, err := newPolicy(shape, routing.Config{PivotLastDim: true}, fault.XBFault(badLine))
-	if err != nil {
-		return err
-	}
-	resPiv, err := cdg.Analyze(pPiv, shape, false)
-	if err != nil {
-		return err
-	}
+	resPiv := cdg.Result{Channels: cert.Channels, Edges: cert.Edges, Acyclic: cert.Acyclic, Cycle: cert.Cycle}
 
 	tbl := stats.NewTable(fmt.Sprintf("A3 faulty last-dimension crossbar %v on %s", badLine, shape),
 		"scheme", "reachable pairs", "unreachable", "dependency graph")
 	tbl.AddRow("paper facility", baseReach, baseUnreach, verdict(resBase))
 	tbl.AddRow("pivot extension", pivReach, pivUnreach, verdict(resPiv))
 	r.Tables = append(r.Tables, tbl)
-
-	// Dynamic stress: heavy mixed traffic with pivot sends and broadcasts,
-	// several seeds; report deadlocks (timing-dependent, informational).
-	seeds := []int64{1, 2, 3, 4, 5, 6}
-	if opt.Quick {
-		seeds = seeds[:2]
-	}
-	deadlocks := 0
-	for _, seed := range seeds {
-		m, err := core.NewMachine(core.Config{Shape: shape, PivotLastDim: true, StallThreshold: 512})
-		if err != nil {
-			return err
-		}
-		if err := m.AddFault(fault.XBFault(badLine)); err != nil {
-			return err
-		}
-		d := traffic.Driver{
-			M:             m,
-			Pattern:       traffic.Uniform{Shape: shape},
-			Rate:          0.3,
-			BroadcastRate: 0.01,
-			Size:          16,
-			Seed:          seed,
-			Warmup:        0,
-			Measure:       800,
-			Drain:         60_000,
-		}
-		res := d.Run()
-		if res.Deadlocked {
-			deadlocks++
-		}
-	}
-	r.Notef("dynamic stress: %d/%d seeds deadlocked (the static cycle is timing-dependent)", deadlocks, len(seeds))
 
 	// With a single faulty crossbar the pivot should restore every pair.
 	r.Pass = pivUnreach == 0 && pivReach > baseReach && resBase.Acyclic && !resPiv.Acyclic

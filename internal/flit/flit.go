@@ -70,13 +70,6 @@ type Header struct {
 	// the detour routing behind" — the counter lives in simulator-side
 	// accounting, not in header bits the destination could observe.
 	DetourHops int
-	// TwoPhase and FinalDst implement the pivot-routing extension (DESIGN.md
-	// A3, beyond the paper): the packet first routes to the intermediate Dst;
-	// the router there rewrites Dst to FinalDst and clears TwoPhase, and
-	// dimension-order routing resumes. The extension costs these extra
-	// header bits — hardware the SR2201 did not have.
-	TwoPhase bool
-	FinalDst geom.Coord
 	// AdaptiveHops counts how many hops the packet took on a non-escape
 	// virtual channel under escape-VC adaptive routing. Like DetourHops it is
 	// simulator-side accounting, not header bits: a delivered packet with
@@ -93,16 +86,14 @@ type Header struct {
 
 // Rewrite is what a switch does to the header of the copies it forwards: an
 // RC transition (the S-XB turns a request into a broadcast, a switch next to
-// a fault starts a detour, the D-XB ends it), the pivot extension's
-// retarget, and the simulator-side hop counts. Rewrites combine with |, at
-// most one RC each; the zero value rewrites nothing.
+// a fault starts a detour, the D-XB ends it) and the simulator-side hop
+// counts. Rewrites combine with |, at most one RC each; the zero value
+// rewrites nothing.
 type Rewrite uint8
 
 const (
 	// rcSet marks a rewrite that sets RC to the value in its low two bits.
 	rcSet Rewrite = 4
-	// Retarget points a two-phase packet at FinalDst and clears TwoPhase.
-	Retarget Rewrite = 8
 	// CountDetour counts a hop taken in detour mode (DetourHops).
 	CountDetour Rewrite = 16
 	// CountAdaptive counts a hop taken on an adaptive lane (AdaptiveHops).
@@ -114,9 +105,6 @@ func SetRC(rc RC) Rewrite { return rcSet | Rewrite(rc&3) }
 
 // Apply rewrites h in place.
 func (w Rewrite) Apply(h *Header) {
-	if w&Retarget != 0 {
-		h.Dst, h.TwoPhase = h.FinalDst, false
-	}
 	if w&rcSet != 0 {
 		h.RC = RC(w & 3)
 	}

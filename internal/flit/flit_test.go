@@ -1,9 +1,13 @@
 package flit
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"sr2201/internal/checkpoint"
 	"sr2201/internal/geom"
 )
 
@@ -39,7 +43,7 @@ func TestKindString(t *testing.T) {
 // Each part of a rewrite writes its own fields and nothing else, and parts
 // combine.
 func TestRewriteApply(t *testing.T) {
-	base := Header{PacketID: 7, Dst: geom.Coord{1, 2}, FinalDst: geom.Coord{3, 4}, TwoPhase: true, RC: RCDetour, DetourHops: 2, AdaptiveHops: 5}
+	base := Header{PacketID: 7, Dst: geom.Coord{1, 2}, RC: RCDetour, DetourHops: 2, AdaptiveHops: 5}
 	cases := []struct {
 		w    Rewrite
 		want func(h *Header)
@@ -48,11 +52,10 @@ func TestRewriteApply(t *testing.T) {
 		{SetRC(RCNormal), func(h *Header) { h.RC = RCNormal }},
 		{SetRC(RCBroadcast), func(h *Header) { h.RC = RCBroadcast }},
 		{SetRC(RCDetour), func(h *Header) {}},
-		{Retarget, func(h *Header) { h.Dst, h.TwoPhase = h.FinalDst, false }},
 		{CountDetour, func(h *Header) { h.DetourHops++ }},
 		{CountAdaptive, func(h *Header) { h.AdaptiveHops++ }},
-		{Retarget | SetRC(RCBroadcastRequest) | CountDetour, func(h *Header) {
-			h.Dst, h.TwoPhase, h.RC, h.DetourHops = h.FinalDst, false, RCBroadcastRequest, h.DetourHops+1
+		{SetRC(RCBroadcastRequest) | CountDetour, func(h *Header) {
+			h.RC, h.DetourHops = RCBroadcastRequest, h.DetourHops+1
 		}},
 	}
 	for _, c := range cases {
@@ -152,5 +155,55 @@ func TestQuickPacketInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// v4Header encodes h in the version-4 layout, whose two-phase flag and final
+// destination sat between DetourHops and AdaptiveHops, inside a version-4
+// container, and returns the decoder of its section.
+func v4Header(t *testing.T, h *Header, twoPhase bool) *checkpoint.Decoder {
+	t.Helper()
+	w := checkpoint.NewWriter()
+	e := w.Section("header")
+	e.Uint(h.PacketID)
+	geom.EncodeCoord(e, h.Src)
+	geom.EncodeCoord(e, h.Dst)
+	e.Byte(byte(h.RC))
+	e.Int(int64(h.Size))
+	e.Int(h.InjectedAt)
+	geom.EncodeCoord(e, h.BroadcastOrigin)
+	e.Int(int64(h.DetourHops))
+	e.Bool(twoPhase)
+	geom.EncodeCoord(e, geom.Coord{3, 1})
+	e.Int(int64(h.AdaptiveHops))
+	e.Uint(h.Epoch)
+	data := w.Bytes()
+	binary.BigEndian.PutUint16(data[8:], 4)
+	body := data[:len(data)-4]
+	binary.BigEndian.PutUint32(data[len(body):], crc32.ChecksumIEEE(body))
+	r, err := checkpoint.NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := r.Section("header")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// A version-4 header reads its retired pivot fields and drops them; one
+// that was two-phase is refused, naming the retired extension.
+func TestDecodeHeaderV4(t *testing.T) {
+	want := Header{PacketID: 9, Src: geom.Coord{1, 0}, Dst: geom.Coord{2, 2}, RC: RCDetour, Size: 4,
+		InjectedAt: 17, DetourHops: 3, AdaptiveHops: 1, Epoch: 2}
+	d := v4Header(t, &want, false)
+	if got := DecodeHeader(d); d.Finish() != nil || *got != want {
+		t.Fatalf("v4 header decoded as %+v (%v), want %+v", got, d.Err(), want)
+	}
+	d = v4Header(t, &want, true)
+	DecodeHeader(d)
+	if err := d.Err(); err == nil || !strings.Contains(err.Error(), "retired pivot extension") {
+		t.Fatalf("two-phase v4 header: error %v, want a refusal naming the retired pivot extension", err)
 	}
 }

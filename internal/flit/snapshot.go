@@ -8,9 +8,10 @@ import (
 // Snapshot codecs for flits and headers. The field order here is part of the
 // checkpoint format (see the version-bump rule in package checkpoint):
 // reordering or retyping any field requires a version bump. Version 2
-// appended AdaptiveHops and version 3 appended Epoch; decoding is gated on
-// the container version so older snapshots (which cannot contain the
-// fields) still read cleanly.
+// appended AdaptiveHops, version 3 appended Epoch and version 5 dropped the
+// retired pivot extension's two fields (a two-phase flag and a final
+// destination) from between DetourHops and AdaptiveHops; decoding is gated on
+// the container version so older snapshots still read cleanly.
 
 // EncodeHeader appends every routing field of a packet header.
 func EncodeHeader(e *checkpoint.Encoder, h *Header) {
@@ -22,8 +23,6 @@ func EncodeHeader(e *checkpoint.Encoder, h *Header) {
 	e.Int(h.InjectedAt)
 	geom.EncodeCoord(e, h.BroadcastOrigin)
 	e.Int(int64(h.DetourHops))
-	e.Bool(h.TwoPhase)
-	geom.EncodeCoord(e, h.FinalDst)
 	e.Int(int64(h.AdaptiveHops))
 	e.Uint(h.Epoch)
 }
@@ -39,8 +38,14 @@ func DecodeHeader(d *checkpoint.Decoder) *Header {
 	h.InjectedAt = d.Int()
 	h.BroadcastOrigin = geom.DecodeCoord(d)
 	h.DetourHops = d.IntAsInt()
-	h.TwoPhase = d.Bool()
-	h.FinalDst = geom.DecodeCoord(d)
+	if d.Version() < 5 {
+		// A two-phase header belongs to the retired pivot extension, which
+		// no machine can route any more; an unset one reads as today's.
+		if d.Bool() {
+			d.Fail("two-phase header of the retired pivot extension")
+		}
+		geom.DecodeCoord(d)
+	}
 	if d.Version() >= 2 {
 		h.AdaptiveHops = d.IntAsInt()
 	}

@@ -391,11 +391,7 @@ func (inj *Injector) onDrop(d engine.Drop) {
 		return
 	}
 	inj.stats.DropsEnRoute++
-	dst := h.Dst
-	if h.TwoPhase {
-		dst = h.FinalDst
-	}
-	inj.lose(d.Cycle, h.PacketID, h.Src, dst, h.Size)
+	inj.lose(d.Cycle, h.PacketID, h.Src, h.Dst, h.Size)
 }
 
 // onDeliver closes retransmission chains and detects duplicates.

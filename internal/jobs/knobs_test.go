@@ -35,18 +35,15 @@ var knobRejections = []struct {
 	{name: "adaptive on one lane", cfg: core.Config{VCs: 1, Adaptive: true}, knob: "VCs", field: "variant.vcs"},
 	{name: "vcs without adaptive", cfg: core.Config{VCs: 2}, knob: "VCs", field: "variant.vcs"},
 	{name: "adaptive on separate dxb", cfg: core.Config{VCs: 2, Adaptive: true, DXBSeparate: true}, knob: "Adaptive", field: "variant.adaptive"},
-	{name: "adaptive with pivot", cfg: core.Config{VCs: 2, Adaptive: true, PivotLastDim: true}, knob: "Adaptive", field: "variant.adaptive", noJob: true},
 	{name: "adaptive with naive broadcast", cfg: core.Config{VCs: 2, Adaptive: true, NaiveBroadcast: true}, knob: "Adaptive", field: "variant.adaptive", noJob: true},
 	{name: "unknown reconfig mode", cfg: core.Config{Reconfig: "always"}, knob: "Reconfig", field: "reconfig.mode"},
 	{name: "reconfig on direct-link topology", cfg: core.Config{Topology: "hyperx", Reconfig: core.ReconfigOnFault}, knob: "Reconfig", field: "reconfig.mode"},
 	{name: "reconfig with adaptive vcs", cfg: core.Config{VCs: 2, Adaptive: true, Reconfig: core.ReconfigOnDeadlock}, knob: "Reconfig", field: "reconfig.mode"},
-	{name: "reconfig with pivot", cfg: core.Config{PivotLastDim: true, Reconfig: core.ReconfigBoth}, knob: "Reconfig", field: "reconfig.mode", noJob: true},
 	{name: "reconfig with naive broadcast", cfg: core.Config{NaiveBroadcast: true, Reconfig: core.ReconfigBoth}, knob: "Reconfig", field: "reconfig.mode", noJob: true},
 	{name: "unknown topology", cfg: core.Config{Topology: "dragonfly"}, knob: "Topology", field: "topology"},
 	{name: "dxb-separate on hyperx", cfg: core.Config{Topology: "hyperx", DXBSeparate: true}, knob: "DXBSeparate", field: "variant.dxb_separate"},
 	{name: "sxb on hyperx", cfg: core.Config{Topology: "hyperx", SXB: geom.Coord{0, 1}}, knob: "SXB", field: "variant.sxb"},
 	{name: "naive broadcast on fullmesh", cfg: core.Config{Shape: geom.MustShape(8), Topology: "fullmesh", NaiveBroadcast: true}, knob: "NaiveBroadcast", field: "naive_broadcast", noJob: true},
-	{name: "pivot on hyperx", cfg: core.Config{Topology: "hyperx", PivotLastDim: true}, knob: "PivotLastDim", field: "pivot_last_dim", noJob: true},
 	{name: "vcs on direct-link topology", cfg: core.Config{Topology: "hyperx", VCs: 2, Adaptive: true}, knob: "VCs", field: "variant.vcs"},
 	{name: "fullmesh needs 1-D", cfg: core.Config{Topology: "fullmesh"}, knob: "Topology", field: "topology"},
 	{name: "hyperx line of one router", cfg: core.Config{Shape: geom.MustShape(4, 1), Topology: "hyperx"}, knob: "Topology", field: "topology"},
@@ -73,7 +70,6 @@ func knobText(cfg core.Config) campaign.RunText {
 		Variant:        campaign.VariantText{SXB: coord(cfg.SXB), DXB: coord(cfg.DXB), DXBSeparate: cfg.DXBSeparate, VCs: cfg.VCs, Adaptive: cfg.Adaptive},
 		Reconfig:       campaign.ReconfigText{Mode: cfg.Reconfig},
 		NaiveBroadcast: cfg.NaiveBroadcast,
-		PivotLastDim:   cfg.PivotLastDim,
 	}
 }
 

@@ -219,24 +219,28 @@ func TestRecordingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsRetiredShardsField: a recording whose spec carries the
-// retired "shards" knob fails to load with an error naming the field.
+// TestLoadRejectsRetiredShardsField: a recording whose spec carries a
+// retired knob — "shards", or the pivot extension's "pivot_last_dim" — fails
+// to load with an error naming the field.
 func TestLoadRejectsRetiredShardsField(t *testing.T) {
-	rec := record(t, baseSpec(), 64, 0)
-	path := filepath.Join(rec.Dir, "meta.json")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := bytes.Replace(data, []byte(`"spec": {`), []byte(`"spec": {"shards": 4,`), 1)
-	if bytes.Equal(legacy, data) {
-		t.Fatal("meta.json layout changed; the fixture edit did not apply")
-	}
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(rec.Dir); err == nil || !strings.Contains(err.Error(), `"shards"`) {
-		t.Fatalf("Load error = %v, want one naming \"shards\"", err)
+	for _, knob := range [][2]string{{"shards", "4"}, {"pivot_last_dim", "true"}} {
+		field, value := knob[0], knob[1]
+		rec := record(t, baseSpec(), 64, 0)
+		path := filepath.Join(rec.Dir, "meta.json")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy := bytes.Replace(data, []byte(`"spec": {`), []byte(`"spec": {"`+field+`": `+value+`,`), 1)
+		if bytes.Equal(legacy, data) {
+			t.Fatal("meta.json layout changed; the fixture edit did not apply")
+		}
+		if err := os.WriteFile(path, legacy, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(rec.Dir); err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
+			t.Fatalf("Load error = %v, want one naming %q", err, field)
+		}
 	}
 }
 

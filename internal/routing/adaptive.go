@@ -6,17 +6,22 @@
 // any dimension in which it has not yet reached its destination coordinate —
 // on any free adaptive lane.
 //
-// Deadlock freedom is the standard escape-channel argument (Duato): adaptive
-// decisions are Provisional, so a packet that fails to win its adaptive lane
-// is re-routed every cycle and, when no adaptive lane is available, commits
-// to the escape channel. A packet that arrives at a router on lane 0 is
-// captured: it stays on the escape channel until delivery. The escape
-// subnetwork therefore carries exactly the unified policy's channel
-// dependences — certified acyclic by the CDG prover (internal/topo/escape) —
-// and every blocked packet eventually requests it, so the escape drains any
-// cyclic wait the adaptive lanes can build. Liveness of re-routing follows
-// from the preserved arrival stamp: the oldest packet in the network wins
-// every arbitration it enters and always advances.
+// The design follows Duato's escape-channel argument: adaptive decisions are
+// Provisional, so a packet that fails to win its adaptive lane is re-routed
+// every cycle and, when no adaptive lane is available, commits to the escape
+// channel. A packet that arrives at a router on lane 0 is captured: it stays
+// on the escape channel until delivery. The escape subnetwork therefore
+// carries exactly the unified policy's channel dependences, certified acyclic
+// by the CDG prover (internal/topo/escape). The oldest packet in the network
+// wins every arbitration it enters (the arrival stamp is preserved).
+//
+// Known defect: the argument does not hold, and the machine can deadlock
+// (ROADMAP item 18; core's TestVCAllocKnownDeadlock pins a case). It needs
+// every blocked packet to be able to request the escape lane, and two things
+// break that. A packet on an adaptive lane at a crossbar has no escape: its
+// one exit keeps the lane and is not provisional. And a granted provisional
+// hop commits the packet to the lane while the downstream buffer may still
+// hold another packet, so two packets share one channel.
 package routing
 
 import (
@@ -30,9 +35,9 @@ import (
 
 // VCPolicy implements topo.Policy for a network built with virtual channels:
 // escape-VC adaptive routing over an embedded escape Policy. The escape
-// policy must be the unified scheme (D-XB = S-XB) and must not use the pivot
-// extension or naive broadcast — each would add escape-channel dependences
-// outside the certified set.
+// policy must be the unified scheme (D-XB = S-XB) and must not use naive
+// broadcast — either would add escape-channel dependences outside the
+// certified set.
 type VCPolicy struct {
 	// escape is the escape policy with its outputs numbered as lane 0 of
 	// the lane-scaled ports: logical output k, the PE port d included, is
@@ -57,9 +62,6 @@ func NewVC(escape *Policy, vcs int) (*VCPolicy, error) {
 	}
 	if escape.sEff != escape.dEff {
 		return nil, fmt.Errorf("routing: adaptive escape channel requires D-XB = S-XB (the unified deadlock-free scheme)")
-	}
-	if escape.cfg.PivotLastDim {
-		return nil, fmt.Errorf("routing: adaptive escape channel cannot use the pivot extension (its turns break escape acyclicity)")
 	}
 	if escape.cfg.NaiveBroadcast {
 		return nil, fmt.Errorf("routing: adaptive escape channel cannot use naive broadcast (its fan cycles break escape acyclicity)")
@@ -86,7 +88,7 @@ func (p *VCPolicy) RouteRouter(net *topo.Net, c geom.Coord, in int, h *flit.Head
 	// Special-mode packets (broadcast request/fan, detour) and captured
 	// packets — normal packets that arrived on the escape lane of a crossbar
 	// wire — belong to the escape channel until delivery.
-	escapeBound := h.RC != flit.RCNormal || h.TwoPhase || (in < physPE && inLane == 0)
+	escapeBound := h.RC != flit.RCNormal || (in < physPE && inLane == 0)
 	if !escapeBound {
 		if dec, ok := p.adaptiveHop(net, c, h); ok {
 			return dec, nil
@@ -128,7 +130,8 @@ func (p *VCPolicy) adaptiveHop(net *topo.Net, c geom.Coord, h *flit.Header) (eng
 // lane to its destination's point — non-provisionally, since a crossbar has
 // exactly one productive exit. No packet enters the escape lane at a
 // crossbar, so the escape channel's internal dependences stay exactly the
-// certified unified set.
+// certified unified set; the price is that a blocked adaptive packet here has
+// no escape (see the package comment's known defect).
 func (p *VCPolicy) RouteXB(net *topo.Net, l geom.Line, in int, h *flit.Header) (engine.Decision, error) {
 	point, lane := in/p.vcs, in%p.vcs
 	if lane == 0 {

@@ -126,56 +126,6 @@ func (p *Policy) path(h flit.Header, err error) ([]Hop, error) {
 	return hops, err
 }
 
-// PivotEnabled reports whether the two-phase pivot extension is configured.
-func (p *Policy) PivotEnabled() bool { return p.cfg.PivotLastDim }
-
-// PivotIntermediate selects the intermediate router for a two-phase pivot
-// send to dst: a healthy router on dst's dim-0 line whose own last-dimension
-// crossbar is healthy. It applies only on 2D networks when dst sits behind a
-// faulty last-dimension crossbar; ok is false otherwise.
-func (p *Policy) PivotIntermediate(src, dst geom.Coord) (geom.Coord, bool) {
-	if !p.cfg.PivotLastDim || p.dims != 2 {
-		return geom.Coord{}, false
-	}
-	if !p.faults.XBFaulty(geom.LineOf(dst, 1)) || p.faults.RouterFaulty(dst) {
-		return geom.Coord{}, false
-	}
-	if src[1] == dst[1] {
-		return geom.Coord{}, false // plain dim-0 route works already
-	}
-	// The final leg rides dst's dim-0 crossbar; it must be healthy.
-	if p.faults.XBFaulty(geom.LineOf(dst, 0)) {
-		return geom.Coord{}, false
-	}
-	for v := 0; v < p.shape[0]; v++ {
-		if v == dst[0] {
-			continue
-		}
-		cand := dst.WithDim(0, v)
-		if p.faults.RouterFaulty(cand) || p.faults.XBFaulty(geom.LineOf(cand, 1)) {
-			continue
-		}
-		return cand, true
-	}
-	return geom.Coord{}, false
-}
-
-// PivotHeader is UnicastHeader for the two-phase route src -> intermediate ->
-// dst, or ErrUnreachable when no valid intermediate exists.
-func (p *Policy) PivotHeader(src, dst geom.Coord) (flit.Header, error) {
-	mid, ok := p.PivotIntermediate(src, dst)
-	if !ok {
-		return flit.Header{}, fmt.Errorf("%w: no pivot intermediate for %v -> %v", ErrUnreachable, src, dst)
-	}
-	return flit.Header{Src: src, Dst: mid, FinalDst: dst, TwoPhase: true, RC: flit.RCNormal}, p.refuseSource(src)
-}
-
-// PivotPath computes the two-phase route src -> intermediate -> dst, or
-// ErrUnreachable when no valid intermediate exists.
-func (p *Policy) PivotPath(src, dst geom.Coord) ([]Hop, error) {
-	return p.path(p.PivotHeader(src, dst))
-}
-
 // Reachable reports whether a point-to-point send from src to dst would be
 // delivered under the present faults: UnicastPath's error without the path.
 // A pair PlainRoute serves is not walked.
@@ -191,7 +141,7 @@ func (p *Policy) Reachable(src, dst geom.Coord) error {
 // PlainRoute reports that the dimension-order route from src to dst, both
 // inside the shape, meets no faulty router or crossbar. Every decision on
 // such a route is the plain dimension-order step, so the pair is served. A
-// false answer decides nothing: a detour or a pivot may still serve the
+// false answer decides nothing: a detour may still serve the
 // pair, and only the walk refuses one. It costs one bit test per switch on
 // the route, none on a fault-free network.
 func (p *Policy) PlainRoute(src, dst geom.Coord) bool {

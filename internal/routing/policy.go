@@ -54,17 +54,6 @@ type Config struct {
 	// NaiveBroadcast disables S-XB serialization: broadcasts fan out directly
 	// from the source (paper Fig. 5's deadlock-prone scheme).
 	NaiveBroadcast bool
-	// PivotLastDim enables the two-phase pivot extension (DESIGN.md A3,
-	// beyond the paper, 2D only): destinations behind a faulty
-	// last-dimension crossbar are reached by routing to an intermediate
-	// router on the destination's dim-0 line first. CAUTION: the pivot's
-	// second dimension-0 leg is a Y->X turn away from the serialized
-	// crossbar, and the channel dependency graph (internal/cdg) shows it
-	// closes real multi-packet cycles with ordinary traffic — the extension
-	// trades the paper's deadlock-freedom guarantee for reachability, which
-	// is exactly why the paper confines non-dimension-order turns to the
-	// S-XB. Experiment A3 documents the trade-off.
-	PivotLastDim bool
 }
 
 // Policy implements topo.Policy with the paper's routing rules.
@@ -361,25 +350,18 @@ func (p *Policy) routeRouter(c geom.Coord, in int, h *flit.Header) ([]int, flit.
 // routerNormal is dimension-order routing with the router-side fault checks
 // (a router knows which of its own crossbars are faulty).
 func (p *Policy) routerNormal(c geom.Coord, h *flit.Header) ([]int, flit.Rewrite, refusal) {
-	pePort := p.dims
-	dst, pivot := h.Dst, flit.Rewrite(0)
-	if h.TwoPhase && c.FirstDiff(dst, p.dims) == -1 {
-		// Pivot extension: this router is the intermediate; rewrite the
-		// header for the final leg and route toward the true destination.
-		dst, pivot = h.FinalDst, flit.Retarget
-	}
-	k := c.FirstDiff(dst, p.dims)
+	k := c.FirstDiff(h.Dst, p.dims)
 	if k == -1 {
-		return p.out(pePort), pivot, refusal{}
+		return p.out(p.dims), 0, refusal{}
 	}
 	if !p.xbFaulty(c, k) {
-		return p.out(k), pivot, refusal{}
+		return p.out(k), 0, refusal{}
 	}
 	// The crossbar this packet needs next is faulty: enter detour mode if
 	// the detour route avoids it, else the destination is unreachable
 	// (paper-scope limitation; see DESIGN.md). The router checks only the
 	// identity of its own faulty crossbar — the neighbor-bits discipline.
-	if p.detourUsesLine(geom.LineOf(c, k), c, dst) {
+	if p.detourUsesLine(geom.LineOf(c, k), c, h.Dst) {
 		return nil, 0, p.refuseLine(whyDetourNeedsXB, geom.LineOf(c, k))
 	}
 	// The first detour leg must itself be healthy. Under the paper's
@@ -393,7 +375,7 @@ func (p *Policy) routerNormal(c geom.Coord, h *flit.Header) ([]int, flit.Rewrite
 	if p.xbFaulty(c, j) {
 		return nil, 0, p.refuseLine(whyDetourLegFaulty, geom.LineOf(c, j))
 	}
-	return p.out(j), pivot | flit.SetRC(flit.RCDetour), refusal{}
+	return p.out(j), flit.SetRC(flit.RCDetour), refusal{}
 }
 
 // detourWalk replays the element sequence of a detour that starts at router

@@ -87,45 +87,8 @@ func TestReachableAgreesWithUnicastPath(t *testing.T) {
 			checkReachableAgrees(t, c.p, c.what)
 		}
 	}
-
-	// The pivot extension (2D only) rewrites the destination mid-route.
-	shape := geom.MustShape(4, 4)
-	for _, l := range shape.LinesAlong(1) {
-		p := withFaults(t, shape, Config{PivotLastDim: true}, fault.XBFault(l))
-		checkReachableAgrees(t, p, fmt.Sprintf("pivot %v", l))
-		shape.Enumerate(func(src geom.Coord) bool {
-			shape.Enumerate(func(dst geom.Coord) bool {
-				mid, ok := p.PivotIntermediate(src, dst)
-				if !ok {
-					return true
-				}
-				// The two-phase header through the switches' own decisions.
-				h := &flit.Header{Src: src, Dst: mid, FinalDst: dst, TwoPhase: true}
-				dec, err := p.RouteRouter(nil, mid, 0, h)
-				path, perr := p.PivotPath(src, dst)
-				if perr != nil || err != nil {
-					t.Fatalf("pivot %v %v->%v via %v: PivotPath %v, intermediate's decision %v", l, src, dst, mid, perr, err)
-				}
-				if dec.Rewrite.Apply(h); h.Dst != dst || h.TwoPhase {
-					t.Fatalf("pivot %v %v->%v: intermediate rewrote the header to %+v", l, src, dst, h)
-				}
-				if last := path[len(path)-1]; last.Kind != HopPE || last.Coord != dst {
-					t.Fatalf("pivot %v %v->%v: path ends at %v", l, src, dst, last)
-				}
-				want, _ := walkHeader(p, src, &flit.Header{Src: src, Dst: mid, FinalDst: dst, TwoPhase: true, RC: flit.RCNormal})
-				if !slices.Equal(path, want) {
-					t.Fatalf("pivot %v %v->%v: PivotPath = %v; the oracle walks %v", l, src, dst, path, want)
-				}
-				return true
-			})
-			return !t.Failed()
-		})
-	}
 }
 
-// plainRouteHealthy is PlainRoute spelled out on coordinates: the route
-// corrects dimensions in increasing order, and every router it visits and
-// every crossbar it crosses must be healthy.
 func plainRouteHealthy(f *fault.Set, dims int, src, dst geom.Coord) bool {
 	at := src
 	if f.RouterFaulty(at) {
@@ -178,13 +141,6 @@ func checkPlainRoute(t *testing.T, p *Policy, what string) int {
 func TestPlainRouteExact(t *testing.T) {
 	for _, shape := range []geom.Shape{geom.MustShape(4, 4), geom.MustShape(3, 5), geom.MustShape(4, 4, 4), geom.MustShape(2, 3, 4)} {
 		cases := faultCases(t, shape)
-		if shape.Dims() == 2 {
-			// The pivot extension changes no plain route's decisions.
-			for _, l := range shape.LinesAlong(1) {
-				p := withFaults(t, shape, Config{PivotLastDim: true}, fault.XBFault(l))
-				cases = append(cases, policyCase{fmt.Sprintf("%v pivot %v", shape, l), p})
-			}
-		}
 		pairs := shape.Size() * shape.Size()
 		for _, c := range cases {
 			served := checkPlainRoute(t, c.p, c.what)

@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"errors"
 	"fmt"
 
 	"sr2201/internal/engine"
@@ -43,10 +42,6 @@ import (
 // structured one. Nothing else in routerNormal or xbNormal looks past the
 // one coordinate unless such a fault bit is set, which is why the override
 // is complete; TestTableEquivalenceExhaustive checks it decision by decision.
-//
-// The two-phase pivot extension is not table-compilable (its decisions
-// depend on two addresses) and is rejected by Compile — a faithful
-// restriction: the hardware had no such header bits either.
 type TablePolicy struct {
 	shape geom.Shape
 	dims  int
@@ -105,9 +100,6 @@ type xbTable struct {
 
 // Compile builds the lookup tables for every switch decision of p.
 func Compile(p *Policy) (*TablePolicy, error) {
-	if p.PivotEnabled() {
-		return nil, fmt.Errorf("routing: the pivot extension is not table-compilable")
-	}
 	shape := p.shape
 	d := p.dims
 	n := shape.Size()
@@ -211,13 +203,8 @@ func Compile(p *Policy) (*TablePolicy, error) {
 	return tp, nil
 }
 
-var errTwoPhase = errors.New("routing: table policy cannot route two-phase headers")
-
 // RouteRouter implements topo.Policy by table lookup.
 func (tp *TablePolicy) RouteRouter(net *topo.Net, c geom.Coord, in int, h *flit.Header) (engine.Decision, error) {
-	if h.TwoPhase {
-		return engine.Decision{}, errTwoPhase
-	}
 	rt := &tp.routers[tp.shape.Index(c)]
 	switch h.RC {
 	case flit.RCNormal:
@@ -241,9 +228,6 @@ func (tp *TablePolicy) RouteRouter(net *topo.Net, c geom.Coord, in int, h *flit.
 
 // RouteXB implements topo.Policy by table lookup.
 func (tp *TablePolicy) RouteXB(net *topo.Net, l geom.Line, in int, h *flit.Header) (engine.Decision, error) {
-	if h.TwoPhase {
-		return engine.Decision{}, errTwoPhase
-	}
 	xt := &tp.xbs[l.Dim][tp.shape.LineIndex(l)]
 	switch h.RC {
 	case flit.RCNormal:

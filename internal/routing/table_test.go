@@ -279,25 +279,11 @@ func TestTableEntriesClosedForm(t *testing.T) {
 	}
 }
 
-func TestCompileRejectsPivot(t *testing.T) {
-	p := mustPolicy(t, Config{Shape: geom.MustShape(4, 3), PivotLastDim: true})
-	if _, err := Compile(p); err == nil {
-		t.Fatal("pivot policy compiled")
-	}
-}
-
-func TestTableRejectsTwoPhaseHeaders(t *testing.T) {
-	p := mustPolicy(t, Config{Shape: geom.MustShape(4, 3)})
-	tp, err := Compile(p)
+// A table refuses an RC value outside Fig. 4's four.
+func TestTableRejectsUnknownRC(t *testing.T) {
+	tp, err := Compile(mustPolicy(t, Config{Shape: geom.MustShape(4, 3)}))
 	if err != nil {
 		t.Fatal(err)
-	}
-	h := &flit.Header{TwoPhase: true, Dst: geom.Coord{1, 1}}
-	if _, err := tp.RouteRouter(nil, geom.Coord{0, 0}, 2, h); err == nil {
-		t.Fatal("two-phase header routed by table")
-	}
-	if _, err := tp.RouteXB(nil, geom.LineOf(geom.Coord{0, 0}, 0), 0, h); err == nil {
-		t.Fatal("two-phase header routed by table at crossbar")
 	}
 	bad := &flit.Header{RC: flit.RC(7)}
 	if _, err := tp.RouteRouter(nil, geom.Coord{0, 0}, 2, bad); err == nil {

@@ -4,10 +4,12 @@
 // packet enters lane 0 at a crossbar and lane-0 packets stay on lane 0 until
 // delivery, so cdg.RegisterEscapeDependences reproduces exactly the escape
 // channel's internal dependences. The golden certificate (acyclic) is the
-// static half of the escape-channel deadlock-freedom argument; the dynamic
-// half — every blocked adaptive packet eventually commits to lane 0 — is the
-// kernel's Provisional re-routing, exercised by the adversarial liveness
-// tests in internal/routing.
+// static half of the escape-channel deadlock-freedom argument. The dynamic
+// half does not hold: it needs every blocked adaptive packet to be able to
+// commit to lane 0, but an adaptive-lane packet at a crossbar has no escape,
+// and a granted provisional hop can put two packets on one channel. The
+// adaptive machine can deadlock (ROADMAP item 18; core's
+// TestVCAllocKnownDeadlock).
 package escape
 
 import (

@@ -3,11 +3,13 @@
 // dependence registration is internal/cdg's Section 5 construction
 // (point-to-point classes, broadcast request legs, contracted serialized
 // fan tree), so certifying this scheme re-proves the paper's theorem
-// through the topology-agnostic prover, pinned equal to cdg.Analyze.
+// through the topology-agnostic prover, pinned equal to cdg.Analyze. Pivot,
+// registered beside it as "mdx-pivot", is the extension the prover refutes.
 package mdx
 
 import (
 	"sr2201/internal/cdg"
+	"sr2201/internal/fault"
 	"sr2201/internal/geom"
 	"sr2201/internal/routing"
 	"sr2201/internal/topo"
@@ -48,5 +50,17 @@ func init() {
 		Canonical: func() (topo.Scheme, error) {
 			return New(routing.Config{Shape: geom.MustShape(4, 4)})
 		},
+	})
+	topo.Register(topo.Registration{
+		Name: "mdx-pivot",
+		Canonical: func() (topo.Scheme, error) {
+			shape := geom.MustShape(4, 4)
+			faults := fault.NewSet(shape)
+			if err := faults.Add(fault.XBFault(geom.Line{Dim: 1, Fixed: geom.Coord{2, 0}})); err != nil {
+				return nil, err
+			}
+			return NewPivot(routing.Config{Shape: shape, Faults: faults})
+		},
+		Refuted: true,
 	})
 }

@@ -18,20 +18,21 @@ import (
 type Registration struct {
 	// Name is the family name ("mdx", "hyperx", "mesh").
 	Name string
-	// Canonical builds the family's reference instance (fault-free, a
-	// representative shape).
+	// Canonical builds the family's reference instance: a representative
+	// shape, fault-free unless a fault is what the family is about (the
+	// pivot extension's canonical instance has its faulty crossbar).
 	Canonical func() (Scheme, error)
 	// New builds the family's Router for a machine's shape and live fault
 	// set, rejecting shapes the family cannot be built on. Nil for families
-	// that are not direct-link lattices (mdx, escape).
+	// that are not direct-link lattices (mdx, mdx-pivot, escape).
 	New func(shape geom.Shape, faults *fault.Set) (Router, error)
 	// Faults reports that New's routers honour the fault set (router and
 	// link faults). A family that models none ignores it, and the machine
 	// refuses to fault it.
 	Faults bool
 	// Refuted marks a counter-example family: its canonical instance must
-	// certify *cyclic*, with the golden pinning the witness, and the
-	// machine built on it can deadlock.
+	// certify *cyclic*, with the golden pinning the witness, and a machine
+	// built on it, where one can be (New), can deadlock.
 	Refuted bool
 }
 

@@ -23,11 +23,11 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden certificates")
 
-// TestRegisteredSchemes pins the registry contents: the seven shipped
+// TestRegisteredSchemes pins the registry contents: the eight shipped
 // families, sorted by name. A scheme that forgets to register escapes the
 // certificate gate, so the set itself is part of the contract.
 func TestRegisteredSchemes(t *testing.T) {
-	want := []string{"escape", "fullmesh", "hyperx", "mdx", "mesh", "torus", "torus-novc"}
+	want := []string{"escape", "fullmesh", "hyperx", "mdx", "mdx-pivot", "mesh", "torus", "torus-novc"}
 	regs := topo.Registered()
 	if len(regs) != len(want) {
 		t.Fatalf("%d registered schemes, want %d", len(regs), len(want))
@@ -41,7 +41,7 @@ func TestRegisteredSchemes(t *testing.T) {
 
 // TestCertificateGate is the deadlock-freedom regression gate CI runs: every
 // registered scheme's canonical instance must certify acyclic — or, for the
-// one family registered as a refuted counter-example, cyclic — and the full
+// families registered as refuted counter-examples, cyclic — and the full
 // certificate, witness included, must match its golden fixture byte for
 // byte, and the prover's verdict must agree with checkRank's reading of its
 // witness. Run with -update to rewrite the fixtures after an intentional
@@ -122,9 +122,9 @@ func certifyChecked(t *testing.T, s topo.Scheme) (topo.Certificate, error) {
 }
 
 // TestRankWitness runs the checker over internal/cdg's pin corpus of MD
-// crossbar schemes (its cyclic members too, whose missing witness must be
-// refused) and the escape subnetwork at 4 lanes, and shows it bites: one
-// swapped pair of ranks must fail it.
+// crossbar schemes and the refuted pivot extension (cyclic members, whose
+// missing witness must be refused) and the escape subnetwork at 4 lanes, and
+// shows it bites: one swapped pair of ranks must fail it.
 func TestRankWitness(t *testing.T) {
 	faults := func(shape geom.Shape, f fault.Fault) *fault.Set {
 		set := fault.NewSet(shape)
@@ -138,7 +138,6 @@ func TestRankWitness(t *testing.T) {
 		{Shape: geom.MustShape(3, 3)}, {Shape: sh43}, {Shape: sh44}, {Shape: geom.MustShape(3, 3, 2)}, {Shape: geom.MustShape(6)},
 		{Shape: sh44, SXB: geom.Coord{0, 0}, DXB: geom.Coord{0, 3}},
 		{Shape: sh44, SXB: geom.Coord{0, 0}, DXB: geom.Coord{0, 3}, Faults: faults(sh44, fault.RouterFault(geom.Coord{2, 1}))},
-		{Shape: sh44, PivotLastDim: true, Faults: faults(sh44, fault.XBFault(geom.Line{Dim: 1, Fixed: geom.Coord{2, 0}}))},
 	}
 	sh43.Enumerate(func(c geom.Coord) bool {
 		corpus = append(corpus, routing.Config{Shape: sh43, Faults: faults(sh43, fault.RouterFault(c))})
@@ -150,6 +149,13 @@ func TestRankWitness(t *testing.T) {
 			t.Fatal(err)
 		}
 		certifyChecked(t, s)
+	}
+	piv, err := mdx.NewPivot(routing.Config{Shape: sh44, Faults: faults(sh44, fault.XBFault(geom.Line{Dim: 1, Fixed: geom.Coord{2, 0}}))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cert, _ := certifyChecked(t, piv); cert.Acyclic {
+		t.Fatalf("%s certified acyclic", piv.Name())
 	}
 	esc, err := escape.New(routing.Config{Shape: sh44}, 4)
 	if err != nil {
