@@ -38,8 +38,7 @@ func main() {
 		doCampaign = flag.Bool("campaign", false, "run the exhaustive single-fault campaign instead of one schedule")
 		epochsStr  = flag.String("epochs", "12", "campaign fault-activation cycles, comma-separated")
 		parallel   = flag.Int("parallel", sweep.DefaultParallel(), "campaign worker-pool width (1 = serial)")
-		stateDir   = flag.String("state-dir", "", "campaign checkpoint directory: completed cells persist and are skipped on re-run (campaign mode)")
-		ckptEvery  = flag.Int64("checkpoint-every", 4096, "mid-cell snapshot interval in cycles (with -state-dir; 0 = cell granularity only)")
+		stateDir   = flag.String("state-dir", "", "campaign result directory: completed cells persist and are skipped on re-run (campaign mode)")
 	)
 	// Every run flag writes straight into the resolver's input.
 	if err := t.ParseFlags(flag.CommandLine, os.Args[1:]); err != nil {
@@ -56,7 +55,6 @@ func main() {
 			fatal(err)
 		}
 		cfg.Parallel = *parallel
-		cfg.CheckpointEvery = *ckptEvery
 		if *stateDir != "" {
 			if cfg.Store, err = campaign.OpenStore(*stateDir); err != nil {
 				fatal(err)

@@ -1,13 +1,14 @@
-// Command mdxreplay records a run's snapshot ring and bisects divergences.
+// Command mdxreplay records a run's state-hash ladder and bisects
+// divergences.
 //
 // Record mode runs what mdxfault's single mode would, spelled with the same
 // run flags (both commands register them through
-// campaign.RunText.ParseFlags), and writes a recording directory: the spec,
-// an engine StateHash ladder sampled every -every cycles, and a ring of full
-// machine snapshots. Bisect mode compares two recordings and finds the exact
-// first cycle where their engine states diverge — binary-searching the hash
-// ladders, restoring both runs from their latest common snapshot, and
-// lockstepping from there instead of replaying from cycle 0.
+// campaign.RunText.ParseFlags), and writes a recording directory: the spec
+// and an engine StateHash ladder sampled every -every cycles. Bisect mode
+// compares two recordings and finds the exact first cycle where their
+// engine states diverge — binary-searching the hash ladders, re-executing
+// both runs to the last common ladder cycle (checking both ladder hashes
+// there), and lockstepping from there.
 //
 // Examples:
 //
@@ -37,11 +38,10 @@ import (
 
 func main() {
 	var (
-		doRecord = flag.Bool("record", false, "record a run's snapshot ring into -o")
+		doRecord = flag.Bool("record", false, "record a run's state-hash ladder into -o")
 		doBisect = flag.Bool("bisect", false, "bisect two recording directories (positional args)")
 		out      = flag.String("o", "", "recording output directory (record mode)")
-		every    = flag.Int64("every", 256, "hash-ladder and snapshot spacing in cycles")
-		keep     = flag.Int("keep", 0, "snapshot ring capacity (0 = keep every snapshot)")
+		every    = flag.Int64("every", 256, "hash-ladder spacing in cycles")
 		spec     campaign.RunText
 	)
 	// The run flags write straight into the recording's spec.
@@ -56,13 +56,12 @@ func main() {
 		if *out == "" {
 			fatal(fmt.Errorf("-record needs -o DIR"))
 		}
-		rec, err := replay.Record(spec, *every, *keep, *out)
+		rec, err := replay.Record(spec, *every, *out)
 		if err != nil {
 			fatal(campaign.FlagError(err))
 		}
 		m := rec.Meta
-		fmt.Printf("recorded %s: %d cycles, %d ladder points, %d snapshot(s) retained\n",
-			*out, m.Final.Cycle, len(m.Points), len(m.Snapshots))
+		fmt.Printf("recorded %s: %d cycles, %d ladder points\n", *out, m.Final.Cycle, len(m.Points))
 		fmt.Printf("verdict: drained=%v stalled=%v deadlocked=%v final-hash=%s\n",
 			m.Drained, m.Stalled, m.Deadlocked, m.Final.Hash)
 	case *doBisect:
@@ -82,7 +81,7 @@ func main() {
 			fatal(err)
 		}
 		if !d.Diverged {
-			fmt.Printf("no divergence: state streams identical through both runs (seeked to cycle %d, stepped %d)\n",
+			fmt.Printf("no divergence: state streams identical through both runs (re-executed to cycle %d, lockstepped %d)\n",
 				d.SeekCycle, d.Stepped)
 			return
 		}
@@ -91,8 +90,7 @@ func main() {
 		} else {
 			fmt.Printf("first divergence at cycle %d: %s != %s\n", d.Cycle, d.HashA, d.HashB)
 		}
-		fmt.Printf("seeked to common snapshot at cycle %d, lockstepped %d cycle(s) — %d cycle(s) skipped\n",
-			d.SeekCycle, d.Stepped, d.SeekCycle)
+		fmt.Printf("re-executed to common ladder cycle %d, lockstepped %d cycle(s)\n", d.SeekCycle, d.Stepped)
 		os.Exit(1)
 	}
 }

@@ -13,17 +13,19 @@
 // (liveness), GET /readyz (readiness), GET /metrics. SIGTERM/SIGINT drains
 // gracefully: running and queued jobs finish, new submissions get 503.
 //
-// With -state-dir the server is crash-safe: job records, mid-run
-// checkpoints, and finished artifacts persist there, and SIGTERM stops FAST
-// instead of draining — running jobs checkpoint and park, and the next
-// mdxserve over the same directory resumes them to byte-identical artifacts.
+// With -state-dir the server is crash-safe: job records, completed campaign
+// cells, fault runs' park records (a cycle and its state hash) and finished
+// artifacts persist there, and SIGTERM stops FAST instead of draining —
+// running jobs park, and the next mdxserve over the same directory
+// re-executes them to byte-identical artifacts, checking each fault run's
+// state hash at its parked cycle.
 //
 // Several mdxserve processes may share one -state-dir as a fleet: give
 // each a distinct -worker id. Leases arbitrate which process runs each
 // execution, finished artifacts dedupe fleet-wide by canonical spec hash,
 // a worker that dies (SIGKILL, power loss) has its in-flight executions
-// taken over by peers within one -lease-ttl — resumed from the parked
-// checkpoints to byte-identical artifacts — and a spec that kills
+// taken over by peers within one -lease-ttl — re-executed to byte-identical
+// artifacts — and a spec that kills
 // -poison-after owners in a row is quarantined with a classified error
 // instead of crash-looping the fleet.
 package main
@@ -47,16 +49,15 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8080", "listen address (host:0 picks a free port, printed on stderr)")
-		queue     = flag.Int("queue", 64, "bounded job-queue depth (full queue sheds with 429)")
-		workers   = flag.Int("workers", 2, "concurrent job executions")
-		parallel  = flag.Int("parallel", sweep.DefaultParallel(), "global sweep-worker budget shared by all running jobs")
-		timeout   = flag.Duration("job-timeout", 0, "per-job deadline (0 = none)")
-		stateDir  = flag.String("state-dir", "", "crash-safe state directory: jobs persist, checkpoint, and resume across restarts; shareable by a fleet")
-		ckptEvery = flag.Int64("checkpoint-every", 4096, "mid-run snapshot interval in simulated cycles (with -state-dir)")
-		workerID  = flag.String("worker", "w0", "fleet member id (distinct per process sharing a -state-dir)")
-		leaseTTL  = flag.Duration("lease-ttl", 5*time.Second, "lease freshness window: a peer steals an execution whose owner has not renewed for this long")
-		poison    = flag.Int("poison-after", 3, "quarantine a spec after this many owners died running it (-1 disables)")
+		addr     = flag.String("addr", ":8080", "listen address (host:0 picks a free port, printed on stderr)")
+		queue    = flag.Int("queue", 64, "bounded job-queue depth (full queue sheds with 429)")
+		workers  = flag.Int("workers", 2, "concurrent job executions")
+		parallel = flag.Int("parallel", sweep.DefaultParallel(), "global sweep-worker budget shared by all running jobs")
+		timeout  = flag.Duration("job-timeout", 0, "per-job deadline (0 = none)")
+		stateDir = flag.String("state-dir", "", "crash-safe state directory: jobs persist, park, and resume across restarts; shareable by a fleet")
+		workerID = flag.String("worker", "w0", "fleet member id (distinct per process sharing a -state-dir)")
+		leaseTTL = flag.Duration("lease-ttl", 5*time.Second, "lease freshness window: a peer steals an execution whose owner has not renewed for this long")
+		poison   = flag.Int("poison-after", 3, "quarantine a spec after this many owners died running it (-1 disables)")
 	)
 	flag.Parse()
 
@@ -75,17 +76,16 @@ func main() {
 	}
 
 	m, err := jobs.OpenManager(jobs.Config{
-		QueueDepth:      *queue,
-		Workers:         *workers,
-		Parallel:        *parallel,
-		JobTimeout:      *timeout,
-		StateDir:        *stateDir,
-		CheckpointEvery: *ckptEvery,
-		WorkerID:        worker,
-		LeaseTTL:        *leaseTTL,
-		PoisonAfter:     *poison,
-		FailpointHash:   fpHash,
-		FailpointCycle:  fpCycle,
+		QueueDepth:     *queue,
+		Workers:        *workers,
+		Parallel:       *parallel,
+		JobTimeout:     *timeout,
+		StateDir:       *stateDir,
+		WorkerID:       worker,
+		LeaseTTL:       *leaseTTL,
+		PoisonAfter:    *poison,
+		FailpointHash:  fpHash,
+		FailpointCycle: fpCycle,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mdxserve:", err)
@@ -117,10 +117,10 @@ func main() {
 	}
 
 	if *stateDir != "" {
-		// Checkpoints make draining unnecessary: interrupt running jobs (they
-		// park their snapshots and release their leases) and let the next
-		// boot — or a fleet peer — resume them.
-		fmt.Fprintln(os.Stderr, "mdxserve: stopping (checkpointing running jobs for resume)")
+		// Persisted state makes draining unnecessary: interrupt running jobs
+		// (they park and release their leases) and let the next boot — or a
+		// fleet peer — resume them.
+		fmt.Fprintln(os.Stderr, "mdxserve: stopping (parking running jobs for resume)")
 		m.Stop()
 	} else {
 		fmt.Fprintln(os.Stderr, "mdxserve: draining (finishing running jobs, refusing new ones)")

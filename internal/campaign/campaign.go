@@ -94,9 +94,9 @@ type Broadcast struct {
 // feeds. They shape no artifact; a Spec or Config embeds them so every
 // runner takes them the same way.
 type Hooks struct {
-	// Ctx, if non-nil, cancels the run: a cell stops between cycles (parking
-	// a snapshot when it runs against a Store), a campaign also between
-	// cells, and the runner returns ctx.Err().
+	// Ctx, if non-nil, cancels the run: a cell stops between cycles (handing
+	// its Mark to the park callback, when it has one), a campaign also
+	// between cells, and the runner returns ctx.Err().
 	Ctx context.Context
 	// OnCycle, if non-nil, is called every progressInterval cycles of a cell
 	// with the engine's hot-path counters.
@@ -317,10 +317,10 @@ func (r CellResult) Availability() float64 {
 // count them.
 func (r CellResult) SimCycles() int64 { return r.EndCycle }
 
-// CellRun is one run as a resumable stepper — the only wave/broadcast/stall
-// loop in the repository — broken at cycle granularity so the caller can
-// snapshot between Steps, checkpoint to a Store, and restore after a crash
-// with a result identical to the uninterrupted run.
+// CellRun is one run as a stepper — the only wave/broadcast/stall loop in
+// the repository — broken at cycle granularity so the caller can mark a
+// cycle between Steps and, after a crash, re-execute to it and check that
+// the state there is the one it marked.
 type CellRun struct {
 	spec Spec
 	m    *core.Machine
@@ -335,8 +335,7 @@ type CellRun struct {
 	done  bool
 
 	// preDenied is the per-wave refusal prediction against the preset-only
-	// fault set, captured before any dynamic event fires. Spec-derived
-	// (recomputed by NewCellRun), so it needs no snapshot entry.
+	// fault set, captured before any dynamic event fires.
 	preDenied int
 }
 
@@ -569,37 +568,80 @@ func (c *CellRun) Result() (CellResult, error) {
 	return res, nil
 }
 
-// stepper is what drive advances: a CellRun, or a SingleRun rendering over
-// one.
+// Mark is a point of a run: a cycle and the engine's StateHash there. The
+// simulator is deterministic, so a parked run is its spec and a Mark:
+// resuming rebuilds the run from the spec, re-executes it to the cycle
+// (Seek) and checks the hash before going on.
+type Mark struct {
+	Cycle int64
+	Hash  uint64
+}
+
+// ErrDiverged classifies a resume whose re-execution does not reach the
+// parked state: the run being resumed is not the run that was parked.
+var ErrDiverged = errors.New("campaign: re-execution diverged from the parked run")
+
+// parkEvery is how often, in cycles, drive hands a running run's Mark to its
+// park callback. A Mark costs one StateHash and saves no work (a resume
+// re-executes from cycle 0), so the cadence only bounds how old a dead
+// owner's last Mark is.
+const parkEvery = 1024
+
+// Mark returns the cell's current cycle and state hash.
+func (c *CellRun) Mark() Mark { return Mark{Cycle: c.Cycle(), Hash: c.m.Engine().StateHash()} }
+
+// Seek re-executes a fresh cell to mk.Cycle and checks its state hash there;
+// an error wraps ErrDiverged (or is the spec's Ctx.Err()).
+func (c *CellRun) Seek(mk Mark) error { return seek(c.spec.Ctx, c, mk) }
+
+// stepper is what drive and seek advance: a CellRun, or a SingleRun
+// rendering over one.
 type stepper interface {
 	Step() bool
 	Cycle() int64
-	Snapshot() []byte
+	Mark() Mark
 }
 
-// drive steps r to its verdict — the one cancel-poll / periodic-snapshot /
-// park-on-cancel loop. ctx (nil = never) is polled every 64 cycles; with
-// save non-nil, a snapshot goes to it every `every` cycles (<= 0 = never)
-// and once more when ctx cancels, before drive returns ctx.Err().
-func drive(ctx context.Context, r stepper, every int64, save func([]byte) error) error {
-	lastSnap := r.Cycle()
+// drive steps r to its verdict — the one cancel-poll / park loop. ctx (nil
+// = never) is polled every 64 cycles; with park non-nil, r's Mark goes to it
+// every parkEvery cycles and once more when ctx cancels, before drive
+// returns ctx.Err().
+func drive(ctx context.Context, r stepper, park func(Mark)) error {
 	for !r.Step() {
-		if ctx != nil && r.Cycle()%64 == 0 {
+		cy := r.Cycle()
+		if ctx != nil && cy%64 == 0 {
 			if err := ctx.Err(); err != nil {
-				if save != nil {
-					if serr := save(r.Snapshot()); serr != nil {
-						return serr
-					}
+				if park != nil {
+					park(r.Mark())
 				}
 				return err
 			}
 		}
-		if save != nil && every > 0 && r.Cycle()-lastSnap >= every {
-			if err := save(r.Snapshot()); err != nil {
+		if park != nil && cy%parkEvery == 0 {
+			park(r.Mark())
+		}
+	}
+	return nil
+}
+
+// seek steps r to mk.Cycle, polling ctx like drive, and checks the state
+// there. A Mark is only ever taken after a Step that left the run
+// unfinished, so a run that finishes first has diverged as surely as one
+// that reaches another hash.
+func seek(ctx context.Context, r stepper, mk Mark) error {
+	for r.Cycle() < mk.Cycle && !r.Step() {
+		if ctx != nil && r.Cycle()%64 == 0 {
+			if err := ctx.Err(); err != nil {
 				return err
 			}
-			lastSnap = r.Cycle()
 		}
+	}
+	got := r.Mark()
+	if got.Cycle != mk.Cycle {
+		return fmt.Errorf("%w: the run finished at cycle %d, before the parked cycle %d", ErrDiverged, got.Cycle, mk.Cycle)
+	}
+	if got.Hash != mk.Hash {
+		return fmt.Errorf("%w: at cycle %d the state hash is %016x, the parked run's is %016x", ErrDiverged, mk.Cycle, got.Hash, mk.Hash)
 	}
 	return nil
 }
@@ -610,7 +652,7 @@ func RunCell(spec Spec) (CellResult, error) {
 	if err != nil {
 		return CellResult{}, err
 	}
-	if err := drive(spec.Ctx, c, 0, nil); err != nil {
+	if err := drive(spec.Ctx, c, nil); err != nil {
 		return CellResult{}, err
 	}
 	return c.Result()
@@ -709,13 +751,10 @@ type Config struct {
 	// completion order (progress feed for the job server).
 	OnCell func(cycles int64)
 	// Store, if non-nil, makes the campaign crash-safe: completed cells are
-	// persisted and skipped on a re-run, and in-progress cells checkpoint
-	// every CheckpointEvery cycles so a killed campaign resumes mid-cell.
-	// The aggregate result is identical with or without interruption.
+	// persisted and skipped on a re-run, and a cell that was interrupted
+	// re-executes from cycle 0. The aggregate result is identical with or
+	// without interruption.
 	Store *Store
-	// CheckpointEvery is the mid-cell snapshot interval in cycles (<= 0
-	// disables mid-cell snapshots; completed-cell persistence still works).
-	CheckpointEvery int64
 }
 
 // Result is a completed campaign.
@@ -819,35 +858,15 @@ func (cfg *Config) cell(events []inject.Event, pat Pattern) Spec {
 }
 
 // runStoredCell runs one cell, consulting the store (when configured) for a
-// completed result or a mid-cell snapshot first, checkpointing periodically,
-// and parking a final snapshot when the context cancels mid-cell.
+// completed result first and persisting the result it computes.
 func runStoredCell(cfg Config, i int, spec Spec) (CellResult, error) {
 	if cfg.Store == nil {
 		return RunCell(spec)
 	}
-	if res, ok, err := cfg.Store.LoadResult(i); err != nil {
-		return CellResult{}, err
-	} else if ok {
+	if res, ok := cfg.Store.LoadResult(i); ok {
 		return res, nil
 	}
-	c, err := NewCellRun(spec)
-	if err != nil {
-		return CellResult{}, err
-	}
-	if data, ok := cfg.Store.LoadSnap(i); ok {
-		// A stale or corrupt snapshot (spec changed, torn write) is not
-		// fatal: fall back to running the cell from the start.
-		if rerr := c.Restore(data); rerr != nil {
-			if c, err = NewCellRun(spec); err != nil {
-				return CellResult{}, err
-			}
-		}
-	}
-	save := func(snap []byte) error { return cfg.Store.SaveSnap(i, snap) }
-	if err := drive(spec.Ctx, c, cfg.CheckpointEvery, save); err != nil {
-		return CellResult{}, err
-	}
-	res, err := c.Result()
+	res, err := RunCell(spec)
 	if err != nil {
 		return res, err
 	}

@@ -81,10 +81,11 @@ func TestSingleRunDeadlockFreeDesignNoRecoveries(t *testing.T) {
 	}
 }
 
-// TestSingleRunRecoveryResumeByteIdentical snapshots the fig9 run mid-recovery
-// — after the victim purge, before the retransmission lands — and checks the
-// resumed report stream (including the re-rendered recovery line) is
-// byte-identical to the uninterrupted run.
+// TestSingleRunRecoveryResumeByteIdentical parks the fig9 run mid-recovery
+// — after the victim purge, before the retransmission lands — and checks
+// that a fresh run seeking the Mark reaches the same state and renders a
+// report stream (recovery line included) byte-identical to the
+// uninterrupted run.
 func TestSingleRunRecoveryResumeByteIdentical(t *testing.T) {
 	spec := fig9Single(true, 0)
 	var want bytes.Buffer
@@ -113,17 +114,18 @@ func TestSingleRunRecoveryResumeByteIdentical(t *testing.T) {
 			t.Fatalf("run finished at cycle %d, inside the recovery window", r.Cycle())
 		}
 	}
-	snap := r.Snapshot()
+	mk := r.Mark()
 
 	var got bytes.Buffer
 	r2, err := NewSingleRun(spec, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r2.Restore(snap); err != nil {
-		t.Fatalf("restore: %v", err)
+	if err := r2.Seek(mk); err != nil {
+		t.Fatalf("seek: %v", err)
 	}
-	for !r2.Step() {
+	if err := r2.Drive(nil); err != nil {
+		t.Fatal(err)
 	}
 	gotOut, err := r2.Finish()
 	if err != nil {

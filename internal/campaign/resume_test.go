@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -26,8 +27,9 @@ func resumeSpec() Spec {
 	}
 }
 
-// TestCellRunResumeEquivalence interrupts a cell at several cycles and
-// checks the resumed verdict matches the uninterrupted one exactly.
+// TestCellRunResumeEquivalence parks a cell at several cycles and checks
+// that a fresh cell seeking the Mark reaches the parked state and ends with
+// the uninterrupted verdict exactly.
 func TestCellRunResumeEquivalence(t *testing.T) {
 	spec := resumeSpec()
 	want, err := RunCell(spec)
@@ -43,17 +45,17 @@ func TestCellRunResumeEquivalence(t *testing.T) {
 			}
 			for c.Cycle() < k {
 				if c.Step() {
-					t.Fatalf("cell finished at cycle %d before snapshot point %d", c.Cycle(), k)
+					t.Fatalf("cell finished at cycle %d before park point %d", c.Cycle(), k)
 				}
 			}
-			snap := c.Snapshot()
+			mk := c.Mark()
 
 			c2, err := NewCellRun(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c2.Restore(snap); err != nil {
-				t.Fatalf("restore: %v", err)
+			if err := c2.Seek(mk); err != nil {
+				t.Fatalf("seek: %v", err)
 			}
 			for !c2.Step() {
 			}
@@ -68,9 +70,10 @@ func TestCellRunResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestSingleRunResumeByteIdentical interrupts RunSingle's stepper mid-run —
-// including inside the casualty-reporting window — and checks the resumed
-// report stream is byte-identical to the uninterrupted one.
+// TestSingleRunResumeByteIdentical parks RunSingle's stepper mid-run —
+// including inside the casualty-reporting window — and checks that a fresh
+// run seeking the Mark renders a report stream byte-identical to the
+// uninterrupted one.
 func TestSingleRunResumeByteIdentical(t *testing.T) {
 	spec := SingleSpec{
 		Shape:   geom.MustShape(4, 4),
@@ -98,20 +101,21 @@ func TestSingleRunResumeByteIdentical(t *testing.T) {
 			}
 			for r.Cycle() < k {
 				if r.Step() {
-					t.Fatalf("run finished before snapshot point %d", k)
+					t.Fatalf("run finished before park point %d", k)
 				}
 			}
-			snap := r.Snapshot()
+			mk := r.Mark()
 
 			var got bytes.Buffer
 			r2, err := NewSingleRun(spec, &got)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := r2.Restore(snap); err != nil {
-				t.Fatalf("restore: %v", err)
+			if err := r2.Seek(mk); err != nil {
+				t.Fatalf("seek: %v", err)
 			}
-			for !r2.Step() {
+			if err := r2.Drive(nil); err != nil {
+				t.Fatal(err)
 			}
 			gotOut, err := r2.Finish()
 			if err != nil {
@@ -122,6 +126,56 @@ func TestSingleRunResumeByteIdentical(t *testing.T) {
 			}
 			if fmt.Sprintf("%+v", gotOut) != fmt.Sprintf("%+v", wantOut) {
 				t.Errorf("outcome differs: %+v != %+v", gotOut, wantOut)
+			}
+		})
+	}
+}
+
+// TestCampaignStoreResume cancels a stored campaign partway, then re-runs it
+// to completion and checks (a) the output matches the uninterrupted run at
+
+// TestSeekRefusesDivergedMark pins the two ways a re-execution can miss a
+// parked Mark — another state hash at the cycle, or a run that finishes
+// before it — and that both are classified as ErrDiverged; the true Mark is
+// reached.
+func TestSeekRefusesDivergedMark(t *testing.T) {
+	spec := resumeSpec()
+	c, err := NewCellRun(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c.Cycle() < 40 {
+		if c.Step() {
+			t.Fatalf("cell finished at cycle %d before the mark", c.Cycle())
+		}
+	}
+	mk := c.Mark()
+	for !c.Step() {
+	}
+	end := c.Cycle()
+
+	for name, tc := range map[string]struct {
+		mk   Mark
+		want string
+	}{
+		"parked":   {mk, ""},
+		"tampered": {Mark{Cycle: mk.Cycle, Hash: mk.Hash ^ 1}, fmt.Sprintf("at cycle %d the state hash is %016x, the parked run's is %016x", mk.Cycle, mk.Hash, mk.Hash^1)},
+		"past-end": {Mark{Cycle: end + 10, Hash: mk.Hash}, fmt.Sprintf("finished at cycle %d, before the parked cycle %d", end, end+10)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, err := NewCellRun(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = c.Seek(tc.mk)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("seek to the parked mark: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("seek error %v, want ErrDiverged naming %q", err, tc.want)
 			}
 		})
 	}
@@ -151,7 +205,6 @@ func TestCampaignStoreResume(t *testing.T) {
 			var cells atomic.Int64
 			cfg := smallCampaign(parallel)
 			cfg.Store = store
-			cfg.CheckpointEvery = 32
 			cfg.Ctx = ctx
 			cfg.OnCell = func(int64) {
 				if cells.Add(1) == 4 {
@@ -170,7 +223,6 @@ func TestCampaignStoreResume(t *testing.T) {
 			// counting re-runs — a skipped cell must come from the store.
 			cfg2 := smallCampaign(parallel)
 			cfg2.Store = store
-			cfg2.CheckpointEvery = 32
 			var reran atomic.Int64
 			cfg2.OnCell = func(int64) { reran.Add(1) }
 			got, err := Run(cfg2)
@@ -183,40 +235,10 @@ func TestCampaignStoreResume(t *testing.T) {
 			if int(reran.Load()) != len(want.Cells) {
 				t.Errorf("OnCell fired %d times, want %d", reran.Load(), len(want.Cells))
 			}
-			if countFiles(t, dir, ".snap") != 0 {
-				t.Errorf("stale snapshots left after completion")
-			}
 			if countFiles(t, dir, ".result") != len(want.Cells) {
 				t.Errorf("persisted %d results, want %d", countFiles(t, dir, ".result"), len(want.Cells))
 			}
 		})
-	}
-}
-
-// TestCellRunRestoreRejectsMismatchedSpec pins the cell-level spec guards.
-func TestCellRunRestoreRejectsMismatchedSpec(t *testing.T) {
-	spec := resumeSpec()
-	c, err := NewCellRun(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		c.Step()
-	}
-	snap := c.Snapshot()
-
-	for name, alt := range map[string]Spec{
-		"waves":   {Shape: spec.Shape, Events: spec.Events, Pattern: spec.Pattern, Waves: 5, Gap: spec.Gap, Inject: spec.Inject},
-		"gap":     {Shape: spec.Shape, Events: spec.Events, Pattern: spec.Pattern, Waves: spec.Waves, Gap: 25, Inject: spec.Inject},
-		"pattern": {Shape: spec.Shape, Events: spec.Events, Pattern: Reverse(), Waves: spec.Waves, Gap: spec.Gap, Inject: spec.Inject},
-	} {
-		c2, err := NewCellRun(alt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c2.Restore(snap); err == nil {
-			t.Errorf("%s: restore under mismatched spec unexpectedly succeeded", name)
-		}
 	}
 }
 

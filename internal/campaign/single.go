@@ -22,9 +22,10 @@ import (
 
 // SingleRun renders a CellRun as mdxfault's single-mode report: it owns the
 // writer and the three print cursors, nothing else. The cell does the
-// stepping, so a caller (the job server) can snapshot between Steps and,
-// after a crash, resume with the report stream — including the
-// already-printed casualty lines — re-rendered byte-identically.
+// stepping, so a caller (the job server) can park the run as a Mark between
+// Steps and, after a crash, resume it by re-executing a fresh run to the
+// Mark (Seek): the report stream is rendered again from the start, byte for
+// byte.
 type SingleRun struct {
 	c *CellRun
 	w io.Writer
@@ -135,11 +136,19 @@ func (r *SingleRun) Step() bool {
 	return done
 }
 
-// Drive steps the run to its verdict, polling the spec's Ctx; with save
-// non-nil it hands over a snapshot every `every` cycles (<= 0 = never) and
-// a last one when Ctx cancels, before returning ctx.Err().
-func (r *SingleRun) Drive(every int64, save func([]byte) error) error {
-	return drive(r.c.spec.Ctx, r, every, save)
+// Mark returns the run's current cycle and state hash.
+func (r *SingleRun) Mark() Mark { return r.c.Mark() }
+
+// Seek re-executes a fresh run to mk.Cycle, rendering as it goes, and checks
+// its state hash there; an error wraps ErrDiverged (or is the spec's
+// Ctx.Err()).
+func (r *SingleRun) Seek(mk Mark) error { return seek(r.c.spec.Ctx, r, mk) }
+
+// Drive steps the run to its verdict, polling the spec's Ctx; with park
+// non-nil it hands over the run's Mark every parkEvery cycles and a last one
+// when Ctx cancels, before returning ctx.Err().
+func (r *SingleRun) Drive(park func(Mark)) error {
+	return drive(r.c.spec.Ctx, r, park)
 }
 
 // Finish writes the accounting table and outcome line and returns the
@@ -194,7 +203,7 @@ func RunSingle(spec Spec, w io.Writer) (deadlock.Outcome, error) {
 	if err != nil {
 		return deadlock.Outcome{}, err
 	}
-	if err := r.Drive(0, nil); err != nil {
+	if err := r.Drive(nil); err != nil {
 		return deadlock.Outcome{}, err
 	}
 	return r.Finish()

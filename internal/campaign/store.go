@@ -1,13 +1,12 @@
 package campaign
 
-// Store is a directory-backed checkpoint store for campaigns. Each cell
-// index owns two files: cell-NNNN.result (the completed verdict, encoded
-// with EncodeResult) and cell-NNNN.snap (a mid-cell CellRun snapshot).
-// Writes go through a temp file plus rename, so a crash mid-write leaves
-// either the old file or none — never a torn one; corrupt files (e.g. from
-// a torn snapshot on a filesystem without atomic rename) are indistinguished
-// from absent ones by Load, so the worst case is re-running a cell. A
-// result supersedes a snapshot: saving the result deletes the snapshot.
+// Store is a directory-backed result store for campaigns. Each completed
+// cell index owns one file, cell-NNNN.result (the verdict, encoded with
+// EncodeResult); a cell without one re-executes from cycle 0. Writes go
+// through a temp file plus rename, so a crash mid-write leaves either the
+// old file or none — never a torn one; corrupt files (e.g. a torn write on
+// a filesystem without atomic rename) are indistinguished from absent ones
+// by LoadResult, so the worst case is re-running a cell.
 
 import (
 	"fmt"
@@ -42,10 +41,6 @@ func (s *Store) Dir() string { return s.dir }
 
 func (s *Store) resultPath(i int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("cell-%04d.result", i))
-}
-
-func (s *Store) snapPath(i int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("cell-%04d.snap", i))
 }
 
 // WriteAtomic writes data to path through a temp file in the same directory
@@ -88,42 +83,23 @@ func CleanTmp(dir string) {
 	}
 }
 
-// SaveResult records a completed cell and retires its snapshot.
+// SaveResult records a completed cell.
 func (s *Store) SaveResult(i int, res CellResult) error {
 	if err := WriteAtomic(s.resultPath(i), EncodeResult(res)); err != nil {
 		return fmt.Errorf("campaign: save result %d: %w", i, err)
 	}
-	os.Remove(s.snapPath(i))
 	return nil
 }
 
 // LoadResult fetches a completed cell's verdict. ok is false when the cell
 // has no (readable, well-formed) result on disk.
-func (s *Store) LoadResult(i int) (res CellResult, ok bool, err error) {
-	data, rerr := os.ReadFile(s.resultPath(i))
-	if rerr != nil {
-		return res, false, nil
-	}
-	res, derr := DecodeResult(data)
-	if derr != nil {
-		return CellResult{}, false, nil
-	}
-	return res, true, nil
-}
-
-// SaveSnap records a mid-cell snapshot.
-func (s *Store) SaveSnap(i int, data []byte) error {
-	if err := WriteAtomic(s.snapPath(i), data); err != nil {
-		return fmt.Errorf("campaign: save snapshot %d: %w", i, err)
-	}
-	return nil
-}
-
-// LoadSnap fetches a mid-cell snapshot, ok=false when absent.
-func (s *Store) LoadSnap(i int) (data []byte, ok bool) {
-	data, err := os.ReadFile(s.snapPath(i))
+func (s *Store) LoadResult(i int) (res CellResult, ok bool) {
+	data, err := os.ReadFile(s.resultPath(i))
 	if err != nil {
-		return nil, false
+		return res, false
 	}
-	return data, true
+	if res, err = DecodeResult(data); err != nil {
+		return CellResult{}, false
+	}
+	return res, true
 }

@@ -1,9 +1,11 @@
 // Package checkpoint implements the versioned binary container and the
-// primitive codec used to snapshot and restore simulation state (engine,
-// machine, injector, campaign cell). The contract the rest of the system
-// builds on: Restore(Snapshot(x)) followed by N steps produces the identical
-// per-cycle StateHash stream — and therefore byte-identical reports — as the
-// uninterrupted run.
+// primitive codec behind two uses: a machine snapshot (core.Machine's
+// Snapshot/Restore, with the engine, flit, fault and geom codecs under it)
+// and a completed campaign cell's persisted result (campaign.EncodeResult).
+// The snapshot contract: Restore(Snapshot(x)) followed by N steps produces
+// the identical per-cycle StateHash stream as the uninterrupted machine. No
+// run is parked as a snapshot — a parked run re-executes from its spec — so
+// the machine codec lives on only for the benchmark's checkpoint probe.
 //
 // # Container format (version 1)
 //

@@ -18,6 +18,11 @@ import (
 // from them). Restore into a Machine created with the *same* Config; the
 // snapshot carries a config fingerprint so a mismatch fails loudly instead
 // of silently simulating a different machine.
+//
+// No run is parked this way: a parked run is its spec, a cycle and a
+// StateHash, and resuming re-executes it (internal/campaign). The machine
+// codec stays for the benchmark's checkpoint probe, which times a snapshot
+// and a restore of a live machine.
 
 const (
 	secMachineMeta       = "machine.meta"
@@ -87,9 +92,10 @@ func (m *Machine) configHash() uint64 {
 	return h
 }
 
-// EncodeState appends the machine's dynamic state (including its engine's)
-// to a checkpoint container as the "machine.*" and "engine.*" sections.
-func (m *Machine) EncodeState(w *checkpoint.Writer) {
+// Snapshot serializes the machine's dynamic state (including its engine's)
+// into one container of "machine.*" and "engine.*" sections.
+func (m *Machine) Snapshot() []byte {
+	w := checkpoint.NewWriter()
 	meta := w.Section(secMachineMeta)
 	meta.Uint(m.configHash())
 	meta.Uint(m.nextID)
@@ -129,31 +135,18 @@ func (m *Machine) EncodeState(w *checkpoint.Writer) {
 	}
 
 	m.eng.EncodeState(w)
-}
-
-// Snapshot serializes the machine (and its engine) into one container.
-func (m *Machine) Snapshot() []byte {
-	w := checkpoint.NewWriter()
-	m.EncodeState(w)
 	return w.Bytes()
 }
 
 // Restore replaces the machine's dynamic state with a container produced by
-// Snapshot on a machine built from the same Config. On error the machine is
-// left in an unspecified state: restore into a fresh Machine and discard it
-// on failure.
+// Snapshot on a machine built from the same Config. The OnDeliver callback
+// is untouched. On error the machine is left in an unspecified state:
+// restore into a fresh Machine and discard it on failure.
 func (m *Machine) Restore(data []byte) error {
 	r, err := checkpoint.NewReader(data)
 	if err != nil {
 		return err
 	}
-	return m.DecodeState(r)
-}
-
-// DecodeState restores the "machine.*" and "engine.*" sections into this
-// machine. The OnDeliver callback is untouched. See Restore for the error
-// contract.
-func (m *Machine) DecodeState(r *checkpoint.Reader) error {
 	meta, err := r.Section(secMachineMeta)
 	if err != nil {
 		return err

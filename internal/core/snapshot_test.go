@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"sr2201/internal/checkpoint"
 	"sr2201/internal/core"
 	"sr2201/internal/fault"
 	"sr2201/internal/geom"
@@ -20,17 +19,92 @@ import (
 // fresh machine, run to the horizon, and both must match the uninterrupted
 // run exactly, for several k.
 
-// workload drives an open-loop Bernoulli pattern from a serializable RNG so
-// the traffic source itself can ride in the snapshot.
+// rng is a deterministic pseudo-random stream whose full state is four
+// words, so the test workload can save it beside a machine snapshot and
+// resume it mid-stream — unlike math/rand, whose generator state is
+// unexported. The generator is xoshiro256**, seeded through SplitMix64.
+type rng struct {
+	s [4]uint64
+}
+
+// newRNG returns a generator seeded deterministically from seed.
+func newRNG(seed int64) *rng {
+	r := &rng{}
+	sm := uint64(seed)
+	for i := range r.s {
+		sm += 0x9e3779b97f4a7c15
+		z := sm
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		r.s[i] = z ^ (z >> 31)
+	}
+	return r
+}
+
+func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
+
+// Uint64 returns the next 64 pseudo-random bits.
+func (r *rng) Uint64() uint64 {
+	res := rotl(r.s[1]*5, 7) * 9
+	t := r.s[1] << 17
+	r.s[2] ^= r.s[0]
+	r.s[3] ^= r.s[1]
+	r.s[1] ^= r.s[2]
+	r.s[0] ^= r.s[3]
+	r.s[2] ^= t
+	r.s[3] = rotl(r.s[3], 45)
+	return res
+}
+
+// Intn returns a pseudo-random int in [0, n), n > 0.
+func (r *rng) Intn(n int) int { return int(int64(r.Uint64()>>1) % int64(n)) }
+
+// Float64 returns a pseudo-random float in [0, 1).
+func (r *rng) Float64() float64 { return float64(r.Uint64()>>11) / (1 << 53) }
+
+func TestRNGStreams(t *testing.T) {
+	a, b := newRNG(7), newRNG(7)
+	for i := 0; i < 100; i++ {
+		if a.Uint64() != b.Uint64() {
+			t.Fatal("same seed diverged")
+		}
+	}
+	if newRNG(1).Uint64() == newRNG(2).Uint64() {
+		t.Fatal("different seeds produced identical first draw")
+	}
+	// Mid-stream save: a copy of the state continues the exact stream.
+	r := newRNG(99)
+	for i := 0; i < 37; i++ {
+		r.Uint64()
+	}
+	r2 := *r
+	for i := 0; i < 100; i++ {
+		if r.Intn(1000) != r2.Intn(1000) {
+			t.Fatalf("saved stream diverged at draw %d", i)
+		}
+	}
+	// Basic range sanity.
+	for i := 0; i < 1000; i++ {
+		if v := r.Intn(10); v < 0 || v >= 10 {
+			t.Fatalf("Intn out of range: %d", v)
+		}
+		if f := r.Float64(); f < 0 || f >= 1 {
+			t.Fatalf("Float64 out of range: %v", f)
+		}
+	}
+}
+
+// workload drives an open-loop Bernoulli pattern from a saveable RNG so the
+// traffic source itself resumes with the machine.
 type workload struct {
-	rng   *checkpoint.RNG
+	rng   *rng
 	pes   []geom.Coord
 	rate  float64
 	bcast float64
 }
 
 func newWorkload(m *core.Machine, seed int64, rate, bcast float64) *workload {
-	w := &workload{rng: checkpoint.NewRNG(seed), rate: rate, bcast: bcast}
+	w := &workload{rng: newRNG(seed), rate: rate, bcast: bcast}
 	m.Shape().Enumerate(func(c geom.Coord) bool {
 		w.pes = append(w.pes, c)
 		return true
@@ -56,34 +130,24 @@ func (w *workload) step(m *core.Machine) {
 	m.Step()
 }
 
-// snap packs machine and workload RNG into one container.
-func snap(m *core.Machine, w *workload) []byte {
-	wr := checkpoint.NewWriter()
-	m.EncodeState(wr)
-	w.rng.Encode(wr.Section("test.rng"))
-	return wr.Bytes()
+// saved is a machine snapshot and the workload RNG's state beside it.
+type saved struct {
+	machine []byte
+	rng     rng
 }
 
-// unsnap restores a container into a fresh machine + workload pair.
-func unsnap(t *testing.T, data []byte, mk func() *core.Machine, seed int64, rate, bcast float64) (*core.Machine, *workload) {
+func snap(m *core.Machine, w *workload) saved { return saved{m.Snapshot(), *w.rng} }
+
+// unsnap restores a saved pair into a fresh machine + workload pair.
+func unsnap(t *testing.T, s saved, mk func() *core.Machine, rate, bcast float64) (*core.Machine, *workload) {
 	t.Helper()
 	m := mk()
-	r, err := checkpoint.NewReader(data)
-	if err != nil {
-		t.Fatalf("reader: %v", err)
-	}
-	if err := m.DecodeState(r); err != nil {
-		t.Fatalf("machine decode: %v", err)
+	if err := m.Restore(s.machine); err != nil {
+		t.Fatalf("machine restore: %v", err)
 	}
 	w := newWorkload(m, 0, rate, bcast)
-	d, err := r.Section("test.rng")
-	if err != nil {
-		t.Fatalf("rng section: %v", err)
-	}
-	w.rng = checkpoint.DecodeRNG(d)
-	if err := d.Finish(); err != nil {
-		t.Fatalf("rng decode: %v", err)
-	}
+	r := s.rng
+	w.rng = &r
 	return m, w
 }
 
@@ -149,7 +213,7 @@ func TestMachineRestoreEquivalence(t *testing.T) {
 			// snapshot at each k.
 			m := sc.mk(t)
 			w := newWorkload(m, seed, sc.rate, sc.bcast)
-			snaps := map[int64][]byte{}
+			snaps := map[int64]saved{}
 			hashes := make([]uint64, horizon)
 			for c := int64(0); c < horizon; c++ {
 				for _, k := range ks {
@@ -164,7 +228,7 @@ func TestMachineRestoreEquivalence(t *testing.T) {
 
 			for _, k := range ks {
 				t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-					m2, w2 := unsnap(t, snaps[k], func() *core.Machine { return sc.mk(t) }, seed, sc.rate, sc.bcast)
+					m2, w2 := unsnap(t, snaps[k], func() *core.Machine { return sc.mk(t) }, sc.rate, sc.bcast)
 					if got := m2.Cycle(); got != k {
 						t.Fatalf("restored at cycle %d, want %d", got, k)
 					}

@@ -4,7 +4,28 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+
+	"sr2201/internal/checkpoint"
 )
+
+// Snapshot serializes the engine's dynamic state into one self-contained
+// checkpoint container.
+func (e *Engine) Snapshot() []byte {
+	w := checkpoint.NewWriter()
+	e.EncodeState(w)
+	return w.Bytes()
+}
+
+// Restore replaces the engine's dynamic state with a container produced by
+// Snapshot on an identically-built engine. See DecodeState for the error
+// contract.
+func (e *Engine) Restore(data []byte) error {
+	r, err := checkpoint.NewReader(data)
+	if err != nil {
+		return err
+	}
+	return e.DecodeState(r)
+}
 
 // ArbitrationStats says what a checked run exercised.
 type ArbitrationStats struct {

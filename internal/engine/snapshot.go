@@ -7,8 +7,11 @@ import (
 	"sr2201/internal/flit"
 )
 
-// Engine snapshot/restore. The contract (held by the restore-equivalence
-// tests): build the same network the same way, restore a snapshot into it,
+// Engine snapshot/restore, reached through core.Machine.Snapshot/Restore
+// (no run is parked this way any more: a parked run re-executes from its
+// spec; the machine codec stays for the benchmark's checkpoint probe). The
+// contract (held by the restore-equivalence tests): build the same network
+// the same way, restore a snapshot into it,
 // and every subsequent Step produces the identical StateHash — and identical
 // Counters — as the engine the snapshot was taken from. Snapshots capture
 // only dynamic state; topology, routing functions and hooks are code, not
@@ -202,30 +205,11 @@ func (e *Engine) EncodeState(w *checkpoint.Writer) {
 	}
 }
 
-// Snapshot serializes the engine's dynamic state into one self-contained
-// checkpoint container.
-func (e *Engine) Snapshot() []byte {
-	w := checkpoint.NewWriter()
-	e.EncodeState(w)
-	return w.Bytes()
-}
-
-// Restore replaces the engine's dynamic state with a container produced by
-// Snapshot on an identically-built engine. On error the engine is left in an
-// unspecified state: decode into a freshly built network and discard it on
-// failure.
-func (e *Engine) Restore(data []byte) error {
-	r, err := checkpoint.NewReader(data)
-	if err != nil {
-		return err
-	}
-	return e.DecodeState(r)
-}
-
 // DecodeState restores the "engine.*" sections of a checkpoint container
 // into this engine, which must have been built identically to the snapshot's
 // source (same topology builder, same Config). Hooks (OnDeliver, PreCycle,
-// ...) are untouched. See Restore for the error contract.
+// ...) are untouched. On error the engine is left in an unspecified state:
+// decode into a freshly built network and discard it on failure.
 func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 	meta, err := r.Section(secEngineMeta)
 	if err != nil {

@@ -123,7 +123,7 @@ func TestRowRecordsAsItRan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := replay.Record(tc.run, 64, 2, t.TempDir())
+		rec, err := replay.Record(tc.run, 64, t.TempDir())
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

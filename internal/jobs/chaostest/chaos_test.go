@@ -7,8 +7,8 @@
 //
 // Every kill is deterministic: a failpoint fires at an exact simulated
 // cycle of an exact execution, and external SIGKILLs are sent only after
-// the harness has observed the on-disk condition they target (a parked
-// checkpoint). Deadlines below are failsafes for a hung fleet, not the
+// the harness has observed the on-disk condition they target (a park
+// record). Deadlines below are failsafes for a hung fleet, not the
 // synchronization mechanism.
 package chaostest
 
@@ -28,6 +28,7 @@ import (
 	"testing"
 	"time"
 
+	"sr2201/internal/campaign"
 	"sr2201/internal/jobs"
 )
 
@@ -91,7 +92,6 @@ func startWorker(t *testing.T, bin, stateDir, worker string, ttl time.Duration, 
 		"-parallel", "1",
 		"-lease-ttl", ttl.String(),
 		"-poison-after", fmt.Sprint(poisonAfter),
-		"-checkpoint-every", "256",
 	)
 	cmd.Env = append(os.Environ(), "MDXSERVE_FAILPOINT="+failpoint)
 	stderr, err := cmd.StderrPipe()
@@ -260,19 +260,53 @@ func faultSpec(waves int, gap int64) jobs.Spec {
 	}}
 }
 
-// waitCheckpoint blocks until the execution parks its first snapshot —
-// the observed condition an external SIGKILL targets.
-func waitCheckpoint(t *testing.T, stateDir, hash string) {
+// waitPark blocks until the execution writes its first park record (a
+// cycle and its state hash) and returns it — the observed condition an
+// external SIGKILL targets.
+func waitPark(t *testing.T, stateDir, hash string) []byte {
 	t.Helper()
-	snap := filepath.Join(stateDir, "execs", hash, "single.snap")
+	park := filepath.Join(stateDir, "execs", hash, "park.json")
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, err := os.Stat(snap); err == nil {
-			return
+		if data, err := os.ReadFile(park); err == nil {
+			return data
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("execution %s never parked a checkpoint", hash)
+	t.Fatalf("execution %s never wrote a park record", hash)
+	return nil
+}
+
+// checkParked holds a park record to the run it parked: re-executing the
+// spec in-process to the recorded cycle reaches the recorded hash. The
+// thief re-executes to the same cycle and fails the job unless it reaches
+// the same hash, so a converged job passed through this state.
+func checkParked(t *testing.T, record []byte, spec jobs.Spec) {
+	t.Helper()
+	var park struct {
+		Cycle int64  `json:"cycle"`
+		Hash  string `json:"hash"`
+	}
+	if err := json.Unmarshal(record, &park); err != nil || park.Cycle <= 0 {
+		t.Fatalf("park record %s: %v", record, err)
+	}
+	f := spec.Fault
+	cell, err := campaign.RunText{
+		Shape: f.Shape, Fails: f.Fails, Patterns: []string{f.Pattern},
+		Waves: f.Waves, Gap: f.Gap, Horizon: f.Horizon,
+	}.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := campaign.NewCellRun(cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c.Cycle() < park.Cycle && !c.Step() {
+	}
+	if got := fmt.Sprintf("%016x", c.Mark().Hash); c.Cycle() != park.Cycle || got != park.Hash {
+		t.Fatalf("park record says hash %s at cycle %d; the run reaches %s at cycle %d", park.Hash, park.Cycle, got, c.Cycle())
+	}
 }
 
 // TestChaosKillFleetEquivalence is the acceptance wall: a 3-process fleet
@@ -289,7 +323,7 @@ func TestChaosKillFleetEquivalence(t *testing.T) {
 	const ttl = 500 * time.Millisecond
 
 	longA := faultSpec(3000, 100) // killed via failpoint on wa
-	longB := faultSpec(3000, 80)  // killed via SIGKILL on wb, mid-checkpoint
+	longB := faultSpec(3000, 80)  // killed via SIGKILL on wb, after it parked
 	quick := faultSpec(40, 24)    // submitted twice: fleet-wide dedupe
 	specs := []jobs.Spec{longA, longB, quick}
 
@@ -330,10 +364,13 @@ func TestChaosKillFleetEquivalence(t *testing.T) {
 	if code := wa.waitExit(120 * time.Second); code != 3 {
 		t.Fatalf("failpoint exit code = %d, want 3", code)
 	}
-	// Death 2 (external): SIGKILL wb only after longB demonstrably parked
-	// a checkpoint — the takeover must resume, not restart.
-	waitCheckpoint(t, fleetDir, hashB)
+	// Death 2 (external): SIGKILL wb only after longB demonstrably parked —
+	// the thief must re-execute to the recorded cycle and reach its hash
+	// there (a mismatch fails the job, which the convergence check below
+	// would report).
+	parked := waitPark(t, fleetDir, hashB)
 	wb.sigkill()
+	checkParked(t, parked, longB)
 
 	// Both victims restart as the same fleet members (same worker ids
 	// reload their persisted job records) without failpoints.
@@ -457,9 +494,9 @@ func TestChaosPoisonQuarantine(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "execs", hashP, "poisoned.json")); err != nil {
 		t.Errorf("no poisoned.json on disk: %v", err)
 	}
-	// The forensic checkpoint is kept with the quarantine.
-	if _, err := os.Stat(filepath.Join(dir, "execs", hashP, "single.snap")); err != nil {
-		t.Errorf("quarantine dropped the parked checkpoint: %v", err)
+	// The forensic park record is kept with the quarantine.
+	if _, err := os.Stat(filepath.Join(dir, "execs", hashP, "park.json")); err != nil {
+		t.Errorf("quarantine dropped the park record: %v", err)
 	}
 
 	// The fleet still serves after the quarantine: another healthy spec.

@@ -2,12 +2,13 @@ package jobs
 
 // FuzzStateRescan extends the corrupt-equals-absent rule to every file the
 // multi-worker state layer reads: truncated or bit-flipped spec, artifact,
-// checksum, lease, claim, and poison files must never panic the store, and
-// a rescan over them must land in a consistent state — every surviving
+// checksum, lease, claim, poison and park files must never panic the store,
+// and a rescan over them must land in a consistent state — every surviving
 // execution's hash matches its spec, every served artifact passes its
-// checksum, lease reads stay in range, and a second rescan is a fixed
-// point. The seed corpus under testdata/fuzz/FuzzStateRescan commits the
-// torn shapes a SIGKILLed fleet actually leaves.
+// checksum, lease reads stay in range, the snapshot files earlier builds
+// parked are swept, and a second rescan is a fixed point. The seed corpus
+// under testdata/fuzz/FuzzStateRescan commits the torn shapes a SIGKILLed
+// fleet actually leaves.
 
 import (
 	"bytes"
@@ -50,6 +51,14 @@ func FuzzStateRescan(f *testing.F) {
 		if len(poison) > 0 {
 			os.WriteFile(filepath.Join(st.execDir(h), "poisoned.json"), poison, 0o644)
 		}
+		// A park record as torn as the lease, and the mid-run snapshots a
+		// build that parked runs as snapshots left behind.
+		os.WriteFile(st.parkPath(h), lease, 0o644)
+		retired := []string{filepath.Join(st.execDir(h), "single.snap"), filepath.Join(st.cellsDir(h), "cell-0000.snap")}
+		os.MkdirAll(st.cellsDir(h), 0o755)
+		for _, p := range retired {
+			os.WriteFile(p, artifact, 0o644)
+		}
 		// Crash litter rescan must tolerate: an abandoned temp file, an exec
 		// dir that is not a hash, and a stray non-directory entry.
 		os.WriteFile(filepath.Join(st.execDir(h), "spec.json.tmp-123"), spec, 0o644)
@@ -75,6 +84,7 @@ func FuzzStateRescan(f *testing.F) {
 					t.Fatalf("rescan surfaced an invalid poison verdict: %+v", re.poisoned)
 				}
 			}
+			st.loadPark(h)
 			info, err := st.leaseInfo(h)
 			if err != nil {
 				t.Fatalf("leaseInfo: %v", err)
@@ -100,7 +110,17 @@ func FuzzStateRescan(f *testing.F) {
 			}
 		}
 		check(time.Hour) // fresh-lease reading: corrupt state is guarded, never deleted
-		check(0)         // expired reading: cleanup and steal paths run
+		info, err := st.leaseInfo(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unguarded := info.epoch == 0 || info.released || time.Since(info.renewed) >= 0
+		check(0) // expired reading: cleanup and steal paths run
+		for _, p := range retired {
+			if _, err := os.Stat(p); err == nil && unguarded {
+				t.Fatalf("rescan over an unguarded exec left %s", filepath.Base(p))
+			}
+		}
 
 		// Idempotence: rescanning the consistent state is a fixed point.
 		a, _, err := st.rescan(time.Hour)

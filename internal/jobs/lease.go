@@ -20,12 +20,12 @@ package jobs
 //   - A peer may claim epoch N+1 only when epoch N is expired or released.
 //     Claiming over an expired, unreleased lease is a steal: the previous
 //     owner died (or wedged) mid-run, so the claim's death count increments.
-//     Claiming over a released lease (clean cancel that parked a
-//     checkpoint) is a plain resume and does not count a death.
+//     Claiming over a released lease (a clean cancel that parked its run)
+//     is a plain resume and does not count a death.
 //   - A claim whose death count reaches the poison threshold quarantines
 //     the execution instead of running it: poisoned.json is written (via
 //     the same atomic-rename commit point as everything else), the last
-//     parked checkpoint is kept for forensics, and every manager serves the
+//     park record is kept for forensics, and every manager serves the
 //     spec as a classified failure instead of crash-looping the fleet.
 //
 // Corrupt-equals-absent applies throughout: a torn lease.json is ignored
@@ -175,7 +175,7 @@ type acquireResult struct {
 	kind     acquireKind
 	artifact []byte // acqAdopt
 	epoch    int64  // acqOwned
-	stolen   bool   // acqOwned: resumed from a dead owner's parked state
+	stolen   bool   // acqOwned: taken over from a dead owner
 	deaths   int
 	poison   string // acqPoisoned: the classified error text
 }
@@ -281,7 +281,7 @@ func (s *stateStore) quarantine(h string, deaths int) (poisonRecord, error) {
 	// The text is the classification only; callers wrap it with ErrPoisoned.
 	pr := poisonRecord{
 		Deaths: deaths,
-		Error:  fmt.Sprintf("%d owner(s) died mid-run; parked with its last checkpoint", deaths),
+		Error:  fmt.Sprintf("%d owner(s) died mid-run; parked with its last park record", deaths),
 	}
 	data, err := json.Marshal(pr)
 	if err != nil {

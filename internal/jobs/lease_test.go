@@ -2,8 +2,9 @@ package jobs
 
 // The multi-worker test wall: several Managers sharing one state
 // directory must behave like one crash-tolerant fleet — an expired lease
-// is stolen by exactly one peer and resumed from the parked checkpoint to
-// byte-identical artifacts, finished work is adopted instead of re-run, a
+// is stolen by exactly one peer, which re-executes the run through its
+// parked state to byte-identical artifacts, finished work is adopted instead
+// of re-run, a
 // spec that keeps killing its owners is quarantined, and a worker that
 // loses the state dir degrades to local-queue-only instead of dying.
 
@@ -31,37 +32,36 @@ func takeoverSpec() Spec {
 	}}
 }
 
-// waitCheckpoint blocks until the execution has parked a mid-run snapshot
-// (so a takeover has something to resume from).
-func waitCheckpoint(t *testing.T, dir, h string) {
+// waitPark blocks until the execution has written a park record (so a
+// takeover has a parked state to reach).
+func waitPark(t *testing.T, dir, h string) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	snap := filepath.Join(dir, "execs", h, "single.snap")
+	park := filepath.Join(dir, "execs", h, "park.json")
 	for time.Now().Before(deadline) {
-		if _, err := os.Stat(snap); err == nil {
+		if _, err := os.Stat(park); err == nil {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatal("no mid-run checkpoint ever parked")
+	t.Fatal("no park record ever written")
 }
 
 // fleetConfig is one member of a shared-state-dir fleet with a short TTL
 // so takeovers happen on test timescales.
 func fleetConfig(dir, worker string, ttl time.Duration) Config {
 	return Config{
-		Workers:         1,
-		Parallel:        1,
-		StateDir:        dir,
-		CheckpointEvery: 512,
-		WorkerID:        worker,
-		LeaseTTL:        ttl,
+		Workers:  1,
+		Parallel: 1,
+		StateDir: dir,
+		WorkerID: worker,
+		LeaseTTL: ttl,
 	}
 }
 
 // TestLeaseTakeoverAfterKill: a SIGKILLed owner's job is taken over by a
 // peer within one lease-expiry interval (freshness window + one recheck),
-// resumed from the parked checkpoint, and finishes byte-identical to an
+// re-executed through the parked state, and finishes byte-identical to an
 // uninterrupted run.
 func TestLeaseTakeoverAfterKill(t *testing.T) {
 	spec := takeoverSpec()
@@ -79,7 +79,7 @@ func TestLeaseTakeoverAfterKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitStatus(t, mA, idA, StatusRunning)
-	waitCheckpoint(t, dir, h)
+	waitPark(t, dir, h)
 	killedAt := time.Now()
 	mA.Kill() // no release, no final park: the on-disk state of a dead owner
 
@@ -141,7 +141,7 @@ func TestRacingOpenManagerExactlyOneSteal(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitStatus(t, mA, idA, StatusRunning)
-	waitCheckpoint(t, dir, h)
+	waitPark(t, dir, h)
 	mA.Kill()
 	time.Sleep(ttl + 50*time.Millisecond) // let the dead owner's lease expire
 
@@ -193,7 +193,7 @@ func TestRacingOpenManagerExactlyOneSteal(t *testing.T) {
 
 // TestPoisonQuarantineAfterOwnerDeaths: a spec that keeps killing its
 // owners is quarantined after PoisonAfter deaths — parked with its last
-// checkpoint and a classified error — while the fleet keeps serving other
+// park record and a classified error — while the fleet keeps serving other
 // jobs; resubmissions dedupe onto the verdict instead of re-running it.
 func TestPoisonQuarantineAfterOwnerDeaths(t *testing.T) {
 	spec := longFaultSpec(100) // runs "forever": every owner dies mid-run
@@ -206,7 +206,7 @@ func TestPoisonQuarantineAfterOwnerDeaths(t *testing.T) {
 		return c
 	}
 
-	// Owner 1 claims, checkpoints, dies.
+	// Owner 1 claims, parks, dies.
 	mA, err := OpenManager(cfg("wa"))
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestPoisonQuarantineAfterOwnerDeaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitStatus(t, mA, idA, StatusRunning)
-	waitCheckpoint(t, dir, h)
+	waitPark(t, dir, h)
 	mA.Kill()
 
 	// Owner 2 steals (death #1), runs, dies too (death #2 pending).
@@ -263,12 +263,12 @@ func TestPoisonQuarantineAfterOwnerDeaths(t *testing.T) {
 	if mt := mC.Metrics(); mt.Poisoned != 1 {
 		t.Errorf("poisoned count = %d, want 1", mt.Poisoned)
 	}
-	// The verdict and the last checkpoint are parked on disk for forensics.
+	// The verdict and the last park record are kept on disk for forensics.
 	if _, err := os.Stat(filepath.Join(dir, "execs", h, "poisoned.json")); err != nil {
 		t.Errorf("no poisoned.json parked: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "execs", h, "single.snap")); err != nil {
-		t.Errorf("quarantine did not keep the last checkpoint: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "execs", h, "park.json")); err != nil {
+		t.Errorf("quarantine did not keep the last park record: %v", err)
 	}
 
 	// The fleet keeps serving: an unrelated job on the same worker runs fine.

@@ -156,26 +156,23 @@ type Config struct {
 	// JobTimeout, when positive, deadlines every execution.
 	JobTimeout time.Duration
 	// StateDir, when set, makes the manager crash-safe: job records,
-	// execution checkpoints, and finished artifacts persist there, and a
-	// restarted manager rescans the directory — completed executions come
-	// back served from cache, interrupted ones re-enqueue and resume from
-	// their checkpoints, producing artifacts byte-identical to an
-	// uninterrupted run (see state.go for the layout). Several worker
-	// processes may share one StateDir: the lease layer (lease.go)
-	// arbitrates ownership per execution, finished artifacts dedupe
-	// fleet-wide by canonical spec hash, and a job whose owner dies is
-	// taken over by a peer within one LeaseTTL.
+	// completed campaign cells, fault runs' park records and finished
+	// artifacts persist there, and a restarted manager rescans the
+	// directory — completed executions come back served from cache,
+	// interrupted ones re-enqueue and re-execute, producing artifacts
+	// byte-identical to an uninterrupted run (see state.go for the
+	// layout). Several worker processes may share one StateDir: the lease
+	// layer (lease.go) arbitrates ownership per execution, finished
+	// artifacts dedupe fleet-wide by canonical spec hash, and a job whose
+	// owner dies is taken over by a peer within one LeaseTTL.
 	StateDir string
-	// CheckpointEvery is the mid-run snapshot interval in simulated cycles
-	// for executions that support it (default 4096; only with StateDir).
-	CheckpointEvery int64
 	// WorkerID names this process in a shared StateDir (default "w0").
 	// Fleet members must use distinct ids: job ids are scoped per worker
 	// and lease ownership is attributed by it.
 	WorkerID string
 	// LeaseTTL is how long a lease stays fresh without renewal (default
-	// 5s; only with StateDir). A peer steals an expired lease and resumes
-	// from the parked checkpoint.
+	// 5s; only with StateDir). A peer steals an expired lease and
+	// re-executes the run, checking it against the parked state.
 	LeaseTTL time.Duration
 	// PoisonAfter quarantines a spec once this many owners died mid-run
 	// holding its lease (default 3; only with StateDir). 0 keeps the
@@ -199,9 +196,6 @@ func (c *Config) normalize() {
 	}
 	if c.Parallel <= 0 {
 		c.Parallel = sweep.DefaultParallel()
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 4096
 	}
 	if c.WorkerID == "" {
 		c.WorkerID = "w0"
@@ -319,9 +313,9 @@ func OpenManager(cfg Config) (*Manager, error) {
 // resume rebuilds executions and jobs from the state directory: completed
 // executions come back terminal (resubmissions dedupe onto the cached
 // artifact), quarantined ones come back failed with the classified error,
-// interrupted ones are returned for re-enqueueing — they restore from
-// their checkpoints once this worker wins the lease, or adopt a peer's
-// artifact if the peer finishes first.
+// interrupted ones are returned for re-enqueueing — they re-execute once
+// this worker wins the lease, or adopt a peer's artifact if the peer
+// finishes first.
 func (m *Manager) resume() ([]*execution, error) {
 	execs, jobRecs, err := m.state.rescan(m.cfg.LeaseTTL)
 	if err != nil {
@@ -697,6 +691,9 @@ func (m *Manager) runExecution(ex *execution) {
 
 	ex.mu.Lock()
 	ex.cancel = cancel
+	// Every attempt runs from cycle 0 and reports its progress afresh, so
+	// the counts restart with it and end equal to an uninterrupted run's.
+	ex.progress = Progress{}
 	ex.appendLocked(StatusRunning, Event{Type: "started"})
 	ex.mu.Unlock()
 
@@ -788,7 +785,7 @@ func (m *Manager) runExecution(ex *execution) {
 
 	var es *execState
 	if st != nil {
-		es = &execState{store: st, hash: ex.hash, every: m.cfg.CheckpointEvery, killed: m.isKilled}
+		es = &execState{store: st, hash: ex.hash, killed: m.isKilled}
 	}
 	artifact, err := runSpec(ctx, ex.spec, m.budget, m.cfg.Parallel, progress, es)
 	elapsed := time.Since(start)
@@ -839,7 +836,7 @@ func (m *Manager) runExecution(ex *execution) {
 		switch final {
 		case StatusDone:
 			// Persisting the artifact marks the execution done fleet-wide; a
-			// crash before the rename re-runs it from its checkpoints instead.
+			// crash before the rename re-runs it instead.
 			if perr := st.saveArtifact(ex.hash, artifact); perr != nil {
 				final, ev = StatusFailed, Event{Type: "failed", Error: perr.Error()}
 				err = perr
@@ -852,9 +849,10 @@ func (m *Manager) runExecution(ex *execution) {
 			// replay the failure; discard it.
 			st.removeExec(ex.hash)
 		case StatusCanceled:
-			// Keep the checkpoints: a canceled (or SIGTERM-interrupted)
-			// execution resumes on the next boot — or on a peer, which the
-			// clean release lets claim it without counting a death.
+			// Keep the park record and completed cells: a canceled (or
+			// SIGTERM-interrupted) execution resumes on the next boot — or on
+			// a peer, which the clean release lets claim it without counting
+			// a death.
 			if owned {
 				_ = st.releaseLease(ex.hash, m.cfg.WorkerID, leaseEpoch)
 			}
@@ -1037,7 +1035,7 @@ func (m *Manager) Stop() {
 }
 
 // Kill simulates SIGKILL inside one process for tests: workers abandon
-// their executions mid-run with no checkpoint park, no lease release, and
+// their executions mid-run with no final park, no lease release, and
 // no terminal events — the on-disk state is exactly what an abruptly dead
 // owner leaves for its peers to steal.
 func (m *Manager) Kill() {

@@ -18,6 +18,7 @@ import (
 
 	"sr2201/internal/campaign"
 	"sr2201/internal/inject"
+	"sr2201/internal/recovery"
 	"sr2201/internal/sweep"
 )
 
@@ -79,12 +80,72 @@ func faultResumeSpec(t *testing.T) Spec {
 	return spec
 }
 
-// TestRunSpecFaultStaleSnapshotRestarts parks snapshots this build cannot
-// resume from — testdata/single_v3.snap, written at cycle 512 of this very
-// spec by the last build with the format-version-3 single-run layout, and a
-// torn write — and checks the run restarts from cycle 0 instead of failing:
-// every cycle is reported again and the artifact equals the uninterrupted
-// run's.
+// liveResumeSpec is the Fig. 9 separate-D-XB machine under recovery with a
+// second, mid-run fault under online reconfiguration: two recoveries (cycles
+// 272 and 872), one reconfiguration at cycle 1200; at 30 waves it drains at
+// cycle 2934. Every progress counter a job reports moves in it.
+func liveResumeSpec(t *testing.T, waves int) Spec {
+	t.Helper()
+	spec := Spec{Kind: KindFault, Fault: &FaultSpec{
+		Shape:      "4x4",
+		Presets:    []string{"rtc:2,1"},
+		Fails:      []string{"rtc:1,1@1200"},
+		Pattern:    "pair:0,1>2,2",
+		Broadcasts: []string{"3,2@0", "3,2@600", "3,2@1200"},
+		Waves:      waves,
+		Gap:        100,
+		PacketSize: 24,
+		Horizon:    maxHorizon,
+		Inject:     inject.Options{Retransmit: true, RetryAfter: 32, StallThreshold: 256},
+		Recovery:   recovery.Options{Enabled: true, StallThreshold: 256},
+		Variant:    campaign.VariantText{SXB: "0,0", DXB: "0,3", DXBSeparate: true},
+		Reconfig:   campaign.ReconfigText{Mode: "fault"},
+	}}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// parkedStore is a fresh state store holding spec's execution directory, as
+// the manager creates it when it accepts the submission.
+func parkedStore(t *testing.T, spec Spec) *execState {
+	t.Helper()
+	store, err := openStateStore(t.TempDir(), "w0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &execState{store: store, hash: canonHash(spec.Canonical())}
+	if err := store.saveExecSpec(st.hash, spec.Canonical()); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// markAt steps spec's run in-process to cycle k and returns its Mark.
+func markAt(t *testing.T, spec Spec, k int64) campaign.Mark {
+	t.Helper()
+	cell, err := spec.Fault.text().Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := campaign.NewSingleRun(cell, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r.Cycle() < k {
+		if r.Step() {
+			t.Fatalf("run finished at cycle %d before the park point %d", r.Cycle(), k)
+		}
+	}
+	return r.Mark()
+}
+
+// TestRunSpecFaultStaleSnapshotRestarts leaves the mid-run snapshot an
+// earlier build parked — testdata/single_v3.snap, written at cycle 512 of
+// this very spec, whole and torn — in the execution directory, and checks
+// the run sweeps it and runs from cycle 0: every cycle is reported, and the
+// artifact equals the uninterrupted run's.
 func TestRunSpecFaultStaleSnapshotRestarts(t *testing.T) {
 	spec := faultResumeSpec(t)
 	budget := sweep.NewLimiter(1)
@@ -97,54 +158,165 @@ func TestRunSpecFaultStaleSnapshotRestarts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The old layout is refused for what it is, not as a side effect.
-	cell, err := spec.Fault.text().Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := campaign.NewSingleRun(cell, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Restore(v3); err == nil || !strings.Contains(err.Error(), `section "campaign.single"`) || !strings.Contains(err.Error(), "version 3") {
-		t.Fatalf("v3 single snapshot: restore error %v, want a rejection naming campaign.single and version 3", err)
-	}
 
 	for name, snap := range map[string][]byte{"old layout": v3, "truncated": v3[:len(v3)/2]} {
 		t.Run(name, func(t *testing.T) {
-			store, err := openStateStore(t.TempDir(), "w0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := &execState{store: store, hash: canonHash(spec.Canonical()), every: 256}
-			if err := store.saveExecSpec(st.hash, spec.Canonical()); err != nil {
-				t.Fatal(err)
-			}
-			if err := store.saveSingleSnap(st.hash, snap); err != nil {
+			st := parkedStore(t, spec)
+			path := filepath.Join(st.store.execDir(st.hash), "single.snap")
+			if err := os.WriteFile(path, snap, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			var cycles int64
 			got, err := runSpec(context.Background(), spec, budget, 1, func(d Progress) { cycles += d.Cycles }, st)
 			if err != nil {
-				t.Fatalf("run over a stale snapshot: %v", err)
+				t.Fatalf("run over a retired snapshot: %v", err)
 			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("artifact differs from the uninterrupted run's\n--- got\n%s--- want\n%s", got, want)
 			}
 			if cycles != wantCycles {
-				t.Errorf("reported %d cycles, want %d (a restart from cycle 0)", cycles, wantCycles)
+				t.Errorf("reported %d cycles, want %d (a run from cycle 0)", cycles, wantCycles)
 			}
-			if _, ok := store.loadSingleSnap(st.hash); ok {
-				t.Error("stale snapshot not retired after completion")
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("retired single.snap not swept at claim: %v", err)
 			}
 		})
 	}
 }
 
-// TestRunSpecFaultResume interrupts a single-fault run deterministically (the
-// progress callback cancels the context mid-run), then resumes it from the
-// parked snapshot and checks the artifact equals the uninterrupted run's.
+// TestRunSpecFaultResume parks a fault run at several cycles — before any
+// event, inside a recovery window, between the recoveries and the
+// reconfiguration, just after the reconfiguration, on the park cadence, and
+// wherever a cancel lands — and resumes each: the re-execution must reach
+// the parked hash, and the artifact and every progress count (cycles,
+// cells, recoveries, reconfigurations) must equal the uninterrupted run's.
 func TestRunSpecFaultResume(t *testing.T) {
+	spec := liveResumeSpec(t, 30)
+	budget := sweep.NewLimiter(1)
+	var want Progress // summed as a job view sums it
+	wantArt, err := runSpec(context.Background(), spec, budget, 1, want.add, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Recoveries != 2 || want.Reconfigured != 1 || want.ReconfigDrained == 0 || want.Cells != 1 || want.Cycles != 2934 {
+		t.Fatalf("fixture moved: uninterrupted run reported %+v", want)
+	}
+
+	for _, k := range []int64{100, 280, 1100, 1210, 2048, -1} {
+		name := fmt.Sprintf("k=%d", k)
+		if k < 0 {
+			name = "cancel"
+		}
+		t.Run(name, func(t *testing.T) {
+			st := parkedStore(t, spec)
+			if k > 0 {
+				if err := st.store.savePark(st.hash, markAt(t, spec, k)); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				ctx, cancel := context.WithCancel(context.Background())
+				_, err := runSpec(ctx, spec, budget, 1, func(d Progress) {
+					if d.Cycles > 0 {
+						cancel()
+					}
+				}, st)
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("interrupted run: %v, want a cancel — grow the fixture", err)
+				}
+			}
+			if _, ok := st.store.loadPark(st.hash); !ok {
+				t.Fatal("no park record to resume from")
+			}
+
+			var got Progress
+			gotArt, err := runSpec(context.Background(), spec, budget, 1, got.add, st)
+			if err != nil {
+				t.Fatalf("resumed run: %v", err)
+			}
+			if !bytes.Equal(gotArt, wantArt) {
+				t.Errorf("resumed artifact differs\n--- resumed\n%s--- uninterrupted\n%s", gotArt, wantArt)
+			}
+			if got != want {
+				t.Errorf("resumed run reported %+v, the uninterrupted run %+v", got, want)
+			}
+			if _, ok := st.store.loadPark(st.hash); ok {
+				t.Error("park record not retired after completion")
+			}
+		})
+	}
+}
+
+// TestManagerResumeFaultJobView stops a stateful manager mid-way through a
+// long fault job, after its recoveries and reconfiguration were reported,
+// and resumes it on a second manager over the same directory: the job's
+// view — cycles, cells, recoveries, reconfigurations — ends equal to an
+// uninterrupted run's, because the re-execution reports everything again.
+func TestManagerResumeFaultJobView(t *testing.T) {
+	spec := liveResumeSpec(t, 3000)
+	ref := NewManager(Config{Workers: 1, Parallel: 1})
+	defer ref.Stop()
+	refID, _, err := ref.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitStatus(t, ref, refID, StatusDone)
+	if want.Recoveries == 0 || want.Reconfigured == 0 || want.Cells != 1 {
+		t.Fatalf("fixture moved: uninterrupted view %+v", want.Progress)
+	}
+
+	dir := t.TempDir()
+	h := normalizedHash(t, spec)
+	cfg := Config{Workers: 1, Parallel: 1, StateDir: dir}
+	m1, err := OpenManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := m1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		v, err := m1.Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Reconfigured > 0 {
+			break
+		}
+		if v.Status.terminal() || time.Now().After(deadline) {
+			t.Fatalf("job reached %s before its reconfiguration was reported", v.Status)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	m1.Stop()
+	if _, ok := m1.state.loadPark(h); !ok {
+		t.Fatal("no park record after the stop — grow the fixture")
+	}
+
+	m2, err := OpenManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Stop()
+	got := waitStatus(t, m2, id, StatusDone)
+	if got.Progress != want.Progress {
+		t.Errorf("resumed job view %+v, uninterrupted %+v", got.Progress, want.Progress)
+	}
+	art, _, err := m2.Artifact(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantArt, _, _ := ref.Artifact(refID); !bytes.Equal(art, wantArt) {
+		t.Error("resumed artifact differs from the uninterrupted run's")
+	}
+}
+
+// TestRunSpecFaultParkDivergence resumes over a park record whose hash is
+// not the run's at that cycle: the job fails with ErrDiverged naming the
+// execution, the cycle and both hashes, instead of restarting silently. A
+// torn record reads as absent and the run goes from cycle 0.
+func TestRunSpecFaultParkDivergence(t *testing.T) {
 	spec := faultResumeSpec(t)
 	budget := sweep.NewLimiter(1)
 	noop := func(Progress) {}
@@ -152,42 +324,48 @@ func TestRunSpecFaultResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mk := markAt(t, spec, 300)
 
-	store, err := openStateStore(t.TempDir(), "w0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := &execState{store: store, hash: canonHash(spec.Canonical()), every: 256}
-	// The manager creates the exec dir when it accepts the submission.
-	if err := store.saveExecSpec(st.hash, spec.Canonical()); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	interrupted := false
-	_, err = runSpec(ctx, spec, budget, 1, func(d Progress) {
-		if !interrupted && d.Cycles > 0 {
-			interrupted = true
-			cancel()
+	t.Run("tampered", func(t *testing.T) {
+		st := parkedStore(t, spec)
+		bad := campaign.Mark{Cycle: mk.Cycle, Hash: mk.Hash ^ 0xff}
+		if err := st.store.savePark(st.hash, bad); err != nil {
+			t.Fatal(err)
 		}
-	}, st)
-	if err == nil {
-		t.Fatal("interrupted run unexpectedly completed — grow the fixture")
-	}
-	if _, ok := store.loadSingleSnap(st.hash); !ok {
-		t.Fatal("no snapshot parked on interrupt")
-	}
+		_, err := runSpec(context.Background(), spec, budget, 1, noop, st)
+		if !errors.Is(err, campaign.ErrDiverged) {
+			t.Fatalf("resume over a tampered record: %v, want ErrDiverged", err)
+		}
+		for _, part := range []string{st.hash, "cycle 300", fmt.Sprintf("%016x", mk.Hash), fmt.Sprintf("%016x", bad.Hash)} {
+			if !strings.Contains(err.Error(), part) {
+				t.Errorf("divergence error %q does not name %q", err, part)
+			}
+		}
+	})
 
-	got, err := runSpec(context.Background(), spec, budget, 1, noop, st)
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("resumed artifact differs\n--- resumed\n%s--- uninterrupted\n%s", got, want)
-	}
-	if _, ok := store.loadSingleSnap(st.hash); ok {
-		t.Error("snapshot not retired after completion")
-	}
+	t.Run("torn", func(t *testing.T) {
+		st := parkedStore(t, spec)
+		if err := st.store.savePark(st.hash, campaign.Mark{Cycle: mk.Cycle, Hash: mk.Hash ^ 0xff}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(st.store.parkPath(st.hash))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(st.store.parkPath(st.hash), data[:len(data)-9], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := st.store.loadPark(st.hash); ok {
+			t.Fatal("a torn park record loaded")
+		}
+		got, err := runSpec(context.Background(), spec, budget, 1, noop, st)
+		if err != nil {
+			t.Fatalf("resume over a torn record: %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("artifact differs from the uninterrupted run's\n--- got\n%s--- want\n%s", got, want)
+		}
+	})
 }
 
 // TestManagerResumeCampaignByteIdentical is the end-to-end crash drill: a
@@ -202,7 +380,7 @@ func TestManagerResumeCampaignByteIdentical(t *testing.T) {
 	for _, parallel := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
 			dir := t.TempDir()
-			cfg := Config{Workers: 1, Parallel: parallel, StateDir: dir, CheckpointEvery: 32}
+			cfg := Config{Workers: 1, Parallel: parallel, StateDir: dir}
 			m1, err := OpenManager(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -30,14 +30,13 @@ func reconfigDelta(ev reconfig.Event) Progress {
 }
 
 // execState is one execution's slice of the manager's state store: where
-// its checkpoints live and how often to write them. nil disables
-// checkpointing (the stateless configuration). killed, when set, reports
-// simulated abrupt process death (Manager.Kill): a dead owner writes
-// nothing more — no park, no checkpoint — exactly like a real SIGKILL.
+// its park record and completed cells live. nil disables persistence (the
+// stateless configuration). killed, when set, reports simulated abrupt
+// process death (Manager.Kill): a dead owner writes nothing more — no park
+// record — exactly like a real SIGKILL.
 type execState struct {
 	store  *stateStore
 	hash   string
-	every  int64
 	killed func() bool
 }
 
@@ -48,11 +47,16 @@ func (st *execState) dead() bool { return st.killed != nil && st.killed() }
 // sweep width to request; budget (shared across all running jobs) is what
 // actually bounds concurrency. A non-nil error may still carry a complete
 // artifact (e.g. a campaign that deadlocked: the table is the evidence).
-// With st non-nil, campaign and fault runs checkpoint as they go and resume
-// from whatever an earlier interrupted run left behind; the artifact is
-// byte-identical either way. Experiment runs are cells all the way down and
-// restart from scratch (each cell is small; only whole-run artifacts cache).
+// With st non-nil, a campaign persists its completed cells and skips them on
+// the next attempt, and a fault run parks its cycle and state hash and, on
+// the next attempt, re-executes to that cycle and checks the hash there; the
+// artifact is byte-identical either way. Experiment runs are cells all the
+// way down and restart from scratch (each cell is small; only whole-run
+// artifacts cache).
 func runSpec(ctx context.Context, spec Spec, budget *sweep.Limiter, parallel int, progress progressFn, st *execState) ([]byte, error) {
+	if st != nil {
+		st.store.sweepRetired(st.hash)
+	}
 	switch spec.Kind {
 	case KindExperiments:
 		return runExperiments(ctx, spec.Experiments, budget, parallel, progress)
@@ -113,10 +117,11 @@ func hooks(ctx context.Context, progress progressFn) campaign.Hooks {
 }
 
 // runFault mirrors mdxfault single mode via the shared campaign stepper.
-// With st non-nil the run checkpoints periodically, parks a snapshot when the
-// context cancels, and on the next attempt restores mid-run — the restored
-// writer re-renders the already-reported prefix, so the artifact bytes are
-// identical to an uninterrupted run.
+// With st non-nil the run parks its Mark (cycle and state hash) as it goes
+// and when the context cancels. The next attempt re-executes from cycle 0 —
+// the report and the progress feed simply run again — and checks the state
+// at the parked cycle: a mismatch fails the job with ErrDiverged, naming the
+// execution, the cycle and both hashes.
 func runFault(ctx context.Context, f *FaultSpec, progress progressFn, st *execState) ([]byte, error) {
 	spec, err := f.text().Spec()
 	if err != nil {
@@ -133,47 +138,26 @@ func runFault(ctx context.Context, f *FaultSpec, progress progressFn, st *execSt
 	if err != nil {
 		return nil, err
 	}
-	var every int64
-	var save func([]byte) error
+	var park func(campaign.Mark)
 	if st != nil {
-		if snap, ok := st.store.loadSingleSnap(st.hash); ok {
-			if err := r.Restore(snap); err == nil {
-				lastCycle = r.Cycle()
-				// Recoveries and reconfigurations taken before the
-				// interruption were restored with the supervisor and manager
-				// state, not replayed through the On* hooks. (Tally's error
-				// resurfaces from Finish.)
-				res, _ := r.Cell().Tally()
-				progress(Progress{
-					Recoveries:       int64(res.Recoveries),
-					Reconfigured:     int64(res.Reconfigured),
-					ReconfigDrained:  int64(res.ReconfigDrained),
-					ReconfigFellBack: int64(res.ReconfigFellBack),
-				})
-			} else {
-				// A stale or corrupt snapshot (e.g. from an older binary) is
-				// not fatal — restart from cycle zero with a fresh writer.
-				buf.Reset()
-				if r, err = campaign.NewSingleRun(spec, &buf); err != nil {
-					return nil, err
-				}
+		if mk, ok := st.store.loadPark(st.hash); ok {
+			if err := r.Seek(mk); err != nil {
+				return buf.Bytes(), fmt.Errorf("execution %s: %w", st.hash, err)
 			}
 		}
-		every = st.every
-		// A failed checkpoint write costs resume granularity, not the run.
-		save = func(snap []byte) error {
+		// A failed park write costs the resume its check, not the run.
+		park = func(mk campaign.Mark) {
 			if !st.dead() {
-				st.store.saveSingleSnap(st.hash, snap)
+				_ = st.store.savePark(st.hash, mk)
 			}
-			return nil
 		}
 	}
-	if err := r.Drive(every, save); err != nil {
+	if err := r.Drive(park); err != nil {
 		return buf.Bytes(), err
 	}
 	outcome, err := r.Finish()
 	if st != nil && !st.dead() {
-		st.store.removeSingleSnap(st.hash)
+		st.store.removePark(st.hash)
 	}
 	if err != nil {
 		return buf.Bytes(), err
@@ -194,7 +178,7 @@ func runFault(ctx context.Context, f *FaultSpec, progress progressFn, st *execSt
 
 // runCampaign mirrors mdxfault -campaign. With st non-nil the campaign runs
 // against a per-execution cell store: completed cells are skipped on resume
-// and in-progress cells restart from their latest snapshot.
+// and an interrupted cell re-executes from cycle 0.
 func runCampaign(ctx context.Context, c *CampaignSpec, budget *sweep.Limiter, parallel int, progress progressFn, st *execState) ([]byte, error) {
 	cfg, err := c.text().Config()
 	if err != nil {
@@ -210,7 +194,6 @@ func runCampaign(ctx context.Context, c *CampaignSpec, budget *sweep.Limiter, pa
 			return nil, err
 		}
 		cfg.Store = store
-		cfg.CheckpointEvery = st.every
 	}
 	res, err := campaign.Run(cfg)
 	if err != nil {

@@ -10,8 +10,8 @@ package jobs
 //	<dir>/execs/<h>/spec.json      the execution's canonical spec
 //	<dir>/execs/<h>/artifact       the final artifact (present <=> done)
 //	<dir>/execs/<h>/artifact.sum   FNV-1a checksum of the artifact bytes
-//	<dir>/execs/<h>/cells/         campaign checkpoint store (campaign kind)
-//	<dir>/execs/<h>/single.snap    mid-run snapshot (fault kind)
+//	<dir>/execs/<h>/cells/         completed campaign cells (campaign kind)
+//	<dir>/execs/<h>/park.json      where a fault run last parked: cycle + StateHash
 //	<dir>/execs/<h>/lease/         ownership claims + heartbeat (lease.go)
 //	<dir>/execs/<h>/poisoned.json  quarantine record (lease.go)
 //
@@ -21,10 +21,13 @@ package jobs
 // are scoped per worker (jobs/<worker>/) so fleet members never collide on
 // id allocation. On boot a manager rescans: executions with a checksummed
 // artifact are resurrected as completed, executions without one are
-// re-enqueued and resume from their checkpoints once the lease is won. All
-// files are written atomically (temp + rename), so a crash leaves old
-// state or none, never torn state; anything torn anyway (bit flips,
-// truncation) reads as absent.
+// re-enqueued and, once the lease is won, re-execute from cycle 0: a
+// campaign skips its completed cells, and a fault run checks its state
+// against park.json when it reaches the parked cycle. All files are written
+// atomically (temp + rename), so a crash leaves old state or none, never
+// torn state; anything torn anyway (bit flips, truncation) reads as absent.
+// The mid-run snapshot files earlier builds wrote (single.snap,
+// cells/cell-NNNN.snap) are swept at rescan and at claim.
 
 import (
 	"encoding/json"
@@ -33,6 +36,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -62,9 +66,7 @@ func canonHash(canonical string) string {
 func (s *stateStore) execDir(h string) string  { return filepath.Join(s.dir, "execs", h) }
 func (s *stateStore) cellsDir(h string) string { return filepath.Join(s.execDir(h), "cells") }
 func (s *stateStore) jobsDir() string          { return filepath.Join(s.dir, "jobs", s.worker) }
-func (s *stateStore) singleSnapPath(h string) string {
-	return filepath.Join(s.execDir(h), "single.snap")
-}
+func (s *stateStore) parkPath(h string) string { return filepath.Join(s.execDir(h), "park.json") }
 
 // probe verifies the state directory is still writable — the readiness
 // signal. It exercises the same CreateTemp+rename path every persisted
@@ -118,23 +120,60 @@ func (s *stateStore) removeExec(h string) {
 	os.RemoveAll(s.execDir(h))
 }
 
-// removeSingleSnap retires a fault run's mid-run snapshot.
-func (s *stateStore) removeSingleSnap(h string) {
-	os.Remove(s.singleSnapPath(h))
+// parkRecord is park.json. Sum covers the cycle and hash, so a record that
+// was torn or flipped reads as absent rather than as a divergence.
+type parkRecord struct {
+	Cycle int64  `json:"cycle"`
+	Hash  string `json:"hash"`
+	Sum   string `json:"sum"`
 }
 
-// saveSingleSnap parks a fault run's mid-run snapshot.
-func (s *stateStore) saveSingleSnap(h string, data []byte) error {
-	return campaign.WriteAtomic(s.singleSnapPath(h), data)
+func parkSum(cycle int64, hash string) string {
+	return string(artifactSum([]byte(fmt.Sprintf("%d %s", cycle, hash))))
 }
 
-// loadSingleSnap fetches a fault run's snapshot, ok=false when absent.
-func (s *stateStore) loadSingleSnap(h string) ([]byte, bool) {
-	data, err := os.ReadFile(s.singleSnapPath(h))
+// savePark records where a fault run stands.
+func (s *stateStore) savePark(h string, mk campaign.Mark) error {
+	hash := fmt.Sprintf("%016x", mk.Hash)
+	rec, err := json.Marshal(parkRecord{Cycle: mk.Cycle, Hash: hash, Sum: parkSum(mk.Cycle, hash)})
 	if err != nil {
-		return nil, false
+		return err
 	}
-	return data, true
+	return campaign.WriteAtomic(s.parkPath(h), rec)
+}
+
+// loadPark fetches a fault run's park record, ok=false when absent or
+// corrupt.
+func (s *stateStore) loadPark(h string) (campaign.Mark, bool) {
+	data, err := os.ReadFile(s.parkPath(h))
+	if err != nil {
+		return campaign.Mark{}, false
+	}
+	var rec parkRecord
+	if json.Unmarshal(data, &rec) != nil || rec.Sum != parkSum(rec.Cycle, rec.Hash) {
+		return campaign.Mark{}, false
+	}
+	hash, err := strconv.ParseUint(rec.Hash, 16, 64)
+	if err != nil {
+		return campaign.Mark{}, false
+	}
+	return campaign.Mark{Cycle: rec.Cycle, Hash: hash}, true
+}
+
+// removePark retires a finished fault run's park record.
+func (s *stateStore) removePark(h string) {
+	os.Remove(s.parkPath(h))
+}
+
+// sweepRetired removes the mid-run snapshot files earlier builds parked in
+// an execution directory; this build resumes by re-execution and never
+// reads them.
+func (s *stateStore) sweepRetired(h string) {
+	os.Remove(filepath.Join(s.execDir(h), "single.snap"))
+	snaps, _ := filepath.Glob(filepath.Join(s.cellsDir(h), "cell-*.snap"))
+	for _, p := range snaps {
+		os.Remove(p)
+	}
 }
 
 // saveJob records one job id -> canonical spec binding (scoped to this
@@ -195,6 +234,7 @@ func (s *stateStore) rescan(ttl time.Duration) ([]rescanExec, []rescanJob, error
 		if unguarded {
 			campaign.CleanTmp(s.execDir(h))
 			campaign.CleanTmp(s.leaseDir(h))
+			s.sweepRetired(h)
 		}
 		re := rescanExec{hash: h, canonical: string(spec)}
 		if art, ok := s.loadArtifact(h); ok {

@@ -34,7 +34,7 @@
 //
 // Every decision runs synchronously inside a deterministic hook (FailNow's
 // reconfigurer or the recovery supervisor's PostCycle hand-off), so runs stay
-// byte-identical across -parallel widths and snapshot/restore.
+// byte-identical across -parallel widths and across resumes.
 package reconfig
 
 import (

@@ -18,9 +18,8 @@
 //     (ErrLivelock) instead of an infinite purge/retry loop.
 //
 // Every action happens in the engine's PostCycle hook at a deterministic
-// cycle, so a recovered run has one per-cycle StateHash stream — snapshots
-// taken mid-recovery restore to it exactly (pinned by this package's
-// tests).
+// cycle, so a recovered run has one per-cycle StateHash stream, and a run
+// resumed by re-execution reaches the same state at every cycle.
 //
 // Independently, AnalyzeReachability (reach.go) classifies every src/dst
 // pair of a traffic pattern against the faulted topology up front, so that
@@ -137,7 +136,7 @@ type Verdict struct {
 	// Cycle is the simulation time of the verdict.
 	Cycle int64
 	// Report is the wait-for-graph analysis behind the verdict. Diagnostic
-	// only: it holds live engine pointers and is not part of snapshots.
+	// only: it holds live engine pointers.
 	Report deadlock.Report
 }
 

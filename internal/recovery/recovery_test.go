@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"sr2201/internal/checkpoint"
 	"sr2201/internal/core"
 	"sr2201/internal/fault"
 	"sr2201/internal/geom"
@@ -226,105 +225,6 @@ func TestLivelockEscalation(t *testing.T) {
 	}
 	if !livelocked {
 		t.Fatal("no second-broadcast timing produced a livelock; the cap escalation is untested")
-	}
-}
-
-// TestSnapshotMidRecoveryStateHashStream checkpoints the run *after* the
-// first sacrifice but before the retransmission lands, restores into a
-// fresh machine/injector/supervisor trio, and demands the identical
-// per-cycle StateHash stream, events and accounting to the uninterrupted
-// run.
-func TestSnapshotMidRecoveryStateHashStream(t *testing.T) {
-	const snapAt = 280 // between the recovery at ~272 and the resend at ~304
-
-	ref := newFig9(t, true, 0)
-	ref.inject(t, 0)
-	for ref.m.Cycle() < snapAt {
-		ref.m.Step()
-	}
-	if len(ref.sup.Events()) != 1 {
-		t.Fatalf("snapshot point %d is not mid-recovery: %d events", snapAt, len(ref.sup.Events()))
-	}
-	w := checkpoint.NewWriter()
-	ref.m.EncodeState(w)
-	ref.inj.EncodeState(w)
-	ref.sup.EncodeState(w)
-	snap := w.Bytes()
-
-	var refHashes []uint64
-	for i := 0; i < 200_000; i++ {
-		if ref.m.Engine().Quiescent() && !ref.inj.Pending() {
-			break
-		}
-		ref.m.Step()
-		refHashes = append(refHashes, ref.m.Engine().StateHash())
-	}
-
-	res := newFig9(t, true, 0) // same spec, no traffic: state comes from the snapshot
-	rd, err := checkpoint.NewReader(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.m.DecodeState(rd); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.inj.DecodeState(rd); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.sup.DecodeState(rd); err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range refHashes {
-		if res.m.Engine().Quiescent() && !res.inj.Pending() {
-			t.Fatalf("restored run drained %d steps early", len(refHashes)-i)
-		}
-		res.m.Step()
-		if got := res.m.Engine().StateHash(); got != want {
-			t.Fatalf("StateHash diverged %d steps after restore: %016x vs %016x", i, got, want)
-		}
-	}
-	if !(res.m.Engine().Quiescent() && !res.inj.Pending()) {
-		t.Fatal("restored run did not drain where the reference did")
-	}
-	if got, want := len(res.sup.Events()), len(ref.sup.Events()); got != want {
-		t.Fatalf("restored run saw %d recovery events, reference %d", got, want)
-	}
-	for i := range ref.sup.Events() {
-		if res.sup.Events()[i] != ref.sup.Events()[i] {
-			t.Fatalf("event %d differs after restore: %+v vs %+v", i, res.sup.Events()[i], ref.sup.Events()[i])
-		}
-	}
-	if res.inj.Stats() != ref.inj.Stats() {
-		t.Fatalf("injector stats diverged: %+v vs %+v", res.inj.Stats(), ref.inj.Stats())
-	}
-	if res.sup.Stats() != ref.sup.Stats() {
-		t.Fatalf("supervisor stats diverged: %+v vs %+v", res.sup.Stats(), ref.sup.Stats())
-	}
-}
-
-// TestSupervisorSnapshotGuards pins the Expect guards: a snapshot cannot
-// restore into a supervisor with different options.
-func TestSupervisorSnapshotGuards(t *testing.T) {
-	r := newFig9(t, true, 0)
-	w := checkpoint.NewWriter()
-	r.m.EncodeState(w)
-	r.inj.EncodeState(w)
-	r.sup.EncodeState(w)
-	snap := w.Bytes()
-
-	other := newFig9(t, true, 7) // different cap
-	rd, err := checkpoint.NewReader(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.m.DecodeState(rd); err != nil {
-		t.Fatal(err)
-	}
-	if err := other.inj.DecodeState(rd); err != nil {
-		t.Fatal(err)
-	}
-	if err := other.sup.DecodeState(rd); err == nil {
-		t.Fatal("restore under a different max-recoveries cap succeeded")
 	}
 }
 

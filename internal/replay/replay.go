@@ -1,22 +1,21 @@
-// Package replay records a run's snapshot ring and bisects the first cycle
-// where two recorded runs diverge.
+// Package replay records a run's state-hash ladder and bisects the first
+// cycle where two recorded runs diverge.
 //
-// A recording is a directory holding meta.json — the run's spec (the
+// A recording is a directory holding meta.json: the run's spec (the
 // campaign.RunText JSON mdxfault's flags and a job spec also fill), the
 // per-point engine StateHash ladder (one entry every Every cycles, cycle 0
-// included), and the final verdict — plus the retained snapshot files. The
-// hash ladder is kept for every point; the snapshot files form a ring of the
-// most recent Keep points (0 = keep all), since hashes are 8 bytes but
-// snapshots are whole machines.
+// included), and the final verdict. The simulator is deterministic, so the
+// spec and the ladder are the whole recording: any point is reached again by
+// re-executing the spec, and its ladder hash checks that it was.
 //
 // Bisect compares two recordings of the same workload under different
 // configurations (a shifted fault schedule, different retransmission tuning,
 // a separate-D-XB machine variant, ...): it binary-searches the hash ladders
-// for the first divergent point, restores both runs from their latest common
-// snapshot, and locksteps them cycle by cycle to the exact first divergent
-// cycle — seeking instead of replaying from zero. The search assumes
-// divergence is monotone (once the two state streams separate, they never
-// re-coincide hash-for-hash), the usual bisection premise.
+// for the first divergent point, re-executes both runs to the last common
+// ladder cycle (checking both ladder hashes there), and locksteps them cycle
+// by cycle to the exact first divergent cycle. The search assumes divergence
+// is monotone (once the two state streams separate, they never re-coincide
+// hash-for-hash), the usual bisection premise.
 package replay
 
 import (
@@ -26,14 +25,15 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 
 	"sr2201/internal/campaign"
 )
 
 // formatVersion is the recording layout Record writes and Load reads:
-// version 2 stores the run as campaign.RunText JSON (version 1 had a spec
-// type of its own).
-const formatVersion = 2
+// version 3 is the spec and the hash ladder alone. Version 2 also listed a
+// ring of snapshot files, and version 1 had a spec type of its own.
+const formatVersion = 3
 
 // Point is one hash-ladder entry: the engine's StateHash at Cycle, rendered
 // in hex so the JSON round-trips exactly and diffs read well.
@@ -48,12 +48,8 @@ type Meta struct {
 	Spec    campaign.RunText `json:"spec"`
 	// Every is the point spacing in cycles.
 	Every int64 `json:"every"`
-	// Keep is the snapshot-ring capacity the recording was made with.
-	Keep int `json:"keep,omitempty"`
 	// Points is the full hash ladder, ascending by cycle, starting at 0.
 	Points []Point `json:"points"`
-	// Snapshots lists the cycles whose snapshot files were retained.
-	Snapshots []int64 `json:"snapshots"`
 	// Final is the run's last cycle and hash (not necessarily on the ladder).
 	Final Point `json:"final"`
 	// Verdict of the run.
@@ -72,15 +68,10 @@ func hashAt(c *campaign.CellRun) string {
 	return fmt.Sprintf("%016x", c.Machine().Engine().StateHash())
 }
 
-func snapPath(dir string, cycle int64) string {
-	return filepath.Join(dir, fmt.Sprintf("snap-%012d.snap", cycle))
-}
-
 // Record runs the single run spec spells to completion, writing the
-// recording into dir. every is the point spacing (>= 1); keep bounds the
-// snapshot ring (0 = keep every snapshot). A rejected spec is the resolver's
-// *campaign.FieldError.
-func Record(spec campaign.RunText, every int64, keep int, dir string) (*Recording, error) {
+// recording into dir. every is the point spacing (>= 1). A rejected spec is
+// the resolver's *campaign.FieldError.
+func Record(spec campaign.RunText, every int64, dir string) (*Recording, error) {
 	if every < 1 {
 		return nil, fmt.Errorf("replay: point spacing %d < 1", every)
 	}
@@ -95,18 +86,10 @@ func Record(spec campaign.RunText, every int64, keep int, dir string) (*Recordin
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	meta := Meta{Version: formatVersion, Spec: spec, Every: every, Keep: keep}
+	meta := Meta{Version: formatVersion, Spec: spec, Every: every}
 	for {
 		if c.Cycle()%every == 0 {
 			meta.Points = append(meta.Points, Point{Cycle: c.Cycle(), Hash: hashAt(c)})
-			if err := os.WriteFile(snapPath(dir, c.Cycle()), c.Snapshot(), 0o644); err != nil {
-				return nil, err
-			}
-			meta.Snapshots = append(meta.Snapshots, c.Cycle())
-			if keep > 0 && len(meta.Snapshots) > keep {
-				os.Remove(snapPath(dir, meta.Snapshots[0]))
-				meta.Snapshots = meta.Snapshots[1:]
-			}
 		}
 		if c.Step() {
 			break
@@ -158,9 +141,9 @@ func Load(dir string) (*Recording, error) {
 	return &Recording{Dir: dir, Meta: meta}, nil
 }
 
-// seek builds the recording's cell run positioned at cycle (0 = fresh run;
-// otherwise the retained snapshot at that exact cycle).
-func (r *Recording) seek(cycle int64) (*campaign.CellRun, error) {
+// seek builds the recording's cell run and re-executes it to the ladder
+// point p, checking the recorded hash there.
+func (r *Recording) seek(p Point) (*campaign.CellRun, error) {
 	cs, err := r.Meta.Spec.Spec()
 	if err != nil {
 		return nil, fmt.Errorf("replay: %s: spec %w", r.Dir, err)
@@ -169,30 +152,14 @@ func (r *Recording) seek(cycle int64) (*campaign.CellRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cycle == 0 {
-		return c, nil
-	}
-	data, err := os.ReadFile(snapPath(r.Dir, cycle))
+	hash, err := strconv.ParseUint(p.Hash, 16, 64)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("replay: %s: ladder hash at cycle %d: %w", r.Dir, p.Cycle, err)
 	}
-	if err := c.Restore(data); err != nil {
-		return nil, fmt.Errorf("replay: %s: snapshot at cycle %d: %w", r.Dir, cycle, err)
+	if err := c.Seek(campaign.Mark{Cycle: p.Cycle, Hash: hash}); err != nil {
+		return nil, fmt.Errorf("replay: %s: %w", r.Dir, err)
 	}
 	return c, nil
-}
-
-// hasSnap reports whether the ring still holds the snapshot at cycle.
-func (r *Recording) hasSnap(cycle int64) bool {
-	if cycle == 0 {
-		return true // cycle 0 is always reachable: a fresh run
-	}
-	for _, c := range r.Meta.Snapshots {
-		if c == cycle {
-			return true
-		}
-	}
-	return false
 }
 
 // Divergence is Bisect's verdict.
@@ -207,9 +174,9 @@ type Divergence struct {
 	// Terminated marks a termination divergence: the streams stayed
 	// hash-equal but one run finished at Cycle while the other ran on.
 	Terminated bool
-	// SeekCycle is the common snapshot the lockstep started from; Stepped is
-	// how many cycles it replayed (the work saved is roughly Cycle-0 minus
-	// Stepped).
+	// SeekCycle is the last common ladder cycle, which both runs were
+	// re-executed to; Stepped is how many cycles the lockstep took from
+	// there.
 	SeekCycle, Stepped int64
 }
 
@@ -249,21 +216,13 @@ func Bisect(a, b *Recording) (Divergence, error) {
 		return Divergence{Diverged: true, Cycle: 0, HashA: common[0].Hash, HashB: hb[common[0].Cycle]}, nil
 	}
 
-	// Seek: the latest known-equal ladder cycle whose snapshot both rings
-	// retain (falling back to a fresh run from cycle 0 when the rings have
-	// pruned past the divergence).
-	seekAt := int64(0)
-	for i := firstDiff - 1; i >= 0; i-- {
-		if c := common[i].Cycle; a.hasSnap(c) && b.hasSnap(c) {
-			seekAt = c
-			break
-		}
-	}
-	ca, err := a.seek(seekAt)
+	// Seek: re-execute both runs to the last known-equal ladder point.
+	at := common[firstDiff-1]
+	ca, err := a.seek(at)
 	if err != nil {
 		return Divergence{}, err
 	}
-	cb, err := b.seek(seekAt)
+	cb, err := b.seek(at)
 	if err != nil {
 		return Divergence{}, err
 	}
@@ -272,7 +231,7 @@ func Bisect(a, b *Recording) (Divergence, error) {
 	// horizon) stops advancing, so termination mismatches are checked before
 	// hashes — otherwise the cycle skew would masquerade as a state
 	// divergence one report too late.
-	d := Divergence{SeekCycle: seekAt}
+	d := Divergence{SeekCycle: at.Cycle}
 	for {
 		doneA, doneB := ca.Done(), cb.Done()
 		switch {

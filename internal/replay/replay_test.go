@@ -2,7 +2,9 @@ package replay
 
 import (
 	"bytes"
+	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -76,9 +78,9 @@ func groundTruth(t *testing.T, a, b campaign.RunText) (diverged bool, cycle int6
 	}
 }
 
-func record(t *testing.T, spec campaign.RunText, every int64, keep int) *Recording {
+func record(t *testing.T, spec campaign.RunText, every int64) *Recording {
 	t.Helper()
-	rec, err := Record(spec, every, keep, t.TempDir())
+	rec, err := Record(spec, every, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +116,8 @@ func TestBisectFindsExactCycle(t *testing.T) {
 			if !wantDiv {
 				t.Fatalf("fixture does not diverge — pick a sharper delta")
 			}
-			ra := record(t, tc.a, 64, 0)
-			rb := record(t, tc.b, 64, 0)
+			ra := record(t, tc.a, 64)
+			rb := record(t, tc.b, 64)
 			d, err := Bisect(ra, rb)
 			if err != nil {
 				t.Fatal(err)
@@ -140,8 +142,8 @@ func TestBisectFindsExactCycle(t *testing.T) {
 
 // TestBisectIdenticalRuns: two recordings of the same spec never diverge.
 func TestBisectIdenticalRuns(t *testing.T) {
-	ra := record(t, baseSpec(), 64, 0)
-	rb := record(t, baseSpec(), 64, 0)
+	ra := record(t, baseSpec(), 64)
+	rb := record(t, baseSpec(), 64)
 	d, err := Bisect(ra, rb)
 	if err != nil {
 		t.Fatal(err)
@@ -151,25 +153,27 @@ func TestBisectIdenticalRuns(t *testing.T) {
 	}
 }
 
-// TestBisectPrunedRing: with a tiny ring that has pruned every pre-divergence
-// snapshot, Bisect falls back to a fresh run from cycle 0 and still lands on
-// the exact cycle.
-func TestBisectPrunedRing(t *testing.T) {
+// TestBisectChecksLadderHash: Bisect re-executes both runs to the last
+// common ladder point and checks the recorded hashes there, so a recording
+// the run no longer reproduces is refused as a divergence, not bisected.
+func TestBisectChecksLadderHash(t *testing.T) {
 	alt := baseSpec()
 	alt.Fails = []string{"rtc:2,1@80"}
-	_, wantCycle := groundTruth(t, baseSpec(), alt)
-
-	ra := record(t, baseSpec(), 64, 1)
-	rb := record(t, alt, 64, 1)
-	if n := len(ra.Meta.Snapshots); n != 1 {
-		t.Fatalf("ring kept %d snapshots, want 1", n)
-	}
+	ra := record(t, baseSpec(), 16)
+	rb := record(t, alt, 16)
 	d, err := Bisect(ra, rb)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || !d.Diverged || d.SeekCycle == 0 {
+		t.Fatalf("fixture: Bisect = %+v, %v; want a divergence past the first rung", d, err)
 	}
-	if !d.Diverged || d.Cycle != wantCycle {
-		t.Errorf("Bisect with pruned ring: diverged=%v cycle=%d, want %d", d.Diverged, d.Cycle, wantCycle)
+	for i := range ra.Meta.Points {
+		if ra.Meta.Points[i].Cycle == d.SeekCycle {
+			ra.Meta.Points[i].Hash = "0123456789abcdef"
+			rb.Meta.Points[i].Hash = "0123456789abcdef"
+		}
+	}
+	want := fmt.Sprintf("at cycle %d the state hash is", d.SeekCycle)
+	if _, err := Bisect(ra, rb); !errors.Is(err, campaign.ErrDiverged) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Bisect over a tampered ladder: %v, want ErrDiverged naming cycle %d", err, d.SeekCycle)
 	}
 }
 
@@ -188,8 +192,8 @@ func TestBisectMachineVariants(t *testing.T) {
 	if !wantDiv {
 		t.Skip("variant runs never diverged under this workload")
 	}
-	ra := record(t, base, 64, 0)
-	rb := record(t, sep, 64, 0)
+	ra := record(t, base, 64)
+	rb := record(t, sep, 64)
 	d, err := Bisect(ra, rb)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +206,7 @@ func TestBisectMachineVariants(t *testing.T) {
 // TestRecordingRoundTrip: Load reads back exactly what Record wrote, and the
 // ladder starts at cycle 0 with the final point consistent with the verdict.
 func TestRecordingRoundTrip(t *testing.T) {
-	rec := record(t, baseSpec(), 64, 0)
+	rec := record(t, baseSpec(), 64)
 	got, err := Load(rec.Dir)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +229,7 @@ func TestRecordingRoundTrip(t *testing.T) {
 func TestLoadRejectsRetiredShardsField(t *testing.T) {
 	for _, knob := range [][2]string{{"shards", "4"}, {"pivot_last_dim", "true"}} {
 		field, value := knob[0], knob[1]
-		rec := record(t, baseSpec(), 64, 0)
+		rec := record(t, baseSpec(), 64)
 		path := filepath.Join(rec.Dir, "meta.json")
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -249,7 +253,7 @@ func TestLoadRejectsRetiredShardsField(t *testing.T) {
 // back as the RunText the flags spelled.
 func TestRecordFig9(t *testing.T) {
 	text := fromFlags(t, fig9Args)
-	rec := record(t, text, 64, 0)
+	rec := record(t, text, 64)
 	if m := rec.Meta; !m.Deadlocked || m.Drained || m.Final.Cycle != 528 {
 		t.Errorf("Fig. 9 recording: deadlocked=%v drained=%v final cycle %d, want a deadlock at cycle 528",
 			m.Deadlocked, m.Drained, m.Final.Cycle)
@@ -279,7 +283,7 @@ func TestBisectFig9Variants(t *testing.T) {
 			if !wantDiv {
 				t.Fatal("fixture does not diverge")
 			}
-			d, err := Bisect(record(t, fig9, 64, 0), record(t, variant, 64, 0))
+			d, err := Bisect(record(t, fig9, 64), record(t, variant, 64))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,8 +295,8 @@ func TestBisectFig9Variants(t *testing.T) {
 }
 
 // TestRecordingSeekReachesFinalHash: recordings of recovery,
-// reconfiguration and HyperX runs restore from every retained snapshot and
-// step to the recorded final state.
+// reconfiguration and HyperX runs re-execute to every ladder point (checking
+// its hash) and step on to the recorded final state.
 func TestRecordingSeekReachesFinalHash(t *testing.T) {
 	for _, tc := range []struct{ name, args string }{
 		{"recover", fig9Args + " -retransmit -retry-after 32 -stall 256 -recover -stall-threshold 256"},
@@ -300,15 +304,15 @@ func TestRecordingSeekReachesFinalHash(t *testing.T) {
 		{"hyperx", "-shape 4x4 -topo hyperx -fail link:0,0-3,0@60 -waves 4 -retransmit"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rec, err := Load(record(t, fromFlags(t, tc.args), 32, 0).Dir)
+			rec, err := Load(record(t, fromFlags(t, tc.args), 32).Dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			m := rec.Meta
-			if !m.Drained || len(m.Snapshots) < 2 {
-				t.Fatalf("fixture: drained=%v with %d snapshot(s); want a drained run past its first rung", m.Drained, len(m.Snapshots))
+			if !m.Drained || len(m.Points) < 2 {
+				t.Fatalf("fixture: drained=%v with %d ladder point(s); want a drained run past its first rung", m.Drained, len(m.Points))
 			}
-			for _, at := range m.Snapshots[1:] {
+			for _, at := range m.Points[1:] {
 				c, err := rec.seek(at)
 				if err != nil {
 					t.Fatal(err)
@@ -317,8 +321,8 @@ func TestRecordingSeekReachesFinalHash(t *testing.T) {
 					c.Step()
 				}
 				if c.Cycle() != m.Final.Cycle || hashAt(c) != m.Final.Hash {
-					t.Errorf("from the snapshot at cycle %d: ended at cycle %d hash %s, recorded cycle %d hash %s",
-						at, c.Cycle(), hashAt(c), m.Final.Cycle, m.Final.Hash)
+					t.Errorf("from the ladder point at cycle %d: ended at cycle %d hash %s, recorded cycle %d hash %s",
+						at.Cycle, c.Cycle(), hashAt(c), m.Final.Cycle, m.Final.Hash)
 				}
 			}
 		})
@@ -328,7 +332,7 @@ func TestRecordingSeekReachesFinalHash(t *testing.T) {
 // TestRecordRejectsUnderFlagName: a spec the resolver refuses never starts
 // a recording, and mdxreplay reports it under the flag that spelled it.
 func TestRecordRejectsUnderFlagName(t *testing.T) {
-	_, err := Record(fromFlags(t, fig9Args+" -gap 0"), 64, 0, t.TempDir())
+	_, err := Record(fromFlags(t, fig9Args+" -gap 0"), 64, t.TempDir())
 	if err == nil || !strings.HasPrefix(campaign.FlagError(err).Error(), "-gap: ") {
 		t.Errorf("Record error = %v, want a rejection of -gap", err)
 	}
@@ -347,5 +351,21 @@ func TestLoadRejectsVersion1(t *testing.T) {
 	_, err := Load(dir)
 	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "re-record") {
 		t.Fatalf("Load error = %v, want a refusal naming version 1 and asking to re-record", err)
+	}
+}
+
+// TestLoadRejectsVersion2: a recording that still lists its snapshot ring
+// (the layout before the ring was deleted) is refused by its version.
+func TestLoadRejectsVersion2(t *testing.T) {
+	dir := t.TempDir()
+	v2 := `{"version":2,"spec":{"shape":"4x4","patterns":["shift+5"],"waves":4,"gap":24},` +
+		`"every":64,"keep":1,"points":[{"cycle":0,"hash":"0000000000000000"}],"snapshots":[0],` +
+		`"final":{"cycle":0,"hash":"0000000000000000"},"drained":true,"stalled":false,"deadlocked":false}`
+	if err := os.WriteFile(filepath.Join(dir, "meta.json"), []byte(v2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(dir)
+	if err == nil || !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), "re-record") {
+		t.Fatalf("Load error = %v, want a refusal naming version 2 and asking to re-record", err)
 	}
 }

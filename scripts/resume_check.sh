@@ -4,22 +4,21 @@
 # reference run of the same spec.
 #
 # Usage:
-#   scripts/resume_check.sh NAME PORT CHECKPOINT_EVERY SPEC [GREP [COUNTER]]
+#   scripts/resume_check.sh NAME PORT SPEC [GREP [COUNTER]]
 #
-#   NAME              labels the state dir and artifacts under /tmp
-#   PORT              first of three consecutive localhost ports
-#                     (reference, interrupted, restarted server)
-#   CHECKPOINT_EVERY  the stateful servers' -checkpoint-every, in cycles
-#   SPEC              the campaign job as JSON
-#   GREP              a string the reference artifact must contain
-#   COUNTER           a job-view field that must be > 0 on the reference
-#                     (e.g. recoveries, reconfigured)
+#   NAME     labels the state dir and artifacts under /tmp
+#   PORT     first of three consecutive localhost ports
+#            (reference, interrupted, restarted server)
+#   SPEC     the campaign job as JSON
+#   GREP     a string the reference artifact must contain
+#   COUNTER  a job-view field that must be > 0 on the reference
+#            (e.g. recoveries, reconfigured)
 #
 # Needs /tmp/mdxserve (go build -o /tmp/mdxserve ./cmd/mdxserve), curl and
 # python3.
 set -euo pipefail
 
-name=$1 port=$2 every=$3 spec=$4 want=${5:-} counter=${6:-}
+name=$1 port=$2 spec=$3 want=${4:-} counter=${5:-}
 state=/tmp/mdx-$name-state
 ref=/tmp/ref-$name-artifact resumed=/tmp/resumed-$name-artifact
 rm -rf "$state"
@@ -56,7 +55,7 @@ kill -TERM $pid; wait $pid
 
 # Stateful server, killed once at least five cells are in.
 port=$((port + 1))
-/tmp/mdxserve -addr "127.0.0.1:$port" -state-dir "$state" -checkpoint-every "$every" &
+/tmp/mdxserve -addr "127.0.0.1:$port" -state-dir "$state" &
 pid=$!
 wait_healthy "$port"
 id=$(submit "$port")
@@ -71,7 +70,7 @@ test ! -f "$state"/execs/*/artifact # must actually have been interrupted
 
 # Restart over the same state dir: same job id resumes and finishes.
 port=$((port + 1))
-/tmp/mdxserve -addr "127.0.0.1:$port" -state-dir "$state" -checkpoint-every "$every" &
+/tmp/mdxserve -addr "127.0.0.1:$port" -state-dir "$state" &
 pid=$!
 wait_healthy "$port"
 wait_done "$port" "$id"
