@@ -44,7 +44,7 @@ func benchExperiment(b *testing.B, id string) {
 func BenchmarkFullSuite(b *testing.B) {
 	all := experiments.All()
 	for i := 0; i < b.N; i++ {
-		reports := sweep.Do(len(all), *parallelFlag, func(j int) *experiments.Report {
+		reports, _ := sweep.Do(nil, nil, len(all), *parallelFlag, func(j int) *experiments.Report {
 			r, err := all[j].Run(experiments.Options{Quick: true, Parallel: *parallelFlag})
 			if err != nil {
 				b.Errorf("%s: %v", all[j].ID, err)

@@ -58,7 +58,7 @@ func main() {
 		err    error
 	}
 	start := time.Now()
-	results := sweep.Do(len(toRun), *parallel, func(i int) outcome {
+	results, _ := sweep.Do(nil, nil, len(toRun), *parallel, func(i int) outcome {
 		r, err := toRun[i].Run(opts)
 		return outcome{r, err}
 	})

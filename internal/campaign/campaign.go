@@ -816,13 +816,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		return res, err
 	}
-	var cells []CellResult
-	var err error
-	if cfg.Ctx != nil || cfg.Budget != nil {
-		cells, err = sweep.DoCtxErr(cfg.Ctx, cfg.Budget, len(grid), cfg.Parallel, runCell)
-	} else {
-		cells, err = sweep.DoErr(len(grid), cfg.Parallel, runCell)
-	}
+	cells, err := sweep.DoErr(cfg.Ctx, cfg.Budget, len(grid), cfg.Parallel, runCell)
 	if err != nil {
 		return nil, err
 	}

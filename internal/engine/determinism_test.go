@@ -93,67 +93,6 @@ func TestStateHashSensitivity(t *testing.T) {
 	}
 }
 
-func TestActiveSetEquivalence(t *testing.T) {
-	// The scheduled kernel and the full-scan reference must agree on every
-	// cycle's complete state, under backpressure-heavy and roomy configs.
-	cfgs := []Config{
-		{BufferDepth: 1, Acquire: AcquireAtomic},
-		{BufferDepth: 2, Acquire: AcquireAtomic},
-		{BufferDepth: 4, Acquire: AcquireIncremental},
-		{BufferDepth: 8, Acquire: AcquireAtomic},
-	}
-	for _, cfg := range cfgs {
-		cfg := cfg
-		t.Run(fmt.Sprintf("depth%d_delay1", cfg.BufferDepth), func(t *testing.T) {
-			on, _ := chainScenario(cfg, 8)
-			offCfg := cfg
-			offCfg.DisableActiveSet = true
-			off, _ := chainScenario(offCfg, 8)
-			for c := 0; c < 600; c++ {
-				on.Step()
-				off.Step()
-				if hOn, hOff := on.StateHash(), off.StateHash(); hOn != hOff {
-					t.Fatalf("modes diverged at cycle %d: scheduled=%#x fullscan=%#x", c+1, hOn, hOff)
-				}
-				if err := on.CheckActiveSets(); err != nil {
-					t.Fatalf("cycle %d: %v", c+1, err)
-				}
-				if on.Quiescent() && off.Quiescent() {
-					return
-				}
-			}
-			t.Fatal("scenario did not drain in 600 cycles")
-		})
-	}
-}
-
-func TestCountersObserveScheduling(t *testing.T) {
-	e, _ := chainScenario(DefaultConfig(), 8)
-	e.RunUntilQuiescent(1000)
-	// Idle a while: the active sets must empty and skipping must dominate.
-	for i := 0; i < 200; i++ {
-		e.Step()
-	}
-	c := e.Counters()
-	if c.Cycles == 0 || c.Visits() == 0 {
-		t.Fatalf("counters not populated: %+v", c)
-	}
-	if c.Skipped() == 0 || c.SkipRatio() <= 0 {
-		t.Errorf("active-set scheduling skipped nothing: %+v", c)
-	}
-	if c.RouteStatesAllocated == 0 {
-		t.Errorf("no route states accounted: %+v", c)
-	}
-
-	off := DefaultConfig()
-	off.DisableActiveSet = true
-	e2, _ := chainScenario(off, 8)
-	e2.RunUntilQuiescent(1000)
-	if s := e2.Counters().Skipped(); s != 0 {
-		t.Errorf("full-scan mode reported %d skipped visits", s)
-	}
-}
-
 func TestActiveSetOrderAndLateArrivals(t *testing.T) {
 	// The set is what replaced the sorted lists: members come out in index
 	// order whatever order they went in. An element added while a sweep
@@ -193,53 +132,5 @@ func TestActiveSetOrderAndLateArrivals(t *testing.T) {
 	s.clear()
 	if got := walk(func(int) {}); len(got) != 0 {
 		t.Fatalf("clear left %v", got)
-	}
-}
-
-func TestHookActivationDuringSweepMatchesFullScan(t *testing.T) {
-	// An OnForward hook fires inside the injection sweep when an endpoint's
-	// header leaves. A packet it queues at an idle endpoint ahead of the
-	// sweep cursor leaves in the same sweep; one it queues behind the cursor
-	// leaves in the next cycle's. That is what the full scan does, and the
-	// two modes must agree hash for hash.
-	run := func(disable bool) (stream []uint64, left map[uint64]int64) {
-		cfg := DefaultConfig()
-		cfg.DisableActiveSet = disable
-		e, eps := chainScenario(cfg, 4)
-		e.RunUntilQuiescent(1000)
-		left = map[uint64]int64{}
-		e.OnForward = func(from *Node, out int, h *flit.Header, cycle int64) {
-			if from.Kind != KindEndpoint {
-				return
-			}
-			left[h.PacketID] = cycle
-			if h.PacketID == 501 {
-				e.InjectPacket(eps[2], flit.Header{PacketID: 502, Dst: geom.Coord{3}}, 2) // ahead
-				e.InjectPacket(eps[0], flit.Header{PacketID: 503, Dst: geom.Coord{2}}, 2) // behind
-			}
-		}
-		e.InjectPacket(eps[1], flit.Header{PacketID: 501, Dst: geom.Coord{2}}, 1)
-		for c := 0; c < 100 && !e.Quiescent(); c++ {
-			e.Step()
-			stream = append(stream, e.StateHash())
-			if err := e.CheckActiveSets(); err != nil {
-				t.Fatalf("cycle %d: %v", e.Cycle(), err)
-			}
-		}
-		if !e.Quiescent() {
-			t.Fatal("scenario did not drain in 100 cycles")
-		}
-		return stream, left
-	}
-	on, onLeft := run(false)
-	off, offLeft := run(true)
-	if !slices.Equal(on, off) {
-		t.Errorf("hash streams differ: scheduled %d cycles, full scan %d", len(on), len(off))
-	}
-	for name, left := range map[string]map[uint64]int64{"scheduled": onLeft, "full scan": offLeft} {
-		if hook := left[501]; left[502] != hook || left[503] != hook+1 {
-			t.Errorf("%s: hook fired in cycle %d; ahead left in %d (want %d), behind in %d (want %d)",
-				name, hook, left[502], hook, left[503], hook+1)
-		}
 	}
 }

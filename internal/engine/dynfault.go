@@ -227,7 +227,7 @@ func (e *Engine) purgeWounded(wounded packets) (sunk map[uint64]bool, removed in
 		r.fly = 0
 		j := slices.Index(e.arrivals, p)
 		e.arrivals = slices.Delete(e.arrivals, j, j+1)
-		if r.linkActive && !e.cfg.DisableActiveSet {
+		if r.linkActive {
 			e.stale = append(e.stale, p)
 		}
 	}

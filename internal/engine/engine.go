@@ -66,12 +66,6 @@ type Config struct {
 	BufferDepth int
 	// Acquire selects fan-out acquisition semantics.
 	Acquire AcquireMode
-	// DisableActiveSet forces the kernel to scan every link, port and
-	// endpoint each cycle instead of visiting only active elements. The two
-	// modes are bit-for-bit equivalent (asserted by the differential tests);
-	// the full scan exists as the reference implementation and for
-	// debugging, not for production runs.
-	DisableActiveSet bool
 }
 
 // DefaultConfig returns the configuration used throughout the experiments:
@@ -178,9 +172,9 @@ type inState struct {
 	up           int32 // the output port feeding this one, -1 if none
 	bit          int32 // its bit in the allocation set, ^i at endpoint i
 	// linkActive marks the link into the port as carrying flits: set when
-	// a flit is sent on it and, under the active set, cleared by the landing
-	// that leaves it empty. LinkVisits counts the links marked at the start
-	// of each landing phase (see scheduler.go).
+	// a flit is sent on it and cleared by the landing that leaves it empty.
+	// LinkVisits counts the links marked at the start of each landing phase
+	// (see scheduler.go).
 	linkActive bool
 }
 
@@ -393,7 +387,7 @@ type Engine struct {
 	switches  []*Node
 	endpoints []*Node
 	phys      []*PhysChannel
-	// fullIn lists the id of every switch input port in full-scan order, the
+	// fullIn lists the id of every switch input port in creation order, the
 	// allocation set's bit order.
 	fullIn []int32
 
@@ -433,9 +427,6 @@ type Engine struct {
 	activeAlloc  activeSet
 	activeEject  activeSet
 	activeInject activeSet
-	// everyIn and everyEP hold every switch input port and endpoint: the
-	// sets the DisableActiveSet reference mode sweeps.
-	everyIn, everyEP activeSet
 
 	// Scratch slices reused across cycles, and the route-state pool.
 	reqScratch    []int32
@@ -527,10 +518,8 @@ func (e *Engine) Reserve(s Size) {
 	grow(&e.links, s.Links)
 	grow(&e.src, s.Endpoints)
 	grow(&e.activeAlloc.words, words(s.SwitchPorts))
-	grow(&e.everyIn.words, words(s.SwitchPorts))
 	grow(&e.activeEject.words, words(s.Endpoints))
 	grow(&e.activeInject.words, words(s.Endpoints))
-	grow(&e.everyEP.words, words(s.Endpoints))
 }
 
 // grow makes room in column *col for n elements in total.
@@ -593,8 +582,6 @@ func (e *Engine) addPorts(n *Node, ports int) {
 		if n.Kind == KindSwitch {
 			bit = int32(len(e.fullIn))
 			e.fullIn = append(e.fullIn, id)
-			e.everyIn.resize(len(e.fullIn))
-			e.everyIn.add(int(bit))
 		}
 		e.in = append(e.in, inState{up: -1, bit: bit})
 		e.out = append(e.out, outState{down: -1, phys: -1})
@@ -618,8 +605,6 @@ func (e *Engine) AddEndpoint(name string, meta any) *Node {
 	e.endpoints = append(e.endpoints, n)
 	e.activeEject.resize(len(e.endpoints))
 	e.activeInject.resize(len(e.endpoints))
-	e.everyEP.resize(len(e.endpoints))
-	e.everyEP.add(n.epIdx)
 	return n
 }
 
@@ -770,25 +755,20 @@ func (e *Engine) RunUntilQuiescent(maxCycles int64) bool {
 // land makes visible the flits sent last cycle. Each was written into its
 // downstream ring when it was sent, so landing moves it from fly to n.
 func (e *Engine) land() {
-	active := !e.cfg.DisableActiveSet
-	if active {
-		e.ctr.LinkVisits += int64(e.linksActive)
-		e.ctr.LinkVisitsSkipped += int64(len(e.links) - e.linksActive)
-		for _, p := range e.stale {
-			if r := &e.in[p]; r.linkActive && r.fly == 0 {
-				r.linkActive = false
-				e.linksActive--
-			}
+	e.ctr.LinkVisits += int64(e.linksActive)
+	e.ctr.LinkVisitsSkipped += int64(len(e.links) - e.linksActive)
+	for _, p := range e.stale {
+		if r := &e.in[p]; r.linkActive && r.fly == 0 {
+			r.linkActive = false
+			e.linksActive--
 		}
-		e.stale = e.stale[:0]
-	} else {
-		e.ctr.LinkVisits += int64(len(e.links))
 	}
+	e.stale = e.stale[:0]
 	for _, to := range e.arrivals {
 		r := &e.in[to]
 		r.fly--
 		r.n++
-		if r.fly == 0 && active {
+		if r.fly == 0 {
 			r.linkActive = false
 			e.linksActive--
 		}
@@ -803,22 +783,17 @@ func (e *Engine) land() {
 
 // eject consumes arrived flits at endpoints.
 func (e *Engine) eject() {
-	s, full := &e.activeEject, e.cfg.DisableActiveSet
-	if full {
-		s = &e.everyEP
-	}
+	s := &e.activeEject
 	visited := 0
 	for i := s.next(-1); i >= 0; i = s.next(i) {
 		visited++
 		e.ejectAt(i)
-		if !full && e.in[e.src[i].port].n == 0 {
+		if e.in[e.src[i].port].n == 0 {
 			s.remove(i)
 		}
 	}
 	e.ctr.EjectVisits += int64(visited)
-	if !full {
-		e.ctr.EjectVisitsSkipped += int64(len(e.src) - visited)
-	}
+	e.ctr.EjectVisitsSkipped += int64(len(e.src) - visited)
 }
 
 // ejectAt consumes every arrived flit at endpoint i.
@@ -858,15 +833,12 @@ func (e *Engine) allocate() {
 }
 
 // gatherRequests preps every live switch input port and returns, in
-// full-scan order (so grouped by switch), the ones competing for output
+// creation order (so grouped by switch), the ones competing for output
 // ports this cycle: those whose front flit is an unserved header, or whose
 // routeState still has ungranted outputs. It does the conflict accounting.
 func (e *Engine) gatherRequests() []int32 {
 	e.reqScratch, e.routedScratch = e.reqScratch[:0], e.routedScratch[:0]
-	s, full := &e.activeAlloc, e.cfg.DisableActiveSet
-	if full {
-		s = &e.everyIn
-	}
+	s := &e.activeAlloc
 	visited := 0
 	for i := s.next(-1); i >= 0; i = s.next(i) {
 		visited++
@@ -876,7 +848,7 @@ func (e *Engine) gatherRequests() []int32 {
 		p := e.fullIn[i]
 		r := &e.in[p]
 		if rs := r.route; rs == nil || len(rs.outs) != 1 || rs.nGranted != 1 || rs.shared {
-			if !e.prepare(p) && !full {
+			if !e.prepare(p) {
 				s.remove(i)
 			}
 		} else if r.n == 0 {
@@ -888,9 +860,7 @@ func (e *Engine) gatherRequests() []int32 {
 		}
 	}
 	e.ctr.SwitchPortVisits += int64(visited)
-	if !full {
-		e.ctr.SwitchPortVisitsSkipped += int64(len(e.fullIn) - visited)
-	}
+	e.ctr.SwitchPortVisitsSkipped += int64(len(e.fullIn) - visited)
 
 	// Count requesters per output port for conflict statistics.
 	for _, p := range e.reqScratch {
@@ -922,10 +892,6 @@ func (e *Engine) prepare(p int32) bool {
 		}
 		rs = e.routeHeader(p, f.Header)
 		e.in[p].route = rs
-		// Keep the active-set invariant (route state ⇒ listed) even when
-		// this prep ran from a full scan, so the modes can be toggled
-		// mid-run. A no-op when the port is already listed.
-		e.activeAlloc.add(int(e.in[p].bit))
 	}
 	if rs.provisional && rs.nGranted == 0 {
 		// The provisional decision bound for one allocation round and lost.
@@ -949,7 +915,7 @@ func (e *Engine) prepare(p int32) bool {
 	return true
 }
 
-// ready is an in-port p that traversal acts on, in full-scan order. o is
+// ready is an in-port p that traversal acts on, in creation order. o is
 // the output of a one-output route on no shared channel, which a body flit
 // takes without its route state being loaded, or -1; testLater marks a
 // request.
@@ -1343,22 +1309,17 @@ func (pc *PhysChannel) grants(o int32, cycle int64) bool {
 
 // inject moves endpoint source-queue flits onto their links.
 func (e *Engine) inject() {
-	s, full := &e.activeInject, e.cfg.DisableActiveSet
-	if full {
-		s = &e.everyEP
-	}
+	s := &e.activeInject
 	visited := 0
 	for i := s.next(-1); i >= 0; i = s.next(i) {
 		visited++
 		e.injectAt(i)
-		if src := &e.src[i]; !full && src.head == len(src.q) {
+		if src := &e.src[i]; src.head == len(src.q) {
 			s.remove(i)
 		}
 	}
 	e.ctr.InjectVisits += int64(visited)
-	if !full {
-		e.ctr.InjectVisitsSkipped += int64(len(e.src) - visited)
-	}
+	e.ctr.InjectVisitsSkipped += int64(len(e.src) - visited)
 }
 
 // injectAt sends the next source-queue flit of endpoint i, if its link

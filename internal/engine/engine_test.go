@@ -542,61 +542,6 @@ func TestStalledEndpoints(t *testing.T) {
 	}
 }
 
-func TestTopologyGrowthBetweenSteps(t *testing.T) {
-	// Growing the network mid-run (AddSwitch, AddEndpoint, Connect between
-	// Steps) must leave the active sets valid: flits already in flight keep
-	// moving, the new elements are scheduled once traffic reaches them, and
-	// the scheduled kernel tracks the full-scan reference hash for hash.
-	const n = 4
-	// growAndInject appends switch S<n> with its endpoint to the chain's
-	// tail, then sends one packet across the new link and one from the new
-	// endpoint to itself.
-	growAndInject := func(e *Engine, eps []*Node) {
-		sw := e.AddSwitch(fmt.Sprintf("S%d", n), 3, func(nd *Node, in int, h *flit.Header) (Decision, error) {
-			return Decision{Outs: []int{2}}, nil
-		}, nil)
-		ep := e.AddEndpoint(fmt.Sprintf("P%d", n), nil)
-		e.Connect(ep, 0, sw, 2)
-		e.Connect(e.Switches()[n-1], 1, sw, 0)
-		e.InjectPacket(eps[0], flit.Header{PacketID: 99, Dst: geom.Coord{n}}, 4)
-		e.InjectPacket(ep, flit.Header{PacketID: 98, Dst: geom.Coord{n}}, 2)
-	}
-	on, onEps := chainScenario(DefaultConfig(), n)
-	offCfg := DefaultConfig()
-	offCfg.DisableActiveSet = true
-	off, offEps := chainScenario(offCfg, n)
-	delivered := 0
-	on.OnDeliver = func(d Delivery) {
-		if d.Header.PacketID == 99 {
-			delivered++
-		}
-	}
-	for c := 0; c < 600; c++ {
-		if c == 5 {
-			if on.Quiescent() {
-				t.Fatal("network drained before the growth point; nothing in flight to preserve")
-			}
-			growAndInject(on, onEps)
-			growAndInject(off, offEps)
-		}
-		on.Step()
-		off.Step()
-		if hOn, hOff := on.StateHash(), off.StateHash(); hOn != hOff {
-			t.Fatalf("modes diverged at cycle %d: scheduled=%#x fullscan=%#x", c+1, hOn, hOff)
-		}
-		if err := on.CheckInvariants(); err != nil {
-			t.Fatalf("cycle %d: %v", c+1, err)
-		}
-		if c > 5 && on.Quiescent() && off.Quiescent() {
-			if delivered != 1 {
-				t.Fatalf("packet routed over the grown link delivered %d times, want 1", delivered)
-			}
-			return
-		}
-	}
-	t.Fatal("grown network did not drain in 600 cycles")
-}
-
 func TestSourceQueueBounded(t *testing.T) {
 	// An endpoint whose source queue never empties: a 10-flit backlog, fed
 	// one 2-flit packet every 2 cycles while the link drains a flit a

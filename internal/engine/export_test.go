@@ -1,11 +1,17 @@
 package engine
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"sr2201/internal/checkpoint"
+	"sr2201/internal/flit"
+)
+
+// ChainScenario and UpdateGolden hand the package's own fixtures to the
+// external tests.
+var (
+	ChainScenario = chainScenario
+	UpdateGolden  = update
 )
 
 // Snapshot serializes the engine's dynamic state into one self-contained
@@ -27,111 +33,6 @@ func (e *Engine) Restore(data []byte) error {
 	return e.DecodeState(r)
 }
 
-// ArbitrationStats says what a checked run exercised.
-type ArbitrationStats struct {
-	// Contended counts switch-cycles in which two or more requests competed
-	// at one switch; Ties those among them where two shared an arrival stamp.
-	Contended, Ties int
-	// FanRefusals counts multi-output requests that were refused, and so
-	// reserved their ports against younger requests.
-	FanRefusals int
-}
-
-// StepCheckingArbitration is Step for an AcquireAtomic engine with one
-// addition: before the allocator runs, the grants it must make are worked out
-// the way the kernel used to order them — one stable sort of every request in
-// the network by (arrival stamp, node ID, per-switch tie key) — and the
-// grants it then makes are compared with them. The phase sequence below is
-// Step's; the tests run a twin engine through Step itself and compare
-// StateHash every cycle, which keeps the two from drifting apart.
-func (e *Engine) StepCheckingArbitration(st *ArbitrationStats) error {
-	if e.PreCycle != nil {
-		e.PreCycle(e.cycle)
-	}
-	e.land()
-	e.eject()
-	requests := e.gatherRequests()
-	want := globalOrderGrants(e, requests, st)
-	if len(requests) > 0 {
-		e.allocateAtomic(requests)
-	}
-	var err error
-	for _, p := range requests {
-		in, rs := e.inPorts[p], e.in[p].route
-		granted := rs.nGranted > 0
-		if granted != want[in] {
-			err = fmt.Errorf("cycle %d: %s.in%d (since %d, %d outs): granted=%v, the global arrival order grants=%v",
-				e.cycle, in.Node().Name, in.idx, rs.since, len(rs.outs), granted, want[in])
-			break
-		}
-	}
-	e.traverse()
-	e.inject()
-	e.cycle++
-	e.ctr.Cycles++
-	if e.PostCycle != nil {
-		e.PostCycle(e.cycle)
-	}
-	return err
-}
-
-// globalOrderGrants dry-runs atomic allocation in the old global order and
-// returns which requests it grants (an atomic grant is all of a request's
-// outputs or none, so a flag per request is the whole (input, outputs) set).
-func globalOrderGrants(e *Engine, requests []int32, st *ArbitrationStats) map[*InPort]bool {
-	tieKey := func(in *InPort) int { return (in.idx + in.Node().ID) % len(in.Node().In) }
-	since := func(in *InPort) int64 { return e.in[in.id].route.since }
-	var order []*InPort
-	for _, p := range requests {
-		order = append(order, e.inPorts[p])
-	}
-	slices.SortStableFunc(order, func(a, b *InPort) int {
-		if since(a) != since(b) {
-			return cmp.Compare(since(a), since(b))
-		}
-		if a.Node() != b.Node() {
-			return cmp.Compare(a.Node().ID, b.Node().ID)
-		}
-		return cmp.Compare(tieKey(a), tieKey(b))
-	})
-	perSwitch := map[*Node][]int64{}
-	for _, p := range requests {
-		in := e.inPorts[p]
-		perSwitch[in.Node()] = append(perSwitch[in.Node()], since(in))
-	}
-	for _, stamps := range perSwitch {
-		if len(stamps) > 1 {
-			st.Contended++
-			slices.Sort(stamps)
-			if len(slices.Compact(stamps)) < len(stamps) {
-				st.Ties++
-			}
-		}
-	}
-	grants := map[*InPort]bool{}
-	unavailable := map[*OutPort]bool{} // granted or reserved earlier this cycle
-	for _, in := range order {
-		rs := e.in[in.id].route
-		if rs.nGranted > 0 {
-			continue
-		}
-		ok := true
-		for _, o := range rs.outs {
-			if o.op.owner != nil || unavailable[o.op] {
-				ok = false
-			}
-		}
-		if !ok && len(rs.outs) > 1 {
-			st.FanRefusals++
-		}
-		for _, o := range rs.outs {
-			unavailable[o.op] = true
-		}
-		grants[in] = ok
-	}
-	return grants
-}
-
 // StalledEndpoints returns endpoints with queued flits that cannot inject
 // because the outbound link has no credits.
 func (e *Engine) StalledEndpoints() []*Node {
@@ -144,12 +45,73 @@ func (e *Engine) StalledEndpoints() []*Node {
 	return out
 }
 
-// SkipRatio is Skipped over the full-scan visit count (Visits+Skipped),
-// i.e. the fraction of per-cycle scanning the scheduler eliminated.
+// SkipRatio is Skipped over the visits a scan of every element would make
+// (Visits+Skipped), i.e. the fraction of that scanning the scheduler
+// eliminated.
 func (c Counters) SkipRatio() float64 {
 	total := c.Visits() + c.Skipped()
 	if total == 0 {
 		return 0
 	}
 	return float64(c.Skipped()) / float64(total)
+}
+
+// Buffered reports the flits buffered at the port, visible to its node.
+func (p *InPort) Buffered() int { return int(p.eng.in[p.id].n) }
+
+// Flit returns the i-th flit of the port's ring: 0 is the head, and the
+// flit behind the Buffered ones is the one on the link into the port.
+func (p *InPort) Flit(i int) flit.Flit { return *p.eng.at(p.id, i) }
+
+// Route returns the switch's routing function.
+func (n *Node) Route() RouteFunc { return n.route }
+
+// PendingInject returns the flits waiting in the endpoint's source queue.
+func (n *Node) PendingInject() []flit.Flit { return n.pendingInject() }
+
+// Members returns physical channel pc's output ports in its arbitration
+// order.
+func (e *Engine) Members(pc *PhysChannel) []*OutPort {
+	out := make([]*OutPort, len(pc.members))
+	for i, id := range pc.members {
+		out[i] = e.outPorts[id]
+	}
+	return out
+}
+
+// CheckActiveSets audits active-set membership between Steps and returns the
+// first violation, or nil. A link is marked exactly while it carries flits
+// (and counted in linksActive), an endpoint eject- (inject-) active exactly
+// while its input buffer (source queue) holds flits, and a switch port
+// holding a route state or flits is a member (one that traversal emptied
+// waits for the next allocation sweep to drop it). KillSwitch and
+// KillPacket remove flits without touching membership, so the check does not
+// hold right after them.
+func (e *Engine) CheckActiveSets() error {
+	var err error
+	audit := func(member, busy, exact bool, set string, n *Node, port int) {
+		if err == nil && (busy && !member || exact && member && !busy) {
+			err = fmt.Errorf("engine: %s.%d: %s member=%v busy=%v", n.Name, port, set, member, busy)
+		}
+	}
+	marked := 0
+	for _, p := range e.links {
+		r, from := e.in[p], e.outPorts[e.in[p].up]
+		if r.linkActive {
+			marked++
+		}
+		audit(r.linkActive, r.fly > 0, true, "link", from.Node(), from.idx)
+	}
+	if err == nil && marked != e.linksActive {
+		err = fmt.Errorf("engine: %d links marked, counted %d", marked, e.linksActive)
+	}
+	for i, p := range e.fullIn {
+		in := e.inPorts[p]
+		audit(e.activeAlloc.has(i), e.in[p].route != nil || e.in[p].n > 0, false, "alloc", in.Node(), in.idx)
+	}
+	for i, ep := range e.endpoints {
+		audit(e.activeEject.has(i), e.in[e.src[i].port].n > 0, true, "eject", ep, 0)
+		audit(e.activeInject.has(i), ep.InjectQueueLen() > 0, true, "inject", ep, 0)
+	}
+	return err
 }

@@ -193,19 +193,7 @@ type linkRecord struct{ at, fly, age int }
 func linkRecords(t *testing.T, data []byte) (out, payload []byte, recs []linkRecord) {
 	t.Helper()
 	out = bytes.Clone(data)
-	// Find the section's payload in the container (see checkpoint's format:
-	// magic, version, section count, then name-length-prefixed sections).
-	off := len("MDXSNAP\n") + 2 + 4
-	for payload == nil {
-		name := string(out[off+1 : off+1+int(out[off])])
-		off += 1 + len(name)
-		n := int(binary.BigEndian.Uint32(out[off:]))
-		off += 4
-		if name == secEngineLinks {
-			payload = out[off : off+n]
-		}
-		off += n
-	}
+	payload = sectionPayload(out, secEngineLinks)
 	d := checkpoint.NewDecoder(secEngineLinks, payload)
 	for d.Remaining() > 0 {
 		l := linkRecord{at: len(payload) - d.Remaining()}
@@ -223,6 +211,23 @@ func linkRecords(t *testing.T, data []byte) (out, payload []byte, recs []linkRec
 		t.Fatal(d.Err())
 	}
 	return out, payload, recs
+}
+
+// sectionPayload returns the named section's payload within container data
+// (see checkpoint's format: magic, version, section count, then
+// name-length-prefixed sections).
+func sectionPayload(data []byte, section string) []byte {
+	off := len("MDXSNAP\n") + 2 + 4
+	for {
+		name := string(data[off+1 : off+1+int(data[off])])
+		off += 1 + len(name)
+		n := int(binary.BigEndian.Uint32(data[off:]))
+		off += 4
+		if name == section {
+			return data[off : off+n]
+		}
+		off += n
+	}
 }
 
 // reseal rewrites a patched container's CRC footer.

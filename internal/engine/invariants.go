@@ -29,7 +29,7 @@ import (
 //  6. wiring: each output's downstream port and each input's upstream port
 //     are mutual inverses, as ConnectDirected wired them, every port id
 //     names its own handles, every switch input's active-set bit is its
-//     full-scan position, and the columns hold one entry per port.
+//     creation-order position, and the columns hold one entry per port.
 func (e *Engine) CheckInvariants() error {
 	if err := e.checkWiring(); err != nil {
 		return err
@@ -192,46 +192,6 @@ func (e *Engine) checkHeaders() error {
 		for i, r := int(e.in[p].n), e.in[p]; i < int(r.n+r.fly); i++ {
 			see(e.at(p, i).Header, e.at(p, i).PacketID, "link", e.inPorts[p].Node(), e.inPorts[p].idx)
 		}
-	}
-	return err
-}
-
-// CheckActiveSets audits active-set membership between Steps and returns the
-// first violation, or nil. A link is marked exactly while it carries flits
-// (and counted in linksActive), an endpoint eject- (inject-) active exactly
-// while its input buffer (source queue) holds flits, and a switch port
-// holding a route state or flits is a member (one that traversal emptied
-// waits for the next allocation sweep to drop it). KillSwitch and KillPacket remove flits without touching
-// membership, so the check does not hold right after them; under
-// DisableActiveSet no sweep evicts and it passes trivially.
-func (e *Engine) CheckActiveSets() error {
-	if e.cfg.DisableActiveSet {
-		return nil
-	}
-	var err error
-	audit := func(member, busy, exact bool, set string, n *Node, port int) {
-		if err == nil && (busy && !member || exact && member && !busy) {
-			err = fmt.Errorf("engine: %s.%d: %s member=%v busy=%v", n.Name, port, set, member, busy)
-		}
-	}
-	marked := 0
-	for _, p := range e.links {
-		r, from := e.in[p], e.outPorts[e.in[p].up]
-		if r.linkActive {
-			marked++
-		}
-		audit(r.linkActive, r.fly > 0, true, "link", from.Node(), from.idx)
-	}
-	if err == nil && marked != e.linksActive {
-		err = fmt.Errorf("engine: %d links marked, counted %d", marked, e.linksActive)
-	}
-	for i, p := range e.fullIn {
-		in := e.inPorts[p]
-		audit(e.activeAlloc.has(i), e.in[p].route != nil || e.in[p].n > 0, false, "alloc", in.Node(), in.idx)
-	}
-	for i, ep := range e.endpoints {
-		audit(e.activeEject.has(i), e.in[e.src[i].port].n > 0, true, "eject", ep, 0)
-		audit(e.activeInject.has(i), ep.InjectQueueLen() > 0, true, "inject", ep, 0)
 	}
 	return err
 }

@@ -14,18 +14,20 @@ import "math/bits"
 //     inject-active while its source queue is non-empty.
 //
 // Determinism argument (DESIGN.md §5): every set is a bitmap indexed by the
-// element's position in the corresponding full scan (switch creation order
-// × port index; endpoint creation order), so walking the set bits low to
-// high visits elements in exactly the order the full scan would. Elements outside a set satisfy the phase's no-op condition,
-// make no requests and touch no arbitration state, so skipping them is
-// unobservable. Membership is maintained incrementally: an element's bit is
-// set when it becomes active (a flit lands, a packet is injected, a header
-// is routed) and cleared by the owning phase's sweep on the first visit that
-// finds it idle. A sweep re-reads the bitmap after every visit, so an element
-// a hook activates ahead of the cursor is served in the same sweep and one
-// behind it in the next, exactly as the full scan would. The full-scan
-// reference implementation is kept behind Config.DisableActiveSet and the
-// differential tests assert bit-for-bit equivalence between the two modes.
+// element's position in creation order (switch creation order × port index;
+// endpoint creation order), so walking the set bits low to high visits
+// elements in exactly the order a scan of every element would. Elements
+// outside a set satisfy the phase's no-op condition, make no requests and
+// touch no arbitration state, so skipping them is unobservable. Membership is
+// maintained incrementally: an element's bit is set when it becomes active (a
+// flit lands, a packet is injected, a header is routed) and cleared by the
+// owning phase's sweep on the first visit that finds it idle. A sweep
+// re-reads the bitmap after every visit, so an element a hook activates
+// ahead of the cursor is served in the same sweep and one behind it in the
+// next, exactly as a scan of every element would. The reference that scans
+// every element is test-only: spec_test.go writes the kernel's rules over
+// every port in creation order, and the lockstep tests hold the kernel to it
+// every cycle.
 
 // activeSet is one phase's membership bitmap: the bit is the membership,
 // what sweeps walk, activation sets and snapshots record.
@@ -94,8 +96,7 @@ type Counters struct {
 	// Cycles is the number of Step calls.
 	Cycles int64
 	// LinkVisits / LinkVisitsSkipped count, per landing phase, the links
-	// marked as carrying flits at its start (all links under the full scan)
-	// vs the rest.
+	// marked as carrying flits at its start vs the rest.
 	LinkVisits, LinkVisitsSkipped int64
 	// SwitchPortVisits / SwitchPortVisitsSkipped count switch input ports
 	// examined vs skipped by the allocation phase (traversal walks the ports

@@ -101,7 +101,7 @@ func (e *Engine) topologyHash() uint64 {
 func (e *Engine) EncodeState(w *checkpoint.Writer) {
 	meta := w.Section(secEngineMeta)
 	meta.Uint(e.topologyHash())
-	meta.Bool(e.cfg.DisableActiveSet)
+	meta.Bool(false) // the retired full-scan mode's flag
 	meta.Int(e.cycle)
 	meta.Int(e.moves)
 	meta.Int(e.resident)
@@ -218,8 +218,8 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 	if got, want := meta.Uint(), e.topologyHash(); meta.Err() == nil && got != want {
 		return fmt.Errorf("checkpoint: section %q: topology fingerprint %016x does not match this network's %016x", secEngineMeta, got, want)
 	}
-	if das := meta.Bool(); meta.Err() == nil && das != e.cfg.DisableActiveSet {
-		return fmt.Errorf("checkpoint: section %q: DisableActiveSet=%v does not match this engine's %v (visit counters would diverge)", secEngineMeta, das, e.cfg.DisableActiveSet)
+	if full := meta.Bool(); meta.Err() == nil && full {
+		return fmt.Errorf("checkpoint: section %q: taken in the retired full-scan mode, whose visit counters this engine cannot continue", secEngineMeta)
 	}
 	cycle := meta.Int()
 	moves := meta.Int()
@@ -405,10 +405,10 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 			return fmt.Errorf("checkpoint: section %q: loaded link %d marked inactive", secEngineLinks, id)
 		}
 		if r.linkActive {
-			// Under the active set a marked link carrying nothing (a purge
-			// emptied it) is stale.
+			// A marked link carrying nothing (a purge emptied it) is
+			// stale.
 			e.linksActive++
-			if r.fly == 0 && !e.cfg.DisableActiveSet {
+			if r.fly == 0 {
 				e.stale = append(e.stale, p)
 			}
 		}

@@ -34,7 +34,6 @@ func snapshotScenarios() []scenario {
 	return []scenario{
 		{name: "chain/default", build: chain(DefaultConfig()), horizon: 400},
 		{name: "chain/incremental", build: chain(Config{BufferDepth: 4, Acquire: AcquireIncremental}), horizon: 900},
-		{name: "chain/fullscan", build: chain(Config{BufferDepth: 2, DisableActiveSet: true}), horizon: 400},
 		{name: "chain/depth8", build: chain(Config{BufferDepth: 8}), horizon: 900},
 		{name: "fanout/transform", build: fanRewriteEngine, horizon: 300},
 		{name: "phys/shared", build: physSharedEngine, horizon: 500},
@@ -315,11 +314,18 @@ func TestRestoreRejectsMismatchedTopology(t *testing.T) {
 		t.Fatalf("err = %v, want topology fingerprint mismatch", err)
 	}
 
-	cfg = DefaultConfig()
-	cfg.DisableActiveSet = true // same topology hash inputs except mode flag
-	e4, _ := chainScenario(cfg, 8)
-	if err := e4.Restore(snap); err == nil || !strings.Contains(err.Error(), "DisableActiveSet") {
-		t.Fatalf("err = %v, want DisableActiveSet mismatch", err)
+	// The meta section keeps the retired full-scan mode's flag, after the
+	// fingerprint: written false, and refused when set.
+	full := bytes.Clone(snap)
+	meta := sectionPayload(full, secEngineMeta)
+	_, n := binary.Uvarint(meta)
+	if meta[n] != 0 {
+		t.Fatalf("the full-scan flag is written %d, want 0", meta[n])
+	}
+	meta[n] = 1
+	e4, _ := chainScenario(DefaultConfig(), 8)
+	if err := e4.Restore(reseal(full)); err == nil || !strings.Contains(err.Error(), "retired full-scan mode") {
+		t.Fatalf("err = %v, want a refusal of the retired full-scan mode", err)
 	}
 }
 

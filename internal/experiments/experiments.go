@@ -75,10 +75,7 @@ func sweepCells[R any](opt Options, n int, fn func(i int) (R, error)) ([]R, erro
 			return r, err
 		}
 	}
-	if opt.Ctx != nil || opt.Budget != nil {
-		return sweep.DoCtxErr(opt.Ctx, opt.Budget, n, opt.Parallel, run)
-	}
-	return sweep.DoErr(n, opt.Parallel, run)
+	return sweep.DoErr(opt.Ctx, opt.Budget, n, opt.Parallel, run)
 }
 
 // row is one table row of a single-cell experiment: the leading table

@@ -64,7 +64,7 @@ func TestShardRandSourcesIndependent(t *testing.T) {
 	// Two shards with the same seed, surrounded by decoys with different
 	// seeds, all racing on the pool.
 	seeds := []int64{42, 7, 42, 99, 1, 42}
-	results := sweep.Do(len(seeds), len(seeds), func(i int) string { return runShard(seeds[i]) })
+	results, _ := sweep.Do(nil, nil, len(seeds), len(seeds), func(i int) string { return runShard(seeds[i]) })
 	if results[0] == "" {
 		t.Fatal("shard failed")
 	}
@@ -76,7 +76,7 @@ func TestShardRandSourcesIndependent(t *testing.T) {
 	}
 	// And the stream itself: two rand sources from one seed stay in
 	// lockstep even when drawn concurrently (no shared global source).
-	draws := sweep.Do(2, 2, func(int) []float64 {
+	draws, _ := sweep.Do(nil, nil, 2, 2, func(int) []float64 {
 		rng := rand.New(rand.NewSource(1234))
 		out := make([]float64, 1000)
 		for i := range out {

@@ -8,12 +8,14 @@ import (
 	"testing"
 )
 
+// TestDoCtxMatchesDo: a sweep under a context and a shared budget returns
+// what the plain sweep (no context, no Limiter) does.
 func TestDoCtxMatchesDo(t *testing.T) {
 	fn := func(i int) int { return i * i }
-	want := Do(100, 4, fn)
+	want, _ := Do(nil, nil, 100, 4, fn)
 	for _, parallel := range []int{1, 2, 8} {
 		for _, lim := range []*Limiter{nil, NewLimiter(3)} {
-			got, err := DoCtx(context.Background(), lim, 100, parallel, fn)
+			got, err := Do(context.Background(), lim, 100, parallel, fn)
 			if err != nil {
 				t.Fatalf("parallel=%d lim=%v: %v", parallel, lim, err)
 			}
@@ -27,11 +29,11 @@ func TestDoCtxMatchesDo(t *testing.T) {
 }
 
 func TestDoCtxNilContextAndEmpty(t *testing.T) {
-	got, err := DoCtx(nil, nil, 4, 2, func(i int) int { return i })
+	got, err := Do(nil, nil, 4, 2, func(i int) int { return i })
 	if err != nil || len(got) != 4 {
 		t.Fatalf("nil ctx: %v %v", got, err)
 	}
-	if got, err := DoCtx(context.Background(), nil, 0, 2, func(i int) int { return i }); err != nil || got != nil {
+	if got, err := Do(context.Background(), nil, 0, 2, func(i int) int { return i }); err != nil || got != nil {
 		t.Fatalf("n=0: %v %v", got, err)
 	}
 }
@@ -40,7 +42,7 @@ func TestDoCtxCancellationStopsEarly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int64
 	const n = 1000
-	_, err := DoCtx(ctx, nil, n, 2, func(i int) int {
+	_, err := Do(ctx, nil, n, 2, func(i int) int {
 		if started.Add(1) == 10 {
 			cancel()
 		}
@@ -57,7 +59,7 @@ func TestDoCtxCancellationStopsEarly(t *testing.T) {
 func TestDoCtxSerialCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := 0
-	_, err := DoCtx(ctx, nil, 1000, 1, func(i int) int {
+	_, err := Do(ctx, nil, 1000, 1, func(i int) int {
 		ran++
 		if i == 5 {
 			cancel()
@@ -75,7 +77,7 @@ func TestDoCtxSerialCancellation(t *testing.T) {
 func TestDoCtxErrSemantics(t *testing.T) {
 	boom := errors.New("boom")
 	// First error by index wins, regardless of completion order.
-	_, err := DoCtxErr(context.Background(), nil, 10, 4, func(i int) (int, error) {
+	_, err := DoErr(context.Background(), nil, 10, 4, func(i int) (int, error) {
 		if i == 7 || i == 3 {
 			return 0, boom
 		}
@@ -87,7 +89,7 @@ func TestDoCtxErrSemantics(t *testing.T) {
 	// Cancellation wins over cell errors.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = DoCtxErr(ctx, nil, 10, 4, func(i int) (int, error) { return 0, boom })
+	_, err = DoErr(ctx, nil, 10, 4, func(i int) (int, error) { return 0, boom })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -119,7 +121,7 @@ func TestLimiterBoundsConcurrentSweeps(t *testing.T) {
 	for s := 0; s < 2; s++ {
 		go func() {
 			defer wg.Done()
-			if _, err := DoCtx(context.Background(), lim, 50, 4, cell); err != nil {
+			if _, err := Do(context.Background(), lim, 50, 4, cell); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -141,7 +143,7 @@ func TestLimiterDefaultsAndCaps(t *testing.T) {
 	// effectively serial and therefore ordered.
 	var order []int
 	var mu sync.Mutex
-	_, err := DoCtx(context.Background(), NewLimiter(1), 20, 8, func(i int) int {
+	_, err := Do(context.Background(), NewLimiter(1), 20, 8, func(i int) int {
 		mu.Lock()
 		order = append(order, i)
 		mu.Unlock()

@@ -25,69 +25,11 @@ import (
 // non-positive value: the number of CPUs the process may use.
 func DefaultParallel() int { return runtime.GOMAXPROCS(0) }
 
-// Do runs fn(0..n-1) on min(parallel, n) workers and returns the n results
-// in index order. parallel <= 0 means DefaultParallel(); parallel == 1 runs
-// serially on the calling goroutine with no synchronization overhead.
-func Do[R any](n, parallel int, fn func(i int) R) []R {
-	if n <= 0 {
-		return nil
-	}
-	results := make([]R, n)
-	if parallel <= 0 {
-		parallel = DefaultParallel()
-	}
-	if parallel > n {
-		parallel = n
-	}
-	if parallel == 1 {
-		for i := 0; i < n; i++ {
-			results[i] = fn(i)
-		}
-		return results
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(parallel)
-	for w := 0; w < parallel; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				results[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return results
-}
-
-// DoErr is Do for fallible runs: it returns every result plus the first
-// error by run index (not completion order), so the reported error is the
-// same no matter how the schedule interleaved.
-func DoErr[R any](n, parallel int, fn func(i int) (R, error)) ([]R, error) {
-	type outcome struct{ err error }
-	errs := make([]outcome, n)
-	results := Do(n, parallel, func(i int) R {
-		r, err := fn(i)
-		errs[i].err = err
-		return r
-	})
-	for i := range errs {
-		if errs[i].err != nil {
-			return results, errs[i].err
-		}
-	}
-	return results, nil
-}
-
 // Limiter is a concurrency budget shared between sweeps. A server running
 // several jobs at once hands every sweep the same Limiter so the *sum* of
 // live cell executions across all jobs never exceeds the budget, no matter
-// how many sweeps are in flight. A nil Limiter means "no shared budget";
-// DoCtx then behaves like Do bounded only by its own parallel argument.
+// how many sweeps are in flight. A nil Limiter means "no shared budget":
+// a sweep is then bounded only by its own parallel argument.
 //
 // Tokens are held per cell (acquired immediately before fn runs, released
 // right after), never across nested sweeps, so a job that fans out inner
@@ -120,13 +62,15 @@ func (l *Limiter) acquire(done <-chan struct{}) bool {
 
 func (l *Limiter) release() { <-l.sem }
 
-// DoCtx runs fn(0..n-1) like Do, with two additions for servers: the context
-// cancels the sweep between cells (cells already running finish; unstarted
-// indices keep their zero value and DoCtx returns ctx.Err()), and a non-nil
-// Limiter gates every cell execution by a budget shared with other sweeps.
-// Results are still merged by index, so a completed DoCtx is byte-identical
-// to Do at any parallelism and any budget width.
-func DoCtx[R any](ctx context.Context, lim *Limiter, n, parallel int, fn func(i int) R) ([]R, error) {
+// Do runs fn(0..n-1) on min(parallel, n) workers and returns the n results
+// in index order. parallel <= 0 means DefaultParallel(); parallel == 1 with
+// no Limiter runs serially on the calling goroutine. The context (nil for
+// none) cancels the sweep between cells: cells already running finish,
+// unstarted indices keep their zero value and Do returns ctx.Err(). A
+// non-nil Limiter gates every cell execution by a budget shared with other
+// sweeps, and caps parallel at its width. Results are merged by index, so a
+// completed sweep is byte-identical at any parallelism and any budget width.
+func Do[R any](ctx context.Context, lim *Limiter, n, parallel int, fn func(i int) R) ([]R, error) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -190,13 +134,14 @@ func DoCtx[R any](ctx context.Context, lim *Limiter, n, parallel int, fn func(i 
 	return results, ctx.Err()
 }
 
-// DoCtxErr is DoCtx for fallible runs. Cancellation wins over cell errors
-// (a canceled sweep reports ctx.Err()); otherwise the first error by run
-// index is returned, as in DoErr.
-func DoCtxErr[R any](ctx context.Context, lim *Limiter, n, parallel int, fn func(i int) (R, error)) ([]R, error) {
+// DoErr is Do for fallible runs. Cancellation wins over cell errors (a
+// canceled sweep reports ctx.Err()); otherwise the first error by run index
+// (not completion order) is returned, so the reported error is the same no
+// matter how the schedule interleaved. Every result is returned either way.
+func DoErr[R any](ctx context.Context, lim *Limiter, n, parallel int, fn func(i int) (R, error)) ([]R, error) {
 	type outcome struct{ err error }
 	errs := make([]outcome, n)
-	results, ctxErr := DoCtx(ctx, lim, n, parallel, func(i int) R {
+	results, ctxErr := Do(ctx, lim, n, parallel, func(i int) R {
 		r, err := fn(i)
 		errs[i].err = err
 		return r

@@ -17,7 +17,7 @@ import (
 
 func TestDoOrdersResultsByIndex(t *testing.T) {
 	for _, parallel := range []int{1, 2, 7, 64, 0, -1} {
-		got := Do(50, parallel, func(i int) int { return i * i })
+		got, _ := Do(nil, nil, 50, parallel, func(i int) int { return i * i })
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("parallel=%d: result[%d] = %d, want %d", parallel, i, v, i*i)
@@ -28,9 +28,9 @@ func TestDoOrdersResultsByIndex(t *testing.T) {
 
 func TestDoResultsIdenticalAcrossParallelism(t *testing.T) {
 	work := func(i int) string { return fmt.Sprintf("run-%03d", i*7%13) }
-	serial := Do(40, 1, work)
+	serial, _ := Do(nil, nil, 40, 1, work)
 	for _, parallel := range []int{2, 4, 16} {
-		par := Do(40, parallel, work)
+		par, _ := Do(nil, nil, 40, parallel, work)
 		for i := range serial {
 			if par[i] != serial[i] {
 				t.Fatalf("parallel=%d: result[%d] = %q, want %q", parallel, i, par[i], serial[i])
@@ -40,15 +40,15 @@ func TestDoResultsIdenticalAcrossParallelism(t *testing.T) {
 }
 
 func TestDoEdgeCases(t *testing.T) {
-	if r := Do(0, 4, func(i int) int { return i }); r != nil {
+	if r, _ := Do(nil, nil, 0, 4, func(i int) int { return i }); r != nil {
 		t.Errorf("n=0 returned %v", r)
 	}
-	if r := Do(-3, 4, func(i int) int { return i }); r != nil {
+	if r, _ := Do(nil, nil, -3, 4, func(i int) int { return i }); r != nil {
 		t.Errorf("n<0 returned %v", r)
 	}
 	// parallel > n must still run every index exactly once.
 	var calls atomic.Int64
-	r := Do(3, 100, func(i int) int { calls.Add(1); return i })
+	r, _ := Do(nil, nil, 3, 100, func(i int) int { calls.Add(1); return i })
 	if calls.Load() != 3 || len(r) != 3 {
 		t.Errorf("n=3 parallel=100: %d calls, %d results", calls.Load(), len(r))
 	}
@@ -60,7 +60,7 @@ func TestDoErrReportsFirstErrorByIndex(t *testing.T) {
 	// Index 3 and 7 both fail; the reported error must be index 3's no
 	// matter which completed first.
 	for _, parallel := range []int{1, 4} {
-		results, err := DoErr(10, parallel, func(i int) (int, error) {
+		results, err := DoErr(nil, nil, 10, parallel, func(i int) (int, error) {
 			switch i {
 			case 3:
 				return 0, errA
@@ -76,7 +76,7 @@ func TestDoErrReportsFirstErrorByIndex(t *testing.T) {
 			t.Fatalf("parallel=%d: results truncated: %v", parallel, results)
 		}
 	}
-	if _, err := DoErr(5, 2, func(i int) (int, error) { return i, nil }); err != nil {
+	if _, err := DoErr(nil, nil, 5, 2, func(i int) (int, error) { return i, nil }); err != nil {
 		t.Fatalf("unexpected error %v", err)
 	}
 }
@@ -99,8 +99,8 @@ func TestConcurrentMachinesShareNoState(t *testing.T) {
 		m.Run(100_000)
 		return m.Engine().StateHash()
 	}
-	serial := Do(12, 1, run)
-	parallelRes := Do(12, 8, run)
+	serial, _ := Do(nil, nil, 12, 1, run)
+	parallelRes, _ := Do(nil, nil, 12, 8, run)
 	for i := range serial {
 		if serial[i] != parallelRes[i] {
 			t.Errorf("run %d: hash %#x serial vs %#x parallel — engine state leaked across goroutines", i, serial[i], parallelRes[i])
