@@ -185,9 +185,6 @@ func NewReader(data []byte) (*Reader, error) {
 // Version reports the container's format version.
 func (r *Reader) Version() uint16 { return r.version }
 
-// Sections lists section names in container order.
-func (r *Reader) Sections() []string { return r.names }
-
 // Section returns a decoder for the named section's payload. The decoder
 // carries the container's format version so section codecs can skip fields
 // older versions cannot contain.

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,9 +34,9 @@ func goldenContainer() *Writer {
 	a.Byte(0xab)
 	a.Bool(true)
 	a.Bool(false)
-	a.Float(3.5)
+	a.Uint(math.Float64bits(3.5))
 	a.String("wormhole")
-	a.BytesField([]byte{0, 1, 2, 0xff})
+	a.String("\x00\x01\x02\xff")
 	b := w.Section("beta.rng")
 	for _, v := range rngState(42) {
 		b.Uint(v)
@@ -68,8 +69,8 @@ func TestRoundtrip(t *testing.T) {
 	if r.Version() != Version {
 		t.Fatalf("version = %d, want %d", r.Version(), Version)
 	}
-	if want := []string{"alpha", "beta.rng"}; !equalStrings(r.Sections(), want) {
-		t.Fatalf("sections = %v, want %v", r.Sections(), want)
+	if want := []string{"alpha", "beta.rng"}; !equalStrings(r.names, want) {
+		t.Fatalf("sections = %v, want %v", r.names, want)
 	}
 	d, err := r.Section("alpha")
 	if err != nil {
@@ -91,14 +92,14 @@ func TestRoundtrip(t *testing.T) {
 	if !d.Bool() || d.Bool() {
 		t.Error("bool sequence wrong")
 	}
-	if got := d.Float(); got != 3.5 {
-		t.Errorf("float = %v", got)
+	if got := math.Float64frombits(d.Uint()); got != 3.5 {
+		t.Errorf("float bits = %v", got)
 	}
 	if got := d.String(); got != "wormhole" {
 		t.Errorf("string = %q", got)
 	}
-	if got := d.BytesField(); !bytes.Equal(got, []byte{0, 1, 2, 0xff}) {
-		t.Errorf("bytes = %v", got)
+	if got := d.String(); got != "\x00\x01\x02\xff" {
+		t.Errorf("raw bytes = %q", got)
 	}
 	if err := d.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
@@ -255,15 +256,6 @@ func TestDecoderBounds(t *testing.T) {
 		d := NewDecoder("s", []byte{7})
 		if d.Bool() || d.Err() == nil {
 			t.Fatal("bool byte 7 accepted")
-		}
-	})
-	t.Run("expect mismatch", func(t *testing.T) {
-		var e Encoder
-		e.Int(5)
-		d := NewDecoder("s", e.Bytes())
-		d.Expect(6, "port count")
-		if d.Err() == nil || !strings.Contains(d.Err().Error(), "port count") {
-			t.Fatalf("err = %v, want port count mismatch", d.Err())
 		}
 	})
 	t.Run("finish trailing", func(t *testing.T) {

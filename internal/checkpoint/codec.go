@@ -3,7 +3,6 @@ package checkpoint
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // An Encoder builds one section payload out of primitive values. The zero
@@ -33,19 +32,10 @@ func (e *Encoder) Bool(v bool) {
 	}
 }
 
-// Float appends a float64 as its IEEE-754 bits.
-func (e *Encoder) Float(v float64) { e.Uint(math.Float64bits(v)) }
-
 // String appends a length-prefixed string.
 func (e *Encoder) String(s string) {
 	e.Uint(uint64(len(s)))
 	e.buf = append(e.buf, s...)
-}
-
-// Bytes appends a length-prefixed byte string.
-func (e *Encoder) BytesField(b []byte) {
-	e.Uint(uint64(len(b)))
-	e.buf = append(e.buf, b...)
 }
 
 // A Decoder reads one section payload. Errors are sticky: after the first
@@ -164,26 +154,19 @@ func (d *Decoder) Bool() bool {
 	return b == 1
 }
 
-// Float reads a float64 from its IEEE-754 bits.
-func (d *Decoder) Float() float64 { return math.Float64frombits(d.Uint()) }
-
 // String reads a length-prefixed string.
-func (d *Decoder) String() string { return string(d.BytesField()) }
-
-// BytesField reads a length-prefixed byte string. The result aliases the
-// payload buffer.
-func (d *Decoder) BytesField() []byte {
+func (d *Decoder) String() string {
 	n := d.Uint()
 	if d.err != nil {
-		return nil
+		return ""
 	}
 	if n > uint64(d.Remaining()) {
 		d.fail(fmt.Sprintf("byte string length %d exceeds %d remaining", n, d.Remaining()))
-		return nil
+		return ""
 	}
-	b := d.buf[d.off : d.off+int(n)]
+	s := string(d.buf[d.off : d.off+int(n)])
 	d.off += int(n)
-	return b
+	return s
 }
 
 // Len reads an element count for a sequence whose elements occupy at least
@@ -203,14 +186,4 @@ func (d *Decoder) Len(minBytes int) int {
 		return 0
 	}
 	return int(n)
-}
-
-// Expect reads a signed varint and fails unless it equals want; used for
-// structural invariants (port counts, shape dims) whose mismatch means the
-// snapshot belongs to a different network.
-func (d *Decoder) Expect(want int64, what string) {
-	got := d.Int()
-	if d.err == nil && got != want {
-		d.fail(fmt.Sprintf("%s mismatch: snapshot has %d, target has %d", what, got, want))
-	}
 }

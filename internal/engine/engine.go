@@ -892,14 +892,13 @@ func (e *Engine) prepare(p int32) bool {
 		}
 		rs = e.routeHeader(p, f.Header)
 		e.in[p].route = rs
-	}
-	if rs.provisional && rs.nGranted == 0 {
-		// The provisional decision bound for one allocation round and lost.
-		// Route the header again so an adaptive policy may pick a different
-		// output, preserving the original arrival stamp: the oldest-first
-		// arbiter keeps seeing the packet's true age, so re-routing can
-		// never starve it. With no grants issued the header flit is still at
-		// the front of the buffer.
+	} else if rs.provisional && rs.nGranted == 0 {
+		// The provisional decision, made in an earlier cycle, bound for one
+		// allocation round and lost. Route the header again so an adaptive
+		// policy may pick a different output, preserving the original
+		// arrival stamp: the oldest-first arbiter keeps seeing the packet's
+		// true age, so re-routing can never starve it. With no grants issued
+		// the header flit is still at the front of the buffer.
 		since := rs.since
 		e.freeRouteState(rs)
 		rs = e.routeHeader(p, e.front(p).Header)

@@ -173,13 +173,51 @@ func (p *proc) sigkill() {
 // submit POSTs a spec and returns the job id.
 func (p *proc) submit(spec jobs.Spec) string {
 	p.t.Helper()
+	id, err := p.post(spec)
+	if err != nil {
+		p.t.Fatalf("submit to %s: %v", p.worker, err)
+	}
+	return id
+}
+
+// submitDying submits a spec to a worker whose failpoint the spec itself
+// may fire before the HTTP response is written. The worker saves the job
+// record under its lock before any run can start, so when the response is
+// lost the id is the one recorded in jobs/<worker>/ for the spec's
+// canonical form.
+func (p *proc) submitDying(spec jobs.Spec, stateDir string) string {
+	p.t.Helper()
+	id, err := p.post(spec)
+	if err == nil {
+		return id
+	}
+	norm := spec.Clone()
+	if err := norm.Normalize(); err != nil {
+		p.t.Fatal(err)
+	}
+	recs, _ := filepath.Glob(filepath.Join(stateDir, "jobs", p.worker, "*.json"))
+	for _, path := range recs {
+		data, _ := os.ReadFile(path) // an unreadable file is not the record
+		var rec struct{ ID, Canonical string }
+		if json.Unmarshal(data, &rec) == nil && rec.Canonical == norm.Canonical() {
+			return rec.ID
+		}
+	}
+	p.t.Fatalf("submit to %s: %v, and no job record holds the spec", p.worker, err)
+	return ""
+}
+
+// post sends one submission. A transport error (the worker died mid-request)
+// is returned; any other failure is fatal.
+func (p *proc) post(spec jobs.Spec) (string, error) {
+	p.t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
 		p.t.Fatal(err)
 	}
 	resp, err := http.Post(p.base+"/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
-		p.t.Fatalf("submit to %s: %v", p.worker, err)
+		return "", err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
@@ -190,9 +228,9 @@ func (p *proc) submit(spec jobs.Spec) string {
 		ID string `json:"id"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		p.t.Fatal(err)
+		return "", err
 	}
-	return out.ID
+	return out.ID, nil
 }
 
 // jobView is the harness's slice of GET /jobs/{id}.
@@ -355,7 +393,7 @@ func TestChaosKillFleetEquivalence(t *testing.T) {
 	wb := startWorker(t, bin, fleetDir, "wb", ttl, 3, "")
 	wc := startWorker(t, bin, fleetDir, "wc", ttl, 3, "")
 
-	idA := wa.submit(longA)
+	idA := wa.submitDying(longA, fleetDir)
 	idB := wb.submit(longB)
 	idQ1 := wc.submit(quick)
 	idQ2 := wb.submit(quick) // same canonical spec via a different worker

@@ -701,9 +701,9 @@ func (m *Manager) runExecution(ex *execution) {
 	m.running++
 	m.mu.Unlock()
 
-	// Heartbeat keeper: renew the lease on a fixed cadence so peers see a
-	// live owner even through progress-silent stretches. Losing the lease
-	// (a peer judged us dead and stole it) cancels the run.
+	// Heartbeat keeper: renew the lease every TTL/4 so peers see a live
+	// owner whether or not the run reports progress. Losing the lease (a
+	// peer judged us dead and stole it) cancels the run.
 	var lost atomic.Bool
 	var hbStop chan struct{}
 	var hbDone chan struct{}
@@ -711,7 +711,7 @@ func (m *Manager) runExecution(ex *execution) {
 		hbStop, hbDone = make(chan struct{}), make(chan struct{})
 		go func() {
 			defer close(hbDone)
-			tick := time.NewTicker(m.cfg.LeaseTTL / 3)
+			tick := time.NewTicker(m.cfg.LeaseTTL / 4)
 			defer tick.Stop()
 			for {
 				select {
@@ -735,7 +735,7 @@ func (m *Manager) runExecution(ex *execution) {
 	}
 
 	start := time.Now()
-	var lastEmit, lastLeaseRenew time.Time
+	var lastEmit time.Time
 	progress := func(d Progress) {
 		ex.mu.Lock()
 		ex.progress.add(d)
@@ -755,28 +755,11 @@ func (m *Manager) runExecution(ex *execution) {
 			lastEmit = time.Now()
 			ex.appendLocked("", Event{Type: "progress"})
 		}
-		// Progress arrives from every sweep worker at once; the renewal
-		// throttle is decided under the execution's lock like the event one.
-		renew := owned && time.Since(lastLeaseRenew) >= m.cfg.LeaseTTL/4
-		if renew {
-			lastLeaseRenew = time.Now()
-		}
 		ex.mu.Unlock()
 		if m.cfg.FailpointHash == ex.hash && cycles >= m.cfg.FailpointCycle {
 			// Deterministic owner death for the chaos harness: no park, no
 			// release — indistinguishable from SIGKILL to the fleet.
 			os.Exit(3)
-		}
-		if renew {
-			// Renew per progress event (throttled): an active owner's lease
-			// stays fresh without waiting on the keeper tick.
-			switch err := st.renewLease(ex.hash, m.cfg.WorkerID, leaseEpoch); {
-			case errors.Is(err, errLeaseLost):
-				lost.Store(true)
-				cancel()
-			case err == nil:
-				m.noteRenew()
-			}
 		}
 		m.mu.Lock()
 		m.total.add(d)

@@ -99,8 +99,8 @@ func (p *VCPolicy) RouteRouter(net *topo.Net, c geom.Coord, in int, h *flit.Head
 
 // adaptiveHop picks a minimal productive hop on a free adaptive lane, or
 // reports ok=false to commit the packet to the escape channel. The choice
-// reads only node-local, phase-stable state (output-port ownership), so it is
-// identical in both scheduler modes; candidates are scanned
+// reads only node-local, phase-stable state (output-port ownership), so it
+// does not depend on visiting order; candidates are scanned
 // dimension-ascending, lane-ascending for determinism. The read is
 // unsynchronized: a machine steps on a single goroutine (sweep parallelism
 // runs distinct machines).

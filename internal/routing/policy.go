@@ -255,9 +255,12 @@ func (p *Policy) EffectiveDXB() geom.Line { return geom.Line{Dim: 0, Fixed: p.dE
 
 // onLine reports whether coordinate c lies on the dim-0 line with the given
 // fixed coordinates.
-func (p *Policy) onLine(c, fixed geom.Coord) bool {
-	for j := 1; j < p.dims; j++ {
-		if c[j] != fixed[j] {
+func (p *Policy) onLine(c, fixed geom.Coord) bool { return agree(c, fixed, 1, p.dims) }
+
+// agree reports whether x and y agree in dimensions lo..hi-1.
+func agree(x, y geom.Coord, lo, hi int) bool {
+	for j := lo; j < hi; j++ {
+		if x[j] != y[j] {
 			return false
 		}
 	}
@@ -359,9 +362,9 @@ func (p *Policy) routerNormal(c geom.Coord, h *flit.Header) ([]int, flit.Rewrite
 	}
 	// The crossbar this packet needs next is faulty: enter detour mode if
 	// the detour route avoids it, else the destination is unreachable
-	// (paper-scope limitation; see DESIGN.md). The router checks only the
-	// identity of its own faulty crossbar — the neighbor-bits discipline.
-	if p.detourUsesLine(geom.LineOf(c, k), c, h.Dst) {
+	// (paper-scope limitation; see DESIGN.md). The router reads its own
+	// fault bit and one bit of dst — the neighbor-bits discipline.
+	if p.detourRidesXB(c, k, h.Dst[k] == p.dEff[k]) {
 		return nil, 0, p.refuseLine(whyDetourNeedsXB, geom.LineOf(c, k))
 	}
 	// The first detour leg must itself be healthy. Under the paper's
@@ -378,61 +381,36 @@ func (p *Policy) routerNormal(c geom.Coord, h *flit.Header) ([]int, flit.Rewrite
 	return p.out(j), flit.SetRC(flit.RCDetour), refusal{}
 }
 
-// detourWalk replays the element sequence of a detour that starts at router
-// `start` and resumes dimension order after the D-XB, calling visitRouter on
-// every later router and visitLine on every crossbar used. Either callback
-// may stop the walk by returning true; detourWalk reports whether one did.
-//
-// The sequence is: ride dimensions 1..d-1 in increasing order to the D line,
-// cross the D-XB (dim 0 to dst[0]), then resume dimension order to dst.
-func (p *Policy) detourWalk(start, dst geom.Coord, visitRouter func(geom.Coord) bool, visitLine func(geom.Line) bool) bool {
-	pos := start
-	step := func(dim, to int) bool {
-		if pos[dim] == to {
-			return false
-		}
-		if visitLine != nil && visitLine(geom.LineOf(pos, dim)) {
-			return true
-		}
-		pos[dim] = to
-		return visitRouter != nil && visitRouter(pos)
+// detourRidesXB reports whether the detour from router c rides c's dim-k
+// crossbar, for a destination first differing from c in dimension k and on
+// the D line's coordinate k iff dstOnD. The detour rides dimensions 1..d-1
+// to the D line, crosses the D-XB to dst[0], then takes dimension order, so
+// it meets that crossbar only as the D-XB (k = 0, c on the D line), on the
+// leg out (c on the D line in dims 1..k-1, off it in k) or on the leg back
+// (c on the D line in dims k+1..d-1, dst off it in k).
+func (p *Policy) detourRidesXB(c geom.Coord, k int, dstOnD bool) bool {
+	if k == 0 {
+		return p.onLine(c, p.dEff)
 	}
-	for j := 1; j < p.dims; j++ {
-		if step(j, p.dEff[j]) {
-			return true
-		}
-	}
-	// The D-XB crossing happens even when pos[0] == dst[0] (the packet still
-	// enters the D-XB to have its RC bit reset; the crossbar may reflect it
-	// back to the same router).
-	if visitLine != nil && visitLine(geom.LineOf(pos, 0)) {
-		return true
-	}
-	pos[0] = dst[0]
-	if visitRouter != nil && visitRouter(pos) {
-		return true
-	}
-	for j := 1; j < p.dims; j++ {
-		if step(j, dst[j]) {
-			return true
-		}
-	}
-	return false
+	return agree(c, p.dEff, 1, k) && c[k] != p.dEff[k] || agree(c, p.dEff, k+1, p.dims) && !dstOnD
 }
 
-// detourUsesLine reports whether a detour starting at router `start` would
-// ride the given (faulty) crossbar.
-func (p *Policy) detourUsesLine(bad geom.Line, start, dst geom.Coord) bool {
-	return p.detourWalk(start, dst, nil, func(l geom.Line) bool { return l == bad })
-}
-
-// detourVisitsRouter reports whether a detour starting at router `start`
-// would pass through the given (faulty) router.
-func (p *Policy) detourVisitsRouter(bad, start, dst geom.Coord) bool {
-	if start == bad {
-		return true
+// detourReenters reports whether the detour from router s passes router b,
+// for a destination sharing a prefix of that many dimensions with b (d: it
+// is b). The leg out passes (s[0], D[1..j], s[j+1..]) for each j: it meets b
+// iff b[0] = s[0] and b agrees with s from the lowest dimension a >= 1 in
+// which b is off the D line. The leg back passes (dst[0..j], D[j+1..]): it
+// meets b iff prefix >= S, the lowest dimension >= 1 from which b is on the
+// D line through d-1.
+func (p *Policy) detourReenters(b, s geom.Coord, prefix int) bool {
+	a, S := 1, p.dims
+	for a < p.dims && b[a] == p.dEff[a] {
+		a++
 	}
-	return p.detourWalk(start, dst, func(c geom.Coord) bool { return c == bad }, nil)
+	for S > 1 && b[S-1] == p.dEff[S-1] {
+		S--
+	}
+	return b[0] == s[0] && agree(b, s, a, p.dims) || prefix >= S
 }
 
 // RouteXB implements topo.Policy for crossbar switches.
@@ -509,7 +487,8 @@ func (p *Policy) xbNormal(l geom.Line, h *flit.Header) ([]int, flit.Rewrite, ref
 	if !p.routerFaulty(exit) {
 		return p.out(target), 0, refusal{}
 	}
-	if exit == h.Dst {
+	prefix := exit.FirstDiff(h.Dst, p.dims)
+	if prefix < 0 {
 		// "If an RTC is faulty, the network hardware stops transmission of
 		// packets to the faulty PE."
 		return nil, 0, p.refuseAt(whyDstFaulty, exit)
@@ -520,9 +499,10 @@ func (p *Policy) xbNormal(l geom.Line, h *flit.Header) ([]int, flit.Rewrite, ref
 	}
 	// Would the detour — riding from the designated detour router to the D
 	// line, across the D-XB, and back down dimension order — pass through
-	// this faulty router again? The crossbar checks only its own neighbor's
-	// coordinate: the neighbor-bits discipline.
-	if p.detourVisitsRouter(exit, l.Point(dp), h.Dst) {
+	// this faulty router again? The crossbar reads its neighbor's fault bit
+	// and how long a prefix the destination shares with that neighbor: the
+	// neighbor-bits discipline.
+	if p.detourReenters(exit, l.Point(dp), prefix) {
 		return nil, 0, p.refuseAt(whyDetourReenters, exit)
 	}
 	return p.out(dp), flit.SetRC(flit.RCDetour), refusal{}

@@ -33,18 +33,23 @@ import (
 //     destination.
 //
 // The exceptions are exactly the switches wired to a fault — the paper's
-// "fault bits of physically connected switches". A router with a faulty
-// crossbar must decide, for packets that need that crossbar, whether the
-// detour would ride it again, and a crossbar with a faulty router, for
-// packets exiting there, whether the packet is for that router or whether
-// the detour re-enters it; both questions read the whole destination. Those
-// switches alone carry a dense per-destination row (full) that replaces the
-// structured one. Nothing else in routerNormal or xbNormal looks past the
-// one coordinate unless such a fault bit is set, which is why the override
-// is complete; TestTableEquivalenceExhaustive checks it decision by decision.
+// "fault bits of physically connected switches" — and each reads the one
+// small class more that its closed form reads (DESIGN §15):
+//
+//   - a router with a faulty crossbar holds a second row atD (d entries):
+//     whether the detour rides its faulty dim-k crossbar again reads only
+//     the bit dst[k] = D[k], and atD[k] serves the destinations on it;
+//   - a crossbar with a faulty router b holds prefix[b's port] (d+1
+//     entries): whether the packet is b's, and else whether the detour
+//     re-enters b, reads only the length of dst's common prefix with b.
+//
+// No row is as long as the machine; TestTableEquivalenceExhaustive checks
+// every row decision by decision against the algorithmic policy.
 type TablePolicy struct {
 	shape geom.Shape
 	dims  int
+	// dLine is the effective D line's fixed coordinates, which atD reads.
+	dLine geom.Coord
 
 	// routers[idx] holds the per-router tables.
 	routers []routerTable
@@ -75,24 +80,25 @@ func (tp *TablePolicy) decision(e *entry) (engine.Decision, error) {
 
 type routerTable struct {
 	// normal[k] serves destinations first differing in dimension k, and
-	// normal[dims] the router's own PE; full[dstIdx], when the router has a
-	// faulty crossbar, serves them all instead. detour and request are
-	// destination-independent; bcast is indexed by input port.
+	// normal[dims] the router's own PE. When the router has a faulty
+	// crossbar, atD[k] serves those of them whose coordinate k is the D
+	// line's instead. detour and request are destination-independent; bcast
+	// is indexed by input port.
 	normal  []entry
-	full    []entry
+	atD     []entry
 	detour  entry
 	request entry
 	bcast   []entry
 }
 
 type xbTable struct {
-	// normal[v] serves destinations at coordinate v along the line;
-	// full[dstIdx], when a router on the line is faulty, serves them all
-	// instead. detour is indexed the same way on a dim-0 crossbar and has
-	// one entry on the others. request is destination-independent; bcast is
-	// indexed by input port.
+	// normal[v] serves destinations at coordinate v along the line, unless
+	// the router at port v is faulty: prefix[v] serves those, indexed by
+	// the length of their common prefix with it. detour is indexed like
+	// normal on a dim-0 crossbar and has one entry on the others. request is
+	// destination-independent; bcast is indexed by input port.
 	normal  []entry
-	full    []entry
+	prefix  [][]entry
 	detour  []entry
 	request entry
 	bcast   []entry
@@ -103,7 +109,7 @@ func Compile(p *Policy) (*TablePolicy, error) {
 	shape := p.shape
 	d := p.dims
 	n := shape.Size()
-	tp := &TablePolicy{shape: shape, dims: d}
+	tp := &TablePolicy{shape: shape, dims: d, dLine: p.dEff}
 	router := func(c geom.Coord, in int, h flit.Header) entry {
 		outs, w, why := p.routeRouter(c, in, &h)
 		return entry{outs, w, why}
@@ -112,17 +118,10 @@ func Compile(p *Policy) (*TablePolicy, error) {
 		outs, w, why := p.routeXB(l, in, &h)
 		return entry{outs, w, why}
 	}
-	// perDestination is the dense override row of a fault-adjacent switch.
-	perDestination := func(route func(h flit.Header) entry) []entry {
-		row := make([]entry, n)
-		for di := range row {
-			row[di] = route(flit.Header{RC: flit.RCNormal, Dst: shape.CoordOf(di)})
-		}
-		return row
-	}
+	to := func(dst geom.Coord) flit.Header { return flit.Header{RC: flit.RCNormal, Dst: dst} }
 
-	// The structured rows are carved from one array; only the dense rows of
-	// fault-adjacent switches are allocated on their own.
+	// The rows every switch holds are carved from one array; only the class
+	// rows of fault-adjacent switches are allocated on their own.
 	size := n * 2 * (d + 1)
 	for dim, extent := range shape {
 		detours := 1
@@ -148,19 +147,23 @@ func Compile(p *Policy) (*TablePolicy, error) {
 			request: router(c, d, flit.Header{RC: flit.RCBroadcastRequest}),
 			bcast:   row(d + 1),
 		}
-		faultyXB := false
 		for k := 0; k < d; k++ {
-			faultyXB = faultyXB || p.faults.XBFaulty(geom.LineOf(c, k))
-			// Any destination first differing in dimension k stands for all
-			// of them; an extent-1 dimension has none and its entry is never
-			// read.
-			dst := c.WithDim(k, (c[k]+1)%shape[k])
-			rt.normal[k] = router(c, d, flit.Header{RC: flit.RCNormal, Dst: dst})
+			// Any destination first differing in dimension k stands for its
+			// class: one off the D line's coordinate k for normal, one on it
+			// for atD. A class with no destination is never read.
+			v := (c[k] + 1) % shape[k]
+			if v == p.dEff[k] && shape[k] > 2 {
+				v = (v + 1) % shape[k]
+			}
+			rt.normal[k] = router(c, d, to(c.WithDim(k, v)))
+			if rt.atD == nil && p.faults.XBFaulty(geom.LineOf(c, k)) {
+				rt.atD = make([]entry, d)
+			}
 		}
-		rt.normal[d] = router(c, d, flit.Header{RC: flit.RCNormal, Dst: c})
-		if faultyXB {
-			rt.full = perDestination(func(h flit.Header) entry { return router(c, d, h) })
+		for k := range rt.atD {
+			rt.atD[k] = router(c, d, to(c.WithDim(k, p.dEff[k])))
 		}
+		rt.normal[d] = router(c, d, to(c))
 		for in := range rt.bcast {
 			rt.bcast[in] = router(c, in, flit.Header{RC: flit.RCBroadcast})
 		}
@@ -184,18 +187,27 @@ func Compile(p *Policy) (*TablePolicy, error) {
 				request: xb(l, 0, flit.Header{RC: flit.RCBroadcastRequest}),
 				bcast:   row(ports),
 			}
-			faultyRouter := false
 			for v := 0; v < ports; v++ {
 				at := l.Point(v)
-				faultyRouter = faultyRouter || p.faults.RouterFaulty(at)
-				xt.normal[v] = xb(l, 0, flit.Header{RC: flit.RCNormal, Dst: at})
+				xt.normal[v] = xb(l, 0, to(at))
 				if v < len(xt.detour) {
 					xt.detour[v] = xb(l, 0, flit.Header{RC: flit.RCDetour, Dst: at})
 				}
 				xt.bcast[v] = xb(l, v, flit.Header{RC: flit.RCBroadcast})
-			}
-			if faultyRouter {
-				xt.full = perDestination(func(h flit.Header) entry { return xb(l, 0, h) })
+				if !p.faults.RouterFaulty(at) {
+					continue
+				}
+				if xt.prefix == nil {
+					xt.prefix = make([][]entry, ports)
+				}
+				// A destination first differing from the faulty router in
+				// dimension P stands for class P; class d is the router.
+				row := make([]entry, d+1)
+				for P := 0; P < d; P++ {
+					row[P] = xb(l, 0, to(at.WithDim(P, (at[P]+1)%shape[P])))
+				}
+				row[d] = xt.normal[v]
+				xt.prefix[v] = row
 			}
 			tp.xbs[dim][li] = xt
 		}
@@ -208,12 +220,11 @@ func (tp *TablePolicy) RouteRouter(net *topo.Net, c geom.Coord, in int, h *flit.
 	rt := &tp.routers[tp.shape.Index(c)]
 	switch h.RC {
 	case flit.RCNormal:
-		if rt.full != nil {
-			return tp.decision(&rt.full[tp.shape.Index(h.Dst)])
-		}
 		k := c.FirstDiff(h.Dst, tp.dims)
 		if k < 0 {
 			k = tp.dims
+		} else if rt.atD != nil && h.Dst[k] == tp.dLine[k] {
+			return tp.decision(&rt.atD[k])
 		}
 		return tp.decision(&rt.normal[k])
 	case flit.RCDetour:
@@ -231,10 +242,15 @@ func (tp *TablePolicy) RouteXB(net *topo.Net, l geom.Line, in int, h *flit.Heade
 	xt := &tp.xbs[l.Dim][tp.shape.LineIndex(l)]
 	switch h.RC {
 	case flit.RCNormal:
-		if xt.full != nil {
-			return tp.decision(&xt.full[tp.shape.Index(h.Dst)])
+		v := h.Dst[l.Dim]
+		if xt.prefix != nil && xt.prefix[v] != nil {
+			P := l.Point(v).FirstDiff(h.Dst, tp.dims)
+			if P < 0 {
+				P = tp.dims
+			}
+			return tp.decision(&xt.prefix[v][P])
 		}
-		return tp.decision(&xt.normal[h.Dst[l.Dim]])
+		return tp.decision(&xt.normal[v])
 	case flit.RCDetour:
 		if l.Dim == 0 {
 			return tp.decision(&xt.detour[h.Dst[0]])
@@ -253,11 +269,14 @@ func (tp *TablePolicy) RouteXB(net *topo.Net, l geom.Line, in int, h *flit.Heade
 func (tp *TablePolicy) Entries() int {
 	total := 0
 	for _, rt := range tp.routers {
-		total += len(rt.normal) + len(rt.full) + len(rt.bcast) + 2
+		total += len(rt.normal) + len(rt.atD) + len(rt.bcast) + 2
 	}
 	for _, xs := range tp.xbs {
 		for _, xt := range xs {
-			total += len(xt.normal) + len(xt.full) + len(xt.detour) + len(xt.bcast) + 1
+			total += len(xt.normal) + len(xt.detour) + len(xt.bcast) + 1
+			for _, row := range xt.prefix {
+				total += len(row)
+			}
 		}
 	}
 	return total

@@ -219,7 +219,7 @@ func TestTableEquivalenceSampled8x8x8(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Half the samples sit next to a fault, where the override rows are.
+		// Half the samples sit next to a fault, where the class rows are.
 		var hotRouters []geom.Coord
 		var hotLines []geom.Line
 		for _, f := range p.faults.List() {
@@ -250,7 +250,11 @@ func TestTableEquivalenceSampled8x8x8(t *testing.T) {
 // machine to the sum it should be — per router d+1 normal, 1 detour, 1
 // request and d+1 broadcast entries; per crossbar along dimension k n_k
 // normal, n_0 (k = 0) or 1 detour, 1 request and n_k broadcast entries — so
-// no per-destination term can creep back.
+// no per-destination term can creep back. A fault adds the class rows of its
+// neighbours and nothing else, whatever the machine size: a faulty router
+// adds d(d+1), a prefix row of d+1 entries at each of its d crossbars, and a
+// faulty dim-k crossbar adds d·n_k, an atD row of d entries at each of its
+// n_k routers.
 func TestTableEntriesClosedForm(t *testing.T) {
 	shape := geom.MustShape(8, 16, 16)
 	tp, err := Compile(mustPolicy(t, Config{Shape: shape}))
@@ -269,13 +273,24 @@ func TestTableEntriesClosedForm(t *testing.T) {
 	if got := tp.Entries(); got != want || want != 35_584 {
 		t.Fatalf("fault-free %v tables hold %d entries, closed form says %d (35 584)", shape, got, want)
 	}
-	// One faulty router adds its d crossbars' dense rows and nothing else.
-	faulted, err := Compile(withFaults(t, shape, Config{}, fault.RouterFault(geom.Coord{4, 2, 1})))
-	if err != nil {
-		t.Fatal(err)
+	at := geom.Coord{4, 2, 1}
+	increments := []struct {
+		f    fault.Fault
+		want int
+	}{
+		{fault.RouterFault(at), d * (d + 1)},
+		{fault.XBFault(geom.LineOf(at, 0)), d * shape[0]},
+		{fault.XBFault(geom.Line{Dim: 1, Fixed: geom.Coord{3, 0, 5}}), d * shape[1]},
+		{fault.XBFault(geom.LineOf(at, 2)), d * shape[2]},
 	}
-	if got := faulted.Entries(); got != want+d*shape.Size() {
-		t.Fatalf("one router fault: %d entries, want %d + %d override rows of %d", got, want, d, shape.Size())
+	for _, inc := range increments {
+		faulted, err := Compile(withFaults(t, shape, Config{}, inc.f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := faulted.Entries() - want; got != inc.want {
+			t.Errorf("%v adds %d entries, closed form says %d", inc.f, got, inc.want)
+		}
 	}
 }
 
@@ -313,20 +328,41 @@ func TestTablePreservesUnreachable(t *testing.T) {
 }
 
 // BenchmarkCompileTables is the in-repo counterpart of the ledger's
-// routing.compile_tables_ms: the 2048-PE machine's tables, fault-free.
+// routing.compile_tables_ms: the 2048-PE machine's tables, fault-free, with
+// one faulty router and with one faulty dim-1 crossbar. Each reports the
+// tables' entry count.
 func BenchmarkCompileTables(b *testing.B) {
-	p, err := New(Config{Shape: geom.MustShape(8, 16, 16)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tp, err := Compile(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if tp.Entries() == 0 {
-			b.Fatal("empty tables")
-		}
+	shape := geom.MustShape(8, 16, 16)
+	for _, bc := range []struct {
+		name   string
+		faults []fault.Fault
+	}{
+		{"fault-free", nil},
+		{"router", []fault.Fault{fault.RouterFault(geom.Coord{4, 2, 1})}},
+		{"xb-dim1", []fault.Fault{fault.XBFault(geom.Line{Dim: 1, Fixed: geom.Coord{3, 0, 5}})}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			set := fault.NewSet(shape)
+			for _, f := range bc.faults {
+				if err := set.Add(f); err != nil {
+					b.Fatal(err)
+				}
+			}
+			p, err := New(Config{Shape: shape, Faults: set})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			entries := 0
+			for i := 0; i < b.N; i++ {
+				tp, err := Compile(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				entries = tp.Entries()
+			}
+			b.ReportMetric(float64(entries), "entries")
+		})
 	}
 }

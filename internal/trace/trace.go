@@ -66,15 +66,3 @@ func (r *Recorder) Format(id uint64) string {
 	}
 	return b.String()
 }
-
-// RCTransitions extracts the sequence of distinct RC values the packet
-// carried, e.g. [normal detour normal] for a detoured packet.
-func (r *Recorder) RCTransitions(id uint64) []flit.RC {
-	var out []flit.RC
-	for _, ev := range r.Events(id) {
-		if len(out) == 0 || out[len(out)-1] != ev.RC {
-			out = append(out, ev.RC)
-		}
-	}
-	return out
-}

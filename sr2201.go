@@ -38,9 +38,9 @@ type Config = core.Config
 // Delivery records one packet consumed by a PE.
 type Delivery = core.Delivery
 
-// EngineConfig tunes the simulation kernel: buffer depth, fan-out
-// acquisition mode, and the full-scan reference mode. Links take one cycle
-// and ejection is unlimited in every configuration.
+// EngineConfig tunes the simulation kernel: buffer depth and fan-out
+// acquisition mode. Links take one cycle and ejection is unlimited in every
+// configuration.
 type EngineConfig = engine.Config
 
 // Coord is a point of the d-dimensional lattice.
