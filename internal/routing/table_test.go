@@ -153,7 +153,7 @@ func placements(shape geom.Shape) []fault.Fault {
 // lines against a later fault, which is what a live reconfiguration
 // recompiles.
 func TestTableEquivalenceExhaustive(t *testing.T) {
-	for _, shape := range []geom.Shape{geom.MustShape(4, 3), geom.MustShape(4, 4, 4)} {
+	for _, shape := range []geom.Shape{geom.MustShape(4, 3), geom.MustShape(2, 3, 2), geom.MustShape(4, 4, 4)} {
 		all := placements(shape)
 		last := shape.CoordOf(shape.Size() - 1)
 		equivalentEverywhere(t, mustPolicy(t, Config{Shape: shape}))
