@@ -32,12 +32,11 @@ type Edge [2]int32
 // continuations of normal routes), ordered by the names of their channels —
 // the order in which a transition graph takes them in, and so part of what
 // its cycle witness looks like. It is the unicast half of the construction
-// RegisterDependences certifies. For a retiring generation the policy must
-// be the generation's pinned reconstruction against the live fault set
-// (routing.NewPinned): in-flight packets of that generation consult live
-// fault bits, so e.g. a normal-class packet meeting the new fault detours
-// toward the generation's own effective D-XB, and those routes must appear
-// here.
+// RegisterDependences certifies. For a retiring generation the policy is
+// the generation's own: it keeps its effective lines and reads the live
+// fault set (what routing.NewPinned builds), so e.g. a normal-class packet
+// meeting the new fault detours toward the generation's own effective D-XB,
+// and those routes appear here.
 func UnicastEdges(p *routing.Policy, shape geom.Shape) []Edge {
 	g := newGraph(topo.NewBuilder(), p, shape, 1)
 	g.registerUnicast()

@@ -106,9 +106,10 @@ type Config struct {
 	// when a confirmed deadlock is recovered, ReconfigBoth on either
 	// trigger. mdx-only; incompatible with Adaptive/VCs and NaiveBroadcast
 	// (neither produces the static certificates the swap protocol
-	// requires). The machine only maintains the epoch-tagged
-	// generation machinery; the decision procedure itself is driven by a
-	// reconfig.Manager installed via SetReconfigurer.
+	// requires). UseCompiledTables and Restore refuse such a machine. The
+	// machine only maintains the epoch-tagged generation machinery; the
+	// decision procedure itself is driven by a reconfig.Manager installed
+	// via SetReconfigurer.
 	Reconfig string
 	// Engine overrides kernel parameters; the zero value selects
 	// engine.DefaultConfig.
@@ -329,11 +330,7 @@ func (m *Machine) rebuildPolicy() error {
 		// old and new, routes under the freshly rebuilt table — exactly the
 		// pre-reconfiguration (PR 5) swap semantics. CommitGeneration is the
 		// only path that preserves old tables for in-flight packets.
-		gen, err := m.makeGeneration(0, p, m.separateNow)
-		if err != nil {
-			return err
-		}
-		m.gens = []routing.Generation{gen}
+		m.gens = []routing.Generation{{Policy: p}}
 		return m.installGenerations()
 	}
 	if m.useTables {
@@ -367,33 +364,6 @@ func (m *Machine) RoutingConfig(separate bool) routing.Config {
 	}
 }
 
-// makeGeneration wraps a policy as a routing generation, compiling it to
-// lookup tables when the machine runs compiled.
-func (m *Machine) makeGeneration(boundary uint64, p *routing.Policy, separate bool) (routing.Generation, error) {
-	g := routing.Generation{
-		Boundary: boundary,
-		SEff:     p.EffectiveSXB().Fixed,
-		DEff:     p.EffectiveDXB().Fixed,
-		Separate: separate,
-		Delegate: p,
-	}
-	if m.useTables {
-		tp, err := routing.Compile(p)
-		if err != nil {
-			return routing.Generation{}, err
-		}
-		g.Delegate = tp
-	}
-	return g, nil
-}
-
-// pinnedGeneration reconstructs a generation's policy against the live fault
-// set with its recorded effective lines pinned (no re-substitution): the
-// decisions its in-flight packets will actually face.
-func (m *Machine) pinnedGeneration(g routing.Generation) (*routing.Policy, error) {
-	return routing.NewPinned(m.RoutingConfig(g.Separate), g.SEff, g.DEff)
-}
-
 // installGenerations points the switches at the current generation list.
 func (m *Machine) installGenerations() error {
 	ep, err := routing.NewEpochPolicy(m.gens)
@@ -404,54 +374,28 @@ func (m *Machine) installGenerations() error {
 	return nil
 }
 
-// refreshRetiredGenerations rebuilds every non-latest generation's delegate
-// from its pinned reconstruction, so retired tables reflect the live fault
-// set (an old-generation packet meeting a newer fault must detour, not route
-// into the dead switch). A no-op for algorithmic delegates, which share the
-// machine's fault set by reference; essential for compiled tables, which
-// freeze fault bits at compile time.
-func (m *Machine) refreshRetiredGenerations() error {
-	for i := range m.gens[:len(m.gens)-1] {
-		p, err := m.pinnedGeneration(m.gens[i])
-		if err != nil {
-			return err
-		}
-		g, err := m.makeGeneration(m.gens[i].Boundary, p, m.gens[i].Separate)
-		if err != nil {
-			return err
-		}
-		m.gens[i] = g
-	}
-	return nil
-}
-
 // CommitGeneration installs a reconfigured routing policy as a new
 // generation: the epoch counter advances, packets injected from now on stamp
 // the new epoch and route under p, and in-flight packets keep routing under
 // the generations they were injected into. Generations with no surviving
-// in-flight packets are garbage-collected; surviving retired generations are
-// refreshed against the live fault set. separate records whether p is the
-// separate-D-XB variant — committing a unified table degrades every later
-// recompile to the unified scheme.
+// in-flight packets are garbage-collected. A retired generation keeps its
+// policy as it is: the policy keeps its own effective lines and reads the
+// machine's live fault set, so its packets detour around faults that land
+// after it retired. separate records whether p is the separate-D-XB variant
+// — committing a unified table degrades every later recompile to the
+// unified scheme.
 func (m *Machine) CommitGeneration(p *routing.Policy, separate bool) error {
 	if m.cfg.Reconfig == "" {
 		return fmt.Errorf("core: CommitGeneration needs Config.Reconfig")
 	}
-	gen, err := m.makeGeneration(m.epoch+1, p, separate)
-	if err != nil {
-		return err
-	}
 	m.epoch++
-	m.gens = append(m.gens, gen)
+	m.gens = append(m.gens, routing.Generation{Boundary: m.epoch, Policy: p})
 	m.policy = p
 	m.walk = topo.NewWalker(m.shape, m.net.Wiring(), p)
 	if !separate {
 		m.separateNow = false
 	}
 	m.gcGenerations()
-	if err := m.refreshRetiredGenerations(); err != nil {
-		return err
-	}
 	return m.installGenerations()
 }
 
@@ -466,7 +410,7 @@ func (m *Machine) gcGenerations() {
 	live := make([]bool, len(m.gens))
 	live[len(m.gens)-1] = true
 	for _, h := range hdrs {
-		live[m.generationIndex(h.Epoch)] = true
+		live[routing.GenerationIndex(m.gens, h.Epoch)] = true
 	}
 	kept := m.gens[:0]
 	for i, g := range m.gens {
@@ -478,19 +422,6 @@ func (m *Machine) gcGenerations() {
 	// packets with those stamps remain).
 	kept[0].Boundary = 0
 	m.gens = kept
-}
-
-// generationIndex returns the index of the generation serving an epoch
-// stamp: the last whose boundary does not exceed it.
-func (m *Machine) generationIndex(epoch uint64) int {
-	idx := 0
-	for i, g := range m.gens {
-		if g.Boundary > epoch {
-			break
-		}
-		idx = i
-	}
-	return idx
 }
 
 // Epoch reports the stamp packets inject under right now (0 until the first
@@ -527,13 +458,18 @@ func (m *Machine) SetReconfigurer(fn func(f fault.Fault) error) { m.reconfigure 
 // compiled lookup-table implementation (routing.Compile) — the hardware
 // realization style the paper contrasts with the CRAY T3D. Send-side
 // reachability prechecks keep using the algorithmic policy; AddFault
-// recompiles the tables.
+// recompiles the tables. A reconfiguring machine is refused: tables freeze
+// the fault bits they were compiled under, and a retired generation must
+// see the faults that land after it.
 func (m *Machine) UseCompiledTables() error {
 	if m.router != nil {
 		return fmt.Errorf("core: compiled tables are mdx-only (topology %q)", m.cfg.Topology)
 	}
 	if m.cfg.Adaptive {
 		return fmt.Errorf("core: compiled tables cannot express adaptive decisions (they depend on run-time port ownership)")
+	}
+	if m.cfg.Reconfig != "" {
+		return fmt.Errorf("core: compiled tables cannot serve a reconfiguring machine (a retired generation must read faults that land after it)")
 	}
 	if !m.eng.Quiescent() {
 		return fmt.Errorf("core: table switch-over needs a quiescent network")

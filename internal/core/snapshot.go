@@ -6,9 +6,7 @@ import (
 	"sr2201/internal/checkpoint"
 	"sr2201/internal/fault"
 	"sr2201/internal/geom"
-	"sr2201/internal/routing"
 	"sr2201/internal/stats"
-	"sr2201/internal/topo"
 )
 
 // Machine snapshot/restore. The machine layer adds three things on top of
@@ -22,19 +20,13 @@ import (
 // No run is parked this way: a parked run is its spec, a cycle and a
 // StateHash, and resuming re-executes it (internal/campaign). The machine
 // codec stays for the benchmark's checkpoint probe, which times a snapshot
-// and a restore of a live machine.
+// and a restore of a live machine. It carries no online-reconfiguration
+// state (epoch, generations), so Restore refuses a reconfiguring machine.
 
 const (
 	secMachineMeta       = "machine.meta"
 	secMachineFaults     = "machine.faults"
 	secMachineDeliveries = "machine.deliveries"
-	// secMachineReconfig (format version 3) carries the online-
-	// reconfiguration state: the epoch counter, the active variant flag and
-	// the generation descriptors (boundary + pinned effective lines);
-	// present exactly when Config.Reconfig is enabled. The generations'
-	// policies are rebuilt from the descriptors via routing.NewPinned — like
-	// the base policy they are pure functions of (descriptor, fault set).
-	secMachineReconfig = "machine.reconfig"
 )
 
 // configHash digests every Config field that changes machine behavior. The
@@ -84,7 +76,8 @@ func (m *Machine) configHash() uint64 {
 	}
 	if m.cfg.Reconfig != "" {
 		// Same trick: only reconfiguration-enabled machines mix the mode, so
-		// pre-reconfig snapshots keep their fingerprints.
+		// pre-reconfig snapshots keep their fingerprints and a reconfiguring
+		// machine's snapshot restores into no other machine.
 		for _, b := range []byte(m.cfg.Reconfig) {
 			mix(int64(b))
 		}
@@ -121,19 +114,6 @@ func (m *Machine) Snapshot() []byte {
 		del.Int(d.Latency)
 	}
 
-	if m.cfg.Reconfig != "" {
-		rc := w.Section(secMachineReconfig)
-		rc.Uint(m.epoch)
-		rc.Bool(m.separateNow)
-		rc.Uint(uint64(len(m.gens)))
-		for _, g := range m.gens {
-			rc.Uint(g.Boundary)
-			geom.EncodeCoord(rc, g.SEff)
-			geom.EncodeCoord(rc, g.DEff)
-			rc.Bool(g.Separate)
-		}
-	}
-
 	m.eng.EncodeState(w)
 	return w.Bytes()
 }
@@ -141,8 +121,13 @@ func (m *Machine) Snapshot() []byte {
 // Restore replaces the machine's dynamic state with a container produced by
 // Snapshot on a machine built from the same Config. The OnDeliver callback
 // is untouched. On error the machine is left in an unspecified state:
-// restore into a fresh Machine and discard it on failure.
+// restore into a fresh Machine and discard it on failure. A reconfiguring
+// machine (Config.Reconfig set) is refused before anything changes: its run
+// is parked by replay, and the snapshot holds no generations.
 func (m *Machine) Restore(data []byte) error {
+	if m.cfg.Reconfig != "" {
+		return fmt.Errorf("core: Restore refuses a reconfiguring machine (its run is parked by replay)")
+	}
 	r, err := checkpoint.NewReader(data)
 	if err != nil {
 		return err
@@ -205,18 +190,11 @@ func (m *Machine) Restore(data []byte) error {
 
 	// Everything validated; commit. The routing policy is a pure function of
 	// (config, fault set), so one rebuild reproduces the policy the source
-	// machine was routing with at snapshot time. Under reconfiguration the
-	// generation descriptors join that function's input: each generation is
-	// rebuilt pinned to its recorded effective lines against the restored
-	// fault set.
+	// machine was routing with at snapshot time.
 	m.nextID = nextID
 	m.useTables = useTables
 	m.faults = set
-	if m.cfg.Reconfig != "" {
-		if err := m.decodeReconfig(r); err != nil {
-			return err
-		}
-	} else if err := m.rebuildPolicy(); err != nil {
+	if err := m.rebuildPolicy(); err != nil {
 		return fmt.Errorf("checkpoint: rebuilding routing policy: %w", err)
 	}
 	m.deliveries = deliveries
@@ -230,53 +208,4 @@ func (m *Machine) Restore(data []byte) error {
 		}
 	}
 	return m.eng.DecodeState(r)
-}
-
-// decodeReconfig restores the reconfiguration section into a machine whose
-// fault set is already committed: the epoch counter, the variant flag, and
-// the generation list with every delegate rebuilt from its pinned
-// descriptor.
-func (m *Machine) decodeReconfig(r *checkpoint.Reader) error {
-	rc, err := r.Section(secMachineReconfig)
-	if err != nil {
-		return err
-	}
-	epoch := rc.Uint()
-	separateNow := rc.Bool()
-	ng := rc.Len(4)
-	gens := make([]routing.Generation, 0, ng)
-	for i := 0; i < ng; i++ {
-		var g routing.Generation
-		g.Boundary = rc.Uint()
-		g.SEff = geom.DecodeCoord(rc)
-		g.DEff = geom.DecodeCoord(rc)
-		g.Separate = rc.Bool()
-		gens = append(gens, g)
-	}
-	if err := rc.Finish(); err != nil {
-		return err
-	}
-	if len(gens) == 0 {
-		return fmt.Errorf("checkpoint: section %q: no routing generations", secMachineReconfig)
-	}
-	m.epoch = epoch
-	m.separateNow = separateNow
-	m.gens = gens
-	for i := range m.gens {
-		p, err := m.pinnedGeneration(m.gens[i])
-		if err != nil {
-			return fmt.Errorf("checkpoint: section %q: rebuilding generation %d: %v", secMachineReconfig, i, err)
-		}
-		g, err := m.makeGeneration(m.gens[i].Boundary, p, m.gens[i].Separate)
-		if err != nil {
-			return fmt.Errorf("checkpoint: section %q: rebuilding generation %d: %v", secMachineReconfig, i, err)
-		}
-		m.gens[i] = g
-		m.policy = p
-	}
-	m.walk = topo.NewWalker(m.shape, m.net.Wiring(), m.policy)
-	if err := m.installGenerations(); err != nil {
-		return fmt.Errorf("checkpoint: section %q: %v", secMachineReconfig, err)
-	}
-	return nil
 }

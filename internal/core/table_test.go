@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"sr2201/internal/fault"
@@ -76,5 +77,35 @@ func TestUseCompiledTablesValidation(t *testing.T) {
 	last := m.Deliveries()[len(m.Deliveries())-1]
 	if !last.Detoured {
 		t.Error("table-routed detour not flagged")
+	}
+}
+
+// TestReconfiguringMachineRefusals pins what a reconfiguring machine does
+// not offer. Compiled tables freeze the fault bits they were compiled
+// under, while a retired generation must read faults that land after it;
+// a machine snapshot carries no generations, and such a run is parked by
+// replay. Both refusals leave the machine as it was.
+func TestReconfiguringMachineRefusals(t *testing.T) {
+	cfg := Config{Shape: geom.MustShape(4, 4), Reconfig: ReconfigOnFault}
+	m := mustMachine(t, cfg)
+	if err := m.UseCompiledTables(); err == nil || !strings.Contains(err.Error(), "reconfiguring machine") {
+		t.Fatalf("UseCompiledTables on a reconfiguring machine: %v, want a refusal naming it", err)
+	}
+	if _, err := m.Send(geom.Coord{0, 0}, geom.Coord{3, 3}, 8); err != nil {
+		t.Fatal(err)
+	}
+	m.Step()
+	snap := m.Snapshot()
+
+	fresh := mustMachine(t, cfg)
+	if err := fresh.Restore(snap); err == nil || !strings.Contains(err.Error(), "reconfiguring machine") {
+		t.Fatalf("Restore into a reconfiguring machine: %v, want a refusal naming it", err)
+	}
+	if !fresh.Engine().Quiescent() || fresh.Cycle() != 0 || len(fresh.Generations()) != 1 {
+		t.Fatalf("the refused Restore changed the machine: cycle %d, quiescent %v, %d generations",
+			fresh.Cycle(), fresh.Engine().Quiescent(), len(fresh.Generations()))
+	}
+	if out := m.Run(10_000); !out.Drained {
+		t.Fatalf("the machine whose tables were refused did not drain: %+v", out)
 	}
 }

@@ -14,6 +14,7 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"sr2201/internal/core"
@@ -364,6 +365,69 @@ func TestVCAllocKnownDeadlock(t *testing.T) {
 		through[fmt.Sprintf("%s.in%d", e.From.Node().Name, e.From.Index())] = true
 	}
 	for _, in := range []string{"XB1(0,0,2).in1", "XB2(0,1,0).in5", "XB1(0,0,4).in3", "XB2(0,0,0).in9"} {
+		if !through[in] {
+			t.Errorf("the wait cycle does not pass %s:\n%s", in, r.Describe())
+		}
+	}
+}
+
+// TestVCAllocFaultFreeKnownDeadlock pins item 18's second reproducer: the
+// adaptive machine wedges with no fault at all. A fault-free 4x4x4 with 2
+// lanes and depth 2 takes open-loop uniform load — each cycle for 400
+// cycles, each PE in CoordOf order sends with probability 0.15 to a
+// uniformly drawn other PE, 4–8 flits — from seed 468, then runs. The run
+// stops undrained at cycle 1 400, and deadlock.Analyze finds an 11-edge
+// wait cycle, every edge on lane 1 (an odd out-port index), through router
+// (0,0,0)'s dim-2 lane-1 input and three crossbar inputs; four packets hold
+// it, three of them waiting for a crossbar output another owns. (Seeds 0–999 of this load wedge 7 times: 468, 490, 535,
+// 771, 871, 930, 931.) The run is deterministic; item 18(a)'s repair makes
+// it drain and flips the asserts.
+func TestVCAllocFaultFreeKnownDeadlock(t *testing.T) {
+	shape := geom.MustShape(4, 4, 4)
+	m, err := core.NewMachine(core.Config{
+		Shape:    shape,
+		VCs:      2,
+		Adaptive: true,
+		Engine:   engine.Config{BufferDepth: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const vcs = 2
+	n := shape.Size()
+	rng := rand.New(rand.NewSource(468))
+	for cycle := 0; cycle < 400; cycle++ {
+		for i := 0; i < n; i++ {
+			if rng.Float64() >= 0.15 {
+				continue
+			}
+			j := rng.Intn(n - 1)
+			if j >= i {
+				j++
+			}
+			size := 4 + rng.Intn(5)
+			if _, err := m.Send(shape.CoordOf(i), shape.CoordOf(j), size); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Step()
+	}
+	out := m.Run(20_000)
+	if out.Drained || out.Cycle != 1400 {
+		t.Fatalf("run ended at cycle %d, drained %v; want undrained at cycle 1400: item 18's fault-free deadlock no longer shows", out.Cycle, out.Drained)
+	}
+	r := deadlock.Analyze(m.Engine())
+	if len(r.Cycle) != 11 {
+		t.Fatalf("wait cycle of %d edges, want 11:\n%s", len(r.Cycle), r.Describe())
+	}
+	through := map[string]bool{}
+	for _, e := range r.Cycle {
+		if e.Out.Index()%vcs != 1 {
+			t.Fatalf("edge at %s.in%d is not on lane 1:\n%s", e.From.Node().Name, e.From.Index(), r.Describe())
+		}
+		through[fmt.Sprintf("%s.in%d", e.From.Node().Name, e.From.Index())] = true
+	}
+	for _, in := range []string{"RTC(0,0,0).in5", "XB1(0,0,0).in1", "XB2(0,3,0).in1", "XB2(0,0,0).in5"} {
 		if !through[in] {
 			t.Errorf("the wait cycle does not pass %s:\n%s", in, r.Describe())
 		}

@@ -608,9 +608,6 @@ func (e *Engine) AddEndpoint(name string, meta any) *Node {
 	return n
 }
 
-// Nodes returns all nodes in creation order.
-func (e *Engine) Nodes() []*Node { return e.nodes }
-
 // Endpoints returns all endpoints in creation order.
 func (e *Engine) Endpoints() []*Node { return e.endpoints }
 

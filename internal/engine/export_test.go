@@ -63,6 +63,12 @@ func (p *InPort) Buffered() int { return int(p.eng.in[p.id].n) }
 // flit behind the Buffered ones is the one on the link into the port.
 func (p *InPort) Flit(i int) flit.Flit { return *p.eng.at(p.id, i) }
 
+// Nodes returns all nodes in creation order.
+func (e *Engine) Nodes() []*Node { return e.nodes }
+
+// Credits returns the available downstream buffer credits.
+func (o *OutPort) Credits() int { return int(o.eng.credits(o.id)) }
+
 // Route returns the switch's routing function.
 func (n *Node) Route() RouteFunc { return n.route }
 

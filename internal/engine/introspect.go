@@ -37,9 +37,6 @@ func (o *OutPort) Owner() *InPort { return o.owner }
 // Phys returns the physical channel the port shares, or nil.
 func (o *OutPort) Phys() *PhysChannel { return handle(o.eng.phys, o.eng.out[o.id].phys) }
 
-// Credits returns the available downstream buffer credits.
-func (o *OutPort) Credits() int { return int(o.eng.credits(o.id)) }
-
 // DownstreamIn returns the input port this output feeds, or nil when
 // unconnected.
 func (o *OutPort) DownstreamIn() *InPort {

@@ -29,8 +29,8 @@
 // the new fault mutates to the detour class mid-flight, so no class
 // subset of a retiring generation is closed under routing. (Class filtering
 // is still sound for the union *proof*, which asks what edges can be held,
-// per class, by the packets currently in flight — the pinned generation
-// snapshot includes each class's detour continuations.)
+// per class, by the packets currently in flight — a generation's edges
+// include each class's detour continuations.)
 //
 // Every decision runs synchronously inside a deterministic hook (FailNow's
 // reconfigurer or the recovery supervisor's PostCycle hand-off), so runs stay
@@ -306,9 +306,7 @@ func (mgr *Manager) attempt(trigger string, f fault.Fault) error {
 	// classes actually in flight.
 	hdrs, unknown := m.Engine().InFlightHeaders()
 	ev.InFlight = len(hdrs) + len(unknown)
-	if err := mgr.addRetiringEdges(graph, chosen, hdrs, len(unknown) > 0); err != nil {
-		return mgr.fallback(ev, fmt.Sprintf("retiring-edge snapshot failed: %v", err))
-	}
+	mgr.addRetiringEdges(graph, chosen, hdrs, len(unknown) > 0)
 	union := graph.Certificate(ev.Candidate.Scheme + "+transition")
 	ev.Union = union
 	if union.Acyclic {
@@ -373,12 +371,12 @@ func (mgr *Manager) record(ev Event) {
 }
 
 // addRetiringEdges adds the old-table half of the union graph to the
-// candidate's: for every generation with traffic in flight, the pinned
-// reconstruction's contracted edges of the classes that traffic can occupy,
-// restricted to still-live channels. A packet whose header flit is
-// unlocatable could belong to any generation and either class, so it pins
-// everything.
-func (mgr *Manager) addRetiringEdges(graph *cdg.Graph, candidate *routing.Policy, hdrs []*flit.Header, anyUnknown bool) error {
+// candidate's: for every generation with traffic in flight, the contracted
+// edges of its policy — its own effective lines against the live fault set —
+// in the classes that traffic can occupy, restricted to still-live channels.
+// A packet whose header flit is unlocatable could belong to any generation
+// and either class, so it pins everything.
+func (mgr *Manager) addRetiringEdges(graph *cdg.Graph, candidate *routing.Policy, hdrs []*flit.Header, anyUnknown bool) {
 	m := mgr.m
 	gens := m.Generations()
 	type classes struct{ unicast, broadcast bool }
@@ -389,7 +387,7 @@ func (mgr *Manager) addRetiringEdges(graph *cdg.Graph, candidate *routing.Policy
 		}
 	}
 	for _, h := range hdrs {
-		gi := generationIndex(gens, h.Epoch)
+		gi := routing.GenerationIndex(gens, h.Epoch)
 		switch h.RC {
 		case flit.RCNormal, flit.RCDetour:
 			cl[gi].unicast = true
@@ -401,36 +399,18 @@ func (mgr *Manager) addRetiringEdges(graph *cdg.Graph, candidate *routing.Policy
 		if !cl[i].unicast && !cl[i].broadcast {
 			continue
 		}
-		if g.SEff == candidate.EffectiveSXB().Fixed && g.DEff == candidate.EffectiveDXB().Fixed {
-			// Pinned to the candidate's own effective lines against the same
-			// live fault set, the generation decides exactly as the candidate
-			// does (the variant only picks the D line): every edge it could
-			// add is one the graph already holds.
+		if g.Policy.EffectiveSXB() == candidate.EffectiveSXB() && g.Policy.EffectiveDXB() == candidate.EffectiveDXB() {
+			// On the candidate's own effective lines against the same live
+			// fault set, the generation decides exactly as the candidate does
+			// (the variant only picks the D line): every edge it could add is
+			// one the graph already holds.
 			continue
 		}
-		pinned, err := routing.NewPinned(m.RoutingConfig(g.Separate), g.SEff, g.DEff)
-		if err != nil {
-			return fmt.Errorf("pinning generation %d: %w", i, err)
-		}
 		if cl[i].unicast {
-			graph.AddLiveEdges(cdg.UnicastEdges(pinned, m.Shape()), m.Faults())
+			graph.AddLiveEdges(cdg.UnicastEdges(g.Policy, m.Shape()), m.Faults())
 		}
 		if cl[i].broadcast {
-			graph.AddLiveEdges(cdg.BroadcastEdges(pinned, m.Shape()), m.Faults())
+			graph.AddLiveEdges(cdg.BroadcastEdges(g.Policy, m.Shape()), m.Faults())
 		}
 	}
-	return nil
-}
-
-// generationIndex mirrors the machine's epoch-to-generation mapping: the last
-// generation whose boundary does not exceed the stamp.
-func generationIndex(gens []routing.Generation, epoch uint64) int {
-	idx := 0
-	for i, g := range gens {
-		if g.Boundary > epoch {
-			break
-		}
-		idx = i
-	}
-	return idx
 }

@@ -1,15 +1,20 @@
 package reconfig_test
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"sr2201/internal/core"
+	"sr2201/internal/engine"
 	"sr2201/internal/fault"
+	"sr2201/internal/flit"
 	"sr2201/internal/geom"
 	"sr2201/internal/inject"
 	"sr2201/internal/reconfig"
 	"sr2201/internal/recovery"
+	"sr2201/internal/routing"
 )
 
 // newRig builds a 4x4 machine with online reconfiguration in the given mode.
@@ -292,5 +297,89 @@ func TestFaultModeSkipsDeadlockTrigger(t *testing.T) {
 	}
 	if len(mgr.Events()) != 0 || m.Epoch() != 0 {
 		t.Fatalf("mode %q attempted reconfiguration on a fault: %+v", core.ReconfigOnDeadlock, mgr.Events())
+	}
+}
+
+// TestRetiredGenerationsDecideAsPinned pins the one rule a generation
+// follows: its policy keeps the effective S-XB/D-XB lines it was built with
+// and reads the machine's live fault set. Router (2,0) dies on the S-XB
+// line, so epoch 1 moves the lines to (·,1); router (2,1) then dies on
+// those, so epoch 2 moves them to (·,2), and both hot swaps leave their
+// retired generations pinned by a packet in flight. Every retired
+// generation must then decide every router and crossbar input, header
+// class and destination exactly as a policy pinned to its lines against
+// the live fault set (routing.NewPinned): the decisions its in-flight
+// packets face, and the edges the union proof adds for it. A generation
+// that froze the fault bits of its commit would route into the second
+// fault.
+func TestRetiredGenerationsDecideAsPinned(t *testing.T) {
+	m, mgr := newRig(t, false, core.ReconfigOnFault, reconfig.Options{})
+	for _, step := range []struct {
+		src, dst, dead geom.Coord
+	}{
+		{geom.Coord{0, 1}, geom.Coord{3, 3}, geom.Coord{2, 0}},
+		{geom.Coord{2, 3}, geom.Coord{0, 1}, geom.Coord{2, 1}},
+	} {
+		if _, err := m.Send(step.src, step.dst, 64); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			m.Step()
+		}
+		if _, err := m.FailNow(fault.RouterFault(step.dead)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ev := range mgr.Events() {
+		if ev.Outcome != reconfig.OutcomeHotSwap {
+			t.Fatalf("event %q, want two hot swaps", ev)
+		}
+	}
+	gens := m.Generations()
+	if len(gens) != 3 {
+		t.Fatalf("%d generations after two hot swaps, want 3 (both retired ones pinned by a packet in flight)", len(gens))
+	}
+	for gi, g := range gens {
+		if want := (geom.Line{Dim: 0, Fixed: geom.Coord{0, gi}}); g.Policy.EffectiveSXB() != want || g.Policy.EffectiveDXB() != want {
+			t.Fatalf("generation %d routes on S-XB %v, D-XB %v; want both %v", gi, g.Policy.EffectiveSXB(), g.Policy.EffectiveDXB(), want)
+		}
+	}
+	shape := m.Shape()
+	var hdrs []flit.Header
+	shape.Enumerate(func(dst geom.Coord) bool {
+		hdrs = append(hdrs, flit.Header{RC: flit.RCNormal, Dst: dst}, flit.Header{RC: flit.RCDetour, Dst: dst, DetourHops: 1})
+		return true
+	})
+	hdrs = append(hdrs, flit.Header{RC: flit.RCBroadcastRequest}, flit.Header{RC: flit.RCBroadcast})
+	for gi, g := range gens[:len(gens)-1] {
+		pinned, err := routing.NewPinned(m.RoutingConfig(false), g.Policy.EffectiveSXB().Fixed, g.Policy.EffectiveDXB().Fixed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := func(what string, dA, dB engine.Decision, eA, eB error) {
+			t.Helper()
+			if fmt.Sprint(eA) != fmt.Sprint(eB) || !slices.Equal(dA.Outs, dB.Outs) || dA.Rewrite != dB.Rewrite || dA.Provisional != dB.Provisional {
+				t.Fatalf("generation %d, %s: decides %+v, %v; pinned %+v, %v", gi, what, dA, eA, dB, eB)
+			}
+		}
+		for _, h := range hdrs {
+			shape.Enumerate(func(c geom.Coord) bool {
+				for in := 0; in <= shape.Dims(); in++ {
+					ha, hb := h, h
+					dA, eA := g.Policy.RouteRouter(nil, c, in, &ha)
+					dB, eB := pinned.RouteRouter(nil, c, in, &hb)
+					same(fmt.Sprintf("router %v in %d rc %v dst %v", c, in, h.RC, h.Dst), dA, dB, eA, eB)
+				}
+				return true
+			})
+			for _, l := range shape.Lines() {
+				for in := 0; in < shape[l.Dim]; in++ {
+					ha, hb := h, h
+					dA, eA := g.Policy.RouteXB(nil, l, in, &ha)
+					dB, eB := pinned.RouteXB(nil, l, in, &hb)
+					same(fmt.Sprintf("crossbar %v in %d rc %v dst %v", l, in, h.RC, h.Dst), dA, dB, eA, eB)
+				}
+			}
+		}
 	}
 }

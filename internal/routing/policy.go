@@ -195,12 +195,13 @@ func New(cfg Config) (*Policy, error) {
 }
 
 // NewPinned builds a Policy whose effective S-XB and D-XB lines are fixed to
-// the given coordinates, bypassing fault substitution. The reconfiguration
-// layer uses it to reconstruct a *retired* routing generation against the
-// live fault set: packets injected under an old table keep steering toward
-// that table's effective lines even after a newer fault would have
-// substituted them away, and the transition-safety analysis must model
-// exactly those routes. Dimension 0 of both coordinates is ignored.
+// the given coordinates, bypassing fault substitution. It states what a
+// *retired* routing generation decides against the live fault set: packets
+// injected under an old table keep steering toward that table's effective
+// lines even after a newer fault would have substituted them away. A
+// generation's own Policy decides exactly so — it keeps its lines and reads
+// the fault set by reference — and tests hold it to this policy. Dimension
+// 0 of both coordinates is ignored.
 func NewPinned(cfg Config, sEff, dEff geom.Coord) (*Policy, error) {
 	p, err := newPolicy(cfg)
 	if err != nil {
