@@ -191,4 +191,23 @@ func TestCampaignValidation(t *testing.T) {
 	if _, err := RunSingle(Spec{Shape: geom.MustShape(3, 3)}, io.Discard); err == nil {
 		t.Error("single run without a pattern accepted")
 	}
+	// A switch dies once: naming it twice, among the presets or in the
+	// schedule, fails the run with the fault set's refusal.
+	dead := fault.RouterFault(geom.Coord{2, 1})
+	for _, tc := range []struct {
+		name   string
+		preset []fault.Fault
+		events []inject.Event
+		want   string
+	}{
+		{"preset twice", []fault.Fault{dead, dead}, nil, "campaign: preset fault: fault: router (2,1) is already faulty"},
+		{"scheduled twice", nil, []inject.Event{{Cycle: 3, Fault: dead}, {Cycle: 9, Fault: dead}}, "inject: bad event: fault: router (2,1) is already faulty"},
+		{"preset and scheduled", []fault.Fault{dead}, []inject.Event{{Cycle: 3, Fault: dead}}, "inject: bad event: fault: router (2,1) is already faulty"},
+	} {
+		spec := fig9Single(false, 0)
+		spec.Preset, spec.Events = tc.preset, tc.events
+		if _, err := RunSingle(spec, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want %q", tc.name, err, tc.want)
+		}
+	}
 }

@@ -110,18 +110,20 @@ func RegisterEscapeDependences(b *topo.Builder, p *routing.Policy, shape geom.Sh
 // Graph is one policy's dependence graph going into a topo.Builder. The
 // policy's routes arrive as topo.Walker's channel numbers, plus one number
 // past the last channel for the contracted broadcast tree, and are interned
-// on first sight (topo.Builder.Intern).
+// on first sight (topo.Numbering).
 type Graph struct {
-	b      *topo.Builder
-	p      *routing.Policy
-	shape  geom.Shape
-	w      topo.Walker
-	tree   int32   // the composite's number, one past the last channel
-	vertex []int32 // Intern's cache
+	b     *topo.Builder
+	p     *routing.Policy
+	shape geom.Shape
+	w     topo.Walker
+	tree  int32 // the composite's number, one past the last channel
+	num   *topo.Numbering
 
 	// Scratch reused across walks.
 	h       flit.Header // the walked header
 	route   []int32
+	walked  []int32  // the memo states a unicast walk has entered
+	sent    []uint64 // by channel: the successors path has sent, by port
 	request []int32
 	fan     []int32
 	visit   topo.Visit // sorts a broadcast's channels into request and fan
@@ -143,8 +145,9 @@ func newGraph(b *topo.Builder, p *routing.Policy, shape geom.Shape, vcs int) *Gr
 			g.fan = append(g.fan, n)
 		}
 	}
-	g.vertex = make([]int32, g.tree+1)
+	g.num = b.Numbering(g.tree+1, g.name)
 	g.stamp = make([]int32, g.tree)
+	g.sent = make([]uint64, g.tree)
 	return g
 }
 
@@ -162,7 +165,7 @@ func NewGraph(p *routing.Policy, shape geom.Shape) *Graph {
 func (g *Graph) Certificate(scheme string) topo.Certificate { return g.b.Certificate(scheme) }
 
 // vertexOf returns the builder vertex of channel n.
-func (g *Graph) vertexOf(n int32) int { return g.b.Intern(g.vertex, n, g.name) }
+func (g *Graph) vertexOf(n int32) int { return g.num.Intern(n) }
 
 func (g *Graph) name(n int32) string {
 	if n == g.tree {
@@ -171,10 +174,21 @@ func (g *Graph) name(n int32) string {
 	return g.w.Name(n)
 }
 
-// path records the consecutive dependences of one route.
+// path records the consecutive dependences of one route. A channel's
+// successors on any route are out-ports of the one switch it leads to, so
+// their port numbers tell them apart, and sent[u] marks those already sent to
+// the builder from channel u: the same dependence crossed toward every
+// destination reaches the builder once (a port past 63 is always sent).
 func (g *Graph) path(route []int32) {
 	for i := 1; i < len(route); i++ {
-		g.b.Edge(g.vertexOf(route[i-1]), g.vertexOf(route[i]))
+		u, v := g.vertexOf(route[i-1]), g.vertexOf(route[i])
+		if _, _, out := g.w.Port(route[i]); out < 64 {
+			if g.sent[route[i-1]]&(1<<out) != 0 {
+				continue
+			}
+			g.sent[route[i-1]] |= 1 << out
+		}
+		g.b.Edge(u, v)
 	}
 }
 
@@ -186,21 +200,84 @@ func (g *Graph) registerSerialized() {
 	g.registerBroadcast()
 }
 
-// registerUnicast records every point-to-point class: every reachable
-// pair contributes its path.
+// The unicast memo's states: per destination, two per channel (the packet
+// took the channel with RC normal, or with RC detour), 2 bits each.
+const (
+	unseen   = 0
+	walking  = 1 // on the walk in progress
+	delivers = 2
+	refused  = 3
+)
+
+// registerUnicast records every point-to-point class: every reachable pair
+// contributes its path. Pairs go source-major, as the per-pair walk
+// (registerUnicastPerPair, oracle_test.go) takes them, so channels are
+// interned in its first-seen order.
+//
+// A switch decides from where it is, the in-port, the destination and the RC
+// bit alone (routing's TestDecisionReadsOnlyPortDstAndRC holds every decision
+// to that), and a channel fixes the switch and in-port it leads to. So a
+// packet's route past a channel is a function of the channel, its RC and its
+// destination, and a walk stops at the first (channel, RC) state an earlier
+// walk to its destination entered. If that walk delivered, everything past
+// the state is registered, and this walk registers its prefix and the edge
+// into the state; if it was refused, so is this walk, which registers
+// nothing. A walk that re-enters its own state loops, and is refused, as the
+// per-pair walk refuses a route longer than the network has channels (no
+// route the policy delivers comes near that). A faulty source's row is
+// refused whole, as UnicastHeader refuses each pair of it. The memo holds 2
+// bits per (destination, channel, RC) state, only for the call.
 func (g *Graph) registerUnicast() {
-	visit := func(n int32, _ *flit.Header, _ int) { g.route = append(g.route, n) }
 	n := g.shape.Size()
+	states := 2 * int(g.tree) // per destination
+	memo := make([]uint64, (n*states+31)/32)
+	dsts := make([]geom.Coord, n)
+	for di := range dsts {
+		dsts[di] = g.shape.CoordOf(di)
+	}
+	var (
+		base  int    // the walked destination's first state
+		known uint64 // the memo's value of the state a walk stopped at
+	)
+	stop := func(ch int32, h *flit.Header) bool {
+		g.route = append(g.route, ch)
+		s := base + 2*int(ch)
+		switch h.RC {
+		case flit.RCNormal:
+		case flit.RCDetour:
+			s++
+		default:
+			return false // no unicast state: walked through, not kept
+		}
+		word, shift := s>>5, uint(s&31)*2
+		if known = memo[word] >> shift & 3; known != unseen {
+			return true
+		}
+		memo[word] |= walking << shift
+		g.walked = append(g.walked, int32(s))
+		return false
+	}
 	for si := 0; si < n; si++ {
+		if !g.p.Sends(si) {
+			continue
+		}
 		src := g.shape.CoordOf(si)
-		for di := 0; di < n; di++ {
-			g.route = g.route[:0]
-			h, err := g.p.UnicastHeader(src, g.shape.CoordOf(di))
-			if err == nil {
-				g.h = h
-				err = g.w.Unicast(&g.h, visit)
+		h, err := g.p.UnicastHeader(src, src)
+		if err != nil {
+			continue
+		}
+		for di, dst := range dsts {
+			g.h, g.h.Dst = h, dst // a pair's header differs from its row's only there
+			g.route, g.walked, base = g.route[:0], g.walked[:0], di*states
+			stopped, err := g.w.UnicastUntil(&g.h, stop)
+			outcome := uint64(delivers)
+			if err != nil || stopped && known != delivers {
+				outcome = refused // unreachable pairs contribute no dependencies
 			}
-			if err == nil { // unreachable pairs contribute no dependencies
+			for _, s := range g.walked {
+				memo[s>>5] ^= (walking ^ outcome) << (uint(s&31) * 2)
+			}
+			if outcome == delivers {
 				g.path(g.route)
 			}
 		}

@@ -194,27 +194,59 @@ func TestStaticDynamicAgreement(t *testing.T) {
 	}
 }
 
-// BenchmarkAnalyze times the certificate of the benchmark's short-vc-faulted
-// machine (8x8x8 with 4 lanes, adaptive routing and one faulty router): its
-// escape policy's dependence graph, every pair and every broadcast walked.
-func BenchmarkAnalyze(b *testing.B) {
-	shape := geom.MustShape(8, 8, 8)
-	m, err := core.NewMachine(core.Config{Shape: shape, VCs: 4, Adaptive: true})
+// analyzeCase is a machine BenchmarkAnalyze certifies.
+type analyzeCase struct {
+	name   string
+	cfg    core.Config
+	faults []fault.Fault
+}
+
+// analyzeCases are the benchmark's short-vc-faulted machine (8x8x8 with 4
+// lanes, adaptive routing and one faulty router: its escape policy's graph),
+// serve-mixed's 6x6 fault-job shape with a faulty router, and the fault-free
+// 2048-PE machine.
+func analyzeCases() []analyzeCase {
+	return []analyzeCase{
+		{name: "8x8x8-escape", cfg: core.Config{Shape: geom.MustShape(8, 8, 8), VCs: 4, Adaptive: true},
+			faults: []fault.Fault{fault.RouterFault(geom.Coord{4, 2, 1})}},
+		{name: "6x6-router", cfg: core.Config{Shape: geom.MustShape(6, 6)},
+			faults: []fault.Fault{fault.RouterFault(geom.Coord{3, 2})}},
+		{name: "8x16x16", cfg: core.Config{Shape: geom.MustShape(8, 16, 16)}},
+	}
+}
+
+// machine builds the case's machine.
+func (tc analyzeCase) machine(tb testing.TB) *core.Machine {
+	tb.Helper()
+	m, err := core.NewMachine(tc.cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	if err := m.AddFault(fault.RouterFault(geom.Coord{4, 2, 1})); err != nil {
-		b.Fatal(err)
+	for _, f := range tc.faults {
+		if err := m.AddFault(f); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Analyze(m.Policy(), shape, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Acyclic {
-			b.Fatalf("dependence cycle: %v", res.Cycle)
-		}
+	return m
+}
+
+// BenchmarkAnalyze times the certificate of each of analyzeCases: every pair
+// and every broadcast registered, the graph contracted and searched.
+func BenchmarkAnalyze(b *testing.B) {
+	for _, tc := range analyzeCases() {
+		b.Run(tc.name, func(b *testing.B) {
+			p := tc.machine(b).Policy()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := Analyze(p, tc.cfg.Shape, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Acyclic {
+					b.Fatalf("dependence cycle: %v", res.Cycle)
+				}
+			}
+		})
 	}
 }

@@ -6,10 +6,33 @@ import (
 	"testing"
 
 	"sr2201/internal/fault"
+	"sr2201/internal/flit"
 	"sr2201/internal/geom"
 	"sr2201/internal/routing"
 	"sr2201/internal/topo"
 )
+
+// registerUnicastPerPair is the point-to-point registration as it stood
+// before a graph kept its unicast memo: every pair walks its whole route and
+// registers it. It is the oracle registerUnicast is held to.
+func (g *Graph) registerUnicastPerPair() {
+	visit := func(n int32, _ *flit.Header, _ int) { g.route = append(g.route, n) }
+	n := g.shape.Size()
+	for si := 0; si < n; si++ {
+		src := g.shape.CoordOf(si)
+		for di := 0; di < n; di++ {
+			g.route = g.route[:0]
+			h, err := g.p.UnicastHeader(src, g.shape.CoordOf(di))
+			if err == nil {
+				g.h = h
+				err = g.w.Unicast(&g.h, visit)
+			}
+			if err == nil { // unreachable pairs contribute no dependencies
+				g.path(g.route)
+			}
+		}
+	}
+}
 
 // registerBroadcastPerSource is the broadcast registration as it stood
 // before a graph walked the S-XB's fan once: every source walks its whole
@@ -137,10 +160,92 @@ func TestBroadcastRegistrationMatchesPerSourceOracle(t *testing.T) {
 		full := newGraph(topo.NewBuilder(), p, shape, 1)
 		full.registerSerialized()
 		oracle = newGraph(topo.NewBuilder(), p, shape, 1)
-		oracle.registerUnicast()
+		oracle.registerUnicastPerPair()
 		oracle.registerBroadcastPerSource()
 		if got, want := builderState(full.b), builderState(oracle.b); got != want {
 			t.Errorf("%s: serialized scheme:\n%s\nthe oracle's:\n%s", name, got, want)
 		}
 	}
+}
+
+// memoCase is one graph the unicast memo is checked on: a policy over the MD
+// crossbar with vcs lanes per wire.
+type memoCase struct {
+	name  string
+	shape geom.Shape
+	p     *routing.Policy
+	vcs   int
+}
+
+// doubleFaultCases samples pairs of faults on shape — router and crossbar,
+// each pair once, every step-th pair — under the unified and the separate
+// D-XB. Two faults are past what the paper's facility guarantees, so routes
+// are refused and detours cut short in ways one fault never shows.
+func doubleFaultCases(t *testing.T, shape geom.Shape, step int) []memoCase {
+	t.Helper()
+	var all []fault.Fault
+	shape.Enumerate(func(c geom.Coord) bool {
+		all = append(all, fault.RouterFault(c))
+		return true
+	})
+	for _, l := range shape.Lines() {
+		all = append(all, fault.XBFault(l))
+	}
+	separate := shape.LineAt(0, shape.LineCount(0)-1).Fixed
+	var cases []memoCase
+	k := 0
+	for i := range all {
+		for j := i + 1; j < len(all); j++ {
+			if k++; k%step != 0 {
+				continue
+			}
+			for _, dxb := range []geom.Coord{{}, separate} {
+				cfg := routing.Config{Shape: shape, DXB: dxb, Faults: faults(t, shape, all[i], all[j])}
+				p, err := routing.New(cfg)
+				if err != nil {
+					continue // the faults leave no S-XB or D-XB line to substitute
+				}
+				cases = append(cases, memoCase{fmt.Sprintf("%v/%v+%v/dxb%v", shape, all[i], all[j], dxb), shape, p, 1})
+			}
+		}
+	}
+	return cases
+}
+
+func TestUnicastMemoMatchesPerPairOracle(t *testing.T) {
+	// The memoized registration must leave the builder exactly as walking
+	// every pair whole does: the same vertices in the same order, the same
+	// composites, the same edges and the same certificate.
+	var cases []memoCase
+	for _, tc := range oracleCorpus(t) {
+		cases = append(cases, memoCase{tc.name, tc.shape, tc.p, 1})
+	}
+	cases = append(cases, doubleFaultCases(t, geom.MustShape(4, 4), 3)...)
+	cases = append(cases, doubleFaultCases(t, geom.MustShape(3, 4, 5), 97)...)
+	for _, shape := range []geom.Shape{geom.MustShape(4, 4), geom.MustShape(3, 3, 2)} {
+		for _, vcs := range []int{2, 4} {
+			p := policy(t, routing.Config{Shape: shape})
+			cases = append(cases, memoCase{fmt.Sprintf("%v/escape-vc%d", shape, vcs), shape, p, vcs})
+			f := faults(t, shape, fault.RouterFault(shape.CoordOf(shape.Size()/2)))
+			p = policy(t, routing.Config{Shape: shape, Faults: f})
+			cases = append(cases, memoCase{fmt.Sprintf("%v/escape-vc%d/%v", shape, vcs, f.List()[0]), shape, p, vcs})
+		}
+	}
+	for _, tc := range cases {
+		memo := newGraph(topo.NewBuilder(), tc.p, tc.shape, tc.vcs)
+		memo.registerUnicast()
+		oracle := newGraph(topo.NewBuilder(), tc.p, tc.shape, tc.vcs)
+		oracle.registerUnicastPerPair()
+		if got, want := builderState(memo.b), builderState(oracle.b); got != want {
+			t.Errorf("%s: point-to-point classes:\n%s\nthe oracle's:\n%s", tc.name, got, want)
+		}
+		if tc.vcs > 1 {
+			memo.registerBroadcast()
+			oracle.registerBroadcastPerSource()
+			if got, want := builderState(memo.b), builderState(oracle.b); got != want {
+				t.Errorf("%s: escape registration:\n%s\nthe oracle's:\n%s", tc.name, got, want)
+			}
+		}
+	}
+	t.Logf("%d graphs", len(cases))
 }

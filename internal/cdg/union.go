@@ -56,11 +56,12 @@ func BroadcastEdges(p *routing.Policy, shape geom.Shape) []Edge {
 // numbers, ordered by channel name.
 func (g *Graph) contractedEdges() []Edge {
 	// Every vertex of the builder came in through vertexOf (the graph owns
-	// its builder here): invert vertex[], then rank the vertices by name.
+	// its builder here): invert the numbering, then rank the vertices by
+	// name.
 	numberOf := make([]int32, g.b.Len())
-	for n, v := range g.vertex {
-		if v > 0 {
-			numberOf[v-1] = int32(n)
+	for n := int32(0); n <= g.tree; n++ {
+		if v, ok := g.num.Lookup(n); ok {
+			numberOf[v] = n
 		}
 	}
 	byName := make([]int32, len(numberOf))

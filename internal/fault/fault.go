@@ -129,14 +129,18 @@ func (s *Set) bit(i int) bool {
 func (s *Set) set(i int) { s.bits[i>>6] |= 1 << (i & 63) }
 
 // Add marks a switch faulty. It validates that the fault lies inside the
-// network. The paper's facility is specified for a single faulty point;
-// callers may add more, but the routing guarantees then no longer hold.
+// network and refuses one the set already holds: a switch dies once. The
+// paper's facility is specified for a single faulty point; callers may add
+// more, but the routing guarantees then no longer hold.
 func (s *Set) Add(f Fault) error {
 	s.ensure()
 	switch f.Kind {
 	case KindRouter:
 		if !s.shape.Contains(f.Coord) {
 			return fmt.Errorf("fault: router %v outside shape", f.Coord)
+		}
+		if s.RouterFaulty(f.Coord) {
+			return fmt.Errorf("fault: router %v is already faulty", f.Coord)
 		}
 		s.set(s.shape.Index(f.Coord))
 	case KindXB:
@@ -151,6 +155,9 @@ func (s *Set) Add(f Fault) error {
 			// would name one crossbar to the engine and none to the routing.
 			return fmt.Errorf("fault: crossbar %v has coordinate %d in its own dimension %d, want 0 (geom.LineOf)", f.Line, v, f.Line.Dim)
 		}
+		if s.XBFaulty(f.Line) {
+			return fmt.Errorf("fault: crossbar %v is already faulty", f.Line)
+		}
 		s.set(s.xbBase[f.Line.Dim] + s.shape.LineIndex(f.Line))
 	case KindLink:
 		if !s.shape.Contains(f.Coord) {
@@ -161,6 +168,9 @@ func (s *Set) Add(f Fault) error {
 		}
 		if f.Coord.Distance(f.To) != 1 {
 			return fmt.Errorf("fault: link %v-%v endpoints must differ in exactly one dimension", f.Coord, f.To)
+		}
+		if s.LinkFaulty(f.Coord, f.To) {
+			return fmt.Errorf("fault: link %v-%v is already faulty", f.Coord, f.To)
 		}
 		s.links[linkKey(f.Coord, f.To)] = true
 	default:

@@ -184,24 +184,33 @@ func TestQueriesOutsideShapeAnswerHealthy(t *testing.T) {
 	}
 }
 
-// TestDuplicateAdd pins a fault added twice: listed twice (the snapshot
-// encodes the list), counted twice, and faulty once.
+// TestDuplicateAdd: a switch dies once. Adding a fault the set already
+// holds is refused with an error naming it, and leaves the set as it was:
+// each fault listed, counted and faulty once.
 func TestDuplicateAdd(t *testing.T) {
 	s := NewSet(shape43())
 	r, x := RouterFault(geom.Coord{1, 2}), XBFault(geom.LineOf(geom.Coord{3, 0}, 1))
-	for _, f := range []Fault{r, x, r, x} {
+	for _, f := range []Fault{r, x} {
 		if err := s.Add(f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := s.List(); s.Count() != 4 || len(got) != 4 || got[2] != r || got[3] != x {
-		t.Errorf("count %d, list %v: want both faults listed twice", s.Count(), got)
+	for _, tc := range []struct {
+		f    Fault
+		want string
+	}{{r, "router (1,2) is already faulty"}, {x, "crossbar " + x.Line.String() + " is already faulty"}} {
+		if err := s.Add(tc.f); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("second Add(%v) = %v, want an error containing %q", tc.f, err, tc.want)
+		}
+	}
+	if got := s.List(); s.Count() != 2 || len(got) != 2 || got[0] != r || got[1] != x {
+		t.Errorf("count %d, list %v: want each fault listed once", s.Count(), got)
 	}
 	if !s.RouterFaulty(r.Coord) || !s.XBFaulty(x.Line) {
-		t.Error("duplicated faults not reported")
+		t.Error("faults not reported")
 	}
-	if c := s.Clone(); c.Count() != 4 || !c.RouterFaulty(r.Coord) || !c.XBFaulty(x.Line) {
-		t.Error("clone lost a duplicated fault")
+	if c := s.Clone(); c.Count() != 2 || c.Add(r) == nil {
+		t.Error("a clone does not hold the faults it copied")
 	}
 }
 

@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"strings"
 	"testing"
 
 	"sr2201/internal/core"
@@ -177,6 +178,11 @@ func TestNewValidatesSchedule(t *testing.T) {
 	}
 	if _, err := New(m, []Event{{Cycle: 5, Fault: fault.RouterFault(geom.Coord{9, 9})}}, Options{}); err == nil {
 		t.Error("out-of-shape fault accepted")
+	}
+	twice := fault.XBFault(geom.LineOf(geom.Coord{0, 3}, 0))
+	if _, err := New(m, []Event{{Cycle: 5, Fault: twice}, {Cycle: 8, Fault: twice}}, Options{}); err == nil ||
+		!strings.Contains(err.Error(), "is already faulty") {
+		t.Errorf("a crossbar scheduled to fail twice: %v, want the fault set's refusal", err)
 	}
 }
 

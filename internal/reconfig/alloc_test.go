@@ -4,10 +4,12 @@ package reconfig
 
 // Allocation budget for one reconfiguration attempt (the race detector
 // instruments allocations, hence the build tag). The prover used to format
-// and hash a channel name per hop of every pair, three walks over; what is
-// left is a few allocations per *channel* — its name, its successor set —
-// plus the refused pairs' errors. Fan decisions hand out shared output
-// lists, and a graph walks the broadcast fan once, not once per source.
+// and hash a channel name per hop of every pair, three walks over, and then
+// a name and a successor set per channel. Now a channel is interned by
+// number and named only for a cycle witness, edges go to one flat list, a
+// unicast walk stops at the first state its destination already saw, and an
+// unchanged graph is certified once; what is left is a few slices per graph,
+// the refused walks' errors and the machine's own generation bookkeeping.
 
 import (
 	"runtime"
@@ -16,9 +18,10 @@ import (
 
 func TestAttemptAllocationBudget(t *testing.T) {
 	// 156 000 before the prover was integer-keyed, 3 245 while every fan
-	// decision allocated its list and every source walked the whole fan;
-	// 1 532 now, plus 10 %.
-	const budget = 1_690
+	// decision allocated its list and every source walked the whole fan,
+	// 1 532 while every channel was named and kept its own successor set;
+	// 137 now.
+	const budget = 300
 	m, mgr, f := attemptRig(t)
 	var before, after runtime.MemStats
 	failAround(t, m, mgr, f, func(attempt func()) {

@@ -117,6 +117,37 @@ func TestHotSwapOnFault(t *testing.T) {
 	}
 }
 
+// TestSecondFailNowRunsNothing: a switch dies once. FailNow on a router the
+// machine already lost is refused before any packet is purged, so no
+// reconfiguration attempt runs: the events, the epoch and the fault count
+// stay as the first FailNow left them.
+func TestSecondFailNowRunsNothing(t *testing.T) {
+	m, mgr := newRig(t, false, core.ReconfigOnFault, reconfig.Options{})
+	if _, err := m.Send(geom.Coord{0, 0}, geom.Coord{3, 3}, 24); err != nil {
+		t.Fatal(err)
+	}
+	m.Step()
+	dead := fault.RouterFault(geom.Coord{2, 0})
+	if _, err := m.FailNow(dead); err != nil {
+		t.Fatal(err)
+	}
+	events, epoch, count, stats := len(mgr.Events()), m.Epoch(), m.Faults().Count(), mgr.Stats()
+	if events != 1 || epoch != 1 || count != 1 {
+		t.Fatalf("first FailNow: %d events, epoch %d, %d faults; want 1, 1, 1", events, epoch, count)
+	}
+	lost, err := m.FailNow(dead)
+	if err == nil || !strings.Contains(err.Error(), "router (2,0) is already faulty") {
+		t.Fatalf("second FailNow(%v) = %v, want the set's refusal naming the router", dead, err)
+	}
+	if len(lost) != 0 {
+		t.Errorf("second FailNow purged %d packets", len(lost))
+	}
+	if len(mgr.Events()) != events || m.Epoch() != epoch || m.Faults().Count() != count || mgr.Stats() != stats {
+		t.Errorf("second FailNow changed the machine: %d events, epoch %d, %d faults, stats %+v; want %d, %d, %d, %+v",
+			len(mgr.Events()), m.Epoch(), m.Faults().Count(), mgr.Stats(), events, epoch, count, stats)
+	}
+}
+
 // TestDrainOnCyclicUnion lands the fault on the separate-D-XB variant with
 // both traffic classes in flight: the separate recompile is refused with a
 // concrete cycle witness, the unified candidate is admissible but its union

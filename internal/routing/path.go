@@ -81,6 +81,10 @@ func (p *Policy) refuseSource(src geom.Coord) error {
 	return nil
 }
 
+// Sends reports whether the PE with Shape.Index i may send: UnicastHeader
+// refuses every pair from a PE that may not, for one bit of the fault set.
+func (p *Policy) Sends(i int) bool { return !p.faults.RouterFaultyAt(i) }
+
 // UnicastHeader is the header a point-to-point packet from src to dst leaves
 // its PE with, or the refusal of a pair outside the shape or of a faulty
 // source router. Walked by topo.Walker over the policy, it is the route

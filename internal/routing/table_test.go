@@ -174,12 +174,16 @@ func TestTableEquivalenceExhaustive(t *testing.T) {
 			if i%2 == 1 {
 				cfg.DXB = last
 			}
-			equivalentEverywhere(t, withFaults(t, shape, cfg, a, b))
+			both := []fault.Fault{a, b}
+			if a == b {
+				both = both[:1] // a switch dies once: the set holds it once
+			}
+			equivalentEverywhere(t, withFaults(t, shape, cfg, both...))
 
 			// The generation compiled under fault a, pinned, meets fault b.
 			old := withFaults(t, shape, cfg, a)
 			cfg.Shape, cfg.Faults = shape, fault.NewSet(shape)
-			for _, f := range []fault.Fault{a, b} {
+			for _, f := range both {
 				if err := cfg.Faults.Add(f); err != nil {
 					t.Fatal(err)
 				}

@@ -98,9 +98,11 @@ func (s *Pivot) walk(src, dst geom.Coord) error {
 // RegisterDependences records every pair's Route, then the policy's
 // serialized scheme (cdg.RegisterDependences), which finds its routes
 // recorded and adds the broadcast classes. Vertices come in the order the
-// pair loop names them; the broadcast tree joins last.
+// pair loop interns them; the broadcast tree joins last. The scheme's graph
+// is a second numbering of the same channels, so the builder names the pair
+// loop's vertices and the two meet by name.
 func (s *Pivot) RegisterDependences(b *topo.Builder) error {
-	vertex := make([]int32, s.w.Channels())
+	num := b.Numbering(s.w.Channels(), s.w.Name)
 	n := s.shape.Size()
 	for si := 0; si < n; si++ {
 		for di := 0; di < n; di++ {
@@ -109,7 +111,7 @@ func (s *Pivot) RegisterDependences(b *topo.Builder) error {
 				continue // unreachable pairs contribute no dependencies
 			}
 			for i := 1; i < len(route); i++ {
-				b.Edge(b.Intern(vertex, route[i-1], s.w.Name), b.Intern(vertex, route[i], s.w.Name))
+				b.Edge(num.Intern(route[i-1]), num.Intern(route[i]))
 			}
 		}
 	}

@@ -68,70 +68,135 @@ func (c Certificate) String() string {
 }
 
 // Builder accumulates a channel dependence graph. Channel vertices are
-// interned by name in insertion order; edges are deduplicated; composite
-// vertices contract their member channels into one resource at
-// certification time. The builder is not safe for concurrent use.
+// interned in insertion order; edges are deduplicated; composite vertices
+// contract their member channels into one resource at certification time.
+// The builder is not safe for concurrent use.
 //
-// Vertices are dense ids, so the graph is slices indexed by id: adj[u] is
-// u's successor set as a sorted slice (membership by binary search, and the
-// cycle search wants successors in id order anyway), memberOf[v] the
-// composite v was absorbed into. A name is hashed once, when Channel first
-// sees it; callers that number their channels (a Walker's) go through Intern
-// and never come back through the map.
+// Vertices are dense ids. A vertex comes from Channel, by name, or from a
+// Numbering, by channel number (a Walker's): the first numbering of an empty
+// builder interns a channel by number alone and names it only when a name is
+// read (Name, a cycle witness), so a proof that certifies formats no name at
+// all. A second source of vertices — Channel, Composite or another numbering
+// — could name a channel the first one already holds, so it names every
+// vertex first and interns by name from then on: two numberings of one
+// channel are one vertex.
+//
+// Edges go to one flat list of (from, to) pairs, deduplicated only when a
+// long list must grow; the contraction buckets them by source into one
+// backing array, which is the adjacency FindCycle searches. A certificate is
+// kept until a vertex, edge or absorption is added.
 type Builder struct {
-	ids      map[string]int
-	names    []string
-	adj      [][]int32
-	memberOf []int32 // composite id, or -1
+	ids      map[string]int // vertices by name, once every vertex is named
+	names    []string       // by id; "" while a lazy vertex's name is unread
+	number   []int32        // by id: the channel number in lazy, or -1
+	lazy     *Numbering     // the numbering that interns unnamed, if any
+	memberOf []int32        // composite id, or -1
 	members  int
-	rank     []int32 // the last certificate's witness (Rank)
+	edges    []uint64 // from<<32 | to
+	sorted   int      // edges[:sorted] is ascending and duplicate-free
+	cert     Certificate
+	rank     []int32 // the certificate's witness (Rank)
+	current  bool    // cert and rank are the graph's as it stands
 }
 
 // NewBuilder returns an empty dependence-graph builder.
 func NewBuilder() *Builder {
-	return &Builder{ids: map[string]int{}}
+	return &Builder{}
+}
+
+// add appends a vertex, named or (name "") numbered n in the lazy numbering.
+func (b *Builder) add(name string, n int32) int {
+	v := len(b.names)
+	b.names = append(b.names, name)
+	b.number = append(b.number, n)
+	b.memberOf = append(b.memberOf, -1)
+	b.current = false
+	return v
+}
+
+// nameAll names every vertex and indexes the names, so that whatever interns
+// next can find a channel another source interned.
+func (b *Builder) nameAll() {
+	if b.ids != nil {
+		return
+	}
+	b.ids = make(map[string]int, len(b.names))
+	for v := range b.names {
+		b.ids[b.Name(v)] = v
+	}
+	b.lazy = nil
 }
 
 // Channel interns a channel vertex by name and returns its id. Repeated
-// calls with the same name return the same id.
+// calls with the same name return the same id, and so does a channel a
+// Numbering interned under that name.
 func (b *Builder) Channel(name string) int {
+	b.nameAll()
 	if v, ok := b.ids[name]; ok {
 		return v
 	}
-	v := len(b.names)
+	v := b.add(name, -1)
 	b.ids[name] = v
-	b.names = append(b.names, name)
-	b.adj = append(b.adj, nil)
-	b.memberOf = append(b.memberOf, -1)
 	return v
 }
 
-// Intern returns the vertex of channel n of a numbering, naming it and
-// interning the name only the first time: vertex[n] caches the id + 1, so
-// vertices — and every cycle witness — come in first-seen order while every
-// later crossing is an array read.
-func (b *Builder) Intern(vertex []int32, n int32, name func(int32) string) int {
-	if v := vertex[n]; v > 0 {
+// Numbering is one channel numbering interned into a builder: channel n's
+// vertex is made the first time n is seen, so vertices — and every cycle
+// witness — come in first-seen order while every later crossing is an array
+// read. name renders a channel number, for whatever reads the vertex's name.
+type Numbering struct {
+	b      *Builder
+	vertex []int32 // by channel number: id + 1, or 0 before first sight
+	name   func(int32) string
+}
+
+// Numbering starts interning channels numbered below channels, named by
+// name. Only the first numbering of an empty builder interns unnamed.
+func (b *Builder) Numbering(channels int32, name func(int32) string) *Numbering {
+	m := &Numbering{b: b, vertex: make([]int32, channels), name: name}
+	if len(b.names) > 0 || b.lazy != nil {
+		b.nameAll()
+	}
+	if b.ids == nil {
+		b.lazy = m
+	}
+	b.names = slices.Grow(b.names, int(channels))
+	b.number = slices.Grow(b.number, int(channels))
+	b.memberOf = slices.Grow(b.memberOf, int(channels))
+	return m
+}
+
+// Intern returns the vertex of channel n.
+func (m *Numbering) Intern(n int32) int {
+	if v := m.vertex[n]; v > 0 {
 		return int(v) - 1
 	}
-	v := b.Channel(name(n))
-	vertex[n] = int32(v) + 1
+	var v int
+	if m.b.lazy == m {
+		v = m.b.add("", n)
+	} else {
+		v = m.b.Channel(m.name(n))
+	}
+	m.vertex[n] = int32(v) + 1
 	return v
+}
+
+// Lookup returns the vertex of channel n, if n has been interned.
+func (m *Numbering) Lookup(n int32) (int, bool) {
+	v := m.vertex[n]
+	return int(v) - 1, v > 0
 }
 
 // Len reports how many vertices have been interned; ids run from 0 to Len-1.
 func (b *Builder) Len() int { return len(b.names) }
 
-// Name returns the name vertex id was interned under.
-func (b *Builder) Name(id int) string { return b.names[id] }
-
-// insertSorted adds v to the sorted set s, reporting whether it was new.
-func insertSorted(s []int32, v int32) ([]int32, bool) {
-	i, found := slices.BinarySearch(s, v)
-	if found {
-		return s, false
+// Name returns the name vertex id was interned under, naming it now if its
+// numbering has not.
+func (b *Builder) Name(id int) string {
+	if b.names[id] == "" && b.number[id] >= 0 {
+		b.names[id] = b.lazy.name(b.number[id])
 	}
-	return slices.Insert(s, i, v), true
+	return b.names[id]
 }
 
 // Edge records a dependence from channel u to channel v. Self-loops are
@@ -140,7 +205,27 @@ func (b *Builder) Edge(u, v int) {
 	if u == v {
 		return
 	}
-	b.adj[u], _ = insertSorted(b.adj[u], int32(v))
+	if len(b.edges) == cap(b.edges) && len(b.edges) >= compactFrom && len(b.edges) > 2*b.sorted {
+		// Deduplicate before growing: a registration that crosses one
+		// dependence many times (every pair's walk) keeps the list near
+		// twice the graph's size.
+		b.compact()
+	}
+	b.edges = append(b.edges, uint64(u)<<32|uint64(v))
+	b.current = false
+}
+
+// compactFrom is the edge list's length below which it grows without
+// deduplicating.
+const compactFrom = 1 << 12
+
+// compact sorts the edge list and drops its duplicates.
+func (b *Builder) compact() {
+	if b.sorted < len(b.edges) {
+		slices.Sort(b.edges)
+		b.edges = slices.Compact(b.edges)
+		b.sorted = len(b.edges)
+	}
 }
 
 // Composite interns a composite vertex: a resource standing for a whole
@@ -154,13 +239,14 @@ func (b *Builder) Composite(name string) int {
 // every edge touching the member is redirected onto the composite and the
 // member no longer counts as a channel of its own.
 func (b *Builder) Absorb(comp, id int) {
-	if comp == id {
+	if comp == id || b.memberOf[id] == int32(comp) {
 		return
 	}
 	if b.memberOf[id] < 0 {
 		b.members++
 	}
 	b.memberOf[id] = int32(comp)
+	b.current = false
 }
 
 // Contracted returns the vertex id stands for after contraction: the
@@ -173,41 +259,64 @@ func (b *Builder) Contracted(id int) int {
 }
 
 // contract returns the graph with composite members redirected onto their
-// composite, self-loops dropped and duplicates collapsed, and its edge
-// count.
+// composite, self-loops dropped and duplicates collapsed, as each vertex's
+// successors in ascending order over one backing array, and its edge count.
+// The edges are bucketed by source, so only each vertex's few successors are
+// sorted.
 func (b *Builder) contract() ([][]int32, int) {
-	contracted := make([][]int32, len(b.adj))
-	edges := 0
-	for u, vs := range b.adj {
-		cu := int32(b.Contracted(u))
-		for _, v := range vs {
-			cv := int32(b.Contracted(int(v)))
-			if cu == cv {
-				continue
-			}
-			var added bool
-			if contracted[cu], added = insertSorted(contracted[cu], cv); added {
-				edges++
-			}
+	ends := func(e uint64) (int, int) { return b.Contracted(int(e >> 32)), b.Contracted(int(uint32(e))) }
+	next := make([]int32, len(b.names)+1) // where each vertex's bucket fills next
+	for _, e := range b.edges {
+		if u, v := ends(e); u != v {
+			next[u+1]++
 		}
 	}
-	return contracted, edges
+	for u := 1; u < len(next); u++ {
+		next[u] += next[u-1]
+	}
+	to := make([]int32, next[len(next)-1])
+	for _, e := range b.edges {
+		if u, v := ends(e); u != v {
+			to[next[u]] = int32(v)
+			next[u]++
+		}
+	}
+	// Bucket u now ends at next[u] and starts where bucket u-1 ended; the
+	// deduplicated buckets are packed down from the front.
+	adj := make([][]int32, len(b.names))
+	start, edges := int32(0), 0
+	for u := range adj {
+		succ := to[start:next[u]]
+		start = next[u]
+		slices.Sort(succ)
+		succ = slices.Compact(succ)
+		adj[u] = to[edges : edges+len(succ) : edges+len(succ)]
+		copy(adj[u], succ)
+		edges += len(succ)
+	}
+	return adj, edges
 }
 
 // Certificate contracts composites, counts the resulting graph, and runs
 // the deterministic cycle search. The builder stays usable: more edges may
 // be added and a further certificate taken over the larger graph (the
 // reconfiguration layer certifies a candidate, then adds the retiring
-// edges and certifies the transition).
+// edges and certifies the transition). A graph unchanged since the last
+// certificate is not searched again: the verdict is renamed.
 func (b *Builder) Certificate(scheme string) Certificate {
-	contracted, edges := b.contract()
-	cert := Certificate{Scheme: scheme, Channels: len(b.names) - b.members, Edges: edges}
-	var cycle []int32
-	cycle, b.rank = FindCycle(contracted)
-	for _, v := range cycle {
-		cert.Cycle = append(cert.Cycle, b.names[v])
+	if !b.current {
+		contracted, edges := b.contract()
+		b.cert = Certificate{Channels: len(b.names) - b.members, Edges: edges}
+		var cycle []int32
+		cycle, b.rank = FindCycle(contracted)
+		for _, v := range cycle {
+			b.cert.Cycle = append(b.cert.Cycle, b.Name(int(v)))
+		}
+		b.cert.Acyclic = cycle == nil
+		b.current = true
 	}
-	cert.Acyclic = cycle == nil
+	cert := b.cert
+	cert.Scheme, cert.Cycle = scheme, slices.Clone(b.cert.Cycle)
 	return cert
 }
 

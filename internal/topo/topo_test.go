@@ -1,6 +1,7 @@
 package topo_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -85,6 +86,104 @@ func TestBuilderCompositeContraction(t *testing.T) {
 	}
 	if b.Len() != 4 || b.Name(x) != "x" {
 		t.Errorf("Len() = %d, Name(x) = %q; want 4 vertices and \"x\"", b.Len(), b.Name(x))
+	}
+}
+
+// TestNumberingNamesOnRead: the first numbering of an empty builder interns
+// channels by number and names one only when its name is read — a cycle
+// witness or Name — so an acyclic certificate names nothing.
+func TestNumberingNamesOnRead(t *testing.T) {
+	named := 0
+	name := func(n int32) string { named++; return fmt.Sprintf("ch%d", n) }
+	b := topo.NewBuilder()
+	num := b.Numbering(8, name)
+	ring := []int32{5, 2, 7}
+	for i, n := range ring {
+		b.Edge(num.Intern(n), num.Intern(ring[(i+1)%len(ring)]))
+	}
+	if v, ok := num.Lookup(2); !ok || v != 1 {
+		t.Errorf("Lookup(2) = %d, %v; want vertex 1, the second first seen", v, ok)
+	}
+	if _, ok := num.Lookup(3); ok {
+		t.Error("Lookup found a channel never interned")
+	}
+	b.Edge(num.Intern(0), num.Intern(5))
+	if named != 0 {
+		t.Fatalf("interning named %d channels", named)
+	}
+	cert := b.Certificate("ring")
+	if want := []string{"ch2", "ch7", "ch5"}; !reflect.DeepEqual(cert.Cycle, want) || named != 3 {
+		t.Errorf("witness %v after %d names, want %v after 3", cert.Cycle, named, want)
+	}
+	if b.Name(3) != "ch0" || named != 4 {
+		t.Errorf("Name(3) = %q after %d names, want \"ch0\" after 4", b.Name(3), named)
+	}
+	if b.Name(0) != "ch5" || named != 4 {
+		t.Errorf("a name read twice was formatted twice (%d names)", named)
+	}
+}
+
+// TestNumberingsAlias: a channel interned by one numbering is the same vertex
+// to Channel and to a second numbering of the same names, whichever came
+// first — the builder names every vertex once a second source of vertices
+// appears.
+func TestNumberingsAlias(t *testing.T) {
+	name := func(n int32) string { return fmt.Sprintf("ch%d", n) }
+	b := topo.NewBuilder()
+	first := b.Numbering(4, name)
+	a, c := first.Intern(3), first.Intern(1)
+	b.Edge(a, c)
+	if v := b.Channel("ch1"); v != c {
+		t.Errorf("Channel(\"ch1\") = %d, want the numbering's vertex %d", v, c)
+	}
+	second := b.Numbering(4, name)
+	if v := second.Intern(3); v != a {
+		t.Errorf("a second numbering interned channel 3 as %d, want %d", v, a)
+	}
+	b.Edge(second.Intern(1), second.Intern(3))
+	b.Edge(first.Intern(2), b.Channel("ch3"))
+	if cert := b.Certificate("alias"); cert.Channels != 3 || cert.Edges != 3 || cert.Acyclic {
+		t.Errorf("certificate %+v, want 3 channels, 3 edges and the ch3<->ch1 cycle", cert)
+	}
+
+	named := topo.NewBuilder()
+	x := named.Channel("ch0")
+	num := named.Numbering(2, name)
+	if v := num.Intern(0); v != x {
+		t.Errorf("a numbering after Channel interned channel 0 as %d, want %d", v, x)
+	}
+}
+
+// TestCertificateKeptUntilChange: a builder certifies an unchanged graph
+// once — a second certificate is the first renamed, with the same rank — and
+// searches again after an edge, a vertex or an absorption.
+func TestCertificateKeptUntilChange(t *testing.T) {
+	b := topo.NewBuilder()
+	path(b, "a", "b", "c")
+	first := b.Certificate("one")
+	rank := b.Rank()
+	again := b.Certificate("two")
+	if again.Scheme != "two" || again.Channels != first.Channels || again.Edges != first.Edges || !again.Acyclic {
+		t.Errorf("second certificate %+v, want the first %+v renamed", again, first)
+	}
+	if r := b.Rank(); &r[0] != &rank[0] {
+		t.Error("an unchanged graph was searched again")
+	}
+	for _, change := range []func(){
+		func() { b.Edge(b.Channel("a"), b.Channel("c")) },
+		func() { b.Channel("d") },
+		func() { b.Absorb(b.Composite("tree"), b.Channel("d")) },
+	} {
+		change()
+		b.Certificate("changed")
+		if r := b.Rank(); &r[0] == &rank[0] {
+			t.Fatal("a changed graph kept its old certificate")
+		}
+		rank = b.Rank()
+	}
+	path(b, "c", "a")
+	if cert := b.Certificate("cyclic"); cert.Acyclic || b.Rank() != nil {
+		t.Errorf("an edge closing a cycle kept the acyclic verdict: %+v", cert)
 	}
 }
 

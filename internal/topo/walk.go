@@ -184,7 +184,15 @@ func (w *Walker) follow(a *arrival, out int) error {
 // header's, and a walk longer than the network has channels (a loop) are
 // hard errors. The source router's health is the caller's to check.
 func (w *Walker) Unicast(h *flit.Header, visit Visit) error {
-	return w.chain(h, visit, false)
+	_, err := w.chain(h, visit, nil, false)
+	return err
+}
+
+// UnicastUntil is Unicast for a visitor that may end the walk: it reports
+// each hop to stop, returns as soon as stop answers true, and says whether it
+// did.
+func (w *Walker) UnicastUntil(h *flit.Header, stop func(ch int32, h *flit.Header) bool) (stopped bool, err error) {
+	return w.chain(h, nil, stop, false)
 }
 
 // Request walks a broadcast's request leg: header h, of the request class,
@@ -194,40 +202,47 @@ func (w *Walker) Unicast(h *flit.Header, visit Visit) error {
 // which it neither reports nor follows. A refusal is returned as the policy
 // made it; the source router's health is the caller's to check.
 func (w *Walker) Request(h *flit.Header, visit Visit) error {
-	return w.chain(h, visit, true)
+	_, err := w.chain(h, visit, nil, true)
+	return err
 }
 
-// chain is the one-output walk of Unicast, and of Request when request is
-// set.
-func (w *Walker) chain(h *flit.Header, visit Visit, request bool) error {
+// chain is the one-output walk of Unicast and UnicastUntil, and of Request
+// when request is set.
+func (w *Walker) chain(h *flit.Header, visit Visit, stop func(int32, *flit.Header) bool, request bool) (stopped bool, err error) {
 	a := arrival{dim: -1, at: h.Src, in: w.ports - 1}
 	for a.depth <= int(w.n) {
 		dec, err := w.decide(&a, h)
 		if err != nil {
-			return err
+			return false, err
 		}
 		dec.Rewrite.Apply(h)
 		if request && h.RC != flit.RCBroadcastRequest {
-			return nil
+			return false, nil
 		}
 		if len(dec.Outs) != 1 {
-			return fmt.Errorf("topo: walk from %s: unicast decision with %d outputs", h.Src, len(dec.Outs))
+			return false, fmt.Errorf("topo: walk from %s: unicast decision with %d outputs", h.Src, len(dec.Outs))
 		}
 		out := dec.Outs[0]
-		if visit != nil {
-			visit(w.channel(&a, out), h, a.depth)
+		if visit != nil || stop != nil {
+			ch := w.channel(&a, out)
+			if visit != nil {
+				visit(ch, h, a.depth)
+			}
+			if stop != nil && stop(ch, h) {
+				return true, nil
+			}
 		}
 		if a.dim < 0 && out == w.ports-1 {
 			if a.at != h.Dst {
-				return fmt.Errorf("topo: walk from %s delivered at %s, not %s", h.Src, a.at, h.Dst)
+				return false, fmt.Errorf("topo: walk from %s delivered at %s, not %s", h.Src, a.at, h.Dst)
 			}
-			return nil
+			return false, nil
 		}
 		if err := w.follow(&a, out); err != nil {
-			return err
+			return false, err
 		}
 	}
-	return fmt.Errorf("topo: walk from %s exceeded %d hops (routing loop?)", h.Src, w.n)
+	return false, fmt.Errorf("topo: walk from %s exceeded %d hops (routing loop?)", h.Src, w.n)
 }
 
 // Broadcast walks header h from its source PE (h.Src) breadth first through
@@ -314,7 +329,7 @@ func Walk(s Router, src, dst geom.Coord) (Walked, error) {
 // RegisterDependences body for unicast-only direct-link schemes.
 func RegisterUnicastDependences(b *Builder, s Router) error {
 	w := NewWalker(s.Shape(), s.Wiring(), RouterPolicy(s))
-	vertex := make([]int32, w.Channels())
+	num := b.Numbering(w.Channels(), w.Name)
 	var route []int32
 	visit := func(ch int32, _ *flit.Header, _ int) { route = append(route, ch) }
 	var h flit.Header
@@ -329,7 +344,7 @@ func RegisterUnicastDependences(b *Builder, s Router) error {
 				return err
 			}
 			for i := 1; i < len(route); i++ {
-				b.Edge(b.Intern(vertex, route[i-1], w.Name), b.Intern(vertex, route[i], w.Name))
+				b.Edge(num.Intern(route[i-1]), num.Intern(route[i]))
 			}
 		}
 	}
