@@ -12,10 +12,11 @@ import "testing"
 
 func TestAnalyzeAllocationPin(t *testing.T) {
 	// 26 442 when every channel was named and kept its own successor set;
-	// 161–162 measured (the mean of five runs) once a channel is interned by
-	// number, plus 3 for fmt's pool, which a GC can empty mid-proof, so that
-	// the next refusal's text allocates its printer again.
-	const pin = 165
+	// 160–164 once a channel is interned by number, while every refused walk
+	// formatted its text through fmt, whose printer pool a GC can empty
+	// mid-proof. A refusal is formatted only when its text is read, and the
+	// scheme is named without fmt, so the count is exact.
+	const pin = 96
 	tc := analyzeCases()[0] // 8x8x8-escape
 	p := tc.machine(t).Policy()
 	allocs := testing.AllocsPerRun(5, func() {
@@ -23,7 +24,7 @@ func TestAnalyzeAllocationPin(t *testing.T) {
 			t.Fatalf("Analyze: %+v, %v", res, err)
 		}
 	})
-	if allocs > pin {
+	if allocs != pin {
 		t.Errorf("cdg.Analyze on %s: %.0f allocations, pin %d", tc.name, allocs, pin)
 	}
 }

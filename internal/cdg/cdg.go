@@ -76,7 +76,7 @@ func SchemeName(p *routing.Policy, shape geom.Shape) string {
 	if p.EffectiveSXB() != p.EffectiveDXB() {
 		variant = "separate-dxb"
 	}
-	return fmt.Sprintf("mdx-%s-%s", variant, shape)
+	return "mdx-" + variant + "-" + shape.String()
 }
 
 // RegisterDependences records the paper's serialized scheme in the

@@ -9,10 +9,10 @@ import (
 
 // refusal is a routing step's refusal kept as a value: the rule that refused
 // and the switch, crossbar dimension or RC class it names. The zero value
-// refuses nothing. err renders it as the rule's error, so a compiled table
-// keeps thousands of refusals without formatting one, and a run formats only
-// those a packet meets. Every switch a policy routes at lies inside the
-// shape, so a router or line is kept by index.
+// refuses nothing. err wraps it as an error that formats the rule's text on
+// demand, so a compiled table keeps thousands of refusals without formatting
+// one, and a run formats only those someone reads. Every switch a policy
+// routes at lies inside the shape, so a router or line is kept by index.
 type refusal struct {
 	rule refusalRule
 	dim  uint8   // the crossbar's dimension
@@ -53,55 +53,76 @@ func (p *Policy) refuseLine(rule refusalRule, l geom.Line) refusal {
 	return refusal{rule: rule, dim: uint8(l.Dim), at: int32(p.shape.Index(l.Fixed))}
 }
 
-// err renders the refusal on shape, nil for none: every decision asks, so
-// the common answer stays inlined.
+// err is the refusal on shape as an error, nil for none: every decision
+// asks, so the common answer stays inlined.
 func (r refusal) err(shape geom.Shape) error {
 	if r.rule == 0 {
 		return nil
 	}
-	return r.render(shape)
+	return refusalError{r, shape}
 }
 
-// render is the rule's error. A refusal for want of a route wraps
-// ErrUnreachable; one for a header no switch should hold does not.
-func (r refusal) render(shape geom.Shape) error {
-	c := shape.CoordOf(int(r.at))
-	l := geom.Line{Dim: int(r.dim), Fixed: c}
-	switch r.rule {
-	case whySXBFaulty:
-		return fmt.Errorf("%w: serialized crossbar faulty", ErrUnreachable)
-	case whyTowardSXB:
-		return fmt.Errorf("%w: dim-%d crossbar toward S-XB faulty", ErrUnreachable, r.dim)
-	case whyPEBroadcast:
-		return fmt.Errorf("routing: broadcast packet from PE at %v without naive mode", c)
-	case whyDXBFaulty:
-		return fmt.Errorf("%w: detour crossbar faulty", ErrUnreachable)
-	case whyTowardDXB:
-		return fmt.Errorf("%w: dim-%d crossbar toward D-XB faulty", ErrUnreachable, r.dim)
-	case whyRouterRC:
-		return fmt.Errorf("routing: router %v cannot handle RC %v", c, r.rc)
-	case whyDetourNeedsXB:
-		return fmt.Errorf("%w: dim-%d crossbar %v faulty and the detour needs it", ErrUnreachable, r.dim, l)
-	case whyDetourLegFaulty:
-		return fmt.Errorf("%w: detour leg dim-%d crossbar %v also faulty", ErrUnreachable, r.dim, l)
-	case whyRequestOffSXB:
-		return fmt.Errorf("routing: broadcast request entered non-serialized dim-0 crossbar %v", l)
-	case whyEmptyFan:
-		return fmt.Errorf("%w: broadcast fan at %v has no healthy routers", ErrUnreachable, l)
-	case whyDetourOffDXB:
-		return fmt.Errorf("routing: detour packet entered non-detour dim-0 crossbar %v", l)
-	case whyDXBRouterFaulty:
-		return fmt.Errorf("%w: router %v on detour crossbar faulty", ErrUnreachable, c)
-	case whyXBRC:
-		return fmt.Errorf("routing: crossbar %v cannot handle RC %v", l, r.rc)
-	case whyRouterFaulty:
-		return fmt.Errorf("%w: router %v faulty", ErrUnreachable, c)
-	case whyDstFaulty:
-		return fmt.Errorf("%w: destination router %v faulty", ErrUnreachable, c)
-	case whyNoDetourRouter:
-		return fmt.Errorf("%w: no healthy detour router on %v", ErrUnreachable, l)
-	case whyDetourReenters:
-		return fmt.Errorf("%w: router %v faulty and the detour re-enters it", ErrUnreachable, c)
+// refusalError is a refusal as an error. It formats its text only when
+// Error is called: a proof that walks every pair only asks whether a walk
+// was refused.
+type refusalError struct {
+	refusal
+	shape geom.Shape
+}
+
+// Unwrap is ErrUnreachable for a refusal for want of a route, and nil for
+// one for a header no switch should hold.
+func (e refusalError) Unwrap() error {
+	switch e.rule {
+	case whyPEBroadcast, whyRouterRC, whyRequestOffSXB, whyDetourOffDXB, whyXBRC:
+		return nil
 	}
-	panic(fmt.Sprintf("routing: unknown refusal rule %d", r.rule))
+	return ErrUnreachable
+}
+
+// Error is the rule's text, prefixed with ErrUnreachable's where Unwrap
+// returns it.
+func (e refusalError) Error() string {
+	c := e.shape.CoordOf(int(e.at))
+	l := geom.Line{Dim: int(e.dim), Fixed: c}
+	var why string
+	switch e.rule {
+	case whySXBFaulty:
+		why = "serialized crossbar faulty"
+	case whyTowardSXB:
+		why = fmt.Sprintf("dim-%d crossbar toward S-XB faulty", e.dim)
+	case whyPEBroadcast:
+		return fmt.Sprintf("routing: broadcast packet from PE at %v without naive mode", c)
+	case whyDXBFaulty:
+		why = "detour crossbar faulty"
+	case whyTowardDXB:
+		why = fmt.Sprintf("dim-%d crossbar toward D-XB faulty", e.dim)
+	case whyRouterRC:
+		return fmt.Sprintf("routing: router %v cannot handle RC %v", c, e.rc)
+	case whyDetourNeedsXB:
+		why = fmt.Sprintf("dim-%d crossbar %v faulty and the detour needs it", e.dim, l)
+	case whyDetourLegFaulty:
+		why = fmt.Sprintf("detour leg dim-%d crossbar %v also faulty", e.dim, l)
+	case whyRequestOffSXB:
+		return fmt.Sprintf("routing: broadcast request entered non-serialized dim-0 crossbar %v", l)
+	case whyEmptyFan:
+		why = fmt.Sprintf("broadcast fan at %v has no healthy routers", l)
+	case whyDetourOffDXB:
+		return fmt.Sprintf("routing: detour packet entered non-detour dim-0 crossbar %v", l)
+	case whyDXBRouterFaulty:
+		why = fmt.Sprintf("router %v on detour crossbar faulty", c)
+	case whyXBRC:
+		return fmt.Sprintf("routing: crossbar %v cannot handle RC %v", l, e.rc)
+	case whyRouterFaulty:
+		why = fmt.Sprintf("router %v faulty", c)
+	case whyDstFaulty:
+		why = fmt.Sprintf("destination router %v faulty", c)
+	case whyNoDetourRouter:
+		why = fmt.Sprintf("no healthy detour router on %v", l)
+	case whyDetourReenters:
+		why = fmt.Sprintf("router %v faulty and the detour re-enters it", c)
+	default:
+		panic(fmt.Sprintf("routing: unknown refusal rule %d", e.rule))
+	}
+	return ErrUnreachable.Error() + ": " + why
 }

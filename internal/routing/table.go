@@ -60,8 +60,8 @@ type TablePolicy struct {
 var _ topo.Policy = (*TablePolicy)(nil)
 
 // entry is one precomputed decision: the output ports and the header rewrite
-// on the forwarded copies, or the refusal, rendered only when a packet meets
-// it.
+// on the forwarded copies, or the refusal, formatted only when its error's
+// text is read.
 type entry struct {
 	outs []int
 	w    flit.Rewrite
@@ -73,7 +73,7 @@ type entry struct {
 // inliner's budget: every table lookup ends here.
 func (tp *TablePolicy) decision(e *entry) (engine.Decision, error) {
 	if e.why.rule != 0 {
-		return engine.Decision{}, e.why.render(tp.shape)
+		return engine.Decision{}, refusalError{e.why, tp.shape}
 	}
 	return engine.Decision{Outs: e.outs, Rewrite: e.w}, nil
 }
