@@ -763,11 +763,6 @@ func (m *Machine) Engine() *engine.Engine { return m.eng }
 // Network exposes the built network.
 func (m *Machine) Network() *topo.Net { return m.net }
 
-// TopoScheme exposes the installed direct-link routing scheme (nil on the
-// MD crossbar). It is rebuilt — and re-fetched stale references
-// invalidated — every time a fault is added.
-func (m *Machine) TopoScheme() topo.Router { return m.router }
-
 // Topology reports the configured interconnect name (one of Topologies).
 func (m *Machine) Topology() string { return m.cfg.Topology }
 

@@ -23,6 +23,21 @@ func mustMachine(t *testing.T, topology string, shape geom.Shape) *core.Machine 
 	return m
 }
 
+// mustScheme builds the family's routing scheme for a fault-free shape
+// through its registration, as core.Machine does.
+func mustScheme(t *testing.T, topology string, shape geom.Shape) topo.Router {
+	t.Helper()
+	reg, ok := topo.Lookup(topology)
+	if !ok || reg.New == nil {
+		t.Fatalf("%s: no direct-link registration", topology)
+	}
+	s, err := reg.New(shape, fault.NewSet(shape))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // sendAllPairs queues one size-flit packet for every ordered pair and
 // returns how many.
 func sendAllPairs(t *testing.T, m *core.Machine, size int) int {
@@ -71,9 +86,10 @@ func TestNewValidation(t *testing.T) {
 // an instance is named family-shape.
 func TestFamilyNames(t *testing.T) {
 	for _, name := range []string{"mesh", "torus", "torus-novc"} {
-		m := mustMachine(t, name, geom.MustShape(3, 4))
-		if m.Topology() != name || m.TopoScheme().Name() != name+"-3x4" {
-			t.Errorf("%s: topology %q, scheme %q", name, m.Topology(), m.TopoScheme().Name())
+		shape := geom.MustShape(3, 4)
+		m := mustMachine(t, name, shape)
+		if s := mustScheme(t, name, shape); m.Topology() != name || s.Name() != name+"-3x4" {
+			t.Errorf("%s: topology %q, scheme %q", name, m.Topology(), s.Name())
 		}
 	}
 }
@@ -112,7 +128,7 @@ func TestTorusAllPairs(t *testing.T) {
 func TestTorusUsesWraparound(t *testing.T) {
 	route := func(topology string) (hops int, latency int64) {
 		m := mustMachine(t, topology, geom.MustShape(5, 5))
-		w, err := topo.Walk(m.TopoScheme(), geom.Coord{0, 0}, geom.Coord{4, 4})
+		w, err := topo.Walk(mustScheme(t, topology, m.Shape()), geom.Coord{0, 0}, geom.Coord{4, 4})
 		if err != nil {
 			t.Fatal(err)
 		}
