@@ -11,11 +11,10 @@ package cdg
 import "testing"
 
 func TestAnalyzeAllocationPin(t *testing.T) {
-	// 26 442 when every channel was named and kept its own successor set;
-	// 160–164 once a channel is interned by number, while every refused walk
-	// formatted its text through fmt, whose printer pool a GC can empty
-	// mid-proof. A refusal is formatted only when its text is read, and the
-	// scheme is named without fmt, so the count is exact.
+	// 26 442 when every channel was named and kept its own successor set.
+	// A refused walk formats no text and the scheme is named without fmt,
+	// so no printer pool that a GC can empty sits in the proof: the count is
+	// exact.
 	const pin = 96
 	tc := analyzeCases()[0] // 8x8x8-escape
 	p := tc.machine(t).Policy()
