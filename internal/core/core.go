@@ -378,13 +378,15 @@ func (m *Machine) installGenerations() error {
 // generation: the epoch counter advances, packets injected from now on stamp
 // the new epoch and route under p, and in-flight packets keep routing under
 // the generations they were injected into. Generations with no surviving
-// in-flight packets are garbage-collected. A retired generation keeps its
-// policy as it is: the policy keeps its own effective lines and reads the
-// machine's live fault set, so its packets detour around faults that land
-// after it retired. separate records whether p is the separate-D-XB variant
-// — committing a unified table degrades every later recompile to the
-// unified scheme.
-func (m *Machine) CommitGeneration(p *routing.Policy, separate bool) error {
+// in-flight packets are garbage-collected, by the census hdrs and unknown:
+// what engine.InFlightHeaders returned with no Step or purge since, the
+// census the caller certified the transition with. A retired generation
+// keeps its policy as it is: the policy keeps its own effective lines and
+// reads the machine's live fault set, so its packets detour around faults
+// that land after it retired. separate records whether p is the
+// separate-D-XB variant — committing a unified table degrades every later
+// recompile to the unified scheme.
+func (m *Machine) CommitGeneration(p *routing.Policy, separate bool, hdrs []*flit.Header, unknown []uint64) error {
 	if m.cfg.Reconfig == "" {
 		return fmt.Errorf("core: CommitGeneration needs Config.Reconfig")
 	}
@@ -395,15 +397,15 @@ func (m *Machine) CommitGeneration(p *routing.Policy, separate bool) error {
 	if !separate {
 		m.separateNow = false
 	}
-	m.gcGenerations()
+	m.gcGenerations(hdrs, unknown)
 	return m.installGenerations()
 }
 
-// gcGenerations drops generations no in-flight packet can still map to. The
-// latest generation always survives; packets whose header flit is no longer
-// locatable could belong to any epoch, so any of them pins every generation.
-func (m *Machine) gcGenerations() {
-	hdrs, unknown := m.eng.InFlightHeaders()
+// gcGenerations drops generations no in-flight packet (hdrs) can still map
+// to. The latest generation always survives; packets whose header flit is
+// no longer locatable (unknown) could belong to any epoch, so any of them
+// pins every generation.
+func (m *Machine) gcGenerations(hdrs []*flit.Header, unknown []uint64) {
 	if len(unknown) > 0 {
 		return
 	}
@@ -491,7 +493,7 @@ func (m *Machine) onDeliver(d engine.Delivery) {
 	del := Delivery{
 		PacketID:  h.PacketID,
 		Src:       src,
-		At:        d.At.Meta.(topo.PEMeta).Coord,
+		At:        d.At.Meta.(*topo.PEMeta).Coord,
 		Broadcast: h.RC == flit.RCBroadcast,
 		Detoured:  h.DetourHops > 0,
 		Adaptive:  h.AdaptiveHops > 0,

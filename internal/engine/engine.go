@@ -120,8 +120,10 @@ type Decision struct {
 type RouteFunc func(n *Node, in int, h *flit.Header) (Decision, error)
 
 // routeState tracks the active packet on one switch input port from header
-// grant until the tail flit leaves. States are pooled; the outs and granted
-// slices are reused across packets. A one-output decision keeps them inline.
+// grant until the tail flit leaves. States are pooled and carved from a
+// slab; the outs and granted slices are reused across packets. A
+// one-output decision keeps them inline, and a state's first fan gives it
+// arrays as wide as the widest switch (see newRouteState).
 type routeState struct {
 	outs        []outRef // the decision's output ports, in its order
 	nGranted    int
@@ -137,13 +139,6 @@ type routeState struct {
 	// keeps the original stamp.
 	since int64
 	oneG  [1]bool
-}
-
-// newRouteStateValue returns an empty state on its inline storage.
-func newRouteStateValue() *routeState {
-	rs := &routeState{}
-	rs.outs, rs.granted = rs.one[:0], rs.oneG[:0]
-	return rs
 }
 
 func (rs *routeState) allGranted() bool { return rs.nGranted == len(rs.outs) }
@@ -435,6 +430,12 @@ type Engine struct {
 	outScratch    []*OutPort
 	physScratch   []*PhysChannel
 	rsFree        []*routeState
+	fanFree       []*routeState // the free states that have held a fan
+	// census, censusH and censusU are InFlightHeaders' sightings and the
+	// lists it returns.
+	census  []sighting
+	censusH []*flit.Header
+	censusU []uint64
 	// hFree is the header pool. The engine owns every packet header in the
 	// network: InjectPacket copies the caller's into one from here, and a
 	// header comes back when its last holder is done with it (see
@@ -472,11 +473,30 @@ type Engine struct {
 
 	// nodeH, inH and outH hold the nodes and port handles themselves, carved
 	// in creation order from their free tails (see carve). Only building
-	// touches them.
+	// touches them. qH is the flit slab every endpoint's source queue starts
+	// on, sourceRoom flits each.
 	nodeH []Node
 	inH   []InPort
 	outH  []OutPort
+	qH    []flit.Flit
+	// rsH is the slab route states are carved from, and fanH and grantH the
+	// ones their fan arrays are, widest entries a state; hH is the one the
+	// header pool's misses are carved from (see take).
+	rsH    []routeState
+	fanH   []outRef
+	grantH []bool
+	hH     []flit.Header
+	widest int // the most ports on one switch
 }
+
+// sourceRoom is the room, in flits, each endpoint's source queue starts
+// with: one packet of the default length (core.DefaultPacketSize), so a PE
+// that queues a packet at a time never grows its queue.
+const sourceRoom = 8
+
+// slabChunk is the fewest route states or headers a slab grows by when it
+// runs out: a small machine's whole warm-up fits in one or two chunks.
+const slabChunk = 16
 
 // New creates an empty network with the given configuration.
 func New(cfg Config) *Engine {
@@ -496,15 +516,18 @@ type Size struct {
 
 // Reserve makes room for the network to reach s in total, so that building
 // it allocates each of these once: the nodes and port handles, the port
-// columns, the flit slab, the links, the sources and the active sets. It
-// sets capacity only. A network built past s grows through the same code,
-// and one built short of it leaves the room unused; node ids, port ids,
-// link order and every outcome are those of an engine built without it.
+// columns, the flit slab, the links, the sources and their queues' slab,
+// the active sets, and the lists a cycle gathers its requests, ready ports
+// and arrivals in. It sets capacity only. A network built past s grows
+// through the same code, and one built short of it leaves the room unused;
+// node ids, port ids, link order and every outcome are those of an engine
+// built without it.
 func (e *Engine) Reserve(s Size) {
 	nodes, ports := s.Switches+s.Endpoints, s.SwitchPorts+s.Endpoints
 	chunk(&e.nodeH, nodes-len(e.nodes))
 	chunk(&e.inH, ports-len(e.in))
 	chunk(&e.outH, ports-len(e.in))
+	chunk(&e.qH, sourceRoom*(s.Endpoints-len(e.endpoints)))
 	grow(&e.nodes, nodes)
 	grow(&e.switches, s.Switches)
 	grow(&e.endpoints, s.Endpoints)
@@ -516,6 +539,10 @@ func (e *Engine) Reserve(s Size) {
 	grow(&e.slab, ports*e.cfg.BufferDepth)
 	grow(&e.fullIn, s.SwitchPorts)
 	grow(&e.links, s.Links)
+	grow(&e.arrivals, s.Links)
+	grow(&e.reqScratch, s.SwitchPorts)
+	grow(&e.routedScratch, s.SwitchPorts)
+	grow(&e.readyScratch, s.SwitchPorts)
 	grow(&e.src, s.Endpoints)
 	grow(&e.activeAlloc.words, words(s.SwitchPorts))
 	grow(&e.activeEject.words, words(s.Endpoints))
@@ -529,10 +556,10 @@ func grow[T any](col *[]T, n int) {
 	}
 }
 
-// chunk makes room in *arr, an array of nodes or port handles, for k more
-// elements. Those are referenced by pointer, so the array never moves:
-// where it lacks room, a new one of at least k elements, and at least twice
-// the old one's, takes over.
+// chunk makes room in *arr, an array of nodes, port handles or another
+// slab, for k more elements. Those are referenced by pointer, so the array
+// never moves: where it lacks room, a new one of at least k elements, and
+// at least twice the old one's, takes over.
 func chunk[T any](arr *[]T, k int) {
 	if k > cap(*arr)-len(*arr) {
 		*arr = make([]T, 0, max(k, 2*cap(*arr)))
@@ -545,6 +572,15 @@ func carve[T any](arr *[]T, k int) []T {
 	n := len(*arr)
 	*arr = (*arr)[:n+k]
 	return (*arr)[n : n+k : n+k]
+}
+
+// take carves the next k elements of a slab that grows while the network
+// runs: where it lacks room, by at least slabChunk runs of k.
+func take[T any](arr *[]T, k int) []T {
+	if k > cap(*arr)-len(*arr) {
+		chunk(arr, slabChunk*k)
+	}
+	return carve(arr, k)
 }
 
 // Config returns the engine's (normalized) configuration.
@@ -562,6 +598,7 @@ func (e *Engine) AddSwitch(name string, ports int, route RouteFunc, meta any) *N
 	n := &carve(&e.nodeH, 1)[0]
 	*n = Node{ID: len(e.nodes), Name: name, Kind: KindSwitch, Meta: meta, route: route, eng: e}
 	e.addPorts(n, ports)
+	e.widest = max(e.widest, ports)
 	e.nodes = append(e.nodes, n)
 	e.switches = append(e.switches, n)
 	e.activeAlloc.resize(len(e.fullIn))
@@ -600,7 +637,7 @@ func (e *Engine) AddEndpoint(name string, meta any) *Node {
 	n := &carve(&e.nodeH, 1)[0]
 	*n = Node{ID: len(e.nodes), Name: name, Kind: KindEndpoint, Meta: meta, eng: e, epIdx: len(e.endpoints)}
 	e.addPorts(n, 1)
-	e.src = append(e.src, source{port: n.In[0].id})
+	e.src = append(e.src, source{q: carve(&e.qH, sourceRoom)[:0], port: n.In[0].id})
 	e.nodes = append(e.nodes, n)
 	e.endpoints = append(e.endpoints, n)
 	e.activeEject.resize(len(e.endpoints))
@@ -684,7 +721,8 @@ func (e *Engine) copyHeader(h *flit.Header) *flit.Header {
 		p = e.hFree[n-1]
 		e.hFree = e.hFree[:n-1]
 	} else {
-		p = new(flit.Header)
+		p = &take(&e.hH, 1)[0]
+		growPool(&e.hFree, e.hH)
 	}
 	*p = *h
 	return p
@@ -1068,9 +1106,9 @@ func (e *Engine) routeHeader(p int32, h *flit.Header) *routeState {
 	if dec.Provisional && len(dec.Outs) != 1 {
 		panic(fmt.Sprintf("engine: switch %q returned a provisional decision with %d outputs (provisional requires exactly 1)", sw.Name, len(dec.Outs)))
 	}
-	rs := e.newRouteState()
-	rs.header = h
 	k := len(dec.Outs)
+	rs := e.newRouteState(k)
+	rs.header = h
 	rs.outs = slices.Grow(rs.outs, k)[:k]
 	rs.granted = slices.Grow(rs.granted, k)[:k]
 	for i, o := range dec.Outs {
@@ -1090,25 +1128,61 @@ func (e *Engine) sinkPacket(sw *Node, h *flit.Header, reason string) *routeState
 	if e.OnDrop != nil {
 		e.OnDrop(Drop{At: sw, Header: h, Cycle: e.cycle, Reason: reason})
 	}
-	rs := e.newRouteState()
+	rs := e.newRouteState(0)
 	rs.header = h
 	rs.sink = true
 	return rs
 }
 
-// newRouteState takes a state from the pool (or allocates).
-func (e *Engine) newRouteState() *routeState {
-	if n := len(e.rsFree); n > 0 {
-		rs := e.rsFree[n-1]
-		e.rsFree = e.rsFree[:n-1]
-		e.ctr.RouteStatesReused++
-		return rs
+// newRouteState takes a state for a decision of k outputs from the pools,
+// or carves one when both are empty, so that the two together hold what
+// one pool would. A fan takes a state that has held one before where it
+// can; a state's first fan carves it arrays as wide as the widest switch,
+// which it keeps, so no later decision grows them.
+func (e *Engine) newRouteState(k int) *routeState {
+	first, second := &e.rsFree, &e.fanFree
+	if k > 1 {
+		first, second = second, first
 	}
-	e.ctr.RouteStatesAllocated++
-	return newRouteStateValue()
+	var rs *routeState
+	if n := len(*first); n > 0 {
+		rs, *first = (*first)[n-1], (*first)[:n-1]
+	} else if n := len(*second); n > 0 {
+		rs, *second = (*second)[n-1], (*second)[:n-1]
+	}
+	if rs != nil {
+		e.ctr.RouteStatesReused++
+	} else {
+		e.ctr.RouteStatesAllocated++
+		rs = e.carveRouteState()
+	}
+	if k > 1 && cap(rs.outs) < k {
+		w := max(e.widest, k)
+		rs.outs, rs.granted = take(&e.fanH, w)[:0], take(&e.grantH, w)[:0]
+	}
+	return rs
 }
 
-// freeRouteState clears a completed state and returns it to the pool.
+// carveRouteState carves an empty state from the slab, on its inline
+// one-output arrays. It joins a pool only once it is freed.
+func (e *Engine) carveRouteState() *routeState {
+	rs := &take(&e.rsH, 1)[0]
+	growPool(&e.rsFree, e.rsH)
+	rs.outs, rs.granted = rs.one[:0], rs.oneG[:0]
+	return rs
+}
+
+// growPool gives a free list room for every element carved from slab so
+// far, which take's doubling bounds by twice the slab's latest chunk, when
+// the slab starts a chunk: the list then takes them all back without
+// growing.
+func growPool[T any](free *[]*T, slab []T) {
+	if len(slab) == 1 {
+		*free = slices.Grow(*free, 2*cap(slab))
+	}
+}
+
+// freeRouteState clears a completed state and returns it to its pool.
 func (e *Engine) freeRouteState(rs *routeState) {
 	rs.header = nil
 	rs.rewrite = 0
@@ -1119,7 +1193,11 @@ func (e *Engine) freeRouteState(rs *routeState) {
 	rs.shared = false
 	rs.since = 0
 	rs.provisional = false
-	e.rsFree = append(e.rsFree, rs)
+	if cap(rs.outs) > 1 {
+		e.fanFree = append(e.fanFree, rs)
+	} else {
+		e.rsFree = append(e.rsFree, rs)
+	}
 }
 
 // stage is traversal's test of in-port p: whether its packet can move a

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"slices"
 
 	"sr2201/internal/flit"
@@ -132,15 +133,29 @@ func (e *Engine) BlockedPorts() []WaitInfo {
 // ascending. unknown lists the IDs (also ascending) of resident packets
 // whose header flit is nowhere to be found (body/tail remnants only);
 // callers that classify packets by header fields must treat those
-// conservatively. The reconfiguration layer uses this scan to decide which
-// routing-table generations still have packets routing under them. Call
-// between Steps (or from the PreCycle/PostCycle hooks), never from within a
-// phase. The headers are the engine's own and valid until the next Step,
-// which may recycle them; KillSwitch and KillPacket in between leave them
-// intact.
+// conservatively. Where copies of one packet carry different headers, the
+// one met first in the order above is listed. The reconfiguration layer
+// uses this scan to decide which routing-table generations still have
+// packets routing under them. Call between Steps (or from the
+// PreCycle/PostCycle hooks), never from within a phase. Both lists are the
+// engine's, valid until the next call; the headers are valid until the next
+// Step, which may recycle them, and KillSwitch and KillPacket in between
+// leave them intact.
 func (e *Engine) InFlightHeaders() (hdrs []*flit.Header, unknown []uint64) {
-	seen := packets{}
-	add := seen.add
+	// A packet's flits lie together in a queue or a buffer: a sighting that
+	// follows one of the same packet only fills in its header, which keeps
+	// the list near one entry per packet and place, and within one per
+	// resident flit.
+	seen := slices.Grow(e.census[:0], int(e.resident))
+	add := func(id uint64, h *flit.Header) {
+		if n := len(seen); n > 0 && seen[n-1].id == id {
+			if seen[n-1].h == nil {
+				seen[n-1].h = h
+			}
+			return
+		}
+		seen = append(seen, sighting{id, h})
+	}
 	for _, nd := range e.nodes {
 		for _, f := range nd.pendingInject() {
 			add(f.PacketID, f.Header)
@@ -162,17 +177,30 @@ func (e *Engine) InFlightHeaders() (hdrs []*flit.Header, unknown []uint64) {
 			add(e.at(p, i).PacketID, e.at(p, i).Header)
 		}
 	}
-	ids := make([]uint64, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		if h := seen[id]; h != nil {
+	// A stable sort keeps each packet's sightings in scan order: its first
+	// header is the first non-nil one of its run.
+	slices.SortStableFunc(seen, func(a, b sighting) int { return cmp.Compare(a.id, b.id) })
+	hdrs, unknown = e.censusH[:0], e.censusU[:0]
+	for i := 0; i < len(seen); {
+		id, h := seen[i].id, seen[i].h
+		for i++; i < len(seen) && seen[i].id == id; i++ {
+			if h == nil {
+				h = seen[i].h
+			}
+		}
+		if h != nil {
 			hdrs = append(hdrs, h)
 		} else {
 			unknown = append(unknown, id)
 		}
 	}
+	e.census, e.censusH, e.censusU = seen, hdrs, unknown
 	return hdrs, unknown
+}
+
+// sighting is one flit or header of a packet InFlightHeaders came across;
+// h is nil for a body or tail flit.
+type sighting struct {
+	id uint64
+	h  *flit.Header
 }

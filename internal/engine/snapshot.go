@@ -106,7 +106,7 @@ func (e *Engine) EncodeState(w *checkpoint.Writer) {
 	meta.Int(e.moves)
 	meta.Int(e.resident)
 	meta.Int(e.dropped)
-	meta.Int(int64(len(e.rsFree)))
+	meta.Int(int64(len(e.rsFree) + len(e.fanFree)))
 
 	ctr := w.Section(secEngineCounters)
 	for _, v := range []int64{
@@ -298,7 +298,7 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 			nodes.Byte() // reserved
 			r.blocked = nodes.Int()
 			if nodes.Bool() { // route state present
-				rs := newRouteStateValue()
+				rs := e.carveRouteState()
 				rs.sink = nodes.Bool()
 				rs.since = nodes.Int()
 				if nodes.Version() >= 2 {
@@ -468,9 +468,9 @@ func (e *Engine) DecodeState(r *checkpoint.Reader) error {
 	e.resident = resident
 	e.dropped = dropped
 	// The pool is encoded as a count; the states' identities are immaterial.
-	e.rsFree = e.rsFree[:0]
+	e.rsFree, e.fanFree = e.rsFree[:0], e.fanFree[:0]
 	for i := 0; i < poolFree; i++ {
-		e.rsFree = append(e.rsFree, newRouteStateValue())
+		e.rsFree = append(e.rsFree, e.carveRouteState())
 	}
 	e.ctr = ctr
 	return nil

@@ -162,16 +162,20 @@ func (c Coord) String() string {
 
 // In renders the coordinate using exactly dims dimensions, e.g. "(2,0,1)".
 func (c Coord) In(dims int) string {
-	var b strings.Builder
-	b.WriteByte('(')
+	var b [2 + MaxDims*21]byte
+	return string(c.AppendIn(b[:0], dims))
+}
+
+// AppendIn appends the coordinate as In renders it to b.
+func (c Coord) AppendIn(b []byte, dims int) []byte {
+	b = append(b, '(')
 	for i := 0; i < dims; i++ {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.Itoa(c[i]))
+		b = strconv.AppendInt(b, int64(c[i]), 10)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(b, ')')
 }
 
 // Distance reports the number of dimensions in which c and o differ. In the

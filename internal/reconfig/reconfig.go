@@ -310,7 +310,7 @@ func (mgr *Manager) attempt(trigger string, f fault.Fault) error {
 	union := graph.Certificate(ev.Candidate.Scheme + "+transition")
 	ev.Union = union
 	if union.Acyclic {
-		if err := m.CommitGeneration(chosen, chosenSep); err != nil {
+		if err := m.CommitGeneration(chosen, chosenSep, hdrs, unknown); err != nil {
 			return fmt.Errorf("reconfig: committing generation: %w", err)
 		}
 		ev.Outcome, ev.Epoch = OutcomeHotSwap, m.Epoch()
@@ -343,7 +343,8 @@ func (mgr *Manager) attempt(trigger string, f fault.Fault) error {
 			mgr.onDrained(ev.Cycle, l)
 		}
 	}
-	if err := m.CommitGeneration(chosen, chosenSep); err != nil {
+	hdrs, unknown = m.Engine().InFlightHeaders() // what the drain left
+	if err := m.CommitGeneration(chosen, chosenSep, hdrs, unknown); err != nil {
 		return fmt.Errorf("reconfig: committing generation after drain: %w", err)
 	}
 	ev.Outcome, ev.Epoch = OutcomeDrain, m.Epoch()

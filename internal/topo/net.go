@@ -3,6 +3,8 @@ package topo
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"sr2201/internal/engine"
 	"sr2201/internal/flit"
@@ -17,17 +19,17 @@ import (
 // point-to-point links; the mesh and torus baselines of internal/topo/grid
 // state a nearest-neighbour layout of their own.
 
-// RouterMeta is attached to router nodes.
+// A *RouterMeta is attached to every router node (engine.Node.Meta).
 type RouterMeta struct {
 	Coord geom.Coord
 }
 
-// XBMeta is attached to crossbar nodes.
+// A *XBMeta is attached to every crossbar node.
 type XBMeta struct {
 	Line geom.Line
 }
 
-// PEMeta is attached to PE endpoint nodes.
+// A *PEMeta is attached to every PE endpoint node.
 type PEMeta struct {
 	Coord geom.Coord
 }
@@ -215,13 +217,13 @@ func NewNet(eng *engine.Engine, shape geom.Shape, w Wiring) *Net {
 		if net.policy == nil {
 			return engine.Decision{}, errNoPolicy
 		}
-		return net.policy.RouteRouter(net, n.Meta.(RouterMeta).Coord, in, h)
+		return net.policy.RouteRouter(net, n.Meta.(*RouterMeta).Coord, in, h)
 	}
 	routeXB := func(n *engine.Node, in int, h *flit.Header) (engine.Decision, error) {
 		if net.policy == nil {
 			return engine.Decision{}, errNoPolicy
 		}
-		return net.policy.RouteXB(net, n.Meta.(XBMeta).Line, in, h)
+		return net.policy.RouteXB(net, n.Meta.(*XBMeta).Line, in, h)
 	}
 
 	router := "R"
@@ -230,12 +232,19 @@ func NewNet(eng *engine.Engine, shape geom.Shape, w Wiring) *Net {
 	}
 	n := shape.Size()
 	eng.Reserve(netSize(shape, w))
-	net.pes = make([]*engine.Node, n)
-	net.routers = make([]*engine.Node, n)
+	names := newNodeNames(shape, router, w.Crossbars())
+	nodes := make([]*engine.Node, 2*n)
+	net.pes, net.routers = nodes[:n:n], nodes[n:]
+	points := make([]struct {
+		pe     PEMeta
+		router RouterMeta
+	}, n)
 	for i := 0; i < n; i++ {
 		c := shape.CoordOf(i)
-		net.pes[i] = eng.AddEndpoint("PE"+c.In(d), PEMeta{Coord: c})
-		net.routers[i] = eng.AddSwitch(router+c.In(d), ports, routeRouter, RouterMeta{Coord: c})
+		m := &points[i]
+		m.pe.Coord, m.router.Coord = c, c
+		net.pes[i] = eng.AddEndpoint(names.cut("PE", "", c), &m.pe)
+		net.routers[i] = eng.AddSwitch(names.cut(router, "", c), ports, routeRouter, &m.router)
 		eng.Connect(net.pes[i], 0, net.routers[i], ports-1)
 	}
 
@@ -243,12 +252,20 @@ func NewNet(eng *engine.Engine, shape geom.Shape, w Wiring) *Net {
 		// One crossbar per line, each wire's lanes cabled port for port to the
 		// router at its point.
 		net.xbs = make([][]*engine.Node, d)
+		lines := 0
+		for dim := range d {
+			lines += shape.LineCount(dim)
+		}
+		xbs, metas := make([]*engine.Node, lines), make([]XBMeta, lines)
 		for dim := 0; dim < d; dim++ {
-			lines := shape.LinesAlong(dim)
-			net.xbs[dim] = make([]*engine.Node, len(lines))
-			for _, l := range lines {
-				xb := eng.AddSwitch(fmt.Sprintf("XB%d%s", dim, l.Fixed.In(d)), shape[dim]*lanes, routeXB, XBMeta{Line: l})
-				net.xbs[dim][shape.LineIndex(l)] = xb
+			net.xbs[dim], xbs = xbs[:shape.LineCount(dim)], xbs[shape.LineCount(dim):]
+			for idx := range net.xbs[dim] {
+				m := &metas[0]
+				metas = metas[1:]
+				m.Line = shape.LineAt(dim, idx)
+				l := m.Line
+				xb := eng.AddSwitch(names.cut("XB", strconv.Itoa(dim), l.Fixed), shape[dim]*lanes, routeXB, m)
+				net.xbs[dim][idx] = xb
 				for p := 0; p < shape[dim]; p++ {
 					rtc := net.Router(l.Point(p))
 					for v := 0; v < lanes; v++ {
@@ -283,6 +300,59 @@ func NewNet(eng *engine.Engine, shape geom.Shape, w Wiring) *Net {
 		}
 	}
 	return net
+}
+
+// nodeNames cuts the name of every node NewNet builds, in build order, from
+// one string sized to hold them all exactly: per lattice point "PE(1,2)"
+// and its router's "RTC(1,2)" ("R(1,2)" on a cabled wiring), then per
+// dimension and line "XB0(0,2)". The engine's topology hash covers the
+// names, so they stay byte for byte what formatting each on its own gives.
+type nodeNames struct {
+	s       string
+	d       int
+	scratch [2 + geom.MaxDims*21]byte
+}
+
+func newNodeNames(shape geom.Shape, router string, crossbars bool) nodeNames {
+	nn := nodeNames{d: shape.Dims()}
+	var b strings.Builder
+	b.Grow(nn.each(shape, router, crossbars, nil))
+	nn.each(shape, router, crossbars, &b)
+	nn.s = b.String()
+	return nn
+}
+
+// each visits the names in build order and returns their total length,
+// writing them to b unless it is nil.
+func (nn *nodeNames) each(shape geom.Shape, router string, crossbars bool, b *strings.Builder) (total int) {
+	put := func(prefix, k string, c geom.Coord) {
+		coord := c.AppendIn(nn.scratch[:0], nn.d)
+		total += len(prefix) + len(k) + len(coord)
+		if b != nil {
+			b.WriteString(prefix)
+			b.WriteString(k)
+			b.Write(coord)
+		}
+	}
+	for i := range shape.Size() {
+		c := shape.CoordOf(i)
+		put("PE", "", c)
+		put(router, "", c)
+	}
+	for dim := 0; crossbars && dim < nn.d; dim++ {
+		for idx := range shape.LineCount(dim) {
+			put("XB", strconv.Itoa(dim), shape.LineAt(dim, idx).Fixed)
+		}
+	}
+	return total
+}
+
+// cut takes the next name, prefix+k+c.In(d), off the string.
+func (nn *nodeNames) cut(prefix, k string, c geom.Coord) string {
+	n := len(prefix) + len(k) + len(c.AppendIn(nn.scratch[:0], nn.d))
+	name := nn.s[:n]
+	nn.s = nn.s[n:]
+	return name
 }
 
 // netSize counts what NewNet builds: a PE and a router per lattice point,

@@ -67,7 +67,7 @@ func TestNetDeliversAllPairs(t *testing.T) {
 
 	delivered := map[geom.Coord]int{}
 	eng.OnDeliver = func(d engine.Delivery) {
-		at := d.At.Meta.(topo.PEMeta).Coord
+		at := d.At.Meta.(*topo.PEMeta).Coord
 		if at != d.Header.Dst {
 			t.Errorf("packet for %s delivered at %s", d.Header.Dst, at)
 		}
@@ -477,5 +477,77 @@ func TestNetSizeExact(t *testing.T) {
 	}
 	if len(nets) < 10 {
 		t.Fatalf("only %d networks built", len(nets))
+	}
+}
+
+// TestNodeNames: NewNet cuts every node's name from one string, and the
+// names are byte for byte those formatting each node on its own gives — the
+// engine's topology hash, and with it every snapshot, covers them. Each
+// node's meta is the coordinate or line it was built for. Shapes of one to
+// three dimensions, two-digit coordinates among them, on the MD crossbar
+// and every registered direct-link wiring.
+func TestNodeNames(t *testing.T) {
+	in := func(c geom.Coord, d int) string {
+		parts := make([]string, d)
+		for i := range parts {
+			parts[i] = fmt.Sprint(c[i])
+		}
+		return "(" + strings.Join(parts, ",") + ")"
+	}
+	built := 0
+	for _, shape := range []geom.Shape{geom.MustShape(12), geom.MustShape(11, 3), geom.MustShape(3, 4, 2)} {
+		wirings := []topo.Wiring{topo.MDCrossbar{Shape: shape, VCs: 1}}
+		for _, r := range topo.Registered() {
+			if r.New == nil {
+				continue // not a direct-link lattice (mdx, escape)
+			}
+			if s, err := r.New(shape, nil); err == nil {
+				wirings = append(wirings, s.Wiring())
+			}
+		}
+		d := shape.Dims()
+		for _, w := range wirings {
+			eng := engine.New(engine.DefaultConfig())
+			net := topo.NewNet(eng, shape, w)
+			router := "R"
+			if w.Crossbars() {
+				router = "RTC"
+			}
+			want := 0
+			shape.Enumerate(func(c geom.Coord) bool {
+				pe, r := net.PE(c), net.Router(c)
+				if got := pe.Name; got != "PE"+in(c, d) {
+					t.Errorf("%T on %v: PE at %v named %q", w, shape, c, got)
+				}
+				if got := r.Name; got != router+in(c, d) {
+					t.Errorf("%T on %v: router at %v named %q", w, shape, c, got)
+				}
+				if pe.Meta.(*topo.PEMeta).Coord != c || r.Meta.(*topo.RouterMeta).Coord != c {
+					t.Errorf("%T on %v: PE and router at %v carry metas %+v and %+v", w, shape, c, pe.Meta, r.Meta)
+				}
+				want += 2
+				return true
+			})
+			for _, l := range shape.Lines() {
+				if !w.Crossbars() {
+					break
+				}
+				xb := net.XB(l)
+				if got := xb.Name; got != fmt.Sprintf("XB%d%s", l.Dim, in(l.Fixed, d)) {
+					t.Errorf("%T on %v: crossbar of %+v named %q", w, shape, l, got)
+				}
+				if xb.Meta.(*topo.XBMeta).Line != l {
+					t.Errorf("%T on %v: crossbar of %+v carries meta %+v", w, shape, l, xb.Meta)
+				}
+				want++
+			}
+			if got := len(eng.Switches()) + len(eng.Endpoints()); got != want {
+				t.Errorf("%T on %v: %d nodes built, %d named", w, shape, got, want)
+			}
+			built++
+		}
+	}
+	if built < 6 {
+		t.Fatalf("only %d networks built", built)
 	}
 }

@@ -106,9 +106,9 @@ func (w *Walker) ChannelOf(o *engine.OutPort) (ch int32, lane int, ok bool) {
 		port, lane = port/w.wiring.Lanes(), port%w.wiring.Lanes()
 	}
 	switch m := o.Node().Meta.(type) {
-	case RouterMeta:
+	case *RouterMeta:
 		return w.Channel(-1, w.shape.Index(m.Coord), port), lane, true
-	case XBMeta:
+	case *XBMeta:
 		return w.Channel(m.Line.Dim, w.shape.LineIndex(m.Line), port), lane, true
 	}
 	return 0, 0, false
