@@ -167,9 +167,6 @@ type Spec struct {
 	// and/or confirmed deadlocks recompile the policy and swap it in behind
 	// a certified transition instead of rebuilding in place.
 	Reconfig string
-	// ReconfigDrainBudget caps the bounded drain when a transition's union
-	// graph is cyclic (<= 0 = reconfig.DefaultDrainBudget).
-	ReconfigDrainBudget int
 	Hooks
 }
 
@@ -270,12 +267,10 @@ type CellResult struct {
 	Livelocked bool
 
 	// ReconfigEnabled marks a cell run with online reconfiguration;
-	// Reconfigured counts committed table swaps (hot or after a drain),
-	// ReconfigDrained the packets purged by bounded drains, and
-	// ReconfigFellBack the attempts degraded to rebuild-in-place.
+	// Reconfigured counts committed (hot) table swaps and ReconfigFellBack
+	// the attempts degraded to rebuild-in-place.
 	ReconfigEnabled  bool
 	Reconfigured     int
-	ReconfigDrained  int
 	ReconfigFellBack int
 
 	// SourceDeadPairs/DestDeadPairs/UnreachablePairs is the per-pair
@@ -379,11 +374,10 @@ func newCellRun(spec Spec) (*CellRun, error) {
 		}
 	}
 	if spec.Reconfig != "" {
-		mgr, err := reconfig.New(m, reconfig.Options{DrainBudget: spec.ReconfigDrainBudget})
+		mgr, err := reconfig.New(m)
 		if err != nil {
 			return nil, err
 		}
-		mgr.OnDrained(inj.LoseDrained)
 		if c.sup != nil && mgr.CoversDeadlock() {
 			c.sup.OnDeadlock(mgr.OnDeadlock)
 		}
@@ -515,8 +509,7 @@ func (c *CellRun) Tally() (CellResult, error) {
 			return res, err
 		}
 		st := c.mgr.Stats()
-		res.Reconfigured = st.HotSwaps + st.Drains
-		res.ReconfigDrained = st.DrainedPackets
+		res.Reconfigured = st.HotSwaps
 		res.ReconfigFellBack = st.Fallbacks
 	}
 	eng := c.m.Engine()
@@ -734,10 +727,9 @@ type Config struct {
 	// for every cell (see Spec).
 	VCs      int
 	Adaptive bool
-	// Reconfig/ReconfigDrainBudget enable online reconfiguration in every
-	// cell (see Spec.Reconfig).
-	Reconfig            string
-	ReconfigDrainBudget int
+	// Reconfig enables online reconfiguration in every cell (see
+	// Spec.Reconfig).
+	Reconfig string
 	// Hooks are handed to every cell; the callbacks fire from worker
 	// goroutines. Ctx also cancels the campaign between cells.
 	Hooks
@@ -827,27 +819,26 @@ func Run(cfg Config) (*Result, error) {
 // schedule and pattern that tell the cells apart.
 func (cfg *Config) cell(events []inject.Event, pat Pattern) Spec {
 	return Spec{
-		Shape:               cfg.Shape,
-		Topology:            cfg.Topology,
-		Events:              events,
-		Pattern:             pat,
-		Waves:               cfg.Waves,
-		Gap:                 cfg.Gap,
-		PacketSize:          cfg.PacketSize,
-		Inject:              cfg.Inject,
-		Horizon:             cfg.Horizon,
-		Recovery:            cfg.Recovery,
-		Preset:              cfg.Preset,
-		Broadcasts:          cfg.Broadcasts,
-		SXB:                 cfg.SXB,
-		DXB:                 cfg.DXB,
-		DXBSeparate:         cfg.DXBSeparate,
-		NaiveBroadcast:      cfg.NaiveBroadcast,
-		VCs:                 cfg.VCs,
-		Adaptive:            cfg.Adaptive,
-		Reconfig:            cfg.Reconfig,
-		ReconfigDrainBudget: cfg.ReconfigDrainBudget,
-		Hooks:               cfg.Hooks,
+		Shape:          cfg.Shape,
+		Topology:       cfg.Topology,
+		Events:         events,
+		Pattern:        pat,
+		Waves:          cfg.Waves,
+		Gap:            cfg.Gap,
+		PacketSize:     cfg.PacketSize,
+		Inject:         cfg.Inject,
+		Horizon:        cfg.Horizon,
+		Recovery:       cfg.Recovery,
+		Preset:         cfg.Preset,
+		Broadcasts:     cfg.Broadcasts,
+		SXB:            cfg.SXB,
+		DXB:            cfg.DXB,
+		DXBSeparate:    cfg.DXBSeparate,
+		NaiveBroadcast: cfg.NaiveBroadcast,
+		VCs:            cfg.VCs,
+		Adaptive:       cfg.Adaptive,
+		Reconfig:       cfg.Reconfig,
+		Hooks:          cfg.Hooks,
 	}
 }
 
@@ -917,15 +908,6 @@ func (r *Result) Reconfigured() int {
 	n := 0
 	for _, c := range r.Cells {
 		n += c.Reconfigured
-	}
-	return n
-}
-
-// ReconfigDrained sums packets purged by bounded drains across all cells.
-func (r *Result) ReconfigDrained() int {
-	n := 0
-	for _, c := range r.Cells {
-		n += c.ReconfigDrained
 	}
 	return n
 }
@@ -1030,8 +1012,7 @@ func (r *Result) String() string {
 	fmt.Fprintf(&b, "cells=%d deadlocks=%d stalls=%d undrained=%d recoveries=%d livelocked=%d\n",
 		len(r.Cells), r.Deadlocks(), r.Stalls(), r.undrained(), r.Recoveries(), r.Livelocked())
 	if r.reconfigEnabled() {
-		fmt.Fprintf(&b, "reconfigured=%d drained=%d fellback=%d\n",
-			r.Reconfigured(), r.ReconfigDrained(), r.ReconfigFellBack())
+		fmt.Fprintf(&b, "reconfigured=%d fellback=%d\n", r.Reconfigured(), r.ReconfigFellBack())
 	}
 	return b.String()
 }

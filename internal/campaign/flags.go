@@ -33,7 +33,6 @@ func (t *RunText) ParseFlags(fs *flag.FlagSet, args []string) error {
 	fs.IntVar(&t.Variant.VCs, "vcs", 0, "virtual channels per physical wire (with -adaptive; 0 = single-lane network)")
 	fs.BoolVar(&t.Variant.Adaptive, "adaptive", false, "escape-VC adaptive routing: lanes 1.. take any minimal productive hop, lane 0 is the certified escape channel (needs -vcs >= 2)")
 	fs.StringVar(&t.Reconfig.Mode, "reconfig", "", "online routing-table reconfiguration trigger: fault | deadlock | both (empty = off)")
-	fs.IntVar(&t.Reconfig.DrainBudget, "reconfig-drain", 0, "max in-flight packets a cyclic transition may purge before falling back to rebuild-in-place (with -reconfig; 0 = default)")
 	fs.BoolVar(&t.NaiveBroadcast, "naive-broadcast", false, "disable S-XB serialization (paper Fig. 5 scheme)")
 	fs.Var((*stringList)(&t.Fails), "fail", "fault schedule rtc:X,Y@CYCLE or xb:DIM:X,Y@CYCLE (repeatable; single mode)")
 	fs.Var((*stringList)(&t.Presets), "preset", "fault installed before any traffic, rtc:X,Y or xb:DIM:X,Y (repeatable)")
@@ -54,26 +53,25 @@ func (l *stringList) Set(s string) error { *l = append(*l, s); return nil }
 // flagOf names the flag that spells each field the resolver can reject
 // (list fields without their index). -epochs is mdxfault's own flag.
 var flagOf = map[string]string{
-	"shape":                 "shape",
-	"topology":              "topo",
-	"fails":                 "fail",
-	"presets":               "preset",
-	"broadcasts":            "broadcast",
-	"pattern":               "patterns",
-	"patterns":              "patterns",
-	"epochs":                "epochs",
-	"waves":                 "waves",
-	"gap":                   "gap",
-	"packet_size":           "packet",
-	"recovery":              "recover",
-	"variant.sxb":           "sxb",
-	"variant.dxb":           "dxb",
-	"variant.dxb_separate":  "dxb-separate",
-	"variant.vcs":           "vcs",
-	"variant.adaptive":      "adaptive",
-	"reconfig.mode":         "reconfig",
-	"reconfig.drain_budget": "reconfig-drain",
-	"naive_broadcast":       "naive-broadcast",
+	"shape":                "shape",
+	"topology":             "topo",
+	"fails":                "fail",
+	"presets":              "preset",
+	"broadcasts":           "broadcast",
+	"pattern":              "patterns",
+	"patterns":             "patterns",
+	"epochs":               "epochs",
+	"waves":                "waves",
+	"gap":                  "gap",
+	"packet_size":          "packet",
+	"recovery":             "recover",
+	"variant.sxb":          "sxb",
+	"variant.dxb":          "dxb",
+	"variant.dxb_separate": "dxb-separate",
+	"variant.vcs":          "vcs",
+	"variant.adaptive":     "adaptive",
+	"reconfig.mode":        "reconfig",
+	"naive_broadcast":      "naive-broadcast",
 }
 
 // FlagError reports a resolver rejection under the flag that spells the

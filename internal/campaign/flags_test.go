@@ -11,7 +11,8 @@ import (
 // registration mdxfault and mdxreplay share and checks that the resolver's
 // rejection is reported under the flag that spelled it: in a single run
 // (both commands) and in a campaign (mdxfault -campaign). A retired flag
-// (-pivot) is no longer defined, so the flag set itself refuses it by name.
+// (-pivot, -reconfig-drain) is no longer defined, so the flag set itself
+// refuses it by name.
 func TestParseFlagsRejectionsNameTheFlag(t *testing.T) {
 	for _, tc := range []struct {
 		args, want string
@@ -27,7 +28,7 @@ func TestParseFlagsRejectionsNameTheFlag(t *testing.T) {
 		{args: "-fail rtc:1,1@40 -vcs 2", want: "-vcs: "},
 		{args: "-fail rtc:1,1@40 -dxb 0,3", want: "-dxb: "},
 		{args: "-fail rtc:1,1@40 -stall-threshold 64", want: "-recover: "},
-		{args: "-fail rtc:1,1@40 -reconfig-drain 5", want: "-reconfig-drain: "},
+		{args: "-fail rtc:1,1@40 -reconfig-drain 5", want: "flag provided but not defined: -reconfig-drain"},
 		{args: "-fail rtc:1,1@40 -reconfig always", want: "-reconfig: "},
 		{args: "-fail rtc:1,1@40 -topo dragonfly", want: "-topo: "},
 		{args: "-fail rtc:1,1@40 -vcs 2 -adaptive -naive-broadcast", want: "-adaptive: "},

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"sr2201/internal/core"
 	"sr2201/internal/fault"
 	"sr2201/internal/geom"
 	"sr2201/internal/inject"
@@ -267,6 +268,40 @@ func TestParsePatternPair(t *testing.T) {
 	} {
 		if _, err := ParsePattern(bad); err == nil {
 			t.Errorf("ParsePattern(%q) accepted", bad)
+		}
+	}
+}
+
+// TestSingleRunPrintsCyclicUnionWitness lands the fault of DR1's
+// cyclic-union cell with a unicast and a broadcast in flight: the report
+// names the fallback with the cycle length and the in-flight count, and
+// prints both witnesses, the refused separate recompile's cycle and the
+// union's.
+func TestSingleRunPrintsCyclicUnionWitness(t *testing.T) {
+	spec := fig9Single(true, 0)
+	spec.Preset = nil
+	spec.Events = []inject.Event{{Cycle: 8, Fault: fault.RouterFault(geom.Coord{2, 1})}}
+	spec.Pattern = Pair(geom.Coord{0, 0}, geom.Coord{3, 3}, 2)
+	spec.Waves, spec.Gap = 2, 48
+	spec.Reconfig = core.ReconfigOnFault
+	var buf bytes.Buffer
+	out, err := RunSingle(spec, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := buf.String()
+	if !out.Drained {
+		t.Fatalf("run did not drain: %+v\n%s", out, report)
+	}
+	for _, want := range []string{
+		"reconfig: enabled (mode=fault)\n",
+		"reconfig @ cycle 8 (fault router@(2,1)): fell back to rebuild-in-place (union cyclic (length 6), 2 in flight)\n",
+		"  refused mdx-separate-dxb-4x4: cycle [",
+		"  union cycle [RTC(0,3).out0 -> ",
+		"reconfig: 1 attempts, 0 hot swaps, 1 fallbacks, 1 refusals\n",
+	} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report missing %q:\n%s", want, report)
 		}
 	}
 }

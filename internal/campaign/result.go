@@ -5,6 +5,8 @@ package campaign
 // internal/checkpoint container format.
 
 import (
+	"fmt"
+
 	"sr2201/internal/checkpoint"
 	"sr2201/internal/core"
 	"sr2201/internal/fault"
@@ -12,6 +14,10 @@ import (
 )
 
 const secCellResult = "campaign.result"
+
+// resultVersion is the oldest container version whose campaign.result
+// section this build reads.
+const resultVersion = 6
 
 // EncodeResult serializes one completed cell verdict into its own container
 // (the Store's cell-NNNN.result files).
@@ -54,10 +60,8 @@ func EncodeResult(res CellResult) []byte {
 		e.Int(d.Cycle)
 		e.Int(d.Latency)
 	}
-	// Appended in format version 3.
 	e.Bool(res.ReconfigEnabled)
 	e.Int(int64(res.Reconfigured))
-	e.Int(int64(res.ReconfigDrained))
 	e.Int(int64(res.ReconfigFellBack))
 	return w.Bytes()
 }
@@ -72,6 +76,11 @@ func DecodeResult(data []byte) (CellResult, error) {
 	d, err := r.Section(secCellResult)
 	if err != nil {
 		return res, err
+	}
+	if v := d.Version(); v < resultVersion {
+		// Version 5 and older laid out a drain count between the swap and
+		// fallback counts; a cell stored under them re-runs.
+		return res, fmt.Errorf("checkpoint: section %q: version %d predates this layout (version %d); the cell re-runs", secCellResult, v, resultVersion)
 	}
 	res.Fault = fault.DecodeFault(d)
 	res.Epoch = d.Int()
@@ -111,12 +120,9 @@ func DecodeResult(data []byte) (CellResult, error) {
 		del.Latency = d.Int()
 		res.Deliveries = append(res.Deliveries, del)
 	}
-	if d.Version() >= 3 {
-		res.ReconfigEnabled = d.Bool()
-		res.Reconfigured = d.IntAsInt()
-		res.ReconfigDrained = d.IntAsInt()
-		res.ReconfigFellBack = d.IntAsInt()
-	}
+	res.ReconfigEnabled = d.Bool()
+	res.Reconfigured = d.IntAsInt()
+	res.ReconfigFellBack = d.IntAsInt()
 	if err := d.Finish(); err != nil {
 		return res, err
 	}

@@ -47,10 +47,9 @@ type VariantText struct {
 }
 
 // ReconfigText spells online reconfiguration: the trigger mode ("" = off,
-// case and surrounding whitespace forgiven) and the drain budget.
+// case and surrounding whitespace forgiven).
 type ReconfigText struct {
-	Mode        string `json:"mode,omitempty"`
-	DrainBudget int    `json:"drain_budget,omitempty"`
+	Mode string `json:"mode,omitempty"`
 }
 
 // RunText is a run as its callers spell it: strings where there is
@@ -221,8 +220,8 @@ func (t RunText) resolve(single bool) (Config, []inject.Event, error) {
 	if err := checkRecovery(t.Recovery); err != nil {
 		return fail("recovery", err)
 	}
-	if cfg.Reconfig, cfg.ReconfigDrainBudget, err = reconfigOptions(t.Reconfig.Mode, t.Reconfig.DrainBudget); err != nil {
-		return fail("reconfig.drain_budget", err)
+	if cfg.Reconfig, err = reconfigMode(t.Reconfig.Mode); err != nil {
+		return fail("reconfig.mode", err)
 	}
 	coordIn := func(s string) (geom.Coord, error) {
 		c, err := cliutil.ParseCoord(s, shape.Dims())
@@ -259,7 +258,7 @@ func (t RunText) resolve(single bool) (Config, []inject.Event, error) {
 
 // checkRecovery rejects the recovery spellings that silently do nothing:
 // negative knobs, and tuning knobs without the enable switch (knobs of 0
-// select the package defaults). Its messages, and reconfigOptions', keep the
+// select the package defaults). Its messages keep the
 // "cliutil:" prefix that mdxfault and job errors print.
 func checkRecovery(o recovery.Options) error {
 	switch {
@@ -275,24 +274,16 @@ func checkRecovery(o recovery.Options) error {
 	return nil
 }
 
-// reconfigOptions canonicalizes the reconfiguration mode and drain budget
-// (case and surrounding whitespace of the mode are forgiven; the empty mode
-// disables online reconfiguration, a budget of 0 selects
-// reconfig.DefaultDrainBudget) and rejects the spellings that silently do
-// nothing: a negative drain budget, and a budget without the enable flag.
-// Which modes exist is the knob table's statement (core.Config.Validate).
-func reconfigOptions(mode string, drainBudget int) (string, int, error) {
+// reconfigMode canonicalizes the reconfiguration trigger mode (case and
+// surrounding whitespace forgiven; the empty mode disables online
+// reconfiguration). Which modes exist is the knob table's statement
+// (core.Config.Validate).
+func reconfigMode(mode string) (string, error) {
 	cfg := core.Config{Reconfig: strings.ToLower(strings.TrimSpace(mode))}
 	if err := cfg.Validate(); err != nil {
-		return "", 0, err
+		return "", err
 	}
-	if drainBudget < 0 {
-		return "", 0, fmt.Errorf("cliutil: negative reconfig drain budget %d", drainBudget)
-	}
-	if cfg.Reconfig == "" && drainBudget != 0 {
-		return "", 0, fmt.Errorf("cliutil: reconfig drain budget %d needs the reconfig mode", drainBudget)
-	}
-	return cfg.Reconfig, drainBudget, nil
+	return cfg.Reconfig, nil
 }
 
 // parsePairCoord parses one "2,1"-style endpoint of a pair pattern,

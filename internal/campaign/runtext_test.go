@@ -1,7 +1,10 @@
 package campaign
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"sr2201/internal/recovery"
@@ -10,8 +13,10 @@ import (
 // TestRunTextSpellingRejections pins the resolver's own rules — the
 // spellings that would silently do nothing, or that only one mode takes —
 // each refused under the field it was spelled in, in single and in campaign
-// mode alike. (Which machine knobs combine is core.Config.Validate's table,
-// driven through the resolver by internal/jobs TestKnobRejections.)
+// mode alike. A row with json spells a retired field, which decoding the
+// text (as a replay recording or a job spec is decoded) refuses by name.
+// (Which machine knobs combine is core.Config.Validate's table, driven
+// through the resolver by internal/jobs TestKnobRejections.)
 func TestRunTextSpellingRejections(t *testing.T) {
 	base := func() RunText {
 		return RunText{Shape: "4x4", Fails: []string{"rtc:1,1@40"}, Patterns: []string{"shift+5"},
@@ -23,6 +28,7 @@ func TestRunTextSpellingRejections(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		edit      func(*RunText)
+		json      string
 		wantField string
 		only      string // "" = both modes, else "single" or "campaign"
 	}{
@@ -36,8 +42,8 @@ func TestRunTextSpellingRejections(t *testing.T) {
 		{name: "dxb without separate", edit: func(r *RunText) { r.Variant.DXB = "0,3" }, wantField: "variant.dxb"},
 		{name: "sxb outside shape", edit: func(r *RunText) { r.Variant.SXB = "0,7" }, wantField: "variant.sxb"},
 		{name: "recovery tuning without enable", edit: func(r *RunText) { r.Recovery = recovery.Options{MaxRecoveries: 3} }, wantField: "recovery"},
-		{name: "drain budget without mode", edit: func(r *RunText) { r.Reconfig.DrainBudget = 8 }, wantField: "reconfig.drain_budget"},
-		{name: "negative drain budget", edit: func(r *RunText) { r.Reconfig = ReconfigText{Mode: "both", DrainBudget: -1} }, wantField: "reconfig.drain_budget"},
+		{name: "drain budget without mode", json: `{"reconfig":{"drain_budget":8}}`, wantField: "drain_budget"},
+		{name: "negative drain budget", json: `{"reconfig":{"mode":"both","drain_budget":-1}}`, wantField: "drain_budget"},
 		{name: "bad fail", edit: func(r *RunText) { r.Fails = []string{"rtc:9,9@40"} }, wantField: "fails[0]", only: "single"},
 		{name: "bad pattern", edit: func(r *RunText) { r.Patterns = []string{"spiral"} }, wantField: "pattern", only: "single"},
 		{name: "two patterns", edit: func(r *RunText) { r.Patterns = []string{"reverse", "shift+5"} }, wantField: "pattern", only: "single"},
@@ -47,6 +53,15 @@ func TestRunTextSpellingRejections(t *testing.T) {
 		{name: "negative epoch", edit: func(r *RunText) { r.Epochs = []int64{12, -1} }, wantField: "epochs[1]", only: "campaign"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.json != "" {
+				r := base()
+				dec := json.NewDecoder(bytes.NewReader([]byte(tc.json)))
+				dec.DisallowUnknownFields()
+				if err := dec.Decode(&r); err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.wantField+`"`) {
+					t.Errorf("decoding %s: %v, want the unknown field %q named", tc.json, err, tc.wantField)
+				}
+				return
+			}
 			check := func(mode string, err error) {
 				var fe *FieldError
 				if !errors.As(err, &fe) || fe.Field != tc.wantField {
@@ -99,15 +114,13 @@ func TestRecoveryOptions(t *testing.T) {
 	}
 }
 
-// TestReconfigOptions pins the -reconfig/-reconfig-drain flag-pair contract:
-// the empty mode disables reconfiguration, the three trigger spellings are
-// canonicalized, and a drain budget without the enable flag is refused
-// rather than silently ignored.
+// TestReconfigOptions pins the -reconfig flag's contract: the empty mode
+// disables reconfiguration, the three trigger spellings are canonicalized,
+// and an unknown mode is refused.
 func TestReconfigOptions(t *testing.T) {
 	tests := []struct {
 		name     string
 		mode     string
-		drain    int
 		wantMode string
 		wantErr  bool
 	}{
@@ -116,26 +129,22 @@ func TestReconfigOptions(t *testing.T) {
 		{name: "deadlock", mode: "deadlock", wantMode: "deadlock"},
 		{name: "both", mode: "both", wantMode: "both"},
 		{name: "case and whitespace forgiven", mode: " Fault ", wantMode: "fault"},
-		{name: "tuned budget", mode: "both", drain: 8, wantMode: "both"},
 		{name: "unknown mode", mode: "always", wantErr: true},
-		{name: "negative budget", mode: "fault", drain: -1, wantErr: true},
-		{name: "budget without mode", mode: "", drain: 8, wantErr: true},
-		{name: "negative budget while disabled", mode: "", drain: -1, wantErr: true},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			mode, drain, err := reconfigOptions(tc.mode, tc.drain)
+			mode, err := reconfigMode(tc.mode)
 			if tc.wantErr {
 				if err == nil {
-					t.Fatalf("reconfigOptions = (%q, %d), want error", mode, drain)
+					t.Fatalf("reconfigMode = %q, want error", mode)
 				}
 				return
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mode != tc.wantMode || drain != tc.drain {
-				t.Fatalf("reconfigOptions = (%q, %d), want (%q, %d)", mode, drain, tc.wantMode, tc.drain)
+			if mode != tc.wantMode {
+				t.Fatalf("reconfigMode = %q, want %q", mode, tc.wantMode)
 			}
 		})
 	}

@@ -76,8 +76,7 @@ func NewSingleRun(spec Spec, w io.Writer) (*SingleRun, error) {
 			opt.StallThreshold, opt.MaxRecoveries)
 	}
 	if c.mgr != nil {
-		fmt.Fprintf(w, "reconfig: enabled (mode=%s drain-budget=%d)\n",
-			spec.Reconfig, c.mgr.Options().DrainBudget)
+		fmt.Fprintf(w, "reconfig: enabled (mode=%s)\n", spec.Reconfig)
 	}
 	return r, nil
 }
@@ -103,8 +102,9 @@ func (r *SingleRun) printCasualty(c inject.Casualty) {
 
 // printReconfig renders one reconfiguration attempt: the event line plus the
 // concrete witnesses — every statically refused candidate's dependence cycle
-// and, when a drain was forced, the cyclic union's. All deterministic (the
-// prover's cycle search is id-ordered), so the block is replay-stable.
+// and, when a cyclic union forced the fallback, the union's. All
+// deterministic (the prover's cycle search is id-ordered), so the block is
+// replay-stable.
 func (r *SingleRun) printReconfig(ev reconfig.Event) {
 	fmt.Fprintf(r.w, "%s\n", ev)
 	for _, ref := range ev.Refusals {
@@ -113,7 +113,7 @@ func (r *SingleRun) printReconfig(ev reconfig.Event) {
 	for _, msg := range ev.Errors {
 		fmt.Fprintf(r.w, "  unbuildable candidate: %s\n", msg)
 	}
-	if ev.Outcome == reconfig.OutcomeDrain {
+	if len(ev.Union.Cycle) > 0 {
 		fmt.Fprintf(r.w, "  union cycle [%s]\n", strings.Join(ev.Union.Cycle, " -> "))
 	}
 }
@@ -176,8 +176,8 @@ func (r *SingleRun) Finish() (deadlock.Outcome, error) {
 	}
 	if r.c.mgr != nil {
 		s := r.c.mgr.Stats()
-		fmt.Fprintf(r.w, "reconfig: %d attempts, %d hot swaps, %d drains (%d packets), %d fallbacks, %d refusals\n",
-			s.Attempts, s.HotSwaps, s.Drains, s.DrainedPackets, s.Fallbacks, s.Refusals)
+		fmt.Fprintf(r.w, "reconfig: %d attempts, %d hot swaps, %d fallbacks, %d refusals\n",
+			s.Attempts, s.HotSwaps, s.Fallbacks, s.Refusals)
 	}
 	switch {
 	case res.Livelocked:

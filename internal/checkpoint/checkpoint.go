@@ -63,9 +63,13 @@ import (
 // Version 5 dropped the retired pivot extension's two flit.Header fields
 // (a two-phase flag and a final destination); older containers still
 // decode, and one holding a two-phase header is refused.
+// Version 6 dropped the retired reconfiguration drain count from the
+// campaign.result section; a pre-6 cell result is refused by that section's
+// name and the version (so the cell re-runs), and every other section keeps
+// decoding older versions.
 // Writers always emit the current version, and section decoders consult
 // Decoder.Version to skip fields an older container cannot contain.
-const Version uint16 = 5
+const Version uint16 = 6
 
 // minVersion is the oldest container version this build still reads.
 const minVersion uint16 = 1

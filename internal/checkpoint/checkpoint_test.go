@@ -166,6 +166,7 @@ func TestGoldenV2(t *testing.T) { checkGolden(t, 2) }
 func TestGoldenV3(t *testing.T) { checkGolden(t, 3) }
 func TestGoldenV4(t *testing.T) { checkGolden(t, 4) }
 func TestGoldenV5(t *testing.T) { checkGolden(t, 5) }
+func TestGoldenV6(t *testing.T) { checkGolden(t, 6) }
 
 func TestReaderRejections(t *testing.T) {
 	valid := goldenContainer().Bytes()

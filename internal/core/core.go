@@ -569,10 +569,6 @@ type Lost struct {
 	// AlreadyDropped marks a packet the routing layer had already dropped
 	// (and counted) before the fault wounded its remains.
 	AlreadyDropped bool
-	// Drained marks a packet sacrificed by the reconfiguration manager's
-	// bounded drain (not killed by the fault itself); the inject layer
-	// accounts these separately from fault casualties and recovery victims.
-	Drained bool
 }
 
 // FailNow marks a switch faulty *while traffic is in flight* — the dynamic

@@ -147,7 +147,7 @@ type mapAudit struct {
 	undrained, unpredicted, undocumented int
 	// refused, the per-pair classification, sacrificed and lost are totals
 	// across the map (reported, not judged); sacrificed counts recovery
-	// victims and drain purges, lost the final losses.
+	// victims, lost the final losses.
 	refused, srcDead, dstDead, unreach int
 	sacrificed, lost                   int
 	// cycles totals the cells' end cycles.
@@ -173,7 +173,7 @@ func auditMap(res *campaign.Result) mapAudit {
 		a.srcDead += c.SourceDeadPairs
 		a.dstDead += c.DestDeadPairs
 		a.unreach += c.UnreachablePairs
-		a.sacrificed += st.Victims + c.ReconfigDrained
+		a.sacrificed += st.Victims
 		a.lost += finalLosses(st)
 		a.cycles += c.EndCycle
 	}

@@ -5,17 +5,18 @@ package experiments
 // packet, old and new, routes under the freshly compiled table at once, and
 // whatever deadlocks that unprotected window produces is the recovery
 // supervisor's to purge and retransmit. internal/reconfig replaces that with
-// an epoch-stamped swap: in-flight packets keep their old tables, the
+// an epoch-stamped swap: in-flight packets keep their old tables, and the
 // transition window is certified safe by proving the union dependence graph
 // (old edges ∪ new edges, restricted to live channels and in-flight traffic
-// classes) acyclic before the commit, and a cyclic union degrades to a
-// bounded drain. These experiments price the difference on the paper's own
-// artifacts: the Fig. 9 configuration with the fault landing mid-run (DR1)
-// and the R2 second-fault sweep (DR2), counting packets lost and cycles of
-// downtime under each strategy.
+// classes) acyclic before the commit. A cyclic union falls back to the
+// rebuild, under recovery. These experiments price the difference on the
+// paper's own artifacts: the Fig. 9 configuration with the fault landing
+// mid-run (DR1) and the R2 second-fault sweep (DR2), counting packets lost
+// and cycles of downtime under each strategy.
 
 import (
 	"strings"
+	"sync"
 
 	"sr2201/internal/campaign"
 	"sr2201/internal/core"
@@ -45,29 +46,29 @@ func dr1Rows() []row {
 	hot := control
 	hot.Reconfig.Mode = core.ReconfigOnFault
 	// Fault at 8: the broadcast and a unicast pair are in flight, so the
-	// transition union is cyclic and must drain. The pair is shifted to
-	// (0,0)->(3,3) — a path that avoids the dying router — because an
-	// in-flight packet the fault itself kills never reaches the
-	// admissibility check; the inadmissible window needs survivors of both
-	// traffic classes.
-	drain := recovering(failAt(fig9(), 8))
-	drain.Waves, drain.Gap, drain.Patterns = 2, 48, []string{"pair:0,0>3,3"}
-	drain.Reconfig.Mode = core.ReconfigOnFault
+	// transition union is cyclic and the swap falls back to rebuild-in-place
+	// under recovery. The pair is shifted to (0,0)->(3,3) — a path that
+	// avoids the dying router — because an in-flight packet the fault itself
+	// kills never reaches the admissibility check; the inadmissible window
+	// needs survivors of both traffic classes.
+	cyclic := recovering(failAt(fig9(), 8))
+	cyclic.Waves, cyclic.Gap, cyclic.Patterns = 2, 48, []string{"pair:0,0>3,3"}
+	cyclic.Reconfig.Mode = core.ReconfigOnFault
 	return []row{
 		{[]any{"purge-and-retransmit"}, control},
 		{[]any{"reconfig, hot swap"}, hot},
-		{[]any{"reconfig, drain"}, drain},
+		{[]any{"reconfig, cyclic union"}, cyclic},
 	}
 }
 
 // packetsLost is the experiment's price metric: every packet the strategy
-// sacrificed (recovery victims, transition-drain purges) or terminally
-// failed to deliver (retry exhaustion, unreachability, lost headers,
-// non-retransmittable broadcast branches). A sacrificed packet whose
-// retransmission succeeds still costs 1 — that is the purge-and-retransmit
-// price the reconfiguration is trying to avoid.
+// sacrificed (recovery victims) or terminally failed to deliver (retry
+// exhaustion, unreachability, lost headers, non-retransmittable broadcast
+// branches). A sacrificed packet whose retransmission succeeds still costs
+// 1 — that is the purge-and-retransmit price the reconfiguration is trying
+// to avoid.
 func packetsLost(c campaign.CellResult) int {
-	return c.Stats.Victims + c.ReconfigDrained + finalLosses(c.Stats)
+	return c.Stats.Victims + finalLosses(c.Stats)
 }
 
 // runDR1 prices a mid-run fault on the Fig. 9 configuration three ways. The
@@ -76,16 +77,17 @@ func packetsLost(c campaign.CellResult) int {
 // purges a victim — purge-and-retransmit. The hot-swap cell lands the same
 // fault with reconfiguration on while the network is quiet: the union graph
 // is acyclic, the machine swaps to the unified scheme live, and the same
-// traffic drains with zero recoveries and zero losses. The drain cell lands
+// traffic drains with zero recoveries and zero losses. The cyclic cell lands
 // the fault while both traffic classes are in flight: the union graph is
-// provably cyclic (its witness is pinned in the notes), so the swap commits
-// only after a bounded drain of the retiring packets. Shape criterion: the
-// control deadlocks and loses strictly more packets than the hot-swap cell,
-// which runs the identical workload; both reconfigured cells drain with zero
-// post-swap recoveries; every committed swap carries an acyclicity
-// certificate for its static graph; and the drain cell purges no more than
-// its in-flight population while pinning a concrete cycle witness both for
-// the refused separate-scheme recompile and for the cyclic transition union.
+// provably cyclic (its witness is pinned in the notes), so the manager
+// rebuilds in place and leaves any deadlock to the recovery supervisor.
+// Shape criterion: the control deadlocks and loses strictly more packets
+// than the hot-swap cell, which runs the identical workload; the hot-swap
+// cell drains with zero recoveries; every committed swap carries acyclicity
+// certificates for its static and its union graph; and the cyclic cell
+// falls back exactly once, commits nothing, drains, and pins a concrete
+// cycle witness both for the refused separate-scheme recompile and for the
+// cyclic transition union.
 func runDR1(r *Report, opt Options) error {
 	rows := dr1Rows()
 	evs := make([][]reconfig.Event, len(rows))
@@ -97,34 +99,25 @@ func runDR1(r *Report, opt Options) error {
 	}
 
 	tbl := stats.NewTable("DR1 mid-run Fig. 9 fault: PR 5 purge-and-retransmit vs online reconfiguration",
-		"strategy", "outcome", "end cycle", "recoveries", "swaps", "drained", "victims", "delivered", "bcopies", "lost")
+		"strategy", "outcome", "end cycle", "recoveries", "swaps", "fellback", "victims", "delivered", "bcopies", "lost")
 	for i, c := range cells {
 		tbl.AddRow(append(rows[i].label, cellOutcome(c), c.EndCycle, c.Recoveries, c.Reconfigured,
-			c.ReconfigDrained, c.Stats.Victims, c.Delivered, c.BroadcastCopies, packetsLost(c))...)
+			c.ReconfigFellBack, c.Stats.Victims, c.Delivered, c.BroadcastCopies, packetsLost(c))...)
 	}
 	r.Tables = append(r.Tables, tbl)
 
-	control, hot, drain := cells[0], cells[1], cells[2]
+	control, hot, cyclic := cells[0], cells[1], cells[2]
 	certified := true
 	refusalPinned, unionPinned := false, false
 	for _, rowEvs := range evs[1:] {
 		for _, ev := range rowEvs {
 			r.Notef("%s", ev)
-			switch ev.Outcome {
-			case reconfig.OutcomeHotSwap:
-				if !ev.Candidate.Acyclic || !ev.Union.Acyclic {
-					certified = false
-				}
-			case reconfig.OutcomeDrain:
-				if !ev.Candidate.Acyclic {
-					certified = false
-				}
-				if !ev.Union.Acyclic && len(ev.Union.Cycle) > 0 {
-					unionPinned = true
-					r.Notef("union witness: %s", strings.Join(ev.Union.Cycle, " -> "))
-				}
-			default:
+			if ev.Outcome == reconfig.OutcomeHotSwap && !(ev.Candidate.Acyclic && ev.Union.Acyclic) {
 				certified = false
+			}
+			if len(ev.Union.Cycle) > 0 {
+				unionPinned = true
+				r.Notef("union witness: %s", strings.Join(ev.Union.Cycle, " -> "))
 			}
 			for _, ref := range ev.Refusals {
 				if !ref.Acyclic && len(ref.Cycle) > 0 {
@@ -136,27 +129,27 @@ func runDR1(r *Report, opt Options) error {
 	}
 
 	r.Pass = control.Drained && control.Recoveries > 0 &&
-		hot.Drained && hot.Recoveries == 0 && hot.Reconfigured == 1 && hot.ReconfigDrained == 0 &&
-		drain.Drained && drain.Recoveries == 0 && drain.Reconfigured == 1 &&
-		drain.ReconfigDrained > 0 && drain.ReconfigDrained <= reconfig.DefaultDrainBudget &&
+		hot.Drained && hot.Recoveries == 0 && hot.Reconfigured == 1 &&
+		cyclic.Drained && !cyclic.Livelocked && cyclic.Reconfigured == 0 && cyclic.ReconfigFellBack == 1 &&
 		packetsLost(hot) < packetsLost(control) &&
 		certified && refusalPinned && unionPinned
 	r.Notef("purge-and-retransmit: deadlock in the unprotected swap window, %d sacrifice(s), %d packet(s) lost, drained at cycle %d",
 		control.Stats.Victims, packetsLost(control), control.EndCycle)
 	r.Notef("hot swap: %d packet(s) lost, zero recoveries, drained at cycle %d — the certified transition never exposes the deadlocking window",
 		packetsLost(hot), hot.EndCycle)
-	r.Notef("bounded drain: %d retiring packet(s) purged under certificate, %d lost, drained at cycle %d",
-		drain.ReconfigDrained, packetsLost(drain), drain.EndCycle)
+	r.Notef("cyclic union: rebuilt in place under recovery, %d sacrifice(s), %d packet(s) lost, drained at cycle %d",
+		cyclic.Stats.Victims, packetsLost(cyclic), cyclic.EndCycle)
 	return nil
 }
 
 // runDR2 reruns the R2 second-fault sweep with reconfiguration triggered by
 // both mid-run faults and confirmed deadlocks, against the PR 5
 // purge-and-retransmit control. Shape criterion: the reconfigured sweep
-// commits at least one swap, never falls back to rebuild-in-place, needs
-// strictly fewer recoveries and loses strictly fewer packets than the
-// control, and stays as clean as R2 demands — zero wedges, zero livelocks,
-// refusals exactly as reachability predicts, no undocumented losses.
+// commits at least one swap, every committed swap certified (static and
+// union graph acyclic); it sacrifices no more packets and loses no more
+// terminally than the control; and both sweeps stay as clean as R2 demands —
+// zero wedges, zero livelocks, refusals exactly as reachability predicts,
+// no undocumented losses.
 func runDR2(r *Report, opt Options) error {
 	control, err := runCampaign(opt, r2(opt))
 	if err != nil {
@@ -164,25 +157,39 @@ func runDR2(r *Report, opt Options) error {
 	}
 	t := r2(opt)
 	t.Reconfig.Mode = core.ReconfigBoth
-	recfg, err := runCampaign(opt, t)
+	cfg, err := t.Config()
+	if err != nil {
+		return err
+	}
+	cfg.Parallel, cfg.Ctx, cfg.Budget, cfg.OnCell = opt.Parallel, opt.Ctx, opt.Budget, opt.OnCell
+	var mu sync.Mutex
+	uncertified := 0
+	cfg.OnReconfig = func(ev reconfig.Event) {
+		if ev.Outcome == reconfig.OutcomeHotSwap && !(ev.Candidate.Acyclic && ev.Union.Acyclic) {
+			mu.Lock()
+			uncertified++
+			mu.Unlock()
+		}
+	}
+	recfg, err := campaign.Run(cfg)
 	if err != nil {
 		return err
 	}
 	ca, ra := auditMap(control), auditMap(recfg)
 
 	tbl := stats.NewTable("DR2 second-fault sweep: PR 5 purge-and-retransmit vs reconfig mode=both",
-		"strategy", "cells", "recoveries", "swaps", "drained", "fellback", "wedged", "undocumented", "sacrificed", "lost", "total cycles")
-	tbl.AddRow("purge-and-retransmit", len(control.Cells), control.Recoveries(), 0, 0, 0,
+		"strategy", "cells", "recoveries", "swaps", "fellback", "wedged", "undocumented", "sacrificed", "lost", "total cycles")
+	tbl.AddRow("purge-and-retransmit", len(control.Cells), control.Recoveries(), 0, 0,
 		ca.deadlocks+ca.stalls, ca.undocumented, ca.sacrificed, ca.lost, ca.cycles)
-	tbl.AddRow("reconfig both", len(recfg.Cells), recfg.Recoveries(), recfg.Reconfigured(), recfg.ReconfigDrained(), recfg.ReconfigFellBack(),
+	tbl.AddRow("reconfig both", len(recfg.Cells), recfg.Recoveries(), recfg.Reconfigured(), recfg.ReconfigFellBack(),
 		ra.deadlocks+ra.stalls, ra.undocumented, ra.sacrificed, ra.lost, ra.cycles)
 	r.Tables = append(r.Tables, tbl)
 
-	r.Pass = recfg.Reconfigured() > 0 && recfg.ReconfigFellBack() == 0 &&
-		recfg.Recoveries() < control.Recoveries() &&
+	r.Pass = recfg.Reconfigured() > 0 && uncertified == 0 &&
+		ra.sacrificed <= ca.sacrificed && ra.lost <= ca.lost &&
 		recfg.Livelocked() == 0 && ra.clean() && control.Livelocked() == 0 && ca.clean()
-	r.Notef("%d cells per strategy: reconfiguration commits %d swap(s) (%d drained packet(s), %d fallback(s)) and cuts recoveries %d -> %d",
-		len(recfg.Cells), recfg.Reconfigured(), recfg.ReconfigDrained(), recfg.ReconfigFellBack(), control.Recoveries(), recfg.Recoveries())
+	r.Notef("%d cells per strategy: reconfiguration commits %d certified swap(s) and falls back %d time(s); recoveries %d -> %d",
+		len(recfg.Cells), recfg.Reconfigured(), recfg.ReconfigFellBack(), control.Recoveries(), recfg.Recoveries())
 	r.Notef("sacrificed packets %d -> %d, terminal losses %d -> %d, total drain cycles %d -> %d",
 		ca.sacrificed, ra.sacrificed, ca.lost, ra.lost, ca.cycles, ra.cycles)
 	return nil

@@ -117,12 +117,6 @@ type Stats struct {
 	// machinery, so it ends delivered-on-retry, LostExhausted,
 	// LostUnreachable, LostUntraceable or DropsOther like any other loss.
 	Victims int
-	// ReconfigDrained counts packets sacrificed by the reconfiguration
-	// manager's bounded drain (LoseDrained) — kept apart from Victims so
-	// downtime comparisons can separate recovery sacrifices from
-	// reconfiguration drains. Like victims, each continues through the
-	// normal loss machinery.
-	ReconfigDrained int
 }
 
 // chain tracks one logical packet across its retransmission attempts.
@@ -320,30 +314,6 @@ func (inj *Injector) LoseVictim(cycle int64, l core.Lost) bool {
 	if ch := inj.chains[l.PacketID]; ch != nil {
 		ch.victimized++
 	}
-	return inj.opt.Retransmit
-}
-
-// LoseDrained routes one packet purged by the reconfiguration manager's
-// bounded drain into the loss machinery, mirroring LoseVictim but accounted
-// under ReconfigDrained. It returns true when a retransmission chain now
-// covers the packet.
-func (inj *Injector) LoseDrained(cycle int64, l core.Lost) bool {
-	if inj.handled[l.PacketID] {
-		ch := inj.chains[l.PacketID]
-		return ch != nil && inj.opt.Retransmit
-	}
-	inj.handled[l.PacketID] = true
-	if !l.Known {
-		inj.stats.LostUntraceable++
-		return false
-	}
-	if l.RC != flit.RCNormal && l.RC != flit.RCDetour {
-		// Broadcast traffic cannot be retransmitted; the drain loss is final.
-		inj.stats.DropsOther++
-		return false
-	}
-	inj.stats.ReconfigDrained++
-	inj.lose(cycle, l.PacketID, l.Src, l.Dst, l.Size)
 	return inj.opt.Retransmit
 }
 

@@ -21,15 +21,15 @@ var canonicalBodies = []struct{ name, body string }{
 	// Every field of each payload set, decoded without normalization: the
 	// wire name of every knob, in field order. A field added to a nested
 	// block without a JSON tag shows up here under its Go name.
-	{"raw fault, every field", `{"kind":"fault","fault":{"shape":"4x4","topology":"hyperx","fails":["rtc:1,1@40"],"presets":["rtc:2,1"],"broadcasts":["3,2@0"],"pattern":"pair:0,1>2,2","waves":3,"gap":5,"packet_size":24,"horizon":9000,"inject":{"retransmit":true,"retry_after":32,"backoff":3,"max_retries":5,"stall":256},"recovery":{"enabled":true,"stall_threshold":128,"max_recoveries":7},"variant":{"sxb":"0,1","dxb":"0,3","dxb_separate":true,"vcs":2,"adaptive":true},"reconfig":{"mode":"both","drain_budget":16}}}`},
-	{"raw campaign, every field", `{"kind":"campaign","campaign":{"shape":"4x4","topology":"hyperx","epochs":[12,60],"patterns":["shift+5","reverse"],"presets":["rtc:2,1"],"broadcasts":["3,2@0"],"waves":3,"gap":5,"packet_size":24,"horizon":9000,"inject":{"retransmit":true,"retry_after":32,"backoff":3,"max_retries":5,"stall":256},"recovery":{"enabled":true,"stall_threshold":128,"max_recoveries":7},"variant":{"sxb":"0,1","dxb":"0,3","dxb_separate":true,"vcs":2,"adaptive":true},"reconfig":{"mode":"both","drain_budget":16}}}`},
+	{"raw fault, every field", `{"kind":"fault","fault":{"shape":"4x4","topology":"hyperx","fails":["rtc:1,1@40"],"presets":["rtc:2,1"],"broadcasts":["3,2@0"],"pattern":"pair:0,1>2,2","waves":3,"gap":5,"packet_size":24,"horizon":9000,"inject":{"retransmit":true,"retry_after":32,"backoff":3,"max_retries":5,"stall":256},"recovery":{"enabled":true,"stall_threshold":128,"max_recoveries":7},"variant":{"sxb":"0,1","dxb":"0,3","dxb_separate":true,"vcs":2,"adaptive":true},"reconfig":{"mode":"both"}}}`},
+	{"raw campaign, every field", `{"kind":"campaign","campaign":{"shape":"4x4","topology":"hyperx","epochs":[12,60],"patterns":["shift+5","reverse"],"presets":["rtc:2,1"],"broadcasts":["3,2@0"],"waves":3,"gap":5,"packet_size":24,"horizon":9000,"inject":{"retransmit":true,"retry_after":32,"backoff":3,"max_retries":5,"stall":256},"recovery":{"enabled":true,"stall_threshold":128,"max_recoveries":7},"variant":{"sxb":"0,1","dxb":"0,3","dxb_separate":true,"vcs":2,"adaptive":true},"reconfig":{"mode":"both"}}}`},
 	{"raw experiments, every field", `{"kind":"experiments","experiments":{"ids":["E1","F1"],"quick":true}}`},
 
 	// As many fields as one accepted spec can carry, normalized.
-	{"fault, separate D-XB with recovery and reconfig", `{"kind":"fault","fault":{"shape":" 4x4 ","topology":" MDX ","fails":[" rtc:1,1@40 "],"presets":["rtc:2,1"],"broadcasts":["3,2@0"],"pattern":" pair:0,1>2,2 ","waves":3,"gap":5,"packet_size":24,"horizon":9000,"inject":{"retransmit":true,"retry_after":32,"backoff":3,"max_retries":5,"stall":256},"recovery":{"enabled":true,"stall_threshold":128,"max_recoveries":7},"variant":{"sxb":" 0,1 ","dxb":"0,3","dxb_separate":true},"reconfig":{"mode":" Both ","drain_budget":16}}}`},
+	{"fault, separate D-XB with recovery and reconfig", `{"kind":"fault","fault":{"shape":" 4x4 ","topology":" MDX ","fails":[" rtc:1,1@40 "],"presets":["rtc:2,1"],"broadcasts":["3,2@0"],"pattern":" pair:0,1>2,2 ","waves":3,"gap":5,"packet_size":24,"horizon":9000,"inject":{"retransmit":true,"retry_after":32,"backoff":3,"max_retries":5,"stall":256},"recovery":{"enabled":true,"stall_threshold":128,"max_recoveries":7},"variant":{"sxb":" 0,1 ","dxb":"0,3","dxb_separate":true},"reconfig":{"mode":" Both "}}}`},
 	{"fault, adaptive lanes", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"broadcasts":["3,2@9"],"pattern":"shift+3","inject":{"retransmit":true},"recovery":{"enabled":true},"variant":{"vcs":4,"adaptive":true}}}`},
 	{"fault, hyperx link", `{"kind":"fault","fault":{"shape":"4x4","topology":"hyperx","fails":["link:0,0-3,0@60"],"pattern":"shift+5","inject":{"retransmit":true,"stall":300}}}`},
-	{"campaign, separate D-XB with recovery and reconfig", `{"kind":"campaign","campaign":{"shape":"4x4","topology":"mdx","epochs":[12,60],"patterns":["shift+5"," reverse","pair:0,1>2,2"],"presets":["rtc:2,1"],"broadcasts":["3,2@0"],"waves":3,"gap":5,"packet_size":24,"horizon":9000,"inject":{"retransmit":true,"retry_after":32,"backoff":3,"max_retries":5,"stall":256},"recovery":{"enabled":true,"stall_threshold":128,"max_recoveries":7},"variant":{"sxb":"0,1","dxb":"0,3","dxb_separate":true},"reconfig":{"mode":"fault","drain_budget":16}}}`},
+	{"campaign, separate D-XB with recovery and reconfig", `{"kind":"campaign","campaign":{"shape":"4x4","topology":"mdx","epochs":[12,60],"patterns":["shift+5"," reverse","pair:0,1>2,2"],"presets":["rtc:2,1"],"broadcasts":["3,2@0"],"waves":3,"gap":5,"packet_size":24,"horizon":9000,"inject":{"retransmit":true,"retry_after":32,"backoff":3,"max_retries":5,"stall":256},"recovery":{"enabled":true,"stall_threshold":128,"max_recoveries":7},"variant":{"sxb":"0,1","dxb":"0,3","dxb_separate":true},"reconfig":{"mode":"fault"}}}`},
 	{"campaign, adaptive lanes", `{"kind":"campaign","campaign":{"shape":"4x4","epochs":[12],"patterns":["shift+5"],"inject":{"retransmit":true},"recovery":{"enabled":true,"stall_threshold":256},"variant":{"vcs":2,"adaptive":true}}}`},
 	{"campaign, fullmesh", `{"kind":"campaign","campaign":{"shape":"8","topology":"fullmesh","epochs":[12],"patterns":["shift+3"],"inject":{"retransmit":true}}}`},
 

@@ -22,6 +22,7 @@ var specSeeds = []string{
 	`{"kind":"experiments","experiments":{"ids":["E1"]},"fault":{}}`,
 	`{"kind":"experiments","experiments":{"ids":["E1"],"extra":true}}`,
 	`{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"shift+5","shards":4}}`,
+	`{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"shift+5","reconfig":{"mode":"fault","drain_budget":16}}}`,
 }
 
 // FuzzJobSpecDecode: arbitrary JSON must never panic the decoder or the

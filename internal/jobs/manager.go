@@ -38,12 +38,9 @@ type Progress struct {
 	Cycles int64 `json:"cycles,omitempty"`
 	// Recoveries is the deadlock recoveries taken by the liveness layer.
 	Recoveries int64 `json:"recoveries,omitempty"`
-	// Reconfigured is the committed online reconfigurations (hot swaps plus
-	// bounded drains), ReconfigDrained the in-flight packets those drains
-	// purged, and ReconfigFellBack the attempts that degraded to
-	// rebuild-in-place.
+	// Reconfigured is the committed online reconfigurations (hot swaps) and
+	// ReconfigFellBack the attempts that degraded to rebuild-in-place.
 	Reconfigured     int64 `json:"reconfigured,omitempty"`
-	ReconfigDrained  int64 `json:"reconfig_drained,omitempty"`
 	ReconfigFellBack int64 `json:"reconfig_fellback,omitempty"`
 }
 
@@ -52,7 +49,6 @@ func (p *Progress) add(d Progress) {
 	p.Cycles += d.Cycles
 	p.Recoveries += d.Recoveries
 	p.Reconfigured += d.Reconfigured
-	p.ReconfigDrained += d.ReconfigDrained
 	p.ReconfigFellBack += d.ReconfigFellBack
 }
 
@@ -746,7 +742,7 @@ func (m *Manager) runExecution(ex *execution) {
 			// a stream consumer sees every liveness intervention.
 			ex.appendLocked("", Event{Type: "recovery"})
 		case d.Reconfigured > 0 || d.ReconfigFellBack > 0:
-			// Reconfigurations likewise: every swap, drain or fallback is an
+			// Reconfigurations likewise: every swap or fallback is an
 			// event of its own.
 			ex.appendLocked("", Event{Type: "reconfig"})
 		case time.Since(lastEmit) >= 50*time.Millisecond:
@@ -1119,11 +1115,9 @@ type Metrics struct {
 	// layer across all executions since the manager started.
 	RecoveriesDone int64 `json:"recoveries_done"`
 	// ReconfiguredDone is the total committed online reconfigurations (hot
-	// swaps plus bounded drains) across all executions since the manager
-	// started; ReconfigDrainedDone the packets transition drains purged and
+	// swaps) across all executions since the manager started, and
 	// ReconfigFellBackDone the attempts that degraded to rebuild-in-place.
 	ReconfiguredDone     int64 `json:"reconfigured_done"`
-	ReconfigDrainedDone  int64 `json:"reconfig_drained_done"`
 	ReconfigFellBackDone int64 `json:"reconfig_fellback_done"`
 
 	// Job wall-clock duration summary (milliseconds), nearest-rank
@@ -1163,7 +1157,6 @@ func (m *Manager) Metrics() Metrics {
 		CyclesDone:           m.total.Cycles,
 		RecoveriesDone:       m.total.Recoveries,
 		ReconfiguredDone:     m.total.Reconfigured,
-		ReconfigDrainedDone:  m.total.ReconfigDrained,
 		ReconfigFellBackDone: m.total.ReconfigFellBack,
 	}
 	if m.submitted > 0 {

@@ -198,7 +198,7 @@ func TestRunSpecFaultResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Recoveries != 2 || want.Reconfigured != 1 || want.ReconfigDrained == 0 || want.Cells != 1 || want.Cycles != 2934 {
+	if want.Recoveries != 3 || want.Reconfigured != 0 || want.ReconfigFellBack != 1 || want.Cells != 1 || want.Cycles != 2934 {
 		t.Fatalf("fixture moved: uninterrupted run reported %+v", want)
 	}
 
@@ -260,7 +260,7 @@ func TestManagerResumeFaultJobView(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := waitStatus(t, ref, refID, StatusDone)
-	if want.Recoveries == 0 || want.Reconfigured == 0 || want.Cells != 1 {
+	if want.Recoveries == 0 || want.ReconfigFellBack == 0 || want.Cells != 1 {
 		t.Fatalf("fixture moved: uninterrupted view %+v", want.Progress)
 	}
 
@@ -281,7 +281,7 @@ func TestManagerResumeFaultJobView(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.Reconfigured > 0 {
+		if v.ReconfigFellBack > 0 {
 			break
 		}
 		if v.Status.terminal() || time.Now().After(deadline) {

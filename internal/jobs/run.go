@@ -20,13 +20,10 @@ type progressFn func(d Progress)
 
 // reconfigDelta maps one reconfiguration event onto its progress increment.
 func reconfigDelta(ev reconfig.Event) Progress {
-	d := Progress{ReconfigDrained: int64(ev.Drained)}
 	if ev.Outcome == reconfig.OutcomeFallback {
-		d.ReconfigFellBack = 1
-	} else {
-		d.Reconfigured = 1
+		return Progress{ReconfigFellBack: 1}
 	}
-	return d
+	return Progress{Reconfigured: 1}
 }
 
 // execState is one execution's slice of the manager's state store: where

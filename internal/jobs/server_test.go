@@ -331,8 +331,8 @@ func TestServerReconfigObservability(t *testing.T) {
 	sub, _ := postJob(t, ts, `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:2,1@40"],"pattern":"shift+5","waves":2,"inject":{"retransmit":true},"reconfig":{"mode":"fault"}}}`)
 	v := waitHTTPStatus(t, ts, sub.ID, StatusDone)
 	if v.Reconfigured != 1 || v.ReconfigFellBack != 0 {
-		t.Errorf("job view reconfig counters = (%d committed, %d drained, %d fellback), want (1, 0, 0)",
-			v.Reconfigured, v.ReconfigDrained, v.ReconfigFellBack)
+		t.Errorf("job view reconfig counters = (%d committed, %d fellback), want (1, 0)",
+			v.Reconfigured, v.ReconfigFellBack)
 	}
 	artifact := getArtifact(t, ts, sub.ID)
 	if !strings.Contains(artifact, "hot swap to epoch 1") {

@@ -174,7 +174,6 @@ const (
 	maxBroadcasts  = 64
 	maxRecoverCap  = 64
 	maxVCs         = 8
-	maxDrainBudget = 1 << 20
 )
 
 // DecodeSpec parses and validates a JSON submission. Unknown fields,
@@ -396,9 +395,6 @@ func normalizeRecovery(prefix string, r *recovery.Options) error {
 }
 
 func normalizeReconfig(prefix string, r *campaign.ReconfigText) error {
-	if r.DrainBudget > maxDrainBudget {
-		return fieldErrf(prefix+".reconfig.drain_budget", "%d exceeds maximum %d", r.DrainBudget, maxDrainBudget)
-	}
 	r.Mode = strings.ToLower(strings.TrimSpace(r.Mode))
 	return nil
 }

@@ -77,9 +77,12 @@ func TestDecodeSpecRejectionsNameTheField(t *testing.T) {
 		{"sxb outside shape", `{"kind":"campaign","campaign":{"shape":"4x4","epochs":[1],"patterns":["reverse"],"variant":{"sxb":"0,7"}}}`, "campaign.variant.sxb"},
 		{"bad pair pattern", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"pair:0,1>0,1"}}`, "fault.pattern"},
 		{"vcs over ceiling", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","variant":{"vcs":9,"adaptive":true}}}`, "fault.variant.vcs"},
-		{"reconfig budget without mode", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","reconfig":{"drain_budget":8}}}`, "fault.reconfig.drain_budget"},
-		{"negative reconfig budget", `{"kind":"campaign","campaign":{"shape":"4x4","epochs":[1],"patterns":["reverse"],"reconfig":{"mode":"both","drain_budget":-1}}}`, "campaign.reconfig.drain_budget"},
-		{"reconfig budget over ceiling", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","reconfig":{"mode":"fault","drain_budget":1048577}}}`, "fault.reconfig.drain_budget"},
+		// The reconfiguration drain budget is retired: every spelling of it,
+		// including ones the old validation accepted, is an unknown field.
+		{"reconfig budget without mode", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","reconfig":{"drain_budget":8}}}`, "drain_budget"},
+		{"negative reconfig budget", `{"kind":"campaign","campaign":{"shape":"4x4","epochs":[1],"patterns":["reverse"],"reconfig":{"mode":"both","drain_budget":-1}}}`, "drain_budget"},
+		{"reconfig budget over ceiling", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","reconfig":{"mode":"fault","drain_budget":1048577}}}`, "drain_budget"},
+		{"retired drain_budget field", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","reconfig":{"mode":"both","drain_budget":16}}}`, "drain_budget"},
 		{"retired shards field (fault)", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","shards":4}}`, "shards"},
 		{"retired shards field (campaign)", `{"kind":"campaign","campaign":{"shape":"4x4","epochs":[1],"patterns":["reverse"],"shards":4}}`, "shards"},
 		{"trailing data", `{"kind":"experiments","experiments":{"ids":["E1"]}} {"x":1}`, "body"},

@@ -21,7 +21,7 @@ func attemptRig(tb testing.TB) (*core.Machine, *Manager, fault.Fault) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	mgr, err := New(m, Options{})
+	mgr, err := New(m)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -125,16 +125,16 @@ func runCellLog(t *testing.T, log *eventLog, title string, spec campaign.Spec) {
 }
 
 // TestGoldenDR1 replays the reconfigured DR1 cells of internal/experiments
-// (same parameters: quiet-window hot swap, both-classes-in-flight drain with
-// the separate-D-XB refusal), the same machine reconfiguring from the
+// (same parameters: quiet-window hot swap, both-classes-in-flight cyclic
+// union with the separate-D-XB refusal), the same machine reconfiguring from the
 // deadlock hand-off, and faults landing with a wave in flight on 6x6 — the
 // benchmark's fault job shape — and on 4x4x4.
 func TestGoldenDR1(t *testing.T) {
 	var log eventLog
 	runCellLog(t, &log, "dr1 hot swap (fault at 40, quiet network)", fig9Cell(core.ReconfigOnFault, 40, 48, 48))
-	drain := fig9Cell(core.ReconfigOnFault, 8, 0, 48)
-	drain.Pattern = campaign.Pair(geom.Coord{0, 0}, geom.Coord{3, 3}, 2)
-	runCellLog(t, &log, "dr1 drain (fault at 8, unicast and broadcast in flight)", drain)
+	cyclic := fig9Cell(core.ReconfigOnFault, 8, 0, 48)
+	cyclic.Pattern = campaign.Pair(geom.Coord{0, 0}, geom.Coord{3, 3}, 2)
+	runCellLog(t, &log, "dr1 cyclic union (fault at 8, unicast and broadcast in flight)", cyclic)
 	runCellLog(t, &log, "dr1 deadlock-triggered (rebuilt in place at 40, deadlocks after 48)", fig9Cell(core.ReconfigOnDeadlock, 40, 48, 48))
 	runCellLog(t, &log, "dr1 mode both", fig9Cell(core.ReconfigBoth, 40, 48, 48))
 

@@ -11,26 +11,21 @@
 // plus every edge a retiring generation's in-flight packets can still hold or
 // wait on, restricted to still-live channels and to the traffic classes
 // actually in flight — acyclic through the same topo prover that certifies
-// every static scheme. The degradation ladder when the proof fails:
+// every static scheme. The ladder has two rungs:
 //
-//  1. statically cyclic candidates are refused outright, each with a concrete
-//     cycle witness recorded on the event;
-//  2. a statically admissible candidate whose union graph is cyclic triggers
-//     a bounded drain: if the in-flight population fits the drain budget,
-//     every pre-swap packet is purged (and handed to inject's retransmission
-//     machinery via OnDrained), after which the union collapses to the
-//     candidate's own certified graph and the swap commits;
-//  3. otherwise the Manager falls back to Machine.RebuildPolicy — the PR 5
-//     swap-in-place whose transition deadlocks are the recovery supervisor's
-//     to purge and retransmit.
+//  1. a statically admissible candidate whose union graph is acyclic is
+//     hot-swapped in (statically cyclic candidates are refused on the way,
+//     each with a concrete cycle witness recorded on the event);
+//  2. otherwise — no admissible candidate, or a cyclic union — the Manager
+//     falls back to Machine.RebuildPolicy, the PR 5 swap-in-place, and any
+//     transition deadlock is the recovery supervisor's to purge and
+//     retransmit (the scheme of DBR, arXiv 1211.5747). A fallback forced by
+//     a cyclic union keeps the union certificate, witness included, on the
+//     event.
 //
-// The drain scope is deliberately *all* old-epoch packets, not just the
-// classes on the offending cycle: a retiring normal-class packet that meets
-// the new fault mutates to the detour class mid-flight, so no class
-// subset of a retiring generation is closed under routing. (Class filtering
-// is still sound for the union *proof*, which asks what edges can be held,
-// per class, by the packets currently in flight — a generation's edges
-// include each class's detour continuations.)
+// A middle rung that purged every old-epoch packet before committing cost
+// more packets than recovery does on every measured workload and was
+// deleted (DESIGN §13).
 //
 // Every decision runs synchronously inside a deterministic hook (FailNow's
 // reconfigurer or the recovery supervisor's PostCycle hand-off), so runs stay
@@ -39,7 +34,6 @@ package reconfig
 
 import (
 	"fmt"
-	"sort"
 
 	"sr2201/internal/cdg"
 	"sr2201/internal/core"
@@ -48,10 +42,6 @@ import (
 	"sr2201/internal/routing"
 	"sr2201/internal/topo"
 )
-
-// DefaultDrainBudget bounds how many in-flight packets a cyclic transition
-// may purge before the Manager prefers the rebuild-in-place fallback.
-const DefaultDrainBudget = 16
 
 // Trigger values for Event.Trigger.
 const (
@@ -68,30 +58,11 @@ const (
 	// OutcomeHotSwap is the clean case: union graph acyclic, table swapped
 	// with zero packets disturbed.
 	OutcomeHotSwap = "hot-swap"
-	// OutcomeDrain means the union graph was cyclic but the in-flight
-	// population fit the budget: every pre-swap packet was purged and the
-	// swap committed.
-	OutcomeDrain = "drain"
 	// OutcomeFallback means no admissible transition existed (every
-	// candidate statically cyclic or unbuildable, or the drain budget was
-	// exceeded) and the Manager degraded to Machine.RebuildPolicy.
+	// candidate statically cyclic or unbuildable, or the union graph cyclic)
+	// and the Manager degraded to Machine.RebuildPolicy.
 	OutcomeFallback = "fallback"
 )
-
-// Options tune the reconfiguration manager.
-type Options struct {
-	// DrainBudget caps how many in-flight packets a cyclic transition may
-	// purge; beyond it the Manager falls back to rebuild-in-place. <= 0
-	// selects DefaultDrainBudget.
-	DrainBudget int
-}
-
-// Normalize applies the documented defaults in place.
-func (o *Options) Normalize() {
-	if o.DrainBudget <= 0 {
-		o.DrainBudget = DefaultDrainBudget
-	}
-}
 
 // Event records one reconfiguration attempt, whatever its outcome.
 type Event struct {
@@ -101,19 +72,18 @@ type Event struct {
 	Trigger string
 	// Fault is the fault that fired the attempt (zero for TriggerDeadlock).
 	Fault fault.Fault
-	// Outcome is OutcomeHotSwap, OutcomeDrain or OutcomeFallback.
+	// Outcome is OutcomeHotSwap or OutcomeFallback.
 	Outcome string
-	// Reason explains a fallback ("no admissible candidate", "drain budget
-	// exceeded ..."); empty otherwise.
+	// Reason explains a fallback ("no admissible candidate", "union cyclic
+	// ..."); empty otherwise.
 	Reason string
-	// Epoch is the committed generation's epoch stamp (hot-swap and drain).
+	// Epoch is the committed generation's epoch stamp (hot swap).
 	Epoch uint64
-	// Scheme names the committed candidate (hot-swap and drain).
+	// Scheme names the chosen candidate (hot swap, or a fallback forced by
+	// a cyclic union).
 	Scheme string
 	// InFlight counts the packets resident in the network at decision time.
 	InFlight int
-	// Drained counts the packets purged by a bounded drain.
-	Drained int
 	// Refusals holds the static certificate of every candidate refused for
 	// a concrete dependence cycle, in trial order. Each carries its cycle
 	// witness.
@@ -121,12 +91,12 @@ type Event struct {
 	// Errors lists candidates that could not even be built against the
 	// fault set (no effective line available), in trial order.
 	Errors []string
-	// Candidate is the committed candidate's static certificate (zero
-	// value when the attempt fell back before choosing one).
+	// Candidate is the chosen candidate's static certificate (zero value
+	// when the attempt fell back before choosing one).
 	Candidate topo.Certificate
 	// Union is the transition certificate: the candidate's CDG plus all
-	// live retiring edges. Acyclic for a hot swap; for a drain it is the
-	// cyclic certificate (with witness) that forced the purge.
+	// live retiring edges. Acyclic for a hot swap; for a fallback it forced,
+	// the cyclic certificate with its witness.
 	Union topo.Certificate
 }
 
@@ -137,17 +107,12 @@ func (ev Event) String() string {
 	if ev.Trigger == TriggerFault {
 		trig = "fault " + ev.Fault.String()
 	}
-	switch ev.Outcome {
-	case OutcomeHotSwap:
+	if ev.Outcome == OutcomeHotSwap {
 		return fmt.Sprintf("reconfig @ cycle %d (%s): hot swap to epoch %d [%s], %d in flight, union %d channels %d edges acyclic",
 			ev.Cycle, trig, ev.Epoch, ev.Scheme, ev.InFlight, ev.Union.Channels, ev.Union.Edges)
-	case OutcomeDrain:
-		return fmt.Sprintf("reconfig @ cycle %d (%s): union cyclic (length %d), drained %d of %d in flight, swap to epoch %d [%s]",
-			ev.Cycle, trig, len(ev.Union.Cycle), ev.Drained, ev.InFlight, ev.Epoch, ev.Scheme)
-	default:
-		return fmt.Sprintf("reconfig @ cycle %d (%s): fell back to rebuild-in-place (%s)",
-			ev.Cycle, trig, ev.Reason)
 	}
+	return fmt.Sprintf("reconfig @ cycle %d (%s): fell back to rebuild-in-place (%s)",
+		ev.Cycle, trig, ev.Reason)
 }
 
 // Stats aggregates the Manager's accounting.
@@ -156,10 +121,6 @@ type Stats struct {
 	Attempts int
 	// HotSwaps counts attempts committed without disturbing a packet.
 	HotSwaps int
-	// Drains counts attempts committed after a bounded drain.
-	Drains int
-	// DrainedPackets totals the packets purged across all drains.
-	DrainedPackets int
 	// Fallbacks counts attempts degraded to rebuild-in-place.
 	Fallbacks int
 	// Refusals counts statically cyclic candidates refused across all
@@ -168,32 +129,27 @@ type Stats struct {
 }
 
 // Manager drives online reconfiguration for one machine. Build it with New
-// (which installs the machine's fault hook), wire OnDeadlock into the
-// recovery supervisor when the mode covers deadlocks, and point OnDrained at
-// the injector's drain accounting so purged packets are retransmitted.
+// (which installs the machine's fault hook) and wire OnDeadlock into the
+// recovery supervisor when the mode covers deadlocks.
 type Manager struct {
 	m    *core.Machine
 	mode string
-	opt  Options
 
-	onDrained func(cycle int64, l core.Lost) bool
-	onEvent   func(Event)
-	events    []Event
-	stats     Stats
-	err       error
+	onEvent func(Event)
+	events  []Event
+	stats   Stats
+	err     error
 }
 
 // New attaches a reconfiguration manager to a machine built with
 // Config.Reconfig set, and installs itself as the machine's reconfigurer:
-// from now on FailNow defers its policy update to the manager. Options are
-// normalized with the documented defaults.
-func New(m *core.Machine, opt Options) (*Manager, error) {
+// from now on FailNow defers its policy update to the manager.
+func New(m *core.Machine) (*Manager, error) {
 	mode := m.ReconfigMode()
 	if mode == "" {
 		return nil, fmt.Errorf("reconfig: machine was built without Config.Reconfig")
 	}
-	opt.Normalize()
-	mgr := &Manager{m: m, mode: mode, opt: opt}
+	mgr := &Manager{m: m, mode: mode}
 	m.SetReconfigurer(mgr.onFault)
 	return mgr, nil
 }
@@ -210,12 +166,6 @@ func (mgr *Manager) CoversDeadlock() bool {
 	return mgr.mode == core.ReconfigOnDeadlock || mgr.mode == core.ReconfigBoth
 }
 
-// OnDrained registers the sink for packets purged by a bounded drain —
-// normally inject.Injector.LoseDrained, which schedules the retransmission
-// and keeps drain losses apart from fault casualties and recovery victims.
-// Must be deterministic if the run is to stay so.
-func (mgr *Manager) OnDrained(fn func(cycle int64, l core.Lost) bool) { mgr.onDrained = fn }
-
 // OnEvent registers a callback invoked synchronously for every
 // reconfiguration event, after the outcome is committed. Must be
 // deterministic if the run is to stay so.
@@ -226,9 +176,6 @@ func (mgr *Manager) Events() []Event { return mgr.events }
 
 // Stats returns a snapshot of the accounting.
 func (mgr *Manager) Stats() Stats { return mgr.stats }
-
-// Options returns the manager's normalized options.
-func (mgr *Manager) Options() Options { return mgr.opt }
 
 // Err reports a deferred failure from the deadlock hand-off (whose hook
 // signature cannot propagate one). Campaign steppers poll it like the
@@ -307,48 +254,17 @@ func (mgr *Manager) attempt(trigger string, f fault.Fault) error {
 	hdrs, unknown := m.Engine().InFlightHeaders()
 	ev.InFlight = len(hdrs) + len(unknown)
 	mgr.addRetiringEdges(graph, chosen, hdrs, len(unknown) > 0)
-	union := graph.Certificate(ev.Candidate.Scheme + "+transition")
-	ev.Union = union
-	if union.Acyclic {
-		if err := m.CommitGeneration(chosen, chosenSep, hdrs, unknown); err != nil {
-			return fmt.Errorf("reconfig: committing generation: %w", err)
-		}
-		ev.Outcome, ev.Epoch = OutcomeHotSwap, m.Epoch()
-		mgr.stats.HotSwaps++
-		mgr.record(ev)
-		return nil
+	ev.Union = graph.Certificate(ev.Candidate.Scheme + "+transition")
+	if !ev.Union.Acyclic {
+		// Cyclic transition: rebuild in place and leave any deadlock to the
+		// recovery supervisor; the event keeps the union and its witness.
+		return mgr.fallback(ev, fmt.Sprintf("union cyclic (length %d), %d in flight", len(ev.Union.Cycle), ev.InFlight))
 	}
-
-	// Cyclic transition: bounded drain of *every* pre-swap packet (see the
-	// package comment for why no subset is closed under routing), then the
-	// union collapses to the candidate's own certified graph.
-	if ev.InFlight > mgr.opt.DrainBudget {
-		return mgr.fallback(ev, fmt.Sprintf("drain budget exceeded (%d in flight > %d)", ev.InFlight, mgr.opt.DrainBudget))
-	}
-	ids := make([]uint64, 0, ev.InFlight)
-	for _, h := range hdrs {
-		ids = append(ids, h.PacketID)
-	}
-	ids = append(ids, unknown...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		l, ok := m.PurgePacket(id)
-		if !ok {
-			continue
-		}
-		l.Drained = true
-		ev.Drained++
-		mgr.stats.DrainedPackets++
-		if mgr.onDrained != nil {
-			mgr.onDrained(ev.Cycle, l)
-		}
-	}
-	hdrs, unknown = m.Engine().InFlightHeaders() // what the drain left
 	if err := m.CommitGeneration(chosen, chosenSep, hdrs, unknown); err != nil {
-		return fmt.Errorf("reconfig: committing generation after drain: %w", err)
+		return fmt.Errorf("reconfig: committing generation: %w", err)
 	}
-	ev.Outcome, ev.Epoch = OutcomeDrain, m.Epoch()
-	mgr.stats.Drains++
+	ev.Outcome, ev.Epoch = OutcomeHotSwap, m.Epoch()
+	mgr.stats.HotSwaps++
 	mgr.record(ev)
 	return nil
 }

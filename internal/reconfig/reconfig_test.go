@@ -19,7 +19,7 @@ import (
 
 // newRig builds a 4x4 machine with online reconfiguration in the given mode.
 // separate selects the paper's deadlock-prone Fig. 9 variant (D-XB != S-XB).
-func newRig(t *testing.T, separate bool, mode string, opt reconfig.Options) (*core.Machine, *reconfig.Manager) {
+func newRig(t *testing.T, separate bool, mode string) (*core.Machine, *reconfig.Manager) {
 	t.Helper()
 	cfg := core.Config{
 		Shape:          geom.MustShape(4, 4),
@@ -35,7 +35,7 @@ func newRig(t *testing.T, separate bool, mode string, opt reconfig.Options) (*co
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := reconfig.New(m, opt)
+	mgr, err := reconfig.New(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestNewNeedsReconfigMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reconfig.New(m, reconfig.Options{}); err == nil {
+	if _, err := reconfig.New(m); err == nil {
 		t.Fatal("New accepted a machine without Config.Reconfig")
 	}
 }
@@ -70,7 +70,7 @@ func TestNewNeedsReconfigMode(t *testing.T) {
 // table's union graph is acyclic, so the swap commits without touching a
 // packet, and the in-flight packet still delivers under its old generation.
 func TestHotSwapOnFault(t *testing.T) {
-	m, mgr := newRig(t, false, core.ReconfigOnFault, reconfig.Options{})
+	m, mgr := newRig(t, false, core.ReconfigOnFault)
 	if _, err := m.Send(geom.Coord{0, 0}, geom.Coord{3, 3}, 24); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestHotSwapOnFault(t *testing.T) {
 		t.Fatalf("%d events, want 1", len(evs))
 	}
 	ev := evs[0]
-	if ev.Outcome != reconfig.OutcomeHotSwap || ev.Epoch != 1 || ev.Drained != 0 {
+	if ev.Outcome != reconfig.OutcomeHotSwap || ev.Epoch != 1 {
 		t.Fatalf("unexpected event %+v, want hot swap to epoch 1", ev)
 	}
 	if !ev.Union.Acyclic || ev.Union.Channels == 0 {
@@ -105,7 +105,7 @@ func TestHotSwapOnFault(t *testing.T) {
 		t.Fatalf("%d generations, want 2 (retiring pinned by the in-flight packet)", n)
 	}
 	st := mgr.Stats()
-	if st.Attempts != 1 || st.HotSwaps != 1 || st.Drains != 0 || st.Fallbacks != 0 {
+	if st.Attempts != 1 || st.HotSwaps != 1 || st.Fallbacks != 0 {
 		t.Fatalf("stats %+v do not record one hot swap", st)
 	}
 	drainMachine(t, m, 10_000)
@@ -122,7 +122,7 @@ func TestHotSwapOnFault(t *testing.T) {
 // reconfiguration attempt runs: the events, the epoch and the fault count
 // stay as the first FailNow left them.
 func TestSecondFailNowRunsNothing(t *testing.T) {
-	m, mgr := newRig(t, false, core.ReconfigOnFault, reconfig.Options{})
+	m, mgr := newRig(t, false, core.ReconfigOnFault)
 	if _, err := m.Send(geom.Coord{0, 0}, geom.Coord{3, 3}, 24); err != nil {
 		t.Fatal(err)
 	}
@@ -148,18 +148,15 @@ func TestSecondFailNowRunsNothing(t *testing.T) {
 	}
 }
 
-// TestDrainOnCyclicUnion lands the fault on the separate-D-XB variant with
-// both traffic classes in flight: the separate recompile is refused with a
-// concrete cycle witness, the unified candidate is admissible but its union
-// with the retiring generation's edges is cyclic (the Fig. 9 interaction), so
-// the manager drains every pre-swap packet within budget and commits.
-func TestDrainOnCyclicUnion(t *testing.T) {
-	m, mgr := newRig(t, true, core.ReconfigOnFault, reconfig.Options{})
-	var drained []core.Lost
-	mgr.OnDrained(func(cycle int64, l core.Lost) bool {
-		drained = append(drained, l)
-		return false
-	})
+// TestFallbackOnCyclicUnion lands the fault on the separate-D-XB variant
+// with both traffic classes in flight: the separate recompile is refused
+// with a concrete cycle witness, and the unified candidate is admissible but
+// its union with the retiring generation's edges is cyclic (the Fig. 9
+// interaction). The manager then rebuilds in place: it commits no
+// generation, purges no packet, and keeps the cyclic union, witness
+// included, on the event.
+func TestFallbackOnCyclicUnion(t *testing.T) {
+	m, mgr := newRig(t, true, core.ReconfigOnFault)
 	if _, err := m.Send(geom.Coord{0, 0}, geom.Coord{3, 3}, 24); err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +174,8 @@ func TestDrainOnCyclicUnion(t *testing.T) {
 		t.Fatalf("%d events, want 1", len(evs))
 	}
 	ev := evs[0]
-	if ev.Outcome != reconfig.OutcomeDrain {
-		t.Fatalf("outcome %q (reason %q), want drain", ev.Outcome, ev.Reason)
+	if ev.Outcome != reconfig.OutcomeFallback {
+		t.Fatalf("outcome %q, want fallback", ev.Outcome)
 	}
 	if len(ev.Refusals) != 1 || ev.Refusals[0].Acyclic || len(ev.Refusals[0].Cycle) == 0 {
 		t.Fatalf("separate recompile was not refused with a cycle witness: %+v", ev.Refusals)
@@ -186,58 +183,28 @@ func TestDrainOnCyclicUnion(t *testing.T) {
 	if !strings.Contains(ev.Refusals[0].Scheme, "separate-dxb") {
 		t.Fatalf("refusal names scheme %q, want the separate-D-XB recompile", ev.Refusals[0].Scheme)
 	}
-	if !strings.Contains(ev.Scheme, "unified") {
-		t.Fatalf("committed scheme %q, want the unified degradation", ev.Scheme)
+	if !ev.Candidate.Acyclic || !strings.Contains(ev.Scheme, "unified") {
+		t.Fatalf("candidate %q (acyclic %v), want the admissible unified degradation", ev.Scheme, ev.Candidate.Acyclic)
 	}
 	if ev.Union.Acyclic || len(ev.Union.Cycle) == 0 {
-		t.Fatalf("drain without a cyclic union witness: %+v", ev.Union)
+		t.Fatalf("fallback without a cyclic union witness: %+v", ev.Union)
 	}
-	if ev.Drained != ev.InFlight || ev.Drained != len(drained) {
-		t.Fatalf("drained %d of %d in flight, callback saw %d", ev.Drained, ev.InFlight, len(drained))
+	if want := fmt.Sprintf("union cyclic (length %d), %d in flight", len(ev.Union.Cycle), ev.InFlight); ev.Reason != want {
+		t.Fatalf("fallback reason %q, want %q", ev.Reason, want)
 	}
-	for _, l := range drained {
-		if !l.Drained {
-			t.Fatalf("drained packet %d not marked Drained: %+v", l.PacketID, l)
-		}
-	}
-	if m.Epoch() != 1 || len(m.Generations()) != 1 {
-		t.Fatalf("epoch %d with %d generations; a full drain must collapse to the committed table", m.Epoch(), len(m.Generations()))
-	}
-	drainMachine(t, m, 10_000)
-	if err := m.Engine().CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFallbackOnDrainBudget repeats the cyclic-union scenario with a budget
-// below the in-flight population: the manager must degrade to
-// rebuild-in-place instead of purging past its bound.
-func TestFallbackOnDrainBudget(t *testing.T) {
-	m, mgr := newRig(t, true, core.ReconfigOnFault, reconfig.Options{DrainBudget: 1})
-	if _, err := m.Send(geom.Coord{0, 0}, geom.Coord{3, 3}, 24); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := m.Broadcast(geom.Coord{3, 2}, 24); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		m.Step()
-	}
-	if _, err := m.FailNow(fault.RouterFault(geom.Coord{2, 1})); err != nil {
-		t.Fatal(err)
-	}
-	evs := mgr.Events()
-	if len(evs) != 1 || evs[0].Outcome != reconfig.OutcomeFallback {
-		t.Fatalf("events %+v, want one fallback", evs)
-	}
-	if !strings.Contains(evs[0].Reason, "drain budget exceeded") {
-		t.Fatalf("fallback reason %q does not name the budget", evs[0].Reason)
+	hdrs, unknown := m.Engine().InFlightHeaders()
+	if ev.InFlight < 2 || len(hdrs)+len(unknown) != ev.InFlight {
+		t.Fatalf("%d packets in flight after the fallback, %d at the decision; want both classes, none purged", len(hdrs)+len(unknown), ev.InFlight)
 	}
 	if m.Epoch() != 0 || len(m.Generations()) != 1 {
 		t.Fatalf("fallback advanced the epoch (%d) or kept %d generations", m.Epoch(), len(m.Generations()))
 	}
-	if st := mgr.Stats(); st.Fallbacks != 1 || st.DrainedPackets != 0 {
-		t.Fatalf("stats %+v do not record a packet-free fallback", st)
+	if st := mgr.Stats(); st.Attempts != 1 || st.HotSwaps != 0 || st.Fallbacks != 1 || st.Refusals != 1 {
+		t.Fatalf("stats %+v do not record one fallback after one refusal", st)
+	}
+	drainMachine(t, m, 10_000)
+	if err := m.Engine().CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -249,7 +216,7 @@ func TestFallbackOnDrainBudget(t *testing.T) {
 func TestDeadlockTriggeredSwap(t *testing.T) {
 	deadlocked := false
 	for off := 0; off <= 10 && !deadlocked; off++ {
-		m, mgr := newRig(t, true, core.ReconfigOnDeadlock, reconfig.Options{})
+		m, mgr := newRig(t, true, core.ReconfigOnDeadlock)
 		if err := m.AddFault(fault.RouterFault(geom.Coord{2, 1})); err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +226,6 @@ func TestDeadlockTriggeredSwap(t *testing.T) {
 		}
 		sup := recovery.New(m, inj, recovery.Options{Enabled: true, StallThreshold: 256})
 		sup.OnDeadlock(mgr.OnDeadlock)
-		mgr.OnDrained(inj.LoseDrained)
 
 		if _, err := m.Send(geom.Coord{0, 1}, geom.Coord{2, 2}, 24); err != nil {
 			t.Fatal(err)
@@ -316,13 +282,13 @@ func TestDeadlockTriggeredSwap(t *testing.T) {
 // the deadlock hand-off is a no-op and under mode "deadlock" a mid-run fault
 // rebuilds in place without recording an attempt.
 func TestFaultModeSkipsDeadlockTrigger(t *testing.T) {
-	_, mgr := newRig(t, false, core.ReconfigOnFault, reconfig.Options{})
+	_, mgr := newRig(t, false, core.ReconfigOnFault)
 	mgr.OnDeadlock(42)
 	if len(mgr.Events()) != 0 || mgr.Stats().Attempts != 0 {
 		t.Fatalf("mode %q acted on a deadlock trigger: %+v", core.ReconfigOnFault, mgr.Events())
 	}
 
-	m, mgr := newRig(t, false, core.ReconfigOnDeadlock, reconfig.Options{})
+	m, mgr := newRig(t, false, core.ReconfigOnDeadlock)
 	if _, err := m.FailNow(fault.RouterFault(geom.Coord{2, 1})); err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +310,7 @@ func TestFaultModeSkipsDeadlockTrigger(t *testing.T) {
 // that froze the fault bits of its commit would route into the second
 // fault.
 func TestRetiredGenerationsDecideAsPinned(t *testing.T) {
-	m, mgr := newRig(t, false, core.ReconfigOnFault, reconfig.Options{})
+	m, mgr := newRig(t, false, core.ReconfigOnFault)
 	for _, step := range []struct {
 		src, dst, dead geom.Coord
 	}{

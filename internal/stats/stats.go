@@ -117,9 +117,6 @@ func Cell(v any) string {
 	}
 }
 
-// Rows reports the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // String renders the table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Headers))
