@@ -16,7 +16,7 @@ package experiments
 
 import (
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"sr2201/internal/campaign"
 	"sr2201/internal/core"
@@ -162,13 +162,10 @@ func runDR2(r *Report, opt Options) error {
 		return err
 	}
 	cfg.Parallel, cfg.Ctx, cfg.Budget, cfg.OnCell = opt.Parallel, opt.Ctx, opt.Budget, opt.OnCell
-	var mu sync.Mutex
-	uncertified := 0
+	var uncertified atomic.Int64 // events arrive from the sweep's workers
 	cfg.OnReconfig = func(ev reconfig.Event) {
 		if ev.Outcome == reconfig.OutcomeHotSwap && !(ev.Candidate.Acyclic && ev.Union.Acyclic) {
-			mu.Lock()
-			uncertified++
-			mu.Unlock()
+			uncertified.Add(1)
 		}
 	}
 	recfg, err := campaign.Run(cfg)
@@ -185,7 +182,7 @@ func runDR2(r *Report, opt Options) error {
 		ra.deadlocks+ra.stalls, ra.undocumented, ra.sacrificed, ra.lost, ra.cycles)
 	r.Tables = append(r.Tables, tbl)
 
-	r.Pass = recfg.Reconfigured() > 0 && uncertified == 0 &&
+	r.Pass = recfg.Reconfigured() > 0 && uncertified.Load() == 0 &&
 		ra.sacrificed <= ca.sacrificed && ra.lost <= ca.lost &&
 		recfg.Livelocked() == 0 && ra.clean() && control.Livelocked() == 0 && ca.clean()
 	r.Notef("%d cells per strategy: reconfiguration commits %d certified swap(s) and falls back %d time(s); recoveries %d -> %d",

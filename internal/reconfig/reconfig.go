@@ -23,9 +23,9 @@
 //     a cyclic union keeps the union certificate, witness included, on the
 //     event.
 //
-// A middle rung that purged every old-epoch packet before committing cost
-// more packets than recovery does on every measured workload and was
-// deleted (DESIGN §13).
+// The Manager never purges packets to make a cyclic transition safe: on
+// every measured workload, purging every old-epoch packet first cost more
+// packets than recovery does (DESIGN §13).
 //
 // Every decision runs synchronously inside a deterministic hook (FailNow's
 // reconfigurer or the recovery supervisor's PostCycle hand-off), so runs stay
