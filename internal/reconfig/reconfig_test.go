@@ -148,14 +148,13 @@ func TestSecondFailNowRunsNothing(t *testing.T) {
 	}
 }
 
-// TestFallbackOnCyclicUnion lands the fault on the separate-D-XB variant
-// with both traffic classes in flight: the separate recompile is refused
-// with a concrete cycle witness, and the unified candidate is admissible but
-// its union with the retiring generation's edges is cyclic (the Fig. 9
-// interaction). The manager then rebuilds in place: it commits no
-// generation, purges no packet, and keeps the cyclic union, witness
-// included, on the event.
-func TestFallbackOnCyclicUnion(t *testing.T) {
+// cyclicUnionFault lands the fault on the separate-D-XB variant with both
+// traffic classes in flight: the separate recompile is refused with a
+// concrete cycle witness, and the unified candidate is admissible but its
+// union with the retiring generation's edges is cyclic (the Fig. 9
+// interaction). It returns the attempt's one event.
+func cyclicUnionFault(t *testing.T) (*core.Machine, *reconfig.Manager, reconfig.Event) {
+	t.Helper()
 	m, mgr := newRig(t, true, core.ReconfigOnFault)
 	if _, err := m.Send(geom.Coord{0, 0}, geom.Coord{3, 3}, 24); err != nil {
 		t.Fatal(err)
@@ -173,7 +172,15 @@ func TestFallbackOnCyclicUnion(t *testing.T) {
 	if len(evs) != 1 {
 		t.Fatalf("%d events, want 1", len(evs))
 	}
-	ev := evs[0]
+	return m, mgr, evs[0]
+}
+
+// TestFallbackOnDrainBudget pins the decision on a cyclic union now that
+// the manager has no drain budget, that is, purges no packet for a
+// transition: it rebuilds in place, commits no generation, and keeps the
+// cyclic union, witness included, on the event.
+func TestFallbackOnDrainBudget(t *testing.T) {
+	m, mgr, ev := cyclicUnionFault(t)
 	if ev.Outcome != reconfig.OutcomeFallback {
 		t.Fatalf("outcome %q, want fallback", ev.Outcome)
 	}
@@ -192,19 +199,39 @@ func TestFallbackOnCyclicUnion(t *testing.T) {
 	if want := fmt.Sprintf("union cyclic (length %d), %d in flight", len(ev.Union.Cycle), ev.InFlight); ev.Reason != want {
 		t.Fatalf("fallback reason %q, want %q", ev.Reason, want)
 	}
-	hdrs, unknown := m.Engine().InFlightHeaders()
-	if ev.InFlight < 2 || len(hdrs)+len(unknown) != ev.InFlight {
-		t.Fatalf("%d packets in flight after the fallback, %d at the decision; want both classes, none purged", len(hdrs)+len(unknown), ev.InFlight)
-	}
 	if m.Epoch() != 0 || len(m.Generations()) != 1 {
 		t.Fatalf("fallback advanced the epoch (%d) or kept %d generations", m.Epoch(), len(m.Generations()))
 	}
 	if st := mgr.Stats(); st.Attempts != 1 || st.HotSwaps != 0 || st.Fallbacks != 1 || st.Refusals != 1 {
 		t.Fatalf("stats %+v do not record one fallback after one refusal", st)
 	}
+}
+
+// TestDrainOnCyclicUnion follows the packets in flight at the same cyclic
+// union's decision: none is purged, and each drains by delivery under the
+// rebuilt table.
+func TestDrainOnCyclicUnion(t *testing.T) {
+	m, _, ev := cyclicUnionFault(t)
+	hdrs, unknown := m.Engine().InFlightHeaders()
+	if ev.InFlight < 2 || len(hdrs)+len(unknown) != ev.InFlight {
+		t.Fatalf("%d packets in flight after the fallback, %d at the decision; want both classes, none purged", len(hdrs)+len(unknown), ev.InFlight)
+	}
+	pending := make(map[uint64]bool, ev.InFlight)
+	for _, h := range hdrs {
+		pending[h.PacketID] = true
+	}
+	for _, id := range unknown {
+		pending[id] = true
+	}
 	drainMachine(t, m, 10_000)
 	if err := m.Engine().CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	for _, d := range m.Deliveries() {
+		delete(pending, d.PacketID)
+	}
+	if len(pending) != 0 {
+		t.Fatalf("packets %v in flight at the fallback never delivered", pending)
 	}
 }
 
