@@ -295,7 +295,7 @@ func TestSingleRunPrintsCyclicUnionWitness(t *testing.T) {
 	}
 	for _, want := range []string{
 		"reconfig: enabled (mode=fault)\n",
-		"reconfig @ cycle 8 (fault router@(2,1)): fell back to rebuild-in-place (union cyclic (length 6), 2 in flight)\n",
+		"reconfig @ cycle 8 (fault router@(2,1)): fell back to rebuild-in-place onto epoch 1 [mdx-separate-dxb-4x4] (union cyclic (length 6), 2 in flight)\n",
 		"  refused mdx-separate-dxb-4x4: cycle [",
 		"  union cycle [RTC(0,3).out0 -> ",
 		"reconfig: 1 attempts, 0 hot swaps, 1 fallbacks, 1 refusals\n",

@@ -115,8 +115,8 @@ func TestRecoveryOptions(t *testing.T) {
 }
 
 // TestReconfigOptions pins the -reconfig flag's contract: the empty mode
-// disables reconfiguration, the three trigger spellings are canonicalized,
-// and an unknown mode is refused.
+// disables reconfiguration, the two trigger spellings are canonicalized,
+// and an unknown mode is refused, the retired deadlock-only mode included.
 func TestReconfigOptions(t *testing.T) {
 	tests := []struct {
 		name     string
@@ -126,7 +126,7 @@ func TestReconfigOptions(t *testing.T) {
 	}{
 		{name: "disabled zero value", mode: "", wantMode: ""},
 		{name: "fault", mode: "fault", wantMode: "fault"},
-		{name: "deadlock", mode: "deadlock", wantMode: "deadlock"},
+		{name: "deadlock", mode: "deadlock", wantErr: true},
 		{name: "both", mode: "both", wantMode: "both"},
 		{name: "case and whitespace forgiven", mode: " Fault ", wantMode: "fault"},
 		{name: "unknown mode", mode: "always", wantErr: true},

@@ -62,10 +62,8 @@ func Topologies() []string {
 const (
 	// ReconfigOnFault reconfigures when a dynamic fault lands (FailNow).
 	ReconfigOnFault = "fault"
-	// ReconfigOnDeadlock reconfigures when the recovery supervisor confirms
+	// ReconfigBoth also reconfigures when the recovery supervisor confirms
 	// a deadlock (after the victim purge).
-	ReconfigOnDeadlock = "deadlock"
-	// ReconfigBoth reconfigures on either trigger.
 	ReconfigBoth = "both"
 )
 
@@ -102,14 +100,14 @@ type Config struct {
 	Adaptive bool
 	// Reconfig selects when online routing-table reconfiguration may run
 	// (internal/reconfig, DESIGN.md §13): "" disables it, ReconfigOnFault
-	// reconfigures when a dynamic fault lands (FailNow), ReconfigOnDeadlock
-	// when a confirmed deadlock is recovered, ReconfigBoth on either
-	// trigger. mdx-only; incompatible with Adaptive/VCs and NaiveBroadcast
-	// (neither produces the static certificates the swap protocol
-	// requires). UseCompiledTables and Restore refuse such a machine. The
-	// machine only maintains the epoch-tagged generation machinery; the
-	// decision procedure itself is driven by a reconfig.Manager installed
-	// via SetReconfigurer.
+	// reconfigures when a dynamic fault lands (FailNow), ReconfigBoth also
+	// when a confirmed deadlock is recovered. mdx-only; incompatible with
+	// Adaptive/VCs and NaiveBroadcast (neither produces the static
+	// certificates the swap protocol requires). UseCompiledTables and
+	// Restore refuse such a machine. The machine only maintains the
+	// epoch-tagged generation machinery, which every reconfiguration
+	// decision installs through (CommitGeneration); the decisions are a
+	// reconfig.Manager's, installed via SetReconfigurer.
 	Reconfig string
 	// Engine overrides kernel parameters; the zero value selects
 	// engine.DefaultConfig.
@@ -232,8 +230,8 @@ func (c *Config) Validate() error {
 		{c.VCs > 1 && !c.Adaptive, "VCs", "virtual channels without adaptive routing would leave every lane but 0 unused"},
 		{c.Adaptive && c.DXBSeparate, "Adaptive", "needs the unified design (the escape lane's deadlock-freedom certificate assumes D-XB = S-XB)"},
 		{c.Adaptive && c.NaiveBroadcast, "Adaptive", "incompatible with naive broadcast (unserialized fans break escape-channel acyclicity)"},
-		{c.Reconfig != "" && c.Reconfig != ReconfigOnFault && c.Reconfig != ReconfigOnDeadlock && c.Reconfig != ReconfigBoth,
-			"Reconfig", "unknown mode (want fault, deadlock or both)"},
+		{c.Reconfig != "" && c.Reconfig != ReconfigOnFault && c.Reconfig != ReconfigBoth,
+			"Reconfig", "unknown mode (want fault or both)"},
 		{c.Reconfig != "" && direct, "Reconfig", "reconfiguration is mdx-only (no other topology has table generations)"},
 		{c.Reconfig != "" && lanes, "Reconfig", "incompatible with virtual channels (the adaptive wrapper has no static certificate to recompile)"},
 		{c.Reconfig != "" && c.NaiveBroadcast, "Reconfig", "incompatible with naive broadcast (unserialized fans admit no acyclicity certificate)"},
@@ -383,9 +381,10 @@ func (m *Machine) installGenerations() error {
 // census the caller certified the transition with. A retired generation
 // keeps its policy as it is: the policy keeps its own effective lines and
 // reads the machine's live fault set, so its packets detour around faults
-// that land after it retired. separate records whether p is the
-// separate-D-XB variant — committing a unified table degrades every later
-// recompile to the unified scheme.
+// that land after it retired; an empty census leaves p alone, routing every
+// epoch (the rebuild-in-place a reconfiguration falls back to). separate
+// records whether p is the separate-D-XB variant — committing a unified
+// table degrades every later recompile to the unified scheme.
 func (m *Machine) CommitGeneration(p *routing.Policy, separate bool, hdrs []*flit.Header, unknown []uint64) error {
 	if m.cfg.Reconfig == "" {
 		return fmt.Errorf("core: CommitGeneration needs Config.Reconfig")
@@ -442,13 +441,6 @@ func (m *Machine) Generations() []routing.Generation { return m.gens }
 // separate D-XB (false once a reconfiguration degraded to the unified
 // scheme, or when the machine was never configured separate).
 func (m *Machine) VariantSeparate() bool { return m.separateNow }
-
-// RebuildPolicy recompiles the routing layer for the current variant under
-// the live fault set and swaps it in for *all* traffic — the PR 5 fallback
-// the reconfiguration manager degrades to when no admissible transition
-// exists. Any deadlock the unprotected swap window produces is the recovery
-// supervisor's to resolve.
-func (m *Machine) RebuildPolicy() error { return m.rebuildPolicy() }
 
 // SetReconfigurer installs the reconfiguration manager's fault hook: when
 // set, FailNow defers the policy update for router/crossbar faults to it

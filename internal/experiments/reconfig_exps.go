@@ -80,12 +80,13 @@ func packetsLost(c campaign.CellResult) int {
 // traffic drains with zero recoveries and zero losses. The cyclic cell lands
 // the fault while both traffic classes are in flight: the union graph is
 // provably cyclic (its witness is pinned in the notes), so the manager
-// rebuilds in place and leaves any deadlock to the recovery supervisor.
+// rebuilds the current variant in place and leaves any deadlock to the
+// recovery supervisor.
 // Shape criterion: the control deadlocks and loses strictly more packets
 // than the hot-swap cell, which runs the identical workload; the hot-swap
 // cell drains with zero recoveries; every committed swap carries acyclicity
 // certificates for its static and its union graph; and the cyclic cell
-// falls back exactly once, commits nothing, drains, and pins a concrete
+// falls back exactly once, hot-swaps nothing, drains, and pins a concrete
 // cycle witness both for the refused separate-scheme recompile and for the
 // cyclic transition union.
 func runDR1(r *Report, opt Options) error {

@@ -23,6 +23,7 @@ var specSeeds = []string{
 	`{"kind":"experiments","experiments":{"ids":["E1"],"extra":true}}`,
 	`{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"shift+5","shards":4}}`,
 	`{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"shift+5","reconfig":{"mode":"fault","drain_budget":16}}}`,
+	`{"kind":"campaign","campaign":{"shape":"4x4","epochs":[40],"patterns":["reverse"],"reconfig":{"mode":"deadlock"}}}`,
 }
 
 // FuzzJobSpecDecode: arbitrary JSON must never panic the decoder or the

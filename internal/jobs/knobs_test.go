@@ -38,7 +38,7 @@ var knobRejections = []struct {
 	{name: "adaptive with naive broadcast", cfg: core.Config{VCs: 2, Adaptive: true, NaiveBroadcast: true}, knob: "Adaptive", field: "variant.adaptive", noJob: true},
 	{name: "unknown reconfig mode", cfg: core.Config{Reconfig: "always"}, knob: "Reconfig", field: "reconfig.mode"},
 	{name: "reconfig on direct-link topology", cfg: core.Config{Topology: "hyperx", Reconfig: core.ReconfigOnFault}, knob: "Reconfig", field: "reconfig.mode"},
-	{name: "reconfig with adaptive vcs", cfg: core.Config{VCs: 2, Adaptive: true, Reconfig: core.ReconfigOnDeadlock}, knob: "Reconfig", field: "reconfig.mode"},
+	{name: "reconfig with adaptive vcs", cfg: core.Config{VCs: 2, Adaptive: true, Reconfig: core.ReconfigBoth}, knob: "Reconfig", field: "reconfig.mode"},
 	{name: "reconfig with naive broadcast", cfg: core.Config{NaiveBroadcast: true, Reconfig: core.ReconfigBoth}, knob: "Reconfig", field: "reconfig.mode", noJob: true},
 	{name: "unknown topology", cfg: core.Config{Topology: "dragonfly"}, knob: "Topology", field: "topology"},
 	{name: "dxb-separate on hyperx", cfg: core.Config{Topology: "hyperx", DXBSeparate: true}, knob: "DXBSeparate", field: "variant.dxb_separate"},

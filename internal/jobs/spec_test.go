@@ -83,6 +83,9 @@ func TestDecodeSpecRejectionsNameTheField(t *testing.T) {
 		{"negative reconfig budget", `{"kind":"campaign","campaign":{"shape":"4x4","epochs":[1],"patterns":["reverse"],"reconfig":{"mode":"both","drain_budget":-1}}}`, "drain_budget"},
 		{"reconfig budget over ceiling", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","reconfig":{"mode":"fault","drain_budget":1048577}}}`, "drain_budget"},
 		{"retired drain_budget field", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","reconfig":{"mode":"both","drain_budget":16}}}`, "drain_budget"},
+		// The retired deadlock-only reconfiguration mode is refused as an
+		// unknown mode, naming its field.
+		{"retired deadlock reconfig mode", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","reconfig":{"mode":"deadlock"}}}`, "fault.reconfig.mode"},
 		{"retired shards field (fault)", `{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","shards":4}}`, "shards"},
 		{"retired shards field (campaign)", `{"kind":"campaign","campaign":{"shape":"4x4","epochs":[1],"patterns":["reverse"],"shards":4}}`, "shards"},
 		{"trailing data", `{"kind":"experiments","experiments":{"ids":["E1"]}} {"x":1}`, "body"},

@@ -26,12 +26,35 @@ func TestAttemptAllocationBudget(t *testing.T) {
 	const budget = 115
 	m, mgr, f := attemptRig(t)
 	var before, after runtime.MemStats
-	failAround(t, m, mgr, f, func(attempt func()) {
+	failAround(t, m, mgr, f, OutcomeHotSwap, func(attempt func()) {
 		runtime.ReadMemStats(&before)
 		attempt()
 		runtime.ReadMemStats(&after)
 	})
 	if allocs := after.Mallocs - before.Mallocs; allocs > budget {
 		t.Errorf("one Manager.attempt on 6x6 with a wave in flight: %d allocations, budget %d", allocs, budget)
+	}
+}
+
+// TestFallbackAllocationBudget pins the fallback path on the cyclic-union
+// rig: two candidates built and certified, the union proof against the
+// retiring separate-D-XB generation's edges, and a commit with an empty
+// census, which installs the current variant's recompile the attempt
+// already built and compiles no second policy.
+func TestFallbackAllocationBudget(t *testing.T) {
+	// 670-672 while the fallback compiled the current variant once more
+	// (682 in the first fallback a process makes); 668 now (680). About
+	// half is the retiring generation's edge lists, whose channels cdg
+	// names inside a sort comparator.
+	const budget = 690
+	m, mgr, f := cyclicUnionRig(t)
+	var before, after runtime.MemStats
+	failAround(t, m, mgr, f, OutcomeFallback, func(attempt func()) {
+		runtime.ReadMemStats(&before)
+		attempt()
+		runtime.ReadMemStats(&after)
+	})
+	if allocs := after.Mallocs - before.Mallocs; allocs > budget {
+		t.Errorf("one falling-back Manager.attempt on 4x4 with both classes in flight: %d allocations, budget %d", allocs, budget)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -126,16 +127,20 @@ func runCellLog(t *testing.T, log *eventLog, title string, spec campaign.Spec) {
 
 // TestGoldenDR1 replays the reconfigured DR1 cells of internal/experiments
 // (same parameters: quiet-window hot swap, both-classes-in-flight cyclic
-// union with the separate-D-XB refusal), the same machine reconfiguring from the
-// deadlock hand-off, and faults landing with a wave in flight on 6x6 — the
-// benchmark's fault job shape — and on 4x4x4.
+// union with the separate-D-XB refusal), the same machine with its fault
+// preset reconfiguring from the deadlock hand-off, and faults landing with a
+// wave in flight on 6x6 — the benchmark's fault job shape — and on 4x4x4.
 func TestGoldenDR1(t *testing.T) {
 	var log eventLog
 	runCellLog(t, &log, "dr1 hot swap (fault at 40, quiet network)", fig9Cell(core.ReconfigOnFault, 40, 48, 48))
 	cyclic := fig9Cell(core.ReconfigOnFault, 8, 0, 48)
 	cyclic.Pattern = campaign.Pair(geom.Coord{0, 0}, geom.Coord{3, 3}, 2)
 	runCellLog(t, &log, "dr1 cyclic union (fault at 8, unicast and broadcast in flight)", cyclic)
-	runCellLog(t, &log, "dr1 deadlock-triggered (rebuilt in place at 40, deadlocks after 48)", fig9Cell(core.ReconfigOnDeadlock, 40, 48, 48))
+	// Under mode both a mid-run fault would hot-swap as in the first cell,
+	// so the deadlock-triggered cell sets its fault before any traffic.
+	preset := fig9Cell(core.ReconfigBoth, 40, 48, 48)
+	preset.Preset, preset.Events = []fault.Fault{preset.Events[0].Fault}, nil
+	runCellLog(t, &log, "dr1 deadlock-triggered (fault preset, deadlocks after 48)", preset)
 	runCellLog(t, &log, "dr1 mode both", fig9Cell(core.ReconfigBoth, 40, 48, 48))
 
 	for _, tc := range []struct {
@@ -205,15 +210,11 @@ func TestGoldenDR2(t *testing.T) {
 	checkGolden(t, "dr2_events.golden", log.b.String())
 }
 
-// TestGoldenCICampaign replays the CI workflow's Fig. 9 second-fault
-// reconfiguration campaign (the SIGTERM-and-resume job spec) on a thinned
-// epoch list: same machine, presets, patterns, broadcasts and options.
-func TestGoldenCICampaign(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign replay skipped in -short")
-	}
-	var log eventLog
-	cfg, err := campaign.RunText{
+// ciCampaign is the CI workflow's Fig. 9 second-fault reconfiguration
+// campaign (the SIGTERM-and-resume job spec) on a thinned epoch list: same
+// machine, presets, patterns, broadcasts and options, 276 cells.
+func ciCampaign() campaign.RunText {
+	return campaign.RunText{
 		Shape:      "4x4",
 		Epochs:     []int64{40, 160, 300, 500},
 		Patterns:   []string{"pair:0,1>2,2", "shift+5", "reverse"},
@@ -226,7 +227,17 @@ func TestGoldenCICampaign(t *testing.T) {
 		Recovery:   recovery.Options{Enabled: true, StallThreshold: 256},
 		Variant:    campaign.VariantText{SXB: "0,0", DXB: "0,3", DXBSeparate: true},
 		Reconfig:   campaign.ReconfigText{Mode: "both"},
-	}.Config()
+	}
+}
+
+// TestGoldenCICampaign replays ciCampaign and pins its reconfiguration
+// events.
+func TestGoldenCICampaign(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign replay skipped in -short")
+	}
+	var log eventLog
+	cfg, err := ciCampaign().Config()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,6 +247,74 @@ func TestGoldenCICampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "ci_campaign_events.golden", log.b.String())
+}
+
+// deadlocksUnderVariantRebuild are the cells of ciCampaign, run without
+// recovery in mode fault, that deadlock while a fallback rebuilds the
+// machine's current variant in place. On this separate-D-XB machine that
+// re-installs the scheme the attempt has just refused with a cycle witness
+// whenever its candidate is the unified one (ROADMAP 22(b)).
+var deadlocksUnderVariantRebuild = strings.Fields(`
+router@(0,0)@40/pair:0,1>2,2 router@(0,0)@40/reverse router@(0,0)@160/pair:0,1>2,2
+router@(0,0)@300/pair:0,1>2,2 router@(0,0)@300/reverse
+router@(1,0)@40/pair:0,1>2,2 router@(1,0)@40/shift+5 router@(1,0)@40/reverse
+router@(1,0)@160/pair:0,1>2,2 router@(1,0)@300/reverse
+router@(2,0)@40/pair:0,1>2,2 router@(2,0)@40/shift+5 router@(2,0)@40/reverse
+router@(2,0)@160/pair:0,1>2,2 router@(2,0)@300/pair:0,1>2,2 router@(2,0)@300/shift+5
+router@(2,0)@300/reverse
+router@(3,0)@40/pair:0,1>2,2 router@(3,0)@40/shift+5 router@(3,0)@40/reverse
+router@(3,0)@160/pair:0,1>2,2 router@(3,0)@300/pair:0,1>2,2 router@(3,0)@300/shift+5
+router@(3,0)@300/reverse router@(3,0)@500/pair:0,1>2,2
+router@(0,1)@300/shift+5 router@(0,1)@300/reverse
+router@(1,1)@40/pair:0,1>2,2 router@(1,1)@160/pair:0,1>2,2 router@(1,1)@300/pair:0,1>2,2
+router@(1,1)@500/pair:0,1>2,2
+router@(3,1)@40/pair:0,1>2,2 router@(3,1)@40/reverse router@(3,1)@160/pair:0,1>2,2
+router@(3,1)@300/pair:0,1>2,2 router@(3,1)@500/pair:0,1>2,2
+router@(0,2)@40/pair:0,1>2,2 router@(0,2)@160/pair:0,1>2,2 router@(0,2)@300/pair:0,1>2,2
+router@(0,2)@500/pair:0,1>2,2
+router@(1,2)@40/pair:0,1>2,2 router@(1,2)@160/pair:0,1>2,2 router@(1,2)@300/pair:0,1>2,2
+router@(1,2)@500/pair:0,1>2,2
+router@(3,2)@40/pair:0,1>2,2 router@(3,2)@160/pair:0,1>2,2 router@(3,2)@300/pair:0,1>2,2
+router@(3,2)@500/pair:0,1>2,2
+xb@dim0@(0,0)@40/pair:0,1>2,2 xb@dim0@(0,0)@40/shift+5 xb@dim0@(0,0)@40/reverse
+xb@dim0@(0,0)@160/pair:0,1>2,2 xb@dim0@(0,0)@300/shift+5 xb@dim0@(0,0)@300/reverse
+xb@dim0@(0,1)@160/pair:0,1>2,2 xb@dim0@(0,1)@300/pair:0,1>2,2 xb@dim0@(0,1)@500/pair:0,1>2,2
+xb@dim0@(0,2)@40/pair:0,1>2,2 xb@dim0@(0,2)@40/reverse xb@dim0@(0,2)@160/pair:0,1>2,2
+xb@dim0@(0,2)@300/pair:0,1>2,2 xb@dim0@(0,2)@300/reverse xb@dim0@(0,2)@500/pair:0,1>2,2
+xb@dim1@(1,0)@40/pair:0,1>2,2 xb@dim1@(1,0)@160/pair:0,1>2,2
+xb@dim1@(3,0)@40/pair:0,1>2,2 xb@dim1@(3,0)@160/pair:0,1>2,2 xb@dim1@(3,0)@300/pair:0,1>2,2
+xb@dim1@(3,0)@500/pair:0,1>2,2
+`)
+
+// TestCICampaignWithoutRecovery runs ciCampaign with recovery off and mode
+// fault, so a transition deadlock stays a deadlock, and pins the cells that
+// deadlock: exactly deadlocksUnderVariantRebuild, in campaign order. A
+// fallback onto the attempt's own candidate may remove cells from the list,
+// never add one.
+func TestCICampaignWithoutRecovery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign replay skipped in -short")
+	}
+	text := ciCampaign()
+	text.Recovery, text.Reconfig.Mode = recovery.Options{}, core.ReconfigOnFault
+	cfg, err := text.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := campaign.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, c := range res.Cells {
+		if c.Deadlocked {
+			got = append(got, fmt.Sprintf("%s@%d/%s", c.Fault, c.Epoch, c.Pattern))
+		}
+	}
+	if !slices.Equal(got, deadlocksUnderVariantRebuild) {
+		t.Errorf("%d cells deadlock:\n%s\nwant the %d of deadlocksUnderVariantRebuild",
+			len(got), strings.Join(got, "\n"), len(deadlocksUnderVariantRebuild))
+	}
 }
 
 // TestOwnLinesGenerationAddsNothing pins the premise under which attempt

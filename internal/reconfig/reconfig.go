@@ -16,12 +16,15 @@
 //  1. a statically admissible candidate whose union graph is acyclic is
 //     hot-swapped in (statically cyclic candidates are refused on the way,
 //     each with a concrete cycle witness recorded on the event);
-//  2. otherwise — no admissible candidate, or a cyclic union — the Manager
-//     falls back to Machine.RebuildPolicy, the PR 5 swap-in-place, and any
+//  2. otherwise the Manager falls back to rebuilding the current variant
+//     in place, the pre-reconfiguration answer to a fault, and any
 //     transition deadlock is the recovery supervisor's to purge and
-//     retransmit (the scheme of DBR, arXiv 1211.5747). A fallback forced by
-//     a cyclic union keeps the union certificate, witness included, on the
-//     event.
+//     retransmit (the scheme of DBR, arXiv 1211.5747). A fallback forced
+//     by a cyclic union keeps the union certificate, witness included, on
+//     the event.
+//
+// Both rungs install through Machine.CommitGeneration; a fallback's empty
+// census leaves its table the one generation, routing every epoch.
 //
 // The Manager never purges packets to make a cyclic transition safe: on
 // every measured workload, purging every old-epoch packet first cost more
@@ -60,7 +63,7 @@ const (
 	OutcomeHotSwap = "hot-swap"
 	// OutcomeFallback means no admissible transition existed (every
 	// candidate statically cyclic or unbuildable, or the union graph cyclic)
-	// and the Manager degraded to Machine.RebuildPolicy.
+	// and the Manager rebuilt in place: one generation for every epoch.
 	OutcomeFallback = "fallback"
 )
 
@@ -77,10 +80,10 @@ type Event struct {
 	// Reason explains a fallback ("no admissible candidate", "union cyclic
 	// ..."); empty otherwise.
 	Reason string
-	// Epoch is the committed generation's epoch stamp (hot swap).
+	// Epoch is the committed generation's epoch stamp.
 	Epoch uint64
-	// Scheme names the chosen candidate (hot swap, or a fallback forced by
-	// a cyclic union).
+	// Scheme names the committed table's scheme: the chosen candidate for a
+	// hot swap, the current variant's recompile for a fallback.
 	Scheme string
 	// InFlight counts the packets resident in the network at decision time.
 	InFlight int
@@ -111,8 +114,8 @@ func (ev Event) String() string {
 		return fmt.Sprintf("reconfig @ cycle %d (%s): hot swap to epoch %d [%s], %d in flight, union %d channels %d edges acyclic",
 			ev.Cycle, trig, ev.Epoch, ev.Scheme, ev.InFlight, ev.Union.Channels, ev.Union.Edges)
 	}
-	return fmt.Sprintf("reconfig @ cycle %d (%s): fell back to rebuild-in-place (%s)",
-		ev.Cycle, trig, ev.Reason)
+	return fmt.Sprintf("reconfig @ cycle %d (%s): fell back to rebuild-in-place onto epoch %d [%s] (%s)",
+		ev.Cycle, trig, ev.Epoch, ev.Scheme, ev.Reason)
 }
 
 // Stats aggregates the Manager's accounting.
@@ -150,21 +153,13 @@ func New(m *core.Machine) (*Manager, error) {
 		return nil, fmt.Errorf("reconfig: machine was built without Config.Reconfig")
 	}
 	mgr := &Manager{m: m, mode: mode}
-	m.SetReconfigurer(mgr.onFault)
+	m.SetReconfigurer(func(f fault.Fault) error { return mgr.attempt(TriggerFault, f) })
 	return mgr, nil
 }
 
-// CoversFault reports whether the machine's mode reconfigures on mid-run
-// faults.
-func (mgr *Manager) CoversFault() bool {
-	return mgr.mode == core.ReconfigOnFault || mgr.mode == core.ReconfigBoth
-}
-
 // CoversDeadlock reports whether the machine's mode reconfigures on
-// confirmed deadlocks.
-func (mgr *Manager) CoversDeadlock() bool {
-	return mgr.mode == core.ReconfigOnDeadlock || mgr.mode == core.ReconfigBoth
-}
+// confirmed deadlocks as well as on mid-run faults.
+func (mgr *Manager) CoversDeadlock() bool { return mgr.mode == core.ReconfigBoth }
 
 // OnEvent registers a callback invoked synchronously for every
 // reconfiguration event, after the outcome is committed. Must be
@@ -182,17 +177,6 @@ func (mgr *Manager) Stats() Stats { return mgr.stats }
 // injector's Err.
 func (mgr *Manager) Err() error { return mgr.err }
 
-// onFault is the machine's reconfigurer hook: FailNow calls it after the
-// fault set is updated and the dead switch's packets are purged.
-func (mgr *Manager) onFault(f fault.Fault) error {
-	if !mgr.CoversFault() {
-		// The mode keeps PR 5 semantics for faults: rebuild in place for all
-		// traffic, no event recorded (nothing was attempted).
-		return mgr.m.RebuildPolicy()
-	}
-	return mgr.attempt(TriggerFault, f)
-}
-
 // OnDeadlock is the recovery supervisor's hand-off: called after a confirmed
 // deadlock's victim was purged and its retransmission scheduled. Matches
 // recovery.Supervisor.OnDeadlock's hook signature; failures are deferred to
@@ -207,8 +191,9 @@ func (mgr *Manager) OnDeadlock(cycle int64) {
 }
 
 // attempt runs one full reconfiguration decision. It returns an error only
-// for infrastructure failures (a fallback rebuild that cannot produce any
-// policy); every routing-level refusal is an outcome, not an error.
+// for infrastructure failures (no admissible candidate and a current variant
+// that cannot be built); every routing-level refusal is an outcome, not an
+// error.
 func (mgr *Manager) attempt(trigger string, f fault.Fault) error {
 	m := mgr.m
 	mgr.stats.Attempts++
@@ -224,9 +209,16 @@ func (mgr *Manager) attempt(trigger string, f fault.Fault) error {
 		chosen    *routing.Policy
 		chosenSep bool
 		graph     *cdg.Graph
+		// The current variant's recompile: every fallback's table.
+		current       *routing.Policy
+		currentScheme string
+		currentErr    error
 	)
-	for _, sep := range variants {
+	for i, sep := range variants {
 		p, err := routing.New(m.RoutingConfig(sep))
+		if i == 0 {
+			current, currentErr = p, err
+		}
 		if err != nil {
 			ev.Errors = append(ev.Errors, err.Error())
 			continue
@@ -236,6 +228,9 @@ func (mgr *Manager) attempt(trigger string, f fault.Fault) error {
 		// transition's from the same graph below.
 		g := cdg.NewGraph(p, m.Shape())
 		cert := g.Certificate(cdg.SchemeName(p, m.Shape()))
+		if i == 0 {
+			currentScheme = cert.Scheme
+		}
 		if !cert.Acyclic {
 			ev.Refusals = append(ev.Refusals, cert)
 			mgr.stats.Refusals++
@@ -245,7 +240,7 @@ func (mgr *Manager) attempt(trigger string, f fault.Fault) error {
 		break
 	}
 	if chosen == nil {
-		return mgr.fallback(ev, "no admissible candidate")
+		return mgr.fallback(ev, current, currentScheme, currentErr, "no admissible candidate")
 	}
 	ev.Scheme = ev.Candidate.Scheme
 
@@ -256,9 +251,11 @@ func (mgr *Manager) attempt(trigger string, f fault.Fault) error {
 	mgr.addRetiringEdges(graph, chosen, hdrs, len(unknown) > 0)
 	ev.Union = graph.Certificate(ev.Candidate.Scheme + "+transition")
 	if !ev.Union.Acyclic {
-		// Cyclic transition: rebuild in place and leave any deadlock to the
-		// recovery supervisor; the event keeps the union and its witness.
-		return mgr.fallback(ev, fmt.Sprintf("union cyclic (length %d), %d in flight", len(ev.Union.Cycle), ev.InFlight))
+		// Cyclic transition: rebuild the current variant in place and leave
+		// any deadlock to the recovery supervisor; the event keeps the union
+		// and its witness. When the current variant is the one refused above,
+		// this re-installs it (ROADMAP 22(b)).
+		return mgr.fallback(ev, current, currentScheme, currentErr, fmt.Sprintf("union cyclic (length %d), %d in flight", len(ev.Union.Cycle), ev.InFlight))
 	}
 	if err := m.CommitGeneration(chosen, chosenSep, hdrs, unknown); err != nil {
 		return fmt.Errorf("reconfig: committing generation: %w", err)
@@ -269,13 +266,19 @@ func (mgr *Manager) attempt(trigger string, f fault.Fault) error {
 	return nil
 }
 
-// fallback degrades the attempt to the PR 5 swap-in-place and records it.
-func (mgr *Manager) fallback(ev Event, reason string) error {
-	ev.Outcome, ev.Reason = OutcomeFallback, reason
-	mgr.stats.Fallbacks++
-	if err := mgr.m.RebuildPolicy(); err != nil {
+// fallback degrades the attempt to the swap-in-place onto p, the current
+// variant's recompile (err when it could not be built), and records it: the
+// empty census leaves p alone, routing every epoch.
+func (mgr *Manager) fallback(ev Event, p *routing.Policy, scheme string, err error, reason string) error {
+	if err != nil {
 		return fmt.Errorf("reconfig: fallback rebuild: %w", err)
 	}
+	ev.Outcome, ev.Reason, ev.Scheme = OutcomeFallback, reason, scheme
+	mgr.stats.Fallbacks++
+	if err := mgr.m.CommitGeneration(p, mgr.m.VariantSeparate(), nil, nil); err != nil {
+		return fmt.Errorf("reconfig: fallback rebuild: %w", err)
+	}
+	ev.Epoch = mgr.m.Epoch()
 	mgr.record(ev)
 	return nil
 }

@@ -148,24 +148,15 @@ func TestSecondFailNowRunsNothing(t *testing.T) {
 	}
 }
 
-// cyclicUnionFault lands the fault on the separate-D-XB variant with both
-// traffic classes in flight: the separate recompile is refused with a
-// concrete cycle witness, and the unified candidate is admissible but its
-// union with the retiring generation's edges is cyclic (the Fig. 9
-// interaction). It returns the attempt's one event.
+// cyclicUnionFault lands the cyclic-union rig's fault: the separate-D-XB
+// variant with both traffic classes in flight, whose separate recompile is
+// refused with a concrete cycle witness and whose unified candidate is
+// admissible but has a cyclic union with the retiring generation's edges
+// (the Fig. 9 interaction). It returns the attempt's one event.
 func cyclicUnionFault(t *testing.T) (*core.Machine, *reconfig.Manager, reconfig.Event) {
 	t.Helper()
-	m, mgr := newRig(t, true, core.ReconfigOnFault)
-	if _, err := m.Send(geom.Coord{0, 0}, geom.Coord{3, 3}, 24); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := m.Broadcast(geom.Coord{3, 2}, 24); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		m.Step()
-	}
-	if _, err := m.FailNow(fault.RouterFault(geom.Coord{2, 1})); err != nil {
+	m, mgr, f := reconfig.CyclicUnionRig(t)
+	if _, err := m.FailNow(f); err != nil {
 		t.Fatal(err)
 	}
 	evs := mgr.Events()
@@ -177,8 +168,10 @@ func cyclicUnionFault(t *testing.T) (*core.Machine, *reconfig.Manager, reconfig.
 
 // TestFallbackOnDrainBudget pins the decision on a cyclic union now that
 // the manager has no drain budget, that is, purges no packet for a
-// transition: it rebuilds in place, commits no generation, and keeps the
-// cyclic union, witness included, on the event.
+// transition: it commits the current variant's recompile as the one
+// generation for every epoch, names that table on the event, and keeps the
+// cyclic union, witness included. On this separate-D-XB machine that
+// re-installs the variant the attempt has just refused (ROADMAP 22(b)).
 func TestFallbackOnDrainBudget(t *testing.T) {
 	m, mgr, ev := cyclicUnionFault(t)
 	if ev.Outcome != reconfig.OutcomeFallback {
@@ -190,8 +183,8 @@ func TestFallbackOnDrainBudget(t *testing.T) {
 	if !strings.Contains(ev.Refusals[0].Scheme, "separate-dxb") {
 		t.Fatalf("refusal names scheme %q, want the separate-D-XB recompile", ev.Refusals[0].Scheme)
 	}
-	if !ev.Candidate.Acyclic || !strings.Contains(ev.Scheme, "unified") {
-		t.Fatalf("candidate %q (acyclic %v), want the admissible unified degradation", ev.Scheme, ev.Candidate.Acyclic)
+	if !ev.Candidate.Acyclic || !strings.Contains(ev.Candidate.Scheme, "unified") {
+		t.Fatalf("candidate %q (acyclic %v), want the admissible unified degradation", ev.Candidate.Scheme, ev.Candidate.Acyclic)
 	}
 	if ev.Union.Acyclic || len(ev.Union.Cycle) == 0 {
 		t.Fatalf("fallback without a cyclic union witness: %+v", ev.Union)
@@ -199,8 +192,18 @@ func TestFallbackOnDrainBudget(t *testing.T) {
 	if want := fmt.Sprintf("union cyclic (length %d), %d in flight", len(ev.Union.Cycle), ev.InFlight); ev.Reason != want {
 		t.Fatalf("fallback reason %q, want %q", ev.Reason, want)
 	}
-	if m.Epoch() != 0 || len(m.Generations()) != 1 {
-		t.Fatalf("fallback advanced the epoch (%d) or kept %d generations", m.Epoch(), len(m.Generations()))
+	gens := m.Generations()
+	if len(gens) != 1 || gens[0].Boundary != 0 {
+		t.Fatalf("fallback kept generations %+v, want one covering every epoch", gens)
+	}
+	if !m.VariantSeparate() || ev.Scheme != ev.Refusals[0].Scheme {
+		t.Fatalf("fallback installed %q (separate %v), want the current variant's recompile %q", ev.Scheme, m.VariantSeparate(), ev.Refusals[0].Scheme)
+	}
+	if p := gens[0].Policy; p.EffectiveDXB() == p.EffectiveSXB() {
+		t.Fatalf("fallback installed D-XB = S-XB = %v, want the current separate variant", p.EffectiveSXB())
+	}
+	if m.Epoch() != 1 || ev.Epoch != 1 {
+		t.Fatalf("machine epoch %d, event epoch %d; want both 1", m.Epoch(), ev.Epoch)
 	}
 	if st := mgr.Stats(); st.Attempts != 1 || st.HotSwaps != 0 || st.Fallbacks != 1 || st.Refusals != 1 {
 		t.Fatalf("stats %+v do not record one fallback after one refusal", st)
@@ -236,14 +239,14 @@ func TestDrainOnCyclicUnion(t *testing.T) {
 }
 
 // TestDeadlockTriggeredSwap runs the full Fig. 9 deadlock under mode
-// "deadlock": the preset-fault run deadlocks once, the supervisor purges the
-// victim and hands off to the manager, which refuses the separate recompile
-// (witness), hot-swaps to the unified table, and the run drains with zero
-// further recoveries.
+// "both": the preset-fault run (no mid-run fault) deadlocks once, the
+// supervisor purges the victim and hands off to the manager, which refuses
+// the separate recompile (witness), hot-swaps to the unified table, and the
+// run drains with zero further recoveries.
 func TestDeadlockTriggeredSwap(t *testing.T) {
 	deadlocked := false
 	for off := 0; off <= 10 && !deadlocked; off++ {
-		m, mgr := newRig(t, true, core.ReconfigOnDeadlock)
+		m, mgr := newRig(t, true, core.ReconfigBoth)
 		if err := m.AddFault(fault.RouterFault(geom.Coord{2, 1})); err != nil {
 			t.Fatal(err)
 		}
@@ -306,21 +309,12 @@ func TestDeadlockTriggeredSwap(t *testing.T) {
 }
 
 // TestFaultModeSkipsDeadlockTrigger pins mode isolation: under mode "fault"
-// the deadlock hand-off is a no-op and under mode "deadlock" a mid-run fault
-// rebuilds in place without recording an attempt.
+// the deadlock hand-off is a no-op.
 func TestFaultModeSkipsDeadlockTrigger(t *testing.T) {
 	_, mgr := newRig(t, false, core.ReconfigOnFault)
 	mgr.OnDeadlock(42)
 	if len(mgr.Events()) != 0 || mgr.Stats().Attempts != 0 {
 		t.Fatalf("mode %q acted on a deadlock trigger: %+v", core.ReconfigOnFault, mgr.Events())
-	}
-
-	m, mgr := newRig(t, false, core.ReconfigOnDeadlock)
-	if _, err := m.FailNow(fault.RouterFault(geom.Coord{2, 1})); err != nil {
-		t.Fatal(err)
-	}
-	if len(mgr.Events()) != 0 || m.Epoch() != 0 {
-		t.Fatalf("mode %q attempted reconfiguration on a fault: %+v", core.ReconfigOnDeadlock, mgr.Events())
 	}
 }
 
