@@ -17,7 +17,7 @@ const secCellResult = "campaign.result"
 
 // resultVersion is the oldest container version whose campaign.result
 // section this build reads.
-const resultVersion = 6
+const resultVersion = 7
 
 // EncodeResult serializes one completed cell verdict into its own container
 // (the Store's cell-NNNN.result files).

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -15,16 +16,28 @@ import (
 // the drain rung finished it, with one swap and two drained packets). That
 // layout carried a drain count between the swap and fallback counts, so
 // reading it with this layout would report the drained packets as
-// fallbacks. The decoder must refuse it by section name and version, which
-// makes the store re-run the cell.
-func TestDecodeResultRefusesV5(t *testing.T) {
-	data, err := os.ReadFile("testdata/result_v5.bin")
+// fallbacks.
+func TestDecodeResultRefusesV5(t *testing.T) { checkResultRefused(t, 5) }
+
+// TestDecodeResultRefusesV6 does the same for version 6
+// (testdata/result_v6.bin: the same cell as the fallback that re-installed
+// the current variant finished it, with no swap and one fallback). Its
+// layout is this one, but the same spec now runs differently, since a
+// fallback installs the attempt's chosen candidate; a stored v6 cell would
+// splice the old run into a new campaign's artifact.
+func TestDecodeResultRefusesV6(t *testing.T) { checkResultRefused(t, 6) }
+
+// checkResultRefused: the decoder must refuse testdata/result_v<version>.bin
+// by section name and version, which makes the store re-run the cell.
+func checkResultRefused(t *testing.T, version int) {
+	t.Helper()
+	data, err := os.ReadFile(fmt.Sprintf("testdata/result_v%d.bin", version))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = DecodeResult(data)
-	if err == nil || !strings.Contains(err.Error(), `section "campaign.result"`) || !strings.Contains(err.Error(), "version 5") {
-		t.Fatalf("DecodeResult(v5) = %v, want a refusal naming the campaign.result section and version 5", err)
+	if want := fmt.Sprintf("version %d", version); err == nil || !strings.Contains(err.Error(), `section "campaign.result"`) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("DecodeResult(v%d) = %v, want a refusal naming the campaign.result section and %s", version, err, want)
 	}
 
 	store, err := OpenStore(t.TempDir())
@@ -35,7 +48,7 @@ func TestDecodeResultRefusesV5(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := store.LoadResult(0); ok {
-		t.Fatal("the store loaded a v5 cell result instead of re-running the cell")
+		t.Fatalf("the store loaded a v%d cell result instead of re-running the cell", version)
 	}
 }
 

@@ -67,9 +67,15 @@ import (
 // campaign.result section; a pre-6 cell result is refused by that section's
 // name and the version (so the cell re-runs), and every other section keeps
 // decoding older versions.
+// Version 7 changed no layout: a reconfiguration fallback now installs the
+// attempt's chosen candidate, not the current variant's recompile, and an
+// attempt that would change no route commits nothing, so the same cell spec
+// stores different results. A pre-7 cell result is refused by the
+// campaign.result section's name and the version (so the cell re-runs), and
+// every other section keeps decoding older versions.
 // Writers always emit the current version, and section decoders consult
 // Decoder.Version to skip fields an older container cannot contain.
-const Version uint16 = 6
+const Version uint16 = 7
 
 // minVersion is the oldest container version this build still reads.
 const minVersion uint16 = 1

@@ -167,6 +167,7 @@ func TestGoldenV3(t *testing.T) { checkGolden(t, 3) }
 func TestGoldenV4(t *testing.T) { checkGolden(t, 4) }
 func TestGoldenV5(t *testing.T) { checkGolden(t, 5) }
 func TestGoldenV6(t *testing.T) { checkGolden(t, 6) }
+func TestGoldenV7(t *testing.T) { checkGolden(t, 7) }
 
 func TestReaderRejections(t *testing.T) {
 	valid := goldenContainer().Bytes()

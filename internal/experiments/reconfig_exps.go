@@ -80,8 +80,8 @@ func packetsLost(c campaign.CellResult) int {
 // traffic drains with zero recoveries and zero losses. The cyclic cell lands
 // the fault while both traffic classes are in flight: the union graph is
 // provably cyclic (its witness is pinned in the notes), so the manager
-// rebuilds the current variant in place and leaves any deadlock to the
-// recovery supervisor.
+// installs its admissible unified candidate in place, not the separate
+// recompile it refused, and leaves any deadlock to the recovery supervisor.
 // Shape criterion: the control deadlocks and loses strictly more packets
 // than the hot-swap cell, which runs the identical workload; the hot-swap
 // cell drains with zero recoveries; every committed swap carries acyclicity

@@ -140,6 +140,13 @@ func (c Coord) WithDim(dim, v int) Coord {
 
 // String renders the coordinate for a d-dimensional lattice, e.g. "(2,0,1)".
 func (c Coord) String() string {
+	var buf [32]byte
+	return string(c.Append(buf[:0]))
+}
+
+// Append appends c's String form to b, for names built without a string per
+// part.
+func (c Coord) Append(b []byte) []byte {
 	// Without knowing d we print all dimensions up to the last non-zero one,
 	// and at least two.
 	last := 1
@@ -148,16 +155,14 @@ func (c Coord) String() string {
 			last = i
 		}
 	}
-	var b strings.Builder
-	b.WriteByte('(')
+	b = append(b, '(')
 	for i := 0; i <= last; i++ {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.Itoa(c[i]))
+		b = strconv.AppendInt(b, int64(c[i]), 10)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(b, ')')
 }
 
 // In renders the coordinate using exactly dims dimensions, e.g. "(2,0,1)".

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sr2201/internal/inject"
+	"sr2201/internal/reconfig"
 )
 
 // quickFaultSpec is a single-fault run that drains in well under a second.
@@ -239,5 +240,20 @@ func TestConcurrentSubmissions(t *testing.T) {
 	}
 	if got := fmt.Sprint(mt.CacheHitRate); got != fmt.Sprint(float64(mt.Deduped)/float64(mt.Submitted)) {
 		t.Errorf("cache hit rate %s inconsistent", got)
+	}
+}
+
+// TestReconfigDelta: a hot swap counts as a reconfiguration and a fallback
+// as a fall-back; an attempt that left the tables unchanged counts as
+// neither.
+func TestReconfigDelta(t *testing.T) {
+	for outcome, want := range map[string]Progress{
+		reconfig.OutcomeHotSwap:   {Reconfigured: 1},
+		reconfig.OutcomeFallback:  {ReconfigFellBack: 1},
+		reconfig.OutcomeUnchanged: {},
+	} {
+		if got := reconfigDelta(reconfig.Event{Outcome: outcome}); got != want {
+			t.Errorf("reconfigDelta(%s) = %+v, want %+v", outcome, got, want)
+		}
 	}
 }

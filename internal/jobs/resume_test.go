@@ -198,7 +198,7 @@ func TestRunSpecFaultResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Recoveries != 3 || want.Reconfigured != 0 || want.ReconfigFellBack != 1 || want.Cells != 1 || want.Cycles != 2934 {
+	if want.Recoveries != 2 || want.Reconfigured != 0 || want.ReconfigFellBack != 1 || want.Cells != 1 || want.Cycles != 2934 {
 		t.Fatalf("fixture moved: uninterrupted run reported %+v", want)
 	}
 

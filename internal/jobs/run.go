@@ -18,12 +18,17 @@ import (
 // job's ordered event stream.
 type progressFn func(d Progress)
 
-// reconfigDelta maps one reconfiguration event onto its progress increment.
+// reconfigDelta maps one reconfiguration event onto its progress increment;
+// an attempt that left the tables unchanged counts as neither a swap nor a
+// fallback.
 func reconfigDelta(ev reconfig.Event) Progress {
-	if ev.Outcome == reconfig.OutcomeFallback {
+	switch ev.Outcome {
+	case reconfig.OutcomeHotSwap:
+		return Progress{Reconfigured: 1}
+	case reconfig.OutcomeFallback:
 		return Progress{ReconfigFellBack: 1}
 	}
-	return Progress{Reconfigured: 1}
+	return Progress{}
 }
 
 // execState is one execution's slice of the manager's state store: where

@@ -11,20 +11,26 @@
 // plus every edge a retiring generation's in-flight packets can still hold or
 // wait on, restricted to still-live channels and to the traffic classes
 // actually in flight — acyclic through the same topo prover that certifies
-// every static scheme. The ladder has two rungs:
+// every static scheme. An attempt chooses one candidate: the first
+// statically admissible one (statically cyclic candidates are refused on the
+// way, each with a concrete cycle witness recorded on the event), or, when
+// none is, the last one that built. The ladder has two rungs:
 //
-//  1. a statically admissible candidate whose union graph is acyclic is
-//     hot-swapped in (statically cyclic candidates are refused on the way,
-//     each with a concrete cycle witness recorded on the event);
-//  2. otherwise the Manager falls back to rebuilding the current variant
+//  1. an admissible candidate whose union graph is acyclic is hot-swapped
+//     in;
+//  2. otherwise the Manager falls back to installing the chosen candidate
 //     in place, the pre-reconfiguration answer to a fault, and any
 //     transition deadlock is the recovery supervisor's to purge and
-//     retransmit (the scheme of DBR, arXiv 1211.5747). A fallback forced
-//     by a cyclic union keeps the union certificate, witness included, on
-//     the event.
+//     retransmit (the scheme of DBR, arXiv 1211.5747): a transition that
+//     cannot be certified still lands on the new routing function, never
+//     on one the attempt refuted. A fallback forced by a cyclic union keeps
+//     the union certificate, witness included, on the event.
 //
 // Both rungs install through Machine.CommitGeneration; a fallback's empty
-// census leaves its table the one generation, routing every epoch.
+// census leaves its table the one generation, routing every epoch. An
+// admissible candidate whose lines every generation already routes on is
+// not committed at all: the attempt changes no route and records the tables
+// unchanged.
 //
 // The Manager never purges packets to make a cyclic transition safe: on
 // every measured workload, purging every old-epoch packet first cost more
@@ -37,6 +43,7 @@ package reconfig
 
 import (
 	"fmt"
+	"strings"
 
 	"sr2201/internal/cdg"
 	"sr2201/internal/core"
@@ -63,8 +70,13 @@ const (
 	OutcomeHotSwap = "hot-swap"
 	// OutcomeFallback means no admissible transition existed (every
 	// candidate statically cyclic or unbuildable, or the union graph cyclic)
-	// and the Manager rebuilt in place: one generation for every epoch.
+	// and the Manager installed its chosen candidate in place: one
+	// generation for every epoch.
 	OutcomeFallback = "fallback"
+	// OutcomeUnchanged means the admissible candidate routes on the lines
+	// every generation already has, so nothing was committed: the tables
+	// and the epoch stay as they were.
+	OutcomeUnchanged = "unchanged"
 )
 
 // Event records one reconfiguration attempt, whatever its outcome.
@@ -75,17 +87,19 @@ type Event struct {
 	Trigger string
 	// Fault is the fault that fired the attempt (zero for TriggerDeadlock).
 	Fault fault.Fault
-	// Outcome is OutcomeHotSwap or OutcomeFallback.
+	// Outcome is OutcomeHotSwap, OutcomeFallback or OutcomeUnchanged.
 	Outcome string
 	// Reason explains a fallback ("no admissible candidate", "union cyclic
 	// ..."); empty otherwise.
 	Reason string
-	// Epoch is the committed generation's epoch stamp.
+	// Epoch is the committed generation's epoch stamp (the machine's
+	// unchanged epoch for OutcomeUnchanged).
 	Epoch uint64
-	// Scheme names the committed table's scheme: the chosen candidate for a
-	// hot swap, the current variant's recompile for a fallback.
+	// Scheme names the chosen candidate's scheme: the table a hot swap or a
+	// fallback committed, or the one the machine already routes on.
 	Scheme string
-	// InFlight counts the packets resident in the network at decision time.
+	// InFlight counts the packets resident in the network at decision time
+	// (zero for OutcomeUnchanged, which takes no census).
 	InFlight int
 	// Refusals holds the static certificate of every candidate refused for
 	// a concrete dependence cycle, in trial order. Each carries its cycle
@@ -94,12 +108,13 @@ type Event struct {
 	// Errors lists candidates that could not even be built against the
 	// fault set (no effective line available), in trial order.
 	Errors []string
-	// Candidate is the chosen candidate's static certificate (zero value
-	// when the attempt fell back before choosing one).
+	// Candidate is the admissible candidate's static certificate (zero value
+	// when no candidate was admissible).
 	Candidate topo.Certificate
 	// Union is the transition certificate: the candidate's CDG plus all
 	// live retiring edges. Acyclic for a hot swap; for a fallback it forced,
-	// the cyclic certificate with its witness.
+	// the cyclic certificate with its witness; zero when no union was
+	// proved.
 	Union topo.Certificate
 }
 
@@ -110,9 +125,13 @@ func (ev Event) String() string {
 	if ev.Trigger == TriggerFault {
 		trig = "fault " + ev.Fault.String()
 	}
-	if ev.Outcome == OutcomeHotSwap {
+	switch ev.Outcome {
+	case OutcomeHotSwap:
 		return fmt.Sprintf("reconfig @ cycle %d (%s): hot swap to epoch %d [%s], %d in flight, union %d channels %d edges acyclic",
 			ev.Cycle, trig, ev.Epoch, ev.Scheme, ev.InFlight, ev.Union.Channels, ev.Union.Edges)
+	case OutcomeUnchanged:
+		return fmt.Sprintf("reconfig @ cycle %d (%s): tables unchanged at epoch %d [%s], every generation already on its lines",
+			ev.Cycle, trig, ev.Epoch, ev.Scheme)
 	}
 	return fmt.Sprintf("reconfig @ cycle %d (%s): fell back to rebuild-in-place onto epoch %d [%s] (%s)",
 		ev.Cycle, trig, ev.Epoch, ev.Scheme, ev.Reason)
@@ -124,7 +143,8 @@ type Stats struct {
 	Attempts int
 	// HotSwaps counts attempts committed without disturbing a packet.
 	HotSwaps int
-	// Fallbacks counts attempts degraded to rebuild-in-place.
+	// Fallbacks counts attempts degraded to rebuild-in-place. An attempt that
+	// left the tables unchanged counts in neither.
 	Fallbacks int
 	// Refusals counts statically cyclic candidates refused across all
 	// attempts.
@@ -191,9 +211,8 @@ func (mgr *Manager) OnDeadlock(cycle int64) {
 }
 
 // attempt runs one full reconfiguration decision. It returns an error only
-// for infrastructure failures (no admissible candidate and a current variant
-// that cannot be built); every routing-level refusal is an outcome, not an
-// error.
+// when no candidate could be built or the commit fails; every routing-level
+// refusal is an outcome, not an error.
 func (mgr *Manager) attempt(trigger string, f fault.Fault) error {
 	m := mgr.m
 	mgr.stats.Attempts++
@@ -205,20 +224,16 @@ func (mgr *Manager) attempt(trigger string, f fault.Fault) error {
 	if m.VariantSeparate() {
 		variants = append(variants, false)
 	}
+	// chosen is the last candidate that built: the first admissible one, or,
+	// when none is, the most degraded. Whatever the outcome, it is the table
+	// the attempt installs.
 	var (
 		chosen    *routing.Policy
 		chosenSep bool
 		graph     *cdg.Graph
-		// The current variant's recompile: every fallback's table.
-		current       *routing.Policy
-		currentScheme string
-		currentErr    error
 	)
-	for i, sep := range variants {
+	for _, sep := range variants {
 		p, err := routing.New(m.RoutingConfig(sep))
-		if i == 0 {
-			current, currentErr = p, err
-		}
 		if err != nil {
 			ev.Errors = append(ev.Errors, err.Error())
 			continue
@@ -228,21 +243,28 @@ func (mgr *Manager) attempt(trigger string, f fault.Fault) error {
 		// transition's from the same graph below.
 		g := cdg.NewGraph(p, m.Shape())
 		cert := g.Certificate(cdg.SchemeName(p, m.Shape()))
-		if i == 0 {
-			currentScheme = cert.Scheme
-		}
+		chosen, chosenSep, ev.Scheme = p, sep, cert.Scheme
 		if !cert.Acyclic {
 			ev.Refusals = append(ev.Refusals, cert)
 			mgr.stats.Refusals++
 			continue
 		}
-		chosen, chosenSep, graph, ev.Candidate = p, sep, g, cert
+		graph, ev.Candidate = g, cert
 		break
 	}
 	if chosen == nil {
-		return mgr.fallback(ev, current, currentScheme, currentErr, "no admissible candidate")
+		return fmt.Errorf("reconfig: no candidate could be built: %s", strings.Join(ev.Errors, "; "))
 	}
-	ev.Scheme = ev.Candidate.Scheme
+	if graph == nil {
+		return mgr.fallback(ev, chosen, chosenSep, "no admissible candidate")
+	}
+	if mgr.routesOn(chosen) {
+		// Every generation already decides as the candidate would: a commit
+		// would change no route, so the tables and the epoch stay.
+		ev.Outcome, ev.Epoch = OutcomeUnchanged, m.Epoch()
+		mgr.record(ev)
+		return nil
+	}
 
 	// The union proof: candidate CDG plus every live retiring edge of the
 	// classes actually in flight.
@@ -251,11 +273,10 @@ func (mgr *Manager) attempt(trigger string, f fault.Fault) error {
 	mgr.addRetiringEdges(graph, chosen, hdrs, len(unknown) > 0)
 	ev.Union = graph.Certificate(ev.Candidate.Scheme + "+transition")
 	if !ev.Union.Acyclic {
-		// Cyclic transition: rebuild the current variant in place and leave
-		// any deadlock to the recovery supervisor; the event keeps the union
-		// and its witness. When the current variant is the one refused above,
-		// this re-installs it (ROADMAP 22(b)).
-		return mgr.fallback(ev, current, currentScheme, currentErr, fmt.Sprintf("union cyclic (length %d), %d in flight", len(ev.Union.Cycle), ev.InFlight))
+		// Cyclic transition: install the candidate in place and leave any
+		// deadlock to the recovery supervisor; the event keeps the union and
+		// its witness.
+		return mgr.fallback(ev, chosen, chosenSep, fmt.Sprintf("union cyclic (length %d), %d in flight", len(ev.Union.Cycle), ev.InFlight))
 	}
 	if err := m.CommitGeneration(chosen, chosenSep, hdrs, unknown); err != nil {
 		return fmt.Errorf("reconfig: committing generation: %w", err)
@@ -266,21 +287,37 @@ func (mgr *Manager) attempt(trigger string, f fault.Fault) error {
 	return nil
 }
 
-// fallback degrades the attempt to the swap-in-place onto p, the current
-// variant's recompile (err when it could not be built), and records it: the
-// empty census leaves p alone, routing every epoch.
-func (mgr *Manager) fallback(ev Event, p *routing.Policy, scheme string, err error, reason string) error {
-	if err != nil {
-		return fmt.Errorf("reconfig: fallback rebuild: %w", err)
-	}
-	ev.Outcome, ev.Reason, ev.Scheme = OutcomeFallback, reason, scheme
+// fallback degrades the attempt to the swap-in-place onto p, the attempt's
+// chosen candidate built for variant sep, and records it: the empty census
+// leaves p alone, routing every epoch.
+func (mgr *Manager) fallback(ev Event, p *routing.Policy, sep bool, reason string) error {
+	ev.Outcome, ev.Reason = OutcomeFallback, reason
 	mgr.stats.Fallbacks++
-	if err := mgr.m.CommitGeneration(p, mgr.m.VariantSeparate(), nil, nil); err != nil {
-		return fmt.Errorf("reconfig: fallback rebuild: %w", err)
+	if err := mgr.m.CommitGeneration(p, sep, nil, nil); err != nil {
+		return fmt.Errorf("reconfig: fallback: %w", err)
 	}
 	ev.Epoch = mgr.m.Epoch()
 	mgr.record(ev)
 	return nil
+}
+
+// routesOn reports whether every generation of the machine routes on p's
+// effective S-XB and D-XB lines. Against the one live fault set such a
+// generation decides exactly as p does (the variant only picks the D
+// line), so committing p would change no route.
+func (mgr *Manager) routesOn(p *routing.Policy) bool {
+	for _, g := range mgr.m.Generations() {
+		if !sameLines(g.Policy, p) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameLines reports whether two policies route on the same effective S-XB
+// and D-XB lines.
+func sameLines(a, b *routing.Policy) bool {
+	return a.EffectiveSXB() == b.EffectiveSXB() && a.EffectiveDXB() == b.EffectiveDXB()
 }
 
 func (mgr *Manager) record(ev Event) {
@@ -319,7 +356,7 @@ func (mgr *Manager) addRetiringEdges(graph *cdg.Graph, candidate *routing.Policy
 		if !cl[i].unicast && !cl[i].broadcast {
 			continue
 		}
-		if g.Policy.EffectiveSXB() == candidate.EffectiveSXB() && g.Policy.EffectiveDXB() == candidate.EffectiveDXB() {
+		if sameLines(g.Policy, candidate) {
 			// On the candidate's own effective lines against the same live
 			// fault set, the generation decides exactly as the candidate does
 			// (the variant only picks the D line): every edge it could add is

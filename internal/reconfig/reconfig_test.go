@@ -66,9 +66,10 @@ func TestNewNeedsReconfigMode(t *testing.T) {
 }
 
 // TestHotSwapOnFault lands a mid-run router fault on the unified machine
-// with one unicast in flight away from the dead router: the recompiled
-// table's union graph is acyclic, so the swap commits without touching a
-// packet, and the in-flight packet still delivers under its old generation.
+// with one unicast in flight away from the dead router: router (2,0) sits on
+// the S-XB line, so the recompile moves the lines, the recompiled table's
+// union graph is acyclic, and the swap commits without touching a packet;
+// the in-flight packet still delivers under its old generation.
 func TestHotSwapOnFault(t *testing.T) {
 	m, mgr := newRig(t, false, core.ReconfigOnFault)
 	if _, err := m.Send(geom.Coord{0, 0}, geom.Coord{3, 3}, 24); err != nil {
@@ -77,7 +78,7 @@ func TestHotSwapOnFault(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.Step()
 	}
-	lost, err := m.FailNow(fault.RouterFault(geom.Coord{2, 1}))
+	lost, err := m.FailNow(fault.RouterFault(geom.Coord{2, 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +169,11 @@ func cyclicUnionFault(t *testing.T) (*core.Machine, *reconfig.Manager, reconfig.
 
 // TestFallbackOnDrainBudget pins the decision on a cyclic union now that
 // the manager has no drain budget, that is, purges no packet for a
-// transition: it commits the current variant's recompile as the one
-// generation for every epoch, names that table on the event, and keeps the
-// cyclic union, witness included. On this separate-D-XB machine that
-// re-installs the variant the attempt has just refused (ROADMAP 22(b)).
+// transition: it commits the attempt's chosen candidate, the admissible
+// unified degradation, as the one generation for every epoch, names that
+// table on the event, and keeps the cyclic union, witness included. The
+// separate-D-XB recompile the attempt has just refused is not installed,
+// and the machine's recompiles are unified from now on.
 func TestFallbackOnDrainBudget(t *testing.T) {
 	m, mgr, ev := cyclicUnionFault(t)
 	if ev.Outcome != reconfig.OutcomeFallback {
@@ -196,17 +198,79 @@ func TestFallbackOnDrainBudget(t *testing.T) {
 	if len(gens) != 1 || gens[0].Boundary != 0 {
 		t.Fatalf("fallback kept generations %+v, want one covering every epoch", gens)
 	}
-	if !m.VariantSeparate() || ev.Scheme != ev.Refusals[0].Scheme {
-		t.Fatalf("fallback installed %q (separate %v), want the current variant's recompile %q", ev.Scheme, m.VariantSeparate(), ev.Refusals[0].Scheme)
+	if m.VariantSeparate() || ev.Scheme != ev.Candidate.Scheme {
+		t.Fatalf("fallback installed %q (separate %v), want the unified candidate %q", ev.Scheme, m.VariantSeparate(), ev.Candidate.Scheme)
 	}
-	if p := gens[0].Policy; p.EffectiveDXB() == p.EffectiveSXB() {
-		t.Fatalf("fallback installed D-XB = S-XB = %v, want the current separate variant", p.EffectiveSXB())
+	if p := gens[0].Policy; p.EffectiveDXB() != p.EffectiveSXB() {
+		t.Fatalf("fallback installed S-XB %v, D-XB %v; want the unified candidate's one line", p.EffectiveSXB(), p.EffectiveDXB())
 	}
 	if m.Epoch() != 1 || ev.Epoch != 1 {
 		t.Fatalf("machine epoch %d, event epoch %d; want both 1", m.Epoch(), ev.Epoch)
 	}
 	if st := mgr.Stats(); st.Attempts != 1 || st.HotSwaps != 0 || st.Fallbacks != 1 || st.Refusals != 1 {
 		t.Fatalf("stats %+v do not record one fallback after one refusal", st)
+	}
+}
+
+// TestNoAdmissibleCandidateFallsBack pins the fallback no small 2-D shape
+// reaches: on the separate-D-XB 4x4x4 machine, routers (0,0,0) and (0,2,1)
+// dead, both candidates build and both are refused with a cycle witness
+// (the first such pair of a search over every router and crossbar pair of
+// 4x4x4 and 5x5, DESIGN §13). The attempt falls back onto its chosen
+// candidate, the last one built, which is the unified degradation: one
+// generation for every epoch, and the machine's recompiles are unified from
+// now on.
+func TestNoAdmissibleCandidateFallsBack(t *testing.T) {
+	shape := geom.MustShape(4, 4, 4)
+	m, err := core.NewMachine(core.Config{
+		Shape:       shape,
+		DXB:         shape.CoordOf(shape.Size() - 1),
+		DXBSeparate: true,
+		Reconfig:    core.ReconfigOnFault,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := reconfig.New(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddFault(fault.RouterFault(geom.Coord{0, 0, 0})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.FailNow(fault.RouterFault(geom.Coord{0, 2, 1})); err != nil {
+		t.Fatal(err)
+	}
+	evs := mgr.Events()
+	if len(evs) != 1 {
+		t.Fatalf("%d events, want 1", len(evs))
+	}
+	ev := evs[0]
+	if ev.Outcome != reconfig.OutcomeFallback || ev.Reason != "no admissible candidate" {
+		t.Fatalf("event %q, want a fallback for no admissible candidate", ev)
+	}
+	if len(ev.Refusals) != 2 || len(ev.Errors) != 0 {
+		t.Fatalf("%d refusals, errors %v; want both candidates built and refused", len(ev.Refusals), ev.Errors)
+	}
+	for i, want := range []string{"separate-dxb", "unified"} {
+		if r := ev.Refusals[i]; r.Acyclic || len(r.Cycle) == 0 || !strings.Contains(r.Scheme, want) {
+			t.Fatalf("refusal[%d] = %q (acyclic %v, cycle %v), want the %s candidate refused with a witness", i, r.Scheme, r.Acyclic, r.Cycle, want)
+		}
+	}
+	if ev.Candidate.Scheme != "" || ev.Union.Scheme != "" {
+		t.Fatalf("candidate %q, union %q; want neither, no candidate being admissible", ev.Candidate.Scheme, ev.Union.Scheme)
+	}
+	if ev.Scheme != ev.Refusals[1].Scheme || m.VariantSeparate() {
+		t.Fatalf("fallback installed %q (separate %v), want the unified candidate %q", ev.Scheme, m.VariantSeparate(), ev.Refusals[1].Scheme)
+	}
+	if gens := m.Generations(); len(gens) != 1 || gens[0].Boundary != 0 || gens[0].Policy.EffectiveDXB() != gens[0].Policy.EffectiveSXB() {
+		t.Fatalf("generations %+v, want the unified candidate alone, covering every epoch", gens)
+	}
+	if m.Epoch() != 1 || ev.Epoch != 1 {
+		t.Fatalf("machine epoch %d, event epoch %d; want both 1", m.Epoch(), ev.Epoch)
+	}
+	if st := mgr.Stats(); st.Attempts != 1 || st.HotSwaps != 0 || st.Fallbacks != 1 || st.Refusals != 2 {
+		t.Fatalf("stats %+v do not record one fallback after two refusals", st)
 	}
 }
 
@@ -305,6 +369,64 @@ func TestDeadlockTriggeredSwap(t *testing.T) {
 	}
 	if !deadlocked {
 		t.Fatal("no offset deadlocked; the deadlock trigger is untested")
+	}
+}
+
+// TestUnchangedAttemptCommitsNothing runs DR1's hot swap in mode both: the
+// Fig. 9 machine loses router (2,1) in a quiet network and swaps to the
+// unified table. With a unicast and a broadcast in flight, a
+// deadlock-triggered attempt then finds its only candidate on the lines the
+// machine already routes on: it records the tables unchanged, and the
+// epoch, the generations, the swap count and the state one cycle on (a
+// packet injected after the attempt included) are those of the same run
+// without the attempt.
+func TestUnchangedAttemptCommitsNothing(t *testing.T) {
+	run := func(attempt bool) (*core.Machine, *reconfig.Manager) {
+		m, mgr := newRig(t, true, core.ReconfigBoth)
+		if _, err := m.FailNow(fault.RouterFault(geom.Coord{2, 1})); err != nil {
+			t.Fatal(err)
+		}
+		if evs := mgr.Events(); len(evs) != 1 || evs[0].Outcome != reconfig.OutcomeHotSwap || m.VariantSeparate() {
+			t.Fatalf("events %+v (separate %v), want one hot swap to the unified table", evs, m.VariantSeparate())
+		}
+		if _, err := m.Send(geom.Coord{0, 1}, geom.Coord{2, 2}, 24); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := m.Broadcast(geom.Coord{3, 2}, 24); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			m.Step()
+		}
+		if attempt {
+			mgr.OnDeadlock(m.Cycle())
+		}
+		if _, err := m.Send(geom.Coord{1, 3}, geom.Coord{3, 0}, 24); err != nil {
+			t.Fatal(err)
+		}
+		m.Step()
+		return m, mgr
+	}
+	m, mgr := run(true)
+	ref, refMgr := run(false)
+	if err := mgr.Err(); err != nil {
+		t.Fatal(err)
+	}
+	evs := mgr.Events()
+	if len(evs) != 2 || evs[1].Trigger != reconfig.TriggerDeadlock || evs[1].Outcome != reconfig.OutcomeUnchanged {
+		t.Fatalf("events %+v, want the hot swap and one unchanged deadlock-triggered attempt", evs)
+	}
+	if ev := evs[1]; ev.Epoch != ref.Epoch() || !ev.Candidate.Acyclic || ev.Scheme != ev.Candidate.Scheme {
+		t.Fatalf("unchanged event %+v, want epoch %d and the admissible candidate", ev, ref.Epoch())
+	}
+	if m.Epoch() != ref.Epoch() || len(m.Generations()) != len(ref.Generations()) {
+		t.Fatalf("epoch %d, %d generations; without the attempt %d, %d", m.Epoch(), len(m.Generations()), ref.Epoch(), len(ref.Generations()))
+	}
+	if st, want := mgr.Stats(), refMgr.Stats(); st.Attempts != want.Attempts+1 || st.HotSwaps != want.HotSwaps || st.Fallbacks != want.Fallbacks {
+		t.Fatalf("stats %+v, want %+v plus one attempt and nothing else", st, want)
+	}
+	if got, want := m.Engine().StateHash(), ref.Engine().StateHash(); got != want {
+		t.Fatalf("state hash %x one cycle after the attempt, %x without it", got, want)
 	}
 }
 
