@@ -123,30 +123,30 @@ func (w *Walker) ChannelOf(o *engine.OutPort) (ch int32, lane int, ok bool) {
 func (w *Walker) Name(ch int32) string {
 	dim, index, out := w.Port(ch)
 	lanes := w.wiring.Lanes()
-	var buf [64]byte
-	b := buf[:0]
-	switch {
-	case dim >= 0:
-		b = strconv.AppendInt(append(b, "XB"...), int64(dim), 10)
-		b = strconv.AppendInt(append(w.shape.LineAt(dim, index).Fixed.Append(b), ".out"...), int64(out*lanes), 10)
-	case w.xbar:
-		b = strconv.AppendInt(append(w.shape.CoordOf(index).Append(append(b, "RTC"...)), ".out"...), int64(out*lanes), 10)
-	default:
-		c := w.shape.CoordOf(index)
-		b = c.Append(append(b, 'R'))
-		if out == w.ports-1 {
-			b = append(b, ".pe"...)
-			break
+	if dim >= 0 || w.xbar {
+		// A union proof names every channel of a retiring generation's edge
+		// lists to sort them, so these names are built in one buffer.
+		var buf [48]byte
+		var b []byte
+		if dim >= 0 {
+			b = strconv.AppendInt(append(buf[:0], "XB"...), int64(dim), 10)
+			b = w.shape.LineAt(dim, index).Fixed.Append(b)
+		} else {
+			b = w.shape.CoordOf(index).Append(append(buf[:0], "RTC"...))
 		}
-		peer, _, _ := w.wiring.Peer(c, out)
-		k := c.FirstDiff(peer, geom.MaxDims)
-		b = strconv.AppendInt(append(b, ".d"...), int64(k), 10)
-		b = strconv.AppendInt(append(b, '>'), int64(peer[k]), 10)
-		if lanes > 1 {
-			b = strconv.AppendInt(append(b, ".vc"...), int64(out%lanes), 10)
-		}
+		return string(strconv.AppendInt(append(b, ".out"...), int64(out*lanes), 10))
 	}
-	return string(b)
+	c := w.shape.CoordOf(index)
+	if out == w.ports-1 {
+		return fmt.Sprintf("R%s.pe", c)
+	}
+	peer, _, _ := w.wiring.Peer(c, out)
+	k := c.FirstDiff(peer, geom.MaxDims)
+	name := fmt.Sprintf("R%s.d%d>%d", c, k, peer[k])
+	if lanes > 1 {
+		name += fmt.Sprintf(".vc%d", out%lanes)
+	}
+	return name
 }
 
 // decide asks the policy what the switch does with h. A walked policy reads
