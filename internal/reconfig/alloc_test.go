@@ -14,6 +14,9 @@ package reconfig
 import (
 	"runtime"
 	"testing"
+
+	"sr2201/internal/fault"
+	"sr2201/internal/geom"
 )
 
 func TestAttemptAllocationBudget(t *testing.T) {
@@ -38,6 +41,25 @@ func TestAttemptAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestHotSwapAllocationBudget pins a committed swap on attemptRig's
+// machine: router (1,0) dies on the S line instead, so the lines move, the
+// attempt takes its census, adds the retiring generation's edge lists to
+// the union and commits.
+func TestHotSwapAllocationBudget(t *testing.T) {
+	// 344 now, and 373 when it is the first attempt a process makes.
+	const budget = 380
+	m, mgr, _ := attemptRig(t)
+	var before, after runtime.MemStats
+	failAround(t, m, mgr, fault.RouterFault(geom.Coord{1, 0}), OutcomeHotSwap, func(attempt func()) {
+		runtime.ReadMemStats(&before)
+		attempt()
+		runtime.ReadMemStats(&after)
+	})
+	if allocs := after.Mallocs - before.Mallocs; allocs > budget {
+		t.Errorf("one hot-swapping Manager.attempt on 6x6 with a wave in flight: %d allocations, budget %d", allocs, budget)
+	}
+}
+
 // TestFallbackAllocationBudget pins the fallback path on the cyclic-union
 // rig: two candidates built and certified, the union proof against the
 // retiring separate-D-XB generation's edges, and a commit with an empty
@@ -46,8 +68,9 @@ func TestFallbackAllocationBudget(t *testing.T) {
 	// 670-672 while the fallback compiled the current variant once more
 	// (682 in the first fallback a process makes), 668 (680) while every
 	// channel name of the retiring generation's edge lists, which cdg sorts
-	// by name, took a string per part; 390 now (395).
-	const budget = 400
+	// by name, took a string per part; 390 now (395-398 in the first
+	// fallback a process makes).
+	const budget = 410
 	m, mgr, f := cyclicUnionRig(t)
 	var before, after runtime.MemStats
 	failAround(t, m, mgr, f, OutcomeFallback, func(attempt func()) {
